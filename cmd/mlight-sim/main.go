@@ -1,6 +1,6 @@
 // Command mlight-sim runs an end-to-end simulation of the full stack: a
-// Chord or Pastry overlay on the message-level network simulator, an
-// m-LIGHT index on top, a data-loading phase, a query phase, and an
+// Chord, Pastry or Kademlia overlay on the message-level network simulator,
+// an m-LIGHT index on top, a data-loading phase, a query phase, and an
 // optional churn phase (graceful leaves and crashes with stabilization
 // repair). It prints overlay statistics, per-peer storage distribution, and
 // query costs — the view a deployer would want of the paper's system.
@@ -16,29 +16,16 @@ import (
 	"sort"
 	"time"
 
-	"mlight/internal/chord"
 	"mlight/internal/core"
 	"mlight/internal/dataset"
 	"mlight/internal/dht"
-	"mlight/internal/kademlia"
 	"mlight/internal/metrics"
-	"mlight/internal/pastry"
+	"mlight/internal/overlay"
 	"mlight/internal/peerquery"
 	"mlight/internal/simnet"
+	"mlight/internal/substrate"
 	"mlight/internal/workload"
 )
-
-// overlay is the common management surface of both DHT overlays.
-type overlay interface {
-	dht.DHT
-	dht.Enumerator
-	Stabilize(rounds int)
-	RemoveNode(addr simnet.NodeID) error
-	CrashNode(addr simnet.NodeID) error
-	Nodes() []simnet.NodeID
-	NumNodes() int
-	MeanRouteLength() float64
-}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -60,30 +47,26 @@ func run(args []string, out io.Writer) error {
 		crashes     = fs.Int("crash", 0, "peers that crash mid-run (their buckets are lost; queries touching them fail)")
 		seed        = fs.Int64("seed", 1, "random seed")
 		latency     = fs.Duration("latency", time.Millisecond, "simulated one-way link latency")
-		replication = fs.Int("replication", 1, "chord replication factor (crash tolerance; chord only)")
-		peerExec    = fs.Bool("peerquery", false, "also run the queries peer-to-peer and report simulated latency (chord only)")
+		replication = fs.Int("replication", 1, "copies of each key (crash tolerance; each overlay caps it at its neighbour-set size)")
+		peerExec    = fs.Bool("peerquery", false, "also run the queries peer-to-peer and report simulated latency")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	net := simnet.New(simnet.Options{Latency: simnet.ConstantLatency(*latency)})
-	var ov overlay
-	switch *overlayKind {
-	case "chord":
-		ov = chord.NewRing(net, chord.Config{Seed: *seed, Replication: *replication})
-	case "pastry":
-		ov = pastry.NewOverlay(net, pastry.Config{Seed: *seed})
-	case "kademlia":
-		ov = kademlia.NewOverlay(net, kademlia.Config{Seed: *seed})
-	default:
-		return fmt.Errorf("unknown overlay %q (want chord, pastry, or kademlia)", *overlayKind)
+	ov, err := substrate.New(*overlayKind, net, overlay.Config{Seed: *seed, Replication: *replication})
+	if err != nil {
+		return err
 	}
 
 	fmt.Fprintf(out, "building %s overlay with %d peers...\n", *overlayKind, *peers)
 	start := time.Now()
-	if err := addPeers(ov, 0, *peers); err != nil {
-		return err
+	for i := 0; i < *peers; i++ {
+		addr := simnet.NodeID(fmt.Sprintf("node-%d", i))
+		if _, err := ov.AddNode(addr); err != nil {
+			return fmt.Errorf("add %s: %w", addr, err)
+		}
 	}
 	ov.Stabilize(2)
 	fmt.Fprintf(out, "  overlay up in %v (%d RPCs so far)\n\n", time.Since(start).Round(time.Millisecond), net.RPCs.Load())
@@ -166,11 +149,7 @@ func run(args []string, out io.Writer) error {
 		float64(totalLookups)/float64(done),
 		float64(totalRounds)/float64(done))
 	if *peerExec {
-		ring, isChord := ov.(*chord.Ring)
-		if !isChord {
-			return fmt.Errorf("-peerquery requires -overlay chord")
-		}
-		svc, err := peerquery.New(ring, net, 2, 28)
+		svc, err := peerquery.New(ov, net, 2, 28)
 		if err != nil {
 			return err
 		}
@@ -210,29 +189,8 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-func addPeers(ov overlay, from, to int) error {
-	for i := from; i < to; i++ {
-		addr := simnet.NodeID(fmt.Sprintf("node-%d", i))
-		var err error
-		switch o := ov.(type) {
-		case *chord.Ring:
-			_, err = o.AddNode(addr)
-		case *pastry.Overlay:
-			_, err = o.AddNode(addr)
-		case *kademlia.Overlay:
-			_, err = o.AddNode(addr)
-		default:
-			return fmt.Errorf("unknown overlay type %T", ov)
-		}
-		if err != nil {
-			return fmt.Errorf("add %s: %w", addr, err)
-		}
-	}
-	return nil
-}
-
 // printDistribution summarises per-peer bucket and record counts.
-func printDistribution(ov overlay, out io.Writer) {
+func printDistribution(ov *overlay.Overlay, out io.Writer) {
 	type load struct {
 		buckets, records int
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"io"
+	"strings"
 	"testing"
 )
 
@@ -15,13 +16,21 @@ func TestRunChordWithChurn(t *testing.T) {
 	}
 }
 
-func TestRunChordCrashWithReplication(t *testing.T) {
-	err := run([]string{
-		"-overlay", "chord", "-peers", "16", "-n", "1500",
-		"-queries", "5", "-crash", "2", "-replication", "3",
-	}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
+// TestRunCrashWithReplication: -replication reaches every overlay, so two
+// crashes with three copies lose nothing on any of them.
+func TestRunCrashWithReplication(t *testing.T) {
+	for _, overlay := range []string{"chord", "pastry", "kademlia"} {
+		var out strings.Builder
+		err := run([]string{
+			"-overlay", overlay, "-peers", "16", "-n", "1500",
+			"-queries", "5", "-crash", "2", "-replication", "3",
+		}, &out)
+		if err != nil {
+			t.Fatalf("%s: %v", overlay, err)
+		}
+		if !strings.Contains(out.String(), "replication factor 3 absorbed the crashes") {
+			t.Errorf("%s: queries failed after crashes despite -replication 3:\n%s", overlay, out.String())
+		}
 	}
 }
 
@@ -55,19 +64,19 @@ func TestRunKademlia(t *testing.T) {
 	}
 }
 
+// TestRunPeerQuery: -peerquery runs on every overlay.
 func TestRunPeerQuery(t *testing.T) {
-	err := run([]string{
-		"-overlay", "chord", "-peers", "12", "-n", "1200",
-		"-queries", "4", "-peerquery",
-	}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// -peerquery on a non-chord overlay errors.
-	err = run([]string{
-		"-overlay", "pastry", "-peers", "8", "-n", "500", "-queries", "2", "-peerquery",
-	}, io.Discard)
-	if err == nil {
-		t.Error("-peerquery on pastry accepted")
+	for _, overlay := range []string{"chord", "pastry", "kademlia"} {
+		var out strings.Builder
+		err := run([]string{
+			"-overlay", overlay, "-peers", "12", "-n", "1200",
+			"-queries", "4", "-peerquery",
+		}, &out)
+		if err != nil {
+			t.Fatalf("%s: %v", overlay, err)
+		}
+		if !strings.Contains(out.String(), "peer-executed: 4 ok") {
+			t.Errorf("%s: peer-executed queries did not all succeed:\n%s", overlay, out.String())
+		}
 	}
 }

@@ -48,7 +48,7 @@ func run(args []string) error {
 		seeds       = fs.String("seeds", "", "comma-separated peer daemon addresses (self is filtered out)")
 		substrate   = fs.String("substrate", "chord", "overlay protocol: chord, pastry or kademlia")
 		replication = fs.Int("replication", 1, "per-key copy count the overlay maintains")
-		walDir      = fs.String("wal", "", "write-ahead-log directory for crash recovery (chord only; empty disables)")
+		walDir      = fs.String("wal", "", "write-ahead-log directory for crash recovery (empty disables)")
 		stabilize   = fs.Duration("stabilize", 500*time.Millisecond, "background stabilization cadence")
 		seed        = fs.Int64("seed", 1, "overlay randomness seed")
 		smoke       = fs.Bool("smoke", false, "run as a smoke-test client against -seeds instead of serving")

@@ -3,11 +3,10 @@ package mlight
 import (
 	"fmt"
 
-	"mlight/internal/chord"
 	"mlight/internal/core"
 	"mlight/internal/index"
-	"mlight/internal/kademlia"
-	"mlight/internal/pastry"
+	"mlight/internal/overlay"
+	"mlight/internal/substrate"
 	"mlight/internal/transport"
 	"mlight/internal/wire"
 )
@@ -86,22 +85,15 @@ func Dial(addrs []string, opts ...Option) (*Client, error) {
 
 	// A client-mode overlay: zero local nodes, so every operation routes
 	// through the seed daemons.
-	var substrate DHT
-	switch tuning.Substrate {
-	case "", "chord":
-		substrate = chord.NewRing(tr, chord.Config{Seed: tuning.Seed, Seeds: seeds})
-	case "pastry":
-		substrate = pastry.NewOverlay(tr, pastry.Config{Seed: tuning.Seed, Seeds: seeds})
-	case "kademlia":
-		substrate = kademlia.NewOverlay(tr, kademlia.Config{Seed: tuning.Seed, Seeds: seeds})
-	default:
+	o, err := substrate.New(tuning.Substrate, tr, overlay.Config{Seed: tuning.Seed, Seeds: seeds})
+	if err != nil {
 		abort()
-		return nil, fmt.Errorf("mlight: unknown substrate %q (want chord, pastry or kademlia)", tuning.Substrate)
+		return nil, fmt.Errorf("mlight: %w", err)
 	}
 
 	// Buckets cross the wire as compact bytes, exactly as over a real
 	// byte-oriented DHT service.
-	d := wire.NewByteDHT(substrate, wire.BucketCodec{})
+	d := wire.NewByteDHT(o, wire.BucketCodec{})
 	ix, err := core.New(d, core.FromTuning(tuning))
 	if err != nil {
 		abort()

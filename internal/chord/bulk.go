@@ -1,10 +1,10 @@
 package chord
 
 import (
-	"fmt"
 	"sort"
 
 	"mlight/internal/dht"
+	"mlight/internal/overlay"
 	"mlight/internal/transport"
 )
 
@@ -19,44 +19,20 @@ import (
 //
 // The ring must be empty (no nodes, no remote seeds) and the addresses
 // must be distinct. On error no node stays registered on the transport.
-func (r *Ring) AddNodesBulk(addrs []transport.NodeID) ([]*Node, error) {
-	if len(addrs) == 0 {
-		return nil, fmt.Errorf("chord: bulk build needs at least one address")
-	}
-	r.mu.Lock()
-	empty := len(r.nodes) == 0 && len(r.crashed) == 0 && len(r.seeds) == 0
-	r.mu.Unlock()
-	if !empty {
-		return nil, fmt.Errorf("chord: bulk build requires an empty ring")
-	}
+func AddNodesBulk(r *Ring, addrs []transport.NodeID) ([]*overlay.Node, error) {
+	return r.AddNodes(addrs, wireRing)
+}
 
-	nodes := make([]*Node, 0, len(addrs))
-	fail := func(err error) ([]*Node, error) {
-		for _, n := range nodes {
-			r.net.Deregister(n.addr)
-		}
-		return nil, err
-	}
-	seen := make(map[transport.NodeID]bool, len(addrs))
-	for _, addr := range addrs {
-		if seen[addr] {
-			return fail(fmt.Errorf("chord: bulk build: duplicate address %q", addr))
-		}
-		seen[addr] = true
-		n, err := newNode(r.net, addr)
-		if err != nil {
-			return fail(err)
-		}
-		nodes = append(nodes, n)
-	}
-
+func wireRing(nodes []*overlay.Node) {
 	// Ring order: ascending identifier.
-	byID := make([]*Node, len(nodes))
-	copy(byID, nodes)
-	sort.Slice(byID, func(i, j int) bool { return byID[i].id.Cmp(byID[j].id) < 0 })
+	byID := make([]*node, len(nodes))
+	for i, n := range nodes {
+		byID[i] = n.Routing().(*node)
+	}
+	sort.Slice(byID, func(i, j int) bool { return byID[i].ID().Cmp(byID[j].ID()) < 0 })
 	refs := make([]ref, len(byID))
 	for i, n := range byID {
-		refs[i] = n.self()
+		refs[i] = n.Ref()
 	}
 
 	// succAt finds the owner of target: the first identifier at or after it,
@@ -82,20 +58,8 @@ func (r *Ring) AddNodesBulk(addrs []transport.NodeID) ([]*Node, error) {
 		}
 		node.succs = succs
 		for k := 0; k < dht.IDBits; k++ {
-			node.fingers[k] = succAt(node.id.AddPowerOfTwo(k))
+			node.fingers[k] = succAt(node.ID().AddPowerOfTwo(k))
 		}
 		node.mu.Unlock()
 	}
-
-	r.mu.Lock()
-	for _, node := range nodes {
-		r.nodes[node.addr] = node
-	}
-	r.order = r.order[:0]
-	for _, addr := range addrs {
-		r.order = append(r.order, addr)
-	}
-	sort.Slice(r.order, func(i, j int) bool { return r.order[i] < r.order[j] })
-	r.mu.Unlock()
-	return nodes, nil
 }

@@ -23,13 +23,12 @@ func TestBulkBuildMatchesIncrementalFixpoint(t *testing.T) {
 
 	bnet := simnet.New(simnet.Options{})
 	bulk := NewRing(bnet, Config{Seed: 1})
-	if _, err := bulk.AddNodesBulk(addrs); err != nil {
+	if _, err := AddNodesBulk(bulk, addrs); err != nil {
 		t.Fatal(err)
 	}
 
 	for _, addr := range addrs {
-		in, _ := incr.node(addr)
-		bn, _ := bulk.node(addr)
+		in, bn := routing(t, incr, addr), routing(t, bulk, addr)
 		in.mu.Lock()
 		ipred, isuccs, ifingers := in.pred, append([]ref(nil), in.succs...), in.fingers
 		in.mu.Unlock()
@@ -65,7 +64,7 @@ func TestBulkBuildServesData(t *testing.T) {
 	}
 	net := simnet.New(simnet.Options{})
 	ring := NewRing(net, Config{Seed: 1})
-	if _, err := ring.AddNodesBulk(addrs); err != nil {
+	if _, err := AddNodesBulk(ring, addrs); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
@@ -99,25 +98,25 @@ func TestBulkBuildServesData(t *testing.T) {
 func TestBulkBuildRejectsBadInput(t *testing.T) {
 	net := simnet.New(simnet.Options{})
 	ring := NewRing(net, Config{Seed: 1})
-	if _, err := ring.AddNodesBulk(nil); err == nil {
+	if _, err := AddNodesBulk(ring, nil); err == nil {
 		t.Error("empty address list accepted")
 	}
-	if _, err := ring.AddNodesBulk([]simnet.NodeID{"a", "a"}); err == nil {
+	if _, err := AddNodesBulk(ring, []simnet.NodeID{"a", "a"}); err == nil {
 		t.Error("duplicate addresses accepted")
 	}
 	if net.NumNodes() != 0 {
 		t.Fatalf("failed bulk build leaked %d registrations", net.NumNodes())
 	}
-	if _, err := ring.AddNodesBulk([]simnet.NodeID{"a", "b"}); err != nil {
+	if _, err := AddNodesBulk(ring, []simnet.NodeID{"a", "b"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ring.AddNodesBulk([]simnet.NodeID{"c"}); err == nil {
+	if _, err := AddNodesBulk(ring, []simnet.NodeID{"c"}); err == nil {
 		t.Error("bulk build on a non-empty ring accepted")
 	}
 	// Singleton ring sanity.
 	net2 := simnet.New(simnet.Options{})
 	ring2 := NewRing(net2, Config{Seed: 1})
-	if _, err := ring2.AddNodesBulk([]simnet.NodeID{"solo"}); err != nil {
+	if _, err := AddNodesBulk(ring2, []simnet.NodeID{"solo"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := ring2.Put("k", 1); err != nil {
@@ -141,7 +140,7 @@ func BenchmarkBulkBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ring := NewRing(simnet.New(simnet.Options{}), Config{Seed: 1})
-		if _, err := ring.AddNodesBulk(addrs); err != nil {
+		if _, err := AddNodesBulk(ring, addrs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -26,6 +26,16 @@ func buildRing(t *testing.T, n int) (*simnet.Network, *Ring) {
 	return net, ring
 }
 
+// routing returns the chord routing state of a managed node.
+func routing(t *testing.T, ring *Ring, addr simnet.NodeID) *node {
+	t.Helper()
+	n, ok := ring.NodeAt(addr)
+	if !ok {
+		t.Fatalf("node %q not managed", addr)
+	}
+	return n.Routing().(*node)
+}
+
 // oracleOwner computes the correct owner of a key from the ground truth:
 // the first node identifier at or after hash(key) on the ring.
 func oracleOwner(ring *Ring, key dht.Key) simnet.NodeID {
@@ -35,8 +45,7 @@ func oracleOwner(ring *Ring, key dht.Key) simnet.NodeID {
 	}
 	var ents []ent
 	for _, addr := range ring.Nodes() {
-		n, _ := ring.node(addr)
-		ents = append(ents, ent{id: n.ID(), addr: addr})
+		ents = append(ents, ent{id: dht.HashString(string(addr)), addr: addr})
 	}
 	sort.Slice(ents, func(i, j int) bool { return ents[i].id.Cmp(ents[j].id) < 0 })
 	h := dht.HashKey(key)
@@ -99,7 +108,7 @@ func TestPutGetRemoveAcrossRing(t *testing.T) {
 	// Values are spread over several nodes, not piled on one.
 	occupied := 0
 	for _, addr := range ring.Nodes() {
-		n, _ := ring.node(addr)
+		n, _ := ring.NodeAt(addr)
 		if n.StoreLen() > 0 {
 			occupied++
 		}
@@ -164,35 +173,10 @@ func TestJoinMovesKeys(t *testing.T) {
 		}
 		// Data must live exactly at the oracle owner.
 		owner := oracleOwner(ring, k)
-		n, _ := ring.node(owner)
-		if _, found := n.storeSnapshot()[k]; !found {
+		n, _ := ring.NodeAt(owner)
+		if _, found := n.StoreSnapshot()[k]; !found {
 			t.Fatalf("key %q not stored at oracle owner %q", k, owner)
 		}
-	}
-}
-
-func TestGracefulLeaveKeepsData(t *testing.T) {
-	_, ring := buildRing(t, 10)
-	for i := 0; i < 300; i++ {
-		if err := ring.Put(dht.Key(fmt.Sprintf("lk%d", i)), i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, victim := range []simnet.NodeID{"node-3", "node-7", "node-0"} {
-		if err := ring.RemoveNode(victim); err != nil {
-			t.Fatalf("RemoveNode(%q): %v", victim, err)
-		}
-		ring.Stabilize(2)
-	}
-	for i := 0; i < 300; i++ {
-		k := dht.Key(fmt.Sprintf("lk%d", i))
-		v, ok, err := ring.Get(k)
-		if err != nil || !ok || v != i {
-			t.Fatalf("after leaves Get(%q) = %v, %v, %v", k, v, ok, err)
-		}
-	}
-	if err := ring.RemoveNode("node-3"); err == nil {
-		t.Error("double RemoveNode succeeded")
 	}
 }
 
@@ -298,35 +282,33 @@ func TestNeighbourPointers(t *testing.T) {
 	_, ring := buildRing(t, 8)
 	// Walking successors from any node must traverse the full ring.
 	start := ring.Nodes()[0]
-	n, _ := ring.node(start)
 	seen := map[simnet.NodeID]bool{start: true}
-	cur := n
+	cur := start
 	for i := 0; i < 8; i++ {
-		succAddr, ok := cur.Successor()
-		if !ok {
-			t.Fatalf("node %q has no successor", cur.Addr())
+		succs := routing(t, ring, cur).Neighbours(dht.ID{})
+		if len(succs) == 0 {
+			t.Fatalf("node %q has no successor", cur)
 		}
-		if succAddr == start {
+		cur = succs[0].Addr
+		if cur == start {
 			break
 		}
-		if seen[succAddr] {
-			t.Fatalf("successor cycle revisits %q before covering ring", succAddr)
+		if seen[cur] {
+			t.Fatalf("successor cycle revisits %q before covering ring", cur)
 		}
-		seen[succAddr] = true
-		cur, ok = ring.node(succAddr)
-		if !ok {
-			t.Fatalf("successor %q not managed", succAddr)
-		}
+		seen[cur] = true
 	}
 	if len(seen) != 8 {
 		t.Errorf("successor walk covered %d of 8 nodes", len(seen))
 	}
 	// Predecessors must be set everywhere after stabilization.
 	for _, addr := range ring.Nodes() {
-		node, _ := ring.node(addr)
-		if _, ok := node.Predecessor(); !ok {
+		n := routing(t, ring, addr)
+		n.mu.Lock()
+		if n.pred.IsZero() {
 			t.Errorf("node %q has no predecessor", addr)
 		}
+		n.mu.Unlock()
 	}
 }
 

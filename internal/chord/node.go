@@ -1,9 +1,10 @@
 // Package chord implements the Chord distributed hash table (Stoica et al.,
-// SIGCOMM 2001) over any transport.Interface — the simulated network in
-// internal/simnet or real framed TCP. It is one of
-// the pluggable substrates beneath the m-LIGHT index: the index only sees
-// the generic dht.DHT interface, demonstrating the paper's claim that an
-// over-DHT index "is adaptable to any DHT substrate".
+// SIGCOMM 2001) as a Router for the overlay kernel (internal/overlay), over
+// any transport.Interface — the simulated network in internal/simnet or
+// real framed TCP. It is one of the pluggable substrates beneath the
+// m-LIGHT index: the index only sees the generic dht.DHT interface,
+// demonstrating the paper's claim that an over-DHT index "is adaptable to
+// any DHT substrate".
 //
 // Nodes live on a 160-bit identifier ring (SHA-1 of their address). Each
 // node maintains a predecessor pointer, a successor list for resilience,
@@ -12,158 +13,37 @@
 // next hop, counting each RPC as one overlay hop.
 //
 // Stabilization (stabilize / notify / fix-fingers) runs as explicit rounds
-// driven by the Ring, keeping simulations deterministic.
+// driven by the kernel's Stabilize, keeping simulations deterministic.
+// Storage, replication, membership and the dht.DHT methods are the
+// kernel's; this package holds routing state and routing messages only.
 package chord
 
 import (
-	"fmt"
 	"sync"
 
 	"mlight/internal/dht"
+	"mlight/internal/overlay"
 	"mlight/internal/transport"
 )
 
-// SuccessorListLen is the length of each node's successor list.
+// SuccessorListLen is the length of each node's successor list. It also
+// bounds replication: a key's copies live on its owner's successors.
 const SuccessorListLen = 4
 
-// ref identifies a remote node: its network address and ring identifier.
-type ref struct {
-	Addr transport.NodeID
-	ID   dht.ID
-}
+type ref = overlay.Ref
 
-func (r ref) isZero() bool { return r.Addr == "" }
-
-// Node is one Chord peer.
-type Node struct {
-	addr transport.NodeID
-	id   dht.ID
-	net  transport.Interface
+// node is one Chord peer's routing state.
+type node struct {
+	*overlay.Node
+	r *router
 
 	mu      sync.Mutex
 	pred    ref
 	succs   []ref // succs[0] is the immediate successor; never empty once joined
 	fingers [dht.IDBits]ref
-	store   map[dht.Key]any
-	// replicas holds copies of other nodes' keys when the ring runs with
-	// Replication > 1; see replication.go.
-	replicas map[dht.Key]any
-	// replicaSeen records the local repair round at which each replica was
-	// last refreshed by its owner; repRound counts completed repair rounds.
-	// Together they implement the replica lease: a copy whose owner stops
-	// refreshing it (ownership moved — a join, or a restart reclaiming the
-	// keyspace) expires instead of lingering stale. See expireStaleReplicas.
-	replicaSeen map[dht.Key]uint64
-	repRound    uint64
-	// app is the application-level handler consulted for request types the
-	// node itself does not recognise — the over-DHT application layer
-	// (OpenDHT-style installed handlers). See SetAppHandler.
-	app transport.Handler
-	// vers tracks per-key mutation versions for the remote (wire-safe)
-	// apply protocol; every primary-store write bumps it. See dht.RemoteApply.
-	vers dht.VersionedStore
-	// journal, when set, records every primary-store mutation before it is
-	// acknowledged — the daemon's WAL hook. See SetJournal.
-	journal Journal
 }
 
-// Journal receives every primary-store mutation of a node, in the critical
-// section that applies it, before the RPC is acknowledged. A non-nil error
-// fails the mutating RPC: a node that cannot journal must not accept
-// writes. The daemon wires a dht.WAL-backed implementation here so a
-// crashed process recovers its shard.
-type Journal interface {
-	Record(recs []dht.WALRecord) error
-}
-
-// SetJournal installs the node's durability hook (nil disables).
-func (n *Node) SetJournal(j Journal) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.journal = j
-}
-
-// SetAppHandler installs an application-level handler for requests the DHT
-// layer does not recognise, the hook an over-DHT index uses to run its
-// query logic on the peers themselves.
-func (n *Node) SetAppHandler(h transport.Handler) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.app = h
-}
-
-// journalLocked records mutations in the WAL hook, if any. Callers hold
-// n.mu; a failure means the mutation must not be applied.
-func (n *Node) journalLocked(recs ...dht.WALRecord) error {
-	if n.journal == nil {
-		return nil
-	}
-	if err := n.journal.Record(recs); err != nil {
-		return fmt.Errorf("chord: %s: journal: %w", n.addr, err)
-	}
-	return nil
-}
-
-// putLocked is the primary-store write funnel: journal, install, bump the
-// key's version. Callers hold n.mu.
-func (n *Node) putLocked(key dht.Key, value any) error {
-	if err := n.journalLocked(dht.WALRecord{Op: dht.WALPut, Key: key, Value: value}); err != nil {
-		return err
-	}
-	n.store[key] = value
-	n.vers.Bump(key)
-	return nil
-}
-
-// removeLocked is the primary-store delete funnel. Callers hold n.mu and
-// clear replica bookkeeping themselves where relevant.
-func (n *Node) removeLocked(key dht.Key) error {
-	if err := n.journalLocked(dht.WALRecord{Op: dht.WALRemove, Key: key}); err != nil {
-		return err
-	}
-	delete(n.store, key)
-	n.vers.Bump(key)
-	return nil
-}
-
-// absorbLocked merges a batch of entries into the primary store (handoffs,
-// claims), journaling them as one group commit. When overwrite is false an
-// existing entry wins (the offer semantics). Callers hold n.mu.
-func (n *Node) absorbLocked(entries map[dht.Key]any, overwrite bool) error {
-	recs := make([]dht.WALRecord, 0, len(entries))
-	keys := make([]dht.Key, 0, len(entries))
-	for k, v := range entries {
-		if !overwrite {
-			if _, exists := n.store[k]; exists {
-				continue
-			}
-		}
-		recs = append(recs, dht.WALRecord{Op: dht.WALPut, Key: k, Value: v})
-		keys = append(keys, k)
-	}
-	if err := n.journalLocked(recs...); err != nil {
-		return err
-	}
-	for i, k := range keys {
-		n.store[k] = recs[i].Value
-		n.vers.Bump(k)
-	}
-	return nil
-}
-
-// LocalGet reads a value from this node's own store (no network traffic) —
-// what an application handler running on the peer sees.
-func (n *Node) LocalGet(key dht.Key) (any, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	v, ok := n.store[key]
-	if !ok {
-		v, ok = n.replicas[key]
-	}
-	return v, ok
-}
-
-// rpc request types. Each is handled synchronously by Node.HandleRPC.
+// Routing messages. Each is handled synchronously by node.HandleRPC.
 type (
 	pingReq        struct{}
 	getPredReq     struct{}
@@ -174,80 +54,44 @@ type (
 		Done bool
 		Next ref // the answer when Done, otherwise the next hop
 	}
-	storeReq struct {
-		Key   dht.Key
-		Value any
-	}
-	retrieveReq  struct{ Key dht.Key }
-	retrieveResp struct {
-		Value any
-		Found bool
-	}
-	removeReq struct{ Key dht.Key }
-	applyReq  struct {
+	// setPredReq / setSuccReq support join and graceful departure.
+	setPredReq struct{ Pred ref }
+	setSuccReq struct{ Succ ref }
+	// applyReq is the closure-carrying apply (overlay.Router.ApplyMsg).
+	applyReq struct {
 		Key dht.Key
 		Fn  dht.ApplyFunc
 	}
-	applyResp struct {
-		Value any
-		Keep  bool
-	}
-	// handoffReq asks a node to absorb keys (join/leave transfers).
-	handoffReq struct{ Entries map[dht.Key]any }
-	// claimReq asks a node to hand over the keys now owned by the joiner:
-	// those whose hash is not in (Joiner.ID, node.ID].
-	claimReq  struct{ Joiner ref }
-	claimResp struct{ Entries map[dht.Key]any }
-	// setPredReq / setSuccReq support graceful departure.
-	setPredReq struct{ Pred ref }
-	setSuccReq struct{ Succ ref }
 )
 
-// newNode creates an unjoined node registered on the network.
-func newNode(net transport.Interface, addr transport.NodeID) (*Node, error) {
-	n := &Node{
-		addr:  addr,
-		id:    dht.HashString(string(addr)),
-		net:   net,
-		store: make(map[dht.Key]any),
-	}
-	if err := net.Register(addr, n); err != nil {
-		return nil, fmt.Errorf("chord: register %q: %w", addr, err)
-	}
-	return n, nil
+// Register every chord routing message with the transport codec so rings
+// run unchanged over framed TCP. applyReq is deliberately absent: it
+// carries a closure, which only an inline transport can deliver.
+func init() {
+	transport.RegisterType(pingReq{})
+	transport.RegisterType(getPredReq{})
+	transport.RegisterType(getSuccsReq{})
+	transport.RegisterType(notifyReq{})
+	transport.RegisterType(lookupStepReq{})
+	transport.RegisterType(lookupStepResp{})
+	transport.RegisterType(setPredReq{})
+	transport.RegisterType(setSuccReq{})
 }
 
-// OnCrash implements transport.Crasher: a hard crash destroys everything this
-// process held in memory — stored keys, replicas, and all routing state.
-// The address and ring identifier survive (they are identity, not state),
-// so the node can restart and rejoin as the same peer with empty buckets.
-func (n *Node) OnCrash() {
+// Reset implements overlay.NodeRouter.
+func (n *node) Reset() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.store = make(map[dht.Key]any)
-	n.replicas = nil
-	n.replicaSeen = nil
-	n.repRound = 0
 	n.pred = ref{}
 	n.succs = nil
 	n.fingers = [dht.IDBits]ref{}
-	n.vers.Reset()
 }
 
-// Addr returns the node's network address.
-func (n *Node) Addr() transport.NodeID { return n.addr }
-
-// ID returns the node's ring identifier.
-func (n *Node) ID() dht.ID { return n.id }
-
-// self returns the node's own ref.
-func (n *Node) self() ref { return ref{Addr: n.addr, ID: n.id} }
-
-// HandleRPC implements transport.Handler.
-func (n *Node) HandleRPC(from transport.NodeID, req any) (any, error) {
+// HandleRPC implements overlay.NodeRouter.
+func (n *node) HandleRPC(_ transport.NodeID, req any) (any, error) {
 	switch r := req.(type) {
 	case pingReq:
-		return n.self(), nil
+		return n.Ref(), nil
 	case getPredReq:
 		n.mu.Lock()
 		defer n.mu.Unlock()
@@ -261,116 +105,6 @@ func (n *Node) HandleRPC(from transport.NodeID, req any) (any, error) {
 		return struct{}{}, nil
 	case lookupStepReq:
 		return n.handleLookupStep(r.Target), nil
-	case storeReq:
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		if err := n.putLocked(r.Key, r.Value); err != nil {
-			return nil, err
-		}
-		return struct{}{}, nil
-	case retrieveReq:
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		v, ok := n.store[r.Key]
-		if !ok {
-			// Crash window: routing may already point here while the key
-			// still sits in the replica store, before promotion.
-			v, ok = n.replicas[r.Key]
-		}
-		return retrieveResp{Value: v, Found: ok}, nil
-	case removeReq:
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		if err := n.removeLocked(r.Key); err != nil {
-			return nil, err
-		}
-		delete(n.replicas, r.Key)
-		delete(n.replicaSeen, r.Key)
-		return struct{}{}, nil
-	case applyReq:
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		cur, ok := n.store[r.Key]
-		if !ok {
-			if rv, rok := n.replicas[r.Key]; rok {
-				cur, ok = rv, true
-				n.store[r.Key] = rv // promote on write
-				delete(n.replicas, r.Key)
-			}
-		}
-		next, keep := r.Fn(cur, ok)
-		if keep {
-			if err := n.putLocked(r.Key, next); err != nil {
-				return nil, err
-			}
-		} else if err := n.removeLocked(r.Key); err != nil {
-			return nil, err
-		}
-		return applyResp{Value: next, Keep: keep}, nil
-	case dht.GetVerReq:
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		v, ok := n.store[r.Key]
-		if !ok {
-			// Promote a crash-window replica before snapshotting, exactly
-			// as the inline apply path does: the version returned must name
-			// the state the CAS will be judged against.
-			if rv, rok := n.replicas[r.Key]; rok {
-				if err := n.putLocked(r.Key, rv); err != nil {
-					return nil, err
-				}
-				delete(n.replicas, r.Key)
-				v, ok = rv, true
-			}
-		}
-		return n.vers.Snapshot(r, v, ok), nil
-	case dht.CASReq:
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		cur, ok := n.store[r.Key]
-		resp, apply := n.vers.CAS(r, cur, ok)
-		if !apply {
-			return resp, nil
-		}
-		if r.Keep {
-			if err := n.journalLocked(dht.WALRecord{Op: dht.WALPut, Key: r.Key, Value: r.Value}); err != nil {
-				return nil, err
-			}
-			n.store[r.Key] = r.Value
-		} else {
-			if err := n.journalLocked(dht.WALRecord{Op: dht.WALRemove, Key: r.Key}); err != nil {
-				return nil, err
-			}
-			delete(n.store, r.Key)
-			delete(n.replicas, r.Key)
-			delete(n.replicaSeen, r.Key)
-		}
-		return resp, nil
-	case handoffReq:
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		if err := n.absorbLocked(r.Entries, true); err != nil {
-			return nil, err
-		}
-		return struct{}{}, nil
-	case offerReq:
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		if err := n.absorbLocked(r.Entries, false); err != nil {
-			return nil, err
-		}
-		return struct{}{}, nil
-	case claimReq:
-		return n.handleClaim(r.Joiner)
-	case replicateReq:
-		n.handleReplicate(r.Entries)
-		return struct{}{}, nil
-	case dropReplicaReq:
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		delete(n.replicas, r.Key)
-		delete(n.replicaSeen, r.Key)
-		return struct{}{}, nil
 	case setPredReq:
 		n.mu.Lock()
 		defer n.mu.Unlock()
@@ -385,26 +119,22 @@ func (n *Node) HandleRPC(from transport.NodeID, req any) (any, error) {
 			n.succs[0] = r.Succ
 		}
 		return struct{}{}, nil
+	case applyReq:
+		return n.Apply(r.Key, r.Fn)
 	default:
-		n.mu.Lock()
-		app := n.app
-		n.mu.Unlock()
-		if app != nil {
-			return app.HandleRPC(from, req)
-		}
-		return nil, fmt.Errorf("chord: %s: unknown request type %T", n.addr, req)
+		return nil, overlay.ErrUnknownRequest
 	}
 }
 
 // handleNotify implements Chord's notify: candidate thinks it may be our
 // predecessor.
-func (n *Node) handleNotify(candidate ref) {
+func (n *node) handleNotify(candidate ref) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if candidate.Addr == n.addr {
+	if candidate.Addr == n.Addr() {
 		return
 	}
-	if n.pred.isZero() || candidate.ID.BetweenOpen(n.pred.ID, n.id) {
+	if n.pred.IsZero() || candidate.ID.BetweenOpen(n.pred.ID, n.ID()) {
 		n.pred = candidate
 	}
 }
@@ -413,15 +143,15 @@ func (n *Node) handleNotify(candidate ref) {
 // between this node and its immediate successor, the successor is the
 // answer; otherwise return the closest preceding node from the finger table
 // and successor list.
-func (n *Node) handleLookupStep(target dht.ID) lookupStepResp {
+func (n *node) handleLookupStep(target dht.ID) lookupStepResp {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if len(n.succs) == 0 {
 		// Not joined: we are the whole ring.
-		return lookupStepResp{Done: true, Next: n.self()}
+		return lookupStepResp{Done: true, Next: n.Ref()}
 	}
 	succ := n.succs[0]
-	if target.Between(n.id, succ.ID) {
+	if target.Between(n.ID(), succ.ID) {
 		return lookupStepResp{Done: true, Next: succ}
 	}
 	return lookupStepResp{Next: n.closestPrecedingLocked(target)}
@@ -429,21 +159,21 @@ func (n *Node) handleLookupStep(target dht.ID) lookupStepResp {
 
 // closestPrecedingLocked scans fingers (then the successor list) for the
 // node most closely preceding target. Callers hold n.mu.
-func (n *Node) closestPrecedingLocked(target dht.ID) ref {
-	best := n.self()
+func (n *node) closestPrecedingLocked(target dht.ID) ref {
+	best := n.Ref()
 	for i := dht.IDBits - 1; i >= 0; i-- {
 		f := n.fingers[i]
-		if !f.isZero() && f.ID.BetweenOpen(n.id, target) {
+		if !f.IsZero() && f.ID.BetweenOpen(n.ID(), target) {
 			best = f
 			break
 		}
 	}
 	for _, s := range n.succs {
-		if !s.isZero() && s.ID.BetweenOpen(best.ID, target) {
+		if !s.IsZero() && s.ID.BetweenOpen(best.ID, target) {
 			best = s
 		}
 	}
-	if best.Addr == n.addr && len(n.succs) > 0 {
+	if best.Addr == n.Addr() && len(n.succs) > 0 {
 		// No finger helps; fall forward to the successor to guarantee
 		// progress around the ring.
 		return n.succs[0]
@@ -451,73 +181,25 @@ func (n *Node) closestPrecedingLocked(target dht.ID) ref {
 	return best
 }
 
-// handleClaim hands over the keys a joining predecessor now owns: with the
-// joiner at position j between our old predecessor and us, every stored key
-// whose hash is not in (j, us] moves to the joiner.
-func (n *Node) handleClaim(joiner ref) (claimResp, error) {
+// Owns implements overlay.NodeRouter: a node owns the hashes in (pred, n].
+// With the predecessor unknown (it died and notify has not replaced it yet)
+// nothing is claimed, so a replica is never promoted on a guess.
+func (n *node) Owns(h dht.ID) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := make(map[dht.Key]any)
-	recs := make([]dht.WALRecord, 0)
-	for k, v := range n.store {
-		if !dht.HashKey(k).Between(joiner.ID, n.id) {
-			out[k] = v
-			recs = append(recs, dht.WALRecord{Op: dht.WALRemove, Key: k})
+	return !n.pred.IsZero() && h.Between(n.pred.ID, n.ID())
+}
+
+// Neighbours implements overlay.NodeRouter: a key's line of succession is
+// its owner's successor list.
+func (n *node) Neighbours(dht.ID) []ref {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	out := make([]ref, 0, len(n.succs))
+	for _, s := range n.succs {
+		if s.Addr != n.Addr() {
+			out = append(out, s)
 		}
 	}
-	// Journal the departures as one group before handing anything over: a
-	// node that cannot record losing ownership must keep serving the keys.
-	if err := n.journalLocked(recs...); err != nil {
-		return claimResp{}, err
-	}
-	for _, rec := range recs {
-		delete(n.store, rec.Key)
-		n.vers.Bump(rec.Key)
-	}
-	return claimResp{Entries: out}, nil
-}
-
-// storeSnapshot copies the node's stored entries (for Ring.Range and leave
-// transfers).
-func (n *Node) storeSnapshot() map[dht.Key]any {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make(map[dht.Key]any, len(n.store))
-	for k, v := range n.store {
-		out[k] = v
-	}
 	return out
-}
-
-// StoreSnapshot copies the node's primary store. The daemon uses it as the
-// WAL compaction source after a restart's replay.
-func (n *Node) StoreSnapshot() map[dht.Key]any {
-	return n.storeSnapshot()
-}
-
-// StoreLen returns how many entries the node currently stores.
-func (n *Node) StoreLen() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.store)
-}
-
-// Successor returns the node's immediate successor ref (zero if unjoined).
-func (n *Node) Successor() (transport.NodeID, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if len(n.succs) == 0 {
-		return "", false
-	}
-	return n.succs[0].Addr, true
-}
-
-// Predecessor returns the node's predecessor address (zero if unknown).
-func (n *Node) Predecessor() (transport.NodeID, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.pred.isZero() {
-		return "", false
-	}
-	return n.pred.Addr, true
 }

@@ -11,10 +11,9 @@ import (
 	"sync"
 	"time"
 
-	"mlight/internal/chord"
 	"mlight/internal/dht"
-	"mlight/internal/kademlia"
-	"mlight/internal/pastry"
+	"mlight/internal/overlay"
+	"mlight/internal/substrate"
 	"mlight/internal/transport"
 )
 
@@ -38,7 +37,7 @@ type Config struct {
 	// primary-store mutation is journaled before it is acknowledged, and a
 	// restarted daemon re-inserts the recovered entries into the overlay
 	// (routing them to their current owners, which may have changed while
-	// it was gone). Chord only; other substrates reject it.
+	// it was gone).
 	WALDir string
 	// StabilizeEvery is the background maintenance cadence. 0 means
 	// 500ms; negative disables the loop (tests drive Stabilize manually).
@@ -58,16 +57,14 @@ type Config struct {
 type Daemon struct {
 	addr      transport.NodeID
 	tr        *transport.TCP
-	d         dht.DHT
+	o         *overlay.Overlay
 	wal       *dht.WAL
-	leave     func() error
-	stabStop  chan struct{}
-	stabDone  chan struct{}
+	stab      *overlay.AutoStabilizer
 	closeOnce sync.Once
 	closeErr  error
 }
 
-// walJournal adapts dht.WAL to the chord.Journal hook.
+// walJournal adapts dht.WAL to the overlay.Journal hook.
 type walJournal struct{ w *dht.WAL }
 
 func (j walJournal) Record(recs []dht.WALRecord) error { return j.w.Append(recs) }
@@ -76,14 +73,6 @@ func (j walJournal) Record(recs []dht.WALRecord) error { return j.w.Append(recs)
 // replay the WAL if one is configured, and begin stabilizing. The returned
 // daemon serves until Close.
 func Start(cfg Config) (*Daemon, error) {
-	substrate := cfg.Substrate
-	if substrate == "" {
-		substrate = "chord"
-	}
-	if cfg.WALDir != "" && substrate != "chord" {
-		return nil, fmt.Errorf("daemon: WAL durability is chord-only (substrate %q)", substrate)
-	}
-
 	tr := transport.NewTCP(transport.TCPOptions{})
 	fail := func(err error) (*Daemon, error) {
 		//lint:allow droppederr the boot error is what the caller needs
@@ -112,44 +101,15 @@ func Start(cfg Config) (*Daemon, error) {
 		}
 	}
 
-	dmn := &Daemon{addr: addr, tr: tr}
-	var join func() error
-	var stabilize func(rounds int)
-	var ring *chord.Ring // non-nil iff substrate == "chord"
-	switch substrate {
-	case "chord":
-		ring = chord.NewRing(tr, chord.Config{
-			Seed:        cfg.Seed,
-			Replication: cfg.Replication,
-			Seeds:       seeds,
-		})
-		dmn.d = ring
-		join = func() error { _, err := ring.AddNode(addr); return err }
-		stabilize = ring.Stabilize
-		dmn.leave = func() error { return ring.RemoveNode(addr) }
-	case "pastry":
-		o := pastry.NewOverlay(tr, pastry.Config{
-			Seed:        cfg.Seed,
-			Replication: cfg.Replication,
-			Seeds:       seeds,
-		})
-		dmn.d = o
-		join = func() error { _, err := o.AddNode(addr); return err }
-		stabilize = o.Stabilize
-		dmn.leave = func() error { return o.RemoveNode(addr) }
-	case "kademlia":
-		o := kademlia.NewOverlay(tr, kademlia.Config{
-			Seed:        cfg.Seed,
-			Replication: cfg.Replication,
-			Seeds:       seeds,
-		})
-		dmn.d = o
-		join = func() error { _, err := o.AddNode(addr); return err }
-		stabilize = o.Stabilize
-		dmn.leave = func() error { return o.RemoveNode(addr) }
-	default:
-		return fail(fmt.Errorf("daemon: unknown substrate %q (want chord, pastry or kademlia)", substrate))
+	o, err := substrate.New(cfg.Substrate, tr, overlay.Config{
+		Seed:        cfg.Seed,
+		Replication: cfg.Replication,
+		Seeds:       seeds,
+	})
+	if err != nil {
+		return fail(fmt.Errorf("daemon: %w", err))
 	}
+	dmn := &Daemon{addr: addr, tr: tr, o: o}
 
 	// Cluster processes start concurrently, so the seeds may not answer
 	// yet; retry the join with a flat backoff before declaring the boot
@@ -168,7 +128,7 @@ func Start(cfg Config) (*Daemon, error) {
 		if i > 0 {
 			time.Sleep(backoff)
 		}
-		if joinErr = join(); joinErr == nil {
+		if _, joinErr = o.AddNode(addr); joinErr == nil {
 			break
 		}
 	}
@@ -177,7 +137,7 @@ func Start(cfg Config) (*Daemon, error) {
 	}
 
 	if cfg.WALDir != "" {
-		if err := dmn.restoreWAL(cfg.WALDir, ring); err != nil {
+		if err := dmn.restoreWAL(cfg.WALDir); err != nil {
 			return fail(err)
 		}
 	}
@@ -187,21 +147,7 @@ func Start(cfg Config) (*Daemon, error) {
 		every = 500 * time.Millisecond
 	}
 	if every > 0 {
-		dmn.stabStop = make(chan struct{})
-		dmn.stabDone = make(chan struct{})
-		go func() {
-			defer close(dmn.stabDone)
-			ticker := time.NewTicker(every)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-ticker.C:
-					stabilize(1)
-				case <-dmn.stabStop:
-					return
-				}
-			}
-		}()
+		dmn.stab = o.StartAutoStabilize(every)
 	}
 	return dmn, nil
 }
@@ -210,7 +156,7 @@ func Start(cfg Config) (*Daemon, error) {
 // overlay (they route to their current owners — ownership may have moved
 // while this daemon was down), compacts the log to the node's post-replay
 // shard, and installs the journal hook for all subsequent mutations.
-func (dmn *Daemon) restoreWAL(dir string, ring *chord.Ring) error {
+func (dmn *Daemon) restoreWAL(dir string) error {
 	w, err := dht.OpenWAL(dht.WALOptions{Dir: dir, Codec: transport.Codec{}})
 	if err != nil {
 		return fmt.Errorf("daemon: open WAL %q: %w", dir, err)
@@ -222,13 +168,13 @@ func (dmn *Daemon) restoreWAL(dir string, ring *chord.Ring) error {
 		return fmt.Errorf("daemon: replay WAL %q: %w", dir, err)
 	}
 	for k, v := range restored {
-		if err := dmn.d.Put(k, v); err != nil {
+		if err := dmn.o.Put(k, v); err != nil {
 			//lint:allow droppederr the re-insert error is what the caller needs
 			w.Close()
 			return fmt.Errorf("daemon: restore key %q: %w", k, err)
 		}
 	}
-	node, ok := ring.NodeAt(dmn.addr)
+	node, ok := dmn.o.NodeAt(dmn.addr)
 	if !ok {
 		//lint:allow droppederr the lookup error is what the caller needs
 		w.Close()
@@ -255,7 +201,7 @@ func (dmn *Daemon) restoreWAL(dir string, ring *chord.Ring) error {
 func (dmn *Daemon) Addr() string { return string(dmn.addr) }
 
 // DHT exposes the daemon's overlay as a dht.DHT, for in-process smoke tests.
-func (dmn *Daemon) DHT() dht.DHT { return dmn.d }
+func (dmn *Daemon) DHT() dht.DHT { return dmn.o }
 
 // Close drains the daemon: the stabilization loop stops, the node leaves
 // the overlay gracefully (handing its shard to its neighbours — this is the
@@ -263,13 +209,12 @@ func (dmn *Daemon) DHT() dht.DHT { return dmn.d }
 // closed, and the transport is torn down. Safe to call more than once.
 func (dmn *Daemon) Close() error {
 	dmn.closeOnce.Do(func() {
-		if dmn.stabStop != nil {
-			close(dmn.stabStop)
-			<-dmn.stabDone
+		if dmn.stab != nil {
+			dmn.stab.Shutdown()
 		}
 		// Leave gracefully, but a failed handoff (the whole cluster may be
 		// shutting down at once) must not stop local teardown.
-		leaveErr := dmn.leave()
+		leaveErr := dmn.o.RemoveNode(dmn.addr)
 		var walErr error
 		if dmn.wal != nil {
 			if err := dmn.wal.Sync(); err != nil {

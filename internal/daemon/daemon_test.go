@@ -162,67 +162,71 @@ func TestDialRejectsUnknownSubstrate(t *testing.T) {
 	}
 }
 
+// TestWALRestartRecoversShard kills and restarts a single-daemon overlay of
+// each substrate: the journal hook and the replay are the kernel's, so
+// every protocol recovers its shard through the same code path.
 func TestWALRestartRecoversShard(t *testing.T) {
 	dhttest.VerifyNoLeaks(t)
 	if testing.Short() {
 		t.Skip("real-socket daemon suite is not short")
 	}
-	walDir := t.TempDir()
-	d, err := daemon.Start(daemon.Config{
-		WALDir:         walDir,
-		StabilizeEvery: -1,
-	})
-	if err != nil {
-		t.Fatalf("start: %v", err)
-	}
-	addr := d.Addr()
+	for _, substrate := range []string{"chord", "pastry", "kademlia"} {
+		t.Run(substrate, func(t *testing.T) {
+			t.Parallel()
+			walDir := t.TempDir()
+			d, err := daemon.Start(daemon.Config{
+				Substrate:      substrate,
+				WALDir:         walDir,
+				StabilizeEvery: -1,
+			})
+			if err != nil {
+				t.Fatalf("start: %v", err)
+			}
+			addr := d.Addr()
 
-	client, err := mlight.Dial([]string{addr})
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	const records = 20
-	insertSmoke(t, client, records)
-	if err := client.Close(); err != nil {
-		t.Errorf("client close: %v", err)
-	}
+			client, err := mlight.Dial([]string{addr}, mlight.WithSubstrate(substrate))
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			const records = 20
+			insertSmoke(t, client, records)
+			if err := client.Close(); err != nil {
+				t.Errorf("client close: %v", err)
+			}
 
-	// The daemon goes away; as the overlay's only node it has nobody to
-	// hand its shard to. Without the WAL that shard would be gone.
-	if err := d.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
+			// The daemon goes away; as the overlay's only node it has nobody
+			// to hand its shard to. Without the WAL that shard would be gone.
+			if err := d.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
 
-	d2, err := daemon.Start(daemon.Config{
-		Listen:         addr,
-		WALDir:         walDir,
-		StabilizeEvery: -1,
-	})
-	if err != nil {
-		t.Fatalf("restart: %v", err)
-	}
-	defer func() {
-		if err := d2.Close(); err != nil {
-			t.Errorf("close restarted: %v", err)
-		}
-	}()
+			d2, err := daemon.Start(daemon.Config{
+				Listen:         addr,
+				Substrate:      substrate,
+				WALDir:         walDir,
+				StabilizeEvery: -1,
+			})
+			if err != nil {
+				t.Fatalf("restart: %v", err)
+			}
+			defer func() {
+				if err := d2.Close(); err != nil {
+					t.Errorf("close restarted: %v", err)
+				}
+			}()
 
-	client2, err := mlight.Dial([]string{addr})
-	if err != nil {
-		t.Fatalf("dial restarted: %v", err)
-	}
-	defer func() {
-		if err := client2.Close(); err != nil {
-			t.Errorf("client close: %v", err)
-		}
-	}()
-	if got := countSmoke(t, client2); got != records {
-		t.Errorf("post-restart query returned %d records, want %d (WAL replay lost data)", got, records)
-	}
-}
-
-func TestWALRejectsNonChord(t *testing.T) {
-	if _, err := daemon.Start(daemon.Config{Substrate: "pastry", WALDir: t.TempDir()}); err == nil {
-		t.Fatal("pastry daemon with a WAL started; durability is chord-only")
+			client2, err := mlight.Dial([]string{addr}, mlight.WithSubstrate(substrate))
+			if err != nil {
+				t.Fatalf("dial restarted: %v", err)
+			}
+			defer func() {
+				if err := client2.Close(); err != nil {
+					t.Errorf("client close: %v", err)
+				}
+			}()
+			if got := countSmoke(t, client2); got != records {
+				t.Errorf("post-restart query returned %d records, want %d (WAL replay lost data)", got, records)
+			}
+		})
 	}
 }

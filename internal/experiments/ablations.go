@@ -3,15 +3,14 @@ package experiments
 import (
 	"fmt"
 
-	"mlight/internal/chord"
 	"mlight/internal/core"
 	"mlight/internal/dataset"
 	"mlight/internal/dht"
-	"mlight/internal/kademlia"
-	"mlight/internal/pastry"
+	"mlight/internal/overlay"
 	"mlight/internal/pht"
 	"mlight/internal/simnet"
 	"mlight/internal/spatial"
+	"mlight/internal/substrate"
 	"mlight/internal/workload"
 )
 
@@ -208,60 +207,36 @@ func ablationOverlay(cfg Config) (Table, error) {
 	// A reduced record count keeps overlay runs fast; route length depends
 	// on the ring size, not the data volume.
 	records := dataset.Generate(minInt(cfg.DataSize, 2000), cfg.Seed)
-	chordSeries := Series{Name: "Chord hops per DHT op"}
-	pastrySeries := Series{Name: "Pastry hops per DHT op"}
-	kadSeries := Series{Name: "Kademlia RPCs per DHT op"}
+	series := []Series{
+		{Name: "Chord hops per DHT op"},
+		{Name: "Pastry hops per DHT op"},
+		{Name: "Kademlia RPCs per DHT op"},
+	}
 	for _, peers := range []int{8, 16, 32, 64} {
-		net := simnet.New(simnet.Options{})
-		ring := chord.NewRing(net, chord.Config{Seed: cfg.Seed})
-		for i := 0; i < peers; i++ {
-			if _, err := ring.AddNode(simnet.NodeID(fmt.Sprintf("node-%d", i))); err != nil {
+		for i, name := range substrate.Names {
+			o, err := substrate.New(name, simnet.New(simnet.Options{}), overlay.Config{Seed: cfg.Seed})
+			if err != nil {
 				return Table{}, err
 			}
-		}
-		ring.Stabilize(2)
-		ring.Hops.Reset()
-		ring.Lookups.Reset()
-		if err := runIndexWorkload(ring, cfg, records); err != nil {
-			return Table{}, fmt.Errorf("experiments: chord overlay ablation: %w", err)
-		}
-		chordSeries.Points = append(chordSeries.Points, Point{X: float64(peers), Y: ring.MeanRouteLength()})
-
-		net2 := simnet.New(simnet.Options{})
-		overlay := pastry.NewOverlay(net2, pastry.Config{Seed: cfg.Seed})
-		for i := 0; i < peers; i++ {
-			if _, err := overlay.AddNode(simnet.NodeID(fmt.Sprintf("node-%d", i))); err != nil {
-				return Table{}, err
+			for p := 0; p < peers; p++ {
+				if _, err := o.AddNode(simnet.NodeID(fmt.Sprintf("node-%d", p))); err != nil {
+					return Table{}, err
+				}
 			}
-		}
-		overlay.Stabilize(2)
-		overlay.Hops.Reset()
-		overlay.Lookups.Reset()
-		if err := runIndexWorkload(overlay, cfg, records); err != nil {
-			return Table{}, fmt.Errorf("experiments: pastry overlay ablation: %w", err)
-		}
-		pastrySeries.Points = append(pastrySeries.Points, Point{X: float64(peers), Y: overlay.MeanRouteLength()})
-
-		net3 := simnet.New(simnet.Options{})
-		kad := kademlia.NewOverlay(net3, kademlia.Config{Seed: cfg.Seed})
-		for i := 0; i < peers; i++ {
-			if _, err := kad.AddNode(simnet.NodeID(fmt.Sprintf("node-%d", i))); err != nil {
-				return Table{}, err
+			o.Stabilize(2)
+			o.Hops.Reset()
+			o.Lookups.Reset()
+			if err := runIndexWorkload(o, cfg, records); err != nil {
+				return Table{}, fmt.Errorf("experiments: %s overlay ablation: %w", name, err)
 			}
+			series[i].Points = append(series[i].Points, Point{X: float64(peers), Y: o.MeanRouteLength()})
 		}
-		kad.Stabilize(2)
-		kad.Hops.Reset()
-		kad.Lookups.Reset()
-		if err := runIndexWorkload(kad, cfg, records); err != nil {
-			return Table{}, fmt.Errorf("experiments: kademlia overlay ablation: %w", err)
-		}
-		kadSeries.Points = append(kadSeries.Points, Point{X: float64(peers), Y: kad.MeanRouteLength()})
 	}
 	return Table{
 		ID:     "AblOverlay",
 		Title:  "Substrate ablation: overlay route length under the index workload",
 		XLabel: "peers", YLabel: "mean hops per DHT operation",
-		Series: []Series{chordSeries, pastrySeries, kadSeries},
+		Series: series,
 	}, nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"mlight/internal/dht"
 	"mlight/internal/kademlia"
 	"mlight/internal/metrics"
+	"mlight/internal/overlay"
 	"mlight/internal/simnet"
 	"mlight/internal/spatial"
 	"mlight/internal/workload"
@@ -125,9 +126,8 @@ func lookupOverlay(cfg LookupConfig, serial bool, keys []dht.Key) (*kademlia.Ove
 		Seed:    cfg.Seed,
 	})
 	o := kademlia.NewOverlay(net, kademlia.Config{
-		Seed:        cfg.Seed,
-		Serial:      serial,
-		Replication: 3,
+		Config: overlay.Config{Seed: cfg.Seed, Replication: 3},
+		Serial: serial,
 	})
 	for i := 0; i < cfg.Nodes; i++ {
 		if _, err := o.AddNode(simnet.NodeID(fmt.Sprintf("node-%d", i))); err != nil {
@@ -254,9 +254,9 @@ func Lookup(cfg LookupConfig) (LookupResult, error) {
 		if *m.lossy, err = measureGets(d, keys); err != nil {
 			return res, err
 		}
-		*m.timeouts = o.LookupTimeouts.Load()
+		*m.timeouts = kademlia.RoutingOf(o).LookupTimeouts.Load()
 		if !m.serial {
-			res.ParallelMaxInFlight = o.LookupInFlight.Load()
+			res.ParallelMaxInFlight = kademlia.RoutingOf(o).LookupInFlight.Load()
 		}
 	}
 

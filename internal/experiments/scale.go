@@ -167,7 +167,7 @@ func Scale(cfg ScaleConfig) (ScaleResult, error) {
 		addrs[i] = simnet.NodeID("node-" + strconv.Itoa(i))
 	}
 	buildStart := time.Now()
-	if _, err := ring.AddNodesBulk(addrs); err != nil {
+	if _, err := chord.AddNodesBulk(ring, addrs); err != nil {
 		return res, fmt.Errorf("experiments: scale overlay build: %w", err)
 	}
 	res.OverlayBuildWallMS = float64(time.Since(buildStart)) / float64(time.Millisecond)

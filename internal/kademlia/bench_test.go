@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mlight/internal/dht"
+	"mlight/internal/overlay"
 	"mlight/internal/simnet"
 )
 
@@ -12,7 +13,7 @@ import (
 func benchOverlay(b *testing.B, serial bool, keys int) *Overlay {
 	b.Helper()
 	net := simnet.New(simnet.Options{Seed: 3})
-	o := NewOverlay(net, Config{Seed: 1, Serial: serial})
+	o := NewOverlay(net, Config{Config: overlay.Config{Seed: 1}, Serial: serial})
 	for i := 0; i < 16; i++ {
 		if _, err := o.AddNode(simnet.NodeID(fmt.Sprintf("node-%d", i))); err != nil {
 			b.Fatalf("AddNode(%d): %v", i, err)

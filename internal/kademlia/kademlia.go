@@ -1,14 +1,14 @@
 // Package kademlia implements the Kademlia distributed hash table
-// (Maymounkov & Mazières, IPTPS 2002) over any transport.Interface — the
-// third pluggable substrate beneath the m-LIGHT index, alongside
-// internal/chord and internal/pastry.
+// (Maymounkov & Mazières, IPTPS 2002) as a Router for the overlay kernel
+// (internal/overlay) — the third pluggable substrate beneath the m-LIGHT
+// index, alongside internal/chord and internal/pastry.
 //
 // Kademlia's distinguishing choices, all implemented here:
 //
 //   - the XOR metric: d(a, b) = a ⊕ b, which is symmetric and unifies
 //     "distance to a node" and "distance to a key";
 //   - k-buckets: one bucket of up to k contacts per shared-prefix length,
-//     refreshed opportunistically — every inbound RPC's sender is inserted,
+//     refreshed opportunistically — every routing RPC's sender is inserted,
 //     so routing state maintains itself from ordinary traffic;
 //   - iterative lookups with concurrency α: the querier keeps a shortlist
 //     of the closest known contacts and repeatedly asks the α best
@@ -16,15 +16,11 @@
 //
 // A key is owned by the node whose identifier has minimal XOR distance to
 // hash(key). Joins backfill routing tables by looking up the joiner's own
-// identifier; graceful leaves hand keys to the next-closest contact;
-// crashes are repaired by the Overlay's Stabilize rounds (bucket refresh +
-// dead-contact eviction).
-//
-// With Config.Replication = r > 1, writes follow the paper's placement
-// rule — store at the r closest nodes — so reads survive up to r-1 crashed
-// replicas. Replicas are refreshed on every write; this implementation
-// omits the original's TTL-based republishing, so copies left behind by
-// ownership changes persist until overwritten or removed.
+// identifier; crashes are repaired by the Stabilize rounds (dead-contact
+// eviction + bucket refresh). With Config.Replication = r > 1 the kernel's
+// placement rule — copies on the r-1 contacts of the owner nearest the key
+// — is the paper's "store at the k closest", and its periodic re-push is
+// the paper's republish.
 package kademlia
 
 import (
@@ -37,6 +33,7 @@ import (
 
 	"mlight/internal/dht"
 	"mlight/internal/metrics"
+	"mlight/internal/overlay"
 	"mlight/internal/trace"
 	"mlight/internal/transport"
 )
@@ -50,13 +47,8 @@ const (
 	Alpha = 3
 )
 
-// clientAddr is the source address for overlay-initiated RPCs.
-const clientAddr transport.NodeID = "kademlia-client"
-
-// ErrLookupFailed is returned when an iterative lookup cannot complete. It
-// is marked retryable: routing tables heal after Refresh, so a retry layer
-// may usefully try again.
-var ErrLookupFailed = dht.Retryable(errors.New("kademlia: lookup failed"))
+// maxRounds bounds one iterative lookup.
+const maxRounds = 64
 
 // ErrRPCTimeout is returned when a single overlay RPC exceeds its adaptive
 // deadline. It is retryable: a hung peer may answer the next attempt, and
@@ -146,13 +138,7 @@ func (e *rttEstimator) reset() {
 	e.ewma = 0
 }
 
-// ref names a remote node.
-type ref struct {
-	Addr transport.NodeID
-	ID   dht.ID
-}
-
-func (r ref) isZero() bool { return r.Addr == "" }
+type ref = overlay.Ref
 
 // xorDist returns the XOR distance between two identifiers.
 func xorDist(a, b dht.ID) dht.ID {
@@ -169,21 +155,18 @@ func closerTo(target, a, b dht.ID) bool {
 	return xorDist(a, target).Cmp(xorDist(b, target)) < 0
 }
 
-// Node is one Kademlia peer.
-type Node struct {
-	addr transport.NodeID
-	id   dht.ID
-	net  transport.Interface
+// node is one Kademlia peer's routing state.
+type node struct {
+	*overlay.Node
+	r *Routing
 
 	mu      sync.Mutex
 	buckets [dht.IDBits][]ref // buckets[i]: contacts sharing exactly i prefix bits
-	store   map[dht.Key]any
-	// vers tracks per-key mutation versions for the wire-safe remote apply
-	// protocol (see dht.VersionedStore).
-	vers dht.VersionedStore
 }
 
-// rpc request/response types.
+// Routing messages. Each carries its sender, which the receiver
+// opportunistically inserts into its routing table — Kademlia's
+// self-maintaining state.
 type (
 	pingReq     struct{ From ref }
 	findNodeReq struct {
@@ -191,155 +174,53 @@ type (
 		Target dht.ID
 	}
 	findNodeResp struct{ Closest []ref }
-	storeReq     struct {
-		From  ref
-		Key   dht.Key
-		Value any
-	}
-	retrieveReq struct {
-		From ref
-		Key  dht.Key
-	}
-	retrieveResp struct {
-		Value any
-		Found bool
-	}
-	removeReq struct {
-		From ref
-		Key  dht.Key
-	}
+	// applyReq is the closure-carrying apply (overlay.Router.ApplyMsg).
 	applyReq struct {
-		From ref
-		Key  dht.Key
-		Fn   dht.ApplyFunc
+		Key dht.Key
+		Fn  dht.ApplyFunc
 	}
-	applyResp struct {
-		Value any
-		Keep  bool
-	}
-	claimReq   struct{ Joiner ref }
-	claimResp  struct{ Entries map[dht.Key]any }
-	handoffReq struct{ Entries map[dht.Key]any }
 )
 
-func newNode(net transport.Interface, addr transport.NodeID) (*Node, error) {
-	n := &Node{
-		addr:  addr,
-		id:    dht.HashString(string(addr)),
-		net:   net,
-		store: make(map[dht.Key]any),
-	}
-	if err := net.Register(addr, n); err != nil {
-		return nil, fmt.Errorf("kademlia: register %q: %w", addr, err)
-	}
-	return n, nil
+// Register every kademlia routing message with the transport codec so
+// overlays run unchanged over framed TCP. applyReq is deliberately absent:
+// it carries a closure, which only an inline transport can deliver.
+func init() {
+	transport.RegisterType(pingReq{})
+	transport.RegisterType(findNodeReq{})
+	transport.RegisterType(findNodeResp{})
 }
 
-// OnCrash implements transport.Crasher: a hard crash destroys the node's
-// volatile memory — stored keys and the entire routing table. Identity
-// (address, XOR position) survives so the node can restart and rejoin as
-// the same peer with empty buckets.
-func (n *Node) OnCrash() {
+// Reset implements overlay.NodeRouter.
+func (n *node) Reset() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.store = make(map[dht.Key]any)
 	n.buckets = [dht.IDBits][]ref{}
-	n.vers.Reset()
 }
 
-// Addr returns the node's network address.
-func (n *Node) Addr() transport.NodeID { return n.addr }
-
-// ID returns the node's identifier.
-func (n *Node) ID() dht.ID { return n.id }
-
-func (n *Node) self() ref { return ref{Addr: n.addr, ID: n.id} }
-
-// HandleRPC implements transport.Handler. Every request carries its sender,
-// which is opportunistically inserted into the routing table — Kademlia's
-// self-maintaining state.
-func (n *Node) HandleRPC(from transport.NodeID, req any) (any, error) {
+// HandleRPC implements overlay.NodeRouter.
+func (n *node) HandleRPC(_ transport.NodeID, req any) (any, error) {
 	switch r := req.(type) {
 	case pingReq:
 		n.observe(r.From)
-		return n.self(), nil
+		return n.Ref(), nil
 	case findNodeReq:
 		n.observe(r.From)
 		return findNodeResp{Closest: n.closest(r.Target, K)}, nil
-	case storeReq:
-		n.observe(r.From)
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		n.store[r.Key] = r.Value
-		n.vers.Bump(r.Key)
-		return struct{}{}, nil
-	case retrieveReq:
-		n.observe(r.From)
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		v, ok := n.store[r.Key]
-		return retrieveResp{Value: v, Found: ok}, nil
-	case removeReq:
-		n.observe(r.From)
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		delete(n.store, r.Key)
-		n.vers.Bump(r.Key)
-		return struct{}{}, nil
 	case applyReq:
-		n.observe(r.From)
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		cur, ok := n.store[r.Key]
-		next, keep := r.Fn(cur, ok)
-		if keep {
-			n.store[r.Key] = next
-		} else {
-			delete(n.store, r.Key)
-		}
-		n.vers.Bump(r.Key)
-		return applyResp{Value: next, Keep: keep}, nil
-	case dht.GetVerReq:
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		v, ok := n.store[r.Key]
-		return n.vers.Snapshot(r, v, ok), nil
-	case dht.CASReq:
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		cur, ok := n.store[r.Key]
-		resp, apply := n.vers.CAS(r, cur, ok)
-		if apply {
-			if r.Keep {
-				n.store[r.Key] = r.Value
-			} else {
-				delete(n.store, r.Key)
-			}
-		}
-		return resp, nil
-	case claimReq:
-		return n.handleClaim(r.Joiner), nil
-	case handoffReq:
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		for k, v := range r.Entries {
-			n.store[k] = v
-			n.vers.Bump(k)
-		}
-		return struct{}{}, nil
+		return n.Apply(r.Key, r.Fn)
 	default:
-		return nil, fmt.Errorf("kademlia: %s: unknown request type %T", n.addr, req)
+		return nil, overlay.ErrUnknownRequest
 	}
 }
 
 // observe inserts a contact into its k-bucket (move-to-front on
 // re-observation; drop when full, preferring long-lived contacts, per the
 // paper's LRU policy without the ping-eviction refinement).
-func (n *Node) observe(c ref) {
-	if c.isZero() || c.Addr == n.addr {
+func (n *node) observe(c ref) {
+	if c.IsZero() || c.Addr == n.Addr() {
 		return
 	}
-	i := n.id.CommonPrefixDigits(c.ID, 1)
+	i := n.ID().CommonPrefixDigits(c.ID, 1)
 	if i >= dht.IDBits {
 		return
 	}
@@ -361,8 +242,8 @@ func (n *Node) observe(c ref) {
 }
 
 // evict removes a dead contact.
-func (n *Node) evict(c ref) {
-	i := n.id.CommonPrefixDigits(c.ID, 1)
+func (n *node) evict(c ref) {
+	i := n.ID().CommonPrefixDigits(c.ID, 1)
 	if i >= dht.IDBits {
 		return
 	}
@@ -379,13 +260,8 @@ func (n *Node) evict(c ref) {
 
 // closest returns up to count known contacts closest to target (including
 // the node itself).
-func (n *Node) closest(target dht.ID, count int) []ref {
-	n.mu.Lock()
-	cands := []ref{n.self()}
-	for i := range n.buckets {
-		cands = append(cands, n.buckets[i]...)
-	}
-	n.mu.Unlock()
+func (n *node) closest(target dht.ID, count int) []ref {
+	cands := append(n.knownContacts(), n.Ref())
 	sort.Slice(cands, func(i, j int) bool {
 		return closerTo(target, cands[i].ID, cands[j].ID)
 	})
@@ -395,41 +271,8 @@ func (n *Node) closest(target dht.ID, count int) []ref {
 	return cands
 }
 
-// handleClaim yields the keys a joining peer now owns.
-func (n *Node) handleClaim(joiner ref) claimResp {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make(map[dht.Key]any)
-	for k, v := range n.store {
-		h := dht.HashKey(k)
-		if closerTo(h, joiner.ID, n.id) {
-			out[k] = v
-			delete(n.store, k)
-			n.vers.Bump(k)
-		}
-	}
-	return claimResp{Entries: out}
-}
-
-func (n *Node) storeSnapshot() map[dht.Key]any {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make(map[dht.Key]any, len(n.store))
-	for k, v := range n.store {
-		out[k] = v
-	}
-	return out
-}
-
-// StoreLen returns the number of entries stored on the node.
-func (n *Node) StoreLen() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.store)
-}
-
 // knownContacts returns every routing-table contact.
-func (n *Node) knownContacts() []ref {
+func (n *node) knownContacts() []ref {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	var out []ref
@@ -439,17 +282,31 @@ func (n *Node) knownContacts() []ref {
 	return out
 }
 
-// Config tunes an Overlay.
+// Neighbours implements overlay.NodeRouter: every contact is a candidate;
+// the kernel ranks them by XOR distance to the key.
+func (n *node) Neighbours(dht.ID) []ref { return n.knownContacts() }
+
+// Owns implements overlay.NodeRouter: no known contact is closer to h. Runs
+// after the stabilization round evicted dead contacts, so the comparison is
+// against live peers only.
+func (n *node) Owns(h dht.ID) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for i := range n.buckets {
+		for _, c := range n.buckets[i] {
+			if closerTo(h, c.ID, n.ID()) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Config tunes an Overlay: the kernel's configuration (Replication is the
+// original paper's "store at the k closest" rule, capped at K; Seed also
+// drives the pre-observation RPC timeout fallback) plus the lookup engine's.
 type Config struct {
-	// MaxRounds bounds one iterative lookup; 0 means a generous default.
-	MaxRounds int
-	// Seed drives entry-point selection and the pre-observation RPC
-	// timeout fallback.
-	Seed int64
-	// Replication stores each key at the first Replication closest live
-	// nodes — the original paper's "store at the k closest" rule. 0 or 1
-	// means a single copy; the cap is K.
-	Replication int
+	overlay.Config
 	// Alpha overrides the lookup concurrency factor; 0 means the package
 	// default Alpha. It bounds how many candidate RPCs one lookup round
 	// issues concurrently.
@@ -458,46 +315,32 @@ type Config struct {
 	// liveness-probe path. It is kept as the before/after yardstick for
 	// the α-parallel rewrite: accounting (Hops, Lookups) is identical in
 	// both modes for a fixed seed, only wall-clock and ping scheduling
-	// differ (serial liveness probing early-exits after the first count
-	// live contacts; parallel probing pings all candidates at once and
+	// differ (serial liveness probing early-exits after the first live
+	// contact; parallel probing pings all candidates at once and
 	// adjudicates in closest order).
 	Serial bool
 	// RPCTimeout fixes the per-RPC deadline; 0 means adaptive (4× the
 	// EWMA of observed round trips, floored at 200ms, with a
 	// seeded-deterministic fallback before the first observation).
 	RPCTimeout time.Duration
-	// Seeds names remote entry points for lookups when the overlay manages
-	// no local node (a client dialing a daemon cluster) or its first local
-	// node must join an overlay hosted elsewhere. Over TCP a seed is a
-	// dialable address; its identifier is the hash of that address.
-	Seeds []transport.NodeID
 }
 
-// Overlay manages a set of Kademlia nodes and exposes them as one dht.DHT.
-type Overlay struct {
-	net         transport.Interface
-	maxRounds   int
-	replication int
-	alpha       int
-	serial      bool
-	rpcTimeout  time.Duration
-	rtt         rttEstimator
+// Overlay is the overlay kernel running Kademlia routing.
+type Overlay = overlay.Overlay
 
-	mu    sync.Mutex
-	nodes map[transport.NodeID]*Node
-	order []transport.NodeID
-	// crashed retains crashed peers' node objects (volatile state already
-	// wiped) so RestartNode can revive them under the same identity.
-	crashed      map[transport.NodeID]*Node
-	seeds        []ref
-	rng          *rand.Rand
-	lastMaintErr error
-	lastPingErr  error
-	tracer       *trace.Collector
+// Routing is Kademlia's overlay.Router: the lookup engine, its adaptive
+// deadline, and its counters. RoutingOf retrieves it from an Overlay.
+type Routing struct {
+	k          *overlay.Overlay
+	alpha      int
+	serial     bool
+	rpcTimeout time.Duration
+	rtt        rttEstimator
 
-	// Lookups counts iterative lookups; Hops counts FIND_NODE RPCs issued.
-	Lookups metrics.Counter
-	Hops    metrics.Counter
+	mu          sync.Mutex
+	lastPingErr error
+	tracer      *trace.Collector
+
 	// Pings counts liveness-probe RPCs; PingFailures counts the ones that
 	// failed (dead or unreachable contact). The lookup entry node vouches
 	// for itself and is never pinged, so Pings only meters real network
@@ -509,31 +352,11 @@ type Overlay struct {
 	// LookupInFlight is the high-water mark of concurrently outstanding
 	// FIND_NODE RPCs within one lookup round.
 	LookupInFlight metrics.Gauge
-	// MaintenanceErrors counts failed maintenance work — the bucket-refresh
-	// self-lookups Stabilize issues. A failed refresh leaves routing-table
-	// coverage stale until a later round; the counter surfaces what the old
-	// fire-and-forget `_, _ = o.iterativeFindNode(...)` discarded.
-	MaintenanceErrors metrics.Counter
 }
 
-var (
-	_ dht.DHT        = (*Overlay)(nil)
-	_ dht.Enumerator = (*Overlay)(nil)
-)
-
-// NewOverlay creates an empty overlay on net.
+// NewOverlay creates an empty overlay on net. Overlay.Hops counts FIND_NODE
+// RPCs.
 func NewOverlay(net transport.Interface, cfg Config) *Overlay {
-	maxRounds := cfg.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 64
-	}
-	replication := cfg.Replication
-	if replication < 1 {
-		replication = 1
-	}
-	if replication > K {
-		replication = K
-	}
 	alpha := cfg.Alpha
 	if alpha < 1 {
 		alpha = Alpha
@@ -542,248 +365,100 @@ func NewOverlay(net transport.Interface, cfg Config) *Overlay {
 	// entry-selection stream stays byte-identical to earlier versions for
 	// a given seed.
 	fallbackRng := rand.New(rand.NewSource(cfg.Seed ^ 0x746d656f75747331))
-	seeds := make([]ref, 0, len(cfg.Seeds))
-	for _, s := range cfg.Seeds {
-		seeds = append(seeds, ref{Addr: s, ID: dht.HashString(string(s))})
-	}
-	return &Overlay{
-		net:         net,
-		seeds:       seeds,
-		maxRounds:   maxRounds,
-		replication: replication,
-		alpha:       alpha,
-		serial:      cfg.Serial,
-		rpcTimeout:  cfg.RPCTimeout,
-		rtt: rttEstimator{
-			fallback: minRPCTimeout + time.Duration(fallbackRng.Int63n(int64(minRPCTimeout))),
-		},
-		nodes:   make(map[transport.NodeID]*Node),
-		crashed: make(map[transport.NodeID]*Node),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-	}
+	return overlay.New(net, cfg.Config, "kademlia", K, func(k *overlay.Overlay) overlay.Router {
+		return &Routing{
+			k:          k,
+			alpha:      alpha,
+			serial:     cfg.Serial,
+			rpcTimeout: cfg.RPCTimeout,
+			rtt: rttEstimator{
+				fallback: minRPCTimeout + time.Duration(fallbackRng.Int63n(int64(minRPCTimeout))),
+			},
+		}
+	})
+}
+
+// RoutingOf returns the Kademlia router of an overlay built by NewOverlay.
+func RoutingOf(o *Overlay) *Routing { return o.Router().(*Routing) }
+
+// NewNode implements overlay.Router.
+func (r *Routing) NewNode(n *overlay.Node) overlay.NodeRouter { return &node{Node: n, r: r} }
+
+// ApplyMsg implements overlay.Router.
+func (r *Routing) ApplyMsg(key dht.Key, fn dht.ApplyFunc) any { return applyReq{Key: key, Fn: fn} }
+
+// Closer implements overlay.Router.
+func (r *Routing) Closer(target, a, b dht.ID) bool { return closerTo(target, a, b) }
+
+// Neighbours implements overlay.Router: one FIND_NODE for near.
+func (r *Routing) Neighbours(of ref, near dht.ID) ([]ref, error) {
+	oc := r.findNodeOne(of, near, of)
+	return oc.resp.Closest, oc.err
 }
 
 // SetTracer attaches a trace collector: every iterative lookup is recorded
 // as a KindLookup span with one KindRound child per α-batch. A nil
 // collector, the default, records nothing.
-func (o *Overlay) SetTracer(c *trace.Collector) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.tracer = c
+func (r *Routing) SetTracer(c *trace.Collector) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.tracer = c
 }
 
-func (o *Overlay) getTracer() *trace.Collector {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.tracer
+func (r *Routing) getTracer() *trace.Collector {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.tracer
 }
 
-// AddNode creates and joins a node at addr: it seeds its routing table
-// from a bootstrap contact, looks up its own identifier (backfilling
-// buckets along the way), and claims the keys it now owns from its closest
-// neighbours.
-func (o *Overlay) AddNode(addr transport.NodeID) (*Node, error) {
-	o.mu.Lock()
-	if _, dup := o.nodes[addr]; dup {
-		o.mu.Unlock()
-		return nil, fmt.Errorf("kademlia: node %q already in overlay", addr)
+// Join implements overlay.NodeRouter: seed the routing table from a
+// bootstrap contact (any managed node, else a configured seed), self-lookup
+// to backfill buckets and announce, then claim the keys the node now owns
+// from its closest neighbours.
+func (n *node) Join(first bool) error {
+	if first {
+		return nil
 	}
-	bootstrap, haveBootstrap := o.bootstrapRefLocked()
-	o.mu.Unlock()
-
-	n, err := newNode(o.net, addr)
-	if err != nil {
-		return nil, err
-	}
-	if haveBootstrap {
-		if err := o.join(n, bootstrap); err != nil {
-			o.net.Deregister(addr)
-			return nil, err
+	r, k := n.r, n.r.k
+	var bootstrap ref
+	if local := k.Nodes(); len(local) > 0 {
+		bootstrap = overlay.RefOf(local[0])
+	} else {
+		var err error
+		if bootstrap, err = k.Entry(); err != nil {
+			return fmt.Errorf("kademlia: join %q: %w", n.Addr(), err)
 		}
 	}
-	o.mu.Lock()
-	o.nodes[addr] = n
-	o.order = append(o.order, addr)
-	sort.Slice(o.order, func(i, j int) bool { return o.order[i] < o.order[j] })
-	o.mu.Unlock()
-	return n, nil
-}
-
-// bootstrapRefLocked picks the contact a joining node seeds its routing
-// table from: any managed node, else a configured seed (an overlay hosted
-// by other processes). Callers hold o.mu.
-func (o *Overlay) bootstrapRefLocked() (ref, bool) {
-	for _, a := range o.order {
-		return o.nodes[a].self(), true
-	}
-	if len(o.seeds) > 0 {
-		return o.seeds[o.rng.Intn(len(o.seeds))], true
-	}
-	return ref{}, false
-}
-
-// join bootstraps n into the overlay: seed the routing table from the
-// bootstrap contact, self-lookup to backfill buckets and announce, then
-// claim the keys n now owns from its closest neighbours.
-func (o *Overlay) join(n *Node, bootstrap ref) error {
 	n.observe(bootstrap)
-	// Self-lookup populates the routing table and announces us.
-	closest, err := o.iterativeFindNode(n.self(), n.id)
+	closest, err := r.iterativeFindNode(n.Ref(), n.ID())
 	if err != nil {
-		return fmt.Errorf("kademlia: join %q: %w", n.addr, err)
+		return fmt.Errorf("kademlia: join %q: %w", n.Addr(), err)
 	}
 	for _, c := range closest {
 		n.observe(c)
-		claimAny, err := o.net.Call(n.addr, c.Addr, claimReq{Joiner: n.self()})
-		if err != nil {
+		if c.Addr == n.Addr() {
 			continue
 		}
-		if claim, ok := claimAny.(claimResp); ok && len(claim.Entries) > 0 {
-			n.mu.Lock()
-			for k, v := range claim.Entries {
-				n.store[k] = v
-				n.vers.Bump(k)
-			}
-			n.mu.Unlock()
+		// A contact that cannot be reached is skipped: stabilization
+		// evicts it.
+		if err := k.Claim(n.Node, c); err != nil {
+			k.NoteMaintenanceError(fmt.Errorf("kademlia: join %q: %w", n.Addr(), err))
 		}
 	}
 	return nil
 }
 
-// RemoveNode gracefully departs a node, handing each key to the closest
-// remaining contact.
-func (o *Overlay) RemoveNode(addr transport.NodeID) error {
-	o.mu.Lock()
-	n, ok := o.nodes[addr]
-	if ok {
-		delete(o.nodes, addr)
-		o.order = removeAddr(o.order, addr)
-	}
-	o.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("kademlia: node %q not in overlay", addr)
-	}
-	defer o.net.Deregister(addr)
-	// Even the process's last local node tries to hand off — in a daemon
-	// deployment its routing table names remote peers; in a true singleton
-	// every per-key lookup below finds nobody and skips.
-	entries := n.storeSnapshot()
-	if len(entries) == 0 {
-		return nil
-	}
-	batches := make(map[transport.NodeID]map[dht.Key]any)
-	for k, v := range entries {
-		// The key's next owner is the closest *remaining* node: run the
-		// iterative lookup and skip ourselves in the result.
-		closest, err := o.iterativeFindNode(n.self(), dht.HashKey(k))
-		if err != nil {
-			continue
-		}
-		var owner ref
-		for _, c := range closest {
-			if c.Addr == addr {
-				continue
-			}
-			if _, err := o.net.Call(addr, c.Addr, pingReq{From: n.self()}); err == nil {
-				owner = c
-				break
-			}
-		}
-		if owner.isZero() {
-			continue
-		}
-		if batches[owner.Addr] == nil {
-			batches[owner.Addr] = make(map[dht.Key]any)
-		}
-		batches[owner.Addr][k] = v
-	}
-	for dst, batch := range batches {
-		if _, err := o.net.Call(addr, dst, handoffReq{Entries: batch}); err != nil {
-			return fmt.Errorf("kademlia: leave %q: handoff to %q: %w", addr, dst, err)
-		}
-	}
-	return nil
-}
-
-// CrashNode fails a node abruptly: its volatile state — stored keys and
-// routing table — is destroyed (transport Crash → Node.OnCrash), not merely
-// hidden behind a partition. Its contacts are evicted from peers during
-// Stabilize; RestartNode can later revive the identity.
-func (o *Overlay) CrashNode(addr transport.NodeID) error {
-	o.mu.Lock()
-	n, ok := o.nodes[addr]
-	if ok {
-		delete(o.nodes, addr)
-		o.order = removeAddr(o.order, addr)
-		o.crashed[addr] = n
-	}
-	o.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("kademlia: node %q not in overlay", addr)
-	}
-	return o.net.Crash(addr)
-}
-
-// RestartNode revives a crashed node under its old identity: the network
-// registration comes back up and the node re-bootstraps from a live peer —
-// self-lookup to rebuild its buckets, then claims back the keys it owns
-// from its closest neighbours.
-func (o *Overlay) RestartNode(addr transport.NodeID) (*Node, error) {
-	o.mu.Lock()
-	n, ok := o.crashed[addr]
-	if ok {
-		delete(o.crashed, addr)
-	}
-	bootstrap, haveBootstrap := o.bootstrapRefLocked()
-	o.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("kademlia: node %q is not crashed", addr)
-	}
-	if err := o.net.Restart(addr); err != nil {
-		o.mu.Lock()
-		o.crashed[addr] = n
-		o.mu.Unlock()
-		return nil, err
-	}
-	if haveBootstrap {
-		if err := o.join(n, bootstrap); err != nil {
-			// Rejoin failed: put the node back down so a later restart
-			// attempt starts clean.
-			o.net.SetDown(addr, true)
-			o.mu.Lock()
-			o.crashed[addr] = n
-			o.mu.Unlock()
-			return nil, err
-		}
-	}
-	o.mu.Lock()
-	o.nodes[addr] = n
-	o.order = append(o.order, addr)
-	sort.Slice(o.order, func(i, j int) bool { return o.order[i] < o.order[j] })
-	o.mu.Unlock()
-	return n, nil
-}
-
-// CrashedNodes returns the addresses of crashed, restartable nodes in
-// sorted order — the churn scheduler's restart candidates.
-func (o *Overlay) CrashedNodes() []transport.NodeID {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	out := make([]transport.NodeID, 0, len(o.crashed))
-	for addr := range o.crashed {
-		out = append(out, addr)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// Unlink implements overlay.NodeRouter. Kademlia sends no departure notice:
+// contacts that stop answering are evicted by their peers' next refresh.
+func (n *node) Unlink() {}
 
 // RPCDeadline exposes the current adaptive per-RPC deadline, for tests and
 // diagnostics.
-func (o *Overlay) RPCDeadline() time.Duration {
-	if o.rpcTimeout > 0 {
-		return o.rpcTimeout
+func (r *Routing) RPCDeadline() time.Duration {
+	if r.rpcTimeout > 0 {
+		return r.rpcTimeout
 	}
-	return o.rtt.timeout()
+	return r.rtt.timeout()
 }
 
 // ResetRTTEstimate discards the adaptive timeout's observed history,
@@ -791,222 +466,57 @@ func (o *Overlay) RPCDeadline() time.Duration {
 // network demonstrably changed under the estimator (e.g. a latency model
 // swap in an experiment); routine restarts do not need it — the decay path
 // already un-sticks a stale-low profile.
-func (o *Overlay) ResetRTTEstimate() { o.rtt.reset() }
+func (r *Routing) ResetRTTEstimate() { r.rtt.reset() }
 
-func removeAddr(order []transport.NodeID, addr transport.NodeID) []transport.NodeID {
-	out := order[:0]
-	for _, a := range order {
-		if a != addr {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// LastMaintenanceError returns the most recent failed maintenance lookup,
-// or nil. Pair with MaintenanceErrors to see both rate and cause.
-func (o *Overlay) LastMaintenanceError() error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.lastMaintErr
-}
-
-// noteMaintenanceError records one failed maintenance operation.
-func (o *Overlay) noteMaintenanceError(err error) {
-	o.MaintenanceErrors.Inc()
-	o.mu.Lock()
-	o.lastMaintErr = err
-	o.mu.Unlock()
-}
-
-// Stabilize runs bucket-refresh rounds: every node pings its contacts,
-// evicts the dead, and re-looks-up its own identifier to heal coverage.
-// Each round ends with a replica-repair pass (the paper's periodic
-// republish), which is what makes data placement reconverge after churn.
-func (o *Overlay) Stabilize(rounds int) {
-	for i := 0; i < rounds; i++ {
-		for _, addr := range o.Nodes() {
-			n, ok := o.nodeAt(addr)
-			if !ok {
-				continue
-			}
-			for _, c := range n.knownContacts() {
-				if _, err := o.net.Call(n.addr, c.Addr, pingReq{From: n.self()}); err != nil {
-					n.evict(c)
-				}
-			}
-			// Refresh self-lookup: failures mean the node could not rebuild
-			// bucket coverage this round. Count them; the next round retries.
-			if _, err := o.iterativeFindNode(n.self(), n.id); err != nil {
-				o.noteMaintenanceError(fmt.Errorf("kademlia: refresh find-node at %q: %w", n.addr, err))
+// Tick implements overlay.Router: every node pings its contacts, evicts the
+// dead, and re-looks-up its own identifier to heal bucket coverage.
+func (r *Routing) Tick() {
+	net := r.k.Net()
+	for _, kn := range r.k.LocalNodes() {
+		n, addr := kn.Routing().(*node), kn.Addr()
+		for _, c := range n.knownContacts() {
+			if _, err := net.Call(addr, c.Addr, pingReq{From: n.Ref()}); err != nil {
+				n.evict(c)
 			}
 		}
-		o.repairReplicas()
-	}
-}
-
-// repairReplicas is the data half of one Stabilize round — the periodic
-// republish of the original paper, which this overlay previously lacked
-// entirely: joins erode replica sets (a joiner's claim consumes every
-// existing copy it is closer than), and crashes silently thin them, so
-// without republish a churn schedule steadily walks keys down to one copy
-// and then to zero. Each round, for every key, the holder closest to the
-// key pushes its value to the key's Replication closest live nodes, and
-// every holder outside that target set drops its copy (placement GC —
-// stale holders otherwise serve outdated values through Range and
-// resurrect deletes).
-//
-// The closest holder is authoritative. Under the crash model used here
-// that is sound: a crash wipes the node's store, so a copy can only be
-// stale if its holder silently left and re-entered the target set with old
-// memory intact — a partition, not a crash. Deployments that heal long
-// partitions need per-record versioning on top (sequence numbers in the
-// original paper); the management plane here never re-admits a partitioned
-// node's store without a claim cycle.
-func (o *Overlay) repairReplicas() {
-	addrs := o.Nodes()
-	live := make([]*Node, 0, len(addrs))
-	for _, addr := range addrs {
-		if n, ok := o.nodeAt(addr); ok {
-			live = append(live, n)
+		// Refresh self-lookup: failures mean the node could not rebuild
+		// bucket coverage this round. Count them; the next round retries.
+		if _, err := r.iterativeFindNode(n.Ref(), n.ID()); err != nil {
+			r.k.NoteMaintenanceError(fmt.Errorf("kademlia: refresh find-node at %q: %w", addr, err))
 		}
 	}
-	if len(live) == 0 {
-		return
-	}
-	type holding struct {
-		n *Node
-		v any
-	}
-	holders := make(map[dht.Key][]holding)
-	for _, n := range live {
-		for k, v := range n.storeSnapshot() {
-			holders[k] = append(holders[k], holding{n: n, v: v})
-		}
-	}
-	keys := make([]dht.Key, 0, len(holders))
-	for k := range holders {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-
-	for _, k := range keys {
-		h := dht.HashKey(k)
-		hs := holders[k]
-		// holders listed in live order (sorted addresses); pick the one
-		// closest to the key as the authoritative source.
-		src := hs[0]
-		for _, cand := range hs[1:] {
-			if closerTo(h, cand.n.id, src.n.id) {
-				src = cand
-			}
-		}
-		targets := append([]*Node(nil), live...)
-		sort.Slice(targets, func(i, j int) bool { return closerTo(h, targets[i].id, targets[j].id) })
-		r := o.replication
-		if r < 1 {
-			r = 1
-		}
-		if len(targets) > r {
-			targets = targets[:r]
-		}
-		inTargets := make(map[transport.NodeID]bool, len(targets))
-		for _, tgt := range targets {
-			inTargets[tgt.addr] = true
-			if tgt.addr == src.n.addr {
-				continue
-			}
-			if _, err := o.net.Call(src.n.addr, tgt.addr, storeReq{From: src.n.self(), Key: k, Value: src.v}); err != nil {
-				o.noteMaintenanceError(fmt.Errorf("kademlia: republish %q from %q to %q: %w", k, src.n.addr, tgt.addr, err))
-			}
-		}
-		for _, hold := range hs {
-			if !inTargets[hold.n.addr] {
-				hold.n.mu.Lock()
-				delete(hold.n.store, k)
-				hold.n.vers.Bump(k)
-				hold.n.mu.Unlock()
-			}
-		}
-	}
-}
-
-// Nodes returns the managed node addresses in sorted order.
-func (o *Overlay) Nodes() []transport.NodeID {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return append([]transport.NodeID(nil), o.order...)
-}
-
-// NumNodes returns the number of managed nodes.
-func (o *Overlay) NumNodes() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return len(o.nodes)
-}
-
-func (o *Overlay) nodeAt(addr transport.NodeID) (*Node, bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	n, ok := o.nodes[addr]
-	return n, ok
-}
-
-func (o *Overlay) pickEntry() (*Node, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if len(o.order) == 0 {
-		return nil, dht.ErrNoPeers
-	}
-	return o.nodes[o.order[o.rng.Intn(len(o.order))]], nil
-}
-
-// pickEntryRef selects a lookup entry point: a live managed node when any
-// exist, otherwise a configured seed (client/daemon mode).
-func (o *Overlay) pickEntryRef() (ref, error) {
-	if n, err := o.pickEntry(); err == nil {
-		return n.self(), nil
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if len(o.seeds) == 0 {
-		return ref{}, dht.ErrNoPeers
-	}
-	return o.seeds[o.rng.Intn(len(o.seeds))], nil
 }
 
 // timedCall issues one overlay RPC under the adaptive per-RPC deadline. On
 // success the modeled round trip feeds the RTT estimator, tightening future
 // deadlines. A timeout abandons the in-flight call (its goroutine drains
 // into a buffered channel) and returns ErrRPCTimeout.
-func (o *Overlay) timedCall(to transport.NodeID, req any) (any, error) {
-	timeout := o.rpcTimeout
-	if timeout <= 0 {
-		timeout = o.rtt.timeout()
-	}
+func (r *Routing) timedCall(to transport.NodeID, req any) (any, error) {
+	net, client := r.k.Net(), r.k.Client()
+	timeout := r.RPCDeadline()
 	type result struct {
 		resp any
 		err  error
 	}
 	ch := make(chan result, 1)
 	go func() {
-		resp, err := o.net.Call(clientAddr, to, req)
+		resp, err := net.Call(client, to, req)
 		ch <- result{resp, err}
 	}()
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
-	case r := <-ch:
-		if r.err == nil {
-			o.rtt.observe(o.net.OneWayLatency(clientAddr, to) + o.net.OneWayLatency(to, clientAddr))
+	case res := <-ch:
+		if res.err == nil {
+			r.rtt.observe(net.OneWayLatency(client, to) + net.OneWayLatency(to, client))
 		}
-		return r.resp, r.err
+		return res.resp, res.err
 	case <-timer.C:
-		o.LookupTimeouts.Inc()
-		if o.rpcTimeout <= 0 {
+		r.LookupTimeouts.Inc()
+		if r.rpcTimeout <= 0 {
 			// Adaptive mode: widen the next deadline so a stale-low RTT
 			// profile cannot time out every future call indefinitely.
-			o.rtt.decay()
+			r.rtt.decay()
 		}
 		return nil, fmt.Errorf("%w: %q after %v", ErrRPCTimeout, to, timeout)
 	}
@@ -1027,31 +537,31 @@ type findOutcome struct {
 // up front (one per issued RPC, identical in both modes), and results are
 // merged by the caller in batch order, so the counters and the shortlist
 // evolution for a fixed seed do not depend on goroutine scheduling.
-func (o *Overlay) findNodeRound(origin ref, target dht.ID, batch []ref) []findOutcome {
-	o.Hops.Add(int64(len(batch)))
+func (r *Routing) findNodeRound(origin ref, target dht.ID, batch []ref) []findOutcome {
+	r.k.Hops.Add(int64(len(batch)))
 	out := make([]findOutcome, len(batch))
-	if o.serial || len(batch) == 1 {
-		o.LookupInFlight.Observe(1)
+	if r.serial || len(batch) == 1 {
+		r.LookupInFlight.Observe(1)
 		for i, c := range batch {
-			out[i] = o.findNodeOne(origin, target, c)
+			out[i] = r.findNodeOne(origin, target, c)
 		}
 		return out
 	}
-	o.LookupInFlight.Observe(int64(len(batch)))
+	r.LookupInFlight.Observe(int64(len(batch)))
 	var wg sync.WaitGroup
 	for i, c := range batch {
 		wg.Add(1)
 		go func(i int, c ref) {
 			defer wg.Done()
-			out[i] = o.findNodeOne(origin, target, c)
+			out[i] = r.findNodeOne(origin, target, c)
 		}(i, c)
 	}
 	wg.Wait()
 	return out
 }
 
-func (o *Overlay) findNodeOne(origin ref, target dht.ID, c ref) findOutcome {
-	respAny, err := o.timedCall(c.Addr, findNodeReq{From: origin, Target: target})
+func (r *Routing) findNodeOne(origin ref, target dht.ID, c ref) findOutcome {
+	respAny, err := r.timedCall(c.Addr, findNodeReq{From: origin, Target: target})
 	if err != nil {
 		return findOutcome{err: err}
 	}
@@ -1068,12 +578,12 @@ func (o *Overlay) findNodeOne(origin ref, target dht.ID, c ref) findOutcome {
 // outcomes are merged in batch order, so for a fixed seed the rounds, the
 // Hops counter, and the returned contacts are reproducible regardless of
 // how the concurrent RPCs interleave.
-func (o *Overlay) iterativeFindNode(origin ref, target dht.ID) ([]ref, error) {
-	tracer := o.getTracer()
+func (r *Routing) iterativeFindNode(origin ref, target dht.ID) ([]ref, error) {
+	tracer := r.getTracer()
 	var span trace.SpanID
 	if tracer != nil {
 		span = tracer.Begin(0, trace.KindLookup, "kademlia find-node",
-			trace.Int("alpha", int64(o.alpha)))
+			trace.Int("alpha", int64(r.alpha)))
 	}
 	type candidate struct {
 		ref     ref
@@ -1093,18 +603,18 @@ func (o *Overlay) iterativeFindNode(origin ref, target dht.ID) ([]ref, error) {
 		return out
 	}
 	rounds := 0
-	for ; rounds < o.maxRounds; rounds++ {
+	for ; rounds < maxRounds; rounds++ {
 		// Termination rule (per the paper): stop once the K closest known
 		// candidates have all been queried — not merely when a round adds
 		// nothing new, since an unqueried near candidate can still reveal
 		// closer nodes.
-		batch := make([]*candidate, 0, o.alpha)
+		batch := make([]*candidate, 0, r.alpha)
 		top := sortedList()
 		if len(top) > K {
 			top = top[:K]
 		}
 		for _, c := range top {
-			if len(batch) >= o.alpha {
+			if len(batch) >= r.alpha {
 				break
 			}
 			if !c.queried {
@@ -1124,7 +634,7 @@ func (o *Overlay) iterativeFindNode(origin ref, target dht.ID) ([]ref, error) {
 			roundSpan = tracer.Begin(span, trace.KindRound, "find-node round",
 				trace.Int("batch", int64(len(refs))))
 		}
-		outcomes := o.findNodeRound(origin, target, refs)
+		outcomes := r.findNodeRound(origin, target, refs)
 		failed := 0
 		for i, oc := range outcomes {
 			if oc.err != nil {
@@ -1156,38 +666,38 @@ func (o *Overlay) iterativeFindNode(origin ref, target dht.ID) ([]ref, error) {
 		tracer.End(span, trace.Int("rounds", int64(rounds)), trace.Int("found", int64(len(out))))
 	}
 	if len(out) == 0 {
-		return nil, ErrLookupFailed
+		return nil, errors.New("kademlia: lookup found no contact")
 	}
 	return out, nil
 }
 
 // LastPingError returns the most recent failed liveness probe, or nil. Pair
 // with PingFailures to see both rate and cause.
-func (o *Overlay) LastPingError() error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.lastPingErr
+func (r *Routing) LastPingError() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.lastPingErr
 }
 
 // notePingError records one failed liveness probe.
-func (o *Overlay) notePingError(err error) {
-	o.PingFailures.Inc()
-	o.mu.Lock()
-	o.lastPingErr = err
-	o.mu.Unlock()
+func (r *Routing) notePingError(err error) {
+	r.PingFailures.Inc()
+	r.mu.Lock()
+	r.lastPingErr = err
+	r.mu.Unlock()
 }
 
 // pingContact probes one contact for liveness. The lookup entry node just
 // answered the iterative lookup, so it vouches for itself without paying a
 // ping RPC (the old path pinged it redundantly). Failures are metered and
 // surfaced via LastPingError rather than silently discarded.
-func (o *Overlay) pingContact(entry ref, c ref) bool {
+func (r *Routing) pingContact(entry ref, c ref) bool {
 	if c.Addr == entry.Addr {
 		return true
 	}
-	o.Pings.Inc()
-	if _, err := o.timedCall(c.Addr, pingReq{From: entry}); err != nil {
-		o.notePingError(fmt.Errorf("kademlia: liveness ping %q: %w", c.Addr, err))
+	r.Pings.Inc()
+	if _, err := r.timedCall(c.Addr, pingReq{From: entry}); err != nil {
+		r.notePingError(fmt.Errorf("kademlia: liveness ping %q: %w", c.Addr, err))
 		return false
 	}
 	return true
@@ -1199,14 +709,14 @@ func (o *Overlay) pingContact(entry ref, c ref) bool {
 // winner set is deterministic because selection ignores arrival order.
 // Under Config.Serial it reproduces the historical behaviour: ping one at a
 // time, stop at count live (fewer Pings, sum-of-RTT wall-clock).
-func (o *Overlay) probeLive(entry ref, closest []ref, count int) []ref {
+func (r *Routing) probeLive(entry ref, closest []ref, count int) []ref {
 	out := make([]ref, 0, count)
-	if o.serial {
+	if r.serial {
 		for _, c := range closest {
 			if len(out) >= count {
 				break
 			}
-			if o.pingContact(entry, c) {
+			if r.pingContact(entry, c) {
 				out = append(out, c)
 			}
 		}
@@ -1218,7 +728,7 @@ func (o *Overlay) probeLive(entry ref, closest []ref, count int) []ref {
 		wg.Add(1)
 		go func(i int, c ref) {
 			defer wg.Done()
-			live[i] = o.pingContact(entry, c)
+			live[i] = r.pingContact(entry, c)
 		}(i, c)
 	}
 	wg.Wait()
@@ -1233,196 +743,16 @@ func (o *Overlay) probeLive(entry ref, closest []ref, count int) []ref {
 	return out
 }
 
-// ownersOf returns the first count live nodes closest to the target.
-func (o *Overlay) ownersOf(target dht.ID, count int) ([]ref, error) {
-	entry, err := o.pickEntryRef()
-	if err != nil {
-		return nil, err
-	}
-	closest, err := o.iterativeFindNode(entry, target)
-	if err != nil {
-		return nil, err
-	}
-	o.Lookups.Inc()
-	out := o.probeLive(entry, closest, count)
-	if len(out) == 0 {
-		return nil, fmt.Errorf("%w: no live contact near %v", ErrLookupFailed, target)
-	}
-	return out, nil
-}
-
-// route resolves the live owner (closest node) of a target identifier.
-// origin, when non-nil, supplies the starting shortlist; otherwise a random
-// managed node is used.
-func (o *Overlay) route(target dht.ID, origin *Node) (ref, error) {
-	var entry ref
-	if origin != nil {
-		entry = origin.self()
-	} else {
-		var err error
-		entry, err = o.pickEntryRef()
-		if err != nil {
-			return ref{}, err
-		}
-	}
-	closest, err := o.iterativeFindNode(entry, target)
+// Route implements overlay.Router: an iterative lookup from entry, then a
+// liveness probe that settles on the closest contact that answers.
+func (r *Routing) Route(entry ref, target dht.ID) (ref, error) {
+	closest, err := r.iterativeFindNode(entry, target)
 	if err != nil {
 		return ref{}, err
 	}
-	o.Lookups.Inc()
-	out := o.probeLive(entry, closest, 1)
+	out := r.probeLive(entry, closest, 1)
 	if len(out) == 0 {
-		return ref{}, fmt.Errorf("%w: no live contact near %v", ErrLookupFailed, target)
+		return ref{}, fmt.Errorf("kademlia: no live contact near %v", target)
 	}
 	return out[0], nil
-}
-
-// Put implements dht.DHT: the value is stored at the Replication closest
-// live nodes (the paper's placement rule).
-func (o *Overlay) Put(key dht.Key, value any) error {
-	owners, err := o.ownersOf(dht.HashKey(key), o.replication)
-	if err != nil {
-		return err
-	}
-	for _, owner := range owners {
-		if _, err := o.net.Call(clientAddr, owner.Addr, storeReq{Key: key, Value: value}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Get implements dht.DHT: replicas are consulted closest-first, so a value
-// survives as long as any of its copies does. "Not found" is only reported
-// when at least one replica authoritatively answered; if every consult
-// failed on the network the last error surfaces instead, so the retry
-// layer can distinguish a missing key from an unlucky loss burst.
-func (o *Overlay) Get(key dht.Key) (any, bool, error) {
-	owners, err := o.ownersOf(dht.HashKey(key), o.replication)
-	if err != nil {
-		return nil, false, err
-	}
-	var lastErr error
-	answered := false
-	for _, owner := range owners {
-		respAny, err := o.net.Call(clientAddr, owner.Addr, retrieveReq{Key: key})
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		resp, ok := respAny.(retrieveResp)
-		if !ok {
-			return nil, false, fmt.Errorf("kademlia: bad retrieve response %T", respAny)
-		}
-		if resp.Found {
-			return resp.Value, true, nil
-		}
-		answered = true
-	}
-	if !answered && lastErr != nil {
-		return nil, false, lastErr
-	}
-	return nil, false, nil
-}
-
-// Remove implements dht.DHT: the key is removed from every replica.
-func (o *Overlay) Remove(key dht.Key) error {
-	owners, err := o.ownersOf(dht.HashKey(key), o.replication)
-	if err != nil {
-		return err
-	}
-	for _, owner := range owners {
-		if _, err := o.net.Call(clientAddr, owner.Addr, removeReq{Key: key}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Apply implements dht.DHT: the transform runs at the closest live node
-// and its result is pushed to the remaining replicas.
-func (o *Overlay) Apply(key dht.Key, fn dht.ApplyFunc) error {
-	owners, err := o.ownersOf(dht.HashKey(key), o.replication)
-	if err != nil {
-		return err
-	}
-	if !transport.SupportsInline(o.net) {
-		// A closure cannot cross a real socket: run the transform
-		// client-side under the wire-safe versioned CAS protocol, then
-		// fan the result out to the remaining replicas.
-		value, keep, err := dht.RemoteApply(func(req any) (any, error) {
-			return o.net.Call(clientAddr, owners[0].Addr, req)
-		}, key, fn)
-		if err != nil {
-			return err
-		}
-		for _, owner := range owners[1:] {
-			if keep {
-				if _, err := o.net.Call(clientAddr, owner.Addr, storeReq{Key: key, Value: value}); err != nil {
-					return err
-				}
-			} else if _, err := o.net.Call(clientAddr, owner.Addr, removeReq{Key: key}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	respAny, err := o.net.Call(clientAddr, owners[0].Addr, applyReq{Key: key, Fn: fn})
-	if err != nil {
-		return err
-	}
-	resp, ok := respAny.(applyResp)
-	if !ok {
-		return fmt.Errorf("kademlia: bad apply response %T", respAny)
-	}
-	for _, owner := range owners[1:] {
-		if resp.Keep {
-			if _, err := o.net.Call(clientAddr, owner.Addr, storeReq{Key: key, Value: resp.Value}); err != nil {
-				return err
-			}
-		} else if _, err := o.net.Call(clientAddr, owner.Addr, removeReq{Key: key}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Owner implements dht.DHT.
-func (o *Overlay) Owner(key dht.Key) (string, error) {
-	owner, err := o.route(dht.HashKey(key), nil)
-	if err != nil {
-		return "", err
-	}
-	return string(owner.Addr), nil
-}
-
-// Range implements dht.Enumerator. With replication enabled the same key
-// exists on several nodes; each key is reported once.
-func (o *Overlay) Range(fn func(key dht.Key, value any) bool) error {
-	seen := make(map[dht.Key]bool)
-	for _, addr := range o.Nodes() {
-		n, ok := o.nodeAt(addr)
-		if !ok {
-			continue
-		}
-		for k, v := range n.storeSnapshot() {
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			if !fn(k, v) {
-				return nil
-			}
-		}
-	}
-	return nil
-}
-
-// MeanRouteLength returns the average FIND_NODE RPCs per completed lookup.
-func (o *Overlay) MeanRouteLength() float64 {
-	lookups := o.Lookups.Load()
-	if lookups == 0 {
-		return 0
-	}
-	return float64(o.Hops.Load()) / float64(lookups)
 }

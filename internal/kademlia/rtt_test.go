@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"mlight/internal/overlay"
 	"mlight/internal/simnet"
 )
 
@@ -85,22 +86,22 @@ func TestRTTReset(t *testing.T) {
 // adaptive mode reports the estimator's current deadline and
 // ResetRTTEstimate returns it to the seeded fallback.
 func TestOverlayRPCDeadline(t *testing.T) {
-	fixed := NewOverlay(simnet.New(simnet.Options{}), Config{Seed: 1, RPCTimeout: 700 * time.Millisecond})
-	if got := fixed.RPCDeadline(); got != 700*time.Millisecond {
+	fixed := NewOverlay(simnet.New(simnet.Options{}), Config{Config: overlay.Config{Seed: 1}, RPCTimeout: 700 * time.Millisecond})
+	if got := RoutingOf(fixed).RPCDeadline(); got != 700*time.Millisecond {
 		t.Errorf("fixed RPCDeadline = %v, want 700ms", got)
 	}
 
-	adaptive := NewOverlay(simnet.New(simnet.Options{}), Config{Seed: 1})
-	base := adaptive.RPCDeadline()
+	adaptive := NewOverlay(simnet.New(simnet.Options{}), Config{Config: overlay.Config{Seed: 1}})
+	base := RoutingOf(adaptive).RPCDeadline()
 	if base < minRPCTimeout || base >= 2*minRPCTimeout {
 		t.Fatalf("adaptive fallback deadline = %v, want in [%v, %v)", base, minRPCTimeout, 2*minRPCTimeout)
 	}
-	adaptive.rtt.observe(time.Second)
-	if got := adaptive.RPCDeadline(); got != 4*time.Second {
+	RoutingOf(adaptive).rtt.observe(time.Second)
+	if got := RoutingOf(adaptive).RPCDeadline(); got != 4*time.Second {
 		t.Errorf("adaptive deadline after 1s observation = %v, want 4s", got)
 	}
-	adaptive.ResetRTTEstimate()
-	if got := adaptive.RPCDeadline(); got != base {
+	RoutingOf(adaptive).ResetRTTEstimate()
+	if got := RoutingOf(adaptive).RPCDeadline(); got != base {
 		t.Errorf("deadline after ResetRTTEstimate = %v, want fallback %v", got, base)
 	}
 }

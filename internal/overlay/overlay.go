@@ -1,0 +1,456 @@
+// Package overlay is the one kernel beneath the three structured overlays
+// (internal/chord, internal/pastry, internal/kademlia). Everything that is
+// not routing lives here exactly once: the per-node store with its replica
+// lease and journal hook, the management plane (join, graceful leave, crash,
+// restart, client mode), the replication repair loop, the dht.DHT methods,
+// and the health counters. An overlay package contributes only a Router —
+// its routing state, its routing messages, and the handful of decisions
+// that differ between protocols: how a hash is routed to its owner, which
+// neighbours stand next in line for a key, how a node wires itself in and
+// out, what one maintenance round does, and whether a node owns a hash.
+//
+// The paper's premise is a substrate-agnostic put/get/lookup; the kernel is
+// that premise applied to the substrates themselves.
+package overlay
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"sync"
+
+	"mlight/internal/dht"
+	"mlight/internal/metrics"
+	"mlight/internal/transport"
+)
+
+// ErrLookupFailed is returned when routing cannot resolve an owner, e.g.
+// because routing state is stale after heavy churn. It is marked retryable:
+// stale state heals after stabilization, so a retry layer may usefully try
+// again.
+var ErrLookupFailed = dht.Retryable(errors.New("overlay: lookup failed"))
+
+// ErrUnknownRequest is what a NodeRouter returns for a request type that is
+// not one of its routing messages; the kernel then offers the request to the
+// node's application handler.
+var ErrUnknownRequest = errors.New("overlay: unknown request type")
+
+// Ref names a node: its network address and its position in the identifier
+// space (always the hash of the address, so a seed's Ref can be computed
+// without asking it).
+type Ref struct {
+	Addr transport.NodeID
+	ID   dht.ID
+}
+
+// IsZero reports whether r names no node.
+func (r Ref) IsZero() bool { return r.Addr == "" }
+
+// Router is the protocol half of an overlay: everything that depends on how
+// the identifier space is routed. One Router serves all of an Overlay's
+// local nodes; per-node routing state lives in the NodeRouter it creates.
+type Router interface {
+	// NewNode creates the routing state of a fresh local node.
+	NewNode(n *Node) NodeRouter
+	// Closer reports whether a is a strictly better owner of target than b.
+	// This single comparator defines key ownership for the whole overlay:
+	// joins claim by it, leaves and replica placement rank neighbours by it.
+	Closer(target, a, b dht.ID) bool
+	// Route makes one attempt to resolve the live owner of target starting
+	// at entry, adding every routing RPC it issues to Overlay.Hops.
+	Route(entry Ref, target dht.ID) (Ref, error)
+	// Neighbours asks a (possibly remote) node which peers it knows around
+	// the hash near — the candidates for near's replica set. NodeRouter has
+	// the local form; this is the one RPC a client-mode overlay needs.
+	Neighbours(of Ref, near dht.ID) ([]Ref, error)
+	// Tick runs one round of routing maintenance over the local nodes:
+	// probe neighbours, drop the dead, refresh tables. Failed maintenance
+	// RPCs go to Overlay.NoteMaintenanceError.
+	Tick()
+	// ApplyMsg wraps a closure-carrying apply for an inline transport. It is
+	// the one store message an overlay package names itself, so traces keep
+	// saying which protocol served the apply; the NodeRouter handles it by
+	// calling Node.Apply.
+	ApplyMsg(key dht.Key, fn dht.ApplyFunc) any
+}
+
+// NodeRouter is one local node's routing state.
+type NodeRouter interface {
+	// HandleRPC serves the overlay's routing messages. For anything else it
+	// returns ErrUnknownRequest itself, unwrapped.
+	HandleRPC(from transport.NodeID, req any) (any, error)
+	// Reset forgets all routing state (a crash wiped the process).
+	Reset()
+	// Join wires the node into the overlay and claims the keys it now owns
+	// (Overlay.Claim). first means there is nobody to join: no other local
+	// node and no seeds.
+	Join(first bool) error
+	// Unlink tells the node's neighbours it is leaving. Failures are counted
+	// (NoteMaintenanceError), not fatal: stabilization repairs stale links.
+	Unlink()
+	// Owns reports whether, by this node's current view, it is the owner of
+	// hash h — the test a replica must pass to be promoted to primary.
+	Owns(h dht.ID) bool
+	// Neighbours returns the peers this node knows around near, itself
+	// excluded, in no particular order.
+	Neighbours(near dht.ID) []Ref
+}
+
+// Config tunes an Overlay.
+type Config struct {
+	// Seed drives entry-point selection for lookups.
+	Seed int64
+	// Replication is the number of copies of each key (1 = primary only):
+	// the owner plus the Replication-1 neighbours next in line for the key.
+	// With r > 1 the overlay tolerates up to r-1 simultaneous crashes after
+	// a couple of stabilization rounds. Each protocol caps it at what its
+	// neighbour set can hold.
+	Replication int
+	// Retry governs the replication RPCs (replica pushes and drops), which
+	// are issued overlay-internally rather than through a dht.Resilient
+	// wrapper. Nil selects a default of 3 attempts with no backoff sleep —
+	// the simulated network fails synchronously, so waiting buys nothing;
+	// real deployments should supply a policy with a real Sleep.
+	Retry *dht.RetryPolicy
+	// Seeds names remote entry points for lookups when the overlay manages
+	// no local node (a pure client dialing a daemon cluster) or is joining
+	// an overlay hosted by other processes (a daemon booting with peers).
+	// Over TCP a seed is a dialable address; its identifier is the hash of
+	// that address, exactly as the node at the address computes it.
+	Seeds []transport.NodeID
+}
+
+// Overlay manages a set of nodes of one protocol on one transport and
+// exposes the whole overlay as a dht.DHT. It is the management plane a
+// deployer would run: join, graceful leave, crash, restart, and
+// stabilization rounds.
+type Overlay struct {
+	net         transport.Interface
+	client      transport.NodeID
+	replication int
+	router      Router
+	retrier     *dht.Retrier
+
+	mu    sync.Mutex
+	nodes map[transport.NodeID]*Node
+	order []transport.NodeID // sorted addresses for deterministic iteration
+	// crashed retains the node objects of crashed peers (their volatile
+	// state already wiped by the transport's Crasher hook) so RestartNode
+	// can revive them under the same identity.
+	crashed        map[transport.NodeID]*Node
+	seeds          []Ref
+	rng            *rand.Rand
+	lastReplicaErr error
+	lastMaintErr   error
+
+	// Lookups counts completed lookups; Hops counts every routing RPC
+	// issued, so Hops/Lookups is the mean route length.
+	Lookups metrics.Counter
+	Hops    metrics.Counter
+	// ReplicationErrors counts replica pushes and drops that still failed
+	// after the retry budget — replicas that will stay missing until the
+	// next stabilization round repairs them.
+	ReplicationErrors metrics.Counter
+	// MaintenanceErrors counts failed maintenance work: routing RPCs lost
+	// during a Tick or an Unlink, journal writes that blocked a promotion,
+	// keys a leaving node could not hand off. None is fatal (the next round
+	// retries), but a rising counter means churn or loss is outpacing
+	// repair.
+	MaintenanceErrors metrics.Counter
+}
+
+var (
+	_ dht.DHT        = (*Overlay)(nil)
+	_ dht.Enumerator = (*Overlay)(nil)
+)
+
+// New creates an empty overlay on net. name is the protocol's name: it
+// labels the client-side source address of overlay-initiated RPCs
+// ("chord-client"). maxReplication is the protocol's cap on
+// Config.Replication. newRouter receives the kernel so the Router can reach
+// the transport, the counters and the local nodes.
+func New(net transport.Interface, cfg Config, name string, maxReplication int, newRouter func(*Overlay) Router) *Overlay {
+	replication := cfg.Replication
+	if replication < 1 {
+		replication = 1
+	}
+	if replication > maxReplication {
+		replication = maxReplication
+	}
+	policy := dht.RetryPolicy{MaxAttempts: 3, Seed: cfg.Seed, Sleep: dht.NoSleep}
+	if cfg.Retry != nil {
+		policy = *cfg.Retry
+	}
+	seeds := make([]Ref, 0, len(cfg.Seeds))
+	for _, s := range cfg.Seeds {
+		seeds = append(seeds, RefOf(s))
+	}
+	o := &Overlay{
+		net:         net,
+		client:      transport.NodeID(name + "-client"),
+		seeds:       seeds,
+		replication: replication,
+		nodes:       make(map[transport.NodeID]*Node),
+		crashed:     make(map[transport.NodeID]*Node),
+		rng:         rand.New(rand.NewSource(cfg.Seed)),
+		retrier:     dht.NewRetrier(policy, nil),
+	}
+	o.router = newRouter(o)
+	return o
+}
+
+// RefOf returns the Ref of the node at addr.
+func RefOf(addr transport.NodeID) Ref {
+	return Ref{Addr: addr, ID: dht.HashString(string(addr))}
+}
+
+// Net returns the transport the overlay runs on.
+func (o *Overlay) Net() transport.Interface { return o.net }
+
+// Client returns the source address of overlay-initiated RPCs that no local
+// node stands behind (lookups, client-mode stores).
+func (o *Overlay) Client() transport.NodeID { return o.client }
+
+// Replication returns the effective (clamped) copy count.
+func (o *Overlay) Replication() int { return o.replication }
+
+// Router returns the overlay's protocol half.
+func (o *Overlay) Router() Router { return o.router }
+
+// ReplicationRetrier exposes the retry executor guarding replication RPCs,
+// so tests and experiments can inspect its counters and breaker states.
+func (o *Overlay) ReplicationRetrier() *dht.Retrier { return o.retrier }
+
+// LastReplicationError returns the most recent replication push or drop
+// that failed after exhausting its retry budget, or nil. It surfaces
+// persistent replica loss that the periodic repair has not yet healed.
+func (o *Overlay) LastReplicationError() error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.lastReplicaErr
+}
+
+// LastMaintenanceError returns the most recent failed maintenance
+// operation, or nil. Pair with MaintenanceErrors to see both rate and cause.
+func (o *Overlay) LastMaintenanceError() error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.lastMaintErr
+}
+
+// NoteMaintenanceError records one failed maintenance operation.
+func (o *Overlay) NoteMaintenanceError(err error) {
+	o.MaintenanceErrors.Inc()
+	o.mu.Lock()
+	o.lastMaintErr = err
+	o.mu.Unlock()
+}
+
+// Nodes returns the managed (live) node addresses in sorted order.
+func (o *Overlay) Nodes() []transport.NodeID {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return append([]transport.NodeID(nil), o.order...)
+}
+
+// NumNodes returns the number of live managed nodes.
+func (o *Overlay) NumNodes() int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return len(o.nodes)
+}
+
+// NodeAt returns the managed node at addr.
+func (o *Overlay) NodeAt(addr transport.NodeID) (*Node, bool) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	n, ok := o.nodes[addr]
+	return n, ok
+}
+
+// LocalNodes returns the managed nodes in address order.
+func (o *Overlay) LocalNodes() []*Node {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	out := make([]*Node, len(o.order))
+	for i, addr := range o.order {
+		out[i] = o.nodes[addr]
+	}
+	return out
+}
+
+// Entry selects a routing entry point: a random live managed node when the
+// overlay hosts any, otherwise a configured seed — the client/daemon mode
+// where the overlay lives in other processes.
+func (o *Overlay) Entry() (Ref, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if len(o.order) > 0 {
+		return o.nodes[o.order[o.rng.Intn(len(o.order))]].Ref(), nil
+	}
+	if len(o.seeds) == 0 {
+		return Ref{}, dht.ErrNoPeers
+	}
+	return o.seeds[o.rng.Intn(len(o.seeds))], nil
+}
+
+// Lookup resolves the node responsible for target, retrying from fresh
+// entry points when stale routing state fails an attempt.
+func (o *Overlay) Lookup(target dht.ID) (Ref, error) {
+	const retries = 3
+	var lastErr error
+	for attempt := 0; attempt < retries; attempt++ {
+		entry, err := o.Entry()
+		if err != nil {
+			return Ref{}, err
+		}
+		found, err := o.router.Route(entry, target)
+		if err == nil {
+			o.Lookups.Inc()
+			return found, nil
+		}
+		lastErr = err
+	}
+	return Ref{}, fmt.Errorf("%w: %v", ErrLookupFailed, lastErr)
+}
+
+// LookupFrom resolves the owner of key with one routing attempt starting at
+// the given local node, returning the owner's address and the number of
+// routing RPCs spent — the building block for peer-side forwarding.
+func (o *Overlay) LookupFrom(addr transport.NodeID, key dht.Key) (transport.NodeID, int, error) {
+	n, ok := o.NodeAt(addr)
+	if !ok {
+		return "", 0, fmt.Errorf("overlay: node %q is not managed here", addr)
+	}
+	before := o.Hops.Load()
+	found, err := o.router.Route(n.Ref(), dht.HashKey(key))
+	hops := int(o.Hops.Load() - before)
+	if err != nil {
+		return "", hops, err
+	}
+	return found.Addr, hops, nil
+}
+
+// MeanRouteLength returns the average routing RPCs per completed lookup.
+func (o *Overlay) MeanRouteLength() float64 {
+	lookups := o.Lookups.Load()
+	if lookups == 0 {
+		return 0
+	}
+	return float64(o.Hops.Load()) / float64(lookups)
+}
+
+// InstallAppHandler installs an application handler on every managed node
+// (on nodes added later callers must install again). The factory receives
+// each node so handlers can read local state.
+func (o *Overlay) InstallAppHandler(factory func(n *Node) transport.Handler) {
+	for _, n := range o.LocalNodes() {
+		n.SetAppHandler(factory(n))
+	}
+}
+
+// Put implements dht.DHT.
+func (o *Overlay) Put(key dht.Key, value any) error {
+	h := dht.HashKey(key)
+	owner, err := o.Lookup(h)
+	if err != nil {
+		return err
+	}
+	if _, err := o.net.Call(o.client, owner.Addr, storeReq{Key: key, Value: value}); err != nil {
+		return err
+	}
+	o.replicate(owner, h, key, value)
+	return nil
+}
+
+// Get implements dht.DHT.
+func (o *Overlay) Get(key dht.Key) (any, bool, error) {
+	owner, err := o.Lookup(dht.HashKey(key))
+	if err != nil {
+		return nil, false, err
+	}
+	respAny, err := o.net.Call(o.client, owner.Addr, retrieveReq{Key: key})
+	if err != nil {
+		return nil, false, err
+	}
+	resp, ok := respAny.(retrieveResp)
+	if !ok {
+		return nil, false, fmt.Errorf("overlay: bad retrieve response %T", respAny)
+	}
+	return resp.Value, resp.Found, nil
+}
+
+// Remove implements dht.DHT.
+func (o *Overlay) Remove(key dht.Key) error {
+	h := dht.HashKey(key)
+	owner, err := o.Lookup(h)
+	if err != nil {
+		return err
+	}
+	if _, err := o.net.Call(o.client, owner.Addr, removeReq{Key: key}); err != nil {
+		return err
+	}
+	o.dropReplicas(owner, h, key)
+	return nil
+}
+
+// Apply implements dht.DHT: the transform executes on the owning peer, as
+// an installed application handler would. The post-apply value is pushed to
+// the replicas.
+func (o *Overlay) Apply(key dht.Key, fn dht.ApplyFunc) error {
+	h := dht.HashKey(key)
+	owner, err := o.Lookup(h)
+	if err != nil {
+		return err
+	}
+	var value any
+	var keep bool
+	if transport.SupportsInline(o.net) {
+		respAny, err := o.net.Call(o.client, owner.Addr, o.router.ApplyMsg(key, fn))
+		if err != nil {
+			return err
+		}
+		resp, ok := respAny.(ApplyResp)
+		if !ok {
+			return fmt.Errorf("overlay: bad apply response %T", respAny)
+		}
+		value, keep = resp.Value, resp.Keep
+	} else {
+		// The transform cannot cross a real socket: run it client-side
+		// under the wire-safe versioned CAS protocol instead.
+		value, keep, err = dht.RemoteApply(func(req any) (any, error) {
+			return o.net.Call(o.client, owner.Addr, req)
+		}, key, fn)
+		if err != nil {
+			return err
+		}
+	}
+	if keep {
+		o.replicate(owner, h, key, value)
+	} else {
+		o.dropReplicas(owner, h, key)
+	}
+	return nil
+}
+
+// Owner implements dht.DHT.
+func (o *Overlay) Owner(key dht.Key) (string, error) {
+	owner, err := o.Lookup(dht.HashKey(key))
+	if err != nil {
+		return "", err
+	}
+	return string(owner.Addr), nil
+}
+
+// Range implements dht.Enumerator by walking every managed node's primary
+// store. Replicas are not enumerated, so each key is reported once.
+func (o *Overlay) Range(fn func(key dht.Key, value any) bool) error {
+	for _, n := range o.LocalNodes() {
+		for k, v := range n.StoreSnapshot() {
+			if !fn(k, v) {
+				return nil
+			}
+		}
+	}
+	return nil
+}

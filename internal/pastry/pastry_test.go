@@ -6,6 +6,7 @@ import (
 
 	"mlight/internal/dht"
 	"mlight/internal/dht/dhttest"
+	"mlight/internal/overlay"
 	"mlight/internal/simnet"
 )
 
@@ -26,14 +27,13 @@ func buildOverlay(t *testing.T, n int) (*simnet.Network, *Overlay) {
 // overlay uses: numerically closest identifier, ties to the smaller.
 func oracleOwner(o *Overlay, key dht.Key) simnet.NodeID {
 	h := dht.HashKey(key)
-	var best *Node
+	var best ref
 	for _, addr := range o.Nodes() {
-		n, _ := o.nodeAt(addr)
-		if best == nil || closerTo(h, n.ID(), best.ID()) {
+		if n := overlay.RefOf(addr); best.IsZero() || closerTo(h, n.ID, best.ID) {
 			best = n
 		}
 	}
-	return best.Addr()
+	return best.Addr
 }
 
 func TestConformance(t *testing.T) {
@@ -86,35 +86,10 @@ func TestJoinMovesKeys(t *testing.T) {
 			t.Fatalf("after joins Get(%q) = %v, %v, %v", k, v, ok, err)
 		}
 		owner := oracleOwner(o, k)
-		n, _ := o.nodeAt(owner)
-		if _, found := n.storeSnapshot()[k]; !found {
+		n, _ := o.NodeAt(owner)
+		if _, found := n.StoreSnapshot()[k]; !found {
 			t.Fatalf("key %q not stored at oracle owner %q", k, owner)
 		}
-	}
-}
-
-func TestGracefulLeaveKeepsData(t *testing.T) {
-	_, o := buildOverlay(t, 10)
-	for i := 0; i < 300; i++ {
-		if err := o.Put(dht.Key(fmt.Sprintf("lk%d", i)), i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, victim := range []simnet.NodeID{"node-2", "node-8", "node-5"} {
-		if err := o.RemoveNode(victim); err != nil {
-			t.Fatalf("RemoveNode(%q): %v", victim, err)
-		}
-		o.Stabilize(2)
-	}
-	for i := 0; i < 300; i++ {
-		k := dht.Key(fmt.Sprintf("lk%d", i))
-		v, ok, err := o.Get(k)
-		if err != nil || !ok || v != i {
-			t.Fatalf("after leaves Get(%q) = %v, %v, %v", k, v, ok, err)
-		}
-	}
-	if err := o.RemoveNode("node-2"); err == nil {
-		t.Error("double RemoveNode succeeded")
 	}
 }
 
@@ -160,11 +135,15 @@ func TestRouteLengthReasonable(t *testing.T) {
 func TestLeafSetBounded(t *testing.T) {
 	_, o := buildOverlay(t, 24)
 	for _, addr := range o.Nodes() {
-		n, _ := o.nodeAt(addr)
-		if got := len(n.LeafSet()); got > 2*leafHalf {
+		kn, _ := o.NodeAt(addr)
+		n := kn.Routing().(*node)
+		n.mu.Lock()
+		got := len(n.leaves)
+		n.mu.Unlock()
+		if got > 2*leafHalf {
 			t.Errorf("node %q leaf set size %d exceeds %d", addr, got, 2*leafHalf)
 		}
-		if got := len(n.LeafSet()); got == 0 {
+		if got == 0 {
 			t.Errorf("node %q leaf set empty", addr)
 		}
 	}
@@ -194,7 +173,7 @@ func TestDistributionAcrossNodes(t *testing.T) {
 	}
 	occupied := 0
 	for _, addr := range o.Nodes() {
-		n, _ := o.nodeAt(addr)
+		n, _ := o.NodeAt(addr)
 		if n.StoreLen() > 0 {
 			occupied++
 		}

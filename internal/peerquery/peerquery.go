@@ -18,15 +18,15 @@ import (
 	"time"
 
 	"mlight/internal/bitlabel"
-	"mlight/internal/chord"
 	"mlight/internal/core"
 	"mlight/internal/dht"
-	"mlight/internal/simnet"
+	"mlight/internal/overlay"
 	"mlight/internal/spatial"
+	"mlight/internal/transport"
 )
 
 // clientAddr is the query initiator's network address.
-const clientAddr simnet.NodeID = "peerquery-client"
+const clientAddr transport.NodeID = "peerquery-client"
 
 // forwardReq asks the peer owning bucket key fmd(Beta) to resolve Query
 // against the subtree rooted at Beta.
@@ -54,17 +54,19 @@ type Result struct {
 	Latency time.Duration
 }
 
-// Service installs and drives peer-side query execution over a Chord ring.
+// Service installs and drives peer-side query execution over an overlay of
+// any protocol, on any transport (latencies are the transport's modeled
+// one-way delays; a transport without a latency model reports zero).
 type Service struct {
-	ring     *chord.Ring
-	net      *simnet.Network
+	ring     *overlay.Overlay
+	net      transport.Interface
 	dims     int
 	maxDepth int
 }
 
 // New creates the service and installs its handler on every current node
-// of the ring. The dims/maxDepth must match the index stored in the ring.
-func New(ring *chord.Ring, net *simnet.Network, dims, maxDepth int) (*Service, error) {
+// of the overlay. The dims/maxDepth must match the index stored in it.
+func New(ring *overlay.Overlay, net transport.Interface, dims, maxDepth int) (*Service, error) {
 	if dims < 1 {
 		return nil, fmt.Errorf("peerquery: dims must be ≥ 1, got %d", dims)
 	}
@@ -79,19 +81,19 @@ func New(ring *chord.Ring, net *simnet.Network, dims, maxDepth int) (*Service, e
 // Reinstall re-installs the handler on every managed node (call after
 // membership changes add nodes).
 func (s *Service) Reinstall() {
-	s.ring.InstallAppHandler(func(n *chord.Node) simnet.Handler {
+	s.ring.InstallAppHandler(func(n *overlay.Node) transport.Handler {
 		return &peerHandler{service: s, node: n}
 	})
 }
 
-// peerHandler runs on one chord node.
+// peerHandler runs on one overlay node.
 type peerHandler struct {
 	service *Service
-	node    *chord.Node
+	node    *overlay.Node
 }
 
-// HandleRPC implements simnet.Handler for the application layer.
-func (h *peerHandler) HandleRPC(from simnet.NodeID, req any) (any, error) {
+// HandleRPC implements transport.Handler for the application layer.
+func (h *peerHandler) HandleRPC(from transport.NodeID, req any) (any, error) {
 	r, ok := req.(forwardReq)
 	if !ok {
 		return nil, fmt.Errorf("peerquery: %s: unknown request %T", h.node.Addr(), req)
@@ -105,7 +107,7 @@ func bucketKey(l bitlabel.Label, m int) dht.Key {
 }
 
 // resolveAt executes Algorithm 3 at the peer owning fmd(Beta)'s bucket.
-func (s *Service) resolveAt(node *chord.Node, req forwardReq) (forwardResp, error) {
+func (s *Service) resolveAt(node *overlay.Node, req forwardReq) (forwardResp, error) {
 	m := s.dims
 	v, ok := node.LocalGet(bucketKey(req.Beta, m))
 	if !ok {
@@ -156,7 +158,7 @@ func (s *Service) resolveAt(node *chord.Node, req forwardReq) (forwardResp, erro
 // forward routes a subquery from one peer to the owner of the branch
 // node's bucket key: a DHT-lookup (hops × RTT) followed by one delivery,
 // then the remote resolution. The returned Critical covers all of it.
-func (s *Service) forward(from simnet.NodeID, req forwardReq) (forwardResp, error) {
+func (s *Service) forward(from transport.NodeID, req forwardReq) (forwardResp, error) {
 	key := bucketKey(req.Beta, s.dims)
 	owner, hops, err := s.ring.LookupFrom(from, key)
 	if err != nil {
@@ -181,7 +183,7 @@ func (s *Service) forward(from simnet.NodeID, req forwardReq) (forwardResp, erro
 
 // fallbackLookup finds the covering leaf by corner lookup through the ring
 // (sequential probes from this peer).
-func (s *Service) fallbackLookup(node *chord.Node, req forwardReq) (forwardResp, error) {
+func (s *Service) fallbackLookup(node *overlay.Node, req forwardReq) (forwardResp, error) {
 	m := s.dims
 	corner := req.Query.Lo
 	path, err := bitlabel.PathLabel(corner, s.maxDepth)
@@ -237,7 +239,7 @@ func (s *Service) RangeQuery(q spatial.Rect) (*Result, error) {
 }
 
 // entryAddr picks the initiating peer (the first managed node).
-func (s *Service) entryAddr() simnet.NodeID {
+func (s *Service) entryAddr() transport.NodeID {
 	nodes := s.ring.Nodes()
 	if len(nodes) == 0 {
 		return ""

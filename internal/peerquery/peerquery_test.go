@@ -2,23 +2,30 @@ package peerquery
 
 import (
 	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
-	"mlight/internal/chord"
 	"mlight/internal/core"
 	"mlight/internal/dataset"
+	"mlight/internal/overlay"
 	"mlight/internal/simnet"
 	"mlight/internal/spatial"
+	"mlight/internal/substrate"
 	"mlight/internal/workload"
 )
 
-// buildStack assembles the full system: simnet with latency, chord ring,
-// m-LIGHT index loaded with data, and the peer-query service.
-func buildStack(t *testing.T, peers, records int, latency time.Duration) (*Service, *core.Index, []spatial.Record) {
+// buildStack assembles the full system: simnet with latency, an overlay of
+// the named protocol, an m-LIGHT index loaded with data, and the peer-query
+// service.
+func buildStack(t *testing.T, protocol string, peers, records int, latency time.Duration) (*Service, *core.Index, []spatial.Record) {
 	t.Helper()
 	net := simnet.New(simnet.Options{Latency: simnet.ConstantLatency(latency)})
-	ring := chord.NewRing(net, chord.Config{Seed: 1})
+	ring, err := substrate.New(protocol, net, overlay.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < peers; i++ {
 		if _, err := ring.AddNode(simnet.NodeID(fmt.Sprintf("node-%d", i))); err != nil {
 			t.Fatal(err)
@@ -42,43 +49,58 @@ func buildStack(t *testing.T, peers, records int, latency time.Duration) (*Servi
 	return svc, ix, recs
 }
 
-// TestPeerQueryMatchesClientQuery: peer-executed queries return exactly the
-// records the client-driven algorithm returns.
+// TestPeerQueryMatchesClientQuery: on every overlay, peer-executed queries
+// return exactly the record set the client-driven algorithm returns.
 func TestPeerQueryMatchesClientQuery(t *testing.T) {
-	svc, ix, _ := buildStack(t, 16, 4000, time.Millisecond)
-	gen, err := workload.NewRangeGenerator(2, 9)
-	if err != nil {
-		t.Fatal(err)
+	for _, protocol := range substrate.Names {
+		t.Run(protocol, func(t *testing.T) {
+			svc, ix, _ := buildStack(t, protocol, 16, 4000, time.Millisecond)
+			gen, err := workload.NewRangeGenerator(2, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for trial := 0; trial < 25; trial++ {
+				q, err := gen.Span(0.15)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := ix.RangeQuery(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := svc.RangeQuery(q)
+				if err != nil {
+					t.Fatalf("peer RangeQuery(%v): %v", q, err)
+				}
+				if g, w := recordSet(got.Records), recordSet(want.Records); !reflect.DeepEqual(g, w) {
+					t.Fatalf("peer query returned %d records, client query %d, and the sets differ", len(g), len(w))
+				}
+				if got.Lookups < 1 {
+					t.Fatalf("no lookups recorded: %+v", got)
+				}
+				if got.Latency <= 0 {
+					t.Fatalf("no latency recorded: %+v", got)
+				}
+			}
+		})
 	}
-	for trial := 0; trial < 25; trial++ {
-		q, err := gen.Span(0.15)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := ix.RangeQuery(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := svc.RangeQuery(q)
-		if err != nil {
-			t.Fatalf("peer RangeQuery(%v): %v", q, err)
-		}
-		if len(got.Records) != len(want.Records) {
-			t.Fatalf("peer query = %d records, client query = %d", len(got.Records), len(want.Records))
-		}
-		if got.Lookups < 1 {
-			t.Fatalf("no lookups recorded: %+v", got)
-		}
-		if got.Latency <= 0 {
-			t.Fatalf("no latency recorded: %+v", got)
-		}
+}
+
+// recordSet renders records as a sorted list of strings, so two result sets
+// compare regardless of the order the pieces arrived in.
+func recordSet(recs []spatial.Record) []string {
+	out := make([]string, len(recs))
+	for i, r := range recs {
+		out[i] = fmt.Sprintf("%v|%v", r.Key, r.Data)
 	}
+	sort.Strings(out)
+	return out
 }
 
 // TestPeerQuerySmallRangeInsideLeaf exercises the fallback path (LCA not
 // internal).
 func TestPeerQuerySmallRangeInsideLeaf(t *testing.T) {
-	svc, ix, recs := buildStack(t, 8, 600, time.Millisecond)
+	svc, ix, recs := buildStack(t, "chord", 8, 600, time.Millisecond)
 	// A tiny box around one known record.
 	p := recs[17].Key
 	lo := spatial.Point{clamp01(p[0] - 0.001), clamp01(p[1] - 0.001)}
@@ -107,12 +129,12 @@ func TestLatencyScalesWithModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc1, _, _ := buildStack(t, 12, 3000, time.Millisecond)
+	svc1, _, _ := buildStack(t, "chord", 12, 3000, time.Millisecond)
 	res1, err := svc1.RangeQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc2, _, _ := buildStack(t, 12, 3000, 2*time.Millisecond)
+	svc2, _, _ := buildStack(t, "chord", 12, 3000, 2*time.Millisecond)
 	res2, err := svc2.RangeQuery(q)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +153,7 @@ func TestLatencyScalesWithModel(t *testing.T) {
 // critical path is shorter than the sum of all per-forward costs would be,
 // for a range wide enough to decompose.
 func TestLatencyBelowSequentialSum(t *testing.T) {
-	svc, _, _ := buildStack(t, 16, 4000, time.Millisecond)
+	svc, _, _ := buildStack(t, "chord", 16, 4000, time.Millisecond)
 	q, err := spatial.NewRect(spatial.Point{0.1, 0.1}, spatial.Point{0.9, 0.9})
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +176,10 @@ func TestLatencyBelowSequentialSum(t *testing.T) {
 
 func TestServiceValidation(t *testing.T) {
 	net := simnet.New(simnet.Options{})
-	ring := chord.NewRing(net, chord.Config{Seed: 1})
+	ring, err := substrate.New("chord", net, overlay.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := New(ring, net, 0, 20); err == nil {
 		t.Error("dims=0 accepted")
 	}

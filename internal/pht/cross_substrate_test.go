@@ -4,55 +4,34 @@ import (
 	"fmt"
 	"testing"
 
-	"mlight/internal/chord"
 	"mlight/internal/dataset"
 	"mlight/internal/dht"
-	"mlight/internal/kademlia"
-	"mlight/internal/pastry"
+	"mlight/internal/overlay"
 	"mlight/internal/pht"
 	"mlight/internal/simnet"
 	"mlight/internal/spatial"
+	"mlight/internal/substrate"
 	"mlight/internal/workload"
 )
 
 // TestPHTOverEveryOverlay: the PHT baseline is as substrate-agnostic as
 // m-LIGHT — identical answers over all four substrates.
 func TestPHTOverEveryOverlay(t *testing.T) {
-	substrates := map[string]func(t *testing.T) dht.DHT{
-		"local": func(t *testing.T) dht.DHT { return dht.MustNewLocal(12) },
-		"chord": func(t *testing.T) dht.DHT {
-			net := simnet.New(simnet.Options{})
-			ring := chord.NewRing(net, chord.Config{Seed: 1})
-			for i := 0; i < 10; i++ {
-				if _, err := ring.AddNode(simnet.NodeID(fmt.Sprintf("node-%d", i))); err != nil {
-					t.Fatal(err)
-				}
+	build := func(t *testing.T, name string) dht.DHT {
+		if name == "local" {
+			return dht.MustNewLocal(12)
+		}
+		o, err := substrate.New(name, simnet.New(simnet.Options{}), overlay.Config{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 10; i++ {
+			if _, err := o.AddNode(simnet.NodeID(fmt.Sprintf("node-%d", i))); err != nil {
+				t.Fatal(err)
 			}
-			ring.Stabilize(2)
-			return ring
-		},
-		"pastry": func(t *testing.T) dht.DHT {
-			net := simnet.New(simnet.Options{})
-			o := pastry.NewOverlay(net, pastry.Config{Seed: 1})
-			for i := 0; i < 10; i++ {
-				if _, err := o.AddNode(simnet.NodeID(fmt.Sprintf("node-%d", i))); err != nil {
-					t.Fatal(err)
-				}
-			}
-			o.Stabilize(2)
-			return o
-		},
-		"kademlia": func(t *testing.T) dht.DHT {
-			net := simnet.New(simnet.Options{})
-			o := kademlia.NewOverlay(net, kademlia.Config{Seed: 1})
-			for i := 0; i < 10; i++ {
-				if _, err := o.AddNode(simnet.NodeID(fmt.Sprintf("node-%d", i))); err != nil {
-					t.Fatal(err)
-				}
-			}
-			o.Stabilize(2)
-			return o
-		},
+		}
+		o.Stabilize(2)
+		return o
 	}
 	records := dataset.Generate(800, 11)
 	gen, err := workload.NewRangeGenerator(2, 12)
@@ -68,9 +47,9 @@ func TestPHTOverEveryOverlay(t *testing.T) {
 		queries[i] = q
 	}
 	var baseline []int
-	for _, name := range []string{"local", "chord", "pastry", "kademlia"} {
+	for _, name := range append([]string{"local"}, substrate.Names...) {
 		t.Run(name, func(t *testing.T) {
-			ix, err := pht.New(substrates[name](t), pht.Options{LeafCapacity: 25, MergeThreshold: 12})
+			ix, err := pht.New(build(t, name), pht.Options{LeafCapacity: 25, MergeThreshold: 12})
 			if err != nil {
 				t.Fatal(err)
 			}

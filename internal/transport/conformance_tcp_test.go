@@ -11,11 +11,10 @@ import (
 	"testing"
 	"time"
 
-	"mlight/internal/chord"
 	"mlight/internal/dht"
 	"mlight/internal/dht/dhttest"
-	"mlight/internal/kademlia"
-	"mlight/internal/pastry"
+	"mlight/internal/overlay"
+	"mlight/internal/substrate"
 	"mlight/internal/transport"
 	"mlight/internal/wire"
 )
@@ -39,29 +38,16 @@ func newTCPTransport(t *testing.T) *transport.TCP {
 	return tr
 }
 
-// Builders for each substrate over one TCP transport. All nodes live in
-// this process, but every message between them crosses a loopback socket.
-func buildChordTCP(t *testing.T) dht.DHT {
+// buildTCP builds the named overlay over one TCP transport. All nodes live
+// in this process, but every message between them crosses a loopback
+// socket.
+func buildTCP(t *testing.T, name string) dht.DHT {
 	t.Helper()
 	tr := newTCPTransport(t)
-	ring := chord.NewRing(tr, chord.Config{Seed: 1})
-	for i := 0; i < tcpNodes; i++ {
-		id, err := tr.Reserve()
-		if err != nil {
-			t.Fatalf("reserve %d: %v", i, err)
-		}
-		if _, err := ring.AddNode(id); err != nil {
-			t.Fatalf("AddNode(%d): %v", i, err)
-		}
+	o, err := substrate.New(name, tr, overlay.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	ring.Stabilize(2)
-	return ring
-}
-
-func buildPastryTCP(t *testing.T) dht.DHT {
-	t.Helper()
-	tr := newTCPTransport(t)
-	o := pastry.NewOverlay(tr, pastry.Config{Seed: 1})
 	for i := 0; i < tcpNodes; i++ {
 		id, err := tr.Reserve()
 		if err != nil {
@@ -75,42 +61,18 @@ func buildPastryTCP(t *testing.T) dht.DHT {
 	return o
 }
 
-func buildKademliaTCP(t *testing.T) dht.DHT {
-	t.Helper()
-	tr := newTCPTransport(t)
-	o := kademlia.NewOverlay(tr, kademlia.Config{Seed: 1})
-	for i := 0; i < tcpNodes; i++ {
-		id, err := tr.Reserve()
-		if err != nil {
-			t.Fatalf("reserve %d: %v", i, err)
-		}
-		if _, err := o.AddNode(id); err != nil {
-			t.Fatalf("AddNode(%d): %v", i, err)
-		}
-	}
-	o.Stabilize(2)
-	return o
-}
-
-var tcpSubstrates = []struct {
-	name  string
-	build func(t *testing.T) dht.DHT
-}{
-	{"chord", buildChordTCP},
-	{"pastry", buildPastryTCP},
-	{"kademlia", buildKademliaTCP},
-}
+func buildChordTCP(t *testing.T) dht.DHT { return buildTCP(t, "chord") }
 
 func TestConformanceOverTCP(t *testing.T) {
 	dhttest.VerifyNoLeaks(t)
 	if testing.Short() {
 		t.Skip("socket-backed conformance is not short")
 	}
-	for _, s := range tcpSubstrates {
-		s := s
-		t.Run(s.name, func(t *testing.T) {
+	for _, name := range substrate.Names {
+		name := name
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			dhttest.RunConformance(t, s.build)
+			dhttest.RunConformance(t, func(t *testing.T) dht.DHT { return buildTCP(t, name) })
 		})
 	}
 }
@@ -120,11 +82,11 @@ func TestFaultToleranceOverTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("socket-backed fault suite is not short")
 	}
-	for _, s := range tcpSubstrates {
-		s := s
-		t.Run(s.name, func(t *testing.T) {
+	for _, name := range substrate.Names {
+		name := name
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			dhttest.RunFaultTolerance(t, s.build)
+			dhttest.RunFaultTolerance(t, func(t *testing.T) dht.DHT { return buildTCP(t, name) })
 		})
 	}
 }
@@ -154,11 +116,11 @@ func TestRemoteApplyAtomicityOverTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("socket-backed atomicity suite is not short")
 	}
-	for _, s := range tcpSubstrates {
-		s := s
-		t.Run(s.name, func(t *testing.T) {
+	for _, name := range substrate.Names {
+		name := name
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			d := s.build(t)
+			d := buildTCP(t, name)
 			const workers, each = 8, 10
 			errs := make(chan error, workers)
 			for w := 0; w < workers; w++ {

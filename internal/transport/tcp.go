@@ -183,7 +183,9 @@ func (t *TCP) Register(id NodeID, h Handler) error {
 }
 
 // Deregister closes the node's listener and forgets it. In-flight handler
-// executions finish; their connections die with the listener's teardown.
+// executions finish. Connections peers already hold to the node outlive the
+// listener, so the handler is detached too: a call arriving on one is
+// answered unreachable instead of being served by a node that has left.
 func (t *TCP) Deregister(id NodeID) {
 	t.mu.Lock()
 	l, ok := t.locals[id]
@@ -191,6 +193,9 @@ func (t *TCP) Deregister(id NodeID) {
 	delete(t.down, id)
 	t.mu.Unlock()
 	if ok {
+		l.mu.Lock()
+		l.h = nil
+		l.mu.Unlock()
 		l.ln.Close() //lint:allow droppederr best-effort teardown of an already-failed or superseded conn
 	}
 }

@@ -4,11 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"mlight/internal/chord"
-	"mlight/internal/kademlia"
-	"mlight/internal/pastry"
+	"mlight/internal/overlay"
 	"mlight/internal/peerquery"
 	"mlight/internal/simnet"
+	"mlight/internal/substrate"
 )
 
 // Substrate types, aliased so applications can manage overlays through the
@@ -18,13 +17,16 @@ type (
 	Network = simnet.Network
 	// NodeID identifies a peer on the simulated network.
 	NodeID = simnet.NodeID
-	// ChordRing is a managed Chord overlay (implements DHT).
-	ChordRing = chord.Ring
-	// PastryOverlay is a managed Pastry/Bamboo-style overlay (implements
-	// DHT).
-	PastryOverlay = pastry.Overlay
-	// KademliaOverlay is a managed Kademlia overlay (implements DHT).
-	KademliaOverlay = kademlia.Overlay
+	// Overlay is a managed structured overlay (implements DHT): one kernel
+	// of storage, replication and membership, running whichever routing
+	// protocol it was built with.
+	Overlay = overlay.Overlay
+	// ChordRing is an Overlay running Chord routing.
+	ChordRing = Overlay
+	// PastryOverlay is an Overlay running Pastry/Bamboo-style routing.
+	PastryOverlay = Overlay
+	// KademliaOverlay is an Overlay running Kademlia routing.
+	KademliaOverlay = Overlay
 	// PeerQueryService executes range queries on the peers themselves
 	// (Algorithm 3 as installed application handlers) and measures true
 	// critical-path latency under the network's latency model.
@@ -40,6 +42,25 @@ func NewNetwork() *Network {
 	return simnet.New(simnet.Options{})
 }
 
+// newCluster builds a ready-to-use overlay of the named protocol on net: n
+// joined, stabilized peers named "node-0" … "node-(n-1)".
+func newCluster(name string, net *Network, n, replication int, seed int64) (*Overlay, *Network, error) {
+	if n < 1 {
+		return nil, nil, fmt.Errorf("mlight: cluster needs at least one peer, got %d", n)
+	}
+	o, err := substrate.New(name, net, overlay.Config{Seed: seed, Replication: replication})
+	if err != nil {
+		return nil, nil, fmt.Errorf("mlight: %w", err)
+	}
+	for i := 0; i < n; i++ {
+		if _, err := o.AddNode(simnet.NodeID(fmt.Sprintf("node-%d", i))); err != nil {
+			return nil, nil, fmt.Errorf("mlight: %s cluster: %w", name, err)
+		}
+	}
+	o.Stabilize(2)
+	return o, net, nil
+}
+
 // NewChordCluster builds a ready-to-use Chord DHT: a fresh simulated
 // network with n joined, stabilized peers named "node-0" … "node-(n-1)".
 func NewChordCluster(n int, seed int64) (*ChordRing, *Network, error) {
@@ -51,18 +72,7 @@ func NewChordCluster(n int, seed int64) (*ChordRing, *Network, error) {
 // tolerates up to replication-1 crashes between stabilization rounds with
 // no data loss.
 func NewReplicatedChordCluster(n, replication int, seed int64) (*ChordRing, *Network, error) {
-	if n < 1 {
-		return nil, nil, fmt.Errorf("mlight: cluster needs at least one peer, got %d", n)
-	}
-	net := simnet.New(simnet.Options{})
-	ring := chord.NewRing(net, chord.Config{Seed: seed, Replication: replication})
-	for i := 0; i < n; i++ {
-		if _, err := ring.AddNode(simnet.NodeID(fmt.Sprintf("node-%d", i))); err != nil {
-			return nil, nil, fmt.Errorf("mlight: chord cluster: %w", err)
-		}
-	}
-	ring.Stabilize(2)
-	return ring, net, nil
+	return newCluster("chord", NewNetwork(), n, replication, seed)
 }
 
 // NewChordClusterWithLatency is NewChordCluster over a latency-bearing
@@ -74,95 +84,44 @@ func NewReplicatedChordCluster(n, replication int, seed int64) (*ChordRing, *Net
 // thousands of RPCs); call net.SetRealDelay(false) to suspend enforcement
 // again around bulk loads.
 func NewChordClusterWithLatency(n int, seed int64, hopDelay time.Duration) (*ChordRing, *Network, error) {
-	if n < 1 {
-		return nil, nil, fmt.Errorf("mlight: cluster needs at least one peer, got %d", n)
-	}
 	net := simnet.New(simnet.Options{Latency: simnet.ConstantLatency(hopDelay)})
-	ring := chord.NewRing(net, chord.Config{Seed: seed})
-	for i := 0; i < n; i++ {
-		if _, err := ring.AddNode(simnet.NodeID(fmt.Sprintf("node-%d", i))); err != nil {
-			return nil, nil, fmt.Errorf("mlight: chord cluster: %w", err)
-		}
+	ring, net, err := newCluster("chord", net, n, 1, seed)
+	if err == nil {
+		net.SetRealDelay(true)
 	}
-	ring.Stabilize(2)
-	net.SetRealDelay(true)
-	return ring, net, nil
+	return ring, net, err
 }
 
 // NewPastryCluster builds a ready-to-use Pastry/Bamboo-style DHT: a fresh
 // simulated network with n joined, stabilized peers.
 func NewPastryCluster(n int, seed int64) (*PastryOverlay, *Network, error) {
-	if n < 1 {
-		return nil, nil, fmt.Errorf("mlight: cluster needs at least one peer, got %d", n)
-	}
-	net := simnet.New(simnet.Options{})
-	o := pastry.NewOverlay(net, pastry.Config{Seed: seed})
-	for i := 0; i < n; i++ {
-		if _, err := o.AddNode(simnet.NodeID(fmt.Sprintf("node-%d", i))); err != nil {
-			return nil, nil, fmt.Errorf("mlight: pastry cluster: %w", err)
-		}
-	}
-	o.Stabilize(2)
-	return o, net, nil
+	return NewReplicatedPastryCluster(n, 1, seed)
 }
 
 // NewKademliaCluster builds a ready-to-use Kademlia DHT: a fresh simulated
 // network with n joined, stabilized peers.
 func NewKademliaCluster(n int, seed int64) (*KademliaOverlay, *Network, error) {
-	if n < 1 {
-		return nil, nil, fmt.Errorf("mlight: cluster needs at least one peer, got %d", n)
-	}
-	net := simnet.New(simnet.Options{})
-	o := kademlia.NewOverlay(net, kademlia.Config{Seed: seed})
-	for i := 0; i < n; i++ {
-		if _, err := o.AddNode(simnet.NodeID(fmt.Sprintf("node-%d", i))); err != nil {
-			return nil, nil, fmt.Errorf("mlight: kademlia cluster: %w", err)
-		}
-	}
-	o.Stabilize(2)
-	return o, net, nil
+	return NewReplicatedKademliaCluster(n, 1, seed)
 }
 
-// NewPeerQueryService installs peer-side range-query execution on a Chord
-// ring holding an m-LIGHT index with the given dimensionality and depth
+// NewPeerQueryService installs peer-side range-query execution on an
+// overlay holding an m-LIGHT index with the given dimensionality and depth
 // bound. Queries then run peer-to-peer, and results report critical-path
 // latency in simulated time.
-func NewPeerQueryService(ring *ChordRing, net *Network, dims, maxDepth int) (*PeerQueryService, error) {
+func NewPeerQueryService(ring *Overlay, net *Network, dims, maxDepth int) (*PeerQueryService, error) {
 	return peerquery.New(ring, net, dims, maxDepth)
 }
 
 // NewReplicatedPastryCluster is NewPastryCluster with PAST/Bamboo-style
-// leaf-set replication: each key is copied to the owner's replication-1
-// nearest neighbours.
+// leaf-set replication: each key is copied to the replication-1 leaf-set
+// members of its owner nearest the key.
 func NewReplicatedPastryCluster(n, replication int, seed int64) (*PastryOverlay, *Network, error) {
-	if n < 1 {
-		return nil, nil, fmt.Errorf("mlight: cluster needs at least one peer, got %d", n)
-	}
-	net := simnet.New(simnet.Options{})
-	o := pastry.NewOverlay(net, pastry.Config{Seed: seed, Replication: replication})
-	for i := 0; i < n; i++ {
-		if _, err := o.AddNode(simnet.NodeID(fmt.Sprintf("node-%d", i))); err != nil {
-			return nil, nil, fmt.Errorf("mlight: pastry cluster: %w", err)
-		}
-	}
-	o.Stabilize(2)
-	return o, net, nil
+	return newCluster("pastry", NewNetwork(), n, replication, seed)
 }
 
 // NewReplicatedKademliaCluster is NewKademliaCluster with the original
 // paper's placement rule: every key is stored at the replication closest
 // nodes.
 func NewReplicatedKademliaCluster(n, replication int, seed int64) (*KademliaOverlay, *Network, error) {
-	if n < 1 {
-		return nil, nil, fmt.Errorf("mlight: cluster needs at least one peer, got %d", n)
-	}
-	net := simnet.New(simnet.Options{})
-	o := kademlia.NewOverlay(net, kademlia.Config{Seed: seed, Replication: replication})
-	for i := 0; i < n; i++ {
-		if _, err := o.AddNode(simnet.NodeID(fmt.Sprintf("node-%d", i))); err != nil {
-			return nil, nil, fmt.Errorf("mlight: kademlia cluster: %w", err)
-		}
-	}
-	o.Stabilize(2)
-	return o, net, nil
+	return newCluster("kademlia", NewNetwork(), n, replication, seed)
 }
