@@ -87,6 +87,7 @@ func run(args []string, out io.Writer) error {
 	s := ix.Stats()
 	fmt.Fprintf(out, "  loaded in %v: %s\n", time.Since(start).Round(time.Millisecond), s)
 	fmt.Fprintf(out, "  mean overlay route length: %.2f hops per DHT op\n", ov.MeanRouteLength())
+	fmt.Fprintf(out, "  client-mode view: %s (this overlay hosts its peers, so it routes)\n", ov.DirectSummary())
 	fmt.Fprintf(out, "  simulated network RTT accumulated: %v\n\n", net.SimulatedRTT().Round(time.Millisecond))
 
 	printDistribution(ov, out)

@@ -16,7 +16,10 @@
 //
 // The -smoke mode is a self-test client for scripts and CI: it dials the
 // cluster, optionally inserts deterministic records, runs a full-space
-// range query, and exits non-zero unless the expected records came back:
+// range query, and exits non-zero unless every operation succeeded and the
+// expected records came back. It also prints the client overlay's route
+// length and direct-send counters (sent, declined, failed, view size), so a
+// script can tell whether a stale view was exercised:
 //
 //	mlightd -smoke -seeds 127.0.0.1:7401,127.0.0.1:7402 -insert 32 -expect 32
 package main
@@ -135,6 +138,8 @@ func runSmoke(addrs []string, substrate string, insertN, expectN int) error {
 		}
 	}
 	fmt.Printf("mlightd: smoke ok — %d smoke records (%d lookups, %d rounds)\n", found, res.Lookups, res.Rounds)
+	ov := client.Overlay()
+	fmt.Printf("mlightd: smoke overlay — %.2f hops per routed lookup, %s\n", ov.MeanRouteLength(), ov.DirectSummary())
 	if found < expectN {
 		return fmt.Errorf("smoke: found %d records, expected at least %d", found, expectN)
 	}

@@ -19,9 +19,15 @@ import (
 // instead of staying in this process.
 type Client struct {
 	*Index
-	tr   transport.Interface
-	owns bool // Dial created tr, so Close tears it down
+	tr      transport.Interface
+	owns    bool // Dial created tr, so Close tears it down
+	overlay *Overlay
 }
+
+// Overlay returns the client-mode overlay beneath the index: its routing
+// counters (Lookups, Hops) and the direct-send counters and view size that
+// say how often the client reached a key's owner without routing first.
+func (c *Client) Overlay() *Overlay { return c.overlay }
 
 // Close releases the client's network resources. The transport is closed
 // only when Dial created it; a transport supplied via WithTransport stays
@@ -38,9 +44,13 @@ func (c *Client) Close() error {
 
 // Dial connects to a running mlightd cluster and returns an index client
 // backed by it. addrs lists one or more daemon listen addresses
-// ("host:port"); they are used as overlay entry points, so any live subset
-// suffices — more addresses mean more routes survive individual daemon
-// failures.
+// ("host:port"); they are the client's first view of the cluster, so any
+// live subset suffices — more addresses mean fewer wrong first guesses and
+// more routes that survive individual daemon failures. The client learns
+// the other daemons as it resolves owners and drops the ones that stop
+// answering; an operation on a key whose owner it knows costs the store
+// RPCs alone (one for a read, two for a read-modify-write), with no routing
+// round trips in front.
 //
 // Dial accepts the same options as New, plus two client-side ones:
 // WithTransport substitutes a caller-owned RPC transport for the TCP
@@ -83,8 +93,11 @@ func Dial(addrs []string, opts ...Option) (*Client, error) {
 		seeds[i] = transport.NodeID(a)
 	}
 
-	// A client-mode overlay: zero local nodes, so every operation routes
-	// through the seed daemons.
+	// A client-mode overlay: zero local nodes. It keeps a view of the
+	// daemons it has met — these addresses, then every owner a lookup
+	// resolves — and sends each operation straight to the one that should
+	// own the key; the daemon checks, and a wrong guess is routed through the
+	// view like any lookup.
 	o, err := substrate.New(tuning.Substrate, tr, overlay.Config{Seed: tuning.Seed, Seeds: seeds})
 	if err != nil {
 		abort()
@@ -99,7 +112,7 @@ func Dial(addrs []string, opts ...Option) (*Client, error) {
 		abort()
 		return nil, fmt.Errorf("mlight: dial %v: %w", addrs, err)
 	}
-	return &Client{Index: ix, tr: tr, owns: owned != nil}, nil
+	return &Client{Index: ix, tr: tr, owns: owned != nil, overlay: o}, nil
 }
 
 var _ Querier = (*Client)(nil)

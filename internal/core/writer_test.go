@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"mlight/internal/dht"
 	"mlight/internal/spatial"
@@ -256,7 +257,11 @@ func TestInsertBatchRangeQueryRaceStress(t *testing.T) {
 		ThetaMerge:  4,
 		MaxInFlight: 8,
 		CacheSize:   32,
-		Sleep:       dht.NoSleep,
+		// The real backoff, not dht.NoSleep: a retry has to let the split it
+		// collided with make progress, and twelve retries that never yield
+		// spin out on a two-CPU machine before the splitter runs again (the
+		// test failed six runs in ten there, with every insert valid).
+		Sleep: time.Sleep,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -117,6 +117,20 @@ func TestClusterInsertQueryDrain(t *testing.T) {
 	if got := countSmoke(t, survivor); got != records {
 		t.Errorf("post-drain query returned %d records, want %d", got, records)
 	}
+
+	// The first client's view still names the drained daemon. A direct send
+	// that picks it fails, drops it from the view and is routed: the caller
+	// sees every record and no error.
+	if got := countSmoke(t, client); got != records {
+		t.Errorf("post-drain query by the pre-drain client returned %d records, want %d", got, records)
+	}
+	ov := client.Overlay()
+	if ov.DirectSends.Load() == 0 {
+		t.Errorf("dialed client never sent direct: %s", ov.DirectSummary())
+	}
+	if ov.DirectFailed.Load() > 0 && ov.ViewSize() != 2 {
+		t.Errorf("a direct send to the drained daemon failed but it is still in the view: %s", ov.DirectSummary())
+	}
 }
 
 func TestDialSubstrates(t *testing.T) {

@@ -20,6 +20,10 @@ type OverlayFixture struct {
 	// setDropRate injects link loss; it is nil where the transport cannot
 	// (real sockets), and the loss cases are skipped there.
 	New func(t *testing.T, cfg overlay.Config) (o *overlay.Overlay, addr func(i int) transport.NodeID, setDropRate func(float64))
+	// Dial builds a client-mode overlay of the same protocol on net, the
+	// transport of an overlay New built (or a wrapper around it): no node of
+	// its own, cfg.Seeds naming members of that overlay.
+	Dial func(t *testing.T, net transport.Interface, cfg overlay.Config) *overlay.Overlay
 	// TickError is a substring of the error a lossy maintenance round
 	// records: the routing message that round cannot afford to lose.
 	TickError string

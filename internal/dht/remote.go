@@ -28,7 +28,13 @@ import (
 // transport codec here so every substrate shares one vocabulary.
 type (
 	// GetVerReq asks the key's owner for the current value and version.
-	GetVerReq struct{ Key Key }
+	// Direct marks a request sent to a node the caller only believes to be
+	// the owner: an overlay node serves it if it owns the key and declines
+	// otherwise (internal/overlay, view.go).
+	GetVerReq struct {
+		Key    Key
+		Direct bool
+	}
 	// GetVerResp is the owner's snapshot of the key.
 	GetVerResp struct {
 		Value any
@@ -71,8 +77,10 @@ var ErrApplyContention = Retryable(errors.New("dht: remote apply: persistent con
 const remoteApplyAttempts = 256
 
 // RemoteApply runs fn against the key's owner through call (a closure over
-// the transport's Call, bound to the owner's address) using the versioned
-// CAS protocol. It returns the post-apply value and whether it was kept —
+// the transport's Call) using the versioned CAS protocol. The opening
+// GetVerReq is where call may still be finding the owner; every CASReq must
+// then reach the node that answered it, whose version the CAS is judged
+// against. It returns the post-apply value and whether it was kept —
 // the same contract the inline applyResp carries — so overlay replication
 // can fan the result out.
 func RemoteApply(call func(req any) (any, error), key Key, fn ApplyFunc) (value any, keep bool, err error) {

@@ -38,6 +38,7 @@ func (o *Overlay) admit(nodes ...*Node) {
 		o.order = append(o.order, n.addr)
 	}
 	sort.Slice(o.order, func(i, j int) bool { return o.order[i] < o.order[j] })
+	o.resetViewLocked()
 }
 
 // AddNode creates a node at addr and joins it to the overlay. The first
@@ -131,6 +132,7 @@ func (o *Overlay) RemoveNode(addr transport.NodeID) error {
 	if ok {
 		delete(o.nodes, addr)
 		o.order = removeAddr(o.order, addr)
+		o.resetViewLocked()
 	}
 	alone := len(o.nodes) == 0 && len(o.seeds) == 0
 	o.mu.Unlock()
@@ -192,6 +194,7 @@ func (o *Overlay) CrashNode(addr transport.NodeID) error {
 		delete(o.nodes, addr)
 		o.order = removeAddr(o.order, addr)
 		o.crashed[addr] = n
+		o.resetViewLocked()
 	}
 	o.mu.Unlock()
 	if !ok {

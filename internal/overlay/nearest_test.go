@@ -1,6 +1,8 @@
 package overlay
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -36,5 +38,23 @@ func TestNearestRanksDedupesAndSkips(t *testing.T) {
 	}
 	if got := o.nearest(nil, dht.ID{0}, 2, "self", nil); len(got) != 0 {
 		t.Errorf("nearest of nothing = %v", got)
+	}
+}
+
+// TestPickIsNearestOfOne: the client-mode pick is nearest's first choice on
+// any duplicate-free view, ties between equally ranked members included.
+func TestPickIsNearestOfOne(t *testing.T) {
+	o := &Overlay{router: byFirstByte{}}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		view := make([]Ref, 1+rng.Intn(40))
+		for i := range view {
+			// Eight positions for up to forty members: ties are the rule.
+			view[i] = Ref{Addr: transport.NodeID(fmt.Sprintf("m%d", i)), ID: dht.ID{byte(rng.Intn(8) * 32)}}
+		}
+		h := dht.ID{byte(rng.Intn(256))}
+		if got, want := o.pick(view, h), o.nearest(view, h, 1, "", nil)[0]; got != want {
+			t.Fatalf("pick(%v, %v) = %v, nearest ranks %v first", view, h, got, want)
+		}
 	}
 }

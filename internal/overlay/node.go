@@ -51,17 +51,28 @@ type Node struct {
 
 // Store-plane messages. What each one does is the same for every protocol,
 // so the kernel owns them; routing messages stay with their overlay.
+//
+// Direct marks a request a client-mode overlay sent without routing first
+// (view.go; dht.GetVerReq carries the same mark): the receiver serves it only
+// if it owns the key and otherwise answers declinedResp.
 type (
 	storeReq struct {
-		Key   dht.Key
-		Value any
+		Key    dht.Key
+		Value  any
+		Direct bool
 	}
-	retrieveReq  struct{ Key dht.Key }
+	retrieveReq struct {
+		Key    dht.Key
+		Direct bool
+	}
 	retrieveResp struct {
 		Value any
 		Found bool
 	}
-	removeReq struct{ Key dht.Key }
+	removeReq struct {
+		Key    dht.Key
+		Direct bool
+	}
 	// ApplyResp answers a Router's ApplyMsg: the post-apply value and
 	// whether the key was kept.
 	ApplyResp struct {
@@ -96,6 +107,7 @@ func init() {
 	transport.RegisterType(retrieveReq{})
 	transport.RegisterType(retrieveResp{})
 	transport.RegisterType(removeReq{})
+	transport.RegisterType(declinedResp{})
 	transport.RegisterType(ApplyResp{})
 	transport.RegisterType(handoffReq{})
 	transport.RegisterType(offerReq{})
@@ -257,6 +269,14 @@ func (n *Node) Apply(key dht.Key, fn dht.ApplyFunc) (ApplyResp, error) {
 	return ApplyResp{Value: next, Keep: keep}, nil
 }
 
+// declines reports whether a request must be refused: it was sent direct, on
+// the sender's guess, and by this node's routing state somebody else owns the
+// key. A routed request is served as it always was — routing resolved this
+// node, and in the crash window that is deliberately a replica holder.
+func (n *Node) declines(direct bool, key dht.Key) bool {
+	return direct && !n.rt.Owns(dht.HashKey(key))
+}
+
 // HandleRPC implements transport.Handler: routing messages are served by
 // the node's NodeRouter (asked first — a lookup is several of them for every
 // store message), store-plane messages here, anything else by the installed
@@ -268,6 +288,9 @@ func (n *Node) HandleRPC(from transport.NodeID, req any) (any, error) {
 	}
 	switch r := req.(type) {
 	case storeReq:
+		if n.declines(r.Direct, r.Key) {
+			return declinedResp{}, nil
+		}
 		n.mu.Lock()
 		defer n.mu.Unlock()
 		if err := n.putLocked(r.Key, r.Value); err != nil {
@@ -275,9 +298,15 @@ func (n *Node) HandleRPC(from transport.NodeID, req any) (any, error) {
 		}
 		return struct{}{}, nil
 	case retrieveReq:
+		if n.declines(r.Direct, r.Key) {
+			return declinedResp{}, nil
+		}
 		v, ok := n.LocalGet(r.Key)
 		return retrieveResp{Value: v, Found: ok}, nil
 	case removeReq:
+		if n.declines(r.Direct, r.Key) {
+			return declinedResp{}, nil
+		}
 		n.mu.Lock()
 		defer n.mu.Unlock()
 		if err := n.removeLocked(r.Key); err != nil {
@@ -285,6 +314,9 @@ func (n *Node) HandleRPC(from transport.NodeID, req any) (any, error) {
 		}
 		return struct{}{}, nil
 	case dht.GetVerReq:
+		if n.declines(r.Direct, r.Key) {
+			return declinedResp{}, nil
+		}
 		n.mu.Lock()
 		defer n.mu.Unlock()
 		v, ok := n.store[r.Key]

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"mlight/internal/dht"
 	"mlight/internal/metrics"
@@ -116,7 +117,8 @@ type Config struct {
 	// no local node (a pure client dialing a daemon cluster) or is joining
 	// an overlay hosted by other processes (a daemon booting with peers).
 	// Over TCP a seed is a dialable address; its identifier is the hash of
-	// that address, exactly as the node at the address computes it.
+	// that address, exactly as the node at the address computes it. For a
+	// pure client the seeds are also the first members of its view (view.go).
 	Seeds []transport.NodeID
 }
 
@@ -137,8 +139,11 @@ type Overlay struct {
 	// crashed retains the node objects of crashed peers (their volatile
 	// state already wiped by the transport's Crasher hook) so RestartNode
 	// can revive them under the same identity.
-	crashed        map[transport.NodeID]*Node
-	seeds          []Ref
+	crashed map[transport.NodeID]*Node
+	seeds   []Ref
+	// view is client mode's member view (view.go): an immutable snapshot,
+	// replaced under mu, nil whenever the overlay hosts a node.
+	view           atomic.Pointer[[]Ref]
 	rng            *rand.Rand
 	lastReplicaErr error
 	lastMaintErr   error
@@ -147,6 +152,15 @@ type Overlay struct {
 	// issued, so Hops/Lookups is the mean route length.
 	Lookups metrics.Counter
 	Hops    metrics.Counter
+	// DirectSends counts the store-plane requests a client-mode overlay sent
+	// straight to a view member instead of routing first. DirectDeclined
+	// counts the ones whose receiver did not own the key; DirectFailed the
+	// ones whose call failed, which also dropped the member from the view.
+	// Both kinds were then routed, so sends minus declined minus failed is
+	// the number of lookups saved.
+	DirectSends    metrics.Counter
+	DirectDeclined metrics.Counter
+	DirectFailed   metrics.Counter
 	// ReplicationErrors counts replica pushes and drops that still failed
 	// after the retry budget — replicas that will stay missing until the
 	// next stabilization round repairs them.
@@ -196,6 +210,7 @@ func New(net transport.Interface, cfg Config, name string, maxReplication int, n
 		retrier:     dht.NewRetrier(policy, nil),
 	}
 	o.router = newRouter(o)
+	o.resetViewLocked()
 	return o
 }
 
@@ -280,33 +295,63 @@ func (o *Overlay) LocalNodes() []*Node {
 }
 
 // Entry selects a routing entry point: a random live managed node when the
-// overlay hosts any, otherwise a configured seed — the client/daemon mode
-// where the overlay lives in other processes.
+// overlay hosts any, otherwise a random member of the client-mode view — the
+// configured seeds and the owners met since.
 func (o *Overlay) Entry() (Ref, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if len(o.order) > 0 {
-		return o.nodes[o.order[o.rng.Intn(len(o.order))]].Ref(), nil
-	}
-	if len(o.seeds) == 0 {
-		return Ref{}, dht.ErrNoPeers
-	}
-	return o.seeds[o.rng.Intn(len(o.seeds))], nil
+	entry, _, err := o.entryAfter(-1)
+	return entry, err
 }
 
-// Lookup resolves the node responsible for target, retrying from fresh
-// entry points when stale routing state fails an attempt.
+// entryAfter returns the entry point that follows index prev in rotation
+// over the local nodes (the view, when there are none), and its index. A
+// negative prev draws the start of a rotation at random.
+func (o *Overlay) entryAfter(prev int) (Ref, int, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	var view []Ref
+	n := len(o.order)
+	if n == 0 {
+		if v := o.view.Load(); v != nil {
+			view, n = *v, len(*v)
+		}
+	}
+	if n == 0 {
+		return Ref{}, 0, dht.ErrNoPeers
+	}
+	var at int
+	if prev < 0 {
+		at = o.rng.Intn(n)
+	} else {
+		at = (prev + 1) % n
+	}
+	if view != nil {
+		return view[at], at, nil
+	}
+	return o.nodes[o.order[at]].Ref(), at, nil
+}
+
+// Lookup resolves the node responsible for target, retrying from the next
+// entry point when stale routing state or a dead entry fails an attempt. The
+// attempts rotate from a random start, so they never land on the same entry
+// twice while another is left: with one dead seed of four, independent draws
+// would fail a lookup outright one time in 64. A client-mode overlay adds the
+// owner found to its view.
 func (o *Overlay) Lookup(target dht.ID) (Ref, error) {
 	const retries = 3
 	var lastErr error
+	at := -1
 	for attempt := 0; attempt < retries; attempt++ {
-		entry, err := o.Entry()
+		entry, next, err := o.entryAfter(at)
 		if err != nil {
 			return Ref{}, err
 		}
+		at = next
 		found, err := o.router.Route(entry, target)
 		if err == nil {
 			o.Lookups.Inc()
+			if o.view.Load() != nil {
+				o.learn(found)
+			}
 			return found, nil
 		}
 		lastErr = err
@@ -352,11 +397,8 @@ func (o *Overlay) InstallAppHandler(factory func(n *Node) transport.Handler) {
 // Put implements dht.DHT.
 func (o *Overlay) Put(key dht.Key, value any) error {
 	h := dht.HashKey(key)
-	owner, err := o.Lookup(h)
+	owner, _, err := o.send(h, storeReq{Key: key, Value: value})
 	if err != nil {
-		return err
-	}
-	if _, err := o.net.Call(o.client, owner.Addr, storeReq{Key: key, Value: value}); err != nil {
 		return err
 	}
 	o.replicate(owner, h, key, value)
@@ -365,11 +407,7 @@ func (o *Overlay) Put(key dht.Key, value any) error {
 
 // Get implements dht.DHT.
 func (o *Overlay) Get(key dht.Key) (any, bool, error) {
-	owner, err := o.Lookup(dht.HashKey(key))
-	if err != nil {
-		return nil, false, err
-	}
-	respAny, err := o.net.Call(o.client, owner.Addr, retrieveReq{Key: key})
+	_, respAny, err := o.send(dht.HashKey(key), retrieveReq{Key: key})
 	if err != nil {
 		return nil, false, err
 	}
@@ -383,11 +421,8 @@ func (o *Overlay) Get(key dht.Key) (any, bool, error) {
 // Remove implements dht.DHT.
 func (o *Overlay) Remove(key dht.Key) error {
 	h := dht.HashKey(key)
-	owner, err := o.Lookup(h)
+	owner, _, err := o.send(h, removeReq{Key: key})
 	if err != nil {
-		return err
-	}
-	if _, err := o.net.Call(o.client, owner.Addr, removeReq{Key: key}); err != nil {
 		return err
 	}
 	o.dropReplicas(owner, h, key)
@@ -399,31 +434,17 @@ func (o *Overlay) Remove(key dht.Key) error {
 // the replicas.
 func (o *Overlay) Apply(key dht.Key, fn dht.ApplyFunc) error {
 	h := dht.HashKey(key)
-	owner, err := o.Lookup(h)
-	if err != nil {
-		return err
-	}
+	var owner Ref
 	var value any
 	var keep bool
+	var err error
 	if transport.SupportsInline(o.net) {
-		respAny, err := o.net.Call(o.client, owner.Addr, o.router.ApplyMsg(key, fn))
-		if err != nil {
-			return err
-		}
-		resp, ok := respAny.(ApplyResp)
-		if !ok {
-			return fmt.Errorf("overlay: bad apply response %T", respAny)
-		}
-		value, keep = resp.Value, resp.Keep
+		owner, value, keep, err = o.applyInline(h, key, fn)
 	} else {
-		// The transform cannot cross a real socket: run it client-side
-		// under the wire-safe versioned CAS protocol instead.
-		value, keep, err = dht.RemoteApply(func(req any) (any, error) {
-			return o.net.Call(o.client, owner.Addr, req)
-		}, key, fn)
-		if err != nil {
-			return err
-		}
+		owner, value, keep, err = o.applyRemote(h, key, fn)
+	}
+	if err != nil {
+		return err
 	}
 	if keep {
 		o.replicate(owner, h, key, value)
@@ -431,6 +452,41 @@ func (o *Overlay) Apply(key dht.Key, fn dht.ApplyFunc) error {
 		o.dropReplicas(owner, h, key)
 	}
 	return nil
+}
+
+// applyInline ships the closure itself to the routed owner. It never goes
+// direct: the message is the Router's (ApplyMsg), and only simulations and
+// tests run a client-mode overlay on an inline transport.
+func (o *Overlay) applyInline(h dht.ID, key dht.Key, fn dht.ApplyFunc) (owner Ref, value any, keep bool, err error) {
+	if owner, err = o.Lookup(h); err != nil {
+		return owner, nil, false, err
+	}
+	respAny, err := o.net.Call(o.client, owner.Addr, o.router.ApplyMsg(key, fn))
+	if err != nil {
+		return owner, nil, false, err
+	}
+	resp, ok := respAny.(ApplyResp)
+	if !ok {
+		return owner, nil, false, fmt.Errorf("overlay: bad apply response %T", respAny)
+	}
+	return owner, resp.Value, resp.Keep, nil
+}
+
+// applyRemote runs the transform client-side under the wire-safe versioned
+// CAS protocol, because a closure cannot cross a real socket. The opening
+// GetVerReq finds the owner the way every store-plane request does (send);
+// the CASReqs that follow go to the node that answered it, so a failure
+// after the snapshot reaches the retry layer as an error instead of
+// re-running the transform against some other node here.
+func (o *Overlay) applyRemote(h dht.ID, key dht.Key, fn dht.ApplyFunc) (owner Ref, value any, keep bool, err error) {
+	value, keep, err = dht.RemoteApply(func(req any) (resp any, err error) {
+		if owner.IsZero() {
+			owner, resp, err = o.send(h, req)
+			return resp, err
+		}
+		return o.net.Call(o.client, owner.Addr, req)
+	}, key, fn)
+	return owner, value, keep, err
 }
 
 // Owner implements dht.DHT.

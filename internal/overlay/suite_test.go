@@ -6,6 +6,7 @@ package overlay_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -42,6 +43,9 @@ func forEachProtocol(t *testing.T, body func(t *testing.T, f dhttest.OverlayFixt
 	for _, p := range protocols {
 		p := p
 		f := dhttest.OverlayFixture{TickError: p.tickError, UnlinkError: p.unlinkError}
+		f.Dial = func(t *testing.T, net transport.Interface, cfg overlay.Config) *overlay.Overlay {
+			return mustNew(t, p.name, net, cfg)
+		}
 		t.Run(p.name+"/simnet", func(t *testing.T) {
 			f.New = func(t *testing.T, cfg overlay.Config) (*overlay.Overlay, func(int) transport.NodeID, func(float64)) {
 				net := simnet.New(simnet.Options{Seed: cfg.Seed})
@@ -116,4 +120,67 @@ func TestChurnScheduleDecorated(t *testing.T) {
 				dht.RetryPolicy{MaxAttempts: 4, Sleep: dht.NoSleep}, nil)
 		})
 	})
+}
+
+// TestDirect pins client mode's member view and the lookup rotation.
+func TestDirect(t *testing.T) {
+	dhttest.VerifyNoLeaks(t)
+	forEachProtocol(t, dhttest.RunDirect)
+}
+
+// TestChurnScheduleDialed runs the churn gate with the workload issued by a
+// dialed client, so the schedule's joins, leaves, crashes and restarts keep
+// invalidating the view its direct sends are picked from.
+func TestChurnScheduleDialed(t *testing.T) {
+	dhttest.VerifyNoLeaks(t)
+	forEachProtocol(t, func(t *testing.T, f dhttest.OverlayFixture) {
+		dhttest.RunDialedChurn(t, f, func(d dht.DHT) dht.DHT {
+			return dht.NewResilient(d, dht.RetryPolicy{MaxAttempts: 4, Sleep: dht.NoSleep}, nil)
+		})
+	})
+}
+
+// firstCallNet records where a client sends its first RPC and fails every
+// call: the destination of a direct send is the view member that was picked.
+type firstCallNet struct {
+	transport.Interface
+	first transport.NodeID
+}
+
+func (n *firstCallNet) Call(_, to transport.NodeID, _ any) (any, error) {
+	if n.first == "" {
+		n.first = to
+	}
+	return nil, transport.ErrUnreachable
+}
+
+// TestPickIsBestByCloser: under each protocol's real comparator, over random
+// views, a direct send goes to the member no other member is Closer than —
+// the head of the linear ranking replica placement uses (nearest).
+func TestPickIsBestByCloser(t *testing.T) {
+	rng := rand.New(rand.NewSource(dhttest.SeedFromEnv(1)))
+	for _, p := range protocols {
+		for trial := 0; trial < 300; trial++ {
+			seeds := make([]transport.NodeID, 1+rng.Intn(40))
+			for i := range seeds {
+				seeds[i] = transport.NodeID(fmt.Sprintf("member-%d-%d", trial, rng.Int63()))
+			}
+			net := &firstCallNet{Interface: simnet.New(simnet.Options{})}
+			o := mustNew(t, p.name, net, overlay.Config{Seeds: seeds})
+			key := dht.Key(fmt.Sprintf("key-%d", rng.Int63()))
+			h := dht.HashKey(key)
+			best := overlay.RefOf(seeds[0])
+			for _, s := range seeds[1:] {
+				if m := overlay.RefOf(s); o.Router().Closer(h, m.ID, best.ID) {
+					best = m
+				}
+			}
+			if _, _, err := o.Get(key); err == nil {
+				t.Fatalf("%s: Get succeeded on a transport that fails every call", p.name)
+			}
+			if net.first != best.Addr {
+				t.Fatalf("%s: direct send for %v went to %q, the best member by Closer is %q", p.name, h, net.first, best.Addr)
+			}
+		}
+	}
 }

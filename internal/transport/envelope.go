@@ -31,9 +31,13 @@ import (
 
 const (
 	// envelopeVersion is the wire protocol version, the first byte of every
-	// frame. A mismatch fails the connection immediately: there is exactly
-	// one version today, and refusing loudly beats misparsing quietly.
-	envelopeVersion = 1
+	// frame. A mismatch fails the connection immediately: refusing loudly
+	// beats misparsing quietly. The value codec is structural — a struct is
+	// its fields in order, with no names or count — so a message that gains
+	// a field decodes wrongly, not with an error, at a peer that does not
+	// know the field. Version 2 is the first with the Direct mark on the
+	// store-plane requests (internal/overlay) and the declined response.
+	envelopeVersion = 2
 
 	// MaxFrameSize bounds one frame's declared body length (16 MiB). The
 	// largest legitimate payloads — handoff maps during a join — stay far

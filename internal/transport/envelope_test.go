@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"strings"
 	"testing"
 )
 
@@ -46,10 +47,19 @@ func TestFrameReaderMatchesDecoder(t *testing.T) {
 }
 
 func TestFrameRejectsBadVersion(t *testing.T) {
-	frame := appendFrame(nil, frameCall, 1, []byte("x"))
-	frame[0] = 9
-	if _, _, _, _, err := decodeFrame(frame); !errors.Is(err, errBadFrame) {
-		t.Errorf("bad version: err = %v", err)
+	// Version 1 is the wire before the store-plane requests carried the
+	// Direct mark: the codec would decode its frames into the wrong fields,
+	// so a peer that still speaks it must be refused, by name.
+	for _, ver := range []byte{1, 9} {
+		frame := appendFrame(nil, frameCall, 1, []byte("x"))
+		frame[0] = ver
+		want := fmt.Sprintf("version %d", ver)
+		if _, _, _, _, err := decodeFrame(frame); !errors.Is(err, errBadFrame) || !strings.Contains(err.Error(), want) {
+			t.Errorf("decodeFrame of a version-%d frame: err = %v, want the bad-version error", ver, err)
+		}
+		if _, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(frame))); !errors.Is(err, errBadFrame) || !strings.Contains(err.Error(), want) {
+			t.Errorf("readFrame of a version-%d frame: err = %v, want the bad-version error", ver, err)
+		}
 	}
 }
 
@@ -154,6 +164,9 @@ func FuzzFrame(f *testing.F) {
 	f.Add(long[:len(long)-3])            // truncated
 	f.Add([]byte{envelopeVersion, 0xFF}) // hostile length
 	f.Add([]byte{})
+	old := appendFrame(nil, frameCall, 1, []byte("version-1 peer"))
+	old[0] = 1
+	f.Add(old)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		kind, seq, payload, rest, err := decodeFrame(data)
@@ -181,6 +194,9 @@ func FuzzReadFrame(f *testing.F) {
 	hostile := []byte{envelopeVersion}
 	hostile = binary.AppendUvarint(hostile, MaxFrameSize+1)
 	f.Add(hostile)
+	old := appendFrame(nil, frameCall, 5, []byte("version-1 peer"))
+	old[0] = 1
+	f.Add(old)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bufio.NewReader(io.LimitReader(bytes.NewReader(data), int64(len(data))))
