@@ -22,8 +22,7 @@
 // The lookup section (not part of "all": its overlay RPCs sleep for their
 // modeled delays) measures the overlay-lookup accelerations: per-Get wall
 // clock of the serial vs α-parallel iterative Kademlia lookup, lossless and
-// under link loss, plus prefix-multicast range dissemination against blind
-// lookahead, writing a machine-readable summary:
+// under link loss, writing a machine-readable summary:
 //
 //	mlight-bench -figs lookup -quick -lookupjson BENCH_lookup.json
 //
@@ -83,6 +82,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -99,6 +99,10 @@ func main() {
 	}
 }
 
+// sections lists the names -figs accepts.
+var sections = []string{"all", "fig5", "fig6", "fig7", "ablations", "extensions", "concurrency",
+	"lookup", "resilience", "ingest", "churn", "wire", "scale", "trace"}
+
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("mlight-bench", flag.ContinueOnError)
 	var (
@@ -109,7 +113,7 @@ func run(args []string, out io.Writer) error {
 		depth        = fs.Int("depth", 28, "index depth bound D")
 		seed         = fs.Int64("seed", 1, "random seed for data and queries")
 		queries      = fs.Int("queries", 50, "queries averaged per range-span point")
-		figs         = fs.String("figs", "all", "comma-separated sections: fig5,fig6,fig7,ablations,extensions,concurrency,lookup,resilience,ingest,churn,wire,scale,trace or all (all excludes concurrency, lookup, resilience, ingest, churn, wire, scale and trace)")
+		figs         = fs.String("figs", "all", "comma-separated sections: "+strings.Join(sections, ",")+" (all excludes concurrency, lookup, resilience, ingest, churn, wire, scale and trace)")
 		quick        = fs.Bool("quick", false, "reduced preset (10k records, fewer queries)")
 		csvDir       = fs.String("csvdir", "", "directory to also write per-panel CSV files")
 		dataCSV      = fs.String("dataset", "", "CSV file of points to index instead of the synthetic NE data")
@@ -166,7 +170,11 @@ func run(args []string, out io.Writer) error {
 
 	want := map[string]bool{}
 	for _, f := range strings.Split(strings.ToLower(*figs), ",") {
-		want[strings.TrimSpace(f)] = true
+		name := strings.TrimSpace(f)
+		if !slices.Contains(sections, name) {
+			return fmt.Errorf("-figs: unknown section %q (valid: %s)", name, strings.Join(sections, ","))
+		}
+		want[name] = true
 	}
 	all := want["all"]
 
@@ -294,10 +302,8 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintln(out, "== Lookup: overlay lookup acceleration (beyond the paper) ==")
 		lcfg := experiments.LookupConfig{Config: cfg, HopDelay: *hopDelay}
 		if *quick {
-			lcfg.DataSize = 3000
 			lcfg.Nodes = 16
 			lcfg.Keys = 30
-			lcfg.RangeQueries = 3
 		}
 		res, err := experiments.Lookup(lcfg)
 		if err != nil {
@@ -306,10 +312,6 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "per-Get p99: serial %.1fms lossless / %.1fms lossy, parallel %.1fms lossless / %.1fms lossy (max %d RPCs in flight)\n",
 			res.SerialLossless.P99MS, res.SerialLossy.P99MS,
 			res.ParallelLossless.P99MS, res.ParallelLossy.P99MS, res.ParallelMaxInFlight)
-		fmt.Fprintf(out, "dissemination at span %.2f (%d queries, %d records): multicast %d lookups / %d rounds vs lookahead h=%d %d lookups / %d rounds\n",
-			res.Span, res.RangeQueries, res.RangeRecords,
-			res.MulticastLookups, res.MulticastRounds,
-			res.Lookahead, res.LookaheadLookups, res.LookaheadRounds)
 		if *lookJSON != "" {
 			data, err := json.MarshalIndent(res, "", "  ")
 			if err != nil {

@@ -91,9 +91,9 @@ func TestRunValidation(t *testing.T) {
 	if err := run2(tinyArgs("-dataset", "/does/not/exist.csv")); err == nil {
 		t.Error("missing dataset file accepted")
 	}
-	// Unknown figure selection runs nothing and succeeds.
-	if err := run2(tinyArgs("-figs", "fig99")); err != nil {
-		t.Errorf("unknown figure selection errored: %v", err)
+	err := run2(tinyArgs("-figs", "fig6,bogus"))
+	if err == nil || !strings.Contains(err.Error(), `"bogus"`) || !strings.Contains(err.Error(), "fig7") {
+		t.Errorf("unknown section: got %v, want an error naming it and the valid sections", err)
 	}
 }
 

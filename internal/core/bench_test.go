@@ -11,13 +11,12 @@ import (
 )
 
 // benchRangeIndex builds an index with n seeded uniform records.
-func benchRangeIndex(b *testing.B, multicast bool, n int) *Index {
+func benchRangeIndex(b *testing.B, n int) *Index {
 	b.Helper()
 	ix, err := New(dht.MustNewLocal(16), Options{
 		ThetaSplit:  16,
 		ThetaMerge:  8,
 		MaxInFlight: 8,
-		Multicast:   multicast,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -33,29 +32,19 @@ func benchRangeIndex(b *testing.B, multicast bool, n int) *Index {
 }
 
 // BenchmarkRangeDissemination answers one large-span range query per
-// iteration, comparing prefix-multicast dissemination against the blind
-// h = 4 lookahead on identically loaded indexes.
+// iteration at the basic algorithm's h = 1 and at the h = 4 lookahead.
 func BenchmarkRangeDissemination(b *testing.B) {
-	const records = 800
 	q := spatial.Rect{Lo: spatial.Point{0.2, 0.3}, Hi: spatial.Point{0.7, 0.8}}
-	b.Run("lookahead-4", func(b *testing.B) {
-		ix := benchRangeIndex(b, false, records)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := ix.RangeQueryParallel(q, 4); err != nil {
-				b.Fatal(err)
+	ix := benchRangeIndex(b, 800)
+	for _, h := range []int{1, 4} {
+		b.Run(fmt.Sprintf("lookahead-%d", h), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := ix.RangeQueryParallel(q, h); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("multicast", func(b *testing.B) {
-		ix := benchRangeIndex(b, true, records)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := ix.RangeQuery(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkBucketAppend measures the ingest hot path: appending a record

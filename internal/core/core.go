@@ -121,15 +121,6 @@ type Options struct {
 	// wall clock, so any fixed Seed (including the zero value) makes runs
 	// replayable.
 	Seed int64
-	// Multicast switches range queries to prefix-multicast dissemination:
-	// instead of probing covering leaves level by level (optionally with a
-	// blind h-piece lookahead), each forwarding step splits its subrange
-	// down the globally known space partitioning to the estimated leaf
-	// depth and probes the whole prefix-tree frontier in one round. The
-	// result set and its depth-first ordering are identical to the
-	// round-synchronous engine's; only the Lookups/Rounds cost profile
-	// changes. Default off.
-	Multicast bool
 }
 
 // Apply implements index.Option: an Options value used as a functional
@@ -150,7 +141,6 @@ func (o Options) Apply(t *index.Tuning) {
 		Sleep:          o.Sleep,
 		WriterBatch:    o.WriterBatch,
 		Seed:           o.Seed,
-		Multicast:      o.Multicast,
 	}
 }
 
@@ -170,7 +160,6 @@ func FromTuning(t index.Tuning) Options {
 		Sleep:       t.Sleep,
 		WriterBatch: t.WriterBatch,
 		Seed:        t.Seed,
-		Multicast:   t.Multicast,
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"mlight/internal/bitlabel"
@@ -104,9 +103,9 @@ func oldProcess(ix *Index, q spatial.Rect, beta bitlabel.Label, b Bucket, ctx qu
 }
 
 func oldSubquery(ix *Index, q spatial.Rect, beta bitlabel.Label, ctx queryCtx) (records []spatial.Record, rounds, lookups int, err error) {
-	pieces := []piece{{node: beta, base: beta, q: q}}
+	pieces := []Piece{{Node: beta, Base: beta, Q: q}}
 	if ctx.h > 1 {
-		pieces = ix.speculate(beta, q, ctx)
+		pieces = speculate(beta, q, ctx.h, ix.opts.Dims, ix.opts.MaxDepth, ctx.shape)
 	}
 	for _, p := range pieces {
 		recs, r, lk, pieceErr := oldResolvePiece(ix, p, ctx)
@@ -122,9 +121,9 @@ func oldSubquery(ix *Index, q spatial.Rect, beta bitlabel.Label, ctx queryCtx) (
 	return records, rounds, lookups, nil
 }
 
-func oldResolvePiece(ix *Index, p piece, ctx queryCtx) (records []spatial.Record, rounds, lookups int, err error) {
+func oldResolvePiece(ix *Index, p Piece, ctx queryCtx) (records []spatial.Record, rounds, lookups int, err error) {
 	m := ix.opts.Dims
-	b, found, err := ix.getBucket(bitlabel.Name(p.node, m), nil)
+	b, found, err := ix.getBucket(bitlabel.Name(p.Node, m), nil)
 	lookups = 1
 	rounds = 1
 	if err != nil {
@@ -137,24 +136,24 @@ func oldResolvePiece(ix *Index, p piece, ctx queryCtx) (records []spatial.Record
 		}
 		lookups += extraLookups
 		rounds += extraRounds
-		return filterRecords(leaf, p.q, ctx.shape), rounds, lookups, nil
+		return filterRecords(leaf, p.Q, ctx.shape), rounds, lookups, nil
 	}
-	if b.Label == p.node {
-		return filterRecords(b, p.q, ctx.shape), rounds, lookups, nil
+	if b.Label == p.Node {
+		return filterRecords(b, p.Q, ctx.shape), rounds, lookups, nil
 	}
-	recs, r, lk, err := oldProcess(ix, p.q, p.node, b, ctx)
+	recs, r, lk, err := oldProcess(ix, p.Q, p.Node, b, ctx)
 	if err != nil {
 		return nil, 0, 0, err
 	}
 	return recs, rounds + r, lookups + lk, nil
 }
 
-func oldCoveringLeaf(ix *Index, p piece) (Bucket, int, int, error) {
+func oldCoveringLeaf(ix *Index, p Piece) (Bucket, int, int, error) {
 	m := ix.opts.Dims
-	probed := map[bitlabel.Label]bool{bitlabel.Name(p.node, m): true}
+	probed := map[bitlabel.Label]bool{bitlabel.Name(p.Node, m): true}
 	lookups := 0
-	for j := p.node.Len() - 1; j >= p.base.Len(); j-- {
-		cand := p.node.Prefix(j)
+	for j := p.Node.Len() - 1; j >= p.Base.Len(); j-- {
+		cand := p.Node.Prefix(j)
 		name := bitlabel.Name(cand, m)
 		if probed[name] {
 			continue
@@ -165,11 +164,11 @@ func oldCoveringLeaf(ix *Index, p piece) (Bucket, int, int, error) {
 		if err != nil {
 			return Bucket{}, 0, 0, err
 		}
-		if found && b.Label.IsPrefixOf(p.node) {
+		if found && b.Label.IsPrefixOf(p.Node) {
 			return b, lookups, 1, nil
 		}
 	}
-	leaf, trace, err := ix.LookupTraced(clampPoint(p.q.Lo))
+	leaf, trace, err := ix.LookupTraced(clampPoint(p.Q.Lo))
 	if err != nil {
 		return Bucket{}, 0, 0, err
 	}
@@ -320,133 +319,6 @@ func TestSequentialConcurrentIdenticalAccounting(t *testing.T) {
 				t.Errorf("h=%d q#%d %v: sequential (L=%d R=%d) vs concurrent (L=%d R=%d)",
 					h, qi, q, a.Lookups, a.Rounds, b.Lookups, b.Rounds)
 			}
-		}
-	}
-}
-
-// sortedByData returns a copy of recs ordered by Data. Record data strings
-// are unique in these tests ("r%d"), so the order is total and the sorted
-// slices compare positionally.
-func sortedByData(recs []spatial.Record) []spatial.Record {
-	out := append([]spatial.Record(nil), recs...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Data < out[j].Data })
-	return out
-}
-
-// TestMulticastMatchesBaseline pins the prefix-multicast engine to the
-// round-synchronous baseline it accelerates: for every query the two must
-// return the same record set. Piece scheduling differs (the multicast split
-// emits the prefix-tree frontier in breadth-first order, the baseline
-// recursion descends branch by branch), so only the set — not the ordering —
-// is common; the multicast engine's own ordering and accounting must in turn
-// be exactly reproducible run over run, which the second half asserts.
-func TestMulticastMatchesBaseline(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opts Options
-		n    int
-	}{
-		{"2d-threshold", Options{ThetaSplit: 10, ThetaMerge: 5}, 1200},
-		{"3d-threshold", Options{Dims: 3, ThetaSplit: 8, ThetaMerge: 4}, 900},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ix := equivIndex(t, tc.opts, tc.n, 42)
-			m := ix.opts.Dims
-			rng := rand.New(rand.NewSource(19))
-			queries := []spatial.Rect{wholeSpace(m)}
-			for i := 0; i < 40; i++ {
-				queries = append(queries, randomRect(rng, m))
-			}
-			for qi, q := range queries {
-				base, err := ix.rangeQuery(q, queryCtx{h: 1})
-				if err != nil {
-					t.Fatalf("q#%d baseline: %v", qi, err)
-				}
-				mc, err := ix.rangeQuery(q, queryCtx{h: 1, multicast: true})
-				if err != nil {
-					t.Fatalf("q#%d multicast: %v", qi, err)
-				}
-				if !sameRecords(sortedByData(mc.Records), sortedByData(base.Records)) {
-					t.Fatalf("q#%d %v: multicast returned %d records, baseline %d (or sets differ)",
-						qi, q, len(mc.Records), len(base.Records))
-				}
-				// Determinism: the multicast engine replays exactly — same
-				// records in the same order, same Lookups, same Rounds.
-				again, err := ix.rangeQuery(q, queryCtx{h: 1, multicast: true})
-				if err != nil {
-					t.Fatalf("q#%d multicast replay: %v", qi, err)
-				}
-				if !sameRecords(again.Records, mc.Records) {
-					t.Fatalf("q#%d %v: multicast replay changed records/ordering", qi, q)
-				}
-				if again.Lookups != mc.Lookups || again.Rounds != mc.Rounds {
-					t.Errorf("q#%d %v: multicast replay (L=%d R=%d) vs first run (L=%d R=%d)",
-						qi, q, again.Lookups, again.Rounds, mc.Lookups, mc.Rounds)
-				}
-			}
-			if splits := ix.Stats().MulticastSplits; splits == 0 {
-				t.Error("multicast queries ran but MulticastSplits stayed 0")
-			}
-		})
-	}
-}
-
-// TestMulticastShapeMatchesBaseline repeats the set-equivalence check for
-// shape queries, exercising the multicast split's shape-pruning branch.
-func TestMulticastShapeMatchesBaseline(t *testing.T) {
-	ix := equivIndex(t, Options{ThetaSplit: 10, ThetaMerge: 5}, 1000, 11)
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 10; i++ {
-		c := spatial.Circle{
-			Center: spatial.Point{rng.Float64(), rng.Float64()},
-			Radius: 0.05 + 0.3*rng.Float64(),
-		}
-		bound := c.BoundingBox()
-		q := spatial.Rect{Lo: clampPoint(bound.Lo), Hi: clampPoint(bound.Hi)}
-		base, err := ix.rangeQuery(q, queryCtx{h: 1, shape: c})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mc, err := ix.rangeQuery(q, queryCtx{h: 1, shape: c, multicast: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameRecords(sortedByData(mc.Records), sortedByData(base.Records)) {
-			t.Fatalf("circle #%d: multicast %d records, baseline %d (or sets differ)",
-				i, len(mc.Records), len(base.Records))
-		}
-	}
-}
-
-// TestMulticastSequentialConcurrentIdenticalAccounting extends the engine's
-// core guarantee to the multicast path: MaxInFlight bounds only how probes
-// overlap in time, so sequential and concurrent multicast execution return
-// identical Records, Lookups, and Rounds.
-func TestMulticastSequentialConcurrentIdenticalAccounting(t *testing.T) {
-	seq := equivIndex(t, Options{ThetaSplit: 10, ThetaMerge: 5, MaxInFlight: 1, Multicast: true}, 1200, 42)
-	conc := equivIndex(t, Options{ThetaSplit: 10, ThetaMerge: 5, MaxInFlight: 16, Multicast: true}, 1200, 42)
-	m := 2
-	rng := rand.New(rand.NewSource(13))
-	queries := []spatial.Rect{wholeSpace(m)}
-	for i := 0; i < 25; i++ {
-		queries = append(queries, randomRect(rng, m))
-	}
-	for qi, q := range queries {
-		a, err := seq.RangeQuery(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := conc.RangeQuery(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameRecords(a.Records, b.Records) {
-			t.Fatalf("q#%d: sequential %d records, concurrent %d (or ordering differs)",
-				qi, len(a.Records), len(b.Records))
-		}
-		if a.Lookups != b.Lookups || a.Rounds != b.Rounds {
-			t.Errorf("q#%d %v: sequential (L=%d R=%d) vs concurrent (L=%d R=%d)",
-				qi, q, a.Lookups, a.Rounds, b.Lookups, b.Rounds)
 		}
 	}
 }

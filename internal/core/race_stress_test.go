@@ -117,94 +117,3 @@ func TestRangeQueryParallelRaceStress(t *testing.T) {
 		t.Fatalf("whole-space query = %d records, Size = %d (%v)", len(all.Records), n, err)
 	}
 }
-
-// TestMulticastRaceStress repeats the concurrent-query hammering with the
-// prefix-multicast engine selected for every public entry point. The
-// multicast split's per-engine depth estimate, the shared multicast stats
-// counters, and the candidate adjudication of overshot frontier pieces must
-// all stay race-clean while a writer splits and merges leaves underneath.
-func TestMulticastRaceStress(t *testing.T) {
-	ix, err := New(dht.MustNewLocal(16), Options{
-		ThetaSplit:  8,
-		ThetaMerge:  4,
-		MaxInFlight: 8,
-		CacheSize:   32,
-		Multicast:   true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(17))
-	for i := 0; i < 400; i++ {
-		rec := spatial.Record{
-			Key:  spatial.Point{rng.Float64(), rng.Float64()},
-			Data: fmt.Sprintf("seed-%d", i),
-		}
-		if err := ix.Insert(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	const (
-		queriers   = 8
-		perQuerier = 25
-	)
-	var wg sync.WaitGroup
-
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		wrng := rand.New(rand.NewSource(101))
-		for i := 0; i < 120; i++ {
-			p := spatial.Point{wrng.Float64(), wrng.Float64()}
-			data := fmt.Sprintf("churn-%d", i)
-			if err := ix.Insert(spatial.Record{Key: p, Data: data}); err != nil {
-				t.Errorf("writer insert: %v", err)
-				return
-			}
-			if i%3 == 0 {
-				if _, err := ix.Delete(p, data); err != nil && !errors.Is(err, ErrNotFound) {
-					t.Errorf("writer delete: %v", err)
-					return
-				}
-			}
-		}
-	}()
-
-	for g := 0; g < queriers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			qrng := rand.New(rand.NewSource(int64(2000 + g)))
-			for i := 0; i < perQuerier; i++ {
-				q := randomRect(qrng, 2)
-				res, err := ix.RangeQuery(q)
-				if err != nil && !errors.Is(err, ErrNotFound) {
-					t.Errorf("querier %d: %v", g, err)
-					return
-				}
-				if err == nil {
-					for _, rec := range res.Records {
-						if !q.Contains(rec.Key) {
-							t.Errorf("querier %d: record %v outside %v", g, rec.Key, q)
-							return
-						}
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-
-	snap := ix.Stats()
-	if snap.MulticastSplits == 0 || snap.MulticastPieces == 0 {
-		t.Errorf("multicast counters unused: splits=%d pieces=%d", snap.MulticastSplits, snap.MulticastPieces)
-	}
-	all, err := ix.RangeQuery(spatial.Rect{Lo: spatial.Point{0, 0}, Hi: spatial.Point{1, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err := ix.Size(); err != nil || len(all.Records) != n {
-		t.Fatalf("whole-space query = %d records, Size = %d (%v)", len(all.Records), n, err)
-	}
-}

@@ -19,15 +19,13 @@ import (
 type QueryResult = index.Result
 
 // queryCtx carries the per-query options through the decomposition: the
-// parallel lookahead h, the multicast engine switch, and, for
-// arbitrary-shape queries, the shape used for subtree pruning and final
-// filtering. span is the query's trace span (zero when tracing is
-// disabled).
+// parallel lookahead h and, for arbitrary-shape queries, the shape used for
+// subtree pruning and final filtering. span is the query's trace span (zero
+// when tracing is disabled).
 type queryCtx struct {
-	h         int
-	multicast bool
-	shape     spatial.Shape
-	span      trace.SpanID
+	h     int
+	shape spatial.Shape
+	span  trace.SpanID
 }
 
 // RangeQuery answers a multi-dimensional range query with the basic
@@ -56,7 +54,7 @@ func (ix *Index) RangeQueryParallel(q spatial.Rect, h int) (*QueryResult, error)
 // box drives the kd-tree decomposition, subtrees whose cells provably miss
 // the shape are pruned, and records are filtered by exact membership.
 func (ix *Index) ShapeQuery(s spatial.Shape) (*QueryResult, error) {
-	return ix.shapeQuery(s, 1)
+	return ix.ShapeQueryParallel(s, 1)
 }
 
 // ShapeQueryParallel is ShapeQuery with the parallel lookahead h.
@@ -64,10 +62,6 @@ func (ix *Index) ShapeQueryParallel(s spatial.Shape, h int) (*QueryResult, error
 	if h < 1 {
 		return nil, fmt.Errorf("core: lookahead h must be ≥ 1, got %d", h)
 	}
-	return ix.shapeQuery(s, h)
-}
-
-func (ix *Index) shapeQuery(s spatial.Shape, h int) (*QueryResult, error) {
 	if s == nil {
 		return nil, fmt.Errorf("core: nil shape")
 	}
@@ -86,21 +80,12 @@ func (ix *Index) shapeQuery(s spatial.Shape, h int) (*QueryResult, error) {
 // execution with identical Records, Lookups, and Rounds: the cap changes
 // only how probes overlap, never what is probed.
 func (ix *Index) rangeQuery(q spatial.Rect, ctx queryCtx) (res *QueryResult, err error) {
-	// Options.Multicast switches the engine for every public entry point;
-	// internal callers (tests, experiments) may also set ctx.multicast
-	// directly to drive one query through the multicast path.
-	ctx.multicast = ctx.multicast || ix.opts.Multicast
 	if tc := ix.opts.Trace; tc != nil {
 		kind := "range"
 		if ctx.shape != nil {
 			kind = "shape"
 		}
-		engine := "rounds"
-		if ctx.multicast {
-			engine = "multicast"
-		}
-		ctx.span = tc.Begin(0, trace.KindQuery, kind,
-			trace.Int("h", int64(ctx.h)), trace.Str("engine", engine))
+		ctx.span = tc.Begin(0, trace.KindQuery, kind, trace.Int("h", int64(ctx.h)))
 		defer func() {
 			if err != nil {
 				tc.End(ctx.span, trace.Str("error", err.Error()))
@@ -117,14 +102,7 @@ func (ix *Index) rangeQuery(q spatial.Rect, ctx queryCtx) (res *QueryResult, err
 
 func (ix *Index) rangeQueryCtx(q spatial.Rect, ctx queryCtx) (*QueryResult, error) {
 	m := ix.opts.Dims
-	if q.Dim() != m {
-		return nil, fmt.Errorf("%w: query has %d dims, index has %d", ErrDimension, q.Dim(), m)
-	}
-	if _, err := spatial.NewRect(q.Lo, q.Hi); err != nil {
-		return nil, fmt.Errorf("core: invalid query rectangle: %w", err)
-	}
-
-	lca, err := spatial.LCALabel(q, m, ix.opts.MaxDepth)
+	lca, err := QueryLCA(q, m, ix.opts.MaxDepth)
 	if err != nil {
 		return nil, err
 	}
@@ -178,14 +156,6 @@ type rangeEngine struct {
 	lookups     int
 	barriers    int
 	extraRounds int
-
-	// candMu guards candResults, the current round's shared hedge-probe
-	// outcomes keyed by probed name (multicast engine only; the wide
-	// multicast frontier makes sibling pieces hedge heavily overlapping
-	// ancestor ladders, so each distinct name is probed and charged once
-	// per round — see coalesceCands and resolveHedged).
-	candMu      sync.Mutex
-	candResults map[bitlabel.Label]bucketProbe
 }
 
 // execNode is one node of the query's execution tree. Each frontier item
@@ -222,28 +192,17 @@ const (
 	// round failed to surface the covering leaf (possible only under
 	// concurrent restructuring).
 	itemFallback
-	// itemHedge probes one ancestor-ladder name of the multicast engine's
-	// speculative pieces in the same round as the pieces themselves, so an
-	// overshot piece resolves its covering leaf at this round's barrier
-	// instead of waiting for a follow-up candidate round.
-	itemHedge
 )
 
 // frontierItem is one unit of work inside a round.
 type frontierItem struct {
 	kind itemKind
-	p    piece
+	p    Piece
 	node *execNode
 	// group links itemCand items of the same overshot piece; slot is this
 	// candidate's priority position inside it.
 	group *coverGroup
 	slot  int
-	// name is the DHT name an itemHedge probes.
-	name bitlabel.Label
-	// dup marks a hedge whose name is already probed by an earlier item of
-	// the same round (see coalesceCands); the item executes as a no-op and
-	// overshot pieces read the owner's shared result.
-	dup bool
 }
 
 // coverGroup gathers the covering-leaf candidate probes of one overshot
@@ -251,29 +210,24 @@ type frontierItem struct {
 // paper's parallel recovery implies: the first candidate (in that order)
 // whose bucket is a prefix of the overshot node is the covering leaf.
 //
-// In the lookahead engine probing early-exits on the first hit, like the
-// sequential reference: a candidate slot launches only while no lower slot
-// has already qualified, so under sequential execution the scan stops
-// exactly where the recursive algorithm stopped. Under concurrent execution
-// slots past the first hit may race and probe anyway; those probes are
-// physical overhead only — the logical charge, computed at adjudication, is
-// always the deterministic "slots up to and including the first hit" (or
-// all slots on a total miss), identical to the sequential cost.
-//
-// The multicast engine does not use candidate groups at all: it hedges
-// every speculative piece's ancestor ladder in the piece's own round and
-// resolves overshoots at that round's barrier — see expand, executeHedge,
-// and resolveHedged.
+// Probing early-exits on the first hit, like the sequential reference: a
+// candidate slot launches only while no lower slot has already qualified, so
+// under sequential execution the scan stops exactly where the recursive
+// algorithm stopped. Under concurrent execution slots past the first hit may
+// race and probe anyway; those probes are physical overhead only — the
+// logical charge, computed at adjudication, is always the deterministic
+// "slots up to and including the first hit" (or all slots on a total miss),
+// identical to the sequential cost.
 type coverGroup struct {
-	p     piece
+	p     Piece
 	node  *execNode
 	names []bitlabel.Label
 
-	mu    sync.Mutex
-	found []bucketProbe
-	// hit is the lowest qualifying slot recorded so far; len(names) while
-	// none has qualified.
-	hit int
+	mu sync.Mutex
+	// hit is the lowest qualifying slot recorded so far, len(names) while
+	// none has qualified; leaf is the bucket that slot's probe returned.
+	hit  int
+	leaf Bucket
 }
 
 // skip reports whether the slot's probe can be elided because a
@@ -284,20 +238,14 @@ func (g *coverGroup) skip(slot int) bool {
 	return g.hit < slot
 }
 
-// record stores one completed probe's outcome.
-func (g *coverGroup) record(slot int, pr bucketProbe, qualifies bool) {
+// qualify records that the slot's probe returned a bucket covering the
+// overshot node.
+func (g *coverGroup) qualify(slot int, b Bucket) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.found[slot] = pr
-	if qualifies && slot < g.hit {
-		g.hit = slot
+	if slot < g.hit {
+		g.hit, g.leaf = slot, b
 	}
-}
-
-// bucketProbe is one completed probe's outcome.
-type bucketProbe struct {
-	b     Bucket
-	found bool
 }
 
 // itemResult is what executing one frontier item produces: the next round's
@@ -307,10 +255,6 @@ type itemResult struct {
 	lookups     int
 	extraRounds int
 	err         error
-	// missed marks a multicast piece probe that found no bucket: its
-	// covering leaf is resolved at the barrier from the round's hedge
-	// results (see resolveHedged).
-	missed bool
 }
 
 // run executes rounds until the frontier drains. Each round is one
@@ -320,9 +264,6 @@ type itemResult struct {
 func (e *rangeEngine) run(frontier []frontierItem) error {
 	tc := e.ix.opts.Trace
 	for len(frontier) > 0 {
-		if e.ctx.multicast {
-			e.coalesceCands(frontier)
-		}
 		e.barriers++
 		e.ix.stats.BatchRounds.Inc()
 		e.ix.stats.BatchProbes.Add(int64(len(frontier)))
@@ -355,14 +296,6 @@ func (e *rangeEngine) run(frontier []frontierItem) error {
 				e.extraRounds = r.extraRounds
 			}
 			next = append(next, r.next...)
-			if r.missed {
-				// An overshot multicast piece: its ancestor-ladder hedges
-				// ran in this same round, so the covering leaf resolves at
-				// this barrier from the shared results.
-				if item, ok := e.resolveHedged(frontier[i]); !ok {
-					next = append(next, item)
-				}
-			}
 			// All candidate probes of a group live in this same round, so
 			// the group is adjudicable as soon as its first member is
 			// reached in order.
@@ -377,28 +310,6 @@ func (e *rangeEngine) run(frontier []frontierItem) error {
 		frontier = next
 	}
 	return nil
-}
-
-// coalesceCands prepares one multicast round's hedge probes: the first
-// item carrying each distinct name owns its probe, later items with the
-// same name are marked dup and read the shared result at the barrier. The
-// ownership assignment follows frontier order, so the probed-name set — and
-// with it the round's lookup charge — is deterministic regardless of how
-// the round's items are scheduled.
-func (e *rangeEngine) coalesceCands(frontier []frontierItem) {
-	e.candResults = make(map[bitlabel.Label]bucketProbe)
-	owned := make(map[bitlabel.Label]bool)
-	for i := range frontier {
-		it := &frontier[i]
-		if it.kind != itemHedge {
-			continue
-		}
-		if owned[it.name] {
-			it.dup = true
-			continue
-		}
-		owned[it.name] = true
-	}
 }
 
 // runBatch executes one round's items concurrently, bounded by
@@ -445,12 +356,8 @@ func (e *rangeEngine) execute(it frontierItem, round trace.SpanID) itemResult {
 		res = e.executeProbe(it, span)
 	case itemCand:
 		res = e.executeCand(it, span)
-	case itemHedge:
-		res = e.executeHedge(it, span)
 	case itemFallback:
 		res = e.executeFallback(it, span)
-	default:
-		res = itemResult{err: fmt.Errorf("core: unknown frontier item kind %d", it.kind)}
 	}
 	if tc != nil {
 		if res.err != nil {
@@ -466,15 +373,11 @@ func (e *rangeEngine) execute(it frontierItem, round trace.SpanID) itemResult {
 func probeName(it frontierItem) string {
 	switch it.kind {
 	case itemProbe:
-		return it.p.node.String()
+		return it.p.Node.String()
 	case itemCand:
 		return "cand " + it.group.names[it.slot].String() + " slot " + strconv.Itoa(it.slot)
-	case itemHedge:
-		return "hedge " + it.name.String()
-	case itemFallback:
-		return "fallback"
 	default:
-		return "unknown"
+		return "fallback"
 	}
 }
 
@@ -487,18 +390,12 @@ func probeName(it frontierItem) string {
 func (e *rangeEngine) executeProbe(it frontierItem, span trace.SpanID) itemResult {
 	m := e.ix.opts.Dims
 	res := itemResult{lookups: 1}
-	b, found, err := e.ix.getBucketSpan(bitlabel.Name(it.p.node, m), nil, span)
+	b, found, err := e.ix.getBucketSpan(bitlabel.Name(it.p.Node, m), nil, span)
 	if err != nil {
 		res.err = err
 		return res
 	}
 	if !found {
-		if e.ctx.multicast {
-			// The ancestor-ladder hedges of this piece ran in this same
-			// round; the barrier resolves the covering leaf from them.
-			res.missed = true
-			return res
-		}
 		names := coverCandidates(it.p, m)
 		if len(names) == 0 {
 			// No intermediate ancestors to try: go straight to the
@@ -506,20 +403,19 @@ func (e *rangeEngine) executeProbe(it frontierItem, span trace.SpanID) itemResul
 			res.next = []frontierItem{{kind: itemFallback, p: it.p, node: it.node}}
 			return res
 		}
-		g := &coverGroup{p: it.p, node: it.node, names: names,
-			found: make([]bucketProbe, len(names)), hit: len(names)}
+		g := &coverGroup{p: it.p, node: it.node, names: names, hit: len(names)}
 		for slot := range names {
 			res.next = append(res.next, frontierItem{kind: itemCand, p: it.p, group: g, slot: slot})
 		}
 		return res
 	}
 	e.ix.cacheLeaf(b)
-	if b.Label == it.p.node {
+	if b.Label == it.p.Node {
 		// The node itself is a leaf; it covers the piece entirely.
-		it.node.records = filterRecords(b, it.p.q, e.ctx.shape)
+		it.node.records = filterRecords(b, it.p.Q, e.ctx.shape)
 		return res
 	}
-	next, err := e.expand(it.p.q, it.p.node, b, it.node)
+	next, err := e.expand(it.p.Q, it.p.Node, b, it.node)
 	if err != nil {
 		res.err = err
 		return res
@@ -528,47 +424,9 @@ func (e *rangeEngine) executeProbe(it frontierItem, span trace.SpanID) itemResul
 	return res
 }
 
-// executeHedge probes one ancestor-ladder name on behalf of every
-// speculative piece of the round that lists it; dup items (same name, later
-// frontier position) are no-ops. Each distinct name costs exactly one
-// charged lookup whatever the round's scheduling, so the multicast engine's
-// accounting stays deterministic.
-func (e *rangeEngine) executeHedge(it frontierItem, span trace.SpanID) itemResult {
-	if it.dup {
-		return itemResult{}
-	}
-	b, found, err := e.ix.getBucketRawSpan(it.name, span)
-	if err != nil {
-		return itemResult{err: err}
-	}
-	e.candMu.Lock()
-	e.candResults[it.name] = bucketProbe{b: b, found: found}
-	e.candMu.Unlock()
-	e.ix.stats.DHTLookups.Inc()
-	return itemResult{lookups: 1}
-}
-
-// resolveHedged settles an overshot multicast piece at its round's barrier:
-// the deepest ancestor-ladder name holding a bucket that covers the piece's
-// node is the covering leaf. The hedges were emitted alongside the piece
-// (see expand), so the shared results are complete here. When none
-// qualifies (possible only under concurrent restructuring) the sequential
-// recovery item is scheduled and ok is false.
-func (e *rangeEngine) resolveHedged(it frontierItem) (item frontierItem, ok bool) {
-	for _, name := range coverCandidates(it.p, e.ix.opts.Dims) {
-		pr := e.candResults[name]
-		if pr.found && pr.b.Label.IsPrefixOf(it.p.node) {
-			e.ix.cacheLeaf(pr.b)
-			it.node.records = filterRecords(pr.b, it.p.q, e.ctx.shape)
-			return frontierItem{}, true
-		}
-	}
-	return frontierItem{kind: itemFallback, p: it.p, node: it.node}, false
-}
-
-// executeCand probes one covering-leaf candidate, recording the outcome in
-// its group slot for adjudication at the barrier. The probe is skipped when
-// a lower-priority-index slot already found the covering leaf (the
+// executeCand probes one covering-leaf candidate, recording a qualifying
+// bucket in its group for adjudication at the barrier. The probe is skipped
+// when a lower-priority-index slot already found the covering leaf (the
 // early-exit of the sequential reference), and it is issued uncounted: the
 // group's deterministic logical charge is added once, at adjudication.
 func (e *rangeEngine) executeCand(it frontierItem, span trace.SpanID) itemResult {
@@ -580,8 +438,9 @@ func (e *rangeEngine) executeCand(it frontierItem, span trace.SpanID) itemResult
 	if err != nil {
 		return itemResult{err: err}
 	}
-	qualifies := found && b.Label.IsPrefixOf(g.p.node)
-	g.record(it.slot, bucketProbe{b: b, found: found}, qualifies)
+	if found && b.Label.IsPrefixOf(g.p.Node) {
+		g.qualify(it.slot, b)
+	}
 	return itemResult{}
 }
 
@@ -590,11 +449,11 @@ func (e *rangeEngine) executeCand(it frontierItem, span trace.SpanID) itemResult
 // extra rounds beyond the barrier the item occupies.
 func (e *rangeEngine) executeFallback(it frontierItem, span trace.SpanID) itemResult {
 	var lt LookupTrace
-	leaf, err := e.ix.lookup(clampPoint(it.p.q.Lo), &lt, span)
+	leaf, err := e.ix.lookup(clampPoint(it.p.Q.Lo), &lt, span)
 	if err != nil {
 		return itemResult{err: err}
 	}
-	it.node.records = filterRecords(leaf, it.p.q, e.ctx.shape)
+	it.node.records = filterRecords(leaf, it.p.Q, e.ctx.shape)
 	return itemResult{lookups: lt.Probes, extraRounds: lt.Probes - 1}
 }
 
@@ -613,7 +472,7 @@ func (e *rangeEngine) executeFallback(it frontierItem, span trace.SpanID) itemRe
 // charge excludes.
 func (e *rangeEngine) adjudicate(g *coverGroup) (item frontierItem, done bool) {
 	g.mu.Lock()
-	hit := g.hit
+	hit, leaf := g.hit, g.leaf
 	g.mu.Unlock()
 	charged := len(g.names)
 	if hit < len(g.names) {
@@ -622,286 +481,29 @@ func (e *rangeEngine) adjudicate(g *coverGroup) (item frontierItem, done bool) {
 	e.lookups += charged
 	e.ix.stats.DHTLookups.Add(int64(charged))
 	if hit < len(g.names) {
-		pr := g.found[hit]
-		e.ix.cacheLeaf(pr.b)
-		g.node.records = filterRecords(pr.b, g.p.q, e.ctx.shape)
+		e.ix.cacheLeaf(leaf)
+		g.node.records = filterRecords(leaf, g.p.Q, e.ctx.shape)
 		return frontierItem{}, true
 	}
 	return frontierItem{kind: itemFallback, p: g.p, node: g.node}, false
 }
 
-// coverCandidates returns the DHT names to probe when a speculative piece
-// overshoots the tree: the covering leaf is one of the labels between the
-// piece's base (inclusive) and its node (exclusive), deepest first. Names
-// of nested prefixes can coincide, so probes are deduplicated; the name
-// that already missed is excluded.
-func coverCandidates(p piece, m int) []bitlabel.Label {
-	probed := map[bitlabel.Label]bool{bitlabel.Name(p.node, m): true} // already missed
-	var names []bitlabel.Label
-	for j := p.node.Len() - 1; j >= p.base.Len(); j-- {
-		name := bitlabel.Name(p.node.Prefix(j), m)
-		if probed[name] {
-			continue
-		}
-		probed[name] = true
-		names = append(names, name)
-	}
-	return names
-}
-
-// expand handles a bucket b fetched as the corner cell of node β with
-// (clipped) subrange q: it collects b's matching records into the execution
-// node and forwards the remainder of q to the branch nodes of b's local
-// tree below β (Algorithm 3), emitting one next-round probe per piece. All
-// emitted probes join the same batch barrier, so sibling subqueries — and,
-// with h > 1, their speculative pieces — genuinely overlap.
+// expand asks the planner what a bucket b fetched as the corner cell of node
+// β with (clipped) subrange q yields: b's matching records go into the
+// execution node, and every piece becomes one next-round probe. All emitted
+// probes join the same batch barrier, so sibling subqueries — and, with
+// h > 1, their speculative pieces — genuinely overlap.
 func (e *rangeEngine) expand(q spatial.Rect, beta bitlabel.Label, b Bucket, node *execNode) ([]frontierItem, error) {
-	m := e.ix.opts.Dims
-	node.records = filterRecords(b, q, e.ctx.shape)
-	leafRegion, err := spatial.RegionOf(b.Label, m)
+	records, pieces, err := Step(b, beta, q, e.ctx.h, e.ix.opts.Dims, e.ix.opts.MaxDepth, e.ctx.shape)
 	if err != nil {
 		return nil, err
 	}
-	if leafRegion.Covers(q) {
-		return nil, nil
-	}
-	// Decompose over the branch nodes of b's local tree strictly below β
-	// (Algorithm 3).
-	local, err := bitlabel.NewLocalTree(b.Label, m)
-	if err != nil {
-		return nil, err
-	}
+	node.records = records
 	var items []frontierItem
-	for _, branch := range local.BranchNodesBelow(beta) {
-		g, regionErr := spatial.RegionOf(branch, m)
-		if regionErr != nil {
-			return nil, regionErr
-		}
-		sub, overlaps := g.Intersect(q)
-		if !overlaps {
-			continue
-		}
-		if e.ctx.shape != nil && !e.ctx.shape.IntersectsRect(sub) {
-			continue // the shape provably misses this subtree
-		}
-		pieces := []piece{{node: branch, base: branch, q: sub}}
-		if e.ctx.multicast {
-			pieces = e.multicastSplit(branch, sub, b.Label.Len())
-		} else if e.ctx.h > 1 {
-			pieces = e.ix.speculate(branch, sub, e.ctx)
-		}
-		for _, p := range pieces {
-			child := &execNode{}
-			node.children = append(node.children, child)
-			items = append(items, frontierItem{kind: itemProbe, p: p, node: child})
-		}
-		if e.ctx.multicast {
-			// Hedge the speculative pieces: probe their ancestor-ladder
-			// names in the same round, so any piece that overshoots the
-			// tree resolves its covering leaf at this round's barrier
-			// instead of paying a follow-up candidate round. Sibling
-			// pieces share most of their ladder (and the fmd ray folds
-			// aligned prefixes onto one name), so the deduplicated hedge
-			// set stays far smaller than the per-piece ladders combined.
-			seen := map[bitlabel.Label]bool{}
-			for _, p := range pieces {
-				if p.node == p.base {
-					continue // nothing speculative to hedge
-				}
-				for _, name := range coverCandidates(p, m) {
-					if seen[name] {
-						continue
-					}
-					seen[name] = true
-					items = append(items, frontierItem{kind: itemHedge, name: name})
-				}
-			}
-		}
+	for _, p := range pieces {
+		child := &execNode{}
+		node.children = append(node.children, child)
+		items = append(items, frontierItem{kind: itemProbe, p: p, node: child})
 	}
 	return items, nil
-}
-
-// piece is a speculative (node, subrange) unit of parallel forwarding.
-// base is the real tree node the speculation started from, bounding where
-// the covering leaf can sit when the speculative node overshoots the tree.
-type piece struct {
-	node bitlabel.Label
-	base bitlabel.Label
-	q    spatial.Rect
-}
-
-// speculate pre-splits subrange q below node β into up to h pieces by
-// descending the deterministic space partitioning — no DHT traffic is
-// needed because every peer knows the global partitioning rule (§3.2).
-func (ix *Index) speculate(beta bitlabel.Label, q spatial.Rect, ctx queryCtx) []piece {
-	m := ix.opts.Dims
-	queue := []piece{{node: beta, base: beta, q: q}}
-	var done []piece
-	guard := 0
-	for len(queue) > 0 && len(queue)+len(done) < ctx.h && guard < 64*ctx.h {
-		guard++
-		p := queue[0]
-		queue = queue[1:]
-		if ix.remainingDepth(p.node) <= 0 || p.node.Len() >= bitlabel.MaxLen {
-			done = append(done, p)
-			continue
-		}
-		expanded := false
-		for _, bit := range []byte{0, 1} {
-			child := p.node.MustAppend(bit)
-			g, err := spatial.RegionOf(child, m)
-			if err != nil {
-				continue
-			}
-			sub, overlaps := g.Intersect(p.q)
-			if !overlaps {
-				continue
-			}
-			if ctx.shape != nil && !ctx.shape.IntersectsRect(sub) {
-				continue
-			}
-			queue = append(queue, piece{node: child, base: beta, q: sub})
-			expanded = true
-		}
-		if !expanded {
-			done = append(done, p)
-		}
-	}
-	return append(done, queue...)
-}
-
-const (
-	// multicastMinAdvance is the guaranteed depth progress of one split,
-	// independent of the corner estimate, so deep subtrees discovered
-	// incrementally still descend several levels per round.
-	multicastMinAdvance = 2
-	// multicastMaxAdvance caps how many levels below a branch node one
-	// multicast split may descend, bounding the worst-case candidate scan
-	// an overshot piece can trigger.
-	multicastMaxAdvance = 16
-	// multicastMaxFan caps the pieces one split emits; a capped split
-	// leaves the remaining subranges at intermediate depth, where the next
-	// round splits them further.
-	multicastMaxFan = 256
-)
-
-// multicastSplit builds one forwarding step of the prefix-multicast
-// dissemination (the "Optimally Efficient Prefix Search and Multicast"
-// construction adapted to m-LIGHT's label space): the subrange q below
-// branch node β is partitioned along the globally known space partitioning
-// into the full prefix-tree frontier at an estimated leaf depth, and every
-// frontier label is probed in the same round. No DHT traffic is needed to
-// build the tree (§3.2: every peer knows the partitioning rule); resolving
-// a frontier label via fmd's ray property either hits a leaf exactly, lands
-// on a deeper corner leaf (the next round continues from it), or overshoots
-// below a leaf — resolved in the same round by the hedged ancestor-ladder
-// probes expand emits alongside the pieces (see executeHedge/resolveHedged).
-//
-// est is the label length of the corner leaf just fetched for β's subtree —
-// the best locally available depth estimate for β's other leaves. Estimating
-// per subtree rather than globally matters: a global estimate is dragged to
-// the shallowest leaf anywhere in the query range, which degenerates deep
-// subtrees back to one-level-per-round descent. The split targets half the
-// estimated gap (never less than multicastMinAdvance levels): sibling
-// subtrees are routinely deeper than the corner estimate suggests, and
-// overshooting k levels below a leaf spawns 2^k redundant pieces, so a
-// half-step converges geometrically while keeping overshoot cheap. Compared
-// with the blind h-piece lookahead, the split adapts its depth to what the
-// query has already learned, so large ranges reach their leaves in a handful
-// of forwarding steps without speculative over-probing at every level.
-func (e *rangeEngine) multicastSplit(beta bitlabel.Label, q spatial.Rect, est int) []piece {
-	target := beta.Len() + (est-beta.Len())/2
-	if min := beta.Len() + multicastMinAdvance; target < min {
-		target = min
-	}
-	if max := beta.Len() + multicastMaxAdvance; target > max {
-		target = max
-	}
-	if max := e.ix.opts.Dims + 1 + e.ix.opts.MaxDepth; target > max {
-		target = max
-	}
-	if target > bitlabel.MaxLen {
-		target = bitlabel.MaxLen
-	}
-	if target <= beta.Len() {
-		return []piece{{node: beta, base: beta, q: q}}
-	}
-	m := e.ix.opts.Dims
-	queue := []piece{{node: beta, base: beta, q: q}}
-	var done []piece
-	for len(queue) > 0 {
-		if len(queue)+len(done) >= multicastMaxFan {
-			break
-		}
-		p := queue[0]
-		queue = queue[1:]
-		if p.node.Len() >= target {
-			done = append(done, p)
-			continue
-		}
-		expanded := false
-		for _, bit := range []byte{0, 1} {
-			child := p.node.MustAppend(bit)
-			g, err := spatial.RegionOf(child, m)
-			if err != nil {
-				continue
-			}
-			sub, overlaps := g.Intersect(p.q)
-			if !overlaps {
-				continue
-			}
-			if e.ctx.shape != nil && !e.ctx.shape.IntersectsRect(sub) {
-				continue
-			}
-			queue = append(queue, piece{node: child, base: beta, q: sub})
-			expanded = true
-		}
-		if !expanded {
-			done = append(done, p)
-		}
-	}
-	pieces := append(done, queue...)
-	e.ix.stats.MulticastSplits.Inc()
-	e.ix.stats.MulticastPieces.Add(int64(len(pieces)))
-	deepest := 0
-	for _, p := range pieces {
-		if l := p.node.Len(); l > deepest {
-			deepest = l
-		}
-	}
-	e.ix.stats.MulticastDepth.Observe(int64(deepest))
-	return pieces
-}
-
-// filterRecords returns the bucket's records inside q (and inside the
-// shape, when one is given). The scan walks the bucket's columnar arenas
-// directly — contiguous coordinate memory, no materialized record slice.
-func filterRecords(b Bucket, q spatial.Rect, shape spatial.Shape) []spatial.Record {
-	var out []spatial.Record
-	for i, n := 0, b.Load(); i < n; i++ {
-		key := b.KeyAt(i)
-		if !q.Contains(key) {
-			continue
-		}
-		if shape != nil && !shape.ContainsPoint(key) {
-			continue
-		}
-		out = append(out, b.RecordAt(i))
-	}
-	return out
-}
-
-// clampPoint nudges a rectangle corner into the unit cube's valid key
-// domain.
-func clampPoint(p spatial.Point) spatial.Point {
-	out := p.Clone()
-	for i, c := range out {
-		if c < 0 {
-			out[i] = 0
-		}
-		if c > 1 {
-			out[i] = 1
-		}
-	}
-	return out
 }

@@ -6,30 +6,18 @@ import (
 )
 
 // TestLookupAcceleration runs the lookup experiment at a reduced scale and
-// asserts the two wins BENCH_lookup.json must show: the α-parallel lookup
-// beats the serial round on p99 wall clock under link loss, and multicast
-// dissemination answers large-span ranges with fewer DHT-lookups and rounds
-// than blind lookahead while returning the same record sets (the driver
-// itself fails on any per-query divergence).
+// asserts the win BENCH_lookup.json must show: the α-parallel lookup beats
+// the serial round on p99 wall clock under link loss.
 func TestLookupAcceleration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock experiment sleeps on real network delays")
 	}
 	run := func() LookupResult {
 		res, err := Lookup(LookupConfig{
-			Config: Config{
-				DataSize:   3000,
-				Peers:      24,
-				ThetaSplit: 50,
-				Epsilon:    35,
-				MaxDepth:   22,
-				Seed:       1,
-			},
-			HopDelay:     time.Millisecond,
-			Nodes:        16,
-			Keys:         30,
-			Span:         0.4,
-			RangeQueries: 3,
+			Config:   Config{Seed: 1},
+			HopDelay: time.Millisecond,
+			Nodes:    16,
+			Keys:     30,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -47,25 +35,11 @@ func TestLookupAcceleration(t *testing.T) {
 	t.Logf("overlay p99 ms: serial %.1f→%.1f lossy, parallel %.1f→%.1f lossy (in-flight %d)",
 		res.SerialLossless.P99MS, res.SerialLossy.P99MS,
 		res.ParallelLossless.P99MS, res.ParallelLossy.P99MS, res.ParallelMaxInFlight)
-	t.Logf("span %.2f: multicast L=%d R=%d vs lookahead L=%d R=%d (%d records)",
-		res.Span, res.MulticastLookups, res.MulticastRounds,
-		res.LookaheadLookups, res.LookaheadRounds, res.RangeRecords)
 	if res.ParallelLossy.P99MS >= res.SerialLossy.P99MS {
 		t.Errorf("parallel lossy p99 = %.2fms, want < serial %.2fms",
 			res.ParallelLossy.P99MS, res.SerialLossy.P99MS)
 	}
 	if res.ParallelMaxInFlight < 2 {
 		t.Errorf("parallel lookup never had ≥ 2 RPCs in flight (high-water %d)", res.ParallelMaxInFlight)
-	}
-	if res.MulticastLookups >= res.LookaheadLookups {
-		t.Errorf("multicast spent %d lookups, want < lookahead's %d",
-			res.MulticastLookups, res.LookaheadLookups)
-	}
-	if res.MulticastRounds >= res.LookaheadRounds {
-		t.Errorf("multicast took %d rounds, want < lookahead's %d",
-			res.MulticastRounds, res.LookaheadRounds)
-	}
-	if res.MulticastSplits == 0 || res.RangeRecords == 0 {
-		t.Errorf("experiment under-exercised: splits=%d records=%d", res.MulticastSplits, res.RangeRecords)
 	}
 }

@@ -87,7 +87,6 @@ func (s SplitStrategy) String() string {
 //	Sleep           Sleep            (ignored)        (ignored)
 //	WriterBatch     WriterBatch      (ignored)        (ignored)
 //	Seed            Seed             (ignored)        (ignored)
-//	Multicast       Multicast        (ignored)        (ignored)
 type Tuning struct {
 	// Dims is the data dimensionality m.
 	Dims int
@@ -120,10 +119,6 @@ type Tuning struct {
 	// zero value is itself a valid seed, so no field needs setting for
 	// deterministic behaviour.
 	Seed int64
-	// Multicast switches m-LIGHT range queries to prefix-multicast
-	// dissemination: one prefix tree over the covering-leaf label space is
-	// resolved by recursive splitting instead of blind per-level lookahead.
-	Multicast bool
 
 	// Transport supplies the RPC substrate mlight.Dial speaks over. It is a
 	// client-side option: it configures how this process reaches the
@@ -219,12 +214,6 @@ func WithWriter(maxBatch int) Option {
 // WithSeed seeds the index's internal randomness (depth-estimation probes).
 func WithSeed(seed int64) Option {
 	return OptionFunc(func(t *Tuning) { t.Seed = seed })
-}
-
-// WithMulticast switches m-LIGHT range queries to the prefix-multicast
-// dissemination engine (m-LIGHT only; baselines ignore it).
-func WithMulticast(on bool) Option {
-	return OptionFunc(func(t *Tuning) { t.Multicast = on })
 }
 
 // WithTransport makes mlight.Dial speak over tr instead of creating its own

@@ -81,15 +81,6 @@ type IndexStats struct {
 	// within a single batch round.
 	MaxInFlight Gauge
 
-	// MulticastSplits counts prefix-tree split operations performed by the
-	// multicast range engine (one per forwarding step that fanned out);
-	// MulticastPieces counts the pieces those splits produced.
-	MulticastSplits Counter
-	MulticastPieces Counter
-	// MulticastDepth is the high-water mark of the multicast dissemination
-	// tree's depth: the deepest prefix label a split targeted.
-	MulticastDepth Gauge
-
 	// CacheHits / CacheMisses / CacheStale meter the client-side leaf-label
 	// lookup cache: a hit resolved a lookup with a single verification
 	// probe; a miss found no cached candidate; a stale entry pointed at a
@@ -184,37 +175,31 @@ func (s ResilienceSnapshot) Sub(older ResilienceSnapshot) ResilienceSnapshot {
 
 // Snapshot is a point-in-time copy of IndexStats.
 type Snapshot struct {
-	DHTLookups      int64
-	RecordsMoved    int64
-	Splits          int64
-	Merges          int64
-	BatchRounds     int64
-	BatchProbes     int64
-	MaxInFlight     int64
-	MulticastSplits int64
-	MulticastPieces int64
-	MulticastDepth  int64
-	CacheHits       int64
-	CacheMisses     int64
-	CacheStale      int64
+	DHTLookups   int64
+	RecordsMoved int64
+	Splits       int64
+	Merges       int64
+	BatchRounds  int64
+	BatchProbes  int64
+	MaxInFlight  int64
+	CacheHits    int64
+	CacheMisses  int64
+	CacheStale   int64
 }
 
 // Snapshot copies the current counter values.
 func (s *IndexStats) Snapshot() Snapshot {
 	return Snapshot{
-		DHTLookups:      s.DHTLookups.Load(),
-		RecordsMoved:    s.RecordsMoved.Load(),
-		Splits:          s.Splits.Load(),
-		Merges:          s.Merges.Load(),
-		BatchRounds:     s.BatchRounds.Load(),
-		BatchProbes:     s.BatchProbes.Load(),
-		MaxInFlight:     s.MaxInFlight.Load(),
-		MulticastSplits: s.MulticastSplits.Load(),
-		MulticastPieces: s.MulticastPieces.Load(),
-		MulticastDepth:  s.MulticastDepth.Load(),
-		CacheHits:       s.CacheHits.Load(),
-		CacheMisses:     s.CacheMisses.Load(),
-		CacheStale:      s.CacheStale.Load(),
+		DHTLookups:   s.DHTLookups.Load(),
+		RecordsMoved: s.RecordsMoved.Load(),
+		Splits:       s.Splits.Load(),
+		Merges:       s.Merges.Load(),
+		BatchRounds:  s.BatchRounds.Load(),
+		BatchProbes:  s.BatchProbes.Load(),
+		MaxInFlight:  s.MaxInFlight.Load(),
+		CacheHits:    s.CacheHits.Load(),
+		CacheMisses:  s.CacheMisses.Load(),
+		CacheStale:   s.CacheStale.Load(),
 	}
 }
 
@@ -227,32 +212,26 @@ func (s *IndexStats) Reset() {
 	s.BatchRounds.Reset()
 	s.BatchProbes.Reset()
 	s.MaxInFlight.Reset()
-	s.MulticastSplits.Reset()
-	s.MulticastPieces.Reset()
-	s.MulticastDepth.Reset()
 	s.CacheHits.Reset()
 	s.CacheMisses.Reset()
 	s.CacheStale.Reset()
 }
 
-// Sub returns the delta between two snapshots (s - older). MaxInFlight and
-// MulticastDepth are high-water marks, not monotonic counters, so the newer
-// snapshot's values are kept rather than subtracted.
+// Sub returns the delta between two snapshots (s - older). MaxInFlight is a
+// high-water mark, not a monotonic counter, so the newer snapshot's value is
+// kept rather than subtracted.
 func (s Snapshot) Sub(older Snapshot) Snapshot {
 	return Snapshot{
-		DHTLookups:      s.DHTLookups - older.DHTLookups,
-		RecordsMoved:    s.RecordsMoved - older.RecordsMoved,
-		Splits:          s.Splits - older.Splits,
-		Merges:          s.Merges - older.Merges,
-		BatchRounds:     s.BatchRounds - older.BatchRounds,
-		BatchProbes:     s.BatchProbes - older.BatchProbes,
-		MaxInFlight:     s.MaxInFlight,
-		MulticastSplits: s.MulticastSplits - older.MulticastSplits,
-		MulticastPieces: s.MulticastPieces - older.MulticastPieces,
-		MulticastDepth:  s.MulticastDepth,
-		CacheHits:       s.CacheHits - older.CacheHits,
-		CacheMisses:     s.CacheMisses - older.CacheMisses,
-		CacheStale:      s.CacheStale - older.CacheStale,
+		DHTLookups:   s.DHTLookups - older.DHTLookups,
+		RecordsMoved: s.RecordsMoved - older.RecordsMoved,
+		Splits:       s.Splits - older.Splits,
+		Merges:       s.Merges - older.Merges,
+		BatchRounds:  s.BatchRounds - older.BatchRounds,
+		BatchProbes:  s.BatchProbes - older.BatchProbes,
+		MaxInFlight:  s.MaxInFlight,
+		CacheHits:    s.CacheHits - older.CacheHits,
+		CacheMisses:  s.CacheMisses - older.CacheMisses,
+		CacheStale:   s.CacheStale - older.CacheStale,
 	}
 }
 

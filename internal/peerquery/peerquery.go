@@ -3,8 +3,10 @@
 // that own the buckets, as installed application handlers (the over-DHT
 // pattern OpenDHT enables), not as client-driven recursion. A query is one
 // network message to the corner cell of the range's LCA; each reached peer
-// reads its bucket from its own local store, decomposes the remaining range
-// over its local tree, and forwards subranges to the next peers itself.
+// reads its bucket from its own local store, asks the range planner of
+// internal/core — the one the client-driven engine runs — which records
+// match and which subranges remain, and forwards those to the next peers
+// itself.
 //
 // Because forwarding happens between real simulated peers, the service can
 // measure true critical-path latency under the network's latency model —
@@ -106,43 +108,31 @@ func bucketKey(l bitlabel.Label, m int) dht.Key {
 	return core.Bucket{Label: l}.Key(m)
 }
 
-// resolveAt executes Algorithm 3 at the peer owning fmd(Beta)'s bucket.
+// resolveAt executes one planner step (Algorithm 3) at the peer owning
+// fmd(Beta)'s bucket and forwards the pieces it yields.
 func (s *Service) resolveAt(node *overlay.Node, req forwardReq) (forwardResp, error) {
-	m := s.dims
-	v, ok := node.LocalGet(bucketKey(req.Beta, m))
-	if !ok {
+	var b core.Bucket
+	var resp forwardResp
+	if v, ok := node.LocalGet(bucketKey(req.Beta, s.dims)); ok {
+		if b, ok = v.(core.Bucket); !ok {
+			return forwardResp{}, fmt.Errorf("peerquery: key for %v holds %T", req.Beta, v)
+		}
+	} else {
 		// The subtree node is not materialised (β not internal): the range
 		// lies inside a leaf somewhere above; fall back to a client-style
 		// lookup from this peer. Rare in a consistent index.
-		return s.fallbackLookup(node, req)
-	}
-	b, isBucket := v.(core.Bucket)
-	if !isBucket {
-		return forwardResp{}, fmt.Errorf("peerquery: key for %v holds %T", req.Beta, v)
-	}
-	resp := forwardResp{}
-	resp.Records = filterRecords(b, req.Query)
-	leafRegion, err := spatial.RegionOf(b.Label, m)
-	if err != nil {
-		return forwardResp{}, err
-	}
-	if leafRegion.Covers(req.Query) || b.Label == req.Beta {
-		return resp, nil
-	}
-	local, err := bitlabel.NewLocalTree(b.Label, m)
-	if err != nil {
-		return forwardResp{}, err
-	}
-	for _, branch := range local.BranchNodesBelow(req.Beta) {
-		g, err := spatial.RegionOf(branch, m)
-		if err != nil {
+		var err error
+		if b, resp, err = s.fallbackLookup(node, req); err != nil {
 			return forwardResp{}, err
 		}
-		sub, overlaps := g.Intersect(req.Query)
-		if !overlaps {
-			continue
-		}
-		child, err := s.forward(node.Addr(), forwardReq{Query: sub, Beta: branch})
+	}
+	records, pieces, err := core.Step(b, req.Beta, req.Query, 1, s.dims, s.maxDepth, nil)
+	if err != nil {
+		return forwardResp{}, err
+	}
+	resp.Records = records
+	for _, p := range pieces {
+		child, err := s.forward(node.Addr(), forwardReq{Query: p.Q, Beta: p.Node})
 		if err != nil {
 			return forwardResp{}, err
 		}
@@ -182,13 +172,14 @@ func (s *Service) forward(from transport.NodeID, req forwardReq) (forwardResp, e
 }
 
 // fallbackLookup finds the covering leaf by corner lookup through the ring
-// (sequential probes from this peer).
-func (s *Service) fallbackLookup(node *overlay.Node, req forwardReq) (forwardResp, error) {
+// (sequential probes from this peer); the returned response carries the
+// walk's cost.
+func (s *Service) fallbackLookup(node *overlay.Node, req forwardReq) (core.Bucket, forwardResp, error) {
 	m := s.dims
 	corner := req.Query.Lo
 	path, err := bitlabel.PathLabel(corner, s.maxDepth)
 	if err != nil {
-		return forwardResp{}, err
+		return core.Bucket{}, forwardResp{}, err
 	}
 	resp := forwardResp{}
 	// Walk candidate ancestors of β upward until a bucket covers the query.
@@ -197,7 +188,7 @@ func (s *Service) fallbackLookup(node *overlay.Node, req forwardReq) (forwardRes
 		key := bucketKey(cand, m)
 		owner, hops, err := s.ring.LookupFrom(node.Addr(), key)
 		if err != nil {
-			return forwardResp{}, err
+			return core.Bucket{}, forwardResp{}, err
 		}
 		resp.Lookups++
 		resp.Critical += time.Duration(hops)*2*s.net.OneWayLatency(node.Addr(), owner) +
@@ -208,22 +199,18 @@ func (s *Service) fallbackLookup(node *overlay.Node, req forwardReq) (forwardRes
 		}
 		if v, found := n.LocalGet(key); found {
 			if b, isBucket := v.(core.Bucket); isBucket && b.Label.IsPrefixOf(path) {
-				resp.Records = filterRecords(b, req.Query)
-				return resp, nil
+				return b, resp, nil
 			}
 		}
 	}
-	return resp, fmt.Errorf("peerquery: no leaf covers %v", req.Query)
+	return core.Bucket{}, resp, fmt.Errorf("peerquery: no leaf covers %v", req.Query)
 }
 
 // RangeQuery runs a peer-executed range query: the initiator computes the
 // LCA locally, routes one message to the LCA's corner-cell peer, and the
 // peers do the rest.
 func (s *Service) RangeQuery(q spatial.Rect) (*Result, error) {
-	if q.Dim() != s.dims {
-		return nil, fmt.Errorf("peerquery: query has %d dims, service has %d", q.Dim(), s.dims)
-	}
-	lca, err := spatial.LCALabel(q, s.dims, s.maxDepth)
+	lca, err := core.QueryLCA(q, s.dims, s.maxDepth)
 	if err != nil {
 		return nil, err
 	}
@@ -245,16 +232,6 @@ func (s *Service) entryAddr() transport.NodeID {
 		return ""
 	}
 	return nodes[0]
-}
-
-func filterRecords(b core.Bucket, q spatial.Rect) []spatial.Record {
-	var out []spatial.Record
-	for i, n := 0, b.Load(); i < n; i++ {
-		if q.Contains(b.KeyAt(i)) {
-			out = append(out, b.RecordAt(i))
-		}
-	}
-	return out
 }
 
 func minInt(a, b int) int {

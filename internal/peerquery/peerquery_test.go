@@ -122,6 +122,47 @@ func TestPeerQuerySmallRangeInsideLeaf(t *testing.T) {
 	}
 }
 
+// TestDriversAgreeOnOddRectangles feeds both drivers rectangles the planner's
+// one prologue must judge: each is refused by both with the same error, or
+// answered by both with the same record set.
+func TestDriversAgreeOnOddRectangles(t *testing.T) {
+	svc, ix, _ := buildStack(t, "chord", 8, 600, time.Millisecond)
+	for _, tc := range []struct {
+		name    string
+		q       spatial.Rect
+		wantErr bool
+	}{
+		{"inverted", spatial.Rect{Lo: spatial.Point{0.6, 0.6}, Hi: spatial.Point{0.4, 0.4}}, true},
+		{"inverted in one dim", spatial.Rect{Lo: spatial.Point{0.2, 0.6}, Hi: spatial.Point{0.4, 0.4}}, true},
+		{"too few dims", spatial.Rect{Lo: spatial.Point{0.1}, Hi: spatial.Point{0.2}}, true},
+		{"too many dims", spatial.Rect{Lo: spatial.Point{0.1, 0.1, 0.1}, Hi: spatial.Point{0.2, 0.2, 0.2}}, true},
+		{"corners disagree on dims", spatial.Rect{Lo: spatial.Point{0.1, 0.1}, Hi: spatial.Point{0.2}}, true},
+		{"beyond the cube on every side", spatial.Rect{Lo: spatial.Point{-0.5, -0.5}, Hi: spatial.Point{1.5, 1.5}}, false},
+		{"beyond the cube in one dim", spatial.Rect{Lo: spatial.Point{0.1, -0.5}, Hi: spatial.Point{0.3, 1.5}}, false},
+		{"wholly outside the cube", spatial.Rect{Lo: spatial.Point{1.2, 1.2}, Hi: spatial.Point{1.4, 1.4}}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, clientErr := ix.RangeQuery(tc.q)
+			got, peerErr := svc.RangeQuery(tc.q)
+			if (clientErr != nil) != tc.wantErr {
+				t.Fatalf("client-driven: err = %v, want an error: %v", clientErr, tc.wantErr)
+			}
+			if tc.wantErr {
+				if peerErr == nil || peerErr.Error() != clientErr.Error() {
+					t.Fatalf("client-driven refused with %q, peer-executed answered %v", clientErr, peerErr)
+				}
+				return
+			}
+			if peerErr != nil {
+				t.Fatalf("client-driven answered, peer-executed refused: %v", peerErr)
+			}
+			if g, w := recordSet(got.Records), recordSet(want.Records); !reflect.DeepEqual(g, w) {
+				t.Fatalf("peer-executed returned %d records, client-driven %d, and the sets differ", len(g), len(w))
+			}
+		})
+	}
+}
+
 // TestLatencyScalesWithModel: doubling the link latency doubles the
 // measured critical path (all costs are latency-proportional).
 func TestLatencyScalesWithModel(t *testing.T) {

@@ -200,7 +200,7 @@ type netConfig struct {
 // construct with New.
 //
 // Call is safe for concurrent use: the α-parallel overlay lookups and the
-// multicast range fan-out drive one network from many goroutines at once.
+// range engine's probe rounds drive one network from many goroutines at once.
 // Loss decisions come from per-edge Bernoulli streams (see nextDrop) rather
 // than one shared generator, so which messages are dropped for a given seed
 // does not depend on how concurrent callers happen to interleave.

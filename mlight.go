@@ -249,10 +249,6 @@ var (
 	// WithSeed seeds the index's internal randomness (depth-estimation
 	// probes), keeping repeated runs replayable.
 	WithSeed = index.WithSeed
-	// WithMulticast switches m-LIGHT range queries to prefix-multicast
-	// dissemination: one prefix tree over the covering-leaf label space
-	// replaces blind per-level lookahead (baselines ignore it).
-	WithMulticast = index.WithMulticast
 	// WithTransport makes Dial speak over a caller-owned RPC transport
 	// instead of creating its own TCP transport (client-side only; the
 	// in-process constructors ignore it).
