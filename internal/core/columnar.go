@@ -109,6 +109,28 @@ func NewBucket(label bitlabel.Label, records []spatial.Record) Bucket {
 	return Bucket{Label: label, rs: packRecs(records)}
 }
 
+// NewBucketColumns builds a bucket over columnar arenas the caller has
+// already packed, and takes ownership of them: len(offs)-1 records of dims
+// coordinates each, record i's key at coords[i*dims:(i+1)*dims] and its
+// payload at data[offs[i]:offs[i+1]]. It is the decoder's constructor
+// (wire.UnmarshalBucket): NewBucket wants a Point and a string per record
+// first, only to copy them into exactly these arenas. Arenas that do not
+// describe each other are a bug in the caller, and panic — DataAt reads
+// payloads through unsafe.String, so an offset table is never taken on
+// trust.
+func NewBucketColumns(label bitlabel.Label, dims int, coords []float64, offs []uint32, data []byte) Bucket {
+	n := len(offs) - 1
+	if n < 1 || offs[0] != 0 || int(offs[n]) != len(data) || len(coords) != n*dims {
+		panic("core: NewBucketColumns: arenas disagree")
+	}
+	for i := 0; i < n; i++ {
+		if offs[i] > offs[i+1] {
+			panic("core: NewBucketColumns: offsets decrease")
+		}
+	}
+	return Bucket{Label: label, rs: recs{dims: dims, coords: coords, offs: offs, data: data}}
+}
+
 // Load returns the number of records stored in the bucket (§4.1 load).
 func (b Bucket) Load() int { return b.rs.len() }
 

@@ -138,6 +138,48 @@ func TestColumnarSplitEquivalence(t *testing.T) {
 	}
 }
 
+// TestColumnarFromArenas: a bucket built over arenas the caller packed is
+// the bucket NewBucket builds from the same records, and arenas that do not
+// describe each other are refused — DataAt trusts the offset table with an
+// unsafe.String.
+func TestColumnarFromArenas(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	records := randomRecords(rng, 40, 3)
+	label := bitlabel.MustParse("0110")
+	var (
+		coords []float64
+		data   []byte
+		offs   = []uint32{0}
+	)
+	for _, r := range records {
+		coords = append(coords, r.Key...)
+		data = append(data, r.Data...)
+		offs = append(offs, uint32(len(data)))
+	}
+	b := NewBucketColumns(label, 3, coords, offs, data)
+	if b.Label != label {
+		t.Fatalf("label = %v", b.Label)
+	}
+	sameRecordSlice(t, b.Records(), NewBucket(label, records).Records())
+	sameRecordSlice(t, b.Append(records[0]).Records(), append(append([]spatial.Record{}, records...), records[0]))
+
+	for name, build := range map[string]func(){
+		"no records":         func() { NewBucketColumns(label, 3, nil, []uint32{0}, nil) },
+		"coords too short":   func() { NewBucketColumns(label, 3, coords[1:], offs, data) },
+		"data too long":      func() { NewBucketColumns(label, 3, coords, offs, append(data[:len(data):len(data)], 'x')) },
+		"offsets decreasing": func() { NewBucketColumns(label, 1, []float64{0, 0}, []uint32{0, 5, 3}, []byte("abc")) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: accepted", name)
+				}
+			}()
+			build()
+		}()
+	}
+}
+
 // TestBucketAppendZeroAlloc is the scale gate: once arena capacity exists,
 // Append performs no allocations — a 10M-record ingest must not pay a heap
 // object per record.

@@ -1,18 +1,20 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 )
 
-// This file is the value codec of the wire transport: a reflection-driven
-// binary encoding with an explicit type registry, following the codec
-// conventions of internal/wire (uvarint lengths, little-endian fixed-width
-// scalars, attack-resistant bounds checks on every length read).
+// This file is the value codec of the wire transport: a binary encoding
+// with an explicit type registry, following the codec conventions of
+// internal/wire (uvarint lengths, little-endian fixed-width scalars,
+// attack-resistant bounds checks on every length read).
 //
 // Why not gob or JSON: gob refuses struct types with zero exported fields,
 // and the overlay protocols are full of them (pingReq struct{}, struct{}{}
@@ -28,12 +30,45 @@ import (
 // field — need registering (RegisterType, called from each overlay's init).
 // Field types are recovered structurally from the registered struct type,
 // so refs, dht.IDs, and maps need no registration of their own.
+//
+// Reflection is paid once per type, not once per value: RegisterType
+// compiles the type into a plan — a tree of encode/decode functions, one
+// node per field, element or key type, with the struct field indexes and
+// the kind dispatch already resolved — and a value is then encoded by
+// walking its plan and decoded *in place* into one addressable destination
+// (a struct's fields are set where they live; nothing is allocated per
+// scalar). The encoding itself is that of the reflection walk this
+// replaced, byte for byte (golden_test.go).
 
-// typeRegistry maps wire type names to concrete types.
-var typeRegistry = struct {
-	sync.RWMutex
-	byName map[string]reflect.Type
-}{byName: make(map[string]reflect.Type)}
+// plan is the compiled codec of one type.
+type plan struct {
+	t    reflect.Type
+	name string // wire tag; set on the plans RegisterType publishes
+	// enc appends v's structural encoding (no type tag).
+	enc func(buf []byte, v reflect.Value) ([]byte, error)
+	// dec decodes one structural value into dst, which must be settable,
+	// overwriting every exported part of it, and returns the rest of data.
+	dec func(data []byte, dst reflect.Value) ([]byte, error)
+	// box decodes one structural value into a fresh dynamic value.
+	box func(data []byte) (any, []byte, error)
+}
+
+// registry is one immutable snapshot of the registered types. Readers load
+// the current snapshot with one atomic read and take no lock; RegisterType
+// (init-time, rare) publishes a copy.
+type registry struct {
+	byName map[string]*plan
+	byType map[reflect.Type]*plan
+}
+
+var (
+	registered atomic.Pointer[registry]
+
+	// registerMu serialises RegisterType; compiled (every plan built so far,
+	// registered or reached as a field type) is only touched under it.
+	registerMu sync.Mutex
+	compiled   = make(map[reflect.Type]*plan)
+)
 
 // RegisterType makes v's dynamic type decodable when received as a
 // type-tagged wire value. Registration is idempotent for the same type;
@@ -46,22 +81,36 @@ func RegisterType(v any) {
 		return
 	}
 	name := t.String()
-	typeRegistry.Lock()
-	defer typeRegistry.Unlock()
-	if prev, ok := typeRegistry.byName[name]; ok && prev != t {
-		panic(fmt.Sprintf("transport: wire name %q already registered to %v", name, prev))
+	registerMu.Lock()
+	defer registerMu.Unlock()
+	old := registered.Load()
+	if prev, ok := old.byName[name]; ok {
+		if prev.t != t {
+			panic(fmt.Sprintf("transport: wire name %q already registered to %v", name, prev.t))
+		}
+		return
 	}
-	typeRegistry.byName[name] = t
-}
-
-func lookupType(name string) (reflect.Type, bool) {
-	typeRegistry.RLock()
-	defer typeRegistry.RUnlock()
-	t, ok := typeRegistry.byName[name]
-	return t, ok
+	p := compile(t)
+	p.name = name
+	next := &registry{
+		byName: make(map[string]*plan, len(old.byName)+1),
+		byType: make(map[reflect.Type]*plan, len(old.byType)+1),
+	}
+	for k, v := range old.byName {
+		next.byName[k] = v
+	}
+	for k, v := range old.byType {
+		next.byType[k] = v
+	}
+	next.byName[name] = p
+	next.byType[t] = p
+	registered.Store(next)
 }
 
 func init() {
+	// Every package that registers a type imports this one, so this runs
+	// before the first RegisterType: readers never find a nil snapshot.
+	registered.Store(&registry{})
 	// Builtin dynamic types every substrate exchanges: stored values of the
 	// conformance suites and the empty-struct acks of the overlay protocols.
 	for _, v := range []any{
@@ -83,13 +132,11 @@ func appendAny(buf []byte, v any) ([]byte, error) {
 	if v == nil {
 		return appendString(buf, ""), nil
 	}
-	rv := reflect.ValueOf(v)
-	name := rv.Type().String()
-	if _, ok := lookupType(name); !ok {
-		return nil, fmt.Errorf("transport: marshal of unregistered type %s", name)
+	p, ok := registered.Load().byType[reflect.TypeOf(v)]
+	if !ok {
+		return nil, fmt.Errorf("transport: marshal of unregistered type %T", v)
 	}
-	buf = appendString(buf, name)
-	return appendValue(buf, rv)
+	return p.enc(appendString(buf, p.name), reflect.ValueOf(v))
 }
 
 // Unmarshal decodes one type-tagged value, rejecting trailing garbage.
@@ -105,22 +152,22 @@ func Unmarshal(data []byte) (any, error) {
 }
 
 func consumeAny(data []byte) (any, []byte, error) {
-	name, rest, err := consumeString(data)
+	name, rest, err := consumeRaw(data, "type name")
 	if err != nil {
 		return nil, nil, err
 	}
-	if name == "" {
+	if len(name) == 0 {
 		return nil, rest, nil
 	}
-	t, ok := lookupType(name)
+	p, ok := registered.Load().byName[string(name)] // no allocation: a map index by converted bytes
 	if !ok {
 		return nil, nil, fmt.Errorf("transport: unmarshal of unregistered type %q", name)
 	}
-	rv, rest, err := consumeValue(rest, t)
+	v, rest, err := p.box(rest)
 	if err != nil {
-		return nil, nil, fmt.Errorf("transport: unmarshal %s: %w", name, err)
+		return nil, nil, fmt.Errorf("transport: unmarshal %s: %w", p.name, err)
 	}
-	return rv.Interface(), rest, nil
+	return v, rest, nil
 }
 
 func appendString(buf []byte, s string) []byte {
@@ -129,14 +176,22 @@ func appendString(buf []byte, s string) []byte {
 }
 
 func consumeString(data []byte) (string, []byte, error) {
+	b, rest, err := consumeRaw(data, "string")
+	return string(b), rest, err
+}
+
+// consumeRaw reads one length-prefixed run of bytes as a view into data,
+// checking the declared length against what is left before anything is
+// allocated for it.
+func consumeRaw(data []byte, what string) (raw, rest []byte, err error) {
 	n, rest, err := consumeUvarint(data)
 	if err != nil {
-		return "", nil, err
+		return nil, nil, err
 	}
 	if n > uint64(len(rest)) {
-		return "", nil, fmt.Errorf("transport: string length %d exceeds %d remaining bytes", n, len(rest))
+		return nil, nil, fmt.Errorf("transport: %s length %d exceeds %d remaining bytes", what, n, len(rest))
 	}
-	return string(rest[:n]), rest[n:], nil
+	return rest[:n], rest[n:], nil
 }
 
 func consumeUvarint(data []byte) (uint64, []byte, error) {
@@ -147,108 +202,11 @@ func consumeUvarint(data []byte) (uint64, []byte, error) {
 	return n, data[w:], nil
 }
 
-// appendValue encodes rv structurally (no type tag).
-func appendValue(buf []byte, rv reflect.Value) ([]byte, error) {
-	switch rv.Kind() {
-	case reflect.Bool:
-		if rv.Bool() {
-			return append(buf, 1), nil
-		}
-		return append(buf, 0), nil
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return binary.AppendVarint(buf, rv.Int()), nil
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		return binary.AppendUvarint(buf, rv.Uint()), nil
-	case reflect.Float32:
-		return binary.LittleEndian.AppendUint32(buf, math.Float32bits(float32(rv.Float()))), nil
-	case reflect.Float64:
-		return binary.LittleEndian.AppendUint64(buf, math.Float64bits(rv.Float())), nil
-	case reflect.String:
-		return appendString(buf, rv.String()), nil
-	case reflect.Slice:
-		if rv.IsNil() {
-			return append(buf, 0), nil
-		}
-		buf = append(buf, 1)
-		n := rv.Len()
-		buf = binary.AppendUvarint(buf, uint64(n))
-		if rv.Type().Elem().Kind() == reflect.Uint8 {
-			return append(buf, rv.Bytes()...), nil
-		}
-		var err error
-		for i := 0; i < n; i++ {
-			if buf, err = appendValue(buf, rv.Index(i)); err != nil {
-				return nil, err
-			}
-		}
-		return buf, nil
-	case reflect.Array:
-		var err error
-		for i := 0; i < rv.Len(); i++ {
-			if buf, err = appendValue(buf, rv.Index(i)); err != nil {
-				return nil, err
-			}
-		}
-		return buf, nil
-	case reflect.Map:
-		return appendMap(buf, rv)
-	case reflect.Struct:
-		t := rv.Type()
-		var err error
-		for i := 0; i < t.NumField(); i++ {
-			if t.Field(i).PkgPath != "" {
-				continue // unexported: not part of the wire shape
-			}
-			if buf, err = appendValue(buf, rv.Field(i)); err != nil {
-				return nil, err
-			}
-		}
-		return buf, nil
-	case reflect.Pointer:
-		if rv.IsNil() {
-			return append(buf, 0), nil
-		}
-		return appendValue(append(buf, 1), rv.Elem())
-	case reflect.Interface:
-		if rv.IsNil() {
-			return append(buf, 0), nil
-		}
-		return appendAny(append(buf, 1), rv.Elem().Interface())
-	default:
-		return nil, fmt.Errorf("transport: cannot marshal %s value", rv.Type())
+func appendBool(buf []byte, b bool) []byte {
+	if b {
+		return append(buf, 1)
 	}
-}
-
-// appendMap encodes a map with entries sorted by encoded key bytes, so the
-// wire form of a given map is deterministic regardless of iteration order.
-func appendMap(buf []byte, rv reflect.Value) ([]byte, error) {
-	if rv.IsNil() {
-		return append(buf, 0), nil
-	}
-	buf = append(buf, 1)
-	buf = binary.AppendUvarint(buf, uint64(rv.Len()))
-	type entry struct{ key, val []byte }
-	entries := make([]entry, 0, rv.Len())
-	iter := rv.MapRange()
-	for iter.Next() {
-		k, err := appendValue(nil, iter.Key())
-		if err != nil {
-			return nil, err
-		}
-		v, err := appendValue(nil, iter.Value())
-		if err != nil {
-			return nil, err
-		}
-		entries = append(entries, entry{k, v})
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		return string(entries[i].key) < string(entries[j].key)
-	})
-	for _, e := range entries {
-		buf = append(buf, e.key...)
-		buf = append(buf, e.val...)
-	}
-	return buf, nil
+	return append(buf, 0)
 }
 
 func consumeBool(data []byte) (bool, []byte, error) {
@@ -265,196 +223,449 @@ func consumeBool(data []byte) (bool, []byte, error) {
 	}
 }
 
-// consumeValue decodes one structural value of type t.
-func consumeValue(data []byte, t reflect.Type) (reflect.Value, []byte, error) {
+// consumeLen reads the presence byte and element count every slice and map
+// opens with. One encoded element costs at least a byte, so a count the
+// remaining payload cannot possibly hold is rejected before it sizes an
+// allocation.
+func consumeLen(data []byte, what string) (n int, present bool, rest []byte, err error) {
+	present, rest, err = consumeBool(data)
+	if err != nil || !present {
+		return 0, false, rest, err
+	}
+	count, rest, err := consumeUvarint(rest)
+	if err != nil {
+		return 0, false, nil, err
+	}
+	if count > uint64(len(rest)) {
+		return 0, false, nil, fmt.Errorf("transport: %s length %d exceeds %d remaining bytes", what, count, len(rest))
+	}
+	return int(count), true, rest, nil
+}
+
+// compile returns t's plan, building it (and the plans of every type t
+// reaches) on first use. The plan is entered into compiled before its
+// children are built, so a recursive type finds itself. Callers hold
+// registerMu.
+func compile(t reflect.Type) *plan {
+	if p, ok := compiled[t]; ok {
+		return p
+	}
+	p := &plan{t: t}
+	compiled[t] = p
+	p.box = func(data []byte) (any, []byte, error) {
+		dst := reflect.New(t).Elem()
+		rest, err := p.dec(data, dst)
+		if err != nil {
+			return nil, nil, err
+		}
+		return dst.Interface(), rest, nil
+	}
 	switch t.Kind() {
 	case reflect.Bool:
-		b, rest, err := consumeBool(data)
-		if err != nil {
-			return reflect.Value{}, nil, err
+		p.enc = func(buf []byte, v reflect.Value) ([]byte, error) { return appendBool(buf, v.Bool()), nil }
+		p.dec = func(data []byte, dst reflect.Value) ([]byte, error) {
+			b, rest, err := consumeBool(data)
+			if err != nil {
+				return nil, err
+			}
+			dst.SetBool(b)
+			return rest, nil
 		}
-		v := reflect.New(t).Elem()
-		v.SetBool(b)
-		return v, rest, nil
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		n, w := binary.Varint(data)
-		if w <= 0 {
-			return reflect.Value{}, nil, fmt.Errorf("transport: truncated varint")
+		p.enc = func(buf []byte, v reflect.Value) ([]byte, error) { return binary.AppendVarint(buf, v.Int()), nil }
+		p.dec = func(data []byte, dst reflect.Value) ([]byte, error) {
+			n, w := binary.Varint(data)
+			if w <= 0 {
+				return nil, fmt.Errorf("transport: truncated varint")
+			}
+			if dst.OverflowInt(n) {
+				return nil, fmt.Errorf("transport: %d overflows %s", n, t)
+			}
+			dst.SetInt(n)
+			return data[w:], nil
 		}
-		v := reflect.New(t).Elem()
-		if v.OverflowInt(n) {
-			return reflect.Value{}, nil, fmt.Errorf("transport: %d overflows %s", n, t)
-		}
-		v.SetInt(n)
-		return v, data[w:], nil
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		n, rest, err := consumeUvarint(data)
-		if err != nil {
-			return reflect.Value{}, nil, err
+		p.enc = func(buf []byte, v reflect.Value) ([]byte, error) { return binary.AppendUvarint(buf, v.Uint()), nil }
+		p.dec = func(data []byte, dst reflect.Value) ([]byte, error) {
+			n, rest, err := consumeUvarint(data)
+			if err != nil {
+				return nil, err
+			}
+			if dst.OverflowUint(n) {
+				return nil, fmt.Errorf("transport: %d overflows %s", n, t)
+			}
+			dst.SetUint(n)
+			return rest, nil
 		}
-		v := reflect.New(t).Elem()
-		if v.OverflowUint(n) {
-			return reflect.Value{}, nil, fmt.Errorf("transport: %d overflows %s", n, t)
-		}
-		v.SetUint(n)
-		return v, rest, nil
 	case reflect.Float32:
-		if len(data) < 4 {
-			return reflect.Value{}, nil, fmt.Errorf("transport: truncated float32")
+		p.enc = func(buf []byte, v reflect.Value) ([]byte, error) {
+			return binary.LittleEndian.AppendUint32(buf, math.Float32bits(float32(v.Float()))), nil
 		}
-		v := reflect.New(t).Elem()
-		v.SetFloat(float64(math.Float32frombits(binary.LittleEndian.Uint32(data))))
-		return v, data[4:], nil
+		p.dec = func(data []byte, dst reflect.Value) ([]byte, error) {
+			if len(data) < 4 {
+				return nil, fmt.Errorf("transport: truncated float32")
+			}
+			dst.SetFloat(float64(math.Float32frombits(binary.LittleEndian.Uint32(data))))
+			return data[4:], nil
+		}
 	case reflect.Float64:
-		if len(data) < 8 {
-			return reflect.Value{}, nil, fmt.Errorf("transport: truncated float64")
+		p.enc = func(buf []byte, v reflect.Value) ([]byte, error) {
+			return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Float())), nil
 		}
-		v := reflect.New(t).Elem()
-		v.SetFloat(math.Float64frombits(binary.LittleEndian.Uint64(data)))
-		return v, data[8:], nil
+		p.dec = func(data []byte, dst reflect.Value) ([]byte, error) {
+			if len(data) < 8 {
+				return nil, fmt.Errorf("transport: truncated float64")
+			}
+			dst.SetFloat(math.Float64frombits(binary.LittleEndian.Uint64(data)))
+			return data[8:], nil
+		}
 	case reflect.String:
-		s, rest, err := consumeString(data)
-		if err != nil {
-			return reflect.Value{}, nil, err
+		p.enc = func(buf []byte, v reflect.Value) ([]byte, error) { return appendString(buf, v.String()), nil }
+		p.dec = func(data []byte, dst reflect.Value) ([]byte, error) {
+			s, rest, err := consumeString(data)
+			if err != nil {
+				return nil, err
+			}
+			dst.SetString(s)
+			return rest, nil
 		}
-		v := reflect.New(t).Elem()
-		v.SetString(s)
-		return v, rest, nil
 	case reflect.Slice:
-		present, rest, err := consumeBool(data)
-		if err != nil {
-			return reflect.Value{}, nil, err
-		}
-		v := reflect.New(t).Elem()
-		if !present {
-			return v, rest, nil
-		}
-		n, rest, err := consumeUvarint(rest)
-		if err != nil {
-			return reflect.Value{}, nil, err
-		}
 		if t.Elem().Kind() == reflect.Uint8 {
-			if n > uint64(len(rest)) {
-				return reflect.Value{}, nil, fmt.Errorf("transport: byte slice length %d exceeds %d remaining", n, len(rest))
-			}
-			b := make([]byte, n)
-			copy(b, rest[:n])
-			v.SetBytes(b)
-			return v, rest[n:], nil
+			compileBytes(p)
+		} else {
+			compileSlice(p, compile(t.Elem()))
 		}
-		// One encoded element costs at least a byte: reject lengths the
-		// remaining payload cannot possibly hold before allocating.
-		if n > uint64(len(rest)) {
-			return reflect.Value{}, nil, fmt.Errorf("transport: slice length %d exceeds %d remaining bytes", n, len(rest))
-		}
-		v.Set(reflect.MakeSlice(t, int(n), int(n)))
-		for i := 0; i < int(n); i++ {
-			var ev reflect.Value
-			ev, rest, err = consumeValue(rest, t.Elem())
-			if err != nil {
-				return reflect.Value{}, nil, err
-			}
-			v.Index(i).Set(ev)
-		}
-		return v, rest, nil
 	case reflect.Array:
-		v := reflect.New(t).Elem()
-		var err error
-		for i := 0; i < t.Len(); i++ {
-			var ev reflect.Value
-			ev, data, err = consumeValue(data, t.Elem())
-			if err != nil {
-				return reflect.Value{}, nil, err
-			}
-			v.Index(i).Set(ev)
-		}
-		return v, data, nil
+		compileArray(p, compile(t.Elem()))
 	case reflect.Map:
-		present, rest, err := consumeBool(data)
-		if err != nil {
-			return reflect.Value{}, nil, err
-		}
-		v := reflect.New(t).Elem()
-		if !present {
-			return v, rest, nil
-		}
-		n, rest, err := consumeUvarint(rest)
-		if err != nil {
-			return reflect.Value{}, nil, err
-		}
-		if n > uint64(len(rest)) {
-			return reflect.Value{}, nil, fmt.Errorf("transport: map length %d exceeds %d remaining bytes", n, len(rest))
-		}
-		v.Set(reflect.MakeMapWithSize(t, int(n)))
-		for i := 0; i < int(n); i++ {
-			var kv, vv reflect.Value
-			kv, rest, err = consumeValue(rest, t.Key())
-			if err != nil {
-				return reflect.Value{}, nil, err
-			}
-			vv, rest, err = consumeValue(rest, t.Elem())
-			if err != nil {
-				return reflect.Value{}, nil, err
-			}
-			v.SetMapIndex(kv, vv)
-		}
-		return v, rest, nil
+		compileMap(p, compile(t.Key()), compile(t.Elem()))
 	case reflect.Struct:
-		v := reflect.New(t).Elem()
-		var err error
-		for i := 0; i < t.NumField(); i++ {
-			if t.Field(i).PkgPath != "" {
-				continue
-			}
-			var fv reflect.Value
-			fv, data, err = consumeValue(data, t.Field(i).Type)
-			if err != nil {
-				return reflect.Value{}, nil, err
-			}
-			v.Field(i).Set(fv)
-		}
-		return v, data, nil
+		compileStruct(p)
 	case reflect.Pointer:
-		present, rest, err := consumeBool(data)
-		if err != nil {
-			return reflect.Value{}, nil, err
-		}
-		v := reflect.New(t).Elem()
-		if !present {
-			return v, rest, nil
-		}
-		ev, rest, err := consumeValue(rest, t.Elem())
-		if err != nil {
-			return reflect.Value{}, nil, err
-		}
-		p := reflect.New(t.Elem())
-		p.Elem().Set(ev)
-		v.Set(p)
-		return v, rest, nil
+		compilePointer(p, compile(t.Elem()))
 	case reflect.Interface:
+		compileInterface(p)
+	default:
+		// Not a programming error until a value of the type is actually sent:
+		// the type may sit in a field no message ever fills.
+		p.enc = func([]byte, reflect.Value) ([]byte, error) {
+			return nil, fmt.Errorf("transport: cannot marshal %s value", t)
+		}
+		p.dec = func([]byte, reflect.Value) ([]byte, error) {
+			return nil, fmt.Errorf("transport: cannot unmarshal %s value", t)
+		}
+	}
+	if box, ok := directBox[t]; ok {
+		p.box = box
+	}
+	return p
+}
+
+// consumeBytes decodes a byte slice. The result is always a copy: what a
+// daemon decodes it may store, and a stored value must never pin (or be
+// overwritten through) the frame buffer it arrived in.
+func consumeBytes(data []byte) ([]byte, []byte, error) {
+	n, present, rest, err := consumeLen(data, "byte slice")
+	if err != nil || !present {
+		return nil, rest, err
+	}
+	b := make([]byte, n)
+	copy(b, rest)
+	return b, rest[n:], nil
+}
+
+func compileBytes(p *plan) {
+	p.enc = func(buf []byte, v reflect.Value) ([]byte, error) {
+		if v.IsNil() {
+			return append(buf, 0), nil
+		}
+		b := v.Bytes()
+		buf = binary.AppendUvarint(append(buf, 1), uint64(len(b)))
+		return append(buf, b...), nil
+	}
+	p.dec = func(data []byte, dst reflect.Value) ([]byte, error) {
+		b, rest, err := consumeBytes(data)
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			dst.SetZero()
+		} else {
+			dst.SetBytes(b)
+		}
+		return rest, nil
+	}
+}
+
+func compileSlice(p, elem *plan) {
+	p.enc = func(buf []byte, v reflect.Value) ([]byte, error) {
+		if v.IsNil() {
+			return append(buf, 0), nil
+		}
+		n := v.Len()
+		buf = binary.AppendUvarint(append(buf, 1), uint64(n))
+		var err error
+		for i := 0; i < n; i++ {
+			if buf, err = elem.enc(buf, v.Index(i)); err != nil {
+				return nil, err
+			}
+		}
+		return buf, nil
+	}
+	p.dec = func(data []byte, dst reflect.Value) ([]byte, error) {
+		n, present, rest, err := consumeLen(data, "slice")
+		if err != nil {
+			return nil, err
+		}
+		if !present {
+			dst.SetZero()
+			return rest, nil
+		}
+		dst.Set(reflect.MakeSlice(p.t, n, n))
+		for i := 0; i < n; i++ {
+			if rest, err = elem.dec(rest, dst.Index(i)); err != nil {
+				return nil, err
+			}
+		}
+		return rest, nil
+	}
+}
+
+func compileArray(p, elem *plan) {
+	n := p.t.Len()
+	p.enc = func(buf []byte, v reflect.Value) ([]byte, error) {
+		var err error
+		for i := 0; i < n; i++ {
+			if buf, err = elem.enc(buf, v.Index(i)); err != nil {
+				return nil, err
+			}
+		}
+		return buf, nil
+	}
+	p.dec = func(data []byte, dst reflect.Value) ([]byte, error) {
+		var err error
+		for i := 0; i < n; i++ {
+			if data, err = elem.dec(data, dst.Index(i)); err != nil {
+				return nil, err
+			}
+		}
+		return data, nil
+	}
+}
+
+// compileMap encodes entries sorted by encoded key bytes, so the wire form
+// of a given map is deterministic regardless of iteration order.
+func compileMap(p, key, elem *plan) {
+	type span struct{ start, mid, end int }
+	p.enc = func(buf []byte, v reflect.Value) ([]byte, error) {
+		if v.IsNil() {
+			return append(buf, 0), nil
+		}
+		buf = binary.AppendUvarint(append(buf, 1), uint64(v.Len()))
+		// Entries are encoded in place in iteration order; only if that
+		// turns out not to be key order (never for the one-entry maps of a
+		// replicated write) are they copied aside and laid down again.
+		var (
+			first  = len(buf)
+			stack  [4]span
+			spans  = stack[:0]
+			k      = reflect.New(key.t).Elem()
+			e      = reflect.New(elem.t).Elem()
+			sorted = true
+			err    error
+		)
+		keyOf := func(b []byte, s span) []byte { return b[s.start:s.mid] }
+		for iter := v.MapRange(); iter.Next(); {
+			k.SetIterKey(iter)
+			e.SetIterValue(iter)
+			s := span{start: len(buf)}
+			if buf, err = key.enc(buf, k); err != nil {
+				return nil, err
+			}
+			s.mid = len(buf)
+			if buf, err = elem.enc(buf, e); err != nil {
+				return nil, err
+			}
+			s.end = len(buf)
+			if n := len(spans); n > 0 && bytes.Compare(keyOf(buf, spans[n-1]), keyOf(buf, s)) > 0 {
+				sorted = false
+			}
+			spans = append(spans, s)
+		}
+		if sorted {
+			return buf, nil
+		}
+		slices.SortFunc(spans, func(a, b span) int { return bytes.Compare(keyOf(buf, a), keyOf(buf, b)) })
+		unsorted := bytes.Clone(buf[first:])
+		buf = buf[:first]
+		for _, s := range spans {
+			buf = append(buf, unsorted[s.start-first:s.end-first]...)
+		}
+		return buf, nil
+	}
+	p.dec = func(data []byte, dst reflect.Value) ([]byte, error) {
+		n, present, rest, err := consumeLen(data, "map")
+		if err != nil {
+			return nil, err
+		}
+		if !present {
+			dst.SetZero()
+			return rest, nil
+		}
+		m := reflect.MakeMapWithSize(p.t, n)
+		// One key and one element destination serve every entry: each decode
+		// overwrites them whole and SetMapIndex copies them into the map.
+		k := reflect.New(key.t).Elem()
+		e := reflect.New(elem.t).Elem()
+		for i := 0; i < n; i++ {
+			if rest, err = key.dec(rest, k); err != nil {
+				return nil, err
+			}
+			if rest, err = elem.dec(rest, e); err != nil {
+				return nil, err
+			}
+			m.SetMapIndex(k, e)
+		}
+		dst.Set(m)
+		return rest, nil
+	}
+}
+
+func compileStruct(p *plan) {
+	type field struct {
+		index int
+		p     *plan
+	}
+	var fields []field
+	for i := 0; i < p.t.NumField(); i++ {
+		if f := p.t.Field(i); f.IsExported() { // unexported: not part of the wire shape
+			fields = append(fields, field{i, compile(f.Type)})
+		}
+	}
+	p.enc = func(buf []byte, v reflect.Value) ([]byte, error) {
+		var err error
+		for _, f := range fields {
+			if buf, err = f.p.enc(buf, v.Field(f.index)); err != nil {
+				return nil, err
+			}
+		}
+		return buf, nil
+	}
+	p.dec = func(data []byte, dst reflect.Value) ([]byte, error) {
+		var err error
+		for _, f := range fields {
+			if data, err = f.p.dec(data, dst.Field(f.index)); err != nil {
+				return nil, err
+			}
+		}
+		return data, nil
+	}
+}
+
+func compilePointer(p, elem *plan) {
+	p.enc = func(buf []byte, v reflect.Value) ([]byte, error) {
+		if v.IsNil() {
+			return append(buf, 0), nil
+		}
+		return elem.enc(append(buf, 1), v.Elem())
+	}
+	p.dec = func(data []byte, dst reflect.Value) ([]byte, error) {
 		present, rest, err := consumeBool(data)
 		if err != nil {
-			return reflect.Value{}, nil, err
+			return nil, err
 		}
-		v := reflect.New(t).Elem()
 		if !present {
-			return v, rest, nil
+			dst.SetZero()
+			return rest, nil
+		}
+		ptr := reflect.New(elem.t)
+		if rest, err = elem.dec(rest, ptr.Elem()); err != nil {
+			return nil, err
+		}
+		dst.Set(ptr)
+		return rest, nil
+	}
+}
+
+func compileInterface(p *plan) {
+	p.enc = func(buf []byte, v reflect.Value) ([]byte, error) {
+		if v.IsNil() {
+			return append(buf, 0), nil
+		}
+		return appendAny(append(buf, 1), v.Elem().Interface())
+	}
+	p.dec = func(data []byte, dst reflect.Value) ([]byte, error) {
+		present, rest, err := consumeBool(data)
+		if err != nil {
+			return nil, err
+		}
+		dst.SetZero()
+		if !present {
+			return rest, nil
 		}
 		inner, rest, err := consumeAny(rest)
 		if err != nil {
-			return reflect.Value{}, nil, err
+			return nil, err
 		}
 		if inner != nil {
 			iv := reflect.ValueOf(inner)
-			if !iv.Type().AssignableTo(t) {
-				return reflect.Value{}, nil, fmt.Errorf("transport: %s not assignable to %s", iv.Type(), t)
+			if !iv.Type().AssignableTo(p.t) {
+				return nil, fmt.Errorf("transport: %s not assignable to %s", iv.Type(), p.t)
 			}
-			v.Set(iv)
+			dst.Set(iv)
 		}
-		return v, rest, nil
-	default:
-		return reflect.Value{}, nil, fmt.Errorf("transport: cannot unmarshal %s value", t)
+		return rest, nil
 	}
+}
+
+// directBox decodes the builtin dynamic types — what an index stores in a
+// DHT is bytes, and the conformance suites store scalars — straight into an
+// interface value, without a reflect.Value in between.
+var directBox = map[reflect.Type]func(data []byte) (any, []byte, error){
+	reflect.TypeOf([]byte(nil)): func(data []byte) (any, []byte, error) {
+		b, rest, err := consumeBytes(data)
+		return b, rest, err
+	},
+	reflect.TypeOf(""): func(data []byte) (any, []byte, error) {
+		s, rest, err := consumeString(data)
+		return s, rest, err
+	},
+	reflect.TypeOf(false): func(data []byte) (any, []byte, error) {
+		b, rest, err := consumeBool(data)
+		return b, rest, err
+	},
+	reflect.TypeOf(int(0)):    boxInt[int],
+	reflect.TypeOf(int8(0)):   boxInt[int8],
+	reflect.TypeOf(int16(0)):  boxInt[int16],
+	reflect.TypeOf(int32(0)):  boxInt[int32],
+	reflect.TypeOf(int64(0)):  boxInt[int64],
+	reflect.TypeOf(uint(0)):   boxUint[uint],
+	reflect.TypeOf(uint8(0)):  boxUint[uint8],
+	reflect.TypeOf(uint16(0)): boxUint[uint16],
+	reflect.TypeOf(uint32(0)): boxUint[uint32],
+	reflect.TypeOf(uint64(0)): boxUint[uint64],
+}
+
+func boxInt[T int | int8 | int16 | int32 | int64](data []byte) (any, []byte, error) {
+	n, w := binary.Varint(data)
+	if w <= 0 {
+		return nil, nil, fmt.Errorf("transport: truncated varint")
+	}
+	if int64(T(n)) != n {
+		return nil, nil, fmt.Errorf("transport: %d overflows %T", n, T(0))
+	}
+	return T(n), data[w:], nil
+}
+
+func boxUint[T uint | uint8 | uint16 | uint32 | uint64](data []byte) (any, []byte, error) {
+	n, rest, err := consumeUvarint(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	if uint64(T(n)) != n {
+		return nil, nil, fmt.Errorf("transport: %d overflows %T", n, T(0))
+	}
+	return T(n), rest, nil
 }
 
 // Codec adapts Marshal/Unmarshal to the structural codec interface shared

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
+	"sync"
 )
 
 // Wire envelope. Every message on a TCP connection is one frame:
@@ -56,17 +58,71 @@ const (
 // protocol damage from ordinary I/O errors.
 var errBadFrame = errors.New("transport: bad frame")
 
-// appendFrame appends one encoded frame to buf.
+// appendFrame appends one encoded frame carrying payload to buf. The frame
+// is built in place: its length is known up front, so the header is written
+// first and the checksum is taken over the body where it lies.
 func appendFrame(buf []byte, kind byte, seq uint64, payload []byte) []byte {
-	body := make([]byte, 0, 1+binary.MaxVarintLen64+len(payload))
-	body = append(body, kind)
-	body = binary.AppendUvarint(body, seq)
-	body = append(body, payload...)
-
+	var seqBuf [binary.MaxVarintLen64]byte
+	seqLen := binary.PutUvarint(seqBuf[:], seq)
+	bodyLen := 1 + seqLen + len(payload)
+	buf = slices.Grow(buf, 1+binary.MaxVarintLen64+bodyLen+4)
 	buf = append(buf, envelopeVersion)
-	buf = binary.AppendUvarint(buf, uint64(len(body)))
-	buf = append(buf, body...)
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(body))
+	buf = binary.AppendUvarint(buf, uint64(bodyLen))
+	body := len(buf)
+	buf = append(buf, kind)
+	buf = append(buf, seqBuf[:seqLen]...)
+	buf = append(buf, payload...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[body:]))
+}
+
+// frameHeaderRoom is what openFrame leaves in front of a body whose length
+// is not known yet: the version byte and the longest length prefix.
+const frameHeaderRoom = 1 + binary.MaxVarintLen64
+
+// openFrame starts a frame whose payload the caller encodes straight into
+// buf after it returns (a request, a response: codec output has no length
+// until it is done). It must be handed an empty buffer; closeFrame finishes
+// the frame.
+func openFrame(buf []byte, kind byte, seq uint64) []byte {
+	var room [frameHeaderRoom]byte
+	buf = append(buf[:0], room[:]...)
+	buf = append(buf, kind)
+	return binary.AppendUvarint(buf, seq)
+}
+
+// closeFrame seals a frame begun by openFrame: the checksum is appended and
+// the header written right-aligned against the body, so the payload is never
+// moved. It returns the grown buffer (for reuse) and the frame, a sub-slice
+// of it that starts wherever the header turned out to begin.
+func closeFrame(buf []byte) (grown, frame []byte) {
+	body := buf[frameHeaderRoom:]
+	var hdr [frameHeaderRoom]byte
+	hdr[0] = envelopeVersion
+	n := 1 + binary.PutUvarint(hdr[1:], uint64(len(body)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(body))
+	start := frameHeaderRoom - n
+	copy(buf[start:], hdr[:n])
+	return buf, buf[start:]
+}
+
+// Frame buffers are pooled: a frame's life ends when its Write returns (the
+// goroutine that built it wrote it), so the buffer goes straight back. Only
+// ordinary ones do. A sync.Pool keeps what it holds across one collection,
+// and a join's hand-off frames run to megabytes: pooled, they would sit in
+// every process's live heap long after the join.
+const maxPooledFrame = 16 << 10
+
+var framePool = sync.Pool{New: func() any {
+	buf := make([]byte, 0, 1024)
+	return &buf
+}}
+
+func getFrameBuf() *[]byte { return framePool.Get().(*[]byte) }
+
+func putFrameBuf(buf *[]byte) {
+	if cap(*buf) <= maxPooledFrame {
+		framePool.Put(buf)
+	}
 }
 
 // decodeFrame parses one frame from data, returning the frame and the
@@ -120,44 +176,56 @@ func splitBody(body []byte) (kind byte, seq uint64, payload []byte, err error) {
 }
 
 // readFrame reads one frame from a buffered connection stream, enforcing
-// the size guard before the body is allocated.
-func readFrame(br *bufio.Reader) (kind byte, seq uint64, payload []byte, err error) {
+// the size guard before the body is allocated. The body is read into
+// scratch, grown if need be and returned for the next call: the payload is
+// a view into it, valid until then. A connection's read loop decodes each
+// payload before it reads on, and nothing decoded aliases the payload, so
+// one buffer serves the connection — except one that a rare large frame grew
+// past maxPooledFrame, which is not handed back: an idle connection would
+// hold it for as long as it stays open.
+func readFrame(br *bufio.Reader, scratch []byte) (kind byte, seq uint64, payload, grown []byte, err error) {
 	ver, err := br.ReadByte()
 	if err != nil {
-		return 0, 0, nil, err
+		return 0, 0, nil, nil, err
 	}
 	if ver != envelopeVersion {
-		return 0, 0, nil, fmt.Errorf("%w: version %d", errBadFrame, ver)
+		return 0, 0, nil, nil, fmt.Errorf("%w: version %d", errBadFrame, ver)
 	}
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
-		return 0, 0, nil, fmt.Errorf("%w: length: %v", errBadFrame, err)
+		return 0, 0, nil, nil, fmt.Errorf("%w: length: %v", errBadFrame, err)
 	}
 	if n > MaxFrameSize {
-		return 0, 0, nil, fmt.Errorf("%w: length %d exceeds limit %d", errBadFrame, n, MaxFrameSize)
+		return 0, 0, nil, nil, fmt.Errorf("%w: length %d exceeds limit %d", errBadFrame, n, MaxFrameSize)
 	}
-	buf := make([]byte, n+4)
+	scratch = slices.Grow(scratch[:0], int(n)+4)
+	buf := scratch[:n+4]
 	if _, err := io.ReadFull(br, buf); err != nil {
-		return 0, 0, nil, fmt.Errorf("%w: body: %v", errBadFrame, err)
+		return 0, 0, nil, nil, fmt.Errorf("%w: body: %v", errBadFrame, err)
 	}
 	body := buf[:n]
 	sum := binary.LittleEndian.Uint32(buf[n:])
 	if crc32.ChecksumIEEE(body) != sum {
-		return 0, 0, nil, fmt.Errorf("%w: crc mismatch", errBadFrame)
+		return 0, 0, nil, nil, fmt.Errorf("%w: crc mismatch", errBadFrame)
 	}
-	return splitBody(body)
+	kind, seq, payload, err = splitBody(body)
+	if cap(scratch) > maxPooledFrame {
+		scratch = nil // the payload keeps it alive until it is decoded, and no longer
+	}
+	return kind, seq, payload, scratch, err
 }
 
-// encodeCallPayload builds a frameCall payload: the caller's identity
+// appendCallPayload appends a frameCall payload: the caller's identity
 // followed by the type-tagged request.
-func encodeCallPayload(from NodeID, req any) ([]byte, error) {
-	buf := appendString(nil, string(from))
-	return appendAny(buf, req)
+func appendCallPayload(buf []byte, from NodeID, req any) ([]byte, error) {
+	return appendAny(appendString(buf, string(from)), req)
 }
 
-// decodeCallPayload parses a frameCall payload.
-func decodeCallPayload(payload []byte) (from NodeID, req any, err error) {
-	s, rest, err := consumeString(payload)
+// decodeCallPayload parses a frameCall payload. lastFrom is the identity the
+// connection's previous call carried: nearly always this one's too, and then
+// the same string serves instead of a fresh copy per call.
+func decodeCallPayload(payload []byte, lastFrom NodeID) (from NodeID, req any, err error) {
+	raw, rest, err := consumeRaw(payload, "caller")
 	if err != nil {
 		return "", nil, err
 	}
@@ -168,7 +236,10 @@ func decodeCallPayload(payload []byte) (from NodeID, req any, err error) {
 	if len(rest) != 0 {
 		return "", nil, fmt.Errorf("%w: %d trailing bytes in call", errBadFrame, len(rest))
 	}
-	return NodeID(s), v, nil
+	if from = lastFrom; string(raw) != string(from) {
+		from = NodeID(raw)
+	}
+	return from, v, nil
 }
 
 // encodeErrPayload builds a frameErr payload, preserving the Temporary()

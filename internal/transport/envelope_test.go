@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -37,7 +38,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameReaderMatchesDecoder(t *testing.T) {
 	frame := appendFrame(nil, frameResp, 42, []byte("payload"))
-	kind, seq, payload, err := readFrame(bufio.NewReader(bytes.NewReader(frame)))
+	kind, seq, payload, _, err := readFrame(bufio.NewReader(bytes.NewReader(frame)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestFrameRejectsBadVersion(t *testing.T) {
 		if _, _, _, _, err := decodeFrame(frame); !errors.Is(err, errBadFrame) || !strings.Contains(err.Error(), want) {
 			t.Errorf("decodeFrame of a version-%d frame: err = %v, want the bad-version error", ver, err)
 		}
-		if _, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(frame))); !errors.Is(err, errBadFrame) || !strings.Contains(err.Error(), want) {
+		if _, _, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(frame)), nil); !errors.Is(err, errBadFrame) || !strings.Contains(err.Error(), want) {
 			t.Errorf("readFrame of a version-%d frame: err = %v, want the bad-version error", ver, err)
 		}
 	}
@@ -94,7 +95,7 @@ func TestFrameRejectsOversizedLength(t *testing.T) {
 	if _, _, _, _, err := decodeFrame(hdr); !errors.Is(err, errBadFrame) {
 		t.Errorf("oversized decodeFrame err = %v", err)
 	}
-	if _, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(hdr))); !errors.Is(err, errBadFrame) {
+	if _, _, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(hdr)), nil); !errors.Is(err, errBadFrame) {
 		t.Errorf("oversized readFrame err = %v", err)
 	}
 }
@@ -135,12 +136,54 @@ func TestErrPayloadPreservesTransience(t *testing.T) {
 	}
 }
 
-func TestCallPayloadRoundTrip(t *testing.T) {
-	payload, err := encodeCallPayload("127.0.0.1:7401", codecRef{Addr: "peer", ID: [4]byte{9}})
+// TestGoldenFrames pins two whole frames, produced by appendFrame at the
+// commit before frames were built in place: same bytes now, from both
+// builders, and both readers take them apart the same way.
+func TestGoldenFrames(t *testing.T) {
+	call, err := appendCallPayload(nil, "127.0.0.1:7401", codecRef{Addr: "peer", ID: [4]byte{9, 8, 7, 6}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	from, req, err := decodeCallPayload(payload)
+	for _, tc := range []struct {
+		name    string
+		kind    byte
+		seq     uint64
+		payload []byte
+		golden  string
+	}{
+		{"call", frameCall, 300, call,
+			"022e01ac020e3132372e302e302e313a37343031127472616e73706f72742e636f646563526566047065657209080706e04ebd6c"},
+		{"err", frameErr, 1 << 40, encodeErrPayload(fmt.Errorf("busy: %w", ErrUnreachable)),
+			"022a038080808080200121627573793a207472616e73706f72743a207065657220756e726561636861626c651995d4d3"},
+	} {
+		want, err := hex.DecodeString(tc.golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendFrame(nil, tc.kind, tc.seq, tc.payload); !bytes.Equal(got, want) {
+			t.Errorf("%s: appendFrame\n got %x\nwant %x", tc.name, got, want)
+		}
+		_, got := closeFrame(append(openFrame(nil, tc.kind, tc.seq), tc.payload...))
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: openFrame/closeFrame\n got %x\nwant %x", tc.name, got, want)
+		}
+		kind, seq, payload, rest, err := decodeFrame(want)
+		if err != nil || kind != tc.kind || seq != tc.seq || !bytes.Equal(payload, tc.payload) || len(rest) != 0 {
+			t.Errorf("%s: decodeFrame of the golden frame = %d/%d/%x/%d left, %v", tc.name, kind, seq, payload, len(rest), err)
+		}
+		kind, seq, payload, _, err = readFrame(bufio.NewReader(bytes.NewReader(want)), nil)
+		if err != nil || kind != tc.kind || seq != tc.seq || !bytes.Equal(payload, tc.payload) {
+			t.Errorf("%s: readFrame of the golden frame = %d/%d/%x, %v", tc.name, kind, seq, payload, err)
+		}
+	}
+}
+
+func TestCallPayloadRoundTrip(t *testing.T) {
+	payload, err := appendCallPayload(nil, "127.0.0.1:7401", codecRef{Addr: "peer", ID: [4]byte{9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	from, req, err := decodeCallPayload(payload, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +243,7 @@ func FuzzReadFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bufio.NewReader(io.LimitReader(bytes.NewReader(data), int64(len(data))))
-		kind, seq, payload, err := readFrame(br)
+		kind, seq, payload, _, err := readFrame(br, nil)
 		if err != nil {
 			return
 		}
@@ -213,20 +256,36 @@ func FuzzReadFrame(f *testing.F) {
 
 // FuzzUnmarshal throws arbitrary bytes at the value codec: no panics, no
 // unbounded allocations (enforced by the testing runtime's memory limits on
-// pathological inputs).
+// pathological inputs), and whatever decodes re-encodes to bytes that decode
+// to an equal value. (Not to the same bytes: the format admits non-minimal
+// varints, so only the encoder's own output is canonical — golden_test.go
+// holds that to the byte.)
 func FuzzUnmarshal(f *testing.F) {
 	seed, _ := Marshal(codecStruct{Name: "seed", Entries: map[string]any{"k": 1}})
 	f.Add(seed)
 	seedRefs, _ := Marshal([]codecRef{{Addr: "a"}})
 	f.Add(seedRefs)
+	seedNested, _ := Marshal(codecStruct{B: []byte{}, Nested: &codecStruct{N: -1}, Any: []byte("in an any")})
+	f.Add(seedNested)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := Unmarshal(data)
 		if err != nil {
 			return
 		}
-		// Anything accepted must re-marshal (closure under round-trips).
-		if _, err := Marshal(v); err != nil {
+		again, err := Marshal(v)
+		if err != nil {
 			t.Fatalf("re-marshal of accepted value %#v failed: %v", v, err)
+		}
+		back, err := Unmarshal(again)
+		if err != nil {
+			t.Fatalf("re-encoding of %#v does not decode: %v", v, err)
+		}
+		// Equal is judged on the canonical bytes: the encoder writes every
+		// part of a value that crosses the wire, nil-versus-empty included,
+		// so two values encode alike exactly when they are equal on the wire
+		// — and unlike DeepEqual that holds for a NaN too.
+		if canon, err := Marshal(back); err != nil || !bytes.Equal(canon, again) {
+			t.Fatalf("round trip changed the value (%v):\n got %#v\nwant %#v", err, back, v)
 		}
 	})
 }

@@ -1,9 +1,14 @@
-// End-of-test goroutine accounting for the connection machinery: every
-// pooled connection owns two pump goroutines and every inbound call runs
-// on its own, so the Close/timeout races this file provokes are exactly
-// the paths where a missed drain edge parks a goroutine forever. The
-// static goroutineleak pass proves the channel topology has escape edges;
-// these tests prove the runtime actually takes them.
+// End-of-test goroutine accounting for the connection machinery. A
+// connection owns one goroutine, its read loop; frames are written by
+// whoever has one to send (a caller, a handler's worker) under the
+// connection's write mutex; and inbound calls run on workers that belong to
+// the transport, are reused from call to call, and park on a channel in
+// between. So the goroutines that can be left behind are a read loop whose
+// connection nobody closed, a caller parked on a reply nobody will send, and
+// a worker parked after the last call — and the Close/timeout races this
+// file provokes are exactly the paths where a missed drain edge would park
+// one forever. The static goroutineleak pass proves the channel topology
+// has escape edges; these tests prove the runtime actually takes them.
 package transport_test
 
 import (
@@ -95,8 +100,8 @@ func TestNoLeakAfterAbandonedCall(t *testing.T) {
 
 // TestNoLeakAfterServerVanishes pins client-side teardown when the peer
 // process dies mid-conversation: the raw listener below accepts one
-// connection and slams it shut, so the client's read pump sees EOF and
-// must unwind both pumps and drain the in-flight call with an error.
+// connection and slams it shut, so the client's read loop sees EOF and
+// must unwind and drain the in-flight call with an error.
 func TestNoLeakAfterServerVanishes(t *testing.T) {
 	dhttest.VerifyNoLeaks(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -136,8 +141,8 @@ func TestNoLeakAfterServerVanishes(t *testing.T) {
 }
 
 // TestNoLeakCloseWithInFlightCalls pins the Close/in-flight race: calls
-// parked in the second select (awaiting replies) when the client transport
-// closes must all drain with an error, and no pump may outlive Close.
+// parked awaiting replies when the client transport closes must all drain
+// with an error, and no read loop may outlive Close.
 func TestNoLeakCloseWithInFlightCalls(t *testing.T) {
 	dhttest.VerifyNoLeaks(t)
 	server := transport.NewTCP(transport.TCPOptions{})
@@ -176,5 +181,52 @@ func TestNoLeakCloseWithInFlightCalls(t *testing.T) {
 		if err := <-errs; err == nil {
 			t.Error("in-flight call returned nil error after Close")
 		}
+	}
+}
+
+// TestNoLeakCloseWithParkedWorkers pins the workers' lifetime: calls held
+// in flight together force the server to start one worker each, all of them
+// finish and park, and Close — with nothing in flight, so nothing but Close
+// itself to wake them — must release and wait for every one.
+func TestNoLeakCloseWithParkedWorkers(t *testing.T) {
+	dhttest.VerifyNoLeaks(t)
+	server := transport.NewTCP(transport.TCPOptions{})
+	client := transport.NewTCP(transport.TCPOptions{})
+	h := newGateHandler()
+	id, err := server.Reserve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := server.Register(id, h); err != nil {
+		t.Fatal(err)
+	}
+
+	const workers = 8
+	errs := make(chan error, workers)
+	for i := 0; i < workers; i++ {
+		go func() {
+			_, err := client.Call("caller", id, leakBlockReq{})
+			errs <- err
+		}()
+	}
+	for i := 0; i < workers; i++ {
+		<-h.started
+	}
+	close(h.release)
+	for i := 0; i < workers; i++ {
+		if err := <-errs; err != nil {
+			t.Errorf("held call: %v", err)
+		}
+	}
+	// A worker parks right after it has written its reply; one more round
+	// trip is served by a parked worker (or starts a ninth, which parks too).
+	if _, err := client.Call("caller", id, leakEchoReq{Msg: "reuse"}); err != nil {
+		t.Fatalf("call after the held ones: %v", err)
+	}
+	if err := client.Close(); err != nil {
+		t.Errorf("client close: %v", err)
+	}
+	if err := server.Close(); err != nil {
+		t.Errorf("server close: %v", err)
 	}
 }

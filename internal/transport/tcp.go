@@ -5,13 +5,14 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // TCPOptions tunes a TCP transport. The zero value selects the defaults.
 type TCPOptions struct {
-	// CallTimeout bounds one RPC round trip (queue + write + remote handler
-	// + response). Expired calls fail with a transient error, so retry
+	// CallTimeout bounds one RPC round trip (write + remote handler +
+	// response). Expired calls fail with a transient error, so retry
 	// layers treat a hung peer like a lost message. Default 10s.
 	CallTimeout time.Duration
 	// DialTimeout bounds establishing a connection to a peer. Default 5s.
@@ -47,10 +48,12 @@ func (o TCPOptions) withDefaults() TCPOptions {
 // is needed.
 //
 // Outbound connections are pooled: the first call to a peer dials once, and
-// every later call multiplexes over the same connection through a write
-// pump, matched to its response by the envelope sequence number. A failed
-// connection drains its in-flight calls with a transient error and is
-// redialed on the next call.
+// every later call multiplexes over the same connection, matched to its
+// response by the envelope sequence number. Whoever has a frame to send — a
+// caller its request, a handler's worker its reply — writes it itself under
+// the connection's write mutex; the only goroutine a connection owns is its
+// read loop, which also decodes. A failed connection drains its in-flight
+// calls with a transient error and is redialed on the next call.
 //
 // The fault hooks (SetDown, Crash, Restart, IsDown) act on *local* nodes
 // only — a process cannot partition a peer it does not host. A down local
@@ -67,7 +70,13 @@ type TCP struct {
 	down   map[NodeID]bool
 	conns  map[net.Conn]struct{} // accepted inbound connections
 	closed bool
-	wg     sync.WaitGroup
+	wg     sync.WaitGroup // accept loops, read loops and workers
+
+	// calls hands a decoded inbound call to a parked worker. Unbuffered on
+	// purpose: a send succeeds only if a worker is waiting right now.
+	calls  chan rpcCall
+	done   chan struct{} // closed by Close; releases parked workers
+	parked atomic.Int32
 }
 
 var _ Interface = (*TCP)(nil)
@@ -80,6 +89,8 @@ func NewTCP(opts TCPOptions) *TCP {
 		peers:  make(map[NodeID]*tcpPeer),
 		down:   make(map[NodeID]bool),
 		conns:  make(map[net.Conn]struct{}),
+		calls:  make(chan rpcCall),
+		done:   make(chan struct{}),
 	}
 }
 
@@ -260,7 +271,9 @@ func (t *TCP) OneWayLatency(from, to NodeID) time.Duration { return 0 }
 
 // Close shuts the transport down gracefully: listeners stop accepting,
 // pooled connections close (draining in-flight calls with a transient
-// error), and Close blocks until every connection goroutine has exited.
+// error), parked workers are released, and Close blocks until every accept
+// loop, read loop and worker has exited — a handler still running is waited
+// for.
 func (t *TCP) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -294,6 +307,7 @@ func (t *TCP) Close() error {
 	for _, c := range conns {
 		c.Close() //lint:allow droppederr best-effort teardown of an already-failed or superseded conn
 	}
+	close(t.done)
 	t.wg.Wait()
 	return nil
 }
@@ -319,10 +333,43 @@ func (t *TCP) acceptLoop(l *tcpLocal) {
 	}
 }
 
-// serveConn handles one inbound connection: frames are read under the idle
-// deadline, each call runs its handler on its own goroutine (nested RPCs
-// must not block the connection), and responses funnel through a write pump
-// so concurrent completions never interleave bytes.
+// serverConn is one accepted connection. Its read loop decodes the calls;
+// whichever worker ran a call's handler writes the reply itself, under wmu.
+type serverConn struct {
+	local *tcpLocal
+	conn  net.Conn
+	wmu   sync.Mutex // held for one whole frame, so replies never interleave
+}
+
+// write sends one reply frame under the write deadline. A failed write
+// closes the connection; its read loop notices on its next read.
+func (sc *serverConn) write(frame []byte, timeout time.Duration) {
+	sc.wmu.Lock()
+	defer sc.wmu.Unlock()
+	sc.conn.SetWriteDeadline(time.Now().Add(timeout)) //lint:allow determinism socket deadlines are wall-clock by nature
+	if _, err := sc.conn.Write(frame); err != nil {
+		sc.conn.Close() //lint:allow droppederr best-effort teardown of an already-failed or superseded conn
+	}
+}
+
+// rpcCall is one inbound call, decoded, on its way to a worker.
+type rpcCall struct {
+	sc   *serverConn
+	seq  uint64
+	from NodeID
+	req  any
+	err  error // the call did not decode; answered with an error frame
+}
+
+// maxParkedWorkers bounds how many idle workers a transport keeps between
+// calls; a burst beyond it is served by goroutines that exit when done.
+const maxParkedWorkers = 64
+
+// serveConn is one inbound connection's read loop: frames are read under
+// the idle deadline and decoded here, on a goroutine that lives as long as
+// the connection (its stack grows into the decoder once, not per call), and
+// each call is handed to a worker, so a slow handler or one that makes a
+// nested RPC never blocks the connection.
 func (t *TCP) serveConn(l *tcpLocal, conn net.Conn) {
 	defer t.wg.Done()
 	defer conn.Close()
@@ -332,74 +379,93 @@ func (t *TCP) serveConn(l *tcpLocal, conn net.Conn) {
 		t.mu.Unlock()
 	}()
 
-	writeCh := make(chan []byte, 16)
-	writeDone := make(chan struct{})
-	go func() {
-		defer close(writeDone)
-		for frame := range writeCh {
-			conn.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout)) //lint:allow determinism socket deadlines are wall-clock by nature
-			if _, err := conn.Write(frame); err != nil {
-				// Reader notices the dead conn on its next read.
-				conn.Close() //lint:allow droppederr best-effort teardown of an already-failed or superseded conn
-				return
-			}
-		}
-	}()
-	var handlers sync.WaitGroup
-	defer func() {
-		// Let in-flight handlers finish enqueueing, then drain the pump.
-		handlers.Wait()
-		close(writeCh)
-		<-writeDone
-	}()
-
+	sc := &serverConn{local: l, conn: conn}
 	br := bufio.NewReader(conn)
+	var (
+		scratch []byte
+		from    NodeID // the previous call's caller, see decodeCallPayload
+	)
 	for {
 		conn.SetReadDeadline(time.Now().Add(t.opts.IdleTimeout)) //lint:allow determinism socket deadlines are wall-clock by nature
-		kind, seq, payload, err := readFrame(br)
+		kind, seq, payload, grown, err := readFrame(br, scratch)
+		scratch = grown
 		if err != nil {
 			return
 		}
 		if kind != frameCall {
 			continue // a server connection only ever receives calls
 		}
-		handlers.Add(1)
-		go func(seq uint64, payload []byte) {
-			defer handlers.Done()
-			frame := t.dispatch(l, seq, payload)
-			select {
-			case writeCh <- frame:
-			case <-writeDone:
-			}
-		}(seq, payload)
+		call := rpcCall{sc: sc, seq: seq}
+		call.from, call.req, call.err = decodeCallPayload(payload, from)
+		from = call.from
+		// A parked worker takes the call if there is one; otherwise a new
+		// worker starts with it. The read loop never waits for a handler.
+		select {
+		case t.calls <- call:
+		default:
+			t.wg.Add(1) // safe against Close's Wait: this loop is itself counted
+			go t.worker(call)
+		}
 	}
 }
 
-// dispatch decodes one call, runs the handler, and encodes the reply frame.
-func (t *TCP) dispatch(l *tcpLocal, seq uint64, payload []byte) []byte {
-	from, req, err := decodeCallPayload(payload)
-	if err != nil {
-		return appendFrame(nil, frameErr, seq, encodeErrPayload(err))
+// worker serves calls until the transport closes: the one it was started
+// with, then whatever the read loops hand it while it is parked. Workers are
+// reused so that a call does not pay for a new goroutine and for growing its
+// stack through the handler again; they belong to the transport, not to a
+// connection, and Close waits for every one of them.
+func (t *TCP) worker(call rpcCall) {
+	defer t.wg.Done()
+	for {
+		t.serve(call)
+		call = rpcCall{} // a parked worker must not pin its last request
+
+		if t.parked.Add(1) > maxParkedWorkers {
+			t.parked.Add(-1)
+			return
+		}
+		select {
+		case call = <-t.calls:
+			t.parked.Add(-1)
+		case <-t.done:
+			return
+		}
+	}
+}
+
+// serve runs one call's handler, encodes the reply straight into a pooled
+// frame buffer and writes it.
+func (t *TCP) serve(call rpcCall) {
+	resp, err := t.handle(call)
+	buf := getFrameBuf()
+	defer putFrameBuf(buf)
+	if err == nil {
+		var b []byte
+		if b, err = appendAny(openFrame(*buf, frameResp, call.seq), resp); err == nil {
+			var frame []byte
+			*buf, frame = closeFrame(b)
+			call.sc.write(frame, t.opts.WriteTimeout)
+			return
+		}
+		err = fmt.Errorf("transport: %q: encode response: %v", call.sc.local.id, err)
+	}
+	*buf = appendFrame((*buf)[:0], frameErr, call.seq, encodeErrPayload(err))
+	call.sc.write(*buf, t.opts.WriteTimeout)
+}
+
+func (t *TCP) handle(call rpcCall) (any, error) {
+	l := call.sc.local
+	if call.err != nil {
+		return nil, call.err
 	}
 	if t.IsDown(l.id) {
-		return appendFrame(nil, frameErr, seq,
-			encodeErrPayload(fmt.Errorf("%w: %q", ErrUnreachable, l.id)))
+		return nil, fmt.Errorf("%w: %q", ErrUnreachable, l.id)
 	}
 	h := l.handler()
 	if h == nil {
-		return appendFrame(nil, frameErr, seq,
-			encodeErrPayload(fmt.Errorf("%w: %q has no handler yet", ErrUnreachable, l.id)))
+		return nil, fmt.Errorf("%w: %q has no handler yet", ErrUnreachable, l.id)
 	}
-	resp, err := h.HandleRPC(from, req)
-	if err != nil {
-		return appendFrame(nil, frameErr, seq, encodeErrPayload(err))
-	}
-	body, err := appendAny(nil, resp)
-	if err != nil {
-		return appendFrame(nil, frameErr, seq,
-			encodeErrPayload(fmt.Errorf("transport: %q: encode response: %v", l.id, err)))
-	}
-	return appendFrame(nil, frameResp, seq, body)
+	return h.HandleRPC(call.from, call.req)
 }
 
 // callResult carries one response back to its waiting caller.
@@ -408,17 +474,38 @@ type callResult struct {
 	err  error
 }
 
+// pendingCall is what a caller parks on: the channel its reply arrives on
+// and the timer that bounds the wait. Both are reused from call to call.
+type pendingCall struct {
+	ch    chan callResult
+	timer *time.Timer
+}
+
+var pendingPool = sync.Pool{New: func() any {
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	return &pendingCall{ch: make(chan callResult, 1), timer: timer}
+}}
+
 // tcpPeer is one pooled outbound connection, multiplexing concurrent calls.
 type tcpPeer struct {
 	addr NodeID
+	conn net.Conn
+	seq  atomic.Uint64
+	wmu  sync.Mutex // held for one whole frame, so calls never interleave
 
 	mu      sync.Mutex
-	conn    net.Conn
-	writeCh chan []byte
-	done    chan struct{}
-	pending map[uint64]chan callResult
-	seq     uint64
+	pending map[uint64]*pendingCall
 	dead    error // non-nil once the connection failed
+}
+
+// write sends one call frame under the write deadline.
+func (p *tcpPeer) write(frame []byte, timeout time.Duration) error {
+	p.wmu.Lock()
+	defer p.wmu.Unlock()
+	p.conn.SetWriteDeadline(time.Now().Add(timeout)) //lint:allow determinism socket deadlines are wall-clock by nature
+	_, err := p.conn.Write(frame)
+	return err
 }
 
 // fail tears the connection down, draining every in-flight call with err.
@@ -429,71 +516,69 @@ func (p *tcpPeer) fail(err error) {
 		return
 	}
 	p.dead = err
-	conn := p.conn
 	pending := p.pending
 	p.pending = nil
 	p.mu.Unlock()
-	if conn != nil {
-		conn.Close() //lint:allow droppederr best-effort teardown of an already-failed or superseded conn
-	}
-	close(p.done)
-	for _, ch := range pending {
-		ch <- callResult{err: err}
+	p.conn.Close() //lint:allow droppederr best-effort teardown of an already-failed or superseded conn
+	for _, c := range pending {
+		c.ch <- callResult{err: err}
 	}
 }
 
 // Call implements Interface. The handler runs in the destination process;
 // any delivery failure — dial refused, connection lost, timeout — comes
 // back as a transient error so retry layers can act on it.
+//
+// The calling goroutine encodes the request straight into a pooled frame
+// buffer and writes the frame itself: no pump goroutine stands between a
+// caller and its socket, and the buffer is free again when Write returns.
 func (t *TCP) Call(from, to NodeID, req any) (any, error) {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if t.down[from] {
-		t.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrCallerDown, from)
-	}
-	t.mu.Unlock()
-
-	payload, err := encodeCallPayload(from, req)
-	if err != nil {
-		return nil, fmt.Errorf("transport: call %q→%q: %w", from, to, err)
-	}
-	p, err := t.peer(to)
+	p, err := t.peer(from, to)
 	if err != nil {
 		return nil, err
 	}
+	seq := p.seq.Add(1)
+	buf := getFrameBuf()
+	b, err := appendCallPayload(openFrame(*buf, frameCall, seq), from, req)
+	if err != nil {
+		putFrameBuf(buf)
+		return nil, fmt.Errorf("transport: call %q→%q: %w", from, to, err)
+	}
+	var frame []byte
+	*buf, frame = closeFrame(b)
 
-	ch := make(chan callResult, 1)
+	c := pendingPool.Get().(*pendingCall)
 	p.mu.Lock()
 	if p.dead != nil {
 		err := p.dead
 		p.mu.Unlock()
+		putFrameBuf(buf)
+		pendingPool.Put(c)
 		return nil, fmt.Errorf("%w: %q: %v", ErrUnreachable, to, err)
 	}
-	p.seq++
-	seq := p.seq
-	p.pending[seq] = ch
+	p.pending[seq] = c
 	p.mu.Unlock()
 
-	frame := appendFrame(nil, frameCall, seq, payload)
-	timer := time.NewTimer(t.opts.CallTimeout)
-	defer timer.Stop()
-
-	select {
-	case p.writeCh <- frame:
-	case <-p.done:
-		t.dropPeer(p)
-		return nil, fmt.Errorf("%w: %q: connection lost", ErrUnreachable, to)
-	case <-timer.C:
-		p.forget(seq)
-		return nil, fmt.Errorf("%w: %q: call timed out", ErrUnreachable, to)
+	c.timer.Reset(t.opts.CallTimeout)
+	if err := p.write(frame, t.opts.WriteTimeout); err != nil {
+		// Fails this call with every other one in flight: its error arrives
+		// on c.ch below.
+		p.fail(fmt.Errorf("%w: %q: %v", ErrUnreachable, p.addr, err))
 	}
+	putFrameBuf(buf)
 
 	select {
-	case r := <-ch:
+	case r := <-c.ch:
+		// Exactly one result is ever sent to a registered call (whoever
+		// takes it out of pending sends it), so c is quiet again and can
+		// serve the next caller once its timer is.
+		if !c.timer.Stop() {
+			select {
+			case <-c.timer.C:
+			default:
+			}
+		}
+		pendingPool.Put(c)
 		if r.err != nil {
 			if p.isDead() {
 				t.dropPeer(p)
@@ -501,7 +586,9 @@ func (t *TCP) Call(from, to NodeID, req any) (any, error) {
 			return nil, r.err
 		}
 		return r.resp, nil
-	case <-timer.C:
+	case <-c.timer.C:
+		// c is abandoned, not reused: the read loop may have taken it out of
+		// pending already and be about to send the late reply.
 		p.forget(seq)
 		return nil, fmt.Errorf("%w: %q: call timed out", ErrUnreachable, to)
 	}
@@ -529,13 +616,18 @@ func (t *TCP) dropPeer(p *tcpPeer) {
 	}
 }
 
-// peer returns the pooled connection to addr, dialing it if absent. Dial
-// errors are transient: the peer process may simply not be up yet.
-func (t *TCP) peer(addr NodeID) (*tcpPeer, error) {
+// peer returns the pooled connection from may call addr over, dialing it if
+// absent. Dial errors are transient: the peer process may simply not be up
+// yet.
+func (t *TCP) peer(from, addr NodeID) (*tcpPeer, error) {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
 		return nil, ErrClosed
+	}
+	if t.down[from] {
+		t.mu.Unlock()
+		return nil, fmt.Errorf("%w: %q", ErrCallerDown, from)
 	}
 	if p, ok := t.peers[addr]; ok {
 		t.mu.Unlock()
@@ -547,14 +639,7 @@ func (t *TCP) peer(addr NodeID) (*tcpPeer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: dial %q: %v", ErrUnreachable, addr, err)
 	}
-
-	p := &tcpPeer{
-		addr:    addr,
-		conn:    conn,
-		writeCh: make(chan []byte, 16),
-		done:    make(chan struct{}),
-		pending: make(map[uint64]chan callResult),
-	}
+	p := &tcpPeer{addr: addr, conn: conn, pending: make(map[uint64]*pendingCall)}
 
 	t.mu.Lock()
 	if t.closed {
@@ -569,38 +654,22 @@ func (t *TCP) peer(addr NodeID) (*tcpPeer, error) {
 		return cur, nil
 	}
 	t.peers[addr] = p
-	t.wg.Add(2)
+	t.wg.Add(1)
 	t.mu.Unlock()
 
-	go t.peerWriteLoop(p)
 	go t.peerReadLoop(p)
 	return p, nil
 }
 
-// peerWriteLoop is the connection's write pump.
-func (t *TCP) peerWriteLoop(p *tcpPeer) {
-	defer t.wg.Done()
-	for {
-		select {
-		case frame := <-p.writeCh:
-			p.conn.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout)) //lint:allow determinism socket deadlines are wall-clock by nature
-			if _, err := p.conn.Write(frame); err != nil {
-				p.fail(fmt.Errorf("%w: %q: %v", ErrUnreachable, p.addr, err))
-				return
-			}
-		case <-p.done:
-			return
-		}
-	}
-}
-
-// peerReadLoop dispatches responses to their waiting callers by sequence
-// number. Responses whose caller already timed out are dropped.
+// peerReadLoop decodes responses and hands each to its waiting caller by
+// sequence number. Responses whose caller already timed out are dropped.
 func (t *TCP) peerReadLoop(p *tcpPeer) {
 	defer t.wg.Done()
 	br := bufio.NewReader(p.conn)
+	var scratch []byte
 	for {
-		kind, seq, payload, err := readFrame(br)
+		kind, seq, payload, grown, err := readFrame(br, scratch)
+		scratch = grown
 		if err != nil {
 			p.fail(fmt.Errorf("%w: %q: %v", ErrUnreachable, p.addr, err))
 			t.dropPeer(p)
@@ -626,17 +695,17 @@ func (t *TCP) peerReadLoop(p *tcpPeer) {
 			continue // a client connection only ever receives replies
 		}
 		p.mu.Lock()
-		ch := p.pending[seq]
+		c := p.pending[seq]
 		delete(p.pending, seq)
 		p.mu.Unlock()
-		if ch != nil {
+		if c != nil {
 			// Non-blocking by construction: the channel is buffered(1) and
 			// the entry left the map above, so only one sender can ever
 			// reach it — but delivering through a default arm makes the
 			// read loop's liveness a local fact instead of a cross-function
 			// argument (and keeps the goroutineleak pass's proof trivial).
 			select {
-			case ch <- result:
+			case c.ch <- result:
 			default:
 			}
 		}

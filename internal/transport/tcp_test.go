@@ -3,7 +3,9 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -122,6 +124,140 @@ func TestTCPConnectionReuseAndConcurrency(t *testing.T) {
 	tr.mu.Unlock()
 	if conns != 1 {
 		t.Errorf("pooled connections = %d, want 1 (multiplexed reuse)", conns)
+	}
+}
+
+// TestTCPWholeFramesUnderConcurrentWriters: 32 goroutines share one pooled
+// connection and write their own frames, small ones and ones far larger than
+// any buffer between them and the socket (64 KiB takes several write system
+// calls). The write mutex must cover a whole frame in both directions, or
+// bytes interleave and a checksum, a length or a reply goes wrong.
+func TestTCPWholeFramesUnderConcurrentWriters(t *testing.T) {
+	server := newTestTCP(t)
+	client := newTestTCP(t)
+	id, err := server.Reserve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := server.Register(id, &echoHandler{}); err != nil {
+		t.Fatal(err)
+	}
+	const callers, perCaller = 32, 200
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perCaller; i++ {
+				size := 16
+				if (c+i)%4 == 0 {
+					size = 64 << 10
+				}
+				tag := fmt.Sprintf("%02d-%03d-", c, i)
+				msg := tag + strings.Repeat(string(rune('a'+c%26)), size-len(tag))
+				resp, err := client.Call("client", id, echoReq{Msg: msg})
+				if err != nil {
+					errs <- fmt.Errorf("caller %d call %d: %w", c, i, err)
+					return
+				}
+				if got := resp.(echoResp).Msg; got != msg {
+					errs <- fmt.Errorf("caller %d call %d: reply of %d bytes starting %.10q, sent %d bytes starting %.10q", c, i, len(got), got, len(msg), msg)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	client.mu.Lock()
+	conns := len(client.peers)
+	client.mu.Unlock()
+	if conns != 1 {
+		t.Errorf("pooled connections = %d, want 1", conns)
+	}
+}
+
+type nestedReq struct{ Msg string }
+
+// callbackHandler answers a nestedReq by calling the caller's own node back
+// and returning what it said — but only once `want` of them are running, so
+// the test passes only if that many handlers really run at once.
+type callbackHandler struct {
+	tr      *TCP
+	self    NodeID
+	want    int32
+	arrived atomic.Int32
+	all     chan struct{}
+}
+
+func (h *callbackHandler) HandleRPC(from NodeID, req any) (any, error) {
+	r, ok := req.(nestedReq)
+	if !ok {
+		return nil, fmt.Errorf("unknown request %T", req)
+	}
+	if h.arrived.Add(1) == h.want {
+		close(h.all)
+	}
+	<-h.all
+	return h.tr.Call(h.self, from, echoReq{Msg: r.Msg})
+}
+
+// TestTCPNestedCallsWhileManyInFlight: 64 calls are in flight at once and
+// every handler makes a nested RPC back into the calling node before it
+// answers. Reused workers must not serialise handlers: each call has its own
+// worker while it runs, on both nodes.
+func TestTCPNestedCallsWhileManyInFlight(t *testing.T) {
+	RegisterType(nestedReq{})
+	a := NewTCP(TCPOptions{CallTimeout: 20 * time.Second})
+	b := NewTCP(TCPOptions{CallTimeout: 20 * time.Second})
+	for _, tr := range []*TCP{a, b} {
+		tr := tr
+		t.Cleanup(func() {
+			if err := tr.Close(); err != nil {
+				t.Errorf("Close: %v", err)
+			}
+		})
+	}
+	aID, err := a.Reserve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Register(aID, &echoHandler{}); err != nil {
+		t.Fatal(err)
+	}
+	bID, err := b.Reserve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const inFlight = 64
+	if err := b.Register(bID, &callbackHandler{tr: b, self: bID, want: inFlight, all: make(chan struct{})}); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, inFlight)
+	for i := 0; i < inFlight; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			msg := fmt.Sprintf("nested-%d", i)
+			resp, err := a.Call(aID, bID, nestedReq{Msg: msg})
+			if err != nil {
+				errs <- fmt.Errorf("call %d: %w", i, err)
+				return
+			}
+			if got, ok := resp.(echoResp); !ok || got.Msg != msg || got.From != string(bID) {
+				errs <- fmt.Errorf("call %d: resp = %#v", i, resp)
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

@@ -94,7 +94,11 @@ func MarshalBucket(b core.Bucket) []byte {
 	return buf
 }
 
-// UnmarshalBucket decodes a core bucket.
+// UnmarshalBucket decodes a core bucket straight into its columnar form.
+// A first pass checks every record's framing — the bytes come from a daemon
+// or a log, so lengths are claims — and adds up what the arenas must hold; a
+// second fills them. That is three allocations at any record count, and no
+// Point or string per record on the way.
 func UnmarshalBucket(buf []byte) (core.Bucket, error) {
 	if len(buf) < 9 {
 		return core.Bucket{}, fmt.Errorf("%w: bucket header", ErrMalformed)
@@ -117,20 +121,62 @@ func UnmarshalBucket(buf []byte) (core.Bucket, error) {
 	if count > uint64(len(rest)/2)+1 {
 		return core.Bucket{}, fmt.Errorf("%w: record count %d exceeds payload", ErrMalformed, count)
 	}
-	out := core.Bucket{Label: label}
+
+	var dims, dataLen uint64
+	p := rest
 	for i := uint64(0); i < count; i++ {
-		var rec spatial.Record
-		var err error
-		rec, rest, err = DecodeRecord(rest)
-		if err != nil {
-			return core.Bucket{}, fmt.Errorf("record %d: %w", i, err)
+		d, n := binary.Uvarint(p)
+		if n <= 0 || d > 1<<16 {
+			return core.Bucket{}, fmt.Errorf("record %d: %w: point dims", i, ErrMalformed)
 		}
-		out = out.Append(rec)
+		// The arenas hold one dimensionality. A bucket whose records
+		// disagree used to decode, and read the odd record's missing
+		// coordinates out of its neighbour's.
+		if i == 0 {
+			dims = d
+		} else if d != dims {
+			return core.Bucket{}, fmt.Errorf("record %d: %w: %d dims in a bucket of %d", i, ErrMalformed, d, dims)
+		}
+		p = p[n:]
+		if uint64(len(p)) < dims*8 {
+			return core.Bucket{}, fmt.Errorf("record %d: %w: point truncated", i, ErrMalformed)
+		}
+		p = p[dims*8:]
+		size, n := binary.Uvarint(p)
+		if n <= 0 || uint64(len(p)-n) < size {
+			return core.Bucket{}, fmt.Errorf("record %d: %w: record data", i, ErrMalformed)
+		}
+		p = p[uint64(n)+size:]
+		dataLen += size
 	}
-	if len(rest) != 0 {
-		return core.Bucket{}, fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(rest))
+	if len(p) != 0 {
+		return core.Bucket{}, fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(p))
 	}
-	return out, nil
+	if count == 0 {
+		return core.Bucket{Label: label}, nil
+	}
+	if dataLen > math.MaxUint32 {
+		return core.Bucket{}, fmt.Errorf("%w: %d payload bytes", ErrMalformed, dataLen)
+	}
+
+	coords := make([]float64, 0, count*dims)
+	offs := make([]uint32, 1, count+1)
+	data := make([]byte, 0, dataLen)
+	p = rest
+	for i := uint64(0); i < count; i++ {
+		_, n := binary.Uvarint(p)
+		p = p[n:]
+		for j := uint64(0); j < dims; j++ {
+			coords = append(coords, math.Float64frombits(binary.LittleEndian.Uint64(p[j*8:])))
+		}
+		p = p[dims*8:]
+		size, n := binary.Uvarint(p)
+		p = p[n:]
+		data = append(data, p[:size]...)
+		p = p[size:]
+		offs = append(offs, uint32(len(data)))
+	}
+	return core.NewBucketColumns(label, int(dims), coords, offs, data), nil
 }
 
 // BucketCodec is the Codec for core buckets.

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -116,6 +117,17 @@ func TestUnmarshalBucketRejectsGarbage(t *testing.T) {
 		if _, err := UnmarshalBucket(full[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
+	}
+}
+
+// TestUnmarshalBucketRejectsMixedDims: the bytes arrive from daemons. Two
+// records of two and of one dimension used to decode without error into a
+// bucket whose second key read <0.3, 0> — its missing coordinate taken from
+// the arena's spare capacity, a slice-bounds panic when there was none.
+func TestUnmarshalBucketRejectsMixedDims(t *testing.T) {
+	b, err := UnmarshalBucket(mixedDimsBucket())
+	if !errors.Is(err, ErrMalformed) {
+		t.Fatalf("mixed-dims bucket: err = %v (load %d), want ErrMalformed", err, b.Load())
 	}
 }
 
