@@ -20,7 +20,7 @@ import (
 //   - nested acquisition of one class: for a plain Mutex a self-deadlock
 //     (Go mutexes are not reentrant); for a striped class (a lock reached
 //     through an index expression, like the 256-way shard arrays in simnet
-//     and dht.Sharded) a reminder that shards must be acquired in
+//     and dht.Local) a reminder that shards must be acquired in
 //     ascending shard-index order — the only discipline that makes
 //     multi-shard holds safe, and one the analysis cannot verify from
 //     syntax, so every such site must carry a waiver citing the ordering

@@ -43,13 +43,9 @@ func (ix *Index) BulkLoad(records []spatial.Record) error {
 		Region:  spatial.UnitCube(m),
 		Records: append([]spatial.Record{}, records...),
 	}
-	cells, err := ix.decideSplit(root)
-	if err != nil {
-		return err
-	}
 	// Exactly one frontier cell is named to the root's key; it overwrites
 	// the bootstrap bucket in place, the rest are fresh puts.
-	stay, moved, err := pickStayer(cells, root.Label, m)
+	stay, moved, err := ix.opts.splitRule().split(root)
 	if err != nil {
 		return err
 	}
@@ -57,12 +53,10 @@ func (ix *Index) BulkLoad(records []spatial.Record) error {
 		return fmt.Errorf("core: bulk place root bucket: %w", err)
 	}
 	ix.stats.DHTLookups.Inc() // the loader ships the staying bucket too
-	ix.stats.RecordsMoved.Add(int64(stay.Load()))
 	if err := ix.placeCells(moved); err != nil {
 		return err
 	}
-	if len(cells) > 1 {
-		ix.stats.Splits.Add(int64(len(cells) - 1))
-	}
+	ix.stats.RecordsMoved.Add(int64(len(records)))
+	ix.stats.Splits.Add(int64(len(moved)))
 	return nil
 }

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
 	"unsafe"
 
 	"mlight/internal/bitlabel"
@@ -25,7 +29,7 @@ import (
 // split) packs fresh arenas rather than editing these — so a view taken
 // from any Bucket value stays valid forever, exactly like the old
 // []spatial.Record sharing. Append beyond len is invisible to readers
-// holding shorter headers (the same argument applyInsert has always made).
+// holding shorter headers (the argument the insert path has always made).
 
 // recs is one bucket's columnar record store. The zero value is an empty
 // store. recs values are copied freely (four slice headers + an int);
@@ -113,7 +117,7 @@ func NewBucket(label bitlabel.Label, records []spatial.Record) Bucket {
 // already packed, and takes ownership of them: len(offs)-1 records of dims
 // coordinates each, record i's key at coords[i*dims:(i+1)*dims] and its
 // payload at data[offs[i]:offs[i+1]]. It is the decoder's constructor
-// (wire.UnmarshalBucket): NewBucket wants a Point and a string per record
+// (UnmarshalBucket): NewBucket wants a Point and a string per record
 // first, only to copy them into exactly these arenas. Arenas that do not
 // describe each other are a bug in the caller, and panic — DataAt reads
 // payloads through unsafe.String, so an offset table is never taken on
@@ -172,4 +176,126 @@ func (b Bucket) Records() []spatial.Record {
 func (b Bucket) Append(rec spatial.Record) Bucket {
 	b.rs = b.rs.append(rec) //lint:allow hotpath inlined copy of recs.append first-append arena seed
 	return b
+}
+
+// The bucket byte format — what crosses a byte-oriented DHT, what the WAL
+// journals and what a snapshot frames (all integers little-endian; lengths as
+// uvarint):
+//
+//	record  = uvarint dims, dims × float64 bits, uvarint len(data), data bytes
+//	bucket  = byte labelLen, uint64 labelBits, uvarint count, count × record
+
+// ErrEncoding reports bytes that are not a bucket.
+var ErrEncoding = errors.New("core: malformed bucket encoding")
+
+// AppendRecord appends the encoding of rec to buf. Allocation-free when buf
+// has capacity (the codec fast path — callers reuse scratch buffers).
+//
+//lint:hotpath
+func AppendRecord(buf []byte, rec spatial.Record) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(rec.Key)))
+	for _, c := range rec.Key {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c))
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(rec.Data)))
+	return append(buf, rec.Data...)
+}
+
+// Marshal encodes the bucket.
+func (b Bucket) Marshal() []byte {
+	n := b.Load()
+	buf := make([]byte, 0, 16+n*40)
+	buf = append(buf, byte(b.Label.Len()))
+	buf = binary.LittleEndian.AppendUint64(buf, b.Label.Bits())
+	buf = binary.AppendUvarint(buf, uint64(n))
+	for i := 0; i < n; i++ {
+		buf = AppendRecord(buf, b.RecordAt(i))
+	}
+	return buf
+}
+
+// UnmarshalBucket decodes a bucket straight into its columnar form. A first
+// pass checks every record's framing — the bytes come from a daemon, a log or
+// a file, so lengths are claims — and adds up what the arenas must hold; a
+// second fills them. That is three allocations at any record count, and no
+// Point or string per record on the way. It checks the encoding only: whether
+// the label is a leaf of some index and the records lie in its cell is the
+// caller's to judge.
+func UnmarshalBucket(buf []byte) (Bucket, error) {
+	if len(buf) < 9 {
+		return Bucket{}, fmt.Errorf("%w: bucket header", ErrEncoding)
+	}
+	labelLen := int(buf[0])
+	if labelLen > bitlabel.MaxLen {
+		return Bucket{}, fmt.Errorf("%w: label length %d", ErrEncoding, labelLen)
+	}
+	label := bitlabel.New(binary.LittleEndian.Uint64(buf[1:9]), labelLen)
+	rest := buf[9:]
+	count, n := binary.Uvarint(rest)
+	if n <= 0 {
+		return Bucket{}, fmt.Errorf("%w: record count", ErrEncoding)
+	}
+	rest = rest[n:]
+	// A record encodes to at least two bytes, so a count beyond len(rest)/2
+	// cannot be satisfied — reject it up front rather than trusting an
+	// attacker-controlled length for allocation (found by fuzzing).
+	if count > uint64(len(rest)/2)+1 {
+		return Bucket{}, fmt.Errorf("%w: record count %d exceeds payload", ErrEncoding, count)
+	}
+
+	var dims, dataLen uint64
+	p := rest
+	for i := uint64(0); i < count; i++ {
+		d, n := binary.Uvarint(p)
+		if n <= 0 || d > 1<<16 {
+			return Bucket{}, fmt.Errorf("record %d: %w: point dims", i, ErrEncoding)
+		}
+		// The arenas hold one dimensionality. A bucket whose records
+		// disagree used to decode, and read the odd record's missing
+		// coordinates out of its neighbour's.
+		if i == 0 {
+			dims = d
+		} else if d != dims {
+			return Bucket{}, fmt.Errorf("record %d: %w: %d dims in a bucket of %d", i, ErrEncoding, d, dims)
+		}
+		p = p[n:]
+		if uint64(len(p)) < dims*8 {
+			return Bucket{}, fmt.Errorf("record %d: %w: point truncated", i, ErrEncoding)
+		}
+		p = p[dims*8:]
+		size, n := binary.Uvarint(p)
+		if n <= 0 || uint64(len(p)-n) < size {
+			return Bucket{}, fmt.Errorf("record %d: %w: record data", i, ErrEncoding)
+		}
+		p = p[uint64(n)+size:]
+		dataLen += size
+	}
+	if len(p) != 0 {
+		return Bucket{}, fmt.Errorf("%w: %d trailing bytes", ErrEncoding, len(p))
+	}
+	if count == 0 {
+		return Bucket{Label: label}, nil
+	}
+	if dataLen > math.MaxUint32 {
+		return Bucket{}, fmt.Errorf("%w: %d payload bytes", ErrEncoding, dataLen)
+	}
+
+	coords := make([]float64, 0, count*dims)
+	offs := make([]uint32, 1, count+1)
+	data := make([]byte, 0, dataLen)
+	p = rest
+	for i := uint64(0); i < count; i++ {
+		_, n := binary.Uvarint(p)
+		p = p[n:]
+		for j := uint64(0); j < dims; j++ {
+			coords = append(coords, math.Float64frombits(binary.LittleEndian.Uint64(p[j*8:])))
+		}
+		p = p[dims*8:]
+		size, n := binary.Uvarint(p)
+		p = p[n:]
+		data = append(data, p[:size]...)
+		p = p[size:]
+		offs = append(offs, uint32(len(data)))
+	}
+	return NewBucketColumns(label, int(dims), coords, offs, data), nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mlight/internal/bitlabel"
+	"mlight/internal/kdtree"
 	"mlight/internal/spatial"
 )
 
@@ -102,22 +103,19 @@ func TestColumnarCopyOnWrite(t *testing.T) {
 	}
 }
 
-// TestColumnarSplitEquivalence: splitting a columnar bucket (the cellOf →
-// decideSplit path used by applyInsert) partitions exactly the records the
+// TestColumnarSplitEquivalence: splitting a columnar bucket (the Records →
+// decideSplit path SplitRule.Append takes) partitions exactly the records the
 // equivalent slice layout holds — every piece's contents round-trip through
 // NewBucket unchanged and the union is the original set.
 func TestColumnarSplitEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	idx := &Index{opts: Options{Dims: 2, ThetaSplit: 4}.withDefaults()}
+	rule := Options{Dims: 2, ThetaSplit: 4}.withDefaults().splitRule()
 
 	records := randomRecords(rng, 64, 2)
 	root := bitlabel.Root(2)
 	b := NewBucket(root, records)
-	cell, err := idx.cellOf(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pieces, err := idx.decideSplit(cell)
+	cell := kdtree.Cell{Label: root, Region: spatial.UnitCube(2), Records: b.Records()}
+	pieces, err := rule.decideSplit(cell)
 	if err != nil {
 		t.Fatal(err)
 	}

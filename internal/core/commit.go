@@ -1,0 +1,224 @@
+package core
+
+import (
+	"fmt"
+
+	"mlight/internal/bitlabel"
+	"mlight/internal/kdtree"
+	"mlight/internal/spatial"
+)
+
+// This file is the maintenance transform, the write-side twin of plan.go:
+// every decision of §4 — append to the covering leaf, and if it splits keep
+// exactly the piece that is named to the old key (Theorem 5) — as pure
+// functions of one stored bucket, a leaf label and the records. It issues no
+// DHT operation and touches no counter, cache or lock, so the owner of a key
+// can evaluate it as well as a client can, and running it twice on the same
+// input decides the same thing twice. Insert (maintenance.go) and InsertBatch
+// (writer.go) are its two drivers.
+
+// SplitRule is everything a peer needs to know to decide a split: the index's
+// dimensionality and depth bound, the strategy, and the strategy's threshold.
+type SplitRule struct {
+	Dims       int
+	MaxDepth   int
+	Strategy   SplitStrategy
+	ThetaSplit int
+	Epsilon    int
+}
+
+// splitRule is the rule this configuration splits by.
+func (o Options) splitRule() SplitRule {
+	return SplitRule{Dims: o.Dims, MaxDepth: o.MaxDepth, Strategy: o.Strategy, ThetaSplit: o.ThetaSplit, Epsilon: o.Epsilon}
+}
+
+// Commit is what one Append decided. It carries no partial state: a transform
+// that is run again starts from the stored bucket it is handed and returns a
+// whole new Commit.
+type Commit struct {
+	// Keep is the bucket to store under the leaf's key: the stored bucket
+	// with the accepted records appended, or after a split the one piece
+	// named to that key. Meaningless when Gone or Err is set — the stored
+	// value is then to be left as it is.
+	Keep Bucket
+	// Moved are the other pieces of the final frontier, each to be placed
+	// under its own key.
+	Moved []kdtree.Cell
+	// Accepted counts the records the replay inserted; Stale lists, by
+	// position in the records given, those the leaf's cell does not cover.
+	Accepted int
+	Stale    []int
+	// Gone reports that the stored bucket is not this leaf (absent, split or
+	// merged since the lookup): nothing was accepted.
+	Gone bool
+	// Splits and RecordsMoved are the maintenance the replay performed, as a
+	// stream of single inserts would have been charged for it: one split per
+	// piece that left its cell, and that piece's load at the moment it left.
+	Splits       int64
+	RecordsMoved int64
+	// Err is a failure of the split machinery.
+	Err error
+}
+
+// Append replays records, in order, into the leaf whose bucket is stored. Each
+// record joins the frontier cell that covers it (the frontier starts as the
+// leaf alone and always tiles the leaf's region) and may split that cell: the
+// piece named to the cell's key takes its place, the rest join the frontier.
+// Until the first record that crosses the split bound the bucket is only
+// extended in its columnar form — amortized O(1) per record, no record
+// materialized; a plain arena append is safe because readers of the previous
+// Bucket value hold their own shorter arenas (see columnar.go).
+func (r SplitRule) Append(stored Bucket, leaf bitlabel.Label, records []spatial.Record) (c Commit) {
+	if stored.Label != leaf {
+		return Commit{Gone: true}
+	}
+	region, err := spatial.RegionOf(leaf, r.Dims)
+	if err != nil {
+		return Commit{Err: err}
+	}
+	keep := stored             // slot 0 in columnar form, while it has not split
+	var frontier []kdtree.Cell // nil while no record has crossed the bound
+	for i, rec := range records {
+		slot := -1
+		if frontier == nil && region.Contains(rec.Key) {
+			next := keep.Append(rec)
+			if r.underSplitBound(next.Load(), leaf) {
+				keep = next
+				c.Accepted++
+				continue
+			}
+			frontier, slot = []kdtree.Cell{{Label: leaf, Region: region, Records: next.Records()}}, 0
+		}
+		for j := 0; slot < 0 && j < len(frontier); j++ {
+			if frontier[j].Region.Contains(rec.Key) {
+				frontier[j].Records = append(frontier[j].Records, rec)
+				slot = j
+			}
+		}
+		if slot < 0 {
+			c.Stale = append(c.Stale, i)
+			continue
+		}
+		stay, moved, err := r.split(frontier[slot])
+		if err != nil {
+			return Commit{Err: err}
+		}
+		c.Accepted++
+		if len(moved) == 0 {
+			if c.Splits == 0 {
+				// Over the bound but whole (data-aware splitting found no
+				// better subtree): still the stored arenas, extended.
+				keep = keep.Append(rec)
+			}
+			continue
+		}
+		c.Splits += int64(len(moved))
+		for _, p := range moved {
+			c.RecordsMoved += int64(p.Load())
+		}
+		frontier[slot] = stay
+		frontier = append(frontier, moved...)
+	}
+	if c.Splits > 0 {
+		keep = NewBucket(frontier[0].Label, frontier[0].Records)
+		c.Moved = frontier[1:]
+	}
+	c.Keep = keep
+	return c
+}
+
+// Removal is what one Remove decided.
+type Removal struct {
+	// Keep is the bucket without the record; set only when Removed.
+	Keep    Bucket
+	Removed bool
+}
+
+// Remove takes one record matching key (and data, when non-empty) out of the
+// leaf whose bucket is stored. The survivors are packed into fresh arenas —
+// an in-place shift would mutate storage concurrent readers share.
+func Remove(stored Bucket, leaf bitlabel.Label, key spatial.Point, data string) Removal {
+	if stored.Label != leaf {
+		return Removal{}
+	}
+	for i, n := 0, stored.Load(); i < n; i++ {
+		if samePoint(stored.KeyAt(i), key) && (data == "" || stored.DataAt(i) == data) {
+			records := make([]spatial.Record, 0, n-1)
+			for j := 0; j < n; j++ {
+				if j != i {
+					records = append(records, stored.RecordAt(j))
+				}
+			}
+			return Removal{Keep: NewBucket(leaf, records), Removed: true}
+		}
+	}
+	return Removal{}
+}
+
+// remainingDepth returns how many more levels a leaf at label may split.
+func (r SplitRule) remainingDepth(label bitlabel.Label) int {
+	return r.MaxDepth - (label.Len() - (r.Dims + 1))
+}
+
+// underSplitBound reports whether a bucket at the given load cannot split —
+// the check that lets Append skip record materialization. Unknown strategies
+// return false so decideSplit gets to surface its error.
+func (r SplitRule) underSplitBound(load int, label bitlabel.Label) bool {
+	switch r.Strategy {
+	case SplitThreshold:
+		return load <= r.ThetaSplit || r.remainingDepth(label) <= 0
+	case SplitDataAware:
+		return load <= r.Epsilon || r.remainingDepth(label) <= 0
+	}
+	return false
+}
+
+// decideSplit returns the final leaf frontier for a (possibly overfull) cell.
+// A single-element result means no split.
+func (r SplitRule) decideSplit(cell kdtree.Cell) ([]kdtree.Cell, error) {
+	if r.underSplitBound(cell.Load(), cell.Label) {
+		return []kdtree.Cell{cell}, nil
+	}
+	switch depth := r.remainingDepth(cell.Label); r.Strategy {
+	case SplitThreshold:
+		return kdtree.ThresholdSplit(cell, r.Dims, r.ThetaSplit, depth)
+	case SplitDataAware:
+		cells, _, err := kdtree.OptimalSplit(cell, r.Dims, r.Epsilon, depth)
+		return cells, err
+	}
+	return nil, fmt.Errorf("core: unknown split strategy %v", r.Strategy)
+}
+
+// split divides a cell as the rule decides: stay is the piece that keeps the
+// cell's DHT key and moved are the rest; moved is empty when the cell stays
+// whole.
+func (r SplitRule) split(cell kdtree.Cell) (stay kdtree.Cell, moved []kdtree.Cell, err error) {
+	pieces, err := r.decideSplit(cell)
+	if err != nil || len(pieces) <= 1 {
+		return cell, nil, err
+	}
+	return pickStayer(pieces, cell.Label, r.Dims)
+}
+
+// pickStayer finds the unique frontier piece whose name equals the split
+// leaf's own name — by the subtree naming bijection exactly one exists —
+// so it keeps the old key and peer, while the rest move.
+func pickStayer(pieces []kdtree.Cell, oldLabel bitlabel.Label, m int) (stay kdtree.Cell, moved []kdtree.Cell, err error) {
+	oldName := bitlabel.Name(oldLabel, m)
+	found := false
+	for _, p := range pieces {
+		if bitlabel.Name(p.Label, m) == oldName {
+			if found {
+				return kdtree.Cell{}, nil, fmt.Errorf("core: two pieces named %v splitting %v", oldName, oldLabel)
+			}
+			stay = p
+			found = true
+			continue
+		}
+		moved = append(moved, p)
+	}
+	if !found {
+		return kdtree.Cell{}, nil, fmt.Errorf("core: no piece named %v splitting %v", oldName, oldLabel)
+	}
+	return stay, moved, nil
+}

@@ -41,9 +41,7 @@ import (
 	"mlight/internal/bitlabel"
 	"mlight/internal/dht"
 	"mlight/internal/index"
-	"mlight/internal/kdtree"
 	"mlight/internal/metrics"
-	"mlight/internal/spatial"
 	"mlight/internal/trace"
 )
 
@@ -113,9 +111,6 @@ type Options struct {
 	// tests inject dht.NoSleep so retries are deterministic and free, the
 	// same convention RetryPolicy.Sleep follows.
 	Sleep func(time.Duration)
-	// WriterBatch bounds how many queued inserts one group commit of the
-	// Writer drains (see Index.Writer). Default 256.
-	WriterBatch int
 	// Seed seeds the index's internal randomness — the depth-probe sampling
 	// of EstimateDepth. The index never reads the global rand source or the
 	// wall clock, so any fixed Seed (including the zero value) makes runs
@@ -139,7 +134,6 @@ func (o Options) Apply(t *index.Tuning) {
 		Retry:          o.Retry,
 		Trace:          o.Trace,
 		Sleep:          o.Sleep,
-		WriterBatch:    o.WriterBatch,
 		Seed:           o.Seed,
 	}
 }
@@ -158,7 +152,6 @@ func FromTuning(t index.Tuning) Options {
 		Retry:       t.Retry,
 		Trace:       t.Trace,
 		Sleep:       t.Sleep,
-		WriterBatch: t.WriterBatch,
 		Seed:        t.Seed,
 	}
 }
@@ -188,9 +181,6 @@ func (o Options) withDefaults() Options {
 	if o.Sleep == nil {
 		o.Sleep = time.Sleep
 	}
-	if o.WriterBatch == 0 {
-		o.WriterBatch = 256
-	}
 	return o
 }
 
@@ -213,9 +203,6 @@ func (o Options) validate() error {
 	}
 	if o.CacheSize < 0 {
 		return fmt.Errorf("core: CacheSize must be ≥ 0, got %d", o.CacheSize)
-	}
-	if o.WriterBatch < 1 {
-		return fmt.Errorf("core: WriterBatch must be ≥ 1, got %d", o.WriterBatch)
 	}
 	switch o.Strategy {
 	case SplitThreshold:
@@ -374,19 +361,4 @@ func (ix *Index) Size() (int, error) {
 		n += b.Load()
 	}
 	return n, nil
-}
-
-// cellOf converts a bucket into the kd-tree cell it indexes.
-func (ix *Index) cellOf(b Bucket) (kdtree.Cell, error) {
-	g, err := spatial.RegionOf(b.Label, ix.opts.Dims)
-	if err != nil {
-		return kdtree.Cell{}, err
-	}
-	return kdtree.Cell{Label: b.Label, Region: g, Records: b.Records()}, nil
-}
-
-// remainingDepth returns how many more levels a leaf at label may split.
-func (ix *Index) remainingDepth(label bitlabel.Label) int {
-	used := label.Len() - (ix.opts.Dims + 1)
-	return ix.opts.MaxDepth - used
 }

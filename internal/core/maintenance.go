@@ -45,34 +45,21 @@ func (ix *Index) Insert(rec spatial.Record) error {
 		if err != nil {
 			return err
 		}
-		moved, stale, err := ix.applyInsert(b.Label, rec)
-		if err != nil {
-			return err
+		var c Commit
+		if err := ix.d.Apply(b.Key(m), ix.appendOp(&c, b.Label, []spatial.Record{rec})); err != nil {
+			return fmt.Errorf("core: insert apply at %v: %w", b.Label, err)
 		}
-		if stale {
+		if c.Err != nil {
+			return fmt.Errorf("core: insert split at %v: %w", b.Label, c.Err)
+		}
+		if c.Gone || len(c.Stale) > 0 {
 			// The bucket split or merged between lookup and apply;
 			// retry from a fresh lookup.
 			ix.invalidateLeaf(b.Label)
 			continue
 		}
-		if len(moved) > 0 {
-			// The leaf split: the old label no longer names a leaf, and the
-			// relocated pieces are fresh leaves this client just observed.
-			ix.invalidateLeaf(b.Label)
-			if ix.cache != nil {
-				for _, c := range moved {
-					ix.cache.add(c.Label)
-				}
-			}
-		}
-		// The inserted record itself crossed the DHT to its bucket.
-		ix.stats.RecordsMoved.Inc()
-		if len(moved) > 0 {
-			if err := ix.placeCells(moved); err != nil {
-				return err
-			}
-		}
-		return nil
+		ix.settle(b.Label, &c)
+		return ix.placeCells(c.Moved)
 	}
 	if lastErr != nil {
 		return fmt.Errorf("core: insert %v: retries exhausted: %w", rec.Key, lastErr)
@@ -80,161 +67,65 @@ func (ix *Index) Insert(rec spatial.Record) error {
 	return fmt.Errorf("core: insert %v: too many conflicting bucket changes", rec.Key)
 }
 
-// applyInsert runs at the owning peer: it appends the record to the bucket
-// stored under fmd(label), decides whether to split, keeps the piece named
-// to the existing key in place, and reports the pieces that must move.
-func (ix *Index) applyInsert(label bitlabel.Label, rec spatial.Record) (moved []kdtree.Cell, stale bool, err error) {
-	m := ix.opts.Dims
-	key := labelKey(bitlabel.Name(label, m))
-	var splitErr error
-	applyErr := ix.d.Apply(key, func(cur any, exists bool) (any, bool) {
-		if !exists {
-			stale = true
-			return nil, false
+// appendOp is the transform both insert drivers send to a leaf's owner:
+// SplitRule.Append over the stored bucket, its decision left in *out. A
+// substrate may run a transform more than once — dht.RemoteApply on every
+// lost CAS, dht.Resilient on every retry — and stores only what the last run
+// returned, so the closure assigns *out whole and does nothing else: counters,
+// the cache and placement are the driver's, once, after Apply returns.
+func (ix *Index) appendOp(out *Commit, leaf bitlabel.Label, records []spatial.Record) dht.ApplyFunc {
+	rule := ix.opts.splitRule()
+	return func(cur any, exists bool) (any, bool) {
+		stored, _ := cur.(Bucket)
+		*out = rule.Append(stored, leaf, records)
+		if out.Gone || out.Err != nil {
+			return cur, exists
 		}
-		cb, ok := cur.(Bucket)
-		if !ok || cb.Label != label {
-			stale = true
-			return cur, true
-		}
-		g, regionErr := spatial.RegionOf(cb.Label, m)
-		if regionErr != nil {
-			splitErr = regionErr
-			return cur, true
-		}
-		if !g.Contains(rec.Key) {
-			// The leaf changed shape since the lookup.
-			stale = true
-			return cur, true
-		}
-		// A plain arena append is safe without copying the whole bucket:
-		// readers holding the previous Bucket value see their own shorter
-		// arenas and never index past them, and the kd-tree split functions
-		// build fresh slices rather than mutating their input. Shared-capacity
-		// growth is therefore invisible to every concurrent observer.
-		nb := cb.Append(rec)
-		if ix.underSplitBound(nb.Load(), label) {
-			// The common case: the bucket stays a leaf. No record
-			// materialization, no split machinery — amortized O(1).
-			return nb, true
-		}
-		cell := kdtree.Cell{Label: cb.Label, Region: g, Records: nb.Records()}
-		pieces, decideErr := ix.decideSplit(cell)
-		if decideErr != nil {
-			splitErr = decideErr
-			return cur, true
-		}
-		if len(pieces) <= 1 {
-			return nb, true
-		}
-		stay, rest, pickErr := pickStayer(pieces, label, m)
-		if pickErr != nil {
-			splitErr = pickErr
-			return cur, true
-		}
-		moved = rest
-		ix.stats.Splits.Add(int64(len(pieces) - 1))
-		return NewBucket(stay.Label, stay.Records), true
-	})
-	if applyErr != nil {
-		return nil, false, fmt.Errorf("core: insert apply at %v: %w", label, applyErr)
-	}
-	if splitErr != nil {
-		return nil, false, fmt.Errorf("core: insert split at %v: %w", label, splitErr)
-	}
-	return moved, stale, nil
-}
-
-// underSplitBound reports whether a bucket at the given load cannot split
-// under the configured strategy — the fast-path check that lets the insert
-// path skip record materialization entirely. It mirrors decideSplit's
-// no-split preconditions exactly; unknown strategies return false so
-// decideSplit gets to surface its error.
-func (ix *Index) underSplitBound(load int, label bitlabel.Label) bool {
-	switch ix.opts.Strategy {
-	case SplitThreshold:
-		return load <= ix.opts.ThetaSplit || ix.remainingDepth(label) <= 0
-	case SplitDataAware:
-		return load <= ix.opts.Epsilon || ix.remainingDepth(label) <= 0
-	}
-	return false
-}
-
-// decideSplit returns the final leaf frontier for a (possibly overfull)
-// cell under the configured strategy. A single-element result means no
-// split.
-func (ix *Index) decideSplit(cell kdtree.Cell) ([]kdtree.Cell, error) {
-	depth := ix.remainingDepth(cell.Label)
-	switch ix.opts.Strategy {
-	case SplitThreshold:
-		if cell.Load() <= ix.opts.ThetaSplit || depth <= 0 {
-			return []kdtree.Cell{cell}, nil
-		}
-		return kdtree.ThresholdSplit(cell, ix.opts.Dims, ix.opts.ThetaSplit, depth)
-	case SplitDataAware:
-		if cell.Load() <= ix.opts.Epsilon || depth <= 0 {
-			return []kdtree.Cell{cell}, nil
-		}
-		cells, improved, err := kdtree.OptimalSplit(cell, ix.opts.Dims, ix.opts.Epsilon, depth)
-		if err != nil {
-			return nil, err
-		}
-		if !improved {
-			return []kdtree.Cell{cell}, nil
-		}
-		return cells, nil
-	default:
-		return nil, fmt.Errorf("core: unknown split strategy %v", ix.opts.Strategy)
+		return out.Keep, true
 	}
 }
 
-// pickStayer finds the unique frontier piece whose name equals the split
-// leaf's own name — by the subtree naming bijection exactly one exists —
-// so it keeps the old key and peer, while the rest move.
-func pickStayer(pieces []kdtree.Cell, oldLabel bitlabel.Label, m int) (stay kdtree.Cell, moved []kdtree.Cell, err error) {
-	oldName := bitlabel.Name(oldLabel, m)
-	found := false
-	for _, p := range pieces {
-		if bitlabel.Name(p.Label, m) == oldName {
-			if found {
-				return kdtree.Cell{}, nil, fmt.Errorf("core: two pieces named %v splitting %v", oldName, oldLabel)
+// settle books a stored commit: the maintenance its replay performed plus one
+// moved record per accepted insert (the record crossing the DHT to its
+// bucket), and what this client now knows of the leaves — after a split the
+// old label no longer names one, and the relocated pieces are fresh leaves.
+func (ix *Index) settle(leaf bitlabel.Label, c *Commit) {
+	ix.stats.Splits.Add(c.Splits)
+	ix.stats.RecordsMoved.Add(c.RecordsMoved + int64(c.Accepted))
+	if len(c.Moved) > 0 {
+		ix.invalidateLeaf(leaf)
+		if ix.cache != nil {
+			for _, p := range c.Moved {
+				ix.cache.add(p.Label)
 			}
-			stay = p
-			found = true
-			continue
 		}
-		moved = append(moved, p)
 	}
-	if !found {
-		return kdtree.Cell{}, nil, fmt.Errorf("core: no piece named %v splitting %v", oldName, oldLabel)
-	}
-	return stay, moved, nil
 }
 
-// placeCells writes relocated buckets to their DHT keys in one PutBatch
-// round — the destinations are independent leaves, so the transfers overlap
-// up to Options.MaxInFlight instead of paying one blocking round trip per
-// bucket — charging the data movement the transfers cost. Empty cells still
-// become buckets (the bijection requires a bucket per leaf); they move no
-// records. The per-bucket logical charge is unchanged: one DHT operation and
-// Load() moved records per placed bucket.
+// placeOps appends to ops the puts that write relocated cells to their DHT
+// keys. Empty cells still become buckets (the bijection requires a bucket per
+// leaf).
+func (ix *Index) placeOps(ops []dht.PutOp, cells []kdtree.Cell) []dht.PutOp {
+	for _, c := range cells {
+		b := NewBucket(c.Label, c.Records)
+		ops = append(ops, dht.PutOp{Key: b.Key(ix.opts.Dims), Value: b})
+	}
+	return ops
+}
+
+// placeCells writes relocated buckets in one PutBatch round — the
+// destinations are independent leaves, so the transfers overlap up to
+// Options.MaxInFlight instead of paying one blocking round trip per bucket.
+// Each placed bucket is one DHT operation; the records it carries were
+// charged where the split was decided.
 func (ix *Index) placeCells(cells []kdtree.Cell) error {
 	if len(cells) == 0 {
 		return nil
 	}
-	m := ix.opts.Dims
-	ops := make([]dht.PutOp, len(cells))
-	for i, c := range cells {
-		ops[i] = dht.PutOp{
-			Key:   labelKey(bitlabel.Name(c.Label, m)),
-			Value: NewBucket(c.Label, c.Records),
-		}
-	}
-	for i, err := range dht.PutBatch(ix.d, ops, ix.opts.MaxInFlight) {
+	for i, err := range dht.PutBatch(ix.d, ix.placeOps(nil, cells), ix.opts.MaxInFlight) {
 		if err != nil {
 			return fmt.Errorf("core: place bucket %v: %w", cells[i].Label, err)
 		}
-		ix.stats.RecordsMoved.Add(int64(cells[i].Load()))
 	}
 	return nil
 }
@@ -252,45 +143,24 @@ func (ix *Index) Delete(key spatial.Point, data string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	removed := false
-	var after Bucket
-	dhtKey := labelKey(bitlabel.Name(b.Label, m))
-	applyErr := ix.d.Apply(dhtKey, func(cur any, exists bool) (any, bool) {
-		if !exists {
-			return nil, false
+	// Assignment only, like appendOp: the last run's verdict is the one
+	// that was stored.
+	var out Removal
+	err = ix.d.Apply(b.Key(m), func(cur any, exists bool) (any, bool) {
+		stored, _ := cur.(Bucket)
+		out = Remove(stored, b.Label, key, data)
+		if !out.Removed {
+			return cur, exists
 		}
-		cb, ok := cur.(Bucket)
-		if !ok || cb.Label != b.Label {
-			return cur, true
-		}
-		for i, n := 0, cb.Load(); i < n; i++ {
-			if samePoint(cb.KeyAt(i), key) && (data == "" || cb.DataAt(i) == data) {
-				// Pack fresh arenas — an in-place shift would mutate storage
-				// concurrent readers share. One exact-size repack.
-				records := make([]spatial.Record, 0, n-1)
-				for j := 0; j < n; j++ {
-					if j != i {
-						records = append(records, cb.RecordAt(j))
-					}
-				}
-				cb = NewBucket(cb.Label, records)
-				removed = true
-				break
-			}
-		}
-		after = cb
-		return cb, true
+		return out.Keep, true
 	})
-	if applyErr != nil {
-		return false, fmt.Errorf("core: delete apply at %v: %w", b.Label, applyErr)
+	if err != nil {
+		return false, fmt.Errorf("core: delete apply at %v: %w", b.Label, err)
 	}
-	if !removed {
+	if !out.Removed {
 		return false, nil
 	}
-	if err := ix.mergeUpwards(after); err != nil {
-		return true, err
-	}
-	return true, nil
+	return true, ix.mergeUpwards(out.Keep)
 }
 
 // mergeUpwards merges the bucket with its sibling leaf while the pair

@@ -12,17 +12,20 @@ import (
 	"mlight/internal/spatial"
 )
 
-// TestPlannerImportsNothingItCouldDriveWith keeps plan.go pure: a planner
-// that can reach the DHT, a trace collector, a counter or a lock is a driver.
+// TestPlannerImportsNothingItCouldDriveWith keeps plan.go and its write-side
+// twin commit.go pure: a planner that can reach the DHT, a trace collector, a
+// counter or a lock is a driver.
 func TestPlannerImportsNothingItCouldDriveWith(t *testing.T) {
-	f, err := parser.ParseFile(token.NewFileSet(), "plan.go", nil, parser.ImportsOnly)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, imp := range f.Imports {
-		switch path, _ := strconv.Unquote(imp.Path.Value); path {
-		case "mlight/internal/dht", "mlight/internal/trace", "mlight/internal/metrics", "sync":
-			t.Errorf("plan.go imports %s", path)
+	for _, file := range []string{"plan.go", "commit.go"} {
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			switch path, _ := strconv.Unquote(imp.Path.Value); path {
+			case "mlight/internal/dht", "mlight/internal/trace", "mlight/internal/metrics", "sync":
+				t.Errorf("%s imports %s", file, path)
+			}
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"mlight/internal/bitlabel"
 	"mlight/internal/dht"
@@ -54,7 +53,7 @@ func (ix *Index) Snapshot(w io.Writer) error {
 		return err
 	}
 	for _, b := range buckets {
-		frame := marshalBucketFrame(b)
+		frame := b.Marshal()
 		var size [binary.MaxVarintLen64]byte
 		n := binary.PutUvarint(size[:], uint64(len(frame)))
 		if _, err := bw.Write(size[:n]); err != nil {
@@ -99,8 +98,8 @@ func RestoreInto(d dht.DHT, r io.Reader, opts Options) (*Index, error) {
 		return nil, fmt.Errorf("%w: bucket count", ErrSnapshot)
 	}
 
-	buckets := make([]Bucket, 0, minInt64(count, 1<<16))
-	labels := make(map[bitlabel.Label]bool, minInt64(count, 1<<16))
+	buckets := make([]Bucket, 0, min(count, 1<<16))
+	labels := make(map[bitlabel.Label]bool, min(count, 1<<16))
 	for i := uint64(0); i < count; i++ {
 		size, err := binary.ReadUvarint(br)
 		if err != nil || size > 1<<30 {
@@ -110,7 +109,7 @@ func RestoreInto(d dht.DHT, r io.Reader, opts Options) (*Index, error) {
 		if _, err := io.ReadFull(br, frame); err != nil {
 			return nil, fmt.Errorf("%w: bucket %d truncated", ErrSnapshot, i)
 		}
-		b, err := unmarshalBucketFrame(frame, dims)
+		b, err := restoreBucket(frame, dims)
 		if err != nil {
 			return nil, fmt.Errorf("bucket %d: %w", i, err)
 		}
@@ -156,86 +155,28 @@ func RestoreInto(d dht.DHT, r io.Reader, opts Options) (*Index, error) {
 	return ix, nil
 }
 
-// marshalBucketFrame encodes one bucket (label + records) for the
-// snapshot stream.
-func marshalBucketFrame(b Bucket) []byte {
-	n := b.Load()
-	buf := make([]byte, 0, 16+n*48)
-	buf = append(buf, byte(b.Label.Len()))
-	buf = binary.LittleEndian.AppendUint64(buf, b.Label.Bits())
-	buf = binary.AppendUvarint(buf, uint64(n))
-	for i := 0; i < n; i++ {
-		key := b.KeyAt(i)
-		buf = binary.AppendUvarint(buf, uint64(len(key)))
-		for _, c := range key {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c))
-		}
-		data := b.DataAt(i)
-		buf = binary.AppendUvarint(buf, uint64(len(data)))
-		buf = append(buf, data...)
-	}
-	return buf
-}
-
-// unmarshalBucketFrame decodes and validates one bucket frame.
-func unmarshalBucketFrame(frame []byte, dims int) (Bucket, error) {
-	if len(frame) < 9 {
-		return Bucket{}, fmt.Errorf("%w: frame header", ErrSnapshot)
-	}
-	labelLen := int(frame[0])
-	if labelLen > bitlabel.MaxLen {
-		return Bucket{}, fmt.Errorf("%w: label length %d", ErrSnapshot, labelLen)
-	}
-	label := bitlabel.New(binary.LittleEndian.Uint64(frame[1:9]), labelLen)
-	if !bitlabel.Root(dims).IsPrefixOf(label) {
-		return Bucket{}, fmt.Errorf("%w: label %v does not extend the root", ErrSnapshot, label)
-	}
-	region, err := spatial.RegionOf(label, dims)
+// restoreBucket decodes one bucket frame and checks what the shared
+// decoder cannot know: that the bucket belongs to an index of this
+// dimensionality — its label extends the root, its records lie in its cell.
+func restoreBucket(frame []byte, dims int) (Bucket, error) {
+	b, err := UnmarshalBucket(frame)
 	if err != nil {
-		return Bucket{}, fmt.Errorf("%w: label %v: %v", ErrSnapshot, label, err)
+		return Bucket{}, fmt.Errorf("%w: %v", ErrSnapshot, err)
 	}
-	rest := frame[9:]
-	count, n := binary.Uvarint(rest)
-	if n <= 0 || count > uint64(len(rest)) {
-		return Bucket{}, fmt.Errorf("%w: record count", ErrSnapshot)
+	if !bitlabel.Root(dims).IsPrefixOf(b.Label) {
+		return Bucket{}, fmt.Errorf("%w: label %v does not extend the root", ErrSnapshot, b.Label)
 	}
-	rest = rest[n:]
-	b := Bucket{Label: label}
-	for i := uint64(0); i < count; i++ {
-		keyLen, n := binary.Uvarint(rest)
-		if n <= 0 || int(keyLen) != dims {
-			return Bucket{}, fmt.Errorf("%w: record %d key dims", ErrSnapshot, i)
-		}
-		rest = rest[n:]
-		if len(rest) < dims*8 {
-			return Bucket{}, fmt.Errorf("%w: record %d truncated", ErrSnapshot, i)
-		}
-		key := make(spatial.Point, dims)
-		for d := 0; d < dims; d++ {
-			key[d] = math.Float64frombits(binary.LittleEndian.Uint64(rest[d*8:]))
-		}
-		rest = rest[dims*8:]
-		dataLen, n := binary.Uvarint(rest)
-		if n <= 0 || uint64(len(rest)-n) < dataLen {
-			return Bucket{}, fmt.Errorf("%w: record %d data", ErrSnapshot, i)
-		}
-		rest = rest[n:]
-		rec := spatial.Record{Key: key, Data: string(rest[:dataLen])}
-		rest = rest[dataLen:]
-		if !rec.Key.Valid() || !region.Contains(rec.Key) {
+	region, err := spatial.RegionOf(b.Label, dims)
+	if err != nil {
+		return Bucket{}, fmt.Errorf("%w: label %v: %v", ErrSnapshot, b.Label, err)
+	}
+	if b.Load() > 0 && b.rs.dims != dims {
+		return Bucket{}, fmt.Errorf("%w: %d-dimensional records in bucket %v", ErrSnapshot, b.rs.dims, b.Label)
+	}
+	for i, n := 0, b.Load(); i < n; i++ {
+		if key := b.KeyAt(i); !key.Valid() || !region.Contains(key) {
 			return Bucket{}, fmt.Errorf("%w: record %d outside its bucket cell", ErrSnapshot, i)
 		}
-		b = b.Append(rec)
-	}
-	if len(rest) != 0 {
-		return Bucket{}, fmt.Errorf("%w: %d trailing bytes in frame", ErrSnapshot, len(rest))
 	}
 	return b, nil
-}
-
-func minInt64(a uint64, b int) int {
-	if a < uint64(b) {
-		return int(a)
-	}
-	return b
 }

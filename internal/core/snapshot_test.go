@@ -2,11 +2,15 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"strconv"
 	"testing"
 
+	"mlight/internal/bitlabel"
 	"mlight/internal/dht"
 	"mlight/internal/spatial"
 )
@@ -127,5 +131,57 @@ func TestRestoreValidation(t *testing.T) {
 	}
 	if _, err := RestoreInto(d, bytes.NewReader(good), Options{}); err == nil {
 		t.Error("restore onto non-empty substrate accepted")
+	}
+}
+
+// snapshotOf frames the given bucket encodings as a snapshot stream of the
+// given dimensionality.
+func snapshotOf(dims int, frames ...[]byte) []byte {
+	out := []byte(snapshotMagic)
+	out = binary.AppendUvarint(out, snapshotVersion)
+	out = binary.AppendUvarint(out, uint64(dims))
+	out = binary.AppendUvarint(out, uint64(len(frames)))
+	for _, f := range frames {
+		out = binary.AppendUvarint(out, uint64(len(f)))
+		out = append(out, f...)
+	}
+	return out
+}
+
+// TestRestoreRejectsHostileFrames: a snapshot is a file someone hands us.
+// Restore decodes its frames with the one bucket decoder (so the checks PR 18
+// gave the wire hold here too) and judges what only it can: that the bucket
+// belongs to this index.
+func TestRestoreRejectsHostileFrames(t *testing.T) {
+	// The committed wire fuzz entry: a 2-D root bucket whose second record
+	// has one coordinate.
+	corpus, err := os.ReadFile("../wire/testdata/fuzz/FuzzUnmarshalBucket/mixed-dims")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit := string(corpus[bytes.Index(corpus, []byte(`"`)) : bytes.LastIndex(corpus, []byte(`"`))+1])
+	mixedDims, err := strconv.Unquote(lit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := bitlabel.Root(2)
+	in := spatial.Record{Key: spatial.Point{0.25, 0.25}, Data: "x"}
+	good := NewBucket(root, []spatial.Record{in}).Marshal()
+	if _, err := RestoreInto(dht.MustNewLocal(2), bytes.NewReader(snapshotOf(2, good)), Options{}); err != nil {
+		t.Fatalf("well-formed frame refused: %v", err)
+	}
+	hugeCount := append(append([]byte{}, good[:9]...), 0xff, 0xff, 0xff, 0xff, 0x0f)
+	for name, frame := range map[string][]byte{
+		"mixed dims":          []byte(mixedDims),
+		"count beyond frame":  hugeCount,
+		"trailing bytes":      append(append([]byte{}, good...), 0),
+		"label off the root":  NewBucket(bitlabel.Root(3), nil).Marshal(),
+		"3-D records in 2-D":  NewBucket(root, []spatial.Record{{Key: spatial.Point{0.1, 0.1, 0.1}}}).Marshal(),
+		"record outside cell": NewBucket(root.MustAppend(1), []spatial.Record{in}).Marshal(),
+		"record outside cube": NewBucket(root, []spatial.Record{{Key: spatial.Point{0.5, 1.5}}}).Marshal(),
+	} {
+		if _, err := RestoreInto(dht.MustNewLocal(2), bytes.NewReader(snapshotOf(2, frame)), Options{}); !errors.Is(err, ErrSnapshot) {
+			t.Errorf("%s: err = %v, want ErrSnapshot", name, err)
+		}
 	}
 }

@@ -193,7 +193,6 @@ func TestWriterCoalescesConcurrentInserts(t *testing.T) {
 		ThetaSplit:  8,
 		ThetaMerge:  4,
 		MaxInFlight: 8,
-		WriterBatch: 32,
 		Sleep:       dht.NoSleep,
 	})
 	if err != nil {

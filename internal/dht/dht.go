@@ -20,7 +20,10 @@ type Key string
 // ApplyFunc transforms the value stored under a key, executing at the
 // owning peer. cur is the current value (nil if absent, with exists=false);
 // the returned next value replaces it, or the entry is removed when
-// keep=false. Callers capture any outputs in the closure.
+// keep=false. Callers capture any outputs in the closure — by assigning them
+// whole on every run: a substrate may run the function more than once for one
+// Apply (RemoteApply after a lost CAS, Resilient after a failed attempt) and
+// stores only what the last run returned.
 type ApplyFunc func(cur any, exists bool) (next any, keep bool)
 
 // DHT is the substrate interface. Implementations must be safe for

@@ -21,23 +21,36 @@ var ErrInjected = dht.Retryable(errors.New("dhttest: injected fault"))
 // through it decompose into pooled per-key operations, so per-key injection
 // (and per-key retries above it) are exercised on the batch paths too.
 //
+// RerunNext injects the other thing a failed attempt does to an Apply: the
+// transform runs once against a view of the key that is no longer current,
+// its result thrown away, then again for real — what dht.RemoteApply does when
+// a CAS loses and dht.Resilient when an attempt fails. A transform that lets
+// anything but its last run's verdict out shows.
+//
 //lint:allow decoratorcomplete Flaky is deliberately capability-free so batch and span paths decompose into per-key ops that fault injection can hit individually
 type Flaky struct {
 	inner dht.DHT
 
 	mu       sync.Mutex
-	err      error           // injected error; nil means ErrInjected
-	perKey   map[dht.Key]int // remaining injected failures per key; -1 = always
-	all      int             // remaining injected failures on every key; -1 = always
-	attempts int             // operations that reached the wrapper
-	injected int             // operations that were failed by injection
+	err      error            // injected error; nil means ErrInjected
+	perKey   map[dht.Key]int  // remaining injected failures per key; -1 = always
+	all      int              // remaining injected failures on every key; -1 = always
+	rerun    map[dht.Key]view // discarded runs armed per key
+	attempts int              // operations that reached the wrapper
+	injected int              // operations that were failed by injection
+}
+
+// view is what one discarded run of a transform is shown.
+type view struct {
+	cur    any
+	exists bool
 }
 
 var _ dht.DHT = (*Flaky)(nil)
 
 // NewFlaky wraps inner with no faults armed.
 func NewFlaky(inner dht.DHT) *Flaky {
-	return &Flaky{inner: inner, perKey: make(map[dht.Key]int)}
+	return &Flaky{inner: inner, perKey: make(map[dht.Key]int), rerun: make(map[dht.Key]view)}
 }
 
 // Inner returns the wrapped DHT.
@@ -49,6 +62,14 @@ func (f *Flaky) FailNext(key dht.Key, n int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.perKey[key] = n
+}
+
+// RerunNext arms one discarded run: the next Apply on key first runs its
+// transform against (cur, exists) and drops what it returns.
+func (f *Flaky) RerunNext(key dht.Key, cur any, exists bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.rerun[key] = view{cur: cur, exists: exists}
 }
 
 // FailAll arms n injected failures affecting every key (on top of any
@@ -148,6 +169,13 @@ func (f *Flaky) Remove(key dht.Key) error {
 func (f *Flaky) Apply(key dht.Key, fn dht.ApplyFunc) error {
 	if err := f.inject(key); err != nil {
 		return err
+	}
+	f.mu.Lock()
+	stale, armed := f.rerun[key]
+	delete(f.rerun, key)
+	f.mu.Unlock()
+	if armed {
+		fn(stale.cur, stale.exists)
 	}
 	return f.inner.Apply(key, fn)
 }

@@ -4,7 +4,22 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"mlight/internal/hashseed"
 )
+
+// memShards is the number of key-space partitions of an in-memory store.
+// Power of two so shard selection is a mask; 256 keeps per-shard footprint
+// small while making cross-shard collisions rare even at high concurrency.
+const memShards = 256
+
+// storeShard is one partition of the store, padded out to its own cache
+// lines so neighbouring shards' locks do not false-share.
+type storeShard struct {
+	mu    sync.RWMutex
+	store map[Key]any
+	_     [104]byte
+}
 
 // Local is a single-process DHT: a concurrency-safe key-value store that
 // assigns ownership over a configurable set of virtual peers by consistent
@@ -12,16 +27,25 @@ import (
 // tests and the default for the paper's experiments, where the metrics of
 // interest (logical DHT operations, records moved, rounds) are independent
 // of overlay routing.
+//
+// A batch is atomic per shard, not across the store: two keys in different
+// shards may be observed mid-batch by a concurrent reader. The index's
+// group-commit writer tolerates this (its correctness argument is per-key
+// copy-on-write, never cross-key atomicity).
 type Local struct {
-	mu    sync.RWMutex
-	store map[Key]any
+	// shards partitions the store over independently locked maps: memShards
+	// of them in memory, so one lock's contention domain is 1/256 of the key
+	// space, and one under a WAL — the journal serialises appends anyway and
+	// compaction needs one consistent cut of the whole store. The count
+	// follows from the journal's presence; nothing sets it.
+	shards []storeShard
 	// ring holds the virtual peers' positions, sorted; peers[i] names the
-	// peer at ring[i].
+	// peer at ring[i]. Both are fixed at construction.
 	ring  []ID
 	peers []string
-	// wal, when non-nil, journals every mutation before it lands in store
-	// (write-ahead discipline) so CrashVolatile + Recover round-trips the
-	// state. Batch writes journal with a single group-commit Append.
+	// wal, when non-nil, journals every mutation before it lands in the
+	// store (write-ahead discipline) so CrashVolatile + Recover round-trips
+	// the state. A batch journals with a single group-commit Append.
 	wal *WAL
 }
 
@@ -32,21 +56,59 @@ var (
 	_ BatchWriter = (*Local)(nil)
 )
 
-// NewLocal creates a local DHT with numPeers virtual peers named
-// "peer-0" … "peer-N-1", placed on the identifier ring by hashing their
-// names. numPeers must be at least 1.
-func NewLocal(numPeers int) (*Local, error) {
+func newLocal(numPeers, shards int) (*Local, error) {
 	ring, peers, err := buildVirtualRing(numPeers)
 	if err != nil {
 		return nil, err
 	}
-	return &Local{store: make(map[Key]any), ring: ring, peers: peers}, nil
+	l := &Local{shards: make([]storeShard, shards), ring: ring, peers: peers}
+	for i := range l.shards {
+		l.shards[i].store = make(map[Key]any)
+	}
+	return l, nil
+}
+
+// NewLocal creates a local DHT with numPeers virtual peers named
+// "peer-0" … "peer-N-1", placed on the identifier ring by hashing their
+// names. numPeers must be at least 1.
+func NewLocal(numPeers int) (*Local, error) { return newLocal(numPeers, memShards) }
+
+// MustNewLocal is NewLocal for trusted constants; it panics on error.
+func MustNewLocal(numPeers int) *Local {
+	l, err := NewLocal(numPeers)
+	if err != nil {
+		panic(err)
+	}
+	return l
+}
+
+// NewSharded and MustNewSharded are NewLocal and MustNewLocal under the names
+// cmd/mlight-perf calls them by.
+func NewSharded(numPeers int) (*Local, error) { return NewLocal(numPeers) }
+
+// MustNewSharded is MustNewLocal; see NewSharded.
+func MustNewSharded(numPeers int) *Local { return MustNewLocal(numPeers) }
+
+// NewDurableLocal creates a local DHT whose buckets persist in w: journaled
+// state is replayed into the store on open (so a restart resumes where the
+// last crash left off), and every subsequent mutation is journaled before
+// it is applied. The caller retains ownership of w and must Close it after
+// the Local is discarded; w.LastReplay reports what this open recovered.
+func NewDurableLocal(numPeers int, w *WAL) (*Local, error) {
+	l, err := newLocal(numPeers, 1)
+	if err != nil {
+		return nil, err
+	}
+	l.wal = w
+	if err := l.Recover(); err != nil {
+		return nil, err
+	}
+	return l, nil
 }
 
 // buildVirtualRing places numPeers virtual peers named "peer-0" …
 // "peer-N-1" on the identifier ring by hashing their names, returning the
-// sorted positions and the matching peer names. Shared by the map-backed
-// Local and the sharded variant so both assign ownership identically.
+// sorted positions and the matching peer names.
 func buildVirtualRing(numPeers int) (ring []ID, peers []string, err error) {
 	if numPeers < 1 {
 		return nil, nil, fmt.Errorf("dht: need at least one virtual peer, got %d", numPeers)
@@ -70,253 +132,208 @@ func buildVirtualRing(numPeers int) (ring []ID, peers []string, err error) {
 	return ring, peers, nil
 }
 
-// MustNewLocal is NewLocal for trusted constants; it panics on error.
-func MustNewLocal(numPeers int) *Local {
-	l, err := NewLocal(numPeers)
-	if err != nil {
-		panic(err)
-	}
-	return l
-}
-
-// NewDurableLocal creates a local DHT whose buckets persist in w: journaled
-// state is replayed into the store on open (so a restart resumes where the
-// last crash left off), and every subsequent mutation is journaled before
-// it is applied. The caller retains ownership of w and must Close it after
-// the Local is discarded; w.LastReplay reports what this open recovered.
-func NewDurableLocal(numPeers int, w *WAL) (*Local, error) {
-	l, err := NewLocal(numPeers)
-	if err != nil {
-		return nil, err
-	}
-	state, err := w.Restore()
-	if err != nil {
-		return nil, err
-	}
-	l.store = state
-	l.wal = w
-	return l, nil
-}
-
 // CrashVolatile destroys the in-memory store, exactly as a process crash
 // would: everything not journaled is gone. The ring layout (configuration,
 // not data) survives. Pair with Recover to model a crash/restart cycle on
 // the local substrate.
 func (l *Local) CrashVolatile() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.store = make(map[Key]any)
+	for i := range l.shards {
+		sh := &l.shards[i]
+		sh.mu.Lock()
+		sh.store = make(map[Key]any)
+		sh.mu.Unlock()
+	}
 }
 
 // Recover rebuilds the store from the journal, replacing whatever is in
 // memory. On a Local without a WAL it is a no-op: there is nothing to
 // recover from, which is precisely the gap the durable store closes.
 func (l *Local) Recover() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.wal == nil {
 		return nil
 	}
+	sh := &l.shards[0]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	state, err := l.wal.Restore()
 	if err != nil {
 		return err
 	}
-	l.store = state
+	sh.store = state
 	return nil
 }
 
 // Durable reports whether mutations are journaled.
 func (l *Local) Durable() bool { return l.wal != nil }
 
-// maybeCompactLocked snapshots the store once the log passes its
-// compaction threshold. Called with l.mu held, after the mutation landed,
-// so the snapshot is a consistent cut that includes it.
-func (l *Local) maybeCompactLocked() error {
+// shardIndex picks the partition for a key: seedless FNV over the key bytes,
+// finalised so consecutive keys spread over all shards.
+func (l *Local) shardIndex(key Key) int {
+	if len(l.shards) == 1 {
+		return 0
+	}
+	return int(hashseed.Fmix64(hashseed.String(hashseed.FNVOffset64, string(key))) & (memShards - 1))
+}
+
+// byShard groups the positions 0…n-1 by the shard their key lives in and
+// calls fn once per shard that has any, positions ascending — so a batch
+// takes each shard lock once, and same-key operations keep their order.
+func (l *Local) byShard(n int, key func(i int) Key, fn func(sh *storeShard, idxs []int)) {
+	var groups [memShards][]int
+	for i := 0; i < n; i++ {
+		s := l.shardIndex(key(i))
+		groups[s] = append(groups[s], i)
+	}
+	for s, idxs := range groups[:len(l.shards)] {
+		if len(idxs) > 0 {
+			fn(&l.shards[s], idxs)
+		}
+	}
+}
+
+// mutation is the journal's record of storing value under key, or of
+// deleting key when keep is false.
+func mutation(key Key, value any, keep bool) WALRecord {
+	if !keep {
+		return WALRecord{Op: WALRemove, Key: key}
+	}
+	return WALRecord{Op: WALPut, Key: key, Value: value}
+}
+
+// commitLocked journals muts as one group-commit Append (when durable) and
+// only then lands them in sh.store: either every mutation is recoverable or,
+// if the journal write fails, none of them touched the store. Past the log's
+// compaction threshold it snapshots the store — under a WAL sh is the only
+// shard, so with sh.mu held that is a consistent cut including muts. Called
+// with sh.mu held.
+func (l *Local) commitLocked(sh *storeShard, muts []WALRecord) error {
+	if l.wal != nil {
+		if err := l.wal.Append(muts); err != nil {
+			return err
+		}
+	}
+	for _, m := range muts {
+		if m.Op == WALPut {
+			sh.store[m.Key] = m.Value
+		} else {
+			delete(sh.store, m.Key)
+		}
+	}
 	if l.wal != nil && l.wal.ShouldCompact() {
-		return l.wal.Compact(l.store)
+		return l.wal.Compact(sh.store)
 	}
 	return nil
 }
 
-// Put implements DHT.
-func (l *Local) Put(key Key, value any) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.wal != nil {
-		if err := l.wal.Append([]WALRecord{{Op: WALPut, Key: key, Value: value}}); err != nil {
-			return err
+// commitBatch is commitLocked for one shard's group of a batch: the group
+// shares one journal write, hence one outcome.
+func (l *Local) commitBatch(sh *storeShard, muts []WALRecord, idxs []int, errs []error) {
+	if err := l.commitLocked(sh, muts); err != nil {
+		for _, i := range idxs {
+			errs[i] = err
 		}
 	}
-	l.store[key] = value
-	return l.maybeCompactLocked()
+}
+
+// Put implements DHT.
+func (l *Local) Put(key Key, value any) error {
+	sh := &l.shards[l.shardIndex(key)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return l.commitLocked(sh, []WALRecord{mutation(key, value, true)})
 }
 
 // Get implements DHT.
 func (l *Local) Get(key Key) (any, bool, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	v, ok := l.store[key]
+	sh := &l.shards[l.shardIndex(key)]
+	sh.mu.RLock()
+	v, ok := sh.store[key]
+	sh.mu.RUnlock()
 	return v, ok, nil
-}
-
-// GetBatch implements Batcher natively: all keys are read under one shared
-// lock, so a batch costs the same as a single Get regardless of size. The
-// maxInFlight cap is irrelevant here — nothing blocks.
-func (l *Local) GetBatch(keys []Key, maxInFlight int) []BatchResult {
-	results := make([]BatchResult, len(keys))
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	for i, k := range keys {
-		v, ok := l.store[k]
-		results[i] = BatchResult{Value: v, Found: ok}
-	}
-	return results
-}
-
-// PutBatch implements BatchWriter natively: all stores land under one
-// exclusive lock, so a batch costs the same as a single Put regardless of
-// size. On a durable Local the whole batch journals as one group-commit
-// Append — either every op is recoverable or (if the journal write fails)
-// none of them touched the store. The maxInFlight cap is irrelevant here —
-// nothing blocks.
-func (l *Local) PutBatch(ops []PutOp, maxInFlight int) []error {
-	errs := make([]error, len(ops))
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.wal != nil {
-		recs := make([]WALRecord, len(ops))
-		for i, op := range ops {
-			recs[i] = WALRecord{Op: WALPut, Key: op.Key, Value: op.Value}
-		}
-		if err := l.wal.Append(recs); err != nil {
-			for i := range errs {
-				errs[i] = err
-			}
-			return errs
-		}
-	}
-	for _, op := range ops {
-		l.store[op.Key] = op.Value
-	}
-	if err := l.maybeCompactLocked(); err != nil {
-		for i := range errs {
-			if errs[i] == nil {
-				errs[i] = err
-			}
-		}
-	}
-	return errs
-}
-
-// ApplyBatch implements BatchWriter natively: every transform runs under one
-// exclusive lock acquisition, preserving per-key atomicity while paying the
-// lock once for the whole round. On a durable Local the transforms run
-// against a staged view first, journal as one group-commit Append, and only
-// then land in the store — write-ahead discipline for the whole batch.
-func (l *Local) ApplyBatch(ops []ApplyOp, maxInFlight int) []error {
-	errs := make([]error, len(ops))
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.wal == nil {
-		for _, op := range ops {
-			cur, ok := l.store[op.Key]
-			next, keep := op.Fn(cur, ok)
-			if keep {
-				l.store[op.Key] = next
-			} else {
-				delete(l.store, op.Key)
-			}
-		}
-		return errs
-	}
-	type staged struct {
-		val  any
-		keep bool
-	}
-	pending := make(map[Key]staged)
-	recs := make([]WALRecord, 0, len(ops))
-	for _, op := range ops {
-		var cur any
-		var ok bool
-		if s, hit := pending[op.Key]; hit {
-			cur, ok = s.val, s.keep
-		} else {
-			cur, ok = l.store[op.Key]
-		}
-		next, keep := op.Fn(cur, ok)
-		pending[op.Key] = staged{val: next, keep: keep}
-		if keep {
-			recs = append(recs, WALRecord{Op: WALPut, Key: op.Key, Value: next})
-		} else {
-			recs = append(recs, WALRecord{Op: WALRemove, Key: op.Key})
-		}
-	}
-	if err := l.wal.Append(recs); err != nil {
-		for i := range errs {
-			errs[i] = err
-		}
-		return errs
-	}
-	for k, s := range pending {
-		if s.keep {
-			l.store[k] = s.val
-		} else {
-			delete(l.store, k)
-		}
-	}
-	if err := l.maybeCompactLocked(); err != nil {
-		for i := range errs {
-			if errs[i] == nil {
-				errs[i] = err
-			}
-		}
-	}
-	return errs
 }
 
 // Remove implements DHT.
 func (l *Local) Remove(key Key) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.wal != nil {
-		if err := l.wal.Append([]WALRecord{{Op: WALRemove, Key: key}}); err != nil {
-			return err
-		}
-	}
-	delete(l.store, key)
-	return l.maybeCompactLocked()
+	sh := &l.shards[l.shardIndex(key)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return l.commitLocked(sh, []WALRecord{mutation(key, nil, false)})
 }
 
-// Apply implements DHT. On a durable Local the transform's outcome is
-// journaled (as the resulting put or delete — closures cannot replay)
-// before the store changes.
+// Apply implements DHT: the transform runs under the key's shard lock, so it
+// is atomic with respect to every other operation on that key. On a durable
+// Local the transform's outcome is journaled (as the resulting put or delete
+// — closures cannot replay) before the store changes.
 func (l *Local) Apply(key Key, fn ApplyFunc) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	cur, ok := l.store[key]
+	sh := &l.shards[l.shardIndex(key)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	cur, ok := sh.store[key]
 	next, keep := fn(cur, ok)
-	if l.wal != nil {
-		rec := WALRecord{Op: WALRemove, Key: key}
-		if keep {
-			rec = WALRecord{Op: WALPut, Key: key, Value: next}
+	return l.commitLocked(sh, []WALRecord{mutation(key, next, keep)})
+}
+
+// GetBatch implements Batcher natively: each shard is read under one
+// shared-lock acquisition. The maxInFlight cap is irrelevant here — nothing
+// blocks.
+func (l *Local) GetBatch(keys []Key, maxInFlight int) []BatchResult {
+	results := make([]BatchResult, len(keys))
+	l.byShard(len(keys), func(i int) Key { return keys[i] }, func(sh *storeShard, idxs []int) {
+		sh.mu.RLock()
+		for _, i := range idxs {
+			v, ok := sh.store[keys[i]]
+			results[i] = BatchResult{Value: v, Found: ok}
 		}
-		if err := l.wal.Append([]WALRecord{rec}); err != nil {
-			return err
+		sh.mu.RUnlock()
+	})
+	return results
+}
+
+// PutBatch implements BatchWriter natively: each shard's group lands under
+// one exclusive-lock acquisition and, on a durable Local, one journal write.
+func (l *Local) PutBatch(ops []PutOp, maxInFlight int) []error {
+	errs := make([]error, len(ops))
+	l.byShard(len(ops), func(i int) Key { return ops[i].Key }, func(sh *storeShard, idxs []int) {
+		muts := make([]WALRecord, len(idxs))
+		for j, i := range idxs {
+			muts[j] = mutation(ops[i].Key, ops[i].Value, true)
 		}
-	}
-	if keep {
-		l.store[key] = next
-	} else {
-		delete(l.store, key)
-	}
-	return l.maybeCompactLocked()
+		sh.mu.Lock()
+		l.commitBatch(sh, muts, idxs, errs)
+		sh.mu.Unlock()
+	})
+	return errs
+}
+
+// ApplyBatch implements BatchWriter natively: a shard's transforms run under
+// one exclusive-lock acquisition, preserving per-key atomicity, against a
+// staged view — a transform sees what an earlier one in the batch left under
+// its key — and land together once journaled.
+func (l *Local) ApplyBatch(ops []ApplyOp, maxInFlight int) []error {
+	errs := make([]error, len(ops))
+	l.byShard(len(ops), func(i int) Key { return ops[i].Key }, func(sh *storeShard, idxs []int) {
+		muts := make([]WALRecord, len(idxs))
+		staged := make(map[Key]int, len(idxs)) // key → its latest entry in muts
+		sh.mu.Lock()
+		for j, i := range idxs {
+			key := ops[i].Key
+			cur, ok := sh.store[key]
+			if at, hit := staged[key]; hit {
+				cur, ok = muts[at].Value, muts[at].Op == WALPut
+			}
+			next, keep := ops[i].Fn(cur, ok)
+			muts[j] = mutation(key, next, keep)
+			staged[key] = j
+		}
+		l.commitBatch(sh, muts, idxs, errs)
+		sh.mu.Unlock()
+	})
+	return errs
 }
 
 // Owner implements DHT: the peer owning a key is the first peer at or after
 // hash(key) on the ring (the key's successor).
 func (l *Local) Owner(key Key) (string, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	id := HashKey(key)
 	i := sort.Search(len(l.ring), func(i int) bool { return l.ring[i].Cmp(id) >= 0 })
 	if i == len(l.ring) {
@@ -327,28 +344,28 @@ func (l *Local) Owner(key Key) (string, error) {
 
 // Peers returns the names of all virtual peers.
 func (l *Local) Peers() []string {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	return append([]string(nil), l.peers...)
 }
 
-// Range implements Enumerator.
+// Range implements Enumerator. The iteration works shard by shard from a
+// point-in-time key snapshot and re-reads each value, so fn never runs under
+// a shard lock.
 func (l *Local) Range(fn func(key Key, value any) bool) error {
-	l.mu.RLock()
-	keys := make([]Key, 0, len(l.store))
-	for k := range l.store {
-		keys = append(keys, k)
-	}
-	l.mu.RUnlock()
-	for _, k := range keys {
-		l.mu.RLock()
-		v, ok := l.store[k]
-		l.mu.RUnlock()
-		if !ok {
-			continue
+	for i := range l.shards {
+		sh := &l.shards[i]
+		sh.mu.RLock()
+		keys := make([]Key, 0, len(sh.store))
+		for k := range sh.store {
+			keys = append(keys, k)
 		}
-		if !fn(k, v) {
-			return nil
+		sh.mu.RUnlock()
+		for _, k := range keys {
+			sh.mu.RLock()
+			v, ok := sh.store[k]
+			sh.mu.RUnlock()
+			if ok && !fn(k, v) {
+				return nil
+			}
 		}
 	}
 	return nil
@@ -356,7 +373,12 @@ func (l *Local) Range(fn func(key Key, value any) bool) error {
 
 // Len returns the number of stored entries.
 func (l *Local) Len() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return len(l.store)
+	n := 0
+	for i := range l.shards {
+		sh := &l.shards[i]
+		sh.mu.RLock()
+		n += len(sh.store)
+		sh.mu.RUnlock()
+	}
+	return n
 }

@@ -139,6 +139,8 @@ func TestLocalRange(t *testing.T) {
 	}
 }
 
+// TestLocalConcurrentAccess hammers disjoint keys from many goroutines — run
+// under -race this is the shard-safety proof.
 func TestLocalConcurrentAccess(t *testing.T) {
 	l := MustNewLocal(4)
 	var wg sync.WaitGroup
@@ -152,8 +154,14 @@ func TestLocalConcurrentAccess(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, ok, err := l.Get(k); err != nil || !ok {
-					t.Errorf("lost %q: ok=%v err=%v", k, ok, err)
+				if err := l.Apply(k, func(cur any, ok bool) (any, bool) {
+					return cur.(int) + 1, true
+				}); err != nil {
+					t.Error(err)
+					return
+				}
+				if v, ok, err := l.Get(k); err != nil || !ok || v != i+1 {
+					t.Errorf("Get(%q) = %v, ok=%v err=%v", k, v, ok, err)
 					return
 				}
 			}
@@ -222,5 +230,27 @@ func TestLocalOwnerDistribution(t *testing.T) {
 	}
 	if len(owners) < 100 {
 		t.Errorf("keys landed on %d of 128 peers", len(owners))
+	}
+}
+
+// BenchmarkLocalPutGet measures one Put + Get round trip through the striped
+// store, the operation the bulk-load and query paths repeat millions of times
+// at scale.
+func BenchmarkLocalPutGet(b *testing.B) {
+	l := MustNewLocal(64)
+	keys := make([]Key, 1024)
+	for i := range keys {
+		keys[i] = Key(fmt.Sprintf("bench-key-%d", i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := keys[i&1023]
+		if err := l.Put(k, i); err != nil {
+			b.Fatal(err)
+		}
+		if _, ok, err := l.Get(k); err != nil || !ok {
+			b.Fatal(err)
+		}
 	}
 }

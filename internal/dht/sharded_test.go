@@ -2,45 +2,18 @@ package dht_test
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"mlight/internal/dht"
 	"mlight/internal/dht/dhttest"
 )
 
+// TestShardedConformance holds the store to its contract through NewSharded /
+// MustNewSharded, the constructor names cmd/mlight-perf builds it by.
 func TestShardedConformance(t *testing.T) {
 	dhttest.RunConformance(t, func(t *testing.T) dht.DHT {
 		return dht.MustNewSharded(8)
 	})
-}
-
-// TestShardedOwnerMatchesLocal: the sharded store must assign every key to
-// the same virtual peer as the map-backed Local — ownership is ring
-// configuration, not storage layout.
-func TestShardedOwnerMatchesLocal(t *testing.T) {
-	for _, peers := range []int{1, 3, 64} {
-		l := dht.MustNewLocal(peers)
-		s := dht.MustNewSharded(peers)
-		for i := 0; i < 500; i++ {
-			key := dht.Key(fmt.Sprintf("b/%b", i))
-			lo, err1 := l.Owner(key)
-			so, err2 := s.Owner(key)
-			if err1 != nil || err2 != nil || lo != so {
-				t.Fatalf("peers=%d key=%s: Local owner %q (%v), Sharded owner %q (%v)",
-					peers, key, lo, err1, so, err2)
-			}
-		}
-		lp, sp := l.Peers(), s.Peers()
-		if len(lp) != len(sp) {
-			t.Fatalf("peers=%d: peer lists differ in length", peers)
-		}
-		for i := range lp {
-			if lp[i] != sp[i] {
-				t.Fatalf("peers=%d: peer %d is %q vs %q", peers, i, lp[i], sp[i])
-			}
-		}
-	}
 }
 
 // TestShardedBatchAndRange exercises the shard-grouped batch paths and the
@@ -107,59 +80,6 @@ func TestShardedBatchAndRange(t *testing.T) {
 	for i := 0; i < n; i += 2 {
 		if got[ops[i].Key] != i+1 {
 			t.Fatalf("key %s = %v, want %d", ops[i].Key, got[ops[i].Key], i+1)
-		}
-	}
-}
-
-// TestShardedConcurrent hammers disjoint keys from many goroutines — run
-// under -race this is the shard-safety proof.
-func TestShardedConcurrent(t *testing.T) {
-	s := dht.MustNewSharded(8)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				key := dht.Key(fmt.Sprintf("g%d-%d", g, i))
-				if err := s.Put(key, i); err != nil {
-					t.Error(err)
-				}
-				if err := s.Apply(key, func(cur any, ok bool) (any, bool) {
-					return cur.(int) + 1, true
-				}); err != nil {
-					t.Error(err)
-				}
-				if v, ok, err := s.Get(key); err != nil || !ok || v != i+1 {
-					t.Errorf("Get(%s) = %v %v %v", key, v, ok, err)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if s.Len() != 8*200 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-}
-
-// BenchmarkShardedPutGet measures one Put + Get round trip through the
-// striped store, the operation the bulk-load and query paths repeat
-// millions of times at scale.
-func BenchmarkShardedPutGet(b *testing.B) {
-	s := dht.MustNewSharded(64)
-	keys := make([]dht.Key, 1024)
-	for i := range keys {
-		keys[i] = dht.Key(fmt.Sprintf("bench-key-%d", i))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := keys[i&1023]
-		if err := s.Put(k, i); err != nil {
-			b.Fatal(err)
-		}
-		if _, ok, err := s.Get(k); err != nil || !ok {
-			b.Fatal(err)
 		}
 	}
 }

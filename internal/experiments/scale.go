@@ -212,7 +212,7 @@ func Scale(cfg ScaleConfig) (ScaleResult, error) {
 	}
 	res.GenerateWallMS = float64(time.Since(genStart)) / float64(time.Millisecond)
 
-	store, err := dht.NewSharded(cfg.Peers)
+	store, err := dht.NewLocal(cfg.Peers)
 	if err != nil {
 		return res, err
 	}

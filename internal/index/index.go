@@ -85,7 +85,6 @@ func (s SplitStrategy) String() string {
 //	Retry           Retry            Retry            Retry
 //	Trace           Trace            Trace            Trace
 //	Sleep           Sleep            (ignored)        (ignored)
-//	WriterBatch     WriterBatch      (ignored)        (ignored)
 //	Seed            Seed             (ignored)        (ignored)
 type Tuning struct {
 	// Dims is the data dimensionality m.
@@ -111,9 +110,6 @@ type Tuning struct {
 	// Sleep is the sleeper maintenance backoff uses between conflicting
 	// insert attempts; nil selects time.Sleep (m-LIGHT only).
 	Sleep func(time.Duration)
-	// WriterBatch bounds how many queued inserts one group commit of the
-	// m-LIGHT Writer drains.
-	WriterBatch int
 	// Seed seeds the index's internal randomness — today the depth-probe
 	// sampling of EstimateDepth. Any fixed value keeps runs replayable; the
 	// zero value is itself a valid seed, so no field needs setting for
@@ -203,12 +199,6 @@ func WithTrace(c *trace.Collector) Option {
 // deterministic tests over simulated substrates; nil restores time.Sleep.
 func WithSleep(sleep func(time.Duration)) Option {
 	return OptionFunc(func(t *Tuning) { t.Sleep = sleep })
-}
-
-// WithWriter bounds how many queued inserts one group commit of the m-LIGHT
-// Writer drains (Index.Writer). 0 restores the default.
-func WithWriter(maxBatch int) Option {
-	return OptionFunc(func(t *Tuning) { t.WriterBatch = maxBatch })
 }
 
 // WithSeed seeds the index's internal randomness (depth-estimation probes).

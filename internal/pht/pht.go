@@ -268,7 +268,7 @@ func (ix *Index) Insert(rec spatial.Record) error {
 		if err != nil {
 			return err
 		}
-		overflow, stale, err := ix.applyInsert(leaf.Label, rec)
+		overflow, stale, err := ix.insertAt(leaf.Label, rec)
 		if err != nil {
 			return err
 		}
@@ -286,10 +286,13 @@ func (ix *Index) Insert(rec spatial.Record) error {
 	return fmt.Errorf("pht: insert %v: too many conflicting node changes", rec.Key)
 }
 
-// applyInsert appends the record at the leaf; when the leaf overflows it is
+// insertAt appends the record at the leaf; when the leaf overflows it is
 // returned so the caller can split it.
-func (ix *Index) applyInsert(label bitlabel.Label, rec spatial.Record) (overflow *node, stale bool, err error) {
+func (ix *Index) insertAt(label bitlabel.Label, rec spatial.Record) (overflow *node, stale bool, err error) {
 	applyErr := ix.d.Apply(labelKey(label), func(cur any, exists bool) (any, bool) {
+		// A substrate may run the transform again (a lost CAS, a retry): the
+		// verdict is the last run's alone.
+		overflow, stale = nil, false
 		if !exists {
 			stale = true
 			return nil, false

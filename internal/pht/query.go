@@ -147,6 +147,7 @@ func (ix *Index) Delete(key spatial.Point, data string) (bool, error) {
 	removed := false
 	var after node
 	applyErr := ix.d.Apply(labelKey(leaf.Label), func(cur any, exists bool) (any, bool) {
+		removed = false // the verdict is the last run's alone, as in insertAt
 		if !exists {
 			return nil, false
 		}

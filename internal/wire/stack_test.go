@@ -146,6 +146,32 @@ func TestByteDHTForwardsSpans(t *testing.T) {
 	}
 }
 
+// TestByteDHTRerunReportsTheStoredRun: a transform run twice — first against
+// bytes that do not decode, discarded, then against the key as stored (here:
+// absent), as a lost CAS re-runs it — must report the stored run's outcome.
+// Apply used to keep the first run's codec error; ApplyBatch always reset it.
+func TestByteDHTRerunReportsTheStoredRun(t *testing.T) {
+	for name, apply := range map[string]func(dht.DHT, dht.Key, dht.ApplyFunc) error{
+		"Apply": dht.DHT.Apply,
+		"ApplyBatch": func(d dht.DHT, k dht.Key, fn dht.ApplyFunc) error {
+			return dht.ApplyBatch(d, []dht.ApplyOp{{Key: k, Fn: fn}}, 1)[0]
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			flaky := dhttest.NewFlaky(dht.MustNewLocal(4))
+			d := wire.NewByteDHT(flaky, valueCodec{})
+			flaky.RerunNext("k", []byte("?garbage"), true)
+			err := apply(d, "k", func(any, bool) (any, bool) { return 42, true })
+			if err != nil {
+				t.Fatalf("the stored run succeeded, %s reported %v", name, err)
+			}
+			if v, _, err := d.Get("k"); err != nil || v != 42 {
+				t.Fatalf("Get = %v, %v", v, err)
+			}
+		})
+	}
+}
+
 // permutations returns every ordering of items.
 func permutations(items []string) [][]string {
 	if len(items) <= 1 {

@@ -3,13 +3,9 @@
 // opaque byte strings, not in-process objects; an over-DHT index therefore
 // has to serialise its buckets at the DHT boundary. ByteDHT wraps any
 // substrate and round-trips every stored value through this package's
-// compact binary format, proving the index depends on nothing but bytes.
-//
-// Format (all integers little-endian; lengths as uvarint):
-//
-//	point   = uvarint dims, dims × float64 bits
-//	record  = point, uvarint len(data), data bytes
-//	bucket  = byte labelLen, uint64 labelBits, uvarint count, count × record
+// compact binary format, proving the index depends on nothing but bytes. The
+// format itself is written down, and implemented, once: beside the columnar
+// arenas it fills, in core/columnar.go.
 package wire
 
 import (
@@ -18,7 +14,6 @@ import (
 	"fmt"
 	"math"
 
-	"mlight/internal/bitlabel"
 	"mlight/internal/core"
 	"mlight/internal/dht"
 	"mlight/internal/spatial"
@@ -57,15 +52,8 @@ func DecodePoint(buf []byte) (spatial.Point, []byte, error) {
 	return p, buf[dims*8:], nil
 }
 
-// AppendRecord appends the encoding of r to buf. Allocation-free when buf
-// has capacity (the codec fast path — callers reuse scratch buffers).
-//
-//lint:hotpath
-func AppendRecord(buf []byte, r spatial.Record) []byte {
-	buf = AppendPoint(buf, r.Key)
-	buf = binary.AppendUvarint(buf, uint64(len(r.Data)))
-	return append(buf, r.Data...)
-}
+// AppendRecord appends the encoding of r to buf.
+func AppendRecord(buf []byte, r spatial.Record) []byte { return core.AppendRecord(buf, r) }
 
 // DecodeRecord decodes a record, returning the remaining bytes.
 func DecodeRecord(buf []byte) (spatial.Record, []byte, error) {
@@ -82,101 +70,17 @@ func DecodeRecord(buf []byte) (spatial.Record, []byte, error) {
 }
 
 // MarshalBucket encodes a core bucket.
-func MarshalBucket(b core.Bucket) []byte {
-	n := b.Load()
-	buf := make([]byte, 0, 16+n*40)
-	buf = append(buf, byte(b.Label.Len()))
-	buf = binary.LittleEndian.AppendUint64(buf, b.Label.Bits())
-	buf = binary.AppendUvarint(buf, uint64(n))
-	for i := 0; i < n; i++ {
-		buf = AppendRecord(buf, b.RecordAt(i))
-	}
-	return buf
-}
+func MarshalBucket(b core.Bucket) []byte { return b.Marshal() }
 
-// UnmarshalBucket decodes a core bucket straight into its columnar form.
-// A first pass checks every record's framing — the bytes come from a daemon
-// or a log, so lengths are claims — and adds up what the arenas must hold; a
-// second fills them. That is three allocations at any record count, and no
-// Point or string per record on the way.
+// UnmarshalBucket decodes a core bucket. The format and its decoder live
+// beside the columnar arenas they fill (core.UnmarshalBucket); malformed
+// bytes are reported as ErrMalformed here.
 func UnmarshalBucket(buf []byte) (core.Bucket, error) {
-	if len(buf) < 9 {
-		return core.Bucket{}, fmt.Errorf("%w: bucket header", ErrMalformed)
+	b, err := core.UnmarshalBucket(buf)
+	if err != nil {
+		return core.Bucket{}, fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
-	labelLen := int(buf[0])
-	if labelLen > bitlabel.MaxLen {
-		return core.Bucket{}, fmt.Errorf("%w: label length %d", ErrMalformed, labelLen)
-	}
-	bits := binary.LittleEndian.Uint64(buf[1:9])
-	label := bitlabel.New(bits, labelLen)
-	rest := buf[9:]
-	count, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return core.Bucket{}, fmt.Errorf("%w: record count", ErrMalformed)
-	}
-	rest = rest[n:]
-	// A record encodes to at least two bytes, so a count beyond len(rest)/2
-	// cannot be satisfied — reject it up front rather than trusting an
-	// attacker-controlled length for allocation (found by fuzzing).
-	if count > uint64(len(rest)/2)+1 {
-		return core.Bucket{}, fmt.Errorf("%w: record count %d exceeds payload", ErrMalformed, count)
-	}
-
-	var dims, dataLen uint64
-	p := rest
-	for i := uint64(0); i < count; i++ {
-		d, n := binary.Uvarint(p)
-		if n <= 0 || d > 1<<16 {
-			return core.Bucket{}, fmt.Errorf("record %d: %w: point dims", i, ErrMalformed)
-		}
-		// The arenas hold one dimensionality. A bucket whose records
-		// disagree used to decode, and read the odd record's missing
-		// coordinates out of its neighbour's.
-		if i == 0 {
-			dims = d
-		} else if d != dims {
-			return core.Bucket{}, fmt.Errorf("record %d: %w: %d dims in a bucket of %d", i, ErrMalformed, d, dims)
-		}
-		p = p[n:]
-		if uint64(len(p)) < dims*8 {
-			return core.Bucket{}, fmt.Errorf("record %d: %w: point truncated", i, ErrMalformed)
-		}
-		p = p[dims*8:]
-		size, n := binary.Uvarint(p)
-		if n <= 0 || uint64(len(p)-n) < size {
-			return core.Bucket{}, fmt.Errorf("record %d: %w: record data", i, ErrMalformed)
-		}
-		p = p[uint64(n)+size:]
-		dataLen += size
-	}
-	if len(p) != 0 {
-		return core.Bucket{}, fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(p))
-	}
-	if count == 0 {
-		return core.Bucket{Label: label}, nil
-	}
-	if dataLen > math.MaxUint32 {
-		return core.Bucket{}, fmt.Errorf("%w: %d payload bytes", ErrMalformed, dataLen)
-	}
-
-	coords := make([]float64, 0, count*dims)
-	offs := make([]uint32, 1, count+1)
-	data := make([]byte, 0, dataLen)
-	p = rest
-	for i := uint64(0); i < count; i++ {
-		_, n := binary.Uvarint(p)
-		p = p[n:]
-		for j := uint64(0); j < dims; j++ {
-			coords = append(coords, math.Float64frombits(binary.LittleEndian.Uint64(p[j*8:])))
-		}
-		p = p[dims*8:]
-		size, n := binary.Uvarint(p)
-		p = p[n:]
-		data = append(data, p[:size]...)
-		p = p[size:]
-		offs = append(offs, uint32(len(data)))
-	}
-	return core.NewBucketColumns(label, int(dims), coords, offs, data), nil
+	return b, nil
 }
 
 // BucketCodec is the Codec for core buckets.
@@ -271,16 +175,26 @@ func (b *ByteDHT) Remove(key dht.Key) error {
 // and its result re-encoded, all at the owning peer.
 func (b *ByteDHT) Apply(key dht.Key, fn dht.ApplyFunc) error {
 	var codecErr error
-	err := b.inner.Apply(key, func(cur any, exists bool) (any, bool) {
+	if err := b.inner.Apply(key, b.transcode(fn, &codecErr)); err != nil {
+		return err
+	}
+	return codecErr
+}
+
+// transcode wraps fn with the decode/re-encode shim. A codec failure leaves
+// the stored bytes intact and is reported through *codecErr, which every run
+// assigns afresh: a re-issued attempt must not inherit an earlier run's error.
+func (b *ByteDHT) transcode(fn dht.ApplyFunc, codecErr *error) dht.ApplyFunc {
+	return func(cur any, exists bool) (any, bool) {
+		*codecErr = nil
 		var decoded any
 		if exists {
 			data, ok := cur.([]byte)
 			if !ok {
-				codecErr = fmt.Errorf("wire: substrate holds %T, want bytes", cur)
+				*codecErr = fmt.Errorf("wire: substrate holds %T, want bytes", cur)
 				return cur, true
 			}
-			decoded, codecErr = b.codec.Unmarshal(data)
-			if codecErr != nil {
+			if decoded, *codecErr = b.codec.Unmarshal(data); *codecErr != nil {
 				return cur, true
 			}
 		}
@@ -290,15 +204,11 @@ func (b *ByteDHT) Apply(key dht.Key, fn dht.ApplyFunc) error {
 		}
 		encoded, err := b.codec.Marshal(next)
 		if err != nil {
-			codecErr = err
+			*codecErr = err
 			return cur, exists
 		}
 		return encoded, true
-	})
-	if err != nil {
-		return err
 	}
-	return codecErr
 }
 
 // Owner implements dht.DHT.
@@ -367,36 +277,7 @@ func (b *ByteDHT) ApplyBatch(ops []dht.ApplyOp, maxInFlight int) []error {
 	wrapped := make([]dht.ApplyOp, len(ops))
 	codecErrs := make([]error, len(ops))
 	for i, op := range ops {
-		fn := op.Fn
-		slot := &codecErrs[i]
-		wrapped[i] = dht.ApplyOp{Key: op.Key, Fn: func(cur any, exists bool) (any, bool) {
-			// A re-issued attempt must not inherit a stale codec error.
-			*slot = nil
-			var decoded any
-			if exists {
-				data, ok := cur.([]byte)
-				if !ok {
-					*slot = fmt.Errorf("wire: substrate holds %T, want bytes", cur)
-					return cur, true
-				}
-				var err error
-				decoded, err = b.codec.Unmarshal(data)
-				if err != nil {
-					*slot = err
-					return cur, true
-				}
-			}
-			next, keep := fn(decoded, exists)
-			if !keep {
-				return nil, false
-			}
-			encoded, err := b.codec.Marshal(next)
-			if err != nil {
-				*slot = err
-				return cur, exists
-			}
-			return encoded, true
-		}}
+		wrapped[i] = dht.ApplyOp{Key: op.Key, Fn: b.transcode(op.Fn, &codecErrs[i])}
 	}
 	errs := dht.ApplyBatch(b.inner, wrapped, maxInFlight)
 	for i := range errs {

@@ -126,10 +126,6 @@ type (
 	Key = dht.Key
 	// LocalDHT is the in-process substrate.
 	LocalDHT = dht.Local
-	// ShardedDHT is the in-process substrate partitioned over
-	// independently-locked shards — same ownership ring as LocalDHT,
-	// built for multi-million-record single-process runs.
-	ShardedDHT = dht.Sharded
 
 	// RetryPolicy configures the optional fault-tolerance layer
 	// (Options.Retry): retry budgets, backoff, and per-owner circuit
@@ -243,9 +239,6 @@ var (
 	// WithSleep sets the maintenance backoff sleeper (NoSleep makes insert
 	// retries deterministic over simulated substrates).
 	WithSleep = index.WithSleep
-	// WithWriter bounds how many queued inserts one group commit of the
-	// Writer drains (Index.Writer / Index.InsertBatch).
-	WithWriter = index.WithWriter
 	// WithSeed seeds the index's internal randomness (depth-estimation
 	// probes), keeping repeated runs replayable.
 	WithSeed = index.WithSeed
@@ -261,18 +254,11 @@ var (
 
 // NewLocalDHT creates the in-process substrate with the given number of
 // virtual peers (key ownership follows consistent hashing, as on a real
-// ring). It panics only on non-positive peer counts.
+// ring). The store is partitioned over independently locked shards, so
+// concurrent ingest and queries do not serialise on one mutex. It panics
+// only on non-positive peer counts.
 func NewLocalDHT(peers int) *LocalDHT {
 	return dht.MustNewLocal(peers)
-}
-
-// NewShardedDHT creates the sharded in-process substrate: key ownership is
-// identical to NewLocalDHT's, but the store is partitioned over 256
-// independently-locked shards so concurrent ingest and queries do not
-// serialise on one mutex. Use it for large single-process experiments. It
-// panics only on non-positive peer counts.
-func NewShardedDHT(peers int) *ShardedDHT {
-	return dht.MustNewSharded(peers)
 }
 
 // NewRect validates and builds a closed query rectangle.
