@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"mlight/internal/bitlabel"
+	"mlight/internal/spatial"
 )
 
 // leafCache is a client-side LRU of recently resolved leaf labels — the
@@ -103,6 +104,20 @@ func (ix *Index) invalidateLeaf(label bitlabel.Label) {
 	if ix.cache != nil {
 		ix.cache.invalidate(label)
 	}
+}
+
+// cachedLeaf returns the cached leaf whose cell covers key, if there is one:
+// the label the §5 search would probe first. It may have split or merged
+// since it was cached; whoever uses it must check the stored label.
+func (ix *Index) cachedLeaf(key spatial.Point) (bitlabel.Label, bool) {
+	if ix.cache == nil {
+		return bitlabel.Label{}, false
+	}
+	path, err := bitlabel.PathLabel(key, ix.opts.MaxDepth)
+	if err != nil {
+		return bitlabel.Label{}, false
+	}
+	return ix.cache.find(path, ix.opts.Dims+1)
 }
 
 // CacheLen returns the number of entries in the lookup cache (0 when the

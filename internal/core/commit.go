@@ -132,6 +132,9 @@ type Removal struct {
 	// Keep is the bucket without the record; set only when Removed.
 	Keep    Bucket
 	Removed bool
+	// Gone reports that the stored bucket is not this leaf, as Commit.Gone
+	// does: the record was not looked for, which is not "it is not there".
+	Gone bool
 }
 
 // Remove takes one record matching key (and data, when non-empty) out of the
@@ -139,7 +142,7 @@ type Removal struct {
 // an in-place shift would mutate storage concurrent readers share.
 func Remove(stored Bucket, leaf bitlabel.Label, key spatial.Point, data string) Removal {
 	if stored.Label != leaf {
-		return Removal{}
+		return Removal{Gone: true}
 	}
 	for i, n := 0, stored.Load(); i < n; i++ {
 		if samePoint(stored.KeyAt(i), key) && (data == "" || stored.DataAt(i) == data) {

@@ -77,8 +77,9 @@ type Options struct {
 	// Default 70, the paper's Fig. 6 setting.
 	Epsilon int
 	// MaxInFlight caps the number of concurrently outstanding DHT probes
-	// per query round. 1 forces fully sequential execution (every probe on
-	// the calling goroutine); larger values let each round's frontier —
+	// per query round; it is handed to the substrate with each round's
+	// batch (dht.GetBatch). 1 forces fully sequential execution (every probe
+	// on the calling goroutine); larger values let each round's frontier —
 	// branch subqueries plus the h lookahead pieces — overlap, so measured
 	// latency tracks Rounds instead of Lookups. The cap changes only
 	// execution, never the Lookups/Rounds accounting. Default 16.

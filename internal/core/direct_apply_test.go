@@ -1,0 +1,303 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+
+	"mlight/internal/bitlabel"
+	"mlight/internal/dht"
+	"mlight/internal/dht/dhttest"
+	"mlight/internal/spatial"
+)
+
+// opLog names every operation that reaches the substrate, in order. It has
+// none of the optional capabilities, so a batch shows as the single calls it
+// decomposes into.
+type opLog struct {
+	inner dht.DHT
+	mu    sync.Mutex
+	ops   []string
+}
+
+func (l *opLog) note(op string) {
+	l.mu.Lock()
+	l.ops = append(l.ops, op)
+	l.mu.Unlock()
+}
+
+// since runs fn and returns the operations it issued.
+func (l *opLog) since(fn func()) []string {
+	l.mu.Lock()
+	l.ops = nil
+	l.mu.Unlock()
+	fn()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.ops
+}
+
+func (l *opLog) Put(k dht.Key, v any) error             { l.note("put"); return l.inner.Put(k, v) }
+func (l *opLog) Get(k dht.Key) (any, bool, error)       { l.note("get"); return l.inner.Get(k) }
+func (l *opLog) Remove(k dht.Key) error                 { l.note("remove"); return l.inner.Remove(k) }
+func (l *opLog) Apply(k dht.Key, f dht.ApplyFunc) error { l.note("apply"); return l.inner.Apply(k, f) }
+func (l *opLog) Owner(k dht.Key) (string, error)        { return l.inner.Owner(k) }
+
+// cachedIndex is a θsplit-8 index with a leaf cache over inner, loaded with n
+// random records so it holds a few dozen leaves.
+func cachedIndex(t *testing.T, inner dht.DHT, n int) *Index {
+	t.Helper()
+	ix, err := New(inner, Options{ThetaSplit: 8, ThetaMerge: 4, CacheSize: 64, Sleep: dht.NoSleep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < n; i++ {
+		rec := spatial.Record{Key: spatial.Point{rng.Float64(), rng.Float64()}, Data: fmt.Sprintf("r%d", i)}
+		if err := ix.Insert(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ix
+}
+
+// roomyLeaf looks up leaves until it finds one below the root that can take a
+// record without splitting and holds at least θmerge of them, and returns it
+// (now cached) with a key inside its cell.
+func roomyLeaf(t *testing.T, ix *Index) (Bucket, spatial.Point) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 1000; i++ {
+		p := spatial.Point{rng.Float64(), rng.Float64()}
+		b, err := ix.Lookup(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if load := b.Load(); load >= ix.opts.ThetaMerge && load < ix.opts.ThetaSplit-1 && b.Label != bitlabel.Root(2) {
+			return b, p
+		}
+	}
+	t.Fatal("no leaf with room")
+	return Bucket{}, nil
+}
+
+// TestCachedLeafGoesStraightToApply: with the covering leaf cached, an insert
+// and a delete are the Apply alone — the transform checks the stored label, so
+// nothing verifies the entry first — and a delete that leaves θmerge records
+// behind does not probe the sibling it could not merge with anyway.
+func TestCachedLeafGoesStraightToApply(t *testing.T) {
+	log := &opLog{inner: dht.MustNewLocal(4)}
+	ix := cachedIndex(t, log, 200)
+	leaf, p := roomyLeaf(t, ix)
+	rec := spatial.Record{Key: p, Data: "direct"}
+
+	before := ix.Stats()
+	if ops := log.since(func() {
+		if err := ix.Insert(rec); err != nil {
+			t.Fatal(err)
+		}
+	}); !slices.Equal(ops, []string{"apply"}) {
+		t.Errorf("insert into cached leaf %v issued %v, want one apply", leaf.Label, ops)
+	}
+	if ops := log.since(func() {
+		if ok, err := ix.Delete(rec.Key, rec.Data); err != nil || !ok {
+			t.Fatalf("Delete = %v, %v", ok, err)
+		}
+	}); !slices.Equal(ops, []string{"apply"}) {
+		t.Errorf("delete from cached leaf %v (load %d ≥ θmerge) issued %v, want one apply", leaf.Label, leaf.Load(), ops)
+	}
+	d := ix.Stats().Sub(before)
+	if d.DHTLookups != 2 || d.CacheHits != 2 || d.CacheStale != 0 {
+		t.Errorf("lookups/hits/stale = %d/%d/%d, want 2/2/0", d.DHTLookups, d.CacheHits, d.CacheStale)
+	}
+	if found, err := ix.Exact(rec.Key); err != nil || len(found) != 0 {
+		t.Errorf("deleted record still found: %v (%v)", found, err)
+	}
+
+	// A delete of something the leaf does not hold is settled by the leaf that
+	// is the stored one: no second pass through a lookup.
+	if ops := log.since(func() {
+		if ok, err := ix.Delete(p, "never inserted"); err != nil || ok {
+			t.Fatalf("Delete of an absent record = %v, %v", ok, err)
+		}
+	}); !slices.Equal(ops, []string{"apply"}) {
+		t.Errorf("delete of an absent record issued %v, want one apply", ops)
+	}
+}
+
+// TestUncachedDeleteAtThetaMergeSkipsSiblingProbe: without a cache the same
+// delete is the lookup's probes and the apply — the sibling probe is gone
+// here too, and a delete that does drop the leaf below θmerge still makes it.
+func TestUncachedDeleteAtThetaMergeSkipsSiblingProbe(t *testing.T) {
+	log := &opLog{inner: dht.MustNewLocal(4)}
+	ix, err := New(log, Options{ThetaSplit: 8, ThetaMerge: 4, Sleep: dht.NoSleep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 200; i++ {
+		if err := ix.Insert(spatial.Record{Key: spatial.Point{rng.Float64(), rng.Float64()}, Data: fmt.Sprintf("r%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leaf, _ := roomyLeaf(t, ix)
+	for load := leaf.Load(); load > 0; load-- {
+		victim := leaf.RecordAt(load - 1)
+		var probes LookupTrace
+		if _, err := ix.lookup(victim.Key, &probes, 0); err != nil {
+			t.Fatal(err)
+		}
+		ops := log.since(func() {
+			if ok, err := ix.Delete(victim.Key, victim.Data); err != nil || !ok {
+				t.Fatalf("Delete = %v, %v", ok, err)
+			}
+		})
+		gets := 0
+		for _, op := range ops {
+			if op == "get" {
+				gets++
+			}
+		}
+		switch left := load - 1; {
+		case left >= ix.opts.ThetaMerge:
+			if gets != probes.Probes || len(ops) != gets+1 || ops[len(ops)-1] != "apply" {
+				t.Errorf("delete leaving %d ≥ θmerge issued %v, want the lookup's %d gets and one apply", left, ops, probes.Probes)
+			}
+		case left == ix.opts.ThetaMerge-1:
+			if gets <= probes.Probes {
+				t.Errorf("delete leaving %d < θmerge issued %v: the sibling was not probed", left, ops)
+			}
+			return // a merge may have moved the leaf; the cascade tests take it from here
+		}
+	}
+}
+
+// TestCachedLeafSplitByAnotherClient: a second client splits the leaf between
+// this client's cache fill and its apply. The stored label no longer matches,
+// so the guess is counted stale and dropped, and the insert and the delete
+// land where a fresh lookup says — both records end up exactly once.
+func TestCachedLeafSplitByAnotherClient(t *testing.T) {
+	shared := dht.MustNewLocal(4)
+	ix := cachedIndex(t, shared, 200)
+	leaf, p := roomyLeaf(t, ix)
+	other, err := New(shared, Options{ThetaSplit: 8, ThetaMerge: 4, Sleep: dht.NoSleep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	region, err := spatial.RegionOf(leaf.Label, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; ; i++ {
+		q := spatial.Point{
+			region.Lo[0] + rng.Float64()*(region.Hi[0]-region.Lo[0]),
+			region.Lo[1] + rng.Float64()*(region.Hi[1]-region.Lo[1]),
+		}
+		if err := other.Insert(spatial.Record{Key: q, Data: fmt.Sprintf("other%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+		if other.Stats().Splits > 0 {
+			break
+		}
+	}
+
+	before := ix.Stats()
+	rec := spatial.Record{Key: p, Data: "after the split"}
+	if err := ix.Insert(rec); err != nil {
+		t.Fatal(err)
+	}
+	if d := ix.Stats().Sub(before); d.CacheStale != 1 {
+		t.Errorf("CacheStale = %d after an insert guessed a split leaf, want 1", d.CacheStale)
+	}
+	if found, err := ix.Exact(p); err != nil || len(found) != 1 {
+		t.Fatalf("inserted record found %d times (%v)", len(found), err)
+	}
+	now, err := ix.Lookup(p)
+	if err != nil || now.Label == leaf.Label {
+		t.Fatalf("lookup after the split = %v, %v; the leaf was %v", now.Label, err, leaf.Label)
+	}
+
+	// Delete's turn: cache the old label again, as a client that had not
+	// inserted meanwhile would still hold it.
+	ix.cache.invalidate(now.Label)
+	ix.cache.add(leaf.Label)
+	before = ix.Stats()
+	if ok, err := ix.Delete(rec.Key, rec.Data); err != nil || !ok {
+		t.Fatalf("Delete through a stale guess = %v, %v; the record is there", ok, err)
+	}
+	if d := ix.Stats().Sub(before); d.CacheStale == 0 {
+		t.Error("a delete that guessed a split leaf counted no stale entry")
+	}
+	if found, err := ix.Exact(p); err != nil || len(found) != 0 {
+		t.Fatalf("deleted record found %d times (%v)", len(found), err)
+	}
+}
+
+// TestRerunCachedLeaf: the direct apply under a substrate that runs the
+// transform twice. The discarded run is shown a key with no bucket (Gone);
+// the stored run accepts. Only the stored verdict may get out — a sticky Gone
+// would send the record through the lookup and insert it a second time, and
+// would make Delete look for the record elsewhere and report it missing.
+func TestRerunCachedLeaf(t *testing.T) {
+	rr := dhttest.NewFlaky(dht.MustNewLocal(4))
+	ix := cachedIndex(t, rr, 200)
+	leaf, p := roomyLeaf(t, ix)
+	key := leaf.Key(2)
+	rec := spatial.Record{Key: p, Data: "rerun"}
+
+	direct := func(what string, op func()) {
+		t.Helper()
+		before := ix.Stats()
+		rr.RerunNext(key, nil, false)
+		op()
+		if d := ix.Stats().Sub(before); d.CacheStale != 0 || d.CacheHits != 1 || d.DHTLookups != 1 {
+			t.Errorf("%s: stale/hits/lookups = %d/%d/%d, want 0/1/1: a discarded run's verdict got out", what, d.CacheStale, d.CacheHits, d.DHTLookups)
+		}
+	}
+	direct("insert", func() {
+		if err := ix.Insert(rec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if found, err := ix.Exact(p); err != nil || len(found) != 1 {
+		t.Fatalf("record found %d times after one insert (%v)", len(found), err)
+	}
+	direct("delete", func() {
+		if ok, err := ix.Delete(rec.Key, rec.Data); err != nil || !ok {
+			t.Fatalf("Delete = %v, %v", ok, err)
+		}
+	})
+
+	// The other way round: the discarded run still saw the leaf, the stored
+	// run finds it split away. The verdict is Gone, and the fallback finds
+	// the record's real leaf.
+	holding := storedAt(t, rr, key)
+	region, err := spatial.RegionOf(leaf.Label, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := New(rr.Inner(), Options{ThetaSplit: 8, ThetaMerge: 4, Sleep: dht.NoSleep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; other.Stats().Splits == 0; i++ {
+		q := spatial.Point{
+			region.Lo[0] + rng.Float64()*(region.Hi[0]-region.Lo[0]),
+			region.Lo[1] + rng.Float64()*(region.Hi[1]-region.Lo[1]),
+		}
+		if err := other.Insert(spatial.Record{Key: q, Data: fmt.Sprintf("other%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rr.RerunNext(key, holding, true)
+	if err := ix.Insert(rec); err != nil {
+		t.Fatal(err)
+	}
+	if found, err := ix.Exact(p); err != nil || len(found) != 1 {
+		t.Fatalf("record found %d times after an insert whose guess went stale mid-apply (%v)", len(found), err)
+	}
+}

@@ -10,19 +10,18 @@ import (
 	"mlight/internal/spatial"
 )
 
-// This file pins the concurrent execution engine to the recursive reference
-// implementation it replaced (kept below verbatim, renamed old*). On a
-// static index the two must agree:
+// This file pins the round engine to the recursive reference implementation
+// it replaced (kept below verbatim, renamed old*). On a static index the two
+// must agree:
 //
 //   - Records: identical, in identical order, for every h — the engine's
 //     execution-tree DFS reproduces the recursion's depth-first order.
 //   - Rounds: identical for every h — a batch barrier corresponds exactly
 //     to one level of the recursion's parallel-step accounting.
 //   - Lookups: identical for every h. On a speculative overshoot the
-//     engine schedules all intermediate-ancestor candidates into one round
-//     but early-exits on the first hit exactly like the reference's
-//     sequential scan, and charges the deterministic sequential cost (see
-//     coverGroup/adjudicate), so no over-probing is ever charged.
+//     engine probes all intermediate-ancestor candidates in one round's
+//     batch but charges what the reference's sequential early-exit scan pays
+//     (see resolveCover), so no over-probing is ever charged.
 
 // oldQueryResult mirrors what the reference returns for comparison.
 func runOldRangeQuery(ix *Index, q spatial.Rect, ctx queryCtx) (*QueryResult, error) {
@@ -177,7 +176,13 @@ func oldCoveringLeaf(ix *Index, p Piece) (Bucket, int, int, error) {
 
 func equivIndex(t *testing.T, opts Options, n int, seed int64) *Index {
 	t.Helper()
-	ix, err := New(dht.MustNewLocal(16), opts)
+	return equivIndexOver(t, dht.MustNewLocal(16), opts, n, seed)
+}
+
+// equivIndexOver is equivIndex over a substrate of the caller's.
+func equivIndexOver(t *testing.T, d dht.DHT, opts Options, n int, seed int64) *Index {
+	t.Helper()
+	ix, err := New(d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

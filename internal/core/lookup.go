@@ -211,36 +211,6 @@ func (ix *Index) traceCache(parent trace.SpanID, outcome string) {
 	}
 }
 
-// getBucketRaw is getBucket against the uncounted substrate view. The range
-// engine uses it for covering-leaf candidate probes, whose logical charge
-// is computed deterministically at group adjudication (the slots up to and
-// including the first hit — exactly what a sequential early-exit scan pays)
-// instead of per physical probe: a concurrent probe racing past the first
-// hit must not perturb the accounting. With Options.Retry set the raw view
-// is the resilient wrapper, so these probes are still retried.
-func (ix *Index) getBucketRaw(label bitlabel.Label) (Bucket, bool, error) {
-	return ix.getBucketRawSpan(label, 0)
-}
-
-// getBucketRawSpan is getBucketRaw with span attribution (see
-// getBucketSpan). The physical probe is traced even though its logical
-// charge lands at adjudication — the trace shows what actually ran.
-func (ix *Index) getBucketRawSpan(label bitlabel.Label, parent trace.SpanID) (Bucket, bool, error) {
-	var (
-		v     any
-		found bool
-		err   error
-	)
-	if tc := ix.opts.Trace; tc != nil {
-		span := tc.Begin(parent, trace.KindDHTOp, "get-cand", trace.Str("label", label.String()))
-		v, found, err = dht.GetWithSpan(ix.raw, labelKey(label), span)
-		endDHTOp(tc, span, found, err)
-	} else {
-		v, found, err = ix.raw.Get(labelKey(label))
-	}
-	return decodeBucket(label, v, found, err)
-}
-
 // Exact returns all records whose key equals δ exactly — the exact-match
 // query of §5.
 func (ix *Index) Exact(key spatial.Point) ([]spatial.Record, error) {

@@ -25,6 +25,22 @@ func (ix *Index) Insert(rec spatial.Record) error {
 	if !rec.Key.Valid() {
 		return fmt.Errorf("core: record key %v outside the unit cube", rec.Key)
 	}
+	// With the covering leaf in the cache the record goes straight to that
+	// leaf's key: the transform checks the stored label itself (Commit.Gone),
+	// so the probe a lookup would spend verifying the entry checks nothing
+	// the Apply does not. A wrong guess costs that one Apply and falls back
+	// to the lookup.
+	if leaf, ok := ix.cachedLeaf(rec.Key); ok {
+		placed, err := ix.insertAt(leaf, rec)
+		if err != nil {
+			return err
+		}
+		if placed {
+			ix.stats.CacheHits.Inc()
+			return nil
+		}
+		ix.stats.CacheStale.Inc()
+	}
 	const maxAttempts = 12
 	var lastErr error
 	for attempt := 0; attempt < maxAttempts; attempt++ {
@@ -45,26 +61,35 @@ func (ix *Index) Insert(rec spatial.Record) error {
 		if err != nil {
 			return err
 		}
-		var c Commit
-		if err := ix.d.Apply(b.Key(m), ix.appendOp(&c, b.Label, []spatial.Record{rec})); err != nil {
-			return fmt.Errorf("core: insert apply at %v: %w", b.Label, err)
+		if placed, err := ix.insertAt(b.Label, rec); placed || err != nil {
+			return err
 		}
-		if c.Err != nil {
-			return fmt.Errorf("core: insert split at %v: %w", b.Label, c.Err)
-		}
-		if c.Gone || len(c.Stale) > 0 {
-			// The bucket split or merged between lookup and apply;
-			// retry from a fresh lookup.
-			ix.invalidateLeaf(b.Label)
-			continue
-		}
-		ix.settle(b.Label, &c)
-		return ix.placeCells(c.Moved)
 	}
 	if lastErr != nil {
 		return fmt.Errorf("core: insert %v: retries exhausted: %w", rec.Key, lastErr)
 	}
 	return fmt.Errorf("core: insert %v: too many conflicting bucket changes", rec.Key)
+}
+
+// insertAt applies rec at the key of leaf and finishes the insert there:
+// counters, cache, and the placement of what a split moved. placed is false,
+// with the cache entry dropped, when the stored bucket is not that leaf (it
+// split or merged since the caller learned the label): retry from a fresh
+// lookup.
+func (ix *Index) insertAt(leaf bitlabel.Label, rec spatial.Record) (placed bool, err error) {
+	var c Commit
+	if err := ix.d.Apply(labelKey(bitlabel.Name(leaf, ix.opts.Dims)), ix.appendOp(&c, leaf, []spatial.Record{rec})); err != nil {
+		return false, fmt.Errorf("core: insert apply at %v: %w", leaf, err)
+	}
+	if c.Err != nil {
+		return false, fmt.Errorf("core: insert split at %v: %w", leaf, c.Err)
+	}
+	if c.Gone || len(c.Stale) > 0 {
+		ix.invalidateLeaf(leaf)
+		return false, nil
+	}
+	ix.settle(leaf, &c)
+	return true, ix.placeCells(c.Moved)
 }
 
 // appendOp is the transform both insert drivers send to a leaf's owner:
@@ -139,35 +164,60 @@ func (ix *Index) Delete(key spatial.Point, data string) (bool, error) {
 	if key.Dim() != m {
 		return false, fmt.Errorf("%w: key has %d dims, index has %d", ErrDimension, key.Dim(), m)
 	}
+	// As in Insert, a cached covering leaf is tried without the verifying
+	// lookup. Only "the label moved" sends the delete down the verified path:
+	// a leaf that is the stored one and does not hold the record settles it.
+	if leaf, ok := ix.cachedLeaf(key); ok {
+		out, err := ix.removeAt(leaf, key, data)
+		if err != nil {
+			return false, err
+		}
+		if !out.Gone {
+			ix.stats.CacheHits.Inc()
+			return ix.merged(out, nil)
+		}
+		ix.stats.CacheStale.Inc()
+		ix.invalidateLeaf(leaf)
+	}
 	b, err := ix.Lookup(key)
 	if err != nil {
 		return false, err
 	}
-	// Assignment only, like appendOp: the last run's verdict is the one
-	// that was stored.
-	var out Removal
-	err = ix.d.Apply(b.Key(m), func(cur any, exists bool) (any, bool) {
+	return ix.merged(ix.removeAt(b.Label, key, data))
+}
+
+// removeAt runs Remove at the key of leaf. Assignment only, like appendOp:
+// the last run's verdict is the one that was stored.
+func (ix *Index) removeAt(leaf bitlabel.Label, key spatial.Point, data string) (out Removal, err error) {
+	err = ix.d.Apply(labelKey(bitlabel.Name(leaf, ix.opts.Dims)), func(cur any, exists bool) (any, bool) {
 		stored, _ := cur.(Bucket)
-		out = Remove(stored, b.Label, key, data)
+		out = Remove(stored, leaf, key, data)
 		if !out.Removed {
 			return cur, exists
 		}
 		return out.Keep, true
 	})
 	if err != nil {
-		return false, fmt.Errorf("core: delete apply at %v: %w", b.Label, err)
+		return Removal{}, fmt.Errorf("core: delete apply at %v: %w", leaf, err)
 	}
-	if !out.Removed {
-		return false, nil
+	return out, nil
+}
+
+// merged finishes a delete: a removal is followed by the merge cascade.
+func (ix *Index) merged(out Removal, err error) (bool, error) {
+	if err != nil || !out.Removed {
+		return false, err
 	}
 	return true, ix.mergeUpwards(out.Keep)
 }
 
 // mergeUpwards merges the bucket with its sibling leaf while the pair
-// jointly holds fewer than θmerge records, cascading towards the root.
+// jointly holds fewer than θmerge records, cascading towards the root. A
+// bucket that holds θmerge records by itself fails that test whatever its
+// sibling holds, so the sibling is not probed.
 func (ix *Index) mergeUpwards(b Bucket) error {
 	m := ix.opts.Dims
-	for b.Label != bitlabel.Root(m) {
+	for b.Label != bitlabel.Root(m) && b.Load() < ix.opts.ThetaMerge {
 		sibLabel := b.Label.Sibling()
 		sib, found, err := ix.getBucket(bitlabel.Name(sibLabel, m), nil)
 		if err != nil {

@@ -3,9 +3,9 @@ package core
 import (
 	"fmt"
 	"strconv"
-	"sync"
 
 	"mlight/internal/bitlabel"
+	"mlight/internal/dht"
 	"mlight/internal/index"
 	"mlight/internal/spatial"
 	"mlight/internal/trace"
@@ -71,9 +71,10 @@ func (ix *Index) ShapeQueryParallel(s spatial.Shape, h int) (*QueryResult, error
 }
 
 // rangeQuery drives the round-synchronous execution engine: every round the
-// current frontier of independent DHT probes is issued as one concurrent
-// batch (bounded by Options.MaxInFlight), a barrier waits for the whole
-// batch, and the results generate the next frontier. Rounds therefore
+// current frontier of independent DHT probes goes to the substrate as one
+// batch call (dht.GetBatch, which overlaps them up to Options.MaxInFlight or
+// answers them natively), the call's return is the barrier, and the results
+// generate the next frontier on the calling goroutine. Rounds therefore
 // equals the number of synchronous batch barriers — the paper's latency
 // unit — and wall-clock latency over a latency-bearing substrate scales
 // with Rounds, not Lookups. MaxInFlight = 1 degrades to fully sequential
@@ -130,7 +131,7 @@ func (ix *Index) rangeQueryCtx(q spatial.Rect, ctx queryCtx) (*QueryResult, erro
 
 	eng := &rangeEngine{ix: ix, ctx: ctx}
 	root := &execNode{}
-	frontier, err := eng.expand(q, lca, b, root)
+	frontier, err := eng.expand(q, lca, b, root, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -144,12 +145,12 @@ func (ix *Index) rangeQueryCtx(q spatial.Rect, ctx queryCtx) (*QueryResult, erro
 }
 
 // rangeEngine executes one query's decomposition as synchronized rounds of
-// concurrent probes, accumulating the cost accounting.
+// batched probes, accumulating the cost accounting.
 type rangeEngine struct {
 	ix  *Index
 	ctx queryCtx
 
-	// lookups counts every DHT probe issued; barriers counts completed
+	// lookups counts every DHT probe charged; barriers counts completed
 	// batch rounds. extraRounds accounts the rare sequential recovery
 	// lookup (possible only under concurrent restructuring), whose probes
 	// are serial rounds the barrier count cannot see.
@@ -159,10 +160,9 @@ type rangeEngine struct {
 }
 
 // execNode is one node of the query's execution tree. Each frontier item
-// owns exactly one node and writes only to it, so concurrent workers never
-// share state; the tree's depth-first order reproduces the deterministic
-// result ordering of the sequential decomposition regardless of probe
-// completion order.
+// owns exactly one node and writes only to it; the tree's depth-first order
+// reproduces the deterministic result ordering of the sequential
+// decomposition whatever order a round's probes were answered in.
 type execNode struct {
 	records  []spatial.Record
 	children []*execNode
@@ -184,10 +184,9 @@ const (
 	// itemProbe fetches the bucket named to a piece's node and expands the
 	// decomposition there.
 	itemProbe itemKind = iota
-	// itemCand probes one covering-leaf candidate of an overshot piece; all
-	// of a piece's candidates run in the same round and are adjudicated
-	// together at the barrier.
-	itemCand
+	// itemCover probes every covering-leaf candidate of an overshot piece in
+	// one round and adjudicates them at the barrier.
+	itemCover
 	// itemFallback runs the sequential recovery lookup after the candidate
 	// round failed to surface the covering leaf (possible only under
 	// concurrent restructuring).
@@ -199,174 +198,97 @@ type frontierItem struct {
 	kind itemKind
 	p    Piece
 	node *execNode
-	// group links itemCand items of the same overshot piece; slot is this
-	// candidate's priority position inside it.
-	group *coverGroup
-	slot  int
-}
-
-// coverGroup gathers the covering-leaf candidate probes of one overshot
-// piece. Candidates are ordered deepest-first, matching the priority the
-// paper's parallel recovery implies: the first candidate (in that order)
-// whose bucket is a prefix of the overshot node is the covering leaf.
-//
-// Probing early-exits on the first hit, like the sequential reference: a
-// candidate slot launches only while no lower slot has already qualified, so
-// under sequential execution the scan stops exactly where the recursive
-// algorithm stopped. Under concurrent execution slots past the first hit may
-// race and probe anyway; those probes are physical overhead only — the
-// logical charge, computed at adjudication, is always the deterministic
-// "slots up to and including the first hit" (or all slots on a total miss),
-// identical to the sequential cost.
-type coverGroup struct {
-	p     Piece
-	node  *execNode
+	// names are an itemCover's candidates, deepest first — the priority the
+	// paper's parallel recovery implies: the first of them whose bucket is a
+	// prefix of the overshot node is the covering leaf.
 	names []bitlabel.Label
-
-	mu sync.Mutex
-	// hit is the lowest qualifying slot recorded so far, len(names) while
-	// none has qualified; leaf is the bucket that slot's probe returned.
-	hit  int
-	leaf Bucket
 }
 
-// skip reports whether the slot's probe can be elided because a
-// strictly-lower slot already holds the covering leaf.
-func (g *coverGroup) skip(slot int) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.hit < slot
-}
-
-// qualify records that the slot's probe returned a bucket covering the
-// overshot node.
-func (g *coverGroup) qualify(slot int, b Bucket) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if slot < g.hit {
-		g.hit, g.leaf = slot, b
-	}
-}
-
-// itemResult is what executing one frontier item produces: the next round's
-// items it generated, plus accounting adjustments.
-type itemResult struct {
-	next        []frontierItem
-	lookups     int
-	extraRounds int
-	err         error
-}
-
-// run executes rounds until the frontier drains. Each round is one
-// synchronous batch barrier: all items are issued through a bounded worker
-// pool, the barrier waits for every probe, and the (deterministically
-// ordered) results build the next frontier.
+// run executes rounds until the frontier drains. A round is one batch call
+// per substrate view — the piece probes through the counted view, the
+// covering-leaf candidates through the raw one (their charge is decided at
+// adjudication) — whose positional results are then resolved in frontier
+// order, each item consuming the results its keys were given.
 func (e *rangeEngine) run(frontier []frontierItem) error {
-	tc := e.ix.opts.Trace
+	ix, m, tc := e.ix, e.ix.opts.Dims, e.ix.opts.Trace
 	for len(frontier) > 0 {
 		e.barriers++
-		e.ix.stats.BatchRounds.Inc()
-		e.ix.stats.BatchProbes.Add(int64(len(frontier)))
-		inFlight := len(frontier)
-		if e.ix.opts.MaxInFlight < inFlight {
-			inFlight = e.ix.opts.MaxInFlight
-		}
-		e.ix.stats.MaxInFlight.Observe(int64(inFlight))
-
 		var round trace.SpanID
 		if tc != nil {
 			round = tc.Begin(e.ctx.span, trace.KindRound, strconv.Itoa(e.barriers),
 				trace.Int("items", int64(len(frontier))),
-				trace.Int("in_flight", int64(inFlight)))
+				trace.Int("in_flight", int64(min(len(frontier), ix.opts.MaxInFlight))))
 		}
-		results := e.runBatch(frontier, round)
-		if tc != nil {
-			tc.End(round)
-		}
-
-		var next []frontierItem
-		resolved := map[*coverGroup]bool{}
-		for i := range frontier {
-			r := &results[i]
-			e.lookups += r.lookups
-			if r.err != nil {
-				return r.err
-			}
-			if r.extraRounds > e.extraRounds {
-				e.extraRounds = r.extraRounds
-			}
-			next = append(next, r.next...)
-			// All candidate probes of a group live in this same round, so
-			// the group is adjudicable as soon as its first member is
-			// reached in order.
-			if g := frontier[i].group; g != nil && !resolved[g] {
-				resolved[g] = true
-				item, done := e.adjudicate(g)
-				if !done {
-					next = append(next, item)
+		probeKeys := make([]dht.Key, 0, len(frontier))
+		var candKeys []dht.Key
+		for _, it := range frontier {
+			switch it.kind {
+			case itemProbe:
+				probeKeys = append(probeKeys, labelKey(bitlabel.Name(it.p.Node, m)))
+			case itemCover:
+				for _, name := range it.names {
+					candKeys = append(candKeys, labelKey(name))
 				}
 			}
+		}
+		probes := ix.getBatch(ix.d, probeKeys)
+		cands := ix.getBatch(ix.raw, candKeys)
+
+		var next []frontierItem
+		for _, it := range frontier {
+			var span trace.SpanID
+			if tc != nil {
+				span = tc.Begin(round, trace.KindProbe, probeName(it))
+			}
+			before := len(next)
+			var err error
+			switch it.kind {
+			case itemProbe:
+				next, err = e.resolveProbe(it, probes[0], next, span)
+				probes = probes[1:]
+			case itemCover:
+				next, err = e.resolveCover(it, cands[:len(it.names)], next, span)
+				cands = cands[len(it.names):]
+			case itemFallback:
+				err = e.resolveFallback(it, span)
+			}
+			if err != nil {
+				if tc != nil {
+					tc.End(span, trace.Str("error", err.Error()))
+					tc.End(round)
+				}
+				return err
+			}
+			if tc != nil {
+				tc.End(span, trace.Int("next", int64(len(next)-before)))
+			}
+		}
+		if tc != nil {
+			tc.End(round)
 		}
 		frontier = next
 	}
 	return nil
 }
 
-// runBatch executes one round's items concurrently, bounded by
-// Options.MaxInFlight. Results are positional. With a single worker (or a
-// single item) everything runs inline on the calling goroutine, which keeps
-// the sequential execution mode allocation-light and exactly ordered.
-func (e *rangeEngine) runBatch(items []frontierItem, round trace.SpanID) []itemResult {
-	results := make([]itemResult, len(items))
-	workers := e.ix.opts.MaxInFlight
-	if workers == 1 || len(items) == 1 {
-		for i := range items {
-			results[i] = e.execute(items[i], round)
-		}
-		return results
+// getBatch resolves one round's keys against one substrate view in a single
+// call; the results are positional.
+func (ix *Index) getBatch(d dht.DHT, keys []dht.Key) []dht.BatchResult {
+	if len(keys) == 0 {
+		return nil
 	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i := range items {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			results[i] = e.execute(items[i], round)
-		}(i)
-	}
-	wg.Wait()
-	return results
+	return dht.GetBatch(d, keys, ix.opts.MaxInFlight)
 }
 
-// execute runs one frontier item, recording its probe span under the round
-// when tracing is enabled. It touches only the item's own execNode (and,
-// for candidates, the item's own group slot), so items of a round never
-// race.
-func (e *rangeEngine) execute(it frontierItem, round trace.SpanID) itemResult {
-	tc := e.ix.opts.Trace
-	var span trace.SpanID
-	if tc != nil {
-		span = tc.Begin(round, trace.KindProbe, probeName(it))
+// batchedBucket decodes one result of a round's batch. The batch call
+// carries no span, so the DHT-op span a single get records around its call
+// (getBucketSpan) is recorded here from the result, under the item's span.
+func (ix *Index) batchedBucket(label bitlabel.Label, r dht.BatchResult, op string, parent trace.SpanID) (Bucket, bool, error) {
+	if tc := ix.opts.Trace; tc != nil {
+		span := tc.Begin(parent, trace.KindDHTOp, op, trace.Str("label", label.String()))
+		endDHTOp(tc, span, r.Found, r.Err)
 	}
-	var res itemResult
-	switch it.kind {
-	case itemProbe:
-		res = e.executeProbe(it, span)
-	case itemCand:
-		res = e.executeCand(it, span)
-	case itemFallback:
-		res = e.executeFallback(it, span)
-	}
-	if tc != nil {
-		if res.err != nil {
-			tc.End(span, trace.Str("error", res.err.Error()))
-		} else {
-			tc.End(span, trace.Int("next", int64(len(res.next))))
-		}
-	}
-	return res
+	return decodeBucket(label, r.Value, r.Found, r.Err)
 }
 
 // probeName labels a frontier item's trace span.
@@ -374,136 +296,98 @@ func probeName(it frontierItem) string {
 	switch it.kind {
 	case itemProbe:
 		return it.p.Node.String()
-	case itemCand:
-		return "cand " + it.group.names[it.slot].String() + " slot " + strconv.Itoa(it.slot)
+	case itemCover:
+		return "cover " + it.p.Node.String()
 	default:
 		return "fallback"
 	}
 }
 
-// executeProbe fetches the bucket named to the piece's node and continues
-// the decomposition there. Speculative nodes may lie below the actual tree:
-// a missing bucket means some leaf between the piece's base node and its
-// speculative node covers the whole piece; that leaf is found by probing
-// the names of all intermediate ancestors in the next round's batch — more
-// bandwidth, no extra latency, exactly the parallel algorithm's trade.
-func (e *rangeEngine) executeProbe(it frontierItem, span trace.SpanID) itemResult {
+// resolveProbe continues the decomposition at the bucket named to the
+// piece's node. Speculative nodes may lie below the actual tree: a missing
+// bucket means some leaf between the piece's base node and its speculative
+// node covers the whole piece; that leaf is found by probing the names of
+// all intermediate ancestors in the next round's batch — more bandwidth, no
+// extra latency, exactly the parallel algorithm's trade.
+func (e *rangeEngine) resolveProbe(it frontierItem, r dht.BatchResult, next []frontierItem, span trace.SpanID) ([]frontierItem, error) {
 	m := e.ix.opts.Dims
-	res := itemResult{lookups: 1}
-	b, found, err := e.ix.getBucketSpan(bitlabel.Name(it.p.Node, m), nil, span)
+	e.lookups++
+	b, found, err := e.ix.batchedBucket(bitlabel.Name(it.p.Node, m), r, "get", span)
 	if err != nil {
-		res.err = err
-		return res
+		return next, err
 	}
 	if !found {
-		names := coverCandidates(it.p, m)
-		if len(names) == 0 {
-			// No intermediate ancestors to try: go straight to the
-			// sequential recovery lookup next round.
-			res.next = []frontierItem{{kind: itemFallback, p: it.p, node: it.node}}
-			return res
+		// With no intermediate ancestors to try, go straight to the
+		// sequential recovery lookup next round.
+		cover := frontierItem{kind: itemFallback, p: it.p, node: it.node, names: coverCandidates(it.p, m)}
+		if len(cover.names) > 0 {
+			cover.kind = itemCover
 		}
-		g := &coverGroup{p: it.p, node: it.node, names: names, hit: len(names)}
-		for slot := range names {
-			res.next = append(res.next, frontierItem{kind: itemCand, p: it.p, group: g, slot: slot})
-		}
-		return res
+		return append(next, cover), nil
 	}
 	e.ix.cacheLeaf(b)
 	if b.Label == it.p.Node {
 		// The node itself is a leaf; it covers the piece entirely.
 		it.node.records = filterRecords(b, it.p.Q, e.ctx.shape)
-		return res
+		return next, nil
 	}
-	next, err := e.expand(it.p.Q, it.p.Node, b, it.node)
-	if err != nil {
-		res.err = err
-		return res
-	}
-	res.next = next
-	return res
+	return e.expand(it.p.Q, it.p.Node, b, it.node, next)
 }
 
-// executeCand probes one covering-leaf candidate, recording a qualifying
-// bucket in its group for adjudication at the barrier. The probe is skipped
-// when a lower-priority-index slot already found the covering leaf (the
-// early-exit of the sequential reference), and it is issued uncounted: the
-// group's deterministic logical charge is added once, at adjudication.
-func (e *rangeEngine) executeCand(it frontierItem, span trace.SpanID) itemResult {
-	g := it.group
-	if g.skip(it.slot) {
-		return itemResult{}
+// resolveCover adjudicates a candidate round: a first-hit scan in the
+// candidates' deepest-first order. All of them were probed, uncounted, in the
+// round's batch; the charge added here is what the sequential early-exit scan
+// pays — the slots up to and including the first hit, or every slot on a
+// total miss — so the probes past the hit are physical overhead only. When
+// no candidate qualifies (possible only under concurrent restructuring) the
+// sequential fallback is scheduled.
+func (e *rangeEngine) resolveCover(it frontierItem, results []dht.BatchResult, next []frontierItem, span trace.SpanID) ([]frontierItem, error) {
+	for slot, name := range it.names {
+		e.lookups++
+		e.ix.stats.DHTLookups.Inc()
+		b, found, err := e.ix.batchedBucket(name, results[slot], "get-cand", span)
+		if err != nil {
+			return next, err
+		}
+		if found && b.Label.IsPrefixOf(it.p.Node) {
+			e.ix.cacheLeaf(b)
+			it.node.records = filterRecords(b, it.p.Q, e.ctx.shape)
+			return next, nil
+		}
 	}
-	b, found, err := e.ix.getBucketRawSpan(g.names[it.slot], span)
-	if err != nil {
-		return itemResult{err: err}
-	}
-	if found && b.Label.IsPrefixOf(g.p.Node) {
-		g.qualify(it.slot, b)
-	}
-	return itemResult{}
+	return append(next, frontierItem{kind: itemFallback, p: it.p, node: it.node}), nil
 }
 
-// executeFallback recovers with a sequential lookup at a corner of the
-// piece. Its probes run serially on this worker, so they are charged as
-// extra rounds beyond the barrier the item occupies.
-func (e *rangeEngine) executeFallback(it frontierItem, span trace.SpanID) itemResult {
+// resolveFallback recovers with a sequential lookup at a corner of the
+// piece. Its probes run serially, so they are charged as extra rounds beyond
+// the barrier the item occupies.
+func (e *rangeEngine) resolveFallback(it frontierItem, span trace.SpanID) error {
 	var lt LookupTrace
 	leaf, err := e.ix.lookup(clampPoint(it.p.Q.Lo), &lt, span)
 	if err != nil {
-		return itemResult{err: err}
+		return err
 	}
 	it.node.records = filterRecords(leaf, it.p.Q, e.ctx.shape)
-	return itemResult{lookups: lt.Probes, extraRounds: lt.Probes - 1}
-}
-
-// adjudicate resolves a completed candidate round: the first candidate (in
-// the group's deepest-first priority order) holding a bucket whose label is
-// a prefix of the overshot node is the covering leaf. When no candidate
-// qualifies (possible only under concurrent restructuring) a sequential
-// fallback item is scheduled; done reports whether the group completed.
-//
-// The logical charge for the whole group is added here: slots up to and
-// including the first hit, or every slot on a total miss — the exact cost
-// of the sequential early-exit scan, no matter which extra probes raced.
-// The invariant making this sound: a slot is skipped only when a strictly
-// lower slot already qualified, so every slot at or below the final first
-// hit was genuinely probed, and the slots above it are the over-probing the
-// charge excludes.
-func (e *rangeEngine) adjudicate(g *coverGroup) (item frontierItem, done bool) {
-	g.mu.Lock()
-	hit, leaf := g.hit, g.leaf
-	g.mu.Unlock()
-	charged := len(g.names)
-	if hit < len(g.names) {
-		charged = hit + 1
-	}
-	e.lookups += charged
-	e.ix.stats.DHTLookups.Add(int64(charged))
-	if hit < len(g.names) {
-		e.ix.cacheLeaf(leaf)
-		g.node.records = filterRecords(leaf, g.p.Q, e.ctx.shape)
-		return frontierItem{}, true
-	}
-	return frontierItem{kind: itemFallback, p: g.p, node: g.node}, false
+	e.lookups += lt.Probes
+	e.extraRounds = max(e.extraRounds, lt.Probes-1)
+	return nil
 }
 
 // expand asks the planner what a bucket b fetched as the corner cell of node
 // β with (clipped) subrange q yields: b's matching records go into the
-// execution node, and every piece becomes one next-round probe. All emitted
-// probes join the same batch barrier, so sibling subqueries — and, with
-// h > 1, their speculative pieces — genuinely overlap.
-func (e *rangeEngine) expand(q spatial.Rect, beta bitlabel.Label, b Bucket, node *execNode) ([]frontierItem, error) {
+// execution node, and every piece becomes one probe appended to next. All of
+// them join the same round's batch, so sibling subqueries — and, with h > 1,
+// their speculative pieces — genuinely overlap.
+func (e *rangeEngine) expand(q spatial.Rect, beta bitlabel.Label, b Bucket, node *execNode, next []frontierItem) ([]frontierItem, error) {
 	records, pieces, err := Step(b, beta, q, e.ctx.h, e.ix.opts.Dims, e.ix.opts.MaxDepth, e.ctx.shape)
 	if err != nil {
-		return nil, err
+		return next, err
 	}
 	node.records = records
-	var items []frontierItem
 	for _, p := range pieces {
 		child := &execNode{}
 		node.children = append(node.children, child)
-		items = append(items, frontierItem{kind: itemProbe, p: p, node: child})
+		next = append(next, frontierItem{kind: itemProbe, p: p, node: child})
 	}
-	return items, nil
+	return next, nil
 }

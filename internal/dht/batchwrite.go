@@ -1,7 +1,5 @@
 package dht
 
-import "sync"
-
 // This file is the write-side counterpart of the GetBatch machinery in
 // parallel.go: several independent Puts or Applies resolved in one logical
 // round. The ingestion path uses it to ship relocated buckets (one PutBatch
@@ -65,34 +63,10 @@ func ApplyBatch(d DHT, ops []ApplyOp, maxInFlight int) []error {
 	})
 }
 
-// poolWriteBatch is the generic bounded-worker fallback shared by the two
-// write batches (same shape as poolGetBatch).
+// poolWriteBatch is the generic fallback shared by the two write batches: one
+// plain call per operation through Fan.
 func poolWriteBatch(n, maxInFlight int, op func(i int) error) []error {
-	if maxInFlight < 1 {
-		maxInFlight = DefaultMaxInFlight
-	}
 	errs := make([]error, n)
-	switch {
-	case n == 0:
-		return errs
-	case n == 1 || maxInFlight == 1:
-		// Nothing to overlap: run inline and skip the goroutine overhead.
-		for i := 0; i < n; i++ {
-			errs[i] = op(i)
-		}
-		return errs
-	}
-	sem := make(chan struct{}, maxInFlight)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			errs[i] = op(i)
-		}(i)
-	}
-	wg.Wait()
+	Fan(n, maxInFlight, func(i int) { errs[i] = op(i) })
 	return errs
 }

@@ -1,6 +1,9 @@
 package dht
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // BatchResult is the outcome of one key's Get inside a batch. Results are
 // positional: result i always corresponds to keys[i], whatever order the
@@ -12,10 +15,13 @@ type BatchResult struct {
 }
 
 // Batcher is an optional substrate interface: resolve several independent
-// Gets in one call. Substrates with a cheap shared read path (the local map
-// DHT) implement it natively; for everything else GetBatch falls back to a
-// bounded worker pool over the plain Get method, so the caller's latency is
-// one round instead of len(keys) sequential round trips.
+// Gets in one call. Substrates with a cheaper answer than one Get per key
+// implement it natively — the local map DHT reads a shard's keys under one
+// lock, a dialed overlay sends an owner's keys in one frame; for everything
+// else GetBatch falls back to a bounded worker pool over the plain Get
+// method, so the caller's latency is one round instead of len(keys)
+// sequential round trips. It is the range engine's substrate call: a round
+// of Algorithm 3 is one GetBatch.
 //
 // maxInFlight caps the number of concurrently outstanding probes; values
 // below 1 select a sensible default. Implementations must preserve the
@@ -30,8 +36,7 @@ const DefaultMaxInFlight = 16
 
 // GetBatch resolves every key against d in one logical round. When d
 // implements Batcher the native implementation is used; otherwise up to
-// maxInFlight concurrent Gets are issued through a bounded worker pool
-// (stdlib only: WaitGroup + semaphore channel). The returned slice is
+// maxInFlight concurrent Gets are issued through Fan. The returned slice is
 // positional and always has len(keys) entries.
 //
 // All implementations of DHT in this repository are safe for concurrent
@@ -41,41 +46,53 @@ func GetBatch(d DHT, keys []Key, maxInFlight int) []BatchResult {
 	if b, ok := d.(Batcher); ok {
 		return b.GetBatch(keys, maxInFlight)
 	}
-	return poolGetBatch(d, keys, maxInFlight)
+	return FanGets(d, keys, maxInFlight)
 }
 
-// poolGetBatch is the generic bounded-worker fallback. The round loop
-// itself is allocation-free: the per-batch setup (results slice, semaphore,
-// per-key closures) is the waived fixed cost, after which each probe runs
-// without touching the heap.
-//
-//lint:hotpath
-func poolGetBatch(d DHT, keys []Key, maxInFlight int) []BatchResult {
+// FanGets is the generic batch: one Get per key through Fan. It is what
+// GetBatch falls back to, and what a Batcher with no cheaper answer for some
+// of its keys calls for them.
+func FanGets(d DHT, keys []Key, maxInFlight int) []BatchResult {
+	results := make([]BatchResult, len(keys))
+	Fan(len(keys), maxInFlight, func(i int) {
+		results[i].Value, results[i].Found, results[i].Err = d.Get(keys[i])
+	})
+	return results
+}
+
+// Fan runs fn(0) … fn(n-1) on min(n, maxInFlight) workers (values below 1
+// select DefaultMaxInFlight) and returns once every call has. With nothing to
+// overlap — one call, or a cap of one — the calls run inline and in order on
+// the calling goroutine. Otherwise the workers draw the next index until
+// none is left, and the caller is one of them: calls that never block (the
+// zero-latency simulated network) then mostly run on the caller's stack,
+// already as deep as they need, where a goroutine per call grew a fresh
+// stack copy by copy for each — a third of a probe's cost there — and calls
+// that do block hand the remaining indexes to the other workers.
+func Fan(n, maxInFlight int, fn func(i int)) {
 	if maxInFlight < 1 {
 		maxInFlight = DefaultMaxInFlight
 	}
-	results := make([]BatchResult, len(keys)) //lint:allow hotpath per-batch result slice, fixed setup cost
-	switch {
-	case len(keys) == 0:
-		return results
-	case len(keys) == 1 || maxInFlight == 1:
-		// Nothing to overlap: run inline and skip the goroutine overhead.
-		for i, k := range keys {
-			results[i].Value, results[i].Found, results[i].Err = d.Get(k)
+	if n <= 1 || maxInFlight == 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
 		}
-		return results
+		return
 	}
-	sem := make(chan struct{}, maxInFlight)
-	var wg sync.WaitGroup //lint:allow hotpath WaitGroup shared with probe goroutines, fixed setup cost
-	for i := range keys {
-		sem <- struct{}{}
+	var next atomic.Int64
+	work := func() {
+		for i := next.Add(1) - 1; i < int64(n); i = next.Add(1) - 1 {
+			fn(int(i))
+		}
+	}
+	var wg sync.WaitGroup
+	for w := min(n, maxInFlight); w > 1; w-- {
 		wg.Add(1)
-		go func(i int) { //lint:allow hotpath per-probe closure, the cost GetBatch amortizes over the round
+		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
-			results[i].Value, results[i].Found, results[i].Err = d.Get(keys[i])
-		}(i)
+			work()
+		}()
 	}
+	work()
 	wg.Wait()
-	return results
 }

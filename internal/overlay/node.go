@@ -73,6 +73,21 @@ type (
 		Key    dht.Key
 		Direct bool
 	}
+	// retrieveBatchReq reads several keys at one node in one frame: what a
+	// client-mode overlay sends for the keys of a GetBatch that one view
+	// member ranks best for (batch.go). The receiver checks ownership per
+	// key, so Items[i] answers Keys[i] as a retrieveReq for it would have
+	// been answered: the value, or Declined.
+	retrieveBatchReq struct {
+		Keys   []dht.Key
+		Direct bool
+	}
+	retrieveBatchResp struct{ Items []retrieveItem }
+	retrieveItem      struct {
+		Value    any
+		Found    bool
+		Declined bool
+	}
 	// ApplyResp answers a Router's ApplyMsg: the post-apply value and
 	// whether the key was kept.
 	ApplyResp struct {
@@ -107,6 +122,8 @@ func init() {
 	transport.RegisterType(retrieveReq{})
 	transport.RegisterType(retrieveResp{})
 	transport.RegisterType(removeReq{})
+	transport.RegisterType(retrieveBatchReq{})
+	transport.RegisterType(retrieveBatchResp{})
 	transport.RegisterType(declinedResp{})
 	transport.RegisterType(ApplyResp{})
 	transport.RegisterType(handoffReq{})
@@ -313,6 +330,8 @@ func (n *Node) HandleRPC(from transport.NodeID, req any) (any, error) {
 			return nil, err
 		}
 		return struct{}{}, nil
+	case retrieveBatchReq:
+		return n.retrieveBatch(r)
 	case dht.GetVerReq:
 		if n.declines(r.Direct, r.Key) {
 			return declinedResp{}, nil
@@ -382,6 +401,27 @@ func (n *Node) HandleRPC(from transport.NodeID, req any) (any, error) {
 		return app.HandleRPC(from, req)
 	}
 	return nil, fmt.Errorf("overlay: %s: unknown request type %T", n.addr, req)
+}
+
+// retrieveBatch answers every key of a batch as a retrieveReq for it would be
+// answered, ownership check included. The key count is checked before the
+// reply is sized: no client of this package sends more than maxBatchKeys.
+func (n *Node) retrieveBatch(r retrieveBatchReq) (any, error) {
+	if len(r.Keys) > maxBatchKeys {
+		return nil, fmt.Errorf("overlay: %s: batch of %d keys exceeds the %d a frame may carry", n.addr, len(r.Keys), maxBatchKeys)
+	}
+	items := make([]retrieveItem, len(r.Keys))
+	for i, key := range r.Keys {
+		items[i].Declined = n.declines(r.Direct, key)
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for i, key := range r.Keys {
+		if !items[i].Declined {
+			items[i].Value, items[i].Found = n.currentLocked(key)
+		}
+	}
+	return retrieveBatchResp{Items: items}, nil
 }
 
 // handleClaim hands over the keys a joining peer is now the better owner

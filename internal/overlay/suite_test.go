@@ -128,6 +128,13 @@ func TestDirect(t *testing.T) {
 	forEachProtocol(t, dhttest.RunDirect)
 }
 
+// TestBatch pins the batch read: one frame per owner in client mode, per-key
+// declines, a dead member forgotten, and no batch frame from a hosting overlay.
+func TestBatch(t *testing.T) {
+	dhttest.VerifyNoLeaks(t)
+	forEachProtocol(t, dhttest.RunBatch)
+}
+
 // TestChurnScheduleDialed runs the churn gate with the workload issued by a
 // dialed client, so the schedule's joins, leaves, crashes and restarts keep
 // invalidating the view its direct sends are picked from.

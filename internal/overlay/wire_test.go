@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"encoding/binary"
 	"reflect"
 	"testing"
 
@@ -18,6 +19,41 @@ var directMessages = []any{
 	removeReq{Key: "bucket/0110", Direct: true},
 	dht.GetVerReq{Key: "bucket/0110", Direct: true},
 	declinedResp{},
+	retrieveBatchReq{Keys: []dht.Key{"bucket/0110", "bucket/0111"}, Direct: true},
+	retrieveBatchResp{Items: []retrieveItem{{Value: []byte("payload"), Found: true}, {Declined: true}}},
+	// One item for the two keys asked: every reply decodes on its own, so
+	// the mismatch is the client's to refuse (TestBatchHostileReplies).
+	retrieveBatchResp{Items: []retrieveItem{{Found: true}}},
+}
+
+// hostileBatchBytes are encodings no client of this package produces: a
+// request for 10⁶ (empty) keys, which decodes — the codec cannot know the
+// handler's cap — and is refused there before a reply is sized
+// (TestRetrieveBatchRefusesOversizedRequest); and a reply whose only value
+// claims more bytes than a frame may carry, which the codec refuses because
+// they are not there.
+func hostileBatchBytes(t testing.TB) [][]byte {
+	tag := func(v any) []byte {
+		data, err := transport.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	// The zero value's encoding ends with the absent-slice byte and, for the
+	// request, the Direct byte: cut them off and write the slice by hand.
+	req := tag(retrieveBatchReq{})
+	req = binary.AppendUvarint(append(req[:len(req)-2], 1), 1_000_000)
+	req = append(req, make([]byte, 1_000_000)...) // a million zero-length keys
+	req = append(req, 1)                          // Direct
+
+	resp := tag(retrieveBatchResp{})
+	resp = binary.AppendUvarint(append(resp[:len(resp)-1], 1), 1) // one item
+	resp = append(resp, 1)                                        // Value present
+	resp = append(resp, tag([]byte(nil))[:len("[]uint8")+1]...)   // its type tag
+	resp = binary.AppendUvarint(append(resp, 1), transport.MaxFrameSize+1)
+	resp = append(resp, "the bytes stop here"...)
+	return [][]byte{req, resp}
 }
 
 // TestDirectMessagesCrossTheWire: the mark survives the codec, so a receiver
@@ -51,6 +87,9 @@ func FuzzDirectMessages(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
+		f.Add(data)
+	}
+	for _, data := range hostileBatchBytes(f) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -229,6 +229,18 @@ func (g Region) Halves(dim int) (lower, upper Region) {
 	return lower, upper
 }
 
+// halve narrows the cell, in place, to its lower (bit 0) or upper (bit 1) half
+// along dim. A label's descent owns the one cube it allocated, so it halves
+// that cube level by level where Halves would clone four points per level.
+func (g Region) halve(dim int, bit byte) {
+	mid := (g.Lo[dim] + g.Hi[dim]) / 2
+	if bit == 0 {
+		g.Hi[dim] = mid
+	} else {
+		g.Lo[dim] = mid
+	}
+}
+
 // String renders the region with half-open brackets.
 func (g Region) String() string {
 	var sb strings.Builder
@@ -266,13 +278,7 @@ func RegionOf(l bitlabel.Label, m int) (Region, error) {
 	}
 	g := UnitCube(m)
 	for i := root.Len(); i < l.Len(); i++ {
-		dim := SplitDim(i-root.Len(), m)
-		lower, upper := g.Halves(dim)
-		if l.At(i) == 0 {
-			g = lower
-		} else {
-			g = upper
-		}
+		g.halve(SplitDim(i-root.Len(), m), l.At(i))
 	}
 	return g, nil
 }
@@ -283,13 +289,7 @@ func RegionOf(l bitlabel.Label, m int) (Region, error) {
 func ZRegionOf(l bitlabel.Label, m int) Region {
 	g := UnitCube(m)
 	for i := 0; i < l.Len(); i++ {
-		dim := SplitDim(i, m)
-		lower, upper := g.Halves(dim)
-		if l.At(i) == 0 {
-			g = lower
-		} else {
-			g = upper
-		}
+		g.halve(SplitDim(i, m), l.At(i))
 	}
 	return g
 }

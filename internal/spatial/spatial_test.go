@@ -297,3 +297,76 @@ func TestStrings(t *testing.T) {
 		t.Errorf("Rect.String = %q", got)
 	}
 }
+
+// deepLabel draws d bits from rng and returns them below the m-dimensional
+// root and as the plain z-order prefix PHT and DST address the same cell by.
+func deepLabel(rng *rand.Rand, m, d int) (rooted, z bitlabel.Label) {
+	rooted = bitlabel.Root(m)
+	for ; d > 0; d-- {
+		bit := byte(rng.Intn(2))
+		rooted, z = rooted.MustAppend(bit), z.MustAppend(bit)
+	}
+	return rooted, z
+}
+
+// TestRegionOfMatchesHalves: the in-place descent lands, to the bit, on the
+// cell that halving a fresh copy per level (Halves, which kdtree's splits
+// still use) lands on — for the rooted and the plain z-order form.
+func TestRegionOfMatchesHalves(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for m := 1; m <= 4; m++ {
+		for trial := 0; trial < 200; trial++ {
+			l, zl := deepLabel(rng, m, rng.Intn(40))
+			want := UnitCube(m)
+			for i := m + 1; i < l.Len(); i++ {
+				lower, upper := want.Halves(SplitDim(i-(m+1), m))
+				if want = lower; l.At(i) == 1 {
+					want = upper
+				}
+			}
+			got, err := RegionOf(l, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			z := ZRegionOf(zl, m)
+			for i := 0; i < m; i++ {
+				if got.Lo[i] != want.Lo[i] || got.Hi[i] != want.Hi[i] {
+					t.Fatalf("m=%d RegionOf(%v) = %v, halving copies gives %v", m, l, got, want)
+				}
+				if z.Lo[i] != want.Lo[i] || z.Hi[i] != want.Hi[i] {
+					t.Fatalf("m=%d ZRegionOf(%v) = %v, halving copies gives %v", m, zl, z, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRegionOfAllocs: a descent allocates the cube's two points and nothing
+// per level (Halves cloned four points a level: 35 % of an in-memory insert).
+func TestRegionOfAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, depth := range []int{0, 1, 12, 40} {
+		l, z := deepLabel(rng, 2, depth)
+		if got := testing.AllocsPerRun(100, func() {
+			if _, err := RegionOf(l, 2); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 2 {
+			t.Errorf("RegionOf at depth %d: %v allocations, want 2", depth, got)
+		}
+		if got := testing.AllocsPerRun(100, func() { ZRegionOf(z, 2) }); got != 2 {
+			t.Errorf("ZRegionOf at depth %d: %v allocations, want 2", depth, got)
+		}
+	}
+}
+
+var regionSink Region
+
+func BenchmarkRegionOf(b *testing.B) {
+	l, _ := deepLabel(rand.New(rand.NewSource(5)), 2, 14) // a leaf of a ~10⁵-record index
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		regionSink, _ = RegionOf(l, 2)
+	}
+}

@@ -421,7 +421,16 @@ func compileSlice(p, elem *plan) {
 			dst.SetZero()
 			return rest, nil
 		}
-		dst.Set(reflect.MakeSlice(p.t, n, n))
+		// Grown where it lives: MakeSlice would allocate a header to hand
+		// over besides the elements. Zeroed first, because a destination may
+		// be reused (a map's one element slot) and must not share elements
+		// with the value decoded before; an empty slice is present, not nil.
+		dst.SetZero()
+		if n == 0 {
+			dst.Set(reflect.MakeSlice(p.t, 0, 0))
+		}
+		dst.Grow(n)
+		dst.SetLen(n)
 		for i := 0; i < n; i++ {
 			if rest, err = elem.dec(rest, dst.Index(i)); err != nil {
 				return nil, err

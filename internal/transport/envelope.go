@@ -38,7 +38,9 @@ const (
 	// its fields in order, with no names or count — so a message that gains
 	// a field decodes wrongly, not with an error, at a peer that does not
 	// know the field. Version 2 is the first with the Direct mark on the
-	// store-plane requests (internal/overlay) and the declined response.
+	// store-plane requests (internal/overlay) and the declined response. A
+	// new message type needs no new version: a peer that does not know the
+	// type's name refuses the value with an error (codec.go).
 	envelopeVersion = 2
 
 	// MaxFrameSize bounds one frame's declared body length (16 MiB). The
