@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"unsafe"
 
 	"mlight/internal/bitlabel"
@@ -184,9 +186,17 @@ func (b Bucket) Append(rec spatial.Record) Bucket {
 //
 //	record  = uvarint dims, dims × float64 bits, uvarint len(data), data bytes
 //	bucket  = byte labelLen, uint64 labelBits, uvarint count, count × record
+//	delta   = uvarint from, uvarint count, count × record
+//
+// A delta is what a bucket holds beyond its first from records — what an
+// append added, which is all the journal has to keep of one.
 
-// ErrEncoding reports bytes that are not a bucket.
+// ErrEncoding reports bytes that are not a bucket, or not a delta.
 var ErrEncoding = errors.New("core: malformed bucket encoding")
+
+// ErrDeltaBase reports a well-formed delta applied to a bucket it was not cut
+// from: the bucket's load is not the delta's from.
+var ErrDeltaBase = errors.New("core: delta does not extend this bucket")
 
 // AppendRecord appends the encoding of rec to buf. Allocation-free when buf
 // has capacity (the codec fast path — callers reuse scratch buffers).
@@ -214,6 +224,67 @@ func (b Bucket) Marshal() []byte {
 	return buf
 }
 
+// checkRecords walks the framing of exactly count encoded records filling p,
+// all of one dimensionality — dims when fixed, the first record's otherwise —
+// and returns that dimensionality and the payload bytes they carry.
+func checkRecords(p []byte, count, dims uint64, fixed bool) (uint64, uint64, error) {
+	// A record encodes to at least two bytes, so a count beyond len(p)/2
+	// cannot be satisfied — reject it up front rather than trusting an
+	// attacker-controlled length for allocation (found by fuzzing).
+	if count > uint64(len(p)/2)+1 {
+		return 0, 0, fmt.Errorf("%w: record count %d exceeds payload", ErrEncoding, count)
+	}
+	var dataLen uint64
+	for i := uint64(0); i < count; i++ {
+		d, n := binary.Uvarint(p)
+		if n <= 0 || d > 1<<16 {
+			return 0, 0, fmt.Errorf("record %d: %w: point dims", i, ErrEncoding)
+		}
+		// The arenas hold one dimensionality. A bucket whose records
+		// disagree used to decode, and read the odd record's missing
+		// coordinates out of its neighbour's.
+		if i == 0 && !fixed {
+			dims = d
+		} else if d != dims {
+			return 0, 0, fmt.Errorf("record %d: %w: %d dims in a bucket of %d", i, ErrEncoding, d, dims)
+		}
+		p = p[n:]
+		if uint64(len(p)) < dims*8 {
+			return 0, 0, fmt.Errorf("record %d: %w: point truncated", i, ErrEncoding)
+		}
+		p = p[dims*8:]
+		size, n := binary.Uvarint(p)
+		if n <= 0 || uint64(len(p)-n) < size {
+			return 0, 0, fmt.Errorf("record %d: %w: record data", i, ErrEncoding)
+		}
+		p = p[uint64(n)+size:]
+		dataLen += size
+	}
+	if len(p) != 0 {
+		return 0, 0, fmt.Errorf("%w: %d trailing bytes", ErrEncoding, len(p))
+	}
+	return dims, dataLen, nil
+}
+
+// fill appends to the arenas the count records checkRecords passed in p.
+func (r recs) fill(p []byte, count uint64) recs {
+	dims := uint64(r.dims)
+	for i := uint64(0); i < count; i++ {
+		_, n := binary.Uvarint(p)
+		p = p[n:]
+		for j := uint64(0); j < dims; j++ {
+			r.coords = append(r.coords, math.Float64frombits(binary.LittleEndian.Uint64(p[j*8:])))
+		}
+		p = p[dims*8:]
+		size, n := binary.Uvarint(p)
+		p = p[n:]
+		r.data = append(r.data, p[:size]...)
+		p = p[size:]
+		r.offs = append(r.offs, uint32(len(r.data)))
+	}
+	return r
+}
+
 // UnmarshalBucket decodes a bucket straight into its columnar form. A first
 // pass checks every record's framing — the bytes come from a daemon, a log or
 // a file, so lengths are claims — and adds up what the arenas must hold; a
@@ -236,42 +307,9 @@ func UnmarshalBucket(buf []byte) (Bucket, error) {
 		return Bucket{}, fmt.Errorf("%w: record count", ErrEncoding)
 	}
 	rest = rest[n:]
-	// A record encodes to at least two bytes, so a count beyond len(rest)/2
-	// cannot be satisfied — reject it up front rather than trusting an
-	// attacker-controlled length for allocation (found by fuzzing).
-	if count > uint64(len(rest)/2)+1 {
-		return Bucket{}, fmt.Errorf("%w: record count %d exceeds payload", ErrEncoding, count)
-	}
-
-	var dims, dataLen uint64
-	p := rest
-	for i := uint64(0); i < count; i++ {
-		d, n := binary.Uvarint(p)
-		if n <= 0 || d > 1<<16 {
-			return Bucket{}, fmt.Errorf("record %d: %w: point dims", i, ErrEncoding)
-		}
-		// The arenas hold one dimensionality. A bucket whose records
-		// disagree used to decode, and read the odd record's missing
-		// coordinates out of its neighbour's.
-		if i == 0 {
-			dims = d
-		} else if d != dims {
-			return Bucket{}, fmt.Errorf("record %d: %w: %d dims in a bucket of %d", i, ErrEncoding, d, dims)
-		}
-		p = p[n:]
-		if uint64(len(p)) < dims*8 {
-			return Bucket{}, fmt.Errorf("record %d: %w: point truncated", i, ErrEncoding)
-		}
-		p = p[dims*8:]
-		size, n := binary.Uvarint(p)
-		if n <= 0 || uint64(len(p)-n) < size {
-			return Bucket{}, fmt.Errorf("record %d: %w: record data", i, ErrEncoding)
-		}
-		p = p[uint64(n)+size:]
-		dataLen += size
-	}
-	if len(p) != 0 {
-		return Bucket{}, fmt.Errorf("%w: %d trailing bytes", ErrEncoding, len(p))
+	dims, dataLen, err := checkRecords(rest, count, 0, false)
+	if err != nil {
+		return Bucket{}, err
 	}
 	if count == 0 {
 		return Bucket{Label: label}, nil
@@ -279,23 +317,96 @@ func UnmarshalBucket(buf []byte) (Bucket, error) {
 	if dataLen > math.MaxUint32 {
 		return Bucket{}, fmt.Errorf("%w: %d payload bytes", ErrEncoding, dataLen)
 	}
+	rs := recs{
+		dims:   int(dims),
+		coords: make([]float64, 0, count*dims),
+		offs:   make([]uint32, 1, count+1),
+		data:   make([]byte, 0, dataLen),
+	}.fill(rest, count)
+	return NewBucketColumns(label, rs.dims, rs.coords, rs.offs, rs.data), nil
+}
 
-	coords := make([]float64, 0, count*dims)
-	offs := make([]uint32, 1, count+1)
-	data := make([]byte, 0, dataLen)
-	p = rest
-	for i := uint64(0); i < count; i++ {
-		_, n := binary.Uvarint(p)
-		p = p[n:]
-		for j := uint64(0); j < dims; j++ {
-			coords = append(coords, math.Float64frombits(binary.LittleEndian.Uint64(p[j*8:])))
-		}
-		p = p[dims*8:]
-		size, n := binary.Uvarint(p)
-		p = p[n:]
-		data = append(data, p[:size]...)
-		p = p[size:]
-		offs = append(offs, uint32(len(data)))
+// extends reports whether p's records are r's first p.len(). An append shares
+// the arenas it extends, so the usual answer is one pointer comparison an
+// arena; one that outgrew its capacity moved, and is compared by content
+// (coordinates by their bits: -0 is not +0 on disk).
+func (r recs) extends(p recs) bool {
+	n := p.len()
+	if n == 0 {
+		return true
 	}
-	return NewBucketColumns(label, int(dims), coords, offs, data), nil
+	if r.len() < n || r.dims != p.dims {
+		return false
+	}
+	if &r.offs[0] != &p.offs[0] && !slices.Equal(r.offs[:n+1], p.offs[:n+1]) {
+		return false
+	}
+	if nd := p.offs[n]; nd > 0 && &r.data[0] != &p.data[0] && !bytes.Equal(r.data[:nd], p.data[:nd]) {
+		return false
+	}
+	if nc := n * p.dims; nc > 0 && &r.coords[0] != &p.coords[0] {
+		for i, c := range p.coords[:nc] {
+			if math.Float64bits(r.coords[i]) != math.Float64bits(c) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// AppendDelta reports whether b is prev extended — the same label, prev's
+// records and then zero or more — and if so appends to buf the delta that
+// takes prev to b: nothing at all when b holds what prev holds. It is how the
+// journal tells an append from a split or a removal without being told, and
+// allocation-free when buf has capacity.
+//
+//lint:hotpath
+func (b Bucket) AppendDelta(buf []byte, prev Bucket) ([]byte, bool) {
+	from, n := prev.Load(), b.Load()
+	if b.Label != prev.Label || !b.rs.extends(prev.rs) {
+		return buf, false
+	}
+	if n == from {
+		return buf, true
+	}
+	buf = binary.AppendUvarint(buf, uint64(from))
+	buf = binary.AppendUvarint(buf, uint64(n-from))
+	for i := from; i < n; i++ {
+		buf = AppendRecord(buf, b.RecordAt(i))
+	}
+	return buf, true
+}
+
+// Extend returns the bucket with a delta's records appended. The delta is
+// checked as UnmarshalBucket checks a bucket, and must have been cut at b's
+// load (ErrDeltaBase otherwise): replaying one twice, or over the wrong
+// bucket, is refused rather than stored. Like Append it shares arena capacity
+// with the receiver.
+func (b Bucket) Extend(delta []byte) (Bucket, error) {
+	from, n := binary.Uvarint(delta)
+	if n <= 0 {
+		return Bucket{}, fmt.Errorf("%w: delta base", ErrEncoding)
+	}
+	delta = delta[n:]
+	count, n := binary.Uvarint(delta)
+	if n <= 0 || count == 0 {
+		return Bucket{}, fmt.Errorf("%w: delta record count", ErrEncoding)
+	}
+	delta = delta[n:]
+	if from != uint64(b.Load()) {
+		return Bucket{}, fmt.Errorf("%w: cut at %d records, bucket %v holds %d", ErrDeltaBase, from, b.Label, b.Load())
+	}
+	dims, dataLen, err := checkRecords(delta, count, uint64(b.rs.dims), from > 0)
+	if err != nil {
+		return Bucket{}, err
+	}
+	if dataLen+uint64(len(b.rs.data)) > math.MaxUint32 {
+		return Bucket{}, fmt.Errorf("%w: %d payload bytes", ErrEncoding, dataLen+uint64(len(b.rs.data)))
+	}
+	b.rs.dims = int(dims)
+	if b.rs.offs == nil {
+		b.rs.offs = make([]uint32, 1, count+1)
+	}
+	b.rs = b.rs.fill(delta, count)
+	return b, nil
 }

@@ -191,13 +191,14 @@ func (l *Local) byShard(n int, key func(i int) Key, fn func(sh *storeShard, idxs
 	}
 }
 
-// mutation is the journal's record of storing value under key, or of
-// deleting key when keep is false.
-func mutation(key Key, value any, keep bool) WALRecord {
+// mutation is the journal's record of a transform's outcome at key: next
+// stored in place of cur, or key deleted when keep is false. cur is nil when
+// the key held nothing.
+func mutation(key Key, cur, next any, keep bool) WALRecord {
 	if !keep {
 		return WALRecord{Op: WALRemove, Key: key}
 	}
-	return WALRecord{Op: WALPut, Key: key, Value: value}
+	return WALRecord{Op: WALPut, Key: key, Value: next, Prev: cur}
 }
 
 // commitLocked journals muts as one group-commit Append (when durable) and
@@ -212,10 +213,13 @@ func (l *Local) commitLocked(sh *storeShard, muts []WALRecord) error {
 			return err
 		}
 	}
-	for _, m := range muts {
-		if m.Op == WALPut {
+	for i := range muts {
+		m := &muts[i]
+		switch {
+		case m.unchanged: // the journal found Value equal to Prev
+		case m.Op == WALPut:
 			sh.store[m.Key] = m.Value
-		} else {
+		default:
 			delete(sh.store, m.Key)
 		}
 	}
@@ -240,7 +244,7 @@ func (l *Local) Put(key Key, value any) error {
 	sh := &l.shards[l.shardIndex(key)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return l.commitLocked(sh, []WALRecord{mutation(key, value, true)})
+	return l.commitLocked(sh, []WALRecord{{Op: WALPut, Key: key, Value: value}})
 }
 
 // Get implements DHT.
@@ -257,20 +261,25 @@ func (l *Local) Remove(key Key) error {
 	sh := &l.shards[l.shardIndex(key)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return l.commitLocked(sh, []WALRecord{mutation(key, nil, false)})
+	return l.commitLocked(sh, []WALRecord{{Op: WALRemove, Key: key}})
 }
 
 // Apply implements DHT: the transform runs under the key's shard lock, so it
 // is atomic with respect to every other operation on that key. On a durable
 // Local the transform's outcome is journaled (as the resulting put or delete
-// — closures cannot replay) before the store changes.
+// — closures cannot replay — beside the value it replaces, so that the journal
+// can keep only the difference) before the store changes. A transform that
+// leaves an absent key absent has no outcome to journal.
 func (l *Local) Apply(key Key, fn ApplyFunc) error {
 	sh := &l.shards[l.shardIndex(key)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	cur, ok := sh.store[key]
 	next, keep := fn(cur, ok)
-	return l.commitLocked(sh, []WALRecord{mutation(key, next, keep)})
+	if !ok && !keep {
+		return nil
+	}
+	return l.commitLocked(sh, []WALRecord{mutation(key, cur, next, keep)})
 }
 
 // GetBatch implements Batcher natively: each shard is read under one
@@ -296,7 +305,7 @@ func (l *Local) PutBatch(ops []PutOp, maxInFlight int) []error {
 	l.byShard(len(ops), func(i int) Key { return ops[i].Key }, func(sh *storeShard, idxs []int) {
 		muts := make([]WALRecord, len(idxs))
 		for j, i := range idxs {
-			muts[j] = mutation(ops[i].Key, ops[i].Value, true)
+			muts[j] = WALRecord{Op: WALPut, Key: ops[i].Key, Value: ops[i].Value}
 		}
 		sh.mu.Lock()
 		l.commitBatch(sh, muts, idxs, errs)
@@ -312,18 +321,21 @@ func (l *Local) PutBatch(ops []PutOp, maxInFlight int) []error {
 func (l *Local) ApplyBatch(ops []ApplyOp, maxInFlight int) []error {
 	errs := make([]error, len(ops))
 	l.byShard(len(ops), func(i int) Key { return ops[i].Key }, func(sh *storeShard, idxs []int) {
-		muts := make([]WALRecord, len(idxs))
+		muts := make([]WALRecord, 0, len(idxs))
 		staged := make(map[Key]int, len(idxs)) // key → its latest entry in muts
 		sh.mu.Lock()
-		for j, i := range idxs {
+		for _, i := range idxs {
 			key := ops[i].Key
 			cur, ok := sh.store[key]
 			if at, hit := staged[key]; hit {
 				cur, ok = muts[at].Value, muts[at].Op == WALPut
 			}
 			next, keep := ops[i].Fn(cur, ok)
-			muts[j] = mutation(key, next, keep)
-			staged[key] = j
+			if !ok && !keep {
+				continue
+			}
+			staged[key] = len(muts)
+			muts = append(muts, mutation(key, cur, next, keep))
 		}
 		l.commitBatch(sh, muts, idxs, errs)
 		sh.mu.Unlock()

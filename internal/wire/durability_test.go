@@ -1,6 +1,7 @@
 package wire_test
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -236,26 +237,25 @@ func TestWALRestoreRecoversPrefixUnderLogDamage(t *testing.T) {
 // FuzzWALRestore feeds arbitrary bytes to the log-replay path with the
 // production bucket codec, seeded with genuine journal bytes over encoded
 // buckets (the same corpus construction the codec fuzzers use). Properties:
-// Restore never panics and never errors on a snapshot-less store, and the
-// recovered state is a fixpoint — compacting it and restoring again yields
-// the same records.
+// Restore never panics, errors on a snapshot-less store only with
+// dht.ErrWALInconsistent (an intact append record that fits no bucket replay
+// holds, a generation with no snapshot), and the recovered state is a
+// fixpoint — compacting it and restoring again yields the same records.
 func FuzzWALRestore(f *testing.F) {
 	seedDir := f.TempDir()
 	sw, err := dht.OpenWAL(dht.WALOptions{Dir: seedDir, Codec: wire.BucketCodec{}, CompactThreshold: -1})
 	if err != nil {
 		f.Fatal(err)
 	}
+	leaf := core.NewBucket(bitlabel.MustParse("0011011"), []spatial.Record{
+		{Key: spatial.Point{0.25, 0.75}, Data: "x"},
+		{Key: spatial.Point{0.5, 0.5}, Data: ""},
+	})
 	if err := sw.Append([]dht.WALRecord{
-		{Op: dht.WALPut, Key: "b/0011011", Value: core.NewBucket(bitlabel.MustParse("0011011"), []spatial.Record{
-			{Key: spatial.Point{0.25, 0.75}, Data: "x"},
-			{Key: spatial.Point{0.5, 0.5}, Data: ""},
-		})},
+		{Op: dht.WALPut, Key: "b/0011011", Value: leaf},
 		{Op: dht.WALPut, Key: "b/root", Value: core.Bucket{Label: bitlabel.Root(2)}},
 		{Op: dht.WALRemove, Key: "b/root"},
 	}); err != nil {
-		f.Fatal(err)
-	}
-	if err := sw.Close(); err != nil {
 		f.Fatal(err)
 	}
 	seed, err := os.ReadFile(filepath.Join(seedDir, "wal.log"))
@@ -266,6 +266,26 @@ func FuzzWALRestore(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(seed[:len(seed)/2])
 	f.Add([]byte{0xff, 0x03, 'P', 0x00})
+	// The same log with an append record behind it, and that record alone:
+	// an intact delta for a key replay does not hold.
+	if err := sw.Append([]dht.WALRecord{{
+		Op: dht.WALPut, Key: "b/0011011", Prev: leaf,
+		Value: leaf.Append(spatial.Record{Key: spatial.Point{0.3, 0.6}, Data: "new"}),
+	}}); err != nil {
+		f.Fatal(err)
+	}
+	withDelta, err := os.ReadFile(filepath.Join(seedDir, "wal.log"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if len(withDelta)-len(seed) > 48 {
+		f.Fatalf("a one-record append journaled %d bytes", len(withDelta)-len(seed))
+	}
+	f.Add(withDelta)
+	f.Add(withDelta[len(seed):])
+	if err := sw.Close(); err != nil {
+		f.Fatal(err)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -278,6 +298,9 @@ func FuzzWALRestore(f *testing.F) {
 		}
 		defer w.Close()
 		state, err := w.Restore()
+		if errors.Is(err, dht.ErrWALInconsistent) {
+			return
+		}
 		if err != nil {
 			t.Fatalf("Restore errored on snapshot-less store: %v", err)
 		}

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 
@@ -104,5 +105,108 @@ func FuzzDecodeRecord(f *testing.F) {
 			t.Fatal("rest grew")
 		}
 		_ = rec
+	})
+}
+
+// FuzzBucketDelta: a delta is bytes from a log, so every length in it is a
+// claim. Applied to any bucket — or to no bucket at all — arbitrary bytes
+// never panic; a refusal is a typed error and leaves the base as it was; and
+// an accepted delta yields the base's records followed by exactly the records
+// a record-at-a-time decode of the delta gives, from which the same delta can
+// be cut again.
+func FuzzBucketDelta(f *testing.F) {
+	label := bitlabel.MustParse("0011011")
+	base := core.NewBucket(label, []spatial.Record{
+		{Key: spatial.Point{0.25, 0.75}, Data: "x"},
+		{Key: spatial.Point{0.5, 0.5}, Data: ""},
+	})
+	baseBytes := MarshalBucket(base)
+	tail := func(from, count uint64, recs ...spatial.Record) []byte {
+		buf := binary.AppendUvarint(binary.AppendUvarint(nil, from), count)
+		for _, r := range recs {
+			buf = AppendRecord(buf, r)
+		}
+		return buf
+	}
+	rec := spatial.Record{Key: spatial.Point{0.3, 0.6}, Data: "new"}
+	good, ok := base.Append(rec).AppendDelta(nil, base)
+	if !ok || !bytes.Equal(good, tail(2, 1, rec)) {
+		f.Fatalf("AppendDelta of a one-record append = %x, %v", good, ok)
+	}
+	f.Add(baseBytes, good)
+	f.Add(MarshalBucket(core.Bucket{Label: label}), tail(0, 1, rec))                // onto an empty bucket
+	f.Add(baseBytes, tail(1, 1, rec))                                               // from below the load
+	f.Add(baseBytes, tail(3, 1, rec))                                               // from beyond the load
+	f.Add(baseBytes, tail(2, 1, spatial.Record{Key: spatial.Point{0.1, 0.2, 0.3}})) // dims mismatch
+	f.Add(baseBytes, append(tail(2, 1_000_000), make([]byte, 10)...))               // count no body can hold
+	f.Add(baseBytes, good[:len(good)-8])                                            // truncated point
+	f.Add(baseBytes, append(append([]byte(nil), good...), 0))                       // trailing bytes
+	f.Add(baseBytes, tail(2, 0))                                                    // a delta of nothing
+	f.Add([]byte{}, good)                                                           // a delta for an absent key
+	f.Fuzz(func(t *testing.T, baseBytes, delta []byte) {
+		var base any
+		var before []byte
+		b, err := UnmarshalBucket(baseBytes)
+		if err == nil {
+			base, before = b, MarshalBucket(b)
+		}
+		out, err := BucketCodec{}.ApplyDelta(base, delta)
+		if base != nil && !bytes.Equal(MarshalBucket(b), before) {
+			t.Fatalf("applying a delta changed its base (err %v)", err)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrMalformed) {
+				t.Fatalf("refused with an untyped error: %v", err)
+			}
+			if out != nil {
+				t.Fatalf("a refusal returned %v", out)
+			}
+			return
+		}
+		if base == nil {
+			t.Fatal("a delta applied to no bucket")
+		}
+		next := out.(core.Bucket)
+		from, n := binary.Uvarint(delta)
+		count, m := binary.Uvarint(delta[n:])
+		rest := delta[n+m:]
+		if from != uint64(b.Load()) || next.Load() != b.Load()+int(count) || next.Label != b.Label {
+			t.Fatalf("delta %d+%d over %d records of %v gave %d records of %v", from, count, b.Load(), b.Label, next.Load(), next.Label)
+		}
+		for i := 0; i < next.Load(); i++ {
+			var want spatial.Record
+			if i < b.Load() {
+				want = b.RecordAt(i)
+			} else if want, rest, err = DecodeRecord(rest); err != nil {
+				t.Fatalf("record %d of an accepted delta: %v", i, err)
+			}
+			if got := next.RecordAt(i); !sameRecord(got, want) {
+				t.Fatalf("record %d = %v, want %v", i, got, want)
+			}
+			if next.KeyAt(i).Dim() != next.KeyAt(0).Dim() {
+				t.Fatalf("record %d has %d dims, record 0 has %d", i, next.KeyAt(i).Dim(), next.KeyAt(0).Dim())
+			}
+		}
+		if len(rest) != 0 {
+			t.Fatalf("%d bytes of an accepted delta belong to no record", len(rest))
+		}
+		// The extended bucket is a bucket: it round-trips, and the delta cut
+		// from it against the base takes a fresh copy of the base there too.
+		again, err := UnmarshalBucket(MarshalBucket(next))
+		if err != nil || !bytes.Equal(MarshalBucket(again), MarshalBucket(next)) {
+			t.Fatalf("the extended bucket does not round-trip: %v", err)
+		}
+		recut, ok := next.AppendDelta(nil, b)
+		if !ok {
+			t.Fatal("the extended bucket is not recognised as its base extended")
+		}
+		fresh, err := UnmarshalBucket(baseBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayed, err := fresh.Extend(recut)
+		if err != nil || !bytes.Equal(MarshalBucket(replayed), MarshalBucket(next)) {
+			t.Fatalf("the re-cut delta replays differently: %v", err)
+		}
 	})
 }

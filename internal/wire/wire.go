@@ -86,7 +86,10 @@ func UnmarshalBucket(buf []byte) (core.Bucket, error) {
 // BucketCodec is the Codec for core buckets.
 type BucketCodec struct{}
 
-var _ Codec = BucketCodec{}
+var (
+	_ Codec          = BucketCodec{}
+	_ dht.DeltaCodec = BucketCodec{}
+)
 
 // Marshal implements Codec.
 func (BucketCodec) Marshal(v any) ([]byte, error) {
@@ -100,6 +103,36 @@ func (BucketCodec) Marshal(v any) ([]byte, error) {
 // Unmarshal implements Codec.
 func (BucketCodec) Unmarshal(data []byte) (any, error) {
 	return UnmarshalBucket(data)
+}
+
+// AppendDelta implements dht.DeltaCodec over the bucket format's delta
+// (core.Bucket.AppendDelta): a bucket that is the one it replaces plus
+// appended records journals as those records.
+//
+//lint:hotpath
+func (BucketCodec) AppendDelta(buf []byte, prev, next any) ([]byte, bool) {
+	p, ok := prev.(core.Bucket)
+	if !ok {
+		return buf, false
+	}
+	n, ok := next.(core.Bucket)
+	if !ok {
+		return buf, false
+	}
+	return n.AppendDelta(buf, p)
+}
+
+// ApplyDelta implements dht.DeltaCodec.
+func (BucketCodec) ApplyDelta(base any, delta []byte) (any, error) {
+	b, ok := base.(core.Bucket)
+	if !ok {
+		return nil, fmt.Errorf("%w: delta over %T, want a bucket", ErrMalformed, base)
+	}
+	next, err := b.Extend(delta)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrMalformed, err)
+	}
+	return next, nil
 }
 
 // Codec converts between in-process values and bytes.
