@@ -187,7 +187,7 @@ func BenchmarkAblations(b *testing.B) {
 // loadedIndex builds an index pre-filled with n NE records.
 func loadedIndex(b *testing.B, n int) *mlight.Index {
 	b.Helper()
-	ix, err := mlight.New(mlight.NewLocalDHT(64), mlight.Options{ThetaSplit: 100, ThetaMerge: 50})
+	ix, err := mlight.New(mlight.NewLocalDHT(64), mlight.WithCapacity(100))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -299,11 +299,7 @@ func latencyChordIndex(b *testing.B, maxInFlight int) *mlight.Index {
 		b.Fatal(err)
 	}
 	net.SetRealDelay(false)
-	ix, err := mlight.New(ring, mlight.Options{
-		ThetaSplit:  50,
-		ThetaMerge:  25,
-		MaxInFlight: maxInFlight,
-	})
+	ix, err := mlight.New(ring, mlight.WithCapacity(50), mlight.WithMaxInFlight(maxInFlight))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -403,11 +399,7 @@ func BenchmarkRangeQuerySequentialBaseline(b *testing.B) {
 // cache enabled: after the first resolution of a point, a repeat lookup
 // verifies the cached leaf with a single DHT probe (probes/lookup → 1).
 func BenchmarkLookupCached(b *testing.B) {
-	ix, err := mlight.New(mlight.NewLocalDHT(64), mlight.Options{
-		ThetaSplit: 100,
-		ThetaMerge: 50,
-		CacheSize:  4096,
-	})
+	ix, err := mlight.New(mlight.NewLocalDHT(64), mlight.WithCapacity(100), mlight.WithCache(4096))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -436,7 +428,7 @@ func BenchmarkLookupCached(b *testing.B) {
 
 func BenchmarkDelete(b *testing.B) {
 	records := mlight.GenerateNE(maxInt(b.N, 1000), 5)
-	ix, err := mlight.New(mlight.NewLocalDHT(64), mlight.Options{ThetaSplit: 100, ThetaMerge: 50})
+	ix, err := mlight.New(mlight.NewLocalDHT(64), mlight.WithCapacity(100))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -541,7 +533,7 @@ func BenchmarkPeerRangeQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ix, err := mlight.New(ring, mlight.Options{ThetaSplit: 60, ThetaMerge: 30})
+	ix, err := mlight.New(ring, mlight.WithCapacity(60))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -572,7 +564,7 @@ func BenchmarkBulkLoad(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix, err := mlight.New(mlight.NewLocalDHT(64), mlight.Options{ThetaSplit: 100, ThetaMerge: 50})
+		ix, err := mlight.New(mlight.NewLocalDHT(64), mlight.WithCapacity(100))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -642,7 +634,7 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 		if err := ix.Snapshot(&buf); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := mlight.RestoreIndex(mlight.NewLocalDHT(16), &buf, mlight.Options{}); err != nil {
+		if _, err := mlight.RestoreIndex(mlight.NewLocalDHT(16), &buf); err != nil {
 			b.Fatal(err)
 		}
 		b.SetBytes(int64(buf.Len()))

@@ -12,59 +12,37 @@
 //	mlight-bench -csvdir out/
 //	mlight-bench -dataset ne.csv         # use the real NE data
 //
-// The concurrency section (not part of "all": its RPCs sleep for their
-// modeled delays, so it runs in real time) measures the wall-clock effect
-// of the concurrent query engine and the leaf-label lookup cache, writing
-// a machine-readable summary:
+// Seven more sections are not part of "all" — they run in real time (their
+// RPCs sleep for their modeled delays, or cross real sockets) or are large.
+// Each prints its findings and writes a machine-readable summary,
+// BENCH_<section>.json, into -jsondir (default the current directory):
 //
-//	mlight-bench -figs concurrency -quick -concjson BENCH_concurrency.json
+//   - concurrency: the wall-clock effect of the concurrent query engine and
+//     the leaf-label lookup cache over a latency-bearing network;
+//   - lookup: per-Get wall clock of the serial vs α-parallel iterative
+//     Kademlia lookup, lossless and under link loss;
+//   - resilience: range-query availability over a small Chord ring as the
+//     message-loss rate rises, with and without the dht.Resilient layer;
+//   - ingest: the same record stream loaded three ways — sequential Insert,
+//     group-commit InsertBatch, offline BulkLoad — over identical 24-peer
+//     Chord deployments at 1 ms/hop, verifying the batched modes changed
+//     nothing about the resulting index;
+//   - churn: a replicated Chord ring under deterministic schedules of
+//     crashes, leaves, restarts and joins at increasing rates — point-read
+//     availability with and without the retry layer, the maintenance rounds
+//     needed to reconverge, and the durable store's crash-recovery cost
+//     with and without its write-ahead log;
+//   - wire: a real daemon cluster on loopback TCP, dialed through the
+//     public client API — latency percentiles for raw framed RPC echoes,
+//     inserts and range queries;
+//   - scale: a 100,000-peer overlay and a 10,000,000-record index in one
+//     process (-scalepeers, -scalerecords) — bulk ring construction, routed
+//     lookups, bulk ingest, range queries, and the in-place allocation
+//     gates on the two hot paths.
 //
-// The lookup section (not part of "all": its overlay RPCs sleep for their
-// modeled delays) measures the overlay-lookup accelerations: per-Get wall
-// clock of the serial vs α-parallel iterative Kademlia lookup, lossless and
-// under link loss, writing a machine-readable summary:
+// For example:
 //
-//	mlight-bench -figs lookup -quick -lookupjson BENCH_lookup.json
-//
-// The resilience section (not part of "all") sweeps message-loss rates over
-// a small Chord ring and reports range-query availability with and without
-// the dht.Resilient retry layer, writing a machine-readable summary:
-//
-//	mlight-bench -figs resilience -quick -resjson BENCH_resilience.json
-//
-// The ingest section (not part of "all": it measures wall-clock ingestion
-// over a latency-bearing network) loads the same record stream three ways —
-// sequential Insert, group-commit InsertBatch, and offline BulkLoad — over
-// identical 24-peer Chord deployments at 1 ms/hop, verifies the batched
-// modes changed nothing about the resulting index, and writes a
-// machine-readable summary:
-//
-//	mlight-bench -figs ingest -quick -ingestjson BENCH_ingest.json
-//
-// The churn section (not part of "all") drives a replicated Chord ring
-// through deterministic schedules of crashes, graceful leaves, restarts,
-// and joins at increasing churn rates, reporting point-read availability
-// with and without the retry layer and the maintenance rounds needed to
-// reconverge to ground truth, plus the crash-recovery cost of the durable
-// bucket store with and without its write-ahead log:
-//
-//	mlight-bench -figs churn -quick -churnjson BENCH_churn.json
-//
-// The wire section (not part of "all") boots a real daemon cluster on
-// loopback TCP, dials it through the public client API, and reports
-// end-to-end latency percentiles for raw framed RPC echoes, inserts, and
-// range queries — what deployment over real sockets costs:
-//
-//	mlight-bench -figs wire -quick -wirejson BENCH_wire.json
-//
-// The scale section (not part of "all": it allocates a 100,000-peer overlay
-// and a 10,000,000-record index in one process) measures what the
-// zero-alloc engine can simulate on one machine: bulk ring construction,
-// routed lookups at six-figure membership, bulk ingest into the sharded
-// substrate, range queries over the loaded index, and the in-place
-// allocation gates on the two hot paths:
-//
-//	mlight-bench -figs scale -quick -scalejson BENCH_scale.json
+//	mlight-bench -figs concurrency -quick -jsondir /tmp
 //
 // The trace section (not part of "all") runs one fully instrumented range
 // query over a routed Chord cluster and exports the recorded span tree: a
@@ -117,13 +95,7 @@ func run(args []string, out io.Writer) error {
 		quick        = fs.Bool("quick", false, "reduced preset (10k records, fewer queries)")
 		csvDir       = fs.String("csvdir", "", "directory to also write per-panel CSV files")
 		dataCSV      = fs.String("dataset", "", "CSV file of points to index instead of the synthetic NE data")
-		concJSON     = fs.String("concjson", "BENCH_concurrency.json", "where the concurrency section writes its JSON summary")
-		lookJSON     = fs.String("lookupjson", "BENCH_lookup.json", "where the lookup section writes its JSON summary")
-		resJSON      = fs.String("resjson", "BENCH_resilience.json", "where the resilience section writes its JSON summary")
-		ingJSON      = fs.String("ingestjson", "BENCH_ingest.json", "where the ingest section writes its JSON summary")
-		chuJSON      = fs.String("churnjson", "BENCH_churn.json", "where the churn section writes its JSON summary")
-		wireJSON     = fs.String("wirejson", "BENCH_wire.json", "where the wire section writes its JSON summary")
-		scaleJSON    = fs.String("scalejson", "BENCH_scale.json", "where the scale section writes its JSON summary")
+		jsonDir      = fs.String("jsondir", ".", "directory the concurrency, lookup, resilience, ingest, churn, wire and scale sections write their BENCH_<section>.json summaries to")
 		scalePeers   = fs.Int("scalepeers", 100_000, "overlay size of the scale section")
 		scaleRecords = fs.Int("scalerecords", 10_000_000, "record count of the scale section")
 		traceOut     = fs.String("trace", "", "run the trace section and write its Chrome trace_event JSON here (also selectable via -figs trace)")
@@ -282,15 +254,8 @@ func run(args []string, out io.Writer) error {
 			res.Queries, res.Lookahead, res.Span, res.Records, res.Lookups, res.Rounds)
 		fmt.Fprintf(out, "cached lookups: %.2f cold / %.2f warm probes per lookup (%d hits, %d misses, %d stale)\n",
 			res.ColdProbesPerLookup, res.WarmProbesPerLookup, res.CacheHits, res.CacheMisses, res.CacheStale)
-		if *concJSON != "" {
-			data, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*concJSON, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "(json written to %s)\n", *concJSON)
+		if err := writeJSON(out, *jsonDir, "concurrency", res); err != nil {
+			return err
 		}
 		fmt.Fprintf(out, "(concurrency took %v)\n\n", time.Since(start).Round(time.Millisecond))
 	}
@@ -312,15 +277,8 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "per-Get p99: serial %.1fms lossless / %.1fms lossy, parallel %.1fms lossless / %.1fms lossy (max %d RPCs in flight)\n",
 			res.SerialLossless.P99MS, res.SerialLossy.P99MS,
 			res.ParallelLossless.P99MS, res.ParallelLossy.P99MS, res.ParallelMaxInFlight)
-		if *lookJSON != "" {
-			data, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*lookJSON, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "(json written to %s)\n", *lookJSON)
+		if err := writeJSON(out, *jsonDir, "lookup", res); err != nil {
+			return err
 		}
 		fmt.Fprintf(out, "(lookup took %v)\n\n", time.Since(start).Round(time.Millisecond))
 	}
@@ -349,15 +307,8 @@ func run(args []string, out io.Writer) error {
 				p.DropRate, 100*p.SuccessWithRetry, 100*p.SuccessWithoutRetry,
 				p.AttemptsPerOp, p.Recovered, p.Exhausted)
 		}
-		if *resJSON != "" {
-			data, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*resJSON, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "(json written to %s)\n", *resJSON)
+		if err := writeJSON(out, *jsonDir, "resilience", res); err != nil {
+			return err
 		}
 		fmt.Fprintf(out, "(resilience took %v)\n\n", time.Since(start).Round(time.Millisecond))
 	}
@@ -387,15 +338,8 @@ func run(args []string, out io.Writer) error {
 			res.GroupCommitWallMS, res.GroupCommitLookups, res.GroupCommitSpeedup)
 		fmt.Fprintf(out, "bulk-load    %8.1fms  (%d DHT ops) → %.2fx speedup\n",
 			res.BulkLoadWallMS, res.BulkLoadLookups, res.BulkLoadSpeedup)
-		if *ingJSON != "" {
-			data, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*ingJSON, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "(json written to %s)\n", *ingJSON)
+		if err := writeJSON(out, *jsonDir, "ingest", res); err != nil {
+			return err
 		}
 		fmt.Fprintf(out, "(ingest took %v)\n\n", time.Since(start).Round(time.Millisecond))
 	}
@@ -427,15 +371,8 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "crash recovery (wal=%v): %d/%d records back in %.2fms, intact=%v\n",
 				rp.WAL, rp.RecoveredRecords, rp.Records, rp.ReplayMS, rp.Intact)
 		}
-		if *chuJSON != "" {
-			data, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*chuJSON, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "(json written to %s)\n", *chuJSON)
+		if err := writeJSON(out, *jsonDir, "churn", res); err != nil {
+			return err
 		}
 		fmt.Fprintf(out, "(churn took %v)\n\n", time.Since(start).Round(time.Millisecond))
 	}
@@ -464,15 +401,8 @@ func run(args []string, out io.Writer) error {
 		report("raw RPC echo", res.Echo)
 		report("insert", res.Insert)
 		report("range query", res.Query)
-		if *wireJSON != "" {
-			data, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*wireJSON, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "(json written to %s)\n", *wireJSON)
+		if err := writeJSON(out, *jsonDir, "wire", res); err != nil {
+			return err
 		}
 		fmt.Fprintf(out, "(wire took %v)\n\n", time.Since(start).Round(time.Millisecond))
 	}
@@ -505,15 +435,8 @@ func run(args []string, out io.Writer) error {
 			res.CallAllocsPerOp, res.AppendAllocsPerOp)
 		fmt.Fprintf(out, "memory:  heap %.0f MiB, sys %.0f MiB, rss %.0f MiB\n",
 			res.HeapAllocMiB, res.SysMiB, res.RSSMiB)
-		if *scaleJSON != "" {
-			data, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*scaleJSON, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "(json written to %s)\n", *scaleJSON)
+		if err := writeJSON(out, *jsonDir, "scale", res); err != nil {
+			return err
 		}
 		fmt.Fprintf(out, "(scale took %v)\n\n", time.Since(start).Round(time.Millisecond))
 	}
@@ -524,6 +447,24 @@ func run(args []string, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "(trace took %v)\n\n", time.Since(start).Round(time.Millisecond))
 	}
+	return nil
+}
+
+// writeJSON writes a section's machine-readable summary to
+// <dir>/BENCH_<section>.json.
+func writeJSON(out io.Writer, dir, section string, res any) error {
+	data, err := json.MarshalIndent(res, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	path := filepath.Join(dir, "BENCH_"+section+".json")
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "(json written to %s)\n", path)
 	return nil
 }
 

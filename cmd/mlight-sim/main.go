@@ -19,6 +19,7 @@ import (
 	"mlight/internal/core"
 	"mlight/internal/dataset"
 	"mlight/internal/dht"
+	"mlight/internal/index"
 	"mlight/internal/metrics"
 	"mlight/internal/overlay"
 	"mlight/internal/peerquery"
@@ -54,24 +55,16 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
+	fmt.Fprintf(out, "building %s overlay with %d peers...\n", *overlayKind, *peers)
+	start := time.Now()
 	net := simnet.New(simnet.Options{Latency: simnet.ConstantLatency(*latency)})
-	ov, err := substrate.New(*overlayKind, net, overlay.Config{Seed: *seed, Replication: *replication})
+	ov, err := substrate.Cluster(*overlayKind, net, *peers, overlay.Config{Seed: *seed, Replication: *replication})
 	if err != nil {
 		return err
 	}
-
-	fmt.Fprintf(out, "building %s overlay with %d peers...\n", *overlayKind, *peers)
-	start := time.Now()
-	for i := 0; i < *peers; i++ {
-		addr := simnet.NodeID(fmt.Sprintf("node-%d", i))
-		if _, err := ov.AddNode(addr); err != nil {
-			return fmt.Errorf("add %s: %w", addr, err)
-		}
-	}
-	ov.Stabilize(2)
 	fmt.Fprintf(out, "  overlay up in %v (%d RPCs so far)\n\n", time.Since(start).Round(time.Millisecond), net.RPCs.Load())
 
-	ix, err := core.New(ov, core.Options{ThetaSplit: *theta, ThetaMerge: *theta / 2})
+	ix, err := core.New(ov, index.Tuning{Capacity: *theta})
 	if err != nil {
 		return err
 	}
@@ -103,16 +96,16 @@ func run(args []string, out io.Writer) error {
 			if !contains(ov.Nodes(), victim) {
 				continue
 			}
-			var err error
 			if i < *churn {
-				err = ov.RemoveNode(victim)
+				if err := ov.RemoveNode(victim); err != nil {
+					return err
+				}
 				fmt.Fprintf(out, "  %s left gracefully (buckets handed over)\n", victim)
 			} else {
-				err = ov.CrashNode(victim)
+				if err := ov.CrashNode(victim); err != nil {
+					return err
+				}
 				fmt.Fprintf(out, "  %s crashed (its buckets are lost)\n", victim)
-			}
-			if err != nil {
-				return err
 			}
 			ov.Stabilize(2)
 		}

@@ -17,6 +17,7 @@ import (
 	"mlight/internal/core"
 	"mlight/internal/dataset"
 	"mlight/internal/dht"
+	"mlight/internal/index"
 	"mlight/internal/spatial"
 	"mlight/internal/viz"
 )
@@ -46,17 +47,17 @@ func run(args []string) error {
 		return err
 	}
 
-	opts := core.Options{ThetaSplit: *theta, ThetaMerge: *theta / 2, Epsilon: *epsilon}
+	t := index.Tuning{Capacity: *theta, Epsilon: *epsilon}
 	switch *strategy {
 	case "threshold":
-		opts.Strategy = core.SplitThreshold
+		t.Strategy = index.SplitThreshold
 	case "data-aware":
-		opts.Strategy = core.SplitDataAware
-		opts.ThetaMerge = *epsilon / 2
+		t.Strategy = index.SplitDataAware
+		t.MergeThreshold = *epsilon / 2
 	default:
 		return fmt.Errorf("unknown strategy %q (want threshold or data-aware)", *strategy)
 	}
-	ix, err := core.New(dht.MustNewLocal(64), opts)
+	ix, err := core.New(dht.MustNewLocal(64), t)
 	if err != nil {
 		return err
 	}

@@ -5,6 +5,7 @@ import (
 
 	"mlight/internal/core"
 	"mlight/internal/dataset"
+	"mlight/internal/index"
 )
 
 // NEDatasetSize is the cardinality of the paper's NE postal dataset.
@@ -35,7 +36,9 @@ func WriteCSV(w io.Writer, records []Record) error {
 }
 
 // RestoreIndex rebuilds an index from an Index.Snapshot stream onto an
-// empty substrate. opts.Dims, if set, must match the snapshot.
-func RestoreIndex(d DHT, r io.Reader, opts Options) (*Index, error) {
-	return core.RestoreInto(d, r, opts)
+// empty substrate. It accepts the same options as New and they configure
+// the restored index the same way; WithDims, if given, must match the
+// snapshot.
+func RestoreIndex(d DHT, r io.Reader, opts ...Option) (*Index, error) {
+	return core.RestoreInto(d, r, index.Resolve(opts...))
 }

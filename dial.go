@@ -107,7 +107,7 @@ func Dial(addrs []string, opts ...Option) (*Client, error) {
 	// Buckets cross the wire as compact bytes, exactly as over a real
 	// byte-oriented DHT service.
 	d := wire.NewByteDHT(o, wire.BucketCodec{})
-	ix, err := core.New(d, core.FromTuning(tuning))
+	ix, err := core.New(d, tuning)
 	if err != nil {
 		abort()
 		return nil, fmt.Errorf("mlight: dial %v: %w", addrs, err)

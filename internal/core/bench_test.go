@@ -7,16 +7,17 @@ import (
 
 	"mlight/internal/bitlabel"
 	"mlight/internal/dht"
+	"mlight/internal/index"
 	"mlight/internal/spatial"
 )
 
 // benchRangeIndex builds an index with n seeded uniform records.
 func benchRangeIndex(b *testing.B, n int) *Index {
 	b.Helper()
-	ix, err := New(dht.MustNewLocal(16), Options{
-		ThetaSplit:  16,
-		ThetaMerge:  8,
-		MaxInFlight: 8,
+	ix, err := New(dht.MustNewLocal(16), index.Tuning{
+		Capacity:       16,
+		MergeThreshold: 8,
+		MaxInFlight:    8,
 	})
 	if err != nil {
 		b.Fatal(err)

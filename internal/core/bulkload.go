@@ -45,7 +45,7 @@ func (ix *Index) BulkLoad(records []spatial.Record) error {
 	}
 	// Exactly one frontier cell is named to the root's key; it overwrites
 	// the bootstrap bucket in place, the rest are fresh puts.
-	stay, moved, err := ix.opts.splitRule().split(root)
+	stay, moved, err := ix.splitRule().split(root)
 	if err != nil {
 		return err
 	}

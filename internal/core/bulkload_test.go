@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mlight/internal/dht"
+	"mlight/internal/index"
 	"mlight/internal/spatial"
 )
 
@@ -20,7 +21,7 @@ func TestBulkLoadMatchesIncrementalThreshold(t *testing.T) {
 			Data: fmt.Sprintf("r%d", i),
 		}
 	}
-	opts := Options{ThetaSplit: 20, ThetaMerge: 10, MaxDepth: 24}
+	opts := index.Tuning{Capacity: 20, MergeThreshold: 10, MaxDepth: 24}
 	bulk, err := New(dht.MustNewLocal(16), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -81,8 +82,8 @@ func TestBulkLoadDataAwareQueries(t *testing.T) {
 			Data: fmt.Sprintf("r%d", i),
 		}
 	}
-	ix, err := New(dht.MustNewLocal(16), Options{
-		Strategy: SplitDataAware, Epsilon: 25, ThetaSplit: 40, ThetaMerge: 12, MaxDepth: 24,
+	ix, err := New(dht.MustNewLocal(16), index.Tuning{
+		Strategy: SplitDataAware, Epsilon: 25, Capacity: 40, MergeThreshold: 12, MaxDepth: 24,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +121,7 @@ func TestBulkLoadDataAwareQueries(t *testing.T) {
 }
 
 func TestBulkLoadValidation(t *testing.T) {
-	ix := newIndex(t, Options{})
+	ix := newIndex(t, index.Tuning{})
 	if err := ix.BulkLoad([]spatial.Record{{Key: spatial.Point{0.5}}}); err == nil {
 		t.Error("wrong-dim record accepted")
 	}
@@ -134,7 +135,7 @@ func TestBulkLoadValidation(t *testing.T) {
 		t.Error("BulkLoad on non-empty index accepted")
 	}
 	// Empty load on an empty index is a no-op.
-	fresh := newIndex(t, Options{})
+	fresh := newIndex(t, index.Tuning{})
 	if err := fresh.BulkLoad(nil); err != nil {
 		t.Errorf("empty BulkLoad: %v", err)
 	}

@@ -109,7 +109,7 @@ func TestColumnarCopyOnWrite(t *testing.T) {
 // NewBucket unchanged and the union is the original set.
 func TestColumnarSplitEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	rule := Options{Dims: 2, ThetaSplit: 4}.withDefaults().splitRule()
+	rule := SplitRule{Dims: 2, MaxDepth: 28, Strategy: SplitThreshold, ThetaSplit: 4}
 
 	records := randomRecords(rng, 64, 2)
 	root := bitlabel.Root(2)

@@ -27,9 +27,10 @@ type SplitRule struct {
 	Epsilon    int
 }
 
-// splitRule is the rule this configuration splits by.
-func (o Options) splitRule() SplitRule {
-	return SplitRule{Dims: o.Dims, MaxDepth: o.MaxDepth, Strategy: o.Strategy, ThetaSplit: o.ThetaSplit, Epsilon: o.Epsilon}
+// splitRule is the rule the index splits by.
+func (ix *Index) splitRule() SplitRule {
+	o := ix.opts
+	return SplitRule{Dims: o.Dims, MaxDepth: o.MaxDepth, Strategy: o.Strategy, ThetaSplit: o.Capacity, Epsilon: o.Epsilon}
 }
 
 // Commit is what one Append decided. It carries no partial state: a transform

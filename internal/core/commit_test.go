@@ -8,6 +8,7 @@ import (
 	"mlight/internal/bitlabel"
 	"mlight/internal/dht"
 	"mlight/internal/dht/dhttest"
+	"mlight/internal/index"
 	"mlight/internal/spatial"
 )
 
@@ -91,7 +92,7 @@ func TestCommitOneAtATimeEqualsAllAtOnce(t *testing.T) {
 func rerunFixture(t *testing.T) (*Index, *dhttest.Flaky, dht.Key) {
 	t.Helper()
 	rr := dhttest.NewFlaky(dht.MustNewLocal(4))
-	ix, err := New(rr, Options{ThetaSplit: 4, ThetaMerge: 1, Sleep: dht.NoSleep})
+	ix, err := New(rr, index.Tuning{Capacity: 4, MergeThreshold: 1, Sleep: dht.NoSleep})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestRerunStaleVerdictIsNotSticky(t *testing.T) {
 // TestRerunSplitChargedOnce: both runs split the same full leaf; the counters
 // must read what one split costs.
 func TestRerunSplitChargedOnce(t *testing.T) {
-	ref, err := New(dht.MustNewLocal(4), Options{ThetaSplit: 4, ThetaMerge: 1})
+	ref, err := New(dht.MustNewLocal(4), index.Tuning{Capacity: 4, MergeThreshold: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mlight/internal/dht"
+	"mlight/internal/index"
 	"mlight/internal/spatial"
 )
 
@@ -16,7 +17,7 @@ import (
 // queries may transiently miss mid-split buckets but must never return
 // wrong data; and the final structure must be exactly consistent.
 func TestConcurrentInsertsAndQueries(t *testing.T) {
-	ix, err := New(dht.MustNewLocal(16), Options{ThetaSplit: 12, ThetaMerge: 6})
+	ix, err := New(dht.MustNewLocal(16), index.Tuning{Capacity: 12, MergeThreshold: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

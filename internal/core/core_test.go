@@ -10,11 +10,12 @@ import (
 
 	"mlight/internal/bitlabel"
 	"mlight/internal/dht"
+	"mlight/internal/index"
 	"mlight/internal/kdtree"
 	"mlight/internal/spatial"
 )
 
-func newIndex(t *testing.T, opts Options) *Index {
+func newIndex(t *testing.T, opts index.Tuning) *Index {
 	t.Helper()
 	ix, err := New(dht.MustNewLocal(16), opts)
 	if err != nil {
@@ -65,11 +66,11 @@ func clamp01(x float64) float64 {
 
 func TestOptionsValidation(t *testing.T) {
 	d := dht.MustNewLocal(2)
-	bad := []Options{
+	bad := []index.Tuning{
 		{Dims: -1},
 		{Dims: 2, MaxDepth: 80},
-		{Dims: 2, ThetaSplit: -5},
-		{Dims: 2, ThetaSplit: 10, ThetaMerge: 10},
+		{Dims: 2, Capacity: -5},
+		{Dims: 2, Capacity: 10, MergeThreshold: 10},
 		{Dims: 2, Strategy: SplitStrategy(99)},
 		{Dims: 2, Strategy: SplitDataAware, Epsilon: -3},
 	}
@@ -78,9 +79,19 @@ func TestOptionsValidation(t *testing.T) {
 			t.Errorf("case %d: invalid options accepted: %+v", i, o)
 		}
 	}
-	ix := newIndex(t, Options{})
-	o := ix.Options()
-	if o.Dims != 2 || o.MaxDepth != 28 || o.ThetaSplit != 100 || o.ThetaMerge != 50 ||
+	// The depth bound is this scheme's own: a leaf label is m+1+D bits.
+	for _, m := range []int{1, 2, 5} {
+		fits := bitlabel.MaxLen - m - 1
+		if _, err := New(dht.MustNewLocal(2), index.Tuning{Dims: m, MaxDepth: fits}); err != nil {
+			t.Errorf("m=%d: MaxDepth %d (m+1+D = MaxLen) rejected: %v", m, fits, err)
+		}
+		if _, err := New(dht.MustNewLocal(2), index.Tuning{Dims: m, MaxDepth: fits + 1}); err == nil {
+			t.Errorf("m=%d: MaxDepth %d (m+1+D > MaxLen) accepted", m, fits+1)
+		}
+	}
+	ix := newIndex(t, index.Tuning{})
+	o := ix.Tuning()
+	if o.Dims != 2 || o.MaxDepth != 28 || o.Capacity != 100 || o.MergeThreshold != 50 ||
 		o.Strategy != SplitThreshold || o.Epsilon != 70 {
 		t.Errorf("defaults = %+v", o)
 	}
@@ -94,7 +105,7 @@ func TestOptionsValidation(t *testing.T) {
 
 func TestBootstrapIdempotent(t *testing.T) {
 	d := dht.MustNewLocal(4)
-	ix1, err := New(d, Options{})
+	ix1, err := New(d, index.Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +113,7 @@ func TestBootstrapIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A second client attaching must not wipe the index.
-	ix2, err := New(d, Options{})
+	ix2, err := New(d, index.Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +124,7 @@ func TestBootstrapIdempotent(t *testing.T) {
 }
 
 func TestInsertLookupExact(t *testing.T) {
-	ix := newIndex(t, Options{ThetaSplit: 4, ThetaMerge: 2})
+	ix := newIndex(t, index.Tuning{Capacity: 4, MergeThreshold: 2})
 	points := []spatial.Point{
 		{0.1, 0.1}, {0.9, 0.9}, {0.4, 0.6}, {0.6, 0.4},
 		{0.25, 0.75}, {0.75, 0.25}, {0.5, 0.5}, {0.123, 0.456},
@@ -151,7 +162,7 @@ func TestInsertLookupExact(t *testing.T) {
 }
 
 func TestInsertValidation(t *testing.T) {
-	ix := newIndex(t, Options{})
+	ix := newIndex(t, index.Tuning{})
 	if err := ix.Insert(spatial.Record{Key: spatial.Point{0.5}}); !errors.Is(err, ErrDimension) {
 		t.Errorf("wrong-dim insert: %v", err)
 	}
@@ -239,8 +250,8 @@ func TestThresholdAgainstOracle(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(c.seed))
 			maxDepth := 24
-			ix, err := New(dht.MustNewLocal(32), Options{
-				Dims: c.m, ThetaSplit: c.theta, ThetaMerge: c.theta / 2, MaxDepth: maxDepth,
+			ix, err := New(dht.MustNewLocal(32), index.Tuning{
+				Dims: c.m, Capacity: c.theta, MergeThreshold: c.theta / 2, MaxDepth: maxDepth,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -332,8 +343,8 @@ func randomRect(rng *rand.Rand, m int) spatial.Rect {
 func TestDeleteAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	m, theta, maxDepth := 2, 10, 24
-	ix, err := New(dht.MustNewLocal(16), Options{
-		Dims: m, ThetaSplit: theta, ThetaMerge: theta / 2, MaxDepth: maxDepth,
+	ix, err := New(dht.MustNewLocal(16), index.Tuning{
+		Dims: m, Capacity: theta, MergeThreshold: theta / 2, MaxDepth: maxDepth,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -401,7 +412,7 @@ func TestDeleteAgainstOracle(t *testing.T) {
 // moves only the records of the child not named to the old key.
 func TestIncrementalSplitMovesHalf(t *testing.T) {
 	theta := 10
-	ix := newIndex(t, Options{ThetaSplit: theta, ThetaMerge: theta / 2})
+	ix := newIndex(t, index.Tuning{Capacity: theta, MergeThreshold: theta / 2})
 	rng := rand.New(rand.NewSource(2))
 	// Fill the root bucket to exactly θ records — no split yet.
 	for i := 0; i < theta; i++ {
@@ -484,14 +495,14 @@ func TestDataAwareStrategy(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	points := hierarchicalPoints(rng, 8000)
 
-	aware, err := New(dht.MustNewLocal(16), Options{
-		Dims: 2, Strategy: SplitDataAware, Epsilon: 35, ThetaSplit: 50, ThetaMerge: 17,
+	aware, err := New(dht.MustNewLocal(16), index.Tuning{
+		Dims: 2, Strategy: SplitDataAware, Epsilon: 35, Capacity: 50, MergeThreshold: 17,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	threshold, err := New(dht.MustNewLocal(16), Options{
-		Dims: 2, Strategy: SplitThreshold, ThetaSplit: 50, ThetaMerge: 25,
+	threshold, err := New(dht.MustNewLocal(16), index.Tuning{
+		Dims: 2, Strategy: SplitThreshold, Capacity: 50, MergeThreshold: 25,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -551,7 +562,7 @@ func TestDataAwareStrategy(t *testing.T) {
 // the §6 trade-off.
 func TestParallelTradeoff(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	ix := newIndex(t, Options{ThetaSplit: 10, ThetaMerge: 5})
+	ix := newIndex(t, index.Tuning{Capacity: 10, MergeThreshold: 5})
 	for i, p := range randomPoints(rng, 2, 2000) {
 		if err := ix.Insert(spatial.Record{Key: p, Data: fmt.Sprintf("r%d", i)}); err != nil {
 			t.Fatal(err)
@@ -635,7 +646,7 @@ func pow(x float64, n int) float64 {
 // TestRangeQueryWithinLeaf covers Algorithm 2's NULL branch: a range
 // strictly inside one leaf resolves through a corner lookup.
 func TestRangeQueryWithinLeaf(t *testing.T) {
-	ix := newIndex(t, Options{ThetaSplit: 100})
+	ix := newIndex(t, index.Tuning{Capacity: 100})
 	for i, p := range randomPoints(rand.New(rand.NewSource(5)), 2, 50) {
 		if err := ix.Insert(spatial.Record{Key: p, Data: fmt.Sprintf("r%d", i)}); err != nil {
 			t.Fatal(err)
@@ -654,7 +665,7 @@ func TestRangeQueryWithinLeaf(t *testing.T) {
 
 func TestLookupProbesBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	ix := newIndex(t, Options{ThetaSplit: 10, ThetaMerge: 5})
+	ix := newIndex(t, index.Tuning{Capacity: 10, MergeThreshold: 5})
 	points := randomPoints(rng, 2, 3000)
 	for i, p := range points {
 		if err := ix.Insert(spatial.Record{Key: p, Data: fmt.Sprintf("r%d", i)}); err != nil {
@@ -682,7 +693,7 @@ func TestLookupProbesBounded(t *testing.T) {
 }
 
 func TestStatsAccounting(t *testing.T) {
-	ix := newIndex(t, Options{ThetaSplit: 100})
+	ix := newIndex(t, index.Tuning{Capacity: 100})
 	before := ix.Stats()
 	if err := ix.Insert(spatial.Record{Key: spatial.Point{0.3, 0.3}}); err != nil {
 		t.Fatal(err)
@@ -702,7 +713,7 @@ func TestStatsAccounting(t *testing.T) {
 }
 
 func TestBucketsOnOpaqueSubstrate(t *testing.T) {
-	ix, err := New(opaque{dht.MustNewLocal(1)}, Options{})
+	ix, err := New(opaque{dht.MustNewLocal(1)}, index.Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -720,8 +731,8 @@ func TestHighDimensionalOracle(t *testing.T) {
 		t.Run(fmt.Sprintf("m%d", m), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(m)))
 			theta, maxDepth := 12, 20
-			ix, err := New(dht.MustNewLocal(16), Options{
-				Dims: m, ThetaSplit: theta, ThetaMerge: theta / 2, MaxDepth: maxDepth,
+			ix, err := New(dht.MustNewLocal(16), index.Tuning{
+				Dims: m, Capacity: theta, MergeThreshold: theta / 2, MaxDepth: maxDepth,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -776,7 +787,7 @@ func (f *failingDHT) Put(key dht.Key, value any) error {
 func TestInsertSurfacesSubstrateFailures(t *testing.T) {
 	inner := dht.MustNewLocal(4)
 	flaky := &failingDHT{DHT: inner, putsLeft: 1 << 30}
-	ix, err := New(flaky, Options{ThetaSplit: 4, ThetaMerge: 2})
+	ix, err := New(flaky, index.Tuning{Capacity: 4, MergeThreshold: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -797,7 +808,7 @@ func TestInsertSurfacesSubstrateFailures(t *testing.T) {
 }
 
 func TestBucketKeyAndDHTAccessor(t *testing.T) {
-	ix := newIndex(t, Options{})
+	ix := newIndex(t, index.Tuning{})
 	if ix.DHT() == nil {
 		t.Fatal("DHT() returned nil")
 	}

@@ -10,6 +10,7 @@ import (
 	"mlight/internal/bitlabel"
 	"mlight/internal/dht"
 	"mlight/internal/dht/dhttest"
+	"mlight/internal/index"
 	"mlight/internal/spatial"
 )
 
@@ -49,7 +50,7 @@ func (l *opLog) Owner(k dht.Key) (string, error)        { return l.inner.Owner(k
 // random records so it holds a few dozen leaves.
 func cachedIndex(t *testing.T, inner dht.DHT, n int) *Index {
 	t.Helper()
-	ix, err := New(inner, Options{ThetaSplit: 8, ThetaMerge: 4, CacheSize: 64, Sleep: dht.NoSleep})
+	ix, err := New(inner, index.Tuning{Capacity: 8, MergeThreshold: 4, CacheSize: 64, Sleep: dht.NoSleep})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func roomyLeaf(t *testing.T, ix *Index) (Bucket, spatial.Point) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if load := b.Load(); load >= ix.opts.ThetaMerge && load < ix.opts.ThetaSplit-1 && b.Label != bitlabel.Root(2) {
+		if load := b.Load(); load >= ix.opts.MergeThreshold && load < ix.opts.Capacity-1 && b.Label != bitlabel.Root(2) {
 			return b, p
 		}
 	}
@@ -132,7 +133,7 @@ func TestCachedLeafGoesStraightToApply(t *testing.T) {
 // here too, and a delete that does drop the leaf below θmerge still makes it.
 func TestUncachedDeleteAtThetaMergeSkipsSiblingProbe(t *testing.T) {
 	log := &opLog{inner: dht.MustNewLocal(4)}
-	ix, err := New(log, Options{ThetaSplit: 8, ThetaMerge: 4, Sleep: dht.NoSleep})
+	ix, err := New(log, index.Tuning{Capacity: 8, MergeThreshold: 4, Sleep: dht.NoSleep})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,11 +162,11 @@ func TestUncachedDeleteAtThetaMergeSkipsSiblingProbe(t *testing.T) {
 			}
 		}
 		switch left := load - 1; {
-		case left >= ix.opts.ThetaMerge:
+		case left >= ix.opts.MergeThreshold:
 			if gets != probes.Probes || len(ops) != gets+1 || ops[len(ops)-1] != "apply" {
 				t.Errorf("delete leaving %d ≥ θmerge issued %v, want the lookup's %d gets and one apply", left, ops, probes.Probes)
 			}
-		case left == ix.opts.ThetaMerge-1:
+		case left == ix.opts.MergeThreshold-1:
 			if gets <= probes.Probes {
 				t.Errorf("delete leaving %d < θmerge issued %v: the sibling was not probed", left, ops)
 			}
@@ -182,7 +183,7 @@ func TestCachedLeafSplitByAnotherClient(t *testing.T) {
 	shared := dht.MustNewLocal(4)
 	ix := cachedIndex(t, shared, 200)
 	leaf, p := roomyLeaf(t, ix)
-	other, err := New(shared, Options{ThetaSplit: 8, ThetaMerge: 4, Sleep: dht.NoSleep})
+	other, err := New(shared, index.Tuning{Capacity: 8, MergeThreshold: 4, Sleep: dht.NoSleep})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +280,7 @@ func TestRerunCachedLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, err := New(rr.Inner(), Options{ThetaSplit: 8, ThetaMerge: 4, Sleep: dht.NoSleep})
+	other, err := New(rr.Inner(), index.Tuning{Capacity: 8, MergeThreshold: 4, Sleep: dht.NoSleep})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"mlight/internal/bitlabel"
 	"mlight/internal/dht"
+	"mlight/internal/index"
 	"mlight/internal/spatial"
 )
 
@@ -174,13 +175,13 @@ func oldCoveringLeaf(ix *Index, p Piece) (Bucket, int, int, error) {
 	return leaf, lookups + trace.Probes, 1 + trace.Probes, nil
 }
 
-func equivIndex(t *testing.T, opts Options, n int, seed int64) *Index {
+func equivIndex(t *testing.T, opts index.Tuning, n int, seed int64) *Index {
 	t.Helper()
 	return equivIndexOver(t, dht.MustNewLocal(16), opts, n, seed)
 }
 
 // equivIndexOver is equivIndex over a substrate of the caller's.
-func equivIndexOver(t *testing.T, d dht.DHT, opts Options, n int, seed int64) *Index {
+func equivIndexOver(t *testing.T, d dht.DHT, opts index.Tuning, n int, seed int64) *Index {
 	t.Helper()
 	ix, err := New(d, opts)
 	if err != nil {
@@ -220,11 +221,11 @@ func sameRecords(a, b []spatial.Record) bool {
 func TestEngineMatchesRecursiveReference(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		opts Options
+		opts index.Tuning
 		n    int
 	}{
-		{"2d-threshold", Options{ThetaSplit: 10, ThetaMerge: 5}, 1200},
-		{"3d-threshold", Options{Dims: 3, ThetaSplit: 8, ThetaMerge: 4}, 900},
+		{"2d-threshold", index.Tuning{Capacity: 10, MergeThreshold: 5}, 1200},
+		{"3d-threshold", index.Tuning{Dims: 3, Capacity: 8, MergeThreshold: 4}, 900},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ix := equivIndex(t, tc.opts, tc.n, 42)
@@ -264,7 +265,7 @@ func TestEngineMatchesRecursiveReference(t *testing.T) {
 // TestEngineShapeMatchesReference repeats the comparison for shape queries,
 // exercising the shape-pruning paths of both implementations.
 func TestEngineShapeMatchesReference(t *testing.T) {
-	ix := equivIndex(t, Options{ThetaSplit: 10, ThetaMerge: 5}, 1000, 11)
+	ix := equivIndex(t, index.Tuning{Capacity: 10, MergeThreshold: 5}, 1000, 11)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 15; i++ {
 		c := spatial.Circle{
@@ -298,8 +299,8 @@ func TestEngineShapeMatchesReference(t *testing.T) {
 // is probed, so sequential (MaxInFlight = 1) and concurrent execution return
 // identical Records, Lookups, and Rounds.
 func TestSequentialConcurrentIdenticalAccounting(t *testing.T) {
-	seq := equivIndex(t, Options{ThetaSplit: 10, ThetaMerge: 5, MaxInFlight: 1}, 1200, 42)
-	conc := equivIndex(t, Options{ThetaSplit: 10, ThetaMerge: 5, MaxInFlight: 16}, 1200, 42)
+	seq := equivIndex(t, index.Tuning{Capacity: 10, MergeThreshold: 5, MaxInFlight: 1}, 1200, 42)
+	conc := equivIndex(t, index.Tuning{Capacity: 10, MergeThreshold: 5, MaxInFlight: 16}, 1200, 42)
 	m := 2
 	rng := rand.New(rand.NewSource(9))
 	queries := []spatial.Rect{wholeSpace(m)}

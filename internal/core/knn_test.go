@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mlight/internal/dht"
+	"mlight/internal/index"
 	"mlight/internal/spatial"
 )
 
@@ -16,7 +17,7 @@ import (
 // records a linear scan finds, with and without parallel lookahead.
 func TestShapeQueryCircleAgainstScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	ix := newIndex(t, Options{ThetaSplit: 12, ThetaMerge: 6})
+	ix := newIndex(t, index.Tuning{Capacity: 12, MergeThreshold: 6})
 	points := randomPoints(rng, 2, 2500)
 	for i, p := range points {
 		if err := ix.Insert(spatial.Record{Key: p, Data: fmt.Sprintf("r%d", i)}); err != nil {
@@ -61,7 +62,7 @@ func TestShapeQueryCircleAgainstScan(t *testing.T) {
 }
 
 func TestShapeQueryValidation(t *testing.T) {
-	ix := newIndex(t, Options{})
+	ix := newIndex(t, index.Tuning{})
 	if _, err := ix.ShapeQuery(nil); err == nil {
 		t.Error("nil shape accepted")
 	}
@@ -103,7 +104,7 @@ func knnOracle(records []spatial.Record, p spatial.Point, k int) []string {
 
 func TestNearestAgainstScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	ix := newIndex(t, Options{ThetaSplit: 15, ThetaMerge: 7})
+	ix := newIndex(t, index.Tuning{Capacity: 15, MergeThreshold: 7})
 	var records []spatial.Record
 	for i, p := range clusteredPoints(rng, 2, 1500) {
 		rec := spatial.Record{Key: p, Data: fmt.Sprintf("r%d", i)}
@@ -142,7 +143,7 @@ func TestNearestAgainstScan(t *testing.T) {
 }
 
 func TestNearestSmallIndex(t *testing.T) {
-	ix := newIndex(t, Options{})
+	ix := newIndex(t, index.Tuning{})
 	// k larger than the dataset returns everything.
 	for i := 0; i < 3; i++ {
 		p := spatial.Point{0.1 * float64(i+1), 0.2}
@@ -158,7 +159,7 @@ func TestNearestSmallIndex(t *testing.T) {
 		t.Fatalf("Nearest on 3-record index = %d results", len(res.Neighbors))
 	}
 	// Empty index returns no neighbours.
-	empty := newIndex(t, Options{})
+	empty := newIndex(t, index.Tuning{})
 	res, err = empty.Nearest(spatial.Point{0.5, 0.5}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +170,7 @@ func TestNearestSmallIndex(t *testing.T) {
 }
 
 func TestNearestValidation(t *testing.T) {
-	ix := newIndex(t, Options{})
+	ix := newIndex(t, index.Tuning{})
 	if _, err := ix.Nearest(spatial.Point{0.5}, 1); !errors.Is(err, ErrDimension) {
 		t.Errorf("wrong-dim: %v", err)
 	}
@@ -182,7 +183,7 @@ func TestNearestValidation(t *testing.T) {
 }
 
 func TestNearestExactPointQuery(t *testing.T) {
-	ix := newIndex(t, Options{ThetaSplit: 5, ThetaMerge: 2})
+	ix := newIndex(t, index.Tuning{Capacity: 5, MergeThreshold: 2})
 	target := spatial.Point{0.3, 0.7}
 	if err := ix.Insert(spatial.Record{Key: target, Data: "bullseye"}); err != nil {
 		t.Fatal(err)
@@ -246,7 +247,7 @@ func TestSphereQuery3D(t *testing.T) {
 
 func newIndex3D(t *testing.T) *Index {
 	t.Helper()
-	ix, err := New(dht.MustNewLocal(16), Options{Dims: 3, ThetaSplit: 15, ThetaMerge: 7, MaxDepth: 20})
+	ix, err := New(dht.MustNewLocal(16), index.Tuning{Dims: 3, Capacity: 15, MergeThreshold: 7, MaxDepth: 20})
 	if err != nil {
 		t.Fatal(err)
 	}

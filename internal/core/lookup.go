@@ -245,7 +245,7 @@ func samePoint(a, b spatial.Point) bool {
 // query processing"). It returns the maximum leaf depth observed below the
 // ordinary root; callers typically add a safety margin before using it as
 // MaxDepth elsewhere. The probe points are drawn from a source seeded by
-// Options.Seed (WithSeed), so repeated runs sample identically.
+// Tuning.Seed (WithSeed), so repeated runs sample identically.
 func (ix *Index) EstimateDepth(samples int) (int, error) {
 	if samples < 1 {
 		return 0, fmt.Errorf("core: samples must be ≥ 1, got %d", samples)

@@ -5,12 +5,13 @@ import (
 	"math/rand"
 	"testing"
 
+	"mlight/internal/dht"
 	"mlight/internal/index"
 	"mlight/internal/spatial"
 )
 
 func TestEstimateDepth(t *testing.T) {
-	ix := newIndex(t, Options{ThetaSplit: 10, ThetaMerge: 5, Seed: 1})
+	ix := newIndex(t, index.Tuning{Capacity: 10, MergeThreshold: 5, Seed: 1})
 	// Empty index: only the root leaf, depth 0.
 	d, err := ix.EstimateDepth(50)
 	if err != nil || d != 0 {
@@ -27,8 +28,8 @@ func TestEstimateDepth(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 2000 records at θ=10 gives ≥200 leaves: depth at least log2(200) ≈ 8.
-	if d < 8 || d > ix.Options().MaxDepth {
-		t.Errorf("estimated depth = %d, expected within [8, %d]", d, ix.Options().MaxDepth)
+	if d < 8 || d > ix.Tuning().MaxDepth {
+		t.Errorf("estimated depth = %d, expected within [8, %d]", d, ix.Tuning().MaxDepth)
 	}
 	// The estimate never exceeds the true maximum over all buckets.
 	buckets, err := ix.Buckets()
@@ -47,7 +48,7 @@ func TestEstimateDepth(t *testing.T) {
 	if _, err := ix.EstimateDepth(0); err == nil {
 		t.Error("samples=0 accepted")
 	}
-	// The probe sampling is seeded from Options, so on an unchanged index
+	// The probe sampling is seeded from Tuning.Seed, so on an unchanged index
 	// repeated estimates are replayable bit-for-bit.
 	d2, err := ix.EstimateDepth(300)
 	if err != nil {
@@ -58,17 +59,14 @@ func TestEstimateDepth(t *testing.T) {
 	}
 }
 
-// TestSeedRoundTripsThroughTuning pins the Options↔Tuning mapping for Seed:
-// a facade-level WithSeed must reach EstimateDepth's probe source.
+// TestSeedRoundTripsThroughTuning: a facade-level WithSeed reaches the index
+// that EstimateDepth draws its probe source from.
 func TestSeedRoundTripsThroughTuning(t *testing.T) {
-	o := Options{Seed: 42}
-	var tun struct{ index.Tuning }
-	o.Apply(&tun.Tuning)
-	if tun.Seed != 42 {
-		t.Fatalf("Apply lost Seed: %d", tun.Seed)
+	ix, err := New(dht.MustNewLocal(4), index.Resolve(index.WithSeed(42)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	back := FromTuning(tun.Tuning)
-	if back.Seed != 42 {
-		t.Fatalf("FromTuning lost Seed: %d", back.Seed)
+	if got := ix.Tuning().Seed; got != 42 {
+		t.Fatalf("WithSeed(42) reached the index as Seed %d", got)
 	}
 }

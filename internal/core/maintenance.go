@@ -47,7 +47,7 @@ func (ix *Index) Insert(rec spatial.Record) error {
 		if attempt > 0 {
 			// Back off briefly: a concurrent split's relocated buckets
 			// become visible within a few put operations. The sleeper is
-			// injectable (Options.Sleep) so tests stay deterministic.
+			// injectable (Tuning.Sleep) so tests stay deterministic.
 			backoff := time.Duration(1<<uint(min(attempt, 6))) * 25 * time.Microsecond
 			ix.opts.Sleep(backoff)
 		}
@@ -99,7 +99,7 @@ func (ix *Index) insertAt(leaf bitlabel.Label, rec spatial.Record) (placed bool,
 // returned, so the closure assigns *out whole and does nothing else: counters,
 // the cache and placement are the driver's, once, after Apply returns.
 func (ix *Index) appendOp(out *Commit, leaf bitlabel.Label, records []spatial.Record) dht.ApplyFunc {
-	rule := ix.opts.splitRule()
+	rule := ix.splitRule()
 	return func(cur any, exists bool) (any, bool) {
 		stored, _ := cur.(Bucket)
 		*out = rule.Append(stored, leaf, records)
@@ -140,7 +140,7 @@ func (ix *Index) placeOps(ops []dht.PutOp, cells []kdtree.Cell) []dht.PutOp {
 
 // placeCells writes relocated buckets in one PutBatch round — the
 // destinations are independent leaves, so the transfers overlap up to
-// Options.MaxInFlight instead of paying one blocking round trip per bucket.
+// Tuning.MaxInFlight instead of paying one blocking round trip per bucket.
 // Each placed bucket is one DHT operation; the records it carries were
 // charged where the split was decided.
 func (ix *Index) placeCells(cells []kdtree.Cell) error {
@@ -217,7 +217,7 @@ func (ix *Index) merged(out Removal, err error) (bool, error) {
 // sibling holds, so the sibling is not probed.
 func (ix *Index) mergeUpwards(b Bucket) error {
 	m := ix.opts.Dims
-	for b.Label != bitlabel.Root(m) && b.Load() < ix.opts.ThetaMerge {
+	for b.Label != bitlabel.Root(m) && b.Load() < ix.opts.MergeThreshold {
 		sibLabel := b.Label.Sibling()
 		sib, found, err := ix.getBucket(bitlabel.Name(sibLabel, m), nil)
 		if err != nil {
@@ -228,7 +228,7 @@ func (ix *Index) mergeUpwards(b Bucket) error {
 			// corner leaf) or missing: no merge possible.
 			return nil
 		}
-		if b.Load()+sib.Load() >= ix.opts.ThetaMerge {
+		if b.Load()+sib.Load() >= ix.opts.MergeThreshold {
 			return nil
 		}
 		parent := b.Label.Parent()

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mlight/internal/dht"
+	"mlight/internal/index"
 	"mlight/internal/spatial"
 )
 
@@ -19,11 +20,11 @@ import (
 // race-clean, and results must stay inside their query rectangles even while
 // the tree is restructuring.
 func TestRangeQueryParallelRaceStress(t *testing.T) {
-	ix, err := New(dht.MustNewLocal(16), Options{
-		ThetaSplit:  8,
-		ThetaMerge:  4,
-		MaxInFlight: 8,
-		CacheSize:   32,
+	ix, err := New(dht.MustNewLocal(16), index.Tuning{
+		Capacity:       8,
+		MergeThreshold: 4,
+		MaxInFlight:    8,
+		CacheSize:      32,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -72,7 +72,7 @@ func (ix *Index) ShapeQueryParallel(s spatial.Shape, h int) (*QueryResult, error
 
 // rangeQuery drives the round-synchronous execution engine: every round the
 // current frontier of independent DHT probes goes to the substrate as one
-// batch call (dht.GetBatch, which overlaps them up to Options.MaxInFlight or
+// batch call (dht.GetBatch, which overlaps them up to Tuning.MaxInFlight or
 // answers them natively), the call's return is the barrier, and the results
 // generate the next frontier on the calling goroutine. Rounds therefore
 // equals the number of synchronous batch barriers — the paper's latency

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"mlight/internal/dht"
+	"mlight/internal/index"
 	"mlight/internal/spatial"
 )
 
@@ -63,7 +64,7 @@ func (b *batchLog) GetBatch(keys []dht.Key, maxInFlight int) []dht.BatchResult {
 func TestRangeRoundIsOneBatchCall(t *testing.T) {
 	for _, inFlight := range []int{1, 16} {
 		log := &batchLog{Local: dht.MustNewLocal(16)}
-		ix, err := New(log, Options{ThetaSplit: 10, ThetaMerge: 5, MaxInFlight: inFlight})
+		ix, err := New(log, index.Tuning{Capacity: 10, MergeThreshold: 5, MaxInFlight: inFlight})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,8 +118,8 @@ func (u unbatched) Owner(k dht.Key) (string, error)        { return u.inner.Owne
 // sequential engine. Run under -race: the results are filled concurrently.
 func TestLookaheadRoundMixesProbesAndCandidates(t *testing.T) {
 	store := dht.MustNewLocal(16)
-	build := equivIndexOver(t, store, Options{ThetaSplit: 10, ThetaMerge: 5, MaxInFlight: 1}, 1200, 42)
-	pooled, err := New(unbatched{store}, Options{ThetaSplit: 10, ThetaMerge: 5, MaxInFlight: 16})
+	build := equivIndexOver(t, store, index.Tuning{Capacity: 10, MergeThreshold: 5, MaxInFlight: 1}, 1200, 42)
+	pooled, err := New(unbatched{store}, index.Tuning{Capacity: 10, MergeThreshold: 5, MaxInFlight: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 
 	"mlight/internal/bitlabel"
 	"mlight/internal/dht"
-	"mlight/internal/metrics"
+	"mlight/internal/index"
 	"mlight/internal/spatial"
 )
 
@@ -67,10 +67,11 @@ func (ix *Index) Snapshot(w io.Writer) error {
 }
 
 // RestoreInto rebuilds an index from a snapshot onto the substrate d,
-// which must not already hold index buckets. opts.Dims, if set, must match
-// the snapshot's dimensionality; the remaining options configure the
-// restored index (so a restore may change, say, the splitting strategy).
-func RestoreInto(d dht.DHT, r io.Reader, opts Options) (*Index, error) {
+// which must not already hold index buckets. t.Dims, if set, must match
+// the snapshot's dimensionality; the remaining fields configure the
+// restored index exactly as they would New's (so a restore may change, say,
+// the splitting strategy).
+func RestoreInto(d dht.DHT, r io.Reader, t index.Tuning) (*Index, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(snapshotMagic))
 	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != snapshotMagic {
@@ -85,12 +86,12 @@ func RestoreInto(d dht.DHT, r io.Reader, opts Options) (*Index, error) {
 		return nil, fmt.Errorf("%w: dimensionality %d", ErrSnapshot, dims64)
 	}
 	dims := int(dims64)
-	if opts.Dims != 0 && opts.Dims != dims {
-		return nil, fmt.Errorf("%w: snapshot is %d-dimensional, options say %d", ErrSnapshot, dims, opts.Dims)
+	if t.Dims != 0 && t.Dims != dims {
+		return nil, fmt.Errorf("%w: snapshot is %d-dimensional, options say %d", ErrSnapshot, dims, t.Dims)
 	}
-	opts.Dims = dims
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
+	t.Dims = dims
+	ix, err := attach(d, t)
+	if err != nil {
 		return nil, err
 	}
 	count, err := binary.ReadUvarint(br)
@@ -130,25 +131,18 @@ func RestoreInto(d dht.DHT, r io.Reader, opts Options) (*Index, error) {
 		}
 	}
 
-	stats := &metrics.IndexStats{}
-	ix := &Index{
-		opts:  opts,
-		raw:   d,
-		d:     dht.NewCounting(d, stats),
-		stats: stats,
-	}
 	if n, err := ix.Size(); err == nil && n > 0 {
 		return nil, fmt.Errorf("core: RestoreInto requires an empty substrate, found %d records", n)
 	}
 	for _, b := range buckets {
-		if err := d.Put(labelKey(bitlabel.Name(b.Label, dims)), b); err != nil {
+		if err := ix.raw.Put(labelKey(bitlabel.Name(b.Label, dims)), b); err != nil {
 			return nil, fmt.Errorf("core: restore bucket %v: %w", b.Label, err)
 		}
 	}
 	if len(buckets) == 0 {
 		// Empty snapshot: bootstrap a fresh root.
 		root := bitlabel.Root(dims)
-		if err := d.Put(labelKey(bitlabel.Name(root, dims)), Bucket{Label: root}); err != nil {
+		if err := ix.raw.Put(labelKey(bitlabel.Name(root, dims)), Bucket{Label: root}); err != nil {
 			return nil, fmt.Errorf("core: restore root: %w", err)
 		}
 	}

@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	"mlight/internal/dht"
+	"mlight/internal/index"
 	"mlight/internal/spatial"
 )
 
 // FuzzRestoreInto: arbitrary bytes never panic the restorer; anything that
 // restores successfully yields a structurally valid, queryable index.
 func FuzzRestoreInto(f *testing.F) {
-	seedIx, err := New(dht.MustNewLocal(2), Options{ThetaSplit: 4, ThetaMerge: 2})
+	seedIx, err := New(dht.MustNewLocal(2), index.Tuning{Capacity: 4, MergeThreshold: 2})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func FuzzRestoreInto(f *testing.F) {
 	f.Add([]byte("MLIGHTSNAP"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ix, err := RestoreInto(dht.MustNewLocal(2), bytes.NewReader(data), Options{})
+		ix, err := RestoreInto(dht.MustNewLocal(2), bytes.NewReader(data), index.Tuning{})
 		if err != nil {
 			return
 		}

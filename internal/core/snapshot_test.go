@@ -12,12 +12,15 @@ import (
 
 	"mlight/internal/bitlabel"
 	"mlight/internal/dht"
+	"mlight/internal/dht/dhttest"
+	"mlight/internal/index"
 	"mlight/internal/spatial"
+	"mlight/internal/trace"
 )
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
-	src := newIndex(t, Options{ThetaSplit: 15, ThetaMerge: 7})
+	src := newIndex(t, index.Tuning{Capacity: 15, MergeThreshold: 7})
 	var records []spatial.Record
 	for i, p := range clusteredPoints(rng, 2, 2000) {
 		rec := spatial.Record{Key: p, Data: fmt.Sprintf("r%d", i)}
@@ -30,8 +33,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err := src.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreInto(dht.MustNewLocal(16), bytes.NewReader(buf.Bytes()), Options{
-		ThetaSplit: 15, ThetaMerge: 7,
+	restored, err := RestoreInto(dht.MustNewLocal(16), bytes.NewReader(buf.Bytes()), index.Tuning{
+		Capacity: 15, MergeThreshold: 7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -75,13 +78,70 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSnapshotEmptyIndex(t *testing.T) {
-	src := newIndex(t, Options{})
+// TestRestoreIntoHonoursStackOptions: a restored index is configured by the
+// same Tuning fields as a New one — in particular the ones that add layers,
+// the lookup cache and the retry decorator (with its trace of attempts).
+func TestRestoreIntoHonoursStackOptions(t *testing.T) {
+	src := newIndex(t, index.Tuning{Capacity: 4})
+	for _, rec := range rerunRecords {
+		if err := src.Insert(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var buf bytes.Buffer
 	if err := src.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreInto(dht.MustNewLocal(4), bytes.NewReader(buf.Bytes()), Options{})
+
+	flaky := dhttest.NewFlaky(dht.MustNewLocal(4))
+	tc := trace.NewCollector()
+	restored, err := RestoreInto(flaky, &buf, index.Tuning{
+		Capacity:  4,
+		CacheSize: 64,
+		Retry:     &dht.RetryPolicy{MaxAttempts: 4, Sleep: dht.NoSleep},
+		Trace:     tc,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.ResilienceStats() == nil {
+		t.Fatal("ResilienceStats() = nil: the retry layer was not built")
+	}
+	key := rerunRecords[0].Key
+	for i := 0; i < 2; i++ { // the first lookup fills the cache, the second hits it
+		if got, err := restored.Exact(key); err != nil || len(got) != 1 {
+			t.Fatalf("Exact(%v) = %v, %v", key, got, err)
+		}
+	}
+	if hits := restored.Stats().CacheHits; hits == 0 {
+		t.Error("no cache hit on a repeated lookup: the cache was not built")
+	}
+	// One injected failure is absorbed below the index and shows in the trace.
+	flaky.FailAll(1)
+	if got, err := restored.Exact(key); err != nil || len(got) != 1 {
+		t.Fatalf("Exact(%v) over one injected failure = %v, %v", key, got, err)
+	}
+	if r := restored.ResilienceStats().Snapshot(); r.Retries != 1 || r.Recovered != 1 {
+		t.Errorf("retries/recovered = %d/%d, want 1/1", r.Retries, r.Recovered)
+	}
+	attempts := 0
+	for _, sp := range tc.Spans() {
+		if sp.Kind == trace.KindAttempt {
+			attempts++
+		}
+	}
+	if attempts == 0 {
+		t.Error("no attempt span recorded: the retry layer has no tracer")
+	}
+}
+
+func TestSnapshotEmptyIndex(t *testing.T) {
+	src := newIndex(t, index.Tuning{})
+	var buf bytes.Buffer
+	if err := src.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreInto(dht.MustNewLocal(4), bytes.NewReader(buf.Bytes()), index.Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +155,7 @@ func TestSnapshotEmptyIndex(t *testing.T) {
 }
 
 func TestRestoreValidation(t *testing.T) {
-	src := newIndex(t, Options{})
+	src := newIndex(t, index.Tuning{})
 	if err := src.Insert(spatial.Record{Key: spatial.Point{0.2, 0.8}, Data: "x"}); err != nil {
 		t.Fatal(err)
 	}
@@ -107,29 +167,29 @@ func TestRestoreValidation(t *testing.T) {
 
 	// Wrong magic.
 	bad := append([]byte("NOTASNAP??"), good[10:]...)
-	if _, err := RestoreInto(dht.MustNewLocal(2), bytes.NewReader(bad), Options{}); !errors.Is(err, ErrSnapshot) {
+	if _, err := RestoreInto(dht.MustNewLocal(2), bytes.NewReader(bad), index.Tuning{}); !errors.Is(err, ErrSnapshot) {
 		t.Errorf("bad magic: %v", err)
 	}
 	// Dim mismatch against options.
-	if _, err := RestoreInto(dht.MustNewLocal(2), bytes.NewReader(good), Options{Dims: 3}); !errors.Is(err, ErrSnapshot) {
+	if _, err := RestoreInto(dht.MustNewLocal(2), bytes.NewReader(good), index.Tuning{Dims: 3}); !errors.Is(err, ErrSnapshot) {
 		t.Errorf("dim mismatch: %v", err)
 	}
 	// Truncations anywhere must error, not panic.
 	for cut := 1; cut < len(good); cut += 3 {
-		if _, err := RestoreInto(dht.MustNewLocal(2), bytes.NewReader(good[:cut]), Options{}); err == nil {
+		if _, err := RestoreInto(dht.MustNewLocal(2), bytes.NewReader(good[:cut]), index.Tuning{}); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
 	// Non-empty substrate refused.
 	d := dht.MustNewLocal(2)
-	if _, err := New(d, Options{}); err != nil {
+	if _, err := New(d, index.Tuning{}); err != nil {
 		t.Fatal(err)
 	}
-	ix2, _ := New(d, Options{})
+	ix2, _ := New(d, index.Tuning{})
 	if err := ix2.Insert(spatial.Record{Key: spatial.Point{0.1, 0.1}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RestoreInto(d, bytes.NewReader(good), Options{}); err == nil {
+	if _, err := RestoreInto(d, bytes.NewReader(good), index.Tuning{}); err == nil {
 		t.Error("restore onto non-empty substrate accepted")
 	}
 }
@@ -167,7 +227,7 @@ func TestRestoreRejectsHostileFrames(t *testing.T) {
 	root := bitlabel.Root(2)
 	in := spatial.Record{Key: spatial.Point{0.25, 0.25}, Data: "x"}
 	good := NewBucket(root, []spatial.Record{in}).Marshal()
-	if _, err := RestoreInto(dht.MustNewLocal(2), bytes.NewReader(snapshotOf(2, good)), Options{}); err != nil {
+	if _, err := RestoreInto(dht.MustNewLocal(2), bytes.NewReader(snapshotOf(2, good)), index.Tuning{}); err != nil {
 		t.Fatalf("well-formed frame refused: %v", err)
 	}
 	hugeCount := append(append([]byte{}, good[:9]...), 0xff, 0xff, 0xff, 0xff, 0x0f)
@@ -180,7 +240,7 @@ func TestRestoreRejectsHostileFrames(t *testing.T) {
 		"record outside cell": NewBucket(root.MustAppend(1), []spatial.Record{in}).Marshal(),
 		"record outside cube": NewBucket(root, []spatial.Record{{Key: spatial.Point{0.5, 1.5}}}).Marshal(),
 	} {
-		if _, err := RestoreInto(dht.MustNewLocal(2), bytes.NewReader(snapshotOf(2, frame)), Options{}); !errors.Is(err, ErrSnapshot) {
+		if _, err := RestoreInto(dht.MustNewLocal(2), bytes.NewReader(snapshotOf(2, frame)), index.Tuning{}); !errors.Is(err, ErrSnapshot) {
 			t.Errorf("%s: err = %v, want ErrSnapshot", name, err)
 		}
 	}

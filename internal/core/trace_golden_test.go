@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"mlight/internal/dht"
+	"mlight/internal/index"
 	"mlight/internal/spatial"
 	"mlight/internal/trace"
 )
@@ -24,10 +25,10 @@ var updateGolden = flag.Bool("update", false, "rewrite golden trace files")
 // is intentional.
 func TestTraceGolden(t *testing.T) {
 	tc := trace.NewCollector()
-	ix, err := New(dht.MustNewLocal(16), Options{
+	ix, err := New(dht.MustNewLocal(16), index.Tuning{
 		Dims:        2,
 		MaxDepth:    12,
-		ThetaSplit:  4,
+		Capacity:    4,
 		MaxInFlight: 1,
 		Trace:       tc,
 	})

@@ -33,7 +33,7 @@ import (
 // returns a positional error slice: errs[i] is record i's outcome, nil on
 // success. Records destined for the same leaf coalesce into a single Apply
 // at the owning peer; leaves are processed concurrently up to
-// Options.MaxInFlight. Records whose destination moved mid-flight (a
+// Tuning.MaxInFlight. Records whose destination moved mid-flight (a
 // concurrent split or merge) fall back to the sequential Insert path, in
 // stream order, so the batch as a whole has insert-per-record semantics.
 func (ix *Index) InsertBatch(recs []spatial.Record) []error {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mlight/internal/dht"
+	"mlight/internal/index"
 	"mlight/internal/spatial"
 )
 
@@ -63,13 +64,13 @@ func sameTree(t *testing.T, a, b *Index) {
 func TestInsertBatchEquivalentToSequential(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
-		opts  Options
+		opts  index.Tuning
 		chunk int
 	}{
-		{"threshold-wholestream", Options{ThetaSplit: 16, ThetaMerge: 8, MaxDepth: 24}, 0},
-		{"threshold-chunks", Options{ThetaSplit: 16, ThetaMerge: 8, MaxDepth: 24}, 37},
-		{"dataaware-wholestream", Options{Strategy: SplitDataAware, Epsilon: 12, ThetaSplit: 16, ThetaMerge: 8, MaxDepth: 24}, 0},
-		{"dataaware-chunks", Options{Strategy: SplitDataAware, Epsilon: 12, ThetaSplit: 16, ThetaMerge: 8, MaxDepth: 24}, 53},
+		{"threshold-wholestream", index.Tuning{Capacity: 16, MergeThreshold: 8, MaxDepth: 24}, 0},
+		{"threshold-chunks", index.Tuning{Capacity: 16, MergeThreshold: 8, MaxDepth: 24}, 37},
+		{"dataaware-wholestream", index.Tuning{Strategy: SplitDataAware, Epsilon: 12, Capacity: 16, MergeThreshold: 8, MaxDepth: 24}, 0},
+		{"dataaware-chunks", index.Tuning{Strategy: SplitDataAware, Epsilon: 12, Capacity: 16, MergeThreshold: 8, MaxDepth: 24}, 53},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			records := genRecords(1234, 2000)
@@ -123,7 +124,7 @@ func TestInsertBatchEquivalentToSequential(t *testing.T) {
 // TestInsertBatchValidationPositional pins per-record validation: bad
 // records fail in place, good ones land.
 func TestInsertBatchValidationPositional(t *testing.T) {
-	ix, err := New(dht.MustNewLocal(8), Options{ThetaSplit: 8, ThetaMerge: 4})
+	ix, err := New(dht.MustNewLocal(8), index.Tuning{Capacity: 8, MergeThreshold: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestInsertBatchValidationPositional(t *testing.T) {
 // leaf several levels deep: the replay must cascade splits exactly as the
 // sequential stream would.
 func TestInsertBatchSingleLeafManySplits(t *testing.T) {
-	opts := Options{ThetaSplit: 4, ThetaMerge: 2, MaxDepth: 20}
+	opts := index.Tuning{Capacity: 4, MergeThreshold: 2, MaxDepth: 20}
 	seq, _ := New(dht.MustNewLocal(8), opts)
 	bat, _ := New(dht.MustNewLocal(8), opts)
 	// All records in one quadrant: every split keeps cascading locally.
@@ -189,11 +190,11 @@ func TestInsertBatchSingleLeafManySplits(t *testing.T) {
 // many goroutines: every record must land exactly once, with insert-level
 // error semantics, while commits batch whatever overlaps.
 func TestWriterCoalescesConcurrentInserts(t *testing.T) {
-	ix, err := New(dht.MustNewLocal(16), Options{
-		ThetaSplit:  8,
-		ThetaMerge:  4,
-		MaxInFlight: 8,
-		Sleep:       dht.NoSleep,
+	ix, err := New(dht.MustNewLocal(16), index.Tuning{
+		Capacity:       8,
+		MergeThreshold: 4,
+		MaxInFlight:    8,
+		Sleep:          dht.NoSleep,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -251,11 +252,11 @@ func TestWriterCoalescesConcurrentInserts(t *testing.T) {
 // detector: group-commit replay, batched placement, cache maintenance, and
 // the query engine must all be race-clean while the tree restructures.
 func TestInsertBatchRangeQueryRaceStress(t *testing.T) {
-	ix, err := New(dht.MustNewLocal(16), Options{
-		ThetaSplit:  8,
-		ThetaMerge:  4,
-		MaxInFlight: 8,
-		CacheSize:   32,
+	ix, err := New(dht.MustNewLocal(16), index.Tuning{
+		Capacity:       8,
+		MergeThreshold: 4,
+		MaxInFlight:    8,
+		CacheSize:      32,
 		// The real backoff, not dht.NoSleep: a retry has to let the split it
 		// collided with make progress, and twelve retries that never yield
 		// spin out on a two-CPU machine before the splitter runs again (the

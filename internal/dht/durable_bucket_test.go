@@ -12,6 +12,7 @@ import (
 	"mlight/internal/core"
 	"mlight/internal/dht"
 	"mlight/internal/dht/dhttest"
+	"mlight/internal/index"
 	"mlight/internal/spatial"
 	"mlight/internal/wire"
 )
@@ -72,7 +73,7 @@ func TestDurableLocalRecoveryIsExact(t *testing.T) {
 	seed := dhttest.SeedFromEnv(1)
 	rng := rand.New(rand.NewSource(seed))
 	l, w, logPath := openBucketStore(t, 16)
-	ix, err := core.New(l, core.Options{Dims: 2, ThetaSplit: 8, Sleep: dht.NoSleep})
+	ix, err := core.New(l, index.Tuning{Dims: 2, Capacity: 8, Sleep: dht.NoSleep})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func (s *applySpy) Apply(key dht.Key, fn dht.ApplyFunc) error {
 // the journal writes nothing for them.
 func TestDurableLocalUnchangedBucketJournalsNothing(t *testing.T) {
 	l, w, logPath := openBucketStore(t, -1)
-	opts := core.Options{Dims: 2, ThetaSplit: 4, Sleep: dht.NoSleep}
+	opts := index.Tuning{Dims: 2, Capacity: 4, Sleep: dht.NoSleep}
 	writer, err := core.New(l, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -29,7 +29,6 @@ import (
 	"mlight/internal/index"
 	"mlight/internal/metrics"
 	"mlight/internal/spatial"
-	"mlight/internal/trace"
 )
 
 // node is the stored value of one segment-tree node.
@@ -41,78 +40,9 @@ type node struct {
 	Records   []spatial.Record
 }
 
-// Options configures an Index.
-type Options struct {
-	// Dims is the data dimensionality m. Default 2.
-	Dims int
-	// Height is D, the fixed tree height (bits of the z-order key).
-	// Default 28, the m-LIGHT evaluation's setting.
-	Height int
-	// NodeCapacity is γ, the records an internal node replicates before it
-	// saturates. Leaf-level nodes never saturate. Default 100.
-	NodeCapacity int
-	// Retry, when non-nil, interposes a dht.Resilient fault-tolerance layer
-	// between the index and the substrate (see core.Options.Retry). Nil
-	// leaves the substrate unwrapped.
-	Retry *dht.RetryPolicy
-	// Trace, when non-nil, records operation spans (queries and retry
-	// attempts) into the collector. Nil — the default — disables tracing.
-	Trace *trace.Collector
-}
-
-// Apply implements index.Option: the whole struct overwrites the unified
-// tuning surface, so place it first when mixing with functional options.
-func (o Options) Apply(t *index.Tuning) {
-	*t = index.Tuning{
-		Dims:     o.Dims,
-		MaxDepth: o.Height,
-		Capacity: o.NodeCapacity,
-		Retry:    o.Retry,
-		Trace:    o.Trace,
-	}
-}
-
-// FromTuning maps the unified tuning surface onto DST's vocabulary,
-// ignoring fields DST has no counterpart for.
-func FromTuning(t index.Tuning) Options {
-	return Options{
-		Dims:         t.Dims,
-		Height:       t.MaxDepth,
-		NodeCapacity: t.Capacity,
-		Retry:        t.Retry,
-		Trace:        t.Trace,
-	}
-}
-
-func (o Options) withDefaults() Options {
-	if o.Dims == 0 {
-		o.Dims = 2
-	}
-	if o.Height == 0 {
-		o.Height = 28
-	}
-	if o.NodeCapacity == 0 {
-		o.NodeCapacity = 100
-	}
-	return o
-}
-
-func (o Options) validate() error {
-	if o.Dims < 1 {
-		return fmt.Errorf("dst: Dims must be ≥ 1, got %d", o.Dims)
-	}
-	if o.Height < 1 || o.Height > bitlabel.MaxLen {
-		return fmt.Errorf("dst: Height %d out of range", o.Height)
-	}
-	if o.NodeCapacity < 1 {
-		return fmt.Errorf("dst: NodeCapacity must be ≥ 1, got %d", o.NodeCapacity)
-	}
-	return nil
-}
-
 // Index is a DST client bound to a DHT substrate.
 type Index struct {
-	opts  Options
+	opts  index.Tuning
 	d     *dht.Counting
 	stats *metrics.IndexStats
 }
@@ -120,19 +50,19 @@ type Index struct {
 var _ index.Querier = (*Index)(nil)
 
 // New creates a DST client over d. The segment tree needs no bootstrap:
-// nodes materialise on first insert.
-func New(d dht.DHT, opts Options) (*Index, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
+// nodes materialise on first insert. Of t it reads Dims, MaxDepth (the fixed
+// tree height D), Capacity (γ: the records an internal node replicates
+// before it saturates; leaf-level nodes never do), Retry and Trace.
+func New(d dht.DHT, t index.Tuning) (*Index, error) {
+	t, err := t.Normalize()
+	if err != nil {
 		return nil, err
 	}
-	stats := &metrics.IndexStats{}
-	if opts.Retry != nil {
-		res := dht.NewResilient(d, *opts.Retry, nil)
-		res.SetTracer(opts.Trace)
-		d = res
+	if t.MaxDepth > bitlabel.MaxLen {
+		return nil, fmt.Errorf("dst: MaxDepth %d out of range (need D ≤ %d)", t.MaxDepth, bitlabel.MaxLen)
 	}
-	return &Index{opts: opts, d: dht.NewCounting(d, stats), stats: stats}, nil
+	s := index.Stack(d, t)
+	return &Index{opts: t, d: s.Counted, stats: s.Stats}, nil
 }
 
 func labelKey(l bitlabel.Label) dht.Key {
@@ -145,8 +75,8 @@ func (ix *Index) Stats() metrics.Snapshot { return ix.stats.Snapshot() }
 // ResetStats zeroes the maintenance counters.
 func (ix *Index) ResetStats() { ix.stats.Reset() }
 
-// Options returns the resolved configuration.
-func (ix *Index) Options() Options { return ix.opts }
+// Tuning returns the resolved configuration.
+func (ix *Index) Tuning() index.Tuning { return ix.opts }
 
 // Insert replicates the record at every node on its root-to-leaf path —
 // D+1 DHT operations. Saturated nodes skip the append (no movement), and a
@@ -159,7 +89,7 @@ func (ix *Index) Insert(rec spatial.Record) error {
 	if !rec.Key.Valid() {
 		return fmt.Errorf("dst: record key %v outside the unit cube", rec.Key)
 	}
-	z, err := bitlabel.PathLabelNoRoot(rec.Key, ix.opts.Height)
+	z, err := bitlabel.PathLabelNoRoot(rec.Key, ix.opts.MaxDepth)
 	if err != nil {
 		return err
 	}
@@ -178,7 +108,7 @@ func (ix *Index) Insert(rec spatial.Record) error {
 			if n.Saturated {
 				return n, true
 			}
-			if !isLeafLevel && len(n.Records) >= ix.opts.NodeCapacity {
+			if !isLeafLevel && len(n.Records) >= ix.opts.Capacity {
 				n.Saturated = true
 				return n, true
 			}
@@ -203,7 +133,7 @@ func (ix *Index) Delete(key spatial.Point, data string) (bool, error) {
 	if key.Dim() != m {
 		return false, fmt.Errorf("dst: key has %d dims, index has %d", key.Dim(), m)
 	}
-	z, err := bitlabel.PathLabelNoRoot(key, ix.opts.Height)
+	z, err := bitlabel.PathLabelNoRoot(key, ix.opts.MaxDepth)
 	if err != nil {
 		return false, err
 	}
@@ -243,7 +173,7 @@ func (ix *Index) Lookup(key spatial.Point) ([]spatial.Record, error) {
 	if key.Dim() != m {
 		return nil, fmt.Errorf("dst: key has %d dims, index has %d", key.Dim(), m)
 	}
-	z, err := bitlabel.PathLabelNoRoot(key, ix.opts.Height)
+	z, err := bitlabel.PathLabelNoRoot(key, ix.opts.MaxDepth)
 	if err != nil {
 		return nil, err
 	}

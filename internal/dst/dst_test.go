@@ -5,11 +5,13 @@ import (
 	"math/rand"
 	"testing"
 
+	"mlight/internal/bitlabel"
 	"mlight/internal/dht"
+	"mlight/internal/index"
 	"mlight/internal/spatial"
 )
 
-func newIndex(t *testing.T, opts Options) *Index {
+func newIndex(t *testing.T, opts index.Tuning) *Index {
 	t.Helper()
 	ix, err := New(dht.MustNewLocal(16), opts)
 	if err != nil {
@@ -32,25 +34,32 @@ func randomPoints(rng *rand.Rand, m, n int) []spatial.Point {
 
 func TestOptionsValidation(t *testing.T) {
 	d := dht.MustNewLocal(2)
-	bad := []Options{
+	bad := []index.Tuning{
 		{Dims: -1},
-		{Dims: 2, Height: 100},
-		{Dims: 2, NodeCapacity: -1},
+		{Dims: 2, MaxDepth: 100},
+		{Dims: 2, Capacity: -1},
 	}
 	for i, o := range bad {
 		if _, err := New(d, o); err == nil {
 			t.Errorf("case %d accepted: %+v", i, o)
 		}
 	}
-	ix := newIndex(t, Options{})
-	o := ix.Options()
-	if o.Dims != 2 || o.Height != 28 || o.NodeCapacity != 100 {
+	// The depth bound is this scheme's own: a z-order label is D bits.
+	if _, err := New(dht.MustNewLocal(2), index.Tuning{MaxDepth: bitlabel.MaxLen}); err != nil {
+		t.Errorf("MaxDepth = MaxLen rejected: %v", err)
+	}
+	if _, err := New(dht.MustNewLocal(2), index.Tuning{MaxDepth: bitlabel.MaxLen + 1}); err == nil {
+		t.Error("MaxDepth = MaxLen+1 accepted")
+	}
+	ix := newIndex(t, index.Tuning{})
+	o := ix.Tuning()
+	if o.Dims != 2 || o.MaxDepth != 28 || o.Capacity != 100 {
 		t.Errorf("defaults = %+v", o)
 	}
 }
 
 func TestInsertLookup(t *testing.T) {
-	ix := newIndex(t, Options{Height: 20, NodeCapacity: 8})
+	ix := newIndex(t, index.Tuning{MaxDepth: 20, Capacity: 8})
 	rng := rand.New(rand.NewSource(1))
 	points := randomPoints(rng, 2, 150)
 	for i, p := range points {
@@ -85,7 +94,7 @@ func TestReplicationCost(t *testing.T) {
 	// With a large capacity nothing saturates: every insert stores at all
 	// Height+1 levels and costs Height+1 DHT operations.
 	height := 12
-	ix := newIndex(t, Options{Height: height, NodeCapacity: 1000})
+	ix := newIndex(t, index.Tuning{MaxDepth: height, Capacity: 1000})
 	before := ix.Stats()
 	if err := ix.Insert(spatial.Record{Key: spatial.Point{0.3, 0.7}}); err != nil {
 		t.Fatal(err)
@@ -103,7 +112,7 @@ func TestSaturationReducesMovement(t *testing.T) {
 	// With capacity 1, upper levels saturate almost immediately: movement
 	// per insert drops well below Height+1 while lookups stay at Height+1.
 	height := 16
-	ix := newIndex(t, Options{Height: height, NodeCapacity: 1})
+	ix := newIndex(t, index.Tuning{MaxDepth: height, Capacity: 1})
 	rng := rand.New(rand.NewSource(2))
 	for _, p := range randomPoints(rng, 2, 64) {
 		if err := ix.Insert(spatial.Record{Key: p}); err != nil {
@@ -124,7 +133,7 @@ func TestSaturationReducesMovement(t *testing.T) {
 func TestRangeAgainstScan(t *testing.T) {
 	for _, m := range []int{1, 2, 3} {
 		t.Run(fmt.Sprintf("m%d", m), func(t *testing.T) {
-			ix := newIndex(t, Options{Dims: m, Height: 14, NodeCapacity: 10})
+			ix := newIndex(t, index.Tuning{Dims: m, MaxDepth: 14, Capacity: 10})
 			rng := rand.New(rand.NewSource(int64(m)))
 			points := randomPoints(rng, m, 500)
 			var records []spatial.Record
@@ -174,7 +183,7 @@ func randomRect(rng *rand.Rand, m int) spatial.Rect {
 // TestSmallRangeConstantRounds pins DST's selling point: a small range over
 // unsaturated cells resolves in one parallel round.
 func TestSmallRangeConstantRounds(t *testing.T) {
-	ix := newIndex(t, Options{Height: 16, NodeCapacity: 10000})
+	ix := newIndex(t, index.Tuning{MaxDepth: 16, Capacity: 10000})
 	rng := rand.New(rand.NewSource(3))
 	var records []spatial.Record
 	for i, p := range randomPoints(rng, 2, 500) {
@@ -206,7 +215,7 @@ func TestSmallRangeConstantRounds(t *testing.T) {
 // TestSaturationForcesDescent: with tiny capacity, a large range hits
 // saturated canonical cells and needs multiple rounds.
 func TestSaturationForcesDescent(t *testing.T) {
-	ix := newIndex(t, Options{Height: 16, NodeCapacity: 2})
+	ix := newIndex(t, index.Tuning{MaxDepth: 16, Capacity: 2})
 	rng := rand.New(rand.NewSource(4))
 	for i, p := range randomPoints(rng, 2, 400) {
 		if err := ix.Insert(spatial.Record{Key: p, Data: fmt.Sprintf("r%d", i)}); err != nil {
@@ -224,7 +233,7 @@ func TestSaturationForcesDescent(t *testing.T) {
 }
 
 func TestDelete(t *testing.T) {
-	ix := newIndex(t, Options{Height: 12, NodeCapacity: 50})
+	ix := newIndex(t, index.Tuning{MaxDepth: 12, Capacity: 50})
 	rng := rand.New(rand.NewSource(5))
 	points := randomPoints(rng, 2, 100)
 	for i, p := range points {
@@ -259,7 +268,7 @@ func TestBoundaryDecompositionGrowsWithHeight(t *testing.T) {
 	// The same range decomposes into far more cells at a larger height —
 	// the §7.4 bandwidth explosion.
 	count := func(height int) int {
-		ix := newIndex(t, Options{Height: height, NodeCapacity: 100})
+		ix := newIndex(t, index.Tuning{MaxDepth: height, Capacity: 100})
 		q, _ := spatial.NewRect(spatial.Point{0.21, 0.21}, spatial.Point{0.59, 0.59})
 		var cells []any
 		var labels []struct{}
@@ -283,7 +292,7 @@ func TestBoundaryDecompositionGrowsWithHeight(t *testing.T) {
 }
 
 func TestRangeQueryValidation(t *testing.T) {
-	ix := newIndex(t, Options{})
+	ix := newIndex(t, index.Tuning{})
 	if _, err := ix.RangeQuery(spatial.Rect{Lo: spatial.Point{0.1}, Hi: spatial.Point{0.2}}); err == nil {
 		t.Error("wrong-dim query accepted")
 	}

@@ -79,7 +79,7 @@ func (ix *Index) decompose(label bitlabel.Label, g spatial.Region, q spatial.Rec
 		*out = append(*out, label)
 		return
 	}
-	if label.Len() >= ix.opts.Height {
+	if label.Len() >= ix.opts.MaxDepth {
 		// Boundary cell at maximum depth: include with filtering.
 		*out = append(*out, label)
 		return

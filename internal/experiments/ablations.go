@@ -68,18 +68,14 @@ func ablationBulkLoad(cfg Config) (Table, error) {
 	incr := Series{Name: "incremental DHT-lookups"}
 	for _, frac := range []int{4, 2, 1} {
 		records := all[:len(all)/frac]
-		opts := core.Options{
-			Dims: cfg.Dims, MaxDepth: cfg.MaxDepth,
-			ThetaSplit: cfg.ThetaSplit, ThetaMerge: cfg.ThetaSplit / 2,
-		}
-		bulkIx, err := core.New(dht.MustNewLocal(cfg.Peers), opts)
+		bulkIx, err := core.New(dht.MustNewLocal(cfg.Peers), cfg.tuning(cfg.ThetaSplit))
 		if err != nil {
 			return Table{}, err
 		}
 		if err := bulkIx.BulkLoad(records); err != nil {
 			return Table{}, fmt.Errorf("experiments: bulk-load ablation: %w", err)
 		}
-		incrIx, err := core.New(dht.MustNewLocal(cfg.Peers), opts)
+		incrIx, err := core.New(dht.MustNewLocal(cfg.Peers), cfg.tuning(cfg.ThetaSplit))
 		if err != nil {
 			return Table{}, err
 		}
@@ -103,10 +99,7 @@ func ablationBulkLoad(cfg Config) (Table, error) {
 // ablationLookahead sweeps the parallel lookahead h at a fixed span.
 func ablationLookahead(cfg Config) (Table, error) {
 	records := cfg.records()
-	ix, err := core.New(dht.MustNewLocal(cfg.Peers), core.Options{
-		Dims: cfg.Dims, MaxDepth: cfg.MaxDepth,
-		ThetaSplit: cfg.ThetaSplit, ThetaMerge: cfg.ThetaSplit / 2,
-	})
+	ix, err := core.New(dht.MustNewLocal(cfg.Peers), cfg.tuning(cfg.ThetaSplit))
 	if err != nil {
 		return Table{}, err
 	}
@@ -154,17 +147,11 @@ func ablationSplitCost(cfg Config) (Table, error) {
 	ml := Series{Name: "m-LIGHT moved per split"}
 	ph := Series{Name: "PHT moved per split"}
 	for _, theta := range cfg.Thetas {
-		mlIx, err := core.New(dht.MustNewLocal(cfg.Peers), core.Options{
-			Dims: cfg.Dims, MaxDepth: cfg.MaxDepth,
-			ThetaSplit: theta, ThetaMerge: theta / 2,
-		})
+		mlIx, err := core.New(dht.MustNewLocal(cfg.Peers), cfg.tuning(theta))
 		if err != nil {
 			return Table{}, err
 		}
-		phIx, err := pht.New(dht.MustNewLocal(cfg.Peers), pht.Options{
-			Dims: cfg.Dims, MaxDepth: cfg.MaxDepth,
-			LeafCapacity: theta, MergeThreshold: theta / 2,
-		})
+		phIx, err := pht.New(dht.MustNewLocal(cfg.Peers), cfg.tuning(theta))
 		if err != nil {
 			return Table{}, err
 		}
@@ -206,7 +193,7 @@ func ablationSplitCost(cfg Config) (Table, error) {
 func ablationOverlay(cfg Config) (Table, error) {
 	// A reduced record count keeps overlay runs fast; route length depends
 	// on the ring size, not the data volume.
-	records := dataset.Generate(minInt(cfg.DataSize, 2000), cfg.Seed)
+	records := dataset.Generate(min(cfg.DataSize, 2000), cfg.Seed)
 	series := []Series{
 		{Name: "Chord hops per DHT op"},
 		{Name: "Pastry hops per DHT op"},
@@ -214,16 +201,10 @@ func ablationOverlay(cfg Config) (Table, error) {
 	}
 	for _, peers := range []int{8, 16, 32, 64} {
 		for i, name := range substrate.Names {
-			o, err := substrate.New(name, simnet.New(simnet.Options{}), overlay.Config{Seed: cfg.Seed})
+			o, err := substrate.Cluster(name, simnet.New(simnet.Options{}), peers, overlay.Config{Seed: cfg.Seed})
 			if err != nil {
 				return Table{}, err
 			}
-			for p := 0; p < peers; p++ {
-				if _, err := o.AddNode(simnet.NodeID(fmt.Sprintf("node-%d", p))); err != nil {
-					return Table{}, err
-				}
-			}
-			o.Stabilize(2)
 			o.Hops.Reset()
 			o.Lookups.Reset()
 			if err := runIndexWorkload(o, cfg, records); err != nil {
@@ -241,12 +222,14 @@ func ablationOverlay(cfg Config) (Table, error) {
 }
 
 // runIndexWorkload loads records and runs a few range queries through an
-// m-LIGHT index over the given substrate.
+// m-LIGHT index over the given substrate. It runs one probe at a time: a
+// hosting overlay draws each operation's entry node from one shared random
+// source, so probes fanned out on goroutines would draw in scheduling order
+// and the mean route length would differ from run to run.
 func runIndexWorkload(d dht.DHT, cfg Config, records []spatial.Record) error {
-	ix, err := core.New(d, core.Options{
-		Dims: cfg.Dims, MaxDepth: cfg.MaxDepth,
-		ThetaSplit: cfg.ThetaSplit, ThetaMerge: cfg.ThetaSplit / 2,
-	})
+	t := cfg.tuning(cfg.ThetaSplit)
+	t.MaxInFlight = 1
+	ix, err := core.New(d, t)
 	if err != nil {
 		return err
 	}
@@ -275,13 +258,12 @@ func runIndexWorkload(d dht.DHT, cfg Config, records []spatial.Record) error {
 func ablationDims(cfg Config) (Table, error) {
 	probes := Series{Name: "mean lookup probes"}
 	insertCost := Series{Name: "DHT-lookups per insert"}
-	n := minInt(cfg.DataSize, 10000)
+	n := min(cfg.DataSize, 10000)
 	for _, m := range []int{1, 2, 3, 4, 5} {
 		records := dataset.Uniform(n, m, cfg.Seed)
-		ix, err := core.New(dht.MustNewLocal(cfg.Peers), core.Options{
-			Dims: m, MaxDepth: minInt(cfg.MaxDepth, 63-m),
-			ThetaSplit: cfg.ThetaSplit, ThetaMerge: cfg.ThetaSplit / 2,
-		})
+		t := cfg.tuning(cfg.ThetaSplit)
+		t.Dims, t.MaxDepth = m, min(cfg.MaxDepth, 63-m)
+		ix, err := core.New(dht.MustNewLocal(cfg.Peers), t)
 		if err != nil {
 			return Table{}, err
 		}
@@ -295,7 +277,7 @@ func ablationDims(cfg Config) (Table, error) {
 			X: float64(m), Y: float64(stats.DHTLookups) / float64(n),
 		})
 		totalProbes := 0
-		sample := records[:minInt(len(records), 500)]
+		sample := records[:min(len(records), 500)]
 		for _, rec := range sample {
 			_, trace, err := ix.LookupTraced(rec.Key)
 			if err != nil {
@@ -313,11 +295,4 @@ func ablationDims(cfg Config) (Table, error) {
 		XLabel: "dimensionality m", YLabel: "cost",
 		Series: []Series{probes, insertCost},
 	}, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

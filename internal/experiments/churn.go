@@ -6,9 +6,10 @@ import (
 	"strconv"
 	"time"
 
-	"mlight/internal/chord"
 	"mlight/internal/dht"
+	"mlight/internal/overlay"
 	"mlight/internal/simnet"
+	"mlight/internal/substrate"
 )
 
 // ChurnExpConfig parameterises the sustained-churn experiment (ExtChurn):
@@ -199,13 +200,10 @@ func Churn(cfg ChurnExpConfig) (ChurnResult, error) {
 func churnSweepPoint(cfg ChurnExpConfig, rate float64) (ChurnPoint, error) {
 	p := ChurnPoint{ChurnRate: rate}
 	net := simnet.New(simnet.Options{Seed: cfg.Seed})
-	ring := chord.NewRing(net, chord.Config{Seed: cfg.Seed, Replication: cfg.Replication})
-	for i := 0; i < cfg.Peers; i++ {
-		if _, err := ring.AddNode(simnet.NodeID(fmt.Sprintf("node-%d", i))); err != nil {
-			return p, fmt.Errorf("experiments: churn ring: %w", err)
-		}
+	ring, err := substrate.Cluster("chord", net, cfg.Peers, overlay.Config{Seed: cfg.Seed, Replication: cfg.Replication})
+	if err != nil {
+		return p, fmt.Errorf("experiments: churn: %w", err)
 	}
-	ring.Stabilize(2)
 
 	key := func(i int) dht.Key { return dht.Key(fmt.Sprintf("rk%d", i)) }
 	truth := make(map[dht.Key]int, cfg.DataSize)

@@ -4,10 +4,11 @@ import (
 	"fmt"
 	"time"
 
-	"mlight/internal/chord"
 	"mlight/internal/core"
+	"mlight/internal/overlay"
 	"mlight/internal/simnet"
 	"mlight/internal/spatial"
+	"mlight/internal/substrate"
 	"mlight/internal/workload"
 )
 
@@ -98,21 +99,13 @@ type ConcurrencyResult struct {
 // only the measured queries pay them.
 func latencyIndex(cfg ConcurrencyConfig, maxInFlight, cacheSize int) (*core.Index, *simnet.Network, error) {
 	net := simnet.New(simnet.Options{Latency: simnet.ConstantLatency(cfg.HopDelay)})
-	ring := chord.NewRing(net, chord.Config{Seed: cfg.Seed})
-	for i := 0; i < cfg.Peers; i++ {
-		if _, err := ring.AddNode(simnet.NodeID(fmt.Sprintf("node-%d", i))); err != nil {
-			return nil, nil, fmt.Errorf("experiments: concurrency chord: %w", err)
-		}
+	ring, err := substrate.Cluster("chord", net, cfg.Peers, overlay.Config{Seed: cfg.Seed})
+	if err != nil {
+		return nil, nil, fmt.Errorf("experiments: concurrency: %w", err)
 	}
-	ring.Stabilize(2)
-	ix, err := core.New(ring, core.Options{
-		Dims:        cfg.Dims,
-		MaxDepth:    cfg.MaxDepth,
-		ThetaSplit:  cfg.ThetaSplit,
-		ThetaMerge:  cfg.ThetaSplit / 2,
-		MaxInFlight: maxInFlight,
-		CacheSize:   cacheSize,
-	})
+	t := cfg.tuning(cfg.ThetaSplit)
+	t.MaxInFlight, t.CacheSize = maxInFlight, cacheSize
+	ix, err := core.New(ring, t)
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: concurrency index: %w", err)
 	}

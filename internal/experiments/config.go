@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mlight/internal/dataset"
+	"mlight/internal/index"
 	"mlight/internal/spatial"
 )
 
@@ -104,6 +105,13 @@ func (c Config) validate() error {
 		return fmt.Errorf("experiments: Epsilon must be ≥ 1")
 	}
 	return nil
+}
+
+// tuning is the index configuration every experiment builds its schemes
+// with — the paper's one parameter set (§7.1) at capacity theta; θmerge
+// defaults to theta/2.
+func (c Config) tuning(theta int) index.Tuning {
+	return index.Tuning{Dims: c.Dims, MaxDepth: c.MaxDepth, Capacity: theta}
 }
 
 // records materialises the configured dataset. The synthetic NE model only

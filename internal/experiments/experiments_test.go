@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -280,6 +281,25 @@ func TestAblations(t *testing.T) {
 				t.Errorf("%s: non-positive cost at m=%v", s.Name, p.X)
 			}
 		}
+	}
+}
+
+// TestAblationOverlayReproducible: the route-length table is a paper-side
+// number, so two runs of the same configuration must agree to the last bit —
+// on every overlay, however the scheduler interleaves goroutines.
+func TestAblationOverlayReproducible(t *testing.T) {
+	cfg := smallCfg().withDefaults()
+	cfg.DataSize = 600
+	first, err := ablationOverlay(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := ablationOverlay(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("two runs differ:\n%+v\n%+v", first.Series, second.Series)
 	}
 }
 

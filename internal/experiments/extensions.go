@@ -5,15 +5,16 @@ import (
 	"sync"
 	"time"
 
-	"mlight/internal/chord"
 	"mlight/internal/core"
 	"mlight/internal/dht"
 	"mlight/internal/dst"
 	"mlight/internal/metrics"
+	"mlight/internal/overlay"
 	"mlight/internal/peerquery"
 	"mlight/internal/pht"
 	"mlight/internal/simnet"
 	"mlight/internal/spatial"
+	"mlight/internal/substrate"
 	"mlight/internal/workload"
 )
 
@@ -141,10 +142,8 @@ func extensionQueryLoad(cfg Config) (Table, error) {
 		query   func(q spatial.Rect) error
 	}
 	mlCounter := newAccessCounter(cfg.Peers)
-	mlIx, err := core.New(mlCounter, core.Options{
-		Dims: cfg.Dims, MaxDepth: cfg.MaxDepth,
-		ThetaSplit: cfg.ThetaSplit, ThetaMerge: cfg.ThetaSplit / 2,
-	})
+	t := cfg.tuning(cfg.ThetaSplit)
+	mlIx, err := core.New(mlCounter, t)
 	if err != nil {
 		return Table{}, err
 	}
@@ -161,7 +160,7 @@ func extensionQueryLoad(cfg Config) (Table, error) {
 	}}
 	// PHT and DST need their own counted substrates.
 	phtCounter := newAccessCounter(cfg.Peers)
-	phtIx, err := newPHT(phtCounter, cfg)
+	phtIx, err := pht.New(phtCounter, t)
 	if err != nil {
 		return Table{}, err
 	}
@@ -182,7 +181,7 @@ func extensionQueryLoad(cfg Config) (Table, error) {
 		},
 	})
 	dstCounter := newAccessCounter(cfg.Peers)
-	dstIx, err := newDST(dstCounter, cfg)
+	dstIx, err := dst.New(dstCounter, t)
 	if err != nil {
 		return Table{}, err
 	}
@@ -240,21 +239,6 @@ func extensionQueryLoad(cfg Config) (Table, error) {
 	}, nil
 }
 
-// newPHT builds a PHT baseline over an arbitrary substrate.
-func newPHT(d dht.DHT, cfg Config) (*pht.Index, error) {
-	return pht.New(d, pht.Options{
-		Dims: cfg.Dims, MaxDepth: cfg.MaxDepth,
-		LeafCapacity: cfg.ThetaSplit, MergeThreshold: cfg.ThetaSplit / 2,
-	})
-}
-
-// newDST builds a DST baseline over an arbitrary substrate.
-func newDST(d dht.DHT, cfg Config) (*dst.Index, error) {
-	return dst.New(d, dst.Options{
-		Dims: cfg.Dims, Height: cfg.MaxDepth, NodeCapacity: cfg.ThetaSplit,
-	})
-}
-
 // extensionChurnAvailability crashes peers one at a time on a Chord ring
 // and measures query availability, with and without replication.
 func extensionChurnAvailability(cfg Config) (Table, error) {
@@ -265,18 +249,11 @@ func extensionChurnAvailability(cfg Config) (Table, error) {
 	}
 	series := make([]Series, 0, 2)
 	for _, repl := range []int{1, 3} {
-		net := simnet.New(simnet.Options{})
-		ring := chord.NewRing(net, chord.Config{Seed: cfg.Seed, Replication: repl})
-		for i := 0; i < ringSize; i++ {
-			if _, err := ring.AddNode(simnet.NodeID(fmt.Sprintf("node-%d", i))); err != nil {
-				return Table{}, err
-			}
+		ring, err := substrate.Cluster("chord", simnet.New(simnet.Options{}), ringSize, overlay.Config{Seed: cfg.Seed, Replication: repl})
+		if err != nil {
+			return Table{}, err
 		}
-		ring.Stabilize(2)
-		ix, err := core.New(ring, core.Options{
-			Dims: cfg.Dims, MaxDepth: cfg.MaxDepth,
-			ThetaSplit: cfg.ThetaSplit, ThetaMerge: cfg.ThetaSplit / 2,
-		})
+		ix, err := core.New(ring, cfg.tuning(cfg.ThetaSplit))
 		if err != nil {
 			return Table{}, err
 		}
@@ -353,17 +330,11 @@ func extensionPeerLatency(cfg Config) (Table, error) {
 	for mi, model := range models {
 		series[mi].Name = model.name
 		net := simnet.New(simnet.Options{Latency: simnet.ConstantLatency(model.oneWay)})
-		ring := chord.NewRing(net, chord.Config{Seed: cfg.Seed})
-		for i := 0; i < ringSize; i++ {
-			if _, err := ring.AddNode(simnet.NodeID(fmt.Sprintf("node-%d", i))); err != nil {
-				return Table{}, err
-			}
+		ring, err := substrate.Cluster("chord", net, ringSize, overlay.Config{Seed: cfg.Seed})
+		if err != nil {
+			return Table{}, err
 		}
-		ring.Stabilize(2)
-		ix, err := core.New(ring, core.Options{
-			Dims: cfg.Dims, MaxDepth: cfg.MaxDepth,
-			ThetaSplit: cfg.ThetaSplit, ThetaMerge: cfg.ThetaSplit / 2,
-		})
+		ix, err := core.New(ring, cfg.tuning(cfg.ThetaSplit))
 		if err != nil {
 			return Table{}, err
 		}
@@ -381,7 +352,7 @@ func extensionPeerLatency(cfg Config) (Table, error) {
 			return Table{}, err
 		}
 		for _, span := range cfg.Spans {
-			queries, err := gen.SpanBatch(span, minInt(cfg.QueriesPerSpan, 20))
+			queries, err := gen.SpanBatch(span, min(cfg.QueriesPerSpan, 20))
 			if err != nil {
 				return Table{}, err
 			}

@@ -19,29 +19,16 @@ type schemeSet struct {
 
 func newSchemeSet(cfg Config, theta int) (schemeSet, error) {
 	var s schemeSet
-	ml, err := core.New(dht.MustNewLocal(cfg.Peers), core.Options{
-		Dims:       cfg.Dims,
-		MaxDepth:   cfg.MaxDepth,
-		ThetaSplit: theta,
-		ThetaMerge: theta / 2,
-	})
+	t := cfg.tuning(theta)
+	ml, err := core.New(dht.MustNewLocal(cfg.Peers), t)
 	if err != nil {
 		return s, fmt.Errorf("experiments: m-LIGHT: %w", err)
 	}
-	ph, err := pht.New(dht.MustNewLocal(cfg.Peers), pht.Options{
-		Dims:           cfg.Dims,
-		MaxDepth:       cfg.MaxDepth,
-		LeafCapacity:   theta,
-		MergeThreshold: theta / 2,
-	})
+	ph, err := pht.New(dht.MustNewLocal(cfg.Peers), t)
 	if err != nil {
 		return s, fmt.Errorf("experiments: PHT: %w", err)
 	}
-	ds, err := dst.New(dht.MustNewLocal(cfg.Peers), dst.Options{
-		Dims:         cfg.Dims,
-		Height:       cfg.MaxDepth,
-		NodeCapacity: theta,
-	})
+	ds, err := dst.New(dht.MustNewLocal(cfg.Peers), t)
 	if err != nil {
 		return s, fmt.Errorf("experiments: DST: %w", err)
 	}

@@ -29,19 +29,16 @@ func Fig6LoadBalance(cfg Config) (variance, empties Table, err error) {
 		ePts  []Point
 	}
 	thrLocal := dht.MustNewLocal(cfg.Peers)
-	thrIx, err := core.New(thrLocal, core.Options{
-		Dims: cfg.Dims, MaxDepth: cfg.MaxDepth,
-		Strategy: core.SplitThreshold, ThetaSplit: cfg.ThetaSplit, ThetaMerge: cfg.ThetaSplit / 2,
-	})
+	thrIx, err := core.New(thrLocal, cfg.tuning(cfg.ThetaSplit))
 	if err != nil {
 		return Table{}, Table{}, err
 	}
 	awareLocal := dht.MustNewLocal(cfg.Peers)
-	awareIx, err := core.New(awareLocal, core.Options{
-		Dims: cfg.Dims, MaxDepth: cfg.MaxDepth,
-		Strategy: core.SplitDataAware, Epsilon: cfg.Epsilon,
-		ThetaSplit: cfg.ThetaSplit, ThetaMerge: cfg.Epsilon / 2,
-	})
+	aware := cfg.tuning(cfg.ThetaSplit)
+	aware.Strategy = core.SplitDataAware
+	aware.Epsilon = cfg.Epsilon
+	aware.MergeThreshold = cfg.Epsilon / 2
+	awareIx, err := core.New(awareLocal, aware)
 	if err != nil {
 		return Table{}, Table{}, err
 	}
@@ -50,7 +47,7 @@ func Fig6LoadBalance(cfg Config) (variance, empties Table, err error) {
 		{name: "data-aware splitting", ix: awareIx, local: awareLocal},
 	}
 
-	marks := checkpointSizes(len(records), maxInt(cfg.Checkpoints, 6))
+	marks := checkpointSizes(len(records), max(cfg.Checkpoints, 6))
 	next := 0
 	for i, rec := range records {
 		for _, s := range strategies {
@@ -120,11 +117,4 @@ func measureBalance(ix *core.Index, local *dht.Local) (treeSize int, emptyFrac, 
 	}
 	loadVariance = metrics.NormalizedVariance(perPeer)
 	return treeSize, emptyFrac, loadVariance, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

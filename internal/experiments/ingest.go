@@ -4,9 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"mlight/internal/chord"
 	"mlight/internal/core"
+	"mlight/internal/overlay"
 	"mlight/internal/simnet"
+	"mlight/internal/substrate"
 )
 
 // IngestConfig parameterises the ingestion-throughput experiment.
@@ -79,20 +80,13 @@ type IngestResult struct {
 // measured phase here, so each mode enables delays around its own load.
 func ingestIndex(cfg IngestConfig) (*core.Index, *simnet.Network, error) {
 	net := simnet.New(simnet.Options{Latency: simnet.ConstantLatency(cfg.HopDelay)})
-	ring := chord.NewRing(net, chord.Config{Seed: cfg.Seed})
-	for i := 0; i < cfg.Peers; i++ {
-		if _, err := ring.AddNode(simnet.NodeID(fmt.Sprintf("node-%d", i))); err != nil {
-			return nil, nil, fmt.Errorf("experiments: ingest chord: %w", err)
-		}
+	ring, err := substrate.Cluster("chord", net, cfg.Peers, overlay.Config{Seed: cfg.Seed})
+	if err != nil {
+		return nil, nil, fmt.Errorf("experiments: ingest: %w", err)
 	}
-	ring.Stabilize(2)
-	ix, err := core.New(ring, core.Options{
-		Dims:        cfg.Dims,
-		MaxDepth:    cfg.MaxDepth,
-		ThetaSplit:  cfg.ThetaSplit,
-		ThetaMerge:  cfg.ThetaSplit / 2,
-		MaxInFlight: cfg.MaxInFlight,
-	})
+	t := cfg.tuning(cfg.ThetaSplit)
+	t.MaxInFlight = cfg.MaxInFlight
+	ix, err := core.New(ring, t)
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: ingest index: %w", err)
 	}

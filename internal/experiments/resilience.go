@@ -3,10 +3,11 @@ package experiments
 import (
 	"fmt"
 
-	"mlight/internal/chord"
 	"mlight/internal/core"
 	"mlight/internal/dht"
+	"mlight/internal/overlay"
 	"mlight/internal/simnet"
+	"mlight/internal/substrate"
 	"mlight/internal/workload"
 )
 
@@ -118,20 +119,13 @@ func (r ResilienceResult) Table() Table {
 // returning the network so the caller can inject loss after loading.
 func resilienceIndex(cfg ResilienceConfig, retry *dht.RetryPolicy) (*core.Index, *simnet.Network, error) {
 	net := simnet.New(simnet.Options{Seed: cfg.Seed})
-	ring := chord.NewRing(net, chord.Config{Seed: cfg.Seed})
-	for i := 0; i < cfg.Peers; i++ {
-		if _, err := ring.AddNode(simnet.NodeID(fmt.Sprintf("node-%d", i))); err != nil {
-			return nil, nil, fmt.Errorf("experiments: resilience chord: %w", err)
-		}
+	ring, err := substrate.Cluster("chord", net, cfg.Peers, overlay.Config{Seed: cfg.Seed})
+	if err != nil {
+		return nil, nil, fmt.Errorf("experiments: resilience: %w", err)
 	}
-	ring.Stabilize(2)
-	ix, err := core.New(ring, core.Options{
-		Dims:       cfg.Dims,
-		MaxDepth:   cfg.MaxDepth,
-		ThetaSplit: cfg.ThetaSplit,
-		ThetaMerge: cfg.ThetaSplit / 2,
-		Retry:      retry,
-	})
+	t := cfg.tuning(cfg.ThetaSplit)
+	t.Retry = retry
+	ix, err := core.New(ring, t)
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: resilience index: %w", err)
 	}

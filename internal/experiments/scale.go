@@ -13,6 +13,7 @@ import (
 	"mlight/internal/core"
 	"mlight/internal/dataset"
 	"mlight/internal/dht"
+	"mlight/internal/index"
 	"mlight/internal/simnet"
 	"mlight/internal/spatial"
 	"mlight/internal/workload"
@@ -216,12 +217,7 @@ func Scale(cfg ScaleConfig) (ScaleResult, error) {
 	if err != nil {
 		return res, err
 	}
-	ix, err := core.New(store, core.Options{
-		Dims:       cfg.Dims,
-		MaxDepth:   cfg.MaxDepth,
-		ThetaSplit: cfg.ThetaSplit,
-		ThetaMerge: cfg.ThetaSplit / 2,
-	})
+	ix, err := core.New(store, index.Tuning{Dims: cfg.Dims, MaxDepth: cfg.MaxDepth, Capacity: cfg.ThetaSplit})
 	if err != nil {
 		return res, err
 	}

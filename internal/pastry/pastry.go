@@ -232,6 +232,10 @@ func (n *node) Neighbours(dht.ID) []ref {
 	for _, c := range seen {
 		out = append(out, c)
 	}
+	// In identifier order, not map order: integrate gives a routing-table
+	// slot to the first candidate that fits it, so the order peers are
+	// learned in decides the table, and with it every route length.
+	sort.Slice(out, func(i, j int) bool { return out[i].ID.Cmp(out[j].ID) < 0 })
 	return out
 }
 

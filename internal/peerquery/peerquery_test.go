@@ -9,6 +9,7 @@ import (
 
 	"mlight/internal/core"
 	"mlight/internal/dataset"
+	"mlight/internal/index"
 	"mlight/internal/overlay"
 	"mlight/internal/simnet"
 	"mlight/internal/spatial"
@@ -32,7 +33,7 @@ func buildStack(t *testing.T, protocol string, peers, records int, latency time.
 		}
 	}
 	ring.Stabilize(2)
-	ix, err := core.New(ring, core.Options{ThetaSplit: 40, ThetaMerge: 20, MaxDepth: 22})
+	ix, err := core.New(ring, index.Tuning{Capacity: 40, MergeThreshold: 20, MaxDepth: 22})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"mlight/internal/dataset"
 	"mlight/internal/dht"
+	"mlight/internal/index"
 	"mlight/internal/overlay"
 	"mlight/internal/pht"
 	"mlight/internal/simnet"
@@ -49,7 +50,7 @@ func TestPHTOverEveryOverlay(t *testing.T) {
 	var baseline []int
 	for _, name := range append([]string{"local"}, substrate.Names...) {
 		t.Run(name, func(t *testing.T) {
-			ix, err := pht.New(build(t, name), pht.Options{LeafCapacity: 25, MergeThreshold: 12})
+			ix, err := pht.New(build(t, name), index.Tuning{Capacity: 25, MergeThreshold: 12})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -29,7 +29,6 @@ import (
 	"mlight/internal/index"
 	"mlight/internal/metrics"
 	"mlight/internal/spatial"
-	"mlight/internal/trace"
 )
 
 // nodeKind distinguishes trie node roles.
@@ -47,93 +46,12 @@ type node struct {
 	Records []spatial.Record
 }
 
-// Options configures an Index.
-type Options struct {
-	// Dims is the data dimensionality m. Default 2.
-	Dims int
-	// MaxDepth is the trie depth bound D (bits of the z-order key).
-	// Default 28, matching the paper's evaluation.
-	MaxDepth int
-	// LeafCapacity is B, the records a leaf holds before splitting.
-	// Default 100 (the evaluation's θsplit).
-	LeafCapacity int
-	// MergeThreshold merges sibling leaves jointly holding fewer records.
-	// Default LeafCapacity/2.
-	MergeThreshold int
-	// Retry, when non-nil, interposes a dht.Resilient fault-tolerance layer
-	// between the index and the substrate (see core.Options.Retry). Nil
-	// leaves the substrate unwrapped.
-	Retry *dht.RetryPolicy
-	// Trace, when non-nil, records operation spans (queries and retry
-	// attempts) into the collector. Nil — the default — disables tracing.
-	Trace *trace.Collector
-}
-
-// Apply implements index.Option: the whole struct overwrites the unified
-// tuning surface, so place it first when mixing with functional options.
-func (o Options) Apply(t *index.Tuning) {
-	*t = index.Tuning{
-		Dims:           o.Dims,
-		MaxDepth:       o.MaxDepth,
-		Capacity:       o.LeafCapacity,
-		MergeThreshold: o.MergeThreshold,
-		Retry:          o.Retry,
-		Trace:          o.Trace,
-	}
-}
-
-// FromTuning maps the unified tuning surface onto PHT's vocabulary,
-// ignoring fields PHT has no counterpart for.
-func FromTuning(t index.Tuning) Options {
-	return Options{
-		Dims:           t.Dims,
-		MaxDepth:       t.MaxDepth,
-		LeafCapacity:   t.Capacity,
-		MergeThreshold: t.MergeThreshold,
-		Retry:          t.Retry,
-		Trace:          t.Trace,
-	}
-}
-
-func (o Options) withDefaults() Options {
-	if o.Dims == 0 {
-		o.Dims = 2
-	}
-	if o.MaxDepth == 0 {
-		o.MaxDepth = 28
-	}
-	if o.LeafCapacity == 0 {
-		o.LeafCapacity = 100
-	}
-	if o.MergeThreshold == 0 {
-		o.MergeThreshold = o.LeafCapacity / 2
-	}
-	return o
-}
-
-func (o Options) validate() error {
-	if o.Dims < 1 {
-		return fmt.Errorf("pht: Dims must be ≥ 1, got %d", o.Dims)
-	}
-	if o.MaxDepth < 1 || o.MaxDepth > bitlabel.MaxLen {
-		return fmt.Errorf("pht: MaxDepth %d out of range", o.MaxDepth)
-	}
-	if o.LeafCapacity < 1 {
-		return fmt.Errorf("pht: LeafCapacity must be ≥ 1, got %d", o.LeafCapacity)
-	}
-	if o.MergeThreshold < 0 || o.MergeThreshold >= o.LeafCapacity {
-		return fmt.Errorf("pht: need 0 ≤ MergeThreshold < LeafCapacity, got %d, %d",
-			o.MergeThreshold, o.LeafCapacity)
-	}
-	return nil
-}
-
 // ErrNotFound is returned when no leaf covers a key (inconsistent index).
 var ErrNotFound = errors.New("pht: no leaf covers the key")
 
 // Index is a PHT client bound to a DHT substrate.
 type Index struct {
-	opts  Options
+	opts  index.Tuning
 	raw   dht.DHT
 	d     *dht.Counting
 	stats *metrics.IndexStats
@@ -142,20 +60,19 @@ type Index struct {
 var _ index.Querier = (*Index)(nil)
 
 // New creates a PHT client over d, bootstrapping the root leaf when the
-// trie does not exist yet.
-func New(d dht.DHT, opts Options) (*Index, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
+// trie does not exist yet. Of t it reads Dims, MaxDepth (bits of the z-order
+// key), Capacity (B), MergeThreshold, Retry and Trace.
+func New(d dht.DHT, t index.Tuning) (*Index, error) {
+	t, err := t.Normalize()
+	if err != nil {
 		return nil, err
 	}
-	stats := &metrics.IndexStats{}
-	if opts.Retry != nil {
-		res := dht.NewResilient(d, *opts.Retry, nil)
-		res.SetTracer(opts.Trace)
-		d = res
+	if t.MaxDepth > bitlabel.MaxLen {
+		return nil, fmt.Errorf("pht: MaxDepth %d out of range (need D ≤ %d)", t.MaxDepth, bitlabel.MaxLen)
 	}
-	ix := &Index{opts: opts, raw: d, d: dht.NewCounting(d, stats), stats: stats}
-	err := ix.raw.Apply(labelKey(bitlabel.Empty), func(cur any, exists bool) (any, bool) {
+	s := index.Stack(d, t)
+	ix := &Index{opts: t, raw: s.Raw, d: s.Counted, stats: s.Stats}
+	err = ix.raw.Apply(labelKey(bitlabel.Empty), func(cur any, exists bool) (any, bool) {
 		if exists {
 			return cur, true
 		}
@@ -177,8 +94,8 @@ func (ix *Index) Stats() metrics.Snapshot { return ix.stats.Snapshot() }
 // ResetStats zeroes the maintenance counters.
 func (ix *Index) ResetStats() { ix.stats.Reset() }
 
-// Options returns the resolved configuration.
-func (ix *Index) Options() Options { return ix.opts }
+// Tuning returns the resolved configuration.
+func (ix *Index) Tuning() index.Tuning { return ix.opts }
 
 // zLabel computes the depth-D z-order label of a point.
 func (ix *Index) zLabel(p spatial.Point) (bitlabel.Label, error) {
@@ -307,7 +224,7 @@ func (ix *Index) insertAt(label bitlabel.Label, rec spatial.Record) (overflow *n
 			return cur, true
 		}
 		n.Records = append(append([]spatial.Record{}, n.Records...), rec)
-		if n.Load() > ix.opts.LeafCapacity && n.Label.Len() < ix.opts.MaxDepth {
+		if n.Load() > ix.opts.Capacity && n.Label.Len() < ix.opts.MaxDepth {
 			snapshot := n
 			overflow = &snapshot
 		}
@@ -354,7 +271,7 @@ func (ix *Index) split(overfull node) error {
 // frontier recursively splits the node until every leaf fits (or depth runs
 // out), returning the internal markers created and the final leaves.
 func (ix *Index) frontier(n node) (markers, leaves []node) {
-	if n.Load() <= ix.opts.LeafCapacity || n.Label.Len() >= ix.opts.MaxDepth {
+	if n.Load() <= ix.opts.Capacity || n.Label.Len() >= ix.opts.MaxDepth {
 		return nil, []node{{Kind: kindLeaf, Label: n.Label, Records: n.Records}}
 	}
 	markers = append(markers, node{Kind: kindInternal, Label: n.Label})

@@ -7,10 +7,11 @@ import (
 
 	"mlight/internal/bitlabel"
 	"mlight/internal/dht"
+	"mlight/internal/index"
 	"mlight/internal/spatial"
 )
 
-func newIndex(t *testing.T, opts Options) (*Index, *dht.Local) {
+func newIndex(t *testing.T, opts index.Tuning) (*Index, *dht.Local) {
 	t.Helper()
 	d := dht.MustNewLocal(16)
 	ix, err := New(d, opts)
@@ -34,26 +35,33 @@ func randomPoints(rng *rand.Rand, m, n int) []spatial.Point {
 
 func TestOptionsValidation(t *testing.T) {
 	d := dht.MustNewLocal(2)
-	bad := []Options{
+	bad := []index.Tuning{
 		{Dims: -1},
 		{Dims: 2, MaxDepth: 100},
-		{Dims: 2, LeafCapacity: -1},
-		{Dims: 2, LeafCapacity: 10, MergeThreshold: 10},
+		{Dims: 2, Capacity: -1},
+		{Dims: 2, Capacity: 10, MergeThreshold: 10},
 	}
 	for i, o := range bad {
 		if _, err := New(d, o); err == nil {
 			t.Errorf("case %d accepted: %+v", i, o)
 		}
 	}
-	ix, _ := newIndex(t, Options{})
-	o := ix.Options()
-	if o.Dims != 2 || o.MaxDepth != 28 || o.LeafCapacity != 100 || o.MergeThreshold != 50 {
+	// The depth bound is this scheme's own: a z-order label is D bits.
+	if _, err := New(dht.MustNewLocal(2), index.Tuning{MaxDepth: bitlabel.MaxLen}); err != nil {
+		t.Errorf("MaxDepth = MaxLen rejected: %v", err)
+	}
+	if _, err := New(dht.MustNewLocal(2), index.Tuning{MaxDepth: bitlabel.MaxLen + 1}); err == nil {
+		t.Error("MaxDepth = MaxLen+1 accepted")
+	}
+	ix, _ := newIndex(t, index.Tuning{})
+	o := ix.Tuning()
+	if o.Dims != 2 || o.MaxDepth != 28 || o.Capacity != 100 || o.MergeThreshold != 50 {
 		t.Errorf("defaults = %+v", o)
 	}
 }
 
 func TestInsertLookup(t *testing.T) {
-	ix, _ := newIndex(t, Options{LeafCapacity: 4, MergeThreshold: 2})
+	ix, _ := newIndex(t, index.Tuning{Capacity: 4, MergeThreshold: 2})
 	rng := rand.New(rand.NewSource(1))
 	points := randomPoints(rng, 2, 200)
 	for i, p := range points {
@@ -84,7 +92,7 @@ func TestInsertLookup(t *testing.T) {
 // assertTrieInvariants checks PHT's structure: leaves form an antichain, a
 // marker exists at every proper prefix of every leaf, markers hold no
 // records, and leaves respect capacity (unless at max depth).
-func assertTrieInvariants(t *testing.T, d *dht.Local, opts Options) (leafCount, total int) {
+func assertTrieInvariants(t *testing.T, d *dht.Local, opts index.Tuning) (leafCount, total int) {
 	t.Helper()
 	leaves := map[bitlabel.Label]node{}
 	markers := map[bitlabel.Label]bool{}
@@ -124,7 +132,7 @@ func assertTrieInvariants(t *testing.T, d *dht.Local, opts Options) (leafCount, 
 			}
 		}
 		n := leaves[a]
-		if n.Load() > opts.LeafCapacity && a.Len() < opts.MaxDepth {
+		if n.Load() > opts.Capacity && a.Len() < opts.MaxDepth {
 			t.Fatalf("leaf %v overfull: %d", a, n.Load())
 		}
 		total += n.Load()
@@ -135,7 +143,7 @@ func assertTrieInvariants(t *testing.T, d *dht.Local, opts Options) (leafCount, 
 func TestStructureAndRangeAgainstScan(t *testing.T) {
 	for _, m := range []int{1, 2, 3} {
 		t.Run(fmt.Sprintf("m%d", m), func(t *testing.T) {
-			opts := Options{Dims: m, LeafCapacity: 12, MergeThreshold: 6, MaxDepth: 24}
+			opts := index.Tuning{Dims: m, Capacity: 12, MergeThreshold: 6, MaxDepth: 24}
 			ix, d := newIndex(t, opts)
 			rng := rand.New(rand.NewSource(int64(m)))
 			points := randomPoints(rng, m, 700)
@@ -147,7 +155,7 @@ func TestStructureAndRangeAgainstScan(t *testing.T) {
 					t.Fatalf("Insert #%d: %v", i, err)
 				}
 			}
-			_, total := assertTrieInvariants(t, d, ix.Options())
+			_, total := assertTrieInvariants(t, d, ix.Tuning())
 			if total != len(points) {
 				t.Fatalf("trie holds %d records, want %d", total, len(points))
 			}
@@ -188,7 +196,7 @@ func randomRect(rng *rand.Rand, m int) spatial.Rect {
 }
 
 func TestDeleteAndMerge(t *testing.T) {
-	opts := Options{Dims: 2, LeafCapacity: 10, MergeThreshold: 5, MaxDepth: 24}
+	opts := index.Tuning{Dims: 2, Capacity: 10, MergeThreshold: 5, MaxDepth: 24}
 	ix, d := newIndex(t, opts)
 	rng := rand.New(rand.NewSource(7))
 	points := randomPoints(rng, 2, 400)
@@ -223,7 +231,7 @@ func TestDeleteAndMerge(t *testing.T) {
 // records (both children go to fresh keys), where m-LIGHT moves only half.
 func TestSplitMovesEverything(t *testing.T) {
 	cap := 10
-	ix, _ := newIndex(t, Options{LeafCapacity: cap, MergeThreshold: 5})
+	ix, _ := newIndex(t, index.Tuning{Capacity: cap, MergeThreshold: 5})
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < cap; i++ {
 		p := spatial.Point{rng.Float64(), rng.Float64()}
@@ -251,14 +259,14 @@ func TestSplitMovesEverything(t *testing.T) {
 
 func TestBootstrapIdempotent(t *testing.T) {
 	d := dht.MustNewLocal(2)
-	ix1, err := New(d, Options{})
+	ix1, err := New(d, index.Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := ix1.Insert(spatial.Record{Key: spatial.Point{0.5, 0.5}, Data: "a"}); err != nil {
 		t.Fatal(err)
 	}
-	ix2, err := New(d, Options{})
+	ix2, err := New(d, index.Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +277,7 @@ func TestBootstrapIdempotent(t *testing.T) {
 }
 
 func TestRangeQueryValidation(t *testing.T) {
-	ix, _ := newIndex(t, Options{})
+	ix, _ := newIndex(t, index.Tuning{})
 	if _, err := ix.RangeQuery(spatial.Rect{Lo: spatial.Point{0.1}, Hi: spatial.Point{0.2}}); err == nil {
 		t.Error("wrong-dim query accepted")
 	}

@@ -6,6 +6,7 @@ import (
 	"mlight/internal/bitlabel"
 	"mlight/internal/dht"
 	"mlight/internal/dht/dhttest"
+	"mlight/internal/index"
 	"mlight/internal/spatial"
 )
 
@@ -25,7 +26,7 @@ func TestRerunVerdictIsTheStoredRuns(t *testing.T) {
 	fixture := func(t *testing.T, preload int) (*Index, *dhttest.Flaky) {
 		t.Helper()
 		rr := dhttest.NewFlaky(dht.MustNewLocal(4))
-		ix, err := New(rr, Options{LeafCapacity: 4, MergeThreshold: 1})
+		ix, err := New(rr, index.Tuning{Capacity: 4, MergeThreshold: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,8 @@
 // Package substrate is the one place that maps an overlay protocol's name
 // to its constructor. Everything that lets a user pick a protocol by name —
 // the daemon's -substrate flag, mlight.Dial's WithSubstrate, mlight-sim's
-// -overlay — resolves it here and from then on holds the kernel type.
+// -overlay — resolves it here and from then on holds the kernel type. It
+// also holds the one builder of a populated simulation cluster (Cluster).
 package substrate
 
 import (
@@ -30,4 +31,23 @@ func New(name string, net transport.Interface, cfg overlay.Config) (*overlay.Ove
 	default:
 		return nil, fmt.Errorf("unknown substrate %q (want chord, pastry or kademlia)", name)
 	}
+}
+
+// Cluster builds a ready-to-use overlay of the named protocol on net: n
+// joined, stabilized peers named "node-0" … "node-(n-1)".
+func Cluster(name string, net transport.Interface, n int, cfg overlay.Config) (*overlay.Overlay, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("cluster needs at least one peer, got %d", n)
+	}
+	o, err := New(name, net, cfg)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < n; i++ {
+		if _, err := o.AddNode(transport.NodeID(fmt.Sprintf("node-%d", i))); err != nil {
+			return nil, fmt.Errorf("%s cluster: %w", name, err)
+		}
+	}
+	o.Stabilize(2)
+	return o, nil
 }

@@ -9,12 +9,13 @@ import (
 	"mlight/internal/core"
 	"mlight/internal/dataset"
 	"mlight/internal/dht"
+	"mlight/internal/index"
 	"mlight/internal/spatial"
 )
 
 func buildIndex(t *testing.T, n int) *core.Index {
 	t.Helper()
-	ix, err := core.New(dht.MustNewLocal(8), core.Options{ThetaSplit: 30, ThetaMerge: 15})
+	ix, err := core.New(dht.MustNewLocal(8), index.Tuning{Capacity: 30, MergeThreshold: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestRenderQueryAnnotation(t *testing.T) {
 }
 
 func TestRenderRejectsNon2D(t *testing.T) {
-	ix, err := core.New(dht.MustNewLocal(2), core.Options{Dims: 3})
+	ix, err := core.New(dht.MustNewLocal(2), index.Tuning{Dims: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"mlight/internal/bitlabel"
 	"mlight/internal/core"
 	"mlight/internal/dht"
+	"mlight/internal/index"
 	"mlight/internal/spatial"
 )
 
@@ -142,7 +143,7 @@ func TestBucketCodecTypeSafety(t *testing.T) {
 // runs over a substrate that only stores bytes.
 func TestIndexOverByteDHT(t *testing.T) {
 	byteDHT := NewByteDHT(dht.MustNewLocal(16), BucketCodec{})
-	ix, err := core.New(byteDHT, core.Options{ThetaSplit: 15, ThetaMerge: 7})
+	ix, err := core.New(byteDHT, index.Tuning{Capacity: 15, MergeThreshold: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

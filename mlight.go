@@ -14,19 +14,15 @@
 //	res, err := ix.RangeQuery(q)
 //	for _, r := range res.Records { ... }
 //
-// Constructors take functional options:
+// Constructors take functional options, applied left to right:
 //
+//	ix, err := mlight.New(d, mlight.WithCapacity(50))
 //	ix, err := mlight.New(d,
 //	    mlight.WithSplit(mlight.SplitDataAware),
 //	    mlight.WithCache(256),
 //	    mlight.WithRetry(mlight.RetryPolicy{}),
 //	    mlight.WithTrace(mlight.NewTraceCollector()),
 //	)
-//
-// The struct style is still supported — an Options value is itself an
-// option (place it first when mixing styles):
-//
-//	ix, err := mlight.New(d, mlight.Options{ThetaSplit: 50})
 //
 // The PHT and DST baselines are built the same way (mlight.NewPHT,
 // mlight.NewDST) and share the Querier interface with the m-LIGHT index,
@@ -80,12 +76,12 @@ type (
 	// Index and the PHT and DST baselines all implement it, so evaluation
 	// code can be written once and pointed at any scheme.
 	Querier = index.Querier
-	// Option is a functional constructor option accepted by New, NewPHT
-	// and NewDST. Options values also satisfy it.
+	// Option is a functional constructor option accepted by New, NewPHT,
+	// NewDST, Dial and RestoreIndex.
 	Option = index.Option
-	// Tuning is the resolved, scheme-independent parameter set an option
-	// list produces; each scheme maps the fields it understands onto its
-	// own knobs.
+	// Tuning is the parameter set an option list produces — the one
+	// configuration type of all three schemes; each reads the fields it
+	// has a use for.
 	Tuning = index.Tuning
 
 	// Index is the m-LIGHT index client.
@@ -94,8 +90,6 @@ type (
 	// Insert callers coalesce into batched commits that share lookup,
 	// apply, and placement round trips.
 	Writer = core.Writer
-	// Options configures an Index.
-	Options = core.Options
 	// PHT is the Prefix Hash Tree baseline index client.
 	PHT = pht.Index
 	// DST is the Distributed Segment Tree baseline index client.
@@ -128,7 +122,7 @@ type (
 	LocalDHT = dht.Local
 
 	// RetryPolicy configures the optional fault-tolerance layer
-	// (Options.Retry): retry budgets, backoff, and per-owner circuit
+	// (WithRetry): retry budgets, backoff, and per-owner circuit
 	// breakers for transient substrate failures.
 	RetryPolicy = dht.RetryPolicy
 	// ResilienceStats is a snapshot of the retry layer's counters
@@ -138,8 +132,8 @@ type (
 	// TraceCollector records a structured trace of every operation the
 	// index performs — query, batch round, cover-group probe, DHT op,
 	// retry attempt — on a deterministic logical clock. Attach one with
-	// WithTrace (or Options.Trace); export with WriteTree, WriteTraceEvent
-	// or WriteSummary. A nil collector disables tracing at zero cost.
+	// WithTrace; export with WriteTree, WriteTraceEvent or WriteSummary. A
+	// nil collector disables tracing at zero cost.
 	TraceCollector = trace.Collector
 	// TraceSpan is one recorded operation in a trace.
 	TraceSpan = trace.Span
@@ -182,25 +176,23 @@ var (
 // New creates an m-LIGHT index client over any DHT substrate, bootstrapping
 // the root bucket if the index does not exist yet. With no options it uses
 // the paper defaults (2 dimensions, threshold splitting). Options compose
-// left to right; an Options struct is itself an option, so the legacy
-// struct-style call New(d, Options{...}) still works — place it first when
-// mixing it with With* options, since it overwrites the whole parameter set.
+// left to right.
 func New(d DHT, opts ...Option) (*Index, error) {
-	return core.New(d, core.FromTuning(index.Resolve(opts...)))
+	return core.New(d, index.Resolve(opts...))
 }
 
 // NewPHT creates a Prefix Hash Tree baseline index over the substrate. It
-// accepts the same options as New; fields a PHT has no equivalent for (the
-// split strategy, the merge threshold) are ignored.
+// accepts the same options as New; the ones a PHT has no use for (the
+// split strategy, the cache, the in-flight cap) are ignored.
 func NewPHT(d DHT, opts ...Option) (*PHT, error) {
-	return pht.New(d, pht.FromTuning(index.Resolve(opts...)))
+	return pht.New(d, index.Resolve(opts...))
 }
 
 // NewDST creates a Distributed Segment Tree baseline index over the
 // substrate, accepting the same options as New (WithMaxDepth sets the
 // segment-tree height).
 func NewDST(d DHT, opts ...Option) (*DST, error) {
-	return dst.New(d, dst.FromTuning(index.Resolve(opts...)))
+	return dst.New(d, index.Resolve(opts...))
 }
 
 // NewTraceCollector creates an unbounded-by-default trace collector ready to

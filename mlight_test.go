@@ -10,7 +10,7 @@ import (
 // TestPublicAPIQuickstart exercises the README's quick-start path verbatim.
 func TestPublicAPIQuickstart(t *testing.T) {
 	d := mlight.NewLocalDHT(16)
-	ix, err := mlight.New(d, mlight.Options{})
+	ix, err := mlight.New(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestIndexOverEverySubstrate(t *testing.T) {
 	}
 	for name, build := range substrates {
 		t.Run(name, func(t *testing.T) {
-			ix, err := mlight.New(build(t), mlight.Options{ThetaSplit: 8, ThetaMerge: 4})
+			ix, err := mlight.New(build(t), mlight.WithCapacity(8))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,11 +110,8 @@ func TestRetryLayerOverLossyChord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := mlight.New(ring, mlight.Options{
-		ThetaSplit: 8,
-		ThetaMerge: 4,
-		Retry:      &mlight.RetryPolicy{MaxAttempts: 8, Seed: 1, Sleep: mlight.NoSleep},
-	})
+	ix, err := mlight.New(ring, mlight.WithCapacity(8),
+		mlight.WithRetry(mlight.RetryPolicy{MaxAttempts: 8, Seed: 1, Sleep: mlight.NoSleep}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +177,7 @@ func TestReplicatedClusters(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ix, err := mlight.New(d, mlight.Options{ThetaSplit: 10, ThetaMerge: 5})
+			ix, err := mlight.New(d, mlight.WithCapacity(10))
 			if err != nil {
 				t.Fatal(err)
 			}

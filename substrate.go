@@ -45,19 +45,10 @@ func NewNetwork() *Network {
 // newCluster builds a ready-to-use overlay of the named protocol on net: n
 // joined, stabilized peers named "node-0" … "node-(n-1)".
 func newCluster(name string, net *Network, n, replication int, seed int64) (*Overlay, *Network, error) {
-	if n < 1 {
-		return nil, nil, fmt.Errorf("mlight: cluster needs at least one peer, got %d", n)
-	}
-	o, err := substrate.New(name, net, overlay.Config{Seed: seed, Replication: replication})
+	o, err := substrate.Cluster(name, net, n, overlay.Config{Seed: seed, Replication: replication})
 	if err != nil {
 		return nil, nil, fmt.Errorf("mlight: %w", err)
 	}
-	for i := 0; i < n; i++ {
-		if _, err := o.AddNode(simnet.NodeID(fmt.Sprintf("node-%d", i))); err != nil {
-			return nil, nil, fmt.Errorf("mlight: %s cluster: %w", name, err)
-		}
-	}
-	o.Stabilize(2)
 	return o, net, nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"mlight"
 	"mlight/internal/chord"
 	"mlight/internal/core"
+	"mlight/internal/index"
 	"mlight/internal/peerquery"
 	"mlight/internal/simnet"
 	"mlight/internal/workload"
@@ -37,7 +38,7 @@ func TestFullSystem(t *testing.T) {
 	}
 	ring.Stabilize(2)
 
-	ix, err := mlight.New(ring, mlight.Options{ThetaSplit: 80, ThetaMerge: 40})
+	ix, err := mlight.New(ring, mlight.WithCapacity(80))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +130,8 @@ func TestFullSystem(t *testing.T) {
 	if err := ix.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := core.RestoreInto(mlight.NewLocalDHT(16), bytes.NewReader(buf.Bytes()), core.Options{
-		ThetaSplit: 80, ThetaMerge: 40,
+	restored, err := core.RestoreInto(mlight.NewLocalDHT(16), bytes.NewReader(buf.Bytes()), index.Tuning{
+		Capacity: 80, MergeThreshold: 40,
 	})
 	if err != nil {
 		t.Fatal(err)
