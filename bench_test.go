@@ -640,3 +640,30 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 		b.SetBytes(int64(buf.Len()))
 	}
 }
+
+// BenchmarkDialedInsert measures an insert through mlight.Dial against four
+// WAL-backed daemons on loopback TCP, with the leaf cache the benchmark
+// harness's tcp-cluster workload runs with: rpcs/op and wire-B/op are what the
+// client put on the wire per insert (lookup probes of the cache misses
+// included; encoded requests and replies, frame headers not counted). Counting
+// the bytes marshals every message twice, so ns/op reads high.
+func BenchmarkDialedInsert(b *testing.B) {
+	addrs := startLoopback(b, 4)
+	client, w := dialCounted(b, addrs, mlight.WithCache(256))
+	recs := mlight.GenerateNE(20000+b.N, 2)
+	if err := client.BulkLoad(recs[:20000]); err != nil {
+		b.Fatal(err)
+	}
+	w.take()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, rec := range recs[20000:] {
+		if err := client.Insert(rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	calls, bytes, _ := w.take()
+	b.ReportMetric(float64(calls)/float64(b.N), "rpcs/op")
+	b.ReportMetric(float64(bytes)/float64(b.N), "wire-B/op")
+}

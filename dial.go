@@ -48,9 +48,10 @@ func (c *Client) Close() error {
 // live subset suffices — more addresses mean fewer wrong first guesses and
 // more routes that survive individual daemon failures. The client learns
 // the other daemons as it resolves owners and drops the ones that stop
-// answering; an operation on a key whose owner it knows costs the store
-// RPCs alone (one for a read, two for a read-modify-write), with no routing
-// round trips in front.
+// answering; an operation on a key whose owner it knows costs one store RPC,
+// with no routing round trips in front — a read fetches the bucket, an insert
+// or delete sends the record and gets the outcome back (the owner runs the
+// transform; the bucket does not travel).
 //
 // Dial accepts the same options as New, plus two client-side ones:
 // WithTransport substitutes a caller-owned RPC transport for the TCP

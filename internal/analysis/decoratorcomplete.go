@@ -11,13 +11,15 @@ import (
 // struct in a decorator package (Config.DecoratorPackages — the dht
 // package, its dhttest kit, and the wire adapter) that wraps a DHT
 // substrate field must also implement each optional capability interface
-// declared alongside that substrate interface — Batcher, BatchWriter, and
-// SpanGetter — or carry an allow directive.
+// declared alongside that substrate interface — Batcher, BatchWriter,
+// SpanGetter, and Doer — or carry an allow directive.
 //
 // Why: capability discovery is by type assertion (`d.(dht.Batcher)`), so a
 // decorator that forgets one method silently downgrades the whole stack —
-// batched round-trips degrade to per-key calls, trace spans detach — with
-// no compile error and no test failure in the decorator itself. Every PR
+// batched round-trips degrade to per-key calls, trace spans detach, an op
+// that would have travelled as one small RPC becomes a read-modify-write of
+// the whole bucket — with no compile error and no test failure in the
+// decorator itself. Every PR
 // so far has hand-audited this matrix; the pass makes it mechanical.
 //
 // The check is go/types-driven: a "substrate field" is a field whose type
@@ -37,7 +39,7 @@ func (decoratorCompletePass) Doc() string {
 }
 
 // capabilityNames are the optional interfaces a decorator must forward.
-var capabilityNames = []string{"Batcher", "BatchWriter", "SpanGetter"}
+var capabilityNames = []string{"Batcher", "BatchWriter", "SpanGetter", "Doer"}
 
 // substrateMethods identify a DHT substrate interface structurally.
 var substrateMethods = []string{"Put", "Get", "Remove"}

@@ -29,6 +29,11 @@ type SpanGetter interface {
 	GetSpan(k Key, parent int64) (any, bool, error)
 }
 
+// Doer is the optional ops-as-data capability.
+type Doer interface {
+	Do(k Key, op any) (any, error)
+}
+
 // Complete forwards every capability and passes the check.
 type Complete struct{ inner DHT }
 
@@ -55,16 +60,23 @@ func (c *Complete) GetSpan(k Key, parent int64) (any, bool, error) {
 	return c.inner.Get(k)
 }
 
+func (c *Complete) Do(k Key, op any) (any, error) {
+	if d, ok := c.inner.(Doer); ok {
+		return d.Do(k, op)
+	}
+	return nil, nil
+}
+
 // Partial wraps the substrate but forwards no capability: one finding per
 // missing interface, all anchored at the type declaration.
-type Partial struct{ inner DHT } // want "does not implement dht.Batcher" "does not implement dht.BatchWriter" "does not implement dht.SpanGetter"
+type Partial struct{ inner DHT } // want "does not implement dht.Batcher" "does not implement dht.BatchWriter" "does not implement dht.SpanGetter" "does not implement dht.Doer"
 
 func (p *Partial) Put(k Key, v any) error       { return p.inner.Put(k, v) }
 func (p *Partial) Get(k Key) (any, bool, error) { return p.inner.Get(k) }
 func (p *Partial) Remove(k Key) error           { return p.inner.Remove(k) }
 
 // Narrow is deliberately capability-free, like the real dhttest.Flaky; the
-// single directive below covers all three findings at this declaration.
+// single directive below covers all four findings at this declaration.
 //
 //lint:allow decoratorcomplete deliberately narrow so per-key paths stay exercised
 type Narrow struct{ inner DHT }

@@ -5,8 +5,8 @@ package wire
 
 import "example.com/dht"
 
-// Codec wraps a dht.DHT and forwards the batch capabilities but forgets
-// SpanGetter — the exact gap the real ByteDHT had.
+// Codec wraps a dht.DHT and forwards the batch capabilities and ops but
+// forgets SpanGetter — the exact gap the real ByteDHT had.
 type Codec struct{ inner dht.DHT } // want "does not implement dht.SpanGetter"
 
 func (c *Codec) Put(k dht.Key, v any) error       { return c.inner.Put(k, v) }
@@ -26,4 +26,10 @@ func (c *Codec) PutBatch(ks []dht.Key, vs []any) []error {
 		errs[i] = c.inner.Put(k, vs[i])
 	}
 	return errs
+}
+func (c *Codec) Do(k dht.Key, op any) (any, error) {
+	if d, ok := c.inner.(dht.Doer); ok {
+		return d.Do(k, op)
+	}
+	return nil, nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"unsafe"
 
@@ -211,17 +212,40 @@ func AppendRecord(buf []byte, rec spatial.Record) []byte {
 	return append(buf, rec.Data...)
 }
 
-// Marshal encodes the bucket.
+// uvarintLen returns how many bytes binary.AppendUvarint writes for v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// encodedLen returns how many bytes the records' encodings take.
+func (r recs) encodedLen() int {
+	n := r.len()
+	if n == 0 {
+		return 0
+	}
+	size := n*(uvarintLen(uint64(r.dims))+8*r.dims) + int(r.offs[n])
+	for i := 0; i < n; i++ {
+		size += uvarintLen(uint64(r.offs[i+1] - r.offs[i]))
+	}
+	return size
+}
+
+// Marshal encodes the bucket, into a buffer of exactly its size: an owner
+// keeps what this returns for as long as it keeps the bucket.
 func (b Bucket) Marshal() []byte {
 	n := b.Load()
-	buf := make([]byte, 0, 16+n*40)
-	buf = append(buf, byte(b.Label.Len()))
-	buf = binary.LittleEndian.AppendUint64(buf, b.Label.Bits())
+	buf := make([]byte, 0, 9+uvarintLen(uint64(n))+b.rs.encodedLen())
+	buf = appendLabel(buf, b.Label)
 	buf = binary.AppendUvarint(buf, uint64(n))
 	for i := 0; i < n; i++ {
 		buf = AppendRecord(buf, b.RecordAt(i))
 	}
 	return buf
+}
+
+// appendLabel appends a label as the bucket format writes it: its length in a
+// byte, its bits in a little-endian uint64.
+func appendLabel(buf []byte, l bitlabel.Label) []byte {
+	buf = append(buf, byte(l.Len()))
+	return binary.LittleEndian.AppendUint64(buf, l.Bits())
 }
 
 // checkRecords walks the framing of exactly count encoded records filling p,

@@ -40,8 +40,11 @@ type Commit struct {
 	// Keep is the bucket to store under the leaf's key: the stored bucket
 	// with the accepted records appended, or after a split the one piece
 	// named to that key. Meaningless when Gone or Err is set — the stored
-	// value is then to be left as it is.
+	// value is then to be left as it is. Load is its load: a Commit that an
+	// owner reported across a socket (ops.go) carries Keep's label and this
+	// count, not its records — no driver reads them.
 	Keep Bucket
+	Load int
 	// Moved are the other pieces of the final frontier, each to be placed
 	// under its own key.
 	Moved []kdtree.Cell
@@ -77,7 +80,13 @@ func (r SplitRule) Append(stored Bucket, leaf bitlabel.Label, records []spatial.
 	if err != nil {
 		return Commit{Err: err}
 	}
-	keep := stored             // slot 0 in columnar form, while it has not split
+	keep := stored // slot 0 in columnar form, while it has not split
+	if r.extends(region, leaf, stored.Load(), records) {
+		for _, rec := range records {
+			keep = keep.Append(rec)
+		}
+		return Commit{Keep: keep, Load: keep.Load(), Accepted: len(records)}
+	}
 	var frontier []kdtree.Cell // nil while no record has crossed the bound
 	for i, rec := range records {
 		slot := -1
@@ -124,14 +133,33 @@ func (r SplitRule) Append(stored Bucket, leaf bitlabel.Label, records []spatial.
 		keep = NewBucket(frontier[0].Label, frontier[0].Records)
 		c.Moved = frontier[1:]
 	}
-	c.Keep = keep
+	c.Keep, c.Load = keep, keep.Load()
 	return c
+}
+
+// extends reports whether records only extend the leaf's bucket: the leaf's
+// cell covers every one of them and the bucket, load records now, stays under
+// the split bound with all of them in. The bound is a ceiling on the load, so
+// it then held after each record too, and the whole of Append is the stored
+// bucket with the records appended — which an owner that stores the bucket as
+// bytes can do to the bytes (AppendOp.RunBytes).
+func (r SplitRule) extends(region spatial.Region, leaf bitlabel.Label, load int, records []spatial.Record) bool {
+	for _, rec := range records {
+		if !region.Contains(rec.Key) {
+			return false
+		}
+	}
+	return r.underSplitBound(load+len(records), leaf)
 }
 
 // Removal is what one Remove decided.
 type Removal struct {
-	// Keep is the bucket without the record; set only when Removed.
+	// Keep is the bucket without the record, and Load its load; set only when
+	// Removed. A Removal that an owner reported across a socket (ops.go)
+	// carries Keep's records only when Load is under the index's θmerge, the
+	// one case in which the driver reads them.
 	Keep    Bucket
+	Load    int
 	Removed bool
 	// Gone reports that the stored bucket is not this leaf, as Commit.Gone
 	// does: the record was not looked for, which is not "it is not there".
@@ -153,7 +181,7 @@ func Remove(stored Bucket, leaf bitlabel.Label, key spatial.Point, data string) 
 					records = append(records, stored.RecordAt(j))
 				}
 			}
-			return Removal{Keep: NewBucket(leaf, records), Removed: true}
+			return Removal{Keep: NewBucket(leaf, records), Load: n - 1, Removed: true}
 		}
 	}
 	return Removal{}

@@ -77,10 +77,11 @@ func (ix *Index) Insert(rec spatial.Record) error {
 // split or merged since the caller learned the label): retry from a fresh
 // lookup.
 func (ix *Index) insertAt(leaf bitlabel.Label, rec spatial.Record) (placed bool, err error) {
-	var c Commit
-	if err := ix.d.Apply(labelKey(bitlabel.Name(leaf, ix.opts.Dims)), ix.appendOp(&c, leaf, []spatial.Record{rec})); err != nil {
+	res, err := dht.Do(ix.d, labelKey(bitlabel.Name(leaf, ix.opts.Dims)), ix.appendOp(leaf, []spatial.Record{rec}))
+	if err != nil {
 		return false, fmt.Errorf("core: insert apply at %v: %w", leaf, err)
 	}
+	c, _ := res.(Commit)
 	if c.Err != nil {
 		return false, fmt.Errorf("core: insert split at %v: %w", leaf, c.Err)
 	}
@@ -93,21 +94,13 @@ func (ix *Index) insertAt(leaf bitlabel.Label, rec spatial.Record) (placed bool,
 }
 
 // appendOp is the transform both insert drivers send to a leaf's owner:
-// SplitRule.Append over the stored bucket, its decision left in *out. A
-// substrate may run a transform more than once — dht.RemoteApply on every
-// lost CAS, dht.Resilient on every retry — and stores only what the last run
-// returned, so the closure assigns *out whole and does nothing else: counters,
-// the cache and placement are the driver's, once, after Apply returns.
-func (ix *Index) appendOp(out *Commit, leaf bitlabel.Label, records []spatial.Record) dht.ApplyFunc {
-	rule := ix.splitRule()
-	return func(cur any, exists bool) (any, bool) {
-		stored, _ := cur.(Bucket)
-		*out = rule.Append(stored, leaf, records)
-		if out.Gone || out.Err != nil {
-			return cur, exists
-		}
-		return out.Keep, true
-	}
+// SplitRule.Append over the stored bucket, as data (ops.go). A substrate may
+// run a transform more than once — dht.RemoteApply on every lost CAS,
+// dht.Resilient on every retry — and stores only what the last run returned;
+// the op holds no state for a run to leave behind, and counters, the cache and
+// placement are the driver's, once, after the commit is back.
+func (ix *Index) appendOp(leaf bitlabel.Label, records []spatial.Record) AppendOp {
+	return AppendOp{Rule: ix.splitRule(), Leaf: leaf, Records: records}
 }
 
 // settle books a stored commit: the maintenance its replay performed plus one
@@ -186,27 +179,26 @@ func (ix *Index) Delete(key spatial.Point, data string) (bool, error) {
 	return ix.merged(ix.removeAt(b.Label, key, data))
 }
 
-// removeAt runs Remove at the key of leaf. Assignment only, like appendOp:
-// the last run's verdict is the one that was stored.
-func (ix *Index) removeAt(leaf bitlabel.Label, key spatial.Point, data string) (out Removal, err error) {
-	err = ix.d.Apply(labelKey(bitlabel.Name(leaf, ix.opts.Dims)), func(cur any, exists bool) (any, bool) {
-		stored, _ := cur.(Bucket)
-		out = Remove(stored, leaf, key, data)
-		if !out.Removed {
-			return cur, exists
-		}
-		return out.Keep, true
-	})
+// removeAt runs Remove at the key of leaf, as data (ops.go).
+func (ix *Index) removeAt(leaf bitlabel.Label, key spatial.Point, data string) (Removal, error) {
+	op := RemoveOp{Leaf: leaf, Key: key, Data: data, MergeThreshold: ix.opts.MergeThreshold}
+	res, err := dht.Do(ix.d, labelKey(bitlabel.Name(leaf, ix.opts.Dims)), op)
 	if err != nil {
 		return Removal{}, fmt.Errorf("core: delete apply at %v: %w", leaf, err)
 	}
+	out, _ := res.(Removal)
 	return out, nil
 }
 
-// merged finishes a delete: a removal is followed by the merge cascade.
+// merged finishes a delete: a removal is followed by the merge cascade,
+// unless the bucket holds θmerge records by itself — then nothing can merge,
+// and an owner that reported the removal across a socket kept the records.
 func (ix *Index) merged(out Removal, err error) (bool, error) {
 	if err != nil || !out.Removed {
 		return false, err
+	}
+	if out.Load >= ix.opts.MergeThreshold {
+		return true, nil
 	}
 	return true, ix.mergeUpwards(out.Keep)
 }

@@ -105,7 +105,7 @@ func (ix *Index) InsertBatch(recs []spatial.Record) []error {
 	// One Apply per destination leaf, all leaves in flight at once.
 	ops := make([]dht.ApplyOp, len(order))
 	for j, g := range order {
-		ops[j] = dht.ApplyOp{Key: labelKey(bitlabel.Name(g.label, m)), Fn: ix.appendOp(&g.out, g.label, g.recs)}
+		ops[j] = dht.ApplyOp{Key: labelKey(bitlabel.Name(g.label, m)), Fn: dht.AsApply(ix.appendOp(g.label, g.recs), &g.res, &g.opErr)}
 	}
 	applyErrs := dht.ApplyBatch(ix.d, ops, ix.opts.MaxInFlight)
 
@@ -113,10 +113,14 @@ func (ix *Index) InsertBatch(recs []spatial.Record) []error {
 	var placeGroups []*insertGroup
 	for j, g := range order {
 		err := applyErrs[j]
+		if err == nil {
+			err = g.opErr
+		}
+		out, _ := g.res.(Commit)
 		if err != nil {
 			err = fmt.Errorf("core: insert apply at %v: %w", g.label, err)
-		} else if g.out.Err != nil {
-			err = fmt.Errorf("core: insert split at %v: %w", g.label, g.out.Err)
+		} else if out.Err != nil {
+			err = fmt.Errorf("core: insert split at %v: %w", g.label, out.Err)
 		}
 		if err != nil {
 			for _, i := range g.recIdx {
@@ -124,7 +128,7 @@ func (ix *Index) InsertBatch(recs []spatial.Record) []error {
 			}
 			continue
 		}
-		if g.out.Gone {
+		if out.Gone {
 			// The whole bucket moved between lookup and apply.
 			ix.invalidateLeaf(g.label)
 			fallback = append(fallback, g.recIdx...)
@@ -132,12 +136,12 @@ func (ix *Index) InsertBatch(recs []spatial.Record) []error {
 		}
 		// Only the records the leaf no longer covers re-enter through the
 		// sequential path.
-		for _, k := range g.out.Stale {
+		for _, k := range out.Stale {
 			fallback = append(fallback, g.recIdx[k])
 		}
-		ix.settle(g.label, &g.out)
-		placeOps = ix.placeOps(placeOps, g.out.Moved)
-		for range g.out.Moved {
+		ix.settle(g.label, &out)
+		placeOps = ix.placeOps(placeOps, out.Moved)
+		for range out.Moved {
 			placeGroups = append(placeGroups, g)
 		}
 	}
@@ -172,7 +176,8 @@ type insertGroup struct {
 	label  bitlabel.Label
 	recIdx []int            // positions in the batch, ascending (stream order)
 	recs   []spatial.Record // the records at those positions
-	out    Commit
+	res    any              // the last run's result, a Commit
+	opErr  error            // and its error
 }
 
 // Writer is the group-commit front end for concurrent inserters: callers

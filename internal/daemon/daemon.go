@@ -15,6 +15,7 @@ import (
 	"mlight/internal/overlay"
 	"mlight/internal/substrate"
 	"mlight/internal/transport"
+	_ "mlight/internal/wire" // registers the ops a dialed client sends to be run here (wire.Op)
 )
 
 // Config describes one daemon process.

@@ -26,6 +26,7 @@ var (
 	_ Batcher     = (*Counting)(nil)
 	_ BatchWriter = (*Counting)(nil)
 	_ SpanGetter  = (*Counting)(nil)
+	_ Doer        = (*Counting)(nil)
 )
 
 // NewCounting wraps inner, charging operations to stats. A nil stats
@@ -118,6 +119,13 @@ func (c *Counting) Remove(key Key) error {
 func (c *Counting) Apply(key Key, fn ApplyFunc) error {
 	c.stats.DHTLookups.Inc()
 	return c.inner.Apply(key, fn)
+}
+
+// Do implements Doer: one logical DHT operation, as the Apply it stands for
+// is — whether the op travels or runs as a closure below.
+func (c *Counting) Do(key Key, op Op) (any, error) {
+	c.stats.DHTLookups.Inc()
+	return Do(c.inner, key, op)
 }
 
 // Owner implements DHT. Ownership inspection is a measurement aid, not a

@@ -23,7 +23,8 @@ type Key string
 // keep=false. Callers capture any outputs in the closure — by assigning them
 // whole on every run: a substrate may run the function more than once for one
 // Apply (RemoteApply after a lost CAS, Resilient after a failed attempt) and
-// stores only what the last run returned.
+// stores only what the last run returned. A closure cannot cross a socket; a
+// transform that has to is written as an Op (op.go).
 type ApplyFunc func(cur any, exists bool) (next any, keep bool)
 
 // DHT is the substrate interface. Implementations must be safe for
@@ -42,7 +43,13 @@ type DHT interface {
 	// Apply atomically transforms the value under key at the owning peer.
 	// This models the application-level handlers that over-DHT indexes
 	// install on peers (e.g. "append this record to your bucket"), so the
-	// full value does not cross the network.
+	// full value does not cross the network — which holds wherever the
+	// closure can reach the peer: in process and on an inline transport. Over
+	// a socket it cannot, and an arbitrary fn falls back to reading the
+	// value, transforming it at the caller and writing it back under a
+	// version check (RemoteApply). The transforms that must not pay that —
+	// the index's append and remove — are Ops and go through Do (op.go),
+	// which a socket-backed overlay executes at the owner for one small RPC.
 	Apply(key Key, fn ApplyFunc) error
 	// Owner returns the identifier of the peer currently responsible for
 	// key, for load-distribution measurements.

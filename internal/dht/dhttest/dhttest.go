@@ -19,8 +19,9 @@ type Factory func(t *testing.T) dht.DHT
 // RunConformance exercises the substrate contract: replacement semantics of
 // Put, absence reporting of Get, idempotent Remove, atomic Apply with
 // create/mutate/delete, stable Owner assignment, positional batch writes
-// (PutBatch/ApplyBatch, native or decomposed), and (when supported) complete
-// enumeration via Range.
+// (PutBatch/ApplyBatch, native or decomposed), ops as data (dht.Do against
+// Apply(key, op.Run), and against concurrent closure writers), and (when
+// supported) complete enumeration via Range.
 func RunConformance(t *testing.T, newDHT Factory) {
 	t.Helper()
 
@@ -266,6 +267,8 @@ func RunConformance(t *testing.T, newDHT Factory) {
 			t.Fatalf("ApplyBatch(keep=false) left value: ok=%v err=%v", ok, err)
 		}
 	})
+
+	runOps(t, newDHT)
 
 	t.Run("RangeComplete", func(t *testing.T) {
 		d := newDHT(t)

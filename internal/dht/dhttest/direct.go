@@ -18,8 +18,9 @@ import (
 type countedNet struct {
 	transport.Interface
 	calls atomic.Int64
-	// lose, when set, names the requests that are lost on the way out.
-	lose func(req any) bool
+	// lose, when set, names the requests that are lost on the way out;
+	// loseReply those that are delivered, and served, and whose reply is lost.
+	lose, loseReply func(req any) bool
 }
 
 func (n *countedNet) Call(from, to transport.NodeID, req any) (any, error) {
@@ -27,7 +28,11 @@ func (n *countedNet) Call(from, to transport.NodeID, req any) (any, error) {
 	if n.lose != nil && n.lose(req) {
 		return nil, fmt.Errorf("%w: %q (injected)", transport.ErrUnreachable, to)
 	}
-	return n.Interface.Call(from, to, req)
+	resp, err := n.Interface.Call(from, to, req)
+	if n.loseReply != nil && n.loseReply(req) {
+		return nil, fmt.Errorf("%w: %q (reply lost, injected)", transport.ErrUnreachable, to)
+	}
+	return resp, err
 }
 
 // dialed is a client-mode overlay on a cluster's transport: what mlight.Dial

@@ -21,13 +21,13 @@ var ErrInjected = dht.Retryable(errors.New("dhttest: injected fault"))
 // through it decompose into pooled per-key operations, so per-key injection
 // (and per-key retries above it) are exercised on the batch paths too.
 //
-// RerunNext injects the other thing a failed attempt does to an Apply: the
-// transform runs once against a view of the key that is no longer current,
+// RerunNext injects the other thing a failed attempt does to an Apply or a Do:
+// the transform runs once against a view of the key that is no longer current,
 // its result thrown away, then again for real — what dht.RemoteApply does when
 // a CAS loses and dht.Resilient when an attempt fails. A transform that lets
 // anything but its last run's verdict out shows.
 //
-//lint:allow decoratorcomplete Flaky is deliberately capability-free so batch and span paths decompose into per-key ops that fault injection can hit individually
+//lint:allow decoratorcomplete Flaky is deliberately free of the batch and span capabilities so those paths decompose into per-key ops that fault injection can hit individually
 type Flaky struct {
 	inner dht.DHT
 
@@ -46,7 +46,10 @@ type view struct {
 	exists bool
 }
 
-var _ dht.DHT = (*Flaky)(nil)
+var (
+	_ dht.DHT  = (*Flaky)(nil)
+	_ dht.Doer = (*Flaky)(nil)
+)
 
 // NewFlaky wraps inner with no faults armed.
 func NewFlaky(inner dht.DHT) *Flaky {
@@ -165,19 +168,37 @@ func (f *Flaky) Remove(key dht.Key) error {
 	return f.inner.Remove(key)
 }
 
+// takeRerun disarms and returns the discarded run armed on key.
+func (f *Flaky) takeRerun(key dht.Key) (view, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	stale, armed := f.rerun[key]
+	delete(f.rerun, key)
+	return stale, armed
+}
+
 // Apply implements dht.DHT.
 func (f *Flaky) Apply(key dht.Key, fn dht.ApplyFunc) error {
 	if err := f.inject(key); err != nil {
 		return err
 	}
-	f.mu.Lock()
-	stale, armed := f.rerun[key]
-	delete(f.rerun, key)
-	f.mu.Unlock()
-	if armed {
+	if stale, armed := f.takeRerun(key); armed {
 		fn(stale.cur, stale.exists)
 	}
 	return f.inner.Apply(key, fn)
+}
+
+// Do implements dht.Doer — the one capability Flaky forwards, because an op is
+// a per-key operation like Apply and takes the same injections — so an op
+// reaches an inner substrate that executes ops as an op.
+func (f *Flaky) Do(key dht.Key, op dht.Op) (any, error) {
+	if err := f.inject(key); err != nil {
+		return nil, err
+	}
+	if stale, armed := f.takeRerun(key); armed {
+		op.Run(stale.cur, stale.exists) // discarded: its verdict is what is thrown away
+	}
+	return dht.Do(f.inner, key, op)
 }
 
 // Owner implements dht.DHT.

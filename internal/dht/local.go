@@ -54,6 +54,7 @@ var (
 	_ Enumerator  = (*Local)(nil)
 	_ Batcher     = (*Local)(nil)
 	_ BatchWriter = (*Local)(nil)
+	_ Doer        = (*Local)(nil)
 )
 
 func newLocal(numPeers, shards int) (*Local, error) {
@@ -280,6 +281,25 @@ func (l *Local) Apply(key Key, fn ApplyFunc) error {
 		return nil
 	}
 	return l.commitLocked(sh, []WALRecord{mutation(key, cur, next, keep)})
+}
+
+// Do implements Doer: Apply with the op's Run in the closure's place, and a
+// run that writes nothing leaving the store and the journal alone.
+func (l *Local) Do(key Key, op Op) (any, error) {
+	sh := &l.shards[l.shardIndex(key)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	cur, ok := sh.store[key]
+	next, write, result, err := op.Run(cur, ok)
+	if err != nil {
+		return nil, err
+	}
+	if write {
+		if err := l.commitLocked(sh, []WALRecord{mutation(key, cur, next, true)}); err != nil {
+			return nil, err
+		}
+	}
+	return result, nil
 }
 
 // GetBatch implements Batcher natively: each shard is read under one

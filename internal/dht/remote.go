@@ -12,7 +12,18 @@ import (
 // transport the overlays fall back to this per-key versioned
 // compare-and-swap: read the value with its version, run the transform
 // client-side, and install the result only if the version is unchanged —
-// retrying from the returned state on contention. The owning node serialises
+// retrying from the returned state on contention.
+//
+// It is no longer what an insert or a delete costs: those transforms are Ops
+// (op.go) and a socket-backed overlay executes them at the owner. What still
+// comes through here is every Apply whose transform is only a closure — the
+// index's root bootstrap, the group-commit batch (ApplyBatch carries
+// closures), the PHT and DST baselines, tests, and the benchmark harness's
+// traced stack, whose wrappers forward Apply alone. The harness also compiles
+// against GetVerReq, CASReq and RemoteApply by name, so the protocol and
+// VersionedStore stay until the harness is rewritten (ROADMAP item 1b); an op
+// and a CAS on one key still serialise, because an op's write bumps the same
+// version a CAS is judged against. The owning node serialises
 // CAS decisions under its store lock, so concurrent Apply callers never lose
 // an update (the atomicity the conformance suite pins), at the cost of
 // re-running transforms under contention.
@@ -50,7 +61,9 @@ type (
 		Keep  bool
 	}
 	// CASResp reports the outcome; on conflict (OK false) it carries the
-	// current state so the caller retries without another round trip.
+	// current state so the caller retries without another round trip. On
+	// success only the new version comes back: the caller holds the value it
+	// sent.
 	CASResp struct {
 		OK    bool
 		Value any
@@ -151,5 +164,5 @@ func (vs *VersionedStore) CAS(r CASReq, curValue any, curFound bool) (resp CASRe
 		return CASResp{OK: false, Value: curValue, Found: curFound, Ver: vs.vers[r.Key]}, false
 	}
 	vs.Bump(r.Key)
-	return CASResp{OK: true, Value: r.Value, Found: r.Keep, Ver: vs.vers[r.Key]}, true
+	return CASResp{OK: true, Found: r.Keep, Ver: vs.vers[r.Key]}, true
 }

@@ -38,6 +38,7 @@ var (
 	_ BatchWriter = (*Resilient)(nil)
 	_ Enumerator  = (*Resilient)(nil)
 	_ SpanGetter  = (*Resilient)(nil)
+	_ Doer        = (*Resilient)(nil)
 )
 
 // NewResilient wraps inner under policy, charging retry and breaker
@@ -104,6 +105,21 @@ func (r *Resilient) Apply(key Key, fn ApplyFunc) error {
 	return r.retrier.Do(r.owner(key), func() error {
 		return r.inner.Apply(key, fn)
 	})
+}
+
+// Do implements Doer, retried exactly like Apply: an attempt that failed may
+// have executed at the owner (its reply was lost), so the op runs at least
+// once — the contract ApplyFunc states for closures.
+func (r *Resilient) Do(key Key, op Op) (result any, err error) {
+	err = r.retrier.Do(r.owner(key), func() error {
+		var e error
+		result, e = Do(r.inner, key, op)
+		return e
+	})
+	if err != nil {
+		return nil, err
+	}
+	return result, nil
 }
 
 // Owner implements DHT. Ownership resolution routes through the overlay

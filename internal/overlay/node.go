@@ -88,6 +88,24 @@ type (
 		Found    bool
 		Declined bool
 	}
+	// opReq executes Op on Key at its owner, under the store lock (Node.do):
+	// the transform as data, which a socket can carry where it cannot carry
+	// the closure of a Router's ApplyMsg. Echo asks for the stored value back
+	// — set by an overlay that replicates what it wrote, never by a dialed
+	// client.
+	opReq struct {
+		Key    dht.Key
+		Op     dht.Op
+		Direct bool
+		Echo   bool
+	}
+	// opResp is the op's result, and whether it wrote: Value is the stored
+	// value after a write the request asked to have echoed.
+	opResp struct {
+		Result any
+		Wrote  bool
+		Value  any
+	}
 	// ApplyResp answers a Router's ApplyMsg: the post-apply value and
 	// whether the key was kept.
 	ApplyResp struct {
@@ -114,7 +132,9 @@ type (
 // Register every kernel message with the transport codec so overlays run
 // unchanged over framed TCP. A Router's ApplyMsg is deliberately absent: it
 // carries a closure, which only an inline transport can deliver — over the
-// wire, Apply uses the dht versioned-CAS protocol instead.
+// wire a transform that is a dht.Op travels as an opReq (its type registered
+// by the package that defines it), and any other Apply uses the dht
+// versioned-CAS protocol instead.
 func init() {
 	transport.RegisterType(Ref{})
 	transport.RegisterType([]Ref(nil))
@@ -125,6 +145,8 @@ func init() {
 	transport.RegisterType(retrieveBatchReq{})
 	transport.RegisterType(retrieveBatchResp{})
 	transport.RegisterType(declinedResp{})
+	transport.RegisterType(opReq{})
+	transport.RegisterType(opResp{})
 	transport.RegisterType(ApplyResp{})
 	transport.RegisterType(handoffReq{})
 	transport.RegisterType(offerReq{})
@@ -286,6 +308,35 @@ func (n *Node) Apply(key dht.Key, fn dht.ApplyFunc) (ApplyResp, error) {
 	return ApplyResp{Value: next, Keep: keep}, nil
 }
 
+// do runs op on the key at this node — the handler behind an opReq, and
+// Apply's critical section with the one difference an op makes possible: a run
+// that says it changed nothing leaves the store, the key's version and the
+// journal as they were. A write goes through putLocked like every other, so
+// it promotes a crash-window replica it took as input, and a concurrent
+// closure-path CAS judged against the old version loses.
+func (n *Node) do(r opReq) (opResp, error) {
+	if r.Op == nil {
+		return opResp{}, fmt.Errorf("overlay: %s: op request without an op", n.addr)
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	cur, ok := n.currentLocked(r.Key)
+	next, write, result, err := r.Op.Run(cur, ok)
+	if err != nil {
+		return opResp{}, err
+	}
+	resp := opResp{Result: result, Wrote: write}
+	if write {
+		if err := n.putLocked(r.Key, next); err != nil {
+			return opResp{}, err
+		}
+		if r.Echo {
+			resp.Value = next
+		}
+	}
+	return resp, nil
+}
+
 // declines reports whether a request must be refused: it was sent direct, on
 // the sender's guess, and by this node's routing state somebody else owns the
 // key. A routed request is served as it always was — routing resolved this
@@ -332,6 +383,11 @@ func (n *Node) HandleRPC(from transport.NodeID, req any) (any, error) {
 		return struct{}{}, nil
 	case retrieveBatchReq:
 		return n.retrieveBatch(r)
+	case opReq:
+		if n.declines(r.Direct, r.Key) {
+			return declinedResp{}, nil
+		}
+		return n.do(r)
 	case dht.GetVerReq:
 		if n.declines(r.Direct, r.Key) {
 			return declinedResp{}, nil

@@ -156,8 +156,9 @@ type Overlay struct {
 	// straight to a view member instead of routing first. DirectDeclined
 	// counts the ones whose receiver did not own the key; DirectFailed the
 	// ones whose call failed, which also dropped the member from the view.
-	// Both kinds were then routed, so sends minus declined minus failed is
-	// the number of lookups saved.
+	// Both kinds were then routed (but for a failed op, which is its caller's
+	// error: Do), so sends minus declined minus failed is the number of
+	// lookups saved.
 	DirectSends    metrics.Counter
 	DirectDeclined metrics.Counter
 	DirectFailed   metrics.Counter
@@ -176,6 +177,7 @@ type Overlay struct {
 var (
 	_ dht.DHT        = (*Overlay)(nil)
 	_ dht.Enumerator = (*Overlay)(nil)
+	_ dht.Doer       = (*Overlay)(nil)
 )
 
 // New creates an empty overlay on net. name is the protocol's name: it
@@ -397,7 +399,7 @@ func (o *Overlay) InstallAppHandler(factory func(n *Node) transport.Handler) {
 // Put implements dht.DHT.
 func (o *Overlay) Put(key dht.Key, value any) error {
 	h := dht.HashKey(key)
-	owner, _, err := o.send(h, storeReq{Key: key, Value: value})
+	owner, _, err := o.send(h, storeReq{Key: key, Value: value}, false)
 	if err != nil {
 		return err
 	}
@@ -407,7 +409,7 @@ func (o *Overlay) Put(key dht.Key, value any) error {
 
 // Get implements dht.DHT.
 func (o *Overlay) Get(key dht.Key) (any, bool, error) {
-	_, respAny, err := o.send(dht.HashKey(key), retrieveReq{Key: key})
+	_, respAny, err := o.send(dht.HashKey(key), retrieveReq{Key: key}, false)
 	if err != nil {
 		return nil, false, err
 	}
@@ -421,7 +423,7 @@ func (o *Overlay) Get(key dht.Key) (any, bool, error) {
 // Remove implements dht.DHT.
 func (o *Overlay) Remove(key dht.Key) error {
 	h := dht.HashKey(key)
-	owner, _, err := o.send(h, removeReq{Key: key})
+	owner, _, err := o.send(h, removeReq{Key: key}, false)
 	if err != nil {
 		return err
 	}
@@ -454,6 +456,32 @@ func (o *Overlay) Apply(key dht.Key, fn dht.ApplyFunc) error {
 	return nil
 }
 
+// Do implements dht.Doer: the fork Apply has, with the socket side upgraded.
+// An inline transport carries op.Run as the closure it carries for any Apply.
+// A socket carries the op: one opReq to the key's owner — straight to the best
+// view member in client mode, declinable and then routed like every store-plane
+// request, but never sent twice (send) — executed there under the store lock
+// (Node.do) and answered with the op's result. The stored value comes back
+// only to an overlay that has replicas to push it to.
+func (o *Overlay) Do(key dht.Key, op dht.Op) (any, error) {
+	if transport.SupportsInline(o.net) {
+		return dht.DoApply(o, key, op)
+	}
+	h := dht.HashKey(key)
+	owner, respAny, err := o.send(h, opReq{Key: key, Op: op, Echo: o.replication > 1}, true)
+	if err != nil {
+		return nil, err
+	}
+	resp, ok := respAny.(opResp)
+	if !ok {
+		return nil, fmt.Errorf("overlay: bad op response %T", respAny)
+	}
+	if resp.Wrote {
+		o.replicate(owner, h, key, resp.Value)
+	}
+	return resp.Result, nil
+}
+
 // applyInline ships the closure itself to the routed owner. It never goes
 // direct: the message is the Router's (ApplyMsg), and only simulations and
 // tests run a client-mode overlay on an inline transport.
@@ -481,7 +509,7 @@ func (o *Overlay) applyInline(h dht.ID, key dht.Key, fn dht.ApplyFunc) (owner Re
 func (o *Overlay) applyRemote(h dht.ID, key dht.Key, fn dht.ApplyFunc) (owner Ref, value any, keep bool, err error) {
 	value, keep, err = dht.RemoteApply(func(req any) (resp any, err error) {
 		if owner.IsZero() {
-			owner, resp, err = o.send(h, req)
+			owner, resp, err = o.send(h, req, false)
 			return resp, err
 		}
 		return o.net.Call(o.client, owner.Addr, req)

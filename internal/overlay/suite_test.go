@@ -135,6 +135,14 @@ func TestBatch(t *testing.T) {
 	forEachProtocol(t, dhttest.RunBatch)
 }
 
+// TestOps pins the op message: one RPC and the result, nothing written when
+// nothing changed, a declined op routed once, a failed one never re-sent, and
+// a crash-window replica taken as input.
+func TestOps(t *testing.T) {
+	dhttest.VerifyNoLeaks(t)
+	forEachProtocol(t, dhttest.RunOverlayOps)
+}
+
 // TestChurnScheduleDialed runs the churn gate with the workload issued by a
 // dialed client, so the schedule's joins, leaves, crashes and restarts keep
 // invalidating the view its direct sends are picked from.

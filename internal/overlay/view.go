@@ -135,40 +135,48 @@ func marked(req any) any {
 	case dht.GetVerReq:
 		r.Direct = true
 		return r
+	case opReq:
+		r.Direct = true
+		return r
 	}
 	// Sent unmarked the receiver would skip its ownership check.
 	panic(fmt.Sprintf("overlay: %T cannot be sent direct", req))
 }
 
-// sendDirect sends req, marked, to view member m. It reports false when the
-// request was not served there — m declined, or the call failed and m left
-// the view — and the caller must route.
-func (o *Overlay) sendDirect(m Ref, req any) (any, bool) {
+// sendDirect sends req, marked, to view member m. served is false when the
+// request was not answered there: m declined (err is nil: the request was not
+// executed), or the call failed and m left the view (err says how: the request
+// may have been executed, its reply lost).
+func (o *Overlay) sendDirect(m Ref, req any) (resp any, served bool, err error) {
 	o.DirectSends.Inc()
-	resp, err := o.net.Call(o.client, m.Addr, marked(req))
+	resp, err = o.net.Call(o.client, m.Addr, marked(req))
 	if err != nil {
 		o.DirectFailed.Inc()
 		o.forget(m)
-		return nil, false
+		return nil, false, err
 	}
 	if _, declined := resp.(declinedResp); declined {
 		o.DirectDeclined.Inc()
-		return nil, false
+		return nil, false, nil
 	}
-	return resp, true
+	return resp, true, nil
 }
 
 // send delivers one store-plane request for hash h to the key's owner and
 // returns who answered. An overlay that hosts nodes resolves the owner by
 // routing. A client-mode overlay first tries the view member that ranks best
-// for h; a declined or failed direct send is invisible to the caller — what
-// follows is the routed path unchanged. Every request sent here is safe to
-// deliver twice (a store or remove repeats itself, the others only read).
-func (o *Overlay) send(h dht.ID, req any) (Ref, any, error) {
+// for h. A declined direct send was not executed and is invisible to the
+// caller — what follows is the routed path unchanged. So is a failed one when
+// the request is safe to deliver twice (a store or remove repeats itself, a
+// read only reads). An op is not: with once set a failed direct send is the
+// call's outcome, the transport's retryable error, and whether to run the op
+// again is the caller's decision (dht.Resilient's), as it is after a failed
+// CASReq.
+func (o *Overlay) send(h dht.ID, req any, once bool) (Ref, any, error) {
 	if view := o.view.Load(); view != nil {
 		m := o.pick(*view, h)
-		if resp, ok := o.sendDirect(m, req); ok {
-			return m, resp, nil
+		if resp, served, err := o.sendDirect(m, req); served || (once && err != nil) {
+			return m, resp, err
 		}
 	}
 	owner, err := o.Lookup(h)

@@ -22,6 +22,7 @@ import (
 	"mlight/internal/overlay"
 	_ "mlight/internal/substrate" // registers the chord, pastry and kademlia routing messages
 	"mlight/internal/transport"
+	"mlight/internal/wire"
 )
 
 // handWritten are the golden values spelled out: the cases a structural
@@ -86,7 +87,8 @@ func goldenValue(name string, decoded any) (any, bool) {
 // makes every slice and map empty but present, and "filled" gives every
 // scalar a distinct value (integers negative where the type allows), every
 // slice and map two elements, and every interface, in rotation, a []byte, a
-// negative int, a string and a uint64.
+// negative int, a string and a uint64 — but for a dht.Op field, which takes the
+// one registered op type, a wire.Op.
 func fillValue(v reflect.Value, filling string, n *int) {
 	if filling == "zero" {
 		return
@@ -148,6 +150,10 @@ func fillValue(v reflect.Value, filling string, n *int) {
 		v.SetString(fmt.Sprintf("s%d", k))
 	case reflect.Interface:
 		var x any
+		if v.Type() == reflect.TypeOf((*dht.Op)(nil)).Elem() {
+			v.Set(reflect.ValueOf(wire.Op{Body: []byte{byte(k), 0, 0xFF}}))
+			return
+		}
 		switch k % 4 {
 		case 0:
 			x = []byte{byte(k), 0, 0xFF}

@@ -15,8 +15,9 @@
 // delivers requests *inline* (the remote handler runs on the caller's
 // goroutine in the same address space), so values that cannot cross a
 // process boundary — dht.ApplyFunc closures — work. Real transports cannot
-// do that; callers probe with SupportsInline and fall back to a wire-safe
-// protocol (see dht.RemoteApply).
+// do that; callers probe with SupportsInline and send the transform as data
+// where it has that form (dht.Op), or fall back to a wire-safe protocol (see
+// dht.RemoteApply).
 package transport
 
 import (
@@ -94,7 +95,8 @@ type InlineCaller interface {
 
 // SupportsInline reports whether t delivers requests inline (same address
 // space). Overlay code uses it to choose between the closure-carrying apply
-// path and the wire-safe compare-and-swap protocol.
+// path and what a socket can carry: the op message, or the compare-and-swap
+// protocol.
 func SupportsInline(t Interface) bool {
 	ic, ok := t.(InlineCaller)
 	return ok && ic.InlineDelivery()

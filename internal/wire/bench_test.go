@@ -46,3 +46,23 @@ func TestUnmarshalBucketAllocs(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkOpRun is what the owner of a leaf does for one dialed insert, under
+// its store lock: decode and check the op, decode the stored bucket of 50 or
+// 100 records, append, re-encode, encode the commit.
+func BenchmarkOpRun(b *testing.B) {
+	for _, n := range []int{50, 100} {
+		records := dataset.Generate(n+1, 1)
+		stored := MarshalBucket(core.NewBucket(bitlabel.Root(2), records[:n]))
+		rule := core.SplitRule{Dims: 2, MaxDepth: 28, Strategy: core.SplitThreshold, ThetaSplit: 1000}
+		op := Op{Body: core.EncodeOp(core.AppendOp{Rule: rule, Leaf: bitlabel.Root(2), Records: records[n:]})}
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, write, _, err := op.Run(stored, true); err != nil || !write {
+					b.Fatal(write, err)
+				}
+			}
+		})
+	}
+}

@@ -210,3 +210,85 @@ func FuzzBucketDelta(f *testing.F) {
 		}
 	})
 }
+
+// FuzzOp: an op's body comes off a socket and runs on a daemon, against
+// whatever some client stored under the key. Arbitrary bytes for both never
+// panic; a refusal is ErrMalformed and writes nothing; an op that runs is one
+// the checked decoder accepts, and what it stores is a bucket whose every
+// record lies in the unit cube when the stored bucket's did.
+func FuzzOp(f *testing.F) {
+	rule := core.SplitRule{Dims: 2, MaxDepth: 20, Strategy: core.SplitThreshold, ThetaSplit: 3, Epsilon: 70}
+	root := bitlabel.Root(2)
+	recs := []spatial.Record{
+		{Key: spatial.Point{0.25, 0.75}, Data: "x"},
+		{Key: spatial.Point{0.5, 0.5}, Data: ""},
+		{Key: spatial.Point{0.9, 0.1}, Data: "yy"},
+	}
+	empty := MarshalBucket(core.Bucket{Label: root})
+	three := MarshalBucket(core.NewBucket(root, recs))
+	appendOne := core.EncodeOp(core.AppendOp{Rule: rule, Leaf: root, Records: recs[:1]})
+	f.Add(appendOne, empty)                                                                                     // extends, on the bytes
+	f.Add(appendOne, three)                                                                                     // splits
+	f.Add(core.EncodeOp(core.AppendOp{Rule: rule, Leaf: bitlabel.MustParse("0011"), Records: recs[:1]}), three) // gone
+	f.Add(core.EncodeOp(core.AppendOp{Rule: rule, Leaf: root, Records: recs}), empty)                           // a batch
+	aware := rule
+	aware.Strategy, aware.Epsilon = core.SplitDataAware, 2
+	f.Add(core.EncodeOp(core.AppendOp{Rule: aware, Leaf: root, Records: recs[:1]}), three)
+	f.Add(core.EncodeOp(core.RemoveOp{Leaf: root, Key: recs[0].Key, Data: "x", MergeThreshold: 2}), three)  // the bucket comes back
+	f.Add(core.EncodeOp(core.RemoveOp{Leaf: root, Key: recs[0].Key, Data: "x", MergeThreshold: 1}), three)  // label and load
+	f.Add(core.EncodeOp(core.RemoveOp{Leaf: root, Key: spatial.Point{0.3, 0.3}, MergeThreshold: 2}), three) // not there
+	f.Add(appendOne, []byte("not a bucket"))
+	f.Add(appendOne, mixedDimsBucket())
+	f.Add(appendOne[:5], empty)
+	f.Add(append(append([]byte(nil), appendOne...), 0), empty)
+	f.Add([]byte{}, empty)
+	f.Fuzz(func(t *testing.T, body, stored []byte) {
+		before := append([]byte(nil), stored...)
+		next, write, result, err := Op{Body: body}.Run(stored, true)
+		if !bytes.Equal(stored, before) {
+			t.Fatal("running an op edited the stored bytes in place")
+		}
+		if err != nil {
+			if !errors.Is(err, ErrMalformed) {
+				t.Fatalf("refused with an untyped error: %v", err)
+			}
+			if write || next != nil || result != nil {
+				t.Fatalf("a refusal returned %v, %v, %v", next, write, result)
+			}
+			return
+		}
+		op, err := core.DecodeOp(body)
+		if err != nil {
+			t.Fatalf("an op the decoder refuses ran: %v", err)
+		}
+		if _, err := op.DecodeResult(result.([]byte)); err != nil {
+			t.Fatalf("the op's own result does not decode: %v", err)
+		}
+		was, err := UnmarshalBucket(stored)
+		if err != nil {
+			t.Fatalf("an op ran against bytes that are no bucket: %v", err)
+		}
+		if !write {
+			if next != nil {
+				t.Fatalf("nothing to write, and %v to store", next)
+			}
+			return
+		}
+		now, err := UnmarshalBucket(next.([]byte))
+		if err != nil {
+			t.Fatalf("the op stored bytes that are no bucket: %v", err)
+		}
+		if !bytes.Equal(MarshalBucket(now), next.([]byte)) {
+			t.Fatal("the op stored a non-canonical encoding")
+		}
+		valid := true
+		for i := 0; i < was.Load(); i++ {
+			valid = valid && was.KeyAt(i).Valid()
+		}
+		for i := 0; valid && i < now.Load(); i++ {
+			if !now.KeyAt(i).Valid() {
+				t.Fatalf("record %d of the stored bucket lies outside the unit cube: %v", i, now.KeyAt(i))
+			}
+		}
+	})
+}
