@@ -1,9 +1,12 @@
 package main
 
 import (
+	"encoding/csv"
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -27,7 +30,7 @@ func TestRunFig6Tiny(t *testing.T) {
 
 func TestRunFig7WithCSV(t *testing.T) {
 	dir := t.TempDir()
-	if err := run2(tinyArgs("-figs", "fig7", "-csvdir", dir)); err != nil {
+	if err := run2(tinyArgs("-figs", "fig7", "-out", dir)); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"fig7a.csv", "fig7b.csv"} {
@@ -84,6 +87,68 @@ func TestRunTraceSection(t *testing.T) {
 	}
 }
 
+// TestExplicitFlagBeatsQuick: -quick used to overwrite -n with its 10,000
+// records, which at θ = 50 grow 463 leaf buckets; 500 records stay under 50.
+func TestExplicitFlagBeatsQuick(t *testing.T) {
+	dir := t.TempDir()
+	if err := run2([]string{"-quick", "-n", "500", "-figs", "fig6", "-out", dir}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(filepath.Join(dir, "fig6a.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rows, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range rows[1:] {
+		if leaves, err := strconv.Atoi(row[0]); err != nil || leaves > 50 {
+			t.Errorf("tree of %s leaf buckets (%v): not 500 records at θ = 50", row[0], err)
+		}
+	}
+}
+
+// TestExplicitFlagBeatsSectionPreset: the resilience section used to assign
+// its 24 peers and 4,000 records over the flags. Without -out it must also
+// leave the working directory alone.
+func TestExplicitFlagBeatsSectionPreset(t *testing.T) {
+	cwd, dir := t.TempDir(), t.TempDir()
+	old, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(cwd); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(old)
+	args := []string{"-figs", "resilience", "-n", "500", "-peers", "8"}
+	if err := run2(args); err != nil {
+		t.Fatal(err)
+	}
+	if left, err := os.ReadDir(cwd); err != nil || len(left) != 0 {
+		t.Errorf("a run without -out left %v in the working directory (%v)", left, err)
+	}
+	if err := run2(append(args, "-out", dir)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "BENCH_resilience.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got struct {
+		DataSize int `json:"data_size"`
+		Peers    int `json:"peers"`
+	}
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.DataSize != 500 || got.Peers != 8 {
+		t.Errorf("ran with data_size %d, peers %d; the flags said 500 and 8", got.DataSize, got.Peers)
+	}
+}
+
 func TestRunValidation(t *testing.T) {
 	if err := run2([]string{"-bad-flag"}); err == nil {
 		t.Error("bad flag accepted")
@@ -94,6 +159,9 @@ func TestRunValidation(t *testing.T) {
 	err := run2(tinyArgs("-figs", "fig6,bogus"))
 	if err == nil || !strings.Contains(err.Error(), `"bogus"`) || !strings.Contains(err.Error(), "fig7") {
 		t.Errorf("unknown section: got %v, want an error naming it and the valid sections", err)
+	}
+	if err := run2(tinyArgs("-figs", "fig6", "-hopdelay", "0")); err == nil {
+		t.Error("zero -hopdelay accepted")
 	}
 }
 

@@ -11,8 +11,7 @@ import (
 	"mlight/internal/spatial"
 )
 
-// This file is the group-commit insert engine: the write-path counterpart of
-// the concurrent query execution PR 1 introduced. A sequential Insert pays a
+// This file is the group-commit insert engine. A sequential Insert pays a
 // lookup, one Apply round trip, and one Put per relocated split piece — per
 // record. InsertBatch amortises all three: destination leaves are resolved
 // with overlapped lookups, every record bound for the same leaf rides one
@@ -20,7 +19,7 @@ import (
 // round. The Writer on top coalesces concurrent Insert callers into such
 // batches without timers or background goroutines.
 //
-// Stats-equality discipline (the invariant PR 1 established for queries):
+// Stats-equality discipline, the same one the range driver keeps for queries:
 // batching changes execution, never the maintenance accounting. Both drivers
 // send the same transform (SplitRule.Append, commit.go), which replays its
 // records one at a time and charges Splits and RecordsMoved at each

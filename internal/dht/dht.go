@@ -5,9 +5,11 @@
 // DHT operations for the experiments.
 //
 // Everything above this interface — m-LIGHT itself and the PHT and DST
-// baselines — is substrate-agnostic: it can run over the local map DHT, the
-// Chord overlay (internal/chord), or the Pastry/Bamboo-style overlay
-// (internal/pastry) without modification.
+// baselines — is substrate-agnostic: it runs without modification over the
+// in-process store (Local, in memory or under a WAL), over the Chord,
+// Pastry/Bamboo-style and Kademlia overlays the kernel in internal/overlay
+// hosts on a simulated network, and over mlightd daemons on TCP
+// (internal/daemon), hosted or dialed as a client.
 package dht
 
 import "errors"

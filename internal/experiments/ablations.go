@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"mlight/internal/core"
 	"mlight/internal/dataset"
 	"mlight/internal/dht"
 	"mlight/internal/overlay"
-	"mlight/internal/pht"
 	"mlight/internal/simnet"
 	"mlight/internal/spatial"
 	"mlight/internal/substrate"
@@ -26,37 +24,7 @@ import (
 //   - AblDims: lookup probes and per-insert cost as dimensionality m grows
 //     (the paper's algorithms are defined for any m but evaluated at m=2).
 func Ablations(cfg Config) ([]Table, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	var out []Table
-	t, err := ablationLookahead(cfg)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, t)
-	t, err = ablationSplitCost(cfg)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, t)
-	t, err = ablationOverlay(cfg)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, t)
-	t, err = ablationDims(cfg)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, t)
-	t, err = ablationBulkLoad(cfg)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, t)
-	return out, nil
+	return runEach(cfg, ablationLookahead, ablationSplitCost, ablationOverlay, ablationDims, ablationBulkLoad)
 }
 
 // ablationBulkLoad compares offline bulk loading against progressive
@@ -68,21 +36,16 @@ func ablationBulkLoad(cfg Config) (Table, error) {
 	incr := Series{Name: "incremental DHT-lookups"}
 	for _, frac := range []int{4, 2, 1} {
 		records := all[:len(all)/frac]
-		bulkIx, err := core.New(dht.MustNewLocal(cfg.Peers), cfg.tuning(cfg.ThetaSplit))
+		bulkIx, err := loadIndex(dht.MustNewLocal(cfg.Peers), cfg.tuning(cfg.ThetaSplit), nil)
 		if err != nil {
 			return Table{}, err
 		}
 		if err := bulkIx.BulkLoad(records); err != nil {
 			return Table{}, fmt.Errorf("experiments: bulk-load ablation: %w", err)
 		}
-		incrIx, err := core.New(dht.MustNewLocal(cfg.Peers), cfg.tuning(cfg.ThetaSplit))
+		incrIx, err := loadIndex(dht.MustNewLocal(cfg.Peers), cfg.tuning(cfg.ThetaSplit), records)
 		if err != nil {
-			return Table{}, err
-		}
-		for i, rec := range records {
-			if err := incrIx.Insert(rec); err != nil {
-				return Table{}, fmt.Errorf("experiments: bulk-load ablation insert #%d: %w", i, err)
-			}
+			return Table{}, fmt.Errorf("bulk-load ablation: %w", err)
 		}
 		x := float64(len(records))
 		bulk.Points = append(bulk.Points, Point{X: x, Y: float64(bulkIx.Stats().DHTLookups)})
@@ -98,15 +61,9 @@ func ablationBulkLoad(cfg Config) (Table, error) {
 
 // ablationLookahead sweeps the parallel lookahead h at a fixed span.
 func ablationLookahead(cfg Config) (Table, error) {
-	records := cfg.records()
-	ix, err := core.New(dht.MustNewLocal(cfg.Peers), cfg.tuning(cfg.ThetaSplit))
+	ix, err := loadIndex(dht.MustNewLocal(cfg.Peers), cfg.tuning(cfg.ThetaSplit), cfg.records())
 	if err != nil {
-		return Table{}, err
-	}
-	for i, rec := range records {
-		if err := ix.Insert(rec); err != nil {
-			return Table{}, fmt.Errorf("experiments: lookahead ablation insert #%d: %w", i, err)
-		}
+		return Table{}, fmt.Errorf("lookahead ablation: %w", err)
 	}
 	gen, err := workload.NewRangeGenerator(cfg.Dims, cfg.Seed+200)
 	if err != nil {
@@ -147,23 +104,14 @@ func ablationSplitCost(cfg Config) (Table, error) {
 	ml := Series{Name: "m-LIGHT moved per split"}
 	ph := Series{Name: "PHT moved per split"}
 	for _, theta := range cfg.Thetas {
-		mlIx, err := core.New(dht.MustNewLocal(cfg.Peers), cfg.tuning(theta))
+		_, schemes, err := newSchemes(cfg, theta)
 		if err != nil {
 			return Table{}, err
 		}
-		phIx, err := pht.New(dht.MustNewLocal(cfg.Peers), cfg.tuning(theta))
-		if err != nil {
-			return Table{}, err
+		if err := insertAll(schemes[:2], records); err != nil {
+			return Table{}, fmt.Errorf("split ablation: %w", err)
 		}
-		for i, rec := range records {
-			if err := mlIx.Insert(rec); err != nil {
-				return Table{}, fmt.Errorf("experiments: split ablation insert #%d: %w", i, err)
-			}
-			if err := phIx.Insert(rec); err != nil {
-				return Table{}, fmt.Errorf("experiments: split ablation insert #%d: %w", i, err)
-			}
-		}
-		mlStats, phStats := mlIx.Stats(), phIx.Stats()
+		mlStats, phStats := schemes[0].Stats(), schemes[1].Stats()
 		// Subtract the one-per-insert placement movement to isolate split
 		// transfers.
 		n := int64(len(records))
@@ -229,14 +177,9 @@ func ablationOverlay(cfg Config) (Table, error) {
 func runIndexWorkload(d dht.DHT, cfg Config, records []spatial.Record) error {
 	t := cfg.tuning(cfg.ThetaSplit)
 	t.MaxInFlight = 1
-	ix, err := core.New(d, t)
+	ix, err := loadIndex(d, t, records)
 	if err != nil {
 		return err
-	}
-	for i, rec := range records {
-		if err := ix.Insert(rec); err != nil {
-			return fmt.Errorf("insert #%d: %w", i, err)
-		}
 	}
 	gen, err := workload.NewRangeGenerator(cfg.Dims, cfg.Seed+300)
 	if err != nil {
@@ -263,14 +206,9 @@ func ablationDims(cfg Config) (Table, error) {
 		records := dataset.Uniform(n, m, cfg.Seed)
 		t := cfg.tuning(cfg.ThetaSplit)
 		t.Dims, t.MaxDepth = m, min(cfg.MaxDepth, 63-m)
-		ix, err := core.New(dht.MustNewLocal(cfg.Peers), t)
+		ix, err := loadIndex(dht.MustNewLocal(cfg.Peers), t, records)
 		if err != nil {
-			return Table{}, err
-		}
-		for i, rec := range records {
-			if err := ix.Insert(rec); err != nil {
-				return Table{}, fmt.Errorf("experiments: dims ablation m=%d insert #%d: %w", m, i, err)
-			}
+			return Table{}, fmt.Errorf("dims ablation m=%d: %w", m, err)
 		}
 		stats := ix.Stats()
 		insertCost.Points = append(insertCost.Points, Point{

@@ -12,62 +12,60 @@ import (
 	"mlight/internal/substrate"
 )
 
-// ChurnExpConfig parameterises the sustained-churn experiment (ExtChurn):
-// point-read availability and post-churn recovery over a replicated Chord
-// ring driven by the simnet churn scheduler, plus the crash-recovery cost
-// of the durable bucket store with and without its write-ahead log.
-type ChurnExpConfig struct {
-	// Config supplies the shared knobs. Peers defaults to 12 here (each
-	// churn round runs full-ring maintenance, so the sweep cost scales with
-	// ring size); DataSize defaults to 1500 keys.
+// churnParams is the section's configuration (ExtChurn): the shared knobs,
+// the per-node per-round crash-probability sweep (each rate also drives
+// proportional graceful leaves, rate/2, and fresh joins, rate), the churn
+// rounds per sweep point, and the point reads attempted per round.
+type churnParams struct {
 	Config
-	// ChurnRates is the per-node per-round crash-probability sweep. Each
-	// rate also drives proportional graceful leaves (rate/2) and fresh
-	// joins (rate). Default {0, 0.06, 0.12, 0.24}; 0.12 is the acceptance
-	// point (≥ 95% success with retries and replication 3).
-	ChurnRates []float64
-	// Rounds is the number of churn rounds per sweep point. Default 10.
-	Rounds int
-	// Replication is the ring's copy count. Default 3.
-	Replication int
-	// QueriesPerRound is how many point reads are attempted per round.
-	// Default 40.
-	QueriesPerRound int
-	// MaxAttempts is the retry layer's per-operation attempt budget.
-	// Default 6.
-	MaxAttempts int
-	// MaxRecoveryRounds caps the post-churn reconvergence measurement.
-	// Default 12.
-	MaxRecoveryRounds int
+	churnRates      []float64
+	rounds          int
+	queriesPerRound int
 }
 
-func (c ChurnExpConfig) withDefaults() ChurnExpConfig {
-	if c.Peers == 0 {
-		c.Peers = 12
+// The deployment is fixed: the ring's copy count, the retry layer's
+// per-operation attempt budget, and the cap on the post-churn reconvergence
+// measurement.
+const (
+	churnReplication       = 3
+	churnMaxAttempts       = 6
+	churnMaxRecoveryRounds = 12
+)
+
+// churnAt is the section's preset at scale under what cfg already sets. Same
+// design point as the resilience section: a small ring keeps maintenance cost
+// per round bounded (each churn round runs full-ring maintenance) and
+// replication — not routing depth — the variable under test. 0.12 is the
+// acceptance point of the sweep (≥ 95% success with retries).
+func churnAt(cfg Config, scale Scale) (churnParams, error) {
+	p := churnParams{
+		Config:          Config{Peers: 12, DataSize: 1500},
+		churnRates:      []float64{0, 0.06, 0.12, 0.24},
+		rounds:          10,
+		queriesPerRound: 40,
 	}
-	if c.DataSize == 0 && len(c.Records) == 0 {
-		c.DataSize = 1500
+	if scale == Quick {
+		p.DataSize = 600
 	}
-	c.Config = c.Config.withDefaults()
-	if len(c.ChurnRates) == 0 {
-		c.ChurnRates = []float64{0, 0.06, 0.12, 0.24}
+	var err error
+	p.Config, err = cfg.at(scale, p.Config)
+	return p, err
+}
+
+func churnReport(res ChurnResult) Report {
+	rep := Report{Tables: []Table{res.Table()}, Summary: res}
+	for _, pt := range res.Points {
+		rep.Lines = append(rep.Lines, fmt.Sprintf(
+			"churn %.2f: success %.1f%% with retry vs %.1f%% bare (%dc/%dl/%dr/%dj, reconverged in %d rounds, intact=%v)",
+			pt.ChurnRate, 100*pt.SuccessWithRetry, 100*pt.SuccessWithoutRetry,
+			pt.Crashes, pt.Leaves, pt.Restarts, pt.Joins, pt.RecoveryRounds, pt.FinalIntact))
 	}
-	if c.Rounds == 0 {
-		c.Rounds = 10
+	for _, rp := range res.Recovery {
+		rep.Lines = append(rep.Lines, fmt.Sprintf(
+			"crash recovery (wal=%v): %d/%d records back in %.2fms, intact=%v",
+			rp.WAL, rp.RecoveredRecords, rp.Records, rp.ReplayMS, rp.Intact))
 	}
-	if c.Replication == 0 {
-		c.Replication = 3
-	}
-	if c.QueriesPerRound == 0 {
-		c.QueriesPerRound = 40
-	}
-	if c.MaxAttempts == 0 {
-		c.MaxAttempts = 6
-	}
-	if c.MaxRecoveryRounds == 0 {
-		c.MaxRecoveryRounds = 12
-	}
-	return c
+	return rep
 }
 
 // ChurnPoint is one churn-rate sample of the sweep.
@@ -85,7 +83,7 @@ type ChurnPoint struct {
 	Joins    int `json:"joins"`
 	// RecoveryRounds is how many maintenance rounds after the schedule
 	// stopped until a full scan matched the ground-truth record set
-	// (capped at MaxRecoveryRounds).
+	// (capped at churnMaxRecoveryRounds).
 	RecoveryRounds int `json:"recovery_rounds"`
 	// FinalIntact reports that the full scan matched ground truth exactly
 	// within the recovery cap — nothing lost, nothing resurrected.
@@ -156,7 +154,7 @@ func (churnIntCodec) Unmarshal(data []byte) (any, error) {
 	return strconv.Atoi(string(data))
 }
 
-// Churn measures what replication, repair, and the retry layer buy under
+// churn measures what replication, repair, and the retry layer buy under
 // sustained membership churn: a replicated Chord ring is driven through a
 // deterministic schedule of crashes, graceful leaves, restarts, and joins
 // while point reads run against both a retry-wrapped and a bare handle;
@@ -164,21 +162,17 @@ func (churnIntCodec) Unmarshal(data []byte) (any, error) {
 // full scan matches ground truth again. A separate pass measures the
 // durable bucket store's crash recovery with and without its write-ahead
 // log.
-func Churn(cfg ChurnExpConfig) (ChurnResult, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return ChurnResult{}, err
-	}
+func churn(cfg churnParams) (ChurnResult, error) {
 	res := ChurnResult{
 		DataSize:    cfg.DataSize,
 		Peers:       cfg.Peers,
-		Replication: cfg.Replication,
-		Rounds:      cfg.Rounds,
-		MaxAttempts: cfg.MaxAttempts,
+		Replication: churnReplication,
+		Rounds:      cfg.rounds,
+		MaxAttempts: churnMaxAttempts,
 		Seed:        cfg.Seed,
 	}
 
-	for _, rate := range cfg.ChurnRates {
+	for _, rate := range cfg.churnRates {
 		p, err := churnSweepPoint(cfg, rate)
 		if err != nil {
 			return res, err
@@ -187,7 +181,7 @@ func Churn(cfg ChurnExpConfig) (ChurnResult, error) {
 	}
 
 	for _, wal := range []bool{false, true} {
-		p, err := churnRecoveryPoint(cfg, wal)
+		p, err := churnRecoveryPoint(cfg.Config, wal)
 		if err != nil {
 			return res, err
 		}
@@ -197,10 +191,10 @@ func Churn(cfg ChurnExpConfig) (ChurnResult, error) {
 }
 
 // churnSweepPoint runs one churn-rate sample on a fresh ring.
-func churnSweepPoint(cfg ChurnExpConfig, rate float64) (ChurnPoint, error) {
+func churnSweepPoint(cfg churnParams, rate float64) (ChurnPoint, error) {
 	p := ChurnPoint{ChurnRate: rate}
 	net := simnet.New(simnet.Options{Seed: cfg.Seed})
-	ring, err := substrate.Cluster("chord", net, cfg.Peers, overlay.Config{Seed: cfg.Seed, Replication: cfg.Replication})
+	ring, err := substrate.Cluster("chord", net, cfg.Peers, overlay.Config{Seed: cfg.Seed, Replication: churnReplication})
 	if err != nil {
 		return p, fmt.Errorf("experiments: churn: %w", err)
 	}
@@ -221,7 +215,7 @@ func churnSweepPoint(cfg ChurnExpConfig, rate float64) (ChurnPoint, error) {
 	// identical request into the identical routing state — is what makes
 	// retries effective against crashed holders.
 	retried := dht.NewResilient(ring, dht.RetryPolicy{
-		MaxAttempts: cfg.MaxAttempts,
+		MaxAttempts: churnMaxAttempts,
 		Seed:        cfg.Seed,
 		Sleep:       func(time.Duration) { ring.Stabilize(1) },
 	}, nil)
@@ -234,12 +228,12 @@ func churnSweepPoint(cfg ChurnExpConfig, rate float64) (ChurnPoint, error) {
 		JoinRate:    rate,
 		MinLive:     cfg.Peers / 2,
 		// Replication r tolerates r-1 failures between maintenance rounds.
-		MaxDeparturesPerRound: cfg.Replication - 1,
+		MaxDeparturesPerRound: churnReplication - 1,
 	})
 
 	joins := 0
 	attempted, okRetry, okBare := 0, 0, 0
-	for round := 0; round < cfg.Rounds; round++ {
+	for round := 0; round < cfg.rounds; round++ {
 		for _, ev := range sched.Step(ring.Nodes(), ring.CrashedNodes()) {
 			var err error
 			switch ev.Kind {
@@ -265,14 +259,14 @@ func churnSweepPoint(cfg ChurnExpConfig, rate float64) (ChurnPoint, error) {
 		// this round's maintenance — because that race is what the sweep
 		// measures. Bare reads go first so the healing the retry layer
 		// performs (its backoff runs stabilization) cannot flatter them.
-		for i := 0; i < cfg.QueriesPerRound; i++ {
+		for i := 0; i < cfg.queriesPerRound; i++ {
 			k := key((round*61 + i*17) % cfg.DataSize)
 			attempted++
 			if v, found, err := ring.Get(k); err == nil && found && v == truth[k] {
 				okBare++
 			}
 		}
-		for i := 0; i < cfg.QueriesPerRound; i++ {
+		for i := 0; i < cfg.queriesPerRound; i++ {
 			k := key((round*61 + i*17) % cfg.DataSize)
 			if v, found, err := retried.Get(k); err == nil && found && v == truth[k] {
 				okRetry++
@@ -308,7 +302,7 @@ func churnSweepPoint(cfg ChurnExpConfig, rate float64) (ChurnPoint, error) {
 		}
 		return true
 	}
-	for p.RecoveryRounds = 0; p.RecoveryRounds < cfg.MaxRecoveryRounds; p.RecoveryRounds++ {
+	for p.RecoveryRounds = 0; p.RecoveryRounds < churnMaxRecoveryRounds; p.RecoveryRounds++ {
 		if matches() {
 			p.FinalIntact = true
 			break
@@ -323,7 +317,7 @@ func churnSweepPoint(cfg ChurnExpConfig, rate float64) (ChurnPoint, error) {
 
 // churnRecoveryPoint measures one crash/recover cycle of the local bucket
 // substrate, journaled or not.
-func churnRecoveryPoint(cfg ChurnExpConfig, withWAL bool) (ChurnRecoveryPoint, error) {
+func churnRecoveryPoint(cfg Config, withWAL bool) (ChurnRecoveryPoint, error) {
 	p := ChurnRecoveryPoint{WAL: withWAL, Records: cfg.DataSize}
 	var local *dht.Local
 	if withWAL {

@@ -7,18 +7,17 @@ import "testing"
 // baseline with perfect availability, retries never hurting, and the WAL
 // recovery pass recovering everything while the volatile store loses all.
 func TestChurnSmoke(t *testing.T) {
-	cfg := ChurnExpConfig{
-		Config:          Config{Seed: 1, DataSize: 200, Peers: 10},
-		ChurnRates:      []float64{0, 0.12},
-		Rounds:          4,
-		QueriesPerRound: 15,
-	}
-	res, err := Churn(cfg)
+	cfg, err := churnAt(Config{Seed: 1, DataSize: 200, Peers: 10}, Full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != len(cfg.ChurnRates) {
-		t.Fatalf("got %d points, want %d", len(res.Points), len(cfg.ChurnRates))
+	cfg.churnRates, cfg.rounds, cfg.queriesPerRound = []float64{0, 0.12}, 4, 15
+	res, err := churn(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Points) != len(cfg.churnRates) {
+		t.Fatalf("got %d points, want %d", len(res.Points), len(cfg.churnRates))
 	}
 	base := res.Points[0]
 	if base.ChurnRate != 0 || base.SuccessWithRetry != 1 || base.SuccessWithoutRetry != 1 {

@@ -8,51 +8,46 @@ import (
 	"mlight/internal/overlay"
 	"mlight/internal/simnet"
 	"mlight/internal/spatial"
-	"mlight/internal/substrate"
 	"mlight/internal/workload"
 )
 
-// ConcurrencyConfig parameterises the wall-clock concurrency experiment.
-type ConcurrencyConfig struct {
-	// Config supplies the shared knobs (data size, peers, θsplit, seed…).
+// concurrencyParams is the section's configuration: the shared knobs plus
+// how many rectangles each mode answers.
+type concurrencyParams struct {
 	Config
-	// HopDelay is the simulated one-way per-hop network delay each overlay
-	// RPC pays in real time. Default 1ms.
-	HopDelay time.Duration
-	// Lookahead is the parallel query's h. Default 4.
-	Lookahead int
-	// MaxInFlight bounds the concurrent engine's worker pool. Default 16.
-	MaxInFlight int
-	// Span is the query rectangle's side length. Default 0.4.
-	Span float64
-	// Queries is how many rectangles each mode answers. Default 3.
-	Queries int
-	// CacheProbes is how many points the cached-lookup measurement probes
-	// (each twice: cold, then warm). Default 16.
-	CacheProbes int
+	queries int
 }
 
-func (c ConcurrencyConfig) withDefaults() ConcurrencyConfig {
-	c.Config = c.Config.withDefaults()
-	if c.HopDelay == 0 {
-		c.HopDelay = time.Millisecond
+// The query shape is fixed: the parallel query's h, the concurrent engine's
+// worker pool, the rectangle's side length, and how many points the
+// cached-lookup measurement probes (each twice: cold, then warm).
+const (
+	concurrencyLookahead   = 4
+	concurrencyMaxInFlight = 16
+	concurrencySpan        = 0.4
+	concurrencyCacheProbes = 16
+)
+
+// concurrencyAt is the section's preset at scale under what cfg already sets.
+func concurrencyAt(cfg Config, scale Scale) (concurrencyParams, error) {
+	p := concurrencyParams{queries: 3}
+	if scale == Quick {
+		p.DataSize = 2000
 	}
-	if c.Lookahead == 0 {
-		c.Lookahead = 4
-	}
-	if c.MaxInFlight == 0 {
-		c.MaxInFlight = 16
-	}
-	if c.Span == 0 {
-		c.Span = 0.4
-	}
-	if c.Queries == 0 {
-		c.Queries = 3
-	}
-	if c.CacheProbes == 0 {
-		c.CacheProbes = 16
-	}
-	return c
+	var err error
+	p.Config, err = cfg.at(scale, p.Config)
+	return p, err
+}
+
+func concurrencyReport(res ConcurrencyResult) Report {
+	return Report{Summary: res, Lines: []string{
+		fmt.Sprintf("sequential %.1fms, concurrent %.1fms → %.2fx speedup",
+			res.SequentialWallMS, res.ConcurrentWallMS, res.Speedup),
+		fmt.Sprintf("%d queries (h=%d, span %.2f): %d records, %d lookups, %d rounds — identical in both modes",
+			res.Queries, res.Lookahead, res.Span, res.Records, res.Lookups, res.Rounds),
+		fmt.Sprintf("cached lookups: %.2f cold / %.2f warm probes per lookup (%d hits, %d misses, %d stale)",
+			res.ColdProbesPerLookup, res.WarmProbesPerLookup, res.CacheHits, res.CacheMisses, res.CacheStale),
+	}}
 }
 
 // ConcurrencyResult is the machine-readable outcome of one concurrency
@@ -93,58 +88,42 @@ type ConcurrencyResult struct {
 	CacheStale          int64   `json:"cache_stale"`
 }
 
-// latencyIndex builds a Chord-backed index over a latency-bearing simnet.
-// The overlay is joined and loaded with real delays suppressed (those phases
-// issue thousands of RPCs); delays are enabled just before returning, so
-// only the measured queries pay them.
-func latencyIndex(cfg ConcurrencyConfig, maxInFlight, cacheSize int) (*core.Index, *simnet.Network, error) {
+// latencyIndex deploys an index over a latency-bearing simnet. The overlay is
+// joined and loaded with real delays suppressed (those phases issue thousands
+// of RPCs); delays are enabled just before returning, so only the measured
+// queries pay them.
+func latencyIndex(cfg Config, maxInFlight, cacheSize int) (*core.Index, error) {
 	net := simnet.New(simnet.Options{Latency: simnet.ConstantLatency(cfg.HopDelay)})
-	ring, err := substrate.Cluster("chord", net, cfg.Peers, overlay.Config{Seed: cfg.Seed})
-	if err != nil {
-		return nil, nil, fmt.Errorf("experiments: concurrency: %w", err)
-	}
 	t := cfg.tuning(cfg.ThetaSplit)
 	t.MaxInFlight, t.CacheSize = maxInFlight, cacheSize
-	ix, err := core.New(ring, t)
-	if err != nil {
-		return nil, nil, fmt.Errorf("experiments: concurrency index: %w", err)
-	}
-	for i, rec := range cfg.records() {
-		if err := ix.Insert(rec); err != nil {
-			return nil, nil, fmt.Errorf("experiments: concurrency insert #%d: %w", i, err)
-		}
-	}
+	_, ix, err := deploy(net, cfg.Peers, overlay.Config{Seed: cfg.Seed}, t, cfg.records())
 	net.SetRealDelay(true)
-	return ix, net, nil
+	return ix, err
 }
 
-// Concurrency measures what the concurrent execution engine buys in wall
+// concurrency measures what the concurrent execution engine buys in wall
 // time: the same parallel range queries (lookahead h) run once over an index
 // capped at MaxInFlight = 1 (sequential: probes pay their network delays
-// back to back) and once at the configured MaxInFlight (probes of a round
+// back to back) and once at concurrencyMaxInFlight (probes of a round
 // overlap). It also measures the leaf-label cache's cold-versus-warm lookup
 // cost on the concurrent index.
-func Concurrency(cfg ConcurrencyConfig) (ConcurrencyResult, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return ConcurrencyResult{}, err
-	}
+func concurrency(cfg concurrencyParams) (ConcurrencyResult, error) {
 	res := ConcurrencyResult{
 		DataSize:    cfg.DataSize,
 		Peers:       cfg.Peers,
 		ThetaSplit:  cfg.ThetaSplit,
 		HopDelayMS:  float64(cfg.HopDelay) / float64(time.Millisecond),
-		Lookahead:   cfg.Lookahead,
-		MaxInFlight: cfg.MaxInFlight,
-		Span:        cfg.Span,
-		Queries:     cfg.Queries,
+		Lookahead:   concurrencyLookahead,
+		MaxInFlight: concurrencyMaxInFlight,
+		Span:        concurrencySpan,
+		Queries:     cfg.queries,
 	}
 
-	seqIx, _, err := latencyIndex(cfg, 1, 0)
+	seqIx, err := latencyIndex(cfg.Config, 1, 0)
 	if err != nil {
 		return res, err
 	}
-	concIx, _, err := latencyIndex(cfg, cfg.MaxInFlight, 256)
+	concIx, err := latencyIndex(cfg.Config, concurrencyMaxInFlight, 256)
 	if err != nil {
 		return res, err
 	}
@@ -153,7 +132,7 @@ func Concurrency(cfg ConcurrencyConfig) (ConcurrencyResult, error) {
 	if err != nil {
 		return res, err
 	}
-	queries, err := gen.SpanBatch(cfg.Span, cfg.Queries)
+	queries, err := gen.SpanBatch(concurrencySpan, cfg.queries)
 	if err != nil {
 		return res, err
 	}
@@ -161,7 +140,7 @@ func Concurrency(cfg ConcurrencyConfig) (ConcurrencyResult, error) {
 	run := func(ix *core.Index) (wall time.Duration, records, lookups, rounds int, results []*core.QueryResult, err error) {
 		start := time.Now()
 		for qi, q := range queries {
-			r, qErr := ix.RangeQueryParallel(q, cfg.Lookahead)
+			r, qErr := ix.RangeQueryParallel(q, concurrencyLookahead)
 			if qErr != nil {
 				return 0, 0, 0, 0, nil, fmt.Errorf("experiments: concurrency query #%d: %w", qi, qErr)
 			}
@@ -198,11 +177,9 @@ func Concurrency(cfg ConcurrencyConfig) (ConcurrencyResult, error) {
 
 	// Cold/warm cached lookups: probe points drawn from the indexed data so
 	// every lookup resolves to a real leaf.
-	points := make([]spatial.Point, 0, cfg.CacheProbes)
-	for i, rec := range cfg.records() {
-		if i >= cfg.CacheProbes {
-			break
-		}
+	var points []spatial.Point
+	records := cfg.records()
+	for _, rec := range records[:min(concurrencyCacheProbes, len(records))] {
 		points = append(points, rec.Key)
 	}
 	before := concIx.Stats()

@@ -14,18 +14,20 @@ func TestConcurrencySpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock experiment sleeps on real network delays")
 	}
-	res, err := Concurrency(ConcurrencyConfig{
-		Config: Config{
-			DataSize:   1500,
-			Peers:      24,
-			ThetaSplit: 50,
-			Epsilon:    35,
-			MaxDepth:   22,
-			Seed:       1,
-		},
-		HopDelay: time.Millisecond,
-		Queries:  2,
-	})
+	cfg, err := concurrencyAt(Config{
+		DataSize:   1500,
+		Peers:      24,
+		ThetaSplit: 50,
+		Epsilon:    35,
+		MaxDepth:   22,
+		Seed:       1,
+		HopDelay:   time.Millisecond,
+	}, Full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.queries = 2
+	res, err := concurrency(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

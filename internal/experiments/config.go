@@ -2,15 +2,16 @@ package experiments
 
 import (
 	"fmt"
+	"time"
 
 	"mlight/internal/dataset"
 	"mlight/internal/index"
 	"mlight/internal/spatial"
 )
 
-// Config parameterises the experiment suite. Zero fields take the listed
-// defaults, which mirror the paper's setup (§7.1): the NE dataset, a DHT of
-// >100 logical peers, θsplit = 100, ε = 70, D = 28.
+// Config parameterises the experiment suite. A zero field means "not set":
+// the section's preset fills it, then the paper's setup (§7.1): the NE
+// dataset, a DHT of >100 logical peers, θsplit = 100, ε = 70, D = 28.
 type Config struct {
 	// Dims is the data dimensionality. Default 2.
 	Dims int
@@ -46,47 +47,100 @@ type Config struct {
 	// Lookaheads lists the parallel variants of Fig. 7 (h values).
 	// Default {2, 4}.
 	Lookaheads []int
+	// HopDelay is the simulated one-way per-hop delay every overlay RPC of
+	// the wall-clock sections (concurrency, lookup, ingest) pays in real
+	// time. Default 1ms.
+	HopDelay time.Duration
+	// TraceJSON and TraceTree are the files the trace section writes its
+	// Chrome trace_event export and its span tree to; empty writes neither.
+	TraceJSON, TraceTree string
 }
 
-func (c Config) withDefaults() Config {
-	if c.Dims == 0 {
-		c.Dims = 2
+// Scale selects the preset that fills what the caller left unset.
+type Scale int
+
+const (
+	// Full is the scale the committed results were produced at.
+	Full Scale = iota
+	// Quick is the reduced preset: the same shapes in seconds.
+	Quick
+)
+
+// paperFull is the paper's setup and paperQuick its reduced twin; a section
+// that needs another scale states only the fields it changes.
+var (
+	paperFull = Config{
+		Dims:           2,
+		DataSize:       dataset.NESize,
+		Peers:          128,
+		ThetaSplit:     100,
+		Epsilon:        70,
+		MaxDepth:       28,
+		Seed:           1,
+		Checkpoints:    6,
+		Thetas:         []int{50, 100, 300, 600, 900},
+		Spans:          []float64{0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6},
+		QueriesPerSpan: 50,
+		Lookaheads:     []int{2, 4},
+		HopDelay:       time.Millisecond,
 	}
-	if c.DataSize == 0 {
-		c.DataSize = dataset.NESize
+	paperQuick = Config{
+		DataSize:       10000,
+		ThetaSplit:     50,
+		Epsilon:        35,
+		MaxDepth:       22,
+		Thetas:         []int{25, 50, 100, 200},
+		QueriesPerSpan: 15,
 	}
-	if c.Peers == 0 {
-		c.Peers = 128
-	}
-	if c.ThetaSplit == 0 {
-		c.ThetaSplit = 100
-	}
-	if c.Epsilon == 0 {
-		c.Epsilon = 70
-	}
-	if c.MaxDepth == 0 {
-		c.MaxDepth = 28
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Checkpoints == 0 {
-		c.Checkpoints = 6
-	}
-	if len(c.Thetas) == 0 {
-		c.Thetas = []int{50, 100, 300, 600, 900}
-	}
-	if len(c.Spans) == 0 {
-		c.Spans = []float64{0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6}
-	}
-	if c.QueriesPerSpan == 0 {
-		c.QueriesPerSpan = 50
-	}
-	if len(c.Lookaheads) == 0 {
-		c.Lookaheads = []int{2, 4}
-	}
+)
+
+// or returns c with every unset field taken from p.
+func (c Config) or(p Config) Config {
+	fill(&c.Dims, p.Dims)
+	fill(&c.DataSize, p.DataSize)
+	fill(&c.Peers, p.Peers)
+	fill(&c.ThetaSplit, p.ThetaSplit)
+	fill(&c.Epsilon, p.Epsilon)
+	fill(&c.MaxDepth, p.MaxDepth)
+	fill(&c.Seed, p.Seed)
+	fill(&c.Checkpoints, p.Checkpoints)
+	fill(&c.QueriesPerSpan, p.QueriesPerSpan)
+	fill(&c.HopDelay, p.HopDelay)
+	fill(&c.TraceJSON, p.TraceJSON)
+	fill(&c.TraceTree, p.TraceTree)
+	fillSlice(&c.Records, p.Records)
+	fillSlice(&c.Thetas, p.Thetas)
+	fillSlice(&c.Spans, p.Spans)
+	fillSlice(&c.Lookaheads, p.Lookaheads)
 	return c
 }
+
+func fill[T comparable](v *T, preset T) {
+	var zero T
+	if *v == zero {
+		*v = preset
+	}
+}
+
+func fillSlice[T any](v *[]T, preset []T) {
+	if len(*v) == 0 {
+		*v = preset
+	}
+}
+
+// at resolves the configuration a section runs with: what the caller set,
+// then the section's own preset at that scale, then the paper's.
+func (c Config) at(scale Scale, section Config) (Config, error) {
+	c = c.or(section)
+	if scale == Quick {
+		c = c.or(paperQuick)
+	}
+	c = c.or(paperFull)
+	return c, c.validate()
+}
+
+// withDefaults is at(Full) for a figure called directly, outside the table.
+func (c Config) withDefaults() Config { return c.or(paperFull) }
 
 func (c Config) validate() error {
 	if c.Dims < 1 {
@@ -103,6 +157,9 @@ func (c Config) validate() error {
 	}
 	if c.Epsilon < 1 {
 		return fmt.Errorf("experiments: Epsilon must be ≥ 1")
+	}
+	if c.HopDelay <= 0 {
+		return fmt.Errorf("experiments: HopDelay must be positive, got %v (a zero-delay network would make the wall-clock comparisons meaningless)", c.HopDelay)
 	}
 	return nil
 }

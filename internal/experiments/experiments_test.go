@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"mlight/internal/core"
 )
 
 // smallCfg keeps test runs fast while preserving the paper's shapes.
@@ -370,5 +373,105 @@ func TestExtensions(t *testing.T) {
 	// Without replication, availability degrades by the end.
 	if last, _ := noRepl.Last(); last.Y >= 1 {
 		t.Errorf("unreplicated ring suspiciously lossless: %v", noRepl.Points)
+	}
+}
+
+// TestSections drives the table the way cmd/mlight-bench does: every entry
+// runs at its quick preset under a tiny explicit configuration and reports
+// something, and no two sections claim one table ID (the ID names the CSV).
+func TestSections(t *testing.T) {
+	tiny := Config{DataSize: 200, Peers: 16, ThetaSplit: 20, Epsilon: 14, MaxDepth: 16, QueriesPerSpan: 3}
+	sleeps := []string{"concurrency", "lookup", "ingest"} // their RPCs pay real delays
+	owner := map[string]string{}
+	for _, s := range Sections {
+		t.Run(s.Name, func(t *testing.T) {
+			if testing.Short() && slices.Contains(sleeps, s.Name) {
+				t.Skip("wall-clock section sleeps on real network delays")
+			}
+			rep, err := s.Run(tiny, Quick)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Tables) == 0 && rep.Summary == nil && len(rep.Lines) == 0 {
+				t.Error("empty report")
+			}
+			if s.InAll && len(rep.Tables) == 0 {
+				t.Error("a section of \"all\" reported no table")
+			}
+			for _, tbl := range rep.Tables {
+				if other, taken := owner[tbl.ID]; taken {
+					t.Errorf("table %s is reported by both %s and %s", tbl.ID, other, s.Name)
+				}
+				owner[tbl.ID] = s.Name
+				if len(tbl.Series) == 0 {
+					t.Errorf("table %s has no series", tbl.ID)
+				}
+			}
+		})
+	}
+}
+
+func TestSelect(t *testing.T) {
+	names := func(sections []Section) (out []string) {
+		for _, s := range sections {
+			out = append(out, s.Name)
+		}
+		return out
+	}
+	all, err := Select("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range Sections {
+		if slices.Contains(names(all), s.Name) != s.InAll {
+			t.Errorf("%s: in \"all\" = %v, table says %v", s.Name, !s.InAll, s.InAll)
+		}
+	}
+	got, err := Select(" Trace,fig5 ,all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append(names(all), "trace"); !slices.Equal(names(got), want) {
+		t.Errorf("Select ran %v, want table order %v", names(got), want)
+	}
+	// An unknown name fails, listing exactly what the table holds.
+	_, err = Select("fig6,bogus")
+	want := `unknown section "bogus" (valid: all`
+	for _, s := range Sections {
+		want += "," + s.Name
+	}
+	if err == nil || err.Error() != want+")" {
+		t.Errorf("got %v, want %s)", err, want)
+	}
+	for _, s := range Sections {
+		if !strings.Contains(Usage(), s.Name) {
+			t.Errorf("Usage() omits %s: %s", s.Name, Usage())
+		}
+	}
+}
+
+// TestFigureTreesHoldInvariants checks the trees behind Figs. 5–7 against
+// the paper's invariants: the m-LIGHT index the three-scheme comparison
+// loads (Figs. 5 and 7 build it the same way) and both of Fig. 6's.
+func TestFigureTreesHoldInvariants(t *testing.T) {
+	cfg := smallCfg().withDefaults()
+	ml, schemes, err := newSchemes(cfg, cfg.ThetaSplit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := insertAll(schemes, cfg.records()); err != nil {
+		t.Fatal(err)
+	}
+	if err := core.CheckInvariants(ml); err != nil {
+		t.Errorf("Figs. 5/7: %v", err)
+	}
+	trees, err := growBalanceTrees(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tree := range trees {
+		if err := core.CheckInvariants(tree.ix); err != nil {
+			t.Errorf("Fig. 6, %s: %v", tree.variance.Name, err)
+		}
 	}
 }

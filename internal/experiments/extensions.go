@@ -5,16 +5,11 @@ import (
 	"sync"
 	"time"
 
-	"mlight/internal/core"
 	"mlight/internal/dht"
-	"mlight/internal/dst"
 	"mlight/internal/metrics"
 	"mlight/internal/overlay"
 	"mlight/internal/peerquery"
-	"mlight/internal/pht"
 	"mlight/internal/simnet"
-	"mlight/internal/spatial"
-	"mlight/internal/substrate"
 	"mlight/internal/workload"
 )
 
@@ -29,27 +24,7 @@ import (
 //     for peer-executed queries (internal/peerquery) under LAN and WAN
 //     link-latency models.
 func Extensions(cfg Config) ([]Table, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	var out []Table
-	t, err := extensionQueryLoad(cfg)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, t)
-	t, err = extensionChurnAvailability(cfg)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, t)
-	t, err = extensionPeerLatency(cfg)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, t)
-	return out, nil
+	return runEach(cfg, extensionQueryLoad, extensionChurnAvailability, extensionPeerLatency)
 }
 
 // accessCounter decorates a substrate and counts operations per owning
@@ -135,79 +110,22 @@ func (a *accessCounter) Range(fn func(key dht.Key, value any) bool) error {
 // answering a range-query workload, per scheme.
 func extensionQueryLoad(cfg Config) (Table, error) {
 	records := cfg.records()
-	type scheme struct {
-		name    string
-		counter *accessCounter
-		load    func() error
-		query   func(q spatial.Rect) error
-	}
-	mlCounter := newAccessCounter(cfg.Peers)
-	t := cfg.tuning(cfg.ThetaSplit)
-	mlIx, err := core.New(mlCounter, t)
+	counters := []*accessCounter{newAccessCounter(cfg.Peers), newAccessCounter(cfg.Peers), newAccessCounter(cfg.Peers)}
+	ml, schemes, err := newSchemesOver(cfg, cfg.ThetaSplit, counters[0], counters[1], counters[2])
 	if err != nil {
 		return Table{}, err
 	}
-	schemes := []scheme{{
-		name:    "m-LIGHT",
-		counter: mlCounter,
-		load: func() error {
-			return mlIx.BulkLoad(records)
-		},
-		query: func(q spatial.Rect) error {
-			_, err := mlIx.RangeQuery(q)
-			return err
-		},
-	}}
-	// PHT and DST need their own counted substrates.
-	phtCounter := newAccessCounter(cfg.Peers)
-	phtIx, err := pht.New(phtCounter, t)
-	if err != nil {
+	// Loading is not the measured phase: m-LIGHT takes its bulk path, the
+	// baselines (which have none) insert progressively.
+	if err := ml.BulkLoad(records); err != nil {
 		return Table{}, err
 	}
-	schemes = append(schemes, scheme{
-		name:    "PHT",
-		counter: phtCounter,
-		load: func() error {
-			for i, rec := range records {
-				if err := phtIx.Insert(rec); err != nil {
-					return fmt.Errorf("PHT insert #%d: %w", i, err)
-				}
-			}
-			return nil
-		},
-		query: func(q spatial.Rect) error {
-			_, err := phtIx.RangeQuery(q)
-			return err
-		},
-	})
-	dstCounter := newAccessCounter(cfg.Peers)
-	dstIx, err := dst.New(dstCounter, t)
-	if err != nil {
+	if err := insertAll(schemes[1:], records); err != nil {
 		return Table{}, err
 	}
-	schemes = append(schemes, scheme{
-		name:    "DST",
-		counter: dstCounter,
-		load: func() error {
-			for i, rec := range records {
-				if err := dstIx.Insert(rec); err != nil {
-					return fmt.Errorf("DST insert #%d: %w", i, err)
-				}
-			}
-			return nil
-		},
-		query: func(q spatial.Rect) error {
-			_, err := dstIx.RangeQuery(q)
-			return err
-		},
-	})
-
 	series := make([]Series, len(schemes))
 	for i, s := range schemes {
 		series[i].Name = s.name
-		if err := s.load(); err != nil {
-			return Table{}, err
-		}
 	}
 	gen, err := workload.NewRangeGenerator(cfg.Dims, cfg.Seed+400)
 	if err != nil {
@@ -219,15 +137,15 @@ func extensionQueryLoad(cfg Config) (Table, error) {
 			return Table{}, err
 		}
 		for si, s := range schemes {
-			s.counter.reset()
+			counters[si].reset()
 			for _, q := range queries {
-				if err := s.query(q); err != nil {
+				if _, err := s.RangeQuery(q); err != nil {
 					return Table{}, fmt.Errorf("extension query load: %s: %w", s.name, err)
 				}
 			}
 			series[si].Points = append(series[si].Points, Point{
 				X: span,
-				Y: metrics.NormalizedVariance(s.counter.perPeerLoads()),
+				Y: metrics.NormalizedVariance(counters[si].perPeerLoads()),
 			})
 		}
 	}
@@ -249,18 +167,9 @@ func extensionChurnAvailability(cfg Config) (Table, error) {
 	}
 	series := make([]Series, 0, 2)
 	for _, repl := range []int{1, 3} {
-		ring, err := substrate.Cluster("chord", simnet.New(simnet.Options{}), ringSize, overlay.Config{Seed: cfg.Seed, Replication: repl})
+		ring, ix, err := deploy(simnet.New(simnet.Options{}), ringSize, overlay.Config{Seed: cfg.Seed, Replication: repl}, cfg.tuning(cfg.ThetaSplit), records)
 		if err != nil {
 			return Table{}, err
-		}
-		ix, err := core.New(ring, cfg.tuning(cfg.ThetaSplit))
-		if err != nil {
-			return Table{}, err
-		}
-		for i, rec := range records {
-			if err := ix.Insert(rec); err != nil {
-				return Table{}, fmt.Errorf("churn availability insert #%d: %w", i, err)
-			}
 		}
 		ring.Stabilize(1)
 		gen, err := workload.NewRangeGenerator(cfg.Dims, cfg.Seed+500)
@@ -330,18 +239,9 @@ func extensionPeerLatency(cfg Config) (Table, error) {
 	for mi, model := range models {
 		series[mi].Name = model.name
 		net := simnet.New(simnet.Options{Latency: simnet.ConstantLatency(model.oneWay)})
-		ring, err := substrate.Cluster("chord", net, ringSize, overlay.Config{Seed: cfg.Seed})
+		ring, _, err := deploy(net, ringSize, overlay.Config{Seed: cfg.Seed}, cfg.tuning(cfg.ThetaSplit), records)
 		if err != nil {
 			return Table{}, err
-		}
-		ix, err := core.New(ring, cfg.tuning(cfg.ThetaSplit))
-		if err != nil {
-			return Table{}, err
-		}
-		for i, rec := range records {
-			if err := ix.Insert(rec); err != nil {
-				return Table{}, fmt.Errorf("peer latency insert #%d: %w", i, err)
-			}
 		}
 		svc, err := peerquery.New(ring, net, cfg.Dims, cfg.MaxDepth)
 		if err != nil {

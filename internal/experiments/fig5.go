@@ -6,34 +6,78 @@ import (
 	"mlight/internal/core"
 	"mlight/internal/dht"
 	"mlight/internal/dst"
-	"mlight/internal/metrics"
+	"mlight/internal/index"
 	"mlight/internal/pht"
+	"mlight/internal/spatial"
 )
 
-// schemeSet builds the three comparison schemes with matched parameters.
-type schemeSet struct {
-	mlight *core.Index
-	pht    *pht.Index
-	dst    *dst.Index
+// schemeNames are the compared schemes, in the order every figure lists them.
+var schemeNames = []string{"m-LIGHT", "PHT", "DST"}
+
+// scheme is one compared index under the name its series carry.
+type scheme struct {
+	name string
+	index.Querier
 }
 
-func newSchemeSet(cfg Config, theta int) (schemeSet, error) {
-	var s schemeSet
+// newSchemes builds the three comparison schemes with matched parameters,
+// each over its own in-process DHT. The m-LIGHT index is also returned by
+// its own type for the operations the baselines lack.
+func newSchemes(cfg Config, theta int) (*core.Index, []scheme, error) {
+	return newSchemesOver(cfg, theta, dht.MustNewLocal(cfg.Peers), dht.MustNewLocal(cfg.Peers), dht.MustNewLocal(cfg.Peers))
+}
+
+// newSchemesOver is newSchemes over the given substrates, in schemeNames
+// order.
+func newSchemesOver(cfg Config, theta int, mlDHT, phtDHT, dstDHT dht.DHT) (*core.Index, []scheme, error) {
 	t := cfg.tuning(theta)
-	ml, err := core.New(dht.MustNewLocal(cfg.Peers), t)
+	ml, err := core.New(mlDHT, t)
 	if err != nil {
-		return s, fmt.Errorf("experiments: m-LIGHT: %w", err)
+		return nil, nil, fmt.Errorf("experiments: m-LIGHT: %w", err)
 	}
-	ph, err := pht.New(dht.MustNewLocal(cfg.Peers), t)
+	ph, err := pht.New(phtDHT, t)
 	if err != nil {
-		return s, fmt.Errorf("experiments: PHT: %w", err)
+		return nil, nil, fmt.Errorf("experiments: PHT: %w", err)
 	}
-	ds, err := dst.New(dht.MustNewLocal(cfg.Peers), t)
+	ds, err := dst.New(dstDHT, t)
 	if err != nil {
-		return s, fmt.Errorf("experiments: DST: %w", err)
+		return nil, nil, fmt.Errorf("experiments: DST: %w", err)
 	}
-	s.mlight, s.pht, s.dst = ml, ph, ds
-	return s, nil
+	return ml, []scheme{{schemeNames[0], ml}, {schemeNames[1], ph}, {schemeNames[2], ds}}, nil
+}
+
+// insertAll feeds each record to every scheme in turn.
+func insertAll(schemes []scheme, records []spatial.Record) error {
+	for i, rec := range records {
+		for _, s := range schemes {
+			if err := s.Insert(rec); err != nil {
+				return fmt.Errorf("experiments: %s insert #%d: %w", s.name, i, err)
+			}
+		}
+	}
+	return nil
+}
+
+// maintenanceCost collects Fig. 5's two cost axes, one series per scheme.
+type maintenanceCost struct {
+	lookups, moved []Series
+}
+
+func newMaintenanceCost() maintenanceCost {
+	c := maintenanceCost{make([]Series, len(schemeNames)), make([]Series, len(schemeNames))}
+	for i, name := range schemeNames {
+		c.lookups[i].Name, c.moved[i].Name = name, name
+	}
+	return c
+}
+
+// sample appends each scheme's counters so far at x.
+func (c maintenanceCost) sample(x float64, schemes []scheme) {
+	for i, s := range schemes {
+		snap := s.Stats()
+		c.lookups[i].Points = append(c.lookups[i].Points, Point{X: x, Y: float64(snap.DHTLookups)})
+		c.moved[i].Points = append(c.moved[i].Points, Point{X: x, Y: float64(snap.RecordsMoved)})
+	}
 }
 
 // Fig5DataSize reproduces Figs. 5a and 5b: cumulative DHT-lookup and
@@ -44,50 +88,28 @@ func Fig5DataSize(cfg Config) (lookups, movement Table, err error) {
 		return Table{}, Table{}, err
 	}
 	records := cfg.records()
-	set, err := newSchemeSet(cfg, cfg.ThetaSplit)
+	_, schemes, err := newSchemes(cfg, cfg.ThetaSplit)
 	if err != nil {
 		return Table{}, Table{}, err
 	}
-
-	names := []string{"m-LIGHT", "PHT", "DST"}
-	lookupSeries := make([]Series, 3)
-	moveSeries := make([]Series, 3)
-	for i, n := range names {
-		lookupSeries[i].Name = n
-		moveSeries[i].Name = n
-	}
-
-	marks := checkpointSizes(len(records), cfg.Checkpoints)
-	next := 0
-	for i, rec := range records {
-		if err := set.mlight.Insert(rec); err != nil {
-			return Table{}, Table{}, fmt.Errorf("experiments: m-LIGHT insert #%d: %w", i, err)
+	cost := newMaintenanceCost()
+	done := 0
+	for _, mark := range checkpointSizes(len(records), cfg.Checkpoints) {
+		if err := insertAll(schemes, records[done:mark]); err != nil {
+			return Table{}, Table{}, fmt.Errorf("after %d records: %w", done, err)
 		}
-		if err := set.pht.Insert(rec); err != nil {
-			return Table{}, Table{}, fmt.Errorf("experiments: PHT insert #%d: %w", i, err)
-		}
-		if err := set.dst.Insert(rec); err != nil {
-			return Table{}, Table{}, fmt.Errorf("experiments: DST insert #%d: %w", i, err)
-		}
-		if next < len(marks) && i+1 == marks[next] {
-			x := float64(i + 1)
-			snaps := []metrics.Snapshot{set.mlight.Stats(), set.pht.Stats(), set.dst.Stats()}
-			for j, snap := range snaps {
-				lookupSeries[j].Points = append(lookupSeries[j].Points, Point{X: x, Y: float64(snap.DHTLookups)})
-				moveSeries[j].Points = append(moveSeries[j].Points, Point{X: x, Y: float64(snap.RecordsMoved)})
-			}
-			next++
-		}
+		done = mark
+		cost.sample(float64(mark), schemes)
 	}
 	lookups = Table{
 		ID: "Fig5a", Title: "Maintenance: DHT-lookup cost vs data size",
 		XLabel: "data size", YLabel: "DHT-lookups (cumulative)",
-		Series: lookupSeries,
+		Series: cost.lookups,
 	}
 	movement = Table{
 		ID: "Fig5b", Title: "Maintenance: data-movement cost vs data size",
 		XLabel: "data size", YLabel: "records moved (cumulative)",
-		Series: moveSeries,
+		Series: cost.moved,
 	}
 	return lookups, movement, nil
 }
@@ -100,46 +122,26 @@ func Fig5Theta(cfg Config) (lookups, movement Table, err error) {
 		return Table{}, Table{}, err
 	}
 	records := cfg.records()
-
-	names := []string{"m-LIGHT", "PHT", "DST"}
-	lookupSeries := make([]Series, 3)
-	moveSeries := make([]Series, 3)
-	for i, n := range names {
-		lookupSeries[i].Name = n
-		moveSeries[i].Name = n
-	}
+	cost := newMaintenanceCost()
 	for _, theta := range cfg.Thetas {
-		set, err := newSchemeSet(cfg, theta)
+		_, schemes, err := newSchemes(cfg, theta)
 		if err != nil {
 			return Table{}, Table{}, err
 		}
-		for i, rec := range records {
-			if err := set.mlight.Insert(rec); err != nil {
-				return Table{}, Table{}, fmt.Errorf("experiments: θ=%d m-LIGHT insert #%d: %w", theta, i, err)
-			}
-			if err := set.pht.Insert(rec); err != nil {
-				return Table{}, Table{}, fmt.Errorf("experiments: θ=%d PHT insert #%d: %w", theta, i, err)
-			}
-			if err := set.dst.Insert(rec); err != nil {
-				return Table{}, Table{}, fmt.Errorf("experiments: θ=%d DST insert #%d: %w", theta, i, err)
-			}
+		if err := insertAll(schemes, records); err != nil {
+			return Table{}, Table{}, fmt.Errorf("θ=%d: %w", theta, err)
 		}
-		x := float64(theta)
-		snaps := []metrics.Snapshot{set.mlight.Stats(), set.pht.Stats(), set.dst.Stats()}
-		for j, snap := range snaps {
-			lookupSeries[j].Points = append(lookupSeries[j].Points, Point{X: x, Y: float64(snap.DHTLookups)})
-			moveSeries[j].Points = append(moveSeries[j].Points, Point{X: x, Y: float64(snap.RecordsMoved)})
-		}
+		cost.sample(float64(theta), schemes)
 	}
 	lookups = Table{
 		ID: "Fig5c", Title: "Maintenance: DHT-lookup cost vs θsplit",
 		XLabel: "θsplit", YLabel: "DHT-lookups (total)",
-		Series: lookupSeries,
+		Series: cost.lookups,
 	}
 	movement = Table{
 		ID: "Fig5d", Title: "Maintenance: data-movement cost vs θsplit",
 		XLabel: "θsplit", YLabel: "records moved (total)",
-		Series: moveSeries,
+		Series: cost.moved,
 	}
 	return lookups, movement, nil
 }

@@ -5,8 +5,62 @@ import (
 
 	"mlight/internal/core"
 	"mlight/internal/dht"
+	"mlight/internal/index"
 	"mlight/internal/metrics"
 )
+
+// balanceTree is one splitting strategy's index, the store it lives in, and
+// its two Fig. 6 curves.
+type balanceTree struct {
+	ix                *core.Index
+	local             *dht.Local
+	variance, empties Series
+}
+
+// growBalanceTrees loads the dataset into one index per splitting strategy
+// — threshold-based, then data-aware — sampling both at every checkpoint.
+func growBalanceTrees(cfg Config) ([]*balanceTree, error) {
+	aware := cfg.tuning(cfg.ThetaSplit)
+	aware.Strategy = core.SplitDataAware
+	aware.Epsilon = cfg.Epsilon
+	aware.MergeThreshold = cfg.Epsilon / 2
+	trees := []*balanceTree{
+		{variance: Series{Name: "threshold-based splitting"}},
+		{variance: Series{Name: "data-aware splitting"}},
+	}
+	for i, t := range []index.Tuning{cfg.tuning(cfg.ThetaSplit), aware} {
+		tree := trees[i]
+		tree.empties.Name = tree.variance.Name
+		tree.local = dht.MustNewLocal(cfg.Peers)
+		var err error
+		if tree.ix, err = core.New(tree.local, t); err != nil {
+			return nil, err
+		}
+	}
+
+	records := cfg.records()
+	marks := checkpointSizes(len(records), max(cfg.Checkpoints, 6))
+	for i, rec := range records {
+		for _, tree := range trees {
+			if err := tree.ix.Insert(rec); err != nil {
+				return nil, fmt.Errorf("experiments: %s insert #%d: %w", tree.variance.Name, i, err)
+			}
+		}
+		if len(marks) == 0 || i+1 != marks[0] {
+			continue
+		}
+		marks = marks[1:]
+		for _, tree := range trees {
+			treeSize, emptyFrac, loadVar, err := measureBalance(tree.ix, tree.local)
+			if err != nil {
+				return nil, err
+			}
+			tree.variance.Points = append(tree.variance.Points, Point{X: float64(treeSize), Y: loadVar})
+			tree.empties.Points = append(tree.empties.Points, Point{X: float64(treeSize), Y: emptyFrac})
+		}
+	}
+	return trees, nil
+}
 
 // Fig6LoadBalance reproduces Figs. 6a and 6b: storage load balance of
 // threshold-based versus data-aware splitting as the index grows. The
@@ -19,69 +73,19 @@ func Fig6LoadBalance(cfg Config) (variance, empties Table, err error) {
 	if err := cfg.validate(); err != nil {
 		return Table{}, Table{}, err
 	}
-	records := cfg.records()
-
-	type strategy struct {
-		name  string
-		ix    *core.Index
-		local *dht.Local
-		vPts  []Point
-		ePts  []Point
-	}
-	thrLocal := dht.MustNewLocal(cfg.Peers)
-	thrIx, err := core.New(thrLocal, cfg.tuning(cfg.ThetaSplit))
+	trees, err := growBalanceTrees(cfg)
 	if err != nil {
 		return Table{}, Table{}, err
-	}
-	awareLocal := dht.MustNewLocal(cfg.Peers)
-	aware := cfg.tuning(cfg.ThetaSplit)
-	aware.Strategy = core.SplitDataAware
-	aware.Epsilon = cfg.Epsilon
-	aware.MergeThreshold = cfg.Epsilon / 2
-	awareIx, err := core.New(awareLocal, aware)
-	if err != nil {
-		return Table{}, Table{}, err
-	}
-	strategies := []*strategy{
-		{name: "threshold-based splitting", ix: thrIx, local: thrLocal},
-		{name: "data-aware splitting", ix: awareIx, local: awareLocal},
-	}
-
-	marks := checkpointSizes(len(records), max(cfg.Checkpoints, 6))
-	next := 0
-	for i, rec := range records {
-		for _, s := range strategies {
-			if err := s.ix.Insert(rec); err != nil {
-				return Table{}, Table{}, fmt.Errorf("experiments: %s insert #%d: %w", s.name, i, err)
-			}
-		}
-		if next < len(marks) && i+1 == marks[next] {
-			next++
-			for _, s := range strategies {
-				treeSize, emptyFrac, loadVar, err := measureBalance(s.ix, s.local)
-				if err != nil {
-					return Table{}, Table{}, err
-				}
-				s.vPts = append(s.vPts, Point{X: float64(treeSize), Y: loadVar})
-				s.ePts = append(s.ePts, Point{X: float64(treeSize), Y: emptyFrac})
-			}
-		}
 	}
 	variance = Table{
 		ID: "Fig6a", Title: "Storage load balance: per-peer load variance vs tree size",
 		XLabel: "tree size (leaf buckets)", YLabel: "normalised variance of peer load",
-		Series: []Series{
-			{Name: strategies[0].name, Points: strategies[0].vPts},
-			{Name: strategies[1].name, Points: strategies[1].vPts},
-		},
+		Series: []Series{trees[0].variance, trees[1].variance},
 	}
 	empties = Table{
 		ID: "Fig6b", Title: "Storage load balance: empty buckets vs tree size",
 		XLabel: "tree size (leaf buckets)", YLabel: "fraction of empty buckets",
-		Series: []Series{
-			{Name: strategies[0].name, Points: strategies[0].ePts},
-			{Name: strategies[1].name, Points: strategies[1].ePts},
-		},
+		Series: []Series{trees[0].empties, trees[1].empties},
 	}
 	return variance, empties, nil
 }

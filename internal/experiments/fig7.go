@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"mlight/internal/index"
 	"mlight/internal/spatial"
 	"mlight/internal/workload"
 )
@@ -17,69 +18,32 @@ func Fig7RangeQuery(cfg Config) (bandwidth, latency Table, err error) {
 	if err := cfg.validate(); err != nil {
 		return Table{}, Table{}, err
 	}
-	records := cfg.records()
-	set, err := newSchemeSet(cfg, cfg.ThetaSplit)
+	ml, loaded, err := newSchemes(cfg, cfg.ThetaSplit)
 	if err != nil {
 		return Table{}, Table{}, err
 	}
-	for i, rec := range records {
-		if err := set.mlight.Insert(rec); err != nil {
-			return Table{}, Table{}, fmt.Errorf("experiments: m-LIGHT insert #%d: %w", i, err)
-		}
-		if err := set.pht.Insert(rec); err != nil {
-			return Table{}, Table{}, fmt.Errorf("experiments: PHT insert #%d: %w", i, err)
-		}
-		if err := set.dst.Insert(rec); err != nil {
-			return Table{}, Table{}, fmt.Errorf("experiments: DST insert #%d: %w", i, err)
-		}
+	if err := insertAll(loaded, cfg.records()); err != nil {
+		return Table{}, Table{}, err
 	}
 
-	type scheme struct {
-		name string
-		run  func(q spatial.Rect) (lookups, rounds int, n int, err error)
+	type variant struct {
+		name  string
+		query func(q spatial.Rect) (*index.Result, error)
 	}
-	schemes := []scheme{
-		{name: "m-LIGHT (basic)", run: func(q spatial.Rect) (int, int, int, error) {
-			res, err := set.mlight.RangeQuery(q)
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			return res.Lookups, res.Rounds, len(res.Records), nil
-		}},
-	}
+	variants := []variant{{"m-LIGHT (basic)", ml.RangeQuery}}
 	for _, h := range cfg.Lookaheads {
-		h := h
-		schemes = append(schemes, scheme{
-			name: fmt.Sprintf("m-LIGHT (parallel-%d)", h),
-			run: func(q spatial.Rect) (int, int, int, error) {
-				res, err := set.mlight.RangeQueryParallel(q, h)
-				if err != nil {
-					return 0, 0, 0, err
-				}
-				return res.Lookups, res.Rounds, len(res.Records), nil
-			},
+		variants = append(variants, variant{
+			name:  fmt.Sprintf("m-LIGHT (parallel-%d)", h),
+			query: func(q spatial.Rect) (*index.Result, error) { return ml.RangeQueryParallel(q, h) },
 		})
 	}
-	schemes = append(schemes,
-		scheme{name: "PHT", run: func(q spatial.Rect) (int, int, int, error) {
-			res, err := set.pht.RangeQuery(q)
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			return res.Lookups, res.Rounds, len(res.Records), nil
-		}},
-		scheme{name: "DST", run: func(q spatial.Rect) (int, int, int, error) {
-			res, err := set.dst.RangeQuery(q)
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			return res.Lookups, res.Rounds, len(res.Records), nil
-		}},
-	)
+	for _, s := range loaded[1:] {
+		variants = append(variants, variant{s.name, s.RangeQuery})
+	}
 
-	bwSeries := make([]Series, len(schemes))
-	latSeries := make([]Series, len(schemes))
-	for i, s := range schemes {
+	bwSeries := make([]Series, len(variants))
+	latSeries := make([]Series, len(variants))
+	for i, s := range variants {
 		bwSeries[i].Name = s.name
 		latSeries[i].Name = s.name
 	}
@@ -97,15 +61,16 @@ func Fig7RangeQuery(cfg Config) (bandwidth, latency Table, err error) {
 		// every other scheme must match it — a cross-scheme correctness
 		// check built into the harness.
 		baseline := make([]int, len(queries))
-		for si, s := range schemes {
+		for si, s := range variants {
 			totalLookups, totalRounds := 0, 0
 			for qi, q := range queries {
-				lookups, rounds, n, err := s.run(q)
+				res, err := s.query(q)
 				if err != nil {
 					return Table{}, Table{}, fmt.Errorf("experiments: %s span %v query %d: %w", s.name, span, qi, err)
 				}
-				totalLookups += lookups
-				totalRounds += rounds
+				totalLookups += res.Lookups
+				totalRounds += res.Rounds
+				n := len(res.Records)
 				if si == 0 {
 					baseline[qi] = n
 				} else if n != baseline[qi] {

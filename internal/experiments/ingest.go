@@ -7,35 +7,43 @@ import (
 	"mlight/internal/core"
 	"mlight/internal/overlay"
 	"mlight/internal/simnet"
-	"mlight/internal/substrate"
 )
 
-// IngestConfig parameterises the ingestion-throughput experiment.
-type IngestConfig struct {
-	// Config supplies the shared knobs (data size, peers, θsplit, seed…).
+// ingestParams is the section's configuration: the shared knobs plus the
+// group-commit batch size — how many stream records each InsertBatch call
+// carries.
+type ingestParams struct {
 	Config
-	// HopDelay is the simulated one-way per-hop network delay each overlay
-	// RPC pays in real time. Default 1ms.
-	HopDelay time.Duration
-	// MaxInFlight bounds the batch paths' worker pools. Default 16.
-	MaxInFlight int
-	// Chunk is the group-commit batch size: how many stream records each
-	// InsertBatch call carries. Default 256.
-	Chunk int
+	chunk int
 }
 
-func (c IngestConfig) withDefaults() IngestConfig {
-	c.Config = c.Config.withDefaults()
-	if c.HopDelay == 0 {
-		c.HopDelay = time.Millisecond
+// ingestMaxInFlight bounds the batch paths' worker pools.
+const ingestMaxInFlight = 16
+
+// ingestAt is the section's preset at scale under what cfg already sets. Same
+// design point as the resilience section: a small ring keeps routed path
+// lengths short, and ingestion itself pays the modeled delays, so the data
+// scale is reduced.
+func ingestAt(cfg Config, scale Scale) (ingestParams, error) {
+	p := ingestParams{Config: Config{Peers: 24, DataSize: 1200}, chunk: 256}
+	if scale == Quick {
+		p.DataSize = 600
 	}
-	if c.MaxInFlight == 0 {
-		c.MaxInFlight = 16
-	}
-	if c.Chunk == 0 {
-		c.Chunk = 256
-	}
-	return c
+	var err error
+	p.Config, err = cfg.at(scale, p.Config)
+	return p, err
+}
+
+func ingestReport(res IngestResult) Report {
+	return Report{Summary: res, Lines: []string{
+		fmt.Sprintf("%d records over %d peers at %.1fms/hop → %d buckets, %d splits, %d records moved (identical for sequential and group-commit)",
+			res.Records, res.Peers, res.HopDelayMS, res.Buckets, res.Splits, res.RecordsMoved),
+		fmt.Sprintf("sequential   %8.1fms  (%d DHT ops)", res.SequentialWallMS, res.SequentialLookups),
+		fmt.Sprintf("group-commit %8.1fms  (%d DHT ops) → %.2fx speedup",
+			res.GroupCommitWallMS, res.GroupCommitLookups, res.GroupCommitSpeedup),
+		fmt.Sprintf("bulk-load    %8.1fms  (%d DHT ops) → %.2fx speedup",
+			res.BulkLoadWallMS, res.BulkLoadLookups, res.BulkLoadSpeedup),
+	}}
 }
 
 // IngestResult is the machine-readable outcome of one ingestion experiment
@@ -73,24 +81,6 @@ type IngestResult struct {
 	// Wall-clock speedups over sequential ingestion.
 	GroupCommitSpeedup float64 `json:"group_commit_speedup"`
 	BulkLoadSpeedup    float64 `json:"bulk_load_speedup"`
-}
-
-// ingestIndex builds an empty Chord-backed index over a latency-bearing
-// simnet. Unlike latencyIndex, real delays stay OFF: ingestion itself is the
-// measured phase here, so each mode enables delays around its own load.
-func ingestIndex(cfg IngestConfig) (*core.Index, *simnet.Network, error) {
-	net := simnet.New(simnet.Options{Latency: simnet.ConstantLatency(cfg.HopDelay)})
-	ring, err := substrate.Cluster("chord", net, cfg.Peers, overlay.Config{Seed: cfg.Seed})
-	if err != nil {
-		return nil, nil, fmt.Errorf("experiments: ingest: %w", err)
-	}
-	t := cfg.tuning(cfg.ThetaSplit)
-	t.MaxInFlight = cfg.MaxInFlight
-	ix, err := core.New(ring, t)
-	if err != nil {
-		return nil, nil, fmt.Errorf("experiments: ingest index: %w", err)
-	}
-	return ix, net, nil
 }
 
 // sameIngestTree compares two indexes' leaf frontiers: same bucket labels,
@@ -137,34 +127,34 @@ func sameIngestTree(a, b *core.Index) error {
 	return nil
 }
 
-// Ingest measures what batched writes buy at ingestion time: the same record
+// ingest measures what batched writes buy at ingestion time: the same record
 // stream is loaded three ways over identical 1 ms/hop Chord deployments —
 // record-at-a-time Insert (every lookup and apply pays its round trips back
 // to back), group-commit InsertBatch in stream-order chunks (lookups,
-// applies, and placements of a chunk overlap up to MaxInFlight), and offline
+// applies, and placements of a chunk overlap up to ingestMaxInFlight), and offline
 // BulkLoad (the tree is computed locally; only final buckets ship). Before
 // reporting, the experiment verifies sequential and group-commit ingestion
 // built identical trees with identical Splits/RecordsMoved.
-func Ingest(cfg IngestConfig) (IngestResult, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return IngestResult{}, err
-	}
+func ingest(cfg ingestParams) (IngestResult, error) {
 	res := IngestResult{
 		DataSize:    cfg.DataSize,
 		Peers:       cfg.Peers,
 		ThetaSplit:  cfg.ThetaSplit,
 		HopDelayMS:  float64(cfg.HopDelay) / float64(time.Millisecond),
-		MaxInFlight: cfg.MaxInFlight,
-		Chunk:       cfg.Chunk,
+		MaxInFlight: ingestMaxInFlight,
+		Chunk:       cfg.chunk,
 	}
 	records := cfg.records()
 	res.Records = len(records)
 
-	// Each mode ingests into its own fresh deployment, with real delays
-	// enabled only while its load runs.
+	// Each mode ingests into its own fresh, empty deployment over a
+	// latency-bearing simnet, with real delays enabled only while its load
+	// runs: ingestion itself is the measured phase.
+	t := cfg.tuning(cfg.ThetaSplit)
+	t.MaxInFlight = ingestMaxInFlight
 	load := func(run func(ix *core.Index) error) (*core.Index, time.Duration, error) {
-		ix, net, err := ingestIndex(cfg)
+		net := simnet.New(simnet.Options{Latency: simnet.ConstantLatency(cfg.HopDelay)})
+		_, ix, err := deploy(net, cfg.Peers, overlay.Config{Seed: cfg.Seed}, t, nil)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -188,11 +178,8 @@ func Ingest(cfg IngestConfig) (IngestResult, error) {
 		return res, err
 	}
 	batIx, batWall, err := load(func(ix *core.Index) error {
-		for at := 0; at < len(records); at += cfg.Chunk {
-			end := at + cfg.Chunk
-			if end > len(records) {
-				end = len(records)
-			}
+		for at := 0; at < len(records); at += cfg.chunk {
+			end := min(at+cfg.chunk, len(records))
 			for i, err := range ix.InsertBatch(records[at:end]) {
 				if err != nil {
 					return fmt.Errorf("experiments: ingest group-commit #%d: %w", at+i, err)
@@ -214,8 +201,14 @@ func Ingest(cfg IngestConfig) (IngestResult, error) {
 		return res, err
 	}
 
-	// Correctness gate: group commit must be indistinguishable from the
-	// sequential stream, in both the final tree and the maintenance stats.
+	// Correctness gate: every mode built a tree that holds the paper's
+	// invariants, and group commit is indistinguishable from the sequential
+	// stream, in both the final tree and the maintenance stats.
+	for _, ix := range []*core.Index{seqIx, batIx, bulkIx} {
+		if err := core.CheckInvariants(ix); err != nil {
+			return res, fmt.Errorf("experiments: ingest: %w", err)
+		}
+	}
 	if err := sameIngestTree(seqIx, batIx); err != nil {
 		return res, fmt.Errorf("experiments: ingest group-commit diverged from sequential: %w", err)
 	}

@@ -7,25 +7,28 @@ import (
 
 // TestIngestSpeedup runs the wall-clock ingestion experiment at a reduced
 // scale and pins the write path's headline claims: group-commit ingestion is
-// indistinguishable from sequential ingestion (checked inside Ingest — it
-// errors on any tree or stats divergence), batching saves DHT operations,
+// indistinguishable from sequential ingestion (checked inside ingest — it
+// errors on any tree or stats divergence, and on a tree of any mode that
+// breaks core.CheckInvariants), batching saves DHT operations,
 // and both batched modes beat record-at-a-time inserts on the wall clock.
 func TestIngestSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock experiment sleeps on real network delays")
 	}
-	res, err := Ingest(IngestConfig{
-		Config: Config{
-			DataSize:   400,
-			Peers:      24,
-			ThetaSplit: 50,
-			Epsilon:    35,
-			MaxDepth:   22,
-			Seed:       1,
-		},
-		HopDelay: time.Millisecond,
-		Chunk:    128,
-	})
+	cfg, err := ingestAt(Config{
+		DataSize:   400,
+		Peers:      24,
+		ThetaSplit: 50,
+		Epsilon:    35,
+		MaxDepth:   22,
+		Seed:       1,
+		HopDelay:   time.Millisecond,
+	}, Full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.chunk = 128
+	res, err := ingest(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

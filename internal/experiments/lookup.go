@@ -11,38 +11,33 @@ import (
 	"mlight/internal/simnet"
 )
 
-// LookupConfig parameterises the overlay-lookup acceleration experiment.
-type LookupConfig struct {
-	// Config supplies the shared knobs; the experiment reads Seed.
+// lookupParams is the section's configuration: the shared knobs (it reads
+// Seed and HopDelay), the Kademlia overlay's size, and how many overlay Gets
+// each (mode, loss) cell measures.
+type lookupParams struct {
 	Config
-	// HopDelay is the simulated one-way network delay each overlay RPC pays
-	// in real time during the measured phases. Default 1ms.
-	HopDelay time.Duration
-	// DropRate is the link-loss probability of the lossy measurement phase.
-	// Default 0.05.
-	DropRate float64
-	// Nodes is the Kademlia overlay's size. Default 24.
-	Nodes int
-	// Keys is how many overlay Gets each (mode, loss) cell measures.
-	// Default 80.
-	Keys int
+	nodes, keys int
 }
 
-func (c LookupConfig) withDefaults() LookupConfig {
-	c.Config = c.Config.withDefaults()
-	if c.HopDelay == 0 {
-		c.HopDelay = time.Millisecond
+// lookupDropRate is the link-loss probability of the lossy phase.
+const lookupDropRate = 0.05
+
+// lookupAt is the section's preset at scale under what cfg already sets.
+func lookupAt(cfg Config, scale Scale) (lookupParams, error) {
+	p := lookupParams{nodes: 24, keys: 80}
+	if scale == Quick {
+		p.nodes, p.keys = 16, 30
 	}
-	if c.DropRate == 0 {
-		c.DropRate = 0.05
-	}
-	if c.Nodes == 0 {
-		c.Nodes = 24
-	}
-	if c.Keys == 0 {
-		c.Keys = 80
-	}
-	return c
+	var err error
+	p.Config, err = cfg.at(scale, Config{})
+	return p, err
+}
+
+func lookupReport(res LookupResult) Report {
+	return Report{Summary: res, Lines: []string{fmt.Sprintf(
+		"per-Get p99: serial %.1fms lossless / %.1fms lossy, parallel %.1fms lossless / %.1fms lossy (max %d RPCs in flight)",
+		res.SerialLossless.P99MS, res.SerialLossy.P99MS,
+		res.ParallelLossless.P99MS, res.ParallelLossy.P99MS, res.ParallelMaxInFlight)}}
 }
 
 // LookupLatency is one measured per-Get wall-clock distribution.
@@ -63,7 +58,7 @@ type LookupResult struct {
 	Keys         int     `json:"keys"`
 
 	// Per-Get wall-clock distributions: serial vs α-parallel, lossless and
-	// under DropRate link loss (retries via dht.Resilient in both modes).
+	// under lookupDropRate link loss (retries via dht.Resilient in both modes).
 	SerialLossless   LookupLatency `json:"serial_lossless"`
 	ParallelLossless LookupLatency `json:"parallel_lossless"`
 	SerialLossy      LookupLatency `json:"serial_lossy"`
@@ -81,7 +76,7 @@ type LookupResult struct {
 // lookupOverlay builds a loss-free, delay-free Kademlia overlay, loads the
 // measurement keys, and wraps it in the resilient retry layer. Real delays
 // are enabled just before returning so only measured Gets pay them.
-func lookupOverlay(cfg LookupConfig, serial bool, keys []dht.Key) (*kademlia.Overlay, dht.DHT, *simnet.Network, error) {
+func lookupOverlay(cfg lookupParams, serial bool, keys []dht.Key) (*kademlia.Overlay, dht.DHT, *simnet.Network, error) {
 	net := simnet.New(simnet.Options{
 		Latency: simnet.ConstantLatency(cfg.HopDelay),
 		Seed:    cfg.Seed,
@@ -90,7 +85,7 @@ func lookupOverlay(cfg LookupConfig, serial bool, keys []dht.Key) (*kademlia.Ove
 		Config: overlay.Config{Seed: cfg.Seed, Replication: 3},
 		Serial: serial,
 	})
-	for i := 0; i < cfg.Nodes; i++ {
+	for i := 0; i < cfg.nodes; i++ {
 		if _, err := o.AddNode(simnet.NodeID(fmt.Sprintf("node-%d", i))); err != nil {
 			return nil, nil, nil, fmt.Errorf("experiments: lookup overlay: %w", err)
 		}
@@ -132,22 +127,18 @@ func measureGets(d dht.DHT, keys []dht.Key) (LookupLatency, error) {
 	}, nil
 }
 
-// Lookup measures the α-parallel iterative Kademlia lookup against the
+// lookup measures the α-parallel iterative Kademlia lookup against the
 // serial one-RPC-at-a-time round it replaced: per-Get wall clock, lossless
 // and under link loss.
-func Lookup(cfg LookupConfig) (LookupResult, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return LookupResult{}, err
-	}
+func lookup(cfg lookupParams) (LookupResult, error) {
 	res := LookupResult{
-		OverlayNodes: cfg.Nodes,
+		OverlayNodes: cfg.nodes,
 		HopDelayMS:   float64(cfg.HopDelay) / float64(time.Millisecond),
-		DropRate:     cfg.DropRate,
-		Keys:         cfg.Keys,
+		DropRate:     lookupDropRate,
+		Keys:         cfg.keys,
 	}
 
-	keys := make([]dht.Key, cfg.Keys)
+	keys := make([]dht.Key, cfg.keys)
 	for i := range keys {
 		keys[i] = dht.Key(fmt.Sprintf("lookup-key-%d", i))
 	}
@@ -169,7 +160,7 @@ func Lookup(cfg LookupConfig) (LookupResult, error) {
 		if *m.lossless, err = measureGets(d, keys); err != nil {
 			return res, err
 		}
-		net.SetDropRate(cfg.DropRate)
+		net.SetDropRate(lookupDropRate)
 		if *m.lossy, err = measureGets(d, keys); err != nil {
 			return res, err
 		}

@@ -13,12 +13,11 @@ func TestLookupAcceleration(t *testing.T) {
 		t.Skip("wall-clock experiment sleeps on real network delays")
 	}
 	run := func() LookupResult {
-		res, err := Lookup(LookupConfig{
-			Config:   Config{Seed: 1},
-			HopDelay: time.Millisecond,
-			Nodes:    16,
-			Keys:     30,
-		})
+		cfg, err := lookupAt(Config{Seed: 1, HopDelay: time.Millisecond}, Quick)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := lookup(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

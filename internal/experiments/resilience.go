@@ -7,60 +7,57 @@ import (
 	"mlight/internal/dht"
 	"mlight/internal/overlay"
 	"mlight/internal/simnet"
-	"mlight/internal/substrate"
 	"mlight/internal/workload"
 )
 
-// ResilienceConfig parameterises the fault-tolerance experiment
-// (ExtResilience): range-query availability and lookup overhead over a lossy
-// Chord ring, with and without the dht.Resilient retry layer.
-type ResilienceConfig struct {
-	// Config supplies the shared knobs. Peers defaults to 24 here (a small
-	// ring keeps routing paths short enough that per-query failure
-	// probability is dominated by the injected loss, not by path length);
-	// DataSize defaults to 4000.
+// resilienceParams is the section's configuration (ExtResilience): the
+// shared knobs, the message-loss sweep, and how many rectangles are attempted
+// per drop rate.
+type resilienceParams struct {
 	Config
-	// DropRates is the message-loss sweep. Default {0, 0.02, 0.05, 0.1};
-	// 0.05 is the acceptance point (≥ 99% success with retries).
-	DropRates []float64
-	// Lookahead is the parallel query's h. Default 2.
-	Lookahead int
-	// Span is the query rectangle's side length. Default 0.2.
-	Span float64
-	// Queries is how many rectangles are attempted per drop rate. Default 40.
-	Queries int
-	// MaxAttempts is the retry layer's per-operation attempt budget.
-	// Default 8: a routed Get crosses several lossy links, so its
-	// per-attempt failure probability is amplified well above the raw drop
-	// rate, and a whole range query fails if any one of its dozens of
-	// operations exhausts the budget.
-	MaxAttempts int
+	dropRates []float64
+	queries   int
 }
 
-func (c ResilienceConfig) withDefaults() ResilienceConfig {
-	if c.Peers == 0 {
-		c.Peers = 24
+// The query shape is fixed: the parallel query's h, the rectangle's side
+// length, and the retry layer's per-operation attempt budget — 8, because a
+// routed Get crosses several lossy links, so its per-attempt failure
+// probability is amplified well above the raw drop rate, and a whole range
+// query fails if any one of its dozens of operations exhausts the budget.
+const (
+	resilienceLookahead   = 2
+	resilienceSpan        = 0.2
+	resilienceMaxAttempts = 8
+)
+
+// resilienceAt is the section's preset at scale under what cfg already sets.
+// The design point is a small ring: short routing paths keep the injected
+// loss, not path length, the dominant failure cause. Loading goes through
+// routed Chord calls, so the data scale is reduced too. 0.05 is the
+// acceptance point of the sweep (≥ 99% success with retries).
+func resilienceAt(cfg Config, scale Scale) (resilienceParams, error) {
+	p := resilienceParams{
+		Config:    Config{Peers: 24, DataSize: 4000},
+		dropRates: []float64{0, 0.02, 0.05, 0.1},
+		queries:   40,
 	}
-	if c.DataSize == 0 && len(c.Records) == 0 {
-		c.DataSize = 4000
+	if scale == Quick {
+		p.DataSize = 2000
 	}
-	c.Config = c.Config.withDefaults()
-	if len(c.DropRates) == 0 {
-		c.DropRates = []float64{0, 0.02, 0.05, 0.1}
+	var err error
+	p.Config, err = cfg.at(scale, p.Config)
+	return p, err
+}
+
+func resilienceReport(res ResilienceResult) Report {
+	rep := Report{Tables: []Table{res.Table()}, Summary: res}
+	for _, pt := range res.Points {
+		rep.Lines = append(rep.Lines, fmt.Sprintf(
+			"drop %.2f: success %.1f%% with retry vs %.1f%% bare (%.2f attempts/op, %d recovered, %d exhausted)",
+			pt.DropRate, 100*pt.SuccessWithRetry, 100*pt.SuccessWithoutRetry,
+			pt.AttemptsPerOp, pt.Recovered, pt.Exhausted))
 	}
-	if c.Lookahead == 0 {
-		c.Lookahead = 2
-	}
-	if c.Span == 0 {
-		c.Span = 0.2
-	}
-	if c.Queries == 0 {
-		c.Queries = 40
-	}
-	if c.MaxAttempts == 0 {
-		c.MaxAttempts = 8
-	}
-	return c
+	return rep
 }
 
 // ResiliencePoint is one drop-rate sample of the sweep.
@@ -115,59 +112,43 @@ func (r ResilienceResult) Table() Table {
 	}
 }
 
-// resilienceIndex builds a Chord-backed index over a lossless simnet,
-// returning the network so the caller can inject loss after loading.
-func resilienceIndex(cfg ResilienceConfig, retry *dht.RetryPolicy) (*core.Index, *simnet.Network, error) {
+// resilienceIndex deploys an index over a lossless simnet, returning the
+// network so the caller can inject loss after loading.
+func resilienceIndex(cfg Config, retry *dht.RetryPolicy) (*core.Index, *simnet.Network, error) {
 	net := simnet.New(simnet.Options{Seed: cfg.Seed})
-	ring, err := substrate.Cluster("chord", net, cfg.Peers, overlay.Config{Seed: cfg.Seed})
-	if err != nil {
-		return nil, nil, fmt.Errorf("experiments: resilience: %w", err)
-	}
 	t := cfg.tuning(cfg.ThetaSplit)
 	t.Retry = retry
-	ix, err := core.New(ring, t)
-	if err != nil {
-		return nil, nil, fmt.Errorf("experiments: resilience index: %w", err)
-	}
-	for i, rec := range cfg.records() {
-		if err := ix.Insert(rec); err != nil {
-			return nil, nil, fmt.Errorf("experiments: resilience insert #%d: %w", i, err)
-		}
-	}
-	return ix, net, nil
+	_, ix, err := deploy(net, cfg.Peers, overlay.Config{Seed: cfg.Seed}, t, cfg.records())
+	return ix, net, err
 }
 
-// Resilience measures what the retry layer buys in availability: the same
+// resilience measures what the retry layer buys in availability: the same
 // range queries run over two identically built Chord-backed indexes — one
 // wrapped in dht.Resilient, one bare — while the simulated network drops a
 // sweep of message fractions. Both indexes are loaded losslessly first, so
 // the sweep measures pure read-path availability; the overhead series
 // reports the physical attempts the retry layer spent per logical operation.
-func Resilience(cfg ResilienceConfig) (ResilienceResult, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return ResilienceResult{}, err
-	}
+func resilience(cfg resilienceParams) (ResilienceResult, error) {
 	res := ResilienceResult{
 		DataSize:    cfg.DataSize,
 		Peers:       cfg.Peers,
 		ThetaSplit:  cfg.ThetaSplit,
-		Lookahead:   cfg.Lookahead,
-		Span:        cfg.Span,
-		Queries:     cfg.Queries,
-		MaxAttempts: cfg.MaxAttempts,
+		Lookahead:   resilienceLookahead,
+		Span:        resilienceSpan,
+		Queries:     cfg.queries,
+		MaxAttempts: resilienceMaxAttempts,
 	}
 
 	policy := &dht.RetryPolicy{
-		MaxAttempts: cfg.MaxAttempts,
+		MaxAttempts: resilienceMaxAttempts,
 		Seed:        cfg.Seed,
 		Sleep:       dht.NoSleep, // simnet fails synchronously; pay no real delays
 	}
-	withIx, withNet, err := resilienceIndex(cfg, policy)
+	withIx, withNet, err := resilienceIndex(cfg.Config, policy)
 	if err != nil {
 		return res, err
 	}
-	bareIx, bareNet, err := resilienceIndex(cfg, nil)
+	bareIx, bareNet, err := resilienceIndex(cfg.Config, nil)
 	if err != nil {
 		return res, err
 	}
@@ -176,7 +157,7 @@ func Resilience(cfg ResilienceConfig) (ResilienceResult, error) {
 	if err != nil {
 		return res, err
 	}
-	queries, err := gen.SpanBatch(cfg.Span, cfg.Queries)
+	queries, err := gen.SpanBatch(resilienceSpan, cfg.queries)
 	if err != nil {
 		return res, err
 	}
@@ -184,7 +165,7 @@ func Resilience(cfg ResilienceConfig) (ResilienceResult, error) {
 	run := func(ix *core.Index) int {
 		ok := 0
 		for _, q := range queries {
-			if _, err := ix.RangeQueryParallel(q, cfg.Lookahead); err == nil {
+			if _, err := ix.RangeQueryParallel(q, resilienceLookahead); err == nil {
 				ok++
 			}
 		}
@@ -192,7 +173,7 @@ func Resilience(cfg ResilienceConfig) (ResilienceResult, error) {
 	}
 
 	stats := withIx.ResilienceStats()
-	for _, rate := range cfg.DropRates {
+	for _, rate := range cfg.dropRates {
 		withNet.SetDropRate(rate)
 		bareNet.SetDropRate(rate)
 		before := stats.Snapshot()

@@ -7,11 +7,12 @@ import "testing"
 // succeed ≥ 99% of the time, while the bare index is materially worse; the
 // retry layer pays for that with measurable extra attempts.
 func TestResilienceAcceptance(t *testing.T) {
-	res, err := Resilience(ResilienceConfig{
-		Config:    Config{DataSize: 1500, Seed: 1},
-		DropRates: []float64{0, 0.05},
-		Queries:   30,
-	})
+	cfg, err := resilienceAt(Config{DataSize: 1500, Seed: 1}, Full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.dropRates, cfg.queries = []float64{0, 0.05}, 30
+	res, err := resilience(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,81 +11,59 @@ import (
 
 	"mlight/internal/chord"
 	"mlight/internal/core"
-	"mlight/internal/dataset"
 	"mlight/internal/dht"
-	"mlight/internal/index"
 	"mlight/internal/simnet"
 	"mlight/internal/spatial"
 	"mlight/internal/workload"
 )
 
-// ScaleConfig parameterises the scale-out experiment: how large a
-// deployment one process can simulate after the zero-alloc hot-path work.
-// The headline configuration is a 100,000-peer Chord overlay next to a
-// 10,000,000-record index — two orders of magnitude past the paper's §7
-// setup — with every phase wall-clocked and the hot paths' allocation
-// behaviour measured in place.
-type ScaleConfig struct {
-	// Peers is the Chord overlay size. Default 100,000.
-	Peers int
-	// DataSize is how many records the index ingests. Default 10,000,000.
-	DataSize int
-	// Dims is the data dimensionality. Default 2.
-	Dims int
-	// ThetaSplit is the leaf capacity. Default 100.
-	ThetaSplit int
-	// MaxDepth is the index depth bound. Default 28.
-	MaxDepth int
-	// Seed drives dataset generation, key choice, and query placement.
-	// Default 1.
-	Seed int64
-	// LookupProbes is how many overlay lookups the routing phase measures.
-	// Default 2,000.
-	LookupProbes int
-	// Queries is how many range queries the query phase runs. Default 20.
-	Queries int
-	// Span is the query rectangle's side length. Default 0.02 (a window
-	// sized for multi-million-record sets — each query still returns
-	// thousands of records).
-	Span float64
+// scaleParams is the section's configuration: how large a deployment one
+// process can simulate after the zero-alloc hot-path work. It reads Peers,
+// DataSize, Dims, ThetaSplit, MaxDepth and Seed of the shared knobs, plus
+// how many overlay lookups the
+// routing phase measures, how many range queries the query phase runs, and
+// their side length.
+type scaleParams struct {
+	Config
+	lookupProbes int
+	queries      int
+	span         float64
 }
 
-func (c ScaleConfig) withDefaults() ScaleConfig {
-	if c.Peers == 0 {
-		c.Peers = 100_000
+// scaleAt is the section's preset at scale under what cfg already sets. The
+// headline is a 100,000-peer Chord overlay next to a 10,000,000-record index
+// — two orders of magnitude past the paper's §7 setup — at the paper's θsplit
+// and D whatever the scale; the 0.02 window is sized for multi-million-record
+// sets (each query still returns thousands of records).
+func scaleAt(cfg Config, scale Scale) (scaleParams, error) {
+	p := scaleParams{
+		Config:       Config{Peers: 100_000, DataSize: 10_000_000, ThetaSplit: paperFull.ThetaSplit, MaxDepth: paperFull.MaxDepth},
+		lookupProbes: 2000,
+		queries:      20,
+		span:         0.02,
 	}
-	if c.DataSize == 0 {
-		c.DataSize = 10_000_000
+	if scale == Quick {
+		p.Peers, p.DataSize, p.lookupProbes = 10_000, 1_000_000, 500
 	}
-	if c.Dims == 0 {
-		c.Dims = 2
-	}
-	if c.ThetaSplit == 0 {
-		c.ThetaSplit = 100
-	}
-	if c.MaxDepth == 0 {
-		c.MaxDepth = 28
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.LookupProbes == 0 {
-		c.LookupProbes = 2000
-	}
-	if c.Queries == 0 {
-		c.Queries = 20
-	}
-	if c.Span == 0 {
-		c.Span = 0.02
-	}
-	return c
+	var err error
+	p.Config, err = cfg.at(scale, p.Config)
+	p.Records = nil // the phases are sized by Peers and DataSize: always the synthetic dataset
+	return p, err
 }
 
-func (c ScaleConfig) validate() error {
-	if c.Peers < 1 || c.DataSize < 1 || c.Dims < 1 || c.ThetaSplit < 2 {
-		return fmt.Errorf("experiments: scale config out of range: %+v", c)
-	}
-	return nil
+func scaleReport(res ScaleResult) Report {
+	return Report{Summary: res, Lines: []string{
+		fmt.Sprintf("overlay: %d peers bulk-built in %.0fms; %d routed lookups, mean %.2f hops, %.1fµs/op",
+			res.Peers, res.OverlayBuildWallMS, res.LookupProbes, res.MeanRouteHops, res.LookupWallUSPerOp),
+		fmt.Sprintf("ingest:  %d records generated in %.0fms, bulk-loaded in %.0fms (%.0f records/ms) → %d buckets",
+			res.Records, res.GenerateWallMS, res.IngestWallMS, res.IngestRecordsPerMS, res.Buckets),
+		fmt.Sprintf("queries: %d windows → %d records, %d DHT lookups, %.2fms/query",
+			res.Queries, res.QueryRecords, res.QueryLookups, res.QueryWallMSPerOp),
+		fmt.Sprintf("gates:   simnet.Call %.1f allocs/op, Bucket.Append %.1f allocs/op",
+			res.CallAllocsPerOp, res.AppendAllocsPerOp),
+		fmt.Sprintf("memory:  heap %.0f MiB, sys %.0f MiB, rss %.0f MiB",
+			res.HeapAllocMiB, res.SysMiB, res.RSSMiB),
+	}}
 }
 
 // ScaleResult is the machine-readable outcome of one scale run (written to
@@ -135,7 +113,7 @@ type ScaleResult struct {
 	TotalWallMS float64 `json:"total_wall_ms"`
 }
 
-// Scale runs the scale-out experiment: bulk-build a Peers-node Chord
+// scaleOut runs the scale-out experiment: bulk-build a Peers-node Chord
 // overlay on the simulated network and measure routed lookups through it,
 // then bulk-load DataSize records into an index over the sharded local
 // substrate and measure queries, finishing with the zero-alloc gates on
@@ -146,11 +124,7 @@ type ScaleResult struct {
 // phase measures record storage at seven-figure cardinality — coupling
 // them would make every index operation pay ~8 routed hops and turn the
 // run into a routing benchmark squared.
-func Scale(cfg ScaleConfig) (ScaleResult, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return ScaleResult{}, err
-	}
+func scaleOut(cfg scaleParams) (ScaleResult, error) {
 	res := ScaleResult{
 		Peers:      cfg.Peers,
 		Records:    cfg.DataSize,
@@ -174,10 +148,10 @@ func Scale(cfg ScaleConfig) (ScaleResult, error) {
 	res.OverlayBuildWallMS = float64(time.Since(buildStart)) / float64(time.Millisecond)
 
 	// Phase 2: routed lookups from rotating entry points.
-	res.LookupProbes = cfg.LookupProbes
+	res.LookupProbes = cfg.lookupProbes
 	hops := 0
 	lookupStart := time.Now()
-	for i := 0; i < cfg.LookupProbes; i++ {
+	for i := 0; i < cfg.lookupProbes; i++ {
 		key := dht.Key("probe-" + strconv.Itoa(i))
 		entry := addrs[(i*7919)%len(addrs)]
 		_, h, err := ring.LookupFrom(entry, key)
@@ -187,8 +161,8 @@ func Scale(cfg ScaleConfig) (ScaleResult, error) {
 		hops += h
 	}
 	lookupWall := time.Since(lookupStart)
-	res.MeanRouteHops = float64(hops) / float64(cfg.LookupProbes)
-	res.LookupWallUSPerOp = float64(lookupWall) / float64(time.Microsecond) / float64(cfg.LookupProbes)
+	res.MeanRouteHops = float64(hops) / float64(cfg.lookupProbes)
+	res.LookupWallUSPerOp = float64(lookupWall) / float64(time.Microsecond) / float64(cfg.lookupProbes)
 
 	// Zero-alloc gate on the delivered-RPC path, measured on the live
 	// network while it carries the full overlay: two probe nodes with an
@@ -205,19 +179,14 @@ func Scale(cfg ScaleConfig) (ScaleResult, error) {
 
 	// Phase 3: dataset + bulk ingest over the sharded substrate.
 	genStart := time.Now()
-	var records []spatial.Record
-	if cfg.Dims == 2 {
-		records = dataset.Generate(cfg.DataSize, cfg.Seed)
-	} else {
-		records = dataset.Uniform(cfg.DataSize, cfg.Dims, cfg.Seed)
-	}
+	records := cfg.records()
 	res.GenerateWallMS = float64(time.Since(genStart)) / float64(time.Millisecond)
 
 	store, err := dht.NewLocal(cfg.Peers)
 	if err != nil {
 		return res, err
 	}
-	ix, err := core.New(store, index.Tuning{Dims: cfg.Dims, MaxDepth: cfg.MaxDepth, Capacity: cfg.ThetaSplit})
+	ix, err := core.New(store, cfg.tuning(cfg.ThetaSplit))
 	if err != nil {
 		return res, err
 	}
@@ -256,11 +225,11 @@ func Scale(cfg ScaleConfig) (ScaleResult, error) {
 	if err != nil {
 		return res, err
 	}
-	queries, err := gen.SpanBatch(cfg.Span, cfg.Queries)
+	queries, err := gen.SpanBatch(cfg.span, cfg.queries)
 	if err != nil {
 		return res, err
 	}
-	res.Queries = cfg.Queries
+	res.Queries = cfg.queries
 	queryStart := time.Now()
 	for qi, q := range queries {
 		r, err := ix.RangeQuery(q)
@@ -270,7 +239,7 @@ func Scale(cfg ScaleConfig) (ScaleResult, error) {
 		res.QueryRecords += len(r.Records)
 		res.QueryLookups += r.Lookups
 	}
-	res.QueryWallMSPerOp = float64(time.Since(queryStart)) / float64(time.Millisecond) / float64(cfg.Queries)
+	res.QueryWallMSPerOp = float64(time.Since(queryStart)) / float64(time.Millisecond) / float64(cfg.queries)
 
 	// Footprint. The record slice is still live here, deliberately: the
 	// number reports what the whole run holds at once.

@@ -10,14 +10,12 @@ func TestScaleSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale smoke skipped in -short mode")
 	}
-	cfg := ScaleConfig{
-		Peers:        1000,
-		DataSize:     100_000,
-		LookupProbes: 200,
-		Queries:      5,
-		Span:         0.05,
+	cfg, err := scaleAt(Config{Peers: 1000, DataSize: 100_000}, Full)
+	if err != nil {
+		t.Fatal(err)
 	}
-	res, err := Scale(cfg)
+	cfg.lookupProbes, cfg.queries, cfg.span = 200, 5, 0.05
+	res, err := scaleOut(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

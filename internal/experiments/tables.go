@@ -32,14 +32,9 @@ type Table struct {
 	Series []Series
 }
 
-// Format renders the table as aligned text: one row per x value, one
-// column per series — the shape the paper's plots encode.
-func (t Table) Format() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s — %s\n", t.ID, t.Title)
-	fmt.Fprintf(&sb, "  (x = %s, y = %s)\n", t.XLabel, t.YLabel)
-
-	// Collect the union of x values in first-seen order.
+// xs returns the union of the series' x values in first-seen order: the
+// table's rows.
+func (t Table) xs() []float64 {
 	var xs []float64
 	seen := map[float64]bool{}
 	for _, s := range t.Series {
@@ -50,13 +45,23 @@ func (t Table) Format() string {
 			}
 		}
 	}
+	return xs
+}
+
+// Format renders the table as aligned text: one row per x value, one
+// column per series — the shape the paper's plots encode.
+func (t Table) Format() string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%s — %s\n", t.ID, t.Title)
+	fmt.Fprintf(&sb, "  (x = %s, y = %s)\n", t.XLabel, t.YLabel)
+
 	header := make([]string, 0, len(t.Series)+1)
 	header = append(header, t.XLabel)
 	for _, s := range t.Series {
 		header = append(header, s.Name)
 	}
 	rows := [][]string{header}
-	for _, x := range xs {
+	for _, x := range t.xs() {
 		row := []string{formatNum(x)}
 		for _, s := range t.Series {
 			cell := ""
@@ -97,17 +102,7 @@ func (t Table) CSV() string {
 		sb.WriteString(strings.ReplaceAll(s.Name, ",", ";"))
 	}
 	sb.WriteString("\n")
-	var xs []float64
-	seen := map[float64]bool{}
-	for _, s := range t.Series {
-		for _, p := range s.Points {
-			if !seen[p.X] {
-				seen[p.X] = true
-				xs = append(xs, p.X)
-			}
-		}
-	}
-	for _, x := range xs {
+	for _, x := range t.xs() {
 		sb.WriteString(strconv.FormatFloat(x, 'g', -1, 64))
 		for _, s := range t.Series {
 			sb.WriteString(",")
