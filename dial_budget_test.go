@@ -14,6 +14,7 @@ import (
 	"mlight"
 	"mlight/internal/daemon"
 	"mlight/internal/dht/dhttest"
+	"mlight/internal/spatial"
 	"mlight/internal/transport"
 )
 
@@ -103,7 +104,8 @@ func dialCounted(tb testing.TB, addrs []string, opts ...mlight.Option) (*mlight.
 // TestDialedRPCBudget: with the covering leaf in the client's cache an Insert
 // and a Delete are one RPC each — the op, under 512 bytes there and back — and
 // neither sends a frame of the read-modify-write protocol; with a cold cache
-// an insert is its lookup's probes plus that one.
+// an insert is its lookup's probes plus that one, and fewer probes when a
+// neighbouring leaf is cached.
 func TestDialedRPCBudget(t *testing.T) {
 	dhttest.VerifyNoLeaks(t)
 	addrs := startLoopback(t, 3)
@@ -117,6 +119,9 @@ func TestDialedRPCBudget(t *testing.T) {
 	w.take()
 
 	casFrames := func(byType map[string]int) int { return byType["dht.GetVerReq"] + byType["dht.CASReq"] }
+	bucketReads := func(byType map[string]int) int {
+		return byType["overlay.retrieveReq"] + byType["overlay.retrieveBatchReq"]
+	}
 	warm, insertMax, deleteMax := 0, 0, 0
 	for i, rec := range recs[:100] {
 		// The lookup leaves the covering leaf in the cache; a leaf with room
@@ -170,8 +175,55 @@ func TestDialedRPCBudget(t *testing.T) {
 	}
 	calls, _, byType := w2.take()
 	ops := cold.Stats().Sub(before).DHTLookups
-	reads := byType["overlay.retrieveReq"] + byType["overlay.retrieveBatchReq"]
-	if byType["overlay.opReq"] != 1 || casFrames(byType) != 0 || reads != calls-1 || int64(calls) != ops {
+	if byType["overlay.opReq"] != 1 || casFrames(byType) != 0 || bucketReads(byType) != calls-1 || int64(calls) != ops {
 		t.Fatalf("cold Insert: %d RPCs %v for %d DHT operations; want the lookup's probes and one overlay.opReq", calls, byType, ops)
 	}
+
+	// A cold leaf whose neighbour is cached: the cache misses, but the cached
+	// leaf under the target's sibling proves the target's parent internal, so
+	// the search starts below it and probes the neighbour's depth first.
+	var target mlight.Bucket
+	var key mlight.Point
+	for _, rec := range recs[1:] {
+		b, err := cold.Lookup(rec.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Load() <= 37 && b.Label.Len() > 3 {
+			target, key = b, rec.Key
+			break
+		}
+	}
+	if target.Label.Len() == 0 {
+		t.Fatal("no leaf below the root with room for two records")
+	}
+	w2.take()
+	if err := cold.Insert(mlight.Record{Key: key, Data: "unbounded"}); err != nil {
+		t.Fatal(err)
+	}
+	_, _, byType = w2.take()
+	unbounded := bucketReads(byType)
+
+	near, w3 := dialCounted(t, addrs, mlight.WithCache(64), mlight.WithCapacity(40))
+	sibling, err := spatial.RegionOf(target.Label.Sibling(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := near.Lookup(mlight.Point{(sibling.Lo[0] + sibling.Hi[0]) / 2, (sibling.Lo[1] + sibling.Hi[1]) / 2}); err != nil {
+		t.Fatal(err)
+	}
+	before = near.Stats()
+	w3.take()
+	if err := near.Insert(mlight.Record{Key: key, Data: "bounded"}); err != nil {
+		t.Fatal(err)
+	}
+	_, _, byType = w3.take()
+	if d := near.Stats().Sub(before); d.CacheMisses != 1 || d.CacheStale != 0 {
+		t.Fatalf("insert next to a cached neighbour: misses/stale = %d/%d, want 1/0", d.CacheMisses, d.CacheStale)
+	}
+	bounded := bucketReads(byType)
+	if bounded >= unbounded {
+		t.Fatalf("insert into cold leaf %v with its neighbour cached read %d buckets, the unbounded search %d; want fewer", target.Label, bounded, unbounded)
+	}
+	t.Logf("cold leaf %v: %d reads with its neighbour cached, %d without", target.Label, bounded, unbounded)
 }

@@ -133,7 +133,7 @@ func attach(d dht.DHT, t index.Tuning) (*Index, error) {
 	s := index.Stack(d, t)
 	ix := &Index{opts: t, raw: s.Raw, d: s.Counted, stats: s.Stats, resilience: s.Resilience}
 	if t.CacheSize > 0 {
-		ix.cache = newLeafCache(t.CacheSize)
+		ix.cache = newLeafCache(t.CacheSize, t.Dims)
 	}
 	return ix, nil
 }

@@ -689,6 +689,11 @@ func TestLookupProbesBounded(t *testing.T) {
 	if maxProbes > 7 {
 		t.Errorf("max lookup probes = %d, want ≤ 7", maxProbes)
 	}
+	// Without a cache the search is exactly the §5 bisection: the leaf
+	// cache's bound must not reach it.
+	if total != 1630 {
+		t.Errorf("uncached lookups took %d probes on this seed, the §5 search takes 1630", total)
+	}
 	t.Logf("lookup probes: mean=%.2f max=%d", float64(total)/500, maxProbes)
 }
 

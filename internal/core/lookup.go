@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -44,10 +45,41 @@ func (ix *Index) LookupTraced(key spatial.Point) (Bucket, LookupTrace, error) {
 	return b, lt, err
 }
 
-// lookup runs the §5 binary search. parent, when tracing is enabled,
-// nests the search's span under the caller's span.
-func (ix *Index) lookup(key spatial.Point, lt *LookupTrace, parent trace.SpanID) (b Bucket, err error) {
-	if tc := ix.opts.Trace; tc != nil {
+// lookup runs the §5 binary search for key, seeded by the leaf cache.
+// parent, when tracing is enabled, nests the search's span under the
+// caller's span.
+func (ix *Index) lookup(key spatial.Point, lt *LookupTrace, parent trace.SpanID) (Bucket, error) {
+	path, err := ix.pathLabel(key)
+	if err != nil {
+		return Bucket{}, err
+	}
+	return ix.lookupPath(key, path, ix.cacheView(path), lt, parent)
+}
+
+// pathLabel checks δ and returns its path label: the candidate set of §5 is
+// the label's prefixes of length ≥ m+1.
+func (ix *Index) pathLabel(key spatial.Point) (bitlabel.Label, error) {
+	if key.Dim() != ix.opts.Dims {
+		return bitlabel.Label{}, fmt.Errorf("%w: key has %d dims, index has %d", ErrDimension, key.Dim(), ix.opts.Dims)
+	}
+	if !key.Valid() {
+		return bitlabel.Label{}, fmt.Errorf("core: key %v outside the unit cube", key)
+	}
+	path, err := bitlabel.PathLabel(key, ix.opts.MaxDepth)
+	if err != nil {
+		return bitlabel.Label{}, fmt.Errorf("core: path label: %w", err)
+	}
+	return path, nil
+}
+
+// lookupPath is lookup for a caller that holds δ's path label and the
+// cache's view of it already. A search the cache bounded that ends in
+// ErrNotFound was bounded by a prefix another client has since merged into
+// a leaf (or ran into a split mid-flight, which Insert retries): it is
+// counted stale and searched once more without the bound.
+func (ix *Index) lookupPath(key spatial.Point, path bitlabel.Label, v view, lt *LookupTrace, parent trace.SpanID) (b Bucket, err error) {
+	tc := ix.opts.Trace
+	if tc != nil {
 		span := tc.Begin(parent, trace.KindLookup, "binsearch")
 		parent = span
 		defer func() {
@@ -58,47 +90,51 @@ func (ix *Index) lookup(key spatial.Point, lt *LookupTrace, parent trace.SpanID)
 			tc.End(span, trace.Int("probes", int64(lt.Probes)), trace.Str("leaf", b.Label.String()))
 		}()
 	}
-	return ix.lookupSearch(key, lt, parent)
+	if ix.cache != nil && !v.hit {
+		ix.stats.CacheMisses.Inc()
+		if tc != nil {
+			// Where the search starts: the length of the deepest path prefix
+			// the cache knows internal, 0 for none.
+			tc.Event(parent, trace.KindCache, "miss", trace.Int("bound", int64(v.bound)))
+		}
+	}
+	b, err = ix.search(key, path, v, lt, parent)
+	if v.bound > 0 && errors.Is(err, ErrNotFound) {
+		ix.stats.CacheStale.Inc()
+		ix.traceCache(parent, "stale")
+		b, err = ix.search(key, path, view{}, lt, parent)
+	}
+	return b, err
 }
 
-func (ix *Index) lookupSearch(key spatial.Point, lt *LookupTrace, parent trace.SpanID) (Bucket, error) {
+// search is the §5 binary search over the prefixes of path. The cache's view
+// seeds it: a hit makes the first probe verify the cached leaf; a bound
+// raises lo past the prefixes known internal and makes the first probe the
+// guess, clamped to [lo, hi]. Either way the probes after the first follow
+// the unchanged §5 rules.
+func (ix *Index) search(key spatial.Point, path bitlabel.Label, v view, lt *LookupTrace, parent trace.SpanID) (Bucket, error) {
 	m := ix.opts.Dims
-	if key.Dim() != m {
-		return Bucket{}, fmt.Errorf("%w: key has %d dims, index has %d", ErrDimension, key.Dim(), m)
-	}
-	if !key.Valid() {
-		return Bucket{}, fmt.Errorf("core: key %v outside the unit cube", key)
-	}
-	path, err := bitlabel.PathLabel(key, ix.opts.MaxDepth)
-	if err != nil {
-		return Bucket{}, fmt.Errorf("core: path label: %w", err)
-	}
 	lo, hi := m+1, path.Len()
-	// The leaf-label cache seeds the binary search: when a cached leaf
-	// covers δ (its label is a prefix of δ's path label), the first probe
-	// targets that leaf's length directly. On an unchanged index the probe
-	// verifies the leaf and the lookup completes with a single DHT get; a
-	// stale entry (the leaf split or merged since) is evicted, and the
-	// probe's outcome still tightens the bounds by the standard §5 rules —
-	// the cache can mis-seed the search but can never serve a stale bucket.
-	hint := 0
-	if ix.cache != nil {
-		if cached, ok := ix.cache.find(path, lo); ok {
-			hint = cached.Len()
-		} else {
-			ix.stats.CacheMisses.Inc()
-			ix.traceCache(parent, "miss")
-		}
+	first := 0
+	switch {
+	case v.hit:
+		first = v.leaf.Len()
+	case v.bound > 0:
+		lo, first = v.bound+1, v.guess
 	}
 	for iter := 0; iter <= ix.opts.MaxDepth+3 && lo <= hi; iter++ {
 		mid := (lo + hi) / 2
-		hinted := iter == 0 && hint >= lo && hint <= hi
-		if hinted {
-			mid = hint
+		if iter == 0 && first > 0 {
+			mid = min(max(first, lo), hi)
 		}
+		// The hit's verification probe. On an unchanged index it finds the
+		// leaf and the lookup completes with a single DHT get; a stale entry
+		// (the leaf split or merged since) is evicted, and the probe's outcome
+		// still tightens the bounds by the standard §5 rules.
+		hinted := iter == 0 && v.hit
 		cand := path.Prefix(mid)
 		probeKey := bitlabel.Name(cand, m)
-		v, found, err := ix.getBucketSpan(probeKey, lt, parent)
+		b, found, err := ix.getBucketSpan(probeKey, lt, parent)
 		if err != nil {
 			return Bucket{}, err
 		}
@@ -116,14 +152,14 @@ func (ix *Index) lookupSearch(key spatial.Point, lt *LookupTrace, parent trace.S
 			hi = probeKey.Len()
 			continue
 		}
-		if v.Label.IsPrefixOf(path) {
+		if b.Label.IsPrefixOf(path) {
 			// The bucket's cell covers δ: this is the target leaf.
 			if hinted {
 				ix.stats.CacheHits.Inc()
 				ix.traceCache(parent, "hit")
 			}
-			ix.cacheLeaf(v)
-			return v, nil
+			ix.cacheLeaf(b)
+			return b, nil
 		}
 		if hinted {
 			// The cached leaf's key now hosts a different, non-covering
@@ -132,7 +168,7 @@ func (ix *Index) lookupSearch(key spatial.Point, lt *LookupTrace, parent trace.S
 			ix.traceCache(parent, "stale")
 			ix.invalidateLeaf(cand)
 		}
-		cp := v.Label.CommonPrefixLen(path)
+		cp := b.Label.CommonPrefixLen(path)
 		if cp >= mid {
 			// cand is a prefix of the returned leaf, hence internal
 			// (Theorem 1: the leaf named fmd(cand) is a corner cell of

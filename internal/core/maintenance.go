@@ -18,20 +18,18 @@ import (
 // re-assigned with DHT puts — the incremental maintenance that halves
 // m-LIGHT's split cost relative to PHT.
 func (ix *Index) Insert(rec spatial.Record) error {
-	m := ix.opts.Dims
-	if rec.Key.Dim() != m {
-		return fmt.Errorf("%w: record has %d dims, index has %d", ErrDimension, rec.Key.Dim(), m)
-	}
-	if !rec.Key.Valid() {
-		return fmt.Errorf("core: record key %v outside the unit cube", rec.Key)
+	path, err := ix.pathLabel(rec.Key)
+	if err != nil {
+		return err
 	}
 	// With the covering leaf in the cache the record goes straight to that
 	// leaf's key: the transform checks the stored label itself (Commit.Gone),
 	// so the probe a lookup would spend verifying the entry checks nothing
 	// the Apply does not. A wrong guess costs that one Apply and falls back
-	// to the lookup.
-	if leaf, ok := ix.cachedLeaf(rec.Key); ok {
-		placed, err := ix.insertAt(leaf, rec)
+	// to the lookup. A miss hands the lookup the cache's bound.
+	v := ix.cacheView(path)
+	if v.hit {
+		placed, err := ix.insertAt(v.leaf, rec)
 		if err != nil {
 			return err
 		}
@@ -40,6 +38,7 @@ func (ix *Index) Insert(rec spatial.Record) error {
 			return nil
 		}
 		ix.stats.CacheStale.Inc()
+		v = ix.cacheView(path)
 	}
 	const maxAttempts = 12
 	var lastErr error
@@ -50,8 +49,9 @@ func (ix *Index) Insert(rec spatial.Record) error {
 			// injectable (Tuning.Sleep) so tests stay deterministic.
 			backoff := time.Duration(1<<uint(min(attempt, 6))) * 25 * time.Microsecond
 			ix.opts.Sleep(backoff)
+			v = ix.cacheView(path)
 		}
-		b, err := ix.Lookup(rec.Key)
+		b, err := ix.lookupPath(rec.Key, path, v, &LookupTrace{}, 0)
 		if errors.Is(err, ErrNotFound) {
 			// A concurrent split is mid-flight: the bucket moving to its
 			// new key is not yet visible. Retry from a fresh lookup.
@@ -153,15 +153,16 @@ func (ix *Index) placeCells(cells []kdtree.Cell) error {
 // afterwards (§4.1): the merged bucket keeps the key one child already
 // occupies, so only the other child's records cross the DHT.
 func (ix *Index) Delete(key spatial.Point, data string) (bool, error) {
-	m := ix.opts.Dims
-	if key.Dim() != m {
-		return false, fmt.Errorf("%w: key has %d dims, index has %d", ErrDimension, key.Dim(), m)
+	path, err := ix.pathLabel(key)
+	if err != nil {
+		return false, err
 	}
 	// As in Insert, a cached covering leaf is tried without the verifying
 	// lookup. Only "the label moved" sends the delete down the verified path:
 	// a leaf that is the stored one and does not hold the record settles it.
-	if leaf, ok := ix.cachedLeaf(key); ok {
-		out, err := ix.removeAt(leaf, key, data)
+	v := ix.cacheView(path)
+	if v.hit {
+		out, err := ix.removeAt(v.leaf, key, data)
 		if err != nil {
 			return false, err
 		}
@@ -170,9 +171,10 @@ func (ix *Index) Delete(key spatial.Point, data string) (bool, error) {
 			return ix.merged(out, nil)
 		}
 		ix.stats.CacheStale.Inc()
-		ix.invalidateLeaf(leaf)
+		ix.invalidateLeaf(v.leaf)
+		v = ix.cacheView(path)
 	}
-	b, err := ix.Lookup(key)
+	b, err := ix.lookupPath(key, path, v, &LookupTrace{}, 0)
 	if err != nil {
 		return false, err
 	}
