@@ -103,8 +103,9 @@ func dialCounted(tb testing.TB, addrs []string, opts ...mlight.Option) (*mlight.
 
 // TestDialedRPCBudget: with the covering leaf in the client's cache an Insert
 // and a Delete are one RPC each — the op, under 512 bytes there and back — and
-// neither sends a frame of the read-modify-write protocol; with a cold cache
-// an insert is its lookup's probes plus that one, and fewer probes when a
+// neither sends a frame of the read-modify-write protocol; without a cache an
+// insert is its lookup's probes plus that one; with a cache that misses, every
+// probe of the search is the op itself, and there are fewer of them when a
 // neighbouring leaf is cached.
 func TestDialedRPCBudget(t *testing.T) {
 	dhttest.VerifyNoLeaks(t)
@@ -181,7 +182,8 @@ func TestDialedRPCBudget(t *testing.T) {
 
 	// A cold leaf whose neighbour is cached: the cache misses, but the cached
 	// leaf under the target's sibling proves the target's parent internal, so
-	// the search starts below it and probes the neighbour's depth first.
+	// the search starts below it and probes the neighbour's depth first — each
+	// probe the op, which lands at the leaf or answers with the label stored.
 	var target mlight.Bucket
 	var key mlight.Point
 	for _, rec := range recs[1:] {
@@ -217,13 +219,16 @@ func TestDialedRPCBudget(t *testing.T) {
 	if err := near.Insert(mlight.Record{Key: key, Data: "bounded"}); err != nil {
 		t.Fatal(err)
 	}
-	_, _, byType = w3.take()
-	if d := near.Stats().Sub(before); d.CacheMisses != 1 || d.CacheStale != 0 {
+	bounded, _, byType := w3.take()
+	d := near.Stats().Sub(before)
+	if d.CacheMisses != 1 || d.CacheStale != 0 {
 		t.Fatalf("insert next to a cached neighbour: misses/stale = %d/%d, want 1/0", d.CacheMisses, d.CacheStale)
 	}
-	bounded := bucketReads(byType)
-	if bounded >= unbounded {
-		t.Fatalf("insert into cold leaf %v with its neighbour cached read %d buckets, the unbounded search %d; want fewer", target.Label, bounded, unbounded)
+	if byType["overlay.opReq"] != bounded || bucketReads(byType) != 0 || int64(bounded) != d.DHTLookups {
+		t.Fatalf("insert next to a cached neighbour: %d RPCs %v for %d DHT operations; want every probe one overlay.opReq", bounded, byType, d.DHTLookups)
 	}
-	t.Logf("cold leaf %v: %d reads with its neighbour cached, %d without", target.Label, bounded, unbounded)
+	if bounded >= unbounded {
+		t.Fatalf("insert into cold leaf %v with its neighbour cached took %d probes, the uncached lookup %d; want fewer", target.Label, bounded, unbounded)
+	}
+	t.Logf("cold leaf %v: %d probes with its neighbour cached, %d without a cache", target.Label, bounded, unbounded)
 }

@@ -24,9 +24,9 @@ import (
 //
 // The cache stores only labels, never bucket contents, so it can suggest a
 // wrong starting point after a split or merge but can never serve stale
-// records: every answer is a bucket just probed whose label covers δ. A
-// stale hit (missing bucket, or a different label at the key) evicts the
-// entry and falls back to the standard bounds; a stale bound (another
+// records: every answer is a probe just sent whose leaf covers δ. A stale hit
+// (no bucket at the key, or one that does not cover δ) evicts the entry and
+// falls back to the standard bounds; a stale bound (another
 // client merged the prefix into a leaf) puts the leaf below lo, so the
 // search ends in ErrNotFound unless a probe happens to name the leaf's key,
 // and the lookup answers ErrNotFound with one unbounded search. The client's
@@ -169,11 +169,12 @@ func (c *leafCache) len() int {
 	return c.lru.Len()
 }
 
-// cacheLeaf records a leaf bucket observed current (just read from the
-// DHT). No-op when the cache is disabled.
-func (ix *Index) cacheLeaf(b Bucket) {
-	if ix.cache != nil {
-		ix.cache.add(b.Label)
+// cacheLeaf records a leaf observed current (just read from, or written to,
+// the DHT). No-op when the cache is disabled, or for the empty label of a
+// write that landed without saying where.
+func (ix *Index) cacheLeaf(leaf bitlabel.Label) {
+	if ix.cache != nil && !leaf.IsEmpty() {
+		ix.cache.add(leaf)
 	}
 }
 
@@ -187,8 +188,7 @@ func (ix *Index) invalidateLeaf(label bitlabel.Label) {
 
 // cacheView returns what the cache knows about δ's path label; a disabled
 // cache knows nothing (the zero view: no hit, no bound). A hit may have
-// split or merged since it was cached: whoever uses it must check the stored
-// label.
+// split or merged since it was cached: the search's first probe checks it.
 func (ix *Index) cacheView(path bitlabel.Label) view {
 	if ix.cache == nil {
 		return view{}

@@ -214,7 +214,7 @@ func staleBound(t *testing.T) (a, b *Index, p spatial.Point) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := a.search(p, path, a.cacheView(path), &LookupTrace{}, 0); errors.Is(err, ErrNotFound) {
+		if _, err := a.search(p, path, a.cacheView(path), a.getProbe(path, new(Bucket)), &LookupTrace{}, 0); errors.Is(err, ErrNotFound) {
 			return a, b, p
 		}
 	}
@@ -249,7 +249,7 @@ func buildStaleBound(t *testing.T, rng *rand.Rand) (a, b *Index, p spatial.Point
 		}
 		a.invalidateLeaf(leaf.Label)
 	}
-	a.cacheLeaf(leaf)
+	a.cacheLeaf(leaf.Label)
 	parent := leaf.Label.Parent()
 	other, err := spatial.RegionOf(leaf.Label.Sibling(), 2)
 	if err != nil {
@@ -412,4 +412,78 @@ func TestMissTraceCarriesBound(t *testing.T) {
 		}
 	}
 	t.Fatal("the lookup recorded no miss event")
+}
+
+// TestTracedWriteShowsItsProbes: a cached client's traced insert records its
+// probes the way a traced lookup records its gets — one append span each under
+// the binsearch span, every one but the last ended with the label its owner
+// reported, the last with landed — and a delete's probes are remove spans.
+func TestTracedWriteShowsItsProbes(t *testing.T) {
+	tc := trace.NewCollector()
+	ix := newIndex(t, index.Tuning{Capacity: 8, MergeThreshold: 4, CacheSize: 64, Trace: tc})
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 200; i++ {
+		if err := ix.Insert(spatial.Record{Key: spatial.Point{rng.Float64(), rng.Float64()}, Data: fmt.Sprintf("r%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	probes := func(what string, write func() error, name string) int {
+		t.Helper()
+		tc.Reset()
+		if err := write(); err != nil {
+			t.Fatal(err)
+		}
+		var search trace.Span
+		for _, s := range tc.Spans() {
+			if s.Kind == trace.KindLookup && s.Name == "binsearch" {
+				search = s
+			}
+		}
+		// The search's probes; a delete's merge cascade reads siblings after
+		// it, outside its span.
+		var ops []trace.Span
+		for _, s := range tc.Spans() {
+			if s.Kind == trace.KindDHTOp && s.Parent == search.ID {
+				ops = append(ops, s)
+			}
+		}
+		if search.ID == 0 || len(ops) == 0 {
+			t.Fatalf("%s recorded no binsearch span or no DHT op", what)
+		}
+		if want := fmt.Sprint(len(ops)); search.Attrs[0].Key != "probes" || search.Attrs[0].Value() != want {
+			t.Fatalf("%s: binsearch attrs %v, want probes=%s", what, search.Attrs, want)
+		}
+		for i, s := range ops {
+			if s.Name != name {
+				t.Fatalf("%s: probe %d is a %q span, want %q", what, i+1, s.Name, name)
+			}
+			outcome := s.Attrs[len(s.Attrs)-1]
+			if last := i == len(ops)-1; last && (outcome.Key != "landed" || outcome.Value() != "1") || !last && outcome.Key != "stored" {
+				t.Fatalf("%s: probe %d of %d ends with %s=%s", what, i+1, len(ops), outcome.Key, outcome.Value())
+			}
+		}
+		return len(ops)
+	}
+	for i := 0; i < 50; i++ {
+		rec := spatial.Record{Key: spatial.Point{rng.Float64(), rng.Float64()}, Data: "traced"}
+		path, err := ix.pathLabel(rec.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := ix.cacheView(path); v.hit {
+			ix.invalidateLeaf(v.leaf)
+		}
+		if probes("an insert", func() error { return ix.Insert(rec) }, "append") < 2 {
+			continue
+		}
+		ix.invalidateLeaf(ix.cacheView(path).leaf)
+		probes("a delete", func() error {
+			if ok, err := ix.Delete(rec.Key, rec.Data); err != nil || !ok {
+				return fmt.Errorf("Delete = %v, %v", ok, err)
+			}
+			return nil
+		}, "remove")
+		return
+	}
+	t.Fatal("no insert took more than one probe: the case tested nothing")
 }

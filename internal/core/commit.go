@@ -11,11 +11,13 @@ import (
 // This file is the maintenance transform, the write-side twin of plan.go:
 // every decision of §4 — append to the covering leaf, and if it splits keep
 // exactly the piece that is named to the old key (Theorem 5) — as pure
-// functions of one stored bucket, a leaf label and the records. It issues no
-// DHT operation and touches no counter, cache or lock, so the owner of a key
-// can evaluate it as well as a client can, and running it twice on the same
-// input decides the same thing twice. Insert (maintenance.go) and InsertBatch
-// (writer.go) are its two drivers.
+// functions of one stored bucket and the records. Stored buckets are leaves
+// and leaves partition the space, so a stored bucket whose cell covers a
+// record is that record's leaf, whichever label the sender believed it had.
+// It issues no DHT operation and touches no counter, cache or lock, so the
+// owner of a key can evaluate it as well as a client can, and running it
+// twice on the same input decides the same thing twice. Insert
+// (maintenance.go) and InsertBatch (writer.go) are its two drivers.
 
 // SplitRule is everything a peer needs to know to decide a split: the index's
 // dimensionality and depth bound, the strategy, and the strategy's threshold.
@@ -39,21 +41,25 @@ func (ix *Index) splitRule() SplitRule {
 type Commit struct {
 	// Keep is the bucket to store under the leaf's key: the stored bucket
 	// with the accepted records appended, or after a split the one piece
-	// named to that key. Meaningless when Gone or Err is set — the stored
-	// value is then to be left as it is. Load is its load: a Commit that an
-	// owner reported across a socket (ops.go) carries Keep's label and this
-	// count, not its records — no driver reads them.
+	// named to that key. Meaningless when Err is set, and when Gone is set
+	// only its label is: the stored value is then to be left as it is. Load
+	// is its load: a Commit that an owner reported across a socket (ops.go)
+	// carries Keep's label and this count, not its records — no driver reads
+	// them.
 	Keep Bucket
 	Load int
 	// Moved are the other pieces of the final frontier, each to be placed
 	// under its own key.
 	Moved []kdtree.Cell
 	// Accepted counts the records the replay inserted; Stale lists, by
-	// position in the records given, those the leaf's cell does not cover.
+	// position in the records given, those the stored leaf's cell does not
+	// cover.
 	Accepted int
 	Stale    []int
-	// Gone reports that the stored bucket is not this leaf (absent, split or
-	// merged since the lookup): nothing was accepted.
+	// Gone reports that the stored bucket covers none of the records, or
+	// that the key holds none: nothing was accepted, and Keep.Label is the
+	// stored leaf's label — empty when the key holds nothing — which is all
+	// a §5 probe of the key would have learnt.
 	Gone bool
 	// Splits and RecordsMoved are the maintenance the replay performed, as a
 	// stream of single inserts would have been charged for it: one split per
@@ -64,21 +70,20 @@ type Commit struct {
 	Err error
 }
 
-// Append replays records, in order, into the leaf whose bucket is stored. Each
-// record joins the frontier cell that covers it (the frontier starts as the
-// leaf alone and always tiles the leaf's region) and may split that cell: the
-// piece named to the cell's key takes its place, the rest join the frontier.
-// Until the first record that crosses the split bound the bucket is only
-// extended in its columnar form — amortized O(1) per record, no record
-// materialized; a plain arena append is safe because readers of the previous
-// Bucket value hold their own shorter arenas (see columnar.go).
-func (r SplitRule) Append(stored Bucket, leaf bitlabel.Label, records []spatial.Record) (c Commit) {
-	if stored.Label != leaf {
-		return Commit{Gone: true}
-	}
+// Append replays records, in order, into the stored leaf bucket, if its cell
+// covers any of them. Each record joins the frontier cell that covers it (the
+// frontier starts as the leaf alone and always tiles the leaf's region) and
+// may split that cell: the piece named to the cell's key takes its place, the
+// rest join the frontier. Until the first record that crosses the split bound
+// the bucket is only extended in its columnar form — amortized O(1) per
+// record, no record materialized; a plain arena append is safe because
+// readers of the previous Bucket value hold their own shorter arenas (see
+// columnar.go).
+func (r SplitRule) Append(stored Bucket, records []spatial.Record) (c Commit) {
+	leaf := stored.Label
 	region, err := spatial.RegionOf(leaf, r.Dims)
-	if err != nil {
-		return Commit{Err: err}
+	if err != nil || !coversAny(region, records) {
+		return Commit{Keep: Bucket{Label: leaf}, Gone: true}
 	}
 	keep := stored // slot 0 in columnar form, while it has not split
 	if r.extends(region, leaf, stored.Load(), records) {
@@ -137,6 +142,16 @@ func (r SplitRule) Append(stored Bucket, leaf bitlabel.Label, records []spatial.
 	return c
 }
 
+// leaf returns the stored leaf a commit that was not Gone landed in. A
+// split's pieces tile it, so it is their longest common prefix.
+func (c Commit) leaf() bitlabel.Label {
+	leaf := c.Keep.Label
+	for _, p := range c.Moved {
+		leaf = leaf.CommonPrefix(p.Label)
+	}
+	return leaf
+}
+
 // extends reports whether records only extend the leaf's bucket: the leaf's
 // cell covers every one of them and the bucket, load records now, stays under
 // the split bound with all of them in. The bound is a ceiling on the load, so
@@ -152,6 +167,24 @@ func (r SplitRule) extends(region spatial.Region, leaf bitlabel.Label, load int,
 	return r.underSplitBound(load+len(records), leaf)
 }
 
+// covers reports whether the cell of leaf covers key. A label that is no
+// leaf of key's dimensionality — the empty label of a key that holds nothing
+// among them — covers nothing.
+func covers(leaf bitlabel.Label, key spatial.Point) bool {
+	region, err := spatial.RegionOf(leaf, key.Dim())
+	return err == nil && region.Contains(key)
+}
+
+// coversAny reports whether region covers at least one of the records.
+func coversAny(region spatial.Region, records []spatial.Record) bool {
+	for _, rec := range records {
+		if region.Contains(rec.Key) {
+			return true
+		}
+	}
+	return false
+}
+
 // Removal is what one Remove decided.
 type Removal struct {
 	// Keep is the bucket without the record, and Load its load; set only when
@@ -161,17 +194,21 @@ type Removal struct {
 	Keep    Bucket
 	Load    int
 	Removed bool
-	// Gone reports that the stored bucket is not this leaf, as Commit.Gone
-	// does: the record was not looked for, which is not "it is not there".
+	// Gone reports that the stored bucket does not cover the key, or that
+	// the key holds none, as Commit.Gone does — Keep.Label is then the
+	// stored leaf's label, empty for none. The record was not looked for,
+	// which is not "it is not there".
 	Gone bool
 }
 
 // Remove takes one record matching key (and data, when non-empty) out of the
-// leaf whose bucket is stored. The survivors are packed into fresh arenas —
-// an in-place shift would mutate storage concurrent readers share.
-func Remove(stored Bucket, leaf bitlabel.Label, key spatial.Point, data string) Removal {
-	if stored.Label != leaf {
-		return Removal{Gone: true}
+// stored leaf bucket, if its cell covers key. The survivors are packed into
+// fresh arenas — an in-place shift would mutate storage concurrent readers
+// share.
+func Remove(stored Bucket, key spatial.Point, data string) Removal {
+	leaf := stored.Label
+	if !covers(leaf, key) {
+		return Removal{Keep: Bucket{Label: leaf}, Gone: true}
 	}
 	for i, n := 0, stored.Load(); i < n; i++ {
 		if samePoint(stored.KeyAt(i), key) && (data == "" || stored.DataAt(i) == data) {

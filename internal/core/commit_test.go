@@ -60,10 +60,10 @@ func TestCommitOneAtATimeEqualsAllAtOnce(t *testing.T) {
 							leaf = l
 						}
 					}
-					land(one, leaf, rule.Append(one[leaf], leaf, []spatial.Record{rec}), 1, &oneTally)
+					land(one, leaf, rule.Append(one[leaf], []spatial.Record{rec}), 1, &oneTally)
 				}
 				all, allTally := map[bitlabel.Label]Bucket{}, tally{}
-				land(all, root, rule.Append(Bucket{Label: root}, root, records), len(records), &allTally)
+				land(all, root, rule.Append(Bucket{Label: root}, records), len(records), &allTally)
 
 				if oneTally != allTally {
 					t.Errorf("splits/moved: one at a time %+v, all at once %+v", oneTally, allTally)

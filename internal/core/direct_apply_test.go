@@ -11,6 +11,7 @@ import (
 	"mlight/internal/dht"
 	"mlight/internal/dht/dhttest"
 	"mlight/internal/index"
+	"mlight/internal/metrics"
 	"mlight/internal/spatial"
 )
 
@@ -85,9 +86,10 @@ func roomyLeaf(t *testing.T, ix *Index) (Bucket, spatial.Point) {
 }
 
 // TestCachedLeafGoesStraightToApply: with the covering leaf cached, an insert
-// and a delete are the Apply alone — the transform checks the stored label, so
-// nothing verifies the entry first — and a delete that leaves θmerge records
-// behind does not probe the sibling it could not merge with anyway.
+// and a delete are the Apply alone — the owner checks that the stored leaf
+// covers the record, so nothing verifies the entry first — and a delete that
+// leaves θmerge records behind does not probe the sibling it could not merge
+// with anyway.
 func TestCachedLeafGoesStraightToApply(t *testing.T) {
 	log := &opLog{inner: dht.MustNewLocal(4)}
 	ix := cachedIndex(t, log, 200)
@@ -117,8 +119,8 @@ func TestCachedLeafGoesStraightToApply(t *testing.T) {
 		t.Errorf("deleted record still found: %v (%v)", found, err)
 	}
 
-	// A delete of something the leaf does not hold is settled by the leaf that
-	// is the stored one: no second pass through a lookup.
+	// A delete of something the leaf does not hold is settled by the stored
+	// leaf that covers the key: no second pass through a lookup.
 	if ops := log.since(func() {
 		if ok, err := ix.Delete(p, "never inserted"); err != nil || ok {
 			t.Fatalf("Delete of an absent record = %v, %v", ok, err)
@@ -175,66 +177,146 @@ func TestUncachedDeleteAtThetaMergeSkipsSiblingProbe(t *testing.T) {
 	}
 }
 
-// TestCachedLeafSplitByAnotherClient: a second client splits the leaf between
-// this client's cache fill and its apply. The stored label no longer matches,
-// so the guess is counted stale and dropped, and the insert and the delete
-// land where a fresh lookup says — both records end up exactly once.
+// TestCachedLeafSplitByAnotherClient is the write-as-probe contract with two
+// clients. Client a caches leaf λ; client b's inserts split it, so fmd(λ) now
+// holds the part of λ that stayed. An insert or delete a sends under λ's stale
+// label into that part lands in the one op, as a hit. One into a piece that
+// moved is declined with the stayed part's label, which the search takes as
+// its first §5 probe: it goes on exactly as a lookup whose first Get read that
+// bucket, every probe is an op, and no Get re-reads the key. Every DHT
+// operation is a probe (DHTLookups counts them), and the tree holds its
+// invariants after every step.
 func TestCachedLeafSplitByAnotherClient(t *testing.T) {
 	shared := dht.MustNewLocal(4)
-	ix := cachedIndex(t, shared, 200)
-	leaf, p := roomyLeaf(t, ix)
-	other, err := New(shared, index.Tuning{Capacity: 8, MergeThreshold: 4, Sleep: dht.NoSleep})
+	log := &opLog{inner: shared}
+	a := cachedIndex(t, log, 200)
+	leaf, _ := roomyLeaf(t, a)
+	b, err := New(shared, index.Tuning{Capacity: 8, MergeThreshold: 4, Sleep: dht.NoSleep})
 	if err != nil {
 		t.Fatal(err)
+	}
+	invariants := func(step string) {
+		t.Helper()
+		if err := CheckInvariants(b); err != nil {
+			t.Fatalf("after %s: %v", step, err)
+		}
 	}
 	region, err := spatial.RegionOf(leaf.Label, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(17))
-	for i := 0; ; i++ {
+	for i := 0; b.Stats().Splits == 0; i++ {
 		q := spatial.Point{
 			region.Lo[0] + rng.Float64()*(region.Hi[0]-region.Lo[0]),
 			region.Lo[1] + rng.Float64()*(region.Hi[1]-region.Lo[1]),
 		}
-		if err := other.Insert(spatial.Record{Key: q, Data: fmt.Sprintf("other%d", i)}); err != nil {
+		if err := b.Insert(spatial.Record{Key: q, Data: fmt.Sprintf("b%d", i)}); err != nil {
 			t.Fatal(err)
 		}
-		if other.Stats().Splits > 0 {
-			break
+		invariants(fmt.Sprintf("b's insert %d", i))
+	}
+	stayed := storedAt(t, shared, leaf.Key(2)).(Bucket).Label
+	if stayed == leaf.Label || !leaf.Label.IsPrefixOf(stayed) {
+		t.Fatalf("after b's split fmd(%v) holds %v, want a part of it", leaf.Label, stayed)
+	}
+	middle := func(l bitlabel.Label) spatial.Point {
+		r, err := spatial.RegionOf(l, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return spatial.Point{(r.Lo[0] + r.Hi[0]) / 2, (r.Lo[1] + r.Hi[1]) / 2}
+	}
+	// The sibling of the part that stayed lies inside λ and moved.
+	home, away := spatial.Record{Key: middle(stayed), Data: "stayed"}, spatial.Record{Key: middle(stayed.Sibling()), Data: "moved"}
+
+	// write runs op with λ alone cached for the key (as a's cache held it
+	// before b's split) and returns the operations it sent and the counters
+	// it moved.
+	write := func(step string, key spatial.Point, op func() error) ([]string, metrics.Snapshot) {
+		t.Helper()
+		path, err := a.pathLabel(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := a.cacheView(path); v.hit; v = a.cacheView(path) {
+			a.invalidateLeaf(v.leaf)
+		}
+		a.cacheLeaf(leaf.Label)
+		before := a.Stats()
+		ops := log.since(func() {
+			if err := op(); err != nil {
+				t.Fatalf("%s: %v", step, err)
+			}
+		})
+		invariants(step)
+		return ops, a.Stats().Sub(before)
+	}
+	// probesOnly holds an insert to what its search sent: ops, each counted.
+	probesOnly := func(step string, ops []string, d metrics.Snapshot) {
+		t.Helper()
+		if int64(len(ops)) != d.DHTLookups || slices.Contains(ops, "get") {
+			t.Errorf("%s sent %v, counted as %d DHT lookups; want every operation an op, each counted", step, ops, d.DHTLookups)
+		}
+	}
+	once := func(step string, key spatial.Point, want int) {
+		t.Helper()
+		if found, err := a.Exact(key); err != nil || len(found) != want {
+			t.Fatalf("after %s the record is found %d times (%v), want %d", step, len(found), err, want)
 		}
 	}
 
-	before := ix.Stats()
-	rec := spatial.Record{Key: p, Data: "after the split"}
-	if err := ix.Insert(rec); err != nil {
+	// Into the part that stayed: the hit's op lands.
+	ops, d := write("insert into the part that stayed", home.Key, func() error { return a.Insert(home) })
+	probesOnly("insert into the part that stayed", ops, d)
+	if len(ops) != 1 || d.CacheHits != 1 || d.CacheStale != 0 {
+		t.Errorf("insert into the part that stayed under λ's label: ops %v, hits/stale %d/%d; want one op, a hit", ops, d.CacheHits, d.CacheStale)
+	}
+	once("the insert into the part that stayed", home.Key, 1)
+
+	// Into a piece that moved: declined with the stayed part's label, then the
+	// §5 search a lookup seeded with λ makes — probe for probe.
+	reference, err := New(shared, index.Tuning{Capacity: 8, MergeThreshold: 4, CacheSize: 4, Sleep: dht.NoSleep})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if d := ix.Stats().Sub(before); d.CacheStale != 1 {
-		t.Errorf("CacheStale = %d after an insert guessed a split leaf, want 1", d.CacheStale)
+	reference.cacheLeaf(leaf.Label)
+	var lt LookupTrace
+	if _, err := reference.lookup(away.Key, &lt, 0); err != nil {
+		t.Fatal(err)
 	}
-	if found, err := ix.Exact(p); err != nil || len(found) != 1 {
-		t.Fatalf("inserted record found %d times (%v)", len(found), err)
+	if reference.Stats().CacheStale != 1 || lt.Probes < 2 {
+		t.Fatalf("the reference lookup under λ: %d probes, %d stale; want λ's stale probe and the search after it", lt.Probes, reference.Stats().CacheStale)
 	}
-	now, err := ix.Lookup(p)
-	if err != nil || now.Label == leaf.Label {
-		t.Fatalf("lookup after the split = %v, %v; the leaf was %v", now.Label, err, leaf.Label)
+	ops, d = write("insert into a piece that moved", away.Key, func() error { return a.Insert(away) })
+	probesOnly("insert into a piece that moved", ops, d)
+	if len(ops) != lt.Probes || d.CacheStale != 1 || d.CacheHits != 0 {
+		t.Errorf("insert into a moved piece under λ's label: ops %v, stale/hits %d/%d; want the reference lookup's %d probes as ops, one stale", ops, d.CacheStale, d.CacheHits, lt.Probes)
 	}
+	once("the insert into a piece that moved", away.Key, 1)
 
-	// Delete's turn: cache the old label again, as a client that had not
-	// inserted meanwhile would still hold it.
-	ix.cache.invalidate(now.Label)
-	ix.cache.add(leaf.Label)
-	before = ix.Stats()
-	if ok, err := ix.Delete(rec.Key, rec.Data); err != nil || !ok {
-		t.Fatalf("Delete through a stale guess = %v, %v; the record is there", ok, err)
+	// The deletes take the same two ways; one that empties its leaf goes on to
+	// the merge cascade, which reads the sibling.
+	ops, d = write("delete from the part that stayed", home.Key, func() error {
+		if ok, err := a.Delete(home.Key, home.Data); err != nil || !ok {
+			return fmt.Errorf("Delete = %v, %v", ok, err)
+		}
+		return nil
+	})
+	if ops[0] != "apply" || d.CacheHits != 1 || d.CacheStale != 0 {
+		t.Errorf("delete from the part that stayed under λ's label: ops %v, hits/stale %d/%d; want the hit's op first", ops, d.CacheHits, d.CacheStale)
 	}
-	if d := ix.Stats().Sub(before); d.CacheStale == 0 {
-		t.Error("a delete that guessed a split leaf counted no stale entry")
+	once("the delete from the part that stayed", home.Key, 0)
+	_, d = write("delete from a piece that moved", away.Key, func() error {
+		if ok, err := a.Delete(away.Key, away.Data); err != nil || !ok {
+			return fmt.Errorf("Delete = %v, %v", ok, err)
+		}
+		return nil
+	})
+	if d.CacheStale != 1 {
+		t.Errorf("delete from a moved piece under λ's label counted %d stale entries, want 1", d.CacheStale)
 	}
-	if found, err := ix.Exact(p); err != nil || len(found) != 0 {
-		t.Fatalf("deleted record found %d times (%v)", len(found), err)
-	}
+	once("the delete from a piece that moved", away.Key, 0)
 }
 
 // TestRerunCachedLeaf: the direct apply under a substrate that runs the
@@ -273,8 +355,8 @@ func TestRerunCachedLeaf(t *testing.T) {
 	})
 
 	// The other way round: the discarded run still saw the leaf, the stored
-	// run finds it split away. The verdict is Gone, and the fallback finds
-	// the record's real leaf.
+	// run finds it split. Its verdict alone decides: it lands in the part
+	// that stayed, or is Gone and the search goes on to the record's leaf.
 	holding := storedAt(t, rr, key)
 	region, err := spatial.RegionOf(leaf.Label, 2)
 	if err != nil {

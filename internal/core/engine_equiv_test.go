@@ -38,7 +38,7 @@ func runOldRangeQuery(ix *Index, q spatial.Rect, ctx queryCtx) (*QueryResult, er
 	if err != nil {
 		return nil, err
 	}
-	b, found, err := ix.getBucket(bitlabel.Name(lca, m), nil)
+	b, found, err := ix.getBucket(bitlabel.Name(lca, m))
 	res.Lookups++
 	if err != nil {
 		return nil, err
@@ -123,7 +123,7 @@ func oldSubquery(ix *Index, q spatial.Rect, beta bitlabel.Label, ctx queryCtx) (
 
 func oldResolvePiece(ix *Index, p Piece, ctx queryCtx) (records []spatial.Record, rounds, lookups int, err error) {
 	m := ix.opts.Dims
-	b, found, err := ix.getBucket(bitlabel.Name(p.Node, m), nil)
+	b, found, err := ix.getBucket(bitlabel.Name(p.Node, m))
 	lookups = 1
 	rounds = 1
 	if err != nil {
@@ -159,7 +159,7 @@ func oldCoveringLeaf(ix *Index, p Piece) (Bucket, int, int, error) {
 			continue
 		}
 		probed[name] = true
-		b, found, err := ix.getBucket(name, nil)
+		b, found, err := ix.getBucket(name)
 		lookups++
 		if err != nil {
 			return Bucket{}, 0, 0, err

@@ -73,11 +73,42 @@ func (ix *Index) pathLabel(key spatial.Point) (bitlabel.Label, error) {
 }
 
 // lookupPath is lookup for a caller that holds δ's path label and the
-// cache's view of it already. A search the cache bounded that ends in
+// cache's view of it already: the search whose probe is a bucket Get.
+func (ix *Index) lookupPath(key spatial.Point, path bitlabel.Label, v view, lt *LookupTrace, parent trace.SpanID) (Bucket, error) {
+	var b Bucket
+	if _, err := ix.searchPath(key, path, v, ix.getProbe(path, &b), lt, parent); err != nil {
+		return Bucket{}, err
+	}
+	return b, nil
+}
+
+// getProbe is the lookup's probe: a bucket Get of the key, the bucket that
+// covers δ left in *b.
+func (ix *Index) getProbe(path bitlabel.Label, b *Bucket) probe {
+	return func(_, key bitlabel.Label, parent trace.SpanID) (bitlabel.Label, bool, error) {
+		got, found, err := ix.getBucketSpan(key, parent)
+		if err != nil || !found || !got.Label.IsPrefixOf(path) {
+			return got.Label, false, err
+		}
+		*b = got
+		return got.Label, true, nil
+	}
+}
+
+// A probe is what the §5 search sends to key = fmd(cand), the key of the
+// candidate prefix cand: a bucket Get for a lookup, the write itself for a
+// cached client's insert or delete. It reports the label of the leaf stored
+// there — empty when the key holds nothing — and whether that leaf covers δ:
+// the probe that does is the search's answer and, for a write, has landed.
+// The §5 rules read nothing else of a probe.
+type probe func(cand, key bitlabel.Label, parent trace.SpanID) (stored bitlabel.Label, covers bool, err error)
+
+// searchPath runs the search for δ with the given probe and returns the
+// label the covering probe reported. A search the cache bounded that ends in
 // ErrNotFound was bounded by a prefix another client has since merged into
 // a leaf (or ran into a split mid-flight, which Insert retries): it is
 // counted stale and searched once more without the bound.
-func (ix *Index) lookupPath(key spatial.Point, path bitlabel.Label, v view, lt *LookupTrace, parent trace.SpanID) (b Bucket, err error) {
+func (ix *Index) searchPath(key spatial.Point, path bitlabel.Label, v view, at probe, lt *LookupTrace, parent trace.SpanID) (leaf bitlabel.Label, err error) {
 	tc := ix.opts.Trace
 	if tc != nil {
 		span := tc.Begin(parent, trace.KindLookup, "binsearch")
@@ -87,7 +118,7 @@ func (ix *Index) lookupPath(key spatial.Point, path bitlabel.Label, v view, lt *
 				tc.End(span, trace.Int("probes", int64(lt.Probes)), trace.Str("error", err.Error()))
 				return
 			}
-			tc.End(span, trace.Int("probes", int64(lt.Probes)), trace.Str("leaf", b.Label.String()))
+			tc.End(span, trace.Int("probes", int64(lt.Probes)), trace.Str("leaf", leaf.String()))
 		}()
 	}
 	if ix.cache != nil && !v.hit {
@@ -98,21 +129,21 @@ func (ix *Index) lookupPath(key spatial.Point, path bitlabel.Label, v view, lt *
 			tc.Event(parent, trace.KindCache, "miss", trace.Int("bound", int64(v.bound)))
 		}
 	}
-	b, err = ix.search(key, path, v, lt, parent)
+	leaf, err = ix.search(key, path, v, at, lt, parent)
 	if v.bound > 0 && errors.Is(err, ErrNotFound) {
 		ix.stats.CacheStale.Inc()
 		ix.traceCache(parent, "stale")
-		b, err = ix.search(key, path, view{}, lt, parent)
+		leaf, err = ix.search(key, path, view{}, at, lt, parent)
 	}
-	return b, err
+	return leaf, err
 }
 
 // search is the §5 binary search over the prefixes of path. The cache's view
-// seeds it: a hit makes the first probe verify the cached leaf; a bound
+// seeds it: a hit makes the first probe go to the cached leaf; a bound
 // raises lo past the prefixes known internal and makes the first probe the
 // guess, clamped to [lo, hi]. Either way the probes after the first follow
 // the unchanged §5 rules.
-func (ix *Index) search(key spatial.Point, path bitlabel.Label, v view, lt *LookupTrace, parent trace.SpanID) (Bucket, error) {
+func (ix *Index) search(key spatial.Point, path bitlabel.Label, v view, at probe, lt *LookupTrace, parent trace.SpanID) (bitlabel.Label, error) {
 	m := ix.opts.Dims
 	lo, hi := m+1, path.Len()
 	first := 0
@@ -127,52 +158,47 @@ func (ix *Index) search(key spatial.Point, path bitlabel.Label, v view, lt *Look
 		if iter == 0 && first > 0 {
 			mid = min(max(first, lo), hi)
 		}
-		// The hit's verification probe. On an unchanged index it finds the
-		// leaf and the lookup completes with a single DHT get; a stale entry
-		// (the leaf split or merged since) is evicted, and the probe's outcome
-		// still tightens the bounds by the standard §5 rules.
+		// The hit's probe. On an unchanged index it covers δ and the search
+		// completes with a single DHT operation; a stale entry (the leaf split
+		// or merged since) is evicted, and the probe's outcome still tightens
+		// the bounds by the standard §5 rules.
 		hinted := iter == 0 && v.hit
 		cand := path.Prefix(mid)
 		probeKey := bitlabel.Name(cand, m)
-		b, found, err := ix.getBucketSpan(probeKey, lt, parent)
+		lt.Probes++
+		label, covers, err := at(cand, probeKey, parent)
 		if err != nil {
-			return Bucket{}, err
+			return bitlabel.Label{}, err
 		}
-		if !found {
+		if covers {
 			if hinted {
-				ix.stats.CacheStale.Inc()
-				ix.traceCache(parent, "stale")
-				ix.invalidateLeaf(cand)
+				ix.stats.CacheHits.Inc()
+				ix.traceCache(parent, "hit")
 			}
+			ix.cacheLeaf(label)
+			return label, nil
+		}
+		if hinted {
+			// The cached leaf's key holds no bucket, or one that does not
+			// cover δ: the leaf was restructured. Evict, keep searching.
+			ix.stats.CacheStale.Inc()
+			ix.traceCache(parent, "stale")
+			ix.invalidateLeaf(cand)
+		}
+		if label.IsEmpty() {
 			// probeKey is not internal: the target is at or above it.
 			if probeKey.Len() < lo {
-				return Bucket{}, fmt.Errorf("%w: probe %v contradicts bounds [%d,%d] for %v",
+				return bitlabel.Label{}, fmt.Errorf("%w: probe %v contradicts bounds [%d,%d] for %v",
 					ErrNotFound, probeKey, lo, hi, key)
 			}
 			hi = probeKey.Len()
 			continue
 		}
-		if b.Label.IsPrefixOf(path) {
-			// The bucket's cell covers δ: this is the target leaf.
-			if hinted {
-				ix.stats.CacheHits.Inc()
-				ix.traceCache(parent, "hit")
-			}
-			ix.cacheLeaf(b)
-			return b, nil
-		}
-		if hinted {
-			// The cached leaf's key now hosts a different, non-covering
-			// bucket: the leaf was restructured. Evict, keep searching.
-			ix.stats.CacheStale.Inc()
-			ix.traceCache(parent, "stale")
-			ix.invalidateLeaf(cand)
-		}
-		cp := b.Label.CommonPrefixLen(path)
+		cp := label.CommonPrefixLen(path)
 		if cp >= mid {
-			// cand is a prefix of the returned leaf, hence internal
-			// (Theorem 1: the leaf named fmd(cand) is a corner cell of
-			// cand); in fact every path prefix through cp is internal.
+			// cand is a prefix of the stored leaf, hence internal (Theorem 1:
+			// the leaf named fmd(cand) is a corner cell of cand); in fact every
+			// path prefix through cp is internal.
 			lo = cp + 1
 		} else {
 			// cand is not internal (otherwise the named leaf would lie
@@ -183,21 +209,18 @@ func (ix *Index) search(key spatial.Point, path bitlabel.Label, v view, lt *Look
 			}
 		}
 	}
-	return Bucket{}, fmt.Errorf("%w: search exhausted for %v", ErrNotFound, key)
+	return bitlabel.Label{}, fmt.Errorf("%w: search exhausted for %v", ErrNotFound, key)
 }
 
 // getBucket probes one DHT key, decoding the stored bucket.
-func (ix *Index) getBucket(label bitlabel.Label, lt *LookupTrace) (Bucket, bool, error) {
-	return ix.getBucketSpan(label, lt, 0)
+func (ix *Index) getBucket(label bitlabel.Label) (Bucket, bool, error) {
+	return ix.getBucketSpan(label, 0)
 }
 
 // getBucketSpan is getBucket recording one KindDHTOp span under parent when
 // tracing is enabled; the span is handed down to the substrate so the retry
 // layer can nest its attempt spans inside it.
-func (ix *Index) getBucketSpan(label bitlabel.Label, lt *LookupTrace, parent trace.SpanID) (Bucket, bool, error) {
-	if lt != nil {
-		lt.Probes++
-	}
+func (ix *Index) getBucketSpan(label bitlabel.Label, parent trace.SpanID) (Bucket, bool, error) {
 	var (
 		v     any
 		found bool

@@ -9,10 +9,11 @@ import (
 	"mlight/internal/dht"
 	"mlight/internal/kdtree"
 	"mlight/internal/spatial"
+	"mlight/internal/trace"
 )
 
-// Insert adds a record to the index (paper §4): a lookup locates the leaf
-// bucket, the record is applied at the owning peer, and if the bucket's
+// Insert adds a record to the index (paper §4): the §5 search locates the
+// leaf bucket, the record is applied at the owning peer, and if the bucket's
 // load now warrants it the peer splits locally. Per Theorem 5 exactly one
 // piece of a split keeps the old DHT key, so only the other pieces are
 // re-assigned with DHT puts — the incremental maintenance that halves
@@ -21,24 +22,6 @@ func (ix *Index) Insert(rec spatial.Record) error {
 	path, err := ix.pathLabel(rec.Key)
 	if err != nil {
 		return err
-	}
-	// With the covering leaf in the cache the record goes straight to that
-	// leaf's key: the transform checks the stored label itself (Commit.Gone),
-	// so the probe a lookup would spend verifying the entry checks nothing
-	// the Apply does not. A wrong guess costs that one Apply and falls back
-	// to the lookup. A miss hands the lookup the cache's bound.
-	v := ix.cacheView(path)
-	if v.hit {
-		placed, err := ix.insertAt(v.leaf, rec)
-		if err != nil {
-			return err
-		}
-		if placed {
-			ix.stats.CacheHits.Inc()
-			return nil
-		}
-		ix.stats.CacheStale.Inc()
-		v = ix.cacheView(path)
 	}
 	const maxAttempts = 12
 	var lastErr error
@@ -49,20 +32,21 @@ func (ix *Index) Insert(rec spatial.Record) error {
 			// injectable (Tuning.Sleep) so tests stay deterministic.
 			backoff := time.Duration(1<<uint(min(attempt, 6))) * 25 * time.Microsecond
 			ix.opts.Sleep(backoff)
-			v = ix.cacheView(path)
 		}
-		b, err := ix.lookupPath(rec.Key, path, v, &LookupTrace{}, 0)
+		var c Commit
+		landed, err := ix.write(rec.Key, path, ix.appendProbe(rec, &c))
 		if errors.Is(err, ErrNotFound) {
 			// A concurrent split is mid-flight: the bucket moving to its
-			// new key is not yet visible. Retry from a fresh lookup.
+			// new key is not yet visible. Retry from a fresh search.
 			lastErr = err
 			continue
 		}
 		if err != nil {
 			return err
 		}
-		if placed, err := ix.insertAt(b.Label, rec); placed || err != nil {
-			return err
+		if landed {
+			ix.settle(&c)
+			return ix.placeCells(c.Moved)
 		}
 	}
 	if lastErr != nil {
@@ -71,26 +55,88 @@ func (ix *Index) Insert(rec spatial.Record) error {
 	return fmt.Errorf("core: insert %v: too many conflicting bucket changes", rec.Key)
 }
 
-// insertAt applies rec at the key of leaf and finishes the insert there:
-// counters, cache, and the placement of what a split moved. placed is false,
-// with the cache entry dropped, when the stored bucket is not that leaf (it
-// split or merged since the caller learned the label): retry from a fresh
-// lookup.
-func (ix *Index) insertAt(leaf bitlabel.Label, rec spatial.Record) (placed bool, err error) {
-	res, err := dht.Do(ix.d, labelKey(bitlabel.Name(leaf, ix.opts.Dims)), ix.appendOp(leaf, []spatial.Record{rec}))
+// write runs a write at δ's leaf, the write given as a §5 probe, and reports
+// whether it landed. Without a cache it is the paper's lookup-then-apply —
+// the search probes with bucket reads and the write goes to the leaf found,
+// which Fig. 5 charges as the lookup plus one operation — and it does not
+// land when the leaf split or merged in between. A cached client's search
+// probes with the write itself: the probe that reaches the leaf covering δ is
+// the write, a cache hit is the first probe, and an owner that does not hold
+// δ's leaf answers with the label it holds, which is all the §5 rules read of
+// a probe. The search ends in the write or in an error.
+func (ix *Index) write(key spatial.Point, path bitlabel.Label, at probe) (landed bool, err error) {
+	v := ix.cacheView(path)
+	if ix.cache != nil {
+		_, err := ix.searchPath(key, path, v, at, &LookupTrace{}, 0)
+		return err == nil, err
+	}
+	// Cache off is the paper's configuration and the reference driver for
+	// Fig. 5's accounting; the write-as-probe search has not been measured
+	// without a cache.
+	b, err := ix.lookupPath(key, path, v, &LookupTrace{}, 0)
 	if err != nil {
-		return false, fmt.Errorf("core: insert apply at %v: %w", leaf, err)
+		return false, err
 	}
-	c, _ := res.(Commit)
-	if c.Err != nil {
-		return false, fmt.Errorf("core: insert split at %v: %w", leaf, c.Err)
+	_, landed, err = at(b.Label, bitlabel.Name(b.Label, ix.opts.Dims), 0)
+	return landed, err
+}
+
+// appendProbe is Insert's write as a probe: the transform with the one
+// record (appendOp), sent to the key of cand. When it lands, *c is the commit and
+// the label reported is the leaf it landed in.
+func (ix *Index) appendProbe(rec spatial.Record, c *Commit) probe {
+	return ix.traceWrite("append", func(cand, key bitlabel.Label) (bitlabel.Label, bool, error) {
+		res, err := dht.Do(ix.d, labelKey(key), ix.appendOp(cand, []spatial.Record{rec}))
+		if err != nil {
+			return bitlabel.Label{}, false, fmt.Errorf("core: insert apply at %v: %w", cand, err)
+		}
+		*c, _ = res.(Commit)
+		switch {
+		case c.Err != nil:
+			return bitlabel.Label{}, false, fmt.Errorf("core: insert split at %v: %w", cand, c.Err)
+		case c.Gone:
+			return c.Keep.Label, false, nil
+		}
+		return c.leaf(), true, nil
+	})
+}
+
+// removeProbe is Delete's write as a probe: Remove at the key of cand, as
+// data (ops.go). When it lands, *out is the removal; the label reported is the
+// leaf's when a record was removed and empty when none matched.
+func (ix *Index) removeProbe(point spatial.Point, data string, out *Removal) probe {
+	return ix.traceWrite("remove", func(cand, key bitlabel.Label) (bitlabel.Label, bool, error) {
+		op := RemoveOp{Leaf: cand, Key: point, Data: data, MergeThreshold: ix.opts.MergeThreshold}
+		res, err := dht.Do(ix.d, labelKey(key), op)
+		if err != nil {
+			return bitlabel.Label{}, false, fmt.Errorf("core: delete apply at %v: %w", cand, err)
+		}
+		*out, _ = res.(Removal)
+		return out.Keep.Label, !out.Gone, nil
+	})
+}
+
+// traceWrite makes send a probe that, when tracing is enabled, records one
+// KindDHTOp span named name under the search's span, ended with the
+// outcome: landed, or the label the owner reported instead.
+func (ix *Index) traceWrite(name string, send func(cand, key bitlabel.Label) (bitlabel.Label, bool, error)) probe {
+	tc := ix.opts.Trace
+	if tc == nil {
+		return func(cand, key bitlabel.Label, _ trace.SpanID) (bitlabel.Label, bool, error) { return send(cand, key) }
 	}
-	if c.Gone || len(c.Stale) > 0 {
-		ix.invalidateLeaf(leaf)
-		return false, nil
+	return func(cand, key bitlabel.Label, parent trace.SpanID) (bitlabel.Label, bool, error) {
+		span := tc.Begin(parent, trace.KindDHTOp, name, trace.Str("label", key.String()))
+		stored, landed, err := send(cand, key)
+		switch {
+		case err != nil:
+			tc.End(span, trace.Str("error", err.Error()))
+		case landed:
+			tc.End(span, trace.Int("landed", 1))
+		default:
+			tc.End(span, trace.Str("stored", stored.String()))
+		}
+		return stored, landed, err
 	}
-	ix.settle(leaf, &c)
-	return true, ix.placeCells(c.Moved)
 }
 
 // appendOp is the transform both insert drivers send to a leaf's owner:
@@ -106,16 +152,15 @@ func (ix *Index) appendOp(leaf bitlabel.Label, records []spatial.Record) AppendO
 // settle books a stored commit: the maintenance its replay performed plus one
 // moved record per accepted insert (the record crossing the DHT to its
 // bucket), and what this client now knows of the leaves — after a split the
-// old label no longer names one, and the relocated pieces are fresh leaves.
-func (ix *Index) settle(leaf bitlabel.Label, c *Commit) {
+// leaf it landed in no longer is one, and the relocated pieces are fresh
+// leaves.
+func (ix *Index) settle(c *Commit) {
 	ix.stats.Splits.Add(c.Splits)
 	ix.stats.RecordsMoved.Add(c.RecordsMoved + int64(c.Accepted))
 	if len(c.Moved) > 0 {
-		ix.invalidateLeaf(leaf)
-		if ix.cache != nil {
-			for _, p := range c.Moved {
-				ix.cache.add(p.Label)
-			}
+		ix.invalidateLeaf(c.leaf())
+		for _, p := range c.Moved {
+			ix.cacheLeaf(p.Label)
 		}
 	}
 }
@@ -151,54 +196,23 @@ func (ix *Index) placeCells(cells []kdtree.Cell) error {
 // Delete removes one record matching key (and Data when non-empty). It
 // reports whether a record was removed, merging underfull sibling leaves
 // afterwards (§4.1): the merged bucket keeps the key one child already
-// occupies, so only the other child's records cross the DHT.
+// occupies, so only the other child's records cross the DHT. The write finds
+// the leaf as Insert's does (write); a leaf that covers key and does not hold
+// the record settles the delete.
 func (ix *Index) Delete(key spatial.Point, data string) (bool, error) {
 	path, err := ix.pathLabel(key)
 	if err != nil {
 		return false, err
 	}
-	// As in Insert, a cached covering leaf is tried without the verifying
-	// lookup. Only "the label moved" sends the delete down the verified path:
-	// a leaf that is the stored one and does not hold the record settles it.
-	v := ix.cacheView(path)
-	if v.hit {
-		out, err := ix.removeAt(v.leaf, key, data)
-		if err != nil {
-			return false, err
-		}
-		if !out.Gone {
-			ix.stats.CacheHits.Inc()
-			return ix.merged(out, nil)
-		}
-		ix.stats.CacheStale.Inc()
-		ix.invalidateLeaf(v.leaf)
-		v = ix.cacheView(path)
-	}
-	b, err := ix.lookupPath(key, path, v, &LookupTrace{}, 0)
-	if err != nil {
+	var out Removal
+	if _, err := ix.write(key, path, ix.removeProbe(key, data, &out)); err != nil {
 		return false, err
 	}
-	return ix.merged(ix.removeAt(b.Label, key, data))
-}
-
-// removeAt runs Remove at the key of leaf, as data (ops.go).
-func (ix *Index) removeAt(leaf bitlabel.Label, key spatial.Point, data string) (Removal, error) {
-	op := RemoveOp{Leaf: leaf, Key: key, Data: data, MergeThreshold: ix.opts.MergeThreshold}
-	res, err := dht.Do(ix.d, labelKey(bitlabel.Name(leaf, ix.opts.Dims)), op)
-	if err != nil {
-		return Removal{}, fmt.Errorf("core: delete apply at %v: %w", leaf, err)
+	if !out.Removed {
+		return false, nil
 	}
-	out, _ := res.(Removal)
-	return out, nil
-}
-
-// merged finishes a delete: a removal is followed by the merge cascade,
-// unless the bucket holds θmerge records by itself — then nothing can merge,
-// and an owner that reported the removal across a socket kept the records.
-func (ix *Index) merged(out Removal, err error) (bool, error) {
-	if err != nil || !out.Removed {
-		return false, err
-	}
+	// A bucket that holds θmerge records by itself cannot merge, and an owner
+	// that reported the removal across a socket kept the records.
 	if out.Load >= ix.opts.MergeThreshold {
 		return true, nil
 	}
@@ -213,7 +227,7 @@ func (ix *Index) mergeUpwards(b Bucket) error {
 	m := ix.opts.Dims
 	for b.Label != bitlabel.Root(m) && b.Load() < ix.opts.MergeThreshold {
 		sibLabel := b.Label.Sibling()
-		sib, found, err := ix.getBucket(bitlabel.Name(sibLabel, m), nil)
+		sib, found, err := ix.getBucket(bitlabel.Name(sibLabel, m))
 		if err != nil {
 			return err
 		}
@@ -254,7 +268,7 @@ func (ix *Index) mergeUpwards(b Bucket) error {
 		// wrote.
 		ix.invalidateLeaf(b.Label)
 		ix.invalidateLeaf(sibLabel)
-		ix.cacheLeaf(merged)
+		ix.cacheLeaf(merged.Label)
 		b = merged
 	}
 	return nil

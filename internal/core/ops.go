@@ -34,9 +34,14 @@ import (
 //	removal  = flags (1 removed, 2 gone, 4 bucket follows), label, uvarint load,
 //	           bucket follows: bucket
 //
-// A reply says what was decided, not what is stored: the kept bucket travels
-// as its label and load, and whole only after a removal that left it under
-// θmerge — the one case in which the driver reads its records (mergeUpwards).
+// An op's label is the leaf its sender expects under the key, and the owner
+// decides nothing by it: it runs the op if the stored leaf's cell covers the
+// record(s). A reply says what was decided, not what is stored: the kept
+// bucket travels as its label and load, and whole only after a removal that
+// left it under θmerge — the one case in which the driver reads its records
+// (mergeUpwards). A gone reply's label is the stored leaf's, the empty label
+// (length 0) when the key holds nothing: all that a bucket read of the key
+// would have told a §5 search, which therefore goes on from it.
 
 // Op is the vocabulary: the transforms of this package that have a byte form.
 type Op interface {
@@ -54,7 +59,9 @@ type Op interface {
 }
 
 // AppendOp is SplitRule.Append as data: replay Records into the bucket stored
-// under the key if it is Leaf.
+// under the key if its cell covers them. Leaf is the label the sender
+// expects there — the key is fmd(Leaf) — and decides nothing: whatever leaf
+// is stored covers the records or does not.
 type AppendOp struct {
 	Rule    SplitRule
 	Leaf    bitlabel.Label
@@ -62,9 +69,10 @@ type AppendOp struct {
 }
 
 // RemoveOp is Remove as data: take one record matching Key (and Data, when
-// non-empty) out of the bucket stored under the key if it is Leaf.
-// MergeThreshold is the index's θmerge: a reply that crosses a socket carries
-// the kept bucket's records only when fewer are left.
+// non-empty) out of the bucket stored under the key if its cell covers Key;
+// Leaf is as in AppendOp. MergeThreshold is the index's θmerge: a reply that
+// crosses a socket carries the kept bucket's records only when fewer are
+// left.
 type RemoveOp struct {
 	Leaf           bitlabel.Label
 	Key            spatial.Point
@@ -82,7 +90,7 @@ var (
 // machinery failed — writes nothing.
 func (op AppendOp) Run(cur any, _ bool) (next any, write bool, result any, err error) {
 	stored, _ := cur.(Bucket)
-	c := op.Rule.Append(stored, op.Leaf, op.Records)
+	c := op.Rule.Append(stored, op.Records)
 	if c.Gone || c.Err != nil || c.Accepted == 0 {
 		return nil, false, c, nil
 	}
@@ -92,62 +100,72 @@ func (op AppendOp) Run(cur any, _ bool) (next any, write bool, result any, err e
 // Run stores the bucket without the record when one was removed.
 func (op RemoveOp) Run(cur any, _ bool) (next any, write bool, result any, err error) {
 	stored, _ := cur.(Bucket)
-	out := Remove(stored, op.Leaf, op.Key, op.Data)
+	out := Remove(stored, op.Key, op.Data)
 	if !out.Removed {
 		return nil, false, out, nil
 	}
 	return out.Keep, true, out, nil
 }
 
-// RunBytes implements Op. When the records only extend the bucket
-// (SplitRule.extends — the same test Append opens with, on the label and the
-// count the encoding starts with) the new encoding is the old one with the
-// count raised and the records' encodings behind it, and no arena is built to
-// find that out. Everything else — a bucket that is not the leaf, a record the
-// cell does not cover, a split, bytes whose framing does not check — takes the
-// decoded path.
+// RunBytes implements Op. Two outcomes are decided on the bytes, from the
+// label and the count the encoding starts with, and no arena is built to find
+// them out: a stored cell that covers none of the records — the answer to
+// most probes of a search (Index.write) — is Gone with the label, and records
+// that only extend the bucket (SplitRule.extends, the same test Append opens
+// with) make the old encoding with the count raised and the records'
+// encodings behind it. Everything else — a stale record, a split, bytes whose
+// framing does not check — takes the decoded path.
 func (op AppendOp) RunBytes(cur []byte, exists bool) ([]byte, bool, []byte, error) {
-	if next, load, ok := op.extendEncoded(cur); ok {
-		c := Commit{Keep: Bucket{Label: op.Leaf}, Load: load, Accepted: len(op.Records)}
-		return next, true, op.encodeResult(c), nil
+	if leaf, load, recs, ok := storedLeaf(cur, op.Rule.Dims); exists && ok {
+		region, err := spatial.RegionOf(leaf, op.Rule.Dims)
+		switch {
+		case err != nil || !coversAny(region, op.Records):
+			return nil, false, op.encodeResult(Commit{Keep: Bucket{Label: leaf}, Gone: true}), nil
+		case op.Rule.extends(region, leaf, load, op.Records):
+			next := op.extendEncoded(leaf, load, recs)
+			c := Commit{Keep: Bucket{Label: leaf}, Load: load + len(op.Records), Accepted: len(op.Records)}
+			return next, true, op.encodeResult(c), nil
+		}
 	}
 	return runDecoded(op, cur, exists)
 }
 
-// extendEncoded returns the encoding of the bucket encoded in cur with the
-// op's records appended, and its load, when that is all Append would do.
-func (op AppendOp) extendEncoded(cur []byte) (next []byte, load int, ok bool) {
-	r := reader{p: cur}
-	label, stored := r.label(), r.int()
-	if r.bad || label != op.Leaf || len(op.Records) == 0 {
-		return nil, 0, false
-	}
-	region, err := spatial.RegionOf(op.Leaf, op.Rule.Dims)
-	if err != nil || !op.Rule.extends(region, op.Leaf, stored, op.Records) {
-		return nil, 0, false
-	}
-	if !canonicalRecords(r.p, stored, op.Rule.Dims) {
-		return nil, 0, false
-	}
-	load = stored + len(op.Records)
-	size := 9 + uvarintLen(uint64(load)) + len(r.p)
+// extendEncoded returns the encoding of leaf's bucket, load records encoded
+// in recs, with the op's records appended.
+func (op AppendOp) extendEncoded(leaf bitlabel.Label, load int, recs []byte) []byte {
+	load += len(op.Records)
+	size := 9 + uvarintLen(uint64(load)) + len(recs)
 	for _, rec := range op.Records {
 		size += uvarintLen(uint64(len(rec.Key))) + 8*len(rec.Key) + uvarintLen(uint64(len(rec.Data))) + len(rec.Data)
 	}
-	next = appendLabel(make([]byte, 0, size), op.Leaf)
-	next = append(binary.AppendUvarint(next, uint64(load)), r.p...)
+	next := appendLabel(make([]byte, 0, size), leaf)
+	next = append(binary.AppendUvarint(next, uint64(load)), recs...)
 	for _, rec := range op.Records {
 		next = AppendRecord(next, rec)
 	}
-	return next, load, true
+	return next
+}
+
+// storedLeaf reads the bucket encoded in cur without decoding its records:
+// its label, its load, and its records' bytes. ok is false unless those are
+// load records of dims coordinates each, encoded the one way Marshal encodes
+// them (canonicalRecords), and the op then takes the decoded path — which
+// refuses what does not decode — so that what an op stores and reports never
+// depends on which path it took.
+func storedLeaf(cur []byte, dims int) (leaf bitlabel.Label, load int, recs []byte, ok bool) {
+	r := reader{p: cur}
+	leaf, load = r.label(), r.int()
+	if r.bad || !canonicalRecords(r.p, load, dims) {
+		return leaf, load, nil, false
+	}
+	return leaf, load, r.p, true
 }
 
 // canonicalRecords reports whether p is exactly count records of dims
 // coordinates each, encoded the one way Marshal encodes them. What is stored
-// came from some client's Put: bytes that do not check take the decoded path,
-// which refuses them, and bytes that decode but are not what re-encoding them
-// gives (a padded uvarint) take it too, so that what an append stores never
-// depends on which path it took.
+// came from some client's Put: bytes that do not check, and bytes that decode
+// but are not what re-encoding them gives (a padded uvarint), take the
+// decoded path.
 func canonicalRecords(p []byte, count, dims int) bool {
 	var dataLen uint64
 	for i := 0; i < count; i++ {
@@ -166,8 +184,13 @@ func canonicalRecords(p []byte, count, dims int) bool {
 	return len(p) == 0 && dataLen <= math.MaxUint32
 }
 
-// RunBytes implements Op.
+// RunBytes implements Op. A stored cell that does not cover the key is Gone
+// with the label, decided on the bytes as AppendOp.RunBytes decides it; a
+// removal rebuilds the bucket, so everything else takes the decoded path.
 func (op RemoveOp) RunBytes(cur []byte, exists bool) ([]byte, bool, []byte, error) {
+	if leaf, _, _, ok := storedLeaf(cur, len(op.Key)); exists && ok && !covers(leaf, op.Key) {
+		return nil, false, op.encodeResult(Removal{Keep: Bucket{Label: leaf}, Gone: true}), nil
+	}
 	return runDecoded(op, cur, exists)
 }
 

@@ -25,14 +25,20 @@ func FuzzRunBytes(f *testing.F) {
 	f.Add(one, NewBucket(root, recs[1:]).Marshal()) // reaches the bound exactly
 	f.Add(one, NewBucket(root, recs).Marshal())     // crosses it
 	f.Add(EncodeOp(AppendOp{Rule: rule, Leaf: root, Records: recs}), Bucket{Label: root}.Marshal())
-	f.Add(EncodeOp(AppendOp{Rule: rule, Leaf: bitlabel.MustParse("0010"), Records: recs[:1]}), Bucket{Label: bitlabel.MustParse("0010")}.Marshal()) // a stale record
-	f.Add(one, NewBucket(root, []spatial.Record{{Key: spatial.Point{0.1, 0.2, 0.3}}}).Marshal())                                                    // stored records of another dimensionality
-	f.Add(one, append(NewBucket(root, recs[:1]).Marshal(), 0))                                                                                      // trailing bytes
+	left, right := bitlabel.MustParse("0010"), bitlabel.MustParse("0011")                           // x < ½ and x ≥ ½
+	f.Add(EncodeOp(AppendOp{Rule: rule, Leaf: left, Records: recs}), Bucket{Label: left}.Marshal()) // two stale records
+	f.Add(one, NewBucket(root, []spatial.Record{{Key: spatial.Point{0.1, 0.2, 0.3}}}).Marshal())    // stored records of another dimensionality
+	f.Add(one, append(NewBucket(root, recs[:1]).Marshal(), 0))                                      // trailing bytes
 	f.Add(EncodeOp(RemoveOp{Leaf: root, Key: recs[0].Key, Data: "x", MergeThreshold: 2}), NewBucket(root, recs).Marshal())
 	// One stored record whose dimension count is a padded uvarint: it decodes,
 	// and re-encodes shorter.
 	padded := append(Bucket{Label: root}.Marshal()[:9], 1, 0x82, 0x00)
 	f.Add(one, append(append(padded, make([]byte, 16)...), 0))
+	// Sent under a label the key does not hold: the root's, to the leaf that
+	// covers the record (it lands on the bytes) and to one that does not (gone,
+	// with that leaf's label).
+	f.Add(one, Bucket{Label: left}.Marshal())
+	f.Add(one, Bucket{Label: right}.Marshal())
 	f.Fuzz(func(t *testing.T, body, stored []byte) {
 		op, err := DecodeOp(body)
 		if err != nil {

@@ -108,7 +108,7 @@ func (ix *Index) rangeQueryCtx(q spatial.Rect, ctx queryCtx) (*QueryResult, erro
 		return nil, err
 	}
 	res := &QueryResult{}
-	b, found, err := ix.getBucketSpan(bitlabel.Name(lca, m), nil, ctx.span)
+	b, found, err := ix.getBucketSpan(bitlabel.Name(lca, m), ctx.span)
 	res.Lookups++
 	res.Rounds++
 	if err != nil {
@@ -325,7 +325,7 @@ func (e *rangeEngine) resolveProbe(it frontierItem, r dht.BatchResult, next []fr
 		}
 		return append(next, cover), nil
 	}
-	e.ix.cacheLeaf(b)
+	e.ix.cacheLeaf(b.Label)
 	if b.Label == it.p.Node {
 		// The node itself is a leaf; it covers the piece entirely.
 		it.node.records = filterRecords(b, it.p.Q, e.ctx.shape)
@@ -350,7 +350,7 @@ func (e *rangeEngine) resolveCover(it frontierItem, results []dht.BatchResult, n
 			return next, err
 		}
 		if found && b.Label.IsPrefixOf(it.p.Node) {
-			e.ix.cacheLeaf(b)
+			e.ix.cacheLeaf(b.Label)
 			it.node.records = filterRecords(b, it.p.Q, e.ctx.shape)
 			return next, nil
 		}

@@ -138,7 +138,7 @@ func (ix *Index) InsertBatch(recs []spatial.Record) []error {
 		for _, k := range out.Stale {
 			fallback = append(fallback, g.recIdx[k])
 		}
-		ix.settle(g.label, &out)
+		ix.settle(&out)
 		placeOps = ix.placeOps(placeOps, out.Moved)
 		for range out.Moved {
 			placeGroups = append(placeGroups, g)

@@ -180,9 +180,11 @@ func (s *applySpy) Apply(key dht.Key, fn dht.ApplyFunc) error {
 }
 
 // TestDurableLocalUnchangedBucketJournalsNothing: the two maintenance
-// transforms that decline — an insert sent to a leaf that has since split,
-// a delete of a record that is not there — hand the stored bucket back, and
-// the journal writes nothing for them.
+// transforms that decline — an insert sent to a leaf that has since split
+// away from the record, a delete of a record that is not there — hand the
+// stored bucket back, and the journal writes nothing for them. The caching
+// client's search probes with the write itself, so every op of the insert but
+// the one that lands is declined.
 func TestDurableLocalUnchangedBucketJournalsNothing(t *testing.T) {
 	l, w, logPath := openBucketStore(t, -1)
 	opts := index.Tuning{Dims: 2, Capacity: 4, Sleep: dht.NoSleep}
@@ -209,15 +211,33 @@ func TestDurableLocalUnchangedBucketJournalsNothing(t *testing.T) {
 		t.Fatal("the fill did not split the root leaf")
 	}
 
-	spy.grew = nil
-	if err := cached.Insert(spatial.Record{Key: spatial.Point{0.2, 0.2}, Data: "stale"}); err != nil {
+	// The root's key now holds the part of the root that stayed; the record
+	// lies outside it.
+	stale := spatial.Record{Key: spatial.Point{0.2, 0.2}, Data: "stale"}
+	v, _, err := l.Get(core.Bucket{Label: bitlabel.Root(2)}.Key(2))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if cached.Stats().CacheStale != 1 || len(spy.grew) != 2 {
-		t.Fatalf("the insert made %d Apply calls with %d stale cache hits, want a declined one and its retry", len(spy.grew), cached.Stats().CacheStale)
+	if stayed, err := spatial.RegionOf(v.(core.Bucket).Label, 2); err != nil || stayed.Contains(stale.Key) {
+		t.Fatalf("the part of the root that stayed, %v, covers %v (%v): the insert would not be declined", v.(core.Bucket).Label, stale.Key, err)
 	}
-	if spy.grew[0] != 0 || spy.grew[1] <= 0 {
-		t.Fatalf("the declined Apply grew the log by %d bytes and its retry by %d, want 0 and a record", spy.grew[0], spy.grew[1])
+	spy.grew = nil
+	before := cached.Stats()
+	if err := cached.Insert(stale); err != nil {
+		t.Fatal(err)
+	}
+	d := cached.Stats().Sub(before)
+	n := len(spy.grew)
+	if d.CacheStale != 1 || n < 2 || int64(n) != d.DHTLookups {
+		t.Fatalf("the insert made %d Apply calls for %d search probes with %d stale cache hits, want the declined hit and the search's ops after it, every Apply one probe", n, d.DHTLookups, d.CacheStale)
+	}
+	for i, grew := range spy.grew[:n-1] {
+		if grew != 0 {
+			t.Fatalf("declined Apply %d of %d grew the log by %d bytes, want 0", i+1, n-1, grew)
+		}
+	}
+	if spy.grew[n-1] <= 0 {
+		t.Fatalf("the Apply that landed grew the log by %d bytes, want a record", spy.grew[n-1])
 	}
 
 	spy.grew = nil

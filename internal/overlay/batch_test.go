@@ -126,7 +126,7 @@ func TestRetrieveBatchRefusesOversizedRequest(t *testing.T) {
 		if _, err := n.retrieveBatch(huge); err == nil {
 			t.Fatal("answered")
 		}
-	}); allocs > 4 {
+	}); allocs > 4 && !raceEnabled() {
 		t.Errorf("refusing a 10⁶-key batch allocated %v times: the reply was sized first", allocs)
 	}
 	atCap := retrieveBatchReq{Keys: make([]dht.Key, maxBatchKeys), Direct: true}

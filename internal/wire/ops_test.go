@@ -208,9 +208,10 @@ func (p pair) put(key dht.Key, b core.Bucket) {
 // TestOpEquivalence: on every substrate row, executing an op and running
 // Apply(key, op.Run) leave identical stored bytes and report identical
 // outcomes, through everything a leaf can answer — an append that extends it,
-// one that splits it, a stale record, a leaf that is gone or was never there,
-// a removal that leaves the bucket above θmerge and one that leaves it below
-// (the bucket comes back), a record that is not there.
+// one that splits it, one sent under the label that split and landing in the
+// part that stayed, a stale record, a leaf that does not cover the record or
+// was never there, a removal that leaves the bucket above θmerge and one that
+// leaves it below (the bucket comes back), a record that is not there.
 func TestOpEquivalence(t *testing.T) {
 	dhttest.VerifyNoLeaks(t)
 	for _, row := range opRows() {
@@ -233,8 +234,17 @@ func TestOpEquivalence(t *testing.T) {
 			appendOp := func(leaf bitlabel.Label, recs ...spatial.Record) core.AppendOp {
 				return core.AppendOp{Rule: opRule, Leaf: leaf, Records: recs}
 			}
+			// After the split, appends carry a θsplit no leaf here reaches, so
+			// the leaf every later op meets is the part that stayed.
+			roomy := opRule
+			roomy.ThetaSplit = 1 << 20
+			grow := func(leaf bitlabel.Label, recs ...spatial.Record) core.AppendOp {
+				return core.AppendOp{Rule: roomy, Leaf: leaf, Records: recs}
+			}
 
-			p.do("append to an absent key", "mlight/absent", appendOp(root, rec(-1)))
+			if c := p.do("append to an absent key", "mlight/absent", appendOp(root, rec(-1))).(core.Commit); !c.Gone || !c.Keep.Label.IsEmpty() {
+				t.Fatalf("append to an absent key: %+v; want gone, with the empty label", c)
+			}
 			var all []spatial.Record
 			for i := 0; i < opRule.ThetaSplit; i++ {
 				all = append(all, rec(i))
@@ -247,9 +257,6 @@ func TestOpEquivalence(t *testing.T) {
 				t.Fatalf("ten records under θsplit 8 did not split: %+v", split)
 			}
 			leaf := split.Keep.Label
-			if c := p.do("append under the label that split", key, appendOp(root, rec(10))).(core.Commit); !c.Gone {
-				t.Fatalf("append to a split leaf under its old label: %+v", c)
-			}
 			region, err := spatial.RegionOf(leaf, 2)
 			if err != nil {
 				t.Fatal(err)
@@ -259,20 +266,29 @@ func TestOpEquivalence(t *testing.T) {
 			if region.Contains(outside.Key) {
 				t.Fatalf("%v and %v both lie in %v", inside.Key, outside.Key, leaf)
 			}
-			if c := p.do("a batch with a stale record", key, appendOp(leaf, outside, inside)).(core.Commit); len(c.Stale) != 1 || c.Stale[0] != 0 || c.Accepted != 1 {
-				t.Fatalf("batch of a stale and a covered record: %+v", c)
+			if c := p.do("append under the label that split", key, grow(root, inside)).(core.Commit); c.Gone || c.Accepted != 1 || c.Keep.Label != leaf {
+				t.Fatalf("append under a split leaf's old label, into the part that stayed: %+v; want it landed in %v", c, leaf)
 			}
-			if c := p.do("nothing but stale records", key, appendOp(leaf, outside)).(core.Commit); c.Accepted != 0 || len(c.Stale) != 1 {
-				t.Fatalf("a stale record alone: %+v", c)
+			if c := p.do("a record the stored leaf does not cover", key, grow(root, outside)).(core.Commit); !c.Gone || c.Accepted != 0 || c.Keep.Label != leaf {
+				t.Fatalf("append of a record outside the stored leaf: %+v; want gone, reporting %v", c, leaf)
+			}
+			if c := p.do("a batch with a stale record", key, grow(leaf, outside, inside)).(core.Commit); len(c.Stale) != 1 || c.Stale[0] != 0 || c.Accepted != 1 {
+				t.Fatalf("batch of a stale and a covered record: %+v", c)
 			}
 
 			remove := func(leaf bitlabel.Label, r spatial.Record) core.RemoveOp {
 				return core.RemoveOp{Leaf: leaf, Key: r.Key, Data: r.Data, MergeThreshold: opTheta}
 			}
-			if out := p.do("remove under the label that split", key, remove(root, inside)).(core.Removal); !out.Gone {
-				t.Fatalf("remove from a split leaf under its old label: %+v", out)
+			if out := p.do("remove under the label that split", key, remove(root, inside)).(core.Removal); !out.Removed || out.Keep.Label != leaf {
+				t.Fatalf("remove from a split leaf under its old label: %+v; want it removed from the part that stayed, %v", out, leaf)
 			}
-			if out := p.do("remove a record that is not there", key, remove(leaf, outside)).(core.Removal); out.Removed || out.Gone {
+			if out := p.do("remove where the stored leaf does not cover", key, remove(root, outside)).(core.Removal); !out.Gone || out.Removed || out.Keep.Label != leaf {
+				t.Fatalf("remove of a key outside the stored leaf: %+v; want gone, reporting %v", out, leaf)
+			}
+			if out := p.do("remove from an absent key", "mlight/absent", remove(root, inside)).(core.Removal); !out.Gone || !out.Keep.Label.IsEmpty() {
+				t.Fatalf("remove at an absent key: %+v; want gone, with the empty label", out)
+			}
+			if out := p.do("remove a record that is not there", key, remove(leaf, spatial.Record{Key: inside.Key, Data: "never stored"})).(core.Removal); out.Removed || out.Gone {
 				t.Fatalf("remove of an absent record: %+v", out)
 			}
 			// Fill the leaf to θmerge+1 and take it down to nothing: the first
@@ -285,7 +301,7 @@ func TestOpEquivalence(t *testing.T) {
 			held := v.(core.Bucket).Records()
 			for len(held) <= opTheta {
 				held = append(held, inside)
-				p.do("refill", key, appendOp(leaf, inside))
+				p.do("refill", key, grow(leaf, inside))
 			}
 			for i, r := range held {
 				out := p.do(fmt.Sprintf("remove %d of %d", i, len(held)), key, remove(leaf, r)).(core.Removal)
@@ -477,12 +493,18 @@ func TestOpRefusedAtTheOwner(t *testing.T) {
 }
 
 // goldenOps are the byte forms pinned in testdata/golden_ops.txt: the two ops,
-// and the replies in each of their shapes.
+// and the replies in each of their shapes. leaf's cell is [0.75, 1) × [0.25,
+// 0.5): it covers neither of recs, and does cover inLeaf.
 func goldenOps() map[string][]byte {
 	root, leaf := bitlabel.Root(2), bitlabel.MustParse("0011011")
 	recs := []spatial.Record{{Key: spatial.Point{0.25, 0.75}, Data: "x"}, {Key: spatial.Point{0.5, 0.5}, Data: ""}}
+	inLeaf := spatial.Record{Key: spatial.Point{0.875, 0.375}, Data: "x"}
 	appendOp := core.AppendOp{Rule: opRule, Leaf: root, Records: recs}
 	removeOp := core.RemoveOp{Leaf: leaf, Key: recs[0].Key, Data: "x", MergeThreshold: opTheta}
+	// The removals that land run at a key inside leaf; a reply does not
+	// carry the key, so their bytes are those of any key leaf covers.
+	removeIn := removeOp
+	removeIn.Key = inLeaf.Key
 	run := func(op core.Op, stored core.Bucket) []byte {
 		_, _, result, err := op.RunBytes(wire.MarshalBucket(stored), true)
 		if err != nil {
@@ -494,18 +516,18 @@ func goldenOps() map[string][]byte {
 	for i := 0; i < opRule.ThetaSplit; i++ {
 		full = full.Append(spatial.Record{Key: spatial.Point{float64(i) / 8, float64(i%3) / 3}, Data: fmt.Sprint(i)})
 	}
-	five := core.NewBucket(leaf, append(append([]spatial.Record(nil), recs...), recs[1], recs[1], recs[1]))
+	five := core.NewBucket(leaf, []spatial.Record{inLeaf, recs[1], recs[1], recs[1], recs[1]})
 	return map[string][]byte{
 		"op/append":              core.EncodeOp(appendOp),
 		"op/remove":              core.EncodeOp(removeOp),
 		"commit/extended":        run(appendOp, core.Bucket{Label: root}),
 		"commit/gone":            run(appendOp, core.Bucket{Label: leaf}),
-		"commit/stale":           run(core.AppendOp{Rule: opRule, Leaf: leaf, Records: recs}, core.Bucket{Label: leaf}),
+		"commit/stale":           run(core.AppendOp{Rule: opRule, Leaf: leaf, Records: []spatial.Record{recs[0], inLeaf}}, core.Bucket{Label: leaf}),
 		"commit/split":           run(appendOp, full),
-		"removal/label-and-load": run(removeOp, five),
-		"removal/with-bucket":    run(removeOp, core.NewBucket(leaf, recs)),
-		"removal/not-there":      run(removeOp, core.Bucket{Label: leaf}),
-		"removal/gone":           run(removeOp, core.Bucket{Label: root}),
+		"removal/label-and-load": run(removeIn, five),
+		"removal/with-bucket":    run(removeIn, core.NewBucket(leaf, []spatial.Record{inLeaf, recs[1]})),
+		"removal/not-there":      run(removeIn, core.Bucket{Label: leaf}),
+		"removal/gone":           run(removeOp, core.Bucket{Label: leaf}),
 	}
 }
 
