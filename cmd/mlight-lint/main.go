@@ -3,9 +3,9 @@
 // global rand, or per-process-seeded hash/maphash outside experiment/driver
 // packages — internal/hashseed is the stable-hash substitute), droppederr (no
 // silently dropped RPC/DHT/retry errors), decoratorcomplete (DHT
-// decorators forward every optional capability interface), locksafety
-// (no mutex-by-value copies), goroutineleak (no spawned goroutine that can
-// park forever on a channel op with no cancel/timeout/drain edge),
+// decorators forward every optional capability interface), goroutineleak
+// (no spawned goroutine that can park forever on a channel op with no
+// cancel/timeout/drain edge),
 // lockorder (no mutex-acquisition cycles, unordered striped-shard nesting,
 // or locks held across RPCs/channel ops), and hotpath (functions marked
 // //lint:hotpath stay allocation-free under the compiler's escape

@@ -18,7 +18,7 @@ func TestListPasses(t *testing.T) {
 		t.Fatalf("run(-list) = %d, %v", code, err)
 	}
 	for _, pass := range []string{
-		"determinism", "droppederr", "decoratorcomplete", "locksafety",
+		"determinism", "droppederr", "decoratorcomplete",
 		"goroutineleak", "lockorder", "hotpath",
 	} {
 		if !strings.Contains(out.String(), pass) {
@@ -168,9 +168,9 @@ func TestFixRewritesDirectives(t *testing.T) {
 func TestFixScopedToSelectedPasses(t *testing.T) {
 	file := writeFixture(t, fixFixture)
 	var out bytes.Buffer
-	code, err := run([]string{"-C", filepath.Dir(file), "-fix", "-passes", "locksafety", "./..."}, &out)
+	code, err := run([]string{"-C", filepath.Dir(file), "-fix", "-passes", "lockorder", "./..."}, &out)
 	if err != nil || code != 0 {
-		t.Fatalf("run(-fix -passes locksafety) = %d, %v:\n%s", code, err, out.String())
+		t.Fatalf("run(-fix -passes lockorder) = %d, %v:\n%s", code, err, out.String())
 	}
 	got, err := os.ReadFile(file)
 	if err != nil {

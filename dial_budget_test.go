@@ -101,6 +101,14 @@ func dialCounted(tb testing.TB, addrs []string, opts ...mlight.Option) (*mlight.
 	return client, w
 }
 
+// casFrames counts the read-modify-write protocol's frames.
+func casFrames(byType map[string]int) int { return byType["dht.GetVerReq"] + byType["dht.CASReq"] }
+
+// bucketReads counts the frames that read buckets.
+func bucketReads(byType map[string]int) int {
+	return byType["overlay.retrieveReq"] + byType["overlay.retrieveBatchReq"]
+}
+
 // TestDialedRPCBudget: with the covering leaf in the client's cache an Insert
 // and a Delete are one RPC each — the op, under 512 bytes there and back — and
 // neither sends a frame of the read-modify-write protocol; without a cache an
@@ -119,10 +127,6 @@ func TestDialedRPCBudget(t *testing.T) {
 	}
 	w.take()
 
-	casFrames := func(byType map[string]int) int { return byType["dht.GetVerReq"] + byType["dht.CASReq"] }
-	bucketReads := func(byType map[string]int) int {
-		return byType["overlay.retrieveReq"] + byType["overlay.retrieveBatchReq"]
-	}
 	warm, insertMax, deleteMax := 0, 0, 0
 	for i, rec := range recs[:100] {
 		// The lookup leaves the covering leaf in the cache; a leaf with room
@@ -231,4 +235,72 @@ func TestDialedRPCBudget(t *testing.T) {
 		t.Fatalf("insert into cold leaf %v with its neighbour cached took %d probes, the uncached lookup %d; want fewer", target.Label, bounded, unbounded)
 	}
 	t.Logf("cold leaf %v: %d probes with its neighbour cached, %d without a cache", target.Label, bounded, unbounded)
+}
+
+// TestDialedGroupCommitBudget: a warm-cache InsertBatch sends one op to each
+// leaf its records fall in and nothing else — no bucket read, no frame of the
+// read-modify-write protocol, no placement while no leaf splits — where the
+// same records inserted one at a time send one op each.
+func TestDialedGroupCommitBudget(t *testing.T) {
+	dhttest.VerifyNoLeaks(t)
+	addrs := startLoopback(t, 3)
+	client, w := dialCounted(t, addrs, mlight.WithCache(64), mlight.WithCapacity(40))
+	recs := mlight.GenerateNE(400, 1)
+	for _, rec := range recs {
+		if err := client.Insert(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A record joins the batch when its leaf has room for it twice — once
+	// from the batch, once from the inserts one at a time — next to every
+	// record already picked there, so no leaf splits. The lookups leave the
+	// leaves in the cache.
+	var batch []mlight.Record
+	leaves := make(map[string]int)
+	for _, rec := range recs {
+		b, err := client.Lookup(rec.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaf := b.Label.String()
+		if b.Load()+2*(leaves[leaf]+1) > 40 {
+			continue
+		}
+		leaves[leaf]++
+		batch = append(batch, mlight.Record{Key: rec.Key, Data: fmt.Sprintf("group-%d", len(batch))})
+		if len(batch) == 64 {
+			break
+		}
+	}
+	if len(batch) < 32 || len(leaves) >= len(batch) {
+		t.Fatalf("%d records in %d leaves: the test measures too little", len(batch), len(leaves))
+	}
+
+	w.take()
+	before := client.Stats()
+	for i, err := range client.InsertBatch(batch) {
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+	}
+	calls, bytes, byType := w.take()
+	if calls != len(leaves) || byType["overlay.opReq"] != len(leaves) || casFrames(byType) != 0 || bucketReads(byType) != 0 {
+		t.Fatalf("warm-cache InsertBatch of %d records in %d leaves: %d RPCs %v; want one overlay.opReq a leaf and nothing else", len(batch), len(leaves), calls, byType)
+	}
+	if d := client.Stats().Sub(before); d.CacheHits != int64(len(batch)) || d.CacheMisses != 0 || d.CacheStale != 0 {
+		t.Fatalf("warm-cache InsertBatch booked %d hits, %d misses, %d stale; want a hit a record", d.CacheHits, d.CacheMisses, d.CacheStale)
+	}
+
+	for i, rec := range batch {
+		rec.Data = fmt.Sprintf("single-%d", i)
+		if err := client.Insert(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	singles, singleBytes, byType := w.take()
+	if singles != len(batch) || byType["overlay.opReq"] != singles {
+		t.Fatalf("%d warm-cache Inserts: %d RPCs %v; want one overlay.opReq each", len(batch), singles, byType)
+	}
+	t.Logf("%d records in %d leaves: InsertBatch %d RPCs, %d B; one at a time %d RPCs, %d B", len(batch), len(leaves), calls, bytes, singles, singleBytes)
 }

@@ -15,8 +15,6 @@
 //     (Batcher, BatchWriter, SpanGetter) its inner substrate may have, so
 //     wrapping never silently disables batching or trace attribution
 //     (pass "decoratorcomplete");
-//   - mutexes are never copied by value or passed across function
-//     boundaries by value (pass "locksafety");
 //   - no goroutine is spawned that can block forever on a channel with no
 //     cancel/timeout/drain edge — the abandoned-RPC-drain and write-pump
 //     leak class (pass "goroutineleak");
@@ -170,7 +168,7 @@ func pathMatches(path, frag string) bool {
 // Passes returns the full pass set in reporting order.
 func Passes() []Pass {
 	return []Pass{
-		determinismPass{}, droppedErrPass{}, decoratorCompletePass{}, lockSafetyPass{},
+		determinismPass{}, droppedErrPass{}, decoratorCompletePass{},
 		goroutineLeakPass{}, lockOrderPass{}, hotPathPass{},
 	}
 }

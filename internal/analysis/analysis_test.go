@@ -33,7 +33,6 @@ func TestGolden(t *testing.T) {
 		{"determinism", "example.com/determinism", nil},
 		{"allowlisted", "example.com/cmd/demo", nil},
 		{"droppederr", "example.com/droppederr", nil},
-		{"locksafety", "example.com/locksafety", nil},
 		{"dht", "example.com/dht", nil},
 		{"wire", "example.com/wire", map[string]string{"example.com/dht": dhtDir}},
 		{"goroutineleak", "example.com/goroutineleak", nil},
@@ -184,7 +183,7 @@ func TestPassesAreRegistered(t *testing.T) {
 		seen[p.Name()] = true
 	}
 	for _, name := range []string{
-		"determinism", "droppederr", "decoratorcomplete", "locksafety",
+		"determinism", "droppederr", "decoratorcomplete",
 		"goroutineleak", "lockorder", "hotpath",
 	} {
 		if !seen[name] {

@@ -372,6 +372,46 @@ func (a *lockOrderAnalysis) classOf(x ast.Expr) *lockClass {
 	return &lockClass{id: display, display: display}
 }
 
+// exprType resolves e's type, falling back to the defined or used object
+// for identifiers — variables introduced with `:=` are recorded in
+// Info.Defs, not Info.Types.
+func exprType(pkg *Package, e ast.Expr) types.Type {
+	if tv, ok := pkg.Info.Types[e]; ok && tv.Type != nil {
+		return tv.Type
+	}
+	if id, ok := e.(*ast.Ident); ok {
+		if obj := pkg.Info.Defs[id]; obj != nil {
+			return obj.Type()
+		}
+		if obj := pkg.Info.Uses[id]; obj != nil {
+			return obj.Type()
+		}
+	}
+	return nil
+}
+
+// isLockType reports whether *t has Lock and Unlock methods that t itself
+// lacks — the shape of sync.Mutex and sync.RWMutex — so the pass needs no
+// dependency on the sync package itself.
+func isLockType(t types.Type) bool {
+	if _, ok := t.(interface{ Obj() *types.TypeName }); !ok {
+		return false
+	}
+	ptr := types.NewMethodSet(types.NewPointer(t))
+	val := types.NewMethodSet(t)
+	return hasMethod(ptr, "Lock") && hasMethod(ptr, "Unlock") &&
+		!hasMethod(val, "Lock")
+}
+
+func hasMethod(ms *types.MethodSet, name string) bool {
+	for i := 0; i < ms.Len(); i++ {
+		if ms.At(i).Obj().Name() == name {
+			return true
+		}
+	}
+	return false
+}
+
 func namedTypeName(t types.Type) string {
 	if t == nil {
 		return "?"

@@ -21,9 +21,11 @@
 //
 //   - Lookup (§5): binary search over the candidate prefix set of the
 //     point's interleaved path label, O(log D) DHT gets.
-//   - Insert/Delete (§4.1): one lookup plus an Apply at the bucket; leaf
-//     splits relocate only the children not named to the old key, merges
-//     relocate only one sibling.
+//   - Insert/Delete (§4.1): the lookup's search, then one append or remove
+//     op run at the leaf's owner — with a leaf cache the op is the search's
+//     probe — and InsertBatch one append op per touched leaf; leaf splits
+//     relocate only the children not named to the old key, merges relocate
+//     only one sibling.
 //   - Data-aware splitting (§4.2): Algorithm 1 chooses the split subtree
 //     minimising Σ(load−ε)², Theorem 6's optimal load balance.
 //   - Range queries (§6): the query is forwarded to the corner cell of the

@@ -85,7 +85,7 @@ func (ix *Index) lookupPath(key spatial.Point, path bitlabel.Label, v view, lt *
 // getProbe is the lookup's probe: a bucket Get of the key, the bucket that
 // covers δ left in *b.
 func (ix *Index) getProbe(path bitlabel.Label, b *Bucket) probe {
-	return func(_, key bitlabel.Label, parent trace.SpanID) (bitlabel.Label, bool, error) {
+	return func(key bitlabel.Label, parent trace.SpanID) (bitlabel.Label, bool, error) {
 		got, found, err := ix.getBucketSpan(key, parent)
 		if err != nil || !found || !got.Label.IsPrefixOf(path) {
 			return got.Label, false, err
@@ -95,13 +95,13 @@ func (ix *Index) getProbe(path bitlabel.Label, b *Bucket) probe {
 	}
 }
 
-// A probe is what the §5 search sends to key = fmd(cand), the key of the
+// A probe is what the §5 search sends to key = fmd(cand), the key of a
 // candidate prefix cand: a bucket Get for a lookup, the write itself for a
 // cached client's insert or delete. It reports the label of the leaf stored
 // there — empty when the key holds nothing — and whether that leaf covers δ:
 // the probe that does is the search's answer and, for a write, has landed.
 // The §5 rules read nothing else of a probe.
-type probe func(cand, key bitlabel.Label, parent trace.SpanID) (stored bitlabel.Label, covers bool, err error)
+type probe func(key bitlabel.Label, parent trace.SpanID) (stored bitlabel.Label, covers bool, err error)
 
 // searchPath runs the search for δ with the given probe and returns the
 // label the covering probe reported. A search the cache bounded that ends in
@@ -166,7 +166,7 @@ func (ix *Index) search(key spatial.Point, path bitlabel.Label, v view, at probe
 		cand := path.Prefix(mid)
 		probeKey := bitlabel.Name(cand, m)
 		lt.Probes++
-		label, covers, err := at(cand, probeKey, parent)
+		label, covers, err := at(probeKey, parent)
 		if err != nil {
 			return bitlabel.Label{}, err
 		}

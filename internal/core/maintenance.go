@@ -25,6 +25,7 @@ func (ix *Index) Insert(rec spatial.Record) error {
 	}
 	const maxAttempts = 12
 	var lastErr error
+	recs := []spatial.Record{rec}
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
 			// Back off briefly: a concurrent split's relocated buckets
@@ -34,7 +35,7 @@ func (ix *Index) Insert(rec spatial.Record) error {
 			ix.opts.Sleep(backoff)
 		}
 		var c Commit
-		landed, err := ix.write(rec.Key, path, ix.appendProbe(rec, &c))
+		landed, err := ix.write(rec.Key, path, ix.appendProbe(recs, &c))
 		if errors.Is(err, ErrNotFound) {
 			// A concurrent split is mid-flight: the bucket moving to its
 			// new key is not yet visible. Retry from a fresh search.
@@ -77,23 +78,30 @@ func (ix *Index) write(key spatial.Point, path bitlabel.Label, at probe) (landed
 	if err != nil {
 		return false, err
 	}
-	_, landed, err = at(b.Label, bitlabel.Name(b.Label, ix.opts.Dims), 0)
+	_, landed, err = at(bitlabel.Name(b.Label, ix.opts.Dims), 0)
 	return landed, err
 }
 
-// appendProbe is Insert's write as a probe: the transform with the one
-// record (appendOp), sent to the key of cand. When it lands, *c is the commit and
-// the label reported is the leaf it landed in.
-func (ix *Index) appendProbe(rec spatial.Record, c *Commit) probe {
-	return ix.traceWrite("append", func(cand, key bitlabel.Label) (bitlabel.Label, bool, error) {
-		res, err := dht.Do(ix.d, labelKey(key), ix.appendOp(cand, []spatial.Record{rec}))
+// appendProbe is an insert's write as a probe: SplitRule.Append of records, as
+// data (ops.go), sent to the key. When it lands, *c is the commit and the label
+// reported is the leaf it landed in. Insert sends one record, a group commit
+// (InsertBatch) every record it resolved to the key.
+//
+// A substrate may run the op more than once — dht.RemoteApply on every lost
+// CAS, dht.Resilient on every retry — and stores only what the last run
+// returned; the op holds no state for a run to leave behind, and counters, the
+// cache and placement are the driver's, once, after the commit is back.
+func (ix *Index) appendProbe(recs []spatial.Record, c *Commit) probe {
+	op := AppendOp{Rule: ix.splitRule(), Records: recs}
+	return ix.traceWrite("append", func(key bitlabel.Label) (bitlabel.Label, bool, error) {
+		res, err := dht.Do(ix.d, labelKey(key), op)
 		if err != nil {
-			return bitlabel.Label{}, false, fmt.Errorf("core: insert apply at %v: %w", cand, err)
+			return bitlabel.Label{}, false, fmt.Errorf("core: insert apply at %v: %w", key, err)
 		}
 		*c, _ = res.(Commit)
 		switch {
 		case c.Err != nil:
-			return bitlabel.Label{}, false, fmt.Errorf("core: insert split at %v: %w", cand, c.Err)
+			return bitlabel.Label{}, false, fmt.Errorf("core: insert split at %v: %w", key, c.Err)
 		case c.Gone:
 			return c.Keep.Label, false, nil
 		}
@@ -101,15 +109,15 @@ func (ix *Index) appendProbe(rec spatial.Record, c *Commit) probe {
 	})
 }
 
-// removeProbe is Delete's write as a probe: Remove at the key of cand, as
-// data (ops.go). When it lands, *out is the removal; the label reported is the
+// removeProbe is Delete's write as a probe: Remove at the key, as data
+// (ops.go). When it lands, *out is the removal; the label reported is the
 // leaf's when a record was removed and empty when none matched.
 func (ix *Index) removeProbe(point spatial.Point, data string, out *Removal) probe {
-	return ix.traceWrite("remove", func(cand, key bitlabel.Label) (bitlabel.Label, bool, error) {
-		op := RemoveOp{Leaf: cand, Key: point, Data: data, MergeThreshold: ix.opts.MergeThreshold}
+	op := RemoveOp{Key: point, Data: data, MergeThreshold: ix.opts.MergeThreshold}
+	return ix.traceWrite("remove", func(key bitlabel.Label) (bitlabel.Label, bool, error) {
 		res, err := dht.Do(ix.d, labelKey(key), op)
 		if err != nil {
-			return bitlabel.Label{}, false, fmt.Errorf("core: delete apply at %v: %w", cand, err)
+			return bitlabel.Label{}, false, fmt.Errorf("core: delete apply at %v: %w", key, err)
 		}
 		*out, _ = res.(Removal)
 		return out.Keep.Label, !out.Gone, nil
@@ -119,14 +127,14 @@ func (ix *Index) removeProbe(point spatial.Point, data string, out *Removal) pro
 // traceWrite makes send a probe that, when tracing is enabled, records one
 // KindDHTOp span named name under the search's span, ended with the
 // outcome: landed, or the label the owner reported instead.
-func (ix *Index) traceWrite(name string, send func(cand, key bitlabel.Label) (bitlabel.Label, bool, error)) probe {
+func (ix *Index) traceWrite(name string, send func(key bitlabel.Label) (bitlabel.Label, bool, error)) probe {
 	tc := ix.opts.Trace
 	if tc == nil {
-		return func(cand, key bitlabel.Label, _ trace.SpanID) (bitlabel.Label, bool, error) { return send(cand, key) }
+		return func(key bitlabel.Label, _ trace.SpanID) (bitlabel.Label, bool, error) { return send(key) }
 	}
-	return func(cand, key bitlabel.Label, parent trace.SpanID) (bitlabel.Label, bool, error) {
+	return func(key bitlabel.Label, parent trace.SpanID) (bitlabel.Label, bool, error) {
 		span := tc.Begin(parent, trace.KindDHTOp, name, trace.Str("label", key.String()))
-		stored, landed, err := send(cand, key)
+		stored, landed, err := send(key)
 		switch {
 		case err != nil:
 			tc.End(span, trace.Str("error", err.Error()))
@@ -137,16 +145,6 @@ func (ix *Index) traceWrite(name string, send func(cand, key bitlabel.Label) (bi
 		}
 		return stored, landed, err
 	}
-}
-
-// appendOp is the transform both insert drivers send to a leaf's owner:
-// SplitRule.Append over the stored bucket, as data (ops.go). A substrate may
-// run a transform more than once — dht.RemoteApply on every lost CAS,
-// dht.Resilient on every retry — and stores only what the last run returned;
-// the op holds no state for a run to leave behind, and counters, the cache and
-// placement are the driver's, once, after the commit is back.
-func (ix *Index) appendOp(leaf bitlabel.Label, records []spatial.Record) AppendOp {
-	return AppendOp{Rule: ix.splitRule(), Leaf: leaf, Records: records}
 }
 
 // settle books a stored commit: the maintenance its replay performed plus one

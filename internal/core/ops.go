@@ -24,9 +24,9 @@ import (
 // bucket format they extend (columnar.go; integers as there, a label as in a
 // bucket: byte length, uint64 bits):
 //
-//	append   = 1, 5 × uvarint (dims, max depth, strategy, θsplit, ε), label,
+//	append   = 1, 5 × uvarint (dims, max depth, strategy, θsplit, ε),
 //	           uvarint count, count × record
-//	remove   = 2, label, uvarint θmerge, record (the key, and the data to match)
+//	remove   = 2, uvarint θmerge, record (the key, and the data to match)
 //	commit   = flags (1 gone, 2 failed), 3 × uvarint (accepted, splits, records
 //	           moved), uvarint stale count, stale × uvarint, label, uvarint load,
 //	           uvarint moved count, moved × (uvarint length, bucket),
@@ -34,14 +34,14 @@ import (
 //	removal  = flags (1 removed, 2 gone, 4 bucket follows), label, uvarint load,
 //	           bucket follows: bucket
 //
-// An op's label is the leaf its sender expects under the key, and the owner
-// decides nothing by it: it runs the op if the stored leaf's cell covers the
-// record(s). A reply says what was decided, not what is stored: the kept
-// bucket travels as its label and load, and whole only after a removal that
-// left it under θmerge — the one case in which the driver reads its records
-// (mergeUpwards). A gone reply's label is the stored leaf's, the empty label
-// (length 0) when the key holds nothing: all that a bucket read of the key
-// would have told a §5 search, which therefore goes on from it.
+// An op names no leaf: the owner runs it if the cell of whatever leaf is
+// stored under the key covers the record(s). A reply says what was decided,
+// not what is stored: the kept bucket travels as its label and load, and
+// whole only after a removal that left it under θmerge — the one case in
+// which the driver reads its records (mergeUpwards). A gone reply's label is
+// the stored leaf's, the empty label (length 0) when the key holds nothing:
+// all that a bucket read of the key would have told a §5 search, which
+// therefore goes on from it.
 
 // Op is the vocabulary: the transforms of this package that have a byte form.
 type Op interface {
@@ -59,22 +59,17 @@ type Op interface {
 }
 
 // AppendOp is SplitRule.Append as data: replay Records into the bucket stored
-// under the key if its cell covers them. Leaf is the label the sender
-// expects there — the key is fmd(Leaf) — and decides nothing: whatever leaf
-// is stored covers the records or does not.
+// under the key if its cell covers them.
 type AppendOp struct {
 	Rule    SplitRule
-	Leaf    bitlabel.Label
 	Records []spatial.Record
 }
 
 // RemoveOp is Remove as data: take one record matching Key (and Data, when
-// non-empty) out of the bucket stored under the key if its cell covers Key;
-// Leaf is as in AppendOp. MergeThreshold is the index's θmerge: a reply that
-// crosses a socket carries the kept bucket's records only when fewer are
-// left.
+// non-empty) out of the bucket stored under the key if its cell covers Key.
+// MergeThreshold is the index's θmerge: a reply that crosses a socket carries
+// the kept bucket's records only when fewer are left.
 type RemoveOp struct {
-	Leaf           bitlabel.Label
 	Key            spatial.Point
 	Data           string
 	MergeThreshold int
@@ -237,7 +232,6 @@ func (op AppendOp) encode(buf []byte) []byte {
 	for _, v := range [...]int{r.Dims, r.MaxDepth, int(r.Strategy), r.ThetaSplit, r.Epsilon} {
 		buf = binary.AppendUvarint(buf, uint64(v))
 	}
-	buf = appendLabel(buf, op.Leaf)
 	buf = binary.AppendUvarint(buf, uint64(len(op.Records)))
 	for _, rec := range op.Records {
 		buf = AppendRecord(buf, rec)
@@ -246,9 +240,7 @@ func (op AppendOp) encode(buf []byte) []byte {
 }
 
 func (op RemoveOp) encode(buf []byte) []byte {
-	buf = append(buf, opRemove)
-	buf = appendLabel(buf, op.Leaf)
-	buf = binary.AppendUvarint(buf, uint64(op.MergeThreshold))
+	buf = binary.AppendUvarint(append(buf, opRemove), uint64(op.MergeThreshold))
 	return AppendRecord(buf, spatial.Record{Key: op.Key, Data: op.Data})
 }
 
@@ -352,9 +344,9 @@ func (r SplitRule) check() error {
 
 // DecodeOp reads an op's byte form. The bytes come off a socket, so nothing in
 // them is taken on trust: the op returned is one an index could have sent — a
-// rule inside the configuration bounds, a leaf label no longer than that rule's
-// tree is deep, records of the rule's dimensionality inside the unit cube, no
-// more of them than the bytes can hold — or the error wraps ErrOp.
+// rule inside the configuration bounds, records of the rule's dimensionality
+// inside the unit cube, no more of them than the bytes can hold — or the error
+// wraps ErrOp.
 func DecodeOp(body []byte) (Op, error) {
 	op, err := decodeOp(body)
 	if err != nil {
@@ -368,7 +360,6 @@ func decodeOp(body []byte) (Op, error) {
 	switch kind := r.byte(); kind {
 	case opAppend:
 		rule := SplitRule{Dims: r.int(), MaxDepth: r.int(), Strategy: SplitStrategy(r.int()), ThetaSplit: r.int(), Epsilon: r.int()}
-		leaf := r.label()
 		count := r.int()
 		if r.bad {
 			return nil, errors.New("append: truncated")
@@ -376,16 +367,12 @@ func decodeOp(body []byte) (Op, error) {
 		if err := rule.check(); err != nil {
 			return nil, fmt.Errorf("append: rule: %w", err)
 		}
-		if leaf.Len() > rule.Dims+1+rule.MaxDepth {
-			return nil, fmt.Errorf("append: a %d-bit leaf label under depth bound %d", leaf.Len(), rule.MaxDepth)
-		}
 		records, err := r.records(count, rule.Dims)
 		if err != nil {
 			return nil, fmt.Errorf("append: %w", err)
 		}
-		return AppendOp{Rule: rule, Leaf: leaf, Records: records}, nil
+		return AppendOp{Rule: rule, Records: records}, nil
 	case opRemove:
-		leaf := r.label()
 		theta := r.int()
 		if r.bad {
 			return nil, errors.New("remove: truncated")
@@ -398,7 +385,7 @@ func decodeOp(body []byte) (Op, error) {
 		if err != nil {
 			return nil, fmt.Errorf("remove: %w", err)
 		}
-		return RemoveOp{Leaf: leaf, Key: records[0].Key, Data: records[0].Data, MergeThreshold: theta}, nil
+		return RemoveOp{Key: records[0].Key, Data: records[0].Data, MergeThreshold: theta}, nil
 	default:
 		return nil, fmt.Errorf("unknown op kind %d", kind)
 	}

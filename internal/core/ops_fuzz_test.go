@@ -20,23 +20,23 @@ func FuzzRunBytes(f *testing.F) {
 		{Key: spatial.Point{0.5, 0.5}, Data: ""},
 		{Key: spatial.Point{0.9, 0.1}, Data: "yy"},
 	}
-	one := EncodeOp(AppendOp{Rule: rule, Leaf: root, Records: recs[:1]})
+	one := EncodeOp(AppendOp{Rule: rule, Records: recs[:1]})
 	f.Add(one, Bucket{Label: root}.Marshal())
 	f.Add(one, NewBucket(root, recs[1:]).Marshal()) // reaches the bound exactly
 	f.Add(one, NewBucket(root, recs).Marshal())     // crosses it
-	f.Add(EncodeOp(AppendOp{Rule: rule, Leaf: root, Records: recs}), Bucket{Label: root}.Marshal())
-	left, right := bitlabel.MustParse("0010"), bitlabel.MustParse("0011")                           // x < ½ and x ≥ ½
-	f.Add(EncodeOp(AppendOp{Rule: rule, Leaf: left, Records: recs}), Bucket{Label: left}.Marshal()) // two stale records
-	f.Add(one, NewBucket(root, []spatial.Record{{Key: spatial.Point{0.1, 0.2, 0.3}}}).Marshal())    // stored records of another dimensionality
-	f.Add(one, append(NewBucket(root, recs[:1]).Marshal(), 0))                                      // trailing bytes
-	f.Add(EncodeOp(RemoveOp{Leaf: root, Key: recs[0].Key, Data: "x", MergeThreshold: 2}), NewBucket(root, recs).Marshal())
+	f.Add(EncodeOp(AppendOp{Rule: rule, Records: recs}), Bucket{Label: root}.Marshal())
+	left, right := bitlabel.MustParse("0010"), bitlabel.MustParse("0011")                        // x < ½ and x ≥ ½
+	f.Add(EncodeOp(AppendOp{Rule: rule, Records: recs}), Bucket{Label: left}.Marshal())          // two stale records
+	f.Add(one, NewBucket(root, []spatial.Record{{Key: spatial.Point{0.1, 0.2, 0.3}}}).Marshal()) // stored records of another dimensionality
+	f.Add(one, append(NewBucket(root, recs[:1]).Marshal(), 0))                                   // trailing bytes
+	f.Add(EncodeOp(RemoveOp{Key: recs[0].Key, Data: "x", MergeThreshold: 2}), NewBucket(root, recs).Marshal())
 	// One stored record whose dimension count is a padded uvarint: it decodes,
 	// and re-encodes shorter.
 	padded := append(Bucket{Label: root}.Marshal()[:9], 1, 0x82, 0x00)
 	f.Add(one, append(append(padded, make([]byte, 16)...), 0))
-	// Sent under a label the key does not hold: the root's, to the leaf that
-	// covers the record (it lands on the bytes) and to one that does not (gone,
-	// with that leaf's label).
+	// Sent to a key holding a leaf below the root: one that covers the record
+	// (it lands on the bytes) and one that does not (gone, with that leaf's
+	// label).
 	f.Add(one, Bucket{Label: left}.Marshal())
 	f.Add(one, Bucket{Label: right}.Marshal())
 	f.Fuzz(func(t *testing.T, body, stored []byte) {

@@ -20,7 +20,9 @@ var (
 
 // ownerCase is one op sent to a key: what the key holds (nothing when absent)
 // and whether the stored leaf covers the op's record(s), which is what the op
-// must land by.
+// must land by. The names say which label led the sender to the key — the op
+// carries none of it — and the key holds what that label's story leaves there:
+// the record's leaf, an ancestor it was merged into, its sibling.
 type ownerCase struct {
 	name   string
 	op     Op
@@ -31,39 +33,41 @@ type ownerCase struct {
 
 func ownerCases() []ownerCase {
 	rule := SplitRule{Dims: 2, MaxDepth: 20, Strategy: SplitThreshold, ThetaSplit: 8, Epsilon: 70}
-	root, leaf := bitlabel.Root(2), contractLeaf
-	appendOp := func(to bitlabel.Label, recs ...spatial.Record) AppendOp {
-		return AppendOp{Rule: rule, Leaf: to, Records: recs}
+	leaf := contractLeaf
+	appendOp := func(recs ...spatial.Record) AppendOp {
+		return AppendOp{Rule: rule, Records: recs}
 	}
-	removeOp := func(to bitlabel.Label, r spatial.Record) RemoveOp {
-		return RemoveOp{Leaf: to, Key: r.Key, Data: r.Data, MergeThreshold: 4}
+	removeOp := func(r spatial.Record) RemoveOp {
+		return RemoveOp{Key: r.Key, Data: r.Data, MergeThreshold: 4}
 	}
 	holding := NewBucket(leaf, []spatial.Record{covered, covered2})
+	merged := NewBucket(leaf.Parent(), []spatial.Record{covered, covered2})
+	sibling := Bucket{Label: leaf.Sibling()}
 	full := NewBucket(leaf, nil)
 	for i := 0; i < rule.ThetaSplit; i++ {
 		full = full.Append(spatial.Record{Key: spatial.Point{0.75 + float64(i)/40, 0.25 + float64(i%4)/20}, Data: fmt.Sprint(i)})
 	}
 	return []ownerCase{
-		{name: "append/the stored label", op: appendOp(leaf, covered), stored: holding, lands: true},
-		{name: "append/an ancestor's label", op: appendOp(root, covered), stored: holding, lands: true},
-		{name: "append/the sibling's label", op: appendOp(leaf.Sibling(), covered), stored: holding, lands: true},
-		{name: "append/a child's label, after a merge", op: appendOp(leaf.MustAppend(1), covered), stored: holding, lands: true},
-		{name: "append/that splits the stored leaf", op: appendOp(root, covered), stored: full, lands: true},
-		{name: "append/a batch, one record stale", op: appendOp(leaf, uncovered, covered), stored: holding, lands: true},
-		{name: "append/a record outside the stored leaf", op: appendOp(leaf, uncovered), stored: holding},
-		{name: "append/under another label, outside", op: appendOp(root, uncovered), stored: holding},
-		{name: "append/to an absent key", op: appendOp(leaf, covered), absent: true},
-		{name: "remove/the stored label", op: removeOp(leaf, covered), stored: holding, lands: true},
-		{name: "remove/an ancestor's label", op: removeOp(root, covered), stored: holding, lands: true},
-		{name: "remove/from the merged parent", op: removeOp(leaf.MustAppend(0), covered2), stored: holding, lands: true},
-		{name: "remove/a record that is not there", op: removeOp(root, spatial.Record{Key: covered.Key, Data: "never stored"}), stored: holding, lands: true},
-		{name: "remove/a key outside the stored leaf", op: removeOp(leaf, uncovered), stored: holding},
-		{name: "remove/from an absent key", op: removeOp(leaf, covered), absent: true},
+		{name: "append/the stored label", op: appendOp(covered), stored: holding, lands: true},
+		{name: "append/an ancestor's label", op: appendOp(covered), stored: merged, lands: true},
+		{name: "append/the sibling's label", op: appendOp(covered), stored: sibling},
+		{name: "append/a child's label, after a merge", op: appendOp(covered2), stored: holding, lands: true},
+		{name: "append/that splits the stored leaf", op: appendOp(covered), stored: full, lands: true},
+		{name: "append/a batch, one record stale", op: appendOp(uncovered, covered), stored: holding, lands: true},
+		{name: "append/a record outside the stored leaf", op: appendOp(uncovered), stored: holding},
+		{name: "append/under another label, outside", op: appendOp(uncovered), stored: merged},
+		{name: "append/to an absent key", op: appendOp(covered), absent: true},
+		{name: "remove/the stored label", op: removeOp(covered), stored: holding, lands: true},
+		{name: "remove/an ancestor's label", op: removeOp(covered), stored: merged, lands: true},
+		{name: "remove/from the merged parent", op: removeOp(covered2), stored: holding, lands: true},
+		{name: "remove/a record that is not there", op: removeOp(spatial.Record{Key: covered.Key, Data: "never stored"}), stored: holding, lands: true},
+		{name: "remove/a key outside the stored leaf", op: removeOp(uncovered), stored: holding},
+		{name: "remove/from an absent key", op: removeOp(covered), absent: true},
 	}
 }
 
 // TestOwnerDecidesByCoverage: an op sent to a key lands if and only if the
-// leaf stored there covers its record(s), whatever label it was sent under;
+// leaf stored there covers its record(s), whichever label led it there;
 // on a miss it stores nothing and reports the stored leaf's label, or the
 // empty label when the key holds nothing. Run and RunBytes decide the same on
 // every case: the bytes RunBytes stores and reports are the encodings of what

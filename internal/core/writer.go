@@ -12,88 +12,75 @@ import (
 )
 
 // This file is the group-commit insert engine. A sequential Insert pays a
-// lookup, one Apply round trip, and one Put per relocated split piece — per
-// record. InsertBatch amortises all three: destination leaves are resolved
-// with overlapped lookups, every record bound for the same leaf rides one
-// Apply, and all relocated pieces of the whole batch ship in one PutBatch
-// round. The Writer on top coalesces concurrent Insert callers into such
-// batches without timers or background goroutines.
+// search, one append op at the leaf's owner, and one Put per relocated split
+// piece — per record. InsertBatch amortises all three: a record whose leaf the
+// cache holds joins that leaf's group with no read and the others are looked up
+// side by side, every record bound for the same key rides one append op, and
+// all relocated pieces of the whole batch ship in one PutBatch round. The
+// Writer on top coalesces concurrent Insert callers into such batches without
+// timers or background goroutines.
 //
 // Stats-equality discipline, the same one the range driver keeps for queries:
 // batching changes execution, never the maintenance accounting. Both drivers
-// send the same transform (SplitRule.Append, commit.go), which replays its
-// records one at a time and charges Splits and RecordsMoved at each
-// intermediate split event exactly as a stream of single inserts would; only
-// the final frontier pieces are placed: identical trees, identical
+// send the same op (appendProbe), whose transform (SplitRule.Append, commit.go)
+// replays its records one at a time and charges Splits and RecordsMoved at
+// each intermediate split event exactly as a stream of single inserts would;
+// only the final frontier pieces are placed: identical trees, identical
 // Splits/RecordsMoved, fewer DHT round trips. DHTLookups intentionally
 // differs — that reduction is the point.
 
 // InsertBatch adds a batch of records in one group-committed pass and
 // returns a positional error slice: errs[i] is record i's outcome, nil on
-// success. Records destined for the same leaf coalesce into a single Apply
-// at the owning peer; leaves are processed concurrently up to
-// Tuning.MaxInFlight. Records whose destination moved mid-flight (a
-// concurrent split or merge) fall back to the sequential Insert path, in
-// stream order, so the batch as a whole has insert-per-record semantics.
+// success. A record's destination is the leaf the cache holds for it, with no
+// read, and otherwise the leaf a lookup finds; records destined for the same
+// key coalesce into a single append op at the owning peer, and keys are
+// written concurrently up to Tuning.MaxInFlight. The owner appends the records
+// its stored leaf covers, as it does for Insert: records it does not cover (a
+// stale cache entry, a concurrent split or merge) fall back to the sequential
+// Insert path, in stream order, so the batch as a whole has
+// insert-per-record semantics.
 func (ix *Index) InsertBatch(recs []spatial.Record) []error {
 	errs := make([]error, len(recs))
-	if len(recs) == 0 {
-		return errs
-	}
-	m := ix.opts.Dims
-	valid := make([]int, 0, len(recs))
+	paths := make([]bitlabel.Label, len(recs))
+	views := make([]view, len(recs))
+	leaves := make([]bitlabel.Label, len(recs))
+	var valid, misses []int
 	for i, rec := range recs {
-		if rec.Key.Dim() != m {
-			errs[i] = fmt.Errorf("%w: record has %d dims, index has %d", ErrDimension, rec.Key.Dim(), m)
-			continue
-		}
-		if !rec.Key.Valid() {
-			errs[i] = fmt.Errorf("core: record key %v outside the unit cube", rec.Key)
+		if paths[i], errs[i] = ix.pathLabel(rec.Key); errs[i] != nil {
 			continue
 		}
 		valid = append(valid, i)
+		if views[i] = ix.cacheView(paths[i]); views[i].hit {
+			leaves[i] = views[i].leaf
+		} else {
+			misses = append(misses, i)
+		}
 	}
-
-	// Resolve every record's destination leaf, overlapping the lookups up
-	// to the in-flight cap. A lookup that cannot locate a covering bucket
-	// (a concurrent split mid-flight) routes the record to the sequential
-	// fallback, which retries with backoff.
-	labels := make([]bitlabel.Label, len(recs))
-	resolveErrs := make([]error, len(recs))
-	sem := make(chan struct{}, ix.opts.MaxInFlight)
-	var wg sync.WaitGroup
-	for _, i := range valid {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			b, err := ix.Lookup(recs[i].Key)
-			if err != nil {
-				resolveErrs[i] = err
-				return
-			}
-			labels[i] = b.Label
-		}(i)
-	}
-	wg.Wait()
+	// Only misses are looked up, overlapped up to the in-flight cap. A lookup
+	// that cannot locate a covering bucket (a concurrent split mid-flight)
+	// routes the record to the sequential fallback, which retries with
+	// backoff.
+	dht.Fan(len(misses), ix.opts.MaxInFlight, func(j int) {
+		i := misses[j]
+		b, err := ix.lookupPath(recs[i].Key, paths[i], views[i], &LookupTrace{}, 0)
+		leaves[i], errs[i] = b.Label, err
+	})
 
 	var fallback []int
 	groups := make(map[bitlabel.Label]*insertGroup)
 	var order []*insertGroup
 	for _, i := range valid {
-		if err := resolveErrs[i]; err != nil {
+		if err := errs[i]; err != nil {
 			if errors.Is(err, ErrNotFound) {
 				fallback = append(fallback, i)
-			} else {
-				errs[i] = err
 			}
 			continue
 		}
-		g := groups[labels[i]]
+		key := bitlabel.Name(leaves[i], ix.opts.Dims)
+		g := groups[key]
 		if g == nil {
-			g = &insertGroup{label: labels[i]}
-			groups[labels[i]] = g
+			g = &insertGroup{key: key}
+			groups[key] = g
 			order = append(order, g)
 		}
 		// Stream order is preserved within a group: valid is ascending.
@@ -101,46 +88,53 @@ func (ix *Index) InsertBatch(recs []spatial.Record) []error {
 		g.recs = append(g.recs, recs[i])
 	}
 
-	// One Apply per destination leaf, all leaves in flight at once.
-	ops := make([]dht.ApplyOp, len(order))
-	for j, g := range order {
-		ops[j] = dht.ApplyOp{Key: labelKey(bitlabel.Name(g.label, m)), Fn: dht.AsApply(ix.appendOp(g.label, g.recs), &g.res, &g.opErr)}
-	}
-	applyErrs := dht.ApplyBatch(ix.d, ops, ix.opts.MaxInFlight)
+	// One append op per destination key, all keys in flight at once.
+	dht.Fan(len(order), ix.opts.MaxInFlight, func(j int) {
+		g := order[j]
+		g.leaf, g.landed, g.err = ix.appendProbe(g.recs, &g.commit)(g.key, 0)
+	})
 
 	var placeOps []dht.PutOp
 	var placeGroups []*insertGroup
-	for j, g := range order {
-		err := applyErrs[j]
-		if err == nil {
-			err = g.opErr
-		}
-		out, _ := g.res.(Commit)
-		if err != nil {
-			err = fmt.Errorf("core: insert apply at %v: %w", g.label, err)
-		} else if out.Err != nil {
-			err = fmt.Errorf("core: insert split at %v: %w", g.label, out.Err)
-		}
-		if err != nil {
+	for _, g := range order {
+		if g.err != nil {
 			for _, i := range g.recIdx {
-				errs[i] = err
+				errs[i] = g.err
 			}
 			continue
 		}
-		if out.Gone {
-			// The whole bucket moved between lookup and apply.
-			ix.invalidateLeaf(g.label)
-			fallback = append(fallback, g.recIdx...)
+		// A record lands unless its group came back Gone or the commit lists
+		// it Stale. One that did not land re-enters through the sequential
+		// path and the leaf it was sent for is evicted; a cache hit is booked
+		// as Insert's first probe books it.
+		landed := make([]bool, len(g.recIdx))
+		if g.landed {
+			for k := range landed {
+				landed[k] = true
+			}
+			for _, k := range g.commit.Stale {
+				landed[k] = false
+			}
+		}
+		for k, i := range g.recIdx {
+			switch {
+			case landed[k] && views[i].hit:
+				ix.stats.CacheHits.Inc()
+			case !landed[k]:
+				if views[i].hit {
+					ix.stats.CacheStale.Inc()
+				}
+				ix.invalidateLeaf(leaves[i])
+				fallback = append(fallback, i)
+			}
+		}
+		if !g.landed {
 			continue
 		}
-		// Only the records the leaf no longer covers re-enter through the
-		// sequential path.
-		for _, k := range out.Stale {
-			fallback = append(fallback, g.recIdx[k])
-		}
-		ix.settle(&out)
-		placeOps = ix.placeOps(placeOps, out.Moved)
-		for range out.Moved {
+		ix.cacheLeaf(g.leaf)
+		ix.settle(&g.commit)
+		placeOps = ix.placeOps(placeOps, g.commit.Moved)
+		for range g.commit.Moved {
 			placeGroups = append(placeGroups, g)
 		}
 	}
@@ -168,15 +162,18 @@ func (ix *Index) InsertBatch(recs []spatial.Record) []error {
 	return errs
 }
 
-// insertGroup is the per-leaf unit of a group commit: the records bound for
-// one destination leaf, and what the owning peer's last run of the transform
-// decided for them.
+// insertGroup is the per-key unit of a group commit: the records resolved to
+// one destination key, and what the owning peer decided for them.
 type insertGroup struct {
-	label  bitlabel.Label
+	key    bitlabel.Label   // fmd of the leaf the records were resolved to
 	recIdx []int            // positions in the batch, ascending (stream order)
 	recs   []spatial.Record // the records at those positions
-	res    any              // the last run's result, a Commit
-	opErr  error            // and its error
+	commit Commit
+	// leaf is the stored leaf the append landed in or, when it did not land,
+	// the label the owner reported; err is a failure of the op itself.
+	leaf   bitlabel.Label
+	landed bool
+	err    error
 }
 
 // Writer is the group-commit front end for concurrent inserters: callers

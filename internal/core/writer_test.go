@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"mlight/internal/bitlabel"
 	"mlight/internal/dht"
 	"mlight/internal/index"
 	"mlight/internal/spatial"
@@ -119,6 +120,116 @@ func TestInsertBatchEquivalentToSequential(t *testing.T) {
 			}
 		})
 	}
+
+	// The cached arms: a record whose leaf the cache holds is sent there with
+	// no read. In "warm" every cached leaf is current; in "stale" a second
+	// client split the leaves of one region and merged those of another after
+	// the client cached them. A record sent to a stale leaf re-enters after
+	// its batch's groups, so a merged leaf that also overflowed inside the
+	// same batch would charge its split without it (DESIGN §8); batches of 101
+	// over a tree of ~290 leaves touch each merged leaf with one group at most.
+	for _, stale := range []bool{false, true} {
+		name := "cached-warm"
+		if stale {
+			name = "cached-stale"
+		}
+		t.Run(name, func(t *testing.T) {
+			opts := index.Tuning{Capacity: 16, MergeThreshold: 8, MaxDepth: 24, CacheSize: 1024, Sleep: dht.NoSleep}
+			preload, stream := genRecords(1234, 1500), genRecords(4321, 1500)
+			world := func() *Index {
+				d := dht.MustNewLocal(16)
+				ix, err := New(d, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, rec := range preload {
+					if err := ix.Insert(rec); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if !stale {
+					return ix
+				}
+				other, err := New(d, index.Tuning{Capacity: 16, MergeThreshold: 8, MaxDepth: 24})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, rec := range genRecords(99, 600) {
+					rec.Key[0] = 0.75 + rec.Key[0]/4 // splits in x ≥ ¾
+					rec.Data = fmt.Sprintf("other-%d", i)
+					if err := other.Insert(rec); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, rec := range preload {
+					if rec.Key[0] < 0.25 { // merges in x < ¼
+						if _, err := other.Delete(rec.Key, rec.Data); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				return ix
+			}
+			seq, bat := world(), world()
+			if n := staleHits(t, bat, stream); (n > 0) != stale {
+				t.Fatalf("%d stream records hit a cached leaf that is no longer one", n)
+			}
+			seqBefore, batBefore := seq.Stats(), bat.Stats()
+			for _, rec := range stream {
+				if err := seq.Insert(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for at := 0; at < len(stream); at += 101 {
+				for i, err := range bat.InsertBatch(stream[at:min(at+101, len(stream))]) {
+					if err != nil {
+						t.Fatalf("batched record %d: %v", at+i, err)
+					}
+				}
+			}
+			sameTree(t, seq, bat)
+			ss, bs := seq.Stats().Sub(seqBefore), bat.Stats().Sub(batBefore)
+			if ss.Splits != bs.Splits || ss.RecordsMoved != bs.RecordsMoved {
+				t.Errorf("Splits/RecordsMoved: sequential %d/%d, batched %d/%d", ss.Splits, ss.RecordsMoved, bs.Splits, bs.RecordsMoved)
+			}
+			// Every record books one hit or one miss, and a trusted leaf that
+			// was wrong books one stale and leaves the cache.
+			if bs.CacheHits == 0 || (bs.CacheStale > 0) != stale {
+				t.Errorf("batch booked %d hits, %d misses, %d stale", bs.CacheHits, bs.CacheMisses, bs.CacheStale)
+			}
+			if !stale && bs.CacheHits+bs.CacheMisses != int64(len(stream)) {
+				t.Errorf("warm batch booked %d hits and %d misses for %d records", bs.CacheHits, bs.CacheMisses, len(stream))
+			}
+			if n := staleHits(t, bat, stream); n > 0 {
+				t.Errorf("after the batch %d stream records still hit a cached leaf that is no longer one", n)
+			}
+		})
+	}
+}
+
+// staleHits counts the records whose path the cache answers with a leaf the
+// index no longer holds.
+func staleHits(t *testing.T, ix *Index, recs []spatial.Record) int {
+	t.Helper()
+	buckets, err := ix.Buckets()
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaves := make(map[bitlabel.Label]bool, len(buckets))
+	for _, b := range buckets {
+		leaves[b.Label] = true
+	}
+	n := 0
+	for _, rec := range recs {
+		path, err := ix.pathLabel(rec.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := ix.cacheView(path); v.hit && !leaves[v.leaf] {
+			n++
+		}
+	}
+	return n
 }
 
 // TestInsertBatchValidationPositional pins per-record validation: bad

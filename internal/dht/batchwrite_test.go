@@ -51,36 +51,6 @@ func TestPutBatchNativeAndFallbackAgree(t *testing.T) {
 	}
 }
 
-func TestApplyBatchNativeAndFallbackAgree(t *testing.T) {
-	for _, mode := range []string{"native", "fallback"} {
-		t.Run(mode, func(t *testing.T) {
-			local := MustNewLocal(8)
-			d := DHT(local)
-			if mode == "fallback" {
-				d = plainDHT{inner: local}
-			}
-			const n = 24
-			ops := make([]ApplyOp, n)
-			for i := range ops {
-				ops[i] = ApplyOp{Key: Key(fmt.Sprintf("c%d", i%3)), Fn: func(cur any, exists bool) (any, bool) {
-					c, _ := cur.(int)
-					return c + 1, true
-				}}
-			}
-			for i, err := range ApplyBatch(d, ops, 5) {
-				if err != nil {
-					t.Fatalf("op %d: %v", i, err)
-				}
-			}
-			for i := 0; i < 3; i++ {
-				if v, _, err := local.Get(Key(fmt.Sprintf("c%d", i))); err != nil || v != n/3 {
-					t.Fatalf("c%d absorbed %v increments (err %v), want %d (lost update)", i, v, err, n/3)
-				}
-			}
-		})
-	}
-}
-
 func TestPutBatchEmptyAndErrors(t *testing.T) {
 	local := MustNewLocal(4)
 	if errs := PutBatch(local, nil, 4); len(errs) != 0 {
@@ -152,11 +122,7 @@ func TestCountingChargesBatchWrites(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	applyOps := []ApplyOp{
-		{Key: "a", Fn: func(cur any, exists bool) (any, bool) { return cur, true }},
-		{Key: "b", Fn: func(cur any, exists bool) (any, bool) { return cur, true }},
-	}
-	for _, err := range c.ApplyBatch(applyOps, 8) {
+	for _, err := range c.PutBatch([]PutOp{{"a", 4}, {"b", 5}}, 8) {
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -69,14 +69,7 @@ func (c *Counting) GetSpan(key Key, parent trace.SpanID) (any, bool, error) {
 // accounting. The batch itself and its high-water concurrency are metered
 // separately.
 func (c *Counting) GetBatch(keys []Key, maxInFlight int) []BatchResult {
-	c.stats.DHTLookups.Add(int64(len(keys)))
-	c.stats.BatchProbes.Add(int64(len(keys)))
-	c.stats.BatchRounds.Inc()
-	inFlight := len(keys)
-	if maxInFlight >= 1 && maxInFlight < inFlight {
-		inFlight = maxInFlight
-	}
-	c.stats.MaxInFlight.Observe(int64(inFlight))
+	c.observeBatch(len(keys), maxInFlight)
 	return GetBatch(c.inner, keys, maxInFlight)
 }
 
@@ -87,14 +80,6 @@ func (c *Counting) GetBatch(keys []Key, maxInFlight int) []BatchResult {
 func (c *Counting) PutBatch(ops []PutOp, maxInFlight int) []error {
 	c.observeBatch(len(ops), maxInFlight)
 	return PutBatch(c.inner, ops, maxInFlight)
-}
-
-// ApplyBatch implements BatchWriter, counted exactly like PutBatch: one
-// logical DHT operation per transform, however many records the transform
-// carries — that amortisation is the group-commit insert engine's win.
-func (c *Counting) ApplyBatch(ops []ApplyOp, maxInFlight int) []error {
-	c.observeBatch(len(ops), maxInFlight)
-	return ApplyBatch(c.inner, ops, maxInFlight)
 }
 
 // observeBatch charges one batch round of n logical operations.

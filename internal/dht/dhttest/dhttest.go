@@ -19,9 +19,9 @@ type Factory func(t *testing.T) dht.DHT
 // RunConformance exercises the substrate contract: replacement semantics of
 // Put, absence reporting of Get, idempotent Remove, atomic Apply with
 // create/mutate/delete, stable Owner assignment, positional batch writes
-// (PutBatch/ApplyBatch, native or decomposed), ops as data (dht.Do against
-// Apply(key, op.Run), and against concurrent closure writers), and (when
-// supported) complete enumeration via Range.
+// (PutBatch, native or decomposed; the ApplyBatch pool), ops as data (dht.Do
+// against Apply(key, op.Run), and against concurrent closure writers), and
+// (when supported) complete enumeration via Range.
 func RunConformance(t *testing.T, newDHT Factory) {
 	t.Helper()
 
@@ -230,9 +230,10 @@ func RunConformance(t *testing.T, newDHT Factory) {
 	})
 
 	t.Run("ApplyBatchAtomic", func(t *testing.T) {
-		// dht.ApplyBatch runs each transform with Apply's per-key atomicity:
-		// transforms in the same batch see the stored value (create on
-		// absence), and keep=false deletes.
+		// dht.ApplyBatch, the per-key pool the benchmark harness still calls,
+		// runs each transform with Apply's per-key atomicity: transforms in
+		// the same batch see the stored value (create on absence), and
+		// keep=false deletes.
 		d := newDHT(t)
 		const n = 16
 		if err := d.Put("ab-seed", 100); err != nil {

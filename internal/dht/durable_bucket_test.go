@@ -103,8 +103,8 @@ func TestDurableLocalRecoveryIsExact(t *testing.T) {
 				plainBytes += fileSize(t, logPath) - size
 			}
 		case p < 70:
-			// Two records a hair apart share a leaf (and a group commit,
-			// so the second is cut against the staged bucket), among others.
+			// Two records a hair apart share a leaf, and so one append op
+			// of the group commit, among others.
 			near := point()
 			batch := []spatial.Record{record(near), record(point()), record(spatial.Point{near[0], near[1] * (1 - 1e-12)}), record(point())}
 			for i, err := range ix.InsertBatch(batch) {

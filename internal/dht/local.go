@@ -230,16 +230,6 @@ func (l *Local) commitLocked(sh *storeShard, muts []WALRecord) error {
 	return nil
 }
 
-// commitBatch is commitLocked for one shard's group of a batch: the group
-// shares one journal write, hence one outcome.
-func (l *Local) commitBatch(sh *storeShard, muts []WALRecord, idxs []int, errs []error) {
-	if err := l.commitLocked(sh, muts); err != nil {
-		for _, i := range idxs {
-			errs[i] = err
-		}
-	}
-}
-
 // Put implements DHT.
 func (l *Local) Put(key Key, value any) error {
 	sh := &l.shards[l.shardIndex(key)]
@@ -319,7 +309,8 @@ func (l *Local) GetBatch(keys []Key, maxInFlight int) []BatchResult {
 }
 
 // PutBatch implements BatchWriter natively: each shard's group lands under
-// one exclusive-lock acquisition and, on a durable Local, one journal write.
+// one exclusive-lock acquisition and, on a durable Local, one journal write —
+// hence one outcome for the group.
 func (l *Local) PutBatch(ops []PutOp, maxInFlight int) []error {
 	errs := make([]error, len(ops))
 	l.byShard(len(ops), func(i int) Key { return ops[i].Key }, func(sh *storeShard, idxs []int) {
@@ -328,37 +319,13 @@ func (l *Local) PutBatch(ops []PutOp, maxInFlight int) []error {
 			muts[j] = WALRecord{Op: WALPut, Key: ops[i].Key, Value: ops[i].Value}
 		}
 		sh.mu.Lock()
-		l.commitBatch(sh, muts, idxs, errs)
+		err := l.commitLocked(sh, muts)
 		sh.mu.Unlock()
-	})
-	return errs
-}
-
-// ApplyBatch implements BatchWriter natively: a shard's transforms run under
-// one exclusive-lock acquisition, preserving per-key atomicity, against a
-// staged view — a transform sees what an earlier one in the batch left under
-// its key — and land together once journaled.
-func (l *Local) ApplyBatch(ops []ApplyOp, maxInFlight int) []error {
-	errs := make([]error, len(ops))
-	l.byShard(len(ops), func(i int) Key { return ops[i].Key }, func(sh *storeShard, idxs []int) {
-		muts := make([]WALRecord, 0, len(idxs))
-		staged := make(map[Key]int, len(idxs)) // key → its latest entry in muts
-		sh.mu.Lock()
-		for _, i := range idxs {
-			key := ops[i].Key
-			cur, ok := sh.store[key]
-			if at, hit := staged[key]; hit {
-				cur, ok = muts[at].Value, muts[at].Op == WALPut
+		if err != nil {
+			for _, i := range idxs {
+				errs[i] = err
 			}
-			next, keep := ops[i].Fn(cur, ok)
-			if !ok && !keep {
-				continue
-			}
-			staged[key] = len(muts)
-			muts = append(muts, mutation(key, cur, next, keep))
 		}
-		l.commitBatch(sh, muts, idxs, errs)
-		sh.mu.Unlock()
 	})
 	return errs
 }

@@ -46,26 +46,23 @@ func Do(d DHT, key Key, op Op) (any, error) {
 }
 
 // DoApply executes op through d.Apply, for a substrate (or on a transport)
-// that runs transforms as closures.
+// that runs transforms as closures. Every run of the closure assigns the
+// result and the op's error whole, as ApplyFunc's contract asks of a
+// closure's outputs; a run that fails or writes nothing hands the stored value
+// back as it found it.
 func DoApply(d DHT, key Key, op Op) (any, error) {
 	var result any
 	var opErr error
-	if err := d.Apply(key, AsApply(op, &result, &opErr)); err != nil {
-		return nil, err
-	}
-	return result, opErr
-}
-
-// AsApply returns op's Run as an ApplyFunc. Every run assigns *result and
-// *opErr whole, as ApplyFunc's contract asks of a closure's outputs; a run
-// that fails or writes nothing hands the stored value back as it found it.
-func AsApply(op Op, result *any, opErr *error) ApplyFunc {
-	return func(cur any, exists bool) (any, bool) {
+	err := d.Apply(key, func(cur any, exists bool) (any, bool) {
 		next, write, res, err := op.Run(cur, exists)
-		*result, *opErr = res, err
+		result, opErr = res, err
 		if err != nil || !write {
 			return cur, exists
 		}
 		return next, true
+	})
+	if err != nil {
+		return nil, err
 	}
+	return result, opErr
 }

@@ -14,12 +14,11 @@ import (
 // client-side, and install the result only if the version is unchanged —
 // retrying from the returned state on contention.
 //
-// It is no longer what an insert or a delete costs: those transforms are Ops
-// (op.go) and a socket-backed overlay executes them at the owner. What still
-// comes through here is every Apply whose transform is only a closure — the
-// index's root bootstrap, the group-commit batch (ApplyBatch carries
-// closures), the PHT and DST baselines, tests, and the benchmark harness's
-// traced stack, whose wrappers forward Apply alone. The harness also compiles
+// It is no longer what an index write costs: insert, delete and group commit
+// send Ops (op.go), and a socket-backed overlay executes them at the owner.
+// What still comes through here is every Apply whose transform is only a
+// closure — the index's root bootstrap, the PHT and DST baselines, tests, and
+// the benchmark harness's traced stack, whose wrappers forward Apply alone. The harness also compiles
 // against GetVerReq, CASReq and RemoteApply by name, so the protocol and
 // VersionedStore stay until the harness is rewritten (ROADMAP item 1b); an op
 // and a CAS on one key still serialise, because an op's write bumps the same

@@ -215,62 +215,33 @@ func (r *Resilient) GetBatch(keys []Key, maxInFlight int) []BatchResult {
 // progressively smaller sub-batches with one backoff between waves. Errors
 // stay positional.
 func (r *Resilient) PutBatch(ops []PutOp, maxInFlight int) []error {
-	return r.writeBatch(len(ops),
-		func(i int) Key { return ops[i].Key },
-		func(pending []int) []error {
-			sub := make([]PutOp, len(pending))
-			for j, i := range pending {
-				sub[j] = ops[i]
-			}
-			return PutBatch(r.inner, sub, maxInFlight)
-		})
-}
-
-// ApplyBatch implements BatchWriter, retried exactly like PutBatch. A failed
-// attempt never half-applied over the substrates in this repository (the
-// simulated network fails calls before the remote handler executes), so
-// re-issuing an ApplyOp in a later wave re-runs its closure from scratch —
-// the closure contract documented on ApplyOp.
-func (r *Resilient) ApplyBatch(ops []ApplyOp, maxInFlight int) []error {
-	return r.writeBatch(len(ops),
-		func(i int) Key { return ops[i].Key },
-		func(pending []int) []error {
-			sub := make([]ApplyOp, len(pending))
-			for j, i := range pending {
-				sub[j] = ops[i]
-			}
-			return ApplyBatch(r.inner, sub, maxInFlight)
-		})
-}
-
-// writeBatch is the retry-wave engine shared by PutBatch and ApplyBatch:
-// breaker pre-check per key, then waves of re-issued sub-batches (built by
-// issue from the still-pending positions) with per-key success/terminal/
-// exhausted adjudication, mirroring GetBatch.
-func (r *Resilient) writeBatch(n int, keyOf func(int) Key, issue func(pending []int) []error) []error {
-	errs := make([]error, n)
-	if n == 0 {
+	errs := make([]error, len(ops))
+	if len(ops) == 0 {
 		return errs
 	}
 	// Breaker pre-check per key: shed keys fail fast without issuing.
-	pending := make([]int, 0, n)
-	for i := 0; i < n; i++ {
+	pending := make([]int, 0, len(ops))
+	for i, op := range ops {
 		r.retrier.stats.Ops.Inc()
-		if err := r.retrier.precheck(r.owner(keyOf(i))); err != nil {
+		if err := r.retrier.precheck(r.owner(op.Key)); err != nil {
 			errs[i] = err
 			continue
 		}
 		pending = append(pending, i)
 	}
 	for attempt := 1; len(pending) > 0; attempt++ {
+		sub := make([]PutOp, len(pending))
+		for j, i := range pending {
+			sub[j] = ops[i]
+		}
 		// Retry waves (attempt ≥ 2) are recorded as flat KindAttempt spans,
 		// matching GetBatch: the successful first wave stays silent.
 		var wave trace.SpanID
 		if r.tc != nil && attempt > 1 {
 			wave = r.tc.Begin(0, trace.KindAttempt, "wave "+strconv.Itoa(attempt),
-				trace.Int("keys", int64(len(pending))))
+				trace.Int("keys", int64(len(sub))))
 		}
-		batch := issue(pending)
+		batch := PutBatch(r.inner, sub, maxInFlight)
 		if wave != 0 {
 			r.tc.End(wave)
 		}
@@ -278,13 +249,12 @@ func (r *Resilient) writeBatch(n int, keyOf func(int) Key, issue func(pending []
 		for j, i := range pending {
 			err := batch[j]
 			r.retrier.stats.Attempts.Inc()
-			owner := r.owner(keyOf(i))
+			owner := r.owner(ops[i].Key)
 			if err == nil {
 				r.retrier.onSuccess(owner)
 				if attempt > 1 {
 					r.retrier.stats.Recovered.Inc()
 				}
-				errs[i] = nil
 				continue
 			}
 			if !r.retrier.policy.Classify(err) {

@@ -116,21 +116,6 @@ func (s *scriptDHT) PutBatch(ops []PutOp, maxInFlight int) []error {
 	return out
 }
 
-func (s *scriptDHT) ApplyBatch(ops []ApplyOp, maxInFlight int) []error {
-	keys := make([]Key, len(ops))
-	for i, op := range ops {
-		keys[i] = op.Key
-	}
-	s.mu.Lock()
-	s.batchCalls = append(s.batchCalls, keys)
-	s.mu.Unlock()
-	out := make([]error, len(ops))
-	for i, op := range ops {
-		out[i] = s.Apply(op.Key, op.Fn)
-	}
-	return out
-}
-
 func noBreaker() RetryPolicy {
 	return RetryPolicy{BreakerThreshold: -1, Sleep: NoSleep}
 }
@@ -355,6 +340,10 @@ func TestResilientPutBatchSubBatchReissue(t *testing.T) {
 	}
 }
 
+// TestResilientApplyBatchOutcomesPositional: the per-key pool (ApplyBatch) over
+// a Resilient retries each transform on its own — a transient failure
+// recovers, a persistent one exhausts its budget — and reports each outcome in
+// its own slot.
 func TestResilientApplyBatchOutcomesPositional(t *testing.T) {
 	script := newScriptDHT()
 	res := NewResilient(script, RetryPolicy{MaxAttempts: 2, BreakerThreshold: -1, Sleep: NoSleep}, nil)
@@ -373,13 +362,13 @@ func TestResilientApplyBatchOutcomesPositional(t *testing.T) {
 		{Key: "recovers", Fn: incr},
 		{Key: "exhausts", Fn: incr},
 		{Key: "once", Fn: func(cur any, exists bool) (any, bool) {
-			// A closure on a healthy key must run exactly once: successful
-			// first-wave operations are never re-issued.
+			// A closure on a healthy key must run exactly once: a successful
+			// operation is never re-issued.
 			calls++
 			return nil, false
 		}},
 	}
-	errs := res.ApplyBatch(ops, 4)
+	errs := ApplyBatch(res, ops, 4)
 	if errs[0] != nil || errs[1] != nil {
 		t.Errorf("clean/recovers = %v, %v; want nil, nil", errs[0], errs[1])
 	}

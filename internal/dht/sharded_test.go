@@ -16,8 +16,8 @@ func TestShardedConformance(t *testing.T) {
 	})
 }
 
-// TestShardedBatchAndRange exercises the shard-grouped batch paths and the
-// enumerator against a model map.
+// TestShardedBatchAndRange exercises the shard-grouped batch paths, Apply and
+// the enumerator against a model map.
 func TestShardedBatchAndRange(t *testing.T) {
 	s := dht.MustNewSharded(4)
 	const n = 1000
@@ -47,23 +47,18 @@ func TestShardedBatchAndRange(t *testing.T) {
 	if res[n].Found {
 		t.Fatal("GetBatch found an absent key")
 	}
-	// ApplyBatch: increment evens, drop odds.
-	aps := make([]dht.ApplyOp, n)
-	for i := range aps {
-		i := i
-		aps[i] = dht.ApplyOp{Key: ops[i].Key, Fn: func(cur any, ok bool) (any, bool) {
+	// Apply: increment evens, drop odds.
+	for i := range ops {
+		if err := s.Apply(ops[i].Key, func(cur any, ok bool) (any, bool) {
 			if !ok {
-				t.Errorf("key %s missing in ApplyBatch", ops[i].Key)
+				t.Errorf("key %s missing in Apply", ops[i].Key)
 				return nil, false
 			}
 			if i%2 == 0 {
 				return cur.(int) + 1, true
 			}
 			return nil, false
-		}}
-	}
-	for _, err := range s.ApplyBatch(aps, 8) {
-		if err != nil {
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -75,7 +70,7 @@ func TestShardedBatchAndRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got) != n/2 {
-		t.Fatalf("after ApplyBatch: %d entries, want %d", len(got), n/2)
+		t.Fatalf("after the applies: %d entries, want %d", len(got), n/2)
 	}
 	for i := 0; i < n; i += 2 {
 		if got[ops[i].Key] != i+1 {

@@ -151,9 +151,11 @@ func TestDurableLocalBatchPathsJournal(t *testing.T) {
 			t.Fatal(e)
 		}
 	}
-	applies := []ApplyOp{
+	applies := []struct {
+		Key Key
+		Fn  ApplyFunc
+	}{
 		{Key: "p0", Fn: func(cur any, ok bool) (any, bool) { return cur.(int) + 100, true }},
-		{Key: "p0", Fn: func(cur any, ok bool) (any, bool) { return cur.(int) + 1, true }}, // sees staged 100
 		{Key: "p1", Fn: func(cur any, ok bool) (any, bool) { return nil, false }},
 		{Key: "fresh", Fn: func(cur any, ok bool) (any, bool) {
 			if ok {
@@ -162,14 +164,14 @@ func TestDurableLocalBatchPathsJournal(t *testing.T) {
 			return "new", true
 		}},
 	}
-	for _, e := range l.ApplyBatch(applies, 4) {
-		if e != nil {
-			t.Fatal(e)
+	for _, a := range applies {
+		if err := l.Apply(a.Key, a.Fn); err != nil {
+			t.Fatal(err)
 		}
 	}
 	want := dump(t, l)
-	if want[Key("p0")] != 101 {
-		t.Fatalf("staged apply chain broke: p0 = %v, want 101", want[Key("p0")])
+	if want[Key("p0")] != 100 {
+		t.Fatalf("p0 = %v, want 100", want[Key("p0")])
 	}
 	l.CrashVolatile()
 	if err := l.Recover(); err != nil {
@@ -504,6 +506,14 @@ func extend(tail string) ApplyFunc {
 	}
 }
 
+// extendOp is extend as an Op; the empty tail writes nothing.
+type extendOp string
+
+func (op extendOp) Run(cur any, _ bool) (next any, write bool, result any, err error) {
+	s, _ := cur.(string)
+	return s + string(op), op != "", nil, nil
+}
+
 // logSize is the size of dir's log file.
 func logSize(t *testing.T, dir string) int64 {
 	t.Helper()
@@ -524,9 +534,10 @@ func mustRecover(t *testing.T, l *Local) map[Key]any {
 	return dump(t, l)
 }
 
-// TestDurableLocalJournalsExtensionsAsDeltas: with a DeltaCodec an Apply that
-// extends the stored value costs the log its tail, not the value; everything
-// else is still a full put; replay rebuilds the same state either way.
+// TestDurableLocalJournalsExtensionsAsDeltas: with a DeltaCodec an Apply or a
+// Do that extends the stored value costs the log its tail, not the value;
+// everything else is still a full put; replay rebuilds the same state either
+// way.
 func TestDurableLocalJournalsExtensionsAsDeltas(t *testing.T) {
 	dir := t.TempDir()
 	l, err := NewDurableLocal(4, openCodecWAL(t, dir, -1, deltaTestCodec{}))
@@ -544,16 +555,17 @@ func TestDurableLocalJournalsExtensionsAsDeltas(t *testing.T) {
 	if grew := logSize(t, dir) - before; grew > 32 {
 		t.Fatalf("a 4-byte extension of a 4000-byte value grew the log by %d bytes", grew)
 	}
-	// The same key twice in one batch: the second delta is cut against the
-	// staged value, not the stored one.
+	// An op that extends the value journals as a delta too, cut against the
+	// value the closure before it left.
 	before = logSize(t, dir)
-	for _, err := range l.ApplyBatch([]ApplyOp{{Key: "k", Fn: extend("-a")}, {Key: "k", Fn: extend("-b")}}, 4) {
-		if err != nil {
-			t.Fatal(err)
-		}
+	if err := l.Apply("k", extend("-a")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Do("k", extendOp("-b")); err != nil {
+		t.Fatal(err)
 	}
 	if grew := logSize(t, dir) - before; grew > 64 {
-		t.Fatalf("two 2-byte extensions in one batch grew the log by %d bytes", grew)
+		t.Fatalf("two 2-byte extensions, by Apply and by Do, grew the log by %d bytes", grew)
 	}
 	// Not an extension: journaled whole.
 	before = logSize(t, dir)
@@ -570,8 +582,8 @@ func TestDurableLocalJournalsExtensionsAsDeltas(t *testing.T) {
 }
 
 // TestDurableLocalUnchangedApplyJournalsNothing: a transform that hands back
-// what it was given — the stored value, or the absence of one — writes no
-// record, under either kind of codec.
+// what it was given — the stored value, or the absence of one — and an op that
+// writes nothing leave no record, under either kind of codec.
 func TestDurableLocalUnchangedApplyJournalsNothing(t *testing.T) {
 	dir := t.TempDir()
 	w := openCodecWAL(t, dir, -1, deltaTestCodec{})
@@ -590,8 +602,8 @@ func TestDurableLocalUnchangedApplyJournalsNothing(t *testing.T) {
 	if err := l.Apply("absent", same); err != nil {
 		t.Fatal(err)
 	}
-	for _, err := range l.ApplyBatch([]ApplyOp{{Key: "k", Fn: same}, {Key: "absent", Fn: same}, {Key: "k", Fn: same}}, 4) {
-		if err != nil {
+	for _, key := range []Key{"k", "absent"} {
+		if _, err := l.Do(key, extendOp("")); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -55,7 +55,7 @@ func BenchmarkOpRun(b *testing.B) {
 		records := dataset.Generate(n+1, 1)
 		stored := MarshalBucket(core.NewBucket(bitlabel.Root(2), records[:n]))
 		rule := core.SplitRule{Dims: 2, MaxDepth: 28, Strategy: core.SplitThreshold, ThetaSplit: 1000}
-		op := Op{Body: core.EncodeOp(core.AppendOp{Rule: rule, Leaf: bitlabel.Root(2), Records: records[n:]})}
+		op := Op{Body: core.EncodeOp(core.AppendOp{Rule: rule, Records: records[n:]})}
 		b.Run(fmt.Sprint(n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -226,17 +226,17 @@ func FuzzOp(f *testing.F) {
 	}
 	empty := MarshalBucket(core.Bucket{Label: root})
 	three := MarshalBucket(core.NewBucket(root, recs))
-	appendOne := core.EncodeOp(core.AppendOp{Rule: rule, Leaf: root, Records: recs[:1]})
-	f.Add(appendOne, empty)                                                                                     // extends, on the bytes
-	f.Add(appendOne, three)                                                                                     // splits
-	f.Add(core.EncodeOp(core.AppendOp{Rule: rule, Leaf: bitlabel.MustParse("0011"), Records: recs[:1]}), three) // gone
-	f.Add(core.EncodeOp(core.AppendOp{Rule: rule, Leaf: root, Records: recs}), empty)                           // a batch
+	appendOne := core.EncodeOp(core.AppendOp{Rule: rule, Records: recs[:1]})
+	f.Add(appendOne, empty)                                                         // extends, on the bytes
+	f.Add(appendOne, three)                                                         // splits
+	f.Add(appendOne, MarshalBucket(core.Bucket{Label: bitlabel.MustParse("0011")})) // gone
+	f.Add(core.EncodeOp(core.AppendOp{Rule: rule, Records: recs}), empty)           // a batch
 	aware := rule
 	aware.Strategy, aware.Epsilon = core.SplitDataAware, 2
-	f.Add(core.EncodeOp(core.AppendOp{Rule: aware, Leaf: root, Records: recs[:1]}), three)
-	f.Add(core.EncodeOp(core.RemoveOp{Leaf: root, Key: recs[0].Key, Data: "x", MergeThreshold: 2}), three)  // the bucket comes back
-	f.Add(core.EncodeOp(core.RemoveOp{Leaf: root, Key: recs[0].Key, Data: "x", MergeThreshold: 1}), three)  // label and load
-	f.Add(core.EncodeOp(core.RemoveOp{Leaf: root, Key: spatial.Point{0.3, 0.3}, MergeThreshold: 2}), three) // not there
+	f.Add(core.EncodeOp(core.AppendOp{Rule: aware, Records: recs[:1]}), three)
+	f.Add(core.EncodeOp(core.RemoveOp{Key: recs[0].Key, Data: "x", MergeThreshold: 2}), three)  // the bucket comes back
+	f.Add(core.EncodeOp(core.RemoveOp{Key: recs[0].Key, Data: "x", MergeThreshold: 1}), three)  // label and load
+	f.Add(core.EncodeOp(core.RemoveOp{Key: spatial.Point{0.3, 0.3}, MergeThreshold: 2}), three) // not there
 	f.Add(appendOne, []byte("not a bucket"))
 	f.Add(appendOne, mixedDimsBucket())
 	f.Add(appendOne[:5], empty)

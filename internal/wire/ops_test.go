@@ -231,28 +231,28 @@ func TestOpEquivalence(t *testing.T) {
 			rec := func(i int) spatial.Record {
 				return spatial.Record{Key: spatial.Point{rng.Float64(), rng.Float64()}, Data: fmt.Sprintf("r%d", i)}
 			}
-			appendOp := func(leaf bitlabel.Label, recs ...spatial.Record) core.AppendOp {
-				return core.AppendOp{Rule: opRule, Leaf: leaf, Records: recs}
+			appendOp := func(recs ...spatial.Record) core.AppendOp {
+				return core.AppendOp{Rule: opRule, Records: recs}
 			}
 			// After the split, appends carry a θsplit no leaf here reaches, so
 			// the leaf every later op meets is the part that stayed.
 			roomy := opRule
 			roomy.ThetaSplit = 1 << 20
-			grow := func(leaf bitlabel.Label, recs ...spatial.Record) core.AppendOp {
-				return core.AppendOp{Rule: roomy, Leaf: leaf, Records: recs}
+			grow := func(recs ...spatial.Record) core.AppendOp {
+				return core.AppendOp{Rule: roomy, Records: recs}
 			}
 
-			if c := p.do("append to an absent key", "mlight/absent", appendOp(root, rec(-1))).(core.Commit); !c.Gone || !c.Keep.Label.IsEmpty() {
+			if c := p.do("append to an absent key", "mlight/absent", appendOp(rec(-1))).(core.Commit); !c.Gone || !c.Keep.Label.IsEmpty() {
 				t.Fatalf("append to an absent key: %+v; want gone, with the empty label", c)
 			}
 			var all []spatial.Record
 			for i := 0; i < opRule.ThetaSplit; i++ {
 				all = append(all, rec(i))
-				if c := p.do(fmt.Sprintf("append %d", i), key, appendOp(root, all[i])).(core.Commit); c.Accepted != 1 || c.Splits != 0 || c.Load != i+1 {
+				if c := p.do(fmt.Sprintf("append %d", i), key, appendOp(all[i])).(core.Commit); c.Accepted != 1 || c.Splits != 0 || c.Load != i+1 {
 					t.Fatalf("append %d: %+v", i, c)
 				}
 			}
-			split := p.do("the append that splits", key, appendOp(root, rec(8), rec(9))).(core.Commit)
+			split := p.do("the append that splits", key, appendOp(rec(8), rec(9))).(core.Commit)
 			if split.Splits == 0 || len(split.Moved) == 0 || split.Keep.Label == root {
 				t.Fatalf("ten records under θsplit 8 did not split: %+v", split)
 			}
@@ -266,29 +266,29 @@ func TestOpEquivalence(t *testing.T) {
 			if region.Contains(outside.Key) {
 				t.Fatalf("%v and %v both lie in %v", inside.Key, outside.Key, leaf)
 			}
-			if c := p.do("append under the label that split", key, grow(root, inside)).(core.Commit); c.Gone || c.Accepted != 1 || c.Keep.Label != leaf {
+			if c := p.do("append under the label that split", key, grow(inside)).(core.Commit); c.Gone || c.Accepted != 1 || c.Keep.Label != leaf {
 				t.Fatalf("append under a split leaf's old label, into the part that stayed: %+v; want it landed in %v", c, leaf)
 			}
-			if c := p.do("a record the stored leaf does not cover", key, grow(root, outside)).(core.Commit); !c.Gone || c.Accepted != 0 || c.Keep.Label != leaf {
+			if c := p.do("a record the stored leaf does not cover", key, grow(outside)).(core.Commit); !c.Gone || c.Accepted != 0 || c.Keep.Label != leaf {
 				t.Fatalf("append of a record outside the stored leaf: %+v; want gone, reporting %v", c, leaf)
 			}
-			if c := p.do("a batch with a stale record", key, grow(leaf, outside, inside)).(core.Commit); len(c.Stale) != 1 || c.Stale[0] != 0 || c.Accepted != 1 {
+			if c := p.do("a batch with a stale record", key, grow(outside, inside)).(core.Commit); len(c.Stale) != 1 || c.Stale[0] != 0 || c.Accepted != 1 {
 				t.Fatalf("batch of a stale and a covered record: %+v", c)
 			}
 
-			remove := func(leaf bitlabel.Label, r spatial.Record) core.RemoveOp {
-				return core.RemoveOp{Leaf: leaf, Key: r.Key, Data: r.Data, MergeThreshold: opTheta}
+			remove := func(r spatial.Record) core.RemoveOp {
+				return core.RemoveOp{Key: r.Key, Data: r.Data, MergeThreshold: opTheta}
 			}
-			if out := p.do("remove under the label that split", key, remove(root, inside)).(core.Removal); !out.Removed || out.Keep.Label != leaf {
+			if out := p.do("remove under the label that split", key, remove(inside)).(core.Removal); !out.Removed || out.Keep.Label != leaf {
 				t.Fatalf("remove from a split leaf under its old label: %+v; want it removed from the part that stayed, %v", out, leaf)
 			}
-			if out := p.do("remove where the stored leaf does not cover", key, remove(root, outside)).(core.Removal); !out.Gone || out.Removed || out.Keep.Label != leaf {
+			if out := p.do("remove where the stored leaf does not cover", key, remove(outside)).(core.Removal); !out.Gone || out.Removed || out.Keep.Label != leaf {
 				t.Fatalf("remove of a key outside the stored leaf: %+v; want gone, reporting %v", out, leaf)
 			}
-			if out := p.do("remove from an absent key", "mlight/absent", remove(root, inside)).(core.Removal); !out.Gone || !out.Keep.Label.IsEmpty() {
+			if out := p.do("remove from an absent key", "mlight/absent", remove(inside)).(core.Removal); !out.Gone || !out.Keep.Label.IsEmpty() {
 				t.Fatalf("remove at an absent key: %+v; want gone, with the empty label", out)
 			}
-			if out := p.do("remove a record that is not there", key, remove(leaf, spatial.Record{Key: inside.Key, Data: "never stored"})).(core.Removal); out.Removed || out.Gone {
+			if out := p.do("remove a record that is not there", key, remove(spatial.Record{Key: inside.Key, Data: "never stored"})).(core.Removal); out.Removed || out.Gone {
 				t.Fatalf("remove of an absent record: %+v", out)
 			}
 			// Fill the leaf to θmerge+1 and take it down to nothing: the first
@@ -301,10 +301,10 @@ func TestOpEquivalence(t *testing.T) {
 			held := v.(core.Bucket).Records()
 			for len(held) <= opTheta {
 				held = append(held, inside)
-				p.do("refill", key, grow(leaf, inside))
+				p.do("refill", key, grow(inside))
 			}
 			for i, r := range held {
-				out := p.do(fmt.Sprintf("remove %d of %d", i, len(held)), key, remove(leaf, r)).(core.Removal)
+				out := p.do(fmt.Sprintf("remove %d of %d", i, len(held)), key, remove(r)).(core.Removal)
 				left := len(held) - i - 1
 				if !out.Removed || out.Load != left || (left < opTheta && out.Keep.Load() != left) {
 					t.Fatalf("remove %d of %d: %+v", i, len(held), out)
@@ -344,7 +344,7 @@ func TestOpVersusClosureAppends(t *testing.T) {
 				go func(w int) {
 					defer wg.Done()
 					for i := 0; i < each; i++ {
-						op := core.AppendOp{Rule: rule, Leaf: root, Records: []spatial.Record{{
+						op := core.AppendOp{Rule: rule, Records: []spatial.Record{{
 							Key: spatial.Point{float64(w) / writers, float64(i) / each}, Data: fmt.Sprintf("w%d-%d", w, i),
 						}}}
 						var res any
@@ -393,7 +393,7 @@ func TestByteDHTOpRerunReportsTheStoredRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	flaky.RerunNext("k", []byte("?garbage"), true)
-	res, err := dht.Do(d, "k", core.AppendOp{Rule: opRule, Leaf: root, Records: []spatial.Record{{Key: spatial.Point{0.5, 0.5}, Data: "x"}}})
+	res, err := dht.Do(d, "k", core.AppendOp{Rule: opRule, Records: []spatial.Record{{Key: spatial.Point{0.5, 0.5}, Data: "x"}}})
 	if c, _ := res.(core.Commit); err != nil || c.Accepted != 1 || c.Load != 1 {
 		t.Fatalf("the stored run succeeded, Do reported %+v, %v", res, err)
 	}
@@ -402,7 +402,7 @@ func TestByteDHTOpRerunReportsTheStoredRun(t *testing.T) {
 // hostileOps are op bodies no index sends. Each starts from a well-formed
 // append or remove and breaks one thing.
 func hostileOps() map[string][]byte {
-	good := core.AppendOp{Rule: opRule, Leaf: bitlabel.Root(2), Records: []spatial.Record{{Key: spatial.Point{0.25, 0.75}, Data: "x"}}}
+	good := core.AppendOp{Rule: opRule, Records: []spatial.Record{{Key: spatial.Point{0.25, 0.75}, Data: "x"}}}
 	withRule := func(edit func(*core.SplitRule)) []byte {
 		op := good
 		edit(&op.Rule)
@@ -413,10 +413,8 @@ func hostileOps() map[string][]byte {
 		op.Records = recs
 		return core.EncodeOp(op)
 	}
-	deep := good
-	deep.Leaf = bitlabel.New(1<<40, 2+1+opRule.MaxDepth+1)
 	enc := core.EncodeOp(good)
-	remove := core.EncodeOp(core.RemoveOp{Leaf: bitlabel.Root(2), Key: spatial.Point{0.25, 0.75}, Data: "x", MergeThreshold: opTheta})
+	remove := core.EncodeOp(core.RemoveOp{Key: spatial.Point{0.25, 0.75}, Data: "x", MergeThreshold: opTheta})
 	// The record count is the uvarint before the one record's 1+16+1+1 bytes.
 	manyRecords := append(append([]byte(nil), enc[:len(enc)-20]...), 0xFF, 0xFF, 0xFF, 0x07)
 	manyRecords = append(manyRecords, enc[len(enc)-19:]...)
@@ -433,7 +431,6 @@ func hostileOps() map[string][]byte {
 		"huge θsplit":              withRule(func(r *core.SplitRule) { r.ThetaSplit = math.MaxInt64 }),
 		"unknown strategy":         withRule(func(r *core.SplitRule) { r.Strategy = 9 }),
 		"data-aware without ε":     withRule(func(r *core.SplitRule) { r.Strategy = core.SplitDataAware; r.Epsilon = 0 }),
-		"leaf below the depth":     core.EncodeOp(deep),
 		"three coordinates":        withRecords(spatial.Record{Key: spatial.Point{0.1, 0.2, 0.3}}),
 		"mixed dimensions":         withRecords(spatial.Record{Key: spatial.Point{0.1, 0.2}}, spatial.Record{Key: spatial.Point{0.3}}),
 		"outside the unit cube":    withRecords(spatial.Record{Key: spatial.Point{0.5, 1.5}}),
@@ -443,8 +440,8 @@ func hostileOps() map[string][]byte {
 		"more records than bytes":  manyRecords,
 		"remove: truncated":        remove[:len(remove)-3],
 		"remove: trailing bytes":   append(append([]byte(nil), remove...), 0),
-		"remove: no coordinates":   core.EncodeOp(core.RemoveOp{Leaf: bitlabel.Root(2), Key: spatial.Point{}}),
-		"remove: outside the cube": core.EncodeOp(core.RemoveOp{Leaf: bitlabel.Root(2), Key: spatial.Point{2, 2}}),
+		"remove: no coordinates":   core.EncodeOp(core.RemoveOp{Key: spatial.Point{}}),
+		"remove: outside the cube": core.EncodeOp(core.RemoveOp{Key: spatial.Point{2, 2}}),
 	}
 }
 
@@ -459,7 +456,7 @@ func TestOpRefusesHostileBytes(t *testing.T) {
 		}
 	}
 	// A well-formed op over a stored value that is no bucket is refused too.
-	good := core.EncodeOp(core.AppendOp{Rule: opRule, Leaf: bitlabel.Root(2), Records: []spatial.Record{{Key: spatial.Point{0.25, 0.75}}}})
+	good := core.EncodeOp(core.AppendOp{Rule: opRule, Records: []spatial.Record{{Key: spatial.Point{0.25, 0.75}}}})
 	for _, cur := range []any{[]byte("not a bucket"), 42} {
 		if _, write, _, err := (wire.Op{Body: good}).Run(cur, true); err == nil || write {
 			t.Errorf("a good op over %T %v: write %v, err %v", cur, cur, write, err)
@@ -499,8 +496,8 @@ func goldenOps() map[string][]byte {
 	root, leaf := bitlabel.Root(2), bitlabel.MustParse("0011011")
 	recs := []spatial.Record{{Key: spatial.Point{0.25, 0.75}, Data: "x"}, {Key: spatial.Point{0.5, 0.5}, Data: ""}}
 	inLeaf := spatial.Record{Key: spatial.Point{0.875, 0.375}, Data: "x"}
-	appendOp := core.AppendOp{Rule: opRule, Leaf: root, Records: recs}
-	removeOp := core.RemoveOp{Leaf: leaf, Key: recs[0].Key, Data: "x", MergeThreshold: opTheta}
+	appendOp := core.AppendOp{Rule: opRule, Records: recs}
+	removeOp := core.RemoveOp{Key: recs[0].Key, Data: "x", MergeThreshold: opTheta}
 	// The removals that land run at a key inside leaf; a reply does not
 	// carry the key, so their bytes are those of any key leaf covers.
 	removeIn := removeOp
@@ -522,7 +519,7 @@ func goldenOps() map[string][]byte {
 		"op/remove":              core.EncodeOp(removeOp),
 		"commit/extended":        run(appendOp, core.Bucket{Label: root}),
 		"commit/gone":            run(appendOp, core.Bucket{Label: leaf}),
-		"commit/stale":           run(core.AppendOp{Rule: opRule, Leaf: leaf, Records: []spatial.Record{recs[0], inLeaf}}, core.Bucket{Label: leaf}),
+		"commit/stale":           run(core.AppendOp{Rule: opRule, Records: []spatial.Record{recs[0], inLeaf}}, core.Bucket{Label: leaf}),
 		"commit/split":           run(appendOp, full),
 		"removal/label-and-load": run(removeIn, five),
 		"removal/with-bucket":    run(removeIn, core.NewBucket(leaf, []spatial.Record{inLeaf, recs[1]})),

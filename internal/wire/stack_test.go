@@ -149,7 +149,8 @@ func TestByteDHTForwardsSpans(t *testing.T) {
 // TestByteDHTRerunReportsTheStoredRun: a transform run twice — first against
 // bytes that do not decode, discarded, then against the key as stored (here:
 // absent), as a lost CAS re-runs it — must report the stored run's outcome.
-// Apply used to keep the first run's codec error; ApplyBatch always reset it.
+// Apply used to keep the first run's codec error; the ApplyBatch arm reaches
+// it through the per-key pool.
 func TestByteDHTRerunReportsTheStoredRun(t *testing.T) {
 	for name, apply := range map[string]func(dht.DHT, dht.Key, dht.ApplyFunc) error{
 		"Apply": dht.DHT.Apply,

@@ -205,29 +205,21 @@ func (b *ByteDHT) Remove(key dht.Key) error {
 }
 
 // Apply implements dht.DHT: the stored bytes are decoded for the transform
-// and its result re-encoded, all at the owning peer.
+// and its result re-encoded, all at the owning peer. A codec failure leaves the
+// stored bytes intact and is what Apply returns; every run assigns it afresh,
+// so a re-issued attempt does not inherit an earlier run's error.
 func (b *ByteDHT) Apply(key dht.Key, fn dht.ApplyFunc) error {
 	var codecErr error
-	if err := b.inner.Apply(key, b.transcode(fn, &codecErr)); err != nil {
-		return err
-	}
-	return codecErr
-}
-
-// transcode wraps fn with the decode/re-encode shim. A codec failure leaves
-// the stored bytes intact and is reported through *codecErr, which every run
-// assigns afresh: a re-issued attempt must not inherit an earlier run's error.
-func (b *ByteDHT) transcode(fn dht.ApplyFunc, codecErr *error) dht.ApplyFunc {
-	return func(cur any, exists bool) (any, bool) {
-		*codecErr = nil
+	err := b.inner.Apply(key, func(cur any, exists bool) (any, bool) {
+		codecErr = nil
 		var decoded any
 		if exists {
 			data, ok := cur.([]byte)
 			if !ok {
-				*codecErr = fmt.Errorf("wire: substrate holds %T, want bytes", cur)
+				codecErr = fmt.Errorf("wire: substrate holds %T, want bytes", cur)
 				return cur, true
 			}
-			if decoded, *codecErr = b.codec.Unmarshal(data); *codecErr != nil {
+			if decoded, codecErr = b.codec.Unmarshal(data); codecErr != nil {
 				return cur, true
 			}
 		}
@@ -237,11 +229,15 @@ func (b *ByteDHT) transcode(fn dht.ApplyFunc, codecErr *error) dht.ApplyFunc {
 		}
 		encoded, err := b.codec.Marshal(next)
 		if err != nil {
-			*codecErr = err
+			codecErr = err
 			return cur, exists
 		}
 		return encoded, true
+	})
+	if err != nil {
+		return err
 	}
+	return codecErr
 }
 
 // Owner implements dht.DHT.
@@ -298,25 +294,6 @@ func (b *ByteDHT) PutBatch(ops []dht.PutOp, maxInFlight int) []error {
 	inner := dht.PutBatch(b.inner, encoded, maxInFlight)
 	for j, i := range positions {
 		errs[i] = inner[j]
-	}
-	return errs
-}
-
-// ApplyBatch implements dht.BatchWriter: each transform is wrapped with the
-// same decode/re-encode shim as Apply (run at the owning peer), and the
-// wrapped batch is forwarded as one inner round. Codec failures surface as
-// that operation's positional error while leaving the stored bytes intact.
-func (b *ByteDHT) ApplyBatch(ops []dht.ApplyOp, maxInFlight int) []error {
-	wrapped := make([]dht.ApplyOp, len(ops))
-	codecErrs := make([]error, len(ops))
-	for i, op := range ops {
-		wrapped[i] = dht.ApplyOp{Key: op.Key, Fn: b.transcode(op.Fn, &codecErrs[i])}
-	}
-	errs := dht.ApplyBatch(b.inner, wrapped, maxInFlight)
-	for i := range errs {
-		if errs[i] == nil {
-			errs[i] = codecErrs[i]
-		}
 	}
 	return errs
 }

@@ -87,8 +87,8 @@ type (
 	// Index is the m-LIGHT index client.
 	Index = core.Index
 	// Writer is the group-commit insert engine (Index.Writer): concurrent
-	// Insert callers coalesce into batched commits that share lookup,
-	// apply, and placement round trips.
+	// Insert callers coalesce into batched commits that share each leaf's
+	// append op and the placement round trip.
 	Writer = core.Writer
 	// PHT is the Prefix Hash Tree baseline index client.
 	PHT = pht.Index
