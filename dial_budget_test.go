@@ -1,5 +1,6 @@
 // The RPC budget of the dialed path, pinned through mlight.Dial itself: what a
-// warm-cache insert and delete cost a client in frames and bytes. The
+// warm-cache insert, delete, group commit and range query cost a client in
+// frames and bytes. The
 // benchmark harness cannot say yet (its traced stack takes the closure path,
 // DESIGN §17), so this test and BenchmarkDialedInsert are where the numbers
 // the README quotes come from.
@@ -7,6 +8,7 @@ package mlight_test
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -27,6 +29,7 @@ type wireCount struct {
 
 	mu     sync.Mutex
 	byType map[string]int
+	byDest map[transport.NodeID]int
 	calls  int
 	bytes  int
 }
@@ -42,9 +45,10 @@ func (w *wireCount) Call(from, to transport.NodeID, req any) (any, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.byType == nil {
-		w.byType = make(map[string]int)
+		w.byType, w.byDest = make(map[string]int), make(map[transport.NodeID]int)
 	}
 	w.byType[reflect.TypeOf(req).String()]++
+	w.byDest[to]++
 	w.calls++
 	w.bytes += n
 	return resp, err
@@ -55,8 +59,19 @@ func (w *wireCount) take() (calls, bytes int, byType map[string]int) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	calls, bytes, byType = w.calls, w.bytes, w.byType
-	w.calls, w.bytes, w.byType = 0, 0, nil
+	w.calls, w.bytes, w.byType, w.byDest = 0, 0, nil, nil
 	return calls, bytes, byType
+}
+
+// busiest returns the most calls any one daemon was sent since the last take.
+func (w *wireCount) busiest() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	most := 0
+	for _, n := range w.byDest {
+		most = max(most, n)
+	}
+	return most
 }
 
 // startLoopback boots n WAL-backed daemons on loopback TCP and returns their
@@ -303,4 +318,49 @@ func TestDialedGroupCommitBudget(t *testing.T) {
 		t.Fatalf("%d warm-cache Inserts: %d RPCs %v; want one overlay.opReq each", len(batch), singles, byType)
 	}
 	t.Logf("%d records in %d leaves: InsertBatch %d RPCs, %d B; one at a time %d RPCs, %d B", len(batch), len(leaves), calls, bytes, singles, singleBytes)
+}
+
+// TestDialedRangeBudget: with the leaves under a range in the client's cache,
+// a RangeQuery is one round. The cached tree plans it, so no probe of the
+// LCA's corner cell goes out first, and the round's reads reach each daemon
+// as one frame: a retrieveBatchReq, or the single-key retrieveReq the overlay
+// sends an owner the round gives one key alone. Nothing else is sent.
+func TestDialedRangeBudget(t *testing.T) {
+	dhttest.VerifyNoLeaks(t)
+	addrs := startLoopback(t, 3)
+	client, w := dialCounted(t, addrs, mlight.WithCache(256), mlight.WithCapacity(40))
+	for _, rec := range mlight.GenerateNE(1000, 1) {
+		if err := client.Insert(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One range over the whole space leaves every leaf in the cache.
+	if _, err := client.RangeQuery(mlight.Rect{Lo: mlight.Point{0, 0}, Hi: mlight.Point{1, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	batches, keys := 0, 0
+	for i := 0; i < 30; i++ {
+		lo := mlight.Point{0.7 * rng.Float64(), 0.7 * rng.Float64()}
+		q := mlight.Rect{Lo: lo, Hi: mlight.Point{lo[0] + 0.3, lo[1] + 0.3}}
+		w.take()
+		res, err := client.RangeQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		busiest := w.busiest()
+		calls, _, byType := w.take()
+		if res.Rounds != 1 || busiest != 1 {
+			t.Fatalf("warm-cache range %v: %d rounds, up to %d frames to one daemon; want one round, one frame a daemon", q, res.Rounds, busiest)
+		}
+		if bucketReads(byType) != calls || calls > len(addrs) || calls > res.Lookups {
+			t.Fatalf("warm-cache range %v: %d RPCs %v for %d lookups; want at most one bucket read a daemon", q, calls, byType, res.Lookups)
+		}
+		batches += byType["overlay.retrieveBatchReq"]
+		keys += res.Lookups
+	}
+	if batches == 0 {
+		t.Fatal("no range read more than one key at a daemon: the test measures too little")
+	}
+	t.Logf("30 warm-cache ranges: %d leaves read, each range in one round, %d batch frames", keys, batches)
 }

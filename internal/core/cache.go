@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"mlight/internal/bitlabel"
+	"mlight/internal/spatial"
 )
 
 // leafCache is a client-side LRU of recently resolved leaf labels — the
@@ -21,6 +22,9 @@ import (
 //     was read. The search starts below the deepest such prefix and probes
 //     first at the mean length of the cached leaves under it — the
 //     neighbours' depth — then continues by the unchanged §5 rules.
+//
+// For a range query the same labels are a map of the tree under its LCA, and
+// they plan the query's first round (tile).
 //
 // The cache stores only labels, never bucket contents, so it can suggest a
 // wrong starting point after a split or merge but can never serve stale
@@ -134,6 +138,31 @@ func (c *leafCache) view(path bitlabel.Label) view {
 		v.bound, v.guess = l, int((n.depth+n.leaves/2)/n.leaves)
 	}
 	return v
+}
+
+// tile plans the first round of a range with LCA lca from the cached tree,
+// under one lock: a cached leaf on lca's path covers the whole range and is
+// the one piece; otherwise, when lca is held as internal, Tile descends from
+// it through the labels held as internal. ok is false when the cache knows
+// nothing about lca.
+func (c *leafCache) tile(lca bitlabel.Label, q spatial.Rect, shape spatial.Shape) (pieces []Piece, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for l := c.root; l <= lca.Len(); l++ {
+		prefix := lca.Prefix(l)
+		n, held := c.nodes[prefix.Bits()]
+		if !held {
+			return nil, false
+		}
+		if n.el != nil {
+			return []Piece{{Node: prefix, Base: prefix, Q: q}}, true
+		}
+	}
+	dims := c.root - 1
+	return Tile(lca, q, dims, shape, func(l bitlabel.Label) bool {
+		n, held := c.nodes[l.Bits()]
+		return held && n.el == nil
+	}), true
 }
 
 // invalidate drops a leaf observed split, merged, or otherwise gone.

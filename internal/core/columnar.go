@@ -109,6 +109,34 @@ func packRecs(records []spatial.Record) recs {
 	return r
 }
 
+// without returns the records but record i, in fresh arenas sized exactly for
+// them and filled by slice copies: the offsets after i move down by the
+// length of i's payload. The receiver's arenas are only read — concurrent
+// readers share them. The last record leaves the empty store, as packRecs
+// builds it for no records.
+func (r recs) without(i int) recs {
+	n := r.len()
+	if n <= 1 {
+		return recs{}
+	}
+	d, lo, hi := r.dims, r.offs[i], r.offs[i+1]
+	out := recs{
+		dims:   d,
+		coords: make([]float64, (n-1)*d),
+		offs:   make([]uint32, n),
+		data:   make([]byte, r.offs[n]-(hi-lo)),
+	}
+	copy(out.coords, r.coords[:i*d])
+	copy(out.coords[i*d:], r.coords[(i+1)*d:n*d])
+	copy(out.data, r.data[:lo])
+	copy(out.data[lo:], r.data[hi:r.offs[n]])
+	copy(out.offs, r.offs[:i+1])
+	for j := i + 1; j < n; j++ {
+		out.offs[j] = r.offs[j+1] - (hi - lo)
+	}
+	return out
+}
+
 // NewBucket builds a bucket over the given records, packing them into
 // columnar storage sized exactly for the set. The records slice is not
 // retained; its Points and Data are copied into the arenas.

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"mlight/internal/bitlabel"
+	"mlight/internal/dht/dhttest"
 	"mlight/internal/kdtree"
 	"mlight/internal/spatial"
 )
@@ -195,6 +197,66 @@ func TestBucketAppendZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Bucket.Append allocates %.1f objects/op with spare capacity, want 0", allocs)
+	}
+}
+
+// TestRemoveMatchesRepack: Remove at every position — the first, the last,
+// the only record — leaves what NewBucket packs from the survivors: the same
+// records in the same order, the same encoding, arenas of exactly their size;
+// and the stored bucket, packed or grown by appends into spare capacity,
+// reads as it did.
+func TestRemoveMatchesRepack(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	label := bitlabel.Root(2)
+	for _, n := range []int{1, 2, 3, 17} {
+		records := randomRecords(rng, n, 2)
+		appended := Bucket{Label: label}
+		for _, rec := range records {
+			appended = appended.Append(rec)
+		}
+		for name, stored := range map[string]Bucket{"packed": NewBucket(label, records), "appended": appended} {
+			before := stored.Marshal()
+			for i, rec := range records {
+				out := Remove(stored, rec.Key, rec.Data)
+				survivors := append(append([]spatial.Record{}, records[:i]...), records[i+1:]...)
+				want := NewBucket(label, survivors)
+				if !out.Removed || out.Load != n-1 || out.Keep.Label != label || out.Keep.Load() != n-1 {
+					t.Fatalf("%s n=%d: Remove(%d) = %+v", name, n, i, out)
+				}
+				sameRecordSlice(t, out.Keep.Records(), survivors)
+				if !bytes.Equal(out.Keep.Marshal(), want.Marshal()) {
+					t.Fatalf("%s n=%d: Remove(%d) encodes differently from NewBucket of the survivors", name, n, i)
+				}
+				rs := out.Keep.rs
+				if cap(rs.coords) != len(rs.coords) || cap(rs.offs) != len(rs.offs) || cap(rs.data) != len(rs.data) {
+					t.Fatalf("%s n=%d: Remove(%d) left arenas with spare capacity: %d/%d coords, %d/%d offsets, %d/%d bytes",
+						name, n, i, len(rs.coords), cap(rs.coords), len(rs.offs), cap(rs.offs), len(rs.data), cap(rs.data))
+				}
+				if !bytes.Equal(stored.Marshal(), before) {
+					t.Fatalf("%s n=%d: Remove(%d) changed the stored bucket", name, n, i)
+				}
+			}
+		}
+	}
+}
+
+// TestRemoveAllocs is the delete path's allocation gate: the covering test's
+// cell (two points) and the three arenas, at any load — no record slice, no
+// Point or string per record.
+func TestRemoveAllocs(t *testing.T) {
+	if dhttest.RaceEnabled() {
+		t.Skip("race instrumentation allocates")
+	}
+	rng := rand.New(rand.NewSource(31))
+	stored := NewBucket(bitlabel.Root(2), randomRecords(rng, 50, 2))
+	key, data := stored.KeyAt(20), stored.DataAt(20)
+	allocs := testing.AllocsPerRun(50, func() {
+		if !Remove(stored, key, data).Removed {
+			t.Fatal("nothing removed")
+		}
+	})
+	if allocs > 5 {
+		t.Fatalf("Remove allocates %.1f objects, want ≤ 5: two for the cell, three arenas", allocs)
 	}
 }
 

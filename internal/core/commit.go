@@ -202,9 +202,9 @@ type Removal struct {
 }
 
 // Remove takes one record matching key (and data, when non-empty) out of the
-// stored leaf bucket, if its cell covers key. The survivors are packed into
-// fresh arenas — an in-place shift would mutate storage concurrent readers
-// share.
+// stored leaf bucket, if its cell covers key. The survivors are copied into
+// fresh arenas, slice by slice (recs.without) — an in-place shift would mutate
+// storage concurrent readers share.
 func Remove(stored Bucket, key spatial.Point, data string) Removal {
 	leaf := stored.Label
 	if !covers(leaf, key) {
@@ -212,13 +212,7 @@ func Remove(stored Bucket, key spatial.Point, data string) Removal {
 	}
 	for i, n := 0, stored.Load(); i < n; i++ {
 		if samePoint(stored.KeyAt(i), key) && (data == "" || stored.DataAt(i) == data) {
-			records := make([]spatial.Record, 0, n-1)
-			for j := 0; j < n; j++ {
-				if j != i {
-					records = append(records, stored.RecordAt(j))
-				}
-			}
-			return Removal{Keep: NewBucket(leaf, records), Load: n - 1, Removed: true}
+			return Removal{Keep: Bucket{Label: leaf, rs: stored.rs.without(i)}, Load: n - 1, Removed: true}
 		}
 	}
 	return Removal{}

@@ -59,6 +59,41 @@ func Step(b Bucket, beta bitlabel.Label, q spatial.Rect, h, dims, maxDepth int, 
 	return filterRecords(b, q, shape), pieces, nil
 }
 
+// Tile is the first round of a range with LCA lca planned from what a client
+// knows of the tree instead of from the LCA's corner cell: lca must be known
+// internal, and the walk descends from it through every child internal
+// reports, down to the children it does not — a leaf the client knows, or a
+// label it knows nothing of. Each of those whose cell meets q (and the shape)
+// becomes a piece with base lca, so a piece whose node the tree no longer
+// holds is recovered by the cover candidates up to lca. On an unchanged tree
+// whose leaves under q are all known the pieces are exactly those leaves: one
+// round, one probe a leaf. The pieces tile q, shape-pruned as decompose
+// prunes.
+func Tile(lca bitlabel.Label, q spatial.Rect, dims int, shape spatial.Shape, internal func(bitlabel.Label) bool) []Piece {
+	var pieces []Piece
+	var walk func(node bitlabel.Label, q spatial.Rect)
+	walk = func(node bitlabel.Label, q spatial.Rect) {
+		for _, bit := range []byte{0, 1} {
+			child := node.MustAppend(bit)
+			g, err := spatial.RegionOf(child, dims)
+			if err != nil {
+				continue
+			}
+			sub, overlaps := g.Intersect(q)
+			if !overlaps || shape != nil && !shape.IntersectsRect(sub) {
+				continue
+			}
+			if internal(child) {
+				walk(child, sub)
+				continue
+			}
+			pieces = append(pieces, Piece{Node: child, Base: lca, Q: sub})
+		}
+	}
+	walk(lca, q)
+	return pieces
+}
+
 // decompose forwards what leaf's own cell does not cover of q to the branch
 // nodes of leaf's local tree strictly below β (Algorithm 3), one piece per
 // branch whose cell meets q; with a shape, subtrees whose cells provably

@@ -108,32 +108,36 @@ func (ix *Index) rangeQueryCtx(q spatial.Rect, ctx queryCtx) (*QueryResult, erro
 		return nil, err
 	}
 	res := &QueryResult{}
-	b, found, err := ix.getBucketSpan(bitlabel.Name(lca, m), ctx.span)
-	res.Lookups++
-	res.Rounds++
-	if err != nil {
-		return nil, err
-	}
-	if !found {
-		// The LCA is not an internal node, so the whole range lies inside
-		// one leaf (Algorithm 2 lines 3–4): find it by looking up a corner
-		// of the range.
-		var lt LookupTrace
-		leaf, err := ix.lookup(clampPoint(q.Lo), &lt, ctx.span)
+	eng := &rangeEngine{ix: ix, ctx: ctx}
+	root := &execNode{}
+	var frontier []frontierItem
+	if pieces, ok := ix.cacheTile(lca, q, ctx); ok {
+		// The cached tree planned the first round: no LCA probe.
+		frontier = root.probes(pieces, nil)
+	} else {
+		b, found, err := ix.getBucketSpan(bitlabel.Name(lca, m), ctx.span)
+		res.Lookups++
+		res.Rounds++
 		if err != nil {
 			return nil, err
 		}
-		res.Lookups += lt.Probes
-		res.Rounds += lt.Probes
-		res.Records = filterRecords(leaf, q, ctx.shape)
-		return res, nil
-	}
-
-	eng := &rangeEngine{ix: ix, ctx: ctx}
-	root := &execNode{}
-	frontier, err := eng.expand(q, lca, b, root, nil)
-	if err != nil {
-		return nil, err
+		if !found {
+			// The LCA is not an internal node, so the whole range lies inside
+			// one leaf (Algorithm 2 lines 3–4): find it by looking up a corner
+			// of the range.
+			var lt LookupTrace
+			leaf, err := ix.lookup(clampPoint(q.Lo), &lt, ctx.span)
+			if err != nil {
+				return nil, err
+			}
+			res.Lookups += lt.Probes
+			res.Rounds += lt.Probes
+			res.Records = filterRecords(leaf, q, ctx.shape)
+			return res, nil
+		}
+		if frontier, err = eng.expand(q, lca, b, root, nil); err != nil {
+			return nil, err
+		}
 	}
 	if err := eng.run(frontier); err != nil {
 		return nil, err
@@ -142,6 +146,20 @@ func (ix *Index) rangeQueryCtx(q spatial.Rect, ctx queryCtx) (*QueryResult, erro
 	res.Rounds += eng.barriers + eng.extraRounds
 	res.Records = root.collect(res.Records)
 	return res, nil
+}
+
+// cacheTile asks the leaf cache to plan the range's first round (Tile), and
+// records the plan's size as a tile event under the query's span. ok is false
+// when the cache is disabled or knows nothing about lca.
+func (ix *Index) cacheTile(lca bitlabel.Label, q spatial.Rect, ctx queryCtx) ([]Piece, bool) {
+	if ix.cache == nil {
+		return nil, false
+	}
+	pieces, ok := ix.cache.tile(lca, q, ctx.shape)
+	if tc := ix.opts.Trace; ok && tc != nil {
+		tc.Event(ctx.span, trace.KindCache, "tile", trace.Int("pieces", int64(len(pieces))))
+	}
+	return pieces, ok
 }
 
 // rangeEngine executes one query's decomposition as synchronized rounds of
@@ -384,10 +402,16 @@ func (e *rangeEngine) expand(q spatial.Rect, beta bitlabel.Label, b Bucket, node
 		return next, err
 	}
 	node.records = records
+	return node.probes(pieces, next), nil
+}
+
+// probes appends one probe per piece to next, each owning a new child of n in
+// the pieces' order.
+func (n *execNode) probes(pieces []Piece, next []frontierItem) []frontierItem {
 	for _, p := range pieces {
 		child := &execNode{}
-		node.children = append(node.children, child)
+		n.children = append(n.children, child)
 		next = append(next, frontierItem{kind: itemProbe, p: p, node: child})
 	}
-	return next, nil
+	return next
 }

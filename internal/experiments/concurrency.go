@@ -19,12 +19,14 @@ type concurrencyParams struct {
 }
 
 // The query shape is fixed: the parallel query's h, the concurrent engine's
-// worker pool, the rectangle's side length, and how many points the
-// cached-lookup measurement probes (each twice: cold, then warm).
+// worker pool, the rectangle's side length, both indexes' leaf cache, and how
+// many points the cached-lookup measurement probes (each twice: cold, then
+// warm).
 const (
 	concurrencyLookahead   = 4
 	concurrencyMaxInFlight = 16
 	concurrencySpan        = 0.4
+	concurrencyCacheSize   = 256
 	concurrencyCacheProbes = 16
 )
 
@@ -88,14 +90,14 @@ type ConcurrencyResult struct {
 	CacheStale          int64   `json:"cache_stale"`
 }
 
-// latencyIndex deploys an index over a latency-bearing simnet. The overlay is
-// joined and loaded with real delays suppressed (those phases issue thousands
-// of RPCs); delays are enabled just before returning, so only the measured
-// queries pay them.
-func latencyIndex(cfg Config, maxInFlight, cacheSize int) (*core.Index, error) {
+// latencyIndex deploys an index with the section's leaf cache over a
+// latency-bearing simnet. The overlay is joined and loaded with real delays
+// suppressed (those phases send thousands of RPCs); delays are enabled just
+// before returning, so only the measured queries pay them.
+func latencyIndex(cfg Config, maxInFlight int) (*core.Index, error) {
 	net := simnet.New(simnet.Options{Latency: simnet.ConstantLatency(cfg.HopDelay)})
 	t := cfg.tuning(cfg.ThetaSplit)
-	t.MaxInFlight, t.CacheSize = maxInFlight, cacheSize
+	t.MaxInFlight, t.CacheSize = maxInFlight, concurrencyCacheSize
 	_, ix, err := deploy(net, cfg.Peers, overlay.Config{Seed: cfg.Seed}, t, cfg.records())
 	net.SetRealDelay(true)
 	return ix, err
@@ -119,11 +121,13 @@ func concurrency(cfg concurrencyParams) (ConcurrencyResult, error) {
 		Queries:     cfg.queries,
 	}
 
-	seqIx, err := latencyIndex(cfg.Config, 1, 0)
+	// Both indexes carry the same cache, which plans each query's first round
+	// (core.Tile): MaxInFlight is the only difference between the two runs.
+	seqIx, err := latencyIndex(cfg.Config, 1)
 	if err != nil {
 		return res, err
 	}
-	concIx, err := latencyIndex(cfg.Config, concurrencyMaxInFlight, 256)
+	concIx, err := latencyIndex(cfg.Config, concurrencyMaxInFlight)
 	if err != nil {
 		return res, err
 	}
