@@ -16,6 +16,7 @@
 package bitlabel
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -258,13 +259,14 @@ func (l Label) suffixString(from int) string {
 // key. The encoding is the length byte followed by the big-endian bits; it
 // is injective over all labels.
 func (l Label) Key() string {
-	buf := [9]byte{l.n}
-	v := l.v
-	for i := 8; i >= 1; i-- {
-		buf[i] = byte(v)
-		v >>= 8
-	}
-	return string(buf[:])
+	var buf [9]byte
+	return string(l.AppendKey(buf[:0]))
+}
+
+// AppendKey appends Key's nine bytes to dst, for a caller that frames the key
+// in bytes of its own without a second allocation.
+func (l Label) AppendKey(dst []byte) []byte {
+	return binary.BigEndian.AppendUint64(append(dst, l.n), l.v)
 }
 
 // FromKey reverses Key.

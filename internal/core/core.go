@@ -85,9 +85,15 @@ func (b Bucket) Key(m int) dht.Key {
 	return labelKey(bitlabel.Name(b.Label, m))
 }
 
-// labelKey converts a node label into a DHT key.
+// labelKeyPrefix starts every DHT key the index stores a bucket under.
+const labelKeyPrefix = "mlight/"
+
+// labelKey converts a node label into a DHT key: "mlight/" and the label's
+// Key, framed in one stack array so that the string is the one allocation.
+// Every probe of every operation names its bucket through here.
 func labelKey(l bitlabel.Label) dht.Key {
-	return dht.Key("mlight/" + l.Key())
+	var buf [len(labelKeyPrefix) + 9]byte
+	return dht.Key(l.AppendKey(append(buf[:0], labelKeyPrefix...)))
 }
 
 // Errors reported by the index.

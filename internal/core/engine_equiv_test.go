@@ -12,8 +12,12 @@ import (
 )
 
 // This file pins the round engine to the recursive reference implementation
-// it replaced (kept below verbatim, renamed old*). On a static index the two
-// must agree:
+// it replaced (kept below verbatim, renamed old*), and the reference keeps the
+// planner kernels it was written against as its own copies: the Region.Halves
+// LCA descent, a RegionOf and an Intersect per branch node, and the
+// KeyAt/Rect.Contains filter loop. The production planner halves one scratch
+// cell in place and scans the coordinate arena once; checked against itself
+// the oracle would prove nothing. On a static index the two must agree:
 //
 //   - Records: identical, in identical order, for every h — the engine's
 //     execution-tree DFS reproduces the recursion's depth-first order.
@@ -27,14 +31,8 @@ import (
 // oldQueryResult mirrors what the reference returns for comparison.
 func runOldRangeQuery(ix *Index, q spatial.Rect, ctx queryCtx) (*QueryResult, error) {
 	m := ix.opts.Dims
-	if q.Dim() != m {
-		return nil, fmt.Errorf("%w: query has %d dims, index has %d", ErrDimension, q.Dim(), m)
-	}
-	if _, err := spatial.NewRect(q.Lo, q.Hi); err != nil {
-		return nil, fmt.Errorf("core: invalid query rectangle: %w", err)
-	}
 	res := &QueryResult{}
-	lca, err := spatial.LCALabel(q, m, ix.opts.MaxDepth)
+	lca, err := oldQueryLCA(q, m, ix.opts.MaxDepth)
 	if err != nil {
 		return nil, err
 	}
@@ -50,7 +48,7 @@ func runOldRangeQuery(ix *Index, q spatial.Rect, ctx queryCtx) (*QueryResult, er
 		}
 		res.Lookups += trace.Probes
 		res.Rounds = 1 + trace.Probes
-		res.Records = filterRecords(leaf, q, ctx.shape)
+		res.Records = oldFilterRecords(leaf, q, ctx.shape)
 		return res, nil
 	}
 	recs, rounds, lookups, err := oldProcess(ix, q, lca, b, ctx)
@@ -64,32 +62,13 @@ func runOldRangeQuery(ix *Index, q spatial.Rect, ctx queryCtx) (*QueryResult, er
 }
 
 func oldProcess(ix *Index, q spatial.Rect, beta bitlabel.Label, b Bucket, ctx queryCtx) (records []spatial.Record, rounds, lookups int, err error) {
-	m := ix.opts.Dims
-	records = filterRecords(b, q, ctx.shape)
-	leafRegion, err := spatial.RegionOf(b.Label, m)
+	records = oldFilterRecords(b, q, ctx.shape)
+	branches, err := oldDecompose(b.Label, beta, q, ix.opts.Dims, ctx.shape)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	if leafRegion.Covers(q) {
-		return records, 0, 0, nil
-	}
-	local, err := bitlabel.NewLocalTree(b.Label, m)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	for _, branch := range local.BranchNodesBelow(beta) {
-		g, regionErr := spatial.RegionOf(branch, m)
-		if regionErr != nil {
-			return nil, 0, 0, regionErr
-		}
-		sub, overlaps := g.Intersect(q)
-		if !overlaps {
-			continue
-		}
-		if ctx.shape != nil && !ctx.shape.IntersectsRect(sub) {
-			continue
-		}
-		recs, r, lk, subErr := oldSubquery(ix, sub, branch, ctx)
+	for _, p := range branches {
+		recs, r, lk, subErr := oldSubquery(ix, p.Q, p.Node, ctx)
 		if subErr != nil {
 			return nil, 0, 0, subErr
 		}
@@ -105,7 +84,7 @@ func oldProcess(ix *Index, q spatial.Rect, beta bitlabel.Label, b Bucket, ctx qu
 func oldSubquery(ix *Index, q spatial.Rect, beta bitlabel.Label, ctx queryCtx) (records []spatial.Record, rounds, lookups int, err error) {
 	pieces := []Piece{{Node: beta, Base: beta, Q: q}}
 	if ctx.h > 1 {
-		pieces = speculate(beta, q, ctx.h, ix.opts.Dims, ix.opts.MaxDepth, ctx.shape)
+		pieces = oldSpeculate(beta, q, ctx.h, ix.opts.Dims, ix.opts.MaxDepth, ctx.shape)
 	}
 	for _, p := range pieces {
 		recs, r, lk, pieceErr := oldResolvePiece(ix, p, ctx)
@@ -136,10 +115,10 @@ func oldResolvePiece(ix *Index, p Piece, ctx queryCtx) (records []spatial.Record
 		}
 		lookups += extraLookups
 		rounds += extraRounds
-		return filterRecords(leaf, p.Q, ctx.shape), rounds, lookups, nil
+		return oldFilterRecords(leaf, p.Q, ctx.shape), rounds, lookups, nil
 	}
 	if b.Label == p.Node {
-		return filterRecords(b, p.Q, ctx.shape), rounds, lookups, nil
+		return oldFilterRecords(b, p.Q, ctx.shape), rounds, lookups, nil
 	}
 	recs, r, lk, err := oldProcess(ix, p.Q, p.Node, b, ctx)
 	if err != nil {
@@ -173,6 +152,169 @@ func oldCoveringLeaf(ix *Index, p Piece) (Bucket, int, int, error) {
 		return Bucket{}, 0, 0, err
 	}
 	return leaf, lookups + trace.Probes, 1 + trace.Probes, nil
+}
+
+// oldQueryLCA is the reference's prologue: NewRect's validation, which
+// copies both corners, and the Region.Halves descent.
+func oldQueryLCA(q spatial.Rect, dims, maxDepth int) (bitlabel.Label, error) {
+	if q.Dim() != dims {
+		return bitlabel.Label{}, fmt.Errorf("%w: query has %d dims, index has %d", ErrDimension, q.Dim(), dims)
+	}
+	if _, err := spatial.NewRect(q.Lo, q.Hi); err != nil {
+		return bitlabel.Label{}, fmt.Errorf("core: invalid query rectangle: %w", err)
+	}
+	return oldLCALabel(q, dims, maxDepth)
+}
+
+// oldLCALabel descends from the unit cube, cloning both halves of the cell at
+// every level and testing each half on every axis.
+func oldLCALabel(q spatial.Rect, m, maxDepth int) (bitlabel.Label, error) {
+	if q.Dim() != m {
+		return bitlabel.Label{}, fmt.Errorf("spatial: rect dim %d != m %d", q.Dim(), m)
+	}
+	l := bitlabel.Root(m)
+	g := spatial.UnitCube(m)
+	for depth := 0; depth < maxDepth && l.Len() < bitlabel.MaxLen; depth++ {
+		dim := spatial.SplitDim(depth, m)
+		lower, upper := g.Halves(dim)
+		switch {
+		case lower.Covers(q):
+			l = l.MustAppend(0)
+			g = lower
+		case upper.Covers(q):
+			l = l.MustAppend(1)
+			g = upper
+		default:
+			return l, nil
+		}
+	}
+	return l, nil
+}
+
+// oldBranchNodesBelow returns the branch nodes of leaf's local tree strictly
+// below β: the siblings of the path nodes with lengths in (len(β), len(leaf)],
+// shallowest first. β must be a prefix of the leaf.
+func oldBranchNodesBelow(leaf, beta bitlabel.Label) []bitlabel.Label {
+	if !beta.IsPrefixOf(leaf) || beta.Len() >= leaf.Len() {
+		return nil
+	}
+	out := make([]bitlabel.Label, 0, leaf.Len()-beta.Len())
+	for j := beta.Len() + 1; j <= leaf.Len(); j++ {
+		out = append(out, leaf.Prefix(j).Sibling())
+	}
+	return out
+}
+
+// oldDecompose computes every branch node's cell from the root with RegionOf
+// and clips q to it with Intersect.
+func oldDecompose(leaf, beta bitlabel.Label, q spatial.Rect, dims int, shape spatial.Shape) ([]Piece, error) {
+	leafRegion, err := spatial.RegionOf(leaf, dims)
+	if err != nil {
+		return nil, err
+	}
+	if leafRegion.Covers(q) {
+		return nil, nil
+	}
+	if !bitlabel.Root(dims).IsPrefixOf(leaf) {
+		return nil, fmt.Errorf("reference: %v does not extend the %d-dimensional root", leaf, dims)
+	}
+	var pieces []Piece
+	for _, branch := range oldBranchNodesBelow(leaf, beta) {
+		g, err := spatial.RegionOf(branch, dims)
+		if err != nil {
+			return nil, err
+		}
+		sub, overlaps := g.Intersect(q)
+		if !overlaps {
+			continue
+		}
+		if shape != nil && !shape.IntersectsRect(sub) {
+			continue // the shape provably misses this subtree
+		}
+		pieces = append(pieces, Piece{Node: branch, Base: branch, Q: sub})
+	}
+	return pieces, nil
+}
+
+// oldSpeculate computes each child's cell with RegionOf.
+func oldSpeculate(beta bitlabel.Label, q spatial.Rect, h, dims, maxDepth int, shape spatial.Shape) []Piece {
+	queue := []Piece{{Node: beta, Base: beta, Q: q}}
+	var done []Piece
+	guard := 0
+	for len(queue) > 0 && len(queue)+len(done) < h && guard < 64*h {
+		guard++
+		p := queue[0]
+		queue = queue[1:]
+		if p.Node.Len() >= dims+1+maxDepth || p.Node.Len() >= bitlabel.MaxLen {
+			done = append(done, p)
+			continue
+		}
+		expanded := false
+		for _, bit := range []byte{0, 1} {
+			child := p.Node.MustAppend(bit)
+			g, err := spatial.RegionOf(child, dims)
+			if err != nil {
+				continue
+			}
+			sub, overlaps := g.Intersect(p.Q)
+			if !overlaps {
+				continue
+			}
+			if shape != nil && !shape.IntersectsRect(sub) {
+				continue
+			}
+			queue = append(queue, Piece{Node: child, Base: beta, Q: sub})
+			expanded = true
+		}
+		if !expanded {
+			done = append(done, p)
+		}
+	}
+	return append(done, queue...)
+}
+
+// oldTile recurses with each level's clipped subrange, computing each child's
+// cell with RegionOf.
+func oldTile(lca bitlabel.Label, q spatial.Rect, dims int, shape spatial.Shape, internal func(bitlabel.Label) bool) []Piece {
+	var pieces []Piece
+	var walk func(node bitlabel.Label, q spatial.Rect)
+	walk = func(node bitlabel.Label, q spatial.Rect) {
+		for _, bit := range []byte{0, 1} {
+			child := node.MustAppend(bit)
+			g, err := spatial.RegionOf(child, dims)
+			if err != nil {
+				continue
+			}
+			sub, overlaps := g.Intersect(q)
+			if !overlaps || shape != nil && !shape.IntersectsRect(sub) {
+				continue
+			}
+			if internal(child) {
+				walk(child, sub)
+				continue
+			}
+			pieces = append(pieces, Piece{Node: child, Base: lca, Q: sub})
+		}
+	}
+	walk(lca, q)
+	return pieces
+}
+
+// oldFilterRecords tests record by record through KeyAt and Rect.Contains,
+// growing the answer by append.
+func oldFilterRecords(b Bucket, q spatial.Rect, shape spatial.Shape) []spatial.Record {
+	var out []spatial.Record
+	for i, n := 0, b.Load(); i < n; i++ {
+		key := b.KeyAt(i)
+		if !q.Contains(key) {
+			continue
+		}
+		if shape != nil && !shape.ContainsPoint(key) {
+			continue
+		}
+		out = append(out, b.RecordAt(i))
+	}
+	return out
 }
 
 func equivIndex(t *testing.T, opts index.Tuning, n int, seed int64) *Index {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"mlight/internal/bitlabel"
 	"mlight/internal/spatial"
@@ -28,11 +29,12 @@ type Piece struct {
 // QueryLCA is the prologue every driver starts from (Algorithm 2 lines 1–2):
 // it validates q against the index's dimensionality and returns the lowest
 // common ancestor of the range, whose corner cell receives the query first.
+// A valid rectangle costs no allocation up to spatial.StackDims dimensions.
 func QueryLCA(q spatial.Rect, dims, maxDepth int) (bitlabel.Label, error) {
 	if q.Dim() != dims {
 		return bitlabel.Label{}, fmt.Errorf("%w: query has %d dims, index has %d", ErrDimension, q.Dim(), dims)
 	}
-	if _, err := spatial.NewRect(q.Lo, q.Hi); err != nil {
+	if err := q.Validate(); err != nil {
 		return bitlabel.Label{}, fmt.Errorf("core: invalid query rectangle: %w", err)
 	}
 	return spatial.LCALabel(q, dims, maxDepth)
@@ -43,16 +45,18 @@ func QueryLCA(q spatial.Rect, dims, maxDepth int) (bitlabel.Label, error) {
 // pieces the rest of q is forwarded to — Algorithm 3's decomposition, each
 // branch pre-split into up to h pieces when h > 1. Records of different
 // pieces never overlap, so a driver may resolve the pieces in any order or
-// all at once.
+// all at once. The pieces' subranges are cut from shared blocks of
+// coordinates: one block when h = 1.
 func Step(b Bucket, beta bitlabel.Label, q spatial.Rect, h, dims, maxDepth int, shape spatial.Shape) ([]spatial.Record, []Piece, error) {
-	pieces, err := decompose(b.Label, beta, q, dims, shape)
+	slab := rectSlab{dims: dims}
+	pieces, err := decompose(b.Label, beta, q, dims, shape, &slab)
 	if err != nil {
 		return nil, nil, err
 	}
 	if h > 1 {
 		var split []Piece
 		for _, p := range pieces {
-			split = append(split, speculate(p.Node, p.Q, h, dims, maxDepth, shape)...)
+			split = append(split, speculate(p.Node, p.Q, h, dims, maxDepth, shape, &slab)...)
 		}
 		pieces = split
 	}
@@ -69,28 +73,37 @@ func Step(b Bucket, beta bitlabel.Label, q spatial.Rect, h, dims, maxDepth int, 
 // whose leaves under q are all known the pieces are exactly those leaves: one
 // round, one probe a leaf. The pieces tile q, shape-pruned as decompose
 // prunes.
+//
+// The walk narrows lca's cell in place to each child's half and widens it
+// back after. A child's cell clipped to q is, to the bit, the child's cell
+// clipped to its parent's clipped subrange (max and min associate), so every
+// level clips q itself.
 func Tile(lca bitlabel.Label, q spatial.Rect, dims int, shape spatial.Shape, internal func(bitlabel.Label) bool) []Piece {
+	var s spatial.Scratch
+	cell, err := s.Cell(lca, dims)
+	if err != nil || lca.Len() <= dims {
+		return nil // no node of the tree
+	}
+	slab := rectSlab{dims: dims}
 	var pieces []Piece
-	var walk func(node bitlabel.Label, q spatial.Rect)
-	walk = func(node bitlabel.Label, q spatial.Rect) {
+	var walk func(node bitlabel.Label)
+	walk = func(node bitlabel.Label) {
+		dim := spatial.SplitDim(node.Len()-(dims+1), dims)
+		lo, hi := cell.Lo[dim], cell.Hi[dim]
 		for _, bit := range []byte{0, 1} {
 			child := node.MustAppend(bit)
-			g, err := spatial.RegionOf(child, dims)
-			if err != nil {
-				continue
+			cell.Halve(dim, bit)
+			if sub, ok := slab.meet(cell, q, shape, 4); ok {
+				if internal(child) {
+					walk(child)
+				} else {
+					pieces = append(pieces, Piece{Node: child, Base: lca, Q: sub})
+				}
 			}
-			sub, overlaps := g.Intersect(q)
-			if !overlaps || shape != nil && !shape.IntersectsRect(sub) {
-				continue
-			}
-			if internal(child) {
-				walk(child, sub)
-				continue
-			}
-			pieces = append(pieces, Piece{Node: child, Base: lca, Q: sub})
+			cell.Lo[dim], cell.Hi[dim] = lo, hi
 		}
 	}
-	walk(lca, q)
+	walk(lca)
 	return pieces
 }
 
@@ -99,32 +112,38 @@ func Tile(lca bitlabel.Label, q spatial.Rect, dims int, shape spatial.Shape, int
 // branch whose cell meets q; with a shape, subtrees whose cells provably
 // miss it are pruned. The pieces are pairwise disjoint and, together with
 // leaf's cell, tile q.
-func decompose(leaf, beta bitlabel.Label, q spatial.Rect, dims int, shape spatial.Shape) ([]Piece, error) {
-	leafRegion, err := spatial.RegionOf(leaf, dims)
-	if err != nil {
-		return nil, err
+//
+// The local tree follows from leaf's label alone (§3.3): the branch node one
+// level below a path node is the half of the path node's cell that the leaf
+// is not in. So one walk down leaf's path, halving one scratch cell in place,
+// meets every branch in order, shallowest first, and their subranges come
+// from the slab. A branch's cell shares its face with the path to the leaf,
+// to the bit, so when leaf's cell covers q no branch meets it and there are
+// no pieces.
+func decompose(leaf, beta bitlabel.Label, q spatial.Rect, dims int, shape spatial.Shape, slab *rectSlab) ([]Piece, error) {
+	root := bitlabel.Root(dims)
+	if !root.IsPrefixOf(leaf) || beta.Len() < root.Len() {
+		return nil, fmt.Errorf("core: no local tree of %v below %v for %d dims", leaf, beta, dims)
 	}
-	if leafRegion.Covers(q) {
-		return nil, nil
-	}
-	local, err := bitlabel.NewLocalTree(leaf, dims)
-	if err != nil {
-		return nil, err
-	}
+	below := beta.IsPrefixOf(leaf) // else no branch node lies below β
+	var s spatial.Scratch
+	cell := s.Cube(dims)
 	var pieces []Piece
-	for _, branch := range local.BranchNodesBelow(beta) {
-		g, err := spatial.RegionOf(branch, dims)
-		if err != nil {
-			return nil, err
+	for i := root.Len(); i < leaf.Len(); i++ {
+		dim, bit := spatial.SplitDim(i-root.Len(), dims), leaf.At(i)
+		if below && i >= beta.Len() {
+			lo, hi := cell.Lo[dim], cell.Hi[dim]
+			cell.Halve(dim, 1-bit)
+			if sub, ok := slab.meet(cell, q, shape, leaf.Len()-i); ok {
+				if pieces == nil {
+					pieces = make([]Piece, 0, leaf.Len()-i)
+				}
+				branch := leaf.Prefix(i + 1).Sibling()
+				pieces = append(pieces, Piece{Node: branch, Base: branch, Q: sub})
+			}
+			cell.Lo[dim], cell.Hi[dim] = lo, hi
 		}
-		sub, overlaps := g.Intersect(q)
-		if !overlaps {
-			continue
-		}
-		if shape != nil && !shape.IntersectsRect(sub) {
-			continue // the shape provably misses this subtree
-		}
-		pieces = append(pieces, Piece{Node: branch, Base: branch, Q: sub})
+		cell.Halve(dim, bit)
 	}
 	return pieces, nil
 }
@@ -132,10 +151,12 @@ func decompose(leaf, beta bitlabel.Label, q spatial.Rect, dims int, shape spatia
 // speculate pre-splits subrange q below node β into up to h pieces by
 // descending the deterministic space partitioning breadth-first — no DHT
 // traffic is needed because every peer knows the global partitioning rule
-// (§3.2). The pieces tile q (minus what the shape prunes).
-func speculate(beta bitlabel.Label, q spatial.Rect, h, dims, maxDepth int, shape spatial.Shape) []Piece {
+// (§3.2). The pieces tile q (minus what the shape prunes). A node's children
+// are the two halves of its cell, computed once in a scratch cell.
+func speculate(beta bitlabel.Label, q spatial.Rect, h, dims, maxDepth int, shape spatial.Shape, slab *rectSlab) []Piece {
 	queue := []Piece{{Node: beta, Base: beta, Q: q}}
 	var done []Piece
+	var s spatial.Scratch
 	guard := 0
 	for len(queue) > 0 && len(queue)+len(done) < h && guard < 64*h {
 		guard++
@@ -146,27 +167,57 @@ func speculate(beta bitlabel.Label, q spatial.Rect, h, dims, maxDepth int, shape
 			continue
 		}
 		expanded := false
-		for _, bit := range []byte{0, 1} {
-			child := p.Node.MustAppend(bit)
-			g, err := spatial.RegionOf(child, dims)
-			if err != nil {
-				continue
+		if cell, err := s.Cell(p.Node, dims); err == nil && p.Node.Len() > dims {
+			dim := spatial.SplitDim(p.Node.Len()-(dims+1), dims)
+			lo, hi := cell.Lo[dim], cell.Hi[dim]
+			for _, bit := range []byte{0, 1} {
+				cell.Halve(dim, bit)
+				if sub, ok := slab.meet(cell, p.Q, shape, 2*h); ok {
+					queue = append(queue, Piece{Node: p.Node.MustAppend(bit), Base: beta, Q: sub})
+					expanded = true
+				}
+				cell.Lo[dim], cell.Hi[dim] = lo, hi
 			}
-			sub, overlaps := g.Intersect(p.Q)
-			if !overlaps {
-				continue
-			}
-			if shape != nil && !shape.IntersectsRect(sub) {
-				continue
-			}
-			queue = append(queue, Piece{Node: child, Base: beta, Q: sub})
-			expanded = true
 		}
 		if !expanded {
 			done = append(done, p)
 		}
 	}
 	return append(done, queue...)
+}
+
+// rectSlab hands out a plan's clipped subranges from shared blocks of
+// coordinates.
+type rectSlab struct {
+	dims  int
+	block []float64 // block[:used] is handed out
+	used  int
+}
+
+// meet returns g ∩ q — Region.Intersect's rectangle, to the bit — in slab
+// storage when g overlaps q and the shape, if any, may meet the intersection;
+// ok is false otherwise, and the storage goes back to the slab. A spent block
+// is replaced by one with room for n rectangles, or for twice its own.
+func (s *rectSlab) meet(g spatial.Region, q spatial.Rect, shape spatial.Shape, n int) (spatial.Rect, bool) {
+	if !g.Overlaps(q) {
+		return spatial.Rect{}, false
+	}
+	d := s.dims
+	if s.used+2*d > len(s.block) {
+		s.block, s.used = make([]float64, 2*d*max(n, len(s.block)/d, 1)), 0
+	}
+	lo := s.block[s.used : s.used+d : s.used+d]
+	hi := s.block[s.used+d : s.used+2*d : s.used+2*d]
+	for i := range lo {
+		lo[i] = math.Max(q.Lo[i], g.Lo[i])
+		hi[i] = math.Min(q.Hi[i], g.Hi[i])
+	}
+	sub := spatial.Rect{Lo: lo, Hi: hi}
+	if shape != nil && !shape.IntersectsRect(sub) {
+		return spatial.Rect{}, false // the shape provably misses this subtree
+	}
+	s.used += 2 * d
+	return sub, true
 }
 
 // coverCandidates returns the DHT names to probe when a speculative piece
@@ -189,19 +240,39 @@ func coverCandidates(p Piece, dims int) []bitlabel.Label {
 }
 
 // filterRecords returns the bucket's records inside q (and inside the
-// shape, when one is given). The scan walks the bucket's columnar arenas
-// directly — contiguous coordinate memory, no materialized record slice.
+// shape, when one is given), in bucket order. It makes one pass over the
+// bucket's coordinate arena with q's bounds hoisted, asks the shape only
+// about records inside q, and notes the hits' positions on the stack, so the
+// answer is allocated once, at its exact size, and a bucket with no hit
+// allocates nothing.
 func filterRecords(b Bucket, q spatial.Rect, shape spatial.Shape) []spatial.Record {
-	var out []spatial.Record
-	for i, n := 0, b.Load(); i < n; i++ {
-		key := b.KeyAt(i)
-		if !q.Contains(key) {
+	r := b.rs
+	n, d := r.len(), r.dims
+	if n == 0 || len(q.Lo) != d {
+		return nil
+	}
+	var buf [128]int32
+	hits := buf[:0]
+	coords, lo, hi := r.coords[:n*d], q.Lo[:d], q.Hi[:d]
+next:
+	for i := 0; i < n; i++ {
+		p := coords[i*d : i*d+d : i*d+d]
+		for j, c := range p {
+			if c < lo[j] || c > hi[j] {
+				continue next
+			}
+		}
+		if shape != nil && !shape.ContainsPoint(spatial.Point(p)) {
 			continue
 		}
-		if shape != nil && !shape.ContainsPoint(key) {
-			continue
-		}
-		out = append(out, b.RecordAt(i))
+		hits = append(hits, int32(i))
+	}
+	if len(hits) == 0 {
+		return nil
+	}
+	out := make([]spatial.Record, len(hits))
+	for j, i := range hits {
+		out[j] = b.RecordAt(int(i))
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"go/parser"
 	"go/token"
 	"math"
@@ -9,6 +10,8 @@ import (
 	"testing"
 
 	"mlight/internal/bitlabel"
+	"mlight/internal/dht"
+	"mlight/internal/dht/dhttest"
 	"mlight/internal/spatial"
 )
 
@@ -126,7 +129,7 @@ func TestPlannerTilesTheRange(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pieces, err := decompose(leaf, beta, q, m, nil)
+				pieces, err := decompose(leaf, beta, q, m, nil, &rectSlab{dims: m})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -137,7 +140,7 @@ func TestPlannerTilesTheRange(t *testing.T) {
 						t.Fatalf("decompose: piece %v is not a branch node of %v below %v", p.Node, leaf, beta)
 					}
 					for _, h := range []int{1, 2, 4, 8} {
-						parts := speculate(p.Node, p.Q, h, m, maxDepth, nil)
+						parts := speculate(p.Node, p.Q, h, m, maxDepth, nil, &rectSlab{dims: m})
 						if len(parts) > h {
 							t.Fatalf("speculate(h=%d) returned %d pieces", h, len(parts))
 						}
@@ -173,6 +176,320 @@ func checkCoverCandidates(t *testing.T, p Piece, m int) {
 		}
 		if i > 0 && name.Len() >= names[i-1].Len() {
 			t.Fatalf("coverCandidates(%v) = %v is not deepest-first", p.Node, names)
+		}
+	}
+}
+
+// edgeRect draws an m-dimensional rectangle whose every axis is one of the
+// planner's edge cases: a small or large extent anywhere, a face on a cell
+// midpoint, a face at 1.0, zero width (on a midpoint or not), or a corner
+// outside the unit cube.
+func edgeRect(rng *rand.Rand, m int) spatial.Rect {
+	midpoint := func() float64 {
+		j := 1 + rng.Intn(10)
+		return float64(2*rng.Intn(1<<(j-1))+1) / float64(int(1)<<j)
+	}
+	lo, hi := make(spatial.Point, m), make(spatial.Point, m)
+	for d := range lo {
+		c, w := rng.Float64(), rng.Float64()/float64(int(1)<<rng.Intn(12))
+		a, b := c-w/2, c+w/2
+		switch rng.Intn(8) {
+		case 0:
+			a = midpoint()
+		case 1:
+			b = midpoint()
+		case 2:
+			b = 1
+		case 3:
+			a = midpoint()
+			b = a
+		case 4:
+			b = a
+		case 5:
+			a = -rng.Float64() / 4
+		case 6:
+			b = 1 + rng.Float64()/4
+		}
+		if a > b {
+			a, b = b, a
+		}
+		lo[d], hi[d] = a, b
+	}
+	return spatial.Rect{Lo: lo, Hi: hi}
+}
+
+// samePieces fails unless got and want name the same nodes and bases in the
+// same order, with subranges equal to the bit.
+func samePieces(t *testing.T, what string, got, want []Piece) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d pieces, reference %d: %v vs %v", what, len(got), len(want), got, want)
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.Node != w.Node || g.Base != w.Base || !sameBits(g.Q.Lo, w.Q.Lo) || !sameBits(g.Q.Hi, w.Q.Hi) {
+			t.Fatalf("%s: piece %d is %v/%v %v, reference %v/%v %v", what, i, g.Node, g.Base, g.Q, w.Node, w.Base, w.Q)
+		}
+	}
+}
+
+func sameBits(a, b spatial.Point) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// edgeBucket fills a bucket of leaf with n records: random points, and points
+// on q's faces and corners (clamped into the unit cube).
+func edgeBucket(rng *rand.Rand, leaf bitlabel.Label, q spatial.Rect, n, m int) Bucket {
+	records := randomRecords(rng, n, m)
+	for _, rec := range records {
+		for d := range rec.Key {
+			switch rng.Intn(4) {
+			case 0:
+				rec.Key[d] = math.Max(0, math.Min(1, q.Lo[d]))
+			case 1:
+				rec.Key[d] = math.Max(0, math.Min(1, q.Hi[d]))
+			}
+		}
+	}
+	return NewBucket(leaf, records)
+}
+
+// TestPlannerMatchesReference holds the in-place planner to the reference's
+// copies of the kernels it replaced (engine_equiv_test.go), DHT-free, for
+// m = 1…4 on rectangles drawn to hit every edge: QueryLCA, decompose, Tile
+// and speculate return the same labels, bases and subrange bits, and
+// filterRecords the same records in the same order, with and without a
+// circle. MLIGHT_TEST_SEED moves the draws.
+func TestPlannerMatchesReference(t *testing.T) {
+	const maxDepth = 9
+	seed := dhttest.SeedFromEnv(1)
+	for m := 1; m <= 4; m++ {
+		rng := rand.New(rand.NewSource(seed*10 + int64(m)))
+		for tree := 0; tree < 12; tree++ {
+			leaves := randomLeaves(rng, m, maxDepth)
+			internal := make(map[bitlabel.Label]bool)
+			var internals []bitlabel.Label
+			for _, leaf := range leaves {
+				for l := m + 1; l < leaf.Len(); l++ {
+					if p := leaf.Prefix(l); !internal[p] {
+						internal[p] = true
+						internals = append(internals, p)
+					}
+				}
+			}
+			known := func(l bitlabel.Label) bool { return internal[l] }
+			for trial := 0; trial < 80; trial++ {
+				q := edgeRect(rng, m)
+				what := fmt.Sprintf("m=%d tree %d trial %d %v", m, tree, trial, q)
+				center := make(spatial.Point, m)
+				for d := range center {
+					center[d] = rng.Float64()
+				}
+				for _, shape := range []spatial.Shape{nil, spatial.Circle{Center: center, Radius: rng.Float64() / 2}} {
+					what := fmt.Sprintf("%s shape %v", what, shape)
+
+					lca, err := QueryLCA(q, m, maxDepth)
+					wantLCA, wantErr := oldQueryLCA(q, m, maxDepth)
+					if lca != wantLCA || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+						t.Fatalf("%s: QueryLCA = %v, %v; reference %v, %v", what, lca, err, wantLCA, wantErr)
+					}
+
+					leaf := leaves[rng.Intn(len(leaves))]
+					beta := leaf.Prefix(m + 1 + rng.Intn(leaf.Len()-m))
+					pieces, err := decompose(leaf, beta, q, m, shape, &rectSlab{dims: m})
+					wantPieces, wantErr := oldDecompose(leaf, beta, q, m, shape)
+					if err != nil || wantErr != nil {
+						t.Fatalf("%s: decompose(%v, %v) errors %v, reference %v", what, leaf, beta, err, wantErr)
+					}
+					samePieces(t, fmt.Sprintf("%s decompose(%v, %v)", what, leaf, beta), pieces, wantPieces)
+					for _, h := range []int{2, 3, 8} {
+						for _, p := range pieces {
+							samePieces(t, fmt.Sprintf("%s speculate(%v, h=%d)", what, p.Node, h),
+								speculate(p.Node, p.Q, h, m, maxDepth, shape, &rectSlab{dims: m}),
+								oldSpeculate(p.Node, p.Q, h, m, maxDepth, shape))
+						}
+					}
+
+					if len(internals) > 0 {
+						for _, from := range []bitlabel.Label{lca, internals[rng.Intn(len(internals))]} {
+							if internal[from] {
+								samePieces(t, fmt.Sprintf("%s Tile(%v)", what, from),
+									Tile(from, q, m, shape, known), oldTile(from, q, m, shape, known))
+							}
+						}
+					}
+
+					for _, n := range []int{0, 1, 7, 60, 200} {
+						b := edgeBucket(rng, leaf, q, n, m)
+						got, want := filterRecords(b, q, shape), oldFilterRecords(b, q, shape)
+						if !sameRecords(got, want) {
+							t.Fatalf("%s: filterRecords over %d records returned %d, reference %d (or ordering differs)", what, n, len(got), len(want))
+						}
+					}
+				}
+			}
+		}
+		// A bucket of another dimensionality holds nothing inside q.
+		q := edgeRect(rng, m)
+		b := NewBucket(bitlabel.Root(m+1), randomRecords(rng, 5, m+1))
+		if got := filterRecords(b, q, nil); got != nil || oldFilterRecords(b, q, nil) != nil {
+			t.Fatalf("m=%d: a %d-dimensional bucket matched %d records", m, m+1, len(got))
+		}
+	}
+	// Invalid rectangles are refused with the reference's words.
+	nan := math.NaN()
+	for _, q := range []spatial.Rect{
+		{Lo: spatial.Point{0.2, nan}, Hi: spatial.Point{0.3, 0.4}},
+		{Lo: spatial.Point{0.5, 0.1}, Hi: spatial.Point{0.4, 0.2}},
+		{Lo: spatial.Point{0.1, 0.1}, Hi: spatial.Point{0.2}},
+		{Lo: spatial.Point{0.1}, Hi: spatial.Point{0.2}},
+	} {
+		_, err := QueryLCA(q, 2, maxDepth)
+		_, wantErr := oldQueryLCA(q, 2, maxDepth)
+		if err == nil || err.Error() != wantErr.Error() {
+			t.Errorf("QueryLCA(%v) = %v, reference %v", q, err, wantErr)
+		}
+	}
+}
+
+// paperExampleQuery is the §6 example range with this repository's
+// dim-0-first split order: LCA #10, whose corner cell #10101 forwards to
+// three branch nodes.
+func paperExampleQuery() (leaf, lca bitlabel.Label, q spatial.Rect) {
+	return bitlabel.MustParse("001" + "10101"), bitlabel.MustParse("001" + "10"),
+		spatial.Rect{Lo: spatial.Point{0.6, 0.1}, Hi: spatial.Point{0.8, 0.3}}
+}
+
+// TestDecomposeRangeExample reproduces the §6 range query example: below the
+// LCA #10 the corner cell #10101's path runs #101, #1010, #10101, whose
+// siblings #100, #1011, #10100 are exactly the three subranges the paper
+// forwards to.
+func TestDecomposeRangeExample(t *testing.T) {
+	leaf, lca, q := paperExampleQuery()
+	if got, err := QueryLCA(q, 2, 28); err != nil || got != lca {
+		t.Fatalf("QueryLCA(%v) = %v, %v; want %v", q, got.Pretty(2), err, lca.Pretty(2))
+	}
+	pieces, err := decompose(leaf, lca, q, 2, nil, &rectSlab{dims: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"#100", "#1011", "#10100"}
+	if len(pieces) != len(want) {
+		t.Fatalf("pieces = %v, want %v", pieces, want)
+	}
+	for i, p := range pieces {
+		if p.Node.Pretty(2) != want[i] || p.Base != p.Node {
+			t.Errorf("piece %d = %s (base %s), want %s", i, p.Node.Pretty(2), p.Base.Pretty(2), want[i])
+		}
+	}
+}
+
+// TestDecomposePaperExample checks Fig. 1b through decompose: the local tree
+// of leaf #101111 (2-D) has branch nodes #0, #11, #100, #1010, #10110,
+// #101110, and a range over the whole space is forwarded to all of them from
+// the root, shallowest first.
+func TestDecomposePaperExample(t *testing.T) {
+	leaf := bitlabel.MustParse("001" + "101111")
+	pieces, err := decompose(leaf, bitlabel.Root(2), spatial.UnitCube(2).Rect(), 2, nil, &rectSlab{dims: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"#0", "#11", "#100", "#1010", "#10110", "#101110"}
+	if len(pieces) != len(want) {
+		t.Fatalf("pieces = %v, want %v", pieces, want)
+	}
+	for i, p := range pieces {
+		if p.Node.Pretty(2) != want[i] {
+			t.Errorf("branch %d = %s, want %s", i, p.Node.Pretty(2), want[i])
+		}
+	}
+	if _, err := decompose(bitlabel.MustParse("11"), bitlabel.Root(2), spatial.UnitCube(2).Rect(), 2, nil, &rectSlab{dims: 2}); err == nil {
+		t.Error("a leaf off the root decomposed")
+	}
+}
+
+// TestPlannerAllocs pins what a range's planning allocates: QueryLCA nothing
+// up to spatial.StackDims dimensions, decompose its pieces and their one
+// block of subranges, filterRecords nothing without a hit and its answer
+// otherwise, labelKey the key.
+func TestPlannerAllocs(t *testing.T) {
+	if dhttest.RaceEnabled() {
+		t.Skip("race instrumentation allocates")
+	}
+	for m := 1; m <= spatial.StackDims; m++ {
+		q := spatial.Rect{Lo: make(spatial.Point, m), Hi: make(spatial.Point, m)}
+		for d := range q.Lo {
+			q.Lo[d], q.Hi[d] = 0.3, 0.3001
+		}
+		if allocs := testing.AllocsPerRun(50, func() {
+			if lca, err := QueryLCA(q, m, 28); err != nil || lca.Len() <= m+1 {
+				t.Fatalf("QueryLCA = %v, %v", lca, err)
+			}
+		}); allocs != 0 {
+			t.Errorf("QueryLCA at m=%d allocates %.1f objects, want 0", m, allocs)
+		}
+	}
+
+	leaf, lca, q := paperExampleQuery()
+	if allocs := testing.AllocsPerRun(50, func() {
+		if pieces, err := decompose(leaf, lca, q, 2, nil, &rectSlab{dims: 2}); err != nil || len(pieces) != 3 {
+			t.Fatalf("decompose = %v, %v", pieces, err)
+		}
+	}); allocs > 3 {
+		t.Errorf("decompose into three pieces allocates %.1f objects, want ≤ 3", allocs)
+	}
+
+	rng := rand.New(rand.NewSource(23))
+	b := NewBucket(bitlabel.Root(2), randomRecords(rng, 50, 2))
+	miss := spatial.Rect{Lo: spatial.Point{2, 2}, Hi: spatial.Point{3, 3}}
+	circle := spatial.Circle{Center: spatial.Point{0.5, 0.5}, Radius: 0.3}
+	for _, tc := range []struct {
+		name  string
+		q     spatial.Rect
+		shape spatial.Shape
+		want  float64
+	}{
+		{"no hit", miss, nil, 0},
+		{"no hit, circle", miss, circle, 0},
+		{"hits", spatial.Rect{Lo: spatial.Point{0.2, 0.2}, Hi: spatial.Point{0.7, 0.7}}, nil, 1},
+		{"hits, circle", spatial.Rect{Lo: spatial.Point{0.2, 0.2}, Hi: spatial.Point{0.8, 0.8}}, circle, 1},
+		{"every record", spatial.UnitCube(2).Rect(), nil, 1},
+	} {
+		if allocs := testing.AllocsPerRun(50, func() {
+			if got := filterRecords(b, tc.q, tc.shape); (len(got) == 0) != (tc.want == 0) {
+				t.Fatalf("filterRecords %s returned %d records", tc.name, len(got))
+			}
+		}); allocs != tc.want {
+			t.Errorf("filterRecords %s allocates %.1f objects, want %.0f", tc.name, allocs, tc.want)
+		}
+	}
+
+	if allocs := testing.AllocsPerRun(50, func() { keySink = labelKey(leaf) }); allocs != 1 {
+		t.Errorf("labelKey allocates %.1f objects, want 1", allocs)
+	}
+}
+
+var keySink dht.Key
+
+// TestLabelKeyBytes: the key framed in one array is, byte for byte, the
+// concatenation it replaced.
+func TestLabelKeyBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	labels := []bitlabel.Label{bitlabel.Empty, bitlabel.Root(2), bitlabel.VirtualRoot(3)}
+	for i := 0; i < 200; i++ {
+		labels = append(labels, bitlabel.New(rng.Uint64(), rng.Intn(bitlabel.MaxLen+1)))
+	}
+	for _, l := range labels {
+		if got, want := labelKey(l), dht.Key("mlight/"+l.Key()); got != want {
+			t.Fatalf("labelKey(%v) = %q, want %q", l, got, want)
 		}
 	}
 }

@@ -144,7 +144,7 @@ func (ix *Index) rangeQueryCtx(q spatial.Rect, ctx queryCtx) (*QueryResult, erro
 	}
 	res.Lookups += eng.lookups
 	res.Rounds += eng.barriers + eng.extraRounds
-	res.Records = root.collect(res.Records)
+	res.Records = root.collect()
 	return res, nil
 }
 
@@ -186,11 +186,30 @@ type execNode struct {
 	children []*execNode
 }
 
-// collect appends the subtree's records in depth-first order.
-func (n *execNode) collect(out []spatial.Record) []spatial.Record {
+// collect returns the tree's records in depth-first order, in one slice of
+// exactly their number — the root's own slice when no other node found any.
+func (n *execNode) collect() []spatial.Record {
+	total := n.count()
+	if total == len(n.records) {
+		return n.records
+	}
+	return n.appendTo(make([]spatial.Record, 0, total))
+}
+
+// count returns how many records the subtree holds.
+func (n *execNode) count() int {
+	total := len(n.records)
+	for _, c := range n.children {
+		total += c.count()
+	}
+	return total
+}
+
+// appendTo appends the subtree's records in depth-first order.
+func (n *execNode) appendTo(out []spatial.Record) []spatial.Record {
 	out = append(out, n.records...)
 	for _, c := range n.children {
-		out = c.collect(out)
+		out = c.appendTo(out)
 	}
 	return out
 }

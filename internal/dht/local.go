@@ -176,20 +176,60 @@ func (l *Local) shardIndex(key Key) int {
 	return int(hashseed.Fmix64(hashseed.String(hashseed.FNVOffset64, string(key))) & (memShards - 1))
 }
 
-// byShard groups the positions 0…n-1 by the shard their key lives in and
-// calls fn once per shard that has any, positions ascending — so a batch
-// takes each shard lock once, and same-key operations keep their order.
-func (l *Local) byShard(n int, key func(i int) Key, fn func(sh *storeShard, idxs []int)) {
-	var groups [memShards][]int
-	for i := 0; i < n; i++ {
-		s := l.shardIndex(key(i))
-		groups[s] = append(groups[s], i)
+// smallBatch is the batch size up to which byShard's caller orders positions
+// in stack arrays.
+const smallBatch = 16
+
+// batchOrder returns position and shard scratch of length n for byShard: the
+// caller's stack arrays when they are long enough, fresh slices otherwise.
+func batchOrder(n int, pos, shard []int) ([]int, []int) {
+	if n > len(pos) {
+		return make([]int, n), make([]int, n)
 	}
-	for s, idxs := range groups[:len(l.shards)] {
-		if len(idxs) > 0 {
-			fn(&l.shards[s], idxs)
+	return pos[:n], shard[:n]
+}
+
+// byShard orders the positions 0…n-1 of a batch (n = len(pos)) in pos by the
+// shard their key lives in, positions ascending within a shard, and notes
+// position i's shard in shard[i] — so a batch takes each shard lock once, and
+// same-key operations keep their order. Callers walk the runs with shardRun.
+// A round's few keys are insertion-sorted in place; a batch past smallBatch
+// is counting-sorted over a table of every shard.
+func (l *Local) byShard(key func(i int) Key, pos, shard []int) {
+	for i := range pos {
+		shard[i] = l.shardIndex(key(i))
+	}
+	if len(pos) <= smallBatch {
+		for i := range pos {
+			j := i
+			for ; j > 0 && shard[pos[j-1]] > shard[i]; j-- {
+				pos[j] = pos[j-1]
+			}
+			pos[j] = i
 		}
+		return
 	}
+	next := make([]int, len(l.shards)+1)
+	for _, s := range shard {
+		next[s+1]++
+	}
+	for s := 1; s < len(next); s++ {
+		next[s] += next[s-1]
+	}
+	for i, s := range shard {
+		pos[next[s]] = i
+		next[s]++
+	}
+}
+
+// shardRun returns the shard of the run of byShard's order that starts at
+// pos[start], and where the run ends.
+func (l *Local) shardRun(pos, shard []int, start int) (*storeShard, int) {
+	s, end := shard[pos[start]], start+1
+	for end < len(pos) && shard[pos[end]] == s {
+		end++
+	}
+	return &l.shards[s], end
 }
 
 // mutation is the journal's record of a transform's outcome at key: next
@@ -297,14 +337,19 @@ func (l *Local) Do(key Key, op Op) (any, error) {
 // blocks.
 func (l *Local) GetBatch(keys []Key, maxInFlight int) []BatchResult {
 	results := make([]BatchResult, len(keys))
-	l.byShard(len(keys), func(i int) Key { return keys[i] }, func(sh *storeShard, idxs []int) {
+	var posBuf, shardBuf [smallBatch]int
+	pos, shard := batchOrder(len(keys), posBuf[:], shardBuf[:])
+	l.byShard(func(i int) Key { return keys[i] }, pos, shard)
+	for start := 0; start < len(pos); {
+		sh, end := l.shardRun(pos, shard, start)
 		sh.mu.RLock()
-		for _, i := range idxs {
+		for _, i := range pos[start:end] {
 			v, ok := sh.store[keys[i]]
 			results[i] = BatchResult{Value: v, Found: ok}
 		}
 		sh.mu.RUnlock()
-	})
+		start = end
+	}
 	return results
 }
 
@@ -313,7 +358,12 @@ func (l *Local) GetBatch(keys []Key, maxInFlight int) []BatchResult {
 // hence one outcome for the group.
 func (l *Local) PutBatch(ops []PutOp, maxInFlight int) []error {
 	errs := make([]error, len(ops))
-	l.byShard(len(ops), func(i int) Key { return ops[i].Key }, func(sh *storeShard, idxs []int) {
+	var posBuf, shardBuf [smallBatch]int
+	pos, shard := batchOrder(len(ops), posBuf[:], shardBuf[:])
+	l.byShard(func(i int) Key { return ops[i].Key }, pos, shard)
+	for start := 0; start < len(pos); {
+		sh, end := l.shardRun(pos, shard, start)
+		idxs := pos[start:end]
 		muts := make([]WALRecord, len(idxs))
 		for j, i := range idxs {
 			muts[j] = WALRecord{Op: WALPut, Key: ops[i].Key, Value: ops[i].Value}
@@ -326,7 +376,8 @@ func (l *Local) PutBatch(ops []PutOp, maxInFlight int) []error {
 				errs[i] = err
 			}
 		}
-	})
+		start = end
+	}
 	return errs
 }
 

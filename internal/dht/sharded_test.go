@@ -78,3 +78,30 @@ func TestShardedBatchAndRange(t *testing.T) {
 		}
 	}
 }
+
+// TestShardedSmallBatch: a round's few keys — spread over shards, one
+// repeated, one absent — come back positionally, same-key puts in a batch
+// land in batch order, and a 5-key GetBatch allocates its results alone.
+func TestShardedSmallBatch(t *testing.T) {
+	s := dht.MustNewSharded(4)
+	ops := []dht.PutOp{{Key: "a", Value: 1}, {Key: "b", Value: 2}, {Key: "a", Value: 3}, {Key: "c", Value: 4}}
+	for _, err := range s.PutBatch(ops, 4) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	keys := []dht.Key{"c", "a", "absent", "b", "a"}
+	want := []any{4, 3, nil, 2, 3}
+	res := s.GetBatch(keys, 4)
+	for i, r := range res {
+		if r.Found != (want[i] != nil) || r.Value != want[i] {
+			t.Fatalf("GetBatch[%d] (%s) = %+v, want %v", i, keys[i], r, want[i])
+		}
+	}
+	if dhttest.RaceEnabled() {
+		return
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.GetBatch(keys, 4) }); allocs != 1 {
+		t.Fatalf("a 5-key GetBatch allocates %.1f objects, want 1: the results", allocs)
+	}
+}

@@ -70,15 +70,25 @@ type Rect struct {
 // NewRect validates and builds a rectangle. Lo and Hi must have equal
 // dimensionality and Lo[i] <= Hi[i] in every dimension.
 func NewRect(lo, hi Point) (Rect, error) {
+	if err := (Rect{Lo: lo, Hi: hi}).Validate(); err != nil {
+		return Rect{}, err
+	}
+	return Rect{Lo: lo.Clone(), Hi: hi.Clone()}, nil
+}
+
+// Validate reports why NewRect would refuse r's corners, or nil when it would
+// accept them. It copies nothing.
+func (r Rect) Validate() error {
+	lo, hi := r.Lo, r.Hi
 	if len(lo) == 0 || len(lo) != len(hi) {
-		return Rect{}, fmt.Errorf("spatial: rect corners have dims %d and %d", len(lo), len(hi))
+		return fmt.Errorf("spatial: rect corners have dims %d and %d", len(lo), len(hi))
 	}
 	for i := range lo {
 		if math.IsNaN(lo[i]) || math.IsNaN(hi[i]) || lo[i] > hi[i] {
-			return Rect{}, fmt.Errorf("spatial: invalid rect extent [%v, %v] in dim %d", lo[i], hi[i], i)
+			return fmt.Errorf("spatial: invalid rect extent [%v, %v] in dim %d", lo[i], hi[i], i)
 		}
 	}
-	return Rect{Lo: lo.Clone(), Hi: hi.Clone()}, nil
+	return nil
 }
 
 // Dim returns the rectangle's dimensionality.
@@ -183,17 +193,23 @@ func (g Region) Covers(q Rect) bool {
 		return false
 	}
 	for i := range g.Lo {
-		if q.Lo[i] < g.Lo[i] {
-			return false
-		}
-		if q.Hi[i] >= g.Hi[i] && g.Hi[i] != 1 {
-			return false
-		}
-		if q.Hi[i] > g.Hi[i] {
+		if !coversAxis(g.Lo[i], g.Hi[i], q.Lo[i], q.Hi[i]) {
 			return false
 		}
 	}
 	return true
+}
+
+// coversAxis reports whether the cell's extent [lo, hi) — closed when hi is
+// 1 — covers the closed extent [qlo, qhi]: Covers along one axis.
+func coversAxis(lo, hi, qlo, qhi float64) bool {
+	if qlo < lo {
+		return false
+	}
+	if qhi >= hi && hi != 1 {
+		return false
+	}
+	return !(qhi > hi)
 }
 
 // Intersect clips the closed rectangle q to the cell's closed hull,
@@ -229,16 +245,47 @@ func (g Region) Halves(dim int) (lower, upper Region) {
 	return lower, upper
 }
 
-// halve narrows the cell, in place, to its lower (bit 0) or upper (bit 1) half
-// along dim. A label's descent owns the one cube it allocated, so it halves
-// that cube level by level where Halves would clone four points per level.
-func (g Region) halve(dim int, bit byte) {
+// Halve narrows the cell, in place, to its lower (bit 0) or upper (bit 1) half
+// along dim — the half Halves returns, to the bit. The cell's Lo and Hi must
+// not be shared.
+func (g Region) Halve(dim int, bit byte) {
 	mid := (g.Lo[dim] + g.Hi[dim]) / 2
 	if bit == 0 {
 		g.Hi[dim] = mid
 	} else {
 		g.Lo[dim] = mid
 	}
+}
+
+// StackDims is the largest dimensionality a Scratch holds a cell of.
+const StackDims = 8
+
+// Scratch is storage for one cell of up to StackDims dimensions; the cell
+// Cube or Cell returns is valid until the next Cube or Cell.
+type Scratch struct{ lo, hi [StackDims]float64 }
+
+// Cube returns the unit cube of dimensionality m over s's storage — over two
+// fresh points when m exceeds StackDims.
+func (s *Scratch) Cube(m int) Region {
+	if m > StackDims {
+		return UnitCube(m)
+	}
+	g := Region{Lo: s.lo[:m:m], Hi: s.hi[:m:m]}
+	for i := range g.Hi {
+		g.Lo[i], g.Hi[i] = 0, 1
+	}
+	return g
+}
+
+// Cell is RegionOf over s's storage: the same cell, to the bit, and the same
+// error for a label off the root.
+func (s *Scratch) Cell(l bitlabel.Label, m int) (Region, error) {
+	if err := checkRooted(l, m); err != nil {
+		return Region{}, err
+	}
+	g := s.Cube(m)
+	g.descend(l, m)
+	return g, nil
 }
 
 // String renders the region with half-open brackets.
@@ -269,18 +316,29 @@ func SplitDim(depthBelowRoot, m int) int {
 // dimensionality m. The label must extend (or equal) the ordinary root; the
 // virtual root and the ordinary root both address the whole space.
 func RegionOf(l bitlabel.Label, m int) (Region, error) {
-	root := bitlabel.Root(m)
-	if l == bitlabel.VirtualRoot(m) || l == root {
-		return UnitCube(m), nil
-	}
-	if !root.IsPrefixOf(l) {
-		return Region{}, fmt.Errorf("spatial: label %v does not extend the %d-dimensional root", l, m)
+	if err := checkRooted(l, m); err != nil {
+		return Region{}, err
 	}
 	g := UnitCube(m)
-	for i := root.Len(); i < l.Len(); i++ {
-		g.halve(SplitDim(i-root.Len(), m), l.At(i))
-	}
+	g.descend(l, m)
 	return g, nil
+}
+
+// checkRooted refuses a label RegionOf has no cell for: one that neither is
+// the virtual root nor extends the ordinary root.
+func checkRooted(l bitlabel.Label, m int) error {
+	if l != bitlabel.VirtualRoot(m) && !bitlabel.Root(m).IsPrefixOf(l) {
+		return fmt.Errorf("spatial: label %v does not extend the %d-dimensional root", l, m)
+	}
+	return nil
+}
+
+// descend halves the cube g, in place, along the bits of l below the ordinary
+// root. The virtual root and the root have no such bits.
+func (g Region) descend(l bitlabel.Label, m int) {
+	for i := m + 1; i < l.Len(); i++ {
+		g.Halve(SplitDim(i-(m+1), m), l.At(i))
+	}
 }
 
 // ZRegionOf computes the cell addressed by a plain z-order prefix (no root
@@ -289,7 +347,7 @@ func RegionOf(l bitlabel.Label, m int) (Region, error) {
 func ZRegionOf(l bitlabel.Label, m int) Region {
 	g := UnitCube(m)
 	for i := 0; i < l.Len(); i++ {
-		g.halve(SplitDim(i, m), l.At(i))
+		g.Halve(SplitDim(i, m), l.At(i))
 	}
 	return g
 }
@@ -298,22 +356,33 @@ func ZRegionOf(l bitlabel.Label, m int) Region {
 // space kd-tree that fully covers the closed rectangle q — the lowest common
 // ancestor of the paper's Algorithm 2. maxDepth bounds the descent below the
 // ordinary root. The result always extends or equals the ordinary root.
+//
+// The descent halves one Scratch cell in place. A half differs from its
+// parent along the split axis alone and the parent covers q, so only that
+// axis is tested; the midpoints are Halves', to the bit.
+//
+//lint:hotpath
 func LCALabel(q Rect, m, maxDepth int) (bitlabel.Label, error) {
 	if q.Dim() != m {
-		return bitlabel.Label{}, fmt.Errorf("spatial: rect dim %d != m %d", q.Dim(), m)
+		return bitlabel.Label{}, fmt.Errorf("spatial: rect dim %d != m %d", q.Dim(), m) //lint:allow hotpath failure arm, not the answered path
 	}
+	var s Scratch
+	g := s.Cube(m) //lint:allow hotpath past StackDims dimensions the cell is two fresh points
 	l := bitlabel.Root(m)
-	g := UnitCube(m)
+	if !g.Covers(q) {
+		return l, nil // neither half of a cube that misses q can cover it
+	}
 	for depth := 0; depth < maxDepth && l.Len() < bitlabel.MaxLen; depth++ {
 		dim := SplitDim(depth, m)
-		lower, upper := g.Halves(dim)
+		lo, hi := g.Lo[dim], g.Hi[dim]
+		mid := (lo + hi) / 2
 		switch {
-		case lower.Covers(q):
+		case coversAxis(lo, mid, q.Lo[dim], q.Hi[dim]):
 			l = l.MustAppend(0)
-			g = lower
-		case upper.Covers(q):
+			g.Hi[dim] = mid
+		case coversAxis(mid, hi, q.Lo[dim], q.Hi[dim]):
 			l = l.MustAppend(1)
-			g = upper
+			g.Lo[dim] = mid
 		default:
 			return l, nil
 		}

@@ -311,10 +311,12 @@ func deepLabel(rng *rand.Rand, m, d int) (rooted, z bitlabel.Label) {
 
 // TestRegionOfMatchesHalves: the in-place descent lands, to the bit, on the
 // cell that halving a fresh copy per level (Halves, which kdtree's splits
-// still use) lands on — for the rooted and the plain z-order form.
+// still use) lands on — for the rooted and the plain z-order form, and over a
+// Scratch's storage.
 func TestRegionOfMatchesHalves(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for m := 1; m <= 4; m++ {
+	var s Scratch
+	for m := 1; m <= StackDims+1; m++ {
 		for trial := 0; trial < 200; trial++ {
 			l, zl := deepLabel(rng, m, rng.Intn(40))
 			want := UnitCube(m)
@@ -329,9 +331,16 @@ func TestRegionOfMatchesHalves(t *testing.T) {
 				t.Fatal(err)
 			}
 			z := ZRegionOf(zl, m)
+			cell, err := s.Cell(l, m)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i := 0; i < m; i++ {
 				if got.Lo[i] != want.Lo[i] || got.Hi[i] != want.Hi[i] {
 					t.Fatalf("m=%d RegionOf(%v) = %v, halving copies gives %v", m, l, got, want)
+				}
+				if cell.Lo[i] != want.Lo[i] || cell.Hi[i] != want.Hi[i] {
+					t.Fatalf("m=%d Scratch.Cell(%v) = %v, halving copies gives %v", m, l, cell, want)
 				}
 				if z.Lo[i] != want.Lo[i] || z.Hi[i] != want.Hi[i] {
 					t.Fatalf("m=%d ZRegionOf(%v) = %v, halving copies gives %v", m, zl, z, want)
@@ -356,6 +365,14 @@ func TestRegionOfAllocs(t *testing.T) {
 		}
 		if got := testing.AllocsPerRun(100, func() { ZRegionOf(z, 2) }); got != 2 {
 			t.Errorf("ZRegionOf at depth %d: %v allocations, want 2", depth, got)
+		}
+		if got := testing.AllocsPerRun(100, func() {
+			var s Scratch
+			if _, err := s.Cell(l, 2); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("Scratch.Cell at depth %d: %v allocations, want 0", depth, got)
 		}
 	}
 }
