@@ -3,18 +3,13 @@
 // global rand, or per-process-seeded hash/maphash outside experiment/driver
 // packages — internal/hashseed is the stable-hash substitute), droppederr (no
 // silently dropped RPC/DHT/retry errors), decoratorcomplete (DHT
-// decorators forward every optional capability interface), goroutineleak
-// (no spawned goroutine that can park forever on a channel op with no
-// cancel/timeout/drain edge),
-// lockorder (no mutex-acquisition cycles, unordered striped-shard nesting,
-// or locks held across RPCs/channel ops), and hotpath (functions marked
-// //lint:hotpath stay allocation-free under the compiler's escape
-// analysis).
+// decorators forward every optional capability interface), and hotpath
+// (functions marked //lint:hotpath stay allocation-free under the
+// compiler's escape analysis).
 //
 //	mlight-lint ./...
 //	mlight-lint -json ./...
-//	mlight-lint -passes goroutineleak,lockorder,hotpath ./internal/...
-//	mlight-lint -fix ./...
+//	mlight-lint -passes hotpath ./internal/...
 //
 // Diagnostics print as "file:line:col: [pass] message". The exit status is
 // 0 when the tree is clean, 1 when findings are reported, and 2 when the
@@ -23,11 +18,8 @@
 //
 //	//lint:allow <pass> <reason>
 //
-// -fix keeps the suppression inventory honest mechanically: a reasoned
-// directive that no longer suppresses anything is deleted, and a
-// reasonless one (which never suppressed anything) is rewritten into a
-// TODO comment so the missing justification surfaces in review instead of
-// masquerading as a waiver.
+// A directive that lacks a reason, suppresses nothing, or names an unknown
+// pass is itself a finding.
 package main
 
 import (
@@ -57,7 +49,6 @@ func run(args []string, out io.Writer) (int, error) {
 		passList = fs.String("passes", "", "comma-separated pass subset (default: all)")
 		list     = fs.Bool("list", false, "list available passes and exit")
 		dir      = fs.String("C", ".", "directory to resolve package patterns from")
-		fix      = fs.Bool("fix", false, "delete unused //lint:allow directives and rewrite reasonless ones into TODOs")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2, err
@@ -92,39 +83,8 @@ func run(args []string, out io.Writer) (int, error) {
 		return 2, err
 	}
 	var diags []analysis.Diagnostic
-	var edits []fixEdit
 	for _, pkg := range pkgs {
-		pkgDiags, dirs := analysis.RunWithDirectives(pkg, passes, nil)
-		if *fix {
-			pkgEdits := planFixes(dirs)
-			// The hygiene findings those edits resolve are consumed by the
-			// fix, not re-reported.
-			fixed := make(map[string]map[int]bool, len(pkgEdits))
-			for _, e := range pkgEdits {
-				if fixed[e.file] == nil {
-					fixed[e.file] = map[int]bool{}
-				}
-				fixed[e.file][e.line] = true
-			}
-			kept := pkgDiags[:0]
-			for _, d := range pkgDiags {
-				if d.Pass == analysis.AllowName && fixed[d.File][d.Line] {
-					continue
-				}
-				kept = append(kept, d)
-			}
-			pkgDiags = kept
-			edits = append(edits, pkgEdits...)
-		}
-		diags = append(diags, pkgDiags...)
-	}
-	if *fix && len(edits) > 0 {
-		if err := applyFixes(edits); err != nil {
-			return 2, err
-		}
-		for _, e := range edits {
-			fmt.Fprintln(out, e.desc)
-		}
+		diags = append(diags, analysis.Run(pkg, passes, nil)...)
 	}
 	if *jsonOut {
 		enc := json.NewEncoder(out)

@@ -15,23 +15,16 @@
 //     (Batcher, BatchWriter, SpanGetter) its inner substrate may have, so
 //     wrapping never silently disables batching or trace attribution
 //     (pass "decoratorcomplete");
-//   - no goroutine is spawned that can block forever on a channel with no
-//     cancel/timeout/drain edge — the abandoned-RPC-drain and write-pump
-//     leak class (pass "goroutineleak");
-//   - the per-package mutex-acquisition graph is cycle-free, striped
-//     shard locks nest only under an explicit ordering waiver, and no
-//     lock is held across an RPC or channel operation
-//     (pass "lockorder");
 //   - functions marked //lint:hotpath stay allocation-free under the
 //     compiler's escape analysis, making the scale PR's zero-alloc claims
 //     a compile-time gate (pass "hotpath").
 //
-// The flow-aware passes (goroutineleak, lockorder) run on a shared
-// intraprocedural CFG/dataflow layer (cfg.go). The analyzer is built
-// purely on the standard library's go/ast, go/parser, go/types, and
-// go/importer (no golang.org/x/tools dependency), honoring the
-// repository's stdlib-only rule. It runs as `go run ./cmd/mlight-lint
-// ./...` and exits nonzero on findings.
+// Goroutine leaks and lock misuse are left to the run-time checks:
+// dhttest.VerifyNoLeaks in every package that spawns goroutines, and the
+// race detector. The analyzer is built purely on the standard library's
+// go/ast, go/parser, go/types, and go/importer (no golang.org/x/tools
+// dependency), honoring the repository's stdlib-only rule. It runs as
+// `go run ./cmd/mlight-lint ./...` and exits nonzero on findings.
 //
 // # Suppression
 //
@@ -42,7 +35,8 @@
 // placed on the flagged line or on the line immediately above it (the last
 // line of a declaration's doc comment works). The reason is mandatory: a
 // directive without one is itself reported, as is a directive that
-// suppresses nothing, so the suppression inventory stays honest.
+// suppresses nothing or names a pass the analyzer does not have, so the
+// suppression inventory stays honest.
 package analysis
 
 import (
@@ -168,13 +162,13 @@ func pathMatches(path, frag string) bool {
 // Passes returns the full pass set in reporting order.
 func Passes() []Pass {
 	return []Pass{
-		determinismPass{}, droppedErrPass{}, decoratorCompletePass{},
-		goroutineLeakPass{}, lockOrderPass{}, hotPathPass{},
+		determinismPass{}, droppedErrPass{}, decoratorCompletePass{}, hotPathPass{},
 	}
 }
 
 // AllowName is the pseudo-pass under which directive hygiene problems
-// (missing reasons, suppressions that suppress nothing) are reported.
+// (missing reasons, suppressions that suppress nothing, unknown passes)
+// are reported.
 const AllowName = "allow"
 
 var allowRE = regexp.MustCompile(`^//\s*lint:allow\s+([A-Za-z0-9_]+)(?:\s+(.*))?$`)
@@ -182,22 +176,9 @@ var allowRE = regexp.MustCompile(`^//\s*lint:allow\s+([A-Za-z0-9_]+)(?:\s+(.*))?
 // directive is one parsed //lint:allow comment.
 type directive struct {
 	pos    token.Position
-	text   string // raw comment text, including the leading //
 	pass   string
 	reason string
 	used   bool
-}
-
-// Directive is one //lint:allow comment with its resolution after a Run:
-// whether any selected pass produced a finding it suppressed. Pos.Offset
-// and Text delimit the comment's exact bytes in its file, which is what
-// the -fix mode of cmd/mlight-lint splices.
-type Directive struct {
-	Pos    token.Position
-	Text   string
-	Pass   string
-	Reason string
-	Used   bool
 }
 
 // collectDirectives parses every //lint:allow directive in pkg.
@@ -212,7 +193,6 @@ func collectDirectives(pkg *Package) []*directive {
 				}
 				ds = append(ds, &directive{
 					pos:    pkg.Fset.Position(c.Pos()),
-					text:   c.Text,
 					pass:   m[1],
 					reason: strings.TrimSpace(m[2]),
 				})
@@ -223,20 +203,17 @@ func collectDirectives(pkg *Package) []*directive {
 }
 
 // Run executes the given passes over pkg, applies //lint:allow suppression,
-// and reports directive-hygiene problems. Diagnostics come back sorted by
-// position.
+// and reports directive-hygiene problems. A directive naming a pass that
+// exists but was not selected is left alone — it cannot be judged unused —
+// while one naming no pass at all is reported whatever was selected.
+// Diagnostics come back sorted by position.
 func Run(pkg *Package, passes []Pass, cfg *Config) []Diagnostic {
-	diags, _ := RunWithDirectives(pkg, passes, cfg)
-	return diags
-}
-
-// RunWithDirectives is Run plus the package's directive inventory with its
-// post-run resolution, for tools (the -fix mode) that edit directives.
-// Only directives naming a selected pass (or the allow pseudo-pass) are
-// returned — a directive for an unselected pass cannot be judged unused.
-func RunWithDirectives(pkg *Package, passes []Pass, cfg *Config) ([]Diagnostic, []Directive) {
 	ds := collectDirectives(pkg)
-	selected := make(map[string]bool, len(passes))
+	known := map[string]bool{AllowName: true}
+	for _, p := range Passes() {
+		known[p.Name()] = true
+	}
+	selected := map[string]bool{AllowName: true}
 	var out []Diagnostic
 	for _, p := range passes {
 		selected[p.Name()] = true
@@ -249,10 +226,12 @@ func RunWithDirectives(pkg *Package, passes []Pass, cfg *Config) ([]Diagnostic, 
 		}
 	}
 	for _, d := range ds {
-		if !selected[d.pass] && d.pass != AllowName {
-			continue
-		}
 		switch {
+		case !known[d.pass]:
+			out = append(out, diagAt(d.pos, AllowName,
+				fmt.Sprintf("unknown pass %q", d.pass)))
+		case !selected[d.pass]:
+			// A pass that did not run cannot judge its waivers.
 		case d.reason == "":
 			out = append(out, diagAt(d.pos, AllowName,
 				fmt.Sprintf("allow directive for %q is missing a reason", d.pass)))
@@ -274,20 +253,7 @@ func RunWithDirectives(pkg *Package, passes []Pass, cfg *Config) ([]Diagnostic, 
 		}
 		return a.Pass < b.Pass
 	})
-	var dirs []Directive
-	for _, d := range ds {
-		if !selected[d.pass] && d.pass != AllowName {
-			continue
-		}
-		dirs = append(dirs, Directive{
-			Pos:    d.pos,
-			Text:   d.text,
-			Pass:   d.pass,
-			Reason: d.reason,
-			Used:   d.used,
-		})
-	}
-	return out, dirs
+	return out
 }
 
 // matchDirective finds a directive covering diag: same pass, same file, on

@@ -16,9 +16,8 @@ type LeakChecker interface {
 
 // VerifyNoLeaks snapshots the goroutine count when called and registers a
 // cleanup that fails the test if the count has not returned to the
-// baseline by the end — the end-of-test counterpart to the static
-// goroutineleak lint pass. Call it first thing in a test, before any
-// transport or overlay is constructed.
+// baseline by the end. Call it first thing in a test, before any transport
+// or overlay is constructed.
 //
 // Teardown is asynchronous (connection goroutines unwind after Close
 // returns), so the cleanup polls with a short sleep for up to about two

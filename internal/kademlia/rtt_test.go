@@ -1,11 +1,14 @@
 package kademlia
 
 import (
+	"errors"
 	"testing"
 	"time"
 
+	"mlight/internal/dht/dhttest"
 	"mlight/internal/overlay"
 	"mlight/internal/simnet"
+	"mlight/internal/transport"
 )
 
 // TestRTTDecayGrowsDeadline is the regression test for the stale-RTT
@@ -103,5 +106,24 @@ func TestOverlayRPCDeadline(t *testing.T) {
 	RoutingOf(adaptive).ResetRTTEstimate()
 	if got := RoutingOf(adaptive).RPCDeadline(); got != base {
 		t.Errorf("deadline after ResetRTTEstimate = %v, want fallback %v", got, base)
+	}
+}
+
+// TestTimedOutCallDrains: a reply that arrives after its call's deadline is
+// still taken, so the goroutine that carried the call ends instead of
+// parking forever on a channel nobody reads any more.
+func TestTimedOutCallDrains(t *testing.T) {
+	dhttest.VerifyNoLeaks(t)
+	net := simnet.New(simnet.Options{Latency: simnet.ConstantLatency(25 * time.Millisecond), RealDelay: true})
+	echo := transport.HandlerFunc(func(_ transport.NodeID, req any) (any, error) { return req, nil })
+	if err := net.Register("slow", echo); err != nil {
+		t.Fatal(err)
+	}
+	r := RoutingOf(NewOverlay(net, Config{Config: overlay.Config{Seed: 1}, RPCTimeout: 5 * time.Millisecond}))
+	if _, err := r.timedCall("slow", "ping"); !errors.Is(err, ErrRPCTimeout) {
+		t.Fatalf("timedCall past its deadline = %v, want ErrRPCTimeout", err)
+	}
+	if got := r.LookupTimeouts.Load(); got != 1 {
+		t.Errorf("LookupTimeouts = %d, want 1", got)
 	}
 }

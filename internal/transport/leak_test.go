@@ -7,8 +7,7 @@
 // connection nobody closed, a caller parked on a reply nobody will send, and
 // a worker parked after the last call — and the Close/timeout races this
 // file provokes are exactly the paths where a missed drain edge would park
-// one forever. The static goroutineleak pass proves the channel topology
-// has escape edges; these tests prove the runtime actually takes them.
+// one forever.
 package transport_test
 
 import (

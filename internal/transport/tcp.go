@@ -703,7 +703,7 @@ func (t *TCP) peerReadLoop(p *tcpPeer) {
 			// the entry left the map above, so only one sender can ever
 			// reach it — but delivering through a default arm makes the
 			// read loop's liveness a local fact instead of a cross-function
-			// argument (and keeps the goroutineleak pass's proof trivial).
+			// argument.
 			select {
 			case c.ch <- result:
 			default:
