@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mlight/internal/bitlabel"
+	"mlight/internal/dataset"
 	"mlight/internal/dht"
 	"mlight/internal/index"
 	"mlight/internal/spatial"
@@ -119,4 +120,22 @@ func BenchmarkBucketScan(b *testing.B) {
 		}
 	}
 	_ = hits
+}
+
+// BenchmarkBulkLoad builds the whole tree of 100k synthetic NE records
+// locally and places its buckets in the in-process store: the split that
+// dominates every benchmark workload's set-up.
+func BenchmarkBulkLoad(b *testing.B) {
+	records := dataset.Generate(100000, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix, err := New(dht.MustNewLocal(16), index.Tuning{Capacity: 64, MergeThreshold: 32})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := ix.BulkLoad(records); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -38,6 +38,8 @@ func (ix *Index) BulkLoad(records []spatial.Record) error {
 		return fmt.Errorf("core: BulkLoad needs an enumerable substrate to verify emptiness: %w", err)
 	}
 
+	// The split owns and permutes the records it is handed: give it a copy,
+	// the caller's slice stays as it was.
 	root := kdtree.Cell{
 		Label:   bitlabel.Root(m),
 		Region:  spatial.UnitCube(m),

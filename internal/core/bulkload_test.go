@@ -1,27 +1,79 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"mlight/internal/bitlabel"
 	"mlight/internal/dht"
 	"mlight/internal/index"
 	"mlight/internal/spatial"
 )
 
 // TestBulkLoadMatchesIncrementalThreshold: for the threshold strategy, bulk
-// loading yields exactly the tree progressive insertion builds.
+// loading yields exactly the tree progressive insertion builds, bucket for
+// bucket to the byte — records in the same order.
 func TestBulkLoadMatchesIncrementalThreshold(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	records := make([]spatial.Record, 3000)
+	records := bulkRecords(41, 3000)
+	bulk, incr := bulkAndIncremental(t, records, index.Tuning{Capacity: 20, MergeThreshold: 10, MaxDepth: 24})
+	// Bulk loading is far cheaper in DHT operations.
+	bs, is := bulk.Stats(), incr.Stats()
+	if bs.DHTLookups*3 > is.DHTLookups {
+		t.Errorf("bulk %d lookups not ≪ incremental %d", bs.DHTLookups, is.DHTLookups)
+	}
+	// Both moved every record exactly... bulk moves each record once.
+	if bs.RecordsMoved != int64(len(records)) {
+		t.Errorf("bulk moved %d records, want %d", bs.RecordsMoved, len(records))
+	}
+}
+
+// TestBulkLoadMatchesIncrementalDataAware is the data-aware twin: on this
+// set the global optimum BulkLoad computes is the tree the greedy
+// incremental splits reach, and its buckets match byte for byte.
+func TestBulkLoadMatchesIncrementalDataAware(t *testing.T) {
+	bulkAndIncremental(t, bulkRecords(41, 3000), index.Tuning{
+		Strategy: SplitDataAware, Capacity: 20, Epsilon: 12, MergeThreshold: 10, MaxDepth: 24,
+	})
+}
+
+// TestBulkLoadLeavesInputUntouched: the split permutes the records it is
+// handed, so BulkLoad must hand it a copy — a caller may load the same slice
+// into several indexes.
+func TestBulkLoadLeavesInputUntouched(t *testing.T) {
+	for _, strategy := range []SplitStrategy{SplitThreshold, SplitDataAware} {
+		records := bulkRecords(5, 2000)
+		want := append([]spatial.Record(nil), records...)
+		ix := newIndex(t, index.Tuning{Strategy: strategy, Capacity: 20, Epsilon: 12, MergeThreshold: 10})
+		if err := ix.BulkLoad(records); err != nil {
+			t.Fatal(err)
+		}
+		for i := range records {
+			if records[i].Data != want[i].Data {
+				t.Fatalf("%v: BulkLoad reordered its input: record %d is %s, want %s", strategy, i, records[i].Data, want[i].Data)
+			}
+		}
+	}
+}
+
+// bulkRecords draws n uniform two-dimensional records from seed.
+func bulkRecords(seed int64, n int) []spatial.Record {
+	rng := rand.New(rand.NewSource(seed))
+	records := make([]spatial.Record, n)
 	for i := range records {
 		records[i] = spatial.Record{
 			Key:  spatial.Point{rng.Float64(), rng.Float64()},
 			Data: fmt.Sprintf("r%d", i),
 		}
 	}
-	opts := index.Tuning{Capacity: 20, MergeThreshold: 10, MaxDepth: 24}
+	return records
+}
+
+// bulkAndIncremental bulk-loads records into one index and inserts them one
+// at a time into another, and requires the same buckets, byte for byte.
+func bulkAndIncremental(t *testing.T, records []spatial.Record, opts index.Tuning) (bulk, incr *Index) {
+	t.Helper()
 	bulk, err := New(dht.MustNewLocal(16), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -29,7 +81,7 @@ func TestBulkLoadMatchesIncrementalThreshold(t *testing.T) {
 	if err := bulk.BulkLoad(records); err != nil {
 		t.Fatal(err)
 	}
-	incr, err := New(dht.MustNewLocal(16), opts)
+	incr, err = New(dht.MustNewLocal(16), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,28 +101,21 @@ func TestBulkLoadMatchesIncrementalThreshold(t *testing.T) {
 	if len(bulkBuckets) != len(incrBuckets) {
 		t.Fatalf("bulk %d buckets, incremental %d", len(bulkBuckets), len(incrBuckets))
 	}
-	byLabel := map[string]Bucket{}
+	byLabel := map[bitlabel.Label]Bucket{}
 	for _, b := range incrBuckets {
-		byLabel[b.Label.String()] = b
+		byLabel[b.Label] = b
 	}
 	for _, b := range bulkBuckets {
-		other, ok := byLabel[b.Label.String()]
+		other, ok := byLabel[b.Label]
 		if !ok {
 			t.Fatalf("bulk bucket %v missing from incremental tree", b.Label)
 		}
-		if !sameRecordSet(b.Records(), other.Records()) {
-			t.Fatalf("bucket %v contents differ", b.Label)
+		if !bytes.Equal(b.Marshal(), other.Marshal()) {
+			t.Fatalf("bucket %v differs: bulk %v, incremental %v", b.Label, b.Records(), other.Records())
 		}
 	}
-	// Bulk loading is far cheaper in DHT operations.
-	bs, is := bulk.Stats(), incr.Stats()
-	if bs.DHTLookups*3 > is.DHTLookups {
-		t.Errorf("bulk %d lookups not ≪ incremental %d", bs.DHTLookups, is.DHTLookups)
-	}
-	// Both moved every record exactly... bulk moves each record once.
-	if bs.RecordsMoved != int64(len(records)) {
-		t.Errorf("bulk moved %d records, want %d", bs.RecordsMoved, len(records))
-	}
+	t.Logf("%d buckets, byte-identical", len(bulkBuckets))
+	return bulk, incr
 }
 
 func TestBulkLoadDataAwareQueries(t *testing.T) {

@@ -102,6 +102,8 @@ func (r SplitRule) Append(stored Bucket, records []spatial.Record) (c Commit) {
 				c.Accepted++
 				continue
 			}
+			// Records materializes a fresh slice, which the splits below own
+			// and permute (kdtree's split contract).
 			frontier, slot = []kdtree.Cell{{Label: leaf, Region: region, Records: next.Records()}}, 0
 		}
 		for j := 0; slot < 0 && j < len(frontier); j++ {

@@ -9,6 +9,14 @@
 //     subtree that minimises Σ(load-ε)² over its leaves, the strategy
 //     Theorem 6 proves optimal for peer load balance.
 //
+// Every split works in place. It owns the cell's Records and permutes them:
+// each level is one stable partition (PartitionRecords) that moves a half's
+// records within that one slice, through a scratch buffer a top-level split
+// allocates once. Each leaf's Records is a capacity-clipped view of the
+// slice holding the leaf's records in input order, so an append to a leaf
+// reallocates instead of writing into its neighbour. A cell returned whole
+// is the input cell itself, its records untouched.
+//
 // The package also provides Tree, an in-memory global space kd-tree. The
 // distributed index never materialises this structure — it exists as the
 // reference model ("what the paper's Figure 1 draws") and as the oracle in
@@ -35,31 +43,38 @@ type Cell struct {
 func (c Cell) Load() int { return len(c.Records) }
 
 // PartitionRecords splits records between the two halves of region g along
-// dim. Records on the midpoint boundary go to the upper half, matching the
-// half-open region convention.
-func PartitionRecords(records []spatial.Record, g spatial.Region, dim int) (lower, upper []spatial.Record) {
+// dim, in place and stably: the lower records move to the front of records
+// and the upper ones follow, each side in input order. scratch holds the
+// upper records meanwhile and must be at least as long as records. Records
+// on the midpoint boundary go to the upper half, matching the half-open
+// region convention. The halves are capacity-clipped views of records, so an
+// append to one reallocates instead of overwriting the other.
+func PartitionRecords(records, scratch []spatial.Record, g spatial.Region, dim int) (lower, upper []spatial.Record) {
 	mid := (g.Lo[dim] + g.Hi[dim]) / 2
+	scratch = scratch[:len(records)]
+	i, k := 0, 0
 	for _, r := range records {
 		if r.Key[dim] < mid {
-			lower = append(lower, r)
+			records[i] = r
+			i++
 		} else {
-			upper = append(upper, r)
+			scratch[k] = r
+			k++
 		}
 	}
-	return lower, upper
+	copy(records[i:], scratch[:k])
+	n := len(records)
+	return records[:i:i], records[i:n:n]
 }
 
 // SplitOnce divides a leaf cell into its two children along the dimension
-// its depth dictates. It fails if the label cannot grow.
+// its depth dictates. It fails if the label cannot grow. Like every split it
+// owns c.Records: the children's records are views of that slice.
 func SplitOnce(c Cell, m int) (left, right Cell, err error) {
 	if c.Label.Len() >= bitlabel.MaxLen {
 		return Cell{}, Cell{}, fmt.Errorf("kdtree: cell %v at maximum depth: %w", c.Label, bitlabel.ErrTooLong)
 	}
-	dim := spatial.SplitDim(c.Label.Len()-(m+1), m)
-	lowRegion, highRegion := c.Region.Halves(dim)
-	lowRecs, highRecs := PartitionRecords(c.Records, c.Region, dim)
-	left = Cell{Label: c.Label.MustAppend(0), Region: lowRegion, Records: lowRecs}
-	right = Cell{Label: c.Label.MustAppend(1), Region: highRegion, Records: highRecs}
+	left, right = newSplitter(c, m).split(c)
 	return left, right, nil
 }
 
@@ -68,26 +83,19 @@ func SplitOnce(c Cell, m int) (left, right Cell, err error) {
 // used (overfull leaves at the depth limit are returned as-is, the standard
 // escape for duplicate-heavy data). The input cell must be over threshold;
 // callers check that, so a within-threshold cell is returned unchanged.
+//
+// The split owns c.Records and permutes them (see the package comment): the
+// leaves, in depth-first order, are clipped views of that slice.
 func ThresholdSplit(c Cell, m, thetaSplit, maxDepth int) ([]Cell, error) {
 	if thetaSplit < 1 {
 		return nil, fmt.Errorf("kdtree: thetaSplit must be positive, got %d", thetaSplit)
 	}
-	if c.Load() <= thetaSplit || maxDepth <= 0 || c.Label.Len() >= bitlabel.MaxLen {
+	if !splits(c.Label, c.Load(), thetaSplit, maxDepth) {
 		return []Cell{c}, nil
 	}
-	left, right, err := SplitOnce(c, m)
-	if err != nil {
-		return nil, err
-	}
-	lcells, err := ThresholdSplit(left, m, thetaSplit, maxDepth-1)
-	if err != nil {
-		return nil, err
-	}
-	rcells, err := ThresholdSplit(right, m, thetaSplit, maxDepth-1)
-	if err != nil {
-		return nil, err
-	}
-	return append(lcells, rcells...), nil
+	return newSplitter(c, m).carve(c, func(leaf Cell) bool {
+		return !splits(leaf.Label, leaf.Load(), thetaSplit, maxDepth-(leaf.Label.Len()-c.Label.Len()))
+	}, nil), nil
 }
 
 // OptimalSplit is Algorithm 1 (local-split) of the paper: it computes the
@@ -97,20 +105,33 @@ func ThresholdSplit(c Cell, m, thetaSplit, maxDepth int) ([]Cell, error) {
 // the optimal subtree and whether splitting strictly improves on keeping
 // the bucket whole; when improved is false the returned slice is the input
 // cell alone.
+//
+// The split owns c.Records as ThresholdSplit does, and permutes them only
+// when it improves. It explores on a copy, so a subtree the algorithm keeps
+// whole leaves no trace, and then carves the chosen leaves out of c.Records.
 func OptimalSplit(c Cell, m, epsilon, maxDepth int) (leaves []Cell, improved bool, err error) {
 	if epsilon < 1 {
 		return nil, false, fmt.Errorf("kdtree: epsilon must be positive, got %d", epsilon)
 	}
-	cost, cells, err := optimalSplitRec(c, m, epsilon, maxDepth)
-	if err != nil {
-		return nil, false, err
+	if !splits(c.Label, c.Load(), epsilon, maxDepth) {
+		return []Cell{c}, false, nil
 	}
+	s := newSplitter(c, m)
+	explore := c
+	explore.Records = append([]spatial.Record(nil), c.Records...)
+	cost, shape := s.optimal(explore, epsilon, maxDepth, nil)
 	if localCost(c.Load(), epsilon) <= cost {
 		// Keeping the bucket whole is at least as good: no split (the
 		// comparison in Algorithm 1 line 8 keeps s_local on ties).
 		return []Cell{c}, false, nil
 	}
-	return cells, true, nil
+	return s.carve(c, func(leaf Cell) bool {
+		if leaf.Label != shape[0] {
+			return false
+		}
+		shape = shape[1:]
+		return true
+	}, nil), true, nil
 }
 
 // localCost is (l-ε)² in exact integer arithmetic.
@@ -119,28 +140,60 @@ func localCost(load, epsilon int) int64 {
 	return d * d
 }
 
-// optimalSplitRec returns the minimal cost achievable for the cell and the
-// leaf set realising it (which is the cell itself when not splitting wins).
-func optimalSplitRec(c Cell, m, epsilon, maxDepth int) (int64, []Cell, error) {
+// splits reports whether a cell at label holding load records divides
+// further: it is over bound and may still grow levels more, label included.
+func splits(label bitlabel.Label, load, bound, levels int) bool {
+	return load > bound && levels > 0 && label.Len() < bitlabel.MaxLen
+}
+
+// splitter is one top-level split's working state: the scratch buffer every
+// partition of the split shares.
+type splitter struct {
+	m       int
+	scratch []spatial.Record
+}
+
+func newSplitter(c Cell, m int) splitter {
+	return splitter{m: m, scratch: make([]spatial.Record, len(c.Records))}
+}
+
+// split divides c into its two children along the dimension its depth
+// dictates, partitioning c.Records in place.
+func (s splitter) split(c Cell) (left, right Cell) {
+	dim := spatial.SplitDim(c.Label.Len()-(s.m+1), s.m)
+	lowRegion, highRegion := c.Region.Halves(dim)
+	lowRecs, highRecs := PartitionRecords(c.Records, s.scratch, c.Region, dim)
+	left = Cell{Label: c.Label.MustAppend(0), Region: lowRegion, Records: lowRecs}
+	right = Cell{Label: c.Label.MustAppend(1), Region: highRegion, Records: highRecs}
+	return left, right
+}
+
+// carve divides c until leaf reports a cell to be a leaf, and appends the
+// leaves to out in depth-first order.
+func (s splitter) carve(c Cell, leaf func(Cell) bool, out []Cell) []Cell {
+	if leaf(c) {
+		return append(out, c)
+	}
+	left, right := s.split(c)
+	out = s.carve(left, leaf, out)
+	return s.carve(right, leaf, out)
+}
+
+// optimal returns the minimal cost achievable for the cell and appends the
+// labels of the leaves realising it — the cell itself when not splitting
+// wins — to shape in depth-first order. It permutes c.Records.
+func (s splitter) optimal(c Cell, epsilon, levels int, shape []bitlabel.Label) (int64, []bitlabel.Label) {
 	slocal := localCost(c.Load(), epsilon)
-	if c.Load() <= epsilon || maxDepth <= 0 || c.Label.Len() >= bitlabel.MaxLen {
-		return slocal, []Cell{c}, nil
+	if !splits(c.Label, c.Load(), epsilon, levels) {
+		return slocal, append(shape, c.Label)
 	}
-	left, right, err := SplitOnce(c, m)
-	if err != nil {
-		return 0, nil, err
+	start := len(shape)
+	left, right := s.split(c)
+	var lcost, rcost int64
+	lcost, shape = s.optimal(left, epsilon, levels-1, shape)
+	rcost, shape = s.optimal(right, epsilon, levels-1, shape)
+	if snonlocal := lcost + rcost; snonlocal < slocal {
+		return snonlocal, shape
 	}
-	lcost, lcells, err := optimalSplitRec(left, m, epsilon, maxDepth-1)
-	if err != nil {
-		return 0, nil, err
-	}
-	rcost, rcells, err := optimalSplitRec(right, m, epsilon, maxDepth-1)
-	if err != nil {
-		return 0, nil, err
-	}
-	snonlocal := lcost + rcost
-	if slocal <= snonlocal {
-		return slocal, []Cell{c}, nil
-	}
-	return snonlocal, append(lcells, rcells...), nil
+	return slocal, append(shape[:start], c.Label)
 }

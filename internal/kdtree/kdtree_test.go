@@ -1,10 +1,14 @@
 package kdtree
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"mlight/internal/bitlabel"
+	"mlight/internal/dht/dhttest"
 	"mlight/internal/spatial"
 )
 
@@ -39,15 +43,20 @@ func randomRecords(rng *rand.Rand, m, n int) []spatial.Record {
 func TestPartitionRecords(t *testing.T) {
 	g := spatial.UnitCube(1)
 	rs := recs(spatial.Point{0.2}, spatial.Point{0.5}, spatial.Point{0.7}, spatial.Point{0.49})
-	lower, upper := PartitionRecords(rs, g, 0)
+	lower, upper := PartitionRecords(rs, make([]spatial.Record, len(rs)), g, 0)
 	if len(lower) != 2 || len(upper) != 2 {
 		t.Fatalf("partition = %d/%d, want 2/2", len(lower), len(upper))
 	}
-	// The midpoint itself goes up (half-open cells).
-	for _, r := range upper {
-		if r.Key[0] < 0.5 {
-			t.Errorf("record %v in upper half", r.Key)
+	// The midpoint itself goes up (half-open cells); each side keeps its
+	// input order, lower first, in the input slice.
+	want := []float64{0.2, 0.49, 0.5, 0.7}
+	for i, r := range rs {
+		if r.Key[0] != want[i] {
+			t.Fatalf("records after partition = %v, want keys %v", rs, want)
 		}
+	}
+	if cap(lower) != len(lower) || cap(upper) != len(upper) {
+		t.Errorf("halves not clipped: cap %d/%d, len %d/%d", cap(lower), cap(upper), len(lower), len(upper))
 	}
 }
 
@@ -311,4 +320,398 @@ func clamp01(x float64) float64 {
 		return 1
 	}
 	return x
+}
+
+// The append-based split the in-place one replaced, kept verbatim as the
+// reference TestSplitMatchesAppendReference holds it to: every level appends
+// each record into a fresh half.
+
+func oldPartitionRecords(records []spatial.Record, g spatial.Region, dim int) (lower, upper []spatial.Record) {
+	mid := (g.Lo[dim] + g.Hi[dim]) / 2
+	for _, r := range records {
+		if r.Key[dim] < mid {
+			lower = append(lower, r)
+		} else {
+			upper = append(upper, r)
+		}
+	}
+	return lower, upper
+}
+
+func oldSplitOnce(c Cell, m int) (left, right Cell, err error) {
+	if c.Label.Len() >= bitlabel.MaxLen {
+		return Cell{}, Cell{}, fmt.Errorf("kdtree: cell %v at maximum depth: %w", c.Label, bitlabel.ErrTooLong)
+	}
+	dim := spatial.SplitDim(c.Label.Len()-(m+1), m)
+	lowRegion, highRegion := c.Region.Halves(dim)
+	lowRecs, highRecs := oldPartitionRecords(c.Records, c.Region, dim)
+	left = Cell{Label: c.Label.MustAppend(0), Region: lowRegion, Records: lowRecs}
+	right = Cell{Label: c.Label.MustAppend(1), Region: highRegion, Records: highRecs}
+	return left, right, nil
+}
+
+func oldThresholdSplit(c Cell, m, thetaSplit, maxDepth int) ([]Cell, error) {
+	if thetaSplit < 1 {
+		return nil, fmt.Errorf("kdtree: thetaSplit must be positive, got %d", thetaSplit)
+	}
+	if c.Load() <= thetaSplit || maxDepth <= 0 || c.Label.Len() >= bitlabel.MaxLen {
+		return []Cell{c}, nil
+	}
+	left, right, err := oldSplitOnce(c, m)
+	if err != nil {
+		return nil, err
+	}
+	lcells, err := oldThresholdSplit(left, m, thetaSplit, maxDepth-1)
+	if err != nil {
+		return nil, err
+	}
+	rcells, err := oldThresholdSplit(right, m, thetaSplit, maxDepth-1)
+	if err != nil {
+		return nil, err
+	}
+	return append(lcells, rcells...), nil
+}
+
+func oldOptimalSplit(c Cell, m, epsilon, maxDepth int) (leaves []Cell, improved bool, err error) {
+	if epsilon < 1 {
+		return nil, false, fmt.Errorf("kdtree: epsilon must be positive, got %d", epsilon)
+	}
+	cost, cells, err := oldOptimalSplitRec(c, m, epsilon, maxDepth)
+	if err != nil {
+		return nil, false, err
+	}
+	if localCost(c.Load(), epsilon) <= cost {
+		return []Cell{c}, false, nil
+	}
+	return cells, true, nil
+}
+
+func oldOptimalSplitRec(c Cell, m, epsilon, maxDepth int) (int64, []Cell, error) {
+	slocal := localCost(c.Load(), epsilon)
+	if c.Load() <= epsilon || maxDepth <= 0 || c.Label.Len() >= bitlabel.MaxLen {
+		return slocal, []Cell{c}, nil
+	}
+	left, right, err := oldSplitOnce(c, m)
+	if err != nil {
+		return 0, nil, err
+	}
+	lcost, lcells, err := oldOptimalSplitRec(left, m, epsilon, maxDepth-1)
+	if err != nil {
+		return 0, nil, err
+	}
+	rcost, rcells, err := oldOptimalSplitRec(right, m, epsilon, maxDepth-1)
+	if err != nil {
+		return 0, nil, err
+	}
+	snonlocal := lcost + rcost
+	if slocal <= snonlocal {
+		return slocal, []Cell{c}, nil
+	}
+	return snonlocal, append(lcells, rcells...), nil
+}
+
+// splitCase is one input of the differential test: a start cell, its
+// records, and the split parameters.
+type splitCase struct {
+	name          string
+	label         bitlabel.Label
+	m             int
+	records       []spatial.Record
+	bound, levels int
+}
+
+// cell returns the case's start cell over a private copy of its records, so
+// that each implementation splits its own.
+func (sc splitCase) cell(t *testing.T) Cell {
+	t.Helper()
+	g, err := spatial.RegionOf(sc.label, sc.m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Cell{Label: sc.label, Region: g, Records: append([]spatial.Record(nil), sc.records...)}
+}
+
+// splitCases draws the differential test's inputs for dimensionality m: a
+// start cell up to three levels below the root (or two levels short of the
+// longest label), and records that are uniform, duplicate-heavy (so the
+// depth cap stops the descent), placed exactly on the cell's midpoints at
+// every level, or pinned to the cube's closed faces at 1.0.
+func splitCases(rng *rand.Rand, m int) []splitCase {
+	var out []splitCase
+	for trial := 0; trial < 40; trial++ {
+		label := bitlabel.Root(m)
+		if trial%10 == 9 {
+			for label.Len() < bitlabel.MaxLen-2 {
+				label = label.MustAppend(1)
+			}
+		} else {
+			for d := rng.Intn(4); d > 0; d-- {
+				label = label.MustAppend(byte(rng.Intn(2)))
+			}
+		}
+		g, _ := spatial.RegionOf(label, m)
+		n := rng.Intn(400)
+		at := func(d int, u float64) float64 { return g.Lo[d] + u*(g.Hi[d]-g.Lo[d]) }
+		shapes := map[string]func(d int) float64{
+			"uniform": func(d int) float64 { return at(d, rng.Float64()) },
+			"duplicates": func(d int) float64 {
+				return at(d, float64(rng.Intn(3))/4)
+			},
+			"midpoints": func(d int) float64 {
+				return at(d, float64(rng.Intn(1<<6+1))/(1<<6))
+			},
+			"faces": func(d int) float64 {
+				if rng.Intn(2) == 0 {
+					return 1
+				}
+				return at(d, rng.Float64())
+			},
+		}
+		for _, shape := range []string{"uniform", "duplicates", "midpoints", "faces"} {
+			recs := make([]spatial.Record, n)
+			for i := range recs {
+				p := make(spatial.Point, m)
+				for d := range p {
+					p[d] = shapes[shape](d)
+				}
+				recs[i] = spatial.Record{Key: p, Data: fmt.Sprintf("%s-%d", shape, i)}
+			}
+			out = append(out, splitCase{
+				name:    fmt.Sprintf("%s/%d/%v", shape, trial, label),
+				label:   label,
+				m:       m,
+				records: recs,
+				bound:   rng.Intn(25) - 1, // 0 and -1 are refused
+				levels:  rng.Intn(16) - 2,
+			})
+		}
+	}
+	return out
+}
+
+// sameCells reports how two split results differ, or "" when the labels,
+// regions, records and record order all agree.
+func sameCells(got, want []Cell) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d cells, want %d", len(got), len(want))
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.Label != w.Label {
+			return fmt.Sprintf("cell %d is %v, want %v", i, g.Label, w.Label)
+		}
+		for d := range g.Region.Lo {
+			if g.Region.Lo[d] != w.Region.Lo[d] || g.Region.Hi[d] != w.Region.Hi[d] {
+				return fmt.Sprintf("cell %v region %v, want %v", g.Label, g.Region, w.Region)
+			}
+		}
+		if len(g.Records) != len(w.Records) {
+			return fmt.Sprintf("cell %v holds %d records, want %d", g.Label, len(g.Records), len(w.Records))
+		}
+		for j := range g.Records {
+			if g.Records[j].Data != w.Records[j].Data {
+				return fmt.Sprintf("cell %v record %d is %s, want %s", g.Label, j, g.Records[j].Data, w.Records[j].Data)
+			}
+		}
+	}
+	return ""
+}
+
+func sameErr(got, want error) bool {
+	if got == nil || want == nil {
+		return got == want
+	}
+	return got.Error() == want.Error()
+}
+
+// TestSplitMatchesAppendReference holds the in-place splits to the
+// append-based reference above, for m = 1…4 and both strategies: the same
+// leaves, regions, records in the same order, improved flag and error text.
+// A kept-whole cell must come back with its records in input order.
+// MLIGHT_TEST_SEED moves the draws.
+func TestSplitMatchesAppendReference(t *testing.T) {
+	seed := dhttest.SeedFromEnv(1)
+	for m := 1; m <= 4; m++ {
+		rng := rand.New(rand.NewSource(seed*10 + int64(m)))
+		for _, sc := range splitCases(rng, m) {
+			got, err := ThresholdSplit(sc.cell(t), m, sc.bound, sc.levels)
+			want, wantErr := oldThresholdSplit(sc.cell(t), m, sc.bound, sc.levels)
+			if !sameErr(err, wantErr) {
+				t.Fatalf("m=%d %s: ThresholdSplit error %v, want %v", m, sc.name, err, wantErr)
+			}
+			if diff := sameCells(got, want); diff != "" {
+				t.Fatalf("m=%d %s θ=%d levels=%d: ThresholdSplit: %s", m, sc.name, sc.bound, sc.levels, diff)
+			}
+
+			got, improved, err := OptimalSplit(sc.cell(t), m, sc.bound, sc.levels)
+			want, wantImproved, wantErr := oldOptimalSplit(sc.cell(t), m, sc.bound, sc.levels)
+			if !sameErr(err, wantErr) || improved != wantImproved {
+				t.Fatalf("m=%d %s: OptimalSplit improved=%v error %v, want %v, %v", m, sc.name, improved, err, wantImproved, wantErr)
+			}
+			if diff := sameCells(got, want); diff != "" {
+				t.Fatalf("m=%d %s ε=%d levels=%d: OptimalSplit: %s", m, sc.name, sc.bound, sc.levels, diff)
+			}
+
+			l, r, err := SplitOnce(sc.cell(t), m)
+			wl, wr, wantErr := oldSplitOnce(sc.cell(t), m)
+			if !sameErr(err, wantErr) {
+				t.Fatalf("m=%d %s: SplitOnce error %v, want %v", m, sc.name, err, wantErr)
+			}
+			if err == nil {
+				if diff := sameCells([]Cell{l, r}, []Cell{wl, wr}); diff != "" {
+					t.Fatalf("m=%d %s: SplitOnce: %s", m, sc.name, diff)
+				}
+			}
+		}
+	}
+	c := rootCell(1, nil)
+	c.Label = bitlabel.New(0, bitlabel.MaxLen)
+	_, _, err := SplitOnce(c, 1)
+	_, _, wantErr := oldSplitOnce(c, 1)
+	if !sameErr(err, wantErr) {
+		t.Fatalf("SplitOnce at the longest label: %v, want %v", err, wantErr)
+	}
+}
+
+// TestSplitChildrenDoNotAlias appends to every cell a split returns, and
+// inserts into and deletes from a Tree right after its leaves split: no
+// other cell may change, because every view a split hands out is clipped to
+// its own records.
+func TestSplitChildrenDoNotAlias(t *testing.T) {
+	rng := rand.New(rand.NewSource(dhttest.SeedFromEnv(1)))
+	const m = 2
+	extra := spatial.Record{Key: spatial.Point{0.5, 0.5}, Data: "appended"}
+	check := func(name string, cells []Cell) {
+		t.Helper()
+		if len(cells) < 2 {
+			t.Fatalf("%s: %d cells, want a split", name, len(cells))
+		}
+		before := snapshot(cells)
+		for i := range cells {
+			cells[i].Records = append(cells[i].Records, extra)
+			for j := range cells {
+				if j == i {
+					before[i] = append(before[i], extra.Data)
+				}
+				if diff := sameData(cells[j].Records, before[j]); diff != "" {
+					t.Fatalf("%s: appending to cell %d changed cell %d: %s", name, i, j, diff)
+				}
+			}
+		}
+	}
+	cells, err := ThresholdSplit(rootCell(m, randomRecords(rng, m, 300)), m, 10, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("ThresholdSplit", cells)
+	cells, improved, err := OptimalSplit(rootCell(m, randomRecords(rng, m, 300)), m, 10, 20)
+	if err != nil || !improved {
+		t.Fatalf("OptimalSplit: improved=%v, %v", improved, err)
+	}
+	check("OptimalSplit", cells)
+	l, r, err := SplitOnce(rootCell(m, randomRecords(rng, m, 50)), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("SplitOnce", []Cell{l, r})
+
+	tr, err := NewTree(m, 8, 4, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range randomRecords(rng, m, 200) {
+		rec.Data = fmt.Sprint(i)
+		leaves := tr.NumLeaves()
+		if err := tr.Insert(rec); err != nil {
+			t.Fatal(err)
+		}
+		if tr.NumLeaves() == leaves {
+			continue
+		}
+		// The insert split a leaf: write into every fresh leaf that has room.
+		for _, leaf := range tr.Leaves() {
+			if leaf.Load() == 0 || leaf.Load() >= 8 {
+				continue
+			}
+			before := snapshot(tr.Leaves())
+			key := leaf.Records[0].Key
+			if ok, err := tr.Delete(key, leaf.Records[0].Data); err != nil || !ok {
+				t.Fatalf("Delete: %v, %v", ok, err)
+			}
+			if err := tr.Insert(spatial.Record{Key: key, Data: "again"}); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Insert(spatial.Record{Key: key, Data: "twice"}); err != nil {
+				t.Fatal(err)
+			}
+			after := tr.Leaves()
+			if len(after) != len(before) {
+				continue // the inserts split the leaf again
+			}
+			for j, c := range after {
+				if c.Label == leaf.Label {
+					continue
+				}
+				if diff := sameData(c.Records, before[j]); diff != "" {
+					t.Fatalf("writing leaf %v changed leaf %v: %s", leaf.Label, c.Label, diff)
+				}
+			}
+		}
+	}
+}
+
+// snapshot copies out each cell's record payloads.
+func snapshot(cells []Cell) [][]string {
+	out := make([][]string, len(cells))
+	for i, c := range cells {
+		for _, r := range c.Records {
+			out[i] = append(out[i], r.Data)
+		}
+	}
+	return out
+}
+
+func sameData(recs []spatial.Record, want []string) string {
+	if len(recs) != len(want) {
+		return fmt.Sprintf("%d records, want %d", len(recs), len(want))
+	}
+	for i, r := range recs {
+		if r.Data != want[i] {
+			return fmt.Sprintf("record %d is %q, want %q", i, r.Data, want[i])
+		}
+	}
+	return ""
+}
+
+// TestSplitAllocs: ThresholdSplit allocates O(cells), not O(n·depth) — its
+// one scratch buffer, the leaf list and two halved regions an internal cell —
+// where the append-based split grew two fresh record halves at every level.
+func TestSplitAllocs(t *testing.T) {
+	if dhttest.RaceEnabled() {
+		t.Skip("race instrumentation allocates")
+	}
+	const m, n = 2, 20000
+	rng := rand.New(rand.NewSource(3))
+	c := rootCell(m, randomRecords(rng, m, n))
+	cells, err := ThresholdSplit(c, m, 20, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := ThresholdSplit(c, m, 20, 30); err != nil {
+			t.Fatal(err)
+		}
+	})
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / 6 // AllocsPerRun's warm-up run too
+	recordSize := float64(unsafe.Sizeof(spatial.Record{}))
+	if max := float64(5*len(cells) + 32); allocs > max {
+		t.Errorf("ThresholdSplit of %d records into %d cells: %.0f allocations, want ≤ %.0f", n, len(cells), allocs, max)
+	}
+	if max := 2*n*recordSize + 512*float64(len(cells)); bytes > max {
+		t.Errorf("ThresholdSplit of %d records into %d cells: %.0f bytes, want ≤ %.0f", n, len(cells), bytes, max)
+	}
+	t.Logf("%d records, %d cells: %.0f allocations, %.0f bytes", n, len(cells), allocs, bytes)
 }
