@@ -105,9 +105,9 @@ type Config struct {
 }
 
 // DefaultDeterminismAllow exempts the experiment drivers and the command
-// and example mains — the only places wall time and convenience randomness
-// are part of the job (measuring real elapsed time, seeding demos).
-var DefaultDeterminismAllow = []string{"internal/experiments", "cmd", "examples"}
+// mains — the only places wall time and convenience randomness are part of
+// the job (measuring real elapsed time, driving a cluster interactively).
+var DefaultDeterminismAllow = []string{"internal/experiments", "cmd"}
 
 // DefaultDroppedErrCalls are the operations whose errors the repository has
 // been burned by dropping: transport RPCs (Call/Send and the kademlia

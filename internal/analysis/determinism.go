@@ -20,7 +20,7 @@ import (
 // Constructing an explicitly seeded generator — rand.New(rand.NewSource(
 // seed)) — is the approved pattern and is not flagged. Packages whose job
 // is wall-clock measurement (internal/experiments) or interactive driving
-// (cmd/*, examples/*) are exempt via Config.DeterminismAllow; the maphash
+// (cmd/*) are exempt via Config.DeterminismAllow; the maphash
 // check additionally skips internal/hashseed itself, the one place allowed
 // to wrap process-seeded hashing if it ever chooses to.
 type determinismPass struct{}

@@ -76,6 +76,37 @@ func TestResilientConformance(t *testing.T) {
 	})
 }
 
+// keepOp is an op that writes nothing and returns nothing.
+type keepOp struct{}
+
+func (keepOp) Run(cur any, exists bool) (any, bool, any, error) { return cur, false, nil, nil }
+
+// TestResilientSingleOpAllocs pins the retry layer's cost on a single
+// operation that succeeds first time: at most one allocation, the attempt
+// closure.
+func TestResilientSingleOpAllocs(t *testing.T) {
+	if dhttest.RaceEnabled() {
+		t.Skip("under -race more escapes to the heap")
+	}
+	r := dht.NewResilient(dht.MustNewLocal(4), dht.RetryPolicy{Sleep: dht.NoSleep}, nil)
+	if err := r.Put("k", 1); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	for _, c := range []struct {
+		name string
+		op   func()
+	}{
+		{"Get", func() { _, _, err = r.Get("k") }},
+		{"Put", func() { err = r.Put("k", 1) }},
+		{"Do", func() { _, err = r.Do("k", keepOp{}) }},
+	} {
+		if allocs := testing.AllocsPerRun(100, c.op); allocs > 1 || err != nil {
+			t.Errorf("Resilient.%s allocates %.1f objects and ends in %v, want at most 1 and nil", c.name, allocs, err)
+		}
+	}
+}
+
 func TestLocalFaultTolerance(t *testing.T) {
 	dhttest.RunFaultTolerance(t, func(t *testing.T) dht.DHT {
 		return dht.MustNewLocal(8)

@@ -157,11 +157,10 @@ func (c *cluster) ownerOf(t *testing.T, key dht.Key) *overlay.Node {
 	return n
 }
 
-// RunOverlayOps pins the op message on one protocol, from a dialed client — on
-// the simulated network too, where the client's transport hides inline
-// delivery, so an op crosses as the opReq a socket carries: what it costs, what
-// it leaves at the owner when it changes nothing, and what becomes of it when
-// the member it was sent to declines, dies, or answers into the void.
+// RunOverlayOps pins the op message on one protocol — an op crosses as an opReq
+// on every transport, the simulated network's included: what it costs, what it
+// leaves at the owner when it changes nothing, and what becomes of it when the
+// member it was sent to declines, dies, or answers into the void.
 func RunOverlayOps(t *testing.T, f OverlayFixture) {
 	t.Helper()
 
@@ -186,39 +185,47 @@ func RunOverlayOps(t *testing.T, f OverlayFixture) {
 		}
 	})
 
-	// Satellite of the op path: the closure path rewrites and re-journals a
-	// bucket it did not change; an op that says it wrote nothing leaves the
-	// value, its version and the journal alone.
+	// The closure path rewrites and re-journals a bucket it did not change; an
+	// op that says it wrote nothing leaves the value, its version and the
+	// journal alone — sent by a dialed client or by the overlay that hosts the
+	// nodes, which on the simulated network could carry the closure inline.
 	t.Run("UnchangedWritesNothing", func(t *testing.T) {
-		c := f.build(t, 4, overlay.Config{})
-		d := f.dial(t, c, overlay.Config{Seeds: c.addrs})
-		if err := d.Put("nk", 7); err != nil {
-			t.Fatal(err)
-		}
-		owner := c.ownerOf(t, "nk")
-		journal := &countJournal{}
-		owner.SetJournal(journal)
-		ver := c.version(t, owner.Addr(), "nk")
-		if got, err := d.Do("nk", CounterOp{Add: 10, Cap: 12}); err != nil || got != -1 {
-			t.Fatalf("refused op = %v, %v; want -1", got, err)
-		}
-		if _, err := d.Do("nk", CounterOp{Fail: true}); err == nil {
-			t.Fatal("failing op reported success")
-		}
-		if _, err := d.Do("nk-absent", CounterOp{Add: 10, Cap: 5}); err != nil {
-			t.Fatal(err)
-		}
-		if n, v := journal.count(), c.version(t, owner.Addr(), "nk"); n != 0 || v != ver {
-			t.Fatalf("ops that wrote nothing journaled %d records and moved the version %d → %d", n, ver, v)
-		}
-		if _, ok, err := c.Get("nk-absent"); err != nil || ok {
-			t.Fatalf("a refused op created its key: %v, %v", ok, err)
-		}
-		if got, err := d.Do("nk", CounterOp{Add: 1}); err != nil || got != 8 {
-			t.Fatalf("writing op = %v, %v; want 8", got, err)
-		}
-		if n, v := journal.count(), c.version(t, owner.Addr(), "nk"); n != 1 || v != ver+1 {
-			t.Fatalf("a writing op journaled %d records and moved the version %d → %d; want 1 and +1", n, ver, v)
+		for _, caller := range []string{"dialed", "hosted"} {
+			t.Run(caller, func(t *testing.T) {
+				c := f.build(t, 4, overlay.Config{})
+				d := c.Overlay
+				if caller == "dialed" {
+					d = f.dial(t, c, overlay.Config{Seeds: c.addrs}).Overlay
+				}
+				if err := d.Put("nk", 7); err != nil {
+					t.Fatal(err)
+				}
+				owner := c.ownerOf(t, "nk")
+				journal := &countJournal{}
+				owner.SetJournal(journal)
+				ver := c.version(t, owner.Addr(), "nk")
+				if got, err := d.Do("nk", CounterOp{Add: 10, Cap: 12}); err != nil || got != -1 {
+					t.Fatalf("refused op = %v, %v; want -1", got, err)
+				}
+				if _, err := d.Do("nk", CounterOp{Fail: true}); err == nil {
+					t.Fatal("failing op reported success")
+				}
+				if _, err := d.Do("nk-absent", CounterOp{Add: 10, Cap: 5}); err != nil {
+					t.Fatal(err)
+				}
+				if n, v := journal.count(), c.version(t, owner.Addr(), "nk"); n != 0 || v != ver {
+					t.Fatalf("ops that wrote nothing journaled %d records and moved the version %d → %d", n, ver, v)
+				}
+				if _, ok, err := c.Get("nk-absent"); err != nil || ok {
+					t.Fatalf("a refused op created its key: %v, %v", ok, err)
+				}
+				if got, err := d.Do("nk", CounterOp{Add: 1}); err != nil || got != 8 {
+					t.Fatalf("writing op = %v, %v; want 8", got, err)
+				}
+				if n, v := journal.count(), c.version(t, owner.Addr(), "nk"); n != 1 || v != ver+1 {
+					t.Fatalf("a writing op journaled %d records and moved the version %d → %d; want 1 and +1", n, ver, v)
+				}
+			})
 		}
 	})
 

@@ -1,8 +1,6 @@
 package dht
 
 import (
-	"strconv"
-
 	"mlight/internal/metrics"
 	"mlight/internal/trace"
 )
@@ -144,67 +142,19 @@ func (r *Resilient) Owner(key Key) (owner string, err error) {
 // succeed or exhaust the attempt budget. Results stay positional.
 func (r *Resilient) GetBatch(keys []Key, maxInFlight int) []BatchResult {
 	results := make([]BatchResult, len(keys))
-	if len(keys) == 0 {
-		return results
-	}
-	// Breaker pre-check per key: shed keys fail fast without probing.
-	pending := make([]int, 0, len(keys))
-	for i, k := range keys {
-		r.retrier.stats.Ops.Inc()
-		if err := r.retrier.precheck(r.owner(k)); err != nil {
-			results[i].Err = err
-			continue
-		}
-		pending = append(pending, i)
-	}
-	for attempt := 1; len(pending) > 0; attempt++ {
-		sub := make([]Key, len(pending))
-		for j, i := range pending {
+	errs := r.retrier.waves(len(keys), func(i int) Key { return keys[i] }, r.tc, func(idx []int) []error {
+		sub := make([]Key, len(idx))
+		for j, i := range idx {
 			sub[j] = keys[i]
 		}
-		// Retry waves (attempt ≥ 2) are recorded as flat KindAttempt spans:
-		// a re-issued sub-batch is the batch path's analogue of a retry, and
-		// like DoTraced's flat case the successful first wave stays silent.
-		var wave trace.SpanID
-		if r.tc != nil && attempt > 1 {
-			wave = r.tc.Begin(0, trace.KindAttempt, "wave "+strconv.Itoa(attempt),
-				trace.Int("keys", int64(len(sub))))
+		errs := make([]error, len(idx))
+		for j, br := range GetBatch(r.inner, sub, maxInFlight) {
+			results[idx[j]], errs[j] = br, br.Err
 		}
-		batch := GetBatch(r.inner, sub, maxInFlight)
-		if wave != 0 {
-			r.tc.End(wave)
-		}
-		var next []int
-		for j, i := range pending {
-			br := batch[j]
-			r.retrier.stats.Attempts.Inc()
-			owner := r.owner(keys[i])
-			if br.Err == nil {
-				r.retrier.onSuccess(owner)
-				if attempt > 1 {
-					r.retrier.stats.Recovered.Inc()
-				}
-				results[i] = br
-				continue
-			}
-			if !r.retrier.policy.Classify(br.Err) {
-				r.retrier.stats.Terminal.Inc()
-				results[i] = br
-				continue
-			}
-			r.retrier.onFailure(owner)
-			if attempt >= r.retrier.policy.MaxAttempts {
-				r.retrier.stats.Exhausted.Inc()
-				results[i] = br
-				continue
-			}
-			r.retrier.stats.Retries.Inc()
-			next = append(next, i)
-		}
-		pending = next
-		if len(pending) > 0 {
-			r.retrier.policy.Sleep(r.retrier.backoff(attempt))
-		}
+		return errs
+	})
+	for i, err := range errs {
+		results[i].Err = err
 	}
 	return results
 }
@@ -215,68 +165,13 @@ func (r *Resilient) GetBatch(keys []Key, maxInFlight int) []BatchResult {
 // progressively smaller sub-batches with one backoff between waves. Errors
 // stay positional.
 func (r *Resilient) PutBatch(ops []PutOp, maxInFlight int) []error {
-	errs := make([]error, len(ops))
-	if len(ops) == 0 {
-		return errs
-	}
-	// Breaker pre-check per key: shed keys fail fast without issuing.
-	pending := make([]int, 0, len(ops))
-	for i, op := range ops {
-		r.retrier.stats.Ops.Inc()
-		if err := r.retrier.precheck(r.owner(op.Key)); err != nil {
-			errs[i] = err
-			continue
-		}
-		pending = append(pending, i)
-	}
-	for attempt := 1; len(pending) > 0; attempt++ {
-		sub := make([]PutOp, len(pending))
-		for j, i := range pending {
+	return r.retrier.waves(len(ops), func(i int) Key { return ops[i].Key }, r.tc, func(idx []int) []error {
+		sub := make([]PutOp, len(idx))
+		for j, i := range idx {
 			sub[j] = ops[i]
 		}
-		// Retry waves (attempt ≥ 2) are recorded as flat KindAttempt spans,
-		// matching GetBatch: the successful first wave stays silent.
-		var wave trace.SpanID
-		if r.tc != nil && attempt > 1 {
-			wave = r.tc.Begin(0, trace.KindAttempt, "wave "+strconv.Itoa(attempt),
-				trace.Int("keys", int64(len(sub))))
-		}
-		batch := PutBatch(r.inner, sub, maxInFlight)
-		if wave != 0 {
-			r.tc.End(wave)
-		}
-		var next []int
-		for j, i := range pending {
-			err := batch[j]
-			r.retrier.stats.Attempts.Inc()
-			owner := r.owner(ops[i].Key)
-			if err == nil {
-				r.retrier.onSuccess(owner)
-				if attempt > 1 {
-					r.retrier.stats.Recovered.Inc()
-				}
-				continue
-			}
-			if !r.retrier.policy.Classify(err) {
-				r.retrier.stats.Terminal.Inc()
-				errs[i] = err
-				continue
-			}
-			r.retrier.onFailure(owner)
-			if attempt >= r.retrier.policy.MaxAttempts {
-				r.retrier.stats.Exhausted.Inc()
-				errs[i] = err
-				continue
-			}
-			r.retrier.stats.Retries.Inc()
-			next = append(next, i)
-		}
-		pending = next
-		if len(pending) > 0 {
-			r.retrier.policy.Sleep(r.retrier.backoff(attempt))
-		}
-	}
-	return errs
+		return PutBatch(r.inner, sub, maxInFlight)
+	})
 }
 
 // Range implements Enumerator when the wrapped DHT does; enumeration is a

@@ -386,6 +386,40 @@ func TestResilientApplyBatchOutcomesPositional(t *testing.T) {
 	}
 }
 
+// keepOp is an op that writes nothing and returns nothing.
+type keepOp struct{}
+
+func (keepOp) Run(cur any, exists bool) (any, bool, any, error) { return cur, false, nil, nil }
+
+// TestResilientBatchExhaustionMatchesDo: a key that fails every attempt ends
+// with one error whichever path carried it — a batch slot is settled exactly
+// like a single operation, budget wrapping included.
+func TestResilientBatchExhaustionMatchesDo(t *testing.T) {
+	script := newScriptDHT()
+	res := NewResilient(script, RetryPolicy{MaxAttempts: 3, BreakerThreshold: -1, Sleep: NoSleep}, nil)
+	script.mu.Lock()
+	script.failures["down"] = -1
+	script.mu.Unlock()
+
+	_, doErr := res.Do("down", keepOp{})
+	getErr := res.GetBatch([]Key{"up", "down"}, 2)[1].Err
+	putErr := res.PutBatch([]PutOp{{"up", 1}, {"down", 2}}, 2)[1]
+	for _, c := range []struct {
+		path string
+		err  error
+	}{{"Do", doErr}, {"GetBatch", getErr}, {"PutBatch", putErr}} {
+		if !errors.Is(c.err, errScripted) {
+			t.Errorf("%s = %v, want the scripted cause in its chain", c.path, c.err)
+		}
+		if c.err == nil || c.err.Error() != doErr.Error() {
+			t.Errorf("%s = %v, want Do's %v", c.path, c.err, doErr)
+		}
+	}
+	if s := res.Stats().Snapshot(); s.Exhausted != 3 || s.Attempts != 11 {
+		t.Errorf("stats = %+v, want exhausted 3, attempts 11 (3 a failing key, 1 a healthy one)", s)
+	}
+}
+
 func TestResilientBatchWriteBreakerPrecheck(t *testing.T) {
 	script := newScriptDHT()
 	res := NewResilient(script, RetryPolicy{

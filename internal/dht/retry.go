@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"sync"
 	"time"
 
@@ -35,8 +36,8 @@ func (e retryableError) Temporary() bool { return true }
 // preserved, so errors.Is(wrapped, Retryable(sentinel)) keeps working.
 func Retryable(err error) error { return retryableError{err} }
 
-// DefaultClassify is the default error taxonomy: an error is retryable iff
-// something in its chain declares itself transient via a
+// DefaultClassify is the retry engine's error taxonomy: an error is
+// retryable iff something in its chain declares itself transient via a
 // `Temporary() bool` method (the net.Error convention, also implemented by
 // simnet's unreachable/drop errors and the overlays' lookup failures).
 // Everything else — bad response types, dimension errors, ErrNoPeers — is
@@ -81,9 +82,6 @@ type RetryPolicy struct {
 	// jitter"), so retries from many clients decorrelate without ever
 	// halving below half the nominal delay.
 	Seed int64
-	// Classify reports whether an error is retryable. Default
-	// DefaultClassify.
-	Classify func(error) bool
 	// BreakerThreshold is the number of consecutive failed attempts against
 	// one owner that opens its circuit breaker. Default 8; negative
 	// disables the breaker entirely.
@@ -110,9 +108,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.MaxDelay == 0 {
 		p.MaxDelay = 100 * time.Millisecond
-	}
-	if p.Classify == nil {
-		p.Classify = DefaultClassify
 	}
 	if p.BreakerThreshold == 0 {
 		p.BreakerThreshold = 8
@@ -198,9 +193,8 @@ func (r *Retrier) DoTraced(owner string, tc *trace.Collector, parent trace.SpanI
 	if err := r.precheck(owner); err != nil {
 		return err
 	}
-	var err error
 	for attempt := 1; ; attempt++ {
-		r.stats.Attempts.Inc()
+		var err error
 		if tc != nil && (parent != 0 || attempt > 1) {
 			span := tc.Begin(parent, trace.KindAttempt, fmt.Sprintf("%d", attempt),
 				trace.Str("owner", owner))
@@ -213,25 +207,81 @@ func (r *Retrier) DoTraced(owner string, tc *trace.Collector, parent trace.SpanI
 		} else {
 			err = op()
 		}
-		if err == nil {
-			r.onSuccess(owner)
-			if attempt > 1 {
-				r.stats.Recovered.Inc()
-			}
-			return nil
+		final, again := r.settle(owner, attempt, err)
+		if !again {
+			return final
 		}
-		if !r.policy.Classify(err) {
-			r.stats.Terminal.Inc()
-			return err
-		}
-		r.onFailure(owner)
-		if attempt >= r.policy.MaxAttempts {
-			r.stats.Exhausted.Inc()
-			return fmt.Errorf("dht: giving up after %d attempts: %w", attempt, err)
-		}
-		r.stats.Retries.Inc()
 		r.policy.Sleep(r.backoff(attempt))
 	}
+}
+
+// waves is DoTraced for a batch: each of the n operations (the i-th keyed by
+// key(i)) consults its owner's breaker once, the admitted ones go to run
+// together, and only those whose attempt failed retryably are re-issued, as
+// progressively smaller waves with one backoff between them. run executes
+// the operations at the given indexes and returns their errors positionally;
+// waves returns each operation's final error, settled as DoTraced settles
+// it. Retry waves (attempt ≥ 2) are recorded in tc as flat KindAttempt
+// spans: like DoTraced's flat case, a successful first wave stays silent.
+func (r *Retrier) waves(n int, key func(int) Key, tc *trace.Collector, run func(idx []int) []error) []error {
+	errs := make([]error, n)
+	pending := make([]int, 0, n)
+	for i := 0; i < n; i++ {
+		r.stats.Ops.Inc()
+		if errs[i] = r.precheck(r.policy.OwnerOf(key(i))); errs[i] == nil {
+			pending = append(pending, i)
+		}
+	}
+	for attempt := 1; len(pending) > 0; attempt++ {
+		var wave trace.SpanID
+		if tc != nil && attempt > 1 {
+			wave = tc.Begin(0, trace.KindAttempt, "wave "+strconv.Itoa(attempt),
+				trace.Int("keys", int64(len(pending))))
+		}
+		got := run(pending)
+		if wave != 0 {
+			tc.End(wave)
+		}
+		next := pending[:0]
+		for j, i := range pending {
+			var again bool
+			if errs[i], again = r.settle(r.policy.OwnerOf(key(i)), attempt, got[j]); again {
+				next = append(next, i)
+			}
+		}
+		pending = next
+		if len(pending) > 0 {
+			r.policy.Sleep(r.backoff(attempt))
+		}
+	}
+	return errs
+}
+
+// settle books one finished attempt against owner and decides what follows
+// it: the operation's final error (nil on success) when it is over, or again
+// when a retryable failure still has budget left. Retryable errors count
+// against owner's breaker; terminal ones abort at once; an exhausted budget
+// wraps the last error.
+func (r *Retrier) settle(owner string, attempt int, err error) (final error, again bool) {
+	r.stats.Attempts.Inc()
+	switch {
+	case err == nil:
+		r.onSuccess(owner)
+		if attempt > 1 {
+			r.stats.Recovered.Inc()
+		}
+		return nil, false
+	case !DefaultClassify(err):
+		r.stats.Terminal.Inc()
+		return err, false
+	}
+	r.onFailure(owner)
+	if attempt >= r.policy.MaxAttempts {
+		r.stats.Exhausted.Inc()
+		return fmt.Errorf("dht: giving up after %d attempts: %w", attempt, err), false
+	}
+	r.stats.Retries.Inc()
+	return nil, true
 }
 
 // precheck consults owner's breaker before an operation starts. It returns

@@ -43,7 +43,8 @@ const (
 	// shared-prefix length). The original paper uses 20; 8 suits the
 	// simulation scales here.
 	K = 8
-	// Alpha is the lookup concurrency factor.
+	// Alpha is the lookup concurrency factor: how many candidate RPCs one
+	// lookup round issues concurrently.
 	Alpha = 3
 )
 
@@ -307,10 +308,6 @@ func (n *node) Owns(h dht.ID) bool {
 // drives the pre-observation RPC timeout fallback) plus the lookup engine's.
 type Config struct {
 	overlay.Config
-	// Alpha overrides the lookup concurrency factor; 0 means the package
-	// default Alpha. It bounds how many candidate RPCs one lookup round
-	// issues concurrently.
-	Alpha int
 	// Serial forces the historical one-RPC-at-a-time lookup and
 	// liveness-probe path. It is kept as the before/after yardstick for
 	// the α-parallel rewrite: accounting (Hops, Lookups) is identical in
@@ -332,7 +329,6 @@ type Overlay = overlay.Overlay
 // deadline, and its counters. RoutingOf retrieves it from an Overlay.
 type Routing struct {
 	k          *overlay.Overlay
-	alpha      int
 	serial     bool
 	rpcTimeout time.Duration
 	rtt        rttEstimator
@@ -357,10 +353,6 @@ type Routing struct {
 // NewOverlay creates an empty overlay on net. Overlay.Hops counts FIND_NODE
 // RPCs.
 func NewOverlay(net transport.Interface, cfg Config) *Overlay {
-	alpha := cfg.Alpha
-	if alpha < 1 {
-		alpha = Alpha
-	}
 	// The fallback timeout draws from its own derived source so the
 	// entry-selection stream stays byte-identical to earlier versions for
 	// a given seed.
@@ -368,7 +360,6 @@ func NewOverlay(net transport.Interface, cfg Config) *Overlay {
 	return overlay.New(net, cfg.Config, "kademlia", K, func(k *overlay.Overlay) overlay.Router {
 		return &Routing{
 			k:          k,
-			alpha:      alpha,
 			serial:     cfg.Serial,
 			rpcTimeout: cfg.RPCTimeout,
 			rtt: rttEstimator{
@@ -583,7 +574,7 @@ func (r *Routing) iterativeFindNode(origin ref, target dht.ID) ([]ref, error) {
 	var span trace.SpanID
 	if tracer != nil {
 		span = tracer.Begin(0, trace.KindLookup, "kademlia find-node",
-			trace.Int("alpha", int64(r.alpha)))
+			trace.Int("alpha", Alpha))
 	}
 	type candidate struct {
 		ref     ref
@@ -608,13 +599,13 @@ func (r *Routing) iterativeFindNode(origin ref, target dht.ID) ([]ref, error) {
 		// candidates have all been queried — not merely when a round adds
 		// nothing new, since an unqueried near candidate can still reveal
 		// closer nodes.
-		batch := make([]*candidate, 0, r.alpha)
+		batch := make([]*candidate, 0, Alpha)
 		top := sortedList()
 		if len(top) > K {
 			top = top[:K]
 		}
 		for _, c := range top {
-			if len(batch) >= r.alpha {
+			if len(batch) >= Alpha {
 				break
 			}
 			if !c.queried {

@@ -456,17 +456,14 @@ func (o *Overlay) Apply(key dht.Key, fn dht.ApplyFunc) error {
 	return nil
 }
 
-// Do implements dht.Doer: the fork Apply has, with the socket side upgraded.
-// An inline transport carries op.Run as the closure it carries for any Apply.
-// A socket carries the op: one opReq to the key's owner — straight to the best
-// view member in client mode, declinable and then routed like every store-plane
-// request, but never sent twice (send) — executed there under the store lock
-// (Node.do) and answered with the op's result. The stored value comes back
-// only to an overlay that has replicas to push it to.
+// Do implements dht.Doer on every transport: the op travels as data, one
+// opReq to the key's owner — straight to the best view member in client mode,
+// declinable and then routed like every store-plane request, but never sent
+// twice (send) — executed there under the store lock (Node.do) and answered
+// with the op's result. An op that writes nothing leaves the owner's store,
+// journal and replicas untouched. The stored value comes back only to an
+// overlay that has replicas to push it to.
 func (o *Overlay) Do(key dht.Key, op dht.Op) (any, error) {
-	if transport.SupportsInline(o.net) {
-		return dht.DoApply(o, key, op)
-	}
 	h := dht.HashKey(key)
 	owner, respAny, err := o.send(h, opReq{Key: key, Op: op, Echo: o.replication > 1}, true)
 	if err != nil {
