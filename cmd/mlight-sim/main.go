@@ -63,6 +63,10 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(out, "  overlay up in %v (%d RPCs so far)\n\n", time.Since(start).Round(time.Millisecond), net.RPCs.Load())
+	// The route length below is the load phase's: the build's join and
+	// finger routes are hops with no DHT operation behind them.
+	ov.Hops.Reset()
+	ov.Lookups.Reset()
 
 	ix, err := core.New(ov, index.Tuning{Capacity: *theta})
 	if err != nil {

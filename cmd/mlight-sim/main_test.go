@@ -1,9 +1,18 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"strings"
 	"testing"
+	"time"
+
+	"mlight/internal/core"
+	"mlight/internal/dataset"
+	"mlight/internal/index"
+	"mlight/internal/overlay"
+	"mlight/internal/simnet"
+	"mlight/internal/substrate"
 )
 
 func TestRunChordWithChurn(t *testing.T) {
@@ -78,5 +87,45 @@ func TestRunPeerQuery(t *testing.T) {
 		if !strings.Contains(out.String(), "peer-executed: 4 ok") {
 			t.Errorf("%s: peer-executed queries did not all succeed:\n%s", overlay, out.String())
 		}
+	}
+}
+
+// TestRouteLengthIsTheLoadPhases: the printed mean overlay route length is
+// the load phase's hops over its lookups; the build's join and finger routes
+// count in neither.
+func TestRouteLengthIsTheLoadPhases(t *testing.T) {
+	const peers, records, seed = 16, 1500, 1
+	var out strings.Builder
+	err := run([]string{
+		"-overlay", "chord", "-peers", fmt.Sprint(peers), "-n", fmt.Sprint(records),
+		"-queries", "1", "-seed", fmt.Sprint(seed),
+	}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	net := simnet.New(simnet.Options{Latency: simnet.ConstantLatency(time.Millisecond)})
+	ov, err := substrate.Cluster("chord", net, peers, overlay.Config{Seed: seed, Replication: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buildHops := ov.Hops.Load()
+	ov.Hops.Reset()
+	ov.Lookups.Reset()
+	ix, err := core.New(ov, index.Tuning{Capacity: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range dataset.Generate(records, seed) {
+		if err := ix.Insert(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if buildHops == 0 || ov.Lookups.Load() == 0 {
+		t.Fatalf("reference run saw %d build hops and %d load lookups", buildHops, ov.Lookups.Load())
+	}
+	want := fmt.Sprintf("mean overlay route length: %.2f hops per DHT op", float64(ov.Hops.Load())/float64(ov.Lookups.Load()))
+	if !strings.Contains(out.String(), want) {
+		t.Errorf("output lacks %q:\n%s", want, out.String())
 	}
 }

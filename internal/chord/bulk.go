@@ -9,13 +9,15 @@ import (
 )
 
 // AddNodesBulk builds a complete ring from scratch in one pass. Joining
-// 100k peers through AddNode is O(n²): every join routes lookups through
-// the growing overlay and every fixFingers resolves 160 targets by
-// iterative routing. When the whole membership is known up front — the
-// scale experiments' case — none of that traffic is necessary: sort the
-// identifiers once and wire every successor list, predecessor pointer, and
-// finger table directly by binary search, with zero RPCs. The resulting
-// state is exactly the fixpoint that Stabilize would converge to.
+// 100k peers through AddNode routes all the way: every join looks its
+// identifier up in the growing overlay, and every fixFingers routes the
+// starts its previous finger does not already answer — about one per
+// distinct finger, ≈ log₂ n + 1 of the 160. When the whole membership is
+// known up front — the scale experiments' case — none of that traffic is
+// necessary: sort the identifiers once and wire every successor list,
+// predecessor pointer, and finger table directly by binary search, with
+// zero RPCs. The resulting state is exactly the fixpoint that Stabilize
+// would converge to.
 //
 // The ring must be empty (no nodes, no remote seeds) and the addresses
 // must be distinct. On error no node stays registered on the transport.

@@ -14,6 +14,9 @@
 //
 // Stabilization (stabilize / notify / fix-fingers) runs as explicit rounds
 // driven by the kernel's Stabilize, keeping simulations deterministic.
+// Fix-fingers routes a finger's start only when the finger before it does
+// not already own that start, so a round routes about one target per
+// distinct finger (≈ log₂ N + 1) rather than all 160.
 // Storage, replication, membership and the dht.DHT methods are the
 // kernel's; this package holds routing state and routing messages only.
 package chord

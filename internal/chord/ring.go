@@ -61,33 +61,40 @@ func (r *router) succsOf(from transport.NodeID, of ref) ([]ref, error) {
 // Route implements overlay.Router: one iterative route from cur towards
 // target.
 func (r *router) Route(cur ref, target dht.ID) (ref, error) {
+	owner, _, err := r.route(cur, target)
+	return owner, err
+}
+
+// route is Route that also returns the node whose step answered: the
+// owner's predecessor as that node sees the ring.
+func (r *router) route(cur ref, target dht.ID) (owner, answered ref, err error) {
 	net, client := r.k.Net(), r.k.Client()
 	prev := ref{}
 	for hop := 0; hop < maxHops; hop++ {
 		respAny, err := net.Call(client, cur.Addr, lookupStepReq{Target: target})
 		r.k.Hops.Inc()
 		if err != nil {
-			return ref{}, fmt.Errorf("chord: step via %q: %w", cur.Addr, err)
+			return ref{}, ref{}, fmt.Errorf("chord: step via %q: %w", cur.Addr, err)
 		}
 		resp, ok := respAny.(lookupStepResp)
 		if !ok {
-			return ref{}, fmt.Errorf("chord: step via %q: bad response %T", cur.Addr, respAny)
+			return ref{}, ref{}, fmt.Errorf("chord: step via %q: bad response %T", cur.Addr, respAny)
 		}
 		if resp.Done {
 			// Verify the answer is alive; a dead successor means stale
 			// state that a retry (after stabilization) can fix.
 			if _, err := net.Call(client, resp.Next.Addr, pingReq{}); err != nil {
-				return ref{}, fmt.Errorf("chord: successor %q dead: %w", resp.Next.Addr, err)
+				return ref{}, ref{}, fmt.Errorf("chord: successor %q dead: %w", resp.Next.Addr, err)
 			}
-			return resp.Next, nil
+			return resp.Next, cur, nil
 		}
 		if resp.Next.Addr == cur.Addr || resp.Next.Addr == prev.Addr {
 			// No progress; the ring is inconsistent here.
-			return ref{}, fmt.Errorf("chord: lookup stalled at %q", cur.Addr)
+			return ref{}, ref{}, fmt.Errorf("chord: lookup stalled at %q", cur.Addr)
 		}
 		prev, cur = cur, resp.Next
 	}
-	return ref{}, fmt.Errorf("chord: exceeded %d hops", maxHops)
+	return ref{}, ref{}, fmt.Errorf("chord: exceeded %d hops", maxHops)
 }
 
 // Join implements overlay.NodeRouter. Joining eagerly links
@@ -113,6 +120,11 @@ func (n *node) link() error {
 	succ, err := k.Lookup(n.ID())
 	if err != nil {
 		return err
+	}
+	if succ.Addr == self.Addr {
+		// A restart that beat stabilization: a peer still lists the crashed
+		// incarnation, so the ring routes our identifier back to us.
+		return n.relink()
 	}
 	oldPredAny, err := net.Call(client, succ.Addr, getPredReq{})
 	if err != nil {
@@ -142,6 +154,51 @@ func (n *node) link() error {
 		}
 	}
 	return nil
+}
+
+// relink joins a node the ring still routes to from its crashed
+// incarnation. The peer whose step answered our identifier lists us as its
+// successor, so it is our predecessor, and our successors are the ones it
+// lists after us (the peer itself when it lists nobody else). Both already
+// point at us, so nothing is sent to them; the keys are claimed from the
+// successor as on any join.
+func (n *node) relink() error {
+	k, self := n.r.k, n.Ref()
+	entry, err := k.Entry()
+	if err != nil {
+		return err
+	}
+	owner, pred, err := n.r.route(entry, self.ID)
+	if err != nil {
+		return err
+	}
+	if owner.Addr != self.Addr {
+		return fmt.Errorf("route to own identifier answered %q on a second try", owner.Addr)
+	}
+	list, err := n.r.succsOf(k.Client(), pred)
+	if err != nil {
+		return fmt.Errorf("read successors: %w", err)
+	}
+	var succs []ref
+	for i, s := range list {
+		if s.Addr == self.Addr {
+			// A leave's relink may have listed us twice; skip every copy.
+			for _, after := range list[i+1:] {
+				if after.Addr != self.Addr {
+					succs = append(succs, after)
+				}
+			}
+			break
+		}
+	}
+	if len(succs) == 0 {
+		succs = []ref{pred}
+	}
+	n.mu.Lock()
+	n.pred = pred
+	n.succs = truncateSuccs(succs)
+	n.mu.Unlock()
+	return k.Claim(n.Node, succs[0])
 }
 
 // Unlink implements overlay.NodeRouter: the predecessor and successor are
@@ -259,18 +316,31 @@ func (r *router) stabilizeNode(n *node) {
 	}
 }
 
-// fixFingers rebuilds every finger of n by resolving n.id + 2^i. A finger
-// whose rebuild fails (routes through a dead peer) is cleared rather than
-// kept stale, so lookups degrade to correct successor-walking until the
-// next round repairs it.
+// fixFingers rebuilds every finger of n, finger i being the owner of
+// n.id + 2^i. As in Chord's init_finger_table, a start that lies in
+// (n, finger[i-1]] is answered by finger i-1 without a route: the finger
+// owns everything from the previous start up to itself, and a finger equal
+// to n (Between's a == b, the full ring) covers every later start. Only the
+// other starts are routed, about one per distinct finger (≈ log₂ N + 1 of
+// the 160). A finger whose route fails (through a dead peer) is cleared
+// rather than kept stale, and the next finger is then routed rather than
+// copied, so lookups degrade to correct successor-walking until the next
+// round repairs it.
 func (r *router) fixFingers(n *node) {
+	self := n.Ref()
+	var prev ref
 	for i := 0; i < dht.IDBits; i++ {
-		found, err := r.Route(n.Ref(), n.ID().AddPowerOfTwo(i))
-		if err != nil {
-			found = ref{}
+		start := self.ID.AddPowerOfTwo(i)
+		found := prev
+		if prev.IsZero() || !start.Between(self.ID, prev.ID) {
+			var err error
+			if found, err = r.Route(self, start); err != nil {
+				found = ref{}
+			}
 		}
 		n.mu.Lock()
 		n.fingers[i] = found
 		n.mu.Unlock()
+		prev = found
 	}
 }
