@@ -137,6 +137,62 @@ func (r recs) without(i int) recs {
 	return out
 }
 
+// dropped returns the i for which r is p.without(i), or -1 when r is no such
+// store: p's records but one, in p's order, compared by content (coordinates by
+// their bits). Among equal neighbours any one could be the record that went;
+// dropped names the last of them, and without gives r for each. It is a few
+// passes over the arenas — the records before i equal, the ones after shifted
+// by one — and allocates nothing.
+func (r recs) dropped(p recs) int {
+	n := r.len()
+	if p.len() != n+1 || n > 0 && r.dims != p.dims {
+		return -1
+	}
+	if n == 0 {
+		return 0
+	}
+	// i is the first record r and p do not share: the first whose
+	// coordinates, payload length or payload bytes differ.
+	d, i := p.dims, n
+	for k, c := range r.coords[:n*d] {
+		if math.Float64bits(p.coords[k]) != math.Float64bits(c) {
+			i = k / d
+			break
+		}
+	}
+	for k := 1; k <= i; k++ {
+		if r.offs[k] != p.offs[k] {
+			i = k - 1
+			break
+		}
+	}
+	if head := r.offs[i]; !bytes.Equal(r.data[:head], p.data[:head]) {
+		k := uint32(0)
+		for r.data[k] == p.data[k] {
+			k++
+		}
+		for r.offs[i] > k {
+			i--
+		}
+	}
+	// The rest of r is p's after i.
+	lo, hi := r.offs[i], p.offs[i+1]
+	for k, c := range r.coords[i*d : n*d] {
+		if math.Float64bits(p.coords[(i+1)*d+k]) != math.Float64bits(c) {
+			return -1
+		}
+	}
+	for k := i + 1; k <= n; k++ {
+		if r.offs[k]-lo != p.offs[k+1]-hi {
+			return -1
+		}
+	}
+	if !bytes.Equal(r.data[lo:r.offs[n]], p.data[hi:p.offs[n+1]]) {
+		return -1
+	}
+	return i
+}
+
 // NewBucket builds a bucket over the given records, packing them into
 // columnar storage sized exactly for the set. The records slice is not
 // retained; its Points and Data are copied into the arenas.
@@ -215,17 +271,21 @@ func (b Bucket) Append(rec spatial.Record) Bucket {
 //
 //	record  = uvarint dims, dims × float64 bits, uvarint len(data), data bytes
 //	bucket  = byte labelLen, uint64 labelBits, uvarint count, count × record
-//	delta   = uvarint from, uvarint count, count × record
+//	delta   = uvarint from, uvarint count, count × record   (count > 0)
+//	        | uvarint from, 0, uvarint i                    (i < from)
 //
-// A delta is what a bucket holds beyond its first from records — what an
-// append added, which is all the journal has to keep of one.
+// A delta takes a bucket of from records to the next one, in one of two
+// forms: the records an append added after the first from, or — count 0 —
+// the index of the one record a removal took out. Either is all the journal
+// has to keep of the write: an insert costs the log its record and a delete a
+// few bytes, not the whole bucket (about 1.6 kB).
 
 // ErrEncoding reports bytes that are not a bucket, or not a delta.
 var ErrEncoding = errors.New("core: malformed bucket encoding")
 
 // ErrDeltaBase reports a well-formed delta applied to a bucket it was not cut
 // from: the bucket's load is not the delta's from.
-var ErrDeltaBase = errors.New("core: delta does not extend this bucket")
+var ErrDeltaBase = errors.New("core: delta does not fit this bucket")
 
 // AppendRecord appends the encoding of rec to buf. Allocation-free when buf
 // has capacity (the codec fast path — callers reuse scratch buffers).
@@ -406,17 +466,27 @@ func (r recs) extends(p recs) bool {
 	return true
 }
 
-// AppendDelta reports whether b is prev extended — the same label, prev's
-// records and then zero or more — and if so appends to buf the delta that
-// takes prev to b: nothing at all when b holds what prev holds. It is how the
-// journal tells an append from a split or a removal without being told, and
-// allocation-free when buf has capacity.
+// AppendDelta reports whether b is prev with one write applied — the same
+// label, and prev's records followed by zero or more, or prev's records but
+// one — and if so appends to buf the delta that takes prev to b: nothing at
+// all when b holds what prev holds. It is how the journal tells an append or a
+// removal from a split without being told, and allocation-free when buf has
+// capacity.
 //
 //lint:hotpath
 func (b Bucket) AppendDelta(buf []byte, prev Bucket) ([]byte, bool) {
 	from, n := prev.Load(), b.Load()
-	if b.Label != prev.Label || !b.rs.extends(prev.rs) {
+	if b.Label != prev.Label {
 		return buf, false
+	}
+	if !b.rs.extends(prev.rs) {
+		i := b.rs.dropped(prev.rs)
+		if i < 0 {
+			return buf, false
+		}
+		buf = binary.AppendUvarint(buf, uint64(from))
+		buf = append(buf, 0)
+		return binary.AppendUvarint(buf, uint64(i)), true
 	}
 	if n == from {
 		return buf, true
@@ -429,11 +499,11 @@ func (b Bucket) AppendDelta(buf []byte, prev Bucket) ([]byte, bool) {
 	return buf, true
 }
 
-// Extend returns the bucket with a delta's records appended. The delta is
-// checked as UnmarshalBucket checks a bucket, and must have been cut at b's
-// load (ErrDeltaBase otherwise): replaying one twice, or over the wrong
-// bucket, is refused rather than stored. Like Append it shares arena capacity
-// with the receiver.
+// Extend returns the bucket a delta takes b to. The delta is checked as
+// UnmarshalBucket checks a bucket, and must have been cut at b's load
+// (ErrDeltaBase otherwise): replaying one twice, or over the wrong bucket, is
+// refused rather than stored. Like Append it shares arena capacity with the
+// receiver; a removal packs fresh arenas, as Remove does.
 func (b Bucket) Extend(delta []byte) (Bucket, error) {
 	from, n := binary.Uvarint(delta)
 	if n <= 0 {
@@ -441,12 +511,23 @@ func (b Bucket) Extend(delta []byte) (Bucket, error) {
 	}
 	delta = delta[n:]
 	count, n := binary.Uvarint(delta)
-	if n <= 0 || count == 0 {
+	if n <= 0 {
 		return Bucket{}, fmt.Errorf("%w: delta record count", ErrEncoding)
 	}
 	delta = delta[n:]
 	if from != uint64(b.Load()) {
 		return Bucket{}, fmt.Errorf("%w: cut at %d records, bucket %v holds %d", ErrDeltaBase, from, b.Label, b.Load())
+	}
+	if count == 0 {
+		i, n := binary.Uvarint(delta)
+		if n <= 0 || i >= from {
+			return Bucket{}, fmt.Errorf("%w: removal of record %d of %d", ErrEncoding, i, from)
+		}
+		if n != len(delta) {
+			return Bucket{}, fmt.Errorf("%w: %d trailing bytes", ErrEncoding, len(delta)-n)
+		}
+		b.rs = b.rs.without(int(i))
+		return b, nil
 	}
 	dims, dataLen, err := checkRecords(delta, count, uint64(b.rs.dims), from > 0)
 	if err != nil {

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mlight/internal/bitlabel"
@@ -88,6 +90,86 @@ func TestBucketDeltaRecognisesExtensions(t *testing.T) {
 	}
 }
 
+// TestBucketDeltaRecognisesRemovals: a bucket that is prev without one record
+// — cut by Remove, or packed separately — is a removal delta of a few bytes
+// naming a record whose removal gives it back, and replayed onto a decoded
+// copy of prev it is that bucket, byte for byte. Among equal records the delta
+// may name another than the one removed; the bucket it gives is the same.
+func TestBucketDeltaRecognisesRemovals(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	records := randomRecords(rng, 30, 2)
+	label := bitlabel.Root(2) // covers every record, so Remove finds them
+	twins := append(append([]spatial.Record(nil), records[:5]...), records[4], records[4], records[5])
+	for name, tc := range map[string]struct {
+		prev Bucket
+		i    int
+	}{
+		"first":           {NewBucket(label, records), 0},
+		"middle":          {NewBucket(label, records), 13},
+		"last":            {NewBucket(label, records), 29},
+		"only":            {NewBucket(label, records[:1]), 0},
+		"first of twins":  {NewBucket(label, twins), 4},
+		"middle of twins": {NewBucket(label, twins), 5},
+	} {
+		t.Run(name, func(t *testing.T) {
+			rec := tc.prev.RecordAt(tc.i)
+			for how, next := range map[string]Bucket{
+				"removed": Remove(tc.prev, rec.Key, rec.Data).Keep,
+				"packed":  {Label: label, rs: tc.prev.rs.without(tc.i)},
+			} {
+				head := []byte("head")
+				buf, ok := next.AppendDelta(head, tc.prev)
+				if !ok || !bytes.Equal(buf[:len(head)], head) {
+					t.Fatalf("%s: not recognised as a removal: % x, %v", how, buf, ok)
+				}
+				delta := buf[len(head):]
+				from, n := binary.Uvarint(delta)
+				count, m := binary.Uvarint(delta[n:])
+				i, k := binary.Uvarint(delta[n+m:])
+				if from != uint64(tc.prev.Load()) || count != 0 || k <= 0 || n+m+k != len(delta) || len(delta) > 6 {
+					t.Fatalf("%s: delta % x for record %d of %d", how, delta, tc.i, tc.prev.Load())
+				}
+				if got := tc.prev.RecordAt(int(i)); !slices.Equal(got.Key, rec.Key) || got.Data != rec.Data {
+					t.Fatalf("%s: delta names record %d, %v; %d, %v was removed", how, i, got, tc.i, rec)
+				}
+				base, err := UnmarshalBucket(tc.prev.Marshal())
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := base.Extend(delta)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Marshal(), next.Marshal()) {
+					t.Fatalf("%s: prev replayed through the delta is not next", how)
+				}
+				if !bytes.Equal(base.Marshal(), tc.prev.Marshal()) {
+					t.Fatalf("%s: Extend changed its receiver", how)
+				}
+			}
+		})
+	}
+
+	full := NewBucket(label, records)
+	swapped := append(append([]spatial.Record(nil), records[:10]...), records[11:]...)
+	swapped[3], swapped[4] = swapped[4], swapped[3]
+	edited := append(append([]spatial.Record(nil), records[:10]...), records[11:]...)
+	edited[20].Data += "!"
+	for name, tc := range map[string]struct{ prev, next Bucket }{
+		"two fewer":       {full, NewBucket(label, records[2:])},
+		"another order":   {full, NewBucket(label, swapped)},
+		"another payload": {full, NewBucket(label, edited)},
+		"another label":   {full, NewBucket(bitlabel.MustParse("0011011"), records[1:])},
+		"other dims":      {NewBucket(label, randomRecords(rng, 3, 3)), NewBucket(label, records[:2])},
+	} {
+		t.Run(name, func(t *testing.T) {
+			if buf, ok := tc.next.AppendDelta([]byte("head"), tc.prev); ok || string(buf) != "head" {
+				t.Fatalf("AppendDelta = % x, %v; want the buffer untouched and false", buf, ok)
+			}
+		})
+	}
+}
+
 // TestBucketExtendRefusesWhatDoesNotFit: a delta cut at another load is
 // ErrDeltaBase, a malformed one ErrEncoding, and neither leaves anything
 // behind.
@@ -113,7 +195,12 @@ func TestBucketExtendRefusesWhatDoesNotFit(t *testing.T) {
 		"empty":           {base, nil, ErrEncoding},
 		"other dims":      {NewBucket(label, randomRecords(rng, 10, 3)), delta, ErrEncoding},
 		"count of a lie":  {base, []byte{10, 0xff, 0xff, 0xff, 0x7f, 2, 0, 0}, ErrEncoding},
-		"count of zero":   {base, []byte{10, 0}, ErrEncoding},
+		"count of zero":   {base, []byte{10, 0}, ErrEncoding}, // a removal with no index
+		"index = from":    {base, []byte{10, 0, 10}, ErrEncoding},
+		"index past from": {base, []byte{10, 0, 0xff, 0x7f}, ErrEncoding},
+		"removal, twice":  {NewBucket(label, records[:9]), []byte{10, 0, 3}, ErrDeltaBase},
+		"removal, empty":  {Bucket{Label: label}, []byte{0, 0, 0}, ErrEncoding},
+		"removal, tail":   {base, []byte{10, 0, 3, 0}, ErrEncoding},
 		"payload too big": {base, append([]byte{10, 1, 2}, make([]byte, 16)...), ErrEncoding}, // no payload length follows the point
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -65,11 +65,6 @@ type Daemon struct {
 	closeErr  error
 }
 
-// walJournal adapts dht.WAL to the overlay.Journal hook.
-type walJournal struct{ w *dht.WAL }
-
-func (j walJournal) Record(recs []dht.WALRecord) error { return j.w.Append(recs) }
-
 // Start boots a daemon: bind the listener, join (or bootstrap) the overlay,
 // replay the WAL if one is configured, and begin stabilizing. The returned
 // daemon serves until Close.
@@ -156,7 +151,8 @@ func Start(cfg Config) (*Daemon, error) {
 // restoreWAL opens the journal, re-inserts recovered entries through the
 // overlay (they route to their current owners — ownership may have moved
 // while this daemon was down), compacts the log to the node's post-replay
-// shard, and installs the journal hook for all subsequent mutations.
+// shard, and installs the log as the node's journal for all subsequent
+// mutations; the node compacts it again whenever it asks to be.
 func (dmn *Daemon) restoreWAL(dir string) error {
 	w, err := dht.OpenWAL(dht.WALOptions{Dir: dir, Codec: transport.Codec{}})
 	if err != nil {
@@ -192,7 +188,7 @@ func (dmn *Daemon) restoreWAL(dir string) error {
 		w.Close()
 		return fmt.Errorf("daemon: compact WAL %q: %w", dir, err)
 	}
-	node.SetJournal(walJournal{w: w})
+	node.SetJournal(w)
 	dmn.wal = w
 	return nil
 }

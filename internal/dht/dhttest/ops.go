@@ -119,12 +119,16 @@ type countJournal struct {
 	recs int
 }
 
-func (j *countJournal) Record(recs []dht.WALRecord) error {
+func (j *countJournal) Append(recs []dht.WALRecord) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.recs += len(recs)
 	return nil
 }
+
+func (j *countJournal) ShouldCompact() bool { return false }
+
+func (j *countJournal) Compact(map[dht.Key]any) error { return nil }
 
 func (j *countJournal) count() int {
 	j.mu.Lock()

@@ -65,10 +65,12 @@ func encodedStore(t *testing.T, l *dht.Local) map[dht.Key][]byte {
 
 // TestDurableLocalRecoveryIsExact: whatever mix of inserts, batches that hit
 // one leaf twice, deletes, splits, merges and compactions the journal saw —
-// as puts, deletes and append records, over snapshots of several generations
-// — a crash recovers, for every key, the bucket that was stored, byte for
-// byte. And the journal is what it is meant to be: an insert that splits
-// nothing costs the log tens of bytes.
+// as puts, deletes, append and removal records, over snapshots of several
+// generations — a crash recovers, for every key, the bucket that was stored,
+// byte for byte. That holds too when a delete takes one of two equal records,
+// whose removal record may name the other. And the journal is what it is
+// meant to be: an insert that splits nothing, and a delete that merges
+// nothing, each cost the log tens of bytes.
 func TestDurableLocalRecoveryIsExact(t *testing.T) {
 	seed := dhttest.SeedFromEnv(1)
 	rng := rand.New(rand.NewSource(seed))
@@ -84,7 +86,26 @@ func TestDurableLocalRecoveryIsExact(t *testing.T) {
 		live = append(live, rec)
 		return rec
 	}
-	var plainInserts, plainBytes, crashes, compactions int64
+	var plainInserts, plainBytes, plainDeletes, plainDeleteBytes, crashes, compactions, twins int64
+	// crash drops the store's memory and requires recovery to give back
+	// every bucket, byte for byte.
+	crash := func(step int) {
+		want := encodedStore(t, l)
+		l.CrashVolatile()
+		if err := l.Recover(); err != nil {
+			t.Fatalf("seed %d step %d: recover: %v", seed, step, err)
+		}
+		got := encodedStore(t, l)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d step %d: recovered %d buckets, %d were stored", seed, step, len(got), len(want))
+		}
+		for k, enc := range want {
+			if !bytes.Equal(got[k], enc) {
+				t.Fatalf("seed %d step %d: bucket %q recovered as %x, was stored as %x", seed, step, k, got[k], enc)
+			}
+		}
+		crashes++
+	}
 	for step := 0; step < 3000; step++ {
 		p := rng.Intn(100)
 		if step >= 1800 && p < 70 && p%5 != 0 {
@@ -117,9 +138,30 @@ func TestDurableLocalRecoveryIsExact(t *testing.T) {
 			rec := live[i]
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
+			merges, records, size := ix.Stats().Merges, w.LogRecords(), fileSize(t, logPath)
 			if ok, err := ix.Delete(rec.Key, rec.Data); err != nil || !ok {
 				t.Fatalf("seed %d step %d: delete %v: %v, %v", seed, step, rec, ok, err)
 			}
+			if ix.Stats().Merges == merges && w.LogRecords() == records+1 {
+				plainDeletes++
+				plainDeleteBytes += fileSize(t, logPath) - size
+			}
+		case p < 91:
+			// Twins: two equal records side by side in one leaf. Deleting
+			// one, the journal cannot tell which went, and need not.
+			twin := record(point())
+			live = append(live, twin)
+			for range 2 {
+				if err := ix.Insert(twin); err != nil {
+					t.Fatalf("seed %d step %d: insert twin: %v", seed, step, err)
+				}
+			}
+			if ok, err := ix.Delete(twin.Key, twin.Data); err != nil || !ok {
+				t.Fatalf("seed %d step %d: delete a twin: %v, %v", seed, step, ok, err)
+			}
+			live = live[:len(live)-1]
+			crash(step)
+			twins++
 		case p < 93:
 			if ok, err := ix.Delete(point(), "never inserted"); err != nil || ok {
 				t.Fatalf("seed %d step %d: delete of a missing record: %v, %v", seed, step, ok, err)
@@ -134,33 +176,24 @@ func TestDurableLocalRecoveryIsExact(t *testing.T) {
 			}
 			compactions++
 		default:
-			want := encodedStore(t, l)
-			l.CrashVolatile()
-			if err := l.Recover(); err != nil {
-				t.Fatalf("seed %d step %d: recover: %v", seed, step, err)
-			}
-			got := encodedStore(t, l)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d step %d: recovered %d buckets, %d were stored", seed, step, len(got), len(want))
-			}
-			for k, enc := range want {
-				if !bytes.Equal(got[k], enc) {
-					t.Fatalf("seed %d step %d: bucket %q recovered as %x, was stored as %x", seed, step, k, got[k], enc)
-				}
-			}
-			crashes++
+			crash(step)
 		}
 	}
 	if n, err := ix.Size(); err != nil || n != len(live) {
 		t.Fatalf("seed %d: index holds %d records (%v), %d are live", seed, n, err, len(live))
 	}
 	st := ix.Stats()
-	if crashes < 20 || compactions < 20 || st.Splits < 50 || st.Merges < 1 || plainInserts < 500 {
-		t.Fatalf("seed %d: the run was not the mix it is meant to be: %d crashes, %d forced compactions, %d splits, %d merges, %d plain inserts",
-			seed, crashes, compactions, st.Splits, st.Merges, plainInserts)
+	if crashes < 20 || compactions < 20 || st.Splits < 50 || st.Merges < 1 || plainInserts < 500 || plainDeletes < 100 || twins < 5 {
+		t.Fatalf("seed %d: the run was not the mix it is meant to be: %d crashes, %d forced compactions, %d splits, %d merges, %d plain inserts, %d plain deletes, %d twins",
+			seed, crashes, compactions, st.Splits, st.Merges, plainInserts, plainDeletes, twins)
 	}
+	t.Logf("seed %d: %d plain inserts journal %.1f B each, %d plain deletes %.1f B; %d twins", seed,
+		plainInserts, float64(plainBytes)/float64(plainInserts), plainDeletes, float64(plainDeleteBytes)/float64(plainDeletes), twins)
 	if mean := float64(plainBytes) / float64(plainInserts); mean >= 64 {
 		t.Fatalf("seed %d: an insert that splits nothing journals %.1f bytes on average, want < 64", seed, mean)
+	}
+	if mean := float64(plainDeleteBytes) / float64(plainDeletes); mean >= 48 {
+		t.Fatalf("seed %d: a delete that merges nothing journals %.1f bytes on average, want < 48", seed, mean)
 	}
 }
 
@@ -267,12 +300,36 @@ func bucket50() (prev, next core.Bucket) {
 	return prev, prev.Append(records[50])
 }
 
+// removal50 is bucket50's 51-record leaf, and that leaf with a middle record
+// removed, in exact-size arenas as core.Remove leaves them: the steady state
+// of a delete that merges nothing.
+func removal50() (prev, next core.Bucket) {
+	_, prev = bucket50()
+	records := prev.Records()
+	return prev, core.NewBucket(prev.Label, append(records[:25], records[26:]...))
+}
+
 // TestWALAppendDeltaZeroAlloc pins the journal write of a steady-state insert
 // — a put that extends its predecessor, over the bucket codec — at no
 // allocation: the frame is built in the WAL's own buffer.
 func TestWALAppendDeltaZeroAlloc(t *testing.T) {
-	_, w, logPath := openBucketStore(t, -1)
 	prev, next := bucket50()
+	testWALDeltaAppend(t, prev, next, 64)
+}
+
+// TestWALRemovalDeltaZeroAlloc pins the journal write of a steady-state
+// delete — a put of its predecessor without one record — the same way, and
+// at a removal record: the index of the record, not the 1.6 kB bucket.
+func TestWALRemovalDeltaZeroAlloc(t *testing.T) {
+	prev, next := removal50()
+	testWALDeltaAppend(t, prev, next, 48)
+}
+
+// testWALDeltaAppend journals next over prev 101 times and requires each
+// Append to add at most limit bytes to the log, and to allocate nothing
+// outside the race detector.
+func testWALDeltaAppend(t *testing.T, prev, next core.Bucket, limit int64) {
+	_, w, logPath := openBucketStore(t, -1)
 	recs := []dht.WALRecord{{Op: dht.WALPut, Key: "mlight/0011011", Value: next, Prev: prev}}
 	if err := w.Append(recs); err != nil { // sizes the buffer
 		t.Fatal(err)
@@ -283,8 +340,10 @@ func TestWALAppendDeltaZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if perAppend := (fileSize(t, logPath) - size) / 101; perAppend <= 0 || perAppend > 64 {
-		t.Fatalf("each Append journaled %d bytes, want one append record", perAppend)
+	perAppend := (fileSize(t, logPath) - size) / 101
+	t.Logf("%d bytes of log and %.1f allocations an Append", perAppend, allocs)
+	if perAppend <= 0 || perAppend > limit {
+		t.Fatalf("each Append journaled %d bytes, want one delta record of at most %d", perAppend, limit)
 	}
 	if allocs != 0 && !dhttest.RaceEnabled() {
 		t.Fatalf("a delta Append allocates %.1f objects/op, want 0", allocs)

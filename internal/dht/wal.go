@@ -30,14 +30,16 @@ import (
 //
 //	'P' put     payload = the value, encoded by the injected Codec
 //	'D' delete  no payload
-//	'A' append  payload = what the put added to the value it replaced, in the
+//	'A' append  payload = how the put changed the value it replaced, in the
 //	            Codec's own delta encoding (DeltaCodec)
 //
 // A caller journals puts and deletes; Append writes the third kind by itself,
 // for a put that names the value it replaces when the codec can show the new
-// value is that one extended — an insert then costs the log its record, not
-// its bucket. Every other put, and every codec without deltas, journals the
-// whole value. A snapshot holds puts only.
+// value is that one with one write applied — over the bucket codec, records
+// appended or one record removed. An insert then costs the log its record, and
+// a delete the index of the record it took, not the bucket. Every other put,
+// and every codec without deltas, journals the whole value. A snapshot holds
+// puts only.
 //
 // Value payloads are opaque bytes produced by the Codec — in production the
 // fuzz-hardened wire.BucketCodec (declared structurally here because wire
@@ -71,15 +73,16 @@ type Codec interface {
 	Unmarshal(data []byte) (any, error)
 }
 
-// DeltaCodec is the optional interface of a Codec whose values grow by
-// appending, so that the journal can record what a put added instead of what
-// it produced. wire.BucketCodec implements it.
+// DeltaCodec is the optional interface of a Codec whose values change by
+// small steps, so that the journal can record what a put changed instead of
+// what it produced. wire.BucketCodec implements it: a bucket's step is records
+// appended, or one record removed.
 type DeltaCodec interface {
 	// AppendDelta reports whether next is prev — the value it replaces —
-	// extended, and if so appends to buf an encoding of the extension:
-	// nothing at all when next equals prev.
+	// changed by one step the codec can encode, and if so appends to buf an
+	// encoding of the step: nothing at all when next equals prev.
 	AppendDelta(buf []byte, prev, next any) ([]byte, bool)
-	// ApplyDelta returns base extended by an encoding AppendDelta produced
+	// ApplyDelta returns base changed by an encoding AppendDelta produced
 	// against a value equal to base, and an error for anything else.
 	ApplyDelta(base any, delta []byte) (any, error)
 }
@@ -97,8 +100,9 @@ const (
 	WALPut WALOp = 'P'
 	// WALRemove records a key's deletion.
 	WALRemove WALOp = 'D'
-	// walAppend is how Append journals a put that extended its Prev; replay
-	// hands its payload to the DeltaCodec.
+	// walAppend is how Append journals a put the codec shows as one step
+	// from its Prev (records appended, or one removed); replay hands its
+	// payload to the DeltaCodec.
 	walAppend WALOp = 'A'
 	// walGeneration opens a file of generation 1 or later.
 	walGeneration WALOp = 'G'
@@ -231,9 +235,9 @@ func appendGeneration(buf []byte, gen uint64) []byte {
 	return endFrame(binary.AppendUvarint(buf, gen), start)
 }
 
-// appendRecord appends the framed bytes for one record. A put that extends
-// its Prev is framed as an append record, and one that equals it as nothing:
-// written reports whether buf grew.
+// appendRecord appends the framed bytes for one record. A put the codec shows
+// as one step from its Prev is framed as an append record, and one that
+// equals it as nothing: written reports whether buf grew.
 func (w *WAL) appendRecord(buf []byte, rec *WALRecord) (out []byte, written bool, err error) {
 	buf, start := beginFrame(buf)
 	buf = append(buf, byte(rec.Op))
@@ -244,8 +248,8 @@ func (w *WAL) appendRecord(buf []byte, rec *WALRecord) (out []byte, written bool
 	case WALPut:
 		if w.delta != nil && rec.Prev != nil {
 			payload := len(buf)
-			var extends bool
-			if buf, extends = w.delta.AppendDelta(buf, rec.Prev, rec.Value); extends {
+			var step bool
+			if buf, step = w.delta.AppendDelta(buf, rec.Prev, rec.Value); step {
 				if len(buf) == payload {
 					return buf[:start], false, nil
 				}

@@ -15,16 +15,23 @@ import (
 // plus one record — as the append record the journal writes when it is told
 // what the put replaces, and as the whole bucket it writes when it is not;
 // their MB/s is log bytes, so the ratio of the two is the write amplification
-// the append record removes.
+// the append record removes. The removal pair does the same for a delete: a
+// 51-record leaf replaced by itself without one record.
 func BenchmarkWALAppend(b *testing.B) {
 	prev, next := bucket50()
+	leaf, removed := removal50()
 	for _, tc := range []struct {
-		name string
-		prev any
-	}{{"delta", prev}, {"full", nil}} {
+		name       string
+		prev, next any
+	}{
+		{"delta", prev, next},
+		{"full", nil, next},
+		{"removal-delta", leaf, removed},
+		{"removal-full", nil, removed},
+	} {
 		b.Run(tc.name, func(b *testing.B) {
 			_, w, logPath := openBucketStore(b, -1)
-			recs := []dht.WALRecord{{Op: dht.WALPut, Key: "mlight/0011011", Value: next, Prev: tc.prev}}
+			recs := []dht.WALRecord{{Op: dht.WALPut, Key: "mlight/0011011", Value: tc.next, Prev: tc.prev}}
 			if err := w.Append(recs); err != nil {
 				b.Fatal(err)
 			}

@@ -11,10 +11,14 @@ import (
 // Journal receives every primary-store mutation of a node, in the critical
 // section that applies it, before the RPC is acknowledged. A non-nil error
 // fails the mutating RPC: a node that cannot journal must not accept
-// writes. The daemon wires a dht.WAL-backed implementation here so a
-// crashed process recovers its shard.
+// writes. The daemon installs its *dht.WAL here so a crashed process
+// recovers its shard, and the node compacts it when it asks to be: it grows
+// with every write the node takes, and the node alone holds the state a
+// snapshot must be.
 type Journal interface {
-	Record(recs []dht.WALRecord) error
+	Append(recs []dht.WALRecord) error
+	ShouldCompact() bool
+	Compact(state map[dht.Key]any) error
 }
 
 // Node is one peer: its identity, its share of the key space, and the
@@ -200,13 +204,22 @@ func (n *Node) OnCrash() {
 	n.rt.Reset()
 }
 
-// journalLocked records mutations in the WAL hook, if any. Callers hold
-// n.mu; a failure means the mutation must not be applied.
+// journalLocked records mutations in the WAL hook, if any, first compacting
+// it when it has grown enough: before the append, under n.mu, the store holds
+// exactly what the log does, so it is the snapshot that may replace it. After
+// the append it would not be — the records are not applied yet, and a reset
+// log would lose them. Callers hold n.mu; a failure means the mutation must
+// not be applied.
 func (n *Node) journalLocked(recs ...dht.WALRecord) error {
 	if n.journal == nil || len(recs) == 0 {
 		return nil
 	}
-	if err := n.journal.Record(recs); err != nil {
+	if n.journal.ShouldCompact() {
+		if err := n.journal.Compact(n.store); err != nil {
+			return fmt.Errorf("overlay: %s: journal: %w", n.addr, err)
+		}
+	}
+	if err := n.journal.Append(recs); err != nil {
 		return fmt.Errorf("overlay: %s: journal: %w", n.addr, err)
 	}
 	return nil

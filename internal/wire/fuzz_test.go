@@ -110,10 +110,11 @@ func FuzzDecodeRecord(f *testing.F) {
 
 // FuzzBucketDelta: a delta is bytes from a log, so every length in it is a
 // claim. Applied to any bucket — or to no bucket at all — arbitrary bytes
-// never panic; a refusal is a typed error and leaves the base as it was; and
-// an accepted delta yields the base's records followed by exactly the records
-// a record-at-a-time decode of the delta gives, from which the same delta can
-// be cut again.
+// never panic; a refusal is a typed error and leaves the base as it was. An
+// accepted append delta yields the base's records followed by exactly the
+// records a record-at-a-time decode of the delta gives; an accepted removal
+// delta (count 0) yields the base without the record it names. From either
+// result a delta can be cut again that replays to the same bytes.
 func FuzzBucketDelta(f *testing.F) {
 	label := bitlabel.MustParse("0011011")
 	base := core.NewBucket(label, []spatial.Record{
@@ -141,8 +142,23 @@ func FuzzBucketDelta(f *testing.F) {
 	f.Add(baseBytes, append(tail(2, 1_000_000), make([]byte, 10)...))               // count no body can hold
 	f.Add(baseBytes, good[:len(good)-8])                                            // truncated point
 	f.Add(baseBytes, append(append([]byte(nil), good...), 0))                       // trailing bytes
-	f.Add(baseBytes, tail(2, 0))                                                    // a delta of nothing
 	f.Add([]byte{}, good)                                                           // a delta for an absent key
+	// Removals: tail(from, 0) is a removal's head, the index follows.
+	removal := func(from, i uint64) []byte { return binary.AppendUvarint(tail(from, 0), i) }
+	if cut, ok := core.NewBucket(label, base.Records()[1:]).AppendDelta(nil, base); !ok || !bytes.Equal(cut, removal(2, 0)) {
+		f.Fatalf("AppendDelta of a removal = %x, %v", cut, ok)
+	}
+	three := MarshalBucket(base.Append(rec))
+	f.Add(three, removal(3, 0))                                                    // the first record
+	f.Add(three, removal(3, 1))                                                    // the middle one
+	f.Add(three, removal(3, 2))                                                    // the last one
+	f.Add(MarshalBucket(core.NewBucket(label, base.Records()[:1])), removal(1, 0)) // the only one
+	f.Add(MarshalBucket(base.Append(base.RecordAt(1))), removal(3, 1))             // one of twins
+	f.Add(baseBytes, removal(2, 2))                                                // i = from
+	f.Add(baseBytes, removal(2, 1000))                                             // i past from
+	f.Add(baseBytes, append(removal(2, 1), 0))                                     // trailing bytes
+	f.Add(MarshalBucket(core.Bucket{Label: label}), removal(0, 0))                 // from an empty bucket
+	f.Add(baseBytes, tail(2, 0))                                                   // no index
 	f.Fuzz(func(t *testing.T, baseBytes, delta []byte) {
 		var base any
 		var before []byte
@@ -170,18 +186,26 @@ func FuzzBucketDelta(f *testing.F) {
 		from, n := binary.Uvarint(delta)
 		count, m := binary.Uvarint(delta[n:])
 		rest := delta[n+m:]
-		if from != uint64(b.Load()) || next.Load() != b.Load()+int(count) || next.Label != b.Label {
+		want := b.Records()
+		if count == 0 {
+			i, k := binary.Uvarint(rest)
+			if k <= 0 || k != len(rest) || i >= from {
+				t.Fatalf("accepted removal delta % x over %d records", delta, b.Load())
+			}
+			want, rest = append(want[:i:i], want[i+1:]...), nil
+		}
+		if from != uint64(b.Load()) || next.Load() != len(want)+int(count) || next.Label != b.Label {
 			t.Fatalf("delta %d+%d over %d records of %v gave %d records of %v", from, count, b.Load(), b.Label, next.Load(), next.Label)
 		}
 		for i := 0; i < next.Load(); i++ {
-			var want spatial.Record
-			if i < b.Load() {
-				want = b.RecordAt(i)
-			} else if want, rest, err = DecodeRecord(rest); err != nil {
+			var w spatial.Record
+			if i < len(want) {
+				w = want[i]
+			} else if w, rest, err = DecodeRecord(rest); err != nil {
 				t.Fatalf("record %d of an accepted delta: %v", i, err)
 			}
-			if got := next.RecordAt(i); !sameRecord(got, want) {
-				t.Fatalf("record %d = %v, want %v", i, got, want)
+			if got := next.RecordAt(i); !sameRecord(got, w) {
+				t.Fatalf("record %d = %v, want %v", i, got, w)
 			}
 			if next.KeyAt(i).Dim() != next.KeyAt(0).Dim() {
 				t.Fatalf("record %d has %d dims, record 0 has %d", i, next.KeyAt(i).Dim(), next.KeyAt(0).Dim())
@@ -190,15 +214,15 @@ func FuzzBucketDelta(f *testing.F) {
 		if len(rest) != 0 {
 			t.Fatalf("%d bytes of an accepted delta belong to no record", len(rest))
 		}
-		// The extended bucket is a bucket: it round-trips, and the delta cut
-		// from it against the base takes a fresh copy of the base there too.
+		// The new bucket is a bucket: it round-trips, and the delta cut from
+		// it against the base takes a fresh copy of the base there too.
 		again, err := UnmarshalBucket(MarshalBucket(next))
 		if err != nil || !bytes.Equal(MarshalBucket(again), MarshalBucket(next)) {
-			t.Fatalf("the extended bucket does not round-trip: %v", err)
+			t.Fatalf("the new bucket does not round-trip: %v", err)
 		}
 		recut, ok := next.AppendDelta(nil, b)
 		if !ok {
-			t.Fatal("the extended bucket is not recognised as its base extended")
+			t.Fatal("the new bucket is not recognised as its base with one write")
 		}
 		fresh, err := UnmarshalBucket(baseBytes)
 		if err != nil {

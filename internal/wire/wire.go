@@ -107,7 +107,8 @@ func (BucketCodec) Unmarshal(data []byte) (any, error) {
 
 // AppendDelta implements dht.DeltaCodec over the bucket format's delta
 // (core.Bucket.AppendDelta): a bucket that is the one it replaces plus
-// appended records journals as those records.
+// appended records journals as those records, and one that is it without one
+// record as that record's index.
 //
 //lint:hotpath
 func (BucketCodec) AppendDelta(buf []byte, prev, next any) ([]byte, bool) {
