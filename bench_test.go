@@ -649,7 +649,8 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 // the bytes marshals every message twice, so ns/op reads high.
 func BenchmarkDialedInsert(b *testing.B) {
 	addrs := startLoopback(b, 4)
-	client, w := dialCounted(b, addrs, mlight.WithCache(256))
+	w := &wireCount{sized: true}
+	client := dialCounted(b, addrs, w, mlight.WithCache(256))
 	recs := mlight.GenerateNE(20000+b.N, 2)
 	if err := client.BulkLoad(recs[:20000]); err != nil {
 		b.Fatal(err)

@@ -84,7 +84,7 @@ func run(args []string, out io.Writer) (int, error) {
 	}
 	var diags []analysis.Diagnostic
 	for _, pkg := range pkgs {
-		diags = append(diags, analysis.Run(pkg, passes, nil)...)
+		diags = append(diags, analysis.Run(pkg, passes)...)
 	}
 	if *jsonOut {
 		enc := json.NewEncoder(out)

@@ -1,120 +1,19 @@
 // The RPC budget of the dialed path, pinned through mlight.Dial itself: what a
 // warm-cache insert, delete, group commit and range query cost a client in
-// frames and bytes. The
-// benchmark harness cannot say yet (its traced stack takes the closure path,
-// DESIGN §17), so this test and BenchmarkDialedInsert are where the numbers
-// the README quotes come from.
+// frames and bytes. TestCostLedger pins the same costs as exact counts of one
+// seeded workload; these tests state them as the properties the counts must
+// keep. The counting transport and the loopback cluster are ledger_test.go's.
 package mlight_test
 
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
-	"sync"
 	"testing"
 
 	"mlight"
-	"mlight/internal/daemon"
 	"mlight/internal/dht/dhttest"
 	"mlight/internal/spatial"
-	"mlight/internal/transport"
 )
-
-// wireCount counts what a client puts on the wire: calls by request type, and
-// the encoded size of every request and reply (the frame header's dozen bytes
-// not included). Sizing marshals each value a second time: ns/op measured
-// through it is inflated.
-type wireCount struct {
-	transport.Interface
-
-	mu     sync.Mutex
-	byType map[string]int
-	byDest map[transport.NodeID]int
-	calls  int
-	bytes  int
-}
-
-func (w *wireCount) Call(from, to transport.NodeID, req any) (any, error) {
-	resp, err := w.Interface.Call(from, to, req)
-	var n int
-	for _, v := range []any{req, resp} {
-		if data, merr := transport.Marshal(v); merr == nil {
-			n += len(data)
-		}
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.byType == nil {
-		w.byType, w.byDest = make(map[string]int), make(map[transport.NodeID]int)
-	}
-	w.byType[reflect.TypeOf(req).String()]++
-	w.byDest[to]++
-	w.calls++
-	w.bytes += n
-	return resp, err
-}
-
-// take returns the counts since the last take.
-func (w *wireCount) take() (calls, bytes int, byType map[string]int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	calls, bytes, byType = w.calls, w.bytes, w.byType
-	w.calls, w.bytes, w.byType, w.byDest = 0, 0, nil, nil
-	return calls, bytes, byType
-}
-
-// busiest returns the most calls any one daemon was sent since the last take.
-func (w *wireCount) busiest() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	most := 0
-	for _, n := range w.byDest {
-		most = max(most, n)
-	}
-	return most
-}
-
-// startLoopback boots n WAL-backed daemons on loopback TCP and returns their
-// addresses.
-func startLoopback(tb testing.TB, n int) []string {
-	tb.Helper()
-	var addrs []string
-	for i := 0; i < n; i++ {
-		d, err := daemon.Start(daemon.Config{
-			Seeds:          addrs,
-			Replication:    2,
-			WALDir:         tb.TempDir(),
-			StabilizeEvery: -1,
-			Seed:           int64(i + 1),
-		})
-		if err != nil {
-			tb.Fatalf("start daemon %d: %v", i, err)
-		}
-		tb.Cleanup(func() {
-			//lint:allow droppederr teardown of a cluster that is being discarded
-			d.Close()
-		})
-		addrs = append(addrs, d.Addr())
-	}
-	return addrs
-}
-
-// dialCounted dials addrs with a counting transport under the client.
-func dialCounted(tb testing.TB, addrs []string, opts ...mlight.Option) (*mlight.Client, *wireCount) {
-	tb.Helper()
-	tcp := transport.NewTCP(transport.TCPOptions{})
-	tb.Cleanup(func() {
-		if err := tcp.Close(); err != nil {
-			tb.Errorf("transport close: %v", err)
-		}
-	})
-	w := &wireCount{Interface: tcp}
-	client, err := mlight.Dial(addrs, append([]mlight.Option{mlight.WithTransport(w)}, opts...)...)
-	if err != nil {
-		tb.Fatalf("dial: %v", err)
-	}
-	return client, w
-}
 
 // casFrames counts the read-modify-write protocol's frames.
 func casFrames(byType map[string]int) int { return byType["dht.GetVerReq"] + byType["dht.CASReq"] }
@@ -133,7 +32,8 @@ func bucketReads(byType map[string]int) int {
 func TestDialedRPCBudget(t *testing.T) {
 	dhttest.VerifyNoLeaks(t)
 	addrs := startLoopback(t, 3)
-	client, w := dialCounted(t, addrs, mlight.WithCache(64), mlight.WithCapacity(40))
+	w := &wireCount{sized: true}
+	client := dialCounted(t, addrs, w, mlight.WithCache(64), mlight.WithCapacity(40))
 	recs := mlight.GenerateNE(400, 1)
 	for _, rec := range recs {
 		if err := client.Insert(rec); err != nil {
@@ -187,7 +87,8 @@ func TestDialedRPCBudget(t *testing.T) {
 	}
 	t.Logf("%d warm-cache inserts and deletes: one RPC each, at most %d B and %d B on the wire", warm, insertMax, deleteMax)
 
-	cold, w2 := dialCounted(t, addrs, mlight.WithCapacity(40))
+	w2 := &wireCount{sized: true}
+	cold := dialCounted(t, addrs, w2, mlight.WithCapacity(40))
 	before := cold.Stats()
 	w2.take()
 	if err := cold.Insert(mlight.Record{Key: recs[0].Key, Data: "cold"}); err != nil {
@@ -225,7 +126,8 @@ func TestDialedRPCBudget(t *testing.T) {
 	_, _, byType = w2.take()
 	unbounded := bucketReads(byType)
 
-	near, w3 := dialCounted(t, addrs, mlight.WithCache(64), mlight.WithCapacity(40))
+	w3 := &wireCount{sized: true}
+	near := dialCounted(t, addrs, w3, mlight.WithCache(64), mlight.WithCapacity(40))
 	sibling, err := spatial.RegionOf(target.Label.Sibling(), 2)
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +161,8 @@ func TestDialedRPCBudget(t *testing.T) {
 func TestDialedGroupCommitBudget(t *testing.T) {
 	dhttest.VerifyNoLeaks(t)
 	addrs := startLoopback(t, 3)
-	client, w := dialCounted(t, addrs, mlight.WithCache(64), mlight.WithCapacity(40))
+	w := &wireCount{sized: true}
+	client := dialCounted(t, addrs, w, mlight.WithCache(64), mlight.WithCapacity(40))
 	recs := mlight.GenerateNE(400, 1)
 	for _, rec := range recs {
 		if err := client.Insert(rec); err != nil {
@@ -328,7 +231,8 @@ func TestDialedGroupCommitBudget(t *testing.T) {
 func TestDialedRangeBudget(t *testing.T) {
 	dhttest.VerifyNoLeaks(t)
 	addrs := startLoopback(t, 3)
-	client, w := dialCounted(t, addrs, mlight.WithCache(256), mlight.WithCapacity(40))
+	w := &wireCount{sized: true}
+	client := dialCounted(t, addrs, w, mlight.WithCache(256), mlight.WithCapacity(40))
 	for _, rec := range mlight.GenerateNE(1000, 1) {
 		if err := client.Insert(rec); err != nil {
 			t.Fatal(err)
@@ -344,6 +248,7 @@ func TestDialedRangeBudget(t *testing.T) {
 		lo := mlight.Point{0.7 * rng.Float64(), 0.7 * rng.Float64()}
 		q := mlight.Rect{Lo: lo, Hi: mlight.Point{lo[0] + 0.3, lo[1] + 0.3}}
 		w.take()
+		w.busiest()
 		res, err := client.RangeQuery(q)
 		if err != nil {
 			t.Fatal(err)

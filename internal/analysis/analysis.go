@@ -82,26 +82,7 @@ type Pass interface {
 	Doc() string
 	// Run reports every violation in pkg. Suppression is applied by the
 	// driver, not the pass.
-	Run(pkg *Package, cfg *Config) []Diagnostic
-}
-
-// Config tunes the passes. The zero value selects the repository defaults;
-// the golden tests override individual fields.
-type Config struct {
-	// DeterminismAllow lists package-path fragments exempt from the
-	// determinism pass. A package is exempt when any fragment equals its
-	// import path, one of its path segments' prefixes, or a suffix of it —
-	// "cmd" matches both "mlight/cmd/mlight-bench" and "cmd/x".
-	// Nil selects DefaultDeterminismAllow.
-	DeterminismAllow []string
-	// DroppedErrCalls lists callee names whose blank-assigned error results
-	// the droppederr pass flags even when other results are used. Nil
-	// selects DefaultDroppedErrCalls.
-	DroppedErrCalls []string
-	// DecoratorPackages lists final import-path segments of the packages
-	// the decoratorcomplete pass inspects. Nil selects
-	// DefaultDecoratorPackages.
-	DecoratorPackages []string
+	Run(pkg *Package) []Diagnostic
 }
 
 // DefaultDeterminismAllow exempts the experiment drivers and the command
@@ -129,29 +110,9 @@ var DefaultDroppedErrCalls = []string{
 // dht package itself, its test-double kit, and the byte-codec adapter.
 var DefaultDecoratorPackages = []string{"dht", "dhttest", "wire"}
 
-func (c *Config) determinismAllow() []string {
-	if c == nil || c.DeterminismAllow == nil {
-		return DefaultDeterminismAllow
-	}
-	return c.DeterminismAllow
-}
-
-func (c *Config) droppedErrCalls() []string {
-	if c == nil || c.DroppedErrCalls == nil {
-		return DefaultDroppedErrCalls
-	}
-	return c.DroppedErrCalls
-}
-
-func (c *Config) decoratorPackages() []string {
-	if c == nil || c.DecoratorPackages == nil {
-		return DefaultDecoratorPackages
-	}
-	return c.DecoratorPackages
-}
-
-// pathMatches reports whether the import path matches the fragment, per the
-// Config.DeterminismAllow rules.
+// pathMatches reports whether the import path matches the fragment: the
+// fragment equals the path, one of its path segments' prefixes, or a suffix
+// of it — "cmd" matches both "mlight/cmd/mlight-bench" and "cmd/x".
 func pathMatches(path, frag string) bool {
 	return path == frag ||
 		strings.HasPrefix(path, frag+"/") ||
@@ -207,7 +168,7 @@ func collectDirectives(pkg *Package) []*directive {
 // exists but was not selected is left alone — it cannot be judged unused —
 // while one naming no pass at all is reported whatever was selected.
 // Diagnostics come back sorted by position.
-func Run(pkg *Package, passes []Pass, cfg *Config) []Diagnostic {
+func Run(pkg *Package, passes []Pass) []Diagnostic {
 	ds := collectDirectives(pkg)
 	known := map[string]bool{AllowName: true}
 	for _, p := range Passes() {
@@ -217,7 +178,7 @@ func Run(pkg *Package, passes []Pass, cfg *Config) []Diagnostic {
 	var out []Diagnostic
 	for _, p := range passes {
 		selected[p.Name()] = true
-		for _, diag := range p.Run(pkg, cfg) {
+		for _, diag := range p.Run(pkg) {
 			if d := matchDirective(ds, diag); d != nil {
 				d.used = true
 				continue

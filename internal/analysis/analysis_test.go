@@ -48,7 +48,7 @@ func TestGolden(t *testing.T) {
 			if pkg == nil {
 				t.Fatalf("no files in %s", dir)
 			}
-			diags := Run(pkg, Passes(), nil)
+			diags := Run(pkg, Passes())
 			wants, err := parseWants(dir)
 			if err != nil {
 				t.Fatal(err)
@@ -139,9 +139,9 @@ func checkAgainstWants(t *testing.T, diags []Diagnostic, wants []*want) {
 	}
 }
 
-// TestPathMatches pins the DeterminismAllow fragment semantics the package
-// doc promises: whole path, leading segment, trailing segment, interior
-// segment — but never a bare substring.
+// TestPathMatches pins the DefaultDeterminismAllow fragment semantics that
+// pathMatches promises: whole path, leading segment, trailing segment,
+// interior segment — but never a bare substring.
 func TestPathMatches(t *testing.T) {
 	cases := []struct {
 		path, frag string

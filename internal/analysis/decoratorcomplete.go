@@ -8,7 +8,7 @@ import (
 )
 
 // decoratorCompletePass enforces complete decorator pass-through: every
-// struct in a decorator package (Config.DecoratorPackages — the dht
+// struct in a decorator package (DefaultDecoratorPackages — the dht
 // package, its dhttest kit, and the wire adapter) that wraps a DHT
 // substrate field must also implement each optional capability interface
 // declared alongside that substrate interface — Batcher, BatchWriter,
@@ -44,9 +44,9 @@ var capabilityNames = []string{"Batcher", "BatchWriter", "SpanGetter", "Doer"}
 // substrateMethods identify a DHT substrate interface structurally.
 var substrateMethods = []string{"Put", "Get", "Remove"}
 
-func (decoratorCompletePass) Run(pkg *Package, cfg *Config) []Diagnostic {
+func (decoratorCompletePass) Run(pkg *Package) []Diagnostic {
 	inScope := false
-	for _, seg := range cfg.decoratorPackages() {
+	for _, seg := range DefaultDecoratorPackages {
 		base := pkg.Path
 		if i := strings.LastIndexByte(base, '/'); i >= 0 {
 			base = base[i+1:]

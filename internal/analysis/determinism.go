@@ -20,7 +20,7 @@ import (
 // Constructing an explicitly seeded generator — rand.New(rand.NewSource(
 // seed)) — is the approved pattern and is not flagged. Packages whose job
 // is wall-clock measurement (internal/experiments) or interactive driving
-// (cmd/*) are exempt via Config.DeterminismAllow; the maphash
+// (cmd/*) are exempt via DefaultDeterminismAllow; the maphash
 // check additionally skips internal/hashseed itself, the one place allowed
 // to wrap process-seeded hashing if it ever chooses to.
 type determinismPass struct{}
@@ -44,8 +44,8 @@ var seededConstructors = map[string]bool{
 	"NewPCG": true, "NewChaCha8": true, // math/rand/v2 sources
 }
 
-func (determinismPass) Run(pkg *Package, cfg *Config) []Diagnostic {
-	for _, frag := range cfg.determinismAllow() {
+func (determinismPass) Run(pkg *Package) []Diagnostic {
+	for _, frag := range DefaultDeterminismAllow {
 		if pathMatches(pkg.Path, frag) {
 			return nil
 		}

@@ -21,7 +21,7 @@ import (
 //
 //  2. Watched callees: for operations the repository has been burned by —
 //     net.Call, the DHT interface methods, the batch planes, Retrier.Do
-//     (Config.DroppedErrCalls) — blanking just the error positions is
+//     (DefaultDroppedErrCalls) — blanking just the error positions is
 //     flagged even when the data results are kept, and calling them as a
 //     bare statement (discarding every result) is flagged too.
 //
@@ -36,9 +36,9 @@ func (droppedErrPass) Doc() string {
 	return "flag blank-assigned or discarded error results from RPC/DHT/retry operations"
 }
 
-func (droppedErrPass) Run(pkg *Package, cfg *Config) []Diagnostic {
+func (droppedErrPass) Run(pkg *Package) []Diagnostic {
 	watched := make(map[string]bool)
-	for _, name := range cfg.droppedErrCalls() {
+	for _, name := range DefaultDroppedErrCalls {
 		watched[name] = true
 	}
 	var out []Diagnostic

@@ -58,7 +58,7 @@ type hotMark struct {
 	endLine   int
 }
 
-func (h hotPathPass) Run(pkg *Package, cfg *Config) []Diagnostic {
+func (h hotPathPass) Run(pkg *Package) []Diagnostic {
 	if strings.HasSuffix(pkg.Path, "_test") || strings.HasSuffix(pkg.Path, ".test") {
 		return nil
 	}

@@ -1,5 +1,5 @@
 // Package main is golden-test input loaded under the import path
-// "example.com/cmd/demo": the "cmd" fragment of DeterminismAllow exempts
+// "example.com/cmd/demo": the "cmd" fragment of DefaultDeterminismAllow exempts
 // driver packages, so the wall-clock read and global rand draw below carry
 // no want expectations.
 package main

@@ -356,3 +356,32 @@ func TestFastRestartRejoins(t *testing.T) {
 		})
 	}
 }
+
+// TestLeaveRelinksPredecessorFully: a graceful leave hands the predecessor
+// the leaver's successor. Before any stabilize round the predecessor must
+// list as many distinct successors as before — the survivors' bulk wiring —
+// not the new successor twice and one fewer.
+func TestLeaveRelinksPredecessorFully(t *testing.T) {
+	_, ring := buildRing(t, 12)
+	const leaver = "node-5"
+	pred := stateOf(routing(t, ring, leaver)).pred.Addr
+	if err := ring.RemoveNode(leaver); err != nil {
+		t.Fatal(err)
+	}
+	bulk := NewRing(simnet.New(simnet.Options{}), Config{Seed: 1})
+	if _, err := AddNodesBulk(bulk, ring.Nodes()); err != nil {
+		t.Fatal(err)
+	}
+	got, want := stateOf(routing(t, ring, pred)).succs, stateOf(routing(t, bulk, pred)).succs
+	if len(want) != SuccessorListLen || !slices.Equal(got, want) {
+		t.Fatalf("%s after %s left lists %v; want %v", pred, leaver, addrsOf(got), addrsOf(want))
+	}
+}
+
+func addrsOf(refs []ref) []string {
+	out := make([]string, len(refs))
+	for i, r := range refs {
+		out[i] = string(r.Addr)
+	}
+	return out
+}

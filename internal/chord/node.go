@@ -22,6 +22,7 @@
 package chord
 
 import (
+	"slices"
 	"sync"
 
 	"mlight/internal/dht"
@@ -91,7 +92,7 @@ func (n *node) Reset() {
 }
 
 // HandleRPC implements overlay.NodeRouter.
-func (n *node) HandleRPC(_ transport.NodeID, req any) (any, error) {
+func (n *node) HandleRPC(from transport.NodeID, req any) (any, error) {
 	switch r := req.(type) {
 	case pingReq:
 		return n.Ref(), nil
@@ -114,19 +115,50 @@ func (n *node) HandleRPC(_ transport.NodeID, req any) (any, error) {
 		n.pred = r.Pred
 		return struct{}{}, nil
 	case setSuccReq:
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		if len(n.succs) == 0 {
-			n.succs = []ref{r.Succ}
-		} else {
-			n.succs[0] = r.Succ
-		}
+		n.setSucc(from, r.Succ)
 		return struct{}{}, nil
 	case applyReq:
 		return n.Apply(r.Key, r.Fn)
 	default:
 		return nil, overlay.ErrUnknownRequest
 	}
+}
+
+// setSucc makes succ the head of the successor list. A joiner names itself
+// to its predecessor; a graceful leaver, sending from its own address, names
+// the successor it leaves behind, which the list already holds next. The
+// sender and every second copy drop out, and a list left shorter than it was
+// is refilled from succ's own list, so that the node keeps as many distinct
+// successors as before without waiting for a stabilize round. A refill that
+// fails is left to that round.
+func (n *node) setSucc(from transport.NodeID, succ ref) {
+	n.mu.Lock()
+	was := len(n.succs)
+	n.succs = n.distinctSuccs(from, append([]ref{succ}, n.succs[min(1, was):]...))
+	short := len(n.succs) < was
+	n.mu.Unlock()
+	if !short || succ.Addr == n.Addr() {
+		return
+	}
+	list, err := n.r.succsOf(n.Addr(), succ)
+	if err != nil {
+		return
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.succs = truncateSuccs(n.distinctSuccs(from, append(n.succs, list...)))
+}
+
+// distinctSuccs keeps the head of list and, behind it, the first copy of
+// every entry that is neither the node itself nor gone.
+func (n *node) distinctSuccs(gone transport.NodeID, list []ref) []ref {
+	out := list[:1]
+	for _, s := range list[1:] {
+		if s.Addr != n.Addr() && s.Addr != gone && !slices.ContainsFunc(out, func(o ref) bool { return o.Addr == s.Addr }) {
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 // handleNotify implements Chord's notify: candidate thinks it may be our

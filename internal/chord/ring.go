@@ -2,6 +2,7 @@ package chord
 
 import (
 	"fmt"
+	"slices"
 
 	"mlight/internal/dht"
 	"mlight/internal/overlay"
@@ -180,16 +181,8 @@ func (n *node) relink() error {
 		return fmt.Errorf("read successors: %w", err)
 	}
 	var succs []ref
-	for i, s := range list {
-		if s.Addr == self.Addr {
-			// A leave's relink may have listed us twice; skip every copy.
-			for _, after := range list[i+1:] {
-				if after.Addr != self.Addr {
-					succs = append(succs, after)
-				}
-			}
-			break
-		}
+	if i := slices.IndexFunc(list, func(s ref) bool { return s.Addr == self.Addr }); i >= 0 {
+		succs = list[i+1:]
 	}
 	if len(succs) == 0 {
 		succs = []ref{pred}

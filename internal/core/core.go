@@ -59,8 +59,8 @@ const (
 
 // Options and FromTuning exist for cmd/mlight-perf alone: the harness
 // compiles core.New(d, core.Options{}) and core.New(d, core.FromTuning(t))
-// and is frozen until ROADMAP item 1b rewrites it, which deletes both. Every
-// other caller says index.Tuning.
+// and is frozen until ROADMAP item 5's second PR rewrites it, which deletes
+// both. Every other caller says index.Tuning.
 type Options = index.Tuning
 
 // FromTuning is the identity; see Options.

@@ -45,14 +45,16 @@ type Config struct {
 	StabilizeEvery time.Duration
 	// Seed drives the overlay's internal randomness.
 	Seed int64
-	// JoinAttempts bounds how often a boot retries joining through Seeds
-	// before giving up — daemons of one cluster typically start
-	// concurrently, so the first attempts may race peers that are not
-	// listening yet. 0 means 20.
-	JoinAttempts int
-	// JoinBackoff is the pause between join attempts. 0 means 250ms.
-	JoinBackoff time.Duration
 }
+
+// A boot retries joining through Seeds joinAttempts times, joinBackoff
+// apart, before giving up: daemons of one cluster typically start
+// concurrently, so the first attempts may race peers that are not listening
+// yet.
+const (
+	joinAttempts = 20
+	joinBackoff  = 250 * time.Millisecond
+)
 
 // Daemon is one running overlay node.
 type Daemon struct {
@@ -111,18 +113,10 @@ func Start(cfg Config) (*Daemon, error) {
 	// yet; retry the join with a flat backoff before declaring the boot
 	// failed. AddNode deregisters the address on failure, so each retry
 	// rebinds and starts clean.
-	attempts := cfg.JoinAttempts
-	if attempts <= 0 {
-		attempts = 20
-	}
-	backoff := cfg.JoinBackoff
-	if backoff <= 0 {
-		backoff = 250 * time.Millisecond
-	}
 	var joinErr error
-	for i := 0; i < attempts; i++ {
+	for i := 0; i < joinAttempts; i++ {
 		if i > 0 {
-			time.Sleep(backoff)
+			time.Sleep(joinBackoff)
 		}
 		if _, joinErr = o.AddNode(addr); joinErr == nil {
 			break

@@ -39,9 +39,9 @@ func PutBatch(d DHT, ops []PutOp, maxInFlight int) []error {
 
 // ApplyOp and ApplyBatch exist for cmd/mlight-perf alone: the harness's timed
 // decorator compiles an ApplyBatch method against them and is frozen until
-// ROADMAP item 1b rewrites it, which deletes both. Nothing in the index sends a
-// batch of closures; ApplyBatch is the plain per-key pool, one Apply per
-// operation through Fan, and no substrate runs it natively.
+// ROADMAP item 5's second PR rewrites it, which deletes both. Nothing in the
+// index sends a batch of closures; ApplyBatch is the plain per-key pool, one
+// Apply per operation through Fan, and no substrate runs it natively.
 type ApplyOp struct {
 	Key Key
 	Fn  ApplyFunc

@@ -17,13 +17,16 @@ type TCPOptions struct {
 	CallTimeout time.Duration
 	// DialTimeout bounds establishing a connection to a peer. Default 5s.
 	DialTimeout time.Duration
-	// WriteTimeout bounds one frame write on either side. Default 10s.
-	WriteTimeout time.Duration
-	// IdleTimeout is the server-side read deadline: a connection that stays
-	// silent this long is closed (the client transparently redials on its
-	// next call). Default 2m.
-	IdleTimeout time.Duration
 }
+
+const (
+	// writeTimeout bounds one frame write on either side.
+	writeTimeout = 10 * time.Second
+	// idleTimeout is the server-side read deadline: a connection that stays
+	// silent this long is closed (the client transparently redials on its
+	// next call).
+	idleTimeout = 2 * time.Minute
+)
 
 func (o TCPOptions) withDefaults() TCPOptions {
 	if o.CallTimeout <= 0 {
@@ -31,12 +34,6 @@ func (o TCPOptions) withDefaults() TCPOptions {
 	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 5 * time.Second
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 10 * time.Second
-	}
-	if o.IdleTimeout <= 0 {
-		o.IdleTimeout = 2 * time.Minute
 	}
 	return o
 }
@@ -386,7 +383,7 @@ func (t *TCP) serveConn(l *tcpLocal, conn net.Conn) {
 		from    NodeID // the previous call's caller, see decodeCallPayload
 	)
 	for {
-		conn.SetReadDeadline(time.Now().Add(t.opts.IdleTimeout)) //lint:allow determinism socket deadlines are wall-clock by nature
+		conn.SetReadDeadline(time.Now().Add(idleTimeout)) //lint:allow determinism socket deadlines are wall-clock by nature
 		kind, seq, payload, grown, err := readFrame(br, scratch)
 		scratch = grown
 		if err != nil {
@@ -444,13 +441,13 @@ func (t *TCP) serve(call rpcCall) {
 		if b, err = appendAny(openFrame(*buf, frameResp, call.seq), resp); err == nil {
 			var frame []byte
 			*buf, frame = closeFrame(b)
-			call.sc.write(frame, t.opts.WriteTimeout)
+			call.sc.write(frame, writeTimeout)
 			return
 		}
 		err = fmt.Errorf("transport: %q: encode response: %v", call.sc.local.id, err)
 	}
 	*buf = appendFrame((*buf)[:0], frameErr, call.seq, encodeErrPayload(err))
-	call.sc.write(*buf, t.opts.WriteTimeout)
+	call.sc.write(*buf, writeTimeout)
 }
 
 func (t *TCP) handle(call rpcCall) (any, error) {
@@ -560,7 +557,7 @@ func (t *TCP) Call(from, to NodeID, req any) (any, error) {
 	p.mu.Unlock()
 
 	c.timer.Reset(t.opts.CallTimeout)
-	if err := p.write(frame, t.opts.WriteTimeout); err != nil {
+	if err := p.write(frame, writeTimeout); err != nil {
 		// Fails this call with every other one in flight: its error arrives
 		// on c.ch below.
 		p.fail(fmt.Errorf("%w: %q: %v", ErrUnreachable, p.addr, err))
