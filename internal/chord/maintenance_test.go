@@ -385,3 +385,33 @@ func addrsOf(refs []ref) []string {
 	}
 	return out
 }
+
+// TestLoneNodeRejoinsThroughPredecessor: a node whose successor list holds
+// only itself — every successor died and the fallback entry was the node
+// itself, as on a daemon hosting one node — while its predecessor is live
+// must not stay a singleton. One stabilize of that node must restore a full
+// list of distinct live successors headed by its true successor, and one
+// more round the bulk wiring.
+func TestLoneNodeRejoinsThroughPredecessor(t *testing.T) {
+	_, ring := buildRing(t, 12)
+	const lone = "node-5"
+	n := routing(t, ring, lone)
+	want := stateOf(n).succs
+	n.mu.Lock()
+	n.succs = []ref{n.Ref()}
+	n.mu.Unlock()
+	ring.Router().(*router).stabilizeNode(n)
+	got := stateOf(n).succs
+	seen := map[simnet.NodeID]bool{lone: true}
+	for _, s := range got {
+		if seen[s.Addr] {
+			t.Fatalf("%s lists %v after one stabilize: %s twice", lone, addrsOf(got), s.Addr)
+		}
+		seen[s.Addr] = true
+	}
+	if len(got) != SuccessorListLen || got[0] != want[0] {
+		t.Fatalf("%s lists %v after one stabilize; want %d successors headed by %s", lone, addrsOf(got), SuccessorListLen, want[0].Addr)
+	}
+	ring.Stabilize(1)
+	assertBulkFixpoint(t, ring)
+}

@@ -263,14 +263,22 @@ func (r *router) stabilizeNode(n *node) {
 		}
 	}
 
-	if succ.Addr != self.Addr {
-		if predAny, err := net.Call(self.Addr, succ.Addr, getPredReq{}); err == nil {
-			if x, ok := predAny.(ref); ok && !x.IsZero() && x.Addr != self.Addr &&
-				x.ID.BetweenOpen(self.ID, succ.ID) {
-				if _, err := net.Call(self.Addr, x.Addr, pingReq{}); err == nil {
-					succ = x
-				}
-			}
+	// x is the successor's predecessor, adopted when it lies between n and
+	// the successor. A node that is its own successor reads its own
+	// predecessor, as Chord's stabilize does, so a node whose whole list died
+	// rejoins the ring through the node that still notifies it.
+	var x ref
+	alone := succ.Addr == self.Addr
+	if alone {
+		n.mu.Lock()
+		x = n.pred
+		n.mu.Unlock()
+	} else if predAny, err := net.Call(self.Addr, succ.Addr, getPredReq{}); err == nil {
+		x, _ = predAny.(ref)
+	}
+	if !x.IsZero() && x.Addr != self.Addr && x.ID.BetweenOpen(self.ID, succ.ID) {
+		if _, err := net.Call(self.Addr, x.Addr, pingReq{}); err == nil {
+			succ = x
 		}
 	}
 
@@ -289,6 +297,12 @@ func (r *router) stabilizeNode(n *node) {
 				newSuccs = append(newSuccs, s)
 			}
 		}
+	}
+	if alone && len(newSuccs) > 1 {
+		// Rebuilt through the predecessor: its list goes on past n with n's
+		// own successors, and the predecessor itself is the farthest.
+		newSuccs = append(newSuccs[1:], newSuccs[0])
+		succ = newSuccs[0]
 	}
 	n.mu.Lock()
 	n.succs = truncateSuccs(newSuccs)

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"mlight/internal/bitlabel"
@@ -22,8 +20,8 @@ import (
 // the journal keep an insert as its record.
 
 // openBucketStore is a durable Local over the bucket codec in a fresh
-// directory, with the path of its log.
-func openBucketStore(t testing.TB, threshold int) (l *dht.Local, w *dht.WAL, logPath string) {
+// directory, and its WAL.
+func openBucketStore(t testing.TB, threshold int) (l *dht.Local, w *dht.WAL) {
 	t.Helper()
 	dir := t.TempDir()
 	w, err := dht.OpenWAL(dht.WALOptions{Dir: dir, Codec: wire.BucketCodec{}, CompactThreshold: threshold})
@@ -38,16 +36,7 @@ func openBucketStore(t testing.TB, threshold int) (l *dht.Local, w *dht.WAL, log
 	if l, err = dht.NewDurableLocal(8, w); err != nil {
 		t.Fatal(err)
 	}
-	return l, w, filepath.Join(dir, "wal.log")
-}
-
-func fileSize(t testing.TB, path string) int64 {
-	t.Helper()
-	info, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return info.Size()
+	return l, w
 }
 
 // encodedStore is every stored bucket's encoding, by key.
@@ -74,7 +63,7 @@ func encodedStore(t *testing.T, l *dht.Local) map[dht.Key][]byte {
 func TestDurableLocalRecoveryIsExact(t *testing.T) {
 	seed := dhttest.SeedFromEnv(1)
 	rng := rand.New(rand.NewSource(seed))
-	l, w, logPath := openBucketStore(t, 16)
+	l, w := openBucketStore(t, 16)
 	ix, err := core.New(l, index.Tuning{Dims: 2, Capacity: 8, Sleep: dht.NoSleep})
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +102,7 @@ func TestDurableLocalRecoveryIsExact(t *testing.T) {
 		}
 		switch {
 		case p < 55:
-			splits, records, size := ix.Stats().Splits, w.LogRecords(), fileSize(t, logPath)
+			splits, records, size := ix.Stats().Splits, w.LogRecords(), w.LogBytes()
 			if err := ix.Insert(record(point())); err != nil {
 				t.Fatalf("seed %d step %d: insert: %v", seed, step, err)
 			}
@@ -121,7 +110,7 @@ func TestDurableLocalRecoveryIsExact(t *testing.T) {
 			// rode along and no compaction reset the log under it.
 			if ix.Stats().Splits == splits && w.LogRecords() == records+1 {
 				plainInserts++
-				plainBytes += fileSize(t, logPath) - size
+				plainBytes += w.LogBytes() - size
 			}
 		case p < 70:
 			// Two records a hair apart share a leaf, and so one append op
@@ -138,13 +127,13 @@ func TestDurableLocalRecoveryIsExact(t *testing.T) {
 			rec := live[i]
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
-			merges, records, size := ix.Stats().Merges, w.LogRecords(), fileSize(t, logPath)
+			merges, records, size := ix.Stats().Merges, w.LogRecords(), w.LogBytes()
 			if ok, err := ix.Delete(rec.Key, rec.Data); err != nil || !ok {
 				t.Fatalf("seed %d step %d: delete %v: %v, %v", seed, step, rec, ok, err)
 			}
 			if ix.Stats().Merges == merges && w.LogRecords() == records+1 {
 				plainDeletes++
-				plainDeleteBytes += fileSize(t, logPath) - size
+				plainDeleteBytes += w.LogBytes() - size
 			}
 		case p < 91:
 			// Twins: two equal records side by side in one leaf. Deleting
@@ -200,15 +189,14 @@ func TestDurableLocalRecoveryIsExact(t *testing.T) {
 // applySpy records how many bytes each Apply added to the log.
 type applySpy struct {
 	dht.DHT
-	t       *testing.T
-	logPath string
-	grew    []int64
+	w    *dht.WAL
+	grew []int64
 }
 
 func (s *applySpy) Apply(key dht.Key, fn dht.ApplyFunc) error {
-	before := fileSize(s.t, s.logPath)
+	before := s.w.LogBytes()
 	err := s.DHT.Apply(key, fn)
-	s.grew = append(s.grew, fileSize(s.t, s.logPath)-before)
+	s.grew = append(s.grew, s.w.LogBytes()-before)
 	return err
 }
 
@@ -219,13 +207,13 @@ func (s *applySpy) Apply(key dht.Key, fn dht.ApplyFunc) error {
 // client's search probes with the write itself, so every op of the insert but
 // the one that lands is declined.
 func TestDurableLocalUnchangedBucketJournalsNothing(t *testing.T) {
-	l, w, logPath := openBucketStore(t, -1)
+	l, w := openBucketStore(t, -1)
 	opts := index.Tuning{Dims: 2, Capacity: 4, Sleep: dht.NoSleep}
 	writer, err := core.New(l, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spy := &applySpy{DHT: l, t: t, logPath: logPath}
+	spy := &applySpy{DHT: l, w: w}
 	opts.CacheSize = 16
 	cached, err := core.New(spy, opts)
 	if err != nil {
@@ -274,14 +262,14 @@ func TestDurableLocalUnchangedBucketJournalsNothing(t *testing.T) {
 	}
 
 	spy.grew = nil
-	records, size := w.LogRecords(), fileSize(t, logPath)
+	records, size := w.LogRecords(), w.LogBytes()
 	if ok, err := cached.Delete(spatial.Point{0.7, 0.7}, "never inserted"); err != nil || ok {
 		t.Fatalf("delete of a missing record: %v, %v", ok, err)
 	}
 	if len(spy.grew) == 0 {
 		t.Fatal("the delete reached no bucket")
 	}
-	if got, gotSize := w.LogRecords(), fileSize(t, logPath); got != records || gotSize != size {
+	if got, gotSize := w.LogRecords(), w.LogBytes(); got != records || gotSize != size {
 		t.Fatalf("a delete that removed nothing took the log from %d records / %d bytes to %d / %d", records, size, got, gotSize)
 	}
 }
@@ -329,18 +317,18 @@ func TestWALRemovalDeltaZeroAlloc(t *testing.T) {
 // Append to add at most limit bytes to the log, and to allocate nothing
 // outside the race detector.
 func testWALDeltaAppend(t *testing.T, prev, next core.Bucket, limit int64) {
-	_, w, logPath := openBucketStore(t, -1)
+	_, w := openBucketStore(t, -1)
 	recs := []dht.WALRecord{{Op: dht.WALPut, Key: "mlight/0011011", Value: next, Prev: prev}}
 	if err := w.Append(recs); err != nil { // sizes the buffer
 		t.Fatal(err)
 	}
-	size := fileSize(t, logPath)
+	size := w.LogBytes()
 	allocs := testing.AllocsPerRun(100, func() {
 		if err := w.Append(recs); err != nil {
 			t.Fatal(err)
 		}
 	})
-	perAppend := (fileSize(t, logPath) - size) / 101
+	perAppend := (w.LogBytes() - size) / 101
 	t.Logf("%d bytes of log and %.1f allocations an Append", perAppend, allocs)
 	if perAppend <= 0 || perAppend > limit {
 		t.Fatalf("each Append journaled %d bytes, want one delta record of at most %d", perAppend, limit)

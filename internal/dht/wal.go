@@ -6,10 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
+	"syscall"
 )
 
 // This file implements the durable bucket store behind Local: a write-ahead
@@ -40,6 +40,27 @@ import (
 // a delete the index of the record it took, not the bucket. Every other put,
 // and every codec without deltas, journals the whole value. A snapshot holds
 // puts only.
+//
+// Append copies a group's frames into a window of wal.log mapped MAP_SHARED.
+// That is a memory copy into the file's page-cache pages, with no system
+// call. Append returns once the bytes are in the page cache, so an
+// acknowledged append survives the process dying, kill -9 included: the
+// kernel keeps the pages. Sync, or SyncEveryAppend, adds the fsync that makes
+// it survive a power loss; on Linux fsync writes back pages dirtied through a
+// mapping.
+//
+// The window is walStep bytes from the page that holds the log's logical end.
+// A group that does not fit unmaps it, zero-fills the file behind the next
+// step with write(2), and maps the window again there. Zero-filling reserves
+// the blocks behind every mapped page, so on a file system that overwrites in
+// place a full disk fails an Append and never faults one. While the log is open, the file runs past its last
+// record into a zero tail. Close cuts it, and so does Restore, which reads a
+// tail of zero bytes as a clean end; a partial frame with any nonzero byte is
+// torn, as before. The WAL keeps the logical end itself (LogBytes). OpenWAL
+// finds it by walking the frames without decoding a value, so an Append
+// before any Restore lands right behind the last intact record. One WAL owns
+// its directory: another opened on it may cut the file under the first
+// one's window.
 //
 // Value payloads are opaque bytes produced by the Codec — in production the
 // fuzz-hardened wire.BucketCodec (declared structurally here because wire
@@ -164,8 +185,13 @@ type WAL struct {
 	log       *os.File
 	gen       uint64 // generation of the log, and of the snapshot it extends
 	appended  int    // log records since the last compaction
-	logBytes  int64  // log bytes since the last compaction
+	logBytes  int64  // the log's logical end: where its last record ends
+	fileBytes int64  // the log file's size: logBytes and the zero tail
 	snapBytes int64  // size of the snapshot the log extends
+	// window is the log mapped from offset winOff, the page that held the
+	// logical end when it was mapped; nil until an Append needs it.
+	window    []byte
+	winOff    int64
 	threshold int
 	syncEvery bool
 	replay    ReplayInfo
@@ -181,7 +207,17 @@ const (
 	// fit with room to spare, and a bulk load's multi-megabyte group commit
 	// is not held for the life of the store.
 	maxScratch = 64 << 10
+	// walStep is the size of the mapped window, and so the unit the log file
+	// grows by: a few thousand steady-state appends between two remaps, and
+	// a small first step for each fresh store.
+	walStep = 256 << 10
 )
+
+// zeroStep is what the log's next step is zero-filled from: one write(2) a
+// step, where a 4 KiB buffer took 1,300 to zero-fill a bulk load's 5 MB group
+// commit. Nothing writes it, so its pages stay the kernel's shared zero page
+// and take no memory.
+var zeroStep [walStep]byte
 
 // OpenWAL opens (creating if needed) the durable store in opts.Dir.
 func OpenWAL(opts WALOptions) (*WAL, error) {
@@ -194,21 +230,30 @@ func OpenWAL(opts WALOptions) (*WAL, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("dht: wal dir: %w", err)
 	}
-	// O_APPEND: every write lands at the end of the log wherever Restore
-	// last read, with no seek before it.
-	f, err := os.OpenFile(filepath.Join(opts.Dir, walFileName), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(filepath.Join(opts.Dir, walFileName), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("dht: wal log: %w", err)
 	}
 	delta, _ := opts.Codec.(DeltaCodec)
-	return &WAL{
+	w := &WAL{
 		dir:       opts.Dir,
 		codec:     opts.Codec,
 		delta:     delta,
 		log:       f,
 		threshold: opts.CompactThreshold,
 		syncEvery: opts.SyncEveryAppend,
-	}, nil
+	}
+	// Appends go behind the last intact record, not behind a zero tail a
+	// process that died left; Restore decides what the rest of the file is.
+	data, err := w.readLogLocked()
+	if err != nil {
+		f.Close() //lint:allow droppederr the read error already reports the failure
+		return nil, err
+	}
+	_, n := readGeneration(data)
+	records, end, _, _ := w.readRecords(data[n:], false, nil)
+	w.appended, w.logBytes = records, int64(n+end)
+	return w, nil
 }
 
 // beginFrame reserves room in buf for a frame's length prefix and returns the
@@ -269,12 +314,12 @@ func (w *WAL) appendRecord(buf []byte, rec *WALRecord) (out []byte, written bool
 	return endFrame(buf, start), true, nil
 }
 
-// Append journals a group of records with a single write (group commit):
-// either callers see all of them on replay or, if the process dies mid-
-// write, the torn tail is discarded as a unit boundary at worst one frame
-// deep. A put whose Value equals its Prev changes nothing and is not
-// journaled. Append returns after the OS accepts the bytes; call Sync (or
-// set SyncEveryAppend) to force them to stable storage.
+// Append journals a group of records with one copy into the mapped log
+// (group commit): if the process dies mid-copy, replay keeps the group's
+// records up to the first one the copy did not finish. A put whose Value
+// equals its Prev changes nothing and is not journaled. Append returns once
+// the bytes are in the page cache; call Sync (or set SyncEveryAppend) to
+// force them to stable storage.
 func (w *WAL) Append(recs []WALRecord) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -302,11 +347,14 @@ func (w *WAL) Append(recs []WALRecord) error {
 	return w.writeLocked(buf, written)
 }
 
-// writeLocked appends buf, holding records frames, to the log.
+// writeLocked copies buf, holding records frames, to the log's logical end.
 func (w *WAL) writeLocked(buf []byte, records int) error {
-	if _, err := w.log.Write(buf); err != nil {
-		return fmt.Errorf("dht: wal append: %w", err)
+	if w.logBytes+int64(len(buf)) > w.winOff+int64(len(w.window)) {
+		if err := w.mapLocked(len(buf)); err != nil {
+			return fmt.Errorf("dht: wal append: %w", err)
+		}
 	}
+	copy(w.window[w.logBytes-w.winOff:], buf)
 	w.appended += records
 	w.logBytes += int64(len(buf))
 	if w.syncEvery {
@@ -314,6 +362,65 @@ func (w *WAL) writeLocked(buf []byte, records int) error {
 			return fmt.Errorf("dht: wal sync: %w", err)
 		}
 	}
+	return nil
+}
+
+// mapLocked maps the window an append of need bytes goes into: from the page
+// that holds the logical end, walStep bytes, or as many whole steps as a
+// larger group takes. The file behind it is zero-filled first.
+func (w *WAL) mapLocked(need int) error {
+	if err := w.unmapLocked(); err != nil {
+		return err
+	}
+	off := w.logBytes &^ int64(os.Getpagesize()-1)
+	size := walStep
+	if n := int(w.logBytes-off) + need; n > size {
+		size = (n + walStep - 1) / walStep * walStep
+	}
+	for end := off + int64(size); w.fileBytes < end; {
+		n, err := w.log.WriteAt(zeroStep[:min(walStep, end-w.fileBytes)], w.fileBytes)
+		w.fileBytes += int64(n)
+		if err != nil {
+			return err
+		}
+	}
+	window, err := syscall.Mmap(int(w.log.Fd()), off, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
+	if err != nil {
+		return fmt.Errorf("map: %w", err)
+	}
+	w.window, w.winOff = window, off
+	return nil
+}
+
+// unmapLocked drops the window, if one is mapped.
+func (w *WAL) unmapLocked() error {
+	if w.window == nil {
+		return nil
+	}
+	err := syscall.Munmap(w.window)
+	w.window, w.winOff = nil, 0
+	if err != nil {
+		return fmt.Errorf("dht: wal unmap: %w", err)
+	}
+	return nil
+}
+
+// readLogLocked returns the log file's bytes, the zero tail included.
+func (w *WAL) readLogLocked() ([]byte, error) {
+	data, err := os.ReadFile(filepath.Join(w.dir, walFileName))
+	if err != nil {
+		return nil, fmt.Errorf("dht: wal read: %w", err)
+	}
+	w.fileBytes = int64(len(data))
+	return data, nil
+}
+
+// truncateLocked cuts the log file to size.
+func (w *WAL) truncateLocked(size int64) error {
+	if err := w.log.Truncate(size); err != nil {
+		return err
+	}
+	w.fileBytes = size
 	return nil
 }
 
@@ -366,14 +473,15 @@ func readGeneration(data []byte) (gen uint64, size int) {
 // readRecords decodes framed records from data into state. A malformed frame
 // is an error when strict; otherwise decoding stops there (torn tail) and
 // returns its offset with torn=true. An intact record that cannot be applied
-// is an error either way.
+// is an error either way. A nil state only walks the records: their values
+// are neither decoded nor applied.
 func (w *WAL) readRecords(data []byte, strict bool, state map[Key]any) (records, goodEnd int, torn bool, err error) {
 	off := 0
 	for off < len(data) {
 		body, size, frameErr := nextFrame(data[off:])
 		var rec WALRecord
 		if frameErr == nil {
-			rec, frameErr = w.decodeBody(body)
+			rec, frameErr = w.decodeBody(body, state != nil)
 		}
 		if frameErr != nil {
 			if strict {
@@ -384,8 +492,10 @@ func (w *WAL) readRecords(data []byte, strict bool, state map[Key]any) (records,
 		if strict && rec.Op != WALPut {
 			return records, off, false, fmt.Errorf("dht: wal frame at %d: op %q in a snapshot", off, byte(rec.Op))
 		}
-		if err := w.applyRecord(state, rec); err != nil {
-			return records, off, false, err
+		if state != nil {
+			if err := w.applyRecord(state, rec); err != nil {
+				return records, off, false, err
+			}
 		}
 		records++
 		off += size
@@ -394,8 +504,10 @@ func (w *WAL) readRecords(data []byte, strict bool, state map[Key]any) (records,
 }
 
 // decodeBody parses one checksummed record body. An append record comes back
-// with its undecoded payload as the Value.
-func (w *WAL) decodeBody(body []byte) (WALRecord, error) {
+// with its undecoded payload as the Value, and so does a put unless values is
+// set. A run of zero bytes frames an empty body (crc32 of nothing is 0): it
+// is refused here.
+func (w *WAL) decodeBody(body []byte, values bool) (WALRecord, error) {
 	if len(body) < 1 {
 		return WALRecord{}, errors.New("dht: wal record empty")
 	}
@@ -410,14 +522,14 @@ func (w *WAL) decodeBody(body []byte) (WALRecord, error) {
 	keyStart := 1 + n
 	keyEnd := keyStart + int(keyLen)
 	rec := WALRecord{Op: op, Key: Key(body[keyStart:keyEnd])}
-	switch op {
-	case WALPut:
+	switch {
+	case op == WALPut && values:
 		v, err := w.codec.Unmarshal(body[keyEnd:])
 		if err != nil {
 			return WALRecord{}, fmt.Errorf("dht: wal record value: %w", err)
 		}
 		rec.Value = v
-	case walAppend:
+	case op != WALRemove:
 		rec.Value = body[keyEnd:]
 	default:
 		if keyEnd != len(body) {
@@ -453,9 +565,10 @@ func (w *WAL) applyRecord(state map[Key]any, rec WALRecord) error {
 
 // Restore rebuilds the journaled state: snapshot entries first (strict — a
 // snapshot is published atomically, so damage is refused, not repaired),
-// then the log replayed on top, with a torn or corrupt tail truncated away
-// so subsequent Appends extend the last intact record. A log of an earlier
-// generation than the snapshot is discarded unread.
+// then the log replayed on top, with whatever follows the last intact record
+// truncated away so subsequent Appends extend it. That rest is a torn tail
+// unless it is all zero bytes: the room the mapped window reserved, a clean
+// end. A log of an earlier generation than the snapshot is discarded unread.
 func (w *WAL) Restore() (map[Key]any, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -472,12 +585,12 @@ func (w *WAL) Restore() (map[Key]any, error) {
 	if info.SnapshotRecords, _, _, err = w.readRecords(snap[n:], true, state); err != nil {
 		return nil, fmt.Errorf("dht: wal snapshot corrupt: %w", err)
 	}
-	if _, err := w.log.Seek(0, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("dht: wal seek: %w", err)
+	if err := w.unmapLocked(); err != nil {
+		return nil, err
 	}
-	data, err := io.ReadAll(w.log)
+	data, err := w.readLogLocked()
 	if err != nil {
-		return nil, fmt.Errorf("dht: wal read: %w", err)
+		return nil, err
 	}
 	logGen, n := readGeneration(data)
 	if logGen > snapGen {
@@ -495,8 +608,9 @@ func (w *WAL) Restore() (map[Key]any, error) {
 		}
 		goodEnd += n
 		if torn {
-			if err := w.log.Truncate(int64(goodEnd)); err != nil {
-				return nil, fmt.Errorf("dht: wal truncate torn tail: %w", err)
+			torn = !allZero(data[goodEnd:])
+			if err := w.truncateLocked(int64(goodEnd)); err != nil {
+				return nil, fmt.Errorf("dht: wal truncate tail: %w", err)
 			}
 		}
 		info.LogRecords, info.TornTail = records, torn
@@ -506,12 +620,27 @@ func (w *WAL) Restore() (map[Key]any, error) {
 	return state, nil
 }
 
-// resetLogLocked empties the log and opens it at the WAL's generation. A log
-// that cannot be reset is closed: appends to one of an earlier generation
-// than the snapshot would be discarded by the next Restore.
+// allZero reports whether b holds only zero bytes.
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// resetLogLocked empties the log and opens it at the WAL's generation. It
+// truncates rather than writes over the old log: a frame of it left behind
+// the new end would be replayed. A log that cannot be reset is closed:
+// appends to one of an earlier generation than the snapshot would be
+// discarded by the next Restore.
 func (w *WAL) resetLogLocked() error {
 	w.appended, w.logBytes = 0, 0
-	err := w.log.Truncate(0)
+	err := w.unmapLocked()
+	if err == nil {
+		err = w.truncateLocked(0)
+	}
 	if err == nil && w.gen > 0 {
 		err = w.writeLocked(appendGeneration(nil, w.gen), 0)
 	}
@@ -604,6 +733,14 @@ func (w *WAL) writeSnapshot(f *os.File, gen uint64, state map[Key]any) (size int
 	return size, nil
 }
 
+// LogBytes returns the log's logical size: the bytes its records take, not
+// the zero-filled room behind them that the file also holds while it is open.
+func (w *WAL) LogBytes() int64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.logBytes
+}
+
 // LogRecords returns the number of records appended since the last
 // compaction (or Restore), for tests and compaction diagnostics.
 func (w *WAL) LogRecords() int {
@@ -612,14 +749,21 @@ func (w *WAL) LogRecords() int {
 	return w.appended
 }
 
-// Close releases the log file handle. The WAL is unusable afterwards.
+// Close unmaps the log, cuts the file to the log's logical end (its zero
+// tail) and releases the file handle. The WAL is unusable afterwards.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.log == nil {
 		return nil
 	}
-	err := w.log.Close()
+	err := w.unmapLocked()
+	if err == nil && w.fileBytes > w.logBytes {
+		err = w.truncateLocked(w.logBytes)
+	}
+	if cerr := w.log.Close(); err == nil {
+		err = cerr
+	}
 	w.log = nil
 	if err != nil {
 		return fmt.Errorf("dht: wal close: %w", err)

@@ -8,9 +8,10 @@ import (
 )
 
 // BenchmarkWALAppend measures the group-commit journal write: one Append
-// call carrying a batch of records, encode + CRC + single write, no
-// per-record fsync (SyncEveryAppend off, as in the durable Local's
-// default configuration). The delta and full pairs journal the steady state
+// call carrying a batch of records, encode + CRC + one copy into the mapped
+// log, no fsync (SyncEveryAppend off, as in the durable Local's default
+// configuration) except in batch-1-sync, which pays SyncEveryAppend's fsync
+// on every Append. The delta and full pairs journal the steady state
 // of an insert over the bucket codec — a 50-record leaf replaced by itself
 // plus one record — as the append record the journal writes when it is told
 // what the put replaces, and as the whole bucket it writes when it is not;
@@ -30,12 +31,12 @@ func BenchmarkWALAppend(b *testing.B) {
 		{"removal-full", nil, removed},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			_, w, logPath := openBucketStore(b, -1)
+			_, w := openBucketStore(b, -1)
 			recs := []dht.WALRecord{{Op: dht.WALPut, Key: "mlight/0011011", Value: tc.next, Prev: tc.prev}}
 			if err := w.Append(recs); err != nil {
 				b.Fatal(err)
 			}
-			b.SetBytes(fileSize(b, logPath))
+			b.SetBytes(w.LogBytes())
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -45,14 +46,21 @@ func BenchmarkWALAppend(b *testing.B) {
 			}
 		})
 	}
-	for _, batch := range []int{1, 16, 256} {
-		b.Run(fmt.Sprintf("batch-%d", batch), func(b *testing.B) {
-			w, err := dht.OpenWAL(dht.WALOptions{Dir: b.TempDir(), Codec: scalarCodec{}, CompactThreshold: -1})
+	for _, tc := range []struct {
+		batch int
+		sync  bool
+	}{{1, false}, {16, false}, {256, false}, {1, true}} {
+		name := fmt.Sprintf("batch-%d", tc.batch)
+		if tc.sync {
+			name += "-sync"
+		}
+		b.Run(name, func(b *testing.B) {
+			w, err := dht.OpenWAL(dht.WALOptions{Dir: b.TempDir(), Codec: scalarCodec{}, CompactThreshold: -1, SyncEveryAppend: tc.sync})
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer w.Close()
-			recs := make([]dht.WALRecord, batch)
+			recs := make([]dht.WALRecord, tc.batch)
 			for i := range recs {
 				recs[i] = dht.WALRecord{Op: dht.WALPut, Key: dht.Key(fmt.Sprintf("bench-%d", i)), Value: i}
 			}

@@ -264,6 +264,66 @@ func TestWALTornTailTruncated(t *testing.T) {
 	}
 }
 
+// TestWALZeroTailIsACleanEnd: a log left open runs past its records into the
+// zero-filled room of the mapped window. Reopened, that tail is a clean end —
+// cut away, not reported torn — while a partial frame at the same place, or
+// a nonzero byte anywhere in the tail, is torn; a byte flipped inside a
+// record stops replay there either way.
+func TestWALZeroTailIsACleanEnd(t *testing.T) {
+	var records []WALRecord
+	for i := 0; i < 20; i++ {
+		records = append(records, WALRecord{Op: WALPut, Key: Key(fmt.Sprintf("key-%02d", i)), Value: i})
+	}
+	// open is a log holding records, left open (its Cleanup closes it after
+	// the test); its bytes are what a process killed now would leave.
+	open := func(t *testing.T) (data []byte, end int) {
+		dir := t.TempDir()
+		w := openTestWAL(t, dir, -1)
+		if err := w.Append(records); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, walFileName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(len(data)) <= w.LogBytes() || !allZero(data[w.LogBytes():]) {
+			t.Fatalf("an open log of %d bytes in a %d-byte file, want a zero tail behind it", w.LogBytes(), len(data))
+		}
+		return data, int(w.LogBytes())
+	}
+	for _, tc := range []struct {
+		name    string
+		damage  func(data []byte, end int)
+		torn    bool
+		records int
+	}{
+		{"zero tail", func([]byte, int) {}, false, 20},
+		{"partial frame", func(data []byte, end int) { copy(data[end:], []byte{0x17, 'P', 3}) }, true, 20},
+		{"byte in the tail", func(data []byte, _ int) { data[len(data)-1] = 1 }, true, 20},
+		{"flip in a record", func(data []byte, end int) { data[end/2] ^= 0xff }, true, 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data, end := open(t)
+			tc.damage(data, end)
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, walFileName), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			w := openTestWAL(t, dir, -1)
+			state, err := w.Restore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info := w.LastReplay(); info.TornTail != tc.torn || info.LogRecords != tc.records || len(state) != tc.records {
+				t.Fatalf("replay = %+v with %d keys, want torn=%t and %d records", info, len(state), tc.torn, tc.records)
+			}
+			if got := logSize(t, dir); got != w.LogBytes() || (tc.records == 20 && got != int64(end)) {
+				t.Fatalf("log file cut to %d bytes, %d of records", got, w.LogBytes())
+			}
+		})
+	}
+}
+
 func TestWALCorruptMidLogStopsAtCorruption(t *testing.T) {
 	dir := t.TempDir()
 	func() {
@@ -514,7 +574,8 @@ func (op extendOp) Run(cur any, _ bool) (next any, write bool, result any, err e
 	return s + string(op), op != "", nil, nil
 }
 
-// logSize is the size of dir's log file.
+// logSize is the size of dir's log file: the logical size (LogBytes) once
+// Restore or Close has cut the zero tail behind the records.
 func logSize(t *testing.T, dir string) int64 {
 	t.Helper()
 	info, err := os.Stat(filepath.Join(dir, walFileName))
@@ -539,8 +600,8 @@ func mustRecover(t *testing.T, l *Local) map[Key]any {
 // everything else is still a full put; replay rebuilds the same state either
 // way.
 func TestDurableLocalJournalsExtensionsAsDeltas(t *testing.T) {
-	dir := t.TempDir()
-	l, err := NewDurableLocal(4, openCodecWAL(t, dir, -1, deltaTestCodec{}))
+	w := openCodecWAL(t, t.TempDir(), -1, deltaTestCodec{})
+	l, err := NewDurableLocal(4, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,31 +609,31 @@ func TestDurableLocalJournalsExtensionsAsDeltas(t *testing.T) {
 	if err := l.Put("k", big); err != nil {
 		t.Fatal(err)
 	}
-	before := logSize(t, dir)
+	before := w.LogBytes()
 	if err := l.Apply("k", extend("tail")); err != nil {
 		t.Fatal(err)
 	}
-	if grew := logSize(t, dir) - before; grew > 32 {
+	if grew := w.LogBytes() - before; grew > 32 {
 		t.Fatalf("a 4-byte extension of a 4000-byte value grew the log by %d bytes", grew)
 	}
 	// An op that extends the value journals as a delta too, cut against the
 	// value the closure before it left.
-	before = logSize(t, dir)
+	before = w.LogBytes()
 	if err := l.Apply("k", extend("-a")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Do("k", extendOp("-b")); err != nil {
 		t.Fatal(err)
 	}
-	if grew := logSize(t, dir) - before; grew > 64 {
+	if grew := w.LogBytes() - before; grew > 64 {
 		t.Fatalf("two 2-byte extensions, by Apply and by Do, grew the log by %d bytes", grew)
 	}
 	// Not an extension: journaled whole.
-	before = logSize(t, dir)
+	before = w.LogBytes()
 	if err := l.Apply("k", func(cur any, _ bool) (any, bool) { return cur.(string)[1:], true }); err != nil {
 		t.Fatal(err)
 	}
-	if grew := logSize(t, dir) - before; grew < 4000 {
+	if grew := w.LogBytes() - before; grew < 4000 {
 		t.Fatalf("a value that is not its predecessor extended grew the log by only %d bytes", grew)
 	}
 	want := map[Key]any{"k": (big + "tail-a-b")[1:]}
@@ -594,7 +655,7 @@ func TestDurableLocalUnchangedApplyJournalsNothing(t *testing.T) {
 	if err := l.Put("k", "value"); err != nil {
 		t.Fatal(err)
 	}
-	records, size := w.LogRecords(), logSize(t, dir)
+	records, size := w.LogRecords(), w.LogBytes()
 	same := func(cur any, exists bool) (any, bool) { return cur, exists }
 	if err := l.Apply("k", same); err != nil {
 		t.Fatal(err)
@@ -607,7 +668,7 @@ func TestDurableLocalUnchangedApplyJournalsNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, gotSize := w.LogRecords(), logSize(t, dir); got != records || gotSize != size {
+	if got, gotSize := w.LogRecords(), w.LogBytes(); got != records || gotSize != size {
 		t.Fatalf("no-op transforms took the log from %d records / %d bytes to %d / %d", records, size, got, gotSize)
 	}
 	if got := dump(t, l); !reflect.DeepEqual(got, map[Key]any{"k": "value"}) {
@@ -737,7 +798,7 @@ func TestWALTornDeltaFrameTruncated(t *testing.T) {
 	if err := w.Append([]WALRecord{{Op: WALPut, Key: "k", Value: "base"}, {Op: WALPut, Key: "k", Value: "base+one", Prev: "base"}}); err != nil {
 		t.Fatal(err)
 	}
-	intact := logSize(t, src)
+	intact := w.LogBytes()
 	if err := w.Append([]WALRecord{{Op: WALPut, Key: "k", Value: "base+one+two", Prev: "base+one"}}); err != nil {
 		t.Fatal(err)
 	}
@@ -745,6 +806,7 @@ func TestWALTornDeltaFrameTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	log = log[:w.LogBytes()] // the records, without the open log's zero tail
 	for cut := int(intact) + 1; cut < len(log); cut++ {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, walFileName), log[:cut], 0o644); err != nil {
@@ -863,8 +925,8 @@ func TestWALCompactsInProportionToTheLog(t *testing.T) {
 		if appends > 4000 {
 			t.Fatal("compaction never fired")
 		}
-		if logSize(t, dir) >= snap.Size()+64 {
-			t.Fatalf("log at %d bytes outweighs the %d-byte snapshot and was not compacted", logSize(t, dir), snap.Size())
+		if w.LogBytes() >= snap.Size()+64 {
+			t.Fatalf("log at %d bytes outweighs the %d-byte snapshot and was not compacted", w.LogBytes(), snap.Size())
 		}
 		if err := l.Apply("k0", extend("+")); err != nil {
 			t.Fatal(err)

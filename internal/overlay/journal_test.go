@@ -30,17 +30,17 @@ func TestJournalCompacts(t *testing.T) {
 	}
 	dir := t.TempDir()
 	const threshold = 32
-	open := func() *dht.WAL {
+	open := func(dir string) *dht.WAL {
 		w, err := dht.OpenWAL(dht.WALOptions{Dir: dir, Codec: transport.Codec{}, CompactThreshold: threshold})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return w
 	}
-	w := open()
+	w := open(dir)
 	node.SetJournal(w)
-	size := func(name string) int64 {
-		info, err := os.Stat(filepath.Join(dir, name))
+	snapSize := func() int64 {
+		info, err := os.Stat(filepath.Join(dir, "snapshot.bin"))
 		if os.IsNotExist(err) {
 			return 0
 		}
@@ -49,9 +49,10 @@ func TestJournalCompacts(t *testing.T) {
 		}
 		return info.Size()
 	}
-	// recovered is what a daemon restarted on dir would replay.
+	// recovered is what a daemon restarted on dir would replay. It replays a
+	// copy: a second WAL on dir itself would cut the file under the node's.
 	recovered := func() map[dht.Key]any {
-		w := open()
+		w := open(copyStore(t, dir))
 		defer w.Close()
 		state, err := w.Restore()
 		if err != nil {
@@ -61,7 +62,7 @@ func TestJournalCompacts(t *testing.T) {
 	}
 	// A write is one record of at most a 200-byte value: a frame of ~250.
 	const group = 256
-	compactions, last := 0, size("wal.log")
+	compactions, last := 0, w.LogBytes()
 	for step := 0; step < 3000; step++ {
 		key := dht.Key(fmt.Sprintf("k%03d", rng.Intn(200)))
 		if rng.Intn(4) == 0 {
@@ -72,7 +73,7 @@ func TestJournalCompacts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d step %d: %v", seed, step, err)
 		}
-		logBytes, snapBytes := size("wal.log"), size("snapshot.bin")
+		logBytes, snapBytes := w.LogBytes(), snapSize()
 		if logBytes < last {
 			compactions++
 		}
@@ -91,6 +92,25 @@ func TestJournalCompacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkShard(t, node.StoreSnapshot(), recovered())
+}
+
+// copyStore copies the files of the store directory dir into a fresh one.
+func copyStore(t *testing.T, dir string) string {
+	t.Helper()
+	out := t.TempDir()
+	for _, name := range []string{"wal.log", "snapshot.bin"} {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if os.IsNotExist(err) {
+			continue
+		}
+		if err == nil {
+			err = os.WriteFile(filepath.Join(out, name), data, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
 }
 
 // checkShard requires a recovered journal to hold exactly the node's store.

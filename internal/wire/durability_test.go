@@ -262,6 +262,7 @@ func FuzzWALRestore(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	seed = seed[:sw.LogBytes()] // the records, without the open log's zero tail
 	f.Add(seed)
 	f.Add([]byte{})
 	f.Add(seed[:len(seed)/2])
@@ -278,6 +279,7 @@ func FuzzWALRestore(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	withDelta = withDelta[:sw.LogBytes()]
 	if len(withDelta)-len(seed) > 48 {
 		f.Fatalf("a one-record append journaled %d bytes", len(withDelta)-len(seed))
 	}

@@ -149,7 +149,7 @@ var ledgerShapes = []struct {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ledgerIndex(t, d, cache), &meter{wal: &walMeter{w: w, log: filepath.Join(dir, "wal.log")}}
+		return ledgerIndex(t, d, cache), &meter{wal: &walMeter{w: w}}
 	}},
 	{"chord", func(t *testing.T, cache int) (*mlight.Index, *meter) {
 		w := &wireCount{Interface: simnet.New(simnet.Options{})}
@@ -316,11 +316,10 @@ func (m *meter) row(ix *mlight.Index) string {
 func col[N int | int64](name string, n N) string { return name + "=" + strconv.FormatInt(int64(n), 10) }
 
 // walMeter counts what a phase wrote to a WAL's log from what the WAL shows:
-// its record count and the log file's size, both of which a compaction
+// its record count and the log's logical size, both of which a compaction
 // resets.
 type walMeter struct {
 	w    *dht.WAL
-	log  string
 	last int
 	size int64
 
@@ -328,12 +327,12 @@ type walMeter struct {
 }
 
 func (m *walMeter) start() {
-	m.last, m.size = m.w.LogRecords(), m.logSize()
+	m.last, m.size = m.w.LogRecords(), m.w.LogBytes()
 	m.records, m.bytes, m.compactions = 0, 0, 0
 }
 
 func (m *walMeter) tick() {
-	n, size := m.w.LogRecords(), m.logSize()
+	n, size := m.w.LogRecords(), m.w.LogBytes()
 	if n < m.last {
 		m.compactions++
 		m.last, m.size = 0, 0
@@ -341,14 +340,6 @@ func (m *walMeter) tick() {
 	m.records += n - m.last
 	m.bytes += int(size - m.size)
 	m.last, m.size = n, size
-}
-
-func (m *walMeter) logSize() int64 {
-	fi, err := os.Stat(m.log)
-	if err != nil {
-		return 0
-	}
-	return fi.Size()
 }
 
 // ledgerDiff names, for each row of want and got that differ, the row and
