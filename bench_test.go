@@ -648,7 +648,7 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 // included; encoded requests and replies, frame headers not counted). Counting
 // the bytes marshals every message twice, so ns/op reads high.
 func BenchmarkDialedInsert(b *testing.B) {
-	addrs := startLoopback(b, 4)
+	addrs, _ := startLoopback(b, 4)
 	w := &wireCount{sized: true}
 	client := dialCounted(b, addrs, w, mlight.WithCache(256))
 	recs := mlight.GenerateNE(20000+b.N, 2)

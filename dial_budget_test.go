@@ -31,7 +31,7 @@ func bucketReads(byType map[string]int) int {
 // neighbouring leaf is cached.
 func TestDialedRPCBudget(t *testing.T) {
 	dhttest.VerifyNoLeaks(t)
-	addrs := startLoopback(t, 3)
+	addrs, _ := startLoopback(t, 3)
 	w := &wireCount{sized: true}
 	client := dialCounted(t, addrs, w, mlight.WithCache(64), mlight.WithCapacity(40))
 	recs := mlight.GenerateNE(400, 1)
@@ -160,7 +160,7 @@ func TestDialedRPCBudget(t *testing.T) {
 // same records inserted one at a time send one op each.
 func TestDialedGroupCommitBudget(t *testing.T) {
 	dhttest.VerifyNoLeaks(t)
-	addrs := startLoopback(t, 3)
+	addrs, _ := startLoopback(t, 3)
 	w := &wireCount{sized: true}
 	client := dialCounted(t, addrs, w, mlight.WithCache(64), mlight.WithCapacity(40))
 	recs := mlight.GenerateNE(400, 1)
@@ -230,7 +230,7 @@ func TestDialedGroupCommitBudget(t *testing.T) {
 // sends an owner the round gives one key alone. Nothing else is sent.
 func TestDialedRangeBudget(t *testing.T) {
 	dhttest.VerifyNoLeaks(t)
-	addrs := startLoopback(t, 3)
+	addrs, _ := startLoopback(t, 3)
 	w := &wireCount{sized: true}
 	client := dialCounted(t, addrs, w, mlight.WithCache(256), mlight.WithCapacity(40))
 	for _, rec := range mlight.GenerateNE(1000, 1) {

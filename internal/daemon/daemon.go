@@ -194,6 +194,11 @@ func (dmn *Daemon) Addr() string { return string(dmn.addr) }
 // DHT exposes the daemon's overlay as a dht.DHT, for in-process smoke tests.
 func (dmn *Daemon) DHT() dht.DHT { return dmn.o }
 
+// WAL returns the daemon's journal (nil without Config.WALDir), for reading
+// what its node has journaled: LogRecords, LogBytes. Nothing but the node
+// writes to it.
+func (dmn *Daemon) WAL() *dht.WAL { return dmn.wal }
+
 // Close drains the daemon: the stabilization loop stops, the node leaves
 // the overlay gracefully (handing its shard to its neighbours — this is the
 // SIGTERM path, so a rolling restart loses nothing), the WAL is flushed and

@@ -57,9 +57,10 @@ const ledgerGolden = "testdata/ledger.golden"
 // client side; on the dialed shape, whose frames marshal (the simnet carries
 // Go values, closures among them), request-plus-reply bytes and the most
 // frames one daemon got in one operation, so that a warm range's one frame a
-// daemon reads busiest=1; and on the durable shape the WAL's log records,
-// log bytes and compactions. A compaction resets the log, so the operation
-// that triggers one is charged only the log written after it.
+// daemon reads busiest=1; and on the durable and dialed shapes the WAL's log
+// records, log bytes and compactions, summed over the daemons. A compaction
+// resets the log, so the operation that triggers one is charged only the log
+// written after it.
 //
 // Three costs are left out:
 //   - Allocations. The in-process shapes' phases, run four times in one
@@ -149,7 +150,7 @@ var ledgerShapes = []struct {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ledgerIndex(t, d, cache), &meter{wal: &walMeter{w: w}}
+		return ledgerIndex(t, d, cache), &meter{wal: walMeters(w)}
 	}},
 	{"chord", func(t *testing.T, cache int) (*mlight.Index, *meter) {
 		w := &wireCount{Interface: simnet.New(simnet.Options{})}
@@ -161,11 +162,12 @@ var ledgerShapes = []struct {
 	}},
 	{"dial", func(t *testing.T, cache int) (*mlight.Index, *meter) {
 		w := &wireCount{sized: true}
-		client := dialCounted(t, startLoopback(t, 3), w,
+		addrs, wals := startLoopback(t, 3)
+		client := dialCounted(t, addrs, w,
 			mlight.WithRetry(mlight.RetryPolicy{MaxAttempts: 6, Seed: 1}),
 			mlight.WithCache(cache),
 			mlight.WithSeed(1))
-		return client.Index, &meter{wire: w}
+		return client.Index, &meter{wire: w, wal: walMeters(wals...)}
 	}},
 }
 
@@ -246,11 +248,11 @@ func runLedger(t *testing.T, ix *mlight.Index, m *meter) []string {
 }
 
 // meter reads one phase's costs: the index's counters, and the frames and
-// WAL the shape has.
+// WALs the shape has.
 type meter struct {
 	wire   *wireCount
 	skip   string // a frame type left out of the row
-	wal    *walMeter
+	wal    []*walMeter
 	before mlight.Stats
 	most   int // the most frames one peer got in one operation
 }
@@ -262,8 +264,8 @@ func (m *meter) start(ix *mlight.Index) {
 		m.wire.busiest()
 	}
 	m.most = 0
-	if m.wal != nil {
-		m.wal.start()
+	for _, w := range m.wal {
+		w.start()
 	}
 }
 
@@ -273,8 +275,8 @@ func (m *meter) tick() {
 	if m.wire != nil {
 		m.most = max(m.most, m.wire.busiest())
 	}
-	if m.wal != nil {
-		m.wal.tick()
+	for _, w := range m.wal {
+		w.tick()
 	}
 }
 
@@ -307,8 +309,12 @@ func (m *meter) row(ix *mlight.Index) string {
 			cols = append(cols, col("bytes", size), col("busiest", m.most))
 		}
 	}
-	if w := m.wal; w != nil {
-		cols = append(cols, col("wal.records", w.records), col("wal.bytes", w.bytes), col("wal.compactions", w.compactions))
+	if len(m.wal) > 0 {
+		var records, bytes, compactions int
+		for _, w := range m.wal {
+			records, bytes, compactions = records+w.records, bytes+w.bytes, compactions+w.compactions
+		}
+		cols = append(cols, col("wal.records", records), col("wal.bytes", bytes), col("wal.compactions", compactions))
 	}
 	return strings.Join(cols, " ")
 }
@@ -324,6 +330,15 @@ type walMeter struct {
 	size int64
 
 	records, bytes, compactions int
+}
+
+// walMeters returns a meter for each of ws.
+func walMeters(ws ...*dht.WAL) []*walMeter {
+	out := make([]*walMeter, len(ws))
+	for i, w := range ws {
+		out[i] = &walMeter{w: w}
+	}
+	return out
 }
 
 func (m *walMeter) start() {
@@ -473,11 +488,11 @@ func (w *wireCount) take() (calls, bytes int, byType map[string]int) {
 const loopbackPort = 17401
 
 // startLoopback boots n WAL-backed daemons on loopback TCP, on the fixed
-// ports from loopbackPort up, and returns their addresses. A daemon's id is
-// the hash of its address, so fixed ports give one ring layout every run.
-func startLoopback(tb testing.TB, n int) []string {
+// ports from loopbackPort up, and returns their addresses and their WALs. A
+// daemon's id is the hash of its address, so fixed ports give one ring layout
+// every run.
+func startLoopback(tb testing.TB, n int) (addrs []string, wals []*dht.WAL) {
 	tb.Helper()
-	var addrs []string
 	for i := 0; i < n; i++ {
 		addr := fmt.Sprintf("127.0.0.1:%d", loopbackPort+i)
 		d, err := daemon.Start(daemon.Config{
@@ -495,9 +510,9 @@ func startLoopback(tb testing.TB, n int) []string {
 			//lint:allow droppederr teardown of a cluster that is being discarded
 			d.Close()
 		})
-		addrs = append(addrs, d.Addr())
+		addrs, wals = append(addrs, d.Addr()), append(wals, d.WAL())
 	}
-	return addrs
+	return addrs, wals
 }
 
 // dialCounted dials addrs with w counting over a TCP transport under the
