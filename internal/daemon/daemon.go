@@ -34,11 +34,11 @@ type Config struct {
 	Substrate string
 	// Replication is the per-key copy count the overlay maintains.
 	Replication int
-	// WALDir enables write-ahead durability for this node's shard: every
-	// primary-store mutation is journaled before it is acknowledged, and a
-	// restarted daemon re-inserts the recovered entries into the overlay
-	// (routing them to their current owners, which may have changed while
-	// it was gone).
+	// WALDir enables write-ahead durability for this node's shard: its store
+	// journals every primary write in a dht.WAL here before acknowledging it,
+	// and a restarted daemon re-inserts the recovered entries into the
+	// overlay (routing them to their current owners, which may have changed
+	// while it was gone). A second daemon on the directory fails to start.
 	WALDir string
 	// StabilizeEvery is the background maintenance cadence. 0 means
 	// 500ms; negative disables the loop (tests drive Stabilize manually).
@@ -144,9 +144,8 @@ func Start(cfg Config) (*Daemon, error) {
 
 // restoreWAL opens the journal, re-inserts recovered entries through the
 // overlay (they route to their current owners — ownership may have moved
-// while this daemon was down), compacts the log to the node's post-replay
-// shard, and installs the log as the node's journal for all subsequent
-// mutations; the node compacts it again whenever it asks to be.
+// while this daemon was down), and attaches the log to the node's store,
+// which compacts it to the post-replay shard and journals every later write.
 func (dmn *Daemon) restoreWAL(dir string) error {
 	w, err := dht.OpenWAL(dht.WALOptions{Dir: dir, Codec: transport.Codec{}})
 	if err != nil {
@@ -171,18 +170,15 @@ func (dmn *Daemon) restoreWAL(dir string) error {
 		w.Close()
 		return fmt.Errorf("daemon: node %q vanished during restore", dmn.addr)
 	}
-	// Reset the log to exactly the shard this node holds after replay:
+	// Cut the log to exactly the shard this node holds after replay, so that
 	// entries that now live elsewhere drop out instead of being re-replayed
-	// (and re-routed) on every future boot. Mutations arriving between this
-	// snapshot and SetJournal below are the boot's durability gap; the
-	// address is not yet published to clients, so only overlay maintenance
-	// traffic can land in it.
-	if err := w.Compact(node.StoreSnapshot()); err != nil {
+	// (and re-routed) on every future boot, and journal every later write: one
+	// call under the node's store lock, so no write falls between the two.
+	if err := node.AttachWAL(w); err != nil {
 		//lint:allow droppederr the compaction error is what the caller needs
 		w.Close()
 		return fmt.Errorf("daemon: compact WAL %q: %w", dir, err)
 	}
-	node.SetJournal(w)
 	dmn.wal = w
 	return nil
 }

@@ -113,29 +113,6 @@ func runOps(t *testing.T, newDHT Factory) {
 	})
 }
 
-// countJournal counts the records a node journals.
-type countJournal struct {
-	mu   sync.Mutex
-	recs int
-}
-
-func (j *countJournal) Append(recs []dht.WALRecord) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.recs += len(recs)
-	return nil
-}
-
-func (j *countJournal) ShouldCompact() bool { return false }
-
-func (j *countJournal) Compact(map[dht.Key]any) error { return nil }
-
-func (j *countJournal) count() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.recs
-}
-
 // version asks key's owner for the key's version.
 func (c *cluster) version(t *testing.T, owner transport.NodeID, key dht.Key) uint64 {
 	t.Helper()
@@ -205,8 +182,18 @@ func RunOverlayOps(t *testing.T, f OverlayFixture) {
 					t.Fatal(err)
 				}
 				owner := c.ownerOf(t, "nk")
-				journal := &countJournal{}
-				owner.SetJournal(journal)
+				journal, err := dht.OpenWAL(dht.WALOptions{Dir: t.TempDir(), Codec: transport.Codec{}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() {
+					if err := journal.Close(); err != nil {
+						t.Errorf("wal close: %v", err)
+					}
+				})
+				if err := owner.AttachWAL(journal); err != nil {
+					t.Fatal(err)
+				}
 				ver := c.version(t, owner.Addr(), "nk")
 				if got, err := d.Do("nk", CounterOp{Add: 10, Cap: 12}); err != nil || got != -1 {
 					t.Fatalf("refused op = %v, %v; want -1", got, err)
@@ -217,7 +204,7 @@ func RunOverlayOps(t *testing.T, f OverlayFixture) {
 				if _, err := d.Do("nk-absent", CounterOp{Add: 10, Cap: 5}); err != nil {
 					t.Fatal(err)
 				}
-				if n, v := journal.count(), c.version(t, owner.Addr(), "nk"); n != 0 || v != ver {
+				if n, v := journal.LogRecords(), c.version(t, owner.Addr(), "nk"); n != 0 || v != ver {
 					t.Fatalf("ops that wrote nothing journaled %d records and moved the version %d → %d", n, ver, v)
 				}
 				if _, ok, err := c.Get("nk-absent"); err != nil || ok {
@@ -226,7 +213,7 @@ func RunOverlayOps(t *testing.T, f OverlayFixture) {
 				if got, err := d.Do("nk", CounterOp{Add: 1}); err != nil || got != 8 {
 					t.Fatalf("writing op = %v, %v; want 8", got, err)
 				}
-				if n, v := journal.count(), c.version(t, owner.Addr(), "nk"); n != 1 || v != ver+1 {
+				if n, v := journal.LogRecords(), c.version(t, owner.Addr(), "nk"); n != 1 || v != ver+1 {
 					t.Fatalf("a writing op journaled %d records and moved the version %d → %d; want 1 and +1", n, ver, v)
 				}
 			})

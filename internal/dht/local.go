@@ -34,10 +34,10 @@ type storeShard struct {
 // copy-on-write, never cross-key atomicity).
 type Local struct {
 	// shards partitions the store over independently locked maps: memShards
-	// of them in memory, so one lock's contention domain is 1/256 of the key
-	// space, and one under a WAL — the journal serialises appends anyway and
-	// compaction needs one consistent cut of the whole store. The count
-	// follows from the journal's presence; nothing sets it.
+	// of them for NewLocal, so one lock's contention domain is 1/256 of the
+	// key space, and one for a store that is or may become durable
+	// (NewDurableLocal, NewPeerStore) — the journal serialises appends anyway
+	// and compaction needs one consistent cut of the whole store.
 	shards []storeShard
 	// ring holds the virtual peers' positions, sorted; peers[i] names the
 	// peer at ring[i]. Both are fixed at construction.
@@ -105,6 +105,32 @@ func NewDurableLocal(numPeers int, w *WAL) (*Local, error) {
 		return nil, err
 	}
 	return l, nil
+}
+
+// NewPeerStore returns the bucket store of one real peer: a Local of one
+// virtual peer and one shard, in memory until AttachWAL makes it durable. An
+// overlay node keeps its primary store in one.
+func NewPeerStore() *Local {
+	l, _ := newLocal(1, 1) // one peer is always a valid ring
+	return l
+}
+
+// AttachWAL makes a store of one shard durable from now on: under the store
+// lock it compacts w to exactly what the store holds, then journals every
+// later write in it. A daemon calls it once its node's shard is rebuilt from
+// a replay, so that no write falls between the snapshot and the journal.
+func (l *Local) AttachWAL(w *WAL) error {
+	if len(l.shards) != 1 {
+		return fmt.Errorf("dht: a WAL needs a store of one shard, not %d", len(l.shards))
+	}
+	sh := &l.shards[0]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if err := w.Compact(sh.store); err != nil {
+		return err
+	}
+	l.wal = w
+	return nil
 }
 
 // buildVirtualRing places numPeers virtual peers named "peer-0" …
@@ -302,34 +328,59 @@ func (l *Local) Remove(key Key) error {
 // can keep only the difference) before the store changes. A transform that
 // leaves an absent key absent has no outcome to journal.
 func (l *Local) Apply(key Key, fn ApplyFunc) error {
-	sh := &l.shards[l.shardIndex(key)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	cur, ok := sh.store[key]
-	next, keep := fn(cur, ok)
-	if !ok && !keep {
-		return nil
-	}
-	return l.commitLocked(sh, []WALRecord{mutation(key, cur, next, keep)})
+	return l.Update([]Key{key}, func(_ int, cur any, ok bool) (any, bool, bool) {
+		next, keep := fn(cur, ok)
+		return next, keep, true
+	})
 }
 
 // Do implements Doer: Apply with the op's Run in the closure's place, and a
 // run that writes nothing leaving the store and the journal alone.
 func (l *Local) Do(key Key, op Op) (any, error) {
-	sh := &l.shards[l.shardIndex(key)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	cur, ok := sh.store[key]
-	next, write, result, err := op.Run(cur, ok)
+	var result any
+	var opErr error
+	err := l.Update([]Key{key}, func(_ int, cur any, ok bool) (any, bool, bool) {
+		next, write, res, err := op.Run(cur, ok)
+		result, opErr = res, err
+		return next, true, write && err == nil
+	})
+	if err == nil {
+		err = opErr
+	}
 	if err != nil {
 		return nil, err
 	}
-	if write {
-		if err := l.commitLocked(sh, []WALRecord{mutation(key, cur, next, true)}); err != nil {
-			return nil, err
-		}
-	}
 	return result, nil
+}
+
+// Update runs fn on each of keys, which must be distinct, under its shard's
+// lock, and lands what fn decides for a shard's keys as one group commit: a
+// write that may decide not to write or to delete (a compare-and-swap), or a
+// batch of conditional ones (store if absent). fn returns write false to
+// leave the key as it is; otherwise next replaces the value, or keep false
+// deletes it. A delete of an absent key has nothing to journal.
+func (l *Local) Update(keys []Key, fn func(i int, cur any, exists bool) (next any, keep, write bool)) error {
+	var posBuf, shardBuf [smallBatch]int
+	pos, shard := batchOrder(len(keys), posBuf[:], shardBuf[:])
+	l.byShard(func(i int) Key { return keys[i] }, pos, shard)
+	for start := 0; start < len(pos); {
+		sh, end := l.shardRun(pos, shard, start)
+		var muts []WALRecord
+		sh.mu.Lock()
+		for _, i := range pos[start:end] {
+			cur, ok := sh.store[keys[i]]
+			if next, keep, write := fn(i, cur, ok); write && (ok || keep) {
+				muts = append(muts, mutation(keys[i], cur, next, keep))
+			}
+		}
+		err := l.commitLocked(sh, muts)
+		sh.mu.Unlock()
+		if err != nil {
+			return err
+		}
+		start = end
+	}
+	return nil
 }
 
 // GetBatch implements Batcher natively: each shard is read under one

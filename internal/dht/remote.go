@@ -125,9 +125,9 @@ func RemoteApply(call func(req any) (any, error), key Key, fn ApplyFunc) (value 
 
 // VersionedStore is the owner-side half of the protocol: a per-key version
 // counter an overlay node keeps beside its primary store. The zero value is
-// ready to use. It is not self-locking — the owning node already serialises
-// store access under its own mutex, and the version must move in the same
-// critical section as the value.
+// ready to use. It is not self-locking, and the version must move in the same
+// critical section as the value: the owning node reads and bumps it only
+// inside the writes it runs under its store's lock.
 type VersionedStore struct {
 	vers map[Key]uint64
 }
@@ -155,14 +155,12 @@ func (vs *VersionedStore) Snapshot(r GetVerReq, value any, found bool) GetVerRes
 }
 
 // CAS decides a CASReq against the given current state, returning the
-// response and — when the swap succeeds — reporting whether the store
-// should now keep (true) or delete (false) the key. Callers hold the store
-// lock, apply the mutation the decision dictates, and must NOT Bump again
-// (CAS advances the version itself on success).
+// response and whether the swap succeeds. Callers hold the store lock and,
+// on success, apply the mutation r names — keep r.Value, or delete the key —
+// which bumps the version as every write does.
 func (vs *VersionedStore) CAS(r CASReq, curValue any, curFound bool) (resp CASResp, apply bool) {
-	if vs.vers[r.Key] != r.Ver {
-		return CASResp{OK: false, Value: curValue, Found: curFound, Ver: vs.vers[r.Key]}, false
+	if ver := vs.vers[r.Key]; ver != r.Ver {
+		return CASResp{OK: false, Value: curValue, Found: curFound, Ver: ver}, false
 	}
-	vs.Bump(r.Key)
-	return CASResp{OK: true, Found: r.Keep, Ver: vs.vers[r.Key]}, true
+	return CASResp{OK: true, Found: r.Keep, Ver: r.Ver + 1}, true
 }

@@ -59,8 +59,9 @@ import (
 // torn, as before. The WAL keeps the logical end itself (LogBytes). OpenWAL
 // finds it by walking the frames without decoding a value, so an Append
 // before any Restore lands right behind the last intact record. One WAL owns
-// its directory: another opened on it may cut the file under the first
-// one's window.
+// its directory: OpenWAL locks the log (flock), and a second fails to open
+// rather than cut the file under the first one's window; the lock goes with
+// the descriptor, so Close or the process dying releases it.
 //
 // Value payloads are opaque bytes produced by the Codec — in production the
 // fuzz-hardened wire.BucketCodec (declared structurally here because wire
@@ -233,6 +234,10 @@ func OpenWAL(opts WALOptions) (*WAL, error) {
 	f, err := os.OpenFile(filepath.Join(opts.Dir, walFileName), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("dht: wal log: %w", err)
+	}
+	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+		f.Close() //lint:allow droppederr the lock error already reports the failure
+		return nil, fmt.Errorf("dht: wal %s is open elsewhere: %w", opts.Dir, err)
 	}
 	delta, _ := opts.Codec.(DeltaCodec)
 	w := &WAL{
@@ -750,7 +755,8 @@ func (w *WAL) LogRecords() int {
 }
 
 // Close unmaps the log, cuts the file to the log's logical end (its zero
-// tail) and releases the file handle. The WAL is unusable afterwards.
+// tail) and releases the file handle and its lock. The WAL is unusable
+// afterwards.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -91,6 +91,58 @@ func openCodecWAL(t *testing.T, dir string, threshold int, codec Codec) *WAL {
 	return w
 }
 
+// closeWAL closes w before its test ends: the directory is then free for
+// another WAL.
+func closeWAL(t *testing.T, w *WAL) {
+	t.Helper()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// dropWAL abandons w as a process that dies does: the window is unmapped and
+// the file closed, which releases the directory's lock, but the zero tail is
+// not cut.
+func dropWAL(t *testing.T, w *WAL) {
+	t.Helper()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	err := w.unmapLocked()
+	if cerr := w.log.Close(); err == nil {
+		err = cerr
+	}
+	w.log = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWALSecondOpenRefused: a WAL locks its directory's log, so a second WAL
+// opened on the directory fails, and the first one's mapped window is never
+// cut under it. Once the first is closed the directory opens again, with
+// everything the first journaled.
+func TestWALSecondOpenRefused(t *testing.T) {
+	dir := t.TempDir()
+	w := openTestWAL(t, dir, 0)
+	put := func(k Key) {
+		if err := w.Append([]WALRecord{{Op: WALPut, Key: k, Value: 1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put("before")
+	if second, err := OpenWAL(WALOptions{Dir: dir, Codec: testCodec{}}); err == nil {
+		//lint:allow droppederr the open itself is the failure reported
+		second.Close()
+		t.Fatal("a second WAL opened on a directory in use")
+	}
+	put("after")
+	closeWAL(t, w)
+	state, err := openTestWAL(t, dir, 0).Restore()
+	if err != nil || len(state) != 2 {
+		t.Fatalf("reopened after close: %v, %v; want both records", state, err)
+	}
+}
+
 func TestDurableLocalCrashRecover(t *testing.T) {
 	dir := t.TempDir()
 	w := openTestWAL(t, dir, 0)
@@ -186,6 +238,7 @@ func TestWALReopenReplays(t *testing.T) {
 	dir := t.TempDir()
 	func() {
 		w := openTestWAL(t, dir, 0)
+		defer dropWAL(t, w)
 		l, err := NewDurableLocal(4, w)
 		if err != nil {
 			t.Fatal(err)
@@ -214,6 +267,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	func() {
 		w := openTestWAL(t, dir, 0)
+		defer dropWAL(t, w)
 		l, err := NewDurableLocal(4, w)
 		if err != nil {
 			t.Fatal(err)
@@ -326,27 +380,31 @@ func TestWALZeroTailIsACleanEnd(t *testing.T) {
 
 func TestWALCorruptMidLogStopsAtCorruption(t *testing.T) {
 	dir := t.TempDir()
-	func() {
+	const written = 20
+	logBytes := func() int64 {
 		w := openTestWAL(t, dir, 0)
+		defer closeWAL(t, w)
 		l, err := NewDurableLocal(4, w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 20; i++ {
+		for i := 0; i < written; i++ {
 			if err := l.Put(Key(fmt.Sprintf("key-%02d", i)), i); err != nil {
 				t.Fatal(err)
 			}
 		}
+		return w.LogBytes()
 	}()
 	logPath := filepath.Join(dir, walFileName)
 	data, err := os.ReadFile(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip one byte halfway in: the checksum of that record must fail and
-	// replay must keep everything before it, never panic, never invent data.
+	// Flip one byte halfway into the records: the checksum of that record
+	// must fail and replay must keep everything before it, never panic, never
+	// invent data.
 	mutated := append([]byte(nil), data...)
-	mutated[len(mutated)/2] ^= 0xff
+	mutated[logBytes/2] ^= 0xff
 	if err := os.WriteFile(logPath, mutated, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -358,6 +416,9 @@ func TestWALCorruptMidLogStopsAtCorruption(t *testing.T) {
 	info := w.LastReplay()
 	if !info.TornTail {
 		t.Fatalf("corrupt record not reported as torn tail: %+v", info)
+	}
+	if info.LogRecords >= written {
+		t.Fatalf("replay kept %d of the %d records written, past the corrupt one", info.LogRecords, written)
 	}
 	if len(state) != info.LogRecords {
 		t.Fatalf("state has %d entries but %d records replayed", len(state), info.LogRecords)
@@ -403,6 +464,7 @@ func TestWALCorruptSnapshotRefused(t *testing.T) {
 	dir := t.TempDir()
 	func() {
 		w := openTestWAL(t, dir, 2)
+		defer closeWAL(t, w)
 		l, err := NewDurableLocal(4, w)
 		if err != nil {
 			t.Fatal(err)
@@ -783,6 +845,7 @@ func TestWALDeltaThatDoesNotFitIsRefused(t *testing.T) {
 		if err := w.Append([]WALRecord{{Op: WALPut, Key: "k", Value: "base"}, {Op: WALPut, Key: "k", Value: "base+tail", Prev: "base"}}); err != nil {
 			t.Fatal(err)
 		}
+		dropWAL(t, w)
 		if _, err := openTestWAL(t, dir, -1).Restore(); !errors.Is(err, ErrWALInconsistent) {
 			t.Fatalf("Restore through a codec without deltas = %v, want ErrWALInconsistent", err)
 		}

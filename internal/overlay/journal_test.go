@@ -6,6 +6,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"mlight/internal/dht"
@@ -38,7 +41,9 @@ func TestJournalCompacts(t *testing.T) {
 		return w
 	}
 	w := open(dir)
-	node.SetJournal(w)
+	if err := node.AttachWAL(w); err != nil {
+		t.Fatal(err)
+	}
 	snapSize := func() int64 {
 		info, err := os.Stat(filepath.Join(dir, "snapshot.bin"))
 		if os.IsNotExist(err) {
@@ -92,6 +97,82 @@ func TestJournalCompacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkShard(t, node.StoreSnapshot(), recovered())
+}
+
+// TestAttachWALUnderWrites: writes keep arriving while a node attaches its
+// WAL. The attach compacts the log to the store and starts journaling under
+// one hold of the store lock, so no write falls between the snapshot and the
+// journal: once the writers stop, a copy of the directory recovers exactly
+// the node's store.
+func TestAttachWALUnderWrites(t *testing.T) {
+	const rounds, writers = 10, 2
+	seed := dhttest.SeedFromEnv(1)
+	for round := 0; round < rounds; round++ {
+		o := mustNew(t, "chord", simnet.New(simnet.Options{Seed: seed}), overlay.Config{Seed: seed})
+		node, err := o.AddNode(simAddr(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wrote atomic.Int64
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed + int64(round*writers+w)))
+				for i := 0; ; i++ {
+					key := dht.Key(fmt.Sprintf("w%d-k%02d", w, rng.Intn(64)))
+					var err error
+					if rng.Intn(4) == 0 {
+						err = o.Remove(key)
+					} else {
+						err = o.Put(key, []byte(fmt.Sprintf("%d/%d", round, i)))
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					wrote.Add(1)
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
+			}(w)
+		}
+		for wrote.Load() < 100 {
+			runtime.Gosched()
+		}
+		dir := t.TempDir()
+		w, err := dht.OpenWAL(dht.WALOptions{Dir: dir, Codec: transport.Codec{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := node.AttachWAL(w); err != nil {
+			t.Fatal(err)
+		}
+		for attached := wrote.Load(); wrote.Load() < attached+100; {
+			runtime.Gosched()
+		}
+		close(stop)
+		wg.Wait()
+		r, err := dht.OpenWAL(dht.WALOptions{Dir: copyStore(t, dir), Codec: transport.Codec{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		state, err := r.Restore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkShard(t, node.StoreSnapshot(), state)
+		for _, w := range []*dht.WAL{r, w} {
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 }
 
 // copyStore copies the files of the store directory dir into a fresh one.

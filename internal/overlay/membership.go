@@ -11,7 +11,7 @@ import (
 
 // spawn creates an unjoined node registered on the network.
 func (o *Overlay) spawn(addr transport.NodeID) (*Node, error) {
-	n := &Node{addr: addr, id: dht.HashString(string(addr)), o: o, store: make(map[dht.Key]any)}
+	n := &Node{addr: addr, id: dht.HashString(string(addr)), o: o, store: dht.NewPeerStore()}
 	n.rt = o.router.NewNode(n)
 	if err := o.net.Register(addr, n); err != nil {
 		return nil, fmt.Errorf("overlay: register %q: %w", addr, err)

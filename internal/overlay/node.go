@@ -8,19 +8,6 @@ import (
 	"mlight/internal/transport"
 )
 
-// Journal receives every primary-store mutation of a node, in the critical
-// section that applies it, before the RPC is acknowledged. A non-nil error
-// fails the mutating RPC: a node that cannot journal must not accept
-// writes. The daemon installs its *dht.WAL here so a crashed process
-// recovers its shard, and the node compacts it when it asks to be: it grows
-// with every write the node takes, and the node alone holds the state a
-// snapshot must be.
-type Journal interface {
-	Append(recs []dht.WALRecord) error
-	ShouldCompact() bool
-	Compact(state map[dht.Key]any) error
-}
-
 // Node is one peer: its identity, its share of the key space, and the
 // routing state its protocol keeps for it.
 type Node struct {
@@ -29,8 +16,15 @@ type Node struct {
 	o    *Overlay
 	rt   NodeRouter
 
-	mu    sync.Mutex
-	store map[dht.Key]any
+	// store is the node's primary store, a dht.Local of one shard: every
+	// primary write is one call on it (Node.writeAll), run under its lock and,
+	// once the daemon has attached a WAL (AttachWAL), journaled before it
+	// is acknowledged.
+	store *dht.Local
+
+	// mu guards the replica copies, their leases, the app handler and vers.
+	// A write takes it inside the store's lock, never the other way round.
+	mu sync.Mutex
 	// replicas holds copies of other nodes' keys when the overlay runs with
 	// Replication > 1; see replication.go.
 	replicas map[dht.Key]any
@@ -46,11 +40,9 @@ type Node struct {
 	// application layer (OpenDHT-style installed handlers).
 	app transport.Handler
 	// vers tracks per-key mutation versions for the remote (wire-safe)
-	// apply protocol; every primary-store write bumps it. See dht.RemoteApply.
+	// apply protocol; every primary-store write bumps it, under the store
+	// lock. See dht.RemoteApply.
 	vers dht.VersionedStore
-	// journal, when set, records every primary-store mutation before it is
-	// acknowledged — the daemon's WAL hook.
-	journal Journal
 }
 
 // Store-plane messages. What each one does is the same for every protocol,
@@ -172,12 +164,9 @@ func (n *Node) Ref() Ref { return Ref{Addr: n.addr, ID: n.id} }
 // Routing returns the node's routing state, for its Router.
 func (n *Node) Routing() NodeRouter { return n.rt }
 
-// SetJournal installs the node's durability hook (nil disables).
-func (n *Node) SetJournal(j Journal) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.journal = j
-}
+// AttachWAL makes the node's primary store durable (dht.Local.AttachWAL); a
+// node that cannot journal a write fails it.
+func (n *Node) AttachWAL(w *dht.WAL) error { return n.store.AttachWAL(w) }
 
 // SetAppHandler installs an application-level handler for requests the DHT
 // layer does not recognise, the hook an over-DHT index uses to run its
@@ -191,11 +180,11 @@ func (n *Node) SetAppHandler(h transport.Handler) {
 // OnCrash implements transport.Crasher: a hard crash destroys everything
 // this process held in memory — stored keys, replicas, and all routing
 // state. The address and identifier survive (they are identity, not state),
-// as does the journal hook (the log is on disk), so the node can restart
-// and rejoin as the same peer with empty buckets.
+// as does the store's WAL (the log is on disk), so the node can restart and
+// rejoin as the same peer with empty buckets.
 func (n *Node) OnCrash() {
+	n.store.CrashVolatile()
 	n.mu.Lock()
-	n.store = make(map[dht.Key]any)
 	n.replicas = nil
 	n.replicaSeen = nil
 	n.repRound = 0
@@ -204,49 +193,55 @@ func (n *Node) OnCrash() {
 	n.rt.Reset()
 }
 
-// journalLocked records mutations in the WAL hook, if any, first compacting
-// it when it has grown enough: before the append, under n.mu, the store holds
-// exactly what the log does, so it is the snapshot that may replace it. After
-// the append it would not be — the records are not applied yet, and a reset
-// log would lose them. Callers hold n.mu; a failure means the mutation must
-// not be applied.
-func (n *Node) journalLocked(recs ...dht.WALRecord) error {
-	if n.journal == nil || len(recs) == 0 {
-		return nil
-	}
-	if n.journal.ShouldCompact() {
-		if err := n.journal.Compact(n.store); err != nil {
-			return fmt.Errorf("overlay: %s: journal: %w", n.addr, err)
+// writeAll runs fn on each of keys (distinct) under the store lock — every
+// primary write of the node is one call of it, and a call's writes are one
+// group commit. fn sees what the store holds and returns what store.Update
+// takes. A key written has its version bumped in the same critical section.
+// Once the call has landed, the replica copy of every key written, or held
+// as a primary already, is dropped: a primary supersedes it. A failed
+// journal write leaves the store, and the replicas, as they were.
+func (n *Node) writeAll(keys []dht.Key, fn func(i int, cur any, exists bool) (next any, keep, write bool)) error {
+	var done []dht.Key
+	err := n.store.Update(keys, func(i int, cur any, ok bool) (any, bool, bool) {
+		next, keep, write := fn(i, cur, ok)
+		if write {
+			n.mu.Lock()
+			n.vers.Bump(keys[i])
+			n.mu.Unlock()
 		}
-	}
-	if err := n.journal.Append(recs); err != nil {
+		if write || ok {
+			done = append(done, keys[i])
+		}
+		return next, keep, write
+	})
+	if err != nil {
 		return fmt.Errorf("overlay: %s: journal: %w", n.addr, err)
 	}
+	if len(done) > 0 {
+		n.mu.Lock()
+		for _, k := range done {
+			n.dropReplicaLocked(k)
+		}
+		n.mu.Unlock()
+	}
 	return nil
 }
 
-// putLocked is the primary-store write funnel: journal, install, bump the
-// key's version. A primary supersedes any replica copy held of the same
-// key. Callers hold n.mu.
-func (n *Node) putLocked(key dht.Key, value any) error {
-	if err := n.journalLocked(dht.WALRecord{Op: dht.WALPut, Key: key, Value: value}); err != nil {
-		return err
-	}
-	n.store[key] = value
-	n.vers.Bump(key)
-	n.dropReplicaLocked(key)
-	return nil
+// write is writeAll on one key, with fn taking the key's current value: what
+// the store holds or — in the crash window where routing already points here
+// but promotion has not run yet — the replica copy, which a write promotes.
+func (n *Node) write(key dht.Key, fn func(cur any, exists bool) (next any, keep, write bool)) error {
+	return n.writeAll([]dht.Key{key}, func(_ int, cur any, ok bool) (any, bool, bool) {
+		if !ok {
+			cur, ok = n.replica(key)
+		}
+		return fn(cur, ok)
+	})
 }
 
-// removeLocked is the primary-store delete funnel. Callers hold n.mu.
-func (n *Node) removeLocked(key dht.Key) error {
-	if err := n.journalLocked(dht.WALRecord{Op: dht.WALRemove, Key: key}); err != nil {
-		return err
-	}
-	delete(n.store, key)
-	n.vers.Bump(key)
-	n.dropReplicaLocked(key)
-	return nil
+// remove deletes key.
+func (n *Node) remove(key dht.Key) error {
+	return n.write(key, func(any, bool) (any, bool, bool) { return nil, false, true })
 }
 
 func (n *Node) dropReplicaLocked(key dht.Key) {
@@ -254,98 +249,86 @@ func (n *Node) dropReplicaLocked(key dht.Key) {
 	delete(n.replicaSeen, key)
 }
 
-// currentLocked reads a key's value: the primary copy, or — in the crash
-// window where routing already points here but promotion has not run yet —
-// the replica copy. Callers hold n.mu.
-func (n *Node) currentLocked(key dht.Key) (any, bool) {
-	v, ok := n.store[key]
-	if !ok {
-		v, ok = n.replicas[key]
-	}
+// replica returns the node's replica copy of key.
+func (n *Node) replica(key dht.Key) (any, bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	v, ok := n.replicas[key]
 	return v, ok
 }
 
-// absorbLocked merges a batch of entries into the primary store (handoffs,
-// claims, promotions), journaling them as one group commit. When overwrite
-// is false an existing entry wins (the offer semantics). Callers hold n.mu.
-func (n *Node) absorbLocked(entries map[dht.Key]any, overwrite bool) error {
-	recs := make([]dht.WALRecord, 0, len(entries))
-	for k, v := range entries {
-		if !overwrite {
-			if _, exists := n.store[k]; exists {
-				continue
-			}
-		}
-		recs = append(recs, dht.WALRecord{Op: dht.WALPut, Key: k, Value: v})
-	}
-	if err := n.journalLocked(recs...); err != nil {
-		return err
-	}
-	for _, rec := range recs {
-		n.store[rec.Key] = rec.Value
-		n.vers.Bump(rec.Key)
-	}
-	return nil
-}
-
-// absorb is absorbLocked for callers that do not hold n.mu.
+// absorb merges a batch of entries into the primary store (handoffs, claims,
+// offers) as one group commit. When overwrite is false an existing entry
+// wins (the offer semantics).
 func (n *Node) absorb(entries map[dht.Key]any, overwrite bool) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.absorbLocked(entries, overwrite)
+	keys := make([]dht.Key, 0, len(entries))
+	for k := range entries {
+		keys = append(keys, k)
+	}
+	return n.writeAll(keys, func(i int, _ any, ok bool) (any, bool, bool) {
+		return entries[keys[i]], true, overwrite || !ok
+	})
 }
 
 // LocalGet reads a value from this node's own store (no network traffic) —
-// what an application handler running on the peer sees.
+// what an application handler running on the peer sees, and what a
+// retrieveReq is answered with: the primary copy, or in the crash window the
+// replica copy. A write lands a promoted copy in the store before it drops
+// the replica, so a key missed in both is read from the store once more
+// before it is reported absent.
 func (n *Node) LocalGet(key dht.Key) (any, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.currentLocked(key)
+	//lint:allow droppederr a Local's Get cannot fail
+	if v, ok, _ := n.store.Get(key); ok {
+		return v, true
+	}
+	if v, ok := n.replica(key); ok {
+		return v, true
+	}
+	//lint:allow droppederr a Local's Get cannot fail
+	v, ok, _ := n.store.Get(key)
+	return v, ok
 }
 
 // Apply runs fn on the key at this node — the handler behind a Router's
 // ApplyMsg. A replica copy found in the crash window is the transform's
 // input and is promoted by the write.
 func (n *Node) Apply(key dht.Key, fn dht.ApplyFunc) (ApplyResp, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	cur, ok := n.currentLocked(key)
-	next, keep := fn(cur, ok)
-	if keep {
-		if err := n.putLocked(key, next); err != nil {
-			return ApplyResp{}, err
-		}
-	} else if err := n.removeLocked(key); err != nil {
+	var resp ApplyResp
+	err := n.write(key, func(cur any, ok bool) (any, bool, bool) {
+		resp.Value, resp.Keep = fn(cur, ok)
+		return resp.Value, resp.Keep, true
+	})
+	if err != nil {
 		return ApplyResp{}, err
 	}
-	return ApplyResp{Value: next, Keep: keep}, nil
+	return resp, nil
 }
 
 // do runs op on the key at this node — the handler behind an opReq, and
-// Apply's critical section with the one difference an op makes possible: a run
-// that says it changed nothing leaves the store, the key's version and the
-// journal as they were. A write goes through putLocked like every other, so
-// it promotes a crash-window replica it took as input, and a concurrent
-// closure-path CAS judged against the old version loses.
+// Apply's write with the one difference an op makes possible: a run that says
+// it changed nothing leaves the store, the key's version and the journal as
+// they were. A write promotes a crash-window replica it took as input, and
+// bumps the version, so a concurrent closure-path CAS judged against the old
+// version loses.
 func (n *Node) do(r opReq) (opResp, error) {
 	if r.Op == nil {
 		return opResp{}, fmt.Errorf("overlay: %s: op request without an op", n.addr)
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	cur, ok := n.currentLocked(r.Key)
-	next, write, result, err := r.Op.Run(cur, ok)
-	if err != nil {
-		return opResp{}, err
-	}
-	resp := opResp{Result: result, Wrote: write}
-	if write {
-		if err := n.putLocked(r.Key, next); err != nil {
-			return opResp{}, err
-		}
-		if r.Echo {
+	var resp opResp
+	var opErr error
+	err := n.write(r.Key, func(cur any, ok bool) (any, bool, bool) {
+		next, write, result, err := r.Op.Run(cur, ok)
+		resp, opErr = opResp{Result: result, Wrote: write && err == nil}, err
+		if resp.Wrote && r.Echo {
 			resp.Value = next
 		}
+		return next, true, resp.Wrote
+	})
+	if err == nil {
+		err = opErr
+	}
+	if err != nil {
+		return opResp{}, err
 	}
 	return resp, nil
 }
@@ -372,9 +355,7 @@ func (n *Node) HandleRPC(from transport.NodeID, req any) (any, error) {
 		if n.declines(r.Direct, r.Key) {
 			return declinedResp{}, nil
 		}
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		if err := n.putLocked(r.Key, r.Value); err != nil {
+		if err := n.write(r.Key, func(any, bool) (any, bool, bool) { return r.Value, true, true }); err != nil {
 			return nil, err
 		}
 		return struct{}{}, nil
@@ -388,9 +369,7 @@ func (n *Node) HandleRPC(from transport.NodeID, req any) (any, error) {
 		if n.declines(r.Direct, r.Key) {
 			return declinedResp{}, nil
 		}
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		if err := n.removeLocked(r.Key); err != nil {
+		if err := n.remove(r.Key); err != nil {
 			return nil, err
 		}
 		return struct{}{}, nil
@@ -405,41 +384,27 @@ func (n *Node) HandleRPC(from transport.NodeID, req any) (any, error) {
 		if n.declines(r.Direct, r.Key) {
 			return declinedResp{}, nil
 		}
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		v, ok := n.store[r.Key]
-		if !ok {
-			// Promote a crash-window replica before snapshotting, exactly
-			// as the inline apply path does: the version returned must name
-			// the state the CAS will be judged against.
-			if rv, rok := n.replicas[r.Key]; rok {
-				if err := n.putLocked(r.Key, rv); err != nil {
-					return nil, err
-				}
-				v, ok = rv, true
-			}
-		}
-		return n.vers.Snapshot(r, v, ok), nil
+		// The value and version name one state; in the crash window the
+		// value is the replica copy, which the CAS that follows promotes.
+		var resp dht.GetVerResp
+		err := n.write(r.Key, func(cur any, ok bool) (any, bool, bool) {
+			n.mu.Lock()
+			defer n.mu.Unlock()
+			resp = n.vers.Snapshot(r, cur, ok)
+			return nil, false, false
+		})
+		return resp, err
 	case dht.CASReq:
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		cur, ok := n.store[r.Key]
-		resp, apply := n.vers.CAS(r, cur, ok)
-		if !apply {
-			return resp, nil
-		}
-		// vers.CAS already bumped the version; only journal and install.
-		if r.Keep {
-			if err := n.journalLocked(dht.WALRecord{Op: dht.WALPut, Key: r.Key, Value: r.Value}); err != nil {
-				return nil, err
-			}
-			n.store[r.Key] = r.Value
-		} else {
-			if err := n.journalLocked(dht.WALRecord{Op: dht.WALRemove, Key: r.Key}); err != nil {
-				return nil, err
-			}
-			delete(n.store, r.Key)
-			n.dropReplicaLocked(r.Key)
+		var resp dht.CASResp
+		err := n.write(r.Key, func(cur any, ok bool) (any, bool, bool) {
+			n.mu.Lock()
+			defer n.mu.Unlock()
+			var apply bool
+			resp, apply = n.vers.CAS(r, cur, ok)
+			return r.Value, r.Keep, apply
+		})
+		if err != nil {
+			return nil, err
 		}
 		return resp, nil
 	case handoffReq:
@@ -481,13 +446,8 @@ func (n *Node) retrieveBatch(r retrieveBatchReq) (any, error) {
 	}
 	items := make([]retrieveItem, len(r.Keys))
 	for i, key := range r.Keys {
-		items[i].Declined = n.declines(r.Direct, key)
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for i, key := range r.Keys {
-		if !items[i].Declined {
-			items[i].Value, items[i].Found = n.currentLocked(key)
+		if items[i].Declined = n.declines(r.Direct, key); !items[i].Declined {
+			items[i].Value, items[i].Found = n.LocalGet(key)
 		}
 	}
 	return retrieveBatchResp{Items: items}, nil
@@ -498,32 +458,34 @@ func (n *Node) retrieveBatch(r retrieveBatchReq) (any, error) {
 // over: a node that cannot record losing ownership must keep serving the
 // keys.
 func (n *Node) handleClaim(joiner Ref) (claimResp, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make(map[dht.Key]any)
-	var recs []dht.WALRecord
-	for k, v := range n.store {
+	var keys []dht.Key
+	n.store.Range(func(k dht.Key, _ any) bool {
 		if n.o.router.Closer(dht.HashKey(k), joiner.ID, n.id) {
-			out[k] = v
-			recs = append(recs, dht.WALRecord{Op: dht.WALRemove, Key: k})
+			keys = append(keys, k)
 		}
-	}
-	if err := n.journalLocked(recs...); err != nil {
+		return true
+	})
+	out := make(map[dht.Key]any, len(keys))
+	err := n.writeAll(keys, func(i int, cur any, ok bool) (any, bool, bool) {
+		if ok {
+			out[keys[i]] = cur
+		}
+		return nil, false, ok
+	})
+	if err != nil {
 		return claimResp{}, err
-	}
-	for k := range out {
-		delete(n.store, k)
-		n.vers.Bump(k)
 	}
 	return claimResp{Entries: out}, nil
 }
 
-// StoreSnapshot copies the node's primary store. The daemon uses it as the
-// WAL compaction source after a restart's replay.
+// StoreSnapshot copies the node's primary store.
 func (n *Node) StoreSnapshot() map[dht.Key]any {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return copyEntries(n.store)
+	out := make(map[dht.Key]any, n.store.Len())
+	n.store.Range(func(k dht.Key, v any) bool {
+		out[k] = v
+		return true
+	})
+	return out
 }
 
 // ReplicaSnapshot copies the replica entries the node holds for its
@@ -531,20 +493,12 @@ func (n *Node) StoreSnapshot() map[dht.Key]any {
 func (n *Node) ReplicaSnapshot() map[dht.Key]any {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return copyEntries(n.replicas)
-}
-
-func copyEntries(m map[dht.Key]any) map[dht.Key]any {
-	out := make(map[dht.Key]any, len(m))
-	for k, v := range m {
+	out := make(map[dht.Key]any, len(n.replicas))
+	for k, v := range n.replicas {
 		out[k] = v
 	}
 	return out
 }
 
 // StoreLen returns how many primary entries the node currently stores.
-func (n *Node) StoreLen() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.store)
-}
+func (n *Node) StoreLen() int { return n.store.Len() }

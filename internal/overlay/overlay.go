@@ -1,13 +1,14 @@
 // Package overlay is the one kernel beneath the three structured overlays
 // (internal/chord, internal/pastry, internal/kademlia). Everything that is
-// not routing lives here exactly once: the per-node store with its replica
-// lease and journal hook, the management plane (join, graceful leave, crash,
-// restart, client mode), the replication repair loop, the dht.DHT methods,
-// and the health counters. An overlay package contributes only a Router —
-// its routing state, its routing messages, and the handful of decisions
-// that differ between protocols: how a hash is routed to its owner, which
-// neighbours stand next in line for a key, how a node wires itself in and
-// out, what one maintenance round does, and whether a node owns a hash.
+// not routing lives here exactly once: the per-node store (a dht.Local) with
+// its replicas and their lease, the management plane (join, graceful leave,
+// crash, restart, client mode), the replication repair loop, the dht.DHT
+// methods, and the health counters. An overlay package contributes only a
+// Router — its routing state, its routing messages, and the handful of
+// decisions that differ between protocols: how a hash is routed to its
+// owner, which neighbours stand next in line for a key, how a node wires
+// itself in and out, what one maintenance round does, and whether a node
+// owns a hash.
 //
 // The paper's premise is a substrate-agnostic put/get/lookup; the kernel is
 // that premise applied to the substrates themselves.

@@ -9,7 +9,7 @@ import (
 )
 
 // offerNet carries offers and notes, for each, whether the offering node's
-// store lock was free while the call was in flight.
+// lock was free while the call was in flight.
 type offerNet struct {
 	transport.Interface
 	holder *Node
@@ -31,7 +31,7 @@ func (n *offerNet) Call(_, _ transport.NodeID, req any) (any, error) {
 }
 
 // TestRelocationHoldsNoLockAcrossTheOffer: a node offers an expired replica
-// to the key's owner with its own store lock released. Held across the
+// to the key's owner with its own lock released. Held across the
 // call, it would stall every RPC the node serves for a network round trip,
 // and two nodes offering to each other at once would deadlock.
 func TestRelocationHoldsNoLockAcrossTheOffer(t *testing.T) {

@@ -158,20 +158,15 @@ func (o *Overlay) promoteOwnedReplicas(n *Node) {
 	if len(owned) == 0 {
 		return
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	entries := make(map[dht.Key]any, len(owned))
-	for _, k := range owned {
-		if v, still := n.replicas[k]; still {
-			entries[k] = v
+	err := n.writeAll(owned, func(i int, _ any, ok bool) (any, bool, bool) {
+		if ok {
+			return nil, false, false // the primary wins, and its copy goes
 		}
-	}
-	if err := n.absorbLocked(entries, false); err != nil {
+		v, still := n.replica(owned[i])
+		return v, true, still
+	})
+	if err != nil {
 		o.NoteMaintenanceError(err)
-		return
-	}
-	for k := range entries {
-		n.dropReplicaLocked(k)
 	}
 }
 
@@ -304,9 +299,7 @@ func (o *Overlay) rehome(n *Node, k dht.Key, v any) bool {
 	if owner, err := o.offer(n, k, v); err != nil || owner.Addr == n.addr {
 		return false
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if err := n.removeLocked(k); err != nil {
+	if err := n.remove(k); err != nil {
 		o.NoteMaintenanceError(err)
 		return false
 	}
