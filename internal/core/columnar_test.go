@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mlight/internal/bitlabel"
@@ -38,7 +39,7 @@ func sameRecordSlice(t *testing.T, got, want []spatial.Record) {
 		t.Fatalf("record count %d, want %d", len(got), len(want))
 	}
 	for i := range want {
-		if got[i].Data != want[i].Data || !samePoint(got[i].Key, want[i].Key) {
+		if got[i].Data != want[i].Data || !slices.Equal(got[i].Key, want[i].Key) {
 			t.Fatalf("record %d = %v %q, want %v %q",
 				i, got[i].Key, got[i].Data, want[i].Key, want[i].Data)
 		}
@@ -68,14 +69,14 @@ func TestColumnarMatchesSliceLayout(t *testing.T) {
 			}
 			sameRecordSlice(t, b.Records(), want)
 			for i, rec := range want {
-				if !samePoint(b.KeyAt(i), rec.Key) {
+				if !slices.Equal(b.KeyAt(i), rec.Key) {
 					t.Fatalf("%s: KeyAt(%d) = %v, want %v", name, i, b.KeyAt(i), rec.Key)
 				}
 				if b.DataAt(i) != rec.Data {
 					t.Fatalf("%s: DataAt(%d) = %q, want %q", name, i, b.DataAt(i), rec.Data)
 				}
 				ri := b.RecordAt(i)
-				if !samePoint(ri.Key, rec.Key) || ri.Data != rec.Data {
+				if !slices.Equal(ri.Key, rec.Key) || ri.Data != rec.Data {
 					t.Fatalf("%s: RecordAt(%d) = %v, want %v", name, i, ri, rec)
 				}
 			}
@@ -284,7 +285,7 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 		}
 		got := b.Records()
 		for i := range want {
-			if got[i].Data != want[i].Data || !samePoint(got[i].Key, want[i].Key) {
+			if got[i].Data != want[i].Data || !slices.Equal(got[i].Key, want[i].Key) {
 				t.Fatalf("record %d differs", i)
 			}
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"mlight/internal/bitlabel"
 	"mlight/internal/kdtree"
@@ -213,7 +214,7 @@ func Remove(stored Bucket, key spatial.Point, data string) Removal {
 		return Removal{Keep: Bucket{Label: leaf}, Gone: true}
 	}
 	for i, n := 0, stored.Load(); i < n; i++ {
-		if samePoint(stored.KeyAt(i), key) && (data == "" || stored.DataAt(i) == data) {
+		if slices.Equal(stored.KeyAt(i), key) && (data == "" || stored.DataAt(i) == data) {
 			return Removal{Keep: Bucket{Label: leaf, rs: stored.rs.without(i)}, Load: n - 1, Removed: true}
 		}
 	}

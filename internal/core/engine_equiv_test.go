@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mlight/internal/bitlabel"
@@ -351,7 +352,7 @@ func sameRecords(a, b []spatial.Record) bool {
 		return false
 	}
 	for i := range a {
-		if a[i].Data != b[i].Data || !samePoint(a[i].Key, b[i].Key) {
+		if a[i].Data != b[i].Data || !slices.Equal(a[i].Key, b[i].Key) {
 			return false
 		}
 	}

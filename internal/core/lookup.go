@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"mlight/internal/bitlabel"
 	"mlight/internal/dht"
@@ -279,23 +280,11 @@ func (ix *Index) Exact(key spatial.Point) ([]spatial.Record, error) {
 	}
 	var out []spatial.Record
 	for i, n := 0, b.Load(); i < n; i++ {
-		if samePoint(b.KeyAt(i), key) {
+		if slices.Equal(b.KeyAt(i), key) {
 			out = append(out, b.RecordAt(i))
 		}
 	}
 	return out, nil
-}
-
-func samePoint(a, b spatial.Point) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // EstimateDepth estimates the index tree's current depth by probing sample

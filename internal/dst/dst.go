@@ -23,6 +23,7 @@ package dst
 
 import (
 	"fmt"
+	"slices"
 
 	"mlight/internal/bitlabel"
 	"mlight/internal/dht"
@@ -149,7 +150,7 @@ func (ix *Index) Delete(key spatial.Point, data string) (bool, error) {
 				return cur, true
 			}
 			for i, r := range n.Records {
-				if samePoint(r.Key, key) && (data == "" || r.Data == data) {
+				if slices.Equal(r.Key, key) && (data == "" || r.Data == data) {
 					records := append([]spatial.Record{}, n.Records[:i]...)
 					records = append(records, n.Records[i+1:]...)
 					n.Records = records
@@ -183,7 +184,7 @@ func (ix *Index) Lookup(key spatial.Point) ([]spatial.Record, error) {
 	}
 	var out []spatial.Record
 	for _, r := range n.Records {
-		if samePoint(r.Key, key) {
+		if slices.Equal(r.Key, key) {
 			out = append(out, r)
 		}
 	}
@@ -206,16 +207,4 @@ func (ix *Index) getNode(l bitlabel.Label, probes *int) (node, bool, error) {
 		return node{}, false, fmt.Errorf("dst: key %v holds %T", l, v)
 	}
 	return n, true, nil
-}
-
-func samePoint(a, b spatial.Point) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -7,13 +7,12 @@ import (
 	"mlight/internal/dht"
 	"mlight/internal/kademlia"
 	"mlight/internal/metrics"
-	"mlight/internal/overlay"
 	"mlight/internal/simnet"
 )
 
 // lookupParams is the section's configuration: the shared knobs (it reads
 // Seed and HopDelay), the Kademlia overlay's size, and how many overlay Gets
-// each (mode, loss) cell measures.
+// each phase, lossless and lossy, measures.
 type lookupParams struct {
 	Config
 	nodes, keys int
@@ -35,21 +34,21 @@ func lookupAt(cfg Config, scale Scale) (lookupParams, error) {
 
 func lookupReport(res LookupResult) Report {
 	return Report{Summary: res, Lines: []string{fmt.Sprintf(
-		"per-Get p99: serial %.1fms lossless / %.1fms lossy, parallel %.1fms lossless / %.1fms lossy (max %d RPCs in flight)",
+		"per-Get p99: summed RTT %.1fms lossless / %.1fms lossy, wall clock %.1fms lossless / %.1fms lossy (max %d RPCs in flight)",
 		res.SerialLossless.P99MS, res.SerialLossy.P99MS,
 		res.ParallelLossless.P99MS, res.ParallelLossy.P99MS, res.ParallelMaxInFlight)}}
 }
 
-// LookupLatency is one measured per-Get wall-clock distribution.
+// LookupLatency is one per-Get latency distribution.
 type LookupLatency struct {
 	P50MS float64 `json:"p50_ms"`
 	P99MS float64 `json:"p99_ms"`
 }
 
 // LookupResult is the machine-readable outcome of the lookup experiment
-// (written to BENCH_lookup.json by cmd/mlight-bench): the serial and the
-// α-parallel iterative lookup compared on identical overlays (same simnet
-// seed, same keys).
+// (written to BENCH_lookup.json by cmd/mlight-bench): the α-parallel
+// iterative lookup's measured wall clock beside the one-RPC-at-a-time time
+// of the same Gets.
 type LookupResult struct {
 	// Configuration echo.
 	OverlayNodes int     `json:"overlay_nodes"`
@@ -57,34 +56,33 @@ type LookupResult struct {
 	DropRate     float64 `json:"drop_rate"`
 	Keys         int     `json:"keys"`
 
-	// Per-Get wall-clock distributions: serial vs α-parallel, lossless and
-	// under lookupDropRate link loss (retries via dht.Resilient in both modes).
+	// Per-Get distributions, lossless and under lookupDropRate link loss
+	// (retries via dht.Resilient). Serial is the sum of the round trips
+	// each Get's delivered RPCs took (simnet.SimulatedRTT), which is what a
+	// lookup sending one RPC at a time sleeps through; Parallel is the
+	// measured wall clock of the same Gets.
 	SerialLossless   LookupLatency `json:"serial_lossless"`
 	ParallelLossless LookupLatency `json:"parallel_lossless"`
 	SerialLossy      LookupLatency `json:"serial_lossy"`
 	ParallelLossy    LookupLatency `json:"parallel_lossy"`
 	// ParallelMaxInFlight is the high-water mark of concurrently
-	// outstanding FIND_NODE RPCs in the parallel overlay (> 1 shows the
-	// α-batches genuinely overlapped).
+	// outstanding FIND_NODE RPCs (> 1 shows the α-batches genuinely
+	// overlapped).
 	ParallelMaxInFlight int64 `json:"parallel_max_in_flight"`
-	// Timeouts counts overlay RPCs cut off by the adaptive deadline, per
-	// mode, across both measurement phases.
-	SerialTimeouts   int64 `json:"serial_timeouts"`
+	// ParallelTimeouts counts overlay RPCs cut off by the adaptive deadline
+	// across both measurement phases.
 	ParallelTimeouts int64 `json:"parallel_timeouts"`
 }
 
 // lookupOverlay builds a loss-free, delay-free Kademlia overlay, loads the
 // measurement keys, and wraps it in the resilient retry layer. Real delays
 // are enabled just before returning so only measured Gets pay them.
-func lookupOverlay(cfg lookupParams, serial bool, keys []dht.Key) (*kademlia.Overlay, dht.DHT, *simnet.Network, error) {
+func lookupOverlay(cfg lookupParams, keys []dht.Key) (*kademlia.Overlay, dht.DHT, *simnet.Network, error) {
 	net := simnet.New(simnet.Options{
 		Latency: simnet.ConstantLatency(cfg.HopDelay),
 		Seed:    cfg.Seed,
 	})
-	o := kademlia.NewOverlay(net, kademlia.Config{
-		Config: overlay.Config{Seed: cfg.Seed, Replication: 3},
-		Serial: serial,
-	})
+	o := kademlia.NewOverlay(net, kademlia.Config{Seed: cfg.Seed, Replication: 3})
 	for i := 0; i < cfg.nodes; i++ {
 		if _, err := o.AddNode(simnet.NodeID(fmt.Sprintf("node-%d", i))); err != nil {
 			return nil, nil, nil, fmt.Errorf("experiments: lookup overlay: %w", err)
@@ -105,31 +103,33 @@ func lookupOverlay(cfg lookupParams, serial bool, keys []dht.Key) (*kademlia.Ove
 	return o, res, net, nil
 }
 
-// measureGets times each key's Get individually and returns the p50/p99 of
-// the per-Get wall clock.
-func measureGets(d dht.DHT, keys []dht.Key) (LookupLatency, error) {
-	samples := make([]float64, 0, len(keys))
+// measureGets runs each key's Get and returns the p50/p99 of its summed
+// round trips (the change in net's SimulatedRTT) and of its wall clock.
+func measureGets(d dht.DHT, net *simnet.Network, keys []dht.Key) (serial, wall LookupLatency, err error) {
+	summed := make([]float64, 0, len(keys))
+	walls := make([]float64, 0, len(keys))
 	for i, k := range keys {
-		start := time.Now()
+		rtt0, start := net.SimulatedRTT(), time.Now()
 		v, ok, err := d.Get(k)
-		wall := time.Since(start)
+		took, rtt := time.Since(start), net.SimulatedRTT()-rtt0
 		if err != nil {
-			return LookupLatency{}, fmt.Errorf("experiments: lookup Get(%q): %w", k, err)
+			return serial, wall, fmt.Errorf("experiments: lookup Get(%q): %w", k, err)
 		}
 		if !ok || v != i {
-			return LookupLatency{}, fmt.Errorf("experiments: lookup Get(%q) = %v, %v; want %d", k, v, ok, i)
+			return serial, wall, fmt.Errorf("experiments: lookup Get(%q) = %v, %v; want %d", k, v, ok, i)
 		}
-		samples = append(samples, float64(wall)/float64(time.Millisecond))
+		summed = append(summed, float64(rtt)/float64(time.Millisecond))
+		walls = append(walls, float64(took)/float64(time.Millisecond))
 	}
-	return LookupLatency{
-		P50MS: metrics.Quantile(samples, 0.50),
-		P99MS: metrics.Quantile(samples, 0.99),
-	}, nil
+	quantiles := func(ms []float64) LookupLatency {
+		return LookupLatency{P50MS: metrics.Quantile(ms, 0.50), P99MS: metrics.Quantile(ms, 0.99)}
+	}
+	return quantiles(summed), quantiles(walls), nil
 }
 
-// lookup measures the α-parallel iterative Kademlia lookup against the
-// serial one-RPC-at-a-time round it replaced: per-Get wall clock, lossless
-// and under link loss.
+// lookup measures the α-parallel iterative Kademlia lookup's per-Get wall
+// clock against the summed round trips of the same Gets, lossless and under
+// link loss.
 func lookup(cfg lookupParams) (LookupResult, error) {
 	res := LookupResult{
 		OverlayNodes: cfg.nodes,
@@ -137,37 +137,22 @@ func lookup(cfg lookupParams) (LookupResult, error) {
 		DropRate:     lookupDropRate,
 		Keys:         cfg.keys,
 	}
-
 	keys := make([]dht.Key, cfg.keys)
 	for i := range keys {
 		keys[i] = dht.Key(fmt.Sprintf("lookup-key-%d", i))
 	}
-	type mode struct {
-		serial   bool
-		lossless *LookupLatency
-		lossy    *LookupLatency
-		timeouts *int64
+	o, d, net, err := lookupOverlay(cfg, keys)
+	if err != nil {
+		return res, err
 	}
-	modes := []mode{
-		{true, &res.SerialLossless, &res.SerialLossy, &res.SerialTimeouts},
-		{false, &res.ParallelLossless, &res.ParallelLossy, &res.ParallelTimeouts},
+	if res.SerialLossless, res.ParallelLossless, err = measureGets(d, net, keys); err != nil {
+		return res, err
 	}
-	for _, m := range modes {
-		o, d, net, err := lookupOverlay(cfg, m.serial, keys)
-		if err != nil {
-			return res, err
-		}
-		if *m.lossless, err = measureGets(d, keys); err != nil {
-			return res, err
-		}
-		net.SetDropRate(lookupDropRate)
-		if *m.lossy, err = measureGets(d, keys); err != nil {
-			return res, err
-		}
-		*m.timeouts = kademlia.RoutingOf(o).LookupTimeouts.Load()
-		if !m.serial {
-			res.ParallelMaxInFlight = kademlia.RoutingOf(o).LookupInFlight.Load()
-		}
+	net.SetDropRate(lookupDropRate)
+	if res.SerialLossy, res.ParallelLossy, err = measureGets(d, net, keys); err != nil {
+		return res, err
 	}
+	res.ParallelTimeouts = kademlia.RoutingOf(o).LookupTimeouts.Load()
+	res.ParallelMaxInFlight = kademlia.RoutingOf(o).LookupInFlight.Load()
 	return res, nil
 }

@@ -5,15 +5,14 @@ import (
 	"testing"
 
 	"mlight/internal/dht"
-	"mlight/internal/overlay"
 	"mlight/internal/simnet"
 )
 
-// benchOverlay builds a preloaded 16-node overlay in the given lookup mode.
-func benchOverlay(b *testing.B, serial bool, keys int) *Overlay {
+// benchOverlay builds a preloaded 16-node overlay.
+func benchOverlay(b *testing.B, keys int) *Overlay {
 	b.Helper()
 	net := simnet.New(simnet.Options{Seed: 3})
-	o := NewOverlay(net, Config{Config: overlay.Config{Seed: 1}, Serial: serial})
+	o := NewOverlay(net, Config{Seed: 1})
 	for i := 0; i < 16; i++ {
 		if _, err := o.AddNode(simnet.NodeID(fmt.Sprintf("node-%d", i))); err != nil {
 			b.Fatalf("AddNode(%d): %v", i, err)
@@ -28,28 +27,17 @@ func benchOverlay(b *testing.B, serial bool, keys int) *Overlay {
 	return o
 }
 
-// BenchmarkIterativeLookup measures one overlay Get end to end, comparing
-// the serial one-RPC-at-a-time iterative round against the α-parallel round
-// (concurrent candidate RPCs per round, identical accounting).
+// BenchmarkIterativeLookup measures one overlay Get end to end: the
+// α-parallel iterative lookup, the liveness probe and the read.
 func BenchmarkIterativeLookup(b *testing.B) {
 	const keys = 32
-	for _, mode := range []struct {
-		name   string
-		serial bool
-	}{
-		{"serial", true},
-		{"alpha-parallel", false},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			o := benchOverlay(b, mode.serial, keys)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k := dht.Key(fmt.Sprintf("bench-%d", i%keys))
-				v, ok, err := o.Get(k)
-				if err != nil || !ok || v != i%keys {
-					b.Fatalf("Get(%q) = %v, %v, %v", k, v, ok, err)
-				}
-			}
-		})
+	o := benchOverlay(b, keys)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := dht.Key(fmt.Sprintf("bench-%d", i%keys))
+		v, ok, err := o.Get(k)
+		if err != nil || !ok || v != i%keys {
+			b.Fatalf("Get(%q) = %v, %v, %v", k, v, ok, err)
+		}
 	}
 }

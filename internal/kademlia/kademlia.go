@@ -34,7 +34,6 @@ import (
 	"mlight/internal/dht"
 	"mlight/internal/metrics"
 	"mlight/internal/overlay"
-	"mlight/internal/trace"
 	"mlight/internal/transport"
 )
 
@@ -51,22 +50,22 @@ const (
 // maxRounds bounds one iterative lookup.
 const maxRounds = 64
 
-// ErrRPCTimeout is returned when a single overlay RPC exceeds its adaptive
+// ErrTimeout is returned when a single overlay RPC exceeds its adaptive
 // deadline. It is retryable: a hung peer may answer the next attempt, and
 // the iterative lookup treats a timed-out candidate exactly like an
 // unreachable one.
-var ErrRPCTimeout = dht.Retryable(errors.New("kademlia: rpc timed out"))
+var ErrTimeout = dht.Retryable(errors.New("kademlia: rpc timed out"))
 
-// minRPCTimeout floors the adaptive per-RPC deadline so a few fast early
+// minDeadline floors the adaptive per-RPC deadline so a few fast early
 // observations cannot starve slower links.
-const minRPCTimeout = 200 * time.Millisecond
+const minDeadline = 200 * time.Millisecond
 
 // rttEstimator maintains an EWMA of observed round-trip times and derives
 // the adaptive per-RPC timeout from it (Salah/Roos/Strufe: timeouts sized
 // from live RTT measurements, not a fixed worst case, are what make
 // α-parallel lookups cut tail latency instead of stacking full-deadline
 // waits). Before any observation the estimator answers with a
-// seeded-deterministic fallback in [minRPCTimeout, 2·minRPCTimeout), so a
+// seeded-deterministic fallback in [minDeadline, 2·minDeadline), so a
 // fixed seed yields the same timeout schedule on every run.
 type rttEstimator struct {
 	mu       sync.Mutex
@@ -90,7 +89,7 @@ func (e *rttEstimator) observe(rtt time.Duration) {
 }
 
 // timeout returns the current per-RPC deadline: 4× the smoothed RTT,
-// floored at minRPCTimeout, or the seeded fallback before any observation.
+// floored at minDeadline, or the seeded fallback before any observation.
 func (e *rttEstimator) timeout() time.Duration {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -98,8 +97,8 @@ func (e *rttEstimator) timeout() time.Duration {
 		return e.fallback
 	}
 	t := 4 * e.ewma
-	if t < minRPCTimeout {
-		t = minRPCTimeout
+	if t < minDeadline {
+		t = minDeadline
 	}
 	return t
 }
@@ -303,24 +302,10 @@ func (n *node) Owns(h dht.ID) bool {
 	return true
 }
 
-// Config tunes an Overlay: the kernel's configuration (Replication is the
-// original paper's "store at the k closest" rule, capped at K; Seed also
-// drives the pre-observation RPC timeout fallback) plus the lookup engine's.
-type Config struct {
-	overlay.Config
-	// Serial forces the historical one-RPC-at-a-time lookup and
-	// liveness-probe path. It is kept as the before/after yardstick for
-	// the α-parallel rewrite: accounting (Hops, Lookups) is identical in
-	// both modes for a fixed seed, only wall-clock and ping scheduling
-	// differ (serial liveness probing early-exits after the first live
-	// contact; parallel probing pings all candidates at once and
-	// adjudicates in closest order).
-	Serial bool
-	// RPCTimeout fixes the per-RPC deadline; 0 means adaptive (4× the
-	// EWMA of observed round trips, floored at 200ms, with a
-	// seeded-deterministic fallback before the first observation).
-	RPCTimeout time.Duration
-}
+// Config tunes an Overlay. Replication is the original paper's "store at
+// the k closest" rule, capped at K; Seed also drives the pre-observation
+// RPC timeout fallback.
+type Config = overlay.Config
 
 // Overlay is the overlay kernel running Kademlia routing.
 type Overlay = overlay.Overlay
@@ -328,14 +313,14 @@ type Overlay = overlay.Overlay
 // Routing is Kademlia's overlay.Router: the lookup engine, its adaptive
 // deadline, and its counters. RoutingOf retrieves it from an Overlay.
 type Routing struct {
-	k          *overlay.Overlay
-	serial     bool
+	k *overlay.Overlay
+	// rpcTimeout fixes the per-RPC deadline; 0, the default, means
+	// adaptive (rtt). Only tests set it.
 	rpcTimeout time.Duration
 	rtt        rttEstimator
 
 	mu          sync.Mutex
 	lastPingErr error
-	tracer      *trace.Collector
 
 	// Pings counts liveness-probe RPCs; PingFailures counts the ones that
 	// failed (dead or unreachable contact). The lookup entry node vouches
@@ -357,13 +342,11 @@ func NewOverlay(net transport.Interface, cfg Config) *Overlay {
 	// entry-selection stream stays byte-identical to earlier versions for
 	// a given seed.
 	fallbackRng := rand.New(rand.NewSource(cfg.Seed ^ 0x746d656f75747331))
-	return overlay.New(net, cfg.Config, "kademlia", K, func(k *overlay.Overlay) overlay.Router {
+	return overlay.New(net, cfg, "kademlia", K, func(k *overlay.Overlay) overlay.Router {
 		return &Routing{
-			k:          k,
-			serial:     cfg.Serial,
-			rpcTimeout: cfg.RPCTimeout,
+			k: k,
 			rtt: rttEstimator{
-				fallback: minRPCTimeout + time.Duration(fallbackRng.Int63n(int64(minRPCTimeout))),
+				fallback: minDeadline + time.Duration(fallbackRng.Int63n(int64(minDeadline))),
 			},
 		}
 	})
@@ -385,21 +368,6 @@ func (r *Routing) Closer(target, a, b dht.ID) bool { return closerTo(target, a, 
 func (r *Routing) Neighbours(of ref, near dht.ID) ([]ref, error) {
 	oc := r.findNodeOne(of, near, of)
 	return oc.resp.Closest, oc.err
-}
-
-// SetTracer attaches a trace collector: every iterative lookup is recorded
-// as a KindLookup span with one KindRound child per α-batch. A nil
-// collector, the default, records nothing.
-func (r *Routing) SetTracer(c *trace.Collector) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.tracer = c
-}
-
-func (r *Routing) getTracer() *trace.Collector {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.tracer
 }
 
 // Join implements overlay.NodeRouter: seed the routing table from a
@@ -481,7 +449,7 @@ func (r *Routing) Tick() {
 // timedCall issues one overlay RPC under the adaptive per-RPC deadline. On
 // success the modeled round trip feeds the RTT estimator, tightening future
 // deadlines. A timeout abandons the in-flight call (its goroutine drains
-// into a buffered channel) and returns ErrRPCTimeout.
+// into a buffered channel) and returns ErrTimeout.
 func (r *Routing) timedCall(to transport.NodeID, req any) (any, error) {
 	net, client := r.k.Net(), r.k.Client()
 	timeout := r.RPCDeadline()
@@ -509,7 +477,7 @@ func (r *Routing) timedCall(to transport.NodeID, req any) (any, error) {
 			// profile cannot time out every future call indefinitely.
 			r.rtt.decay()
 		}
-		return nil, fmt.Errorf("%w: %q after %v", ErrRPCTimeout, to, timeout)
+		return nil, fmt.Errorf("%w: %q after %v", ErrTimeout, to, timeout)
 	}
 }
 
@@ -522,22 +490,14 @@ type findOutcome struct {
 	err  error
 }
 
-// findNodeRound issues the round's batch of FIND_NODE RPCs — concurrently
-// up to α in the default mode, one at a time under Config.Serial — and
-// returns outcomes positionally aligned with batch. Hops accounting happens
-// up front (one per issued RPC, identical in both modes), and results are
-// merged by the caller in batch order, so the counters and the shortlist
-// evolution for a fixed seed do not depend on goroutine scheduling.
+// findNodeRound issues the round's batch of up to α FIND_NODE RPCs
+// concurrently and returns outcomes positionally aligned with batch. Hops
+// accounting happens up front (one per issued RPC), and results are merged
+// by the caller in batch order, so the counters and the shortlist evolution
+// for a fixed seed do not depend on the order in which the RPCs finish.
 func (r *Routing) findNodeRound(origin ref, target dht.ID, batch []ref) []findOutcome {
 	r.k.Hops.Add(int64(len(batch)))
 	out := make([]findOutcome, len(batch))
-	if r.serial || len(batch) == 1 {
-		r.LookupInFlight.Observe(1)
-		for i, c := range batch {
-			out[i] = r.findNodeOne(origin, target, c)
-		}
-		return out
-	}
 	r.LookupInFlight.Observe(int64(len(batch)))
 	var wg sync.WaitGroup
 	for i, c := range batch {
@@ -570,12 +530,6 @@ func (r *Routing) findNodeOne(origin ref, target dht.ID, c ref) findOutcome {
 // Hops counter, and the returned contacts are reproducible regardless of
 // how the concurrent RPCs interleave.
 func (r *Routing) iterativeFindNode(origin ref, target dht.ID) ([]ref, error) {
-	tracer := r.getTracer()
-	var span trace.SpanID
-	if tracer != nil {
-		span = tracer.Begin(0, trace.KindLookup, "kademlia find-node",
-			trace.Int("alpha", Alpha))
-	}
 	type candidate struct {
 		ref     ref
 		queried bool
@@ -593,8 +547,7 @@ func (r *Routing) iterativeFindNode(origin ref, target dht.ID) ([]ref, error) {
 		})
 		return out
 	}
-	rounds := 0
-	for ; rounds < maxRounds; rounds++ {
+	for range maxRounds {
 		// Termination rule (per the paper): stop once the K closest known
 		// candidates have all been queried — not merely when a round adds
 		// nothing new, since an unqueried near candidate can still reveal
@@ -620,20 +573,12 @@ func (r *Routing) iterativeFindNode(origin ref, target dht.ID) ([]ref, error) {
 			c.queried = true
 			refs[i] = c.ref
 		}
-		var roundSpan trace.SpanID
-		if tracer != nil {
-			roundSpan = tracer.Begin(span, trace.KindRound, "find-node round",
-				trace.Int("batch", int64(len(refs))))
-		}
-		outcomes := r.findNodeRound(origin, target, refs)
-		failed := 0
-		for i, oc := range outcomes {
+		for i, oc := range r.findNodeRound(origin, target, refs) {
 			if oc.err != nil {
 				// Call failure, timeout, or malformed response: the
 				// contact is useless — drop it from the shortlist so it
 				// neither occupies a top-K slot nor appears in the result.
 				delete(shortlist, refs[i].Addr)
-				failed++
 				continue
 			}
 			for _, found := range oc.resp.Closest {
@@ -642,9 +587,6 @@ func (r *Routing) iterativeFindNode(origin ref, target dht.ID) ([]ref, error) {
 				}
 			}
 		}
-		if tracer != nil {
-			tracer.End(roundSpan, trace.Int("failed", int64(failed)))
-		}
 	}
 	out := make([]ref, 0, K)
 	for _, c := range sortedList() {
@@ -652,9 +594,6 @@ func (r *Routing) iterativeFindNode(origin ref, target dht.ID) ([]ref, error) {
 			break
 		}
 		out = append(out, c.ref)
-	}
-	if tracer != nil {
-		tracer.End(span, trace.Int("rounds", int64(rounds)), trace.Int("found", int64(len(out))))
 	}
 	if len(out) == 0 {
 		return nil, errors.New("kademlia: lookup found no contact")
@@ -695,39 +634,18 @@ func (r *Routing) pingContact(entry ref, c ref) bool {
 }
 
 // probeLive returns the first count live contacts from closest, preserving
-// closest-first order. The default mode pings every candidate concurrently
-// and then adjudicates in closest order — first-count-live wins, and the
-// winner set is deterministic because selection ignores arrival order.
-// Under Config.Serial it reproduces the historical behaviour: ping one at a
-// time, stop at count live (fewer Pings, sum-of-RTT wall-clock).
+// closest-first order. It pings one contact at a time and stops at count
+// live ones, so a lossless route whose closest contact is the entry sends no
+// ping and any other sends one. Pinging every candidate at once would not
+// be faster: the verdict needs the closest contact's answer, and a fan-out
+// waits for every ping.
 func (r *Routing) probeLive(entry ref, closest []ref, count int) []ref {
 	out := make([]ref, 0, count)
-	if r.serial {
-		for _, c := range closest {
-			if len(out) >= count {
-				break
-			}
-			if r.pingContact(entry, c) {
-				out = append(out, c)
-			}
-		}
-		return out
-	}
-	live := make([]bool, len(closest))
-	var wg sync.WaitGroup
-	for i, c := range closest {
-		wg.Add(1)
-		go func(i int, c ref) {
-			defer wg.Done()
-			live[i] = r.pingContact(entry, c)
-		}(i, c)
-	}
-	wg.Wait()
-	for i, c := range closest {
+	for _, c := range closest {
 		if len(out) >= count {
 			break
 		}
-		if live[i] {
+		if r.pingContact(entry, c) {
 			out = append(out, c)
 		}
 	}

@@ -8,12 +8,18 @@ import (
 	"mlight/internal/dht/dhttest"
 	"mlight/internal/overlay"
 	"mlight/internal/simnet"
+	"mlight/internal/transport"
 )
 
 func buildOverlay(t *testing.T, n int) *Overlay {
 	t.Helper()
-	net := simnet.New(simnet.Options{})
-	o := NewOverlay(net, Config{Config: overlay.Config{Seed: 1}})
+	return buildOverlayOn(t, simnet.New(simnet.Options{}), n, 1)
+}
+
+// buildOverlayOn builds an n-node overlay with the given seed on net.
+func buildOverlayOn(t *testing.T, net transport.Interface, n int, seed int64) *Overlay {
+	t.Helper()
+	o := NewOverlay(net, Config{Seed: seed})
 	for i := 0; i < n; i++ {
 		if _, err := o.AddNode(simnet.NodeID(fmt.Sprintf("node-%d", i))); err != nil {
 			t.Fatalf("AddNode(%d): %v", i, err)
@@ -213,7 +219,7 @@ func TestDistributionAcrossNodes(t *testing.T) {
 func buildReplicatedOverlay(t *testing.T, n, replication int) *Overlay {
 	t.Helper()
 	net := simnet.New(simnet.Options{})
-	o := NewOverlay(net, Config{Config: overlay.Config{Seed: 1, Replication: replication}})
+	o := NewOverlay(net, Config{Seed: 1, Replication: replication})
 	for i := 0; i < n; i++ {
 		if _, err := o.AddNode(simnet.NodeID(fmt.Sprintf("node-%d", i))); err != nil {
 			t.Fatal(err)
@@ -295,11 +301,11 @@ func TestReplicationRangeDeduplicates(t *testing.T) {
 }
 
 func TestReplicationFactorClamped(t *testing.T) {
-	o := NewOverlay(simnet.New(simnet.Options{}), Config{Config: overlay.Config{Replication: 99}})
+	o := NewOverlay(simnet.New(simnet.Options{}), Config{Replication: 99})
 	if o.Replication() != K {
 		t.Errorf("replication = %d, want clamp at %d", o.Replication(), K)
 	}
-	o2 := NewOverlay(simnet.New(simnet.Options{}), Config{Config: overlay.Config{Replication: -1}})
+	o2 := NewOverlay(simnet.New(simnet.Options{}), Config{Replication: -1})
 	if o2.Replication() != 1 {
 		t.Errorf("replication = %d, want 1", o2.Replication())
 	}

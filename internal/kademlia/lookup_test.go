@@ -6,11 +6,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"mlight/internal/dht"
 	"mlight/internal/dht/dhttest"
-	"mlight/internal/overlay"
 	"mlight/internal/simnet"
+	"mlight/internal/transport"
 )
 
 // TestMalformedResponseEvictsCandidate is the regression test for the
@@ -85,8 +86,6 @@ func TestProbeLiveAccounting(t *testing.T) {
 	})
 
 	t.Run("serial-early-exit", func(t *testing.T) {
-		RoutingOf(o).serial = true
-		defer func() { RoutingOf(o).serial = false }()
 		RoutingOf(o).Pings.Reset()
 		RoutingOf(o).PingFailures.Reset()
 		out := RoutingOf(o).probeLive(entry.Ref(), closest, 1)
@@ -101,27 +100,37 @@ func TestProbeLiveAccounting(t *testing.T) {
 	})
 }
 
-func buildOverlayMode(t *testing.T, n int, serial bool) *Overlay {
-	t.Helper()
-	net := simnet.New(simnet.Options{Seed: 3})
-	o := NewOverlay(net, Config{Config: overlay.Config{Seed: 1}, Serial: serial})
-	for i := 0; i < n; i++ {
-		if _, err := o.AddNode(simnet.NodeID(fmt.Sprintf("node-%d", i))); err != nil {
-			t.Fatalf("AddNode(%d): %v", i, err)
+// skewNet delays each call by an amount its destination picks, once on is
+// set, so the RPCs of one α-batch finish in an order the delays choose;
+// reverse inverts that order.
+type skewNet struct {
+	*simnet.Network
+	reverse bool
+	on      atomic.Bool
+}
+
+func (s *skewNet) Call(from, to transport.NodeID, req any) (any, error) {
+	if s.on.Load() {
+		d := time.Duration(dht.HashString(string(to))[0] % 4)
+		if s.reverse {
+			d = 3 - d
 		}
+		time.Sleep(d * 100 * time.Microsecond)
 	}
-	o.Stabilize(2)
-	return o
+	return s.Network.Call(from, to, req)
 }
 
 // TestSerialParallelIdenticalAccounting: the α-parallel lookup must report
-// the same Hops and Lookups as the serial baseline for a fixed seed — the
+// the same Hops and Lookups however its concurrent RPCs interleave — the
 // round batches are chosen before any RPC is issued and outcomes merge in
-// batch order, so concurrency changes wall-clock, never the counters.
+// batch order, so two seeded runs whose RPCs finish in opposite orders
+// agree on every value and counter.
 func TestSerialParallelIdenticalAccounting(t *testing.T) {
-	serial := buildOverlayMode(t, 16, true)
-	parallel := buildOverlayMode(t, 16, false)
-	run := func(o *Overlay) map[dht.Key]any {
+	seed := dhttest.SeedFromEnv(1)
+	run := func(reverse bool) (*Overlay, map[dht.Key]any) {
+		net := &skewNet{Network: simnet.New(simnet.Options{Seed: 3}), reverse: reverse}
+		o := buildOverlayOn(t, net, 16, seed)
+		net.on.Store(true)
 		o.Hops.Reset()
 		o.Lookups.Reset()
 		got := make(map[dht.Key]any)
@@ -139,23 +148,49 @@ func TestSerialParallelIdenticalAccounting(t *testing.T) {
 			}
 			got[k] = v
 		}
-		return got
+		return o, got
 	}
-	gotSerial := run(serial)
-	gotParallel := run(parallel)
-	for k, v := range gotSerial {
-		if gotParallel[k] != v {
-			t.Errorf("value mismatch at %q: serial %v, parallel %v", k, v, gotParallel[k])
+	a, gotA := run(false)
+	b, gotB := run(true)
+	for k, v := range gotA {
+		if gotB[k] != v {
+			t.Errorf("value mismatch at %q: %v, reversed %v", k, v, gotB[k])
 		}
 	}
-	if s, p := serial.Hops.Load(), parallel.Hops.Load(); s != p {
-		t.Errorf("Hops: serial %d, parallel %d — accounting must not depend on scheduling", s, p)
+	if x, y := a.Hops.Load(), b.Hops.Load(); x != y {
+		t.Errorf("Hops: %d, reversed %d — accounting must not depend on scheduling", x, y)
 	}
-	if s, p := serial.Lookups.Load(), parallel.Lookups.Load(); s != p {
-		t.Errorf("Lookups: serial %d, parallel %d", s, p)
+	if x, y := a.Lookups.Load(), b.Lookups.Load(); x != y {
+		t.Errorf("Lookups: %d, reversed %d", x, y)
 	}
-	if hw := RoutingOf(parallel).LookupInFlight.Load(); hw < 2 {
-		t.Errorf("LookupInFlight high-water = %d, want ≥ 2 (rounds actually ran concurrently)", hw)
+	for _, o := range []*Overlay{a, b} {
+		if hw := RoutingOf(o).LookupInFlight.Load(); hw < 2 {
+			t.Errorf("LookupInFlight high-water = %d, want ≥ 2 (rounds actually ran concurrently)", hw)
+		}
+	}
+}
+
+// TestRoutePingsPinned pins the liveness probe's cost: on a lossless
+// overlay a route pings only its closest contact, and only when that
+// contact is not the entry, so 200 seeded routes send fewer than 200 pings.
+// A probe that pinged every candidate sent about 7.5 a route here.
+func TestRoutePingsPinned(t *testing.T) {
+	o := buildOverlay(t, 16)
+	r := RoutingOf(o)
+	r.Pings.Reset()
+	o.Hops.Reset()
+	o.Lookups.Reset()
+	for i := 0; i < 200; i++ {
+		if _, err := o.Owner(dht.Key(fmt.Sprintf("ping-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Logf("%d pings, %.2f FIND_NODE RPCs a route", r.Pings.Load(), o.MeanRouteLength())
+	if got := r.Pings.Load(); got != 190 {
+		t.Errorf("Pings = %d over 200 routes, want 190", got)
+	}
+	if got := r.PingFailures.Load(); got != 0 {
+		t.Errorf("PingFailures = %d on a lossless overlay, want 0", got)
 	}
 }
 
@@ -168,7 +203,7 @@ func TestLookupUnderLoss(t *testing.T) {
 		// Replication 3 is the paper's own answer to lossy links: the key
 		// lives at the closest replicas, so one dropped ping or retrieve
 		// cannot silently misroute a read.
-		o := NewOverlay(net, Config{Config: overlay.Config{Seed: seed, Replication: 3}})
+		o := NewOverlay(net, Config{Seed: seed, Replication: 3})
 		for i := 0; i < 12; i++ {
 			if _, err := o.AddNode(simnet.NodeID(fmt.Sprintf("node-%d", i))); err != nil {
 				t.Fatalf("AddNode(%d): %v", i, err)
@@ -185,7 +220,7 @@ func TestLookupUnderLoss(t *testing.T) {
 // the overlay to stay race-free and return classified errors.
 func TestConcurrentLookupStress(t *testing.T) {
 	dhttest.VerifyNoLeaks(t)
-	o := buildOverlayMode(t, 16, false)
+	o := buildOverlay(t, 16)
 	const keys = 64
 	for i := 0; i < keys; i++ {
 		if err := o.Put(dht.Key(fmt.Sprintf("stress-%d", i)), i); err != nil {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"mlight/internal/dht/dhttest"
-	"mlight/internal/overlay"
 	"mlight/internal/simnet"
 	"mlight/internal/transport"
 )
@@ -23,8 +22,8 @@ func TestRTTDecayGrowsDeadline(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		e.observe(10 * time.Millisecond)
 	}
-	if got := e.timeout(); got != minRPCTimeout {
-		t.Fatalf("trained deadline = %v, want floor %v", got, minRPCTimeout)
+	if got := e.timeout(); got != minDeadline {
+		t.Fatalf("trained deadline = %v, want floor %v", got, minDeadline)
 	}
 
 	// The peer restarts slower; every call times out. Each decay must
@@ -54,8 +53,8 @@ func TestRTTDecayGrowsDeadline(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		e.observe(10 * time.Millisecond)
 	}
-	if got := e.timeout(); got != minRPCTimeout {
-		t.Errorf("re-tightened deadline = %v, want floor %v", got, minRPCTimeout)
+	if got := e.timeout(); got != minDeadline {
+		t.Errorf("re-tightened deadline = %v, want floor %v", got, minDeadline)
 	}
 }
 
@@ -89,15 +88,16 @@ func TestRTTReset(t *testing.T) {
 // adaptive mode reports the estimator's current deadline and
 // ResetRTTEstimate returns it to the seeded fallback.
 func TestOverlayRPCDeadline(t *testing.T) {
-	fixed := NewOverlay(simnet.New(simnet.Options{}), Config{Config: overlay.Config{Seed: 1}, RPCTimeout: 700 * time.Millisecond})
-	if got := RoutingOf(fixed).RPCDeadline(); got != 700*time.Millisecond {
+	fixed := RoutingOf(NewOverlay(simnet.New(simnet.Options{}), Config{Seed: 1}))
+	fixed.rpcTimeout = 700 * time.Millisecond
+	if got := fixed.RPCDeadline(); got != 700*time.Millisecond {
 		t.Errorf("fixed RPCDeadline = %v, want 700ms", got)
 	}
 
-	adaptive := NewOverlay(simnet.New(simnet.Options{}), Config{Config: overlay.Config{Seed: 1}})
+	adaptive := NewOverlay(simnet.New(simnet.Options{}), Config{Seed: 1})
 	base := RoutingOf(adaptive).RPCDeadline()
-	if base < minRPCTimeout || base >= 2*minRPCTimeout {
-		t.Fatalf("adaptive fallback deadline = %v, want in [%v, %v)", base, minRPCTimeout, 2*minRPCTimeout)
+	if base < minDeadline || base >= 2*minDeadline {
+		t.Fatalf("adaptive fallback deadline = %v, want in [%v, %v)", base, minDeadline, 2*minDeadline)
 	}
 	RoutingOf(adaptive).rtt.observe(time.Second)
 	if got := RoutingOf(adaptive).RPCDeadline(); got != 4*time.Second {
@@ -119,9 +119,10 @@ func TestTimedOutCallDrains(t *testing.T) {
 	if err := net.Register("slow", echo); err != nil {
 		t.Fatal(err)
 	}
-	r := RoutingOf(NewOverlay(net, Config{Config: overlay.Config{Seed: 1}, RPCTimeout: 5 * time.Millisecond}))
-	if _, err := r.timedCall("slow", "ping"); !errors.Is(err, ErrRPCTimeout) {
-		t.Fatalf("timedCall past its deadline = %v, want ErrRPCTimeout", err)
+	r := RoutingOf(NewOverlay(net, Config{Seed: 1}))
+	r.rpcTimeout = 5 * time.Millisecond
+	if _, err := r.timedCall("slow", "ping"); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("timedCall past its deadline = %v, want ErrTimeout", err)
 	}
 	if got := r.LookupTimeouts.Load(); got != 1 {
 		t.Errorf("LookupTimeouts = %d, want 1", got)

@@ -2,6 +2,7 @@ package kdtree
 
 import (
 	"fmt"
+	"slices"
 
 	"mlight/internal/bitlabel"
 	"mlight/internal/spatial"
@@ -98,7 +99,7 @@ func (t *Tree) Delete(key spatial.Point, data string) (bool, error) {
 	n := path[len(path)-1]
 	idx := -1
 	for i, r := range n.cell.Records {
-		if samePoint(r.Key, key) && (data == "" || r.Data == data) {
+		if slices.Equal(r.Key, key) && (data == "" || r.Data == data) {
 			idx = i
 			break
 		}
@@ -199,16 +200,4 @@ func (t *Tree) search(n *treeNode, q spatial.Rect, out *[]spatial.Record) {
 	}
 	t.search(n.children[0], q, out)
 	t.search(n.children[1], q, out)
-}
-
-func samePoint(a, b spatial.Point) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

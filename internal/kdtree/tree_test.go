@@ -2,6 +2,7 @@ package kdtree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mlight/internal/spatial"
@@ -66,7 +67,7 @@ func TestTreeLeafFor(t *testing.T) {
 		}
 		found := false
 		for _, stored := range c.Records {
-			if samePoint(stored.Key, r.Key) {
+			if slices.Equal(stored.Key, r.Key) {
 				found = true
 				break
 			}

@@ -23,6 +23,7 @@ package pht
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"mlight/internal/bitlabel"
 	"mlight/internal/dht"
@@ -136,7 +137,7 @@ func (ix *Index) Lookup(p spatial.Point) ([]spatial.Record, error) {
 	}
 	var out []spatial.Record
 	for _, r := range n.Records {
-		if samePoint(r.Key, p) {
+		if slices.Equal(r.Key, p) {
 			out = append(out, r)
 		}
 	}
@@ -308,16 +309,4 @@ func prefixCovers(prefix bitlabel.Label, p spatial.Point, maxDepth, m int) bool 
 		return false
 	}
 	return prefix.IsPrefixOf(z)
-}
-
-func samePoint(a, b spatial.Point) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

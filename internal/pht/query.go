@@ -2,6 +2,7 @@ package pht
 
 import (
 	"fmt"
+	"slices"
 
 	"mlight/internal/bitlabel"
 	"mlight/internal/index"
@@ -156,7 +157,7 @@ func (ix *Index) Delete(key spatial.Point, data string) (bool, error) {
 			return cur, true
 		}
 		for i, r := range n.Records {
-			if samePoint(r.Key, key) && (data == "" || r.Data == data) {
+			if slices.Equal(r.Key, key) && (data == "" || r.Data == data) {
 				records := append([]spatial.Record{}, n.Records[:i]...)
 				records = append(records, n.Records[i+1:]...)
 				n.Records = records

@@ -27,7 +27,7 @@ func New(name string, net transport.Interface, cfg overlay.Config) (*overlay.Ove
 	case "pastry":
 		return pastry.NewOverlay(net, cfg), nil
 	case "kademlia":
-		return kademlia.NewOverlay(net, kademlia.Config{Config: cfg}), nil
+		return kademlia.NewOverlay(net, cfg), nil
 	default:
 		return nil, fmt.Errorf("unknown substrate %q (want chord, pastry or kademlia)", name)
 	}

@@ -43,7 +43,8 @@ const ledgerGolden = "testdata/ledger.golden"
 //
 // The shapes are the benchmark's four: the in-memory dht.Local (128 peers);
 // dht.Local over a WAL with the bucket codec; a 16-peer Chord ring with
-// replication 2 on the simnet; and three WAL-backed daemons on fixed
+// replication 2 on the simnet, whose client sends one probe at a time; and
+// three WAL-backed daemons on fixed
 // loopback ports under mlight.Dial with the tcp-cluster workload's client
 // options. Each runs with the leaf cache off and with 256 leaves. A
 // 5,000-record NE preload (seed 1) is not charged; the phases after it are
@@ -62,7 +63,7 @@ const ledgerGolden = "testdata/ledger.golden"
 // resets the log, so the operation that triggers one is charged only the log
 // written after it.
 //
-// Three costs are left out:
+// Two costs are left out:
 //   - Allocations. The in-process shapes' phases, run four times in one
 //     process, repeated their malloc counts in only 6 of 24 rows: on
 //     local with the cache off the 1,000 inserts made 14,411–14,413, the
@@ -72,15 +73,6 @@ const ledgerGolden = "testdata/ledger.golden"
 //   - Daemon maintenance traffic: stabilization and replication between
 //     daemons are not the client's costs, and the daemons stabilize only
 //     when told to.
-//   - Routing steps (chord.lookupStepReq) on the Chord shape. A hosting
-//     overlay draws each lookup's entry point from one seeded generator in
-//     the order concurrent lookups reach it, so the lookups of a range's
-//     batch round or of a group commit route from entries that depend on
-//     scheduling. Over four
-//     runs the cache-off range phase issued its 3,636 DHT lookups every
-//     time but took 9,363–9,381 routing steps, and the batch phase
-//     8,978–9,079 (ROADMAP, known-open). Every other frame the ring sends
-//     is pinned.
 //
 // The dialed shape binds fixed ports because a node's id is the hash of its
 // address: on ephemeral ports which daemon owns which key, and with it how
@@ -158,7 +150,10 @@ var ledgerShapes = []struct {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ledgerIndex(t, ring, cache), &meter{wire: w, skip: "chord.lookupStepReq"}
+		// A hosting overlay draws each lookup's entry point from one seeded
+		// generator in the order lookups reach it, so the ring's client
+		// sends one probe at a time: its routing steps are then exact.
+		return ledgerIndex(t, ring, cache, mlight.WithMaxInFlight(1)), &meter{wire: w}
 	}},
 	{"dial", func(t *testing.T, cache int) (*mlight.Index, *meter) {
 		w := &wireCount{sized: true}
@@ -171,9 +166,9 @@ var ledgerShapes = []struct {
 	}},
 }
 
-func ledgerIndex(t *testing.T, d mlight.DHT, cache int) *mlight.Index {
+func ledgerIndex(t *testing.T, d mlight.DHT, cache int, opts ...mlight.Option) *mlight.Index {
 	t.Helper()
-	ix, err := mlight.New(d, mlight.WithCache(cache), mlight.WithSeed(1))
+	ix, err := mlight.New(d, append([]mlight.Option{mlight.WithCache(cache), mlight.WithSeed(1)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +246,6 @@ func runLedger(t *testing.T, ix *mlight.Index, m *meter) []string {
 // WALs the shape has.
 type meter struct {
 	wire   *wireCount
-	skip   string // a frame type left out of the row
 	wal    []*walMeter
 	before mlight.Stats
 	most   int // the most frames one peer got in one operation
@@ -297,9 +291,7 @@ func (m *meter) row(ix *mlight.Index) string {
 		_, size, byType := m.wire.take()
 		types := make([]string, 0, len(byType))
 		for typ := range byType {
-			if typ != m.skip {
-				types = append(types, typ)
-			}
+			types = append(types, typ)
 		}
 		sort.Strings(types)
 		for _, typ := range types {
