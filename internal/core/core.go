@@ -156,13 +156,7 @@ func New(d dht.DHT, t index.Tuning) (*Index, error) {
 	}
 	root := bitlabel.Root(ix.opts.Dims)
 	// Bootstrap idempotently: create the root bucket only when absent.
-	err = ix.raw.Apply(labelKey(bitlabel.Name(root, ix.opts.Dims)), func(cur any, exists bool) (any, bool) {
-		if exists {
-			return cur, true
-		}
-		return Bucket{Label: root}, true
-	})
-	if err != nil {
+	if _, err := dht.Do(ix.raw, labelKey(bitlabel.Name(root, ix.opts.Dims)), dht.PutIfAbsent{Value: Bucket{Label: root}}); err != nil {
 		return nil, fmt.Errorf("core: bootstrap root bucket: %w", err)
 	}
 	return ix, nil

@@ -49,9 +49,9 @@ type DHT interface {
 	// closure can reach the peer: in process and on an inline transport. Over
 	// a socket it cannot, and an arbitrary fn falls back to reading the
 	// value, transforming it at the caller and writing it back under a
-	// version check (RemoteApply). The transforms that must not pay that —
-	// the index's append and remove — are Ops and go through Do (op.go),
-	// which a socket-backed overlay executes at the owner for one small RPC.
+	// version check (RemoteApply). No index calls it: every index write is
+	// an Op sent through Do (op.go), and what still reaches Apply is tests,
+	// DoApply's fallback and the benchmark harness's traced stack.
 	Apply(key Key, fn ApplyFunc) error
 	// Owner returns the identifier of the peer currently responsible for
 	// key, for load-distribution measurements.

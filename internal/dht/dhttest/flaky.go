@@ -37,7 +37,6 @@ type Flaky struct {
 	all      int              // remaining injected failures on every key; -1 = always
 	rerun    map[dht.Key]view // discarded runs armed per key
 	attempts int              // operations that reached the wrapper
-	injected int              // operations that were failed by injection
 }
 
 // view is what one discarded run of a transform is shown.
@@ -99,20 +98,12 @@ func (f *Flaky) ClearFaults() {
 	f.all = 0
 }
 
-// Attempts returns how many operations reached the wrapper; Injected how
-// many of them were failed by injection. The difference is what the inner
-// substrate actually served.
+// Attempts returns how many operations reached the wrapper, injected
+// failures included.
 func (f *Flaky) Attempts() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.attempts
-}
-
-// Injected returns the number of operations failed by injection.
-func (f *Flaky) Injected() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.injected
 }
 
 // inject decides one operation's fate: the armed error, or nil to pass
@@ -137,7 +128,6 @@ func (f *Flaky) inject(key dht.Key) error {
 	if !fail {
 		return nil
 	}
-	f.injected++
 	if f.err != nil {
 		return f.err
 	}

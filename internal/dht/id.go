@@ -149,8 +149,3 @@ func (a ID) CommonPrefixDigits(other ID, b int) int {
 func (a ID) String() string {
 	return hex.EncodeToString(a[:4])
 }
-
-// FullString renders all 40 hex digits.
-func (a ID) FullString() string {
-	return hex.EncodeToString(a[:])
-}

@@ -36,6 +36,18 @@ type Doer interface {
 	Do(key Key, op Op) (result any, err error)
 }
 
+// PutIfAbsent is the bootstrap op: it stores Value where the key holds nothing
+// and writes nothing otherwise, so any number of clients may install the same
+// root and only the first one does.
+type PutIfAbsent struct {
+	Value any
+}
+
+// Run implements Op.
+func (op PutIfAbsent) Run(_ any, exists bool) (next any, write bool, result any, err error) {
+	return op.Value, !exists, nil, nil
+}
+
 // Do executes op on key: natively when d is a Doer, and otherwise as
 // d.Apply(key, op.Run) — the path every substrate has.
 func Do(d DHT, key Key, op Op) (any, error) {

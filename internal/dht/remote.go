@@ -14,19 +14,19 @@ import (
 // client-side, and install the result only if the version is unchanged —
 // retrying from the returned state on contention.
 //
-// It is no longer what an index write costs: insert, delete and group commit
-// send Ops (op.go), and a socket-backed overlay executes them at the owner.
-// What still comes through here is every Apply whose transform is only a
-// closure — the index's root bootstrap, the PHT and DST baselines, tests, and
-// the benchmark harness's traced stack, whose wrappers forward Apply alone. The
-// harness also compiles against CASReq by name (its transport probe marshals
-// one), so the protocol and VersionedStore stay until the harness is
-// rewritten (ROADMAP item 5's second PR); an op and a CAS on one key still
-// serialise, because an op's write bumps the same version a CAS is judged
-// against. The owning node serialises CAS decisions under its store lock, so
-// concurrent Apply callers never lose an update (the atomicity the
-// conformance suite pins), at the cost of re-running transforms under
-// contention.
+// It is no longer what an index write costs: every write of m-LIGHT, PHT and
+// DST, root bootstraps included, is an Op (op.go), which a socket-backed
+// overlay executes at the owner. What still comes here is tests, DoApply's
+// fallback (a substrate that is not a Doer; under wire.ByteDHT, an op with no
+// byte form, such as a dialed client's root bootstrap) and the benchmark
+// harness's traced stack, whose wrappers forward Apply alone. The harness also
+// compiles against CASReq by name (its transport probe marshals one), so the
+// protocol and VersionedStore stay until the harness is rewritten (ROADMAP
+// item 5's second PR); an op and a CAS on one key still serialise, because an
+// op's write bumps the same version a CAS is judged against. The owning node
+// serialises CAS decisions under its store lock, so concurrent Apply callers
+// never lose an update (the atomicity the conformance suite pins), at the cost
+// of re-running transforms under contention.
 //
 // Every mutation of a key at its owner bumps the key's version (see
 // VersionedStore), so a CAS raced by *any* write — another CAS, a Put, a

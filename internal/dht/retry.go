@@ -171,9 +171,6 @@ func NewRetrier(policy RetryPolicy, stats *metrics.ResilienceStats) *Retrier {
 // Stats returns the counter set this retrier charges.
 func (r *Retrier) Stats() *metrics.ResilienceStats { return r.stats }
 
-// Policy returns the resolved policy (defaults applied).
-func (r *Retrier) Policy() RetryPolicy { return r.policy }
-
 // Do runs op under the retry policy, charging failures against owner's
 // circuit breaker. Retryable errors are retried with backoff up to the
 // attempt budget; terminal errors abort immediately. A shed operation

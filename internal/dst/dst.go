@@ -96,31 +96,11 @@ func (ix *Index) Insert(rec spatial.Record) error {
 	}
 	for depth := 0; depth <= z.Len(); depth++ {
 		label := z.Prefix(depth)
-		isLeafLevel := depth == z.Len()
-		stored := false
-		applyErr := ix.d.Apply(labelKey(label), func(cur any, exists bool) (any, bool) {
-			n := node{Label: label}
-			if exists {
-				var ok bool
-				if n, ok = cur.(node); !ok {
-					return cur, true
-				}
-			}
-			if n.Saturated {
-				return n, true
-			}
-			if !isLeafLevel && len(n.Records) >= ix.opts.Capacity {
-				n.Saturated = true
-				return n, true
-			}
-			n.Records = append(append([]spatial.Record{}, n.Records...), rec)
-			stored = true
-			return n, true
-		})
-		if applyErr != nil {
-			return fmt.Errorf("dst: insert at %v: %w", label, applyErr)
+		res, err := dht.Do(ix.d, labelKey(label), insertOp{Label: label, Rec: rec, Leaf: depth == z.Len(), Capacity: ix.opts.Capacity})
+		if err != nil {
+			return fmt.Errorf("dst: insert at %v: %w", label, err)
 		}
-		if stored {
+		if stored, _ := res.(bool); stored {
 			ix.stats.RecordsMoved.Inc()
 		}
 	}
@@ -141,30 +121,60 @@ func (ix *Index) Delete(key spatial.Point, data string) (bool, error) {
 	removedAny := false
 	for depth := 0; depth <= z.Len(); depth++ {
 		label := z.Prefix(depth)
-		applyErr := ix.d.Apply(labelKey(label), func(cur any, exists bool) (any, bool) {
-			if !exists {
-				return nil, false
-			}
-			n, ok := cur.(node)
-			if !ok {
-				return cur, true
-			}
-			for i, r := range n.Records {
-				if slices.Equal(r.Key, key) && (data == "" || r.Data == data) {
-					records := append([]spatial.Record{}, n.Records[:i]...)
-					records = append(records, n.Records[i+1:]...)
-					n.Records = records
-					removedAny = true
-					break
-				}
-			}
-			return n, true
-		})
-		if applyErr != nil {
-			return false, fmt.Errorf("dst: delete at %v: %w", label, applyErr)
+		res, err := dht.Do(ix.d, labelKey(label), deleteOp{Key: key, Data: data})
+		if err != nil {
+			return false, fmt.Errorf("dst: delete at %v: %w", label, err)
 		}
+		removed, _ := res.(bool)
+		removedAny = removedAny || removed
 	}
 	return removedAny, nil
+}
+
+// insertOp is one level of an insert as data: store Rec at the node Label
+// unless the node is saturated, saturating a node below the leaf level that
+// is full instead. Its result is whether Rec was stored.
+type insertOp struct {
+	Label    bitlabel.Label
+	Rec      spatial.Record
+	Leaf     bool
+	Capacity int
+}
+
+// Run implements dht.Op.
+func (op insertOp) Run(cur any, exists bool) (next any, write bool, result any, err error) {
+	n := node{Label: op.Label}
+	if exists {
+		var ok bool
+		if n, ok = cur.(node); !ok || n.Saturated {
+			return nil, false, false, nil
+		}
+	}
+	if !op.Leaf && len(n.Records) >= op.Capacity {
+		n.Saturated = true
+		return n, true, false, nil
+	}
+	n.Records = append(append([]spatial.Record{}, n.Records...), op.Rec)
+	return n, true, true, nil
+}
+
+// deleteOp is one level of a delete as data: take one record matching Key
+// (and Data, when non-empty) out of the node. Its result is whether one went.
+type deleteOp struct {
+	Key  spatial.Point
+	Data string
+}
+
+// Run implements dht.Op.
+func (op deleteOp) Run(cur any, _ bool) (next any, write bool, result any, err error) {
+	n, _ := cur.(node)
+	for i, r := range n.Records {
+		if slices.Equal(r.Key, op.Key) && (op.Data == "" || r.Data == op.Data) {
+			n.Records = append(append([]spatial.Record{}, n.Records[:i]...), n.Records[i+1:]...)
+			return n, true, true, nil
+		}
+	}
+	return nil, false, false, nil
 }
 
 // Lookup answers an exact-match query with a single DHT-lookup at the leaf

@@ -113,11 +113,14 @@ func (r ResilienceResult) Table() Table {
 }
 
 // resilienceIndex deploys an index over a lossless simnet, returning the
-// network so the caller can inject loss after loading.
+// network so the caller can inject loss after loading. Its probes go one at a
+// time, so the network's loss draws follow query order, not goroutine
+// scheduling, and the sweep depends only on its seed.
 func resilienceIndex(cfg Config, retry *dht.RetryPolicy) (*core.Index, *simnet.Network, error) {
 	net := simnet.New(simnet.Options{Seed: cfg.Seed})
 	t := cfg.tuning(cfg.ThetaSplit)
 	t.Retry = retry
+	t.MaxInFlight = 1
 	_, ix, err := deploy(net, cfg.Peers, overlay.Config{Seed: cfg.Seed}, t, cfg.records())
 	return ix, net, err
 }

@@ -114,7 +114,8 @@ func TestOverlayRPCDeadline(t *testing.T) {
 // parking forever on a channel nobody reads any more.
 func TestTimedOutCallDrains(t *testing.T) {
 	dhttest.VerifyNoLeaks(t)
-	net := simnet.New(simnet.Options{Latency: simnet.ConstantLatency(25 * time.Millisecond), RealDelay: true})
+	net := simnet.New(simnet.Options{Latency: simnet.ConstantLatency(25 * time.Millisecond)})
+	net.SetRealDelay(true)
 	echo := transport.HandlerFunc(func(_ transport.NodeID, req any) (any, error) { return req, nil })
 	if err := net.Register("slow", echo); err != nil {
 		t.Fatal(err)

@@ -184,7 +184,7 @@ func (s *Service) fallbackLookup(node *overlay.Node, req forwardReq) (core.Bucke
 	resp := forwardResp{}
 	// Walk candidate ancestors of β upward until a bucket covers the query.
 	for j := req.Beta.Len(); j >= m+1; j-- {
-		cand := path.Prefix(minInt(j, path.Len()))
+		cand := path.Prefix(min(j, path.Len()))
 		key := bucketKey(cand, m)
 		owner, hops, err := s.ring.LookupFrom(node.Addr(), key)
 		if err != nil {
@@ -232,11 +232,4 @@ func (s *Service) entryAddr() transport.NodeID {
 		return ""
 	}
 	return nodes[0]
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -73,13 +73,7 @@ func New(d dht.DHT, t index.Tuning) (*Index, error) {
 	}
 	s := index.Stack(d, t)
 	ix := &Index{opts: t, raw: s.Raw, d: s.Counted, stats: s.Stats}
-	err = ix.raw.Apply(labelKey(bitlabel.Empty), func(cur any, exists bool) (any, bool) {
-		if exists {
-			return cur, true
-		}
-		return node{Kind: kindLeaf, Label: bitlabel.Empty}, true
-	})
-	if err != nil {
+	if _, err := dht.Do(ix.raw, labelKey(bitlabel.Empty), dht.PutIfAbsent{Value: node{Kind: kindLeaf, Label: bitlabel.Empty}}); err != nil {
 		return nil, fmt.Errorf("pht: bootstrap root: %w", err)
 	}
 	return ix, nil
@@ -175,7 +169,7 @@ func (ix *Index) lookupLeaf(p spatial.Point) (node, LookupTrace, error) {
 	return node{}, trace, fmt.Errorf("%w: %v", ErrNotFound, p)
 }
 
-// Insert adds a record: one lookup, one apply at the leaf, and on overflow
+// Insert adds a record: one lookup, one op at the leaf, and on overflow
 // a split that rewrites the leaf as a marker and writes every resulting
 // leaf (including intermediate markers) to fresh DHT keys — all records
 // move, PHT's structural handicap against m-LIGHT.
@@ -186,16 +180,17 @@ func (ix *Index) Insert(rec spatial.Record) error {
 		if err != nil {
 			return err
 		}
-		overflow, stale, err := ix.insertAt(leaf.Label, rec)
+		res, err := dht.Do(ix.d, labelKey(leaf.Label), appendOp{Label: leaf.Label, Rec: rec, MaxDepth: ix.opts.MaxDepth, Capacity: ix.opts.Capacity})
 		if err != nil {
-			return err
+			return fmt.Errorf("pht: insert at %v: %w", leaf.Label, err)
 		}
-		if stale {
+		v, _ := res.(appendVerdict)
+		if v.Stale {
 			continue
 		}
 		ix.stats.RecordsMoved.Inc()
-		if overflow != nil {
-			if err := ix.split(*overflow); err != nil {
+		if v.Overflow != nil {
+			if err := ix.split(*v.Overflow); err != nil {
 				return err
 			}
 		}
@@ -204,37 +199,36 @@ func (ix *Index) Insert(rec spatial.Record) error {
 	return fmt.Errorf("pht: insert %v: too many conflicting node changes", rec.Key)
 }
 
-// insertAt appends the record at the leaf; when the leaf overflows it is
-// returned so the caller can split it.
-func (ix *Index) insertAt(label bitlabel.Label, rec spatial.Record) (overflow *node, stale bool, err error) {
-	applyErr := ix.d.Apply(labelKey(label), func(cur any, exists bool) (any, bool) {
-		// A substrate may run the transform again (a lost CAS, a retry): the
-		// verdict is the last run's alone.
-		overflow, stale = nil, false
-		if !exists {
-			stale = true
-			return nil, false
-		}
-		n, ok := cur.(node)
-		if !ok || n.Kind != kindLeaf || n.Label != label {
-			stale = true
-			return cur, true
-		}
-		if !prefixCovers(n.Label, rec.Key, ix.opts.MaxDepth, ix.opts.Dims) {
-			stale = true
-			return cur, true
-		}
-		n.Records = append(append([]spatial.Record{}, n.Records...), rec)
-		if n.Load() > ix.opts.Capacity && n.Label.Len() < ix.opts.MaxDepth {
-			snapshot := n
-			overflow = &snapshot
-		}
-		return n, true
-	})
-	if applyErr != nil {
-		return nil, false, fmt.Errorf("pht: insert apply at %v: %w", label, applyErr)
+// appendOp is an insert's write as data: append Rec to the leaf stored under
+// the key if that leaf is Label and covers Rec. Its result is an
+// appendVerdict, so a run the substrate discards takes its verdict with it.
+type appendOp struct {
+	Label    bitlabel.Label
+	Rec      spatial.Record
+	MaxDepth int
+	Capacity int
+}
+
+// appendVerdict is what an appendOp decided: Stale when the key holds no leaf
+// that takes the record (the caller looks the leaf up again), and otherwise
+// the leaf as stored when it now overflows, for the caller to split.
+type appendVerdict struct {
+	Stale    bool
+	Overflow *node
+}
+
+// Run implements dht.Op.
+func (op appendOp) Run(cur any, exists bool) (next any, write bool, result any, err error) {
+	n, ok := cur.(node)
+	if !exists || !ok || n.Kind != kindLeaf || n.Label != op.Label || !prefixCovers(n.Label, op.Rec.Key, op.MaxDepth) {
+		return nil, false, appendVerdict{Stale: true}, nil
 	}
-	return overflow, stale, nil
+	n.Records = append(append([]spatial.Record{}, n.Records...), op.Rec)
+	var v appendVerdict
+	if n.Load() > op.Capacity && n.Label.Len() < op.MaxDepth {
+		v.Overflow = &n
+	}
+	return n, true, v, nil
 }
 
 // Load returns the number of records in the node.
@@ -303,7 +297,7 @@ func (ix *Index) frontier(n node) (markers, leaves []node) {
 }
 
 // prefixCovers reports whether a z-order prefix covers the point.
-func prefixCovers(prefix bitlabel.Label, p spatial.Point, maxDepth, m int) bool {
+func prefixCovers(prefix bitlabel.Label, p spatial.Point, maxDepth int) bool {
 	z, err := bitlabel.PathLabelNoRoot(p, maxDepth)
 	if err != nil {
 		return false

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"mlight/internal/bitlabel"
+	"mlight/internal/dht"
 	"mlight/internal/index"
 	"mlight/internal/spatial"
 	"mlight/internal/trace"
@@ -145,39 +146,45 @@ func (ix *Index) Delete(key spatial.Point, data string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	removed := false
-	var after node
-	applyErr := ix.d.Apply(labelKey(leaf.Label), func(cur any, exists bool) (any, bool) {
-		removed = false // the verdict is the last run's alone, as in insertAt
-		if !exists {
-			return nil, false
-		}
-		n, ok := cur.(node)
-		if !ok || n.Kind != kindLeaf {
-			return cur, true
-		}
-		for i, r := range n.Records {
-			if slices.Equal(r.Key, key) && (data == "" || r.Data == data) {
-				records := append([]spatial.Record{}, n.Records[:i]...)
-				records = append(records, n.Records[i+1:]...)
-				n.Records = records
-				removed = true
-				break
-			}
-		}
-		after = n
-		return n, true
-	})
-	if applyErr != nil {
-		return false, fmt.Errorf("pht: delete apply at %v: %w", leaf.Label, applyErr)
+	res, err := dht.Do(ix.d, labelKey(leaf.Label), removeOp{Key: key, Data: data})
+	if err != nil {
+		return false, fmt.Errorf("pht: delete at %v: %w", leaf.Label, err)
 	}
-	if !removed {
+	out, _ := res.(removal)
+	if !out.Removed {
 		return false, nil
 	}
-	if err := ix.mergeUpwards(after); err != nil {
-		return true, err
+	return true, ix.mergeUpwards(out.After)
+}
+
+// removeOp is a delete's write as data: take one record matching Key (and
+// Data, when non-empty) out of the leaf stored under the key. Its result is a
+// removal.
+type removeOp struct {
+	Key  spatial.Point
+	Data string
+}
+
+// removal is what a removeOp decided: whether a record went, and the leaf
+// left behind when one did.
+type removal struct {
+	Removed bool
+	After   node
+}
+
+// Run implements dht.Op.
+func (op removeOp) Run(cur any, _ bool) (next any, write bool, result any, err error) {
+	n, ok := cur.(node)
+	if !ok || n.Kind != kindLeaf {
+		return nil, false, removal{}, nil
 	}
-	return true, nil
+	for i, r := range n.Records {
+		if slices.Equal(r.Key, op.Key) && (op.Data == "" || r.Data == op.Data) {
+			n.Records = append(append([]spatial.Record{}, n.Records[:i]...), n.Records[i+1:]...)
+			return n, true, removal{Removed: true, After: n}, nil
+		}
+	}
+	return nil, false, removal{}, nil
 }
 
 // mergeUpwards collapses sibling leaf pairs into their parent while their

@@ -114,14 +114,6 @@ type Options struct {
 	DropRate float64
 	// Seed seeds the drop-decision generator.
 	Seed int64
-	// RealDelay makes every delivered RPC actually block the calling
-	// goroutine for its modeled round-trip time instead of only accounting
-	// it. This turns the simulator into a wall-clock latency testbed:
-	// sequential DHT probes pay their delays back to back, while probes
-	// issued from concurrent goroutines overlap — exactly what the
-	// concurrent query engine's benchmarks measure. Leave it off for the
-	// deterministic logical-cost experiments.
-	RealDelay bool
 }
 
 // peerShards and edgeStripes size the striped tables. Powers of two so the
@@ -229,10 +221,9 @@ func New(opts Options) *Network {
 	}
 	n := &Network{}
 	n.cfg.Store(&netConfig{
-		latency:   lat,
-		drop:      opts.DropRate,
-		realDelay: opts.RealDelay,
-		seed:      opts.Seed,
+		latency: lat,
+		drop:    opts.DropRate,
+		seed:    opts.Seed,
 	})
 	empty := &shardState{nodes: map[NodeID]Handler{}, down: map[NodeID]bool{}}
 	for i := range n.shards {
@@ -340,6 +331,12 @@ func (n *Network) updateConfig(mutate func(*netConfig)) {
 }
 
 // SetRealDelay switches wall-clock delay enforcement on or off at runtime.
+// On, every delivered RPC actually blocks the calling goroutine for its
+// modeled round-trip time instead of only accounting it. This turns the
+// simulator into a wall-clock latency testbed: sequential DHT probes pay their
+// delays back to back, while probes issued from concurrent goroutines overlap
+// — exactly what the concurrent query engine's benchmarks measure. A network
+// starts with it off, as the deterministic logical-cost experiments need.
 // Typical use: build and stabilize an overlay with delays off (joins issue
 // thousands of RPCs), then enable them for the measured phase.
 func (n *Network) SetRealDelay(on bool) {

@@ -184,11 +184,12 @@ func TestLatencyAccumulates(t *testing.T) {
 	}
 }
 
-// TestRealDelayBlocks: with RealDelay on, a delivered RPC blocks the caller
+// TestRealDelayBlocks: with SetRealDelay(true), a delivered RPC blocks the caller
 // for its modeled round trip; self-calls and toggled-off networks do not.
 func TestRealDelayBlocks(t *testing.T) {
 	const oneWay = 20 * time.Millisecond
-	n := New(Options{Latency: ConstantLatency(oneWay), RealDelay: true})
+	n := New(Options{Latency: ConstantLatency(oneWay)})
+	n.SetRealDelay(true)
 	if err := n.Register("a", echoHandler()); err != nil {
 		t.Fatal(err)
 	}

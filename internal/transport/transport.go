@@ -15,9 +15,10 @@
 // delivers requests *inline* (the remote handler runs on the caller's
 // goroutine in the same address space), so values that cannot cross a
 // process boundary — dht.ApplyFunc closures — work. Real transports cannot
-// do that; callers probe with SupportsInline and send the transform as data
-// where it has that form (dht.Op), or fall back to a wire-safe protocol (see
-// dht.RemoteApply).
+// do that, and no index sends one: its writes are data (dht.Op). A closure
+// comes only from tests, dht.DoApply's fallback and the benchmark harness,
+// and the overlay probes SupportsInline to send it, or to run it through the
+// wire-safe protocol instead (dht.RemoteApply).
 package transport
 
 import (
