@@ -15,13 +15,14 @@
 // its overlay neighbours before exiting, so rolling restarts lose nothing.
 //
 // The -smoke mode is a self-test client for scripts and CI: it dials the
-// cluster, optionally inserts deterministic records, runs a full-space
-// range query, and exits non-zero unless every operation succeeded and the
-// expected records came back. It also prints the client overlay's route
+// cluster, optionally inserts deterministic records and deletes the first of
+// them, runs a full-space range query, and exits non-zero unless every
+// operation succeeded, the expected records came back and no deleted one did. It also prints the client overlay's route
 // length and direct-send counters (sent, declined, failed, view size), so a
 // script can tell whether a stale view was exercised:
 //
 //	mlightd -smoke -seeds 127.0.0.1:7401,127.0.0.1:7402 -insert 32 -expect 32
+//	mlightd -smoke -seeds 127.0.0.1:7401 -insert 32 -delete 8 -expect 24
 package main
 
 import (
@@ -29,6 +30,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -56,6 +58,7 @@ func run(args []string) error {
 		seed        = fs.Int64("seed", 1, "overlay randomness seed")
 		smoke       = fs.Bool("smoke", false, "run as a smoke-test client against -seeds instead of serving")
 		insertN     = fs.Int("insert", 0, "smoke mode: insert this many deterministic records")
+		deleteN     = fs.Int("delete", 0, "smoke mode: delete smoke records 0 to N-1, and fail if the range query returns any of them")
 		expectN     = fs.Int("expect", 0, "smoke mode: require at least this many smoke records from a full-space range query")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -68,7 +71,7 @@ func run(args []string) error {
 		}
 	}
 	if *smoke {
-		return runSmoke(addrs, *substrate, *insertN, *expectN)
+		return runSmoke(addrs, *substrate, *insertN, *deleteN, *expectN)
 	}
 
 	d, err := daemon.Start(daemon.Config{
@@ -103,7 +106,7 @@ func smokePoint(i int) mlight.Point {
 	}
 }
 
-func runSmoke(addrs []string, substrate string, insertN, expectN int) error {
+func runSmoke(addrs []string, substrate string, insertN, deleteN, expectN int) error {
 	if len(addrs) == 0 {
 		return fmt.Errorf("smoke mode needs -seeds")
 	}
@@ -123,6 +126,16 @@ func runSmoke(addrs []string, substrate string, insertN, expectN int) error {
 		}
 	}
 
+	for i := 0; i < deleteN; i++ {
+		ok, err := client.Delete(smokePoint(i), fmt.Sprintf("smoke-%d", i))
+		if err != nil {
+			return fmt.Errorf("delete %d: %w", i, err)
+		}
+		if !ok {
+			return fmt.Errorf("delete %d: no such record", i)
+		}
+	}
+
 	q, err := mlight.NewRect(mlight.Point{0, 0}, mlight.Point{1, 1})
 	if err != nil {
 		return err
@@ -133,9 +146,14 @@ func runSmoke(addrs []string, substrate string, insertN, expectN int) error {
 	}
 	found := 0
 	for _, r := range res.Records {
-		if strings.HasPrefix(r.Data, "smoke-") {
-			found++
+		rest, ok := strings.CutPrefix(r.Data, "smoke-")
+		if !ok {
+			continue
 		}
+		if i, err := strconv.Atoi(rest); err == nil && i < deleteN {
+			return fmt.Errorf("smoke: record %s came back after its delete", r.Data)
+		}
+		found++
 	}
 	fmt.Printf("mlightd: smoke ok — %d smoke records (%d lookups, %d rounds)\n", found, res.Lookups, res.Rounds)
 	ov := client.Overlay()

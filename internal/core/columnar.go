@@ -278,7 +278,11 @@ func (b Bucket) Append(rec spatial.Record) Bucket {
 // forms: the records an append added after the first from, or — count 0 —
 // the index of the one record a removal took out. Either is all the journal
 // has to keep of the write: an insert costs the log its record and a delete a
-// few bytes, not the whole bucket (about 1.6 kB).
+// few bytes, not the whole bucket (about 1.6 kB). Two journals write it: a
+// durable store of Bucket values cuts it from the arenas (wire.BucketCodec:
+// AppendDelta, Extend), and a daemon, whose node stores buckets as these
+// bytes, cuts it from the encodings (wire.DaemonCodec: AppendEncodedDelta,
+// ExtendEncoded, at the end of this file).
 
 // ErrEncoding reports bytes that are not a bucket, or not a delta.
 var ErrEncoding = errors.New("core: malformed bucket encoding")
@@ -542,4 +546,239 @@ func (b Bucket) Extend(delta []byte) (Bucket, error) {
 	}
 	b.rs = b.rs.fill(delta, count)
 	return b, nil
+}
+
+// The two steps of a delta — records appended, record i cut — taken on a
+// bucket's encoding. An owner that stores buckets as bytes runs an append or a
+// removal there (ops.go's RunBytes), and a journal over such bytes cuts and
+// replays deltas there (AppendEncodedDelta, ExtendEncoded: the daemon's WAL
+// codec, wire.DaemonCodec); none of them decodes a record. Each reads an
+// encoding only if it is exactly what Marshal writes, so what a step produces
+// is what decoding, stepping and re-encoding would.
+
+// encoding is a bucket's encoding read without decoding its records.
+type encoding struct {
+	leaf bitlabel.Label
+	load int
+	dims int    // the records' dimensionality; -1 with no records, unless fixed
+	data uint64 // the records' payload bytes
+	recs []byte // the records' encodings
+}
+
+// readHeader reads the label and the count of the bucket encoded in cur, both
+// as Marshal writes them; recs is the rest, unread.
+func readHeader(cur []byte) (e encoding, ok bool) {
+	r := reader{p: cur}
+	e.leaf, e.load = r.label(), r.int()
+	if r.bad || binary.LittleEndian.Uint64(cur[1:9]) != e.leaf.Bits() || len(cur)-9-len(r.p) != uvarintLen(uint64(e.load)) {
+		return e, false
+	}
+	e.dims, e.recs = -1, r.p
+	return e, true
+}
+
+// readEncoding reads the bucket encoded in cur, whose records have dims
+// coordinates each — any one dimensionality UnmarshalBucket accepts when dims
+// is negative. ok is false unless cur is exactly what Marshal writes for such
+// a bucket: bytes that do not decode, and bytes that decode but re-encode
+// differently (a padded uvarint, label bits beyond its length), take the
+// decoded path, which refuses the one and re-encodes the other.
+func readEncoding(cur []byte, dims int) (e encoding, ok bool) {
+	if e, ok = readHeader(cur); ok {
+		e.dims, e.data, ok = canonicalRecords(e.recs, e.load, dims)
+	}
+	return e, ok
+}
+
+// canonicalRecords reports whether p is exactly count records of dims
+// coordinates each — the first record's dimensionality, at most 1<<16, when
+// dims is negative — encoded the one way Marshal encodes them, and returns
+// that dimensionality and their payload bytes.
+func canonicalRecords(p []byte, count, dims int) (int, uint64, bool) {
+	var dataLen uint64
+	off := 0
+	for i := 0; i < count; i++ {
+		// Usually the dimension count and the payload length are a byte
+		// each. A record that runs past p is caught by the next one, or at
+		// the end.
+		if at := off + 1 + 8*dims; dims >= 0 && dims < 0x80 && at < len(p) && p[off] == byte(dims) && p[at] < 0x80 {
+			off = at + 1 + int(p[at])
+			dataLen += uint64(p[at])
+			continue
+		}
+		if off > len(p) {
+			return dims, 0, false
+		}
+		d, n := shortestUvarint(p[off:])
+		if dims < 0 {
+			if n == 0 || d > 1<<16 {
+				return dims, 0, false
+			}
+			dims = int(d)
+		}
+		if n == 0 || d != uint64(dims) || len(p)-off-n < 8*dims {
+			return dims, 0, false
+		}
+		off += n + 8*dims
+		size, n := shortestUvarint(p[off:])
+		if n == 0 || uint64(len(p)-off-n) < size {
+			return dims, 0, false
+		}
+		off += n + int(size)
+		dataLen += size
+	}
+	return dims, dataLen, off == len(p) && dataLen <= math.MaxUint32
+}
+
+// shortestUvarint reads a uvarint encoded as binary.AppendUvarint encodes
+// it, in the fewest bytes; n is 0 for anything else. One byte — every
+// dimension count and most payload lengths — is read without a call.
+func shortestUvarint(p []byte) (v uint64, n int) {
+	if len(p) > 0 && p[0] < 0x80 {
+		return uint64(p[0]), 1
+	}
+	if v, n = binary.Uvarint(p); n != uvarintLen(v) {
+		return 0, 0
+	}
+	return v, n
+}
+
+// recordEnd returns where the record that starts at off in e.recs ends.
+func (e encoding) recordEnd(off int) int {
+	off += uvarintLen(uint64(e.dims)) + 8*e.dims
+	size, n := binary.Uvarint(e.recs[off:])
+	return off + n + int(size)
+}
+
+// grown is the append step: the encoding of e's bucket with added more
+// records, in a buffer sized for exactly the size bytes of their encodings,
+// which the caller appends.
+func (e encoding) grown(added, size int) []byte {
+	load := uint64(e.load + added)
+	next := make([]byte, 0, 9+uvarintLen(load)+len(e.recs)+size)
+	next = binary.AppendUvarint(appendLabel(next, e.leaf), load)
+	return append(next, e.recs...)
+}
+
+// cut is the removal step: the encoding of e's bucket without the record
+// encoded in e.recs[lo:hi], sized exactly.
+func (e encoding) cut(lo, hi int) []byte {
+	load := uint64(e.load - 1)
+	next := make([]byte, 0, 9+uvarintLen(load)+len(e.recs)-(hi-lo))
+	next = binary.AppendUvarint(appendLabel(next, e.leaf), load)
+	return append(append(next, e.recs[:lo]...), e.recs[hi:]...)
+}
+
+// mismatch returns the length of the longest common prefix of a and b: 64
+// bytes a step while they agree, then eight.
+func mismatch(a, b []byte) int {
+	n, k := min(len(a), len(b)), 0
+	for k+64 <= n && bytes.Equal(a[k:k+64], b[k:k+64]) {
+		k += 64
+	}
+	for ; k+8 <= n; k += 8 {
+		if x := binary.LittleEndian.Uint64(a[k:]) ^ binary.LittleEndian.Uint64(b[k:]); x != 0 {
+			return k + bits.TrailingZeros64(x)/8
+		}
+	}
+	for k < n && a[k] == b[k] {
+		k++
+	}
+	return k
+}
+
+// AppendEncodedDelta is Bucket.AppendDelta over two buckets' encodings: if
+// next is prev with records appended, or with one record cut, it appends to
+// buf the delta that takes prev to next — nothing when they are equal — and
+// ExtendEncoded(prev, delta) returns next byte for byte. Both must be exactly
+// what Marshal writes. A cut record is found in one pass: the first byte at
+// which the two differ lies in it, or in the last of a run of equal records,
+// any of which gives next. Allocation-free when buf has capacity.
+//
+//lint:hotpath
+func AppendEncodedDelta(buf, prev, next []byte) ([]byte, bool) {
+	p, ok := readEncoding(prev, -1)
+	if !ok {
+		return buf, false
+	}
+	q, ok := readHeader(next)
+	if !ok || q.leaf != p.leaf {
+		return buf, false
+	}
+	switch {
+	case q.load == p.load:
+		return buf, bytes.Equal(q.recs, p.recs)
+	case q.load > p.load && bytes.HasPrefix(q.recs, p.recs):
+		tail := q.recs[len(p.recs):]
+		if _, data, ok := canonicalRecords(tail, q.load-p.load, p.dims); !ok || p.data+data > math.MaxUint32 {
+			return buf, false
+		}
+		buf = binary.AppendUvarint(buf, uint64(p.load))
+		buf = binary.AppendUvarint(buf, uint64(q.load-p.load))
+		return append(buf, tail...), true
+	case q.load == p.load-1:
+		k := mismatch(p.recs, q.recs)
+		if k >= len(p.recs) {
+			return buf, false
+		}
+		i, lo, hi := 0, 0, p.recordEnd(0)
+		for hi <= k {
+			i, lo, hi = i+1, hi, p.recordEnd(hi)
+		}
+		if !bytes.Equal(q.recs[lo:], p.recs[hi:]) {
+			return buf, false
+		}
+		buf = binary.AppendUvarint(buf, uint64(p.load))
+		buf = append(buf, 0)
+		return binary.AppendUvarint(buf, uint64(i)), true
+	}
+	return buf, false
+}
+
+// ExtendEncoded is Bucket.Extend over a bucket's encoding: the encoding of the
+// bucket a delta takes base to, built by the append or the cut step. base must
+// be exactly what Marshal writes, and the delta's records exactly what it
+// writes for them; the delta is checked as Extend checks it (ErrDeltaBase when
+// it was cut at another load). What it returns is what decoding base,
+// extending it and encoding the result returns.
+func ExtendEncoded(base, delta []byte) ([]byte, error) {
+	e, ok := readEncoding(base, -1)
+	if !ok {
+		return nil, fmt.Errorf("%w: delta base is no bucket encoding", ErrEncoding)
+	}
+	from, n := binary.Uvarint(delta)
+	if n <= 0 {
+		return nil, fmt.Errorf("%w: delta base", ErrEncoding)
+	}
+	delta = delta[n:]
+	count, n := binary.Uvarint(delta)
+	if n <= 0 {
+		return nil, fmt.Errorf("%w: delta record count", ErrEncoding)
+	}
+	delta = delta[n:]
+	if from != uint64(e.load) {
+		return nil, fmt.Errorf("%w: cut at %d records, bucket %v holds %d", ErrDeltaBase, from, e.leaf, e.load)
+	}
+	if count == 0 {
+		i, n := binary.Uvarint(delta)
+		if n <= 0 || i >= from {
+			return nil, fmt.Errorf("%w: removal of record %d of %d", ErrEncoding, i, from)
+		}
+		if n != len(delta) {
+			return nil, fmt.Errorf("%w: %d trailing bytes", ErrEncoding, len(delta)-n)
+		}
+		lo := 0
+		for ; i > 0; i-- {
+			lo = e.recordEnd(lo)
+		}
+		return e.cut(lo, e.recordEnd(lo)), nil
+	}
+	if count > uint64(len(delta)) {
+		return nil, fmt.Errorf("%w: record count %d exceeds payload", ErrEncoding, count)
+	}
+	_, data, ok := canonicalRecords(delta, int(count), e.dims)
+	if !ok || e.data+data > math.MaxUint32 {
+		return nil, fmt.Errorf("%w: delta records", ErrEncoding)
+	}
+	return append(e.grown(int(count), len(delta)), delta...), nil
 }

@@ -82,9 +82,16 @@ var (
 
 // Run stores the commit's kept bucket when a record was accepted. A commit
 // that accepted nothing — the leaf is gone, every record is stale, the split
-// machinery failed — writes nothing.
+// machinery failed, the stored records are not of the rule's dimensionality —
+// writes nothing.
 func (op AppendOp) Run(cur any, _ bool) (next any, write bool, result any, err error) {
 	stored, _ := cur.(Bucket)
+	if stored.Load() > 0 && stored.rs.dims != op.Rule.Dims {
+		// Bytes a client stored: their records cannot share the arenas of
+		// the rule's, nor be split by its dimensions.
+		err := fmt.Errorf("core: leaf %v holds %d-dimensional records, the index %d", stored.Label, stored.rs.dims, op.Rule.Dims)
+		return nil, false, Commit{Err: err}, nil
+	}
 	c := op.Rule.Append(stored, op.Records)
 	if c.Gone || c.Err != nil || c.Accepted == 0 {
 		return nil, false, c, nil
@@ -105,88 +112,86 @@ func (op RemoveOp) Run(cur any, _ bool) (next any, write bool, result any, err e
 // RunBytes implements Op. Two outcomes are decided on the bytes, from the
 // label and the count the encoding starts with, and no arena is built to find
 // them out: a stored cell that covers none of the records — the answer to
-// most probes of a search (Index.write) — is Gone with the label, and records
-// that only extend the bucket (SplitRule.extends, the same test Append opens
-// with) make the old encoding with the count raised and the records'
-// encodings behind it. Everything else — a stale record, a split, bytes whose
-// framing does not check — takes the decoded path.
+// most probes of a search (Index.write), and of every probe of a key that
+// holds nothing — is Gone with the label, and records that only extend the
+// bucket (SplitRule.extends, the same test Append opens with) take the append
+// step (columnar.go's grown) with the records' encodings. Everything else — a
+// stale record, a split, bytes whose framing does not check — takes the
+// decoded path.
 func (op AppendOp) RunBytes(cur []byte, exists bool) ([]byte, bool, []byte, error) {
-	if leaf, load, recs, ok := storedLeaf(cur, op.Rule.Dims); exists && ok {
-		region, err := spatial.RegionOf(leaf, op.Rule.Dims)
+	if !exists && op.Rule.Dims > 0 {
+		// The empty label extends no root: Append answers Gone with it.
+		return nil, false, op.encodeResult(Commit{Gone: true}), nil
+	}
+	if e, ok := readEncoding(cur, op.Rule.Dims); exists && ok {
+		region, err := spatial.RegionOf(e.leaf, op.Rule.Dims)
 		switch {
 		case err != nil || !coversAny(region, op.Records):
-			return nil, false, op.encodeResult(Commit{Keep: Bucket{Label: leaf}, Gone: true}), nil
-		case op.Rule.extends(region, leaf, load, op.Records):
-			next := op.extendEncoded(leaf, load, recs)
-			c := Commit{Keep: Bucket{Label: leaf}, Load: load + len(op.Records), Accepted: len(op.Records)}
+			return nil, false, op.encodeResult(Commit{Keep: Bucket{Label: e.leaf}, Gone: true}), nil
+		case op.Rule.extends(region, e.leaf, e.load, op.Records):
+			size := 0
+			for _, rec := range op.Records {
+				size += uvarintLen(uint64(len(rec.Key))) + 8*len(rec.Key) + uvarintLen(uint64(len(rec.Data))) + len(rec.Data)
+			}
+			next := e.grown(len(op.Records), size)
+			for _, rec := range op.Records {
+				next = AppendRecord(next, rec)
+			}
+			c := Commit{Keep: Bucket{Label: e.leaf}, Load: e.load + len(op.Records), Accepted: len(op.Records)}
 			return next, true, op.encodeResult(c), nil
 		}
 	}
 	return runDecoded(op, cur, exists)
 }
 
-// extendEncoded returns the encoding of leaf's bucket, load records encoded
-// in recs, with the op's records appended.
-func (op AppendOp) extendEncoded(leaf bitlabel.Label, load int, recs []byte) []byte {
-	load += len(op.Records)
-	size := 9 + uvarintLen(uint64(load)) + len(recs)
-	for _, rec := range op.Records {
-		size += uvarintLen(uint64(len(rec.Key))) + 8*len(rec.Key) + uvarintLen(uint64(len(rec.Data))) + len(rec.Data)
-	}
-	next := appendLabel(make([]byte, 0, size), leaf)
-	next = append(binary.AppendUvarint(next, uint64(load)), recs...)
-	for _, rec := range op.Records {
-		next = AppendRecord(next, rec)
-	}
-	return next
-}
-
-// storedLeaf reads the bucket encoded in cur without decoding its records:
-// its label, its load, and its records' bytes. ok is false unless those are
-// load records of dims coordinates each, encoded the one way Marshal encodes
-// them (canonicalRecords), and the op then takes the decoded path — which
-// refuses what does not decode — so that what an op stores and reports never
-// depends on which path it took.
-func storedLeaf(cur []byte, dims int) (leaf bitlabel.Label, load int, recs []byte, ok bool) {
-	r := reader{p: cur}
-	leaf, load = r.label(), r.int()
-	if r.bad || !canonicalRecords(r.p, load, dims) {
-		return leaf, load, nil, false
-	}
-	return leaf, load, r.p, true
-}
-
-// canonicalRecords reports whether p is exactly count records of dims
-// coordinates each, encoded the one way Marshal encodes them. What is stored
-// came from some client's Put: bytes that do not check, and bytes that decode
-// but are not what re-encoding them gives (a padded uvarint), take the
-// decoded path.
-func canonicalRecords(p []byte, count, dims int) bool {
-	var dataLen uint64
-	for i := 0; i < count; i++ {
-		d, n := binary.Uvarint(p)
-		if n != uvarintLen(d) || d != uint64(dims) || len(p)-n < 8*dims {
-			return false
-		}
-		p = p[n+8*dims:]
-		size, n := binary.Uvarint(p)
-		if n != uvarintLen(size) || uint64(len(p)-n) < size {
-			return false
-		}
-		p = p[uint64(n)+size:]
-		dataLen += size
-	}
-	return len(p) == 0 && dataLen <= math.MaxUint32
-}
-
-// RunBytes implements Op. A stored cell that does not cover the key is Gone
-// with the label, decided on the bytes as AppendOp.RunBytes decides it; a
-// removal rebuilds the bucket, so everything else takes the decoded path.
+// RunBytes implements Op, on the bytes whenever they are what Marshal
+// writes: a stored cell that does not cover the key is Gone with the label, a
+// bucket without the record is answered as Remove answers it, and a removal
+// takes the cut step (columnar.go's cut) at the first record Remove would
+// take — its coordinates == the key's as float64s, not as bits, its data the
+// op's unless that is empty. The reply's kept bucket, when θmerge asks for it,
+// is the stored bytes. Other bytes take the decoded path.
 func (op RemoveOp) RunBytes(cur []byte, exists bool) ([]byte, bool, []byte, error) {
-	if leaf, _, _, ok := storedLeaf(cur, len(op.Key)); exists && ok && !covers(leaf, op.Key) {
-		return nil, false, op.encodeResult(Removal{Keep: Bucket{Label: leaf}, Gone: true}), nil
+	if !exists && len(op.Key) > 0 {
+		// The empty label extends no root: Remove answers Gone with it.
+		return nil, false, op.encodeResult(Removal{Gone: true}), nil
 	}
-	return runDecoded(op, cur, exists)
+	e, ok := readEncoding(cur, len(op.Key))
+	switch {
+	case !exists || !ok:
+		return runDecoded(op, cur, exists)
+	case !covers(e.leaf, op.Key):
+		return nil, false, op.encodeResult(Removal{Keep: Bucket{Label: e.leaf}, Gone: true}), nil
+	}
+	lo, hi := op.find(e)
+	if lo < 0 {
+		return nil, false, op.encodeResult(Removal{}), nil
+	}
+	next := e.cut(lo, hi)
+	return next, true, op.removal(Removal{Keep: Bucket{Label: e.leaf}, Load: e.load - 1, Removed: true}, next), nil
+}
+
+// find returns where in e.recs the first record matching the op lies, and lo
+// -1 when none does. e's records have the key's dimensionality.
+func (op RemoveOp) find(e encoding) (lo, hi int) {
+	head := uvarintLen(uint64(e.dims))
+	for ; lo < len(e.recs); lo = hi {
+		p := e.recs[lo+head:]
+		match := true
+		for j, c := range op.Key {
+			if math.Float64frombits(binary.LittleEndian.Uint64(p[8*j:])) != c {
+				match = false
+				break
+			}
+		}
+		p = p[8*e.dims:]
+		size, n := binary.Uvarint(p)
+		hi = len(e.recs) - len(p) + n + int(size)
+		if match && (op.Data == "" || string(p[n:n+int(size)]) == op.Data) {
+			return lo, hi
+		}
+	}
+	return -1, -1
 }
 
 // runDecoded is RunBytes in general: decode the stored bucket, Run, encode
@@ -469,6 +474,16 @@ func (op AppendOp) DecodeResult(data []byte) (any, error) {
 // encodeResult implements Op.
 func (op RemoveOp) encodeResult(result any) []byte {
 	out, _ := result.(Removal)
+	var kept []byte
+	if out.Removed && out.Load < op.MergeThreshold {
+		kept = out.Keep.Marshal()
+	}
+	return op.removal(out, kept)
+}
+
+// removal is out's byte form, kept the encoding of its kept bucket — read
+// only when the reply carries the bucket.
+func (op RemoveOp) removal(out Removal, kept []byte) []byte {
 	var flags byte
 	if out.Removed {
 		flags |= removalRemoved
@@ -476,17 +491,15 @@ func (op RemoveOp) encodeResult(result any) []byte {
 	if out.Gone {
 		flags |= removalGone
 	}
-	whole := out.Removed && out.Load < op.MergeThreshold
-	if whole {
+	if out.Removed && out.Load < op.MergeThreshold {
 		flags |= removalBucket
+	} else {
+		kept = nil
 	}
-	buf := append(make([]byte, 0, 16), flags)
+	buf := append(make([]byte, 0, 10+uvarintLen(uint64(out.Load))+len(kept)), flags)
 	buf = appendLabel(buf, out.Keep.Label)
 	buf = binary.AppendUvarint(buf, uint64(out.Load))
-	if whole {
-		buf = append(buf, out.Keep.Marshal()...)
-	}
-	return buf
+	return append(buf, kept...)
 }
 
 // DecodeResult implements Op: the Removal an owner reported. Its Keep holds

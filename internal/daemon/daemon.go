@@ -15,7 +15,7 @@ import (
 	"mlight/internal/overlay"
 	"mlight/internal/substrate"
 	"mlight/internal/transport"
-	_ "mlight/internal/wire" // registers the ops a dialed client sends to be run here (wire.Op)
+	"mlight/internal/wire"
 )
 
 // Config describes one daemon process.
@@ -147,7 +147,7 @@ func Start(cfg Config) (*Daemon, error) {
 // while this daemon was down), and attaches the log to the node's store,
 // which compacts it to the post-replay shard and journals every later write.
 func (dmn *Daemon) restoreWAL(dir string) error {
-	w, err := dht.OpenWAL(dht.WALOptions{Dir: dir, Codec: transport.Codec{}})
+	w, err := dht.OpenWAL(dht.WALOptions{Dir: dir, Codec: wire.DaemonCodec{}})
 	if err != nil {
 		return fmt.Errorf("daemon: open WAL %q: %w", dir, err)
 	}

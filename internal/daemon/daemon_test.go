@@ -5,13 +5,22 @@
 package daemon_test
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"mlight"
 	"mlight/internal/daemon"
+	"mlight/internal/dht"
 	"mlight/internal/dht/dhttest"
+	"mlight/internal/overlay"
+	"mlight/internal/transport"
+	"mlight/internal/wire"
 )
 
 // startCluster boots n daemons: the first bootstraps, the rest join
@@ -243,4 +252,130 @@ func TestWALRestartRecoversShard(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestJournalReplaysTheStore drives inserts and deletes — enough for leaves
+// to split and to merge — through a dialed client into three WAL-backed
+// daemons. Each daemon journals its node's writes over wire.DaemonCodec: an
+// insert as the records it appended to the stored encoding, a delete as the
+// index of the record it cut. A copy of each daemon's directory, restored with
+// that codec, holds byte for byte what the node stores; restored with the
+// plain transport codec it is refused, so the log did hold deltas.
+func TestJournalReplaysTheStore(t *testing.T) {
+	dhttest.VerifyNoLeaks(t)
+	if testing.Short() {
+		t.Skip("real-socket daemon suite is not short")
+	}
+	var addrs, dirs []string
+	var daemons []*daemon.Daemon
+	for i := 0; i < 3; i++ {
+		dir := t.TempDir()
+		d, err := daemon.Start(daemon.Config{Seeds: addrs, WALDir: dir, StabilizeEvery: -1, Seed: int64(i + 1)})
+		if err != nil {
+			t.Fatalf("start daemon %d: %v", i, err)
+		}
+		t.Cleanup(func() {
+			//lint:allow droppederr test teardown of a cluster being discarded
+			d.Close()
+		})
+		daemons, addrs, dirs = append(daemons, d), append(addrs, d.Addr()), append(dirs, dir)
+	}
+	client, err := mlight.Dial(addrs, mlight.WithCapacity(8), mlight.WithMergeThreshold(4), mlight.WithSeed(1))
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer func() {
+		if err := client.Close(); err != nil {
+			t.Errorf("client close: %v", err)
+		}
+	}()
+	rng := rand.New(rand.NewSource(dhttest.SeedFromEnv(1)))
+	recs := make([]mlight.Record, 80)
+	for i := range recs {
+		recs[i] = mlight.Record{Key: mlight.Point{rng.Float64(), rng.Float64()}, Data: fmt.Sprintf("rec-%d", i)}
+		if err := client.Insert(recs[i]); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+	}
+	for i, rec := range recs[:70] {
+		data := rec.Data
+		if i%3 == 0 {
+			data = "" // a data-less delete takes the first record at the key
+		}
+		if ok, err := client.Delete(rec.Key, data); err != nil || !ok {
+			t.Fatalf("delete %d: %v, %v", i, ok, err)
+		}
+	}
+	if s := client.Stats(); s.Splits == 0 || s.Merges == 0 {
+		t.Fatalf("%d splits and %d merges: the workload must do both", s.Splits, s.Merges)
+	}
+	if got := countSmoke(t, client); got != 10 {
+		t.Fatalf("%d records survive, want 10", got)
+	}
+
+	for i, d := range daemons {
+		node, ok := d.DHT().(*overlay.Overlay).NodeAt(transport.NodeID(d.Addr()))
+		if !ok {
+			t.Fatalf("daemon %d has no node", i)
+		}
+		held := node.StoreSnapshot()
+		restored := restoreCopy(t, dirs[i], wire.DaemonCodec{})
+		if len(restored) != len(held) {
+			t.Fatalf("daemon %d: the journal restores %d keys, the node holds %d", i, len(restored), len(held))
+		}
+		for k, v := range held {
+			if got, ok := restored[k].([]byte); !ok || !bytes.Equal(got, v.([]byte)) {
+				t.Fatalf("daemon %d: key %q restored as %x, held as %x", i, k, restored[k], v)
+			}
+		}
+		w, err := dht.OpenWAL(dht.WALOptions{Dir: copyDir(t, dirs[i]), Codec: transport.Codec{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Restore(); !errors.Is(err, dht.ErrWALInconsistent) {
+			t.Errorf("daemon %d: restored without deltas, err %v; want the log's deltas refused", i, err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// restoreCopy replays a copy of a live daemon's journal directory: a second
+// WAL on the directory itself would not open.
+func restoreCopy(t *testing.T, dir string, codec dht.Codec) map[dht.Key]any {
+	t.Helper()
+	w, err := dht.OpenWAL(dht.WALOptions{Dir: copyDir(t, dir), Codec: codec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := w.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	state, err := w.Restore()
+	if err != nil {
+		t.Fatalf("restore %s: %v", dir, err)
+	}
+	return state
+}
+
+// copyDir copies a journal directory's two files into a fresh one.
+func copyDir(t *testing.T, dir string) string {
+	t.Helper()
+	out := t.TempDir()
+	for _, name := range []string{"wal.log", "snapshot.bin"} {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if os.IsNotExist(err) {
+			continue
+		}
+		if err == nil {
+			err = os.WriteFile(filepath.Join(out, name), data, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
 }

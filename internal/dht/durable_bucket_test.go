@@ -302,7 +302,7 @@ func removal50() (prev, next core.Bucket) {
 // allocation: the frame is built in the WAL's own buffer.
 func TestWALAppendDeltaZeroAlloc(t *testing.T) {
 	prev, next := bucket50()
-	testWALDeltaAppend(t, prev, next, 64)
+	testWALDeltaAppend(t, wire.BucketCodec{}, prev, next, 64)
 }
 
 // TestWALRemovalDeltaZeroAlloc pins the journal write of a steady-state
@@ -310,14 +310,38 @@ func TestWALAppendDeltaZeroAlloc(t *testing.T) {
 // at a removal record: the index of the record, not the 1.6 kB bucket.
 func TestWALRemovalDeltaZeroAlloc(t *testing.T) {
 	prev, next := removal50()
-	testWALDeltaAppend(t, prev, next, 48)
+	testWALDeltaAppend(t, wire.BucketCodec{}, prev, next, 48)
+}
+
+// TestDaemonWALDeltaZeroAlloc pins both on a daemon's journal, whose values
+// are the buckets' encodings (wire.DaemonCodec).
+func TestDaemonWALDeltaZeroAlloc(t *testing.T) {
+	prev, next := bucket50()
+	testWALDeltaAppend(t, wire.DaemonCodec{}, prev.Marshal(), next.Marshal(), 64)
+	prev, next = removal50()
+	testWALDeltaAppend(t, wire.DaemonCodec{}, prev.Marshal(), next.Marshal(), 48)
+}
+
+// openWAL is a WAL over codec in a fresh directory, never compacted.
+func openWAL(tb testing.TB, codec dht.Codec) *dht.WAL {
+	tb.Helper()
+	w, err := dht.OpenWAL(dht.WALOptions{Dir: tb.TempDir(), Codec: codec, CompactThreshold: -1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() {
+		if err := w.Close(); err != nil {
+			tb.Errorf("wal close: %v", err)
+		}
+	})
+	return w
 }
 
 // testWALDeltaAppend journals next over prev 101 times and requires each
 // Append to add at most limit bytes to the log, and to allocate nothing
 // outside the race detector.
-func testWALDeltaAppend(t *testing.T, prev, next core.Bucket, limit int64) {
-	_, w := openBucketStore(t, -1)
+func testWALDeltaAppend(t *testing.T, codec dht.Codec, prev, next any, limit int64) {
+	w := openWAL(t, codec)
 	recs := []dht.WALRecord{{Op: dht.WALPut, Key: "mlight/0011011", Value: next, Prev: prev}}
 	if err := w.Append(recs); err != nil { // sizes the buffer
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mlight/internal/dht"
+	"mlight/internal/wire"
 )
 
 // BenchmarkWALAppend measures the group-commit journal write: one Append
@@ -17,21 +18,27 @@ import (
 // what the put replaces, and as the whole bucket it writes when it is not;
 // their MB/s is log bytes, so the ratio of the two is the write amplification
 // the append record removes. The removal pair does the same for a delete: a
-// 51-record leaf replaced by itself without one record.
+// 51-record leaf replaced by itself without one record. The daemon cases are
+// the same puts on a daemon's journal, whose values are the buckets'
+// encodings (wire.DaemonCodec): the delta is cut from the bytes.
 func BenchmarkWALAppend(b *testing.B) {
 	prev, next := bucket50()
 	leaf, removed := removal50()
 	for _, tc := range []struct {
 		name       string
+		codec      dht.Codec
 		prev, next any
 	}{
-		{"delta", prev, next},
-		{"full", nil, next},
-		{"removal-delta", leaf, removed},
-		{"removal-full", nil, removed},
+		{"delta", wire.BucketCodec{}, prev, next},
+		{"full", wire.BucketCodec{}, nil, next},
+		{"removal-delta", wire.BucketCodec{}, leaf, removed},
+		{"removal-full", wire.BucketCodec{}, nil, removed},
+		{"daemon-delta", wire.DaemonCodec{}, prev.Marshal(), next.Marshal()},
+		{"daemon-full", wire.DaemonCodec{}, nil, next.Marshal()},
+		{"daemon-removal-delta", wire.DaemonCodec{}, leaf.Marshal(), removed.Marshal()},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			_, w := openBucketStore(b, -1)
+			w := openWAL(b, tc.codec)
 			recs := []dht.WALRecord{{Op: dht.WALPut, Key: "mlight/0011011", Value: tc.next, Prev: tc.prev}}
 			if err := w.Append(recs); err != nil {
 				b.Fatal(err)

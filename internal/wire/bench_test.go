@@ -47,22 +47,55 @@ func TestUnmarshalBucketAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkOpRun is what the owner of a leaf does for one dialed insert, under
-// its store lock: decode and check the op, decode the stored bucket of 50 or
-// 100 records, append, re-encode, encode the commit.
+// BenchmarkOpRun is what the owner of a leaf does for one dialed insert or
+// delete, under its store lock: decode and check the op, then append the
+// record to the stored bucket of 50 or 100 records, or cut one out of it, on
+// its bytes, and encode the commit or the removal.
 func BenchmarkOpRun(b *testing.B) {
 	for _, n := range []int{50, 100} {
-		records := dataset.Generate(n+1, 1)
-		stored := MarshalBucket(core.NewBucket(bitlabel.Root(2), records[:n]))
-		rule := core.SplitRule{Dims: 2, MaxDepth: 28, Strategy: core.SplitThreshold, ThetaSplit: 1000}
-		op := Op{Body: core.EncodeOp(core.AppendOp{Rule: rule, Records: records[n:]})}
-		b.Run(fmt.Sprint(n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, write, _, err := op.Run(stored, true); err != nil || !write {
-					b.Fatal(write, err)
+		stored, appendOp, removeOp := opRunCase(n)
+		for _, tc := range []struct {
+			name string
+			op   Op
+		}{{"append", appendOp}, {"remove", removeOp}} {
+			b.Run(fmt.Sprintf("%s/%d", tc.name, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, write, _, err := tc.op.Run(stored, true); err != nil || !write {
+						b.Fatal(write, err)
+					}
 				}
+			})
+		}
+	}
+}
+
+// opRunCase is a stored bucket of n records at the root, an op that appends
+// one more and an op that removes its middle record.
+func opRunCase(n int) (stored []byte, appendOp, removeOp Op) {
+	records := dataset.Generate(n+1, 1)
+	stored = MarshalBucket(core.NewBucket(bitlabel.Root(2), records[:n]))
+	rule := core.SplitRule{Dims: 2, MaxDepth: 28, Strategy: core.SplitThreshold, ThetaSplit: 1000}
+	mid := records[n/2]
+	return stored,
+		Op{Body: core.EncodeOp(core.AppendOp{Rule: rule, Records: records[n:]})},
+		Op{Body: core.EncodeOp(core.RemoveOp{Key: mid.Key, Data: mid.Data, MergeThreshold: 10})}
+}
+
+// TestRemoveBytesAllocs is the gate of a delete at the owner: the op decoded
+// and boxed, the cell of the stored leaf, the bucket cut on its bytes, the
+// reply, and the stored and reply bytes boxed — 12 allocations at any record
+// count, where decoding the bucket, removing and re-encoding it takes 22.
+func TestRemoveBytesAllocs(t *testing.T) {
+	for _, n := range []int{50, 100} {
+		stored, _, op := opRunCase(n)
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, write, _, err := op.Run(stored, true); err != nil || !write {
+				t.Fatal(write, err)
 			}
 		})
+		if allocs > 12 {
+			t.Errorf("a remove on the bytes of %d records: %.0f allocs, want <= 12", n, allocs)
+		}
 	}
 }

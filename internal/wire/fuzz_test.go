@@ -235,6 +235,84 @@ func FuzzBucketDelta(f *testing.F) {
 	})
 }
 
+// FuzzDaemonDelta: a daemon journals a bucket's step over the encoding and
+// replays it there (DaemonCodec), and must do nothing else than the decoded
+// step does. For any base and delta, ApplyDelta refuses, or returns exactly
+// the bytes that decoding the base, Extend and Marshal give. A delta it
+// accepts is cut again from the base and the result byte for byte. Read as a
+// put's next value, the delta's bytes are a second encoding: if AppendDelta
+// takes the base to them, ApplyDelta takes the base back to them.
+func FuzzDaemonDelta(f *testing.F) {
+	label := bitlabel.MustParse("0011011")
+	recs := []spatial.Record{
+		{Key: spatial.Point{0.25, 0.75}, Data: "x"},
+		{Key: spatial.Point{0.5, 0.5}, Data: ""},
+		{Key: spatial.Point{0.5, 0.5}, Data: ""},
+		{Key: spatial.Point{0.3, 0.6}, Data: "new"},
+	}
+	base := core.NewBucket(label, recs[:2])
+	baseBytes := MarshalBucket(base)
+	cut := func(prev, next core.Bucket) []byte {
+		delta, ok := next.AppendDelta(nil, prev)
+		if !ok {
+			f.Fatalf("no delta from %v to %v", prev, next)
+		}
+		return delta
+	}
+	three := core.NewBucket(label, recs[:3])
+	f.Add(baseBytes, cut(base, base.Append(recs[3])))                                                                      // an append
+	f.Add(MarshalBucket(core.Bucket{Label: label}), cut(core.Bucket{Label: label}, core.NewBucket(label, recs[3:])))       // onto an empty bucket
+	f.Add(MarshalBucket(three), cut(three, core.NewBucket(label, recs[1:3])))                                              // the first record
+	f.Add(MarshalBucket(three), cut(three, core.NewBucket(label, recs[:2])))                                               // one of twins
+	f.Add(MarshalBucket(core.NewBucket(label, recs[:1])), cut(core.NewBucket(label, recs[:1]), core.Bucket{Label: label})) // the only one
+	f.Add(baseBytes, MarshalBucket(base.Append(recs[3])))                                                                  // a whole bucket as the next value
+	f.Add(baseBytes, MarshalBucket(core.NewBucket(label, recs[1:2])))
+	padded := append(MarshalBucket(core.Bucket{Label: label})[:9], 0x80, 0x00) // a padded count
+	f.Add(padded, cut(core.Bucket{Label: label}, core.NewBucket(label, recs[3:])))
+	f.Add(baseBytes, []byte{2, 1, 1, 0x82, 0x00})
+	f.Fuzz(func(t *testing.T, baseBytes, delta []byte) {
+		codec := DaemonCodec{}
+		out, err := codec.ApplyDelta(baseBytes, delta)
+		var want []byte
+		b, decErr := UnmarshalBucket(baseBytes)
+		if decErr == nil {
+			if next, err := b.Extend(delta); err == nil {
+				want = MarshalBucket(next)
+			}
+		}
+		if err != nil {
+			if !errors.Is(err, ErrMalformed) || out != nil {
+				t.Fatalf("a refusal returned %v, %v", out, err)
+			}
+		} else {
+			got := out.([]byte)
+			if want == nil || !bytes.Equal(got, want) {
+				t.Fatalf("ApplyDelta = %x, decode, Extend and Marshal give %x", got, want)
+			}
+			recut, ok := codec.AppendDelta(nil, baseBytes, got)
+			if !ok {
+				t.Fatal("an applied delta's result is not recognised as its base with one step")
+			}
+			again, err := codec.ApplyDelta(baseBytes, recut)
+			if err != nil || !bytes.Equal(again.([]byte), got) {
+				t.Fatalf("the re-cut delta %x replays to %x, %v; want %x", recut, again, err, got)
+			}
+		}
+		if step, ok := codec.AppendDelta(nil, baseBytes, delta); ok {
+			if len(step) == 0 {
+				if !bytes.Equal(baseBytes, delta) {
+					t.Fatal("an empty step between unequal values")
+				}
+				return
+			}
+			next, err := codec.ApplyDelta(baseBytes, step)
+			if err != nil || !bytes.Equal(next.([]byte), delta) {
+				t.Fatalf("the step %x replays to %x, %v; want %x", step, next, err, delta)
+			}
+		}
+	})
+}
+
 // FuzzOp: an op's body comes off a socket and runs on a daemon, against
 // whatever some client stored under the key. Arbitrary bytes for both never
 // panic; a refusal is ErrMalformed and writes nothing; an op that runs is one

@@ -18,6 +18,7 @@ import (
 	"mlight/internal/dht"
 	"mlight/internal/spatial"
 	"mlight/internal/trace"
+	"mlight/internal/transport"
 )
 
 // ErrMalformed reports undecodable bytes.
@@ -130,6 +131,45 @@ func (BucketCodec) ApplyDelta(base any, delta []byte) (any, error) {
 		return nil, fmt.Errorf("%w: delta over %T, want a bucket", ErrMalformed, base)
 	}
 	next, err := b.Extend(delta)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrMalformed, err)
+	}
+	return next, nil
+}
+
+// DaemonCodec is the codec of a daemon's journal. A daemon's node stores
+// what crosses its sockets — a bucket as its encoding, written by the ops run
+// there (Op) — so its values are transport.Codec's, and a put that appends
+// records to a bucket's encoding, or cuts one out, journals as the bucket
+// format's delta over the bytes (core.AppendEncodedDelta), which replay takes
+// by the same two byte steps (core.ExtendEncoded). Any other value journals
+// whole.
+type DaemonCodec struct{ transport.Codec }
+
+var _ dht.DeltaCodec = DaemonCodec{}
+
+// AppendDelta implements dht.DeltaCodec.
+//
+//lint:hotpath
+func (DaemonCodec) AppendDelta(buf []byte, prev, next any) ([]byte, bool) {
+	p, ok := prev.([]byte)
+	if !ok {
+		return buf, false
+	}
+	n, ok := next.([]byte)
+	if !ok {
+		return buf, false
+	}
+	return core.AppendEncodedDelta(buf, p, n)
+}
+
+// ApplyDelta implements dht.DeltaCodec.
+func (DaemonCodec) ApplyDelta(base any, delta []byte) (any, error) {
+	b, ok := base.([]byte)
+	if !ok {
+		return nil, fmt.Errorf("%w: delta over %T, want a bucket encoding", ErrMalformed, base)
+	}
+	next, err := core.ExtendEncoded(b, delta)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrMalformed, err)
 	}
