@@ -50,9 +50,9 @@ func TestMaintenanceRPCBudget(t *testing.T) {
 		// Routing every finger start instead cost 3938/1945 and 1316/648
 		// at n = 4, 15996/7950 and 5345/2641 at n = 16, and 132343/67848
 		// and 44210/22578 at n = 128.
-		{4, maintenanceCost{143, 44}, maintenanceCost{51, 14}},
-		{16, maintenanceCost{965, 413}, maintenanceCost{343, 133}},
-		{128, maintenanceCost{14183, 8520}, maintenanceCost{4936, 2858}},
+		{4, maintenanceCost{114, 44}, maintenanceCost{42, 14}},
+		{16, maintenanceCost{764, 413}, maintenanceCost{277, 133}},
+		{128, maintenanceCost{11448, 8520}, maintenanceCost{4010, 2858}},
 	} {
 		t.Run(fmt.Sprintf("n=%d", tc.n), func(t *testing.T) {
 			build, round := measureMaintenance(t, tc.n)
@@ -146,16 +146,41 @@ func retryAfterRound(t *testing.T, ring *Ring, what string, join func() error) {
 // TestFixpointAfterChurn: after crashes, graceful leaves, restarts and
 // joins, stabilization settles on exactly the routing state AddNodesBulk
 // wires for the survivors — the reuse rule in fixFingers does not change
-// the fixpoint. MLIGHT_TEST_SEED draws the churn schedule: each event is
-// followed by zero or one stabilize rounds, except that a round is forced
-// once SuccessorListLen-1 peers have crashed or left since the last one —
-// a successor list of r entries is Chord's tolerance for r-1 failures
-// between rounds, no more.
+// the fixpoint. MLIGHT_TEST_SEED draws the churn schedule (churnRing).
 func TestFixpointAfterChurn(t *testing.T) {
 	seed := dhttest.SeedFromEnv(1)
-	rng := rand.New(rand.NewSource(seed))
 	_, ring := buildRing(t, 24)
-	joined, gone := 24, 0
+	churnRing(t, ring, seed, func() {})
+
+	const maxRounds = 40
+	prev, quiet := ringState(t, ring), 0
+	for round := 1; quiet < 2; round++ {
+		if round > maxRounds {
+			t.Fatalf("seed %d: routing state still changing after %d rounds", seed, maxRounds)
+		}
+		ring.Stabilize(1)
+		cur := ringState(t, ring)
+		if maps.EqualFunc(prev, cur, routingState.equal) {
+			quiet++
+		} else {
+			quiet = 0
+		}
+		prev = cur
+	}
+	assertBulkFixpoint(t, ring)
+}
+
+// churnRing runs sixteen seeded churn events on ring — crashes, graceful
+// leaves, restarts and joins — and calls each after every event, before the
+// stabilize rounds that follow it. Each event is followed by zero or one
+// rounds, except that a round is forced once SuccessorListLen-1 peers have
+// crashed or left since the last one: a successor list of r entries is
+// Chord's tolerance for r-1 failures between rounds, no more. Crashes and
+// leaves need more than twelve live peers.
+func churnRing(t *testing.T, ring *Ring, seed int64, each func()) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	joined, gone := len(ring.Nodes()), 0
 	for step := 0; step < 16; step++ {
 		live, crashed := ring.Nodes(), ring.CrashedNodes()
 		pick := live[rng.Intn(len(live))]
@@ -184,6 +209,7 @@ func TestFixpointAfterChurn(t *testing.T) {
 				return err
 			})
 		}
+		each()
 		rounds := rng.Intn(2)
 		if gone == SuccessorListLen-1 {
 			rounds = 1
@@ -193,23 +219,6 @@ func TestFixpointAfterChurn(t *testing.T) {
 		}
 		ring.Stabilize(rounds)
 	}
-
-	const maxRounds = 40
-	prev, quiet := ringState(t, ring), 0
-	for round := 1; quiet < 2; round++ {
-		if round > maxRounds {
-			t.Fatalf("seed %d: routing state still changing after %d rounds", seed, maxRounds)
-		}
-		ring.Stabilize(1)
-		cur := ringState(t, ring)
-		if maps.EqualFunc(prev, cur, routingState.equal) {
-			quiet++
-		} else {
-			quiet = 0
-		}
-		prev = cur
-	}
-	assertBulkFixpoint(t, ring)
 }
 
 // TestFixFingersSingleNode: a lone node owns the whole ring, so every finger
@@ -321,6 +330,53 @@ func TestFixFingersFailedRouteIsNotCopied(t *testing.T) {
 	for i := 1; i < dht.IDBits; i++ {
 		if got[i] != want[i] {
 			t.Fatalf("finger[%d] = %q, want %q", i, got[i].Addr, want[i].Addr)
+		}
+	}
+}
+
+// shortAnswers is a network on which a route towards one target is answered
+// at its first step with a node short of that target.
+type shortAnswers struct {
+	*simnet.Network
+	target dht.ID
+	answer ref
+}
+
+func (s *shortAnswers) Call(from, to simnet.NodeID, req any) (any, error) {
+	if step, ok := req.(lookupStepReq); ok && step.Target == s.target {
+		return lookupStepResp{Done: true, Next: s.answer}, nil
+	}
+	return s.Network.Call(from, to, req)
+}
+
+// TestFixFingersShortAnswerIsNotKept: a route that answers a finger's start
+// with a node between n and the start — one no consistent ring gives — is
+// treated as a failed route, so every finger stays zero, n, or at least 2^i
+// past n, the bound closestPrecedingLocked's scan starts from.
+func TestFixFingersShortAnswerIsNotKept(t *testing.T) {
+	net := &shortAnswers{Network: simnet.New(simnet.Options{})}
+	ring := NewRing(net, Config{Seed: 1})
+	for i := 0; i < 8; i++ {
+		if _, err := ring.AddNode(simnet.NodeID(fmt.Sprintf("node-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ring.Stabilize(2)
+	n := routing(t, ring, "node-3")
+	st := stateOf(n)
+	// Finger i is the first whose start lies past the successor, which then
+	// lies short of that start.
+	i := slices.IndexFunc(st.fingers[:], func(f ref) bool { return f != st.succs[0] })
+	net.target, net.answer = n.ID().AddPowerOfTwo(i), st.succs[0]
+	ring.Router().(*router).fixFingers(n)
+
+	got := stateOf(n).fingers
+	if !got[i].IsZero() {
+		t.Errorf("finger[%d] = %q, short of its start; want cleared", i, got[i].Addr)
+	}
+	for j := i + 1; j < dht.IDBits; j++ {
+		if got[j] != st.fingers[j] {
+			t.Fatalf("finger[%d] = %q, want %q", j, got[j].Addr, st.fingers[j].Addr)
 		}
 	}
 }

@@ -91,19 +91,24 @@ func (n *node) Reset() {
 	n.fingers = [dht.IDBits]ref{}
 }
 
-// HandleRPC implements overlay.NodeRouter.
+// HandleRPC implements overlay.NodeRouter. Its arms unlock n.mu by hand: a
+// deferred unlock in any of them keeps the compiler from open-coding the
+// function's defers, and every lookup step would pay the runtime's deferred
+// call instead.
 func (n *node) HandleRPC(from transport.NodeID, req any) (any, error) {
 	switch r := req.(type) {
 	case pingReq:
 		return n.Ref(), nil
 	case getPredReq:
 		n.mu.Lock()
-		defer n.mu.Unlock()
-		return n.pred, nil
+		pred := n.pred
+		n.mu.Unlock()
+		return pred, nil
 	case getSuccsReq:
 		n.mu.Lock()
-		defer n.mu.Unlock()
-		return append([]ref(nil), n.succs...), nil
+		succs := append([]ref(nil), n.succs...)
+		n.mu.Unlock()
+		return succs, nil
 	case notifyReq:
 		n.handleNotify(r.Candidate)
 		return struct{}{}, nil
@@ -111,8 +116,8 @@ func (n *node) HandleRPC(from transport.NodeID, req any) (any, error) {
 		return n.handleLookupStep(r.Target), nil
 	case setPredReq:
 		n.mu.Lock()
-		defer n.mu.Unlock()
 		n.pred = r.Pred
+		n.mu.Unlock()
 		return struct{}{}, nil
 	case setSuccReq:
 		n.setSucc(from, r.Succ)
@@ -178,6 +183,8 @@ func (n *node) handleNotify(candidate ref) {
 // between this node and its immediate successor, the successor is the
 // answer; otherwise return the closest preceding node from the finger table
 // and successor list.
+//
+//lint:hotpath
 func (n *node) handleLookupStep(target dht.ID) lookupStepResp {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -185,35 +192,56 @@ func (n *node) handleLookupStep(target dht.ID) lookupStepResp {
 		// Not joined: we are the whole ring.
 		return lookupStepResp{Done: true, Next: n.Ref()}
 	}
-	succ := n.succs[0]
-	if target.Between(n.ID(), succ.ID) {
-		return lookupStepResp{Done: true, Next: succ}
+	if target.Between(n.ID(), n.succs[0].ID) {
+		return lookupStepResp{Done: true, Next: n.succs[0]}
 	}
 	return lookupStepResp{Next: n.closestPrecedingLocked(target)}
 }
 
 // closestPrecedingLocked scans fingers (then the successor list) for the
 // node most closely preceding target. Callers hold n.mu.
+//
+// The finger scan starts at the top bit of the clockwise distance d from n
+// to target, not at finger 159: finger i is zero, n itself, or at least 2^i
+// past n (fixFingers keeps no answer short of n + 2^i, and wireRing stores
+// the owner of n + 2^i), so no finger above the top bit of d lies strictly
+// between n and target. A zero
+// d — target is n — is the whole ring, and the scan starts at the top.
+// Entries are read in place; only the answer is copied.
+//
+//lint:hotpath
 func (n *node) closestPrecedingLocked(target dht.ID) ref {
-	best := n.Ref()
-	for i := dht.IDBits - 1; i >= 0; i-- {
-		f := n.fingers[i]
-		if !f.IsZero() && f.ID.BetweenOpen(n.ID(), target) {
+	id := n.ID()
+	top := target.Sub(id).BitLen()
+	if top == 0 {
+		top = dht.IDBits
+	}
+	var best *ref
+	for i := top - 1; i >= 0; i-- {
+		if f := &n.fingers[i]; !f.IsZero() && f.ID.BetweenOpen(id, target) {
 			best = f
 			break
 		}
 	}
-	for _, s := range n.succs {
-		if !s.IsZero() && s.ID.BetweenOpen(best.ID, target) {
-			best = s
+	from := id
+	if best != nil {
+		from = best.ID
+	}
+	for i := range n.succs {
+		if s := &n.succs[i]; !s.IsZero() && s.ID.BetweenOpen(from, target) {
+			best, from = s, s.ID
 		}
 	}
-	if best.Addr == n.Addr() && len(n.succs) > 0 {
+	switch {
+	case best != nil:
+		return *best
+	case len(n.succs) > 0:
 		// No finger helps; fall forward to the successor to guarantee
 		// progress around the ring.
 		return n.succs[0]
+	default:
+		return n.Ref()
 	}
-	return best
 }
 
 // Owns implements overlay.NodeRouter: a node owns the hashes in (pred, n].

@@ -67,12 +67,17 @@ func (r *router) Route(cur ref, target dht.ID) (ref, error) {
 }
 
 // route is Route that also returns the node whose step answered: the
-// owner's predecessor as that node sees the ring.
+// owner's predecessor as that node sees the ring. The answer is returned as
+// that step gave it, without a ping: an owner that died since is found by the
+// request the caller sends it next, whose failed call is the transport's
+// transient error for the retry layer (overlay.send), as on Pastry. Only
+// stabilization pings.
 func (r *router) route(cur ref, target dht.ID) (owner, answered ref, err error) {
 	net, client := r.k.Net(), r.k.Client()
+	var req any = lookupStepReq{Target: target} // boxed once, sent every hop
 	prev := ref{}
 	for hop := 0; hop < maxHops; hop++ {
-		respAny, err := net.Call(client, cur.Addr, lookupStepReq{Target: target})
+		respAny, err := net.Call(client, cur.Addr, req)
 		r.k.Hops.Inc()
 		if err != nil {
 			return ref{}, ref{}, fmt.Errorf("chord: step via %q: %w", cur.Addr, err)
@@ -82,11 +87,6 @@ func (r *router) route(cur ref, target dht.ID) (owner, answered ref, err error) 
 			return ref{}, ref{}, fmt.Errorf("chord: step via %q: bad response %T", cur.Addr, respAny)
 		}
 		if resp.Done {
-			// Verify the answer is alive; a dead successor means stale
-			// state that a retry (after stabilization) can fix.
-			if _, err := net.Call(client, resp.Next.Addr, pingReq{}); err != nil {
-				return ref{}, ref{}, fmt.Errorf("chord: successor %q dead: %w", resp.Next.Addr, err)
-			}
 			return resp.Next, cur, nil
 		}
 		if resp.Next.Addr == cur.Addr || resp.Next.Addr == prev.Addr {
@@ -332,7 +332,12 @@ func (r *router) stabilizeNode(n *node) {
 // the 160). A finger whose route fails (through a dead peer) is cleared
 // rather than kept stale, and the next finger is then routed rather than
 // copied, so lookups degrade to correct successor-walking until the next
-// round repairs it.
+// round repairs it. So is an answer short of the start — a node in
+// (n, start) cannot own it, and only a ring whose successor pointers skip n
+// gives one — which keeps every finger i zero, n, or at least 2^i past n,
+// the bound closestPrecedingLocked's scan starts from. An answer that died
+// since its step is kept: a route through it fails, and the next round,
+// which stabilizes first, recomputes it.
 func (r *router) fixFingers(n *node) {
 	self := n.Ref()
 	var prev ref
@@ -341,7 +346,7 @@ func (r *router) fixFingers(n *node) {
 		found := prev
 		if prev.IsZero() || !start.Between(self.ID, prev.ID) {
 			var err error
-			if found, err = r.Route(self, start); err != nil {
+			if found, err = r.Route(self, start); err != nil || found.ID.BetweenOpen(self.ID, start) {
 				found = ref{}
 			}
 		}

@@ -172,9 +172,13 @@ func (r SplitRule) extends(region spatial.Region, leaf bitlabel.Label, load int,
 
 // covers reports whether the cell of leaf covers key. A label that is no
 // leaf of key's dimensionality — the empty label of a key that holds nothing
-// among them — covers nothing.
+// among them — covers nothing. The cell is RegionOf's, built in a Scratch:
+// no allocation up to spatial.StackDims dimensions.
+//
+//lint:hotpath
 func covers(leaf bitlabel.Label, key spatial.Point) bool {
-	region, err := spatial.RegionOf(leaf, key.Dim())
+	var s spatial.Scratch
+	region, err := s.Cell(leaf, key.Dim())
 	return err == nil && region.Contains(key)
 }
 

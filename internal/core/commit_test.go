@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -235,5 +236,60 @@ func TestRerunDeleteReportsTheStoredRun(t *testing.T) {
 	rr.RerunNext(rootKey, holding, true)
 	if ok, err := ix.Delete(rec.Key, rec.Data); err != nil || ok {
 		t.Fatalf("second Delete = %v, %v; the record was already gone", ok, err)
+	}
+}
+
+// TestCoversMatchesRegionOf holds covers, which builds the leaf's cell in a
+// Scratch, to RegionOf(l, m).Contains on the labels of random paths down to
+// depth 28 below the root at m = 1…4 (with the virtual root, and labels of
+// another dimensionality or none, which cover nothing), for random keys and
+// keys on the cells' boundaries: 0, 1, ±0 and every bound and midpoint of
+// every cell on the path. It also pins that the test allocates nothing.
+func TestCoversMatchesRegionOf(t *testing.T) {
+	rng := rand.New(rand.NewSource(dhttest.SeedFromEnv(1)))
+	const depth = 28
+	for m := 1; m <= 4; m++ {
+		for path := 0; path < 8; path++ {
+			labels := []bitlabel.Label{{}, bitlabel.VirtualRoot(m), bitlabel.Root(m + 1)}
+			l := bitlabel.Root(m)
+			for d := 0; d <= depth; d++ {
+				labels = append(labels, l)
+				l = l.MustAppend(byte(rng.Intn(2)))
+			}
+			// Every coordinate a cell on the path is bounded or halved at.
+			edges := []float64{0, math.Copysign(0, -1), 1}
+			for _, l := range labels[3:] {
+				g, err := spatial.RegionOf(l, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range g.Lo {
+					edges = append(edges, g.Lo[i], g.Hi[i], (g.Lo[i]+g.Hi[i])/2)
+				}
+			}
+			for _, l := range labels {
+				want, err := spatial.RegionOf(l, m)
+				for k := 0; k < 64; k++ {
+					key := make(spatial.Point, m)
+					for i := range key {
+						if k%4 == 0 {
+							key[i] = rng.Float64()
+						} else {
+							key[i] = edges[rng.Intn(len(edges))]
+						}
+					}
+					if got, want := covers(l, key), err == nil && want.Contains(key); got != want {
+						t.Fatalf("m=%d label %v key %v: covers %v, RegionOf(l, m).Contains %v", m, l, key, got, want)
+					}
+				}
+			}
+			if dhttest.RaceEnabled() {
+				continue
+			}
+			key := make(spatial.Point, m)
+			if allocs := testing.AllocsPerRun(20, func() { covers(l, key) }); allocs != 0 {
+				t.Fatalf("m=%d: covers allocates %.1f objects, want 0", m, allocs)
+			}
+		}
 	}
 }

@@ -124,7 +124,8 @@ func (op AppendOp) RunBytes(cur []byte, exists bool) ([]byte, bool, []byte, erro
 		return nil, false, op.encodeResult(Commit{Gone: true}), nil
 	}
 	if e, ok := readEncoding(cur, op.Rule.Dims); exists && ok {
-		region, err := spatial.RegionOf(e.leaf, op.Rule.Dims)
+		var cell spatial.Scratch
+		region, err := cell.Cell(e.leaf, op.Rule.Dims)
 		switch {
 		case err != nil || !coversAny(region, op.Records):
 			return nil, false, op.encodeResult(Commit{Keep: Bucket{Label: e.leaf}, Gone: true}), nil
@@ -386,11 +387,22 @@ func decodeOp(body []byte) (Op, error) {
 		if n <= 0 || dims < 1 || dims > uint64(bitlabel.MaxLen) {
 			return nil, errors.New("remove: key dimensions")
 		}
-		records, err := r.records(1, int(dims))
-		if err != nil {
+		// The one record is read straight into the op, past the framing
+		// check every decoded record passes.
+		if _, _, err := checkRecords(r.p, 1, dims, true); err != nil {
 			return nil, fmt.Errorf("remove: %w", err)
 		}
-		return RemoveOp{Key: records[0].Key, Data: records[0].Data, MergeThreshold: theta}, nil
+		p := r.p[n:]
+		key := make(spatial.Point, dims)
+		for j := range key {
+			key[j] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*j:]))
+		}
+		p = p[8*dims:]
+		if !key.Valid() {
+			return nil, fmt.Errorf("remove: key %v outside the unit cube", key)
+		}
+		size, n := binary.Uvarint(p)
+		return RemoveOp{Key: key, Data: string(p[n : n+int(size)]), MergeThreshold: theta}, nil
 	default:
 		return nil, fmt.Errorf("unknown op kind %d", kind)
 	}

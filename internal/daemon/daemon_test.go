@@ -6,9 +6,12 @@ package daemon_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"net"
 	"os"
 	"path/filepath"
 	"testing"
@@ -260,7 +263,10 @@ func TestWALRestartRecoversShard(t *testing.T) {
 // insert as the records it appended to the stored encoding, a delete as the
 // index of the record it cut. A copy of each daemon's directory, restored with
 // that codec, holds byte for byte what the node stores; restored with the
-// plain transport codec it is refused, so the log did hold deltas.
+// plain transport codec it is refused, so the log did hold deltas. Which
+// daemon owns which leaf follows from its address, so the daemons listen on
+// addresses spread round the ring and the test adds records until every
+// daemon's log holds a delta.
 func TestJournalReplaysTheStore(t *testing.T) {
 	dhttest.VerifyNoLeaks(t)
 	if testing.Short() {
@@ -268,9 +274,9 @@ func TestJournalReplaysTheStore(t *testing.T) {
 	}
 	var addrs, dirs []string
 	var daemons []*daemon.Daemon
-	for i := 0; i < 3; i++ {
+	for i, listen := range spreadAddrs(t, 3) {
 		dir := t.TempDir()
-		d, err := daemon.Start(daemon.Config{Seeds: addrs, WALDir: dir, StabilizeEvery: -1, Seed: int64(i + 1)})
+		d, err := daemon.Start(daemon.Config{Listen: listen, Seeds: addrs, WALDir: dir, StabilizeEvery: -1, Seed: int64(i + 1)})
 		if err != nil {
 			t.Fatalf("start daemon %d: %v", i, err)
 		}
@@ -313,6 +319,30 @@ func TestJournalReplaysTheStore(t *testing.T) {
 		t.Fatalf("%d records survive, want 10", got)
 	}
 
+	// A daemon whose arc of the ring held no written leaf has journaled no
+	// delta: more records go in until each one has.
+	for added := 0; ; added += 10 {
+		short := -1
+		for i := range dirs {
+			if journaledDeltas(t, dirs[i]) == 0 {
+				short = i
+				break
+			}
+		}
+		if short < 0 {
+			break
+		}
+		if added == 400 {
+			t.Fatalf("daemon %d journaled no delta after %d more records", short, added)
+		}
+		for j := 0; j < 10; j++ {
+			rec := mlight.Record{Key: mlight.Point{rng.Float64(), rng.Float64()}, Data: fmt.Sprintf("more-%d", added+j)}
+			if err := client.Insert(rec); err != nil {
+				t.Fatalf("insert %s: %v", rec.Data, err)
+			}
+		}
+	}
+
 	for i, d := range daemons {
 		node, ok := d.DHT().(*overlay.Overlay).NodeAt(transport.NodeID(d.Addr()))
 		if !ok {
@@ -339,6 +369,67 @@ func TestJournalReplaysTheStore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// spreadAddrs returns n loopback addresses, free a moment ago, whose ring
+// positions are at least a fifth of the ring apart, so each daemon's arc is
+// wide enough to own some of a small workload's leaves. An ephemeral port's
+// position is random: three of them leave one arc under 1 % of the ring
+// about one time in twenty.
+func spreadAddrs(t *testing.T, n int) []string {
+	t.Helper()
+	var picked []string
+	var held []net.Listener
+	defer func() {
+		for _, l := range held {
+			//lint:allow droppederr the port is only being freed for the daemon
+			l.Close()
+		}
+	}()
+	pos := func(addr string) uint64 {
+		id := dht.HashString(addr)
+		return binary.BigEndian.Uint64(id[:8])
+	}
+	for len(picked) < n {
+		if len(held) == 256 {
+			t.Fatalf("%d free ports gave %d addresses a fifth of the ring apart", len(held), len(picked))
+		}
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, l)
+		addr := l.Addr().String()
+		apart := true
+		for _, p := range picked {
+			if d := pos(addr) - pos(p); d < math.MaxUint64/5 || -d < math.MaxUint64/5 {
+				apart = false
+			}
+		}
+		if apart {
+			picked = append(picked, addr)
+		}
+	}
+	return picked
+}
+
+// journaledDeltas counts the deltas a restore of a copy of dir applies.
+func journaledDeltas(t *testing.T, dir string) int {
+	t.Helper()
+	var n int
+	restoreCopy(t, dir, countDeltas{n: &n})
+	return n
+}
+
+// countDeltas is wire.DaemonCodec counting the deltas a restore applies.
+type countDeltas struct {
+	wire.DaemonCodec
+	n *int
+}
+
+func (c countDeltas) ApplyDelta(base any, delta []byte) (any, error) {
+	*c.n++
+	return c.DaemonCodec.ApplyDelta(base, delta)
 }
 
 // restoreCopy replays a copy of a live daemon's journal directory: a second

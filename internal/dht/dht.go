@@ -54,7 +54,8 @@ type DHT interface {
 	// DoApply's fallback and the benchmark harness's traced stack.
 	Apply(key Key, fn ApplyFunc) error
 	// Owner returns the identifier of the peer currently responsible for
-	// key, for load-distribution measurements.
+	// key, for load-distribution measurements. An overlay answers from its
+	// routing state, which may still name a peer that has died.
 	Owner(key Key) (string, error)
 }
 

@@ -4,6 +4,7 @@ import (
 	"crypto/sha1"
 	"encoding/hex"
 	"math/big"
+	"math/bits"
 )
 
 // IDBits is the width of the identifier space (SHA-1, as in Chord and
@@ -74,6 +75,17 @@ func (a ID) AddPowerOfTwo(k int) ID {
 		carry = sum >> 8
 	}
 	return out
+}
+
+// BitLen returns the length of a in bits as an unsigned integer: the index
+// of its top set bit plus one, and 0 for the zero identifier.
+func (a ID) BitLen() int {
+	for i, b := range a {
+		if b != 0 {
+			return (len(a)-i)*8 - bits.LeadingZeros8(b)
+		}
+	}
+	return 0
 }
 
 // Sub returns a - b modulo 2^160 — the clockwise ring distance from b to a.

@@ -78,6 +78,28 @@ func TestAddPowerOfTwo(t *testing.T) {
 	}
 }
 
+// TestBitLen holds ID.BitLen to big.Int's BitLen on random identifiers, on
+// zero and on every power of two.
+func TestBitLen(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	ids := []ID{{}}
+	for k := 0; k < IDBits; k++ {
+		ids = append(ids, ID{}.AddPowerOfTwo(k))
+	}
+	for i := 0; i < 500; i++ {
+		id := randomID(rng)
+		for j := 0; j < i%len(id); j++ {
+			id[j] = 0 // shorter lengths too
+		}
+		ids = append(ids, id)
+	}
+	for _, id := range ids {
+		if got, want := id.BitLen(), id.BigInt().BitLen(); got != want {
+			t.Fatalf("%x.BitLen() = %d, want %d", id[:], got, want)
+		}
+	}
+}
+
 func TestAddPowerOfTwoWraps(t *testing.T) {
 	var all ID
 	for i := range all {

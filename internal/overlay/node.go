@@ -344,7 +344,9 @@ func (n *Node) declines(direct bool, key dht.Key) bool {
 // HandleRPC implements transport.Handler: routing messages are served by
 // the node's NodeRouter (asked first — a lookup is several of them for every
 // store message), store-plane messages here, anything else by the installed
-// application handler.
+// application handler. No arm defers: a deferred call in any of them would
+// keep the compiler from open-coding the function's defers, and every routing
+// step would pay the runtime's deferred-call path on its way out.
 func (n *Node) HandleRPC(from transport.NodeID, req any) (any, error) {
 	// The sentinel comes back bare, by NodeRouter's contract.
 	if resp, err := n.rt.HandleRPC(from, req); err != ErrUnknownRequest {
@@ -424,8 +426,8 @@ func (n *Node) HandleRPC(from transport.NodeID, req any) (any, error) {
 		return struct{}{}, nil
 	case dropReplicaReq:
 		n.mu.Lock()
-		defer n.mu.Unlock()
 		n.dropReplicaLocked(r.Key)
+		n.mu.Unlock()
 		return struct{}{}, nil
 	}
 	n.mu.Lock()

@@ -58,8 +58,11 @@ type Router interface {
 	// This single comparator defines key ownership for the whole overlay:
 	// joins claim by it, leaves and replica placement rank neighbours by it.
 	Closer(target, a, b dht.ID) bool
-	// Route makes one attempt to resolve the live owner of target starting
-	// at entry, adding every routing RPC it issues to Overlay.Hops.
+	// Route makes one attempt to resolve the owner of target starting at
+	// entry, adding every routing RPC it issues to Overlay.Hops. The owner is
+	// the one the last routing step names, unpinged: Chord and Pastry may
+	// return a peer that died since the last maintenance round, and the
+	// caller's next call to it fails.
 	Route(entry Ref, target dht.ID) (Ref, error)
 	// Neighbours asks a (possibly remote) node which peers it knows around
 	// the hash near — the candidates for near's replica set. NodeRouter has
@@ -338,7 +341,8 @@ func (o *Overlay) entryAfter(prev int) (Ref, int, error) {
 // attempts rotate from a random start, so they never land on the same entry
 // twice while another is left: with one dead seed of four, independent draws
 // would fail a lookup outright one time in 64. A client-mode overlay adds the
-// owner found to its view.
+// owner found to its view. The owner is Router.Route's: on Chord and Pastry it
+// may have died since the last maintenance round, and a call to it then fails.
 func (o *Overlay) Lookup(target dht.ID) (Ref, error) {
 	const retries = 3
 	var lastErr error
@@ -515,7 +519,8 @@ func (o *Overlay) applyRemote(h dht.ID, key dht.Key, fn dht.ApplyFunc) (owner Re
 	return owner, value, keep, err
 }
 
-// Owner implements dht.DHT.
+// Owner implements dht.DHT. It returns Lookup's owner, which on Chord and
+// Pastry may have died since the last maintenance round.
 func (o *Overlay) Owner(key dht.Key) (string, error) {
 	owner, err := o.Lookup(dht.HashKey(key))
 	if err != nil {

@@ -83,9 +83,9 @@ func opRunCase(n int) (stored []byte, appendOp, removeOp Op) {
 }
 
 // TestRemoveBytesAllocs is the gate of a delete at the owner: the op decoded
-// and boxed, the cell of the stored leaf, the bucket cut on its bytes, the
-// reply, and the stored and reply bytes boxed — 12 allocations at any record
-// count, where decoding the bucket, removing and re-encoding it takes 22.
+// (its key and payload) and boxed, the bucket cut on its bytes, the reply,
+// and the stored and reply bytes boxed — 8 allocations at any record count,
+// where decoding the bucket, removing and re-encoding it takes 22.
 func TestRemoveBytesAllocs(t *testing.T) {
 	for _, n := range []int{50, 100} {
 		stored, _, op := opRunCase(n)
@@ -94,8 +94,8 @@ func TestRemoveBytesAllocs(t *testing.T) {
 				t.Fatal(write, err)
 			}
 		})
-		if allocs > 12 {
-			t.Errorf("a remove on the bytes of %d records: %.0f allocs, want <= 12", n, allocs)
+		if allocs > 8 {
+			t.Errorf("a remove on the bytes of %d records: %.0f allocs, want <= 8", n, allocs)
 		}
 	}
 }
