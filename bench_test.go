@@ -528,37 +528,6 @@ func BenchmarkKademliaDHTOp(b *testing.B) {
 	b.ReportMetric(overlay.MeanRouteLength(), "rpcs/op")
 }
 
-func BenchmarkPeerRangeQuery(b *testing.B) {
-	ring, net, err := mlight.NewChordCluster(24, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ix, err := mlight.New(ring, mlight.WithCapacity(60))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, rec := range mlight.GenerateNE(8000, 1) {
-		if err := ix.Insert(rec); err != nil {
-			b.Fatal(err)
-		}
-	}
-	svc, err := mlight.NewPeerQueryService(ring, net, 2, 28)
-	if err != nil {
-		b.Fatal(err)
-	}
-	queries := benchQueries(128, 0.3)
-	b.ResetTimer()
-	lookups := 0
-	for i := 0; i < b.N; i++ {
-		res, err := svc.RangeQuery(queries[i%len(queries)])
-		if err != nil {
-			b.Fatal(err)
-		}
-		lookups += res.Lookups
-	}
-	b.ReportMetric(float64(lookups)/float64(b.N), "lookups/query")
-}
-
 func BenchmarkBulkLoad(b *testing.B) {
 	records := mlight.GenerateNE(20000, 1)
 	b.ReportAllocs()

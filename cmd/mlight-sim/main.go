@@ -22,7 +22,6 @@ import (
 	"mlight/internal/index"
 	"mlight/internal/metrics"
 	"mlight/internal/overlay"
-	"mlight/internal/peerquery"
 	"mlight/internal/simnet"
 	"mlight/internal/substrate"
 	"mlight/internal/workload"
@@ -49,7 +48,6 @@ func run(args []string, out io.Writer) error {
 		seed        = fs.Int64("seed", 1, "random seed")
 		latency     = fs.Duration("latency", time.Millisecond, "simulated one-way link latency")
 		replication = fs.Int("replication", 1, "copies of each key (crash tolerance; each overlay caps it at its neighbour-set size)")
-		peerExec    = fs.Bool("peerquery", false, "also run the queries peer-to-peer and report simulated latency")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -146,35 +144,6 @@ func run(args []string, out io.Writer) error {
 		float64(totalRecords)/float64(done),
 		float64(totalLookups)/float64(done),
 		float64(totalRounds)/float64(done))
-	if *peerExec {
-		svc, err := peerquery.New(ov, net, 2, 28)
-		if err != nil {
-			return err
-		}
-		gen2, err := workload.NewRangeGenerator(2, *seed+9)
-		if err != nil {
-			return err
-		}
-		var totalLatency time.Duration
-		peerLookups, ok2 := 0, 0
-		for i := 0; i < *queries; i++ {
-			q, err := gen2.Span(*span)
-			if err != nil {
-				return err
-			}
-			res, err := svc.RangeQuery(q)
-			if err != nil {
-				continue
-			}
-			ok2++
-			totalLatency += res.Latency
-			peerLookups += res.Lookups
-		}
-		if ok2 > 0 {
-			fmt.Fprintf(out, "  peer-executed: %d ok; avg %.1f lookups, %v critical-path latency per query\n",
-				ok2, float64(peerLookups)/float64(ok2), (totalLatency / time.Duration(ok2)).Round(time.Microsecond))
-		}
-	}
 	if *churn > 0 && *crashes == 0 && failed == 0 {
 		fmt.Fprintln(out, "  (index fully available after graceful churn: departing peers handed their buckets over)")
 	}

@@ -73,23 +73,6 @@ func TestRunKademlia(t *testing.T) {
 	}
 }
 
-// TestRunPeerQuery: -peerquery runs on every overlay.
-func TestRunPeerQuery(t *testing.T) {
-	for _, overlay := range []string{"chord", "pastry", "kademlia"} {
-		var out strings.Builder
-		err := run([]string{
-			"-overlay", overlay, "-peers", "12", "-n", "1200",
-			"-queries", "4", "-peerquery",
-		}, &out)
-		if err != nil {
-			t.Fatalf("%s: %v", overlay, err)
-		}
-		if !strings.Contains(out.String(), "peer-executed: 4 ok") {
-			t.Errorf("%s: peer-executed queries did not all succeed:\n%s", overlay, out.String())
-		}
-	}
-}
-
 // TestRouteLengthIsTheLoadPhases: the printed mean overlay route length is
 // the load phase's hops over its lookups; the build's join and finger routes
 // count in neither.

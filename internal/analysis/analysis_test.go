@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -182,4 +183,46 @@ func TestPassesAreRegistered(t *testing.T) {
 			t.Errorf("pass %q missing from Passes()", name)
 		}
 	}
+}
+
+// TestHotpathReadsACachedBuild: the build cache replays a package's -m
+// output relative to the directory it was first compiled from. A build from
+// the module root writes "sub/hotpath.go:…"; the pass's own build in the
+// package directory then replays that, and must still attribute every
+// escape to its mark, so that no waiver reads as suppressing nothing.
+func TestHotpathReadsACachedBuild(t *testing.T) {
+	t.Setenv("GOCACHE", t.TempDir())
+	mod := t.TempDir()
+	dir := filepath.Join(mod, "sub")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(mod, "go.mod"), []byte("module example.com/hotpath\n\ngo 1.22\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src, err := os.ReadFile(filepath.Join("testdata", "src", "hotpath", "hotpath.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "hotpath.go"), src, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	build := exec.Command("go", "build", "-gcflags=-m", "./sub")
+	build.Dir = mod
+	out, err := build.CombinedOutput()
+	if err != nil {
+		t.Fatalf("go build from the module root: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "sub"+string(filepath.Separator)+"hotpath.go:") {
+		t.Fatalf("the root build's -m output does not name sub/hotpath.go:\n%s", out)
+	}
+	pkg, err := LoadDir(dir, "example.com/hotpath/sub", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wants, err := parseWants(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstWants(t, Run(pkg, Passes()), wants)
 }

@@ -168,17 +168,10 @@ func (h hotPathPass) verify(pkg *Package, marks []*hotMark) []Diagnostic {
 		if !strings.Contains(msg, "escapes to heap") && !strings.Contains(msg, "moved to heap") {
 			continue
 		}
-		file := m[1]
-		if !filepath.IsAbs(file) {
-			file = filepath.Join(pkg.Dir, file)
-		}
-		if abs, aerr := filepath.Abs(file); aerr == nil {
-			file = abs
-		}
 		lineNo, _ := strconv.Atoi(m[2])
 		col, _ := strconv.Atoi(m[3])
 		for _, mk := range marks {
-			if mk.absFile != file || lineNo < mk.startLine || lineNo > mk.endLine {
+			if !sameFile(m[1], mk.absFile) || lineNo < mk.startLine || lineNo > mk.endLine {
 				continue
 			}
 			out = append(out, Diagnostic{
@@ -192,4 +185,21 @@ func (h hotPathPass) verify(pkg *Package, marks []*hotMark) []Diagnostic {
 		}
 	}
 	return out
+}
+
+// sameFile reports whether name, a file as the compiler's -m output gives
+// it, is the file at the absolute path abs. The build cache replays that
+// output as it was first written, relative to the directory the package was
+// first compiled from — the package directory, the module root, anywhere —
+// so a relative name is matched against the end of abs, not joined to the
+// package directory.
+func sameFile(name, abs string) bool {
+	if filepath.IsAbs(name) {
+		return filepath.Clean(name) == abs
+	}
+	rel := filepath.Clean(name)
+	for up := ".." + string(filepath.Separator); strings.HasPrefix(rel, up); {
+		rel = rel[len(up):]
+	}
+	return abs == rel || strings.HasSuffix(abs, string(filepath.Separator)+rel)
 }

@@ -142,10 +142,10 @@ func (c *leafCache) view(path bitlabel.Label) view {
 
 // tile plans the first round of a range with LCA lca from the cached tree,
 // under one lock: a cached leaf on lca's path covers the whole range and is
-// the one piece; otherwise, when lca is held as internal, Tile descends from
+// the one piece; otherwise, when lca is held as internal, tile descends from
 // it through the labels held as internal. ok is false when the cache knows
 // nothing about lca.
-func (c *leafCache) tile(lca bitlabel.Label, q spatial.Rect, shape spatial.Shape) (pieces []Piece, ok bool) {
+func (c *leafCache) tile(lca bitlabel.Label, q spatial.Rect, shape spatial.Shape) (pieces []piece, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for l := c.root; l <= lca.Len(); l++ {
@@ -155,11 +155,11 @@ func (c *leafCache) tile(lca bitlabel.Label, q spatial.Rect, shape spatial.Shape
 			return nil, false
 		}
 		if n.el != nil {
-			return []Piece{{Node: prefix, Base: prefix, Q: q}}, true
+			return []piece{{Node: prefix, Base: prefix, Q: q}}, true
 		}
 	}
 	dims := c.root - 1
-	return Tile(lca, q, dims, shape, func(l bitlabel.Label) bool {
+	return tile(lca, q, dims, shape, func(l bitlabel.Label) bool {
 		n, held := c.nodes[l.Bits()]
 		return held && n.el == nil
 	}), true

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -834,5 +835,64 @@ func TestBucketKeyAndDHTAccessor(t *testing.T) {
 		if !ok || got.Label != b.Label {
 			t.Fatalf("key holds %v, want %v", got.Label, b.Label)
 		}
+	}
+}
+
+// TestRangeQueryOddRectangles holds the range driver to its prologue on
+// rectangles a caller may get wrong: an inverted one, or one of the wrong
+// dimensionality, is refused with queryLCA's error, and one that reaches
+// outside the unit cube is answered with exactly the records inside it.
+func TestRangeQueryOddRectangles(t *testing.T) {
+	ix := newIndex(t, index.Tuning{Capacity: 20})
+	recs := randomRecords(rand.New(rand.NewSource(1)), 600, 2)
+	for _, rec := range recs {
+		if err := ix.Insert(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	set := func(rs []spatial.Record) []string {
+		out := make([]string, len(rs))
+		for i, r := range rs {
+			out[i] = fmt.Sprint(r.Key, r.Data)
+		}
+		sort.Strings(out)
+		return out
+	}
+	for _, tc := range []struct {
+		name    string
+		q       spatial.Rect
+		refused bool
+	}{
+		{"inverted", spatial.Rect{Lo: spatial.Point{0.6, 0.6}, Hi: spatial.Point{0.4, 0.4}}, true},
+		{"inverted in one dim", spatial.Rect{Lo: spatial.Point{0.2, 0.6}, Hi: spatial.Point{0.4, 0.4}}, true},
+		{"too few dims", spatial.Rect{Lo: spatial.Point{0.1}, Hi: spatial.Point{0.2}}, true},
+		{"too many dims", spatial.Rect{Lo: spatial.Point{0.1, 0.1, 0.1}, Hi: spatial.Point{0.2, 0.2, 0.2}}, true},
+		{"corners disagree on dims", spatial.Rect{Lo: spatial.Point{0.1, 0.1}, Hi: spatial.Point{0.2}}, true},
+		{"beyond the cube on every side", spatial.Rect{Lo: spatial.Point{-0.5, -0.5}, Hi: spatial.Point{1.5, 1.5}}, false},
+		{"beyond the cube in one dim", spatial.Rect{Lo: spatial.Point{0.1, -0.5}, Hi: spatial.Point{0.3, 1.5}}, false},
+		{"wholly outside the cube", spatial.Rect{Lo: spatial.Point{1.2, 1.2}, Hi: spatial.Point{1.4, 1.4}}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := ix.RangeQuery(tc.q)
+			if tc.refused {
+				_, want := queryLCA(tc.q, 2, ix.opts.MaxDepth)
+				if want == nil || err == nil || err.Error() != want.Error() {
+					t.Fatalf("RangeQuery refused with %v, want queryLCA's %v", err, want)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("RangeQuery: %v", err)
+			}
+			var want []spatial.Record
+			for _, rec := range recs {
+				if tc.q.Contains(rec.Key) {
+					want = append(want, rec)
+				}
+			}
+			if got, w := set(res.Records), set(want); !slices.Equal(got, w) {
+				t.Fatalf("RangeQuery returned %d records, the scan %d, and the sets differ", len(got), len(w))
+			}
+		})
 	}
 }

@@ -83,7 +83,7 @@ func oldProcess(ix *Index, q spatial.Rect, beta bitlabel.Label, b Bucket, ctx qu
 }
 
 func oldSubquery(ix *Index, q spatial.Rect, beta bitlabel.Label, ctx queryCtx) (records []spatial.Record, rounds, lookups int, err error) {
-	pieces := []Piece{{Node: beta, Base: beta, Q: q}}
+	pieces := []piece{{Node: beta, Base: beta, Q: q}}
 	if ctx.h > 1 {
 		pieces = oldSpeculate(beta, q, ctx.h, ix.opts.Dims, ix.opts.MaxDepth, ctx.shape)
 	}
@@ -101,7 +101,7 @@ func oldSubquery(ix *Index, q spatial.Rect, beta bitlabel.Label, ctx queryCtx) (
 	return records, rounds, lookups, nil
 }
 
-func oldResolvePiece(ix *Index, p Piece, ctx queryCtx) (records []spatial.Record, rounds, lookups int, err error) {
+func oldResolvePiece(ix *Index, p piece, ctx queryCtx) (records []spatial.Record, rounds, lookups int, err error) {
 	m := ix.opts.Dims
 	b, found, err := ix.getBucket(bitlabel.Name(p.Node, m))
 	lookups = 1
@@ -128,7 +128,7 @@ func oldResolvePiece(ix *Index, p Piece, ctx queryCtx) (records []spatial.Record
 	return recs, rounds + r, lookups + lk, nil
 }
 
-func oldCoveringLeaf(ix *Index, p Piece) (Bucket, int, int, error) {
+func oldCoveringLeaf(ix *Index, p piece) (Bucket, int, int, error) {
 	m := ix.opts.Dims
 	probed := map[bitlabel.Label]bool{bitlabel.Name(p.Node, m): true}
 	lookups := 0
@@ -208,7 +208,7 @@ func oldBranchNodesBelow(leaf, beta bitlabel.Label) []bitlabel.Label {
 
 // oldDecompose computes every branch node's cell from the root with RegionOf
 // and clips q to it with Intersect.
-func oldDecompose(leaf, beta bitlabel.Label, q spatial.Rect, dims int, shape spatial.Shape) ([]Piece, error) {
+func oldDecompose(leaf, beta bitlabel.Label, q spatial.Rect, dims int, shape spatial.Shape) ([]piece, error) {
 	leafRegion, err := spatial.RegionOf(leaf, dims)
 	if err != nil {
 		return nil, err
@@ -219,7 +219,7 @@ func oldDecompose(leaf, beta bitlabel.Label, q spatial.Rect, dims int, shape spa
 	if !bitlabel.Root(dims).IsPrefixOf(leaf) {
 		return nil, fmt.Errorf("reference: %v does not extend the %d-dimensional root", leaf, dims)
 	}
-	var pieces []Piece
+	var pieces []piece
 	for _, branch := range oldBranchNodesBelow(leaf, beta) {
 		g, err := spatial.RegionOf(branch, dims)
 		if err != nil {
@@ -232,15 +232,15 @@ func oldDecompose(leaf, beta bitlabel.Label, q spatial.Rect, dims int, shape spa
 		if shape != nil && !shape.IntersectsRect(sub) {
 			continue // the shape provably misses this subtree
 		}
-		pieces = append(pieces, Piece{Node: branch, Base: branch, Q: sub})
+		pieces = append(pieces, piece{Node: branch, Base: branch, Q: sub})
 	}
 	return pieces, nil
 }
 
 // oldSpeculate computes each child's cell with RegionOf.
-func oldSpeculate(beta bitlabel.Label, q spatial.Rect, h, dims, maxDepth int, shape spatial.Shape) []Piece {
-	queue := []Piece{{Node: beta, Base: beta, Q: q}}
-	var done []Piece
+func oldSpeculate(beta bitlabel.Label, q spatial.Rect, h, dims, maxDepth int, shape spatial.Shape) []piece {
+	queue := []piece{{Node: beta, Base: beta, Q: q}}
+	var done []piece
 	guard := 0
 	for len(queue) > 0 && len(queue)+len(done) < h && guard < 64*h {
 		guard++
@@ -264,7 +264,7 @@ func oldSpeculate(beta bitlabel.Label, q spatial.Rect, h, dims, maxDepth int, sh
 			if shape != nil && !shape.IntersectsRect(sub) {
 				continue
 			}
-			queue = append(queue, Piece{Node: child, Base: beta, Q: sub})
+			queue = append(queue, piece{Node: child, Base: beta, Q: sub})
 			expanded = true
 		}
 		if !expanded {
@@ -276,8 +276,8 @@ func oldSpeculate(beta bitlabel.Label, q spatial.Rect, h, dims, maxDepth int, sh
 
 // oldTile recurses with each level's clipped subrange, computing each child's
 // cell with RegionOf.
-func oldTile(lca bitlabel.Label, q spatial.Rect, dims int, shape spatial.Shape, internal func(bitlabel.Label) bool) []Piece {
-	var pieces []Piece
+func oldTile(lca bitlabel.Label, q spatial.Rect, dims int, shape spatial.Shape, internal func(bitlabel.Label) bool) []piece {
+	var pieces []piece
 	var walk func(node bitlabel.Label, q spatial.Rect)
 	walk = func(node bitlabel.Label, q spatial.Rect) {
 		for _, bit := range []byte{0, 1} {
@@ -294,7 +294,7 @@ func oldTile(lca bitlabel.Label, q spatial.Rect, dims int, shape spatial.Shape, 
 				walk(child, sub)
 				continue
 			}
-			pieces = append(pieces, Piece{Node: child, Base: lca, Q: sub})
+			pieces = append(pieces, piece{Node: child, Base: lca, Q: sub})
 		}
 	}
 	walk(lca, q)

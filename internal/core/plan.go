@@ -12,25 +12,24 @@ import (
 // and 3 and the parallel pre-split) as pure functions of labels, rectangles
 // and one fetched bucket. It issues no DHT operation, starts no goroutine and
 // touches no counter or trace collector — every peer can evaluate it because
-// every peer knows the space-partitioning rule (§3.2). Two drivers execute
-// its plans: the client-driven round engine in range.go and the peer-executed
-// forwarding of internal/peerquery.
+// every peer knows the space-partitioning rule (§3.2). The round engine in
+// range.go executes its plans.
 
-// Piece is one (node, subrange) unit of forwarding: resolve Q against the
+// piece is one (node, subrange) unit of forwarding: resolve Q against the
 // subtree rooted at Node. Base is the real tree node the speculation started
 // from (Node itself when nothing was pre-split), bounding where the covering
 // leaf can sit when a speculative Node overshoots the tree.
-type Piece struct {
+type piece struct {
 	Node bitlabel.Label
 	Base bitlabel.Label
 	Q    spatial.Rect
 }
 
-// QueryLCA is the prologue every driver starts from (Algorithm 2 lines 1–2):
-// it validates q against the index's dimensionality and returns the lowest
+// queryLCA is the prologue of every range query (Algorithm 2 lines 1–2): it
+// validates q against the index's dimensionality and returns the lowest
 // common ancestor of the range, whose corner cell receives the query first.
 // A valid rectangle costs no allocation up to spatial.StackDims dimensions.
-func QueryLCA(q spatial.Rect, dims, maxDepth int) (bitlabel.Label, error) {
+func queryLCA(q spatial.Rect, dims, maxDepth int) (bitlabel.Label, error) {
 	if q.Dim() != dims {
 		return bitlabel.Label{}, fmt.Errorf("%w: query has %d dims, index has %d", ErrDimension, q.Dim(), dims)
 	}
@@ -40,21 +39,21 @@ func QueryLCA(q spatial.Rect, dims, maxDepth int) (bitlabel.Label, error) {
 	return spatial.LCALabel(q, dims, maxDepth)
 }
 
-// Step is the planner's answer for a bucket b fetched as the corner cell of
+// step is the planner's answer for a bucket b fetched as the corner cell of
 // node β with (clipped) subrange q: the records of b that match, and the
 // pieces the rest of q is forwarded to — Algorithm 3's decomposition, each
 // branch pre-split into up to h pieces when h > 1. Records of different
-// pieces never overlap, so a driver may resolve the pieces in any order or
+// pieces never overlap, so the engine may resolve the pieces in any order or
 // all at once. The pieces' subranges are cut from shared blocks of
 // coordinates: one block when h = 1.
-func Step(b Bucket, beta bitlabel.Label, q spatial.Rect, h, dims, maxDepth int, shape spatial.Shape) ([]spatial.Record, []Piece, error) {
+func step(b Bucket, beta bitlabel.Label, q spatial.Rect, h, dims, maxDepth int, shape spatial.Shape) ([]spatial.Record, []piece, error) {
 	slab := rectSlab{dims: dims}
 	pieces, err := decompose(b.Label, beta, q, dims, shape, &slab)
 	if err != nil {
 		return nil, nil, err
 	}
 	if h > 1 {
-		var split []Piece
+		var split []piece
 		for _, p := range pieces {
 			split = append(split, speculate(p.Node, p.Q, h, dims, maxDepth, shape, &slab)...)
 		}
@@ -63,7 +62,7 @@ func Step(b Bucket, beta bitlabel.Label, q spatial.Rect, h, dims, maxDepth int, 
 	return filterRecords(b, q, shape), pieces, nil
 }
 
-// Tile is the first round of a range with LCA lca planned from what a client
+// tile is the first round of a range with LCA lca planned from what a client
 // knows of the tree instead of from the LCA's corner cell: lca must be known
 // internal, and the walk descends from it through every child internal
 // reports, down to the children it does not — a leaf the client knows, or a
@@ -78,14 +77,14 @@ func Step(b Bucket, beta bitlabel.Label, q spatial.Rect, h, dims, maxDepth int, 
 // back after. A child's cell clipped to q is, to the bit, the child's cell
 // clipped to its parent's clipped subrange (max and min associate), so every
 // level clips q itself.
-func Tile(lca bitlabel.Label, q spatial.Rect, dims int, shape spatial.Shape, internal func(bitlabel.Label) bool) []Piece {
+func tile(lca bitlabel.Label, q spatial.Rect, dims int, shape spatial.Shape, internal func(bitlabel.Label) bool) []piece {
 	var s spatial.Scratch
 	cell, err := s.Cell(lca, dims)
 	if err != nil || lca.Len() <= dims {
 		return nil // no node of the tree
 	}
 	slab := rectSlab{dims: dims}
-	var pieces []Piece
+	var pieces []piece
 	var walk func(node bitlabel.Label)
 	walk = func(node bitlabel.Label) {
 		dim := spatial.SplitDim(node.Len()-(dims+1), dims)
@@ -97,7 +96,7 @@ func Tile(lca bitlabel.Label, q spatial.Rect, dims int, shape spatial.Shape, int
 				if internal(child) {
 					walk(child)
 				} else {
-					pieces = append(pieces, Piece{Node: child, Base: lca, Q: sub})
+					pieces = append(pieces, piece{Node: child, Base: lca, Q: sub})
 				}
 			}
 			cell.Lo[dim], cell.Hi[dim] = lo, hi
@@ -120,7 +119,7 @@ func Tile(lca bitlabel.Label, q spatial.Rect, dims int, shape spatial.Shape, int
 // from the slab. A branch's cell shares its face with the path to the leaf,
 // to the bit, so when leaf's cell covers q no branch meets it and there are
 // no pieces.
-func decompose(leaf, beta bitlabel.Label, q spatial.Rect, dims int, shape spatial.Shape, slab *rectSlab) ([]Piece, error) {
+func decompose(leaf, beta bitlabel.Label, q spatial.Rect, dims int, shape spatial.Shape, slab *rectSlab) ([]piece, error) {
 	root := bitlabel.Root(dims)
 	if !root.IsPrefixOf(leaf) || beta.Len() < root.Len() {
 		return nil, fmt.Errorf("core: no local tree of %v below %v for %d dims", leaf, beta, dims)
@@ -128,7 +127,7 @@ func decompose(leaf, beta bitlabel.Label, q spatial.Rect, dims int, shape spatia
 	below := beta.IsPrefixOf(leaf) // else no branch node lies below β
 	var s spatial.Scratch
 	cell := s.Cube(dims)
-	var pieces []Piece
+	var pieces []piece
 	for i := root.Len(); i < leaf.Len(); i++ {
 		dim, bit := spatial.SplitDim(i-root.Len(), dims), leaf.At(i)
 		if below && i >= beta.Len() {
@@ -136,10 +135,10 @@ func decompose(leaf, beta bitlabel.Label, q spatial.Rect, dims int, shape spatia
 			cell.Halve(dim, 1-bit)
 			if sub, ok := slab.meet(cell, q, shape, leaf.Len()-i); ok {
 				if pieces == nil {
-					pieces = make([]Piece, 0, leaf.Len()-i)
+					pieces = make([]piece, 0, leaf.Len()-i)
 				}
 				branch := leaf.Prefix(i + 1).Sibling()
-				pieces = append(pieces, Piece{Node: branch, Base: branch, Q: sub})
+				pieces = append(pieces, piece{Node: branch, Base: branch, Q: sub})
 			}
 			cell.Lo[dim], cell.Hi[dim] = lo, hi
 		}
@@ -153,9 +152,9 @@ func decompose(leaf, beta bitlabel.Label, q spatial.Rect, dims int, shape spatia
 // traffic is needed because every peer knows the global partitioning rule
 // (§3.2). The pieces tile q (minus what the shape prunes). A node's children
 // are the two halves of its cell, computed once in a scratch cell.
-func speculate(beta bitlabel.Label, q spatial.Rect, h, dims, maxDepth int, shape spatial.Shape, slab *rectSlab) []Piece {
-	queue := []Piece{{Node: beta, Base: beta, Q: q}}
-	var done []Piece
+func speculate(beta bitlabel.Label, q spatial.Rect, h, dims, maxDepth int, shape spatial.Shape, slab *rectSlab) []piece {
+	queue := []piece{{Node: beta, Base: beta, Q: q}}
+	var done []piece
 	var s spatial.Scratch
 	guard := 0
 	for len(queue) > 0 && len(queue)+len(done) < h && guard < 64*h {
@@ -173,7 +172,7 @@ func speculate(beta bitlabel.Label, q spatial.Rect, h, dims, maxDepth int, shape
 			for _, bit := range []byte{0, 1} {
 				cell.Halve(dim, bit)
 				if sub, ok := slab.meet(cell, p.Q, shape, 2*h); ok {
-					queue = append(queue, Piece{Node: p.Node.MustAppend(bit), Base: beta, Q: sub})
+					queue = append(queue, piece{Node: p.Node.MustAppend(bit), Base: beta, Q: sub})
 					expanded = true
 				}
 				cell.Lo[dim], cell.Hi[dim] = lo, hi
@@ -225,7 +224,7 @@ func (s *rectSlab) meet(g spatial.Region, q spatial.Rect, shape spatial.Shape, n
 // piece's base (inclusive) and its node (exclusive), deepest first. Names
 // of nested prefixes can coincide, so probes are deduplicated; the name
 // that already missed is excluded.
-func coverCandidates(p Piece, dims int) []bitlabel.Label {
+func coverCandidates(p piece, dims int) []bitlabel.Label {
 	probed := map[bitlabel.Label]bool{bitlabel.Name(p.Node, dims): true} // already missed
 	var names []bitlabel.Label
 	for j := p.Node.Len() - 1; j >= p.Base.Len(); j-- {

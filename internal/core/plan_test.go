@@ -76,7 +76,7 @@ func overlapVolume(a, b spatial.Rect) float64 {
 
 // checkTiling asserts that parts are pairwise disjoint, lie inside whole, sit
 // inside their own node's cell, and together with covered fill whole.
-func checkTiling(t *testing.T, what string, m int, whole spatial.Rect, covered float64, parts []Piece) {
+func checkTiling(t *testing.T, what string, m int, whole spatial.Rect, covered float64, parts []piece) {
 	t.Helper()
 	sum := covered
 	for i, p := range parts {
@@ -161,7 +161,7 @@ func TestPlannerTilesTheRange(t *testing.T) {
 // checkCoverCandidates asserts the candidate names of an overshot part are
 // strictly deepest-first (hence duplicate-free), all name a label on the path
 // to the part's node, and never include the name that already missed.
-func checkCoverCandidates(t *testing.T, p Piece, m int) {
+func checkCoverCandidates(t *testing.T, p piece, m int) {
 	t.Helper()
 	names := coverCandidates(p, m)
 	if p.Node == p.Base && len(names) != 0 {
@@ -220,7 +220,7 @@ func edgeRect(rng *rand.Rand, m int) spatial.Rect {
 
 // samePieces fails unless got and want name the same nodes and bases in the
 // same order, with subranges equal to the bit.
-func samePieces(t *testing.T, what string, got, want []Piece) {
+func samePieces(t *testing.T, what string, got, want []piece) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d pieces, reference %d: %v vs %v", what, len(got), len(want), got, want)
@@ -264,7 +264,7 @@ func edgeBucket(rng *rand.Rand, leaf bitlabel.Label, q spatial.Rect, n, m int) B
 
 // TestPlannerMatchesReference holds the in-place planner to the reference's
 // copies of the kernels it replaced (engine_equiv_test.go), DHT-free, for
-// m = 1…4 on rectangles drawn to hit every edge: QueryLCA, decompose, Tile
+// m = 1…4 on rectangles drawn to hit every edge: queryLCA, decompose, tile
 // and speculate return the same labels, bases and subrange bits, and
 // filterRecords the same records in the same order, with and without a
 // circle. MLIGHT_TEST_SEED moves the draws.
@@ -296,10 +296,10 @@ func TestPlannerMatchesReference(t *testing.T) {
 				for _, shape := range []spatial.Shape{nil, spatial.Circle{Center: center, Radius: rng.Float64() / 2}} {
 					what := fmt.Sprintf("%s shape %v", what, shape)
 
-					lca, err := QueryLCA(q, m, maxDepth)
+					lca, err := queryLCA(q, m, maxDepth)
 					wantLCA, wantErr := oldQueryLCA(q, m, maxDepth)
 					if lca != wantLCA || fmt.Sprint(err) != fmt.Sprint(wantErr) {
-						t.Fatalf("%s: QueryLCA = %v, %v; reference %v, %v", what, lca, err, wantLCA, wantErr)
+						t.Fatalf("%s: queryLCA = %v, %v; reference %v, %v", what, lca, err, wantLCA, wantErr)
 					}
 
 					leaf := leaves[rng.Intn(len(leaves))]
@@ -321,8 +321,8 @@ func TestPlannerMatchesReference(t *testing.T) {
 					if len(internals) > 0 {
 						for _, from := range []bitlabel.Label{lca, internals[rng.Intn(len(internals))]} {
 							if internal[from] {
-								samePieces(t, fmt.Sprintf("%s Tile(%v)", what, from),
-									Tile(from, q, m, shape, known), oldTile(from, q, m, shape, known))
+								samePieces(t, fmt.Sprintf("%s tile(%v)", what, from),
+									tile(from, q, m, shape, known), oldTile(from, q, m, shape, known))
 							}
 						}
 					}
@@ -352,10 +352,10 @@ func TestPlannerMatchesReference(t *testing.T) {
 		{Lo: spatial.Point{0.1, 0.1}, Hi: spatial.Point{0.2}},
 		{Lo: spatial.Point{0.1}, Hi: spatial.Point{0.2}},
 	} {
-		_, err := QueryLCA(q, 2, maxDepth)
+		_, err := queryLCA(q, 2, maxDepth)
 		_, wantErr := oldQueryLCA(q, 2, maxDepth)
 		if err == nil || err.Error() != wantErr.Error() {
-			t.Errorf("QueryLCA(%v) = %v, reference %v", q, err, wantErr)
+			t.Errorf("queryLCA(%v) = %v, reference %v", q, err, wantErr)
 		}
 	}
 }
@@ -374,8 +374,8 @@ func paperExampleQuery() (leaf, lca bitlabel.Label, q spatial.Rect) {
 // forwards to.
 func TestDecomposeRangeExample(t *testing.T) {
 	leaf, lca, q := paperExampleQuery()
-	if got, err := QueryLCA(q, 2, 28); err != nil || got != lca {
-		t.Fatalf("QueryLCA(%v) = %v, %v; want %v", q, got.Pretty(2), err, lca.Pretty(2))
+	if got, err := queryLCA(q, 2, 28); err != nil || got != lca {
+		t.Fatalf("queryLCA(%v) = %v, %v; want %v", q, got.Pretty(2), err, lca.Pretty(2))
 	}
 	pieces, err := decompose(leaf, lca, q, 2, nil, &rectSlab{dims: 2})
 	if err != nil {
@@ -416,7 +416,7 @@ func TestDecomposePaperExample(t *testing.T) {
 	}
 }
 
-// TestPlannerAllocs pins what a range's planning allocates: QueryLCA nothing
+// TestPlannerAllocs pins what a range's planning allocates: queryLCA nothing
 // up to spatial.StackDims dimensions, decompose its pieces and their one
 // block of subranges, filterRecords nothing without a hit and its answer
 // otherwise, labelKey the key.
@@ -430,11 +430,11 @@ func TestPlannerAllocs(t *testing.T) {
 			q.Lo[d], q.Hi[d] = 0.3, 0.3001
 		}
 		if allocs := testing.AllocsPerRun(50, func() {
-			if lca, err := QueryLCA(q, m, 28); err != nil || lca.Len() <= m+1 {
-				t.Fatalf("QueryLCA = %v, %v", lca, err)
+			if lca, err := queryLCA(q, m, 28); err != nil || lca.Len() <= m+1 {
+				t.Fatalf("queryLCA = %v, %v", lca, err)
 			}
 		}); allocs != 0 {
-			t.Errorf("QueryLCA at m=%d allocates %.1f objects, want 0", m, allocs)
+			t.Errorf("queryLCA at m=%d allocates %.1f objects, want 0", m, allocs)
 		}
 	}
 

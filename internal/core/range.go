@@ -103,7 +103,7 @@ func (ix *Index) rangeQuery(q spatial.Rect, ctx queryCtx) (res *QueryResult, err
 
 func (ix *Index) rangeQueryCtx(q spatial.Rect, ctx queryCtx) (*QueryResult, error) {
 	m := ix.opts.Dims
-	lca, err := QueryLCA(q, m, ix.opts.MaxDepth)
+	lca, err := queryLCA(q, m, ix.opts.MaxDepth)
 	if err != nil {
 		return nil, err
 	}
@@ -148,10 +148,10 @@ func (ix *Index) rangeQueryCtx(q spatial.Rect, ctx queryCtx) (*QueryResult, erro
 	return res, nil
 }
 
-// cacheTile asks the leaf cache to plan the range's first round (Tile), and
+// cacheTile asks the leaf cache to plan the range's first round (tile), and
 // records the plan's size as a tile event under the query's span. ok is false
 // when the cache is disabled or knows nothing about lca.
-func (ix *Index) cacheTile(lca bitlabel.Label, q spatial.Rect, ctx queryCtx) ([]Piece, bool) {
+func (ix *Index) cacheTile(lca bitlabel.Label, q spatial.Rect, ctx queryCtx) ([]piece, bool) {
 	if ix.cache == nil {
 		return nil, false
 	}
@@ -233,7 +233,7 @@ const (
 // frontierItem is one unit of work inside a round.
 type frontierItem struct {
 	kind itemKind
-	p    Piece
+	p    piece
 	node *execNode
 	// names are an itemCover's candidates, deepest first — the priority the
 	// paper's parallel recovery implies: the first of them whose bucket is a
@@ -416,7 +416,7 @@ func (e *rangeEngine) resolveFallback(it frontierItem, span trace.SpanID) error 
 // them join the same round's batch, so sibling subqueries — and, with h > 1,
 // their speculative pieces — genuinely overlap.
 func (e *rangeEngine) expand(q spatial.Rect, beta bitlabel.Label, b Bucket, node *execNode, next []frontierItem) ([]frontierItem, error) {
-	records, pieces, err := Step(b, beta, q, e.ctx.h, e.ix.opts.Dims, e.ix.opts.MaxDepth, e.ctx.shape)
+	records, pieces, err := step(b, beta, q, e.ctx.h, e.ix.opts.Dims, e.ix.opts.MaxDepth, e.ctx.shape)
 	if err != nil {
 		return next, err
 	}
@@ -426,7 +426,7 @@ func (e *rangeEngine) expand(q spatial.Rect, beta bitlabel.Label, b Bucket, node
 
 // probes appends one probe per piece to next, each owning a new child of n in
 // the pieces' order.
-func (n *execNode) probes(pieces []Piece, next []frontierItem) []frontierItem {
+func (n *execNode) probes(pieces []piece, next []frontierItem) []frontierItem {
 	for _, p := range pieces {
 		child := &execNode{}
 		n.children = append(n.children, child)

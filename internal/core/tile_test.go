@@ -14,7 +14,7 @@ import (
 )
 
 // TestTilePlansTheRange: for any tree, any set of leaves a client knows and
-// any rectangle whose LCA the known leaves prove internal, Tile's pieces tile
+// any rectangle whose LCA the known leaves prove internal, tile's pieces tile
 // the rectangle, sit below the LCA with it as their base, and stop at the
 // first label not known internal; when every leaf is known they are exactly
 // the leaves the rectangle meets.
@@ -43,7 +43,7 @@ func TestTilePlansTheRange(t *testing.T) {
 				if !internal[lca] {
 					continue
 				}
-				pieces := Tile(lca, q, m, nil, known)
+				pieces := tile(lca, q, m, nil, known)
 				checkTiling(t, "tile", m, q, 0, pieces)
 				for _, p := range pieces {
 					if p.Base != lca || p.Node.Len() <= lca.Len() || !lca.IsPrefixOf(p.Node) {

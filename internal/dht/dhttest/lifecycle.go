@@ -287,19 +287,16 @@ func RunLifecycle(t *testing.T, f OverlayFixture) {
 	// evidence, so RestartNode must reset the owner's breaker instead of
 	// leaving the healthy peer fenced off for the rest of the cooldown.
 	t.Run("RestartResetsBreaker", func(t *testing.T) {
-		c := f.build(t, 6, overlay.Config{Replication: 2, Retry: &dht.RetryPolicy{
-			MaxAttempts:      1,
-			BreakerThreshold: 1,
-			BreakerCooldown:  1000,
-			Sleep:            dht.NoSleep,
-		}})
+		c := f.build(t, 6, overlay.Config{Replication: 2})
 		victim := c.addrs[2]
 		if err := c.CrashNode(victim); err != nil {
 			t.Fatal(err)
 		}
 		// Writes owned by the victim's neighbours still name it as a replica
-		// target until the next maintenance round; one failed push trips
-		// the breaker. Writes routed at the victim itself just fail.
+		// target until the next maintenance round. Each failed push makes
+		// three attempts, so the third trips the default breaker, whose
+		// threshold is eight failed attempts in a row. Writes routed at the
+		// victim itself just fail.
 		breaker := func() string { return c.ReplicationRetrier().BreakerState(string(victim)) }
 		failed := 0
 		for i := 0; i < 500 && breaker() != "open"; i++ {

@@ -315,8 +315,8 @@ func TestExtensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 3 {
-		t.Fatalf("%d extension tables, want 3", len(tables))
+	if len(tables) != 2 {
+		t.Fatalf("%d extension tables, want 2", len(tables))
 	}
 	byID := map[string]Table{}
 	for _, tbl := range tables {
@@ -334,19 +334,6 @@ func TestExtensions(t *testing.T) {
 			if p.Y < 0 {
 				t.Errorf("%s: negative skew %v", s.Name, p)
 			}
-		}
-	}
-	// Peer latency: WAN strictly slower than LAN at every span, both
-	// positive and growing with span.
-	pl := byID["ExtPeerLatency"]
-	lan, ok1 := pl.SeriesByName("LAN (1 ms links)")
-	wan, ok2 := pl.SeriesByName("WAN (25 ms links)")
-	if !ok1 || !ok2 {
-		t.Fatalf("peer-latency series missing: %v", pl.Series)
-	}
-	for i := range lan.Points {
-		if lan.Points[i].Y <= 0 || wan.Points[i].Y <= lan.Points[i].Y {
-			t.Errorf("span %v: LAN %v, WAN %v", lan.Points[i].X, lan.Points[i].Y, wan.Points[i].Y)
 		}
 	}
 	ca := byID["ExtChurnAvailability"]

@@ -3,12 +3,10 @@ package experiments
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"mlight/internal/dht"
 	"mlight/internal/metrics"
 	"mlight/internal/overlay"
-	"mlight/internal/peerquery"
 	"mlight/internal/simnet"
 	"mlight/internal/workload"
 )
@@ -19,12 +17,9 @@ import (
 //   - ExtQueryLoad: how evenly the *query-processing* load (peer accesses
 //     during range queries) spreads over the peers, per scheme;
 //   - ExtChurnAvailability: the fraction of range queries that still
-//     succeed as peers crash, with and without replication;
-//   - ExtPeerLatency: true critical-path latency in simulated milliseconds
-//     for peer-executed queries (internal/peerquery) under LAN and WAN
-//     link-latency models.
+//     succeed as peers crash, with and without replication.
 func Extensions(cfg Config) ([]Table, error) {
-	return runEach(cfg, extensionQueryLoad, extensionChurnAvailability, extensionPeerLatency)
+	return runEach(cfg, extensionQueryLoad, extensionChurnAvailability)
 }
 
 // accessCounter decorates a substrate and counts operations per owning
@@ -215,65 +210,6 @@ func extensionChurnAvailability(cfg Config) (Table, error) {
 		ID:     "ExtChurnAvailability",
 		Title:  "Index availability under crashes (24-peer Chord ring)",
 		XLabel: "peers crashed", YLabel: "fraction of range queries answered",
-		Series: series,
-	}, nil
-}
-
-// extensionPeerLatency measures true critical-path latency (simulated
-// milliseconds) of peer-executed range queries under two link-latency
-// models — the measurement the paper's "rounds of DHT-lookups" proxies.
-func extensionPeerLatency(cfg Config) (Table, error) {
-	const ringSize = 32
-	records := cfg.records()
-	if len(records) > 20000 {
-		records = records[:20000]
-	}
-	models := []struct {
-		name   string
-		oneWay time.Duration
-	}{
-		{"LAN (1 ms links)", time.Millisecond},
-		{"WAN (25 ms links)", 25 * time.Millisecond},
-	}
-	series := make([]Series, len(models))
-	for mi, model := range models {
-		series[mi].Name = model.name
-		net := simnet.New(simnet.Options{Latency: simnet.ConstantLatency(model.oneWay)})
-		ring, _, err := deploy(net, ringSize, overlay.Config{Seed: cfg.Seed}, cfg.tuning(cfg.ThetaSplit), records)
-		if err != nil {
-			return Table{}, err
-		}
-		svc, err := peerquery.New(ring, net, cfg.Dims, cfg.MaxDepth)
-		if err != nil {
-			return Table{}, err
-		}
-		gen, err := workload.NewRangeGenerator(cfg.Dims, cfg.Seed+600)
-		if err != nil {
-			return Table{}, err
-		}
-		for _, span := range cfg.Spans {
-			queries, err := gen.SpanBatch(span, min(cfg.QueriesPerSpan, 20))
-			if err != nil {
-				return Table{}, err
-			}
-			var total time.Duration
-			for _, q := range queries {
-				res, err := svc.RangeQuery(q)
-				if err != nil {
-					return Table{}, fmt.Errorf("peer latency query: %w", err)
-				}
-				total += res.Latency
-			}
-			series[mi].Points = append(series[mi].Points, Point{
-				X: span,
-				Y: float64(total.Milliseconds()) / float64(len(queries)),
-			})
-		}
-	}
-	return Table{
-		ID:     "ExtPeerLatency",
-		Title:  "Peer-executed range queries: critical-path latency vs range span",
-		XLabel: "range span", YLabel: "mean latency (simulated ms)",
 		Series: series,
 	}, nil
 }

@@ -22,7 +22,7 @@ type Node struct {
 	// is acknowledged.
 	store *dht.Local
 
-	// mu guards the replica copies, their leases, the app handler and vers.
+	// mu guards the replica copies, their leases and vers.
 	// A write takes it inside the store's lock, never the other way round.
 	mu sync.Mutex
 	// replicas holds copies of other nodes' keys when the overlay runs with
@@ -35,10 +35,6 @@ type Node struct {
 	// keyspace) expires instead of lingering stale. See takeExpiredReplicas.
 	replicaSeen map[dht.Key]uint64
 	repRound    uint64
-	// app is the application-level handler consulted for request types
-	// neither the kernel nor the router recognises — the over-DHT
-	// application layer (OpenDHT-style installed handlers).
-	app transport.Handler
 	// vers tracks per-key mutation versions for the remote (wire-safe)
 	// apply protocol; every primary-store write bumps it, under the store
 	// lock. See dht.RemoteApply.
@@ -168,15 +164,6 @@ func (n *Node) Routing() NodeRouter { return n.rt }
 // node that cannot journal a write fails it.
 func (n *Node) AttachWAL(w *dht.WAL) error { return n.store.AttachWAL(w) }
 
-// SetAppHandler installs an application-level handler for requests the DHT
-// layer does not recognise, the hook an over-DHT index uses to run its
-// query logic on the peers themselves.
-func (n *Node) SetAppHandler(h transport.Handler) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.app = h
-}
-
 // OnCrash implements transport.Crasher: a hard crash destroys everything
 // this process held in memory — stored keys, replicas, and all routing
 // state. The address and identifier survive (they are identity, not state),
@@ -270,13 +257,12 @@ func (n *Node) absorb(entries map[dht.Key]any, overwrite bool) error {
 	})
 }
 
-// LocalGet reads a value from this node's own store (no network traffic) —
-// what an application handler running on the peer sees, and what a
-// retrieveReq is answered with: the primary copy, or in the crash window the
-// replica copy. A write lands a promoted copy in the store before it drops
-// the replica, so a key missed in both is read from the store once more
-// before it is reported absent.
-func (n *Node) LocalGet(key dht.Key) (any, bool) {
+// localGet reads a value from this node's own store (no network traffic) —
+// what a retrieveReq is answered with: the primary copy, or in the crash
+// window the replica copy. A write lands a promoted copy in the store before
+// it drops the replica, so a key missed in both is read from the store once
+// more before it is reported absent.
+func (n *Node) localGet(key dht.Key) (any, bool) {
 	//lint:allow droppederr a Local's Get cannot fail
 	if v, ok, _ := n.store.Get(key); ok {
 		return v, true
@@ -343,10 +329,10 @@ func (n *Node) declines(direct bool, key dht.Key) bool {
 
 // HandleRPC implements transport.Handler: routing messages are served by
 // the node's NodeRouter (asked first — a lookup is several of them for every
-// store message), store-plane messages here, anything else by the installed
-// application handler. No arm defers: a deferred call in any of them would
-// keep the compiler from open-coding the function's defers, and every routing
-// step would pay the runtime's deferred-call path on its way out.
+// store message), store-plane messages here; anything else is an error. No
+// arm defers: a deferred call in any of them would keep the compiler from
+// open-coding the function's defers, and every routing step would pay the
+// runtime's deferred-call path on its way out.
 func (n *Node) HandleRPC(from transport.NodeID, req any) (any, error) {
 	// The sentinel comes back bare, by NodeRouter's contract.
 	if resp, err := n.rt.HandleRPC(from, req); err != ErrUnknownRequest {
@@ -365,7 +351,7 @@ func (n *Node) HandleRPC(from transport.NodeID, req any) (any, error) {
 		if n.declines(r.Direct, r.Key) {
 			return declinedResp{}, nil
 		}
-		v, ok := n.LocalGet(r.Key)
+		v, ok := n.localGet(r.Key)
 		return retrieveResp{Value: v, Found: ok}, nil
 	case removeReq:
 		if n.declines(r.Direct, r.Key) {
@@ -430,12 +416,6 @@ func (n *Node) HandleRPC(from transport.NodeID, req any) (any, error) {
 		n.mu.Unlock()
 		return struct{}{}, nil
 	}
-	n.mu.Lock()
-	app := n.app
-	n.mu.Unlock()
-	if app != nil {
-		return app.HandleRPC(from, req)
-	}
 	return nil, fmt.Errorf("overlay: %s: unknown request type %T", n.addr, req)
 }
 
@@ -449,7 +429,7 @@ func (n *Node) retrieveBatch(r retrieveBatchReq) (any, error) {
 	items := make([]retrieveItem, len(r.Keys))
 	for i, key := range r.Keys {
 		if items[i].Declined = n.declines(r.Direct, key); !items[i].Declined {
-			items[i].Value, items[i].Found = n.LocalGet(key)
+			items[i].Value, items[i].Found = n.localGet(key)
 		}
 	}
 	return retrieveBatchResp{Items: items}, nil

@@ -33,8 +33,8 @@ import (
 var ErrLookupFailed = dht.Retryable(errors.New("overlay: lookup failed"))
 
 // ErrUnknownRequest is what a NodeRouter returns for a request type that is
-// not one of its routing messages; the kernel then offers the request to the
-// node's application handler.
+// not one of its routing messages; the kernel then serves the request as a
+// store-plane message, or fails it.
 var ErrUnknownRequest = errors.New("overlay: unknown request type")
 
 // Ref names a node: its network address and its position in the identifier
@@ -111,12 +111,6 @@ type Config struct {
 	// a couple of stabilization rounds. Each protocol caps it at what its
 	// neighbour set can hold.
 	Replication int
-	// Retry governs the replication RPCs (replica pushes and drops), which
-	// are issued overlay-internally rather than through a dht.Resilient
-	// wrapper. Nil selects a default of 3 attempts with no backoff sleep —
-	// the simulated network fails synchronously, so waiting buys nothing;
-	// real deployments should supply a policy with a real Sleep.
-	Retry *dht.RetryPolicy
 	// Seeds names remote entry points for lookups when the overlay manages
 	// no local node (a pure client dialing a daemon cluster) or is joining
 	// an overlay hosted by other processes (a daemon booting with peers).
@@ -135,7 +129,12 @@ type Overlay struct {
 	client      transport.NodeID
 	replication int
 	router      Router
-	retrier     *dht.Retrier
+	// retrier governs the replication RPCs (replica pushes and drops), which
+	// the overlay issues itself rather than through a dht.Resilient wrapper:
+	// three attempts with no sleep between them, and a breaker per replica
+	// target. A push that still fails waits for the next stabilization
+	// round's repair (replicaCall).
+	retrier *dht.Retrier
 
 	mu    sync.Mutex
 	nodes map[transport.NodeID]*Node
@@ -197,10 +196,6 @@ func New(net transport.Interface, cfg Config, name string, maxReplication int, n
 	if replication > maxReplication {
 		replication = maxReplication
 	}
-	policy := dht.RetryPolicy{MaxAttempts: 3, Seed: cfg.Seed, Sleep: dht.NoSleep}
-	if cfg.Retry != nil {
-		policy = *cfg.Retry
-	}
 	seeds := make([]Ref, 0, len(cfg.Seeds))
 	for _, s := range cfg.Seeds {
 		seeds = append(seeds, RefOf(s))
@@ -213,7 +208,7 @@ func New(net transport.Interface, cfg Config, name string, maxReplication int, n
 		nodes:       make(map[transport.NodeID]*Node),
 		crashed:     make(map[transport.NodeID]*Node),
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
-		retrier:     dht.NewRetrier(policy, nil),
+		retrier:     dht.NewRetrier(dht.RetryPolicy{MaxAttempts: 3, Seed: cfg.Seed, Sleep: dht.NoSleep}, nil),
 	}
 	o.router = newRouter(o)
 	o.resetViewLocked()
@@ -368,7 +363,7 @@ func (o *Overlay) Lookup(target dht.ID) (Ref, error) {
 
 // LookupFrom resolves the owner of key with one routing attempt starting at
 // the given local node, returning the owner's address and the number of
-// routing RPCs spent — the building block for peer-side forwarding.
+// routing RPCs spent.
 func (o *Overlay) LookupFrom(addr transport.NodeID, key dht.Key) (transport.NodeID, int, error) {
 	n, ok := o.NodeAt(addr)
 	if !ok {
@@ -390,15 +385,6 @@ func (o *Overlay) MeanRouteLength() float64 {
 		return 0
 	}
 	return float64(o.Hops.Load()) / float64(lookups)
-}
-
-// InstallAppHandler installs an application handler on every managed node
-// (on nodes added later callers must install again). The factory receives
-// each node so handlers can read local state.
-func (o *Overlay) InstallAppHandler(factory func(n *Node) transport.Handler) {
-	for _, n := range o.LocalNodes() {
-		n.SetAppHandler(factory(n))
-	}
 }
 
 // Put implements dht.DHT.

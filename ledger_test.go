@@ -20,6 +20,7 @@ import (
 	"mlight/internal/daemon"
 	"mlight/internal/dht"
 	"mlight/internal/dht/dhttest"
+	"mlight/internal/index"
 	"mlight/internal/overlay"
 	"mlight/internal/simnet"
 	"mlight/internal/substrate"
@@ -44,9 +45,9 @@ const ledgerGolden = "testdata/ledger.golden"
 // The shapes are the benchmark's four: the in-memory dht.Local (128 peers);
 // dht.Local over a WAL with the bucket codec; a 16-peer Chord ring with
 // replication 2 on the simnet, whose client sends one probe at a time; and
-// three WAL-backed daemons on fixed
-// loopback ports under mlight.Dial with the tcp-cluster workload's client
-// options. Each runs with the leaf cache off and with 256 leaves. A
+// three WAL-backed daemons on fixed loopback ports under a client assembled
+// as mlight.Dial assembles it (dialMetered), with the tcp-cluster workload's
+// client options. Each runs with the leaf cache off and with 256 leaves. A
 // 5,000-record NE preload (seed 1) is not charged; the phases after it are
 // 1,000 inserts, 1,000 lookups, 200 RangeQuery and 200 RangeQueryParallel
 // (h = 2) of span 0.05, 1,000 records by InsertBatch in chunks of 64, and
@@ -58,10 +59,11 @@ const ledgerGolden = "testdata/ledger.golden"
 // client side; on the dialed shape, whose frames marshal (the simnet carries
 // Go values, closures among them), request-plus-reply bytes and the most
 // frames one daemon got in one operation, so that a warm range's one frame a
-// daemon reads busiest=1; and on the durable and dialed shapes the WAL's log
-// records, log bytes and compactions, summed over the daemons. A compaction
-// resets the log, so the operation that triggers one is charged only the log
-// written after it.
+// daemon reads busiest=1; where frames are counted, crit_msgs, the messages
+// on the client's critical path (critMeter); and on the durable and dialed
+// shapes the WAL's log records, log bytes and compactions, summed over the
+// daemons. A compaction resets the log, so the operation that triggers one is
+// charged only the log written after it.
 //
 // Two costs are left out:
 //   - Allocations. The in-process shapes' phases, run four times in one
@@ -145,25 +147,60 @@ var ledgerShapes = []struct {
 		return ledgerIndex(t, d, cache), &meter{wal: walMeters(w)}
 	}},
 	{"chord", func(t *testing.T, cache int) (*mlight.Index, *meter) {
-		w := &wireCount{Interface: simnet.New(simnet.Options{})}
+		crit := &critMeter{branches: keyBranches}
+		w := &wireCount{Interface: simnet.New(simnet.Options{}), crit: crit}
 		ring, err := substrate.Cluster("chord", w, 16, overlay.Config{Seed: 1, Replication: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
 		// A hosting overlay draws each lookup's entry point from one seeded
 		// generator in the order lookups reach it, so the ring's client
-		// sends one probe at a time: its routing steps are then exact.
-		return ledgerIndex(t, ring, cache, mlight.WithMaxInFlight(1)), &meter{wire: w}
+		// sends one probe at a time: its routing steps are then exact, and
+		// so is which key of a batch each frame belongs to.
+		ix := ledgerIndex(t, &critDHT{inner: ring, m: crit}, cache, mlight.WithMaxInFlight(1))
+		return ix, &meter{wire: w, crit: crit}
 	}},
 	{"dial", func(t *testing.T, cache int) (*mlight.Index, *meter) {
-		w := &wireCount{sized: true}
+		crit := &critMeter{branches: daemonBranches}
+		w := &wireCount{sized: true, crit: crit}
 		addrs, wals := startLoopback(t, 3)
-		client := dialCounted(t, addrs, w,
+		ix := dialMetered(t, addrs, w,
 			mlight.WithRetry(mlight.RetryPolicy{MaxAttempts: 6, Seed: 1}),
 			mlight.WithCache(cache),
 			mlight.WithSeed(1))
-		return client.Index, &meter{wire: w, wal: walMeters(wals...)}
+		return ix, &meter{wire: w, crit: crit, wal: walMeters(wals...)}
 	}},
+}
+
+// dialMetered is dialCounted with the critical-path meter between the index
+// and its substrate: it assembles the client as mlight.Dial does — a
+// client-mode overlay seeded with addrs under the bucket codec — so that
+// critDHT can see where each batch call begins and ends. The ledger's dial
+// rows were first recorded through mlight.Dial itself; equal frames, bytes
+// and lookups are the proof that the two stacks are one.
+func dialMetered(tb testing.TB, addrs []string, w *wireCount, opts ...mlight.Option) *mlight.Index {
+	tb.Helper()
+	tcp := transport.NewTCP(transport.TCPOptions{})
+	tb.Cleanup(func() {
+		if err := tcp.Close(); err != nil {
+			tb.Errorf("transport close: %v", err)
+		}
+	})
+	w.Interface = tcp
+	tuning := index.Resolve(opts...)
+	seeds := make([]transport.NodeID, len(addrs))
+	for i, a := range addrs {
+		seeds[i] = transport.NodeID(a)
+	}
+	o, err := substrate.New(tuning.Substrate, w, overlay.Config{Seed: tuning.Seed, Seeds: seeds})
+	if err != nil {
+		tb.Fatalf("dial: %v", err)
+	}
+	ix, err := mlight.New(&critDHT{inner: wire.NewByteDHT(o, wire.BucketCodec{}), m: w.crit}, opts...)
+	if err != nil {
+		tb.Fatalf("dial: %v", err)
+	}
+	return ix
 }
 
 func ledgerIndex(t *testing.T, d mlight.DHT, cache int, opts ...mlight.Option) *mlight.Index {
@@ -246,6 +283,7 @@ func runLedger(t *testing.T, ix *mlight.Index, m *meter) []string {
 // WALs the shape has.
 type meter struct {
 	wire   *wireCount
+	crit   *critMeter
 	wal    []*walMeter
 	before mlight.Stats
 	most   int // the most frames one peer got in one operation
@@ -256,6 +294,9 @@ func (m *meter) start(ix *mlight.Index) {
 	if m.wire != nil {
 		m.wire.take()
 		m.wire.busiest()
+	}
+	if m.crit != nil {
+		m.crit.take()
 	}
 	m.most = 0
 	for _, w := range m.wal {
@@ -300,6 +341,9 @@ func (m *meter) row(ix *mlight.Index) string {
 		if m.wire.sized {
 			cols = append(cols, col("bytes", size), col("busiest", m.most))
 		}
+	}
+	if m.crit != nil {
+		cols = append(cols, col("crit_msgs", m.crit.take()))
 	}
 	if len(m.wal) > 0 {
 		var records, bytes, compactions int
@@ -414,6 +458,7 @@ func ledgerDiff(want, got string) string {
 type wireCount struct {
 	transport.Interface
 	sized bool
+	crit  *critMeter // fed every frame, when set
 
 	mu     sync.Mutex
 	byType map[string]int
@@ -432,6 +477,10 @@ func (w *wireCount) Call(from, to transport.NodeID, req any) (any, error) {
 			}
 		}
 	}
+	typ := reflect.TypeOf(req).String()
+	if w.crit != nil {
+		w.crit.frame(sentFrame{typ: typ, to: to})
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.byType == nil {
@@ -440,7 +489,7 @@ func (w *wireCount) Call(from, to transport.NodeID, req any) (any, error) {
 	if w.byDest == nil {
 		w.byDest = make(map[transport.NodeID]int)
 	}
-	w.byType[reflect.TypeOf(req).String()]++
+	w.byType[typ]++
 	w.byDest[to]++
 	w.calls++
 	w.bytes += n

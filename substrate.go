@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"mlight/internal/overlay"
-	"mlight/internal/peerquery"
 	"mlight/internal/simnet"
 	"mlight/internal/substrate"
 )
@@ -27,13 +26,6 @@ type (
 	PastryOverlay = Overlay
 	// KademliaOverlay is an Overlay running Kademlia routing.
 	KademliaOverlay = Overlay
-	// PeerQueryService executes range queries on the peers themselves
-	// (Algorithm 3 as installed application handlers) and measures true
-	// critical-path latency under the network's latency model.
-	PeerQueryService = peerquery.Service
-	// PeerQueryResult is a peer-executed query answer with simulated-time
-	// latency.
-	PeerQueryResult = peerquery.Result
 )
 
 // NewNetwork creates an empty simulated network with zero latency and no
@@ -93,14 +85,6 @@ func NewPastryCluster(n int, seed int64) (*PastryOverlay, *Network, error) {
 // network with n joined, stabilized peers.
 func NewKademliaCluster(n int, seed int64) (*KademliaOverlay, *Network, error) {
 	return NewReplicatedKademliaCluster(n, 1, seed)
-}
-
-// NewPeerQueryService installs peer-side range-query execution on an
-// overlay holding an m-LIGHT index with the given dimensionality and depth
-// bound. Queries then run peer-to-peer, and results report critical-path
-// latency in simulated time.
-func NewPeerQueryService(ring *Overlay, net *Network, dims, maxDepth int) (*PeerQueryService, error) {
-	return peerquery.New(ring, net, dims, maxDepth)
 }
 
 // NewReplicatedPastryCluster is NewPastryCluster with PAST/Bamboo-style

@@ -11,16 +11,15 @@ import (
 	"mlight/internal/chord"
 	"mlight/internal/core"
 	"mlight/internal/index"
-	"mlight/internal/peerquery"
 	"mlight/internal/simnet"
 	"mlight/internal/workload"
 )
 
 // TestFullSystem is the grand integration test: a 48-peer Chord ring with
 // replication on a latency-modelled network, an m-LIGHT index loaded with
-// 15k skewed records through the public API, client-driven and
-// peer-executed queries cross-checked against a linear scan, churn (leaves
-// and crashes) in the middle, and a snapshot/restore of the final state.
+// 15k skewed records through the public API, range queries cross-checked
+// against a linear scan, churn (leaves and crashes) in the middle, and a
+// snapshot/restore of the final state.
 func TestFullSystem(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-system test")
@@ -50,11 +49,6 @@ func TestFullSystem(t *testing.T) {
 	}
 	ring.Stabilize(1)
 
-	svc, err := peerquery.New(ring, net, 2, 28)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	gen, err := workload.NewRangeGenerator(2, 99)
 	if err != nil {
 		t.Fatal(err)
@@ -78,20 +72,10 @@ func TestFullSystem(t *testing.T) {
 			want := scanCount(q)
 			res, err := ix.RangeQuery(q)
 			if err != nil {
-				t.Fatalf("%s: client query: %v", phase, err)
+				t.Fatalf("%s: query: %v", phase, err)
 			}
 			if len(res.Records) != want {
-				t.Fatalf("%s: client query = %d, scan = %d", phase, len(res.Records), want)
-			}
-			peer, err := svc.RangeQuery(q)
-			if err != nil {
-				t.Fatalf("%s: peer query: %v", phase, err)
-			}
-			if len(peer.Records) != want {
-				t.Fatalf("%s: peer query = %d, scan = %d", phase, len(peer.Records), want)
-			}
-			if peer.Latency <= 0 {
-				t.Fatalf("%s: no latency measured", phase)
+				t.Fatalf("%s: query = %d, scan = %d", phase, len(res.Records), want)
 			}
 		}
 	}
@@ -112,7 +96,6 @@ func TestFullSystem(t *testing.T) {
 		t.Fatal(err)
 	}
 	ring.Stabilize(2)
-	svc.Reinstall() // membership changed
 	checkQueries("post-churn")
 
 	// kNN sanity on the churned system.
