@@ -14,7 +14,7 @@ import (
 )
 
 // randomRecords draws n records in [0,1)^dims with payloads of mixed length
-// (including empty, which the offset table must represent exactly).
+// (including empty, which the encoding must represent exactly).
 func randomRecords(rng *rand.Rand, n, dims int) []spatial.Record {
 	out := make([]spatial.Record, n)
 	for i := range out {
@@ -31,8 +31,8 @@ func randomRecords(rng *rand.Rand, n, dims int) []spatial.Record {
 	return out
 }
 
-// sameRecordSlice compares element-wise (order matters: the columnar store
-// must preserve insertion order exactly like the old slice layout).
+// sameRecordSlice compares element-wise (order matters: the bucket must
+// preserve insertion order exactly like a slice).
 func sameRecordSlice(t *testing.T, got, want []spatial.Record) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -47,9 +47,9 @@ func sameRecordSlice(t *testing.T, got, want []spatial.Record) {
 }
 
 // TestColumnarMatchesSliceLayout: a Bucket built by Append, a Bucket built
-// by NewBucket, and a plain record slice agree on every accessor — the
-// columnar arena layout is observationally identical to the old
-// []spatial.Record field.
+// by NewBucket, one decoded from its encoding, and a plain record slice agree
+// on every accessor — the encoded layout is observationally identical to a
+// []spatial.Record.
 func TestColumnarMatchesSliceLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	label := bitlabel.MustParse("0011")
@@ -63,7 +63,11 @@ func TestColumnarMatchesSliceLayout(t *testing.T) {
 		}
 		packed := NewBucket(label, want)
 
-		for name, b := range map[string]Bucket{"appended": appended, "packed": packed} {
+		decoded, err := UnmarshalBucket(packed.Marshal())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, b := range map[string]Bucket{"appended": appended, "packed": packed, "decoded": decoded} {
 			if b.Load() != len(want) {
 				t.Fatalf("%s: Load = %d, want %d", name, b.Load(), len(want))
 			}
@@ -85,8 +89,8 @@ func TestColumnarMatchesSliceLayout(t *testing.T) {
 }
 
 // TestColumnarCopyOnWrite: a Bucket value taken before further Appends is a
-// stable snapshot — later appends (which may share arena capacity) never
-// change what an older header observes. This is the invariant the insert
+// stable snapshot — later appends (which may share its spare capacity) never
+// change what an older value observes. This is the invariant the insert
 // path's lock-free readers rely on.
 func TestColumnarCopyOnWrite(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -106,7 +110,7 @@ func TestColumnarCopyOnWrite(t *testing.T) {
 	}
 }
 
-// TestColumnarSplitEquivalence: splitting a columnar bucket (the Records →
+// TestColumnarSplitEquivalence: splitting a bucket (the Records →
 // decideSplit path SplitRule.Append takes) partitions exactly the records the
 // equivalent slice layout holds — every piece's contents round-trip through
 // NewBucket unchanged and the union is the original set.
@@ -139,49 +143,7 @@ func TestColumnarSplitEquivalence(t *testing.T) {
 	}
 }
 
-// TestColumnarFromArenas: a bucket built over arenas the caller packed is
-// the bucket NewBucket builds from the same records, and arenas that do not
-// describe each other are refused — DataAt trusts the offset table with an
-// unsafe.String.
-func TestColumnarFromArenas(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	records := randomRecords(rng, 40, 3)
-	label := bitlabel.MustParse("0110")
-	var (
-		coords []float64
-		data   []byte
-		offs   = []uint32{0}
-	)
-	for _, r := range records {
-		coords = append(coords, r.Key...)
-		data = append(data, r.Data...)
-		offs = append(offs, uint32(len(data)))
-	}
-	b := NewBucketColumns(label, 3, coords, offs, data)
-	if b.Label != label {
-		t.Fatalf("label = %v", b.Label)
-	}
-	sameRecordSlice(t, b.Records(), NewBucket(label, records).Records())
-	sameRecordSlice(t, b.Append(records[0]).Records(), append(append([]spatial.Record{}, records...), records[0]))
-
-	for name, build := range map[string]func(){
-		"no records":         func() { NewBucketColumns(label, 3, nil, []uint32{0}, nil) },
-		"coords too short":   func() { NewBucketColumns(label, 3, coords[1:], offs, data) },
-		"data too long":      func() { NewBucketColumns(label, 3, coords, offs, append(data[:len(data):len(data)], 'x')) },
-		"offsets decreasing": func() { NewBucketColumns(label, 1, []float64{0, 0}, []uint32{0, 5, 3}, []byte("abc")) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: accepted", name)
-				}
-			}()
-			build()
-		}()
-	}
-}
-
-// TestBucketAppendZeroAlloc is the scale gate: once arena capacity exists,
+// TestBucketAppendZeroAlloc is the scale gate: once spare capacity exists,
 // Append performs no allocations — a 10M-record ingest must not pay a heap
 // object per record.
 func TestBucketAppendZeroAlloc(t *testing.T) {
@@ -189,8 +151,8 @@ func TestBucketAppendZeroAlloc(t *testing.T) {
 	seed := randomRecords(rng, 100, 2)
 	b := NewBucket(bitlabel.Root(2), seed)
 	rec := spatial.Record{Key: spatial.Point{0.5, 0.5}, Data: "x"}
-	// First append grows the exact-size arenas; subsequent appends into the
-	// doubled capacity must be allocation-free.
+	// First append grows the exact-size slice; subsequent appends into the
+	// grown capacity must be allocation-free.
 	b = b.Append(rec)
 	base := b
 	allocs := testing.AllocsPerRun(20, func() {
@@ -203,7 +165,7 @@ func TestBucketAppendZeroAlloc(t *testing.T) {
 
 // TestRemoveMatchesRepack: Remove at every position — the first, the last,
 // the only record — leaves what NewBucket packs from the survivors: the same
-// records in the same order, the same encoding, arenas of exactly their size;
+// records in the same order, the same encoding, a slice of exactly its size;
 // and the stored bucket, packed or grown by appends into spare capacity,
 // reads as it did.
 func TestRemoveMatchesRepack(t *testing.T) {
@@ -228,10 +190,8 @@ func TestRemoveMatchesRepack(t *testing.T) {
 				if !bytes.Equal(out.Keep.Marshal(), want.Marshal()) {
 					t.Fatalf("%s n=%d: Remove(%d) encodes differently from NewBucket of the survivors", name, n, i)
 				}
-				rs := out.Keep.rs
-				if cap(rs.coords) != len(rs.coords) || cap(rs.offs) != len(rs.offs) || cap(rs.data) != len(rs.data) {
-					t.Fatalf("%s n=%d: Remove(%d) left arenas with spare capacity: %d/%d coords, %d/%d offsets, %d/%d bytes",
-						name, n, i, len(rs.coords), cap(rs.coords), len(rs.offs), cap(rs.offs), len(rs.data), cap(rs.data))
+				if enc := out.Keep.enc; cap(enc) != len(enc) {
+					t.Fatalf("%s n=%d: Remove(%d) left %d/%d bytes: spare capacity", name, n, i, len(enc), cap(enc))
 				}
 				if !bytes.Equal(stored.Marshal(), before) {
 					t.Fatalf("%s n=%d: Remove(%d) changed the stored bucket", name, n, i)
@@ -241,9 +201,9 @@ func TestRemoveMatchesRepack(t *testing.T) {
 	}
 }
 
-// TestRemoveAllocs is the delete path's allocation gate: the three arenas,
-// at any load — no record slice, no Point or string per record, and no cell
-// for the covering test.
+// TestRemoveAllocs is the delete path's allocation gate: the survivors'
+// encodings, at any load — no record slice, no Point or string per record,
+// and no cell for the covering test.
 func TestRemoveAllocs(t *testing.T) {
 	if dhttest.RaceEnabled() {
 		t.Skip("race instrumentation allocates")
@@ -256,13 +216,13 @@ func TestRemoveAllocs(t *testing.T) {
 			t.Fatal("nothing removed")
 		}
 	})
-	if allocs > 3 {
-		t.Fatalf("Remove allocates %.1f objects, want ≤ 3: the three arenas", allocs)
+	if allocs > 1 {
+		t.Fatalf("Remove allocates %.1f objects, want ≤ 1: the survivors' encodings", allocs)
 	}
 }
 
 // FuzzColumnarRoundTrip: arbitrary byte strings drive record construction;
-// the columnar store and the plain slice must stay observationally equal
+// the encoded store and the plain slice must stay observationally equal
 // under any append sequence.
 func FuzzColumnarRoundTrip(f *testing.F) {
 	f.Add([]byte{})

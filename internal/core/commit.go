@@ -1,8 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
-	"slices"
+	"math"
 
 	"mlight/internal/bitlabel"
 	"mlight/internal/kdtree"
@@ -76,17 +77,18 @@ type Commit struct {
 // frontier starts as the leaf alone and always tiles the leaf's region) and
 // may split that cell: the piece named to the cell's key takes its place, the
 // rest join the frontier. Until the first record that crosses the split bound
-// the bucket is only extended in its columnar form — amortized O(1) per
-// record, no record materialized; a plain arena append is safe because
-// readers of the previous Bucket value hold their own shorter arenas (see
-// columnar.go).
+// the bucket is only extended by the records' encodings — amortized O(1) per
+// record, no record materialized; writing into spare capacity is safe
+// because readers of the previous Bucket value never read past their own
+// length (see columnar.go).
 func (r SplitRule) Append(stored Bucket, records []spatial.Record) (c Commit) {
 	leaf := stored.Label
-	region, err := spatial.RegionOf(leaf, r.Dims)
+	var s spatial.Scratch
+	region, err := s.Cell(leaf, r.Dims)
 	if err != nil || !coversAny(region, records) {
 		return Commit{Keep: Bucket{Label: leaf}, Gone: true}
 	}
-	keep := stored // slot 0 in columnar form, while it has not split
+	keep := stored // slot 0 as encodings, while it has not split
 	if r.extends(region, leaf, stored.Load(), records) {
 		for _, rec := range records {
 			keep = keep.Append(rec)
@@ -105,7 +107,8 @@ func (r SplitRule) Append(stored Bucket, records []spatial.Record) (c Commit) {
 			}
 			// Records materializes a fresh slice, which the splits below own
 			// and permute (kdtree's split contract).
-			frontier, slot = []kdtree.Cell{{Label: leaf, Region: region, Records: next.Records()}}, 0
+			cell := spatial.Region{Lo: region.Lo.Clone(), Hi: region.Hi.Clone()}
+			frontier, slot = []kdtree.Cell{{Label: leaf, Region: cell, Records: next.Records()}}, 0
 		}
 		for j := 0; slot < 0 && j < len(frontier); j++ {
 			if frontier[j].Region.Contains(rec.Key) {
@@ -125,7 +128,7 @@ func (r SplitRule) Append(stored Bucket, records []spatial.Record) (c Commit) {
 		if len(moved) == 0 {
 			if c.Splits == 0 {
 				// Over the bound but whole (data-aware splitting found no
-				// better subtree): still the stored arenas, extended.
+				// better subtree): still the stored bucket, extended.
 				keep = keep.Append(rec)
 			}
 			continue
@@ -159,8 +162,7 @@ func (c Commit) leaf() bitlabel.Label {
 // cell covers every one of them and the bucket, load records now, stays under
 // the split bound with all of them in. The bound is a ceiling on the load, so
 // it then held after each record too, and the whole of Append is the stored
-// bucket with the records appended — which an owner that stores the bucket as
-// bytes can do to the bytes (AppendOp.RunBytes).
+// bucket with the records appended.
 func (r SplitRule) extends(region spatial.Region, leaf bitlabel.Label, load int, records []spatial.Record) bool {
 	for _, rec := range records {
 		if !region.Contains(rec.Key) {
@@ -208,21 +210,43 @@ type Removal struct {
 	Gone bool
 }
 
-// Remove takes one record matching key (and data, when non-empty) out of the
-// stored leaf bucket, if its cell covers key. The survivors are copied into
-// fresh arenas, slice by slice (recs.without) — an in-place shift would mutate
-// storage concurrent readers share.
+// Remove takes one record matching key — its coordinates equal as float64s,
+// not as bits — and data, when non-empty, out of the stored leaf bucket, if
+// its cell covers key. The survivors are copied into a new slice (cut): an
+// in-place shift would rewrite bytes concurrent readers share.
 func Remove(stored Bucket, key spatial.Point, data string) Removal {
+	out, lo, hi := remove(stored, key, data)
+	if out.Removed {
+		out.Keep = stored.cut(lo, hi)
+	}
+	return out
+}
+
+// remove is Remove's decision, Keep's label alone, and where the record it
+// takes out lies in stored's encodings.
+func remove(stored Bucket, key spatial.Point, data string) (out Removal, lo, hi int) {
 	leaf := stored.Label
 	if !covers(leaf, key) {
-		return Removal{Keep: Bucket{Label: leaf}, Gone: true}
+		return Removal{Keep: Bucket{Label: leaf}, Gone: true}, 0, 0
 	}
-	for i, n := 0, stored.Load(); i < n; i++ {
-		if slices.Equal(stored.KeyAt(i), key) && (data == "" || stored.DataAt(i) == data) {
-			return Removal{Keep: Bucket{Label: leaf, rs: stored.rs.without(i)}, Load: n - 1, Removed: true}
+	d := len(key)
+	if stored.n == 0 || stored.dims() != d {
+		return Removal{}, 0, 0
+	}
+next:
+	for lo = 0; lo < len(stored.enc); lo = hi {
+		k, p, end := fields(stored.enc, lo, d)
+		hi = end
+		for j, c := range key {
+			if math.Float64frombits(binary.LittleEndian.Uint64(stored.enc[k+8*j:])) != c {
+				continue next
+			}
+		}
+		if data == "" || string(stored.enc[p:hi]) == data {
+			return Removal{Keep: Bucket{Label: leaf}, Load: stored.n - 1, Removed: true}, lo, hi
 		}
 	}
-	return Removal{}
+	return Removal{}, 0, 0
 }
 
 // remainingDepth returns how many more levels a leaf at label may split.

@@ -68,16 +68,20 @@ func FromTuning(t index.Tuning) index.Tuning { return t }
 
 // Bucket is one leaf bucket of the index (§3.3): the label store (the leaf
 // label λ, from which the whole local tree is derived) and the record
-// store. Buckets are stored in the DHT under key fmd(λ). Records live in a
-// columnar arena layout (see columnar.go) behind the NewBucket/Records/
-// KeyAt/DataAt/Append accessors, so multi-million-record runs pay 4 bytes
-// of per-record overhead instead of two headers and two heap objects. The
-// zero value with a Label is a valid empty bucket.
+// store. Buckets are stored in the DHT under key fmd(λ). A bucket is a
+// read-only view of its records' encodings, back to back in one byte slice
+// exactly as the bucket format writes them (see columnar.go), behind the
+// NewBucket/Records/KeyAt/DataAt/Append accessors: an in-process store and a
+// daemon holding bytes keep the same thing. The zero value with a Label is a
+// valid empty bucket.
 type Bucket struct {
 	// Label is the leaf's kd-tree label λ.
 	Label bitlabel.Label
-	// rs is the columnar record store; access through the Bucket methods.
-	rs recs
+	// n is the record count, enc the records' encodings; at is where each
+	// record starts in enc, built on the first random access (offsets).
+	n   int
+	enc []byte
+	at  []int
 }
 
 // Key returns the DHT key the bucket lives under: fmd(λ).

@@ -13,14 +13,15 @@ import (
 	"mlight/internal/spatial"
 )
 
-// TestBucketDeltaRecognisesExtensions: AppendDelta finds "prev, then more" by
-// arena identity when the append shared the arenas, by content when it moved
-// them or when the two buckets were packed separately, and finds nothing else.
+// TestBucketDeltaRecognisesExtensions: CutDelta finds "prev, then more" by
+// identity when the append wrote into prev's spare capacity, by content when
+// it moved the bytes or when the two buckets were packed separately, and finds
+// nothing else.
 func TestBucketDeltaRecognisesExtensions(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	records := randomRecords(rng, 40, 2)
 	label := bitlabel.MustParse("0011011")
-	exact := NewBucket(label, records[:30]) // exact-size arenas: the next append moves all three
+	exact := NewBucket(label, records[:30]) // exact size: the next append moves the bytes
 	moved := exact.Append(records[30])      // …and leaves room, so this one's successors share
 	shared := moved.Append(records[31]).Append(records[32])
 
@@ -39,7 +40,7 @@ func TestBucketDeltaRecognisesExtensions(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			head := []byte("head")
-			buf, ok := tc.next.AppendDelta(head, tc.prev)
+			buf, ok := CutDelta(head, tc.prev, tc.next)
 			if !ok {
 				t.Fatal("not recognised as an extension")
 			}
@@ -55,7 +56,7 @@ func TestBucketDeltaRecognisesExtensions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := base.Extend(delta)
+			got, err := ReplayDelta(base, delta)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,7 +64,7 @@ func TestBucketDeltaRecognisesExtensions(t *testing.T) {
 				t.Fatal("prev extended by the delta is not next")
 			}
 			if !bytes.Equal(base.Marshal(), tc.prev.Marshal()) {
-				t.Fatal("Extend changed its receiver")
+				t.Fatal("ReplayDelta changed its base")
 			}
 		})
 	}
@@ -83,8 +84,8 @@ func TestBucketDeltaRecognisesExtensions(t *testing.T) {
 		"other dims":         {NewBucket(label, randomRecords(rng, 2, 3)), NewBucket(label, records[:3])},
 	} {
 		t.Run(name, func(t *testing.T) {
-			if buf, ok := tc.next.AppendDelta([]byte("head"), tc.prev); ok || string(buf) != "head" {
-				t.Fatalf("AppendDelta = % x, %v; want the buffer untouched and false", buf, ok)
+			if buf, ok := CutDelta([]byte("head"), tc.prev, tc.next); ok || string(buf) != "head" {
+				t.Fatalf("CutDelta = % x, %v; want the buffer untouched and false", buf, ok)
 			}
 		})
 	}
@@ -115,10 +116,10 @@ func TestBucketDeltaRecognisesRemovals(t *testing.T) {
 			rec := tc.prev.RecordAt(tc.i)
 			for how, next := range map[string]Bucket{
 				"removed": Remove(tc.prev, rec.Key, rec.Data).Keep,
-				"packed":  {Label: label, rs: tc.prev.rs.without(tc.i)},
+				"packed":  NewBucket(label, slices.Delete(tc.prev.Records(), tc.i, tc.i+1)),
 			} {
 				head := []byte("head")
-				buf, ok := next.AppendDelta(head, tc.prev)
+				buf, ok := CutDelta(head, tc.prev, next)
 				if !ok || !bytes.Equal(buf[:len(head)], head) {
 					t.Fatalf("%s: not recognised as a removal: % x, %v", how, buf, ok)
 				}
@@ -136,7 +137,7 @@ func TestBucketDeltaRecognisesRemovals(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := base.Extend(delta)
+				got, err := ReplayDelta(base, delta)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -144,7 +145,7 @@ func TestBucketDeltaRecognisesRemovals(t *testing.T) {
 					t.Fatalf("%s: prev replayed through the delta is not next", how)
 				}
 				if !bytes.Equal(base.Marshal(), tc.prev.Marshal()) {
-					t.Fatalf("%s: Extend changed its receiver", how)
+					t.Fatalf("%s: ReplayDelta changed its base", how)
 				}
 			}
 		})
@@ -163,8 +164,8 @@ func TestBucketDeltaRecognisesRemovals(t *testing.T) {
 		"other dims":      {NewBucket(label, randomRecords(rng, 3, 3)), NewBucket(label, records[:2])},
 	} {
 		t.Run(name, func(t *testing.T) {
-			if buf, ok := tc.next.AppendDelta([]byte("head"), tc.prev); ok || string(buf) != "head" {
-				t.Fatalf("AppendDelta = % x, %v; want the buffer untouched and false", buf, ok)
+			if buf, ok := CutDelta([]byte("head"), tc.prev, tc.next); ok || string(buf) != "head" {
+				t.Fatalf("CutDelta = % x, %v; want the buffer untouched and false", buf, ok)
 			}
 		})
 	}
@@ -178,7 +179,7 @@ func TestBucketExtendRefusesWhatDoesNotFit(t *testing.T) {
 	records := randomRecords(rng, 12, 2)
 	label := bitlabel.Root(2)
 	base := NewBucket(label, records[:10])
-	delta, ok := NewBucket(label, records).AppendDelta(nil, base)
+	delta, ok := CutDelta(nil, base, NewBucket(label, records))
 	if !ok {
 		t.Fatal("no delta")
 	}
@@ -205,9 +206,9 @@ func TestBucketExtendRefusesWhatDoesNotFit(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			before := tc.onto.Marshal()
-			got, err := tc.onto.Extend(tc.delta)
+			got, err := ReplayDelta(tc.onto, tc.delta)
 			if !errors.Is(err, tc.want) {
-				t.Fatalf("Extend = %v, want %v", err, tc.want)
+				t.Fatalf("ReplayDelta = %v, want %v", err, tc.want)
 			}
 			if got.Load() != 0 || !bytes.Equal(tc.onto.Marshal(), before) {
 				t.Fatal("a refused delta left records behind")

@@ -17,7 +17,7 @@ import (
 // planner kernels it was written against as its own copies: the Region.Halves
 // LCA descent, a RegionOf and an Intersect per branch node, and the
 // KeyAt/Rect.Contains filter loop. The production planner halves one scratch
-// cell in place and scans the coordinate arena once; checked against itself
+// cell in place and scans the bucket's encodings once; checked against itself
 // the oracle would prove nothing. On a static index the two must agree:
 //
 //   - Records: identical, in identical order, for every h — the engine's

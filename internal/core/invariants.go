@@ -64,8 +64,8 @@ func CheckInvariants(ix *Index) error {
 		if err != nil {
 			return err
 		}
-		for i, n := 0, b.Load(); i < n; i++ {
-			if p := b.KeyAt(i); len(p) != m {
+		for _, rec := range b.Records() {
+			if p := rec.Key; len(p) != m {
 				return fmt.Errorf("core: invariant: leaf %v holds a %d-dimensional record in a %d-dimensional index", b.Label, len(p), m)
 			} else if !cell.Contains(p) {
 				return fmt.Errorf("core: invariant: leaf %v holds record %v outside its cell %v", b.Label, p, cell)

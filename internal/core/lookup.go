@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"mlight/internal/bitlabel"
 	"mlight/internal/dht"
@@ -272,19 +271,13 @@ func (ix *Index) traceCache(parent trace.SpanID, outcome string) {
 }
 
 // Exact returns all records whose key equals δ exactly — the exact-match
-// query of §5.
+// query of §5: the range query of the one point δ over δ's leaf.
 func (ix *Index) Exact(key spatial.Point) ([]spatial.Record, error) {
 	b, err := ix.Lookup(key)
 	if err != nil {
 		return nil, err
 	}
-	var out []spatial.Record
-	for i, n := 0, b.Load(); i < n; i++ {
-		if slices.Equal(b.KeyAt(i), key) {
-			out = append(out, b.RecordAt(i))
-		}
-	}
-	return out, nil
+	return filterRecords(b, spatial.Rect{Lo: key, Hi: key}, nil).records(), nil
 }
 
 // EstimateDepth estimates the index tree's current depth by probing sample

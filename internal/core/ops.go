@@ -48,10 +48,11 @@ type Op interface {
 	// Run is the transform, in the shape of a dht.Op: result is a Commit for
 	// an AppendOp and a Removal for a RemoveOp.
 	Run(cur any, exists bool) (next any, write bool, result any, err error)
-	// RunBytes is Run at an owner that stores buckets in their byte form:
-	// cur is the stored bucket's encoding, next the encoding to store and
-	// result the byte form of Run's result.
-	RunBytes(cur []byte, exists bool) (next []byte, write bool, result []byte, err error)
+	// RunEncoded is Run at an owner that stores buckets as bytes, on a view
+	// of the stored one (ViewBucket; the zero Bucket when the key holds
+	// none): next is the encoding to store and result the byte form of Run's
+	// result.
+	RunEncoded(stored Bucket) (next []byte, write bool, result []byte)
 	// DecodeResult reads the byte form of a result back.
 	DecodeResult(data []byte) (any, error)
 	encode(buf []byte) []byte
@@ -80,26 +81,42 @@ var (
 	_ Op = RemoveOp{}
 )
 
-// Run stores the commit's kept bucket when a record was accepted. A commit
-// that accepted nothing — the leaf is gone, every record is stale, the split
-// machinery failed, the stored records are not of the rule's dimensionality —
-// writes nothing.
+// commit is the op's decision on the stored bucket. It writes the kept bucket
+// when a record was accepted. A commit that accepted nothing — the leaf is
+// gone, every record is stale, the split machinery failed, the stored records
+// are not of the rule's dimensionality — writes nothing.
+func (op AppendOp) commit(stored Bucket) (c Commit, write bool) {
+	if d := stored.dims(); stored.Load() > 0 && d != op.Rule.Dims {
+		// Bytes a client stored: their records cannot share a bucket with
+		// the rule's, nor be split by its dimensions.
+		err := fmt.Errorf("core: leaf %v holds %d-dimensional records, the index %d", stored.Label, d, op.Rule.Dims)
+		return Commit{Err: err}, false
+	}
+	c = op.Rule.Append(stored, op.Records)
+	return c, !c.Gone && c.Err == nil && c.Accepted > 0
+}
+
+// Run implements Op.
 func (op AppendOp) Run(cur any, _ bool) (next any, write bool, result any, err error) {
 	stored, _ := cur.(Bucket)
-	if stored.Load() > 0 && stored.rs.dims != op.Rule.Dims {
-		// Bytes a client stored: their records cannot share the arenas of
-		// the rule's, nor be split by its dimensions.
-		err := fmt.Errorf("core: leaf %v holds %d-dimensional records, the index %d", stored.Label, stored.rs.dims, op.Rule.Dims)
-		return nil, false, Commit{Err: err}, nil
-	}
-	c := op.Rule.Append(stored, op.Records)
-	if c.Gone || c.Err != nil || c.Accepted == 0 {
+	c, write := op.commit(stored)
+	if !write {
 		return nil, false, c, nil
 	}
 	return c.Keep, true, c, nil
 }
 
-// Run stores the bucket without the record when one was removed.
+// RunEncoded implements Op.
+func (op AppendOp) RunEncoded(stored Bucket) ([]byte, bool, []byte) {
+	c, write := op.commit(stored)
+	if !write {
+		return nil, false, op.encodeResult(c)
+	}
+	return c.Keep.Marshal(), true, op.encodeResult(c)
+}
+
+// Run implements Op: it stores the bucket without the record when one was
+// removed.
 func (op RemoveOp) Run(cur any, _ bool) (next any, write bool, result any, err error) {
 	stored, _ := cur.(Bucket)
 	out := Remove(stored, op.Key, op.Data)
@@ -109,108 +126,16 @@ func (op RemoveOp) Run(cur any, _ bool) (next any, write bool, result any, err e
 	return out.Keep, true, out, nil
 }
 
-// RunBytes implements Op. Two outcomes are decided on the bytes, from the
-// label and the count the encoding starts with, and no arena is built to find
-// them out: a stored cell that covers none of the records — the answer to
-// most probes of a search (Index.write), and of every probe of a key that
-// holds nothing — is Gone with the label, and records that only extend the
-// bucket (SplitRule.extends, the same test Append opens with) take the append
-// step (columnar.go's grown) with the records' encodings. Everything else — a
-// stale record, a split, bytes whose framing does not check — takes the
-// decoded path.
-func (op AppendOp) RunBytes(cur []byte, exists bool) ([]byte, bool, []byte, error) {
-	if !exists && op.Rule.Dims > 0 {
-		// The empty label extends no root: Append answers Gone with it.
-		return nil, false, op.encodeResult(Commit{Gone: true}), nil
+// RunEncoded implements Op: Remove's decision, and the encoding of the
+// bucket it keeps built straight from the stored one's (marshalCut). A reply
+// that carries the kept bucket carries those bytes.
+func (op RemoveOp) RunEncoded(stored Bucket) ([]byte, bool, []byte) {
+	out, lo, hi := remove(stored, op.Key, op.Data)
+	if !out.Removed {
+		return nil, false, op.removal(out, nil)
 	}
-	if e, ok := readEncoding(cur, op.Rule.Dims); exists && ok {
-		var cell spatial.Scratch
-		region, err := cell.Cell(e.leaf, op.Rule.Dims)
-		switch {
-		case err != nil || !coversAny(region, op.Records):
-			return nil, false, op.encodeResult(Commit{Keep: Bucket{Label: e.leaf}, Gone: true}), nil
-		case op.Rule.extends(region, e.leaf, e.load, op.Records):
-			size := 0
-			for _, rec := range op.Records {
-				size += uvarintLen(uint64(len(rec.Key))) + 8*len(rec.Key) + uvarintLen(uint64(len(rec.Data))) + len(rec.Data)
-			}
-			next := e.grown(len(op.Records), size)
-			for _, rec := range op.Records {
-				next = AppendRecord(next, rec)
-			}
-			c := Commit{Keep: Bucket{Label: e.leaf}, Load: e.load + len(op.Records), Accepted: len(op.Records)}
-			return next, true, op.encodeResult(c), nil
-		}
-	}
-	return runDecoded(op, cur, exists)
-}
-
-// RunBytes implements Op, on the bytes whenever they are what Marshal
-// writes: a stored cell that does not cover the key is Gone with the label, a
-// bucket without the record is answered as Remove answers it, and a removal
-// takes the cut step (columnar.go's cut) at the first record Remove would
-// take — its coordinates == the key's as float64s, not as bits, its data the
-// op's unless that is empty. The reply's kept bucket, when θmerge asks for it,
-// is the stored bytes. Other bytes take the decoded path.
-func (op RemoveOp) RunBytes(cur []byte, exists bool) ([]byte, bool, []byte, error) {
-	if !exists && len(op.Key) > 0 {
-		// The empty label extends no root: Remove answers Gone with it.
-		return nil, false, op.encodeResult(Removal{Gone: true}), nil
-	}
-	e, ok := readEncoding(cur, len(op.Key))
-	switch {
-	case !exists || !ok:
-		return runDecoded(op, cur, exists)
-	case !covers(e.leaf, op.Key):
-		return nil, false, op.encodeResult(Removal{Keep: Bucket{Label: e.leaf}, Gone: true}), nil
-	}
-	lo, hi := op.find(e)
-	if lo < 0 {
-		return nil, false, op.encodeResult(Removal{}), nil
-	}
-	next := e.cut(lo, hi)
-	return next, true, op.removal(Removal{Keep: Bucket{Label: e.leaf}, Load: e.load - 1, Removed: true}, next), nil
-}
-
-// find returns where in e.recs the first record matching the op lies, and lo
-// -1 when none does. e's records have the key's dimensionality.
-func (op RemoveOp) find(e encoding) (lo, hi int) {
-	head := uvarintLen(uint64(e.dims))
-	for ; lo < len(e.recs); lo = hi {
-		p := e.recs[lo+head:]
-		match := true
-		for j, c := range op.Key {
-			if math.Float64frombits(binary.LittleEndian.Uint64(p[8*j:])) != c {
-				match = false
-				break
-			}
-		}
-		p = p[8*e.dims:]
-		size, n := binary.Uvarint(p)
-		hi = len(e.recs) - len(p) + n + int(size)
-		if match && (op.Data == "" || string(p[n:n+int(size)]) == op.Data) {
-			return lo, hi
-		}
-	}
-	return -1, -1
-}
-
-// runDecoded is RunBytes in general: decode the stored bucket, Run, encode
-// what it stores and what it reports.
-func runDecoded(op Op, cur []byte, exists bool) ([]byte, bool, []byte, error) {
-	var stored any
-	if exists {
-		b, err := UnmarshalBucket(cur)
-		if err != nil {
-			return nil, false, nil, err
-		}
-		stored = b
-	}
-	next, write, result, err := op.Run(stored, exists)
-	if err != nil || !write {
-		return nil, false, op.encodeResult(result), err
-	}
-	return next.(Bucket).Marshal(), true, op.encodeResult(result), nil
+	next := stored.marshalCut(lo, hi)
+	return next, true, op.removal(out, next)
 }
 
 const (
@@ -303,27 +228,16 @@ func (r *reader) chunk() []byte {
 }
 
 // records decodes exactly count records of dims coordinates each filling the
-// rest of the input, every key inside the unit cube. They are views into three
-// arenas of their own, as a decoded bucket's are.
+// rest of the input, every key inside the unit cube. They are views into one
+// copy of their encodings, as a decoded bucket's are.
 func (r *reader) records(count, dims int) ([]spatial.Record, error) {
-	_, dataLen, err := checkRecords(r.p, uint64(count), uint64(dims), true)
+	_, size, err := checkRecords(r.p, uint64(count), uint64(dims), true)
 	if err != nil {
 		return nil, err
 	}
-	if count == 0 {
-		return nil, nil
-	}
-	if dataLen > math.MaxUint32 {
-		return nil, fmt.Errorf("%w: %d payload bytes", ErrEncoding, dataLen)
-	}
-	rs := recs{
-		dims:   dims,
-		coords: make([]float64, 0, count*dims),
-		offs:   make([]uint32, 1, count+1),
-		data:   make([]byte, 0, dataLen),
-	}.fill(r.p, uint64(count))
+	b := Bucket{n: count, enc: appendRecords(make([]byte, 0, size), r.p, count, size)}
 	r.p = nil
-	records := Bucket{rs: rs}.Records()
+	records := b.Records()
 	for i, rec := range records {
 		if !rec.Key.Valid() {
 			return nil, fmt.Errorf("record %d: key %v outside the unit cube", i, rec.Key)
@@ -494,7 +408,8 @@ func (op RemoveOp) encodeResult(result any) []byte {
 }
 
 // removal is out's byte form, kept the encoding of its kept bucket — read
-// only when the reply carries the bucket.
+// only when the reply carries the bucket, which it does when Load is under
+// θmerge.
 func (op RemoveOp) removal(out Removal, kept []byte) []byte {
 	var flags byte
 	if out.Removed {

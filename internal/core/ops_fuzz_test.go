@@ -9,11 +9,13 @@ import (
 	"mlight/internal/spatial"
 )
 
-// FuzzRunBytes: an op run on the bucket's bytes — an append, a removal, a key
-// that holds nothing — is an optimisation and must be nothing else. Whatever
-// op the decoder accepts, against whatever is stored or nothing, RunBytes
-// stores and reports byte for byte what decoding the bucket, running the op
-// and encoding the outcome does.
+// FuzzRunBytes: an op run on the stored bytes — RunEncoded on a view of them
+// (ViewBucket), what a daemon does — must be Run on a decoded copy, and
+// nothing else. ViewBucket takes exactly the bytes Marshal writes — anything
+// else takes the copy — and whatever op the decoder accepts, against whatever
+// is stored or nothing, RunEncoded stores and reports byte for byte the
+// encodings of what Run stores and reports, and leaves the stored bytes as
+// they were.
 func FuzzRunBytes(f *testing.F) {
 	rule := SplitRule{Dims: 2, MaxDepth: 20, Strategy: SplitThreshold, ThetaSplit: 3, Epsilon: 70}
 	root := bitlabel.Root(2)
@@ -70,10 +72,36 @@ func FuzzRunBytes(f *testing.F) {
 		if err != nil {
 			return
 		}
-		next, write, result, err := op.RunBytes(stored, exists)
-		wantNext, wantWrite, wantResult, wantErr := runDecoded(op, stored, exists)
-		if (err != nil) != (wantErr != nil) || write != wantWrite || !bytes.Equal(next, wantNext) || !bytes.Equal(result, wantResult) {
-			t.Fatalf("RunBytes = %x, %v, %x, %v\n decoded = %x, %v, %x, %v", next, write, result, err, wantNext, wantWrite, wantResult, wantErr)
+		var viewed Bucket
+		var cur any
+		if exists {
+			v, ok := ViewBucket(stored)
+			d, err := UnmarshalBucket(stored)
+			if exact := err == nil && bytes.Equal(d.Marshal(), stored); ok != exact {
+				t.Fatalf("ViewBucket accepts %x: %v; it is Marshal's encoding: %v", stored, ok, exact)
+			}
+			if err != nil {
+				return
+			}
+			if !ok {
+				v = d
+			}
+			viewed, cur = v, d
+		}
+		before := bytes.Clone(stored)
+		next, write, result := op.RunEncoded(viewed)
+		wantNext, wantWrite, wantResult, err := op.Run(cur, exists)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if write != wantWrite || !bytes.Equal(result, op.encodeResult(wantResult)) || write && !bytes.Equal(next, wantNext.(Bucket).Marshal()) {
+			t.Fatalf("RunEncoded = %x, %v, %x\n Run = %v, %v, %x", next, write, result, wantNext, wantWrite, op.encodeResult(wantResult))
+		}
+		if !write && next != nil {
+			t.Fatalf("RunEncoded writes nothing and returns %x", next)
+		}
+		if !bytes.Equal(stored, before) {
+			t.Fatal("running an op on a view edited the stored bytes")
 		}
 		if !bytes.Equal(EncodeOp(op), body) {
 			if again, err := DecodeOp(EncodeOp(op)); err != nil || !bytes.Equal(EncodeOp(again), EncodeOp(op)) {

@@ -69,33 +69,35 @@ func ownerCases() []ownerCase {
 // TestOwnerDecidesByCoverage: an op sent to a key lands if and only if the
 // leaf stored there covers its record(s), whichever label led it there;
 // on a miss it stores nothing and reports the stored leaf's label, or the
-// empty label when the key holds nothing. Run and RunBytes decide the same on
-// every case: the bytes RunBytes stores and reports are the encodings of what
-// Run stores and reports, and the reply decodes back to Run's verdict.
+// empty label when the key holds nothing. Run and RunEncoded, on a view of
+// the bucket's encoding, decide the same on every case: the bytes RunEncoded
+// stores and reports are the encodings of what Run stores and reports, and
+// the reply decodes back to Run's verdict.
 func TestOwnerDecidesByCoverage(t *testing.T) {
 	for _, tc := range ownerCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			var cur any
-			var curBytes []byte
+			var viewed Bucket
 			if !tc.absent {
-				cur, curBytes = tc.stored, tc.stored.Marshal()
+				v, ok := ViewBucket(tc.stored.Marshal())
+				if !ok {
+					t.Fatal("no view of a bucket's own encoding")
+				}
+				cur, viewed = tc.stored, v
 			}
 			next, write, result, err := tc.op.Run(cur, !tc.absent)
 			if err != nil {
 				t.Fatal(err)
 			}
-			nextBytes, writeBytes, resultBytes, err := tc.op.RunBytes(curBytes, !tc.absent)
-			if err != nil {
-				t.Fatal(err)
-			}
+			nextBytes, writeBytes, resultBytes := tc.op.RunEncoded(viewed)
 			if writeBytes != write {
-				t.Fatalf("Run writes %v, RunBytes %v", write, writeBytes)
+				t.Fatalf("Run writes %v, RunEncoded %v", write, writeBytes)
 			}
 			if write && !bytes.Equal(nextBytes, next.(Bucket).Marshal()) {
-				t.Fatalf("RunBytes stores %x, Run stores %x", nextBytes, next.(Bucket).Marshal())
+				t.Fatalf("RunEncoded stores %x, Run stores %x", nextBytes, next.(Bucket).Marshal())
 			}
 			if want := tc.op.encodeResult(result); !bytes.Equal(resultBytes, want) {
-				t.Fatalf("RunBytes reports %x, Run reports %x", resultBytes, want)
+				t.Fatalf("RunEncoded reports %x, Run reports %x", resultBytes, want)
 			}
 			decoded, err := tc.op.DecodeResult(resultBytes)
 			if err != nil {

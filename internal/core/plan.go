@@ -46,11 +46,11 @@ func queryLCA(q spatial.Rect, dims, maxDepth int) (bitlabel.Label, error) {
 // pieces never overlap, so the engine may resolve the pieces in any order or
 // all at once. The pieces' subranges are cut from shared blocks of
 // coordinates: one block when h = 1.
-func step(b Bucket, beta bitlabel.Label, q spatial.Rect, h, dims, maxDepth int, shape spatial.Shape) ([]spatial.Record, []piece, error) {
+func step(b Bucket, beta bitlabel.Label, q spatial.Rect, h, dims, maxDepth int, shape spatial.Shape) (match, []piece, error) {
 	slab := rectSlab{dims: dims}
-	pieces, err := decompose(b.Label, beta, q, dims, shape, &slab)
+	pieces, meets, err := decompose(b.Label, beta, q, dims, shape, &slab)
 	if err != nil {
-		return nil, nil, err
+		return match{}, nil, err
 	}
 	if h > 1 {
 		var split []piece
@@ -58,6 +58,11 @@ func step(b Bucket, beta bitlabel.Label, q spatial.Rect, h, dims, maxDepth int, 
 			split = append(split, speculate(p.Node, p.Q, h, dims, maxDepth, shape, &slab)...)
 		}
 		pieces = split
+	}
+	if !meets {
+		// b, the leaf named to β, lies outside q — about two corner buckets
+		// in five on engine-local — and its bytes are not read.
+		return match{}, pieces, nil
 	}
 	return filterRecords(b, q, shape), pieces, nil
 }
@@ -118,16 +123,16 @@ func tile(lca bitlabel.Label, q spatial.Rect, dims int, shape spatial.Shape, int
 // meets every branch in order, shallowest first, and their subranges come
 // from the slab. A branch's cell shares its face with the path to the leaf,
 // to the bit, so when leaf's cell covers q no branch meets it and there are
-// no pieces.
-func decompose(leaf, beta bitlabel.Label, q spatial.Rect, dims int, shape spatial.Shape, slab *rectSlab) ([]piece, error) {
+// no pieces. The walk ends on leaf's own cell: meets reports whether q meets
+// it, since when it does not the leaf holds no record inside q.
+func decompose(leaf, beta bitlabel.Label, q spatial.Rect, dims int, shape spatial.Shape, slab *rectSlab) (pieces []piece, meets bool, err error) {
 	root := bitlabel.Root(dims)
 	if !root.IsPrefixOf(leaf) || beta.Len() < root.Len() {
-		return nil, fmt.Errorf("core: no local tree of %v below %v for %d dims", leaf, beta, dims)
+		return nil, false, fmt.Errorf("core: no local tree of %v below %v for %d dims", leaf, beta, dims)
 	}
 	below := beta.IsPrefixOf(leaf) // else no branch node lies below β
 	var s spatial.Scratch
 	cell := s.Cube(dims)
-	var pieces []piece
 	for i := root.Len(); i < leaf.Len(); i++ {
 		dim, bit := spatial.SplitDim(i-root.Len(), dims), leaf.At(i)
 		if below && i >= beta.Len() {
@@ -144,7 +149,7 @@ func decompose(leaf, beta bitlabel.Label, q spatial.Rect, dims int, shape spatia
 		}
 		cell.Halve(dim, bit)
 	}
-	return pieces, nil
+	return pieces, cell.Overlaps(q), nil
 }
 
 // speculate pre-splits subrange q below node β into up to h pieces by
@@ -238,42 +243,21 @@ func coverCandidates(p piece, dims int) []bitlabel.Label {
 	return names
 }
 
-// filterRecords returns the bucket's records inside q (and inside the
-// shape, when one is given), in bucket order. It makes one pass over the
-// bucket's coordinate arena with q's bounds hoisted, asks the shape only
-// about records inside q, and notes the hits' positions on the stack, so the
-// answer is allocated once, at its exact size, and a bucket with no hit
-// allocates nothing.
-func filterRecords(b Bucket, q spatial.Rect, shape spatial.Shape) []spatial.Record {
-	r := b.rs
-	n, d := r.len(), r.dims
-	if n == 0 || len(q.Lo) != d {
-		return nil
-	}
+// filterRecords finds the bucket's records inside q, in bucket order, in one
+// pass (within) that notes the hits on the stack. What it returns is where
+// they lie, and the shape, when one is given, that they must lie in too — not
+// the records: a query's answer copies every hit's key into one block, and
+// its records into one slice, once it knows about how many there are
+// (execNode.collect, match.records), and asks the shape about the copies. A
+// bucket of up to 128 records allocates nothing without a hit, and the list
+// of its hits with them.
+func filterRecords(b Bucket, q spatial.Rect, shape spatial.Shape) match {
 	var buf [128]int32
-	hits := buf[:0]
-	coords, lo, hi := r.coords[:n*d], q.Lo[:d], q.Hi[:d]
-next:
-	for i := 0; i < n; i++ {
-		p := coords[i*d : i*d+d : i*d+d]
-		for j, c := range p {
-			if c < lo[j] || c > hi[j] {
-				continue next
-			}
-		}
-		if shape != nil && !shape.ContainsPoint(spatial.Point(p)) {
-			continue
-		}
-		hits = append(hits, int32(i))
-	}
+	hits := b.within(q, buf[:0])
 	if len(hits) == 0 {
-		return nil
+		return match{}
 	}
-	out := make([]spatial.Record, len(hits))
-	for j, i := range hits {
-		out[j] = b.RecordAt(int(i))
-	}
-	return out
+	return match{enc: b.enc, at: append([]int32(nil), hits...), shape: shape}
 }
 
 // clampPoint nudges a rectangle corner into the unit cube's valid key

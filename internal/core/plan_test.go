@@ -129,7 +129,7 @@ func TestPlannerTilesTheRange(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pieces, err := decompose(leaf, beta, q, m, nil, &rectSlab{dims: m})
+				pieces, _, err := decompose(leaf, beta, q, m, nil, &rectSlab{dims: m})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -304,7 +304,7 @@ func TestPlannerMatchesReference(t *testing.T) {
 
 					leaf := leaves[rng.Intn(len(leaves))]
 					beta := leaf.Prefix(m + 1 + rng.Intn(leaf.Len()-m))
-					pieces, err := decompose(leaf, beta, q, m, shape, &rectSlab{dims: m})
+					pieces, _, err := decompose(leaf, beta, q, m, shape, &rectSlab{dims: m})
 					wantPieces, wantErr := oldDecompose(leaf, beta, q, m, shape)
 					if err != nil || wantErr != nil {
 						t.Fatalf("%s: decompose(%v, %v) errors %v, reference %v", what, leaf, beta, err, wantErr)
@@ -329,7 +329,7 @@ func TestPlannerMatchesReference(t *testing.T) {
 
 					for _, n := range []int{0, 1, 7, 60, 200} {
 						b := edgeBucket(rng, leaf, q, n, m)
-						got, want := filterRecords(b, q, shape), oldFilterRecords(b, q, shape)
+						got, want := filterRecords(b, q, shape).records(), oldFilterRecords(b, q, shape)
 						if !sameRecords(got, want) {
 							t.Fatalf("%s: filterRecords over %d records returned %d, reference %d (or ordering differs)", what, n, len(got), len(want))
 						}
@@ -340,7 +340,7 @@ func TestPlannerMatchesReference(t *testing.T) {
 		// A bucket of another dimensionality holds nothing inside q.
 		q := edgeRect(rng, m)
 		b := NewBucket(bitlabel.Root(m+1), randomRecords(rng, 5, m+1))
-		if got := filterRecords(b, q, nil); got != nil || oldFilterRecords(b, q, nil) != nil {
+		if got := filterRecords(b, q, nil).records(); got != nil || oldFilterRecords(b, q, nil) != nil {
 			t.Fatalf("m=%d: a %d-dimensional bucket matched %d records", m, m+1, len(got))
 		}
 	}
@@ -377,7 +377,7 @@ func TestDecomposeRangeExample(t *testing.T) {
 	if got, err := queryLCA(q, 2, 28); err != nil || got != lca {
 		t.Fatalf("queryLCA(%v) = %v, %v; want %v", q, got.Pretty(2), err, lca.Pretty(2))
 	}
-	pieces, err := decompose(leaf, lca, q, 2, nil, &rectSlab{dims: 2})
+	pieces, _, err := decompose(leaf, lca, q, 2, nil, &rectSlab{dims: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +398,7 @@ func TestDecomposeRangeExample(t *testing.T) {
 // the root, shallowest first.
 func TestDecomposePaperExample(t *testing.T) {
 	leaf := bitlabel.MustParse("001" + "101111")
-	pieces, err := decompose(leaf, bitlabel.Root(2), spatial.UnitCube(2).Rect(), 2, nil, &rectSlab{dims: 2})
+	pieces, _, err := decompose(leaf, bitlabel.Root(2), spatial.UnitCube(2).Rect(), 2, nil, &rectSlab{dims: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,15 +411,16 @@ func TestDecomposePaperExample(t *testing.T) {
 			t.Errorf("branch %d = %s, want %s", i, p.Node.Pretty(2), want[i])
 		}
 	}
-	if _, err := decompose(bitlabel.MustParse("11"), bitlabel.Root(2), spatial.UnitCube(2).Rect(), 2, nil, &rectSlab{dims: 2}); err == nil {
+	if _, _, err := decompose(bitlabel.MustParse("11"), bitlabel.Root(2), spatial.UnitCube(2).Rect(), 2, nil, &rectSlab{dims: 2}); err == nil {
 		t.Error("a leaf off the root decomposed")
 	}
 }
 
 // TestPlannerAllocs pins what a range's planning allocates: queryLCA nothing
 // up to spatial.StackDims dimensions, decompose its pieces and their one
-// block of subranges, filterRecords nothing without a hit and its answer
-// otherwise, labelKey the key.
+// block of subranges, filterRecords nothing without a hit and the list of
+// its hits otherwise — one allocation at 50 or 100 hits, never one a hit —
+// labelKey the key.
 func TestPlannerAllocs(t *testing.T) {
 	if dhttest.RaceEnabled() {
 		t.Skip("race instrumentation allocates")
@@ -440,31 +441,38 @@ func TestPlannerAllocs(t *testing.T) {
 
 	leaf, lca, q := paperExampleQuery()
 	if allocs := testing.AllocsPerRun(50, func() {
-		if pieces, err := decompose(leaf, lca, q, 2, nil, &rectSlab{dims: 2}); err != nil || len(pieces) != 3 {
+		if pieces, _, err := decompose(leaf, lca, q, 2, nil, &rectSlab{dims: 2}); err != nil || len(pieces) != 3 {
 			t.Fatalf("decompose = %v, %v", pieces, err)
 		}
 	}); allocs > 3 {
 		t.Errorf("decompose into three pieces allocates %.1f objects, want ≤ 3", allocs)
 	}
 
+	// What a bucket costs a query is the list of its hits, however many it
+	// has, and nothing without one: the answer is built once per query.
 	rng := rand.New(rand.NewSource(23))
 	b := NewBucket(bitlabel.Root(2), randomRecords(rng, 50, 2))
+	b100 := NewBucket(bitlabel.Root(2), randomRecords(rng, 100, 2))
 	miss := spatial.Rect{Lo: spatial.Point{2, 2}, Hi: spatial.Point{3, 3}}
 	circle := spatial.Circle{Center: spatial.Point{0.5, 0.5}, Radius: 0.3}
 	for _, tc := range []struct {
 		name  string
+		b     Bucket
 		q     spatial.Rect
 		shape spatial.Shape
+		hits  int // 0: none; -1: some
 		want  float64
 	}{
-		{"no hit", miss, nil, 0},
-		{"no hit, circle", miss, circle, 0},
-		{"hits", spatial.Rect{Lo: spatial.Point{0.2, 0.2}, Hi: spatial.Point{0.7, 0.7}}, nil, 1},
-		{"hits, circle", spatial.Rect{Lo: spatial.Point{0.2, 0.2}, Hi: spatial.Point{0.8, 0.8}}, circle, 1},
-		{"every record", spatial.UnitCube(2).Rect(), nil, 1},
+		{"no hit", b, miss, nil, 0, 0},
+		{"no hit, circle", b, miss, circle, 0, 0},
+		{"hits", b, spatial.Rect{Lo: spatial.Point{0.2, 0.2}, Hi: spatial.Point{0.7, 0.7}}, nil, -1, 1},
+		{"hits, circle", b, spatial.Rect{Lo: spatial.Point{0.2, 0.2}, Hi: spatial.Point{0.8, 0.8}}, circle, -1, 1},
+		{"50 hits", b, spatial.UnitCube(2).Rect(), nil, 50, 1},
+		{"100 hits", b100, spatial.UnitCube(2).Rect(), nil, 100, 1},
 	} {
 		if allocs := testing.AllocsPerRun(50, func() {
-			if got := filterRecords(b, tc.q, tc.shape); (len(got) == 0) != (tc.want == 0) {
+			got := filterRecords(tc.b, tc.q, tc.shape).at
+			if (len(got) == 0) != (tc.hits == 0) || tc.hits > 0 && len(got) != tc.hits {
 				t.Fatalf("filterRecords %s returned %d records", tc.name, len(got))
 			}
 		}); allocs != tc.want {

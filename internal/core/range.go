@@ -132,7 +132,7 @@ func (ix *Index) rangeQueryCtx(q spatial.Rect, ctx queryCtx) (*QueryResult, erro
 			}
 			res.Lookups += lt.Probes
 			res.Rounds += lt.Probes
-			res.Records = filterRecords(leaf, q, ctx.shape)
+			res.Records = filterRecords(leaf, q, ctx.shape).records()
 			return res, nil
 		}
 		if frontier, err = eng.expand(q, lca, b, root, nil); err != nil {
@@ -144,7 +144,7 @@ func (ix *Index) rangeQueryCtx(q spatial.Rect, ctx queryCtx) (*QueryResult, erro
 	}
 	res.Lookups += eng.lookups
 	res.Rounds += eng.barriers + eng.extraRounds
-	res.Records = root.collect()
+	res.Records = root.collect(m)
 	return res, nil
 }
 
@@ -182,23 +182,28 @@ type rangeEngine struct {
 // reproduces the deterministic result ordering of the sequential
 // decomposition whatever order a round's probes were answered in.
 type execNode struct {
-	records  []spatial.Record
+	match    match
 	children []*execNode
 }
 
-// collect returns the tree's records in depth-first order, in one slice of
-// exactly their number — the root's own slice when no other node found any.
-func (n *execNode) collect() []spatial.Record {
+// collect returns the tree's records in depth-first order, in one slice,
+// their keys copied into one block of dims coordinates a record — both sized
+// for every hit inside the query's rectangle, which a shape may thin.
+func (n *execNode) collect(dims int) []spatial.Record {
 	total := n.count()
-	if total == len(n.records) {
-		return n.records
+	if total == 0 {
+		return nil
 	}
-	return n.appendTo(make([]spatial.Record, 0, total))
+	out, _ := n.appendTo(make([]spatial.Record, 0, total), make([]float64, 0, total*dims))
+	if len(out) == 0 {
+		return nil
+	}
+	return out
 }
 
-// count returns how many records the subtree holds.
+// count returns how many hits the subtree holds.
 func (n *execNode) count() int {
-	total := len(n.records)
+	total := len(n.match.at)
 	for _, c := range n.children {
 		total += c.count()
 	}
@@ -206,12 +211,12 @@ func (n *execNode) count() int {
 }
 
 // appendTo appends the subtree's records in depth-first order.
-func (n *execNode) appendTo(out []spatial.Record) []spatial.Record {
-	out = append(out, n.records...)
+func (n *execNode) appendTo(out []spatial.Record, keys []float64) ([]spatial.Record, []float64) {
+	out, keys = n.match.appendTo(out, keys)
 	for _, c := range n.children {
-		out = c.appendTo(out)
+		out, keys = c.appendTo(out, keys)
 	}
-	return out
+	return out, keys
 }
 
 // itemKind discriminates frontier work items.
@@ -365,7 +370,7 @@ func (e *rangeEngine) resolveProbe(it frontierItem, r dht.BatchResult, next []fr
 	e.ix.cacheLeaf(b.Label)
 	if b.Label == it.p.Node {
 		// The node itself is a leaf; it covers the piece entirely.
-		it.node.records = filterRecords(b, it.p.Q, e.ctx.shape)
+		it.node.match = filterRecords(b, it.p.Q, e.ctx.shape)
 		return next, nil
 	}
 	return e.expand(it.p.Q, it.p.Node, b, it.node, next)
@@ -388,7 +393,7 @@ func (e *rangeEngine) resolveCover(it frontierItem, results []dht.BatchResult, n
 		}
 		if found && b.Label.IsPrefixOf(it.p.Node) {
 			e.ix.cacheLeaf(b.Label)
-			it.node.records = filterRecords(b, it.p.Q, e.ctx.shape)
+			it.node.match = filterRecords(b, it.p.Q, e.ctx.shape)
 			return next, nil
 		}
 	}
@@ -404,7 +409,7 @@ func (e *rangeEngine) resolveFallback(it frontierItem, span trace.SpanID) error 
 	if err != nil {
 		return err
 	}
-	it.node.records = filterRecords(leaf, it.p.Q, e.ctx.shape)
+	it.node.match = filterRecords(leaf, it.p.Q, e.ctx.shape)
 	e.lookups += lt.Probes
 	e.extraRounds = max(e.extraRounds, lt.Probes-1)
 	return nil
@@ -416,11 +421,11 @@ func (e *rangeEngine) resolveFallback(it frontierItem, span trace.SpanID) error 
 // them join the same round's batch, so sibling subqueries — and, with h > 1,
 // their speculative pieces — genuinely overlap.
 func (e *rangeEngine) expand(q spatial.Rect, beta bitlabel.Label, b Bucket, node *execNode, next []frontierItem) ([]frontierItem, error) {
-	records, pieces, err := step(b, beta, q, e.ctx.h, e.ix.opts.Dims, e.ix.opts.MaxDepth, e.ctx.shape)
+	m, pieces, err := step(b, beta, q, e.ctx.h, e.ix.opts.Dims, e.ix.opts.MaxDepth, e.ctx.shape)
 	if err != nil {
 		return next, err
 	}
-	node.records = records
+	node.match = m
 	return node.probes(pieces, next), nil
 }
 

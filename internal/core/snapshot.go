@@ -164,11 +164,11 @@ func restoreBucket(frame []byte, dims int) (Bucket, error) {
 	if err != nil {
 		return Bucket{}, fmt.Errorf("%w: label %v: %v", ErrSnapshot, b.Label, err)
 	}
-	if b.Load() > 0 && b.rs.dims != dims {
-		return Bucket{}, fmt.Errorf("%w: %d-dimensional records in bucket %v", ErrSnapshot, b.rs.dims, b.Label)
+	if d := b.dims(); b.Load() > 0 && d != dims {
+		return Bucket{}, fmt.Errorf("%w: %d-dimensional records in bucket %v", ErrSnapshot, d, b.Label)
 	}
-	for i, n := 0, b.Load(); i < n; i++ {
-		if key := b.KeyAt(i); !key.Valid() || !region.Contains(key) {
+	for i, rec := range b.Records() {
+		if key := rec.Key; !key.Valid() || !region.Contains(key) {
 			return Bucket{}, fmt.Errorf("%w: record %d outside its bucket cell", ErrSnapshot, i)
 		}
 	}

@@ -50,8 +50,8 @@ func FuzzRestoreInto(f *testing.F) {
 		if err != nil || n != len(res.Records) {
 			t.Fatalf("Size %d vs whole-space query %d (%v)", n, len(res.Records), err)
 		}
-		// Columnar round trip: every restored bucket's record set must
-		// survive re-packing into fresh arenas unchanged.
+		// Round trip: every restored bucket's record set must survive
+		// re-packing into a fresh bucket unchanged.
 		buckets, err := ix.Buckets()
 		if err != nil {
 			t.Fatalf("restored index not enumerable: %v", err)
@@ -59,7 +59,7 @@ func FuzzRestoreInto(f *testing.F) {
 		for _, b := range buckets {
 			repacked := NewBucket(b.Label, b.Records())
 			if repacked.Load() != b.Load() || !sameRecordSet(repacked.Records(), b.Records()) {
-				t.Fatalf("bucket %v does not round-trip through columnar repack", b.Label)
+				t.Fatalf("bucket %v does not round-trip through a repack", b.Label)
 			}
 		}
 	})

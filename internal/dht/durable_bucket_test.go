@@ -274,7 +274,7 @@ func TestDurableLocalUnchangedBucketJournalsNothing(t *testing.T) {
 	}
 }
 
-// bucket50 is a 50-record leaf whose arenas have room to spare, and that
+// bucket50 is a 50-record leaf with room to spare, and that
 // leaf with a record appended in place: the steady state of an insert.
 func bucket50() (prev, next core.Bucket) {
 	rng := rand.New(rand.NewSource(50))
@@ -282,14 +282,14 @@ func bucket50() (prev, next core.Bucket) {
 	for i := range records {
 		records[i] = spatial.Record{Key: spatial.Point{rng.Float64(), rng.Float64()}, Data: fmt.Sprintf("payload-%04d", i)}
 	}
-	// The 50th record outgrows NewBucket's exact-size arenas; the 51st fits
+	// The 50th record outgrows NewBucket's exact-size slice; the 51st fits
 	// in what that growth left.
 	prev = core.NewBucket(bitlabel.MustParse("0011011"), records[:49]).Append(records[49])
 	return prev, prev.Append(records[50])
 }
 
 // removal50 is bucket50's 51-record leaf, and that leaf with a middle record
-// removed, in exact-size arenas as core.Remove leaves them: the steady state
+// removed, of exact size as core.Remove leaves it: the steady state
 // of a delete that merges nothing.
 func removal50() (prev, next core.Bucket) {
 	_, prev = bucket50()

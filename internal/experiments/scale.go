@@ -99,7 +99,7 @@ type ScaleResult struct {
 
 	// Hot-path allocation gates, measured in-process on the live
 	// structures: a delivered simnet RPC and a Bucket append into spare
-	// arena capacity must both be allocation-free.
+	// capacity must both be allocation-free.
 	CallAllocsPerOp   float64 `json:"call_allocs_per_op"`
 	AppendAllocsPerOp float64 `json:"append_allocs_per_op"`
 
@@ -211,7 +211,7 @@ func scaleOut(cfg scaleParams) (ScaleResult, error) {
 		return res, fmt.Errorf("experiments: scale index holds %d records, loaded %d", res.IndexedRecords, cfg.DataSize)
 	}
 
-	// Zero-alloc gate on the bucket append path: appending into spare arena
+	// Zero-alloc gate on the bucket append path: appending into spare
 	// capacity on a bucket shaped like the live ones.
 	gate := core.NewBucket(buckets[0].Label, buckets[0].Records())
 	gate = gate.Append(spatial.Record{Key: buckets[0].KeyAt(0), Data: "gate"})

@@ -25,23 +25,28 @@ func init() { transport.RegisterType(Op{}) }
 // Run implements dht.Op over stored bytes. Body came off a socket: it is
 // decoded and checked (core.DecodeOp) before the stored value is looked at,
 // and an op that is refused, like a stored value that is not a bucket, fails
-// with ErrMalformed and writes nothing.
+// with ErrMalformed and writes nothing. The op runs on a view of the stored
+// bytes, no copy, when they are exactly a bucket's encoding (core.ViewBucket),
+// on a decoded copy otherwise, and what it stores is the encoding of the
+// bucket it keeps (core.Op.RunEncoded).
 func (o Op) Run(cur any, exists bool) (next any, write bool, result any, err error) {
 	op, err := core.DecodeOp(o.Body)
 	if err != nil {
 		return nil, false, nil, fmt.Errorf("%w: %w", ErrMalformed, err)
 	}
-	var stored []byte
+	var stored core.Bucket
 	if exists {
-		var ok bool
-		if stored, ok = cur.([]byte); !ok {
+		data, ok := cur.([]byte)
+		if !ok {
 			return nil, false, nil, fmt.Errorf("wire: substrate holds %T, want bytes", cur)
 		}
+		if stored, ok = core.ViewBucket(data); !ok {
+			if stored, err = UnmarshalBucket(data); err != nil {
+				return nil, false, nil, err
+			}
+		}
 	}
-	data, write, res, err := op.RunBytes(stored, exists)
-	if err != nil {
-		return nil, false, nil, fmt.Errorf("%w: %w", ErrMalformed, err)
-	}
+	data, write, res := op.RunEncoded(stored)
 	if !write {
 		return nil, false, res, nil
 	}

@@ -503,11 +503,11 @@ func goldenOps() map[string][]byte {
 	removeIn := removeOp
 	removeIn.Key = inLeaf.Key
 	run := func(op core.Op, stored core.Bucket) []byte {
-		_, _, result, err := op.RunBytes(wire.MarshalBucket(stored), true)
+		_, _, result, err := wire.Op{Body: core.EncodeOp(op)}.Run(wire.MarshalBucket(stored), true)
 		if err != nil {
 			panic(err)
 		}
-		return result
+		return result.([]byte)
 	}
 	full := core.NewBucket(root, nil)
 	for i := 0; i < opRule.ThetaSplit; i++ {

@@ -4,15 +4,14 @@
 // has to serialise its buckets at the DHT boundary. ByteDHT wraps any
 // substrate and round-trips every stored value through this package's
 // compact binary format, proving the index depends on nothing but bytes. The
-// format itself is written down, and implemented, once: beside the columnar
-// arenas it fills, in core/columnar.go.
+// format itself is written down, and implemented, once, in core/columnar.go:
+// a core.Bucket is its records' encodings, so decoding a bucket is one copy,
+// and a daemon runs ops on a view of the bytes it stores (Op, DaemonCodec).
 package wire
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"mlight/internal/core"
 	"mlight/internal/dht"
@@ -24,58 +23,14 @@ import (
 // ErrMalformed reports undecodable bytes.
 var ErrMalformed = errors.New("wire: malformed encoding")
 
-// AppendPoint appends the encoding of p to buf. Allocation-free when buf
-// has capacity (the codec fast path — callers reuse scratch buffers).
-//
-//lint:hotpath
-func AppendPoint(buf []byte, p spatial.Point) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(p)))
-	for _, c := range p {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c))
-	}
-	return buf
-}
-
-// DecodePoint decodes a point, returning the remaining bytes.
-func DecodePoint(buf []byte) (spatial.Point, []byte, error) {
-	dims, n := binary.Uvarint(buf)
-	if n <= 0 || dims > 1<<16 {
-		return nil, nil, fmt.Errorf("%w: point dims", ErrMalformed)
-	}
-	buf = buf[n:]
-	if len(buf) < int(dims)*8 {
-		return nil, nil, fmt.Errorf("%w: point truncated", ErrMalformed)
-	}
-	p := make(spatial.Point, dims)
-	for i := range p {
-		p[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-	}
-	return p, buf[dims*8:], nil
-}
-
 // AppendRecord appends the encoding of r to buf.
 func AppendRecord(buf []byte, r spatial.Record) []byte { return core.AppendRecord(buf, r) }
-
-// DecodeRecord decodes a record, returning the remaining bytes.
-func DecodeRecord(buf []byte) (spatial.Record, []byte, error) {
-	key, rest, err := DecodePoint(buf)
-	if err != nil {
-		return spatial.Record{}, nil, err
-	}
-	size, n := binary.Uvarint(rest)
-	if n <= 0 || uint64(len(rest)-n) < size {
-		return spatial.Record{}, nil, fmt.Errorf("%w: record data", ErrMalformed)
-	}
-	rest = rest[n:]
-	return spatial.Record{Key: key, Data: string(rest[:size])}, rest[size:], nil
-}
 
 // MarshalBucket encodes a core bucket.
 func MarshalBucket(b core.Bucket) []byte { return b.Marshal() }
 
-// UnmarshalBucket decodes a core bucket. The format and its decoder live
-// beside the columnar arenas they fill (core.UnmarshalBucket); malformed
-// bytes are reported as ErrMalformed here.
+// UnmarshalBucket decodes a core bucket into a copy of the bytes it needs
+// (core.UnmarshalBucket); malformed bytes are reported as ErrMalformed here.
 func UnmarshalBucket(buf []byte) (core.Bucket, error) {
 	b, err := core.UnmarshalBucket(buf)
 	if err != nil {
@@ -107,9 +62,9 @@ func (BucketCodec) Unmarshal(data []byte) (any, error) {
 }
 
 // AppendDelta implements dht.DeltaCodec over the bucket format's delta
-// (core.Bucket.AppendDelta): a bucket that is the one it replaces plus
-// appended records journals as those records, and one that is it without one
-// record as that record's index.
+// (core.CutDelta): a bucket that is the one it replaces plus appended records
+// journals as those records, and one that is it without one record as that
+// record's index.
 //
 //lint:hotpath
 func (BucketCodec) AppendDelta(buf []byte, prev, next any) ([]byte, bool) {
@@ -121,16 +76,16 @@ func (BucketCodec) AppendDelta(buf []byte, prev, next any) ([]byte, bool) {
 	if !ok {
 		return buf, false
 	}
-	return n.AppendDelta(buf, p)
+	return core.CutDelta(buf, p, n)
 }
 
-// ApplyDelta implements dht.DeltaCodec.
+// ApplyDelta implements dht.DeltaCodec (core.ReplayDelta).
 func (BucketCodec) ApplyDelta(base any, delta []byte) (any, error) {
 	b, ok := base.(core.Bucket)
 	if !ok {
 		return nil, fmt.Errorf("%w: delta over %T, want a bucket", ErrMalformed, base)
 	}
-	next, err := b.Extend(delta)
+	next, err := core.ReplayDelta(b, delta)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrMalformed, err)
 	}
@@ -139,11 +94,10 @@ func (BucketCodec) ApplyDelta(base any, delta []byte) (any, error) {
 
 // DaemonCodec is the codec of a daemon's journal. A daemon's node stores
 // what crosses its sockets — a bucket as its encoding, written by the ops run
-// there (Op) — so its values are transport.Codec's, and a put that appends
-// records to a bucket's encoding, or cuts one out, journals as the bucket
-// format's delta over the bytes (core.AppendEncodedDelta), which replay takes
-// by the same two byte steps (core.ExtendEncoded). Any other value journals
-// whole.
+// there (Op) — so its values are transport.Codec's. Its deltas are
+// BucketCodec's, over views of the encodings (core.ViewBucket): a value that
+// is not exactly a bucket's encoding journals whole, and a delta replays only
+// onto one.
 type DaemonCodec struct{ transport.Codec }
 
 var _ dht.DeltaCodec = DaemonCodec{}
@@ -160,20 +114,30 @@ func (DaemonCodec) AppendDelta(buf []byte, prev, next any) ([]byte, bool) {
 	if !ok {
 		return buf, false
 	}
-	return core.AppendEncodedDelta(buf, p, n)
+	pb, ok := core.ViewBucket(p)
+	if !ok {
+		return buf, false
+	}
+	nb, ok := core.ViewBucket(n)
+	if !ok {
+		return buf, false
+	}
+	return core.CutDelta(buf, pb, nb)
 }
 
-// ApplyDelta implements dht.DeltaCodec.
+// ApplyDelta implements dht.DeltaCodec: the encoding of the bucket the delta
+// takes base to.
 func (DaemonCodec) ApplyDelta(base any, delta []byte) (any, error) {
-	b, ok := base.([]byte)
+	p, _ := base.([]byte)
+	b, ok := core.ViewBucket(p)
 	if !ok {
-		return nil, fmt.Errorf("%w: delta over %T, want a bucket encoding", ErrMalformed, base)
+		return nil, fmt.Errorf("%w: delta over %T that is no bucket encoding", ErrMalformed, base)
 	}
-	next, err := core.ExtendEncoded(b, delta)
+	next, err := core.ReplayDelta(b, delta)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrMalformed, err)
 	}
-	return next, nil
+	return next.Marshal(), nil
 }
 
 // Codec converts between in-process values and bytes.
