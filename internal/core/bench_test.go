@@ -118,20 +118,24 @@ func BenchmarkBucketScan(b *testing.B) {
 	_ = hits
 }
 
-// BenchmarkBulkLoad builds the whole tree of 100k synthetic NE records
-// locally and places its buckets in the in-process store: the split that
-// dominates every benchmark workload's set-up.
+// BenchmarkBulkLoad builds the whole tree of 100k and of 250k synthetic NE
+// records locally and places its buckets in the in-process store: the split
+// that dominates every benchmark workload's set-up (engine-local preloads
+// 250k).
 func BenchmarkBulkLoad(b *testing.B) {
-	records := dataset.Generate(100000, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix, err := New(dht.MustNewLocal(16), index.Tuning{Capacity: 64, MergeThreshold: 32})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := ix.BulkLoad(records); err != nil {
-			b.Fatal(err)
-		}
+	for _, n := range []int{100000, 250000} {
+		records := dataset.Generate(n, 1)
+		b.Run(fmt.Sprintf("%dk", n/1000), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ix, err := New(dht.MustNewLocal(16), index.Tuning{Capacity: 64, MergeThreshold: 32})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := ix.BulkLoad(records); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

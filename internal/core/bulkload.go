@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mlight/internal/bitlabel"
+	"mlight/internal/dht"
 	"mlight/internal/kdtree"
 	"mlight/internal/spatial"
 )
@@ -38,24 +39,32 @@ func (ix *Index) BulkLoad(records []spatial.Record) error {
 		return fmt.Errorf("core: BulkLoad needs an enumerable substrate to verify emptiness: %w", err)
 	}
 
-	// The split owns and permutes the records it is handed: give it a copy,
-	// the caller's slice stays as it was.
-	root := kdtree.Cell{
-		Label:   bitlabel.Root(m),
-		Region:  spatial.UnitCube(m),
-		Records: append([]spatial.Record{}, records...),
-	}
-	// Exactly one frontier cell is named to the root's key; it overwrites
-	// the bootstrap bucket in place, the rest are fresh puts.
-	stay, moved, err := ix.splitRule().split(root)
+	// The split reads the caller's slice and never writes it; each bucket is
+	// encoded straight from the records its leaf names.
+	root := kdtree.Cell{Label: bitlabel.Root(m), Region: spatial.UnitCube(m), Records: records}
+	f, err := ix.splitRule().frontier(root)
 	if err != nil {
 		return err
 	}
-	if err := ix.raw.Put(labelKey(bitlabel.Name(root.Label, m)), NewBucket(stay.Label, stay.Records)); err != nil {
+	// Exactly one leaf is named to the root's key; it overwrites the
+	// bootstrap bucket in place, the rest are fresh puts.
+	stay, err := stayer(f.Leaves, root.Label, m)
+	if err != nil {
+		return err
+	}
+	bucket := func(i int) Bucket { return newBucketOf(f.Leaves[i].Label, records, f.Members(i)) }
+	if err := ix.raw.Put(labelKey(bitlabel.Name(root.Label, m)), bucket(stay)); err != nil {
 		return fmt.Errorf("core: bulk place root bucket: %w", err)
 	}
 	ix.stats.DHTLookups.Inc() // the loader ships the staying bucket too
-	if err := ix.placeCells(moved); err != nil {
+	moved := make([]dht.PutOp, 0, len(f.Leaves)-1)
+	for i := range f.Leaves {
+		if i != stay {
+			b := bucket(i)
+			moved = append(moved, dht.PutOp{Key: b.Key(m), Value: b})
+		}
+	}
+	if err := ix.placeBuckets(moved); err != nil {
 		return err
 	}
 	ix.stats.RecordsMoved.Add(int64(len(records)))

@@ -38,9 +38,9 @@ func TestBulkLoadMatchesIncrementalDataAware(t *testing.T) {
 	})
 }
 
-// TestBulkLoadLeavesInputUntouched: the split permutes the records it is
-// handed, so BulkLoad must hand it a copy — a caller may load the same slice
-// into several indexes.
+// TestBulkLoadLeavesInputUntouched: BulkLoad hands the caller's slice to the
+// split, which must not reorder it — a caller may load the same slice into
+// several indexes.
 func TestBulkLoadLeavesInputUntouched(t *testing.T) {
 	for _, strategy := range []SplitStrategy{SplitThreshold, SplitDataAware} {
 		records := bulkRecords(5, 2000)

@@ -72,6 +72,23 @@ func NewBucket(label bitlabel.Label, records []spatial.Record) Bucket {
 	return b
 }
 
+// newBucketOf is NewBucket of the records at the given positions, in order.
+func newBucketOf(label bitlabel.Label, records []spatial.Record, at []int32) Bucket {
+	b := Bucket{Label: label, n: len(at)}
+	if len(at) == 0 {
+		return b
+	}
+	size := 0
+	for _, i := range at {
+		size += recordLen(len(records[i].Key), len(records[i].Data))
+	}
+	b.enc = make([]byte, 0, size)
+	for _, i := range at {
+		b.enc = AppendRecord(b.enc, records[i])
+	}
+	return b
+}
+
 // Load returns the number of records stored in the bucket (§4.1 load).
 func (b Bucket) Load() int { return b.n }
 
@@ -299,7 +316,14 @@ func recordLen(dims, data int) int {
 // Marshal encodes the bucket, into a buffer of exactly its size: an owner
 // keeps what this returns for as long as it keeps the bucket.
 func (b Bucket) Marshal() []byte {
-	buf := make([]byte, 0, 9+uvarintLen(uint64(b.n))+len(b.enc))
+	return b.AppendMarshal(make([]byte, 0, b.MarshalSize()))
+}
+
+// MarshalSize is the size of the bucket's encoding.
+func (b Bucket) MarshalSize() int { return 9 + uvarintLen(uint64(b.n)) + len(b.enc) }
+
+// AppendMarshal appends the bucket's encoding to buf.
+func (b Bucket) AppendMarshal(buf []byte) []byte {
 	buf = binary.AppendUvarint(appendLabel(buf, b.Label), uint64(b.n))
 	return append(buf, b.enc...)
 }
@@ -448,6 +472,21 @@ func (b Bucket) marshalCut(lo, hi int) []byte {
 	buf := make([]byte, 0, 9+uvarintLen(uint64(b.n-1))+len(b.enc)-(hi-lo))
 	buf = binary.AppendUvarint(appendLabel(buf, b.Label), uint64(b.n-1))
 	return append(append(buf, b.enc[:lo]...), b.enc[hi:]...)
+}
+
+// marshalGrown is the encoding of b with records appended, in a buffer of
+// exactly its size, as Marshal of b.Append of each record writes it.
+func (b Bucket) marshalGrown(records []spatial.Record) []byte {
+	n, size := b.n+len(records), len(b.enc)
+	for _, rec := range records {
+		size += recordLen(len(rec.Key), len(rec.Data))
+	}
+	buf := make([]byte, 0, 9+uvarintLen(uint64(n))+size)
+	buf = append(binary.AppendUvarint(appendLabel(buf, b.Label), uint64(n)), b.enc...)
+	for _, rec := range records {
+		buf = AppendRecord(buf, rec)
+	}
+	return buf
 }
 
 // end returns where the record encoded at off, of dims coordinates, ends.

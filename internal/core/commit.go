@@ -105,8 +105,8 @@ func (r SplitRule) Append(stored Bucket, records []spatial.Record) (c Commit) {
 				c.Accepted++
 				continue
 			}
-			// Records materializes a fresh slice, which the splits below own
-			// and permute (kdtree's split contract).
+			// Records materializes a fresh slice, which the frontier's cells
+			// grow by append (a split hands back clipped views).
 			cell := spatial.Region{Lo: region.Lo.Clone(), Hi: region.Hi.Clone()}
 			frontier, slot = []kdtree.Cell{{Label: leaf, Region: cell, Records: next.Records()}}, 0
 		}
@@ -256,7 +256,7 @@ func (r SplitRule) remainingDepth(label bitlabel.Label) int {
 
 // underSplitBound reports whether a bucket at the given load cannot split —
 // the check that lets Append skip record materialization. Unknown strategies
-// return false so decideSplit gets to surface its error.
+// return false so frontier gets to surface its error.
 func (r SplitRule) underSplitBound(load int, label bitlabel.Label) bool {
 	switch r.Strategy {
 	case SplitThreshold:
@@ -267,20 +267,26 @@ func (r SplitRule) underSplitBound(load int, label bitlabel.Label) bool {
 	return false
 }
 
-// decideSplit returns the final leaf frontier for a (possibly overfull) cell.
-// A single-element result means no split.
-func (r SplitRule) decideSplit(cell kdtree.Cell) ([]kdtree.Cell, error) {
-	if r.underSplitBound(cell.Load(), cell.Label) {
-		return []kdtree.Cell{cell}, nil
-	}
+// frontier returns the final leaf frontier for a (possibly overfull) cell.
+// A single leaf means no split.
+func (r SplitRule) frontier(cell kdtree.Cell) (kdtree.Frontier, error) {
 	switch depth := r.remainingDepth(cell.Label); r.Strategy {
 	case SplitThreshold:
-		return kdtree.ThresholdSplit(cell, r.Dims, r.ThetaSplit, depth)
+		return kdtree.Threshold(cell, r.Dims, r.ThetaSplit, depth)
 	case SplitDataAware:
-		cells, _, err := kdtree.OptimalSplit(cell, r.Dims, r.Epsilon, depth)
-		return cells, err
+		f, _, err := kdtree.Optimal(cell, r.Dims, r.Epsilon, depth)
+		return f, err
 	}
-	return nil, fmt.Errorf("core: unknown split strategy %v", r.Strategy)
+	return kdtree.Frontier{}, fmt.Errorf("core: unknown split strategy %v", r.Strategy)
+}
+
+// decideSplit returns the frontier's leaves with their records.
+func (r SplitRule) decideSplit(cell kdtree.Cell) ([]kdtree.Cell, error) {
+	f, err := r.frontier(cell)
+	if err != nil {
+		return nil, err
+	}
+	return f.Cells(), nil
 }
 
 // split divides a cell as the rule decides: stay is the piece that keeps the
@@ -291,28 +297,31 @@ func (r SplitRule) split(cell kdtree.Cell) (stay kdtree.Cell, moved []kdtree.Cel
 	if err != nil || len(pieces) <= 1 {
 		return cell, nil, err
 	}
-	return pickStayer(pieces, cell.Label, r.Dims)
+	i, err := stayer(pieces, cell.Label, r.Dims)
+	if err != nil {
+		return kdtree.Cell{}, nil, err
+	}
+	moved = make([]kdtree.Cell, 0, len(pieces)-1)
+	return pieces[i], append(append(moved, pieces[:i]...), pieces[i+1:]...), nil
 }
 
-// pickStayer finds the unique frontier piece whose name equals the split
-// leaf's own name — by the subtree naming bijection exactly one exists —
-// so it keeps the old key and peer, while the rest move.
-func pickStayer(pieces []kdtree.Cell, oldLabel bitlabel.Label, m int) (stay kdtree.Cell, moved []kdtree.Cell, err error) {
+// stayer finds the unique frontier piece whose name equals the split leaf's
+// own name — by the subtree naming bijection exactly one exists — so it
+// keeps the old key and peer, while the rest move.
+func stayer(pieces []kdtree.Cell, oldLabel bitlabel.Label, m int) (int, error) {
 	oldName := bitlabel.Name(oldLabel, m)
-	found := false
-	for _, p := range pieces {
-		if bitlabel.Name(p.Label, m) == oldName {
-			if found {
-				return kdtree.Cell{}, nil, fmt.Errorf("core: two pieces named %v splitting %v", oldName, oldLabel)
-			}
-			stay = p
-			found = true
+	stay := -1
+	for i, p := range pieces {
+		if bitlabel.Name(p.Label, m) != oldName {
 			continue
 		}
-		moved = append(moved, p)
+		if stay >= 0 {
+			return -1, fmt.Errorf("core: two pieces named %v splitting %v", oldName, oldLabel)
+		}
+		stay = i
 	}
-	if !found {
-		return kdtree.Cell{}, nil, fmt.Errorf("core: no piece named %v splitting %v", oldName, oldLabel)
+	if stay < 0 {
+		return -1, fmt.Errorf("core: no piece named %v splitting %v", oldName, oldLabel)
 	}
-	return stay, moved, nil
+	return stay, nil
 }

@@ -180,12 +180,17 @@ func (ix *Index) placeOps(ops []dht.PutOp, cells []kdtree.Cell) []dht.PutOp {
 // Each placed bucket is one DHT operation; the records it carries were
 // charged where the split was decided.
 func (ix *Index) placeCells(cells []kdtree.Cell) error {
-	if len(cells) == 0 {
+	return ix.placeBuckets(ix.placeOps(nil, cells))
+}
+
+// placeBuckets writes the puts of placeOps in one PutBatch round.
+func (ix *Index) placeBuckets(ops []dht.PutOp) error {
+	if len(ops) == 0 {
 		return nil
 	}
-	for i, err := range dht.PutBatch(ix.d, ix.placeOps(nil, cells), ix.opts.MaxInFlight) {
+	for i, err := range dht.PutBatch(ix.d, ops, ix.opts.MaxInFlight) {
 		if err != nil {
-			return fmt.Errorf("core: place bucket %v: %w", cells[i].Label, err)
+			return fmt.Errorf("core: place bucket %v: %w", ops[i].Value.(Bucket).Label, err)
 		}
 	}
 	return nil

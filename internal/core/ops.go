@@ -96,6 +96,19 @@ func (op AppendOp) commit(stored Bucket) (c Commit, write bool) {
 	return c, !c.Gone && c.Err == nil && c.Accepted > 0
 }
 
+// extends reports whether commit would take Append's first way, the stored
+// bucket only extended by every record: the records are of the rule's
+// dimensionality, its cell covers them all, and they keep it under the split
+// bound.
+func (op AppendOp) extends(stored Bucket) bool {
+	if len(op.Records) == 0 || stored.Load() > 0 && stored.dims() != op.Rule.Dims {
+		return false
+	}
+	var s spatial.Scratch
+	region, err := s.Cell(stored.Label, op.Rule.Dims)
+	return err == nil && op.Rule.extends(region, stored.Label, stored.Load(), op.Records)
+}
+
 // Run implements Op.
 func (op AppendOp) Run(cur any, _ bool) (next any, write bool, result any, err error) {
 	stored, _ := cur.(Bucket)
@@ -106,8 +119,15 @@ func (op AppendOp) Run(cur any, _ bool) (next any, write bool, result any, err e
 	return c.Keep, true, c, nil
 }
 
-// RunEncoded implements Op.
+// RunEncoded implements Op. Records that only extend the stored bucket are
+// encoded once, behind the stored ones, into the kept bucket's encoding
+// (marshalGrown); a split, a stale record or a refusal takes Append's way.
 func (op AppendOp) RunEncoded(stored Bucket) ([]byte, bool, []byte) {
+	if op.extends(stored) {
+		n := len(op.Records)
+		c := Commit{Keep: Bucket{Label: stored.Label}, Load: stored.Load() + n, Accepted: n}
+		return stored.marshalGrown(op.Records), true, op.encodeResult(c)
+	}
 	c, write := op.commit(stored)
 	if !write {
 		return nil, false, op.encodeResult(c)

@@ -109,6 +109,19 @@ type DeltaCodec interface {
 	ApplyDelta(base any, delta []byte) (any, error)
 }
 
+// AppendCodec is the optional interface of a Codec that encodes a value at
+// the end of a buffer and tells the encoding's size beforehand: Append sizes
+// a group's buffer once and frames such values in place, where another
+// codec's fresh encoding of each is copied in. wire.BucketCodec implements
+// it.
+type AppendCodec interface {
+	// MarshalSize returns the size of Marshal's encoding of v; a value the
+	// codec cannot encode may report any size.
+	MarshalSize(v any) int
+	// AppendMarshal appends Marshal's encoding of v to buf.
+	AppendMarshal(buf []byte, v any) ([]byte, error)
+}
+
 // ErrWALInconsistent reports journal files that do not describe one history:
 // an intact append record whose base replay does not hold, or a log of a
 // later generation than the snapshot beside it.
@@ -182,7 +195,8 @@ type WAL struct {
 	mu        sync.Mutex
 	dir       string
 	codec     Codec
-	delta     DeltaCodec // codec, when it can journal extensions; else nil
+	delta     DeltaCodec  // codec, when it can journal extensions; else nil
+	appender  AppendCodec // codec, when it encodes in place; else nil
 	log       *os.File
 	gen       uint64 // generation of the log, and of the snapshot it extends
 	appended  int    // log records since the last compaction
@@ -240,10 +254,12 @@ func OpenWAL(opts WALOptions) (*WAL, error) {
 		return nil, fmt.Errorf("dht: wal %s is open elsewhere: %w", opts.Dir, err)
 	}
 	delta, _ := opts.Codec.(DeltaCodec)
+	appender, _ := opts.Codec.(AppendCodec)
 	w := &WAL{
 		dir:       opts.Dir,
 		codec:     opts.Codec,
 		delta:     delta,
+		appender:  appender,
 		log:       f,
 		threshold: opts.CompactThreshold,
 		syncEvery: opts.SyncEveryAppend,
@@ -308,11 +324,17 @@ func (w *WAL) appendRecord(buf []byte, rec *WALRecord) (out []byte, written bool
 			}
 			buf = buf[:payload]
 		}
-		val, err := w.codec.Marshal(rec.Value)
+		var err error
+		if w.appender != nil {
+			buf, err = w.appender.AppendMarshal(buf, rec.Value)
+		} else {
+			var val []byte
+			val, err = w.codec.Marshal(rec.Value)
+			buf = append(buf, val...)
+		}
 		if err != nil {
 			return nil, false, fmt.Errorf("dht: wal encode %q: %w", rec.Key, err)
 		}
-		buf = append(buf, val...)
 	default:
 		return nil, false, fmt.Errorf("dht: wal cannot journal op %q", byte(rec.Op))
 	}
@@ -332,6 +354,9 @@ func (w *WAL) Append(recs []WALRecord) error {
 		return errors.New("dht: wal closed")
 	}
 	buf, written := w.scratch[:0], 0
+	if size := w.groupSize(recs); size > cap(buf) {
+		buf = make([]byte, 0, size)
+	}
 	for i := range recs {
 		rec := &recs[i]
 		var framed bool
@@ -350,6 +375,22 @@ func (w *WAL) Append(recs []WALRecord) error {
 		return nil
 	}
 	return w.writeLocked(buf, written)
+}
+
+// groupSize is what the frames of recs take, as far as the codec tells: the
+// size of the buffer Append builds them in. A put that names no value it
+// replaces journals its whole value (a bulk load's group is thousands of
+// them); a delta's size is not known before it is cut.
+func (w *WAL) groupSize(recs []WALRecord) int {
+	size := 0
+	for i := range recs {
+		rec := &recs[i]
+		size += binary.MaxVarintLen64 + 1 + binary.MaxVarintLen64 + len(rec.Key) + crc32.Size
+		if w.appender != nil && rec.Op == WALPut && (rec.Prev == nil || w.delta == nil) {
+			size += w.appender.MarshalSize(rec.Value)
+		}
+	}
+	return size
 }
 
 // writeLocked copies buf, holding records frames, to the log's logical end.

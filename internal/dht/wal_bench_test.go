@@ -20,7 +20,8 @@ import (
 // the append record removes. The removal pair does the same for a delete: a
 // 51-record leaf replaced by itself without one record. The daemon cases are
 // the same puts on a daemon's journal, whose values are the buckets'
-// encodings (wire.DaemonCodec): the delta is cut from the bytes.
+// encodings (wire.DaemonCodec): the delta is cut from the bytes. bulk-1000
+// is a bulk load's group of whole buckets.
 func BenchmarkWALAppend(b *testing.B) {
 	prev, next := bucket50()
 	leaf, removed := removal50()
@@ -53,6 +54,26 @@ func BenchmarkWALAppend(b *testing.B) {
 			}
 		})
 	}
+	b.Run("bulk-1000", func(b *testing.B) {
+		// A bulk load's group commit: a thousand fresh buckets, each put
+		// whole. The log is reset between appends, off the clock.
+		w := openWAL(b, wire.BucketCodec{})
+		recs := make([]dht.WALRecord, 1000)
+		for i := range recs {
+			recs[i] = dht.WALRecord{Op: dht.WALPut, Key: dht.Key(fmt.Sprintf("mlight/%b", i)), Value: next}
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := w.Append(recs); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			if err := w.Compact(nil); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+	})
 	for _, tc := range []struct {
 		batch int
 		sync  bool

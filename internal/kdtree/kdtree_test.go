@@ -1,7 +1,9 @@
 package kdtree
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -11,6 +13,25 @@ import (
 	"mlight/internal/dht/dhttest"
 	"mlight/internal/spatial"
 )
+
+// ThresholdSplit is Threshold's leaves with their records, the form the
+// tests compare.
+func ThresholdSplit(c Cell, m, thetaSplit, maxDepth int) ([]Cell, error) {
+	f, err := Threshold(c, m, thetaSplit, maxDepth)
+	if err != nil {
+		return nil, err
+	}
+	return f.Cells(), nil
+}
+
+// OptimalSplit is Optimal's leaves with their records.
+func OptimalSplit(c Cell, m, epsilon, maxDepth int) (leaves []Cell, improved bool, err error) {
+	f, improved, err := Optimal(c, m, epsilon, maxDepth)
+	if err != nil {
+		return nil, false, err
+	}
+	return f.Cells(), improved, nil
+}
 
 func rootCell(m int, recs []spatial.Record) Cell {
 	return Cell{
@@ -40,23 +61,34 @@ func randomRecords(rng *rand.Rand, m, n int) []spatial.Record {
 	return out
 }
 
-func TestPartitionRecords(t *testing.T) {
-	g := spatial.UnitCube(1)
-	rs := recs(spatial.Point{0.2}, spatial.Point{0.5}, spatial.Point{0.7}, spatial.Point{0.49})
-	lower, upper := PartitionRecords(rs, make([]spatial.Record, len(rs)), g, 0)
-	if len(lower) != 2 || len(upper) != 2 {
-		t.Fatalf("partition = %d/%d, want 2/2", len(lower), len(upper))
+// TestSplitOnceKeepsOrderAndClips: the midpoint itself goes up (half-open
+// cells), each child holds its records in input order, each child is a
+// clipped view, and the input slice is left as it was.
+func TestSplitOnceKeepsOrderAndClips(t *testing.T) {
+	rs := recs(spatial.Point{0.7}, spatial.Point{0.2}, spatial.Point{0.5}, spatial.Point{0.49})
+	in := append([]spatial.Record(nil), rs...)
+	lower, upper, err := SplitOnce(rootCell(1, rs), 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The midpoint itself goes up (half-open cells); each side keeps its
-	// input order, lower first, in the input slice.
-	want := []float64{0.2, 0.49, 0.5, 0.7}
-	for i, r := range rs {
-		if r.Key[0] != want[i] {
-			t.Fatalf("records after partition = %v, want keys %v", rs, want)
+	for i, want := range [][]float64{{0.2, 0.49}, {0.7, 0.5}} {
+		got := []Cell{lower, upper}[i].Records
+		if len(got) != len(want) {
+			t.Fatalf("child %d holds %d records, want %d", i, len(got), len(want))
+		}
+		for j, r := range got {
+			if r.Key[0] != want[j] {
+				t.Fatalf("child %d record %d is %v, want %v", i, j, r.Key[0], want[j])
+			}
 		}
 	}
-	if cap(lower) != len(lower) || cap(upper) != len(upper) {
-		t.Errorf("halves not clipped: cap %d/%d, len %d/%d", cap(lower), cap(upper), len(lower), len(upper))
+	if cap(lower.Records) != lower.Load() || cap(upper.Records) != upper.Load() {
+		t.Errorf("children not clipped: cap %d/%d, len %d/%d", cap(lower.Records), cap(upper.Records), lower.Load(), upper.Load())
+	}
+	for i := range rs {
+		if rs[i].Key[0] != in[i].Key[0] {
+			t.Fatalf("SplitOnce reordered its input: %v, was %v", rs, in)
+		}
 	}
 }
 
@@ -322,9 +354,10 @@ func clamp01(x float64) float64 {
 	return x
 }
 
-// The append-based split the in-place one replaced, kept verbatim as the
-// reference TestSplitMatchesAppendReference holds it to: every level appends
-// each record into a fresh half.
+// The append-based split of the first implementation, kept verbatim as the
+// reference TestSplitMatchesAppendReference holds the splits to: every level
+// appends each record into a fresh half, deciding it by the midpoint
+// comparison itself.
 
 func oldPartitionRecords(records []spatial.Record, g spatial.Region, dim int) (lower, upper []spatial.Record) {
 	mid := (g.Lo[dim] + g.Hi[dim]) / 2
@@ -432,33 +465,41 @@ func (sc splitCase) cell(t *testing.T) Cell {
 }
 
 // splitCases draws the differential test's inputs for dimensionality m: a
-// start cell up to three levels below the root (or two levels short of the
-// longest label), and records that are uniform, duplicate-heavy (so the
-// depth cap stops the descent), placed exactly on the cell's midpoints at
-// every level, or pinned to the cube's closed faces at 1.0.
+// start cell up to three levels below the root, two levels short of the
+// longest label, or the root holding a few thousand records (a bulk load's
+// shape) with a depth bound up to the longest label — for m = 1 deeper than
+// the midpoints stay exact in float64 — and records that are uniform,
+// duplicate-heavy (so the depth cap stops the descent), placed exactly on
+// dyadic points of the cell, mostly coarse ones, down to the resolution of a
+// float64 — midpoints at every level among them — or pinned to the cube's
+// closed faces at 1.0.
 func splitCases(rng *rand.Rand, m int) []splitCase {
 	var out []splitCase
-	for trial := 0; trial < 40; trial++ {
+	for trial := 0; trial < 43; trial++ {
 		label := bitlabel.Root(m)
-		if trial%10 == 9 {
+		n, bound, levels := rng.Intn(400), rng.Intn(25)-1, rng.Intn(16)-2 // 0 and -1 are refused
+		switch {
+		case trial >= 40:
+			n, bound, levels = 2000+rng.Intn(3000), 1+rng.Intn(64), []int{20, 40, bitlabel.MaxLen}[trial-40]
+		case trial%10 == 9:
 			for label.Len() < bitlabel.MaxLen-2 {
 				label = label.MustAppend(1)
 			}
-		} else {
+		default:
 			for d := rng.Intn(4); d > 0; d-- {
 				label = label.MustAppend(byte(rng.Intn(2)))
 			}
 		}
 		g, _ := spatial.RegionOf(label, m)
-		n := rng.Intn(400)
 		at := func(d int, u float64) float64 { return g.Lo[d] + u*(g.Hi[d]-g.Lo[d]) }
 		shapes := map[string]func(d int) float64{
 			"uniform": func(d int) float64 { return at(d, rng.Float64()) },
 			"duplicates": func(d int) float64 {
 				return at(d, float64(rng.Intn(3))/4)
 			},
-			"midpoints": func(d int) float64 {
-				return at(d, float64(rng.Intn(1<<6+1))/(1<<6))
+			"dyadic": func(d int) float64 {
+				bits := 1 + rng.Intn(1+rng.Intn(62))
+				return at(d, float64(rng.Int63n(1<<bits+1))/float64(uint64(1)<<bits))
 			},
 			"faces": func(d int) float64 {
 				if rng.Intn(2) == 0 {
@@ -467,7 +508,7 @@ func splitCases(rng *rand.Rand, m int) []splitCase {
 				return at(d, rng.Float64())
 			},
 		}
-		for _, shape := range []string{"uniform", "duplicates", "midpoints", "faces"} {
+		for _, shape := range []string{"uniform", "duplicates", "dyadic", "faces"} {
 			recs := make([]spatial.Record, n)
 			for i := range recs {
 				p := make(spatial.Point, m)
@@ -481,8 +522,8 @@ func splitCases(rng *rand.Rand, m int) []splitCase {
 				label:   label,
 				m:       m,
 				records: recs,
-				bound:   rng.Intn(25) - 1, // 0 and -1 are refused
-				levels:  rng.Intn(16) - 2,
+				bound:   bound,
+				levels:  levels,
 			})
 		}
 	}
@@ -524,44 +565,18 @@ func sameErr(got, want error) bool {
 	return got.Error() == want.Error()
 }
 
-// TestSplitMatchesAppendReference holds the in-place splits to the
-// append-based reference above, for m = 1…4 and both strategies: the same
-// leaves, regions, records in the same order, improved flag and error text.
-// A kept-whole cell must come back with its records in input order.
-// MLIGHT_TEST_SEED moves the draws.
+// TestSplitMatchesAppendReference holds the splits to the append-based
+// reference above, for m = 1…6 and both strategies: the same leaves,
+// regions, records in the same order, improved flag and error text. A
+// kept-whole cell must come back with its records in input order, and no
+// split may change the records it was handed. MLIGHT_TEST_SEED moves the
+// draws.
 func TestSplitMatchesAppendReference(t *testing.T) {
 	seed := dhttest.SeedFromEnv(1)
-	for m := 1; m <= 4; m++ {
+	for m := 1; m <= 6; m++ {
 		rng := rand.New(rand.NewSource(seed*10 + int64(m)))
 		for _, sc := range splitCases(rng, m) {
-			got, err := ThresholdSplit(sc.cell(t), m, sc.bound, sc.levels)
-			want, wantErr := oldThresholdSplit(sc.cell(t), m, sc.bound, sc.levels)
-			if !sameErr(err, wantErr) {
-				t.Fatalf("m=%d %s: ThresholdSplit error %v, want %v", m, sc.name, err, wantErr)
-			}
-			if diff := sameCells(got, want); diff != "" {
-				t.Fatalf("m=%d %s θ=%d levels=%d: ThresholdSplit: %s", m, sc.name, sc.bound, sc.levels, diff)
-			}
-
-			got, improved, err := OptimalSplit(sc.cell(t), m, sc.bound, sc.levels)
-			want, wantImproved, wantErr := oldOptimalSplit(sc.cell(t), m, sc.bound, sc.levels)
-			if !sameErr(err, wantErr) || improved != wantImproved {
-				t.Fatalf("m=%d %s: OptimalSplit improved=%v error %v, want %v, %v", m, sc.name, improved, err, wantImproved, wantErr)
-			}
-			if diff := sameCells(got, want); diff != "" {
-				t.Fatalf("m=%d %s ε=%d levels=%d: OptimalSplit: %s", m, sc.name, sc.bound, sc.levels, diff)
-			}
-
-			l, r, err := SplitOnce(sc.cell(t), m)
-			wl, wr, wantErr := oldSplitOnce(sc.cell(t), m)
-			if !sameErr(err, wantErr) {
-				t.Fatalf("m=%d %s: SplitOnce error %v, want %v", m, sc.name, err, wantErr)
-			}
-			if err == nil {
-				if diff := sameCells([]Cell{l, r}, []Cell{wl, wr}); diff != "" {
-					t.Fatalf("m=%d %s: SplitOnce: %s", m, sc.name, diff)
-				}
-			}
+			matchReference(t, sc)
 		}
 	}
 	c := rootCell(1, nil)
@@ -571,6 +586,87 @@ func TestSplitMatchesAppendReference(t *testing.T) {
 	if !sameErr(err, wantErr) {
 		t.Fatalf("SplitOnce at the longest label: %v, want %v", err, wantErr)
 	}
+}
+
+// matchReference runs the three splits and their references on one case.
+func matchReference(t *testing.T, sc splitCase) {
+	t.Helper()
+	m := sc.m
+	in := sc.cell(t)
+	got, err := ThresholdSplit(in, m, sc.bound, sc.levels)
+	want, wantErr := oldThresholdSplit(sc.cell(t), m, sc.bound, sc.levels)
+	if !sameErr(err, wantErr) {
+		t.Fatalf("m=%d %s: ThresholdSplit error %v, want %v", m, sc.name, err, wantErr)
+	}
+	if diff := sameCells(got, want); diff != "" {
+		t.Fatalf("m=%d %s θ=%d levels=%d: ThresholdSplit: %s", m, sc.name, sc.bound, sc.levels, diff)
+	}
+
+	got, improved, err := OptimalSplit(in, m, sc.bound, sc.levels)
+	want, wantImproved, wantErr := oldOptimalSplit(sc.cell(t), m, sc.bound, sc.levels)
+	if !sameErr(err, wantErr) || improved != wantImproved {
+		t.Fatalf("m=%d %s: OptimalSplit improved=%v error %v, want %v, %v", m, sc.name, improved, err, wantImproved, wantErr)
+	}
+	if diff := sameCells(got, want); diff != "" {
+		t.Fatalf("m=%d %s ε=%d levels=%d: OptimalSplit: %s", m, sc.name, sc.bound, sc.levels, diff)
+	}
+
+	l, r, err := SplitOnce(in, m)
+	wl, wr, wantErr := oldSplitOnce(sc.cell(t), m)
+	if !sameErr(err, wantErr) {
+		t.Fatalf("m=%d %s: SplitOnce error %v, want %v", m, sc.name, err, wantErr)
+	}
+	if err == nil {
+		if diff := sameCells([]Cell{l, r}, []Cell{wl, wr}); diff != "" {
+			t.Fatalf("m=%d %s: SplitOnce: %s", m, sc.name, diff)
+		}
+	}
+	if diff := sameCells([]Cell{in}, []Cell{sc.cell(t)}); diff != "" {
+		t.Fatalf("m=%d %s: the splits changed their input: %s", m, sc.name, diff)
+	}
+}
+
+// FuzzSplitMatchesAppendReference is the differential test on fuzzed cells:
+// the dimensionality, the start label (bits below the root), the bound, the
+// depth bound, and the records' coordinates, two bytes each as a fraction of
+// the cell's extent — 0xffff pins a coordinate to 1.0, the closed face — or,
+// with raw set, eight bytes each as a float64's bits, NaN and ±Inf included.
+func FuzzSplitMatchesAppendReference(f *testing.F) {
+	f.Add(uint8(2), uint64(0), uint8(0), 3, 8, false, []byte{0, 0, 0, 0x80, 0, 0x80, 0, 0x40, 0xff, 0xff, 0x12, 0x34, 0x56, 0x78})
+	f.Add(uint8(1), uint64(1<<61-1), uint8(61), 1, 40, false, []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0x80, 0})
+	f.Add(uint8(3), uint64(5), uint8(3), 2, 20, true, []byte("\x00\x00\x00\x00\x00\x00\xe0\x3f\x00\x00\x00\x00\x00\x00\xf0\x7f\x01\x00\x00\x00\x00\x00\xf8\x7f"))
+	f.Fuzz(func(t *testing.T, dims uint8, bits uint64, depth uint8, bound, levels int, raw bool, coords []byte) {
+		m := 1 + int(dims)%6
+		label := bitlabel.Root(m)
+		for i := 0; i < int(depth)%(bitlabel.MaxLen-label.Len()+1); i++ {
+			label = label.MustAppend(byte(bits >> i & 1))
+		}
+		g, err := spatial.RegionOf(label, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		width := 2
+		if raw {
+			width = 8
+		}
+		recs := make([]spatial.Record, len(coords)/(width*m))
+		for i := range recs {
+			p := make(spatial.Point, m)
+			for d := range p {
+				b := coords[(i*m+d)*width:]
+				switch v := binary.LittleEndian.Uint16(b); {
+				case raw:
+					p[d] = math.Float64frombits(binary.LittleEndian.Uint64(b))
+				case v == 0xffff:
+					p[d] = 1
+				default:
+					p[d] = g.Lo[d] + float64(v)/(1<<16)*(g.Hi[d]-g.Lo[d])
+				}
+			}
+			recs[i] = spatial.Record{Key: p, Data: fmt.Sprint(i)}
+		}
+		matchReference(t, splitCase{name: "fuzz", label: label, m: m, records: recs, bound: bound % 100, levels: levels % 70})
+	})
 }
 
 // TestSplitChildrenDoNotAlias appends to every cell a split returns, and
@@ -683,8 +779,9 @@ func sameData(recs []spatial.Record, want []string) string {
 	return ""
 }
 
-// TestSplitAllocs: ThresholdSplit allocates O(cells), not O(n·depth) — its
-// one scratch buffer, the leaf list and two halved regions an internal cell —
+// TestSplitAllocs: ThresholdSplit allocates O(cells), not O(n·depth) — the
+// keys and positions with their sort buffers, the placed records, the leaf
+// lists and one block of regions: 22 allocations and 1.8 MB for 20k records —
 // where the append-based split grew two fresh record halves at every level.
 func TestSplitAllocs(t *testing.T) {
 	if dhttest.RaceEnabled() {
@@ -714,4 +811,17 @@ func TestSplitAllocs(t *testing.T) {
 		t.Errorf("ThresholdSplit of %d records into %d cells: %.0f bytes, want ≤ %.0f", n, len(cells), bytes, max)
 	}
 	t.Logf("%d records, %d cells: %.0f allocations, %.0f bytes", n, len(cells), allocs, bytes)
+}
+
+// BenchmarkThreshold is the split a bulk load of 250k uniform records makes
+// at the default depth bound: keys, sort and the records' positions per leaf.
+func BenchmarkThreshold(b *testing.B) {
+	const m = 2
+	c := rootCell(m, randomRecords(rand.New(rand.NewSource(5)), m, 250000))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Threshold(c, m, 64, 28); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -2,11 +2,13 @@ package wire
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"mlight/internal/bitlabel"
 	"mlight/internal/core"
 	"mlight/internal/dataset"
+	"mlight/internal/dht/dhttest"
 )
 
 var benchSink core.Bucket
@@ -81,6 +83,42 @@ func opRunCase(n int) (stored []byte, appendOp, removeOp Op) {
 	return stored,
 		Op{Body: core.EncodeOp(core.AppendOp{Rule: rule, Records: records[n:]})},
 		Op{Body: core.EncodeOp(core.RemoveOp{Key: mid.Key, Data: mid.Data, MergeThreshold: 10})}
+}
+
+// TestAppendBytesAllocs is the gate of an insert at the owner: the op decoded
+// (its record) and boxed, the kept bucket's encoding built once from a view of
+// the stored bytes and the new record, the reply, and the stored and reply
+// bytes boxed — 9 allocations at any record count, and no more bytes than
+// the kept encoding, the reply and 512 for the rest (the decoded op, the
+// boxes, size-class rounding). Growing the stored view and then marshalling
+// it again reads 10 allocations and twice the encoding.
+func TestAppendBytesAllocs(t *testing.T) {
+	if dhttest.RaceEnabled() {
+		t.Skip("race instrumentation allocates")
+	}
+	for _, n := range []int{50, 100} {
+		stored, op, _ := opRunCase(n)
+		next, _, reply, err := op.Run(stored, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, write, _, err := op.Run(stored, true); err != nil || !write {
+				t.Fatal(write, err)
+			}
+		})
+		runtime.ReadMemStats(&after)
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / 101 // AllocsPerRun's warm-up run too
+		if allocs > 9 {
+			t.Errorf("an append to the bytes of %d records: %.0f allocs, want <= 9", n, allocs)
+		}
+		if max := float64(len(next.([]byte)) + cap(reply.([]byte)) + 512); bytes > max {
+			t.Errorf("an append to the bytes of %d records: %.0f B, want <= %.0f", n, bytes, max)
+		}
+		t.Logf("%d records: %.0f allocations, %.0f B (kept encoding %d B)", n, allocs, bytes, len(next.([]byte)))
+	}
 }
 
 // TestRemoveBytesAllocs is the gate of a delete at the owner: the op decoded

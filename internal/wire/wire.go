@@ -43,8 +43,9 @@ func UnmarshalBucket(buf []byte) (core.Bucket, error) {
 type BucketCodec struct{}
 
 var (
-	_ Codec          = BucketCodec{}
-	_ dht.DeltaCodec = BucketCodec{}
+	_ Codec           = BucketCodec{}
+	_ dht.DeltaCodec  = BucketCodec{}
+	_ dht.AppendCodec = BucketCodec{}
 )
 
 // Marshal implements Codec.
@@ -54,6 +55,21 @@ func (BucketCodec) Marshal(v any) ([]byte, error) {
 		return nil, fmt.Errorf("wire: BucketCodec cannot encode %T", v)
 	}
 	return MarshalBucket(b), nil
+}
+
+// MarshalSize implements dht.AppendCodec.
+func (BucketCodec) MarshalSize(v any) int {
+	b, _ := v.(core.Bucket)
+	return b.MarshalSize()
+}
+
+// AppendMarshal implements dht.AppendCodec.
+func (BucketCodec) AppendMarshal(buf []byte, v any) ([]byte, error) {
+	b, ok := v.(core.Bucket)
+	if !ok {
+		return buf, fmt.Errorf("wire: BucketCodec cannot encode %T", v)
+	}
+	return b.AppendMarshal(buf), nil
 }
 
 // Unmarshal implements Codec.
