@@ -58,10 +58,8 @@ func wireRing(nodes []*overlay.Node) {
 		if n == 1 {
 			succs = []ref{refs[0]}
 		}
-		node.succs = succs
-		for k := 0; k < dht.IDBits; k++ {
-			node.fingers[k] = succAt(node.ID().AddPowerOfTwo(k))
-		}
+		node.tab.fill(func(k int) ref { return succAt(node.ID().AddPowerOfTwo(k)) })
+		node.setSuccsLocked(succs)
 		node.mu.Unlock()
 	}
 }

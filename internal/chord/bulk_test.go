@@ -28,13 +28,9 @@ func TestBulkBuildMatchesIncrementalFixpoint(t *testing.T) {
 	}
 
 	for _, addr := range addrs {
-		in, bn := routing(t, incr, addr), routing(t, bulk, addr)
-		in.mu.Lock()
-		ipred, isuccs, ifingers := in.pred, append([]ref(nil), in.succs...), in.fingers
-		in.mu.Unlock()
-		bn.mu.Lock()
-		bpred, bsuccs, bfingers := bn.pred, append([]ref(nil), bn.succs...), bn.fingers
-		bn.mu.Unlock()
+		ist, bst := stateOf(routing(t, incr, addr)), stateOf(routing(t, bulk, addr))
+		ipred, isuccs, ifingers := ist.pred, ist.succs, ist.fingers
+		bpred, bsuccs, bfingers := bst.pred, bst.succs, bst.fingers
 		if ipred != bpred {
 			t.Errorf("%s: pred %v vs %v", addr, ipred.Addr, bpred.Addr)
 		}

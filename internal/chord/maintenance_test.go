@@ -78,7 +78,11 @@ type routingState struct {
 func stateOf(n *node) routingState {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return routingState{n.pred, append([]ref(nil), n.succs...), n.fingers}
+	st := routingState{pred: n.pred, succs: append([]ref(nil), n.succs...)}
+	for i := range st.fingers {
+		st.fingers[i] = n.tab.fingers[n.tab.spanAt(i)].ref()
+	}
+	return st
 }
 
 func (s routingState) equal(o routingState) bool {
@@ -352,7 +356,7 @@ func (s *shortAnswers) Call(from, to simnet.NodeID, req any) (any, error) {
 // TestFixFingersShortAnswerIsNotKept: a route that answers a finger's start
 // with a node between n and the start — one no consistent ring gives — is
 // treated as a failed route, so every finger stays zero, n, or at least 2^i
-// past n, the bound closestPrecedingLocked's scan starts from.
+// past n: a node short of the start cannot own it.
 func TestFixFingersShortAnswerIsNotKept(t *testing.T) {
 	net := &shortAnswers{Network: simnet.New(simnet.Options{})}
 	ring := NewRing(net, Config{Seed: 1})
@@ -454,7 +458,7 @@ func TestLoneNodeRejoinsThroughPredecessor(t *testing.T) {
 	n := routing(t, ring, lone)
 	want := stateOf(n).succs
 	n.mu.Lock()
-	n.succs = []ref{n.Ref()}
+	n.setSuccsLocked([]ref{n.Ref()})
 	n.mu.Unlock()
 	ring.Router().(*router).stabilizeNode(n)
 	got := stateOf(n).succs

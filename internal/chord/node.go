@@ -8,9 +8,12 @@
 //
 // Nodes live on a 160-bit identifier ring (SHA-1 of their address). Each
 // node maintains a predecessor pointer, a successor list for resilience,
-// and a finger table for O(log n) routing. Lookups are iterative: the
-// querying side repeatedly asks the closest known predecessor for a better
-// next hop, counting each RPC as one overlay hop.
+// and a finger table for O(log n) routing, held in one routing table
+// (table.go) with every finger run and successor once, its distance from the
+// node and its step reply worked out when it is written, so a lookup step is
+// a subtraction and a few compares. Lookups are iterative: the querying side
+// repeatedly asks the closest known predecessor for a better next hop,
+// counting each RPC as one overlay hop.
 //
 // Stabilization (stabilize / notify / fix-fingers) runs as explicit rounds
 // driven by the kernel's Stabilize, keeping simulations deterministic.
@@ -41,10 +44,10 @@ type node struct {
 	*overlay.Node
 	r *router
 
-	mu      sync.Mutex
-	pred    ref
-	succs   []ref // succs[0] is the immediate successor; never empty once joined
-	fingers [dht.IDBits]ref
+	mu    sync.Mutex
+	pred  ref
+	succs []ref // succs[0] is the immediate successor; never empty once joined
+	tab   table // the fingers, and the replies of a lookup step
 }
 
 // Routing messages. Each is handled synchronously by node.HandleRPC.
@@ -88,7 +91,20 @@ func (n *node) Reset() {
 	defer n.mu.Unlock()
 	n.pred = ref{}
 	n.succs = nil
-	n.fingers = [dht.IDBits]ref{}
+	n.tab = newTable(n.Ref())
+}
+
+// setSuccsLocked replaces the successor list. Callers hold n.mu.
+func (n *node) setSuccsLocked(succs []ref) {
+	n.succs = succs
+	n.tab.setSuccs(n.Ref(), succs)
+}
+
+// setFinger makes finger i f.
+func (n *node) setFinger(i int, f ref) {
+	n.mu.Lock()
+	n.tab.setFinger(i, f, n.succs)
+	n.mu.Unlock()
 }
 
 // HandleRPC implements overlay.NodeRouter. Its arms unlock n.mu by hand: a
@@ -113,7 +129,7 @@ func (n *node) HandleRPC(from transport.NodeID, req any) (any, error) {
 		n.handleNotify(r.Candidate)
 		return struct{}{}, nil
 	case lookupStepReq:
-		return n.handleLookupStep(r.Target), nil
+		return n.handleLookupStep(r.Target), nil // boxed when the table was written
 	case setPredReq:
 		n.mu.Lock()
 		n.pred = r.Pred
@@ -139,7 +155,7 @@ func (n *node) HandleRPC(from transport.NodeID, req any) (any, error) {
 func (n *node) setSucc(from transport.NodeID, succ ref) {
 	n.mu.Lock()
 	was := len(n.succs)
-	n.succs = n.distinctSuccs(from, append([]ref{succ}, n.succs[min(1, was):]...))
+	n.setSuccsLocked(n.distinctSuccs(from, append([]ref{succ}, n.succs[min(1, was):]...)))
 	short := len(n.succs) < was
 	n.mu.Unlock()
 	if !short || succ.Addr == n.Addr() {
@@ -151,7 +167,7 @@ func (n *node) setSucc(from transport.NodeID, succ ref) {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.succs = truncateSuccs(n.distinctSuccs(from, append(n.succs, list...)))
+	n.setSuccsLocked(truncateSuccs(n.distinctSuccs(from, append(n.succs, list...))))
 }
 
 // distinctSuccs keeps the head of list and, behind it, the first copy of
@@ -181,67 +197,15 @@ func (n *node) handleNotify(candidate ref) {
 
 // handleLookupStep answers one iterative-lookup step: if the target falls
 // between this node and its immediate successor, the successor is the
-// answer; otherwise return the closest preceding node from the finger table
-// and successor list.
+// answer; otherwise the closest preceding node the finger table and the
+// successor list know of (table.step), in a reply boxed when it was written.
 //
 //lint:hotpath
-func (n *node) handleLookupStep(target dht.ID) lookupStepResp {
+func (n *node) handleLookupStep(target dht.ID) any {
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	if len(n.succs) == 0 {
-		// Not joined: we are the whole ring.
-		return lookupStepResp{Done: true, Next: n.Ref()}
-	}
-	if target.Between(n.ID(), n.succs[0].ID) {
-		return lookupStepResp{Done: true, Next: n.succs[0]}
-	}
-	return lookupStepResp{Next: n.closestPrecedingLocked(target)}
-}
-
-// closestPrecedingLocked scans fingers (then the successor list) for the
-// node most closely preceding target. Callers hold n.mu.
-//
-// The finger scan starts at the top bit of the clockwise distance d from n
-// to target, not at finger 159: finger i is zero, n itself, or at least 2^i
-// past n (fixFingers keeps no answer short of n + 2^i, and wireRing stores
-// the owner of n + 2^i), so no finger above the top bit of d lies strictly
-// between n and target. A zero
-// d — target is n — is the whole ring, and the scan starts at the top.
-// Entries are read in place; only the answer is copied.
-//
-//lint:hotpath
-func (n *node) closestPrecedingLocked(target dht.ID) ref {
-	id := n.ID()
-	top := target.Sub(id).BitLen()
-	if top == 0 {
-		top = dht.IDBits
-	}
-	var best *ref
-	for i := top - 1; i >= 0; i-- {
-		if f := &n.fingers[i]; !f.IsZero() && f.ID.BetweenOpen(id, target) {
-			best = f
-			break
-		}
-	}
-	from := id
-	if best != nil {
-		from = best.ID
-	}
-	for i := range n.succs {
-		if s := &n.succs[i]; !s.IsZero() && s.ID.BetweenOpen(from, target) {
-			best, from = s, s.ID
-		}
-	}
-	switch {
-	case best != nil:
-		return *best
-	case len(n.succs) > 0:
-		// No finger helps; fall forward to the successor to guarantee
-		// progress around the ring.
-		return n.succs[0]
-	default:
-		return n.Ref()
-	}
+	reply := n.tab.step(target)
+	n.mu.Unlock()
+	return reply
 }
 
 // Owns implements overlay.NodeRouter: a node owns the hashes in (pred, n].

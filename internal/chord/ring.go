@@ -29,7 +29,9 @@ func NewRing(net transport.Interface, cfg Config) *Ring {
 type router struct{ k *overlay.Overlay }
 
 // NewNode implements overlay.Router.
-func (r *router) NewNode(n *overlay.Node) overlay.NodeRouter { return &node{Node: n, r: r} }
+func (r *router) NewNode(n *overlay.Node) overlay.NodeRouter {
+	return &node{Node: n, r: r, tab: newTable(n.Ref())}
+}
 
 // ApplyMsg implements overlay.Router.
 func (r *router) ApplyMsg(key dht.Key, fn dht.ApplyFunc) any { return applyReq{Key: key, Fn: fn} }
@@ -105,7 +107,7 @@ func (r *router) route(cur ref, target dht.ID) (owner, answered ref, err error) 
 func (n *node) Join(first bool) error {
 	if first {
 		n.mu.Lock()
-		n.succs = []ref{n.Ref()}
+		n.setSuccsLocked([]ref{n.Ref()})
 		n.pred = n.Ref()
 		n.mu.Unlock()
 	} else if err := n.link(); err != nil {
@@ -139,7 +141,7 @@ func (n *node) link() error {
 
 	n.mu.Lock()
 	n.pred = oldPred
-	n.succs = truncateSuccs(append([]ref{succ}, succList...))
+	n.setSuccsLocked(truncateSuccs(append([]ref{succ}, succList...)))
 	n.mu.Unlock()
 
 	if err := k.Claim(n.Node, succ); err != nil {
@@ -189,7 +191,7 @@ func (n *node) relink() error {
 	}
 	n.mu.Lock()
 	n.pred = pred
-	n.succs = truncateSuccs(succs)
+	n.setSuccsLocked(truncateSuccs(succs))
 	n.mu.Unlock()
 	return k.Claim(n.Node, succs[0])
 }
@@ -305,7 +307,7 @@ func (r *router) stabilizeNode(n *node) {
 		succ = newSuccs[0]
 	}
 	n.mu.Lock()
-	n.succs = truncateSuccs(newSuccs)
+	n.setSuccsLocked(truncateSuccs(newSuccs))
 	// Clear a dead predecessor so notify can replace it.
 	pred := n.pred
 	n.mu.Unlock()
@@ -334,10 +336,11 @@ func (r *router) stabilizeNode(n *node) {
 // copied, so lookups degrade to correct successor-walking until the next
 // round repairs it. So is an answer short of the start — a node in
 // (n, start) cannot own it, and only a ring whose successor pointers skip n
-// gives one — which keeps every finger i zero, n, or at least 2^i past n,
-// the bound closestPrecedingLocked's scan starts from. An answer that died
-// since its step is kept: a route through it fails, and the next round,
-// which stabilizes first, recomputes it.
+// gives one — which keeps every finger i zero, n, or at least 2^i past n.
+// Each finger goes into the routing table as it is found, so the routes of
+// the later starts already step through it. An answer that died since its
+// step is kept: a route through it fails, and the next round, which
+// stabilizes first, recomputes it.
 func (r *router) fixFingers(n *node) {
 	self := n.Ref()
 	var prev ref
@@ -350,9 +353,7 @@ func (r *router) fixFingers(n *node) {
 				found = ref{}
 			}
 		}
-		n.mu.Lock()
-		n.fingers[i] = found
-		n.mu.Unlock()
+		n.setFinger(i, found)
 		prev = found
 	}
 }

@@ -112,10 +112,11 @@ type DeltaCodec interface {
 // AppendCodec is the optional interface of a Codec that encodes a value at
 // the end of a buffer and tells the encoding's size beforehand: Append sizes
 // a group's buffer once and frames such values in place, where another
-// codec's fresh encoding of each is copied in. wire.BucketCodec implements
-// it.
+// codec's fresh encoding of each is copied in. wire.BucketCodec and
+// wire.DaemonCodec implement it.
 type AppendCodec interface {
-	// MarshalSize returns the size of Marshal's encoding of v; a value the
+	// MarshalSize returns the size of Marshal's encoding of v, which Append
+	// reserves: a smaller size only lets the buffer grow, and a value the
 	// codec cannot encode may report any size.
 	MarshalSize(v any) int
 	// AppendMarshal appends Marshal's encoding of v to buf.

@@ -133,8 +133,15 @@ const (
 // nodes at the 100k-peer target across 256 shards), so a clone per
 // membership change is cheap, and membership changes are rare next to Calls.
 type shardState struct {
-	nodes map[NodeID]Handler
-	down  map[NodeID]bool
+	peers map[NodeID]peer
+}
+
+// peer is one identifier's entry: its handler, nil for an identifier that is
+// only marked down, and its down mark, so that Call reads an endpoint with one
+// map lookup.
+type peer struct {
+	h    Handler
+	down bool
 }
 
 // peerShard holds one stripe of the node table. Padded to its own cache
@@ -147,15 +154,9 @@ type peerShard struct {
 
 // clone copies the snapshot for a mutator to edit privately.
 func (st *shardState) clone() *shardState {
-	next := &shardState{
-		nodes: make(map[NodeID]Handler, len(st.nodes)+1),
-		down:  make(map[NodeID]bool, len(st.down)+1),
-	}
-	for id, h := range st.nodes {
-		next.nodes[id] = h
-	}
-	for id := range st.down {
-		next.down[id] = true
+	next := &shardState{peers: make(map[NodeID]peer, len(st.peers)+1)}
+	for id, p := range st.peers {
+		next.peers[id] = p
 	}
 	return next
 }
@@ -202,6 +203,9 @@ type Network struct {
 	cfg    atomic.Pointer[netConfig]
 	cfgMu  sync.Mutex // serializes Set* read-modify-write on cfg
 	nnodes atomic.Int64
+	// downs counts the identifiers marked down. While it is zero — the
+	// common case — Call need not look its caller up at all.
+	downs atomic.Int64
 
 	// RPCs counts attempted remote procedure calls (including failed ones).
 	RPCs metrics.Counter
@@ -225,7 +229,7 @@ func New(opts Options) *Network {
 		drop:    opts.DropRate,
 		seed:    opts.Seed,
 	})
-	empty := &shardState{nodes: map[NodeID]Handler{}, down: map[NodeID]bool{}}
+	empty := &shardState{peers: map[NodeID]peer{}}
 	for i := range n.shards {
 		n.shards[i].state.Store(empty)
 	}
@@ -297,11 +301,13 @@ func (n *Network) Register(id NodeID, h Handler) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur := s.state.Load()
-	if _, ok := cur.nodes[id]; ok {
+	p := cur.peers[id]
+	if p.h != nil {
 		return fmt.Errorf("%w: %q", ErrDuplicateNode, id)
 	}
 	next := cur.clone()
-	next.nodes[id] = h
+	p.h = h
+	next.peers[id] = p
 	s.state.Store(next)
 	n.nnodes.Add(1)
 	return nil
@@ -310,11 +316,11 @@ func (n *Network) Register(id NodeID, h Handler) error {
 // Deregister removes a node entirely (a departed peer).
 func (n *Network) Deregister(id NodeID) {
 	n.shard(id).mutate(func(st *shardState) {
-		if _, ok := st.nodes[id]; ok {
-			delete(st.nodes, id)
+		n.setDownLocked(st, id, false)
+		if st.peers[id].h != nil {
 			n.nnodes.Add(-1)
 		}
-		delete(st.down, id)
+		delete(st.peers, id)
 	})
 }
 
@@ -369,13 +375,27 @@ func (n *Network) SetDropRate(rate float64) {
 // tests that "recover" a node with SetDown(id, false) silently keep every
 // pre-failure bucket alive, proving nothing about recovery.
 func (n *Network) SetDown(id NodeID, down bool) {
-	n.shard(id).mutate(func(st *shardState) {
-		if down {
-			st.down[id] = true
-		} else {
-			delete(st.down, id)
-		}
-	})
+	n.shard(id).mutate(func(st *shardState) { n.setDownLocked(st, id, down) })
+}
+
+// setDownLocked sets id's down mark in a shard's private clone and keeps
+// downs counting the marks. Callers hold the shard's mutex.
+func (n *Network) setDownLocked(st *shardState, id NodeID, down bool) {
+	p := st.peers[id]
+	switch {
+	case p.down == down:
+		return
+	case down:
+		n.downs.Add(1)
+	default:
+		n.downs.Add(-1)
+	}
+	p.down = down
+	if p.h == nil && !down {
+		delete(st.peers, id)
+	} else {
+		st.peers[id] = p
+	}
 }
 
 // Crash marks a node down and destroys its volatile state: if the node's
@@ -388,9 +408,8 @@ func (n *Network) SetDown(id NodeID, down bool) {
 func (n *Network) Crash(id NodeID) error {
 	var h Handler
 	n.shard(id).mutate(func(st *shardState) {
-		if got, ok := st.nodes[id]; ok {
-			h = got
-			st.down[id] = true
+		if h = st.peers[id].h; h != nil {
+			n.setDownLocked(st, id, true)
 		}
 	})
 	if h == nil {
@@ -409,9 +428,8 @@ func (n *Network) Crash(id NodeID) error {
 func (n *Network) Restart(id NodeID) error {
 	var h Handler
 	n.shard(id).mutate(func(st *shardState) {
-		if got, ok := st.nodes[id]; ok {
-			h = got
-			delete(st.down, id)
+		if h = st.peers[id].h; h != nil {
+			n.setDownLocked(st, id, false)
 		}
 	})
 	if h == nil {
@@ -425,7 +443,7 @@ func (n *Network) Restart(id NodeID) error {
 
 // IsDown reports whether the node is currently marked crashed.
 func (n *Network) IsDown(id NodeID) bool {
-	return n.shard(id).state.Load().down[id]
+	return n.shard(id).state.Load().peers[id].down
 }
 
 // Nodes returns the identifiers of all registered nodes (up or down), in
@@ -435,8 +453,10 @@ func (n *Network) IsDown(id NodeID) bool {
 func (n *Network) Nodes() []NodeID {
 	out := make([]NodeID, 0, n.nnodes.Load())
 	for i := range n.shards {
-		for id := range n.shards[i].state.Load().nodes {
-			out = append(out, id)
+		for id, p := range n.shards[i].state.Load().peers {
+			if p.h != nil {
+				out = append(out, id)
+			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -470,8 +490,10 @@ func (n *Network) SimulatedRTT() time.Duration {
 // network, so it is not counted in RPCs and cannot be dropped.
 //
 // The delivered path performs no allocations and takes no lock: one atomic
-// config load, one atomic snapshot load per peer shard, and (only under
-// injected loss) one stripe of the edge-sequence table. TestCallZeroAlloc
+// config load, one load of the down count, one shard hash, one atomic
+// snapshot load and one map read for the destination (and for the caller
+// only while some node is down), and (only under injected loss) one stripe
+// of the edge-sequence table. TestCallZeroAlloc
 // and BenchmarkSimnetCallParallel pin this at run time; the hotpath lint
 // pass pins it at compile time (failure arms and tracer formatting are the
 // only waived allocations — both are off the delivered path).
@@ -480,12 +502,12 @@ func (n *Network) SimulatedRTT() time.Duration {
 func (n *Network) Call(from, to NodeID, req any) (any, error) {
 	cfg := n.cfg.Load()
 
-	if n.shard(from).state.Load().down[from] {
+	if n.downs.Load() > 0 && n.shard(from).state.Load().peers[from].down {
 		return nil, fmt.Errorf("%w: %q", ErrCallerDown, from) //lint:allow hotpath failure arm, not the delivered path
 	}
-	ts := n.shard(to).state.Load()
-	h, ok := ts.nodes[to]
-	isDown := ts.down[to]
+	dst := n.shard(to).state.Load().peers[to]
+	h, isDown := dst.h, dst.down
+	ok := h != nil
 
 	dropped := false
 	if ok && !isDown && cfg.drop > 0 && from != to {

@@ -111,6 +111,52 @@ func TestDownCallerCannotSend(t *testing.T) {
 	}
 }
 
+// TestDownMarksSurviveRegistration: a down mark belongs to the identifier,
+// registered or not. A client address marked down cannot send, keeps its
+// mark when it registers, and loses it only with SetDown(false) or
+// Deregister; marking twice, or crashing twice, takes one recovery. Once every
+// mark is gone Call stops looking its caller up.
+func TestDownMarksSurviveRegistration(t *testing.T) {
+	n := New(Options{})
+	if err := n.Register("b", echoHandler()); err != nil {
+		t.Fatal(err)
+	}
+	n.SetDown("client", true)
+	n.SetDown("client", true)
+	if _, err := n.Call("client", "b", 1); !errors.Is(err, ErrCallerDown) {
+		t.Fatalf("unregistered down caller Call = %v, want ErrCallerDown", err)
+	}
+	if err := n.Register("client", echoHandler()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Call("b", "client", 1); !errors.Is(err, ErrUnreachable) {
+		t.Fatalf("Call to a down node registered after its mark = %v, want ErrUnreachable", err)
+	}
+	n.SetDown("client", false)
+	if _, err := n.Call("client", "b", 1); err != nil {
+		t.Fatalf("Call after one SetDown(false) = %v", err)
+	}
+	for range 2 {
+		if err := n.Crash("b"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := n.Restart("b"); err != nil {
+		t.Fatal(err)
+	}
+	n.SetDown("ghost", true)
+	n.Deregister("ghost")
+	if _, err := n.Call("b", "client", 1); err != nil {
+		t.Fatalf("Call after one Restart = %v", err)
+	}
+	if got := n.downs.Load(); got != 0 {
+		t.Fatalf("%d down marks counted with none set", got)
+	}
+	if n.IsDown("ghost") || n.NumNodes() != 2 {
+		t.Fatalf("ghost down %v, %d nodes; want a deregistered mark gone and 2 nodes", n.IsDown("ghost"), n.NumNodes())
+	}
+}
+
 // TestErrorTaxonomy pins the retry-layer contract: unreachable/dropped
 // failures declare themselves Temporary(), while a down caller does not.
 func TestErrorTaxonomy(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"reflect"
 	"slices"
 	"sync"
@@ -687,3 +688,31 @@ func (Codec) Marshal(v any) ([]byte, error) { return Marshal(v) }
 
 // Unmarshal implements the codec interface.
 func (Codec) Unmarshal(data []byte) (any, error) { return Unmarshal(data) }
+
+// AppendMarshal appends Marshal's encoding of v to buf (the append codec
+// interface, dht.AppendCodec).
+func (Codec) AppendMarshal(buf []byte, v any) ([]byte, error) { return appendAny(buf, v) }
+
+// MarshalSize returns the size of Marshal's encoding of v: exactly, for nil
+// and for a byte slice — what a daemon's store holds — and for any other
+// value only its type tag's, so an append of it may grow the buffer.
+func (Codec) MarshalSize(v any) int {
+	if v == nil {
+		return 1
+	}
+	p, ok := registered.Load().byType[reflect.TypeOf(v)]
+	if !ok {
+		return 0
+	}
+	size := uvarintLen(uint64(len(p.name))) + len(p.name)
+	if b, ok := v.([]byte); ok {
+		size++ // present or nil
+		if b != nil {
+			size += uvarintLen(uint64(len(b))) + len(b)
+		}
+	}
+	return size
+}
+
+// uvarintLen is the length of binary.AppendUvarint's encoding of x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }

@@ -121,6 +121,46 @@ func TestAppendBytesAllocs(t *testing.T) {
 	}
 }
 
+// TestDaemonCodecAppendAllocs is the gate of a daemon's journal writing a
+// whole stored value: DaemonCodec sizes a bucket's encoding exactly and
+// appends Marshal's bytes for it in place, with no allocation into a buffer
+// of that size (three, and the encoding's size again, through Marshal).
+func TestDaemonCodecAppendAllocs(t *testing.T) {
+	var codec DaemonCodec
+	for _, n := range []int{0, 50, 100} {
+		stored, _, _ := opRunCase(n)
+		if n == 0 {
+			stored = MarshalBucket(core.NewBucket(bitlabel.Root(2), nil))
+		}
+		for _, v := range []any{stored, []byte(nil), []byte{}} {
+			want, err := codec.Marshal(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := codec.MarshalSize(v); got != len(want) {
+				t.Fatalf("%d records: MarshalSize %d, Marshal writes %d bytes", n, got, len(want))
+			}
+			got, err := codec.AppendMarshal([]byte("prefix"), v)
+			if err != nil || string(got) != "prefix"+string(want) {
+				t.Fatalf("%d records: AppendMarshal = %x, %v; want the prefix and Marshal's %x", n, got, err, want)
+			}
+		}
+		if dhttest.RaceEnabled() {
+			continue // race instrumentation allocates
+		}
+		var v any = stored // boxed once, as a journal's record holds it
+		buf := make([]byte, 0, codec.MarshalSize(v))
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := codec.AppendMarshal(buf, v); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("appending the %d-byte encoding of %d records: %.0f allocs, want 0", len(stored), n, allocs)
+		}
+	}
+}
+
 // TestRemoveBytesAllocs is the gate of a delete at the owner: the op decoded
 // (its key and payload) and boxed, the encoding of the bucket cut from a view
 // of the stored bytes, the reply, and the stored and reply bytes boxed — 8

@@ -113,10 +113,15 @@ func (BucketCodec) ApplyDelta(base any, delta []byte) (any, error) {
 // there (Op) — so its values are transport.Codec's. Its deltas are
 // BucketCodec's, over views of the encodings (core.ViewBucket): a value that
 // is not exactly a bucket's encoding journals whole, and a delta replays only
-// onto one.
+// onto one. A whole value is encoded in place at the end of the journal's
+// buffer (transport.Codec's AppendMarshal), sized beforehand exactly for a
+// bucket's encoding.
 type DaemonCodec struct{ transport.Codec }
 
-var _ dht.DeltaCodec = DaemonCodec{}
+var (
+	_ dht.DeltaCodec  = DaemonCodec{}
+	_ dht.AppendCodec = DaemonCodec{}
+)
 
 // AppendDelta implements dht.DeltaCodec.
 //
