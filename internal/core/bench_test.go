@@ -51,7 +51,8 @@ func BenchmarkRangeDissemination(b *testing.B) {
 
 // BenchmarkLookupCacheMiss looks up fresh uniform points in a tree of about
 // 2000 leaves: with a 256-leaf cache most of them miss, and a miss starts
-// below the deepest path prefix the cached leaves prove internal. cache-0 is
+// below the deepest path prefix the cached leaves and the shape entries of
+// evicted ones prove internal. cache-0 is
 // the plain §5 search on the same tree. probes/miss counts the probes of the
 // lookups the cache did not answer.
 func BenchmarkLookupCacheMiss(b *testing.B) {

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,10 +21,22 @@ import (
 func cacheLabel(bits string) bitlabel.Label { return bitlabel.MustParse("001" + bits) }
 
 // cached lists the cache's leaves, most recent first.
-func cached(c *leafCache) []string {
-	var out []string
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(bitlabel.Label).String())
+func cached(c *leafCache) []string { return labelStrings(listed(c, leafList)) }
+
+// listed returns the labels of the list headed by cells[head] in list order:
+// the cached leaves most recent first, the shape entries oldest first.
+func listed(c *leafCache, head int32) []bitlabel.Label {
+	var out []bitlabel.Label
+	for i := c.cells[head].next; i != head; i = c.cells[i].next {
+		out = append(out, c.cells[i].label)
+	}
+	return out
+}
+
+func labelStrings(labels []bitlabel.Label) []string {
+	out := make([]string, len(labels))
+	for i, l := range labels {
+		out[i] = l.String()
 	}
 	return out
 }
@@ -45,9 +59,12 @@ func TestLeafCacheLRU(t *testing.T) {
 		t.Fatalf("after an add over capacity the LRU holds %q, want %q", got, want)
 	}
 	c.invalidate(d)
-	c.invalidate(b) // not cached: a no-op
+	c.invalidate(b) // a shape entry now: dropped, the LRU is unchanged
 	if got, want := strings.Join(cached(c), " "), "00111 00100"; got != want {
 		t.Fatalf("after invalidate the LRU holds %q, want %q", got, want)
+	}
+	if shapes := listed(c, shapeList); len(shapes) != 0 {
+		t.Fatalf("after invalidating the evicted leaf the shape entries are %v, want none", shapes)
 	}
 }
 
@@ -96,18 +113,28 @@ func TestLeafCacheView(t *testing.T) {
 	}
 }
 
-// checkTally recounts the cache from its live leaves: every proper prefix of
-// a cached leaf carries exactly the count and summed length of the cached
-// leaves below it, no other label is held, and no cached leaf is a prefix of
-// another.
+// checkTally recounts the cache from its own lists: every proper prefix of a
+// cached leaf or shape entry carries exactly the count and summed length of
+// the cached leaves and shape entries below it, each of them is held with its
+// cell, no other label is held, no entry is a prefix of another, and the
+// counts agree with the lists.
 func checkTally(c *leafCache) error {
+	leaves, shapes := listed(c, leafList), listed(c, shapeList)
+	if len(leaves) != c.leaves || len(shapes) != c.shapes {
+		return fmt.Errorf("the lists hold %d leaves and %d shape entries, the counts say %d and %d", len(leaves), len(shapes), c.leaves, c.shapes)
+	}
+	if len(leaves) > c.cap || len(shapes) > shapeFactor*c.cap {
+		return fmt.Errorf("%d leaves and %d shape entries in a cache of %d", len(leaves), len(shapes), c.cap)
+	}
+	if len(c.cells) > 2+(1+shapeFactor)*c.cap+2 || len(c.free) > len(c.cells) {
+		return fmt.Errorf("%d cells, %d free, in a cache of %d", len(c.cells), len(c.free), c.cap)
+	}
 	want := make(map[uint64]cacheNode)
-	var leaves []bitlabel.Label
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		leaf := el.Value.(bitlabel.Label)
-		leaves = append(leaves, leaf)
-		if n := c.nodes[leaf.Bits()]; n.el != el || n.leaves != 0 {
-			return fmt.Errorf("cached leaf %v is held as %+v", leaf, n)
+	all := append(append([]bitlabel.Label(nil), leaves...), shapes...)
+	for j, leaf := range all {
+		n := c.nodes[leaf.Bits()]
+		if isShape := j >= len(leaves); n.at == 0 || (n.at < 0) != isShape || n.leaves != 0 || c.cells[max(n.at, -n.at)].label != leaf {
+			return fmt.Errorf("entry %v (shape %v) is held as %+v", leaf, isShape, n)
 		}
 		for l := c.root; l < leaf.Len(); l++ {
 			n := want[leaf.Prefix(l).Bits()]
@@ -116,38 +143,104 @@ func checkTally(c *leafCache) error {
 			want[leaf.Prefix(l).Bits()] = n
 		}
 	}
-	for _, a := range leaves {
-		for _, b := range leaves {
+	for _, a := range all {
+		for _, b := range all {
 			if a != b && a.IsPrefixOf(b) {
-				return fmt.Errorf("cached leaf %v is a prefix of cached leaf %v", a, b)
+				return fmt.Errorf("entry %v is a prefix of entry %v", a, b)
 			}
 		}
 	}
-	if len(c.nodes) != len(want)+len(leaves) {
-		return fmt.Errorf("the cache holds %d labels, its %d leaves account for %d", len(c.nodes), len(leaves), len(want)+len(leaves))
+	if len(c.nodes) != len(want)+len(all) {
+		return fmt.Errorf("the cache holds %d labels, its %d leaves and shape entries account for %d", len(c.nodes), len(all), len(want)+len(all))
 	}
 	for k, w := range want {
-		if got := c.nodes[k]; got.leaves != w.leaves || got.depth != w.depth || got.el != nil {
-			return fmt.Errorf("label bits %b tallied %d leaves of total length %d, recount says %d and %d", k, got.leaves, got.depth, w.leaves, w.depth)
+		if got := c.nodes[k]; got.leaves != w.leaves || got.depth != w.depth || got.at != 0 {
+			return fmt.Errorf("label bits %b tallied %d entries of total length %d, recount says %d and %d", k, got.leaves, got.depth, w.leaves, w.depth)
 		}
 	}
 	return nil
 }
 
-// bruteView answers view by comparing path with every cached leaf.
-func bruteView(c *leafCache, path bitlabel.Label) view {
-	var v view
-	var sum, n int
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		leaf := el.Value.(bitlabel.Label)
+// cacheModel is the leaf cache as two plain slices, the reference the
+// property test holds leafCache to: the cached leaves, most recent first,
+// and the shape entries, oldest first.
+type cacheModel struct {
+	cap    int
+	leaves []bitlabel.Label
+	shapes []bitlabel.Label
+
+	evictions, overflows int // leaves turned shape entries, shape entries dropped by the FIFO
+}
+
+func (m *cacheModel) add(leaf bitlabel.Label) {
+	if i := slices.Index(m.leaves, leaf); i >= 0 {
+		m.leaves = append([]bitlabel.Label{leaf}, slices.Delete(m.leaves, i, i+1)...)
+		return
+	}
+	// A shape entry read again, and every entry above or below leaf, goes.
+	unrelated := func(l bitlabel.Label) bool { return !l.IsPrefixOf(leaf) && !leaf.IsPrefixOf(l) }
+	m.leaves = append([]bitlabel.Label{leaf}, keep(m.leaves, unrelated)...)
+	m.shapes = keep(m.shapes, unrelated)
+	for len(m.leaves) > m.cap {
+		m.shapes = append(m.shapes, m.leaves[len(m.leaves)-1])
+		m.leaves = m.leaves[:len(m.leaves)-1]
+		m.evictions++
+	}
+	if over := len(m.shapes) - shapeFactor*m.cap; over > 0 {
+		m.shapes = m.shapes[over:]
+		m.overflows += over
+	}
+}
+
+func (m *cacheModel) invalidate(leaf bitlabel.Label) {
+	other := func(l bitlabel.Label) bool { return l != leaf }
+	m.leaves, m.shapes = keep(m.leaves, other), keep(m.shapes, other)
+}
+
+func keep(labels []bitlabel.Label, ok func(bitlabel.Label) bool) []bitlabel.Label {
+	var out []bitlabel.Label
+	for _, l := range labels {
+		if ok(l) {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
+// internal reports whether l is a proper prefix of a cached leaf or shape
+// entry.
+func (m *cacheModel) internal(l bitlabel.Label) bool {
+	for _, e := range append(slices.Clone(m.leaves), m.shapes...) {
+		if l.Len() < e.Len() && l.IsPrefixOf(e) {
+			return true
+		}
+	}
+	return false
+}
+
+// view answers leafCache.view by comparing path with every entry: a cached
+// leaf covering path is the hit; otherwise the bound is the longest path
+// prefix some entry lies strictly below — for a shape entry covering path,
+// its parent — and the guess the mean length of the entries below it.
+func (m *cacheModel) view(path bitlabel.Label, root int) view {
+	for _, leaf := range m.leaves {
 		if leaf.IsPrefixOf(path) {
 			return view{leaf: leaf, hit: true}
 		}
-		switch cp := leaf.CommonPrefixLen(path); {
+	}
+	var v view
+	var sum, n int
+	for _, e := range append(slices.Clone(m.leaves), m.shapes...) {
+		cp := e.CommonPrefixLen(path)
+		if cp == e.Len() {
+			cp-- // a shape entry covering path: only its prefixes are known internal
+		}
+		switch {
+		case cp < root:
 		case cp > v.bound:
-			v.bound, sum, n = cp, leaf.Len(), 1
+			v.bound, sum, n = cp, e.Len(), 1
 		case cp == v.bound:
-			sum += leaf.Len()
+			sum += e.Len()
 			n++
 		}
 	}
@@ -157,44 +250,161 @@ func bruteView(c *leafCache, path bitlabel.Label) view {
 	return v
 }
 
-// TestLeafCacheTallyProperty: after every step of random add, invalidate and
-// view sequences over a small cache (so evictions are frequent), the tally
-// equals a recount from the live leaves and every view equals the brute-force
-// answer; once every leaf is invalidated nothing is held.
+// tile answers leafCache.tile from the model: an entry on lca's path is the
+// one piece, an lca not known internal is unknown, and otherwise the plan
+// descends through the labels the model knows internal.
+func (m *cacheModel) tile(lca bitlabel.Label, q spatial.Rect, dims int) ([]piece, bool) {
+	for l := dims + 1; l <= lca.Len(); l++ {
+		prefix := lca.Prefix(l)
+		if slices.Contains(m.leaves, prefix) || slices.Contains(m.shapes, prefix) {
+			return []piece{{Node: prefix, Base: prefix, Q: q}}, true
+		}
+	}
+	if !m.internal(lca) {
+		return nil, false
+	}
+	return tile(lca, q, dims, nil, m.internal), true
+}
+
+// middleOf is the rectangle spanning the middle half of l's cell, whose LCA
+// is l itself.
+func middleOf(t *testing.T, l bitlabel.Label, dims int) spatial.Rect {
+	t.Helper()
+	g, err := spatial.RegionOf(l, dims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := spatial.Rect{Lo: make(spatial.Point, dims), Hi: make(spatial.Point, dims)}
+	for d := range q.Lo {
+		side := g.Hi[d] - g.Lo[d]
+		q.Lo[d], q.Hi[d] = g.Lo[d]+side/4, g.Hi[d]-side/4
+	}
+	return q
+}
+
+// TestLeafCacheTallyProperty: random adds — reads of new leaves, of cached
+// leaves and of shape entries, and reads that contradict entries above or
+// below them — evictions, FIFO overflows and invalidations over a small
+// cache, checked after every step against a reference model: the same
+// leaves in the same LRU order and the same shape entries in the same FIFO
+// order, a prefix's tally counting the cached leaves and the shape entries
+// below it (a recount), and every view and every tile plan the model's. Once
+// every entry is invalidated nothing is held.
 func TestLeafCacheTallyProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(dhttest.SeedFromEnv(1)))
 	randomLabel := func(maxBits int) bitlabel.Label {
 		n := rng.Intn(maxBits + 1)
 		return bitlabel.Root(2).Concat(bitlabel.New(rng.Uint64(), n))
 	}
-	for round := 0; round < 20; round++ {
-		c := newLeafCache(1+rng.Intn(12), 2)
-		for step := 0; step < 300; step++ {
-			switch r := rng.Intn(10); {
-			case r < 5:
-				c.add(randomLabel(8))
-			case r < 7:
-				c.invalidate(randomLabel(8))
-			case r < 8 && c.lru.Len() > 0:
-				c.invalidate(c.lru.Back().Value.(bitlabel.Label))
+	pick := func(labels []bitlabel.Label) bitlabel.Label { return labels[rng.Intn(len(labels))] }
+	var stats struct{ evictions, overflows, rereads, contradictions int }
+	defer func() { t.Logf("%+v", stats) }()
+	for round := 0; round < 40; round++ {
+		c := newLeafCache(1+rng.Intn(6), 2)
+		m := &cacheModel{cap: c.cap}
+		for step := 0; step < 400; step++ {
+			switch r := rng.Intn(14); {
+			case r < 6:
+				leaf := randomLabel(8)
+				if m.internal(leaf) || slices.ContainsFunc(m.leaves, func(l bitlabel.Label) bool { return l != leaf && l.IsPrefixOf(leaf) }) ||
+					slices.ContainsFunc(m.shapes, func(l bitlabel.Label) bool { return l != leaf && l.IsPrefixOf(leaf) }) {
+					stats.contradictions++
+				}
+				c.add(leaf)
+				m.add(leaf)
+			case r < 7 && len(m.shapes) > 0:
+				leaf := pick(m.shapes)
+				stats.rereads++
+				c.add(leaf)
+				m.add(leaf)
+			case r < 8 && len(m.leaves) > 0:
+				leaf := pick(m.leaves)
+				c.add(leaf)
+				m.add(leaf)
+			case r < 9:
+				leaf := randomLabel(8)
+				c.invalidate(leaf)
+				m.invalidate(leaf)
+			case r < 10 && len(m.shapes) > 0:
+				leaf := pick(m.shapes)
+				c.invalidate(leaf)
+				m.invalidate(leaf)
+			case r < 11 && len(m.leaves) > 0:
+				leaf := pick(m.leaves)
+				c.invalidate(leaf)
+				m.invalidate(leaf)
+			case r < 12:
+				lca := randomLabel(9)
+				q := middleOf(t, lca, 2)
+				want, wantOK := m.tile(lca, q, 2)
+				if got, ok := c.tile(lca, q, nil); ok != wantOK || !reflect.DeepEqual(got, want) {
+					t.Fatalf("round %d step %d: tile(%v) = %v, %v; the model plans %v, %v", round, step, lca, got, ok, want, wantOK)
+				}
 			default:
 				path := randomLabel(28)
-				want := bruteView(c, path)
+				want := m.view(path, c.root)
 				if got := c.view(path); got != want {
-					t.Fatalf("round %d step %d: view(%v) = %+v, brute force says %+v", round, step, path, got, want)
+					t.Fatalf("round %d step %d: view(%v) = %+v, the model says %+v", round, step, path, got, want)
+				}
+				if want.hit {
+					m.add(want.leaf) // a hit is marked recently used
 				}
 			}
 			if err := checkTally(c); err != nil {
 				t.Fatalf("round %d step %d: %v", round, step, err)
 			}
+			if got, want := strings.Join(cached(c), " "), strings.Join(labelStrings(m.leaves), " "); got != want {
+				t.Fatalf("round %d step %d: the LRU holds %q, the model %q", round, step, got, want)
+			}
+			if got, want := strings.Join(labelStrings(listed(c, shapeList)), " "), strings.Join(labelStrings(m.shapes), " "); got != want {
+				t.Fatalf("round %d step %d: the shape entries are %q, the model's %q", round, step, got, want)
+			}
 		}
-		for c.lru.Len() > 0 {
-			c.invalidate(c.lru.Front().Value.(bitlabel.Label))
+		stats.evictions += m.evictions
+		stats.overflows += m.overflows
+		for _, l := range append(slices.Clone(m.leaves), m.shapes...) {
+			c.invalidate(l)
 		}
-		if len(c.nodes) != 0 {
-			t.Fatalf("round %d: the empty cache still holds %d labels", round, len(c.nodes))
+		if len(c.nodes) != 0 || c.leaves != 0 || c.shapes != 0 {
+			t.Fatalf("round %d: the empty cache still holds %d labels, %d leaves, %d shape entries", round, len(c.nodes), c.leaves, c.shapes)
 		}
 	}
+	if stats.evictions == 0 || stats.overflows == 0 || stats.rereads == 0 || stats.contradictions == 0 {
+		t.Fatalf("the walk missed a case: %+v", stats)
+	}
+}
+
+// TestLeafCacheShapeMemoryBounded: 10,000 random reads of the leaves of a
+// tree many times larger than the cache leave at most CacheSize leaves and
+// shapeFactor·CacheSize shape entries, the FIFO full, CacheLen reporting the
+// leaves alone, and nodes holding only those labels and their prefixes.
+func TestLeafCacheShapeMemoryBounded(t *testing.T) {
+	const size = 32
+	rng := rand.New(rand.NewSource(dhttest.SeedFromEnv(1)))
+	var tree []bitlabel.Label
+	for len(tree) < 16*(1+shapeFactor)*size {
+		tree = randomLeaves(rng, 2, 16)
+	}
+	ix := newIndex(t, index.Tuning{Capacity: 8, MergeThreshold: 4, CacheSize: size})
+	c := ix.cache
+	for i := 0; i < 10000; i++ {
+		ix.cacheLeaf(tree[rng.Intn(len(tree))])
+		if i%1000 == 999 {
+			if err := checkTally(c); err != nil {
+				t.Fatalf("after %d reads: %v", i+1, err)
+			}
+		}
+	}
+	if c.leaves != size || c.shapes != shapeFactor*size {
+		t.Fatalf("%d leaves and %d shape entries after 10,000 reads of %d leaves; want %d and %d", c.leaves, c.shapes, len(tree), size, shapeFactor*size)
+	}
+	if got := ix.CacheLen(); got != size {
+		t.Fatalf("CacheLen = %d, want the %d cached leaves", got, size)
+	}
+	if len(c.cells) > 2+(1+shapeFactor)*size+2 {
+		t.Fatalf("%d cells for %d entries", len(c.cells), c.leaves+c.shapes)
+	}
+	t.Logf("%d leaves, %d shape entries, %d labels held over a tree of %d leaves", c.leaves, c.shapes, len(c.nodes), len(tree))
 }
 
 // staleBound builds the state a stale bound comes from: client a caches one
@@ -373,6 +583,169 @@ func TestCacheBoundNeverServesAWrongLeaf(t *testing.T) {
 		if got, err := a.Lookup(q); err != nil || got.Label != want.Label {
 			t.Fatalf("a.Lookup(%v) = %v, %v; the leaf is %v", q, got.Label, err, want.Label)
 		}
+	}
+}
+
+// shapeUnderMerge builds the state a stale shape entry comes from: a
+// writer b without a cache inserts 300 records; client a, whose cache holds 4
+// leaves, reads a leaf λ at least three levels deep and then four leaves
+// outside λ's parent, which evict λ into a shape entry; then b deletes every
+// record under λ's parent, so that the merges make a prefix of that parent a
+// leaf, and inserts three records into λ's cell. It returns a, the uncached
+// reference c, λ and the merged leaf.
+func shapeUnderMerge(t *testing.T, rng *rand.Rand) (a, c *Index, lambda, merged bitlabel.Label) {
+	t.Helper()
+	shared := dht.MustNewLocal(4)
+	tuning := index.Tuning{Capacity: 8, MergeThreshold: 4, Sleep: dht.NoSleep}
+	b, err := New(shared, tuning)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, err = New(shared, tuning); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		if err := b.Insert(spatial.Record{Key: spatial.Point{rng.Float64(), rng.Float64()}, Data: fmt.Sprintf("r%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tuning.CacheSize = 4
+	if a, err = New(shared, tuning); err != nil {
+		t.Fatal(err)
+	}
+	buckets, err := b.Buckets()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bk := range buckets {
+		if bk.Label.Len() >= bitlabel.Root(2).Len()+3 {
+			lambda = bk.Label
+			break
+		}
+	}
+	if lambda.IsEmpty() {
+		t.Fatal("no leaf three levels below the root")
+	}
+	parent := lambda.Parent()
+	a.cacheLeaf(lambda)
+	others := 0
+	for _, bk := range buckets {
+		if others < a.opts.CacheSize && !parent.IsPrefixOf(bk.Label) {
+			a.cacheLeaf(bk.Label)
+			others++
+		}
+	}
+	if n := a.cache.nodes[lambda.Bits()]; n.at >= 0 {
+		t.Fatalf("a holds λ %v as %+v, want a shape entry", lambda, n)
+	}
+
+	g, err := spatial.RegionOf(lambda, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bk := range buckets {
+		if !parent.IsPrefixOf(bk.Label) {
+			continue
+		}
+		for _, rec := range bk.Records() {
+			if ok, err := b.Delete(rec.Key, rec.Data); err != nil || !ok {
+				t.Fatalf("b deletes %v: %v, %v", rec.Key, ok, err)
+			}
+		}
+	}
+	for i := 0; i < 3; i++ {
+		p := spatial.Point{g.Lo[0] + (g.Hi[0]-g.Lo[0])*rng.Float64(), g.Lo[1] + (g.Hi[1]-g.Lo[1])*rng.Float64()}
+		if err := b.Insert(spatial.Record{Key: p, Data: fmt.Sprintf("into-λ-%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := CheckInvariants(b); err != nil {
+		t.Fatal(err)
+	}
+	now, err := c.Lookup(spatial.Point{(g.Lo[0] + g.Hi[0]) / 2, (g.Lo[1] + g.Hi[1]) / 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !now.Label.IsPrefixOf(parent) {
+		t.Fatalf("after the deletes λ's cell is covered by %v, not by λ's parent %v or a prefix of it", now.Label, parent)
+	}
+	return a, c, lambda, now.Label
+}
+
+// TestShapeEntryMergedByAnotherClient: another client merges a subtree that
+// a client remembers only as a shape entry. The client's next lookup, and in
+// another run its next range, answers exactly what an uncached client
+// answers, counts at most one stale entry, and reads the merged leaf, which
+// drops every entry below it: the next lookup there is a clean hit.
+func TestShapeEntryMergedByAnotherClient(t *testing.T) {
+	seed := dhttest.SeedFromEnv(1)
+	gone := func(t *testing.T, a *Index, lambda, merged bitlabel.Label) {
+		t.Helper()
+		if n, held := a.cache.nodes[lambda.Bits()]; held && n.at != 0 {
+			t.Fatalf("λ %v is still held as %+v after the merged leaf %v was read", lambda, n, merged)
+		}
+		for _, l := range append(listed(a.cache, leafList), listed(a.cache, shapeList)...) {
+			if merged.IsPrefixOf(l) && l != merged {
+				t.Fatalf("%v below the merged leaf %v is still held", l, merged)
+			}
+		}
+		if err := checkTally(a.cache); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := int64(0); i < 4; i++ {
+		t.Run(fmt.Sprint("seed=", seed+i), func(t *testing.T) {
+			t.Run("Lookup", func(t *testing.T) {
+				a, c, lambda, merged := shapeUnderMerge(t, rand.New(rand.NewSource(seed+i)))
+				g, err := spatial.RegionOf(lambda, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, p := range []spatial.Point{
+					{(g.Lo[0] + g.Hi[0]) / 2, (g.Lo[1] + g.Hi[1]) / 2},
+					{g.Lo[0] + (g.Hi[0]-g.Lo[0])/8, g.Lo[1] + (g.Hi[1]-g.Lo[1])/8},
+				} {
+					want, err := c.Lookup(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					before := a.Stats()
+					got, err := a.Lookup(p)
+					if err != nil || got.Label != want.Label || !sameRecordSet(got.Records(), want.Records()) {
+						t.Fatalf("a.Lookup(%v) = %v, %v; the leaf is %v", p, got.Label, err, want.Label)
+					}
+					if d := a.Stats().Sub(before); d.CacheStale > 1 {
+						t.Fatalf("a.Lookup(%v) counted %d stale entries, want at most 1", p, d.CacheStale)
+					}
+					gone(t, a, lambda, merged)
+				}
+				before := a.Stats()
+				if _, err := a.Lookup(spatial.Point{g.Lo[0], g.Lo[1]}); err != nil {
+					t.Fatal(err)
+				}
+				if d := a.Stats().Sub(before); d.CacheStale != 0 || d.CacheHits != 1 {
+					t.Errorf("a lookup under the merged leaf after it was read: stale/hits = %d/%d, want 0/1", d.CacheStale, d.CacheHits)
+				}
+			})
+			t.Run("Range", func(t *testing.T) {
+				a, c, lambda, merged := shapeUnderMerge(t, rand.New(rand.NewSource(seed+i)))
+				for _, q := range []spatial.Rect{middleOf(t, lambda.Parent(), 2), middleOf(t, lambda, 2)} {
+					want, err := c.RangeQuery(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					before := a.Stats()
+					got, err := a.RangeQuery(q)
+					if err != nil || !sameRecordSet(got.Records, want.Records) {
+						t.Fatalf("a.RangeQuery(%v) = %d records, %v; the reference has %d", q, len(got.Records), err, len(want.Records))
+					}
+					if d := a.Stats().Sub(before); d.CacheStale > 1 {
+						t.Fatalf("a.RangeQuery(%v) counted %d stale entries, want at most 1", q, d.CacheStale)
+					}
+					gone(t, a, lambda, merged)
+				}
+			})
+		})
 	}
 }
 

@@ -59,7 +59,7 @@ const (
 
 // Options and FromTuning exist for cmd/mlight-perf alone: the harness
 // compiles core.New(d, core.Options{}) and core.New(d, core.FromTuning(t))
-// and is frozen until ROADMAP item 5's second PR rewrites it, which deletes
+// and is frozen until ROADMAP item 6's second PR rewrites it, which deletes
 // both. Every other caller says index.Tuning.
 type Options = index.Tuning
 

@@ -76,9 +76,9 @@ func TestTilePlansTheRange(t *testing.T) {
 }
 
 // tileClients returns a writer b without a cache that has inserted n random
-// records, a client a with a cache large enough to hold every leaf, and a
-// reference c without a cache, all over one DHT.
-func tileClients(t *testing.T, rng *rand.Rand, n int) (a, b, c *Index) {
+// records, a client a whose cache holds size(the number of b's leaves)
+// leaves, and a reference c without a cache, all over one DHT.
+func tileClients(t *testing.T, rng *rand.Rand, n int, size func(leaves int) int) (a, b, c *Index) {
 	t.Helper()
 	shared := dht.MustNewLocal(4)
 	tuning := index.Tuning{Capacity: 8, MergeThreshold: 4, Sleep: dht.NoSleep}
@@ -94,7 +94,11 @@ func tileClients(t *testing.T, rng *rand.Rand, n int) (a, b, c *Index) {
 			t.Fatal(err)
 		}
 	}
-	tuning.CacheSize = 4096
+	buckets, err := b.Buckets()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuning.CacheSize = size(len(buckets))
 	if a, err = New(shared, tuning); err != nil {
 		t.Fatal(err)
 	}
@@ -148,13 +152,31 @@ func sameAnswer(t *testing.T, what string, a, c *Index, query func(*Index) (*Que
 	return got
 }
 
+// wholeTree sizes a cache that holds every leaf of the tree.
+func wholeTree(int) int { return 4096 }
+
 // TestTileWarmCacheIsOneRound: on an unchanged tree a warm cache plans every
 // range, shape and lookahead query down to the leaves it meets — one round,
 // one probe a leaf, the records an uncached client gets — and books the plan
-// neither as a hit nor as a miss.
+// neither as a hit nor as a miss. It does so with a cache that holds the whole
+// tree, and with one of a fifth of the tree's leaves, whose shape entries
+// keep the rest of the tree's shape.
 func TestTileWarmCacheIsOneRound(t *testing.T) {
+	t.Run("cache=whole", func(t *testing.T) { warmIsOneRound(t, wholeTree) })
+	t.Run("cache=leaves/5", func(t *testing.T) {
+		warmIsOneRound(t, func(leaves int) int {
+			size := (leaves + 4) / 5
+			if leaves < 4*size || leaves > (1+shapeFactor)*size {
+				t.Fatalf("a cache of %d for %d leaves", size, leaves)
+			}
+			return size
+		})
+	})
+}
+
+func warmIsOneRound(t *testing.T, size func(leaves int) int) {
 	rng := rand.New(rand.NewSource(dhttest.SeedFromEnv(1)))
-	a, b, c := tileClients(t, rng, 400)
+	a, b, c := tileClients(t, rng, 400, size)
 	warm(t, a)
 	for i := 0; i < 100; i++ {
 		q := randomRect(rng, 2)
@@ -196,7 +218,7 @@ func TestTileStaleCache(t *testing.T) {
 }
 
 func staleTiles(t *testing.T, rng *rand.Rand) {
-	a, b, c := tileClients(t, rng, 400)
+	a, b, c := tileClients(t, rng, 400, wholeTree)
 	warm(t, a)
 
 	cell := func(l bitlabel.Label) spatial.Region {
@@ -206,17 +228,7 @@ func staleTiles(t *testing.T, rng *rand.Rand) {
 		}
 		return g
 	}
-	// middle is the rectangle spanning the middle half of l's cell, whose LCA
-	// is l itself.
-	middle := func(l bitlabel.Label) spatial.Rect {
-		g := cell(l)
-		q := spatial.Rect{Lo: make(spatial.Point, 2), Hi: make(spatial.Point, 2)}
-		for d := range q.Lo {
-			side := g.Hi[d] - g.Lo[d]
-			q.Lo[d], q.Hi[d] = g.Lo[d]+side/4, g.Hi[d]-side/4
-		}
-		return q
-	}
+	middle := func(l bitlabel.Label) spatial.Rect { return middleOf(t, l, 2) }
 	check := func(step string, focus bitlabel.Label) {
 		t.Helper()
 		if err := CheckInvariants(b); err != nil {

@@ -22,7 +22,7 @@ import (
 // harness's traced stack, whose wrappers forward Apply alone. The harness also
 // compiles against CASReq by name (its transport probe marshals one), so the
 // protocol and VersionedStore stay until the harness is rewritten (ROADMAP
-// item 5's second PR); an op and a CAS on one key still serialise, because an
+// item 6's second PR); an op and a CAS on one key still serialise, because an
 // op's write bumps the same version a CAS is judged against. The owning node
 // serialises CAS decisions under its store lock, so concurrent Apply callers
 // never lose an update (the atomicity the conformance suite pins), at the cost

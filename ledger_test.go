@@ -47,7 +47,9 @@ const ledgerGolden = "testdata/ledger.golden"
 // replication 2 on the simnet, whose client sends one probe at a time; and
 // three WAL-backed daemons on fixed loopback ports under a client assembled
 // as mlight.Dial assembles it (dialMetered), with the tcp-cluster workload's
-// client options. Each runs with the leaf cache off and with 256 leaves. A
+// client options. Each runs with the leaf cache off and with 256 leaves,
+// which the ~80-leaf trees never fill; local and dial run with 32 leaves too,
+// so that evictions, and what the cache keeps of an evicted leaf, are pinned. A
 // 5,000-record NE preload (seed 1) is not charged; the phases after it are
 // 1,000 inserts, 1,000 lookups, 200 RangeQuery and 200 RangeQueryParallel
 // (h = 2) of span 0.05, 1,000 records by InsertBatch in chunks of 64, and
@@ -85,7 +87,7 @@ func TestCostLedger(t *testing.T) {
 	fmt.Fprintf(&got, "# Exact costs of one seeded client: see TestCostLedger. Regenerate with\n")
 	fmt.Fprintf(&got, "#   go test -run TestCostLedger -update .\n")
 	for _, shape := range ledgerShapes {
-		for _, cache := range []int{0, 256} {
+		for _, cache := range shape.caches {
 			// A subtest apiece, so that its cleanup stops one cluster
 			// before the next binds the same ports.
 			t.Run(fmt.Sprintf("%s/cache=%d", shape.name, cache), func(t *testing.T) {
@@ -123,13 +125,14 @@ func TestCostLedger(t *testing.T) {
 // index with the given cache size over a fresh, empty substrate and the
 // meter that reads the substrate's own costs.
 var ledgerShapes = []struct {
-	name  string
-	build func(t *testing.T, cache int) (*mlight.Index, *meter)
+	name   string
+	caches []int
+	build  func(t *testing.T, cache int) (*mlight.Index, *meter)
 }{
-	{"local", func(t *testing.T, cache int) (*mlight.Index, *meter) {
+	{"local", []int{0, 32, 256}, func(t *testing.T, cache int) (*mlight.Index, *meter) {
 		return ledgerIndex(t, mlight.NewLocalDHT(128), cache), &meter{}
 	}},
-	{"durable", func(t *testing.T, cache int) (*mlight.Index, *meter) {
+	{"durable", []int{0, 256}, func(t *testing.T, cache int) (*mlight.Index, *meter) {
 		dir := t.TempDir()
 		w, err := dht.OpenWAL(dht.WALOptions{Dir: dir, Codec: wire.BucketCodec{}})
 		if err != nil {
@@ -146,7 +149,7 @@ var ledgerShapes = []struct {
 		}
 		return ledgerIndex(t, d, cache), &meter{wal: walMeters(w)}
 	}},
-	{"chord", func(t *testing.T, cache int) (*mlight.Index, *meter) {
+	{"chord", []int{0, 256}, func(t *testing.T, cache int) (*mlight.Index, *meter) {
 		crit := &critMeter{branches: keyBranches}
 		w := &wireCount{Interface: simnet.New(simnet.Options{}), crit: crit}
 		ring, err := substrate.Cluster("chord", w, 16, overlay.Config{Seed: 1, Replication: 2})
@@ -160,7 +163,7 @@ var ledgerShapes = []struct {
 		ix := ledgerIndex(t, &critDHT{inner: ring, m: crit}, cache, mlight.WithMaxInFlight(1))
 		return ix, &meter{wire: w, crit: crit}
 	}},
-	{"dial", func(t *testing.T, cache int) (*mlight.Index, *meter) {
+	{"dial", []int{0, 32, 256}, func(t *testing.T, cache int) (*mlight.Index, *meter) {
 		crit := &critMeter{branches: daemonBranches}
 		w := &wireCount{sized: true, crit: crit}
 		addrs, wals := startLoopback(t, 3)
