@@ -64,8 +64,12 @@ func (ix *Index) BulkLoad(records []spatial.Record) error {
 			moved = append(moved, dht.PutOp{Key: b.Key(m), Value: b})
 		}
 	}
-	if err := ix.placeBuckets(moved); err != nil {
-		return err
+	// A bulk load is single-writer setup: its pieces are plain puts, in one
+	// PutBatch round.
+	for i, err := range dht.PutBatch(ix.d, moved, ix.opts.MaxInFlight) {
+		if err != nil {
+			return fmt.Errorf("core: place bucket %v: %w", moved[i].Value.(Bucket).Label, err)
+		}
 	}
 	ix.stats.RecordsMoved.Add(int64(len(records)))
 	ix.stats.Splits.Add(int64(len(moved)))

@@ -424,7 +424,7 @@ func staleBound(t *testing.T) (a, b *Index, p spatial.Point) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := a.search(p, path, a.cacheView(path), a.getProbe(path, new(Bucket)), &LookupTrace{}, 0); errors.Is(err, ErrNotFound) {
+		if _, err := a.search(p, path, a.cacheView(path), a.getProbe(p, path, new(Bucket)), &LookupTrace{}, 0); errors.Is(err, ErrNotFound) {
 			return a, b, p
 		}
 	}
@@ -435,7 +435,7 @@ func staleBound(t *testing.T) (a, b *Index, p spatial.Point) {
 func buildStaleBound(t *testing.T, rng *rand.Rand) (a, b *Index, p spatial.Point) {
 	t.Helper()
 	shared := dht.MustNewLocal(4)
-	tuning := index.Tuning{Capacity: 8, MergeThreshold: 4, Sleep: dht.NoSleep}
+	tuning := index.Tuning{Capacity: 8, MergeThreshold: 4}
 	b, err := New(shared, tuning)
 	if err != nil {
 		t.Fatal(err)
@@ -596,7 +596,7 @@ func TestCacheBoundNeverServesAWrongLeaf(t *testing.T) {
 func shapeUnderMerge(t *testing.T, rng *rand.Rand) (a, c *Index, lambda, merged bitlabel.Label) {
 	t.Helper()
 	shared := dht.MustNewLocal(4)
-	tuning := index.Tuning{Capacity: 8, MergeThreshold: 4, Sleep: dht.NoSleep}
+	tuning := index.Tuning{Capacity: 8, MergeThreshold: 4}
 	b, err := New(shared, tuning)
 	if err != nil {
 		t.Fatal(err)

@@ -320,12 +320,28 @@ func (b Bucket) Marshal() []byte {
 }
 
 // MarshalSize is the size of the bucket's encoding.
-func (b Bucket) MarshalSize() int { return 9 + uvarintLen(uint64(b.n)) + len(b.enc) }
+func (b Bucket) MarshalSize() int { return b.headSize(b.n) + len(b.enc) }
 
 // AppendMarshal appends the bucket's encoding to buf.
 func (b Bucket) AppendMarshal(buf []byte) []byte {
-	buf = binary.AppendUvarint(appendLabel(buf, b.Label), uint64(b.n))
-	return append(buf, b.enc...)
+	return append(b.appendHead(buf, b.n), b.enc...)
+}
+
+// appendHead appends what precedes n records in the bucket's encoding: its
+// label, its extension when it has one (move.go), and the count.
+func (b Bucket) appendHead(buf []byte, n int) []byte {
+	at := len(buf)
+	buf = appendLabel(buf, b.Label)
+	if b.extended() {
+		buf[at] |= extFlag
+		buf = b.appendExt(buf)
+	}
+	return binary.AppendUvarint(buf, uint64(n))
+}
+
+// headSize is the size of appendHead's bytes for n records.
+func (b Bucket) headSize(n int) int {
+	return 9 + b.extSize() + uvarintLen(uint64(n))
 }
 
 // appendLabel appends a label as the bucket format writes it: its length in a
@@ -416,19 +432,27 @@ func readBucket(buf []byte) (b Bucket, size int, err error) {
 	if len(buf) < 9 {
 		return Bucket{}, 0, fmt.Errorf("%w: bucket header", ErrEncoding)
 	}
-	labelLen := int(buf[0])
+	labelLen, head := int(buf[0]&^extFlag), 9
 	if labelLen > bitlabel.MaxLen {
 		return Bucket{}, 0, fmt.Errorf("%w: label length %d", ErrEncoding, labelLen)
 	}
-	count, n := binary.Uvarint(buf[9:])
+	var x *extension
+	if buf[0]&extFlag != 0 {
+		var n int
+		if x, n, err = readExt(buf[9:]); err != nil {
+			return Bucket{}, 0, err
+		}
+		head += n
+	}
+	count, n := binary.Uvarint(buf[head:])
 	if n <= 0 {
 		return Bucket{}, 0, fmt.Errorf("%w: record count", ErrEncoding)
 	}
-	rest := buf[9+n:]
+	rest := buf[head+n:]
 	if _, size, err = checkRecords(rest, count, 0, false); err != nil {
 		return Bucket{}, 0, err
 	}
-	b = Bucket{Label: bitlabel.New(binary.LittleEndian.Uint64(buf[1:9]), labelLen), n: int(count)}
+	b = Bucket{Label: bitlabel.New(binary.LittleEndian.Uint64(buf[1:9]), labelLen), n: int(count), x: x}
 	if count > 0 {
 		b.enc = rest[:len(rest):len(rest)]
 	}
@@ -456,21 +480,22 @@ func UnmarshalBucket(buf []byte) (Bucket, error) {
 // it uses the bucket.
 func ViewBucket(buf []byte) (b Bucket, ok bool) {
 	b, size, err := readBucket(buf)
-	return b, err == nil && len(buf) == 9+uvarintLen(uint64(b.n))+size && binary.LittleEndian.Uint64(buf[1:9]) == b.Label.Bits()
+	return b, err == nil && len(buf) == b.headSize(b.n)+size && binary.LittleEndian.Uint64(buf[1:9]) == b.Label.Bits()
 }
 
 // cut returns b without the record encoded at enc[lo:hi], over the tail of
 // marshalCut's bytes: a slice of exactly the survivors' size.
 func (b Bucket) cut(lo, hi int) Bucket {
 	buf := b.marshalCut(lo, hi)
-	return Bucket{Label: b.Label, n: b.n - 1, enc: buf[len(buf)-(len(b.enc)-(hi-lo)):]}
+	b.n, b.enc, b.at = b.n-1, buf[len(buf)-(len(b.enc)-(hi-lo)):], nil
+	return b
 }
 
 // marshalCut is the encoding of b without the record encoded at enc[lo:hi],
 // in a buffer of exactly its size, as Marshal of cut(lo, hi) writes it.
 func (b Bucket) marshalCut(lo, hi int) []byte {
-	buf := make([]byte, 0, 9+uvarintLen(uint64(b.n-1))+len(b.enc)-(hi-lo))
-	buf = binary.AppendUvarint(appendLabel(buf, b.Label), uint64(b.n-1))
+	buf := make([]byte, 0, b.headSize(b.n-1)+len(b.enc)-(hi-lo))
+	buf = b.appendHead(buf, b.n-1)
 	return append(append(buf, b.enc[:lo]...), b.enc[hi:]...)
 }
 
@@ -481,8 +506,8 @@ func (b Bucket) marshalGrown(records []spatial.Record) []byte {
 	for _, rec := range records {
 		size += recordLen(len(rec.Key), len(rec.Data))
 	}
-	buf := make([]byte, 0, 9+uvarintLen(uint64(n))+size)
-	buf = append(binary.AppendUvarint(appendLabel(buf, b.Label), uint64(n)), b.enc...)
+	buf := make([]byte, 0, b.headSize(n)+size)
+	buf = append(b.appendHead(buf, n), b.enc...)
 	for _, rec := range records {
 		buf = AppendRecord(buf, rec)
 	}
@@ -514,8 +539,9 @@ func mismatch(a, b []byte) int {
 }
 
 // CutDelta reports whether next is prev with one write applied — the same
-// label, and prev's records followed by zero or more, or prev's records but
-// one — and if so appends to buf the delta that takes prev to next: nothing
+// label and merge count, neither in a move nor a tombstone (move.go), and
+// prev's records followed by zero or more, or prev's records but one — and if
+// so appends to buf the delta that takes prev to next: nothing
 // at all when next holds what prev holds. It is how the journal tells an
 // append or a removal from a split without being told. An append that wrote
 // into prev's spare capacity shares its bytes, and is told by one pointer
@@ -527,7 +553,7 @@ func mismatch(a, b []byte) int {
 func CutDelta(buf []byte, prev, next Bucket) ([]byte, bool) {
 	p, q := prev.enc, next.enc
 	switch {
-	case next.Label != prev.Label:
+	case next.Label != prev.Label || next.merges() != prev.merges() || prev.mark() != nil || next.mark() != nil || prev.tombstone() || next.tombstone():
 		return buf, false
 	case next.n == prev.n:
 		return buf, bytes.Equal(p, q)
@@ -570,7 +596,7 @@ func ReplayDelta(b Bucket, delta []byte) (Bucket, error) {
 		return Bucket{}, fmt.Errorf("%w: delta record count", ErrEncoding)
 	}
 	delta = delta[n:]
-	if from != uint64(b.n) {
+	if from != uint64(b.n) || b.mark() != nil || b.tombstone() {
 		return Bucket{}, fmt.Errorf("%w: cut at %d records, bucket %v holds %d", ErrDeltaBase, from, b.Label, b.n)
 	}
 	if count == 0 {
@@ -593,5 +619,5 @@ func ReplayDelta(b Bucket, delta []byte) (Bucket, error) {
 	}
 	enc := make([]byte, 0, len(b.enc)+size)
 	enc = appendRecords(append(enc, b.enc...), delta, int(count), size)
-	return Bucket{Label: b.Label, n: b.n + int(count), enc: enc}, nil
+	return Bucket{Label: b.Label, n: b.n + int(count), enc: enc, x: b.x}, nil
 }

@@ -70,6 +70,12 @@ type Commit struct {
 	RecordsMoved int64
 	// Err is a failure of the split machinery.
 	Err error
+	// Hop, on a gone commit, is the frozen piece of a move under way that
+	// covers the first record (move.go): the writer installs it and goes on
+	// at its target.
+	Hop *hop
+	// Gen is the kept bucket's merge count, which the moved pieces carry.
+	Gen uint64
 }
 
 // Append replays records, in order, into the stored leaf bucket, if its cell
@@ -208,13 +214,30 @@ type Removal struct {
 	// stored leaf's label, empty for none. The record was not looked for,
 	// which is not "it is not there".
 	Gone bool
+	// Hop, on a gone removal, is the frozen piece of a move under way that
+	// covers the key, as Commit.Hop is.
+	Hop *hop
 }
 
 // Remove takes one record matching key — its coordinates equal as float64s,
 // not as bits — and data, when non-empty, out of the stored leaf bucket, if
 // its cell covers key. The survivors are copied into a new slice (cut): an
 // in-place shift would rewrite bytes concurrent readers share.
+//
+// A bucket in the middle of a move removes from what stays; a key that only a
+// frozen piece covers gets a gone removal with the reported label and the
+// piece's hop (move.go).
 func Remove(stored Bucket, key spatial.Point, data string) Removal {
+	if stored.tombstone() {
+		return Removal{Gone: true}
+	}
+	if stored.mark() != nil && (stored.mark().retire || !covers(stored.Label, key)) {
+		out := Removal{Keep: Bucket{Label: stored.reported()}, Gone: true}
+		if h, ok := stored.hopFor(key); ok {
+			out.Hop = &h
+		}
+		return out
+	}
 	out, lo, hi := remove(stored, key, data)
 	if out.Removed {
 		out.Keep = stored.cut(lo, hi)

@@ -93,7 +93,7 @@ func TestCommitOneAtATimeEqualsAllAtOnce(t *testing.T) {
 func rerunFixture(t *testing.T) (*Index, *dhttest.Flaky, dht.Key) {
 	t.Helper()
 	rr := dhttest.NewFlaky(dht.MustNewLocal(4))
-	ix, err := New(rr, index.Tuning{Capacity: 4, MergeThreshold: 1, Sleep: dht.NoSleep})
+	ix, err := New(rr, index.Tuning{Capacity: 4, MergeThreshold: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

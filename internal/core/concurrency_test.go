@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -13,9 +12,10 @@ import (
 )
 
 // TestConcurrentInsertsAndQueries drives the index from many goroutines at
-// once. Inserts must all land (the retry loop absorbs concurrent splits);
-// queries may transiently miss mid-split buckets but must never return
-// wrong data; and the final structure must be exactly consistent.
+// once. Inserts must all land, each in one attempt; two of the writers delete
+// every other record they inserted, so merges race with splits; queries must
+// never fail nor return wrong data while the tree restructures (a move is
+// invisible, move.go); and the final structure must be exactly consistent.
 func TestConcurrentInsertsAndQueries(t *testing.T) {
 	ix, err := New(dht.MustNewLocal(16), index.Tuning{Capacity: 12, MergeThreshold: 6})
 	if err != nil {
@@ -23,6 +23,7 @@ func TestConcurrentInsertsAndQueries(t *testing.T) {
 	}
 	const (
 		writers   = 8
+		deleters  = 2 // the first writers also delete their own odd records
 		perWriter = 300
 	)
 	var wg sync.WaitGroup
@@ -31,6 +32,7 @@ func TestConcurrentInsertsAndQueries(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
+			var mine []spatial.Record
 			for i := 0; i < perWriter; i++ {
 				rec := spatial.Record{
 					Key:  spatial.Point{rng.Float64(), rng.Float64()},
@@ -40,9 +42,18 @@ func TestConcurrentInsertsAndQueries(t *testing.T) {
 					t.Errorf("writer %d insert %d: %v", w, i, err)
 					return
 				}
+				mine = append(mine, rec)
+				if w < deleters && i%2 == 1 {
+					old := mine[i-1]
+					if removed, err := ix.Delete(old.Key, old.Data); err != nil || !removed {
+						t.Errorf("writer %d delete %s: %v, %v", w, old.Data, removed, err)
+						return
+					}
+				}
 			}
 		}(w)
 	}
+	want := writers*perWriter - deleters*perWriter/2
 	// Concurrent readers: range queries while the tree is splitting.
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
@@ -59,16 +70,14 @@ func TestConcurrentInsertsAndQueries(t *testing.T) {
 				}
 				q := randomRect(rng, 2)
 				res, err := ix.RangeQuery(q)
-				if err != nil && !errors.Is(err, ErrNotFound) {
+				if err != nil {
 					t.Errorf("reader %d: %v", r, err)
 					return
 				}
-				if err == nil {
-					for _, rec := range res.Records {
-						if !q.Contains(rec.Key) {
-							t.Errorf("reader %d: record %v outside %v", r, rec.Key, q)
-							return
-						}
+				for _, rec := range res.Records {
+					if !q.Contains(rec.Key) {
+						t.Errorf("reader %d: record %v outside %v", r, rec.Key, q)
+						return
 					}
 				}
 			}
@@ -79,8 +88,11 @@ func TestConcurrentInsertsAndQueries(t *testing.T) {
 	readers.Wait()
 
 	// Final consistency: every record present exactly once, structure sane.
-	if n, err := ix.Size(); err != nil || n != writers*perWriter {
-		t.Fatalf("Size = %d, %v; want %d", n, err, writers*perWriter)
+	if err := CheckInvariants(ix); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := ix.Size(); err != nil || n != want {
+		t.Fatalf("Size = %d, %v; want %d", n, err, want)
 	}
 	buckets, err := ix.Buckets()
 	if err != nil {
@@ -107,7 +119,7 @@ func TestConcurrentInsertsAndQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all.Records) != writers*perWriter {
-		t.Fatalf("whole-space query = %d records, want %d", len(all.Records), writers*perWriter)
+	if len(all.Records) != want {
+		t.Fatalf("whole-space query = %d records, want %d", len(all.Records), want)
 	}
 }

@@ -82,6 +82,10 @@ type Bucket struct {
 	n   int
 	enc []byte
 	at  []int
+	// x is the bucket's extension (move.go): the move it is in, the merges
+	// behind it, whether it is a tombstone; nil for a plain bucket, which is
+	// every bucket of a tree that never merged, between moves.
+	x *extension
 }
 
 // Key returns the DHT key the bucket lives under: fmd(λ).
@@ -103,7 +107,8 @@ func labelKey(l bitlabel.Label) dht.Key {
 // Errors reported by the index.
 var (
 	// ErrNotFound is returned by lookups that cannot locate a covering
-	// bucket — the index is missing or inconsistent.
+	// bucket: the index is missing or broken. A concurrent split or merge
+	// never causes it (move.go).
 	ErrNotFound = errors.New("core: no bucket covers the key")
 	// ErrDimension is returned when an argument's dimensionality does not
 	// match the index.
@@ -188,21 +193,67 @@ func (ix *Index) DHT() dht.DHT { return ix.d }
 // Buckets returns all leaf buckets, in unspecified order. It requires an
 // enumerable substrate and is intended for measurements and tests.
 func (ix *Index) Buckets() ([]Bucket, error) {
+	leaves, _, err := ix.leaves()
+	return leaves, err
+}
+
+// leaves returns the leaves the stored buckets hold, and which of them are
+// frozen pieces of a move under way (move.go), held in the mark of the bucket
+// they are leaving rather than under their own key. A moving bucket holds its
+// stayer, if it splits, and each frozen piece no other stored bucket holds
+// yet; a quiescent tree has no moving bucket.
+func (ix *Index) leaves() ([]Bucket, map[bitlabel.Label]bool, error) {
 	e, ok := ix.raw.(dht.Enumerator)
 	if !ok {
-		return nil, dht.ErrNotEnumerable
+		return nil, nil, dht.ErrNotEnumerable
 	}
-	var out []Bucket
+	stored := make(map[dht.Key]Bucket)
+	var out, moving []Bucket
 	err := e.Range(func(k dht.Key, v any) bool {
-		if b, isBucket := v.(Bucket); isBucket {
+		b, isBucket := v.(Bucket)
+		switch {
+		case !isBucket:
+		case b.mark() != nil:
+			stored[k] = b
+			moving = append(moving, b)
+			if !b.mark().retire {
+				out = append(out, b.unmarked())
+			}
+		case b.tombstone():
+			stored[k] = b
+		default:
+			stored[k] = b
 			out = append(out, b)
 		}
 		return true
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return out, nil
+	// A frozen piece is a leaf while the key it goes to holds nothing of it:
+	// no bucket whose cell meets the piece's, bar one it supersedes, and no
+	// tombstone of a merge that took the piece in after it arrived.
+	var frozen map[bitlabel.Label]bool
+	for _, b := range moving {
+		for _, h := range b.hops() {
+			at, held := stored[labelKey(h.target(ix.opts.Dims))]
+			l := at.reported()
+			switch {
+			case held && at.tombstone():
+				if h.gone(at) {
+					continue
+				}
+			case held && (l.IsPrefixOf(h.piece.Label) || h.piece.Label.IsPrefixOf(l)) && !h.supersedes(at):
+				continue
+			}
+			if frozen == nil {
+				frozen = make(map[bitlabel.Label]bool)
+			}
+			frozen[h.piece.Label] = true
+			out = append(out, h.piece)
+		}
+	}
+	return out, frozen, nil
 }
 
 // Size returns the total number of records across all buckets (requires an

@@ -790,6 +790,20 @@ func (f *failingDHT) Put(key dht.Key, value any) error {
 	return f.DHT.Put(key, value)
 }
 
+// Apply fails as Put does where the key holds nothing: a split installs its
+// pieces into empty keys with an op, which reaches this substrate as an
+// Apply (dht.DoApply).
+func (f *failingDHT) Apply(key dht.Key, fn dht.ApplyFunc) error {
+	_, ok, err := f.DHT.Get(key)
+	if err != nil {
+		return err
+	}
+	if !ok && f.putsLeft <= 0 {
+		return errors.New("injected put failure")
+	}
+	return f.DHT.Apply(key, fn)
+}
+
 func TestInsertSurfacesSubstrateFailures(t *testing.T) {
 	inner := dht.MustNewLocal(4)
 	flaky := &failingDHT{DHT: inner, putsLeft: 1 << 30}

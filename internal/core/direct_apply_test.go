@@ -51,7 +51,7 @@ func (l *opLog) Owner(k dht.Key) (string, error)        { return l.inner.Owner(k
 // random records so it holds a few dozen leaves.
 func cachedIndex(t *testing.T, inner dht.DHT, n int) *Index {
 	t.Helper()
-	ix, err := New(inner, index.Tuning{Capacity: 8, MergeThreshold: 4, CacheSize: 64, Sleep: dht.NoSleep})
+	ix, err := New(inner, index.Tuning{Capacity: 8, MergeThreshold: 4, CacheSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestCachedLeafGoesStraightToApply(t *testing.T) {
 // here too, and a delete that does drop the leaf below θmerge still makes it.
 func TestUncachedDeleteAtThetaMergeSkipsSiblingProbe(t *testing.T) {
 	log := &opLog{inner: dht.MustNewLocal(4)}
-	ix, err := New(log, index.Tuning{Capacity: 8, MergeThreshold: 4, Sleep: dht.NoSleep})
+	ix, err := New(log, index.Tuning{Capacity: 8, MergeThreshold: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestCachedLeafSplitByAnotherClient(t *testing.T) {
 	log := &opLog{inner: shared}
 	a := cachedIndex(t, log, 200)
 	leaf, _ := roomyLeaf(t, a)
-	b, err := New(shared, index.Tuning{Capacity: 8, MergeThreshold: 4, Sleep: dht.NoSleep})
+	b, err := New(shared, index.Tuning{Capacity: 8, MergeThreshold: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestCachedLeafSplitByAnotherClient(t *testing.T) {
 
 	// Into a piece that moved: declined with the stayed part's label, then the
 	// §5 search a lookup seeded with λ makes — probe for probe.
-	reference, err := New(shared, index.Tuning{Capacity: 8, MergeThreshold: 4, CacheSize: 4, Sleep: dht.NoSleep})
+	reference, err := New(shared, index.Tuning{Capacity: 8, MergeThreshold: 4, CacheSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestRerunCachedLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, err := New(rr.Inner(), index.Tuning{Capacity: 8, MergeThreshold: 4, Sleep: dht.NoSleep})
+	other, err := New(rr.Inner(), index.Tuning{Capacity: 8, MergeThreshold: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

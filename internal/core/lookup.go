@@ -76,23 +76,79 @@ func (ix *Index) pathLabel(key spatial.Point) (bitlabel.Label, error) {
 // cache's view of it already: the search whose probe is a bucket Get.
 func (ix *Index) lookupPath(key spatial.Point, path bitlabel.Label, v view, lt *LookupTrace, parent trace.SpanID) (Bucket, error) {
 	var b Bucket
-	if _, err := ix.searchPath(key, path, v, ix.getProbe(path, &b), lt, parent); err != nil {
+	if _, err := ix.searchPath(key, path, v, ix.getProbe(key, path, &b), lt, parent); err != nil {
 		return Bucket{}, err
 	}
 	return b, nil
 }
 
 // getProbe is the lookup's probe: a bucket Get of the key, the bucket that
-// covers δ left in *b.
-func (ix *Index) getProbe(path bitlabel.Label, b *Bucket) probe {
-	return func(key bitlabel.Label, parent trace.SpanID) (bitlabel.Label, bool, error) {
-		got, found, err := ix.getBucketSpan(key, parent)
-		if err != nil || !found || !got.Label.IsPrefixOf(path) {
-			return got.Label, false, err
+// covers δ left in *b — read through a move under way (follow).
+func (ix *Index) getProbe(key spatial.Point, path bitlabel.Label, b *Bucket) probe {
+	return func(at bitlabel.Label, parent trace.SpanID) (bitlabel.Label, bool, error) {
+		for again := true; ; again = false {
+			got, found, err := ix.getBucketSpan(at, parent)
+			switch {
+			case err != nil || !found:
+				return bitlabel.Label{}, false, err
+			case got.mark() == nil:
+				if !got.Label.IsPrefixOf(path) {
+					return got.Label, false, nil
+				}
+				*b = got
+				return got.Label, true, nil
+			case !got.reported().IsPrefixOf(path):
+				return got.reported(), false, nil
+			}
+			leaf, covers, stale, err := ix.follow(key, got, parent)
+			if stale && again {
+				// The move the bucket was marked with has ended, and more
+				// since: read the key again, once.
+				continue
+			}
+			if err != nil || !covers {
+				return leaf.Label, false, err
+			}
+			*b = leaf
+			return leaf.Label, true, nil
 		}
-		*b = got
-		return got.Label, true, nil
 	}
+}
+
+// follow returns the leaf that holds δ given a bucket that covers it, reading
+// through the moves under way (move.go): δ in a split's stayer is the stayer;
+// δ in a frozen piece is what the piece's target holds when that covers δ,
+// and the piece itself while the target holds nothing for it — no write
+// reaches a piece before it is installed. A piece that arrived and has moved
+// on since (the target holds a bucket of its own that does not cover δ, or the
+// tombstone of a merge) is reported with covers false and a label for the
+// search to go on from.
+//
+// stale reports a piece merged away since (a tombstone at its target): the
+// mark was read after its move ended, and the leaf is whatever the merge made
+// of it — below the leaf that split if the mark is still there, for the search
+// to go on from, or anywhere if it is not, so the caller reads the key again.
+func (ix *Index) follow(key spatial.Point, b Bucket, parent trace.SpanID) (leaf Bucket, covered, stale bool, err error) {
+	for b.mark() != nil {
+		h, ok := b.hopFor(key)
+		if !ok {
+			return b.unmarked(), true, false, nil
+		}
+		at, found, err := ix.getBucketSpan(h.target(ix.opts.Dims), parent)
+		switch {
+		case err != nil:
+			return Bucket{}, false, false, err
+		case found && covers(at.reported(), key) && !h.supersedes(at):
+			b = at
+		case h.gone(at):
+			return Bucket{Label: b.reported()}, false, true, nil
+		case !found || h.absorb || h.supersedes(at):
+			return h.piece, true, false, nil
+		default:
+			return Bucket{Label: at.reported()}, false, false, nil
+		}
+	}
+	return b, true, false, nil
 }
 
 // A probe is what the §5 search sends to key = fmd(cand), the key of a
@@ -106,8 +162,9 @@ type probe func(key bitlabel.Label, parent trace.SpanID) (stored bitlabel.Label,
 // searchPath runs the search for δ with the given probe and returns the
 // label the covering probe reported. A search the cache bounded that ends in
 // ErrNotFound was bounded by a prefix another client has since merged into
-// a leaf (or ran into a split mid-flight, which Insert retries): it is
-// counted stale and searched once more without the bound.
+// a leaf: it is counted stale and searched once more without the bound. One
+// that still ends there met a move half done, whose filled and empty keys
+// tell the binary search two different trees; it walks the path (walk).
 func (ix *Index) searchPath(key spatial.Point, path bitlabel.Label, v view, at probe, lt *LookupTrace, parent trace.SpanID) (leaf bitlabel.Label, err error) {
 	tc := ix.opts.Trace
 	if tc != nil {
@@ -135,7 +192,40 @@ func (ix *Index) searchPath(key spatial.Point, path bitlabel.Label, v view, at p
 		ix.traceCache(parent, "stale")
 		leaf, err = ix.search(key, path, view{}, at, lt, parent)
 	}
+	if errors.Is(err, ErrNotFound) {
+		leaf, err = ix.walk(key, path, at, lt, parent)
+	}
 	return leaf, err
+}
+
+// walk probes the name of every prefix of δ's path, shortest first, until one
+// covers δ. It is the search a half-done move cannot mislead: the move's
+// marked bucket answers for the whole leaf that moved (move.go), and its key,
+// that leaf's name, is among these. On a whole quiescent tree the binary
+// search never fails, so walk runs only when a move is under way, when keys
+// were lost (a crash without replication: a missing key misleads the search
+// as a move's empty one does), or when no bucket covers δ at all, which leaves
+// the tree broken.
+func (ix *Index) walk(key spatial.Point, path bitlabel.Label, at probe, lt *LookupTrace, parent trace.SpanID) (bitlabel.Label, error) {
+	m := ix.opts.Dims
+	seen := make(map[bitlabel.Label]bool)
+	for l := m + 1; l <= path.Len(); l++ {
+		name := bitlabel.Name(path.Prefix(l), m)
+		if seen[name] {
+			continue
+		}
+		seen[name] = true
+		lt.Probes++
+		label, covers, err := at(name, parent)
+		if err != nil {
+			return bitlabel.Label{}, err
+		}
+		if covers {
+			ix.cacheLeaf(label)
+			return label, nil
+		}
+	}
+	return bitlabel.Label{}, fmt.Errorf("%w: no bucket covers %v", ErrNotFound, key)
 }
 
 // search is the §5 binary search over the prefixes of path. The cache's view
@@ -144,25 +234,36 @@ func (ix *Index) searchPath(key spatial.Point, path bitlabel.Label, v view, at p
 // guess, clamped to [lo, hi]. Either way the probes after the first follow
 // the unchanged §5 rules.
 func (ix *Index) search(key spatial.Point, path bitlabel.Label, v view, at probe, lt *LookupTrace, parent trace.SpanID) (bitlabel.Label, error) {
-	m := ix.opts.Dims
-	lo, hi := m+1, path.Len()
-	first := 0
+	r := span{lo: ix.opts.Dims + 1, hi: path.Len()}
 	switch {
 	case v.hit:
-		first = v.leaf.Len()
+		r.first, r.hinted = v.leaf.Len(), true
 	case v.bound > 0:
-		lo, first = v.bound+1, v.guess
+		r.lo, r.first = v.bound+1, v.guess
 	}
-	for iter := 0; iter <= ix.opts.MaxDepth+3 && lo <= hi; iter++ {
-		mid := (lo + hi) / 2
-		if iter == 0 && first > 0 {
-			mid = min(max(first, lo), hi)
+	return ix.searchFrom(key, path, r, at, lt, parent)
+}
+
+// span is where the §5 search stands: the candidate lengths [lo, hi] still
+// open, and the first probe's length when something (the cache) chose it.
+type span struct {
+	lo, hi, first int
+	hinted        bool
+}
+
+// searchFrom runs the §5 search from r.
+func (ix *Index) searchFrom(key spatial.Point, path bitlabel.Label, r span, at probe, lt *LookupTrace, parent trace.SpanID) (bitlabel.Label, error) {
+	m := ix.opts.Dims
+	for iter := 0; iter <= ix.opts.MaxDepth+3 && r.lo <= r.hi; iter++ {
+		mid := (r.lo + r.hi) / 2
+		if iter == 0 && r.first > 0 {
+			mid = min(max(r.first, r.lo), r.hi)
 		}
 		// The hit's probe. On an unchanged index it covers δ and the search
 		// completes with a single DHT operation; a stale entry (the leaf split
 		// or merged since) is evicted, and the probe's outcome still tightens
 		// the bounds by the standard §5 rules.
-		hinted := iter == 0 && v.hit
+		hinted := iter == 0 && r.hinted
 		cand := path.Prefix(mid)
 		probeKey := bitlabel.Name(cand, m)
 		lt.Probes++
@@ -185,31 +286,39 @@ func (ix *Index) search(key spatial.Point, path bitlabel.Label, v view, at probe
 			ix.traceCache(parent, "stale")
 			ix.invalidateLeaf(cand)
 		}
-		if label.IsEmpty() {
-			// probeKey is not internal: the target is at or above it.
-			if probeKey.Len() < lo {
-				return bitlabel.Label{}, fmt.Errorf("%w: probe %v contradicts bounds [%d,%d] for %v",
-					ErrNotFound, probeKey, lo, hi, key)
-			}
-			hi = probeKey.Len()
-			continue
-		}
-		cp := label.CommonPrefixLen(path)
-		if cp >= mid {
-			// cand is a prefix of the stored leaf, hence internal (Theorem 1:
-			// the leaf named fmd(cand) is a corner cell of cand); in fact every
-			// path prefix through cp is internal.
-			lo = cp + 1
-		} else {
-			// cand is not internal (otherwise the named leaf would lie
-			// inside it) and is not the target; the target is shorter.
-			hi = mid - 1
-			if cp+1 > lo {
-				lo = cp + 1
-			}
+		if err := r.narrow(mid, probeKey, label, path); err != nil {
+			return bitlabel.Label{}, fmt.Errorf("%w: %w for %v", ErrNotFound, err, key)
 		}
 	}
 	return bitlabel.Label{}, fmt.Errorf("%w: search exhausted for %v", ErrNotFound, key)
+}
+
+// narrow applies the §5 rules to a probe of the candidate of length mid,
+// whose key probeKey answered with label without covering δ.
+func (r *span) narrow(mid int, probeKey, label, path bitlabel.Label) error {
+	if label.IsEmpty() {
+		// probeKey is not internal: the target is at or above it.
+		if probeKey.Len() < r.lo {
+			return fmt.Errorf("probe %v contradicts bounds [%d,%d]", probeKey, r.lo, r.hi)
+		}
+		r.hi = probeKey.Len()
+		return nil
+	}
+	cp := label.CommonPrefixLen(path)
+	if cp >= mid {
+		// cand is a prefix of the stored leaf, hence internal (Theorem 1:
+		// the leaf named fmd(cand) is a corner cell of cand); in fact every
+		// path prefix through cp is internal.
+		r.lo = cp + 1
+	} else {
+		// cand is not internal (otherwise the named leaf would lie
+		// inside it) and is not the target; the target is shorter.
+		r.hi = mid - 1
+		if cp+1 > r.lo {
+			r.lo = cp + 1
+		}
+	}
+	return nil
 }
 
 // getBucket probes one DHT key, decoding the stored bucket.
@@ -260,7 +369,9 @@ func decodeBucket(label bitlabel.Label, v any, found bool, err error) (Bucket, b
 	if !ok {
 		return Bucket{}, false, fmt.Errorf("core: key %v holds %T, not a bucket", label, v)
 	}
-	return b, true, nil
+	// A tombstone reads as nothing; it comes back, not found, to the readers
+	// of a move that tell a piece gone on from one not yet arrived (follow).
+	return b, !b.tombstone(), nil
 }
 
 // traceCache records a lookup-cache event under the given span.

@@ -3,11 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"mlight/internal/bitlabel"
 	"mlight/internal/dht"
-	"mlight/internal/kdtree"
 	"mlight/internal/spatial"
 	"mlight/internal/trace"
 )
@@ -16,112 +14,148 @@ import (
 // leaf bucket, the record is applied at the owning peer, and if the bucket's
 // load now warrants it the peer splits locally. Per Theorem 5 exactly one
 // piece of a split keeps the old DHT key, so only the other pieces are
-// re-assigned with DHT puts — the incremental maintenance that halves
-// m-LIGHT's split cost relative to PHT.
+// re-assigned — the incremental maintenance that halves m-LIGHT's split cost
+// relative to PHT — and the split is a move (move.go) that no other client
+// sees half done. One attempt: the search ends in the write.
 func (ix *Index) Insert(rec spatial.Record) error {
 	path, err := ix.pathLabel(rec.Key)
 	if err != nil {
 		return err
 	}
-	const maxAttempts = 12
-	var lastErr error
-	recs := []spatial.Record{rec}
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		if attempt > 0 {
-			// Back off briefly: a concurrent split's relocated buckets
-			// become visible within a few put operations. The sleeper is
-			// injectable (Tuning.Sleep) so tests stay deterministic.
-			backoff := time.Duration(1<<uint(min(attempt, 6))) * 25 * time.Microsecond
-			ix.opts.Sleep(backoff)
-		}
-		var c Commit
-		landed, err := ix.write(rec.Key, path, ix.appendProbe(recs, &c))
-		if errors.Is(err, ErrNotFound) {
-			// A concurrent split is mid-flight: the bucket moving to its
-			// new key is not yet visible. Retry from a fresh search.
-			lastErr = err
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		if landed {
-			ix.settle(&c)
-			return ix.placeCells(c.Moved)
-		}
+	var w wrote
+	if err := ix.write(rec.Key, path, ix.appendProbe([]spatial.Record{rec}, &w)); err != nil {
+		return err
 	}
-	if lastErr != nil {
-		return fmt.Errorf("core: insert %v: retries exhausted: %w", rec.Key, lastErr)
-	}
-	return fmt.Errorf("core: insert %v: too many conflicting bucket changes", rec.Key)
+	ix.settle(&w.commit)
+	return ix.finishMove(w.key, w.commit.Moved, w.commit.Gen)
 }
 
-// write runs a write at δ's leaf, the write given as a §5 probe, and reports
-// whether it landed. Without a cache it is the paper's lookup-then-apply —
-// the search probes with bucket reads and the write goes to the leaf found,
-// which Fig. 5 charges as the lookup plus one operation — and it does not
-// land when the leaf split or merged in between. A cached client's search
-// probes with the write itself: the probe that reaches the leaf covering δ is
-// the write, a cache hit is the first probe, and an owner that does not hold
-// δ's leaf answers with the label it holds, which is all the §5 rules read of
-// a probe. The search ends in the write or in an error.
-func (ix *Index) write(key spatial.Point, path bitlabel.Label, at probe) (landed bool, err error) {
+// wrote is where a write landed: the commit, and the key of the bucket it
+// landed in.
+type wrote struct {
+	commit Commit
+	key    bitlabel.Label
+}
+
+// write runs a write at δ's leaf, the write given as a §5 probe. Without a
+// cache it is the paper's lookup-then-apply — the search probes with bucket
+// reads and the write goes to the leaf found, which Fig. 5 charges as the
+// lookup plus one operation — and should the leaf have changed in between,
+// the owner's answer is the search's next probe and the search goes on with
+// the write as its probe. A cached client's search probes with the write
+// itself: the probe that reaches the leaf covering δ is the write, a cache
+// hit is the first probe, and an owner that does not hold δ's leaf answers
+// with the label it holds, which is all the §5 rules read of a probe. The
+// search ends in the write or in an error.
+func (ix *Index) write(key spatial.Point, path bitlabel.Label, at probe) error {
 	v := ix.cacheView(path)
 	if ix.cache != nil {
 		_, err := ix.searchPath(key, path, v, at, &LookupTrace{}, 0)
-		return err == nil, err
+		return err
 	}
 	// Cache off is the paper's configuration and the reference driver for
 	// Fig. 5's accounting; the write-as-probe search has not been measured
 	// without a cache.
-	b, err := ix.lookupPath(key, path, v, &LookupTrace{}, 0)
+	var lt LookupTrace
+	b, err := ix.lookupPath(key, path, v, &lt, 0)
 	if err != nil {
-		return false, err
+		return err
 	}
-	_, landed, err = at(bitlabel.Name(b.Label, ix.opts.Dims), 0)
-	return landed, err
+	m := ix.opts.Dims
+	name := bitlabel.Name(b.Label, m)
+	label, landed, err := at(name, 0)
+	if err != nil || landed {
+		return err
+	}
+	r := span{lo: m + 1, hi: path.Len()}
+	if err := r.narrow(b.Label.Len(), name, label, path); err == nil {
+		if _, err = ix.searchFrom(key, path, r, at, &lt, 0); !errors.Is(err, ErrNotFound) {
+			return err
+		}
+	}
+	_, err = ix.walk(key, path, at, &lt, 0)
+	return err
 }
 
 // appendProbe is an insert's write as a probe: SplitRule.Append of records, as
-// data (ops.go), sent to the key. When it lands, *c is the commit and the label
-// reported is the leaf it landed in. Insert sends one record, a group commit
-// (InsertBatch) every record it resolved to the key.
+// data (ops.go), sent to the key. When it lands, *w is the commit and the key
+// it landed at, and the label reported is the leaf it landed in. Insert sends
+// one record, a group commit (InsertBatch) every record it resolved to the
+// key. An owner whose bucket is moving may answer with a hop instead: the
+// probe installs the frozen piece the records belong to and goes on at its
+// target (move.go).
 //
 // A substrate may run the op more than once — dht.RemoteApply on every lost
 // CAS, dht.Resilient on every retry — and stores only what the last run
 // returned; the op holds no state for a run to leave behind, and counters, the
 // cache and placement are the driver's, once, after the commit is back.
-func (ix *Index) appendProbe(recs []spatial.Record, c *Commit) probe {
+func (ix *Index) appendProbe(recs []spatial.Record, w *wrote) probe {
 	op := AppendOp{Rule: ix.splitRule(), Records: recs}
 	return ix.traceWrite("append", func(key bitlabel.Label) (bitlabel.Label, bool, error) {
-		res, err := dht.Do(ix.d, labelKey(key), op)
-		if err != nil {
-			return bitlabel.Label{}, false, fmt.Errorf("core: insert apply at %v: %w", key, err)
-		}
-		*c, _ = res.(Commit)
-		switch {
-		case c.Err != nil:
-			return bitlabel.Label{}, false, fmt.Errorf("core: insert split at %v: %w", key, c.Err)
-		case c.Gone:
-			return c.Keep.Label, false, nil
-		}
-		return c.leaf(), true, nil
+		return ix.hopping(key, func(key bitlabel.Label) (bitlabel.Label, *hop, bool, error) {
+			res, err := dht.Do(ix.d, labelKey(key), op)
+			if err != nil {
+				return bitlabel.Label{}, nil, false, fmt.Errorf("core: insert apply at %v: %w", key, err)
+			}
+			c, _ := res.(Commit)
+			w.commit, w.key = c, key
+			switch {
+			case c.Err != nil:
+				return bitlabel.Label{}, nil, false, fmt.Errorf("core: insert split at %v: %w", key, c.Err)
+			case c.Gone:
+				return c.Keep.Label, c.Hop, false, nil
+			}
+			return c.leaf(), nil, true, nil
+		})
 	})
 }
 
 // removeProbe is Delete's write as a probe: Remove at the key, as data
 // (ops.go). When it lands, *out is the removal; the label reported is the
-// leaf's when a record was removed and empty when none matched.
+// leaf's when a record was removed and empty when none matched. It follows a
+// hop as appendProbe does.
 func (ix *Index) removeProbe(point spatial.Point, data string, out *Removal) probe {
 	op := RemoveOp{Key: point, Data: data, MergeThreshold: ix.opts.MergeThreshold}
 	return ix.traceWrite("remove", func(key bitlabel.Label) (bitlabel.Label, bool, error) {
-		res, err := dht.Do(ix.d, labelKey(key), op)
-		if err != nil {
-			return bitlabel.Label{}, false, fmt.Errorf("core: delete apply at %v: %w", key, err)
-		}
-		*out, _ = res.(Removal)
-		return out.Keep.Label, !out.Gone, nil
+		return ix.hopping(key, func(key bitlabel.Label) (bitlabel.Label, *hop, bool, error) {
+			res, err := dht.Do(ix.d, labelKey(key), op)
+			if err != nil {
+				return bitlabel.Label{}, nil, false, fmt.Errorf("core: delete apply at %v: %w", key, err)
+			}
+			*out, _ = res.(Removal)
+			return out.Keep.Label, out.Hop, !out.Gone, nil
+		})
 	})
+}
+
+// maxHops bounds the hops one write follows: each goes to a piece of a move
+// under way, deeper in the tree or back to a merge given up.
+const maxHops = 64
+
+// hopping sends a write to key with send, which may answer with a hop, and
+// follows the hop: the hop's piece is installed (install) and the write sent
+// again to the key install names. A hop that leads nowhere — the move ended,
+// and the piece moved on, while the write was on its way — sends the write to
+// the key it hopped from once more.
+func (ix *Index) hopping(key bitlabel.Label, send func(key bitlabel.Label) (bitlabel.Label, *hop, bool, error)) (bitlabel.Label, bool, error) {
+	from, back := key, false
+	for range maxHops {
+		label, h, landed, err := send(key)
+		switch {
+		case err != nil || landed:
+			return label, landed, err
+		case h != nil:
+			if key, err = ix.install(*h); err != nil {
+				return bitlabel.Label{}, false, err
+			}
+			continue
+		case key != from && !back:
+			key, back = from, true
+			continue
+		}
+		return label, false, nil
+	}
+	return bitlabel.Label{}, false, fmt.Errorf("core: write at %v followed %d hops", key, maxHops)
 }
 
 // traceWrite makes send a probe that, when tracing is enabled, records one
@@ -163,39 +197,6 @@ func (ix *Index) settle(c *Commit) {
 	}
 }
 
-// placeOps appends to ops the puts that write relocated cells to their DHT
-// keys. Empty cells still become buckets (the bijection requires a bucket per
-// leaf).
-func (ix *Index) placeOps(ops []dht.PutOp, cells []kdtree.Cell) []dht.PutOp {
-	for _, c := range cells {
-		b := NewBucket(c.Label, c.Records)
-		ops = append(ops, dht.PutOp{Key: b.Key(ix.opts.Dims), Value: b})
-	}
-	return ops
-}
-
-// placeCells writes relocated buckets in one PutBatch round — the
-// destinations are independent leaves, so the transfers overlap up to
-// Tuning.MaxInFlight instead of paying one blocking round trip per bucket.
-// Each placed bucket is one DHT operation; the records it carries were
-// charged where the split was decided.
-func (ix *Index) placeCells(cells []kdtree.Cell) error {
-	return ix.placeBuckets(ix.placeOps(nil, cells))
-}
-
-// placeBuckets writes the puts of placeOps in one PutBatch round.
-func (ix *Index) placeBuckets(ops []dht.PutOp) error {
-	if len(ops) == 0 {
-		return nil
-	}
-	for i, err := range dht.PutBatch(ix.d, ops, ix.opts.MaxInFlight) {
-		if err != nil {
-			return fmt.Errorf("core: place bucket %v: %w", ops[i].Value.(Bucket).Label, err)
-		}
-	}
-	return nil
-}
-
 // Delete removes one record matching key (and Data when non-empty). It
 // reports whether a record was removed, merging underfull sibling leaves
 // afterwards (§4.1): the merged bucket keeps the key one child already
@@ -208,71 +209,94 @@ func (ix *Index) Delete(key spatial.Point, data string) (bool, error) {
 		return false, err
 	}
 	var out Removal
-	if _, err := ix.write(key, path, ix.removeProbe(key, data, &out)); err != nil {
+	if err := ix.write(key, path, ix.removeProbe(key, data, &out)); err != nil {
 		return false, err
 	}
 	if !out.Removed {
 		return false, nil
 	}
-	// A bucket that holds θmerge records by itself cannot merge, and an owner
-	// that reported the removal across a socket kept the records.
+	// A bucket that holds θmerge records by itself cannot merge.
 	if out.Load >= ix.opts.MergeThreshold {
 		return true, nil
 	}
-	return true, ix.mergeUpwards(out.Keep)
+	return true, ix.mergeUpwards(out.Keep.Label, out.Load, out.Keep.merges())
 }
 
-// mergeUpwards merges the bucket with its sibling leaf while the pair
-// jointly holds fewer than θmerge records, cascading towards the root. A
-// bucket that holds θmerge records by itself fails that test whatever its
-// sibling holds, so the sibling is not probed.
-func (ix *Index) mergeUpwards(b Bucket) error {
+// mergeUpwards merges the leaf with its sibling leaf while the pair jointly
+// holds fewer than θmerge records, cascading towards the root. A leaf that
+// holds θmerge records by itself fails that test whatever its sibling holds,
+// so the sibling is not probed.
+//
+// Each merge is a move (move.go) over the two children of parent: x, the one
+// named parent, is retired from its key, and y, stored under fmd(parent),
+// absorbs it. The sequence is one whichever child this delete wrote; the ops
+// at that child's key are the owner's own rewrites, uncounted as §4.1's
+// local rewrites are. A step that finds the pair changed gives the merge up:
+// a sibling that is no longer a leaf, or no longer stored, is not read twice.
+func (ix *Index) mergeUpwards(leaf bitlabel.Label, load int, gen uint64) error {
 	m := ix.opts.Dims
-	for b.Label != bitlabel.Root(m) && b.Load() < ix.opts.MergeThreshold {
-		sibLabel := b.Label.Sibling()
+	for leaf != bitlabel.Root(m) && load < ix.opts.MergeThreshold {
+		sibLabel := leaf.Sibling()
 		sib, found, err := ix.getBucket(bitlabel.Name(sibLabel, m))
 		if err != nil {
 			return err
 		}
-		if !found || sib.Label != sibLabel {
+		if !found || sib.Label != sibLabel || sib.mark() != nil || load+sib.Load() >= ix.opts.MergeThreshold {
 			// The sibling is an internal node (its key hosts some deeper
-			// corner leaf) or missing: no merge possible.
+			// corner leaf), missing, moving, or too full: no merge.
 			return nil
 		}
-		if b.Load()+sib.Load() >= ix.opts.MergeThreshold {
+		parent := leaf.Parent()
+		absorber := bitlabel.Name(parent, m)
+		x, expect := leaf, sib.merges()
+		if bitlabel.Name(leaf, m) == absorber {
+			x, expect = sibLabel, gen
+		}
+		own := bitlabel.Name(leaf, m)
+		via := func(key bitlabel.Label) dht.DHT {
+			if key == own {
+				return ix.raw
+			}
+			return ix.d
+		}
+		res, err := dht.Do(via(parent), labelKey(parent), RetireOp{Label: x, Expect: expect})
+		if err != nil {
+			return fmt.Errorf("core: merge retire %v: %w", x, err)
+		}
+		retired, _ := res.(Retired)
+		if !retired.Done {
 			return nil
 		}
-		parent := b.Label.Parent()
-		parentName := bitlabel.Name(parent, m)
-		merged := NewBucket(parent, append(b.Records(), sib.Records()...))
-		if bitlabel.Name(b.Label, m) == parentName {
-			// We already sit at the merged bucket's key: rewrite locally,
-			// and pull the sibling's bucket across the DHT.
-			if err := ix.raw.Put(labelKey(parentName), merged); err != nil {
-				return fmt.Errorf("core: merge rewrite %v: %w", parent, err)
-			}
-			if err := ix.d.Remove(labelKey(bitlabel.Name(sibLabel, m))); err != nil {
-				return fmt.Errorf("core: merge remove %v: %w", sibLabel, err)
-			}
-			ix.stats.RecordsMoved.Add(int64(sib.Load()))
-		} else {
-			// The sibling sits at the merged key: ship our records there
-			// and retire our own bucket locally.
-			if err := ix.d.Put(labelKey(parentName), merged); err != nil {
-				return fmt.Errorf("core: merge write %v: %w", parent, err)
-			}
-			ix.stats.RecordsMoved.Add(int64(b.Load()))
-			if err := ix.raw.Remove(labelKey(bitlabel.Name(b.Label, m))); err != nil {
-				return fmt.Errorf("core: merge retire %v: %w", b.Label, err)
-			}
+		res, err = dht.Do(via(absorber), labelKey(absorber), InstallOp{Rule: ix.splitRule(), Piece: retired.Bucket, Absorb: true, Expect: expect})
+		if err != nil {
+			return fmt.Errorf("core: merge into %v: %w", parent, err)
+		}
+		c, _ := res.(Commit)
+		if c.Err != nil {
+			return fmt.Errorf("core: merge into %v: %w", parent, c.Err)
+		}
+		clear := ClearOp{Labels: []bitlabel.Label{x}, Restore: c.Gone}
+		if _, err := dht.Do(via(parent), labelKey(parent), clear); err != nil {
+			return fmt.Errorf("core: merge clear %v: %w", x, err)
+		}
+		if c.Gone {
+			// The sibling stopped being the leaf under fmd(parent): x stays.
+			return nil
+		}
+		if err := ix.finishMove(absorber, c.Moved, c.Gen); err != nil {
+			return err
 		}
 		ix.stats.Merges.Inc()
+		ix.stats.RecordsMoved.Add(int64(retired.Bucket.Load()))
 		// Both children are gone; the parent is the leaf this client just
 		// wrote.
-		ix.invalidateLeaf(b.Label)
+		ix.invalidateLeaf(leaf)
 		ix.invalidateLeaf(sibLabel)
-		ix.cacheLeaf(merged.Label)
-		b = merged
+		ix.cacheLeaf(c.Keep.Label)
+		if len(c.Moved) > 0 || c.Keep.Label != parent {
+			return nil
+		}
+		leaf, load, gen = parent, c.Load, c.Gen
 	}
 	return nil
 }

@@ -24,15 +24,24 @@ import (
 // bucket format they extend (columnar.go; integers as there, a label as in a
 // bucket: byte length, uint64 bits):
 //
-//	append   = 1, 5 × uvarint (dims, max depth, strategy, θsplit, ε),
-//	           uvarint count, count × record
+//	append   = 1, rule, uvarint count, count × record
+//	rule     = 5 × uvarint (dims, max depth, strategy, θsplit, ε)
 //	remove   = 2, uvarint θmerge, record (the key, and the data to match)
-//	commit   = flags (1 gone, 2 failed), 3 × uvarint (accepted, splits, records
-//	           moved), uvarint stale count, stale × uvarint, label, uvarint load,
-//	           uvarint moved count, moved × (uvarint length, bucket),
-//	           failed: uvarint length, message
-//	removal  = flags (1 removed, 2 gone, 4 bucket follows), label, uvarint load,
-//	           bucket follows: bucket
+//	install  = 3, rule, flags (1 absorb), bucket (the piece)
+//	retire   = 4, label
+//	clear    = 5, flags (1 restore), uvarint count, count × label
+//	commit   = flags (1 gone, 2 failed, 4 hop), 3 × uvarint (accepted, splits,
+//	           records moved), uvarint stale count, stale × uvarint, label,
+//	           uvarint load, uvarint moved count, moved × (uvarint length,
+//	           bucket), failed: uvarint length, message, hop: hop
+//	removal  = flags (1 removed, 2 gone, 4 bucket follows, 8 hop), label,
+//	           uvarint load, hop: hop, bucket follows: bucket
+//	hop      = flags (1 absorb), uvarint length, bucket (the frozen piece)
+//	retired  = 0, label | 1, bucket
+//	cleared  = nothing
+//
+// A bucket in the middle of a move carries it in its own encoding (move.go),
+// so a stored bucket is still one value, which the ops below read whole.
 //
 // An op names no leaf: the owner runs it if the cell of whatever leaf is
 // stored under the key covers the record(s). A reply says what was decided,
@@ -85,6 +94,12 @@ var (
 // when a record was accepted. A commit that accepted nothing — the leaf is
 // gone, every record is stale, the split machinery failed, the stored records
 // are not of the rule's dimensionality — writes nothing.
+//
+// A split keeps the stayer marked with the pieces that leave it (move.go). A
+// bucket in the middle of a move takes records into what stays (a split's
+// stayer, marked pieces and all, its own split adding to them); records that
+// only a frozen piece covers are stale, and when no record stays the commit
+// is gone with the hop of the first record's piece.
 func (op AppendOp) commit(stored Bucket) (c Commit, write bool) {
 	if d := stored.dims(); stored.Load() > 0 && d != op.Rule.Dims {
 		// Bytes a client stored: their records cannot share a bucket with
@@ -92,8 +107,37 @@ func (op AppendOp) commit(stored Bucket) (c Commit, write bool) {
 		err := fmt.Errorf("core: leaf %v holds %d-dimensional records, the index %d", stored.Label, d, op.Rule.Dims)
 		return Commit{Err: err}, false
 	}
-	c = op.Rule.Append(stored, op.Records)
+	if stored.tombstone() {
+		return Commit{Gone: true}, false
+	}
+	if stored.mark() != nil && stored.mark().retire {
+		return op.hopped(stored), false
+	}
+	c = op.Rule.Append(stored.unmarked(), op.Records)
+	if c.Gone && stored.mark() != nil {
+		return op.hopped(stored), false
+	}
+	if c.Err == nil {
+		c.Keep.x, c.Gen = stored.x, stored.merges()
+		if len(c.Moved) > 0 {
+			c.Keep = c.Keep.withPieces(c.Moved)
+		}
+	}
 	return c, !c.Gone && c.Err == nil && c.Accepted > 0
+}
+
+// hopped is the commit of an append that lands in no stayer of a moving
+// bucket: gone, with the reported label, and the hop of the first record a
+// frozen piece covers.
+func (op AppendOp) hopped(stored Bucket) Commit {
+	c := Commit{Keep: Bucket{Label: stored.reported()}, Gone: true}
+	for _, rec := range op.Records {
+		if h, ok := stored.hopFor(rec.Key); ok {
+			c.Hop = &h
+			break
+		}
+	}
+	return c
 }
 
 // extends reports whether commit would take Append's first way, the stored
@@ -101,7 +145,7 @@ func (op AppendOp) commit(stored Bucket) (c Commit, write bool) {
 // dimensionality, its cell covers them all, and they keep it under the split
 // bound.
 func (op AppendOp) extends(stored Bucket) bool {
-	if len(op.Records) == 0 || stored.Load() > 0 && stored.dims() != op.Rule.Dims {
+	if len(op.Records) == 0 || stored.extended() || stored.Load() > 0 && stored.dims() != op.Rule.Dims {
 		return false
 	}
 	var s spatial.Scratch
@@ -150,6 +194,14 @@ func (op RemoveOp) Run(cur any, _ bool) (next any, write bool, result any, err e
 // bucket it keeps built straight from the stored one's (marshalCut). A reply
 // that carries the kept bucket carries those bytes.
 func (op RemoveOp) RunEncoded(stored Bucket) ([]byte, bool, []byte) {
+	if stored.mark() != nil || stored.tombstone() {
+		out := Remove(stored, op.Key, op.Data)
+		if !out.Removed {
+			return nil, false, op.removal(out, nil)
+		}
+		next := out.Keep.Marshal()
+		return next, true, op.removal(out, out.Keep.unmarked().Marshal())
+	}
 	out, lo, hi := remove(stored, op.Key, op.Data)
 	if !out.Removed {
 		return nil, false, op.removal(out, nil)
@@ -164,10 +216,14 @@ const (
 
 	commitGone   = 1
 	commitFailed = 2
+	commitHop    = 4
+	commitGen    = 8
 
 	removalRemoved = 1
 	removalGone    = 2
 	removalBucket  = 4
+	removalHop     = 8
+	removalGen     = 16
 )
 
 // ErrOp reports bytes that are not an op of the vocabulary, or one whose
@@ -178,14 +234,18 @@ var ErrOp = errors.New("core: malformed op")
 func EncodeOp(op Op) []byte { return op.encode(nil) }
 
 func (op AppendOp) encode(buf []byte) []byte {
-	buf = append(buf, opAppend)
-	r := op.Rule
-	for _, v := range [...]int{r.Dims, r.MaxDepth, int(r.Strategy), r.ThetaSplit, r.Epsilon} {
-		buf = binary.AppendUvarint(buf, uint64(v))
-	}
+	buf = op.Rule.appendTo(append(buf, opAppend))
 	buf = binary.AppendUvarint(buf, uint64(len(op.Records)))
 	for _, rec := range op.Records {
 		buf = AppendRecord(buf, rec)
+	}
+	return buf
+}
+
+// appendTo appends the rule's byte form.
+func (r SplitRule) appendTo(buf []byte) []byte {
+	for _, v := range [...]int{r.Dims, r.MaxDepth, int(r.Strategy), r.ThetaSplit, r.Epsilon} {
+		buf = binary.AppendUvarint(buf, uint64(v))
 	}
 	return buf
 }
@@ -213,6 +273,22 @@ func (r *reader) int() int {
 	}
 	r.p = r.p[n:]
 	return int(v)
+}
+
+// rule reads a SplitRule's byte form.
+func (r *reader) rule() SplitRule {
+	return SplitRule{Dims: r.int(), MaxDepth: r.int(), Strategy: SplitStrategy(r.int()), ThetaSplit: r.int(), Epsilon: r.int()}
+}
+
+// uint reads a uvarint.
+func (r *reader) uint() uint64 {
+	v, n := binary.Uvarint(r.p)
+	if n <= 0 {
+		r.bad = true
+		return 0
+	}
+	r.p = r.p[n:]
+	return v
 }
 
 func (r *reader) byte() byte {
@@ -299,7 +375,7 @@ func decodeOp(body []byte) (Op, error) {
 	r := reader{p: body}
 	switch kind := r.byte(); kind {
 	case opAppend:
-		rule := SplitRule{Dims: r.int(), MaxDepth: r.int(), Strategy: SplitStrategy(r.int()), ThetaSplit: r.int(), Epsilon: r.int()}
+		rule := r.rule()
 		count := r.int()
 		if r.bad {
 			return nil, errors.New("append: truncated")
@@ -337,6 +413,12 @@ func decodeOp(body []byte) (Op, error) {
 		}
 		size, n := binary.Uvarint(p)
 		return RemoveOp{Key: key, Data: string(p[n : n+int(size)]), MergeThreshold: theta}, nil
+	case opInstall:
+		return decodeInstall(&r)
+	case opRetire:
+		return decodeRetire(&r)
+	case opClear:
+		return decodeClear(&r)
 	default:
 		return nil, fmt.Errorf("unknown op kind %d", kind)
 	}
@@ -351,6 +433,12 @@ func (op AppendOp) encodeResult(result any) []byte {
 	}
 	if c.Err != nil {
 		flags |= commitFailed
+	}
+	if c.Hop != nil {
+		flags |= commitHop
+	}
+	if c.Gen != 0 {
+		flags |= commitGen
 	}
 	buf := append(make([]byte, 0, 32), flags)
 	buf = binary.AppendUvarint(buf, uint64(c.Accepted))
@@ -370,6 +458,12 @@ func (op AppendOp) encodeResult(result any) []byte {
 	if c.Err != nil {
 		msg := c.Err.Error()
 		buf = append(binary.AppendUvarint(buf, uint64(len(msg))), msg...)
+	}
+	if c.Hop != nil {
+		buf = appendHop(buf, c.Hop)
+	}
+	if c.Gen != 0 {
+		buf = binary.AppendUvarint(buf, c.Gen)
 	}
 	return buf
 }
@@ -411,7 +505,13 @@ func (op AppendOp) DecodeResult(data []byte) (any, error) {
 	if flags&commitFailed != 0 {
 		c.Err = errors.New(string(r.chunk()))
 	}
-	if r.bad || len(r.p) != 0 || flags&^(commitGone|commitFailed) != 0 {
+	if flags&commitHop != 0 {
+		c.Hop = r.hop()
+	}
+	if flags&commitGen != 0 {
+		c.Gen = r.uint()
+	}
+	if r.bad || len(r.p) != 0 || flags&^(commitGone|commitFailed|commitHop|commitGen) != 0 {
 		return nil, fmt.Errorf("%w: commit", ErrEncoding)
 	}
 	return c, nil
@@ -438,6 +538,12 @@ func (op RemoveOp) removal(out Removal, kept []byte) []byte {
 	if out.Gone {
 		flags |= removalGone
 	}
+	if out.Hop != nil {
+		flags |= removalHop
+	}
+	if out.Keep.merges() != 0 {
+		flags |= removalGen
+	}
 	if out.Removed && out.Load < op.MergeThreshold {
 		flags |= removalBucket
 	} else {
@@ -446,6 +552,12 @@ func (op RemoveOp) removal(out Removal, kept []byte) []byte {
 	buf := append(make([]byte, 0, 10+uvarintLen(uint64(out.Load))+len(kept)), flags)
 	buf = appendLabel(buf, out.Keep.Label)
 	buf = binary.AppendUvarint(buf, uint64(out.Load))
+	if out.Hop != nil {
+		buf = appendHop(buf, out.Hop)
+	}
+	if out.Keep.merges() != 0 {
+		buf = binary.AppendUvarint(buf, out.Keep.merges())
+	}
 	return append(buf, kept...)
 }
 
@@ -457,7 +569,13 @@ func (op RemoveOp) DecodeResult(data []byte) (any, error) {
 	out := Removal{Removed: flags&removalRemoved != 0, Gone: flags&removalGone != 0}
 	out.Keep.Label = r.label()
 	out.Load = r.int()
-	if r.bad || flags&^(removalRemoved|removalGone|removalBucket) != 0 {
+	if flags&removalHop != 0 {
+		out.Hop = r.hop()
+	}
+	if flags&removalGen != 0 {
+		out.Keep = out.Keep.withGen(r.uint())
+	}
+	if r.bad || flags&^(removalRemoved|removalGone|removalBucket|removalHop|removalGen) != 0 {
 		return nil, fmt.Errorf("%w: removal", ErrEncoding)
 	}
 	if flags&removalBucket == 0 {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -61,8 +60,8 @@ func TestRangeQueryParallelRaceStress(t *testing.T) {
 				return
 			}
 			if i%3 == 0 {
-				if _, err := ix.Delete(p, data); err != nil && !errors.Is(err, ErrNotFound) {
-					t.Errorf("writer delete: %v", err)
+				if removed, err := ix.Delete(p, data); err != nil || !removed {
+					t.Errorf("writer delete: %v, %v", removed, err)
 					return
 				}
 			}
@@ -77,22 +76,20 @@ func TestRangeQueryParallelRaceStress(t *testing.T) {
 			for i := 0; i < perQuerier; i++ {
 				q := randomRect(qrng, 2)
 				res, err := ix.RangeQueryParallel(q, 4)
-				if err != nil && !errors.Is(err, ErrNotFound) {
+				if err != nil {
 					t.Errorf("querier %d: %v", g, err)
 					return
 				}
-				if err == nil {
-					for _, rec := range res.Records {
-						if !q.Contains(rec.Key) {
-							t.Errorf("querier %d: record %v outside %v", g, rec.Key, q)
-							return
-						}
+				for _, rec := range res.Records {
+					if !q.Contains(rec.Key) {
+						t.Errorf("querier %d: record %v outside %v", g, rec.Key, q)
+						return
 					}
 				}
 				// Cached point lookups race with the writer's splits and
 				// merges; a stale hint must recover, never error.
 				p := spatial.Point{qrng.Float64(), qrng.Float64()}
-				if _, err := ix.Lookup(p); err != nil && !errors.Is(err, ErrNotFound) {
+				if _, err := ix.Lookup(p); err != nil {
 					t.Errorf("querier %d lookup: %v", g, err)
 					return
 				}
@@ -110,11 +107,15 @@ func TestRangeQueryParallelRaceStress(t *testing.T) {
 	if snap.MaxInFlight < 1 || snap.MaxInFlight > 8 {
 		t.Errorf("MaxInFlight high-water %d outside [1,8]", snap.MaxInFlight)
 	}
+	if err := CheckInvariants(ix); err != nil {
+		t.Fatal(err)
+	}
 	all, err := ix.RangeQuery(spatial.Rect{Lo: spatial.Point{0, 0}, Hi: spatial.Point{1, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := ix.Size(); err != nil || len(all.Records) != n {
-		t.Fatalf("whole-space query = %d records, Size = %d (%v)", len(all.Records), n, err)
+	// 400 seeded, 150 churned in, every third of those deleted again.
+	if n, err := ix.Size(); err != nil || len(all.Records) != n || n != 400+150-50 {
+		t.Fatalf("whole-space query = %d records, Size = %d (%v), want %d", len(all.Records), n, err, 400+150-50)
 	}
 }

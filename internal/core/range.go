@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"mlight/internal/bitlabel"
@@ -26,6 +27,8 @@ type queryCtx struct {
 	h     int
 	shape spatial.Shape
 	span  trace.SpanID
+	// depth counts the queries gather nested this one in.
+	depth int
 }
 
 // RangeQuery answers a multi-dimensional range query with the basic
@@ -118,6 +121,9 @@ func (ix *Index) rangeQueryCtx(q spatial.Rect, ctx queryCtx) (*QueryResult, erro
 		b, found, err := ix.getBucketSpan(bitlabel.Name(lca, m), ctx.span)
 		res.Lookups++
 		res.Rounds++
+		if err == nil && found {
+			b, err = eng.gather(b)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -132,8 +138,26 @@ func (ix *Index) rangeQueryCtx(q spatial.Rect, ctx queryCtx) (*QueryResult, erro
 			}
 			res.Lookups += lt.Probes
 			res.Rounds += lt.Probes
-			res.Records = filterRecords(leaf, q, ctx.shape).records()
-			return res, nil
+			if leaf.Label.IsPrefixOf(lca) {
+				res.Records = filterRecords(leaf, q, ctx.shape).records()
+				return res, nil
+			}
+			// The leaf that held the range split, and the LCA's key is one
+			// its move has not filled yet: plan from the root instead, whose
+			// key always holds a bucket.
+			lca = bitlabel.Root(m)
+			b, found, err = ix.getBucketSpan(bitlabel.Name(lca, m), ctx.span)
+			res.Lookups++
+			res.Rounds++
+			if err == nil && found {
+				b, err = eng.gather(b)
+			}
+			if err == nil && !found {
+				err = fmt.Errorf("%w: no bucket under the root's key", ErrNotFound)
+			}
+			if err != nil {
+				return nil, err
+			}
 		}
 		if frontier, err = eng.expand(q, lca, b, root, nil); err != nil {
 			return nil, err
@@ -355,6 +379,10 @@ func (e *rangeEngine) resolveProbe(it frontierItem, r dht.BatchResult, next []fr
 	m := e.ix.opts.Dims
 	e.lookups++
 	b, found, err := e.ix.batchedBucket(bitlabel.Name(it.p.Node, m), r, "get", span)
+	moving := found && b.mark() != nil
+	if moving && err == nil {
+		b, err = e.gather(b)
+	}
 	if err != nil {
 		return next, err
 	}
@@ -367,7 +395,10 @@ func (e *rangeEngine) resolveProbe(it frontierItem, r dht.BatchResult, next []fr
 		}
 		return append(next, cover), nil
 	}
-	e.ix.cacheLeaf(b.Label)
+	if !moving {
+		// A gathered bucket stands for the leaf that split, a leaf no more.
+		e.ix.cacheLeaf(b.Label)
+	}
 	if b.Label == it.p.Node {
 		// The node itself is a leaf; it covers the piece entirely.
 		it.node.match = filterRecords(b, it.p.Q, e.ctx.shape)
@@ -388,11 +419,17 @@ func (e *rangeEngine) resolveCover(it frontierItem, results []dht.BatchResult, n
 		e.lookups++
 		e.ix.stats.DHTLookups.Inc()
 		b, found, err := e.ix.batchedBucket(name, results[slot], "get-cand", span)
+		moving := found && b.mark() != nil
+		if moving && err == nil {
+			b, err = e.gather(b)
+		}
 		if err != nil {
 			return next, err
 		}
 		if found && b.Label.IsPrefixOf(it.p.Node) {
-			e.ix.cacheLeaf(b.Label)
+			if !moving {
+				e.ix.cacheLeaf(b.Label)
+			}
 			it.node.match = filterRecords(b, it.p.Q, e.ctx.shape)
 			return next, nil
 		}
@@ -409,10 +446,32 @@ func (e *rangeEngine) resolveFallback(it frontierItem, span trace.SpanID) error 
 	if err != nil {
 		return err
 	}
-	it.node.match = filterRecords(leaf, it.p.Q, e.ctx.shape)
 	e.lookups += lt.Probes
 	e.extraRounds = max(e.extraRounds, lt.Probes-1)
+	if !leaf.Label.IsPrefixOf(it.p.Node) {
+		// The piece's cell split after the round that planned it (a move
+		// filled its key since): the piece is queried whole.
+		if leaf, err = e.subquery(it.p.Node, it.p.Q); err != nil {
+			return err
+		}
+	}
+	it.node.match = filterRecords(leaf, it.p.Q, e.ctx.shape)
 	return nil
+}
+
+// subquery answers the range q inside node's cell as a bucket labeled node,
+// with a query of its own. Only a round planned before a move ended needs it.
+func (e *rangeEngine) subquery(node bitlabel.Label, q spatial.Rect) (Bucket, error) {
+	if e.ctx.depth >= maxHops {
+		return Bucket{}, fmt.Errorf("core: range nested %d queries deep at %v", e.ctx.depth, node)
+	}
+	res, err := e.ix.rangeQueryCtx(q, queryCtx{h: 1, span: e.ctx.span, depth: e.ctx.depth + 1})
+	if err != nil {
+		return Bucket{}, err
+	}
+	e.lookups += res.Lookups
+	e.extraRounds += res.Rounds
+	return NewBucket(node, res.Records), nil
 }
 
 // expand asks the planner what a bucket b fetched as the corner cell of node
@@ -438,4 +497,74 @@ func (n *execNode) probes(pieces []piece, next []frontierItem) []frontierItem {
 		next = append(next, frontierItem{kind: itemProbe, p: p, node: child})
 	}
 	return next
+}
+
+// gather returns, for a bucket in the middle of a move (move.go), the leaf it
+// answers for — its reported label — with the records that leaf's cell holds
+// now: the stayer's, and each frozen piece's where it went. A piece's target
+// holds them when a bucket there covers the piece; a piece that arrived and
+// moved on since (split again, or merged away) is queried over its cell; a
+// piece that has not arrived
+// holds them in the mark, as no write reaches it first. A plain bucket is
+// returned as it is. The reads are serial, charged as extra rounds; they
+// happen only while a move is under way.
+func (e *rangeEngine) gather(b Bucket) (Bucket, error) {
+	if b.mark() == nil {
+		return b, nil
+	}
+	ix, m := e.ix, e.ix.opts.Dims
+	var recs []spatial.Record
+	if !b.mark().retire {
+		recs = b.Records()
+	}
+	for _, h := range b.hops() {
+		cell, err := spatial.RegionOf(h.piece.Label, m)
+		if err != nil {
+			return Bucket{}, err
+		}
+		at, found, err := ix.getBucketSpan(h.target(m), e.ctx.span)
+		e.lookups++
+		e.extraRounds++
+		if err != nil {
+			return Bucket{}, err
+		}
+		switch {
+		case found && h.arrived(at):
+			if at, err = e.gather(at); err != nil {
+				return Bucket{}, err
+			}
+			recs = appendWithin(recs, at.Records(), cell)
+		case !h.gone(at) && (!found || h.absorb || h.supersedes(at)):
+			recs = append(recs, h.piece.Records()...)
+		default:
+			// The query's rectangle is closed and the cell half-open: its
+			// upper corner moves one float inward, or the rectangle would
+			// reach the next cell and its LCA the leaf that split.
+			hi := make(spatial.Point, m)
+			for j := range hi {
+				hi[j] = math.Nextafter(cell.Hi[j], cell.Lo[j])
+			}
+			if e.ctx.depth >= maxHops {
+				return Bucket{}, fmt.Errorf("core: range gathered %d moves deep at %v", e.ctx.depth, h.piece.Label)
+			}
+			res, err := ix.rangeQueryCtx(spatial.Rect{Lo: cell.Lo, Hi: hi}, queryCtx{h: 1, span: e.ctx.span, depth: e.ctx.depth + 1})
+			if err != nil {
+				return Bucket{}, err
+			}
+			e.lookups += res.Lookups
+			e.extraRounds += res.Rounds
+			recs = appendWithin(recs, res.Records, cell)
+		}
+	}
+	return NewBucket(b.reported(), recs), nil
+}
+
+// appendWithin appends the records that lie in cell.
+func appendWithin(out, recs []spatial.Record, cell spatial.Region) []spatial.Record {
+	for _, r := range recs {
+		if cell.Contains(r.Key) {
+			out = append(out, r)
+		}
+	}
+	return out
 }

@@ -81,7 +81,7 @@ func TestTilePlansTheRange(t *testing.T) {
 func tileClients(t *testing.T, rng *rand.Rand, n int, size func(leaves int) int) (a, b, c *Index) {
 	t.Helper()
 	shared := dht.MustNewLocal(4)
-	tuning := index.Tuning{Capacity: 8, MergeThreshold: 4, Sleep: dht.NoSleep}
+	tuning := index.Tuning{Capacity: 8, MergeThreshold: 4}
 	var err error
 	if b, err = New(shared, tuning); err != nil {
 		t.Fatal(err)

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"errors"
-	"fmt"
 	"sort"
 	"sync"
 
@@ -57,9 +55,8 @@ func (ix *Index) InsertBatch(recs []spatial.Record) []error {
 		}
 	}
 	// Only misses are looked up, overlapped up to the in-flight cap. A lookup
-	// that cannot locate a covering bucket (a concurrent split mid-flight)
-	// routes the record to the sequential fallback, which retries with
-	// backoff.
+	// reads through a concurrent split or merge (move.go), so one that fails
+	// is the record's error.
 	dht.Fan(len(misses), ix.opts.MaxInFlight, func(j int) {
 		i := misses[j]
 		b, err := ix.lookupPath(recs[i].Key, paths[i], views[i], &LookupTrace{}, 0)
@@ -70,10 +67,7 @@ func (ix *Index) InsertBatch(recs []spatial.Record) []error {
 	groups := make(map[bitlabel.Label]*insertGroup)
 	var order []*insertGroup
 	for _, i := range valid {
-		if err := errs[i]; err != nil {
-			if errors.Is(err, ErrNotFound) {
-				fallback = append(fallback, i)
-			}
+		if errs[i] != nil {
 			continue
 		}
 		key := bitlabel.Name(leaves[i], ix.opts.Dims)
@@ -91,11 +85,11 @@ func (ix *Index) InsertBatch(recs []spatial.Record) []error {
 	// One append op per destination key, all keys in flight at once.
 	dht.Fan(len(order), ix.opts.MaxInFlight, func(j int) {
 		g := order[j]
-		g.leaf, g.landed, g.err = ix.appendProbe(g.recs, &g.commit)(g.key, 0)
+		g.leaf, g.landed, g.err = ix.appendProbe(g.recs, &g.wrote)(g.key, 0)
 	})
 
-	var placeOps []dht.PutOp
-	var placeGroups []*insertGroup
+	var moved []Bucket
+	var movedGroups []*insertGroup
 	for _, g := range order {
 		if g.err != nil {
 			for _, i := range g.recIdx {
@@ -112,7 +106,7 @@ func (ix *Index) InsertBatch(recs []spatial.Record) []error {
 			for k := range landed {
 				landed[k] = true
 			}
-			for _, k := range g.commit.Stale {
+			for _, k := range g.wrote.commit.Stale {
 				landed[k] = false
 			}
 		}
@@ -132,23 +126,34 @@ func (ix *Index) InsertBatch(recs []spatial.Record) []error {
 			continue
 		}
 		ix.cacheLeaf(g.leaf)
-		ix.settle(&g.commit)
-		placeOps = ix.placeOps(placeOps, g.commit.Moved)
-		for range g.commit.Moved {
-			placeGroups = append(placeGroups, g)
+		ix.settle(&g.wrote.commit)
+		moved = append(moved, pieces(g.wrote.commit.Moved, g.wrote.commit.Gen)...)
+		for range g.wrote.commit.Moved {
+			movedGroups = append(movedGroups, g)
 		}
 	}
 
-	// Ship every relocated piece of the whole batch in one PutBatch round.
-	if len(placeOps) > 0 {
-		for k, err := range dht.PutBatch(ix.d, placeOps, ix.opts.MaxInFlight) {
-			if err == nil {
-				continue
-			}
-			// A stale record's slot is overwritten by its fallback insert below.
-			for _, i := range placeGroups[k].recIdx {
+	// Install every relocated piece of the whole batch in one round, then
+	// clear each split's mark.
+	for k, err := range ix.installPieces(moved) {
+		// A stale record's slot is overwritten by its fallback insert below.
+		if g := movedGroups[k]; err != nil && g.err == nil {
+			g.err = err
+			for _, i := range g.recIdx {
 				if errs[i] == nil {
-					errs[i] = fmt.Errorf("core: place bucket: %w", err)
+					errs[i] = err
+				}
+			}
+		}
+	}
+	for k, g := range movedGroups {
+		if (k > 0 && movedGroups[k-1] == g) || g.err != nil {
+			continue
+		}
+		if err := ix.clearMove(g.wrote.key, g.wrote.commit.Moved); err != nil {
+			for _, i := range g.recIdx {
+				if errs[i] == nil {
+					errs[i] = err
 				}
 			}
 		}
@@ -168,7 +173,7 @@ type insertGroup struct {
 	key    bitlabel.Label   // fmd of the leaf the records were resolved to
 	recIdx []int            // positions in the batch, ascending (stream order)
 	recs   []spatial.Record // the records at those positions
-	commit Commit
+	wrote  wrote
 	// leaf is the stored leaf the append landed in or, when it did not land,
 	// the label the owner reported; err is a failure of the op itself.
 	leaf   bitlabel.Label

@@ -64,7 +64,7 @@ func TestDurableLocalRecoveryIsExact(t *testing.T) {
 	seed := dhttest.SeedFromEnv(1)
 	rng := rand.New(rand.NewSource(seed))
 	l, w := openBucketStore(t, 16)
-	ix, err := core.New(l, index.Tuning{Dims: 2, Capacity: 8, Sleep: dht.NoSleep})
+	ix, err := core.New(l, index.Tuning{Dims: 2, Capacity: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func (s *applySpy) Apply(key dht.Key, fn dht.ApplyFunc) error {
 // the one that lands is declined.
 func TestDurableLocalUnchangedBucketJournalsNothing(t *testing.T) {
 	l, w := openBucketStore(t, -1)
-	opts := index.Tuning{Dims: 2, Capacity: 4, Sleep: dht.NoSleep}
+	opts := index.Tuning{Dims: 2, Capacity: 4}
 	writer, err := core.New(l, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,6 @@ package index
 
 import (
 	"fmt"
-	"time"
 
 	"mlight/internal/dht"
 	"mlight/internal/metrics"
@@ -85,7 +84,6 @@ func (s SplitStrategy) String() string {
 //	CacheSize       0 (off)        yes       —        —
 //	Retry           nil (off)      yes       yes      yes
 //	Trace           nil (off)      yes       yes      yes
-//	Sleep           time.Sleep     yes       —        —
 //	Seed            0              yes       —        —
 type Tuning struct {
 	// Dims is the data dimensionality m.
@@ -130,10 +128,6 @@ type Tuning struct {
 	// lookup searches and cache events. Every collection point is a nil
 	// check, so a disabled trace costs nothing.
 	Trace *trace.Collector
-	// Sleep is the sleeper m-LIGHT maintenance backs off with between
-	// conflicting insert attempts; tests inject dht.NoSleep so retries are
-	// deterministic and free, the convention RetryPolicy.Sleep follows.
-	Sleep func(time.Duration)
 	// Seed seeds the index's internal randomness — today the depth-probe
 	// sampling of EstimateDepth. The index never reads the global rand
 	// source or the wall clock, so any fixed value (the zero value included)
@@ -201,9 +195,6 @@ func (t Tuning) Normalize() (Tuning, error) {
 	}
 	if t.MaxInFlight == 0 {
 		t.MaxInFlight = dht.DefaultMaxInFlight
-	}
-	if t.Sleep == nil {
-		t.Sleep = time.Sleep
 	}
 
 	if t.Dims < 1 {
@@ -299,12 +290,6 @@ func WithRetry(p dht.RetryPolicy) Option {
 // WithTrace attaches c as the operation-trace collector. A nil c detaches.
 func WithTrace(c *trace.Collector) Option {
 	return func(t *Tuning) { t.Trace = c }
-}
-
-// WithSleep sets the maintenance backoff sleeper. Pass dht.NoSleep for
-// deterministic tests over simulated substrates; nil restores time.Sleep.
-func WithSleep(sleep func(time.Duration)) Option {
-	return func(t *Tuning) { t.Sleep = sleep }
 }
 
 // WithSeed seeds the index's internal randomness (depth-estimation probes).

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"mlight/internal/dht"
 	"mlight/internal/trace"
@@ -17,7 +16,7 @@ func TestNormalizeDefaults(t *testing.T) {
 	}
 	if got.Dims != 2 || got.MaxDepth != 28 || got.Capacity != 100 || got.MergeThreshold != 50 ||
 		got.Strategy != SplitThreshold || got.Epsilon != 70 || got.MaxInFlight != dht.DefaultMaxInFlight ||
-		got.CacheSize != 0 || got.Retry != nil || got.Trace != nil || got.Sleep == nil || got.Seed != 0 {
+		got.CacheSize != 0 || got.Retry != nil || got.Trace != nil || got.Seed != 0 {
 		t.Errorf("defaults = %+v", got)
 	}
 	// The merge threshold follows the capacity it was not given beside.
@@ -31,7 +30,6 @@ func TestNormalizeDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got.Sleep = nil
 	if !reflect.DeepEqual(got, set) {
 		t.Errorf("Normalize changed set fields: %+v, want %+v", got, set)
 	}
@@ -83,20 +81,16 @@ func TestResolveAppliesLeftToRight(t *testing.T) {
 	}
 	// Every option sets exactly its own field.
 	tc := trace.NewCollector()
-	slept := false
 	got = Resolve(
 		WithDims(4), WithMaxDepth(12), WithCapacity(9), WithMergeThreshold(3), WithSplit(SplitDataAware),
 		WithEpsilon(6), WithMaxInFlight(2), WithCache(5), WithRetry(dht.RetryPolicy{MaxAttempts: 3}),
-		WithTrace(tc), WithSleep(func(time.Duration) { slept = true }), WithSeed(8), WithSubstrate("pastry"),
+		WithTrace(tc), WithSeed(8), WithSubstrate("pastry"),
 	)
 	if got.Dims != 4 || got.MaxDepth != 12 || got.Capacity != 9 || got.MergeThreshold != 3 ||
 		got.Strategy != SplitDataAware || got.Epsilon != 6 || got.MaxInFlight != 2 || got.CacheSize != 5 ||
 		got.Retry == nil || got.Retry.MaxAttempts != 3 || got.Trace != tc || got.Seed != 8 ||
 		got.Substrate != "pastry" || got.Transport != nil {
 		t.Errorf("Resolve = %+v", got)
-	}
-	if got.Sleep(0); !slept {
-		t.Error("WithSleep's sleeper was not installed")
 	}
 }
 

@@ -60,9 +60,14 @@ func FuzzUnmarshalBucket(f *testing.F) {
 		if !bytes.Equal(MarshalBucket(held), MarshalBucket(b)) {
 			t.Fatal("overwriting the decoded bytes changed the bucket")
 		}
-		// The header is a fixed nine bytes, then the count, then the records.
-		_, n := binary.Uvarint(data[9:])
-		rest := data[9+n:]
+		// The header is nine bytes, then an extension when the length byte's
+		// high bit is set (core/move.go), then the count, then the records.
+		head := 9
+		if data[0]&0x80 != 0 {
+			head += extensionLen(data[9:])
+		}
+		_, n := binary.Uvarint(data[head:])
+		rest := data[head+n:]
 		for i := 0; i < b.Load(); i++ {
 			var want spatial.Record
 			if want, rest, err = decodeRecord(rest); err != nil {
@@ -95,6 +100,30 @@ func FuzzUnmarshalBucket(f *testing.F) {
 			t.Fatal("the canonical encoding is not a fixed point")
 		}
 	})
+}
+
+// extensionLen walks a bucket extension's framing, as the bucket format
+// (core/move.go) writes it: a flags byte (1 a move, 2 a tombstone, 4 a
+// retiring bucket), the merge count, and for a move the retiring bucket's
+// sibling count, then the piece count and each piece as a length and bytes.
+func extensionLen(p []byte) int {
+	off := 1
+	_, n := binary.Uvarint(p[off:])
+	off += n
+	if p[0]&1 == 0 {
+		return off
+	}
+	if p[0]&4 != 0 {
+		_, n = binary.Uvarint(p[off:])
+		off += n
+	}
+	count, n := binary.Uvarint(p[off:])
+	off += n
+	for ; count > 0; count-- {
+		size, n := binary.Uvarint(p[off:])
+		off += n + int(size)
+	}
+	return off
 }
 
 // sameRecord compares coordinates by their bits: NaN is a value an arbitrary
@@ -362,6 +391,15 @@ func FuzzOp(f *testing.F) {
 	f.Add(core.EncodeOp(core.RemoveOp{Key: recs[0].Key, Data: "x", MergeThreshold: 2}), three)  // the bucket comes back
 	f.Add(core.EncodeOp(core.RemoveOp{Key: recs[0].Key, Data: "x", MergeThreshold: 1}), three)  // label and load
 	f.Add(core.EncodeOp(core.RemoveOp{Key: spatial.Point{0.3, 0.3}, MergeThreshold: 2}), three) // not there
+	piece := core.NewBucket(bitlabel.MustParse("0011"), recs[2:])
+	f.Add(core.EncodeOp(core.InstallOp{Rule: rule, Piece: piece}), []byte{})                                                                    // into an empty key
+	f.Add(core.EncodeOp(core.InstallOp{Rule: rule, Piece: piece, Absorb: true}), MarshalBucket(core.Bucket{Label: bitlabel.MustParse("0010")})) // absorbed
+	f.Add(core.EncodeOp(core.RetireOp{Label: root}), three)
+	f.Add(core.EncodeOp(core.ClearOp{Labels: []bitlabel.Label{piece.Label}}), three)
+	if next, _, _, err := (Op{Body: core.EncodeOp(core.AppendOp{Rule: rule, Records: recs})}).Run(three, true); err == nil && next != nil {
+		f.Add(appendOne, next.([]byte)) // at a bucket its split marked
+		f.Add(core.EncodeOp(core.ClearOp{Labels: []bitlabel.Label{piece.Label, bitlabel.MustParse("0010")}}), next.([]byte))
+	}
 	f.Add(appendOne, []byte("not a bucket"))
 	f.Add(appendOne, mixedDimsBucket())
 	f.Add(appendOne[:5], empty)

@@ -149,6 +149,15 @@ func outcomeOf(t *testing.T, result any) outcome {
 			o.Keep = hex.EncodeToString(wire.MarshalBucket(r.Keep))
 		}
 		return o
+	case core.Retired:
+		o := outcome{Gone: !r.Done, KeepLabel: r.Bucket.Label, Load: r.Bucket.Load()}
+		if r.Done {
+			o.Keep = hex.EncodeToString(wire.MarshalBucket(r.Bucket))
+		}
+		return o
+	case nil:
+		// A clear answers nothing.
+		return outcome{}
 	}
 	t.Fatalf("op result is a %T", result)
 	return outcome{}
@@ -256,6 +265,13 @@ func TestOpEquivalence(t *testing.T) {
 			if split.Splits == 0 || len(split.Moved) == 0 || split.Keep.Label == root {
 				t.Fatalf("ten records under θsplit 8 did not split: %+v", split)
 			}
+			// The split is a move: it ends with the clear its driver sends
+			// once the moved pieces are installed.
+			var moved []bitlabel.Label
+			for _, c := range split.Moved {
+				moved = append(moved, c.Label)
+			}
+			p.do("the clear that ends the split", key, core.ClearOp{Labels: moved})
 			leaf := split.Keep.Label
 			region, err := spatial.RegionOf(leaf, 2)
 			if err != nil {
@@ -418,30 +434,43 @@ func hostileOps() map[string][]byte {
 	// The record count is the uvarint before the one record's 1+16+1+1 bytes.
 	manyRecords := append(append([]byte(nil), enc[:len(enc)-20]...), 0xFF, 0xFF, 0xFF, 0x07)
 	manyRecords = append(manyRecords, enc[len(enc)-19:]...)
+	piece := core.NewBucket(bitlabel.MustParse("0011"), []spatial.Record{{Key: spatial.Point{0.75, 0.25}, Data: "p"}})
+	install := core.EncodeOp(core.InstallOp{Rule: opRule, Piece: piece})
+	outside := core.EncodeOp(core.InstallOp{Rule: opRule, Piece: core.NewBucket(piece.Label, []spatial.Record{{Key: spatial.Point{0.25, 0.25}}})})
+	retire := core.EncodeOp(core.RetireOp{Label: piece.Label})
+	clear := core.EncodeOp(core.ClearOp{Labels: []bitlabel.Label{piece.Label}})
 	return map[string][]byte{
-		"empty":                    {},
-		"unknown kind":             {9},
-		"truncated rule":           enc[:3],
-		"truncated record":         enc[:len(enc)-4],
-		"trailing bytes":           append(append([]byte(nil), enc...), 0),
-		"zero dims":                withRule(func(r *core.SplitRule) { r.Dims = 0 }),
-		"zero depth":               withRule(func(r *core.SplitRule) { r.MaxDepth = 0 }),
-		"depth past the label":     withRule(func(r *core.SplitRule) { r.MaxDepth = 62 }),
-		"zero θsplit":              withRule(func(r *core.SplitRule) { r.ThetaSplit = 0 }),
-		"huge θsplit":              withRule(func(r *core.SplitRule) { r.ThetaSplit = math.MaxInt64 }),
-		"unknown strategy":         withRule(func(r *core.SplitRule) { r.Strategy = 9 }),
-		"data-aware without ε":     withRule(func(r *core.SplitRule) { r.Strategy = core.SplitDataAware; r.Epsilon = 0 }),
-		"three coordinates":        withRecords(spatial.Record{Key: spatial.Point{0.1, 0.2, 0.3}}),
-		"mixed dimensions":         withRecords(spatial.Record{Key: spatial.Point{0.1, 0.2}}, spatial.Record{Key: spatial.Point{0.3}}),
-		"outside the unit cube":    withRecords(spatial.Record{Key: spatial.Point{0.5, 1.5}}),
-		"negative coordinate":      withRecords(spatial.Record{Key: spatial.Point{-0.1, 0.5}}),
-		"NaN coordinate":           withRecords(spatial.Record{Key: spatial.Point{math.NaN(), 0.5}}),
-		"infinite coordinate":      withRecords(spatial.Record{Key: spatial.Point{math.Inf(1), 0.5}}),
-		"more records than bytes":  manyRecords,
-		"remove: truncated":        remove[:len(remove)-3],
-		"remove: trailing bytes":   append(append([]byte(nil), remove...), 0),
-		"remove: no coordinates":   core.EncodeOp(core.RemoveOp{Key: spatial.Point{}}),
-		"remove: outside the cube": core.EncodeOp(core.RemoveOp{Key: spatial.Point{2, 2}}),
+		"install: truncated":              install[:len(install)-3],
+		"install: trailing bytes":         append(append([]byte(nil), install...), 0),
+		"install: piece outside its cell": outside,
+		"install: piece above the root":   core.EncodeOp(core.InstallOp{Rule: opRule, Piece: core.Bucket{Label: bitlabel.MustParse("00")}}),
+		"retire: trailing bytes":          append(append([]byte(nil), retire...), 0),
+		"retire: truncated":               retire[:5],
+		"clear: truncated":                clear[:len(clear)-1],
+		"clear: more labels than bytes":   append([]byte{clear[0], 0, 0x7F}, clear[3:]...),
+		"empty":                           {},
+		"unknown kind":                    {9},
+		"truncated rule":                  enc[:3],
+		"truncated record":                enc[:len(enc)-4],
+		"trailing bytes":                  append(append([]byte(nil), enc...), 0),
+		"zero dims":                       withRule(func(r *core.SplitRule) { r.Dims = 0 }),
+		"zero depth":                      withRule(func(r *core.SplitRule) { r.MaxDepth = 0 }),
+		"depth past the label":            withRule(func(r *core.SplitRule) { r.MaxDepth = 62 }),
+		"zero θsplit":                     withRule(func(r *core.SplitRule) { r.ThetaSplit = 0 }),
+		"huge θsplit":                     withRule(func(r *core.SplitRule) { r.ThetaSplit = math.MaxInt64 }),
+		"unknown strategy":                withRule(func(r *core.SplitRule) { r.Strategy = 9 }),
+		"data-aware without ε":            withRule(func(r *core.SplitRule) { r.Strategy = core.SplitDataAware; r.Epsilon = 0 }),
+		"three coordinates":               withRecords(spatial.Record{Key: spatial.Point{0.1, 0.2, 0.3}}),
+		"mixed dimensions":                withRecords(spatial.Record{Key: spatial.Point{0.1, 0.2}}, spatial.Record{Key: spatial.Point{0.3}}),
+		"outside the unit cube":           withRecords(spatial.Record{Key: spatial.Point{0.5, 1.5}}),
+		"negative coordinate":             withRecords(spatial.Record{Key: spatial.Point{-0.1, 0.5}}),
+		"NaN coordinate":                  withRecords(spatial.Record{Key: spatial.Point{math.NaN(), 0.5}}),
+		"infinite coordinate":             withRecords(spatial.Record{Key: spatial.Point{math.Inf(1), 0.5}}),
+		"more records than bytes":         manyRecords,
+		"remove: truncated":               remove[:len(remove)-3],
+		"remove: trailing bytes":          append(append([]byte(nil), remove...), 0),
+		"remove: no coordinates":          core.EncodeOp(core.RemoveOp{Key: spatial.Point{}}),
+		"remove: outside the cube":        core.EncodeOp(core.RemoveOp{Key: spatial.Point{2, 2}}),
 	}
 }
 
@@ -514,7 +543,45 @@ func goldenOps() map[string][]byte {
 		full = full.Append(spatial.Record{Key: spatial.Point{float64(i) / 8, float64(i%3) / 3}, Data: fmt.Sprint(i)})
 	}
 	five := core.NewBucket(leaf, []spatial.Record{inLeaf, recs[1], recs[1], recs[1], recs[1]})
+	// A split leaves the bucket it started from marked until its pieces are
+	// installed (core/move.go): the split's stored bytes, and an append or a
+	// remove that meets one of its pieces, answered with the piece.
+	next, _, res, err := (wire.Op{Body: core.EncodeOp(appendOp)}).Run(wire.MarshalBucket(full), true)
+	if err != nil {
+		panic(err)
+	}
+	marked := next.([]byte)
+	c, err := appendOp.DecodeResult(res.([]byte))
+	if err != nil {
+		panic(err)
+	}
+	moved := c.(core.Commit).Moved[0].Records[0]
+	runOn := func(op core.Op, stored []byte) []byte {
+		_, _, result, err := wire.Op{Body: core.EncodeOp(op)}.Run(stored, true)
+		if err != nil {
+			panic(err)
+		}
+		return result.([]byte)
+	}
+	half := bitlabel.MustParse("0010")
+	piece := core.NewBucket(half.Sibling(), []spatial.Record{{Key: spatial.Point{0.75, 0.25}, Data: "p"}})
+	install := core.InstallOp{Rule: opRule, Piece: piece}
+	absorb := core.InstallOp{Rule: opRule, Piece: piece, Absorb: true}
+	retire := core.RetireOp{Label: leaf, Expect: 1}
+	clear := core.ClearOp{Labels: []bitlabel.Label{leaf, half}}
 	return map[string][]byte{
+		"op/install":             core.EncodeOp(install),
+		"op/install-absorb":      core.EncodeOp(absorb),
+		"op/retire":              core.EncodeOp(retire),
+		"op/clear":               core.EncodeOp(clear),
+		"bucket/split-marked":    marked,
+		"commit/installed":       run(install, core.Bucket{}),
+		"commit/absorbed":        run(absorb, core.NewBucket(half, nil)),
+		"commit/install-refused": run(install, five),
+		"commit/hop":             runOn(core.AppendOp{Rule: opRule, Records: []spatial.Record{moved}}, marked),
+		"removal/hop":            runOn(core.RemoveOp{Key: moved.Key, Data: moved.Data, MergeThreshold: opTheta}, marked),
+		"retired/done":           run(core.RetireOp{Label: leaf}, five),
+		"retired/refused":        run(retire, core.Bucket{Label: root}),
 		"op/append":              core.EncodeOp(appendOp),
 		"op/remove":              core.EncodeOp(removeOp),
 		"commit/extended":        run(appendOp, core.Bucket{Label: root}),

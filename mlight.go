@@ -228,9 +228,6 @@ var (
 	// WithTrace attaches a trace collector to every operation the index
 	// performs; nil disables tracing.
 	WithTrace = index.WithTrace
-	// WithSleep sets the maintenance backoff sleeper (NoSleep makes insert
-	// retries deterministic over simulated substrates).
-	WithSleep = index.WithSleep
 	// WithSeed seeds the index's internal randomness (depth-estimation
 	// probes), keeping repeated runs replayable.
 	WithSeed = index.WithSeed
