@@ -11,6 +11,7 @@ import (
 
 	"mlight/internal/dht"
 	"mlight/internal/dht/dhttest"
+	"mlight/internal/overlay"
 	"mlight/internal/simnet"
 )
 
@@ -131,14 +132,19 @@ func assertBulkFixpoint(t *testing.T, ring *Ring) {
 	}
 }
 
-// retryAfterRound runs a join or restart; one that fails — its lookups ran
-// into a peer that left or crashed since the last round — is retried once
-// after a stabilize round, as the kernel's lookup errors prescribe.
+// retryAfterRound runs a join or restart; one that fails — it read the
+// predecessor of an owner that crashed since the last round — is retried
+// once after a stabilize round, as the kernel's lookup errors prescribe. A
+// route may not fail it: a dead hop on the way costs a detour (overlay.Route),
+// and an unreachable old predecessor is left to stabilization.
 func retryAfterRound(t *testing.T, ring *Ring, what string, join func() error) {
 	t.Helper()
 	err := join()
 	if err == nil {
 		return
+	}
+	if errors.Is(err, overlay.ErrLookupFailed) {
+		t.Fatalf("%s: the route failed: %v", what, err)
 	}
 	t.Logf("%s: %v; retrying after one round", what, err)
 	ring.Stabilize(1)

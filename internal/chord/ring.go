@@ -9,9 +9,6 @@ import (
 	"mlight/internal/transport"
 )
 
-// maxHops bounds one iterative lookup.
-const maxHops = 512
-
 // Ring is the overlay kernel running Chord routing.
 type Ring = overlay.Overlay
 
@@ -61,43 +58,68 @@ func (r *router) succsOf(from transport.NodeID, of ref) ([]ref, error) {
 	return succs, nil
 }
 
-// Route implements overlay.Router: one iterative route from cur towards
-// target.
-func (r *router) Route(cur ref, target dht.ID) (ref, error) {
-	owner, _, err := r.route(cur, target)
+// Route implements overlay.Router: the kernel's route loop over Chord's
+// step.
+func (r *router) Route(entry ref, target dht.ID) (ref, error) {
+	owner, _, err := r.k.Route(r, entry, target)
 	return owner, err
 }
 
-// route is Route that also returns the node whose step answered: the
-// owner's predecessor as that node sees the ring. The answer is returned as
-// that step gave it, without a ping: an owner that died since is found by the
-// request the caller sends it next, whose failed call is the transport's
-// transient error for the retry layer (overlay.send), as on Pastry. Only
-// stabilization pings.
-func (r *router) route(cur ref, target dht.ID) (owner, answered ref, err error) {
-	net, client := r.k.Net(), r.k.Client()
-	var req any = lookupStepReq{Target: target} // boxed once, sent every hop
-	prev := ref{}
-	for hop := 0; hop < maxHops; hop++ {
-		respAny, err := net.Call(client, cur.Addr, req)
-		r.k.Hops.Inc()
-		if err != nil {
-			return ref{}, ref{}, fmt.Errorf("chord: step via %q: %w", cur.Addr, err)
-		}
-		resp, ok := respAny.(lookupStepResp)
-		if !ok {
-			return ref{}, ref{}, fmt.Errorf("chord: step via %q: bad response %T", cur.Addr, respAny)
-		}
-		if resp.Done {
-			return resp.Next, cur, nil
-		}
-		if resp.Next.Addr == cur.Addr || resp.Next.Addr == prev.Addr {
-			// No progress; the ring is inconsistent here.
-			return ref{}, ref{}, fmt.Errorf("chord: lookup stalled at %q", cur.Addr)
-		}
-		prev, cur = cur, resp.Next
+// StepMsg implements overlay.Stepper.
+func (r *router) StepMsg(target dht.ID) any { return lookupStepReq{Target: target} }
+
+// ReadStep implements overlay.Stepper: a next hop lies in (cur, target), as
+// every hop table.step names does.
+func (r *router) ReadStep(cur ref, target dht.ID, reply any) (bool, ref, error) {
+	resp, ok := reply.(lookupStepResp)
+	switch {
+	case !ok:
+		return false, ref{}, fmt.Errorf("bad response %T", reply)
+	case !resp.Done && !ahead(&cur.ID, &resp.Next.ID, &target):
+		return false, ref{}, fmt.Errorf("next hop %q outside (%q, target)", resp.Next.Addr, cur.Addr)
 	}
-	return ref{}, ref{}, fmt.Errorf("chord: exceeded %d hops", maxHops)
+	return resp.Done, resp.Next, nil
+}
+
+// Detour implements overlay.Stepper: at's step rerun over its live
+// successors, which run clockwise from at. The first at or past the target —
+// in a list without gaps, the first after the dead hop — owns it once
+// confirmed; otherwise the route goes on from the last one before the
+// target.
+func (r *router) Detour(at ref, target dht.ID, succs []ref) (done bool, next ref) {
+	for _, s := range succs {
+		if !target.Between(at.ID, s.ID) {
+			next = s
+		} else if owner, alive := r.confirm(s, target); alive {
+			return !owner.IsZero(), owner
+		}
+	}
+	return false, next
+}
+
+// confirm walks back from s, a successor at or past target, along
+// predecessor pointers while they lie at or past target: a successor list
+// misses the peers that joined since its last stabilize, but a joiner is its
+// successor's predecessor at once. A node owns target when its predecessor
+// lies before it, is unknown or does not answer. alive is false when s does
+// not answer; the walk gives up, returning zero, on a bad reply and after
+// SuccessorListLen pointers.
+func (r *router) confirm(s ref, target dht.ID) (owner ref, alive bool) {
+	for range SuccessorListLen {
+		reply, err := r.k.Net().Call(r.k.Client(), s.Addr, getPredReq{})
+		r.k.Hops.Inc()
+		pred, ok := reply.(ref)
+		switch {
+		case err != nil:
+			return owner, !owner.IsZero()
+		case !ok:
+			return ref{}, true
+		case pred.IsZero() || target.Between(pred.ID, s.ID):
+			return s, true
+		}
+		owner, s = s, pred
+	}
+	return ref{}, true
 }
 
 // Join implements overlay.NodeRouter. Joining eagerly links
@@ -150,10 +172,12 @@ func (n *node) link() error {
 	if _, err := net.Call(client, succ.Addr, setPredReq{Pred: self}); err != nil {
 		return fmt.Errorf("link successor: %w", err)
 	}
-	// In a two-node ring the successor is also the predecessor.
+	// In a two-node ring the successor is also the predecessor. One that
+	// cannot be reached is left to stabilization, which clears a dead
+	// predecessor anyway.
 	if !oldPred.IsZero() {
 		if _, err := net.Call(client, oldPred.Addr, setSuccReq{Succ: self}); err != nil {
-			return fmt.Errorf("link predecessor: %w", err)
+			k.NoteMaintenanceError(fmt.Errorf("chord: join %q: link predecessor: %w", self.Addr, err))
 		}
 	}
 	return nil
@@ -171,9 +195,9 @@ func (n *node) relink() error {
 	if err != nil {
 		return err
 	}
-	owner, pred, err := n.r.route(entry, self.ID)
+	owner, pred, err := k.Route(n.r, entry, self.ID)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %v", overlay.ErrLookupFailed, err)
 	}
 	if owner.Addr != self.Addr {
 		return fmt.Errorf("route to own identifier answered %q on a second try", owner.Addr)
@@ -331,16 +355,17 @@ func (r *router) stabilizeNode(n *node) {
 // owns everything from the previous start up to itself, and a finger equal
 // to n (Between's a == b, the full ring) covers every later start. Only the
 // other starts are routed, about one per distinct finger (≈ log₂ N + 1 of
-// the 160). A finger whose route fails (through a dead peer) is cleared
-// rather than kept stale, and the next finger is then routed rather than
-// copied, so lookups degrade to correct successor-walking until the next
-// round repairs it. So is an answer short of the start — a node in
-// (n, start) cannot own it, and only a ring whose successor pointers skip n
-// gives one — which keeps every finger i zero, n, or at least 2^i past n.
-// Each finger goes into the routing table as it is found, so the routes of
-// the later starts already step through it. An answer that died since its
-// step is kept: a route through it fails, and the next round, which
-// stabilizes first, recomputes it.
+// the 160). A route that meets a dead peer detours around it
+// (overlay.Route); a finger whose route still fails is cleared rather than
+// kept stale, and the next finger is then routed rather than copied, so
+// lookups degrade to correct successor-walking until the next round repairs
+// it. So is an answer short of the start — a node in (n, start) cannot own
+// it, and only a ring whose successor pointers skip n gives one — which
+// keeps every finger i zero, n, or at least 2^i past n. Each finger goes
+// into the routing table as it is found, so the routes of the later starts
+// already step through it. An answer that died since its step is kept: a
+// route through it detours, and the next round, which stabilizes first,
+// recomputes it.
 func (r *router) fixFingers(n *node) {
 	self := n.Ref()
 	var prev ref

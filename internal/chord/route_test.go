@@ -1,14 +1,18 @@
 package chord
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"mlight/internal/dht"
 	"mlight/internal/dht/dhttest"
 	"mlight/internal/simnet"
+	"mlight/internal/transport"
 )
 
 // fullScanClosestPreceding is Chord's closest-preceding-node scan as it was
@@ -265,5 +269,159 @@ func BenchmarkRoute(b *testing.B) {
 		if _, _, err := ring.Get(keys[i%len(keys)]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// recordRoute returns the nodes a route from entry towards target asks, in
+// order, read off their routing tables.
+func recordRoute(t *testing.T, ring *Ring, entry ref, target dht.ID) []ref {
+	t.Helper()
+	path := []ref{entry}
+	for {
+		resp := routing(t, ring, path[len(path)-1].Addr).handleLookupStep(target).(lookupStepResp)
+		if resp.Done {
+			return path
+		}
+		path = append(path, resp.Next)
+	}
+}
+
+// TestRouteDetour crashes each hop after the entry of recorded routes, one
+// at a time on a fresh ring, and routes again with no round run: the
+// kernel's loop goes around the dead hop (overlay.Route) and answers the
+// owner a stabilized ring answers. On a ring of settled successor lists
+// every such route succeeds. When the dead hop is the one whose step
+// answered, listed by the node before it ahead of another successor, the
+// route costs exactly one detour and two RPCs more than the clean route:
+// the failed step, the successor list and the predecessor read that
+// confirms the owner, in place of the dead hop's step. On a ring still
+// settling after joins a detour may fail, but it never answers another
+// owner: a successor list misses the peers that joined since its last
+// stabilize, and the confirming walk back along predecessor pointers finds
+// them.
+func TestRouteDetour(t *testing.T) {
+	const peers, keys = 32, 24
+	addrs := make([]simnet.NodeID, peers)
+	for i := range addrs {
+		addrs[i] = simnet.NodeID(fmt.Sprintf("node-%d", i))
+	}
+	bulk := func() *Ring {
+		ring := NewRing(simnet.New(simnet.Options{}), Config{Seed: 1})
+		if _, err := AddNodesBulk(ring, addrs); err != nil {
+			t.Fatal(err)
+		}
+		return ring
+	}
+	joined := func() *Ring {
+		_, ring := buildRing(t, peers)
+		return ring
+	}
+	for _, c := range []struct {
+		name    string
+		build   func() *Ring
+		settled bool
+	}{{"settled", bulk, true}, {"settling", joined, false}} {
+		t.Run(c.name, func(t *testing.T) {
+			pinned, failed := 0, 0
+			for i := range keys {
+				target := dht.HashKey(dht.Key(fmt.Sprintf("detour-%d", i)))
+				ring := c.build()
+				entry := routing(t, ring, "node-0").Ref()
+				path := recordRoute(t, ring, entry, target)
+				for j := 1; j < len(path); j++ {
+					ring := c.build()
+					prevSuccs := stateOf(routing(t, ring, path[j-1].Addr)).succs
+					if err := ring.CrashNode(path[j].Addr); err != nil {
+						t.Fatal(err)
+					}
+					hops, detours := ring.Hops.Load(), ring.Detours.Load()
+					owner, err := ring.Router().Route(entry, target)
+					hops, detours = ring.Hops.Load()-hops, ring.Detours.Load()-detours
+					ring.Stabilize(3)
+					want, werr := ring.Router().Route(entry, target)
+					if werr != nil {
+						t.Fatalf("key %d: route after stabilizing: %v", i, werr)
+					}
+					what := fmt.Sprintf("key %d, route %d hops, %s crashed", i, len(path), path[j].Addr)
+					switch {
+					case err != nil && c.settled:
+						t.Errorf("%s: %v", what, err)
+					case err != nil:
+						failed++
+					case owner != want:
+						t.Errorf("%s: route answered %s, a stabilized ring %s", what, owner.Addr, want.Addr)
+					case detours == 0:
+						t.Errorf("%s: no detour counted", what)
+					}
+					if k := slices.Index(prevSuccs, path[j]); c.settled && j == len(path)-1 && k >= 0 && k+1 < len(prevSuccs) {
+						pinned++
+						if detours != 1 || hops != int64(len(path))+2 {
+							t.Errorf("%s: %d detours and %d hops, want 1 and the clean route's %d + 2",
+								what, detours, hops, len(path))
+						}
+					}
+				}
+			}
+			if c.settled && pinned == 0 {
+				t.Fatal("no route's answering hop was listed by the node before it")
+			}
+			t.Logf("%d routes pinned at one detour and two RPCs more, %d failed", pinned, failed)
+		})
+	}
+}
+
+// minus returns id − k around the ring.
+func minus(id dht.ID, k int) dht.ID {
+	var d dht.ID
+	binary.BigEndian.PutUint32(d[len(d)-4:], uint32(k))
+	return id.Sub(d)
+}
+
+// TestRouteRefusesHostileSteps: the kernel's loop refuses a step reply of
+// another type, one that names the node asked, one whose next hop lies
+// outside (cur, target) — past the target or behind the node asked — and,
+// at the hop bound, a cycle between two nodes that keeps the progress rule
+// by lying about identifiers.
+func TestRouteRefusesHostileSteps(t *testing.T) {
+	target := dht.HashString("hostile-target")
+	entry := ref{Addr: "evil-0", ID: minus(target, 1000)}
+	for _, c := range []struct {
+		name, want string
+		reply      func(calls int) any
+	}{
+		{"wrong type", "bad response", func(int) any { return "no step" }},
+		{"names the node asked", "stalled", func(int) any {
+			return lookupStepResp{Next: ref{Addr: "evil-0", ID: minus(target, 10)}}
+		}},
+		{"past the target", "outside", func(int) any {
+			return lookupStepResp{Next: ref{Addr: "evil-1", ID: target.AddPowerOfTwo(0)}}
+		}},
+		{"behind the node asked", "outside", func(int) any {
+			return lookupStepResp{Next: ref{Addr: "evil-1", ID: minus(target, 2000)}}
+		}},
+		{"cycle", "exceeded 512 hops", func(calls int) any {
+			return lookupStepResp{Next: ref{Addr: simnet.NodeID(fmt.Sprintf("evil-%d", (calls+1)%2)), ID: minus(target, 999-calls)}}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			net := simnet.New(simnet.Options{})
+			ring := NewRing(net, Config{Seed: 1})
+			calls := 0
+			for _, addr := range []simnet.NodeID{"evil-0", "evil-1"} {
+				if err := net.Register(addr, transport.HandlerFunc(func(transport.NodeID, any) (any, error) {
+					calls++
+					return c.reply(calls - 1), nil
+				})); err != nil {
+					t.Fatal(err)
+				}
+			}
+			owner, err := ring.Router().Route(entry, target)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("route = %v, %v; want an error saying %q", owner, err, c.want)
+			}
+			if int64(calls) != ring.Hops.Load() {
+				t.Errorf("%d steps sent, %d hops counted", calls, ring.Hops.Load())
+			}
+		})
 	}
 }

@@ -41,6 +41,23 @@ func (a dist) less(b dist) bool {
 	return a[2] < b[2]
 }
 
+// unit is 1 as a dist.
+var unit = dist{0, 0, 1 << 32}
+
+// ahead reports whether x lies in (n, target): its key from n, as the
+// table's, is below the target's. The top words' differences from n decide
+// when x's is above zero and below the target's: a borrow from the lower
+// words lowers either by at most one, and leaves x's the smaller when they
+// meet.
+func ahead(n, x, target *dht.ID) bool {
+	top := binary.BigEndian.Uint64(n[:8])
+	if d := binary.BigEndian.Uint64(x[:8]) - top; d != 0 && d < binary.BigEndian.Uint64(target[:8])-top {
+		return true
+	}
+	c := distOf(*n)
+	return distOf(*x).minus(c).minus(unit).less(distOf(*target).minus(c).minus(unit))
+}
+
 // farthest is the key of the table's own node, 2^160 − 1: no key a step
 // compares against is above it, so a node never names itself as a next hop.
 var farthest = dist{^uint64(0), ^uint64(0), ^uint64(1<<32 - 1)}
@@ -88,7 +105,6 @@ type table struct {
 	fingers []span // finger i is the last span whose lo ≤ i; neighbours differ
 	last    dist   // succs[0]'s key
 	done    any    // lookupStepResp{Done: true, Next: succs[0]}, or n alone
-	next    any    // lookupStepResp{Next: succs[0]}: the answer when no hop helps
 	hops    []hop  // record-low fingers and successors, key descending
 }
 
@@ -100,20 +116,20 @@ func newTable(self ref) table {
 	return t
 }
 
-// step answers a lookup step towards target.
+// step answers a lookup step towards target. succs[0] is one of the hops,
+// so a target past it always finds one.
 //
 //lint:hotpath
 func (t *table) step(target dht.ID) any {
 	k := distOf(target).minus(t.base)
-	if !t.last.less(k) {
-		return t.done
-	}
-	for i := range t.hops {
-		if t.hops[i].key.less(k) {
-			return t.hops[i].reply
+	if t.last.less(k) {
+		for i := range t.hops {
+			if t.hops[i].key.less(k) {
+				return t.hops[i].reply
+			}
 		}
 	}
-	return t.next
+	return t.done
 }
 
 // hopTo returns r's hop, reusing the reply of a hop the table already has.
@@ -195,14 +211,13 @@ func (t *table) fill(finger func(i int) ref) {
 // whose list is empty.
 func (t *table) setSuccs(self ref, succs []ref) {
 	if len(succs) == 0 {
-		t.last, t.done, t.next = farthest, lookupStepResp{Done: true, Next: self}, nil
+		t.last, t.done = farthest, lookupStepResp{Done: true, Next: self}
 	} else {
 		s := succs[0]
 		t.last = distOf(s.ID).minus(t.base)
 		if d, ok := t.done.(lookupStepResp); !ok || d.Next != s {
 			t.done = lookupStepResp{Done: true, Next: s}
 		}
-		t.next = t.hopTo(s).reply
 	}
 	t.rebuild(succs)
 }

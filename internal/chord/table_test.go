@@ -1,6 +1,7 @@
 package chord
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/big"
 	"math/rand"
@@ -72,6 +73,19 @@ func TestDistMatchesBigInt(t *testing.T) {
 			}
 		}
 	}
+	// ahead's top-word shortcut, where the words lie a few apart.
+	for range 20000 {
+		var n, x, target dht.ID
+		rng.Read(n[:])
+		rng.Read(x[:])
+		rng.Read(target[:])
+		top := binary.BigEndian.Uint64(n[:8])
+		binary.BigEndian.PutUint64(x[:8], top+uint64(rng.Intn(5))-1)
+		binary.BigEndian.PutUint64(target[:8], top+uint64(rng.Intn(7))-1)
+		if got, want := ahead(&n, &x, &target), x.BetweenOpen(n, target); got != want {
+			t.Fatalf("n %x, target %x, node %x: ahead %v, BetweenOpen %v", n[:], target[:], x[:], got, want)
+		}
+	}
 	if got := idOfDist(farthest); got != ids[2] {
 		t.Fatalf("farthest = %x, want all 0xff", got[:])
 	}
@@ -88,6 +102,9 @@ func TestDistMatchesBigInt(t *testing.T) {
 				}
 				if hop, want := key(y).less(key(x)), y.BetweenOpen(n, x); hop != want {
 					t.Fatalf("n %x, target %x, node %x: a hop %v, BetweenOpen %v", n[:], x[:], y[:], hop, want)
+				}
+				if got, want := ahead(&n, &y, &x), y.BetweenOpen(n, x); got != want {
+					t.Fatalf("n %x, target %x, node %x: ahead %v, BetweenOpen %v", n[:], x[:], y[:], got, want)
 				}
 			}
 		}

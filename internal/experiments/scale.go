@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"mlight/internal/chord"
 	"mlight/internal/core"
 	"mlight/internal/dht"
+	"mlight/internal/overlay"
 	"mlight/internal/simnet"
 	"mlight/internal/spatial"
 	"mlight/internal/workload"
@@ -149,19 +151,17 @@ func scaleOut(cfg scaleParams) (ScaleResult, error) {
 
 	// Phase 2: routed lookups from rotating entry points.
 	res.LookupProbes = cfg.lookupProbes
-	hops := 0
+	hops := ring.Hops.Load()
 	lookupStart := time.Now()
 	for i := 0; i < cfg.lookupProbes; i++ {
 		key := dht.Key("probe-" + strconv.Itoa(i))
-		entry := addrs[(i*7919)%len(addrs)]
-		_, h, err := ring.LookupFrom(entry, key)
-		if err != nil {
+		entry := overlay.RefOf(addrs[(i*7919)%len(addrs)])
+		if _, err := ring.Router().Route(entry, dht.HashKey(key)); err != nil {
 			return res, fmt.Errorf("experiments: scale lookup #%d: %w", i, err)
 		}
-		hops += h
 	}
 	lookupWall := time.Since(lookupStart)
-	res.MeanRouteHops = float64(hops) / float64(cfg.lookupProbes)
+	res.MeanRouteHops = float64(ring.Hops.Load()-hops) / float64(cfg.lookupProbes)
 	res.LookupWallUSPerOp = float64(lookupWall) / float64(time.Microsecond) / float64(cfg.lookupProbes)
 
 	// Zero-alloc gate on the delivered-RPC path, measured on the live
@@ -212,10 +212,13 @@ func scaleOut(cfg scaleParams) (ScaleResult, error) {
 	}
 
 	// Zero-alloc gate on the bucket append path: appending into spare
-	// capacity on a bucket shaped like the live ones.
-	gate := core.NewBucket(buckets[0].Label, buckets[0].Records())
-	gate = gate.Append(spatial.Record{Key: buckets[0].KeyAt(0), Data: "gate"})
-	probe := spatial.Record{Key: buckets[0].KeyAt(0), Data: "p"}
+	// capacity on a bucket shaped like the live ones — one that holds a
+	// record, as the store lists its buckets in no fixed order and a leaf
+	// may be empty.
+	live := buckets[slices.IndexFunc(buckets, func(b core.Bucket) bool { return b.Load() > 0 })]
+	gate := core.NewBucket(live.Label, live.Records())
+	gate = gate.Append(spatial.Record{Key: live.KeyAt(0), Data: "gate"})
+	probe := spatial.Record{Key: live.KeyAt(0), Data: "p"}
 	res.AppendAllocsPerOp = testing.AllocsPerRun(100, func() {
 		_ = gate.Append(probe)
 	})

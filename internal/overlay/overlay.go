@@ -1,14 +1,16 @@
 // Package overlay is the one kernel beneath the three structured overlays
-// (internal/chord, internal/pastry, internal/kademlia). Everything that is
-// not routing lives here exactly once: the per-node store (a dht.Local) with
-// its replicas and their lease, the management plane (join, graceful leave,
-// crash, restart, client mode), the replication repair loop, the dht.DHT
-// methods, and the health counters. An overlay package contributes only a
-// Router — its routing state, its routing messages, and the handful of
-// decisions that differ between protocols: how a hash is routed to its
-// owner, which neighbours stand next in line for a key, how a node wires
-// itself in and out, what one maintenance round does, and whether a node
-// owns a hash.
+// (internal/chord, internal/pastry, internal/kademlia). Everything that does
+// not depend on the protocol lives here exactly once: the per-node store (a
+// dht.Local) with its replicas and their lease, the management plane (join,
+// graceful leave, crash, restart, client mode), the replication repair loop,
+// the dht.DHT methods, the health counters, and the one iterative route loop
+// (Route), which goes around a dead middle hop instead of failing. An
+// overlay package contributes only a Router — its routing state, its routing
+// messages, and the handful of decisions that differ between protocols: how
+// a hash is routed to its owner (for Chord and Pastry, one step and how its
+// reply reads: a Stepper), which neighbours stand next in line for a key,
+// how a node wires itself in and out, what one maintenance round does, and
+// whether a node owns a hash.
 //
 // The paper's premise is a substrate-agnostic put/get/lookup; the kernel is
 // that premise applied to the substrates themselves.
@@ -18,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -65,8 +68,9 @@ type Router interface {
 	// caller's next call to it fails.
 	Route(entry Ref, target dht.ID) (Ref, error)
 	// Neighbours asks a (possibly remote) node which peers it knows around
-	// the hash near — the candidates for near's replica set. NodeRouter has
-	// the local form; this is the one RPC a client-mode overlay needs.
+	// the hash near — the candidates for near's replica set and for a
+	// route's detour. NodeRouter has the local form; this is the one RPC a
+	// client-mode overlay needs.
 	Neighbours(of Ref, near dht.ID) ([]Ref, error)
 	// Tick runs one round of routing maintenance over the local nodes:
 	// probe neighbours, drop the dead, refresh tables. Failed maintenance
@@ -77,6 +81,22 @@ type Router interface {
 	// saying which protocol served the apply; the NodeRouter handles it by
 	// calling Node.Apply.
 	ApplyMsg(key dht.Key, fn dht.ApplyFunc) any
+}
+
+// Stepper is a Router that routes by steps, its half of the kernel's route
+// loop (Overlay.Route): its step message, how a reply reads, and its step
+// rerun over a node's neighbours.
+type Stepper interface {
+	Router
+	// StepMsg is the step request towards target, boxed once a route.
+	StepMsg(target dht.ID) any
+	// ReadStep reads cur's reply to a step: Done and the owner, or the next
+	// hop. It refuses a reply of another type and a next hop that breaks the
+	// protocol's progress rule.
+	ReadStep(cur Ref, target dht.ID, reply any) (done bool, next Ref, err error)
+	// Detour reruns at's step over peers, its Neighbours less the hops found
+	// dead: Done and the owner, or the next hop, zero when none is left.
+	Detour(at Ref, target dht.ID, peers []Ref) (done bool, next Ref)
 }
 
 // NodeRouter is one local node's routing state.
@@ -152,9 +172,11 @@ type Overlay struct {
 	lastMaintErr   error
 
 	// Lookups counts completed lookups; Hops counts every routing RPC
-	// issued, so Hops/Lookups is the mean route length.
+	// issued, so Hops/Lookups is the mean route length. Detours counts the
+	// dead middle hops Route went around.
 	Lookups metrics.Counter
 	Hops    metrics.Counter
+	Detours metrics.Counter
 	// DirectSends counts the store-plane requests a client-mode overlay sent
 	// straight to a view member instead of routing first. DirectDeclined
 	// counts the ones whose receiver did not own the key; DirectFailed the
@@ -331,13 +353,67 @@ func (o *Overlay) entryAfter(prev int) (Ref, int, error) {
 	return o.nodes[o.order[at]].Ref(), at, nil
 }
 
+// maxHops bounds one Route.
+const maxHops = 512
+
+// Route is the one iterative step loop, Chord's and Pastry's Router.Route:
+// from entry it sends s's step towards target, stops on Done, refuses a step
+// that names the node asked or breaks s's progress rule, and advances. Every
+// RPC counts in Hops. A middle hop whose call fails costs a detour, not the
+// route: the node that named it is asked for its Neighbours and its step is
+// rerun over them (Detours). A failed entry fails the route, which Lookup
+// restarts from the next entry point, and so does an owner that a dead hop
+// ranks better than (Router.Closer): that hop may own the target, and a dead
+// owner is an error. Route returns the owner as the last step gave it,
+// unpinged, and the node whose step answered.
+func (o *Overlay) Route(s Stepper, entry Ref, target dht.ID) (owner, answered Ref, err error) {
+	req := s.StepMsg(target)
+	var prev, next Ref
+	var dead []Ref
+	var done bool
+	cur := entry
+	for range maxHops {
+		reply, err := o.net.Call(o.client, cur.Addr, req)
+		o.Hops.Inc()
+		switch {
+		case err == nil:
+			done, next, err = s.ReadStep(cur, target, reply)
+		case !prev.IsZero():
+			dead, cur = append(dead, cur), prev
+			o.Detours.Inc()
+			var peers []Ref
+			peers, err = s.Neighbours(cur, target)
+			o.Hops.Inc()
+			if err == nil {
+				peers = slices.DeleteFunc(peers, func(p Ref) bool { return slices.Contains(dead, p) })
+				if done, next = s.Detour(cur, target, peers); !done && next.IsZero() {
+					err = fmt.Errorf("no live neighbour after %q", dead[len(dead)-1].Addr)
+				}
+			}
+		}
+		switch {
+		case err != nil:
+			return Ref{}, Ref{}, fmt.Errorf("overlay: step via %q: %w", cur.Addr, err)
+		case done && slices.ContainsFunc(dead, func(d Ref) bool { return !s.Closer(target, next.ID, d.ID) }):
+			return Ref{}, Ref{}, fmt.Errorf("overlay: route ends at %q behind a dead hop, which may own the target", next.Addr)
+		case done:
+			return next, cur, nil
+		case next.Addr == cur.Addr:
+			return Ref{}, Ref{}, fmt.Errorf("overlay: route stalled at %q", cur.Addr)
+		}
+		prev, cur = cur, next
+	}
+	return Ref{}, Ref{}, fmt.Errorf("overlay: route exceeded %d hops", maxHops)
+}
+
 // Lookup resolves the node responsible for target, retrying from the next
 // entry point when stale routing state or a dead entry fails an attempt. The
 // attempts rotate from a random start, so they never land on the same entry
 // twice while another is left: with one dead seed of four, independent draws
 // would fail a lookup outright one time in 64. A client-mode overlay adds the
 // owner found to its view. The owner is Router.Route's: on Chord and Pastry it
-// may have died since the last maintenance round, and a call to it then fails.
+// may have died since the last maintenance round, and a call to it then fails;
+// a dead hop on the way there is Route's detour.
 func (o *Overlay) Lookup(target dht.ID) (Ref, error) {
 	const retries = 3
 	var lastErr error
@@ -359,23 +435,6 @@ func (o *Overlay) Lookup(target dht.ID) (Ref, error) {
 		lastErr = err
 	}
 	return Ref{}, fmt.Errorf("%w: %v", ErrLookupFailed, lastErr)
-}
-
-// LookupFrom resolves the owner of key with one routing attempt starting at
-// the given local node, returning the owner's address and the number of
-// routing RPCs spent.
-func (o *Overlay) LookupFrom(addr transport.NodeID, key dht.Key) (transport.NodeID, int, error) {
-	n, ok := o.NodeAt(addr)
-	if !ok {
-		return "", 0, fmt.Errorf("overlay: node %q is not managed here", addr)
-	}
-	before := o.Hops.Load()
-	found, err := o.router.Route(n.Ref(), dht.HashKey(key))
-	hops := int(o.Hops.Load() - before)
-	if err != nil {
-		return "", hops, err
-	}
-	return found.Addr, hops, nil
 }
 
 // MeanRouteLength returns the average routing RPCs per completed lookup.

@@ -37,8 +37,6 @@ const (
 	// leafHalf is the number of leaf-set entries kept on each side. It also
 	// bounds replication: a key's copies live in its owner's leaf set.
 	leafHalf = 4
-	// maxHops bounds one routed lookup.
-	maxHops = 512
 )
 
 var numRows = dht.NumDigits(digitBits)
@@ -190,12 +188,6 @@ func (n *node) nextHop(target dht.ID) nextHopResp {
 		if !c.IsZero() && closerTo(target, c.ID, best.ID) {
 			best = c
 		}
-	}
-	// Prefer the routing-table entry for the next digit — Pastry's prefix
-	// rule — then let the leaf set refine.
-	l := n.ID().CommonPrefixDigits(target, digitBits)
-	if l < numRows {
-		consider(n.table[l][target.Digit(l, digitBits)])
 	}
 	for _, c := range n.leaves {
 		consider(c)
@@ -358,29 +350,41 @@ func (n *node) Unlink() {
 	}
 }
 
-// Route implements overlay.Router: one greedy route from cur to the owner
-// of target.
-func (r *router) Route(cur ref, target dht.ID) (ref, error) {
-	net, client := r.k.Net(), r.k.Client()
-	for hop := 0; hop < maxHops; hop++ {
-		respAny, err := net.Call(client, cur.Addr, nextHopReq{Target: target})
-		r.k.Hops.Inc()
-		if err != nil {
-			return ref{}, fmt.Errorf("pastry: step via %q: %w", cur.Addr, err)
-		}
-		resp, ok := respAny.(nextHopResp)
-		if !ok {
-			return ref{}, fmt.Errorf("pastry: step via %q: bad response %T", cur.Addr, respAny)
-		}
-		if resp.Done {
-			return cur, nil
-		}
-		if !closerTo(target, resp.Next.ID, cur.ID) {
-			return ref{}, fmt.Errorf("pastry: non-monotone hop %q → %q", cur.Addr, resp.Next.Addr)
-		}
-		cur = resp.Next
+// Route implements overlay.Router: the kernel's route loop over Pastry's
+// greedy step.
+func (r *router) Route(entry ref, target dht.ID) (ref, error) {
+	owner, _, err := r.k.Route(r, entry, target)
+	return owner, err
+}
+
+// StepMsg implements overlay.Stepper.
+func (r *router) StepMsg(target dht.ID) any { return nextHopReq{Target: target} }
+
+// ReadStep implements overlay.Stepper: the node that answers Done owns
+// target, and a next hop is strictly closer to it.
+func (r *router) ReadStep(cur ref, target dht.ID, reply any) (bool, ref, error) {
+	resp, ok := reply.(nextHopResp)
+	switch {
+	case !ok:
+		return false, ref{}, fmt.Errorf("bad response %T", reply)
+	case resp.Done:
+		return true, cur, nil
+	case !closerTo(target, resp.Next.ID, cur.ID):
+		return false, ref{}, fmt.Errorf("non-monotone hop %q → %q", cur.Addr, resp.Next.Addr)
 	}
-	return ref{}, fmt.Errorf("pastry: exceeded %d hops", maxHops)
+	return false, resp.Next, nil
+}
+
+// Detour implements overlay.Stepper: at's step rerun over its live peers:
+// the closest one strictly closer to target than at, or Done at at.
+func (r *router) Detour(at ref, target dht.ID, peers []ref) (bool, ref) {
+	best := at
+	for _, p := range peers {
+		if closerTo(target, p.ID, best.ID) {
+			best = p
+		}
+	}
+	return best.Addr == at.Addr, best
 }
 
 // Tick implements overlay.Router: Bamboo-style periodic repair. Every node
