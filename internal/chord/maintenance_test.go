@@ -132,18 +132,20 @@ func assertBulkFixpoint(t *testing.T, ring *Ring) {
 	}
 }
 
-// retryAfterRound runs a join or restart; one that fails — it read the
-// predecessor of an owner that crashed since the last round — is retried
-// once after a stabilize round, as the kernel's lookup errors prescribe. A
-// route may not fail it: a dead hop on the way costs a detour (overlay.Route),
-// and an unreachable old predecessor is left to stabilization.
-func retryAfterRound(t *testing.T, ring *Ring, what string, join func() error) {
+// retryAfterRound runs the join or restart of addr; one that fails is
+// retried once after a stabilize round, as the kernel's lookup errors
+// prescribe. It may fail when addr's successor-to-be crashed since the last
+// round: the join's route answers that dead owner, or fails rather than
+// guess which live peer owns addr's identifier now. A route may not fail it
+// otherwise: a dead hop on the way costs a detour (overlay.Route), and an
+// unreachable old predecessor is left to stabilization.
+func retryAfterRound(t *testing.T, ring *Ring, addr simnet.NodeID, what string, join func() error) {
 	t.Helper()
 	err := join()
 	if err == nil {
 		return
 	}
-	if errors.Is(err, overlay.ErrLookupFailed) {
+	if errors.Is(err, overlay.ErrLookupFailed) && !successorCrashed(ring, addr) {
 		t.Fatalf("%s: the route failed: %v", what, err)
 	}
 	t.Logf("%s: %v; retrying after one round", what, err)
@@ -151,6 +153,20 @@ func retryAfterRound(t *testing.T, ring *Ring, what string, join func() error) {
 	if err := join(); err != nil {
 		t.Fatalf("%s after a round: %v", what, err)
 	}
+}
+
+// successorCrashed reports whether the first peer after addr's identifier,
+// among the live and the crashed, is a crashed one.
+func successorCrashed(ring *Ring, addr simnet.NodeID) bool {
+	id := dht.HashString(string(addr))
+	var succ simnet.NodeID
+	var best dht.ID
+	for _, a := range append(ring.Nodes(), ring.CrashedNodes()...) {
+		if d := dht.HashString(string(a)).Sub(id); a != addr && (succ == "" || d.Cmp(best) < 0) {
+			succ, best = a, d
+		}
+	}
+	return slices.Contains(ring.CrashedNodes(), succ)
 }
 
 // TestFixpointAfterChurn: after crashes, graceful leaves, restarts and
@@ -207,14 +223,14 @@ func churnRing(t *testing.T, ring *Ring, seed int64, each func()) {
 			gone++
 		case ev == 2 && len(crashed) > 0:
 			back := crashed[rng.Intn(len(crashed))]
-			retryAfterRound(t, ring, fmt.Sprintf("seed %d: restart %s", seed, back), func() error {
+			retryAfterRound(t, ring, back, fmt.Sprintf("seed %d: restart %s", seed, back), func() error {
 				_, err := ring.RestartNode(back)
 				return err
 			})
 		default:
 			addr := simnet.NodeID(fmt.Sprintf("node-%d", joined))
 			joined++
-			retryAfterRound(t, ring, fmt.Sprintf("seed %d: join %s", seed, addr), func() error {
+			retryAfterRound(t, ring, addr, fmt.Sprintf("seed %d: join %s", seed, addr), func() error {
 				_, err := ring.AddNode(addr)
 				return err
 			})

@@ -11,10 +11,9 @@
 // and a finger table for O(log n) routing, held in one routing table
 // (table.go) with every finger run and successor once, its distance from the
 // node and its step reply worked out when it is written, so a lookup step is
-// a subtraction and a few compares. Lookups are iterative, run by the
-// kernel's one route loop (overlay.Route): the querying side repeatedly asks
-// the closest known predecessor for a better next hop, counting each RPC as
-// one overlay hop, and goes around a dead one through the successor list.
+// a subtraction and a few compares. Lookups are iterative (overlay.Route):
+// the querying side repeatedly asks the closest known predecessor for a
+// better next hop, counting each RPC as one overlay hop.
 //
 // Stabilization (stabilize / notify / fix-fingers) runs as explicit rounds
 // driven by the kernel's Stabilize, keeping simulations deterministic.

@@ -2,7 +2,6 @@ package chord
 
 import (
 	"fmt"
-	"slices"
 
 	"mlight/internal/dht"
 	"mlight/internal/overlay"
@@ -82,44 +81,35 @@ func (r *router) ReadStep(cur ref, target dht.ID, reply any) (bool, ref, error) 
 }
 
 // Detour implements overlay.Stepper: at's step rerun over its live
-// successors, which run clockwise from at. The first at or past the target —
-// in a list without gaps, the first after the dead hop — owns it once
-// confirmed; otherwise the route goes on from the last one before the
-// target.
-func (r *router) Detour(at ref, target dht.ID, succs []ref) (done bool, next ref) {
+// successors, clockwise from at. It goes on from the last one before target.
+// The first at or past target owns it if no peer joined behind it since at's
+// last stabilize; as a joiner is its successor's predecessor at once, the
+// owner is found walking back along predecessor pointers. The walk gives up
+// at a peer that does not answer, or knows no predecessor and is not target
+// itself — it, or the one it lost, may own target — and after
+// SuccessorListLen pointers.
+func (r *router) Detour(at ref, target dht.ID, succs []ref) (bool, ref) {
+	next := at
 	for _, s := range succs {
 		if !target.Between(at.ID, s.ID) {
 			next = s
-		} else if owner, alive := r.confirm(s, target); alive {
-			return !owner.IsZero(), owner
+			continue
 		}
+		for range SuccessorListLen {
+			reply, err := r.k.Net().Call(r.k.Client(), s.Addr, getPredReq{})
+			r.k.Hops.Inc()
+			pred, _ := reply.(ref)
+			switch {
+			case err != nil || pred.IsZero() && s.ID != target:
+				return false, at
+			case s.ID == target || target.Between(pred.ID, s.ID):
+				return true, s
+			}
+			s = pred
+		}
+		return false, at
 	}
 	return false, next
-}
-
-// confirm walks back from s, a successor at or past target, along
-// predecessor pointers while they lie at or past target: a successor list
-// misses the peers that joined since its last stabilize, but a joiner is its
-// successor's predecessor at once. A node owns target when its predecessor
-// lies before it, is unknown or does not answer. alive is false when s does
-// not answer; the walk gives up, returning zero, on a bad reply and after
-// SuccessorListLen pointers.
-func (r *router) confirm(s ref, target dht.ID) (owner ref, alive bool) {
-	for range SuccessorListLen {
-		reply, err := r.k.Net().Call(r.k.Client(), s.Addr, getPredReq{})
-		r.k.Hops.Inc()
-		pred, ok := reply.(ref)
-		switch {
-		case err != nil:
-			return owner, !owner.IsZero()
-		case !ok:
-			return ref{}, true
-		case pred.IsZero() || target.Between(pred.ID, s.ID):
-			return s, true
-		}
-		owner, s = s, pred
-	}
-	return ref{}, true
 }
 
 // Join implements overlay.NodeRouter. Joining eagerly links
@@ -172,9 +162,8 @@ func (n *node) link() error {
 	if _, err := net.Call(client, succ.Addr, setPredReq{Pred: self}); err != nil {
 		return fmt.Errorf("link successor: %w", err)
 	}
-	// In a two-node ring the successor is also the predecessor. One that
-	// cannot be reached is left to stabilization, which clears a dead
-	// predecessor anyway.
+	// In a two-node ring the successor is also the predecessor. A dead one
+	// is left to stabilization.
 	if !oldPred.IsZero() {
 		if _, err := net.Call(client, oldPred.Addr, setSuccReq{Succ: self}); err != nil {
 			k.NoteMaintenanceError(fmt.Errorf("chord: join %q: link predecessor: %w", self.Addr, err))
@@ -184,11 +173,11 @@ func (n *node) link() error {
 }
 
 // relink joins a node the ring still routes to from its crashed
-// incarnation. The peer whose step answered our identifier lists us as its
-// successor, so it is our predecessor, and our successors are the ones it
-// lists after us (the peer itself when it lists nobody else). Both already
-// point at us, so nothing is sent to them; the keys are claimed from the
-// successor as on any join.
+// incarnation. The peer whose step answered our identifier lists us first,
+// so it is our predecessor, and our successors are the ones it lists after
+// us (the peer itself when it lists nobody else); a detour's answer need not,
+// and fails the join until a round. Both already point at us, so nothing is
+// sent to them; the keys are claimed from the successor as on any join.
 func (n *node) relink() error {
 	k, self := n.r.k, n.Ref()
 	entry, err := k.Entry()
@@ -206,10 +195,10 @@ func (n *node) relink() error {
 	if err != nil {
 		return fmt.Errorf("read successors: %w", err)
 	}
-	var succs []ref
-	if i := slices.IndexFunc(list, func(s ref) bool { return s.Addr == self.Addr }); i >= 0 {
-		succs = list[i+1:]
+	if len(list) == 0 || list[0].Addr != self.Addr {
+		return fmt.Errorf("route to own identifier answered through %q, which does not list it first", pred.Addr)
 	}
+	succs := list[1:]
 	if len(succs) == 0 {
 		succs = []ref{pred}
 	}
@@ -355,16 +344,15 @@ func (r *router) stabilizeNode(n *node) {
 // owns everything from the previous start up to itself, and a finger equal
 // to n (Between's a == b, the full ring) covers every later start. Only the
 // other starts are routed, about one per distinct finger (≈ log₂ N + 1 of
-// the 160). A route that meets a dead peer detours around it
-// (overlay.Route); a finger whose route still fails is cleared rather than
-// kept stale, and the next finger is then routed rather than copied, so
-// lookups degrade to correct successor-walking until the next round repairs
-// it. So is an answer short of the start — a node in (n, start) cannot own
-// it, and only a ring whose successor pointers skip n gives one — which
-// keeps every finger i zero, n, or at least 2^i past n. Each finger goes
-// into the routing table as it is found, so the routes of the later starts
-// already step through it. An answer that died since its step is kept: a
-// route through it detours, and the next round, which stabilizes first,
+// the 160). A finger whose route fails is cleared rather than kept stale,
+// and the next finger is then routed rather than copied, so lookups degrade
+// to correct successor-walking until the next round repairs it. So is an
+// answer short of the start — a node in (n, start) cannot own it, and only
+// a ring whose successor pointers skip n gives one — which keeps every
+// finger i zero, n, or at least 2^i past n. Each finger goes into the
+// routing table as it is found, so the routes of the later starts already
+// step through it. An answer that died since its step is kept: a route
+// through it detours, and the next round, which stabilizes first,
 // recomputes it.
 func (r *router) fixFingers(n *node) {
 	self := n.Ref()

@@ -12,6 +12,7 @@ import (
 	"mlight/internal/dht"
 	"mlight/internal/dht/dhttest"
 	"mlight/internal/simnet"
+	"mlight/internal/trace"
 	"mlight/internal/transport"
 )
 
@@ -289,8 +290,9 @@ func recordRoute(t *testing.T, ring *Ring, entry ref, target dht.ID) []ref {
 // TestRouteDetour crashes each hop after the entry of recorded routes, one
 // at a time on a fresh ring, and routes again with no round run: the
 // kernel's loop goes around the dead hop (overlay.Route) and answers the
-// owner a stabilized ring answers. On a ring of settled successor lists
-// every such route succeeds. When the dead hop is the one whose step
+// owner a stabilized ring answers, asking the dead hop once however often
+// a later step names it. On a ring of settled successor lists every such
+// route succeeds. When the dead hop is the one whose step
 // answered, listed by the node before it ahead of another successor, the
 // route costs exactly one detour and two RPCs more than the clean route:
 // the failed step, the successor list and the predecessor read that
@@ -334,9 +336,21 @@ func TestRouteDetour(t *testing.T) {
 					if err := ring.CrashNode(path[j].Addr); err != nil {
 						t.Fatal(err)
 					}
+					tr := trace.NewCollector()
+					ring.Net().(*simnet.Network).SetTracer(tr)
 					hops, detours := ring.Hops.Load(), ring.Detours.Load()
 					owner, err := ring.Router().Route(entry, target)
 					hops, detours = ring.Hops.Load()-hops, ring.Detours.Load()-detours
+					ring.Net().(*simnet.Network).SetTracer(nil)
+					asked := 0
+					for _, sp := range tr.Spans() {
+						if strings.HasSuffix(sp.Name, "→"+string(path[j].Addr)) {
+							asked++
+						}
+					}
+					if asked != 1 {
+						t.Errorf("key %d: the dead hop %s was asked %d times, want once", i, path[j].Addr, asked)
+					}
 					ring.Stabilize(3)
 					want, werr := ring.Router().Route(entry, target)
 					if werr != nil {
@@ -366,6 +380,99 @@ func TestRouteDetour(t *testing.T) {
 				t.Fatal("no route's answering hop was listed by the node before it")
 			}
 			t.Logf("%d routes pinned at one detour and two RPCs more, %d failed", pinned, failed)
+		})
+	}
+}
+
+// TestRouteDetourNeverAnswersAnotherOwner: a detour fails rather than
+// answer a node that is not the key's owner. Two cases on the rings of
+// TestRouteDetour, with no round run: the hop whose step answered crashes
+// together with the owner it names — the next live successor holds no
+// promoted copy yet, so on a settled ring every such route must fail — and
+// one hop of the route crashes while a quarter of all messages are lost, so
+// that steps to live peers and the predecessor reads confirming an owner go
+// missing. Either route answers the owner the ring had before the crash, or
+// fails.
+func TestRouteDetourNeverAnswersAnotherOwner(t *testing.T) {
+	const peers, keys = 32, 24
+	addrs := make([]simnet.NodeID, peers)
+	for i := range addrs {
+		addrs[i] = simnet.NodeID(fmt.Sprintf("node-%d", i))
+	}
+	// The seed draws which messages are lost.
+	bulk := func(seed int64) *Ring {
+		ring := NewRing(simnet.New(simnet.Options{Seed: seed}), Config{Seed: 1})
+		if _, err := AddNodesBulk(ring, addrs); err != nil {
+			t.Fatal(err)
+		}
+		return ring
+	}
+	joined := func(seed int64) *Ring {
+		ring := NewRing(simnet.New(simnet.Options{Seed: seed}), Config{Seed: 1})
+		for _, addr := range addrs {
+			if _, err := ring.AddNode(addr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ring.Stabilize(2)
+		return ring
+	}
+	for _, c := range []struct {
+		name    string
+		build   func(seed int64) *Ring
+		settled bool
+	}{{"settled", bulk, true}, {"settling", joined, false}} {
+		t.Run(c.name, func(t *testing.T) {
+			answered, failed, withOwner := 0, 0, 0
+			route := func(ring *Ring, entry ref, key dht.Key, owner simnet.NodeID, what string) error {
+				got, err := ring.Router().Route(entry, dht.HashKey(key))
+				switch {
+				case err != nil:
+					failed++
+				case got.Addr != owner:
+					t.Errorf("%s: route answered %s, the owner was %s", what, got.Addr, owner)
+				default:
+					answered++
+				}
+				return err
+			}
+			for i := range keys {
+				key := dht.Key(fmt.Sprintf("detour-%d", i))
+				target := dht.HashKey(key)
+				ring := c.build(0)
+				entry := routing(t, ring, "node-0").Ref()
+				path := recordRoute(t, ring, entry, target)
+				for j := 1; j < len(path); j++ {
+					what := fmt.Sprintf("key %d, route %d hops, %s crashed", i, len(path), path[j].Addr)
+					ring := c.build(int64(i*peers + j))
+					owner := oracleOwner(ring, key)
+					if err := ring.CrashNode(path[j].Addr); err != nil {
+						t.Fatal(err)
+					}
+					ring.Net().(*simnet.Network).SetDropRate(0.25)
+					route(ring, entry, key, owner, what+" under loss")
+
+					if j < len(path)-1 {
+						continue
+					}
+					ring = c.build(0)
+					named := routing(t, ring, path[j].Addr).handleLookupStep(target).(lookupStepResp).Next
+					for _, addr := range []simnet.NodeID{path[j].Addr, named.Addr} {
+						if err := ring.CrashNode(addr); err != nil {
+							t.Fatal(err)
+						}
+					}
+					withOwner++
+					err := route(ring, entry, key, owner, what+" with "+string(named.Addr))
+					if err == nil && c.settled {
+						t.Errorf("%s with the owner %s: the route answered", what, named.Addr)
+					}
+				}
+			}
+			if withOwner == 0 || failed == 0 || answered == 0 {
+				t.Fatalf("%d routes answered, %d failed, %d with the owner crashed: want some of each", answered, failed, withOwner)
+			}
+			t.Logf("%d routes answered the owner, %d failed (%d with the owner crashed)", answered, failed, withOwner)
 		})
 	}
 }

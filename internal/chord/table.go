@@ -105,6 +105,7 @@ type table struct {
 	fingers []span // finger i is the last span whose lo ≤ i; neighbours differ
 	last    dist   // succs[0]'s key
 	done    any    // lookupStepResp{Done: true, Next: succs[0]}, or n alone
+	next    any    // lookupStepResp{Next: succs[0]}: the answer when no hop helps
 	hops    []hop  // record-low fingers and successors, key descending
 }
 
@@ -116,20 +117,20 @@ func newTable(self ref) table {
 	return t
 }
 
-// step answers a lookup step towards target. succs[0] is one of the hops,
-// so a target past it always finds one.
+// step answers a lookup step towards target.
 //
 //lint:hotpath
 func (t *table) step(target dht.ID) any {
 	k := distOf(target).minus(t.base)
-	if t.last.less(k) {
-		for i := range t.hops {
-			if t.hops[i].key.less(k) {
-				return t.hops[i].reply
-			}
+	if !t.last.less(k) {
+		return t.done
+	}
+	for i := range t.hops {
+		if t.hops[i].key.less(k) {
+			return t.hops[i].reply
 		}
 	}
-	return t.done
+	return t.next
 }
 
 // hopTo returns r's hop, reusing the reply of a hop the table already has.
@@ -211,13 +212,14 @@ func (t *table) fill(finger func(i int) ref) {
 // whose list is empty.
 func (t *table) setSuccs(self ref, succs []ref) {
 	if len(succs) == 0 {
-		t.last, t.done = farthest, lookupStepResp{Done: true, Next: self}
+		t.last, t.done, t.next = farthest, lookupStepResp{Done: true, Next: self}, nil
 	} else {
 		s := succs[0]
 		t.last = distOf(s.ID).minus(t.base)
 		if d, ok := t.done.(lookupStepResp); !ok || d.Next != s {
 			t.done = lookupStepResp{Done: true, Next: s}
 		}
+		t.next = t.hopTo(s).reply
 	}
 	t.rebuild(succs)
 }

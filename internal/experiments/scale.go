@@ -215,7 +215,11 @@ func scaleOut(cfg scaleParams) (ScaleResult, error) {
 	// capacity on a bucket shaped like the live ones — one that holds a
 	// record, as the store lists its buckets in no fixed order and a leaf
 	// may be empty.
-	live := buckets[slices.IndexFunc(buckets, func(b core.Bucket) bool { return b.Load() > 0 })]
+	i := slices.IndexFunc(buckets, func(b core.Bucket) bool { return b.Load() > 0 })
+	if i < 0 {
+		return res, fmt.Errorf("experiments: scale index has no bucket holding a record")
+	}
+	live := buckets[i]
 	gate := core.NewBucket(live.Label, live.Records())
 	gate = gate.Append(spatial.Record{Key: live.KeyAt(0), Data: "gate"})
 	probe := spatial.Record{Key: live.KeyAt(0), Data: "p"}

@@ -1,16 +1,15 @@
 // Package overlay is the one kernel beneath the three structured overlays
-// (internal/chord, internal/pastry, internal/kademlia). Everything that does
-// not depend on the protocol lives here exactly once: the per-node store (a
-// dht.Local) with its replicas and their lease, the management plane (join,
-// graceful leave, crash, restart, client mode), the replication repair loop,
-// the dht.DHT methods, the health counters, and the one iterative route loop
-// (Route), which goes around a dead middle hop instead of failing. An
-// overlay package contributes only a Router — its routing state, its routing
-// messages, and the handful of decisions that differ between protocols: how
-// a hash is routed to its owner (for Chord and Pastry, one step and how its
-// reply reads: a Stepper), which neighbours stand next in line for a key,
-// how a node wires itself in and out, what one maintenance round does, and
-// whether a node owns a hash.
+// (internal/chord, internal/pastry, internal/kademlia). Everything that is
+// not routing lives here exactly once: the per-node store (a dht.Local) with
+// its replicas and their lease, the management plane (join, graceful leave,
+// crash, restart, client mode), the replication repair loop, the dht.DHT
+// methods, the health counters, and the route loop of step-routed overlays.
+// An overlay package contributes only a Router — its routing state, its
+// routing messages, and the handful of decisions that differ between
+// protocols: how a hash is routed to its owner (or one step of it: a
+// Stepper), which neighbours stand next in line for a key, how a node wires
+// itself in and out, what one maintenance round does, and whether a node
+// owns a hash.
 //
 // The paper's premise is a substrate-agnostic put/get/lookup; the kernel is
 // that premise applied to the substrates themselves.
@@ -68,9 +67,8 @@ type Router interface {
 	// caller's next call to it fails.
 	Route(entry Ref, target dht.ID) (Ref, error)
 	// Neighbours asks a (possibly remote) node which peers it knows around
-	// the hash near — the candidates for near's replica set and for a
-	// route's detour. NodeRouter has the local form; this is the one RPC a
-	// client-mode overlay needs.
+	// the hash near — the candidates for near's replica set. NodeRouter has
+	// the local form; this is the one RPC a client-mode overlay needs.
 	Neighbours(of Ref, near dht.ID) ([]Ref, error)
 	// Tick runs one round of routing maintenance over the local nodes:
 	// probe neighbours, drop the dead, refresh tables. Failed maintenance
@@ -83,19 +81,16 @@ type Router interface {
 	ApplyMsg(key dht.Key, fn dht.ApplyFunc) any
 }
 
-// Stepper is a Router that routes by steps, its half of the kernel's route
-// loop (Overlay.Route): its step message, how a reply reads, and its step
-// rerun over a node's neighbours.
+// Stepper is a Router that routes by steps, through Overlay.Route.
 type Stepper interface {
 	Router
 	// StepMsg is the step request towards target, boxed once a route.
 	StepMsg(target dht.ID) any
-	// ReadStep reads cur's reply to a step: Done and the owner, or the next
-	// hop. It refuses a reply of another type and a next hop that breaks the
-	// protocol's progress rule.
+	// ReadStep reads cur's step reply: Done and the owner, or a next hop
+	// that keeps the protocol's progress rule; an error otherwise.
 	ReadStep(cur Ref, target dht.ID, reply any) (done bool, next Ref, err error)
-	// Detour reruns at's step over peers, its Neighbours less the hops found
-	// dead: Done and the owner, or the next hop, zero when none is left.
+	// Detour reruns at's step over peers, its Neighbours less the dead hops:
+	// Done and the owner, or the next hop; at itself when it finds none.
 	Detour(at Ref, target dht.ID, peers []Ref) (done bool, next Ref)
 }
 
@@ -172,11 +167,10 @@ type Overlay struct {
 	lastMaintErr   error
 
 	// Lookups counts completed lookups; Hops counts every routing RPC
-	// issued, so Hops/Lookups is the mean route length. Detours counts the
-	// dead middle hops Route went around.
+	// issued, so Hops/Lookups is the mean route length.
 	Lookups metrics.Counter
 	Hops    metrics.Counter
-	Detours metrics.Counter
+	Detours metrics.Counter // the dead hops Route went around
 	// DirectSends counts the store-plane requests a client-mode overlay sent
 	// straight to a view member instead of routing first. DirectDeclined
 	// counts the ones whose receiver did not own the key; DirectFailed the
@@ -353,28 +347,28 @@ func (o *Overlay) entryAfter(prev int) (Ref, int, error) {
 	return o.nodes[o.order[at]].Ref(), at, nil
 }
 
-// maxHops bounds one Route.
-const maxHops = 512
-
-// Route is the one iterative step loop, Chord's and Pastry's Router.Route:
-// from entry it sends s's step towards target, stops on Done, refuses a step
-// that names the node asked or breaks s's progress rule, and advances. Every
-// RPC counts in Hops. A middle hop whose call fails costs a detour, not the
-// route: the node that named it is asked for its Neighbours and its step is
-// rerun over them (Detours). A failed entry fails the route, which Lookup
-// restarts from the next entry point, and so does an owner that a dead hop
-// ranks better than (Router.Closer): that hop may own the target, and a dead
-// owner is an error. Route returns the owner as the last step gave it,
-// unpinged, and the node whose step answered.
+// Route is the one step loop, Chord's and Pastry's Router.Route: it sends s's
+// step to each hop from entry, every RPC counted in Hops, and stops on Done. It
+// refuses a step naming the node asked or breaking s's progress rule. A middle
+// hop whose call failed costs a detour (Detours): the node that named it reruns
+// its step over its Neighbours less the dead hops, which are not asked again. A
+// failed entry fails the route, and so does an owner that a dead hop ranks
+// better than (Router.Closer). It returns the owner, unpinged, and the node
+// that answered.
 func (o *Overlay) Route(s Stepper, entry Ref, target dht.ID) (owner, answered Ref, err error) {
+	const maxHops = 512
 	req := s.StepMsg(target)
 	var prev, next Ref
 	var dead []Ref
 	var done bool
 	cur := entry
 	for range maxHops {
-		reply, err := o.net.Call(o.client, cur.Addr, req)
-		o.Hops.Inc()
+		var reply any
+		err := transport.ErrUnreachable // as a hop found dead is not asked again
+		if !slices.Contains(dead, cur) {
+			reply, err = o.net.Call(o.client, cur.Addr, req)
+			o.Hops.Inc()
+		}
 		switch {
 		case err == nil:
 			done, next, err = s.ReadStep(cur, target, reply)
@@ -382,14 +376,10 @@ func (o *Overlay) Route(s Stepper, entry Ref, target dht.ID) (owner, answered Re
 			dead, cur = append(dead, cur), prev
 			o.Detours.Inc()
 			var peers []Ref
-			peers, err = s.Neighbours(cur, target)
-			o.Hops.Inc()
-			if err == nil {
-				peers = slices.DeleteFunc(peers, func(p Ref) bool { return slices.Contains(dead, p) })
-				if done, next = s.Detour(cur, target, peers); !done && next.IsZero() {
-					err = fmt.Errorf("no live neighbour after %q", dead[len(dead)-1].Addr)
-				}
+			if peers, err = s.Neighbours(cur, target); err == nil {
+				done, next = s.Detour(cur, target, slices.DeleteFunc(peers, func(p Ref) bool { return slices.Contains(dead, p) }))
 			}
+			o.Hops.Inc()
 		}
 		switch {
 		case err != nil:
@@ -412,8 +402,7 @@ func (o *Overlay) Route(s Stepper, entry Ref, target dht.ID) (owner, answered Re
 // twice while another is left: with one dead seed of four, independent draws
 // would fail a lookup outright one time in 64. A client-mode overlay adds the
 // owner found to its view. The owner is Router.Route's: on Chord and Pastry it
-// may have died since the last maintenance round, and a call to it then fails;
-// a dead hop on the way there is Route's detour.
+// may have died since the last maintenance round, and a call to it then fails.
 func (o *Overlay) Lookup(target dht.ID) (Ref, error) {
 	const retries = 3
 	var lastErr error

@@ -375,16 +375,16 @@ func (r *router) ReadStep(cur ref, target dht.ID, reply any) (bool, ref, error) 
 	return false, resp.Next, nil
 }
 
-// Detour implements overlay.Stepper: at's step rerun over its live peers:
-// the closest one strictly closer to target than at, or Done at at.
+// Detour implements overlay.Stepper: at's step rerun over its live peers,
+// the closest one strictly closer to target than at. It is never Done: at
+// named the dead hop as closer, so at cannot own target.
 func (r *router) Detour(at ref, target dht.ID, peers []ref) (bool, ref) {
-	best := at
 	for _, p := range peers {
-		if closerTo(target, p.ID, best.ID) {
-			best = p
+		if closerTo(target, p.ID, at.ID) {
+			at = p
 		}
 	}
-	return best.Addr == at.Addr, best
+	return false, at
 }
 
 // Tick implements overlay.Router: Bamboo-style periodic repair. Every node

@@ -78,6 +78,49 @@ func TestRouteDetour(t *testing.T) {
 	t.Logf("%d middle hops crashed", middle)
 }
 
+// TestRouteDetourUnderLoss crashes each middle hop of recorded routes, as
+// TestRouteDetour does, while a quarter of all messages are lost, so that
+// steps to live nodes go missing too: a route answers the owner, which did
+// not crash, or fails — never another node.
+func TestRouteDetourUnderLoss(t *testing.T) {
+	const peers, keys = 32, 24
+	answered, failed := 0, 0
+	for i := range keys {
+		target := dht.HashKey(dht.Key(fmt.Sprintf("detour-%d", i)))
+		_, o := buildOverlay(t, peers)
+		entry := overlayRef(t, o, "node-0")
+		path := recordRoute(t, o, entry, target)
+		for j := 1; j < len(path)-1; j++ {
+			net := simnet.New(simnet.Options{Seed: int64(i*peers + j)}) // draws the lost messages
+			o := NewOverlay(net, Config{Seed: 1})
+			for k := range peers {
+				if _, err := o.AddNode(simnet.NodeID(fmt.Sprintf("node-%d", k))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			o.Stabilize(2)
+			if err := o.CrashNode(path[j].Addr); err != nil {
+				t.Fatal(err)
+			}
+			net.SetDropRate(0.25)
+			for range 8 { // each route draws other losses
+				switch owner, err := o.Router().Route(entry, target); {
+				case err != nil:
+					failed++
+				case owner != path[len(path)-1]:
+					t.Errorf("key %d, %s crashed: route answered %s, the owner is %s", i, path[j].Addr, owner.Addr, path[len(path)-1].Addr)
+				default:
+					answered++
+				}
+			}
+		}
+	}
+	if answered == 0 || failed == 0 {
+		t.Fatalf("%d routes answered, %d failed: want some of each", answered, failed)
+	}
+	t.Logf("%d routes answered the owner, %d failed", answered, failed)
+}
+
 func overlayRef(t *testing.T, o *Overlay, addr simnet.NodeID) ref {
 	t.Helper()
 	n, ok := o.NodeAt(addr)
