@@ -2,8 +2,8 @@
 // Chord, Pastry or Kademlia overlay on the message-level network simulator,
 // an m-LIGHT index on top, a data-loading phase, a query phase, and an
 // optional churn phase (graceful leaves and crashes with stabilization
-// repair). It prints overlay statistics, per-peer storage distribution, and
-// query costs — the view a deployer would want of the paper's system.
+// repair). It prints overlay statistics, the tree's census (per-peer storage,
+// stored buckets by kind) and query costs — a deployer's view of the system.
 //
 //	mlight-sim -overlay chord -peers 64 -n 20000 -queries 20 -churn 8
 package main
@@ -13,14 +13,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 	"time"
 
 	"mlight/internal/core"
 	"mlight/internal/dataset"
 	"mlight/internal/dht"
 	"mlight/internal/index"
-	"mlight/internal/metrics"
 	"mlight/internal/overlay"
 	"mlight/internal/simnet"
 	"mlight/internal/substrate"
@@ -85,7 +84,9 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "  client-mode view: %s (this overlay hosts its peers, so it routes)\n", ov.DirectSummary())
 	fmt.Fprintf(out, "  simulated network RTT accumulated: %v\n\n", net.SimulatedRTT().Round(time.Millisecond))
 
-	printDistribution(ov, out)
+	if err := printCensus(ov, ix, out); err != nil {
+		return err
+	}
 
 	if *churn+*crashes > 0 {
 		fmt.Fprintf(out, "churn: %d graceful leaves, %d crashes...\n", *churn, *crashes)
@@ -95,7 +96,7 @@ func run(args []string, out io.Writer) error {
 		}
 		for i := 0; i < *churn+*crashes; i++ {
 			victim := nodes[(i*7)%len(nodes)]
-			if !contains(ov.Nodes(), victim) {
+			if !slices.Contains(ov.Nodes(), victim) {
 				continue
 			}
 			if i < *churn {
@@ -156,60 +157,32 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// printDistribution summarises per-peer bucket and record counts.
-func printDistribution(ov *overlay.Overlay, out io.Writer) {
-	type load struct {
-		buckets, records int
+// printCensus prints the tree's census: records per peer, each charged to the
+// peer whose primary store holds it, and the stored buckets by kind. It reads
+// the peers' stores in place, so it routes nothing.
+func printCensus(ov *overlay.Overlay, ix *core.Index, out io.Writer) error {
+	c, err := ix.Census(holders(ov))
+	if err != nil {
+		return err
 	}
-	perPeer := map[string]*load{}
-	rangeErr := ov.Range(func(k dht.Key, v any) bool {
-		b, ok := v.(core.Bucket)
-		if !ok {
-			return true
-		}
-		owner, err := ov.Owner(k)
-		if err != nil {
-			return true
-		}
-		l := perPeer[owner]
-		if l == nil {
-			l = &load{}
-			perPeer[owner] = l
-		}
-		l.buckets++
-		l.records += b.Load()
-		return true
-	})
-	var recs []float64
-	names := make([]string, 0, len(perPeer))
-	for name := range perPeer {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	minR, maxR := 1<<62, 0
-	for _, name := range names {
-		l := perPeer[name]
-		recs = append(recs, float64(l.records))
-		if l.records < minR {
-			minR = l.records
-		}
-		if l.records > maxR {
-			maxR = l.records
-		}
-	}
-	fmt.Fprintf(out, "storage distribution over %d data-holding peers:\n", len(perPeer))
-	if rangeErr != nil {
-		fmt.Fprintf(out, "  WARNING: walk incomplete (%v); counts below understate the load\n", rangeErr)
-	}
-	fmt.Fprintf(out, "  records per peer: min=%d max=%d mean=%.0f normalised variance=%.3f\n\n",
-		minR, maxR, metrics.Mean(recs), metrics.NormalizedVariance(recs))
+	fmt.Fprintf(out, "storage distribution over %d peers:\n", len(c.PeerRecords))
+	fmt.Fprintf(out, "  records per peer: min=%d max=%d mean=%.0f normalised variance=%.3f\n",
+		slices.Min(c.PeerRecords), slices.Max(c.PeerRecords), float64(c.Records)/float64(len(c.PeerRecords)), c.Variance)
+	fmt.Fprintf(out, "  tree: %d leaves (%d empty), %d tombstones, %d marked buckets\n\n", c.Leaves, c.Empty, c.Tombstones, c.Marked)
+	return nil
 }
 
-func contains(ids []simnet.NodeID, id simnet.NodeID) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
+// holders returns the census's owner over ov — the managed node whose primary
+// store holds a key — and the managed nodes.
+func holders(ov *overlay.Overlay) (func(dht.Key) (string, error), []string) {
+	held := make(map[dht.Key]string)
+	var peers []string
+	for _, n := range ov.LocalNodes() {
+		addr := string(n.Addr())
+		peers = append(peers, addr)
+		for k := range n.StoreSnapshot() {
+			held[k] = addr
 		}
 	}
-	return false
+	return func(k dht.Key) (string, error) { return held[k], nil }, peers
 }

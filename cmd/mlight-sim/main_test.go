@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -110,5 +111,60 @@ func TestRouteLengthIsTheLoadPhases(t *testing.T) {
 	want := fmt.Sprintf("mean overlay route length: %.2f hops per DHT op", float64(ov.Hops.Load())/float64(ov.Lookups.Load()))
 	if !strings.Contains(out.String(), want) {
 		t.Errorf("output lacks %q:\n%s", want, out.String())
+	}
+}
+
+// TestCensusRoutesNothing: the printed census is ix.Census of a reference
+// build, charged to the nodes whose stores hold each key, and taking it sends
+// no RPC and counts no route.
+func TestCensusRoutesNothing(t *testing.T) {
+	const peers, records, seed = 16, 1500, 1
+	var out strings.Builder
+	err := run([]string{
+		"-overlay", "chord", "-peers", fmt.Sprint(peers), "-n", fmt.Sprint(records),
+		"-queries", "1", "-seed", fmt.Sprint(seed),
+	}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	net := simnet.New(simnet.Options{Latency: simnet.ConstantLatency(time.Millisecond)})
+	ov, err := substrate.Cluster("chord", net, peers, overlay.Config{Seed: seed, Replication: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := core.New(ov, index.Tuning{Capacity: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range dataset.Generate(records, seed) {
+		if err := ix.Insert(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hops, lookups, rpcs := ov.Hops.Load(), ov.Lookups.Load(), net.RPCs.Load()
+	var printed strings.Builder
+	if err := printCensus(ov, ix, &printed); err != nil {
+		t.Fatal(err)
+	}
+	if h, l, r := ov.Hops.Load(), ov.Lookups.Load(), net.RPCs.Load(); h != hops || l != lookups || r != rpcs {
+		t.Errorf("census moved hops %d → %d, lookups %d → %d, RPCs %d → %d", hops, h, lookups, l, rpcs, r)
+	}
+	c, err := ix.Census(holders(ov))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Leaves < 2 || len(c.PeerRecords) != peers {
+		t.Fatalf("reference census has %d leaves over %d peers", c.Leaves, len(c.PeerRecords))
+	}
+	for _, want := range []string{
+		fmt.Sprintf("storage distribution over %d peers:", peers),
+		fmt.Sprintf("records per peer: min=%d max=%d mean=%.0f normalised variance=%.3f",
+			slices.Min(c.PeerRecords), slices.Max(c.PeerRecords), float64(records)/peers, c.Variance),
+		fmt.Sprintf("tree: %d leaves (%d empty), %d tombstones, %d marked buckets", c.Leaves, c.Empty, c.Tombstones, c.Marked),
+	} {
+		if !strings.Contains(out.String(), want) || !strings.Contains(printed.String(), want) {
+			t.Errorf("output lacks %q:\n%s", want, out.String())
+		}
 	}
 }

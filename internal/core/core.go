@@ -193,49 +193,58 @@ func (ix *Index) DHT() dht.DHT { return ix.d }
 // Buckets returns all leaf buckets, in unspecified order. It requires an
 // enumerable substrate and is intended for measurements and tests.
 func (ix *Index) Buckets() ([]Bucket, error) {
-	leaves, _, err := ix.leaves()
-	return leaves, err
+	s, err := ix.leaves()
+	return s.leaves, err
 }
 
-// leaves returns the leaves the stored buckets hold, and which of them are
-// frozen pieces of a move under way (move.go), held in the mark of the bucket
-// they are leaving rather than under their own key. A moving bucket holds its
-// stayer, if it splits, and each frozen piece no other stored bucket holds
-// yet; a quiescent tree has no moving bucket.
-func (ix *Index) leaves() ([]Bucket, map[bitlabel.Label]bool, error) {
+// storeWalk is what leaves finds: the leaves the stored buckets hold, the
+// stored buckets of each kind, and the frozen pieces of a move under way
+// (move.go) among the leaves, each with the key of the bucket whose mark holds
+// it. A moving bucket holds its stayer, if it splits, and each frozen piece no
+// other stored bucket holds yet; a quiescent tree has no moving bucket.
+type storeWalk struct {
+	leaves                   []Bucket
+	live, tombstones, marked int
+	frozen                   map[bitlabel.Label]dht.Key
+}
+
+// leaves walks the store once.
+func (ix *Index) leaves() (storeWalk, error) {
 	e, ok := ix.raw.(dht.Enumerator)
 	if !ok {
-		return nil, nil, dht.ErrNotEnumerable
+		return storeWalk{}, dht.ErrNotEnumerable
 	}
+	var s storeWalk
 	stored := make(map[dht.Key]Bucket)
-	var out, moving []Bucket
+	var moving []dht.Key
 	err := e.Range(func(k dht.Key, v any) bool {
 		b, isBucket := v.(Bucket)
 		switch {
 		case !isBucket:
+			return true
 		case b.mark() != nil:
-			stored[k] = b
-			moving = append(moving, b)
+			s.marked++
+			moving = append(moving, k)
 			if !b.mark().retire {
-				out = append(out, b.unmarked())
+				s.leaves = append(s.leaves, b.unmarked())
 			}
 		case b.tombstone():
-			stored[k] = b
+			s.tombstones++
 		default:
-			stored[k] = b
-			out = append(out, b)
+			s.live++
+			s.leaves = append(s.leaves, b)
 		}
+		stored[k] = b
 		return true
 	})
 	if err != nil {
-		return nil, nil, err
+		return storeWalk{}, err
 	}
 	// A frozen piece is a leaf while the key it goes to holds nothing of it:
 	// no bucket whose cell meets the piece's, bar one it supersedes, and no
 	// tombstone of a merge that took the piece in after it arrived.
-	var frozen map[bitlabel.Label]bool
-	for _, b := range moving {
-		for _, h := range b.hops() {
+	for _, k := range moving {
+		for _, h := range stored[k].hops() {
 			at, held := stored[labelKey(h.target(ix.opts.Dims))]
 			l := at.reported()
 			switch {
@@ -246,14 +255,14 @@ func (ix *Index) leaves() ([]Bucket, map[bitlabel.Label]bool, error) {
 			case held && (l.IsPrefixOf(h.piece.Label) || h.piece.Label.IsPrefixOf(l)) && !h.supersedes(at):
 				continue
 			}
-			if frozen == nil {
-				frozen = make(map[bitlabel.Label]bool)
+			if s.frozen == nil {
+				s.frozen = make(map[bitlabel.Label]dht.Key)
 			}
-			frozen[h.piece.Label] = true
-			out = append(out, h.piece)
+			s.frozen[h.piece.Label] = k
+			s.leaves = append(s.leaves, h.piece)
 		}
 	}
-	return out, frozen, nil
+	return s, nil
 }
 
 // Size returns the total number of records across all buckets (requires an
@@ -268,4 +277,73 @@ func (ix *Index) Size() (int, error) {
 		n += b.Load()
 	}
 	return n, nil
+}
+
+// Census is the tree's shape as the store holds it, the paper's Fig. 6.
+type Census struct {
+	Leaves, Empty, Records int // the tree size, its leaves holding no record, their records
+	// Live, Tombstones and Marked partition the stored buckets: plain leaves,
+	// the tombstones merges leave, and buckets a move has marked (move.go).
+	Live, Tombstones, Marked int
+	Depths                   []int // Depths[d] counts the leaves d levels below the root
+	MaxDepth                 int
+	// PeerBuckets[i] and PeerRecords[i] are the leaves and records the i-th
+	// peer given holds, and Variance is the normalised variance of
+	// PeerRecords (metrics.NormalizedVariance); all are empty without an owner.
+	PeerBuckets, PeerRecords []int
+	Variance                 float64
+}
+
+// Census counts the tree's shape in one pass over the store, the one
+// Buckets makes, through the uncounted view. owner names the peer among
+// peers whose store holds a key (a frozen piece is held under the key of the
+// bucket whose mark holds it) and must not route or have any other side
+// effect: dht.Local.Owner, or on an overlay the managed node whose primary
+// store holds the key. A nil owner leaves the per-peer fields empty.
+func (ix *Index) Census(owner func(dht.Key) (string, error), peers []string) (Census, error) {
+	s, err := ix.leaves()
+	if err != nil {
+		return Census{}, err
+	}
+	c := Census{Leaves: len(s.leaves), Live: s.live, Tombstones: s.tombstones, Marked: s.marked}
+	slot := make(map[string]int, len(peers))
+	var load []float64
+	if owner != nil {
+		for i, p := range peers {
+			slot[p] = i
+		}
+		c.PeerBuckets, c.PeerRecords, load = make([]int, len(peers)), make([]int, len(peers)), make([]float64, len(peers))
+	}
+	root := bitlabel.Root(ix.opts.Dims).Len()
+	for _, b := range s.leaves {
+		c.Records += b.Load()
+		if b.Load() == 0 {
+			c.Empty++
+		}
+		d := b.Label.Len() - root
+		for len(c.Depths) <= d {
+			c.Depths = append(c.Depths, 0)
+		}
+		c.Depths[d]++
+		if owner == nil {
+			continue
+		}
+		key, frozen := s.frozen[b.Label]
+		if !frozen {
+			key = b.Key(ix.opts.Dims)
+		}
+		p, err := owner(key)
+		if err != nil {
+			return Census{}, fmt.Errorf("core: census: owner of %q: %w", key, err)
+		}
+		i, ok := slot[p]
+		if !ok {
+			return Census{}, fmt.Errorf("core: census: key %q is held by %q, not one of the %d peers given", key, p, len(peers))
+		}
+		c.PeerBuckets[i]++
+		c.PeerRecords[i] += b.Load()
+		load[i] += float64(b.Load())
+	}
+	c.MaxDepth, c.Variance = len(c.Depths)-1, metrics.NormalizedVariance(load)
+	return c, nil
 }

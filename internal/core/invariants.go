@@ -27,14 +27,14 @@ import (
 // frozen pieces no stored bucket holds yet, and a frozen piece is reached
 // through the mark instead of its own key.
 func CheckInvariants(ix *Index) error {
-	buckets, frozen, err := ix.leaves()
+	walk, err := ix.leaves()
 	if err != nil {
 		return err
 	}
 	m, rule := ix.opts.Dims, ix.splitRule()
 	root := bitlabel.Root(m)
-	leaves := make(map[bitlabel.Label]bool, len(buckets))
-	for _, b := range buckets {
+	leaves := make(map[bitlabel.Label]bool, len(walk.leaves))
+	for _, b := range walk.leaves {
 		if !root.IsPrefixOf(b.Label) {
 			return fmt.Errorf("core: invariant: leaf %v does not extend the %d-dimensional root", b.Label, m)
 		}
@@ -47,7 +47,7 @@ func CheckInvariants(ix *Index) error {
 	// most bitlabel.MaxLen bits, so every depth below the root fits.
 	const unitDepth = bitlabel.MaxLen - 2
 	var volume uint64
-	for _, b := range buckets {
+	for _, b := range walk.leaves {
 		for a := b.Label; a != root; {
 			if a = a.Parent(); leaves[a] {
 				return fmt.Errorf("core: invariant: leaf %v is a prefix of leaf %v", a, b.Label)
@@ -59,7 +59,8 @@ func CheckInvariants(ix *Index) error {
 		if err != nil {
 			return err
 		}
-		if stored, isBucket := v.(Bucket); !frozen[b.Label] && (!ok || !isBucket || stored.Label != b.Label) {
+		_, frozen := walk.frozen[b.Label]
+		if stored, isBucket := v.(Bucket); !frozen && (!ok || !isBucket || stored.Label != b.Label) {
 			return fmt.Errorf("core: invariant: leaf %v is not what its key fmd(λ) = %v holds", b.Label, bitlabel.Name(b.Label, m))
 		}
 
@@ -80,7 +81,7 @@ func CheckInvariants(ix *Index) error {
 	}
 	if volume != 1<<unitDepth {
 		return fmt.Errorf("core: invariant: the leaves do not cover the space (%d leaves, %g of the unit volume)",
-			len(buckets), float64(volume)/(1<<unitDepth))
+			len(walk.leaves), float64(volume)/(1<<unitDepth))
 	}
 	return nil
 }

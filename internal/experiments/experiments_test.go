@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	"math"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"mlight/internal/core"
+	"mlight/internal/dht"
+	"mlight/internal/metrics"
 )
 
 // smallCfg keeps test runs fast while preserving the paper's shapes.
@@ -139,6 +142,71 @@ func TestFig6Shapes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFig6CensusMatchesReference holds Fig. 6's points to the arithmetic
+// that computed them before Index.Census did (measureBalance, kept below),
+// bit for bit, at two checkpoints: a tree grown to a checkpoint is the full
+// run's tree there, since the census reads without writing.
+func TestFig6CensusMatchesReference(t *testing.T) {
+	cfg := smallCfg().withDefaults()
+	cfg.Records = cfg.records()
+	full, err := growBalanceTrees(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peers := dht.MustNewLocal(cfg.Peers).Peers()
+	marks := checkpointSizes(len(cfg.Records), max(cfg.Checkpoints, 6))
+	for _, at := range []int{1, len(marks) - 1} {
+		part := cfg
+		part.Records = cfg.Records[:marks[at]]
+		trees, err := growBalanceTrees(part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, tree := range trees {
+			size, empty, variance := measureBalance(t, tree.ix, tree.owner, peers)
+			want := [3]uint64{math.Float64bits(float64(size)), math.Float64bits(empty), math.Float64bits(variance)}
+			v, e := full[i].variance.Points[at], full[i].empties.Points[at]
+			got := [3]uint64{math.Float64bits(v.X), math.Float64bits(e.Y), math.Float64bits(v.Y)}
+			if got != want || e.X != v.X {
+				t.Errorf("%s at %d records: census (%v, %v, %v), reference (%d, %v, %v)",
+					tree.variance.Name, marks[at], v.X, e.Y, v.Y, size, empty, variance)
+			}
+		}
+	}
+}
+
+// measureBalance is Fig. 6's measurement as it was computed before the
+// census: leaf count, empty-leaf fraction, and the normalised variance of
+// per-peer stored records.
+func measureBalance(t *testing.T, ix *core.Index, owner func(dht.Key) (string, error), peers []string) (treeSize int, emptyFrac, loadVariance float64) {
+	t.Helper()
+	buckets, err := ix.Buckets()
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := make(map[string]float64, len(peers))
+	empty := 0
+	for _, b := range buckets {
+		if b.Load() == 0 {
+			empty++
+		}
+		p, err := owner(b.Key(ix.Dims()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		load[p] += float64(b.Load())
+	}
+	perPeer := make([]float64, 0, len(peers))
+	for _, p := range peers {
+		perPeer = append(perPeer, load[p])
+	}
+	treeSize = len(buckets)
+	if treeSize > 0 {
+		emptyFrac = float64(empty) / float64(treeSize)
+	}
+	return treeSize, emptyFrac, metrics.NormalizedVariance(perPeer)
 }
 
 func TestFig7Shapes(t *testing.T) {

@@ -6,14 +6,13 @@ import (
 	"mlight/internal/core"
 	"mlight/internal/dht"
 	"mlight/internal/index"
-	"mlight/internal/metrics"
 )
 
-// balanceTree is one splitting strategy's index, the store it lives in, and
-// its two Fig. 6 curves.
+// balanceTree is one splitting strategy's index, the ring lookup of the
+// store it lives in, and its two Fig. 6 curves.
 type balanceTree struct {
 	ix                *core.Index
-	local             *dht.Local
+	owner             func(dht.Key) (string, error)
 	variance, empties Series
 }
 
@@ -28,12 +27,14 @@ func growBalanceTrees(cfg Config) ([]*balanceTree, error) {
 		{variance: Series{Name: "threshold-based splitting"}},
 		{variance: Series{Name: "data-aware splitting"}},
 	}
+	var peers []string // both stores have the same cfg.Peers peers
 	for i, t := range []index.Tuning{cfg.tuning(cfg.ThetaSplit), aware} {
 		tree := trees[i]
 		tree.empties.Name = tree.variance.Name
-		tree.local = dht.MustNewLocal(cfg.Peers)
+		local := dht.MustNewLocal(cfg.Peers)
+		tree.owner, peers = local.Owner, local.Peers()
 		var err error
-		if tree.ix, err = core.New(tree.local, t); err != nil {
+		if tree.ix, err = core.New(local, t); err != nil {
 			return nil, err
 		}
 	}
@@ -51,12 +52,13 @@ func growBalanceTrees(cfg Config) ([]*balanceTree, error) {
 		}
 		marks = marks[1:]
 		for _, tree := range trees {
-			treeSize, emptyFrac, loadVar, err := measureBalance(tree.ix, tree.local)
+			c, err := tree.ix.Census(tree.owner, peers)
 			if err != nil {
 				return nil, err
 			}
-			tree.variance.Points = append(tree.variance.Points, Point{X: float64(treeSize), Y: loadVar})
-			tree.empties.Points = append(tree.empties.Points, Point{X: float64(treeSize), Y: emptyFrac})
+			size := float64(c.Leaves)
+			tree.variance.Points = append(tree.variance.Points, Point{X: size, Y: c.Variance})
+			tree.empties.Points = append(tree.empties.Points, Point{X: size, Y: float64(c.Empty) / size})
 		}
 	}
 	return trees, nil
@@ -88,37 +90,4 @@ func Fig6LoadBalance(cfg Config) (variance, empties Table, err error) {
 		Series: []Series{trees[0].empties, trees[1].empties},
 	}
 	return variance, empties, nil
-}
-
-// measureBalance inspects one index: leaf-bucket count, empty-bucket
-// fraction, and the normalised variance (squared coefficient of variation)
-// of per-peer stored records.
-func measureBalance(ix *core.Index, local *dht.Local) (treeSize int, emptyFrac, loadVariance float64, err error) {
-	buckets, err := ix.Buckets()
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	peers := local.Peers()
-	load := make(map[string]float64, len(peers))
-	empty := 0
-	for _, b := range buckets {
-		if b.Load() == 0 {
-			empty++
-		}
-		owner, err := local.Owner(b.Key(ix.Dims()))
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		load[owner] += float64(b.Load())
-	}
-	perPeer := make([]float64, 0, len(peers))
-	for _, p := range peers {
-		perPeer = append(perPeer, load[p])
-	}
-	treeSize = len(buckets)
-	if treeSize > 0 {
-		emptyFrac = float64(empty) / float64(treeSize)
-	}
-	loadVariance = metrics.NormalizedVariance(perPeer)
-	return treeSize, emptyFrac, loadVariance, nil
 }

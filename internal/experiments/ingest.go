@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"mlight/internal/core"
@@ -83,46 +85,28 @@ type IngestResult struct {
 	BulkLoadSpeedup    float64 `json:"bulk_load_speedup"`
 }
 
-// sameIngestTree compares two indexes' leaf frontiers: same bucket labels,
-// same per-bucket record multisets (records are identified by their Data
-// payload, which the generated streams make unique).
+// sameIngestTree compares two indexes' leaf frontiers: the same leaf labels,
+// each holding the same records (identified by their Data payload, which the
+// generated streams make unique).
 func sameIngestTree(a, b *core.Index) error {
-	ab, err := a.Buckets()
-	if err != nil {
-		return err
-	}
-	bb, err := b.Buckets()
-	if err != nil {
-		return err
-	}
-	if len(ab) != len(bb) {
-		return fmt.Errorf("tree shapes differ: %d vs %d buckets", len(ab), len(bb))
-	}
-	contents := func(bs []core.Bucket) map[string]map[string]int {
-		out := make(map[string]map[string]int, len(bs))
-		for _, bk := range bs {
-			set := make(map[string]int, bk.Load())
+	var trees [2][]string
+	for i, ix := range []*core.Index{a, b} {
+		buckets, err := ix.Buckets()
+		if err != nil {
+			return err
+		}
+		for _, bk := range buckets {
+			data := make([]string, 0, bk.Load())
 			for _, rec := range bk.Records() {
-				set[fmt.Sprint(rec.Data)]++
+				data = append(data, fmt.Sprint(rec.Data))
 			}
-			out[bk.Label.String()] = set
+			slices.Sort(data)
+			trees[i] = append(trees[i], bk.Label.String()+" holds "+strings.Join(data, ","))
 		}
-		return out
+		slices.Sort(trees[i])
 	}
-	ac, bc := contents(ab), contents(bb)
-	for label, set := range ac {
-		other, ok := bc[label]
-		if !ok {
-			return fmt.Errorf("bucket %s missing from the other tree", label)
-		}
-		if len(set) != len(other) {
-			return fmt.Errorf("bucket %s holds %d vs %d distinct records", label, len(set), len(other))
-		}
-		for data, n := range set {
-			if other[data] != n {
-				return fmt.Errorf("bucket %s: record %q count %d vs %d", label, data, n, other[data])
-			}
-		}
+	if !slices.Equal(trees[0], trees[1]) {
+		return fmt.Errorf("the leaves or their records differ (%d vs %d leaves)", len(trees[0]), len(trees[1]))
 	}
 	return nil
 }
@@ -218,16 +202,16 @@ func ingest(cfg ingestParams) (IngestResult, error) {
 			"experiments: ingest stats diverged: sequential splits/moved %d/%d vs group-commit %d/%d",
 			seqStats.Splits, seqStats.RecordsMoved, batStats.Splits, batStats.RecordsMoved)
 	}
-	if n, err := bulkIx.Size(); err != nil {
+	if c, err := bulkIx.Census(nil, nil); err != nil {
 		return res, err
-	} else if n != len(records) {
-		return res, fmt.Errorf("experiments: bulk load holds %d records, want %d", n, len(records))
+	} else if c.Records != len(records) {
+		return res, fmt.Errorf("experiments: bulk load holds %d records, want %d", c.Records, len(records))
 	}
-	buckets, err := seqIx.Buckets()
+	seq, err := seqIx.Census(nil, nil)
 	if err != nil {
 		return res, err
 	}
-	res.Buckets = len(buckets)
+	res.Buckets = seq.Leaves
 	res.Splits = seqStats.Splits
 	res.RecordsMoved = seqStats.RecordsMoved
 	res.SequentialLookups = seqStats.DHTLookups

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -199,27 +198,22 @@ func scaleOut(cfg scaleParams) (ScaleResult, error) {
 	if res.IngestWallMS > 0 {
 		res.IngestRecordsPerMS = float64(cfg.DataSize) / res.IngestWallMS
 	}
-	buckets, err := ix.Buckets()
+	census, err := ix.Census(nil, nil)
 	if err != nil {
 		return res, err
 	}
-	res.Buckets = len(buckets)
-	if res.IndexedRecords, err = ix.Size(); err != nil {
-		return res, err
-	}
+	res.Buckets, res.IndexedRecords = census.Leaves, census.Records
 	if res.IndexedRecords != cfg.DataSize {
 		return res, fmt.Errorf("experiments: scale index holds %d records, loaded %d", res.IndexedRecords, cfg.DataSize)
 	}
 
 	// Zero-alloc gate on the bucket append path: appending into spare
-	// capacity on a bucket shaped like the live ones — one that holds a
-	// record, as the store lists its buckets in no fixed order and a leaf
-	// may be empty.
-	i := slices.IndexFunc(buckets, func(b core.Bucket) bool { return b.Load() > 0 })
-	if i < 0 {
-		return res, fmt.Errorf("experiments: scale index has no bucket holding a record")
+	// capacity on a bucket shaped like the live ones — the leaf of a loaded
+	// record, so one that holds a record.
+	live, err := ix.Lookup(records[0].Key)
+	if err != nil {
+		return res, err
 	}
-	live := buckets[i]
 	gate := core.NewBucket(live.Label, live.Records())
 	gate = gate.Append(spatial.Record{Key: live.KeyAt(0), Data: "gate"})
 	probe := spatial.Record{Key: live.KeyAt(0), Data: "p"}

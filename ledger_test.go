@@ -48,8 +48,9 @@ const ledgerGolden = "testdata/ledger.golden"
 // three WAL-backed daemons on fixed loopback ports under a client assembled
 // as mlight.Dial assembles it (dialMetered), with the tcp-cluster workload's
 // client options. Each runs with the leaf cache off and with 256 leaves,
-// which the ~80-leaf trees never fill; local and dial run with 32 leaves too,
-// so that evictions, and what the cache keeps of an evicted leaf, are pinned. A
+// which the trees (157 to 179 leaves, as the census cells show) never fill;
+// local and dial run with 32 leaves too, so that evictions, and what the
+// cache keeps of an evicted leaf, are pinned. A
 // 5,000-record NE preload (seed 1) is not charged; the phases after it are
 // 1,000 inserts, 1,000 lookups, 200 RangeQuery and 200 RangeQueryParallel
 // (h = 2) of span 0.05, 1,000 records by InsertBatch in chunks of 64, and
@@ -65,7 +66,10 @@ const ledgerGolden = "testdata/ledger.golden"
 // on the client's critical path (critMeter); and on the durable and dialed
 // shapes the WAL's log records, log bytes and compactions, summed over the
 // daemons. A compaction resets the log, so the operation that triggers one is
-// charged only the log written after it.
+// charged only the log written after it. Last, on every shape but the dialed
+// one, the tree after the phase as Index.Census counts it, with no owner:
+// leaves, the tombstones merges leave, marked buckets and the largest depth.
+// A dialed client cannot list the cluster's stores, so its rows have none.
 //
 // Two costs are left out:
 //   - Allocations. The in-process shapes' phases, run four times in one
@@ -130,7 +134,7 @@ var ledgerShapes = []struct {
 	build  func(t *testing.T, cache int) (*mlight.Index, *meter)
 }{
 	{"local", []int{0, 32, 256}, func(t *testing.T, cache int) (*mlight.Index, *meter) {
-		return ledgerIndex(t, mlight.NewLocalDHT(128), cache), &meter{}
+		return ledgerIndex(t, mlight.NewLocalDHT(128), cache), &meter{census: true}
 	}},
 	{"durable", []int{0, 256}, func(t *testing.T, cache int) (*mlight.Index, *meter) {
 		dir := t.TempDir()
@@ -147,7 +151,7 @@ var ledgerShapes = []struct {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ledgerIndex(t, d, cache), &meter{wal: walMeters(w)}
+		return ledgerIndex(t, d, cache), &meter{wal: walMeters(w), census: true}
 	}},
 	{"chord", []int{0, 256}, func(t *testing.T, cache int) (*mlight.Index, *meter) {
 		crit := &critMeter{branches: keyBranches}
@@ -161,7 +165,7 @@ var ledgerShapes = []struct {
 		// sends one probe at a time: its routing steps are then exact, and
 		// so is which key of a batch each frame belongs to.
 		ix := ledgerIndex(t, &critDHT{inner: ring, m: crit}, cache, mlight.WithMaxInFlight(1))
-		return ix, &meter{wire: w, crit: crit}
+		return ix, &meter{wire: w, crit: crit, census: true}
 	}},
 	{"dial", []int{0, 32, 256}, func(t *testing.T, cache int) (*mlight.Index, *meter) {
 		crit := &critMeter{branches: daemonBranches}
@@ -249,7 +253,7 @@ func runLedger(t *testing.T, ix *mlight.Index, m *meter) []string {
 			}
 			m.tick()
 		}
-		rows = append(rows, name+" "+m.row(ix))
+		rows = append(rows, name+" "+m.row(t, ix))
 	}
 	phase("insert", func(i int) error { return ix.Insert(inserted[i]) }, ops)
 	phase("lookup", func(int) error {
@@ -282,12 +286,13 @@ func runLedger(t *testing.T, ix *mlight.Index, m *meter) []string {
 	return rows
 }
 
-// meter reads one phase's costs: the index's counters, and the frames and
-// WALs the shape has.
+// meter reads one phase's costs: the index's counters, the frames and WALs
+// the shape has, and the tree's census where the store can be listed.
 type meter struct {
 	wire   *wireCount
 	crit   *critMeter
 	wal    []*walMeter
+	census bool
 	before mlight.Stats
 	most   int // the most frames one peer got in one operation
 }
@@ -318,7 +323,7 @@ func (m *meter) tick() {
 	}
 }
 
-func (m *meter) row(ix *mlight.Index) string {
+func (m *meter) row(t *testing.T, ix *mlight.Index) string {
 	d := ix.Stats().Sub(m.before)
 	cols := []string{
 		col("lookups", d.DHTLookups),
@@ -354,6 +359,13 @@ func (m *meter) row(ix *mlight.Index) string {
 			records, bytes, compactions = records+w.records, bytes+w.bytes, compactions+w.compactions
 		}
 		cols = append(cols, col("wal.records", records), col("wal.bytes", bytes), col("wal.compactions", compactions))
+	}
+	if m.census {
+		c, err := ix.Census(nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols = append(cols, col("leaves", c.Leaves), col("tombstones", c.Tombstones), col("marks", c.Marked), col("depth", c.MaxDepth))
 	}
 	return strings.Join(cols, " ")
 }
